@@ -96,12 +96,13 @@ type AnalysisOptions struct {
 	// Values <= 1 select the default of 1.1; the field is ignored unless the
 	// Dataset was built with ScheduleMeasured.
 	RebalanceThreshold float64
-	// MinChunk is the minimum stealable work unit in alignment patterns for
-	// a session on a Steal-enabled Dataset (0 selects the default of 64,
-	// which amortizes the tip-table fast path). Smaller chunks bound tail
-	// latency tighter but migrate more per-span setup work; the value never
-	// affects results, only the work distribution. Ignored unless
-	// DatasetOptions.Steal is set.
+	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
+	// default of 64). Chunks are the unit a session's workers drain their
+	// pattern shares in, the unit thieves take on a Steal-enabled Dataset —
+	// smaller chunks bound tail latency tighter but migrate more per-span
+	// setup work — and the unit likelihood sums are grouped by, so sessions
+	// agree bit for bit at equal MinChunk and to floating-point reassociation
+	// tolerance otherwise.
 	MinChunk int
 }
 
@@ -114,8 +115,7 @@ type AnalysisOptions struct {
 // An Analysis is a single-session object: its methods must not be called
 // concurrently with each other. Concurrency happens across sessions.
 type Analysis struct {
-	ds          *Dataset
-	ownsDataset bool // legacy NewAnalysis(al, Options{}) path
+	ds *Dataset
 
 	eng       *core.Engine
 	exec      parallel.Executor
@@ -218,8 +218,7 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 // Close releases the session's executor (its view of the shared pool; the
 // pool itself stays up for other sessions). It is idempotent; every method
 // called afterwards returns ErrAnalysisClosed (or NaN where the signature
-// has no error). Analyses made with the legacy NewAnalysis shim own their
-// Dataset and close it too.
+// has no error).
 func (an *Analysis) Close() error {
 	an.mu.Lock()
 	if an.closed {
@@ -230,9 +229,6 @@ func (an *Analysis) Close() error {
 	an.mu.Unlock()
 	an.exec.Close()
 	an.ds.release()
-	if an.ownsDataset {
-		return an.ds.Close()
-	}
 	return nil
 }
 

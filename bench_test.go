@@ -188,7 +188,7 @@ func kernelBench(b *testing.B, dt alignment.DataType, patterns int, specialize b
 		b.Fatal(err)
 	}
 	exec := parallel.NewSequential()
-	eng, err := core.New(d, tr, []*model.Model{m}, exec, core.Options{Specialize: specialize})
+	eng, err := newEngine(d, tr, []*model.Model{m}, exec, core.Options{Specialize: specialize})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func BenchmarkPoolTraversal2Threads(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := core.New(d, tr, []*model.Model{m}, pool, core.Options{Specialize: true})
+	eng, err := newEngine(d, tr, []*model.Model{m}, pool, core.Options{Specialize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func convergenceMaskBench(b *testing.B, disable bool) {
 		b.StopTimer()
 		sim, _ := parallel.NewSim(8)
 		tr, _ := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: 77})
-		eng, err := core.New(d, tr, models, sim, core.Options{Specialize: true})
+		eng, err := newEngine(d, tr, models, sim, core.Options{Specialize: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func scheduleBench(b *testing.B, strat schedule.Strategy) {
 		b.StopTimer()
 		sim, _ := parallel.NewSim(8)
 		tr, _ := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: 78})
-		eng, err := core.New(d, tr, models, sim, core.Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, tr, models, sim, core.Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,3 +369,13 @@ func scheduleBench(b *testing.B, strat schedule.Strategy) {
 func BenchmarkAblationCyclicSchedule(b *testing.B)   { scheduleBench(b, schedule.Cyclic) }
 func BenchmarkAblationBlockSchedule(b *testing.B)    { scheduleBench(b, schedule.Block) }
 func BenchmarkAblationWeightedSchedule(b *testing.B) { scheduleBench(b, schedule.Weighted) }
+
+// newEngine builds the shared state for (d, the models' category count,
+// exec's worker count) and opens one session over it.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
+}

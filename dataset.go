@@ -38,22 +38,22 @@ type DatasetOptions struct {
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
 	// VirtualThreads gives every analysis session its own T-worker virtual
-	// executor (serial execution on a virtual clock, see Options); sessions
+	// executor (serial execution on a virtual clock); sessions
 	// then price their traces independently with PlatformSeconds.
 	VirtualThreads bool
-	// Steal enables intra-region work stealing for every session: each
-	// worker's scheduled pattern share is sliced into chunks on a per-worker
-	// deque, and a worker that finishes early steals the largest remaining
-	// half from the most-loaded victim instead of idling at the region
-	// barrier. Results are bit-for-bit identical with stealing on or off
-	// (reductions run over per-chunk partials in fixed chunk order); steal
-	// activity is reported through SyncStats and ProgressEvent. Stealing
-	// composes with every Schedule strategy, including ScheduleMeasured:
-	// the schedule remains the locality prior and rebalancing re-prices it
-	// between rounds, while stealing absorbs the residual mispricing inside
-	// each region. It is a Dataset option because it selects the execution
-	// model all sessions share; the chunk granularity is tuned per session
-	// via AnalysisOptions.MinChunk.
+	// Steal enables intra-region work stealing for every session. Every
+	// session drains its workers' scheduled pattern shares chunk by chunk
+	// either way; with Steal a worker that finishes its own chunks early
+	// steals the largest remaining half from the most-loaded victim instead
+	// of idling at the region barrier (at the price of one extra barrier per
+	// traversal step). Results are bit-for-bit identical with stealing on or
+	// off (reductions run over per-chunk partials in fixed chunk order);
+	// steal activity is reported through SyncStats and ProgressEvent.
+	// Stealing composes with every Schedule strategy, including
+	// ScheduleMeasured: the schedule remains the locality prior and
+	// rebalancing re-prices it between rounds, while stealing absorbs the
+	// residual mispricing inside each region. The chunk granularity is tuned
+	// per session via AnalysisOptions.MinChunk.
 	Steal bool
 	// Backend selects the likelihood kernel backend for every session over
 	// this dataset. The zero value (BackendAuto) consults the PLK_BACKEND

@@ -87,15 +87,13 @@ type RunSpec struct {
 	// the pre-rebalance history.
 	ProbeRegions int
 
-	// Steal runs the analysis on the chunked work-stealing execution path:
-	// workers that drain their scheduled share steal the largest remaining
-	// half from the most loaded victim instead of idling at each region
-	// barrier. Results are bit-for-bit identical to the same chunked run
-	// without thieving and within reassociation tolerance of the
-	// precomputed-assignment path; Stats/EndStats carry the steal counters.
+	// Steal turns thieving on: workers that drain their scheduled share steal
+	// the largest remaining half from the most loaded victim instead of
+	// idling at each region barrier. Results are bit-for-bit identical to the
+	// same run without it; Stats/EndStats carry the steal counters.
 	Steal bool
-	// MinChunk is the minimum stealable chunk size in patterns (0 = the
-	// engine default of 64). Only meaningful with Steal.
+	// MinChunk is the minimum chunk size in patterns (0 = the engine default
+	// of 64).
 	MinChunk int
 
 	// KernelBackend selects the likelihood kernel backend (the CLV layout

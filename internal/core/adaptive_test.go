@@ -73,7 +73,7 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	}
 	want := 0.0
 	for _, p := range d.Parts {
-		want += float64(p.PatternCount) * opsDerivative(p.Type.States(), eng.NumCats())
+		want += float64(p.PatternCount) * opsDerivative(p.Type.States(), eng.NumCats(), 1)
 	}
 	st := eng.Exec.Stats()
 	if st.KindCritical[parallel.RegionDerivative] != want {
@@ -135,7 +135,7 @@ func TestMeasuredRebalanceKeepsLikelihood(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
-	eng, err := New(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
+	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestMeasuredRebalanceKeepsLikelihood(t *testing.T) {
 	tr2, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
 	models2 := []*model.Model{models[0].Clone(), models[1].Clone()}
 	sim2, _ := parallel.NewSim(4)
-	engStatic, err := New(d, tr2, models2, sim2, Options{Specialize: true, Schedule: schedule.Weighted})
+	engStatic, err := newEngine(d, tr2, models2, sim2, Options{Specialize: true, Schedule: schedule.Weighted})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestConcurrentSessionsSurviveRebalance(t *testing.T) {
 
 	// Sequential reference for the tolerance check.
 	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := New(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
+	"phylo/internal/schedule"
 	"phylo/internal/tree"
 )
 
@@ -116,6 +117,43 @@ func TestEngineBuffersAligned(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSessionFootprintMatchesBuffers pins the figure plkd's dataset cache
+// evicts on: MemoryFootprint().SessionBytes() must equal the summed lengths
+// of what a real session over the Shared holds once it has run every region
+// kind — CLVs, scaling vectors, sumtable, per-worker scratch, the chunk
+// layout and runtime, and the per-chunk partial sums — on both backends.
+func TestSessionFootprintMatchesBuffers(t *testing.T) {
+	for _, backend := range []Backend{BackendGeneric, BackendFused} {
+		sim, err := parallel.NewSim(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true, Schedule: schedule.Weighted})
+		runStealResult(t, eng)
+
+		var held int64
+		for i := range eng.clvs {
+			held += 8*int64(len(eng.clvs[i])) + 4*int64(len(eng.scales[i]))
+		}
+		held += 8 * int64(len(eng.sumtable))
+		for w := range eng.pmScratch {
+			for k := 0; k < 2; k++ {
+				held += 8 * int64(len(eng.pmScratch[w][k])+len(eng.tipScratch[w][k]))
+			}
+			held += 8 * int64(len(eng.exScratch[w]))
+			if eng.smallScratch != nil {
+				held += int64(len(eng.smallScratch[w]))
+			}
+		}
+		l := eng.stealRT.Layout()
+		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
+
+		if got := eng.Shared().MemoryFootprint().SessionBytes(); got != held {
+			t.Errorf("%v: SessionBytes() = %d, session holds %d", backend, got, held)
 		}
 	}
 }

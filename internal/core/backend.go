@@ -104,38 +104,33 @@ func layoutKindFor(b Backend) LayoutKind {
 
 // KernelBackend is the seam between the engine's region/span machinery and
 // the per-pattern arithmetic: one implementation per (backend, alphabet,
-// cats) class, dispatched once per span (or per stolen chunk), never per
-// pattern. The span contexts carry every binding the kernels need (layout
-// strides, CLV/tip views, transition matrices, lookup tables), so an
-// implementation is pure code with no state of its own.
+// cats) class, dispatched once per chunk, never per pattern. The span
+// contexts carry every binding the kernels need (layout strides, CLV/tip
+// views, transition matrices, lookup tables), so an implementation is pure
+// code with no state of its own.
 type KernelBackend interface {
 	// Name identifies the implementation in reports and tests.
 	Name() string
 	// Newview computes one pattern run of a newview step bound in c and
 	// returns the processed pattern count.
 	Newview(c *nvSpanCtx, run schedule.Run) int
-	// Evaluate reduces one pattern run of the root log-likelihood bound in c
-	// to (weighted partial sum, pattern count).
-	Evaluate(c *evalSpanCtx, run schedule.Run) (float64, int)
+	// Evaluate reduces one pattern run of the root log-likelihood under the
+	// R-wide replicate weights bound in c: per pattern the site log likelihood
+	// is computed once and accumulated into out[r] under replicate r's weight,
+	// out having R entries. Returns the processed pattern count. Lane r
+	// performs the exact floating-point sequence of a width-1 run over that
+	// replicate's weights — the batched bootstrap's bit-identity contract.
+	Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int
 	// Sumtable fills one pattern run of the Newton sumtable bound in c and
 	// returns the pattern count.
 	Sumtable(c *sumSpanCtx, run schedule.Run) int
-	// Derivatives reduces one pattern run to its (d1, d2) partials and
-	// pattern count. The sumtable is pattern-major under every backend, so
-	// today a single implementation serves both; the method sits on the seam
-	// so a future backend can restructure the sumtable too.
-	Derivatives(c *derivSpanCtx, run schedule.Run) (float64, float64, int)
-	// EvaluateBatch is Evaluate under an R-wide replicate weight batch bound
-	// in c (see bindBatch): per pattern the site log likelihood is computed
-	// once and accumulated into out[r] under replicate r's weight, out having
-	// batchR entries. Returns the processed pattern count. Lane r performs the
-	// exact floating-point sequence of a single-replicate Evaluate over that
-	// replicate's weights — the batched bootstrap's bit-identity contract.
-	EvaluateBatch(c *evalSpanCtx, run schedule.Run, out []float64) int
-	// DerivativesBatch is Derivatives under the replicate batch bound in c:
-	// out holds batchR (d1, d2) pairs, out[2r] and out[2r+1] accumulating
-	// replicate r's partials. Returns the processed pattern count.
-	DerivativesBatch(c *derivSpanCtx, run schedule.Run, out []float64) int
+	// Derivatives reduces one pattern run under the replicate weights bound
+	// in c: out holds R (d1, d2) pairs, out[2r] and out[2r+1] accumulating
+	// replicate r's partials. Returns the processed pattern count. The
+	// sumtable is pattern-major under every backend, so today a single
+	// implementation serves both; the method sits on the seam so a future
+	// backend can restructure the sumtable too.
+	Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int
 }
 
 // kernelFor selects the kernel implementation for one partition: the fused
@@ -165,24 +160,16 @@ func (genericKernels) Newview(c *nvSpanCtx, run schedule.Run) int {
 	return c.processGeneric(run)
 }
 
-func (genericKernels) Evaluate(c *evalSpanCtx, run schedule.Run) (float64, int) {
-	return c.processGeneric(run)
+func (genericKernels) Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int {
+	return c.processGeneric(run, out)
 }
 
 func (genericKernels) Sumtable(c *sumSpanCtx, run schedule.Run) int {
 	return c.processGeneric(run)
 }
 
-func (genericKernels) Derivatives(c *derivSpanCtx, run schedule.Run) (float64, float64, int) {
-	return c.processGeneric(run)
-}
-
-func (genericKernels) EvaluateBatch(c *evalSpanCtx, run schedule.Run, out []float64) int {
-	return c.processGenericBatch(run, out)
-}
-
-func (genericKernels) DerivativesBatch(c *derivSpanCtx, run schedule.Run, out []float64) int {
-	return c.processGenericBatch(run, out)
+func (genericKernels) Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int {
+	return c.processGeneric(run, out)
 }
 
 // fusedDNAKernels is the 4-state straight-line backend: category-outer
@@ -197,8 +184,8 @@ func (fusedDNAKernels) Newview(c *nvSpanCtx, run schedule.Run) int {
 	return c.processFused4(run)
 }
 
-func (fusedDNAKernels) Evaluate(c *evalSpanCtx, run schedule.Run) (float64, int) {
-	return c.processFused4(run)
+func (fusedDNAKernels) Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int {
+	return c.processFused4(run, out)
 }
 
 func (fusedDNAKernels) Sumtable(c *sumSpanCtx, run schedule.Run) int {
@@ -208,16 +195,6 @@ func (fusedDNAKernels) Sumtable(c *sumSpanCtx, run schedule.Run) int {
 	return c.processGeneric(run)
 }
 
-func (fusedDNAKernels) Derivatives(c *derivSpanCtx, run schedule.Run) (float64, float64, int) {
-	return c.processGeneric(run)
-}
-
-func (fusedDNAKernels) EvaluateBatch(c *evalSpanCtx, run schedule.Run, out []float64) int {
-	return c.processFused4Batch(run, out)
-}
-
-func (fusedDNAKernels) DerivativesBatch(c *derivSpanCtx, run schedule.Run, out []float64) int {
-	// The derivative reduction reads only the pattern-major sumtable, so the
-	// generic batch body serves every backend (see Derivatives).
-	return c.processGenericBatch(run, out)
+func (fusedDNAKernels) Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int {
+	return c.processGeneric(run, out)
 }

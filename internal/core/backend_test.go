@@ -129,36 +129,41 @@ func TestBackendBitIdentity(t *testing.T) {
 	}
 }
 
-// TestBackendBitIdentityUnderForcedScaling drives the 2^-256 scaling path on
-// a deep long-branch DNA tree under both backends: total lnL and every
-// per-pattern scaling exponent must match exactly, and scaling must actually
-// fire (otherwise the fixture tests nothing).
-func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
+// forcedScalingEngine opens a single-thread session of the given backend on a
+// deep (220-taxon) long-branch DNA tree whose CLVs underflow 2^-256, so every
+// traversal exercises the rescaling path.
+func forcedScalingEngine(t *testing.T, backend Backend) *Engine {
+	t.Helper()
 	const taxa = 220
 	a := randomAlignment(t, taxa, 60, alignment.DNA, 777)
 	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(backend Backend) *Engine {
-		sh, err := NewSharedWith(d, 2, 1, backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := tree.Random(taxaNames(taxa), 1, tree.RandomOptions{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 2, 5.0)}, parallel.NewSequential(), Options{Specialize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range eng.Tree.Branches() {
-			tree.SetBranchLength(b, 0, 1.4)
-		}
-		return eng
+	sh, err := NewSharedWith(d, 2, 1, backend)
+	if err != nil {
+		t.Fatal(err)
 	}
-	engGen, engFus := mk(BackendGeneric), mk(BackendFused)
+	tr, err := tree.Random(taxaNames(taxa), 1, tree.RandomOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 2, 5.0)}, parallel.NewSequential(), Options{Specialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range eng.Tree.Branches() {
+		tree.SetBranchLength(b, 0, 1.4)
+	}
+	return eng
+}
+
+// TestBackendBitIdentityUnderForcedScaling drives the 2^-256 scaling path on
+// a deep long-branch DNA tree under both backends: total lnL and every
+// per-pattern scaling exponent must match exactly, and scaling must actually
+// fire (otherwise the fixture tests nothing).
+func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
+	engGen, engFus := forcedScalingEngine(t, BackendGeneric), forcedScalingEngine(t, BackendFused)
 	lg, lf := engGen.LogLikelihood(), engFus.LogLikelihood()
 	if err := CheckFinite(lf); err != nil {
 		t.Fatal(err)

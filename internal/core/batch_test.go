@@ -145,10 +145,10 @@ func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor
 	return eng
 }
 
-// TestBatchBitIdentity is the tentpole's acceptance test: on both backends,
-// with chunked execution (stealing on and off) and the precomputed path,
-// every replicate lnL and both branch derivatives of a batched R-wide run
-// must equal — bit for bit — an unbatched single-replicate run over that
+// TestBatchBitIdentity is the batched reductions' acceptance test: on both
+// backends, with stealing on, toggled off, and never enabled, every replicate
+// lnL and both branch derivatives of a batched R-wide run must equal — bit
+// for bit — a single-replicate Evaluate / BranchDerivatives run over that
 // replicate's weights (via the weight override) and a width-1 batched run
 // over the extracted replicate.
 func TestBatchBitIdentity(t *testing.T) {
@@ -250,9 +250,11 @@ func TestBatchBitIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchUniformMatchesPlain pins the bridge between the batched and plain
-// paths: a batch of R copies of the dataset's own weights must yield R
-// identical lnLs, each bit-identical to the unbatched Evaluate.
+// TestBatchUniformMatchesPlain pins "unbatched is one lane": a batch of R
+// copies of the dataset's own weights must yield R identical lnLs, each
+// bit-identical to Evaluate, and on both backends under forced scaling
+// Evaluate and BranchDerivatives must equal lane 0 of EvaluateBatch and
+// BranchDerivativesBatch over UniformWeightSet(data, 1).
 func TestBatchUniformMatchesPlain(t *testing.T) {
 	eng := batchEngine(t, BackendFused, 4, parallel.NewSequential(), 1, Options{Specialize: true})
 	plain := eng.LogLikelihood()
@@ -267,6 +269,37 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 	for r, v := range totals {
 		if v != plain {
 			t.Fatalf("uniform batch lane %d lnL %v != plain %v (must be bit-identical)", r, v, plain)
+		}
+	}
+
+	for _, backend := range []Backend{BackendGeneric, BackendFused} {
+		eng := forcedScalingEngine(t, backend)
+		one, err := UniformWeightSet(eng.Data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := eng.Tree.Tips[0].Back
+		eng.TraverseRoot(root, false, nil)
+		plain, _ := eng.Evaluate(root, nil)
+		lane, err := eng.EvaluateBatch(root, nil, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckFinite(plain); err != nil {
+			t.Fatal(err)
+		}
+		if lane[0] != plain {
+			t.Errorf("%v: Evaluate %v != EvaluateBatch lane 0 %v", backend, plain, lane[0])
+		}
+		eng.PrepareSumtable(root, nil)
+		z := []float64{0.2}
+		d1, d2, b1, b2 := []float64{0}, []float64{0}, []float64{0}, []float64{0}
+		eng.BranchDerivatives(z, nil, d1, d2)
+		if err := eng.BranchDerivativesBatch(z, nil, one, b1, b2); err != nil {
+			t.Fatal(err)
+		}
+		if d1[0] != b1[0] || d2[0] != b2[0] {
+			t.Errorf("%v: BranchDerivatives (%v,%v) != batch lane 0 (%v,%v)", backend, d1[0], d2[0], b1[0], b2[0])
 		}
 	}
 }

@@ -1,269 +1,100 @@
 package core
 
-// Chunked (work-stealing) region execution. When a session is built with
-// Options.Steal, every parallel region distributes its patterns through the
-// internal/steal runtime instead of iterating precomputed per-worker runs:
-// the schedule's assignment is sliced into chunks, each worker drains its
-// own deque LIFO, and drained workers steal the largest remaining half from
-// the costliest victim, so no worker idles at the region barrier while
-// another still has queued work.
+// Region execution. Every parallel region of every session distributes its
+// patterns the same way: the pinned schedule's assignment is sliced into
+// chunks (steal.Layout), each worker drains chunks from the session's
+// steal.Runtime, and each region kind has exactly one driver built on that
+// loop — ExecuteSteps (newview), evaluateLanes, PrepareSumtable, and
+// derivativeLanes. The two things that used to be separate drivers are values
+// here, not code paths:
 //
-// Determinism argument (the reason stealing can never change results):
+//   - "Static" execution is the runtime with thieving off (Options.Steal
+//     false, or any serial executor): a worker walks its own chunk list in
+//     ascending order, which is exactly its scheduled share, and nothing else.
+//     With thieving on, a drained worker additionally steals the largest
+//     remaining half from the costliest victim, so no worker idles at the
+//     region barrier while another still has queued work.
+//   - "Unbatched" evaluation is a WeightSet of width 1: Evaluate and
+//     BranchDerivatives run the R-lane reductions over the dataset's own
+//     weights (held once on the Shared) or the session's override, and lane r
+//     of any batch performs the floating-point sequence a width-1 run over
+//     replicate r's weights performs.
+//
+// Determinism argument (why a result depends only on the schedule and its
+// chunk layout — not on stealing, the executor, or the interleaving):
 //
 //  1. CLV, scaling, and sumtable writes are per-pattern and chunks are
 //     disjoint pattern ranges, so newview/sumtable output is independent of
 //     which worker executes a chunk.
 //  2. Reduction kernels (evaluate, derivatives) accumulate one partial sum
-//     per chunk, in ascending pattern order inside the chunk — a pure
+//     per (chunk, lane), in ascending pattern order inside the chunk — a pure
 //     function of the chunk's range — and the master reduces the per-chunk
 //     partials in fixed chunk-id order after the barrier. The floating-point
 //     association is therefore identical whatever the dynamic steal
-//     interleaving, stealing on or off, concurrent or serial executor.
-//  3. Multi-step traversals synchronize on an intra-region step barrier
-//     (steal.Runtime.NextStep) before re-arming the deques, because with
-//     stealing the step-s writer of a pattern need not be its step-s+1
-//     reader; the barrier makes every step's CLVs visible before any worker
-//     starts the next step. Serial executors need no barrier — their
-//     workers run one after another and only touch their own assignment.
+//     interleaving, stealing on or off, concurrent or serial executor, in
+//     this session or any other over the same schedule and minimum chunk size.
+//  3. Multi-step traversals need an intra-region step barrier only when
+//     thieving (steal.Runtime.NextStep): a stolen pattern's step-s writer
+//     need not be its step-s+1 reader, so every step's CLVs must be visible
+//     before any worker starts the next. An owner-only worker reads at step
+//     s+1 only patterns it wrote itself at step s, so without stealing the
+//     traversal keeps the paper's single barrier per region.
 //
 // Session-shared tip tables and P-matrix setup are cached per (step, span)
 // encounter in the worker-local span contexts, so a worker processing
-// consecutive chunks of one span pays the setup once, like the precomputed
-// path; thieves crossing into a new span pay it again, which the op
-// accounting records as the (real) extra work stealing performs.
+// consecutive chunks of one span pays the setup once; thieves crossing into a
+// new span pay it again, which the op accounting records as the (real) extra
+// work stealing performs. Whether a tip table amortizes is decided from the
+// chunk owner's whole pattern share of the span (steal.Chunk.Share) — a pure
+// function of the layout — not from the chunk at hand, so a share the pack
+// cut into many short runs still takes the table path.
 
 import (
 	"time"
 
-	"phylo/internal/parallel"
 	"phylo/internal/steal"
-	"phylo/internal/tree"
 )
 
-// chargeChunk attributes the monotonic wall time since t0 and a chunk's
-// pattern count to the (worker, partition) measurement cell — the
-// chunk-granular analogue of chargePartition, so measured-cost rebalancing
-// and stealing compose: observed per-pattern costs reflect the patterns a
-// worker actually executed (its own and stolen ones), not its static share.
-func (e *Engine) chargeChunk(w, ip, patterns int, t0 time.Time) {
-	e.partSecs[w][ip] += time.Since(t0).Seconds() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-	e.partPats[w][ip] += float64(patterns)
+// chunkClock starts the measured-cost attribution of one chunk: the current
+// monotonic time on a measured-strategy session, the zero time (no clock
+// read) on any other.
+func (e *Engine) chunkClock() time.Time {
+	if !e.measure {
+		return time.Time{}
+	}
+	return time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
 }
 
-// executeStepsSteal is the chunked traversal region: all steps run inside
-// one parallel region (one barrier at the end, as the paper's design
-// requires), with the steal runtime's step barrier separating them.
-func (e *Engine) executeStepsSteal(steps []tree.TraversalStep, act []bool) {
-	rt := e.stealRT
-	rt.Load(act)
-	e.Exec.Run(parallel.RegionNewview, func(w int, ctx *parallel.WorkerCtx) {
-		pmQ := e.pmScratch[w][0]
-		pmR := e.pmScratch[w][1]
-		ops := 0.0
-		var c nvSpanCtx
-		for si := range steps {
-			if si > 0 {
-				rt.NextStep(w, ctx)
-			}
-			cached := -1
-			for {
-				id := rt.Next(w, ctx)
-				if id < 0 {
-					break
-				}
-				ch := rt.Layout().Chunk(id)
-				var t0 time.Time
-				if e.measure {
-					t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-				}
-				if ch.Span != cached {
-					e.prepareNewviewSpan(&c, steps[si], ch.Span, w, pmQ, pmR)
-					cached = ch.Span
-					c.noteSpan(ctx)
-				}
-				c.ensureTables(ch.Patterns())
-				count := c.process(ch.Run())
-				ops += c.takeOps(count)
-				// Flush the chunk's observability scratch (per chunk, never per
-				// pattern; prepareNewviewSpan resets c, so scaled cannot be
-				// left to accumulate across span switches).
-				ctx.Patterns += float64(count)
-				ctx.Scalings += c.scaled
-				c.scaled = 0
-				if e.measure {
-					e.chargeChunk(w, ch.Span, ch.Patterns(), t0)
-				}
-			}
-		}
-		ctx.Ops += ops
-	})
-	rt.Finish()
+// chargeChunk attributes the wall time since t0 and the chunk's pattern count
+// to the (worker, partition) measurement cell, so observed per-pattern costs
+// reflect the patterns a worker actually executed (its own and stolen ones),
+// not its static share. Two clock reads per chunk, paid only by
+// measured-strategy sessions.
+func (e *Engine) chargeChunk(w int, ch steal.Chunk, t0 time.Time) {
+	if !e.measure {
+		return
+	}
+	e.partSecs[w][ch.Span] += time.Since(t0).Seconds() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
+	e.partPats[w][ch.Span] += float64(ch.Patterns())
 }
 
-// evaluateSteal is the chunked root log-likelihood reduction: per-chunk
-// partial sums into the session's chunk buffer, reduced master-side in fixed
-// chunk-id order (see the determinism argument above).
-func (e *Engine) evaluateSteal(p, q *tree.Node, act []bool) (float64, []float64) {
-	rt := e.stealRT
-	n := rt.Layout().NumChunks()
-	if cap(e.evalChunk) < n {
-		e.evalChunk = make([]float64, n)
+// chunkPartials returns *buf resized to n zeroed entries (grow-only): the
+// per-chunk partial sums of one reduction region. Chunks of masked partitions
+// are never handed out, so their entries stay zero.
+func chunkPartials(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
 	}
-	buf := e.evalChunk[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	rt.Load(act)
-	e.Exec.Run(parallel.RegionEvaluate, func(w int, ctx *parallel.WorkerCtx) {
-		pm := e.pmScratch[w][0]
-		ops := 0.0
-		var c evalSpanCtx
-		cached := -1
-		for {
-			id := rt.Next(w, ctx)
-			if id < 0 {
-				break
-			}
-			ch := rt.Layout().Chunk(id)
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			if ch.Span != cached {
-				e.prepareEvalSpan(&c, p, q, ch.Span, w, pm)
-				cached = ch.Span
-			}
-			c.ensureTable(ch.Patterns())
-			sum, count := c.process(ch.Run())
-			buf[id] = sum
-			ops += c.takeOps(count)
-			if e.measure {
-				e.chargeChunk(w, ch.Span, ch.Patterns(), t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	rt.Finish()
-	perPart := make([]float64, len(e.Data.Parts))
-	for id := 0; id < n; id++ {
-		perPart[rt.Layout().Chunk(id).Span] += buf[id]
-	}
-	total := 0.0
-	for ip, v := range perPart {
-		if act[ip] {
-			total += v
-		}
-	}
-	return total, perPart
+	b := (*buf)[:n]
+	clear(b)
+	return b
 }
 
-// sumtableSteal is the chunked sumtable region; writes are per-pattern
-// disjoint, so no reduction is needed.
-func (e *Engine) sumtableSteal(p, q *tree.Node, act []bool) {
-	rt := e.stealRT
-	rt.Load(act)
-	e.Exec.Run(parallel.RegionSumTable, func(w int, ctx *parallel.WorkerCtx) {
-		ops := 0.0
-		var c sumSpanCtx
-		cached := -1
-		for {
-			id := rt.Next(w, ctx)
-			if id < 0 {
-				break
-			}
-			ch := rt.Layout().Chunk(id)
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			if ch.Span != cached {
-				e.prepareSumtableSpan(&c, p, q, ch.Span, w)
-				cached = ch.Span
-			}
-			c.ensureTables(ch.Patterns())
-			ops += c.takeOps(c.process(ch.Run()))
-			if e.measure {
-				e.chargeChunk(w, ch.Span, ch.Patterns(), t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	rt.Finish()
-}
-
-// derivativesSteal is the chunked Newton-derivative reduction: (d1, d2)
-// partials per chunk, reduced in fixed chunk-id order.
-func (e *Engine) derivativesSteal(z []float64, act []bool, d1, d2 []float64) {
-	rt := e.stealRT
-	n := rt.Layout().NumChunks()
-	if cap(e.derivChunk) < 2*n {
-		e.derivChunk = make([]float64, 2*n)
-	}
-	buf := e.derivChunk[:2*n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	rt.Load(act)
-	e.Exec.Run(parallel.RegionDerivative, func(w int, ctx *parallel.WorkerCtx) {
-		ex := e.exScratch[w]
-		ops := 0.0
-		var c derivSpanCtx
-		cached := -1
-		for {
-			id := rt.Next(w, ctx)
-			if id < 0 {
-				break
-			}
-			ch := rt.Layout().Chunk(id)
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			if ch.Span != cached {
-				e.prepareDerivSpan(&c, ch.Span, z[ch.Span], ex)
-				cached = ch.Span
-			}
-			r1, r2, count := c.process(ch.Run())
-			buf[2*id] = r1
-			buf[2*id+1] = r2
-			ops += float64(count) * opsDerivative(c.s, c.cats)
-			if e.measure {
-				e.chargeChunk(w, ch.Span, ch.Patterns(), t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	rt.Finish()
-	for ip := range d1 {
-		d1[ip], d2[ip] = 0, 0
-	}
-	for id := 0; id < n; id++ {
-		sp := rt.Layout().Chunk(id).Span
-		d1[sp] += buf[2*id]
-		d2[sp] += buf[2*id+1]
-	}
-}
-
-// stealLayoutFor rebuilds the chunk decomposition for the engine's current
-// schedule at the session's minimum chunk size.
-func (e *Engine) stealLayoutFor() *steal.Layout {
-	return steal.NewLayout(e.sched, e.minChunk)
-}
-
-// StealEnabled reports whether this session runs the chunked work-stealing
-// execution path.
-func (e *Engine) StealEnabled() bool { return e.stealRT != nil }
-
-// SetStealing toggles thieving on a steal-enabled session (no-op otherwise).
-// The chunked execution and fixed-order reductions stay in place either way,
-// so results are bit-for-bit identical with stealing on or off; the toggle
-// exists for A/B measurement and the bit-identity acceptance tests. Must be
-// called between regions.
-func (e *Engine) SetStealing(on bool) {
-	if e.stealRT != nil {
-		e.stealRT.SetStealing(on)
-	}
-}
+// SetStealing toggles thieving (Options.Steal sets the initial value). The
+// chunks and the fixed-order reductions stay in place either way, so results
+// are bit-for-bit identical with stealing on or off. Must be called between
+// regions.
+func (e *Engine) SetStealing(on bool) { e.stealRT.SetStealing(on) }
 
 // Stealing reports whether thieving is currently enabled.
-func (e *Engine) Stealing() bool { return e.stealRT != nil && e.stealRT.Stealing() }
+func (e *Engine) Stealing() bool { return e.stealRT.Stealing() }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/parallel"
@@ -20,58 +19,45 @@ import (
 // an arbitrary number of cheap Newton-Raphson derivative iterations for the
 // same branch — the sumtable region runs once per branch, the derivative
 // regions once per Newton iteration. Both end CLVs must be valid (use
-// TraverseRoot first).
+// TraverseRoot first). Sumtable writes are per-pattern disjoint, so the
+// region needs no reduction. A tip end whose owner's share amortizes a
+// projection table uses the category-independent per-code rows of
+// buildTipSumLeft/Right instead of re-projecting the same 0/1 tip vector for
+// every pattern and category (tip-case specialization; results are
+// bit-identical).
 func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	q := p.Back
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.sumtableSteal(p, q, act)
-		return
-	}
+	rt := e.stealRT
+	rt.Load(act)
 	e.Exec.Run(parallel.RegionSumTable, func(w int, ctx *parallel.WorkerCtx) {
 		ops := 0.0
-		for ip := range e.Data.Parts {
-			if !act[ip] {
-				continue
+		var c sumSpanCtx
+		cached := -1
+		for {
+			id := rt.Next(w, ctx)
+			if id < 0 {
+				break
 			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
+			ch := rt.Layout().Chunk(id)
+			t0 := e.chunkClock()
+			if ch.Span != cached {
+				e.prepareSumtableSpan(&c, p, q, ch.Span, w)
+				cached = ch.Span
 			}
-			ops += e.sumtablePartition(p, q, ip, w)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
+			c.ensureTables(ch.Share)
+			ops += c.takeOps(c.kern.Sumtable(&c, ch.Run()))
+			e.chargeChunk(w, ch, t0)
 		}
 		ctx.Ops += ops
 	})
-}
-
-// sumtablePartition builds worker w's share of the sumtable. A tip end
-// whose share amortizes a projection table uses the category-independent
-// per-code rows of buildTipSumLeft/Right instead of re-projecting the same
-// 0/1 tip vector for every pattern and category (tip-case specialization;
-// results are bit-identical).
-func (e *Engine) sumtablePartition(p, q *tree.Node, ip, w int) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c sumSpanCtx
-	e.prepareSumtableSpan(&c, p, q, ip, w)
-	c.ensureTables(runsPatternCount(runs))
-	count := 0
-	for _, run := range runs {
-		count += c.process(run)
-	}
-	return c.takeOps(count)
+	rt.Finish()
 }
 
 // sumSpanCtx is the per-(branch, partition, worker) sumtable setup — the
 // eigenbasis views of both branch ends and the optional category-independent
-// tip projection tables — shared by the precomputed and chunked execution
-// paths (see nvSpanCtx).
+// tip projection tables (see nvSpanCtx).
 type sumSpanCtx struct {
 	e          *Engine
 	ip, w      int
@@ -120,8 +106,8 @@ func (e *Engine) prepareSumtableSpan(c *sumSpanCtx, p, q *tree.Node, ip, w int) 
 	}
 }
 
-// ensureTables builds the tip projection tables when the pending work unit
-// amortizes them (see nvSpanCtx.ensureTables for the determinism argument).
+// ensureTables builds the tip projection tables when a share of this many
+// patterns amortizes them (see nvSpanCtx.ensureTables).
 func (c *sumSpanCtx) ensureTables(patterns int) {
 	e := c.e
 	if !e.Specialize || !(c.pTip || c.qTip) || patterns < tipTableMinPatterns(c.dtype) {
@@ -143,13 +129,6 @@ func (c *sumSpanCtx) takeOps(count int) float64 {
 	ops := float64(count)*opsSumtableCase(c.s, c.cats, c.lTab != nil, c.rTab != nil) + c.fixed
 	c.fixed = 0
 	return ops
-}
-
-// process fills the sumtable for one pattern run and returns the pattern
-// count, dispatching through the partition's backend. Sumtable writes are
-// disjoint per pattern, so runs can execute on any worker in any order.
-func (c *sumSpanCtx) process(run schedule.Run) int {
-	return c.kern.Sumtable(c, run)
 }
 
 // processGeneric is the layout-aware generic sumtable body: CLV reads go
@@ -225,88 +204,80 @@ func (c *sumSpanCtx) processGeneric(run schedule.Run) int {
 // indexed by partition; with a joint estimate pass the same value in every
 // active entry). Results are written into d1 and d2 (length NumPartitions);
 // masked partitions are zeroed. One parallel region per call — this is the
-// unit of synchronization the paper counts per Newton iteration.
+// unit of synchronization the paper counts per Newton iteration — and the
+// width-1 case of derivativeLanes over the dataset's own weights (or the
+// session's override).
 func (e *Engine) BranchDerivatives(z []float64, active []bool, d1, d2 []float64) {
-	act := e.activeOrAll(active)
+	e.derivativeLanes(z, e.activeOrAll(active), e.ownWeights(), d1, d2)
+}
+
+// derivativeLanes is the derivative region driver: per pattern the likelihood
+// and its two derivative dot products over the sumtable run once and the
+// resulting terms accumulate under all R replicate weights of ws into
+// per-(chunk, lane) partials, reduced master-side in fixed chunk-id order
+// into d1 and d2 (both indexed [partition*R + replicate]).
+func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.derivativesSteal(z, act, d1, d2)
-		return
-	}
+	rt := e.stealRT
+	R := ws.r
+	n := rt.Layout().NumChunks()
+	buf := chunkPartials(&e.derivChunk, 2*n*R)
+	rt.Load(act)
 	e.Exec.Run(parallel.RegionDerivative, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.derivPartials[w]
 		ex := e.exScratch[w]
 		ops := 0.0
-		for ip := range e.Data.Parts {
-			partials[2*ip] = 0
-			partials[2*ip+1] = 0
-			if !act[ip] {
-				continue
+		var c derivSpanCtx
+		cached := -1
+		for {
+			id := rt.Next(w, ctx)
+			if id < 0 {
+				break
 			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
+			ch := rt.Layout().Chunk(id)
+			t0 := e.chunkClock()
+			if ch.Span != cached {
+				e.prepareDerivSpan(&c, ch.Span, z[ch.Span], ex, ws)
+				cached = ch.Span
 			}
-			ops += e.derivativePartition(ip, z[ip], w, partials, ex)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
+			count := c.kern.Derivatives(&c, ch.Run(), buf[id*2*R:(id+1)*2*R])
+			ops += float64(count) * opsDerivative(c.s, c.cats, R)
+			e.chargeChunk(w, ch, t0)
 		}
 		ctx.Ops += ops
 	})
-	for ip := range d1 {
-		d1[ip], d2[ip] = 0, 0
-	}
-	for w := 0; w < e.Exec.Threads(); w++ {
-		partials := e.derivPartials[w]
-		for ip := range e.Data.Parts {
-			d1[ip] += partials[2*ip]
-			d2[ip] += partials[2*ip+1]
+	rt.Finish()
+	clear(d1)
+	clear(d2)
+	for id := 0; id < n; id++ {
+		sp := rt.Layout().Chunk(id).Span
+		for r := 0; r < R; r++ {
+			d1[sp*R+r] += buf[id*2*R+2*r]
+			d2[sp*R+r] += buf[id*2*R+2*r+1]
 		}
 	}
-}
-
-func (e *Engine) derivativePartition(ip int, z float64, w int, partials, ex []float64) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c derivSpanCtx
-	e.prepareDerivSpan(&c, ip, z, ex)
-	dd1, dd2 := 0.0, 0.0
-	count := 0
-	for _, run := range runs {
-		r1, r2, n := c.process(run)
-		dd1 += r1
-		dd2 += r2
-		count += n
-	}
-	partials[2*ip] = dd1
-	partials[2*ip+1] = dd2
-	return float64(count) * opsDerivative(c.s, c.cats)
 }
 
 // derivSpanCtx is the per-(partition, branch length, worker) derivative
 // setup: the per-category exponential and derivative-factor tables over the
-// worker's scratch. See nvSpanCtx for how the two execution paths share it.
+// worker's scratch. See nvSpanCtx.
 type derivSpanCtx struct {
 	e                  *Engine
 	ip                 int
 	s, cats, cs        int
 	sbase              int // sumtable base (always pattern-major)
 	partOffset         int
-	weights            []float64
 	eTab, g1Tab, g2Tab []float64
 	kern               KernelBackend
 
-	// Batched-replicate bindings; see evalSpanCtx and internal/core/batch.go.
-	batchR int
-	batchW []float64
+	// Replicate lanes of the bound WeightSet; see evalSpanCtx.
+	R  int
+	lw []float64
 }
 
 // prepareDerivSpan fills the exponential tables E = exp(lambda_k r_c z) and
-// the derivative factors g1 = lambda_k r_c, g2 = g1^2 into ex.
-func (e *Engine) prepareDerivSpan(c *derivSpanCtx, ip int, z float64, ex []float64) {
+// the derivative factors g1 = lambda_k r_c, g2 = g1^2 into ex, and binds the
+// partition's lanes of ws.
+func (e *Engine) prepareDerivSpan(c *derivSpanCtx, ip int, z float64, ex []float64, ws *WeightSet) {
 	part := e.Data.Parts[ip]
 	s := part.Type.States()
 	cats := e.numCats
@@ -314,9 +285,10 @@ func (e *Engine) prepareDerivSpan(c *derivSpanCtx, ip int, z float64, ex []float
 	m := e.Models[ip]
 	*c = derivSpanCtx{
 		e: e, ip: ip, s: s, cats: cats, cs: cs,
-		sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset, weights: e.weightsFor(part),
+		sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset,
 		eTab: ex[0:cs], g1Tab: ex[cs : 2*cs], g2Tab: ex[2*cs : 3*cs],
 		kern: e.kernels[ip],
+		R:    ws.r, lw: ws.lanes(part.Offset),
 	}
 	for cat := 0; cat < cats; cat++ {
 		rc := m.CatRates[cat]
@@ -329,20 +301,16 @@ func (e *Engine) prepareDerivSpan(c *derivSpanCtx, ip int, z float64, ex []float
 	}
 }
 
-// process reduces one pattern run to its (d1, d2) partial sums and pattern
-// count, dispatching through the partition's backend.
-func (c *derivSpanCtx) process(run schedule.Run) (float64, float64, int) {
-	return c.kern.Derivatives(c, run)
-}
-
 // processGeneric is the derivative body shared by every backend: it reads
-// only the sumtable, which is pattern-major under all of them. Partials are
-// accumulated in ascending pattern order within the run.
+// only the sumtable, which is pattern-major under all of them. Per pattern the
+// likelihood and its two derivative dot products run once, and the resulting
+// first-derivative ratio and curvature terms accumulate under all R replicate
+// weights into out[2r], out[2r+1], in ascending pattern order within the run.
 //
 //plk:hotpath
-func (c *derivSpanCtx) processGeneric(run schedule.Run) (float64, float64, int) {
+func (c *derivSpanCtx) processGeneric(run schedule.Run, out []float64) int {
 	cs := c.cs
-	dd1, dd2 := 0.0, 0.0
+	R := c.R
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
@@ -360,14 +328,18 @@ func (c *derivSpanCtx) processGeneric(run schedule.Run) (float64, float64, int) 
 		count++
 		if l < 1e-300 {
 			// Scaled likelihood vanished; the pattern cannot inform this
-			// branch numerically. Skip it (RAxML guards identically).
+			// branch numerically under any replicate. Skip it (RAxML guards
+			// identically).
 			continue
 		}
 		inv := 1 / l
 		r1 := l1 * inv
-		wgt := c.weights[j]
-		dd1 += wgt * r1
-		dd2 += wgt * (l2*inv - r1*r1)
+		curv := l2*inv - r1*r1
+		wj := c.lw[j*R : (j+1)*R]
+		for r := 0; r < R; r++ {
+			out[2*r] += wj[r] * r1
+			out[2*r+1] += wj[r] * curv
+		}
 	}
-	return dd1, dd2, count
+	return count
 }

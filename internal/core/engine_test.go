@@ -198,6 +198,20 @@ func randomAlignment(t *testing.T, n, m int, dtype alignment.DataType, seed int6
 	return a
 }
 
+// newEngine builds the shared state for (d, the models' category count,
+// exec's worker count) and opens one session over it.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+	cats := 0
+	if len(models) > 0 {
+		cats = models[0].NumCats
+	}
+	sh, err := NewSharedWith(d, cats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return NewSession(sh, tr, models, exec, opts)
+}
+
 func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, models []*model.Model, zSlots int, treeSeed int64, exec parallel.Executor) (*Engine, *alignment.CompressedData, *tree.Tree) {
 	t.Helper()
 	d, err := alignment.Compress(a, parts, alignment.CompressOptions{})
@@ -208,7 +222,7 @@ func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, tr, models, exec, Options{Specialize: true})
+	eng, err := newEngine(d, tr, models, exec, Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +368,7 @@ func TestScalingTriggersAndStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+	eng, err := newEngine(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +399,12 @@ func TestSpecializeEquivalence(t *testing.T) {
 	m, _ := model.GTR([]float64{0.31, 0.19, 0.27, 0.23}, nil, 4, 1.1)
 	d, _ := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	tr, _ := tree.Random(taxaNames(9), 1, tree.RandomOptions{Seed: 10})
-	fast, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+	fast, err := newEngine(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr2, _ := tree.Random(taxaNames(9), 1, tree.RandomOptions{Seed: 10})
-	slow, err := New(d, tr2, []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: false})
+	slow, err := newEngine(d, tr2, []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,14 +532,14 @@ func TestNewValidation(t *testing.T) {
 	tr, _ := tree.Random(taxaNames(4), 1, tree.RandomOptions{Seed: 1})
 	m, _ := model.JC69(4, 1)
 	ex := parallel.NewSequential()
-	if _, err := New(nil, tr, []*model.Model{m}, ex, Options{}); err == nil {
+	if _, err := newEngine(nil, tr, []*model.Model{m}, ex, Options{}); err == nil {
 		t.Error("expected error for nil data")
 	}
-	if _, err := New(d, tr, nil, ex, Options{}); err == nil {
+	if _, err := newEngine(d, tr, nil, ex, Options{}); err == nil {
 		t.Error("expected error for model count mismatch")
 	}
 	mAA, _ := model.SYN20(4, 1)
-	if _, err := New(d, tr, []*model.Model{mAA}, ex, Options{}); err == nil {
+	if _, err := newEngine(d, tr, []*model.Model{mAA}, ex, Options{}); err == nil {
 		t.Error("expected error for model type mismatch")
 	}
 	m2, _ := model.JC69(2, 1)
@@ -534,20 +548,20 @@ func TestNewValidation(t *testing.T) {
 		{Name: "b", Type: alignment.DNA, Sites: []int{5, 6, 7, 8, 9}},
 	}
 	dd, _ := alignment.Compress(a, d2parts, alignment.CompressOptions{})
-	if _, err := New(dd, tr, []*model.Model{m, m2}, ex, Options{}); err == nil {
+	if _, err := newEngine(dd, tr, []*model.Model{m, m2}, ex, Options{}); err == nil {
 		t.Error("expected error for category count mismatch")
 	}
 	tr5, _ := tree.Random(taxaNames(4), 5, tree.RandomOptions{Seed: 1})
-	if _, err := New(dd, tr5, []*model.Model{m, m.Clone()}, ex, Options{}); err == nil {
+	if _, err := newEngine(dd, tr5, []*model.Model{m, m.Clone()}, ex, Options{}); err == nil {
 		t.Error("expected error for bad z-slot count")
 	}
 	tr3, _ := tree.Random(taxaNames(3), 1, tree.RandomOptions{Seed: 1})
-	if _, err := New(d, tr3, []*model.Model{m}, ex, Options{}); err == nil {
+	if _, err := newEngine(d, tr3, []*model.Model{m}, ex, Options{}); err == nil {
 		t.Error("expected error for taxa count mismatch")
 	}
 	dirty, _ := model.JC69(4, 1)
 	dirty.SetExRate(0, 2)
-	if _, err := New(d, tr, []*model.Model{dirty}, ex, Options{}); err == nil {
+	if _, err := newEngine(d, tr, []*model.Model{dirty}, ex, Options{}); err == nil {
 		t.Error("expected error for dirty model")
 	}
 }
@@ -600,7 +614,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		eng, err := New(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
+		eng, err := newEngine(d, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
 		if err != nil {
 			return false
 		}
@@ -614,7 +628,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		}
 		defer pool.Close()
 		tr2, _ := tree.Random(taxaNames(n), 1, tree.RandomOptions{Seed: seed})
-		eng2, err := New(d, tr2, []*model.Model{m.Clone()}, pool, Options{Specialize: true})
+		eng2, err := newEngine(d, tr2, []*model.Model{m.Clone()}, pool, Options{Specialize: true})
 		if err != nil {
 			return false
 		}
@@ -645,7 +659,7 @@ func TestScheduleStrategiesEquivalentNumerics(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := New(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -676,7 +690,7 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := New(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -714,14 +728,14 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 		t.Fatalf("fixture too wide: %d patterns", d.TotalPatterns)
 	}
 	m, _ := model.GTR(nil, nil, 4, 0.7)
-	seqEng, err := New(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seqEng.LogLikelihood()
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
 		sim, _ := parallel.NewSim(8)
-		eng, err := New(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Schedule: strat})
+		eng, err := newEngine(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Schedule: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -789,7 +803,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	}
 	defer pool0.Close()
 	tr0, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 5})
-	ref, err := New(d, tr0, mkModels(), pool0, Options{Specialize: true})
+	ref, err := newEngine(d, tr0, mkModels(), pool0, Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

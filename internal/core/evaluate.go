@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/parallel"
@@ -15,53 +14,70 @@ import (
 // branch (p, p.Back). Both end CLVs must already be valid and oriented
 // towards the branch (use TraverseRoot). It returns the total over active
 // partitions and the per-partition values (zero entries for masked
-// partitions). The per-pattern reduction is one parallel region; the
-// per-partition sums are what the newPAR optimizers consume.
+// partitions). The per-pattern reduction is one parallel region — the
+// width-1 case of evaluateLanes over the dataset's own weights (or the
+// session's override); the per-partition sums are what the newPAR optimizers
+// consume.
 func (e *Engine) Evaluate(p *tree.Node, active []bool) (float64, []float64) {
-	q := p.Back
-	if p.IsTip() && q.IsTip() {
-		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
-	}
-	// Orient so that the possibly-tip end is q: the kernel treats p's side
-	// as the pi-weighted "left" vector, which may be a tip vector too.
 	act := e.activeOrAll(active)
-	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		return e.evaluateSteal(p, q, act)
-	}
-	e.Exec.Run(parallel.RegionEvaluate, func(w int, ctx *parallel.WorkerCtx) {
-		partials := e.evalPartials[w]
-		pm := e.pmScratch[w][0]
-		ops := 0.0
-		for ip := range e.Data.Parts {
-			if !act[ip] {
-				partials[ip] = 0
-				continue
-			}
-			var t0 time.Time
-			if e.measure {
-				t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-			}
-			partials[ip], ops = e.evaluatePartition(p, q, ip, w, pm, ops)
-			if e.measure {
-				e.chargePartition(w, ip, t0)
-			}
-		}
-		ctx.Ops += ops
-	})
-	perPart := make([]float64, len(e.Data.Parts))
+	perPart := e.evaluateLanes(p, act, e.ownWeights())
 	total := 0.0
-	for w := 0; w < e.Exec.Threads(); w++ {
-		for ip, v := range e.evalPartials[w] {
-			perPart[ip] += v
-		}
-	}
 	for ip, v := range perPart {
 		if act[ip] {
 			total += v
 		}
 	}
 	return total, perPart
+}
+
+// evaluateLanes is the evaluate region driver: every site log likelihood of
+// the active partitions is computed once and reduced under all R replicate
+// weights of ws into per-(chunk, lane) partial sums, which the master then
+// reduces in fixed chunk-id order (see the determinism argument in
+// chunkexec.go). It returns the per-partition lane sums, indexed
+// [partition*R + replicate]; masked partitions stay zero.
+func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float64 {
+	q := p.Back
+	if p.IsTip() && q.IsTip() {
+		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
+	}
+	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
+	rt := e.stealRT
+	R := ws.r
+	n := rt.Layout().NumChunks()
+	buf := chunkPartials(&e.evalChunk, n*R)
+	rt.Load(act)
+	e.Exec.Run(parallel.RegionEvaluate, func(w int, ctx *parallel.WorkerCtx) {
+		pm := e.pmScratch[w][0]
+		ops := 0.0
+		var c evalSpanCtx
+		cached := -1
+		for {
+			id := rt.Next(w, ctx)
+			if id < 0 {
+				break
+			}
+			ch := rt.Layout().Chunk(id)
+			t0 := e.chunkClock()
+			if ch.Span != cached {
+				e.prepareEvalSpan(&c, p, q, ch.Span, w, pm, ws)
+				cached = ch.Span
+			}
+			c.ensureTable(ch.Share)
+			ops += c.takeOps(c.kern.Evaluate(&c, ch.Run(), buf[id*R:(id+1)*R]))
+			e.chargeChunk(w, ch, t0)
+		}
+		ctx.Ops += ops
+	})
+	rt.Finish()
+	perPart := make([]float64, len(e.Data.Parts)*R)
+	for id := 0; id < n; id++ {
+		sp := rt.Layout().Chunk(id).Span
+		for r := 0; r < R; r++ {
+			perPart[sp*R+r] += buf[id*R+r]
+		}
+	}
+	return perPart
 }
 
 // patternLi is the per-pattern evaluate kernel shared by the parallel
@@ -121,32 +137,8 @@ func (c *evalSpanCtx) patternLi(j, off int) float64 {
 	return li
 }
 
-// evaluatePartition reduces worker w's share of one partition's site log
-// likelihoods and returns (partialSum, accumulated ops). A tip on the q side
-// whose share amortizes a lookup table skips the per-pattern P application
-// entirely (tip-case specialization; results are bit-identical).
-func (e *Engine) evaluatePartition(p, q *tree.Node, ip, w int, pm []float64, ops float64) (float64, float64) {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0, ops
-	}
-	var c evalSpanCtx
-	e.prepareEvalSpan(&c, p, q, ip, w, pm)
-	c.ensureTable(runsPatternCount(runs))
-	sum := 0.0
-	count := 0
-	for _, run := range runs {
-		s, n := c.process(run)
-		sum += s
-		count += n
-	}
-	return sum, ops + c.takeOps(count)
-}
-
-// evalSpanCtx is the per-(partition, worker) evaluate setup, shared by the
-// precomputed-assignment reduction (one contiguous share per worker, summed
-// per worker) and the chunked work-stealing reduction (one partial sum per
-// chunk, reduced master-side in fixed chunk order). See nvSpanCtx.
+// evalSpanCtx is the per-(partition, worker) evaluate setup, re-used across
+// consecutive chunks of one span. See nvSpanCtx.
 type evalSpanCtx struct {
 	e          *Engine
 	ip, w      int
@@ -157,7 +149,6 @@ type evalSpanCtx struct {
 	catStride  int // layout: offset between consecutive categories
 	partOffset int
 	dtype      alignment.DataType
-	weights    []float64
 	invCats    float64
 	pTip, qTip bool
 	pv, qv     []float64
@@ -169,17 +160,16 @@ type evalSpanCtx struct {
 	kern       KernelBackend
 	fixed      float64
 
-	// Batched-replicate bindings (zero unless bindBatch attached a WeightSet):
-	// batchR lanes per pattern, batchW[j*batchR+r] the weight of the span's
-	// j-th pattern under replicate r (see internal/core/batch.go).
-	batchR int
-	batchW []float64
+	// Replicate lanes of the bound WeightSet: R lanes per pattern, lw[j*R+r]
+	// the weight of the span's j-th pattern under replicate r.
+	R  int
+	lw []float64
 }
 
-// prepareEvalSpan binds c to (root branch, partition, worker): the p-side
-// transition matrices into the worker's scratch and the CLV/tip views of
-// both branch ends.
-func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm []float64) {
+// prepareEvalSpan binds c to (root branch, partition, worker, weights): the
+// p-side transition matrices into the worker's scratch, the CLV/tip views of
+// both branch ends, and the partition's lanes of ws.
+func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm []float64, ws *WeightSet) {
 	part := e.Data.Parts[ip]
 	s := part.Type.States()
 	cats := e.numCats
@@ -189,11 +179,12 @@ func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm 
 		e: e, ip: ip, w: w, s: s, cats: cats, cs: cats * s,
 		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
 		partOffset: part.Offset, dtype: part.Type,
-		weights: e.weightsFor(part), invCats: 1.0 / float64(cats),
-		pTip: p.IsTip(), qTip: q.IsTip(),
+		invCats: 1.0 / float64(cats),
+		pTip:    p.IsTip(), qTip: q.IsTip(),
 		pm: pm, freqs: m.Freqs,
 		kern:  e.kernels[ip],
 		fixed: float64(cats * s * s * s), // per-worker P-matrix setup
+		R:     ws.r, lw: ws.lanes(part.Offset),
 	}
 	if c.pTip {
 		c.pRow = part.Tips[p.Index]
@@ -209,8 +200,8 @@ func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm 
 	}
 }
 
-// ensureTable builds the q-side tip lookup table when the pending work unit
-// amortizes it (see nvSpanCtx.ensureTables for the determinism argument).
+// ensureTable builds the q-side tip lookup table when a share of this many
+// patterns amortizes it (see nvSpanCtx.ensureTables).
 func (c *evalSpanCtx) ensureTable(patterns int) {
 	e := c.e
 	if !e.Specialize || !c.qTip || c.qTab != nil || patterns < tipTableMinPatterns(c.dtype) {
@@ -220,33 +211,32 @@ func (c *evalSpanCtx) ensureTable(patterns int) {
 	c.fixed += opsTipTable(c.s, c.cats, alignment.NumCodes(c.dtype))
 }
 
-// takeOps prices count processed patterns and claims the setup charge.
+// takeOps prices count processed patterns of R-lane reduction and claims the
+// setup charge.
 func (c *evalSpanCtx) takeOps(count int) float64 {
-	ops := float64(count)*opsEvaluateCase(c.s, c.cats, c.qTab != nil) + c.fixed
+	ops := float64(count)*opsEvaluateCase(c.s, c.cats, c.qTab != nil, c.R) + c.fixed
 	c.fixed = 0
 	return ops
 }
 
-// process reduces one pattern run to its weighted log-likelihood partial sum
-// and pattern count, dispatching through the partition's backend. Patterns
-// are accumulated in ascending order within the run, so a run's partial is
-// invariant to which worker processes it.
-func (c *evalSpanCtx) process(run schedule.Run) (float64, int) {
-	return c.kern.Evaluate(c, run)
-}
-
-// processGeneric is the layout-aware generic evaluate body.
+// processGeneric is the layout-aware generic evaluate body: per pattern the
+// site log likelihood is computed once and accumulated into out[r] under
+// replicate r's weight. Patterns are accumulated in ascending order within
+// the run, so a run's partials are invariant to which worker processes it.
 //
 //plk:hotpath
-func (c *evalSpanCtx) processGeneric(run schedule.Run) (float64, int) {
-	sum := 0.0
+func (c *evalSpanCtx) processGeneric(run schedule.Run, out []float64) int {
+	R, lw := c.R, c.lw
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		sum += c.weights[j] * c.site(i, j, c.patternLi(j, c.base+j*c.patStride))
+		site := c.site(i, j, c.patternLi(j, c.base+j*c.patStride))
+		for r := range out {
+			out[r] += lw[j*R+r] * site
+		}
 		count++
 	}
-	return sum, count
+	return count
 }
 
 // site turns one pattern's raw category-summed likelihood into its site log
@@ -290,7 +280,7 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	out := make([]float64, part.PatternCount)
 	// Runs outside any region, so worker 0's scratch is free to borrow.
 	var c evalSpanCtx
-	e.prepareEvalSpan(&c, root, q, ip, 0, e.pmScratch[0][0])
+	e.prepareEvalSpan(&c, root, q, ip, 0, e.pmScratch[0][0], e.ownWeights())
 	c.ensureTable(part.PatternCount)
 	for j := 0; j < part.PatternCount; j++ {
 		i := part.Offset + j

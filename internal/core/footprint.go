@@ -1,13 +1,16 @@
 package core
 
+import "phylo/internal/steal"
+
 // Memory accounting. A likelihood-serving cache needs a price per dataset to
 // evict against a byte budget, and that price has two parts: what the Shared
 // itself keeps resident (compressed alignment, schedules, layout tables) and
 // what every session opened over it will allocate (CLVs, scaling vectors,
-// the sumtable, per-worker scratch). The session part dominates by orders of
-// magnitude on real datasets — (taxa-2) CLV buffers of layout.Total() floats
-// each — so a cache that priced only the shared half would badly undercount
-// the capacity a cached dataset consumes once it serves traffic.
+// the sumtable, per-worker scratch, the chunk runtime). The session part
+// dominates by orders of magnitude on real datasets — (taxa-2) CLV buffers of
+// layout.Total() floats each — so a cache that priced only the shared half
+// would badly undercount the capacity a cached dataset consumes once it
+// serves traffic.
 
 // MemoryFootprint itemizes the heap bytes of one Shared plus the estimated
 // bytes of one session over it. All figures count the large flat buffers and
@@ -15,7 +18,8 @@ package core
 // goroutine stacks) is not modelled.
 type MemoryFootprint struct {
 	// CompressedAlignment covers the pattern-compressed dataset: encoded tip
-	// codes ([taxon][pattern] bytes), pattern weights, presence masks, and
+	// codes ([taxon][pattern] bytes), pattern weights (per partition and as
+	// the width-1 WeightSet the reductions read), presence masks, and
 	// taxon/partition names.
 	CompressedAlignment int64 `json:"compressed_alignment"`
 	// Schedules covers every pattern-to-worker schedule built so far (the
@@ -33,9 +37,16 @@ type MemoryFootprint struct {
 	// SessionSumtable is the branch-derivative workspace.
 	SessionSumtable int64 `json:"session_sumtable"`
 	// SessionScratch is the per-worker kernel scratch: two P-matrix buffers,
-	// the exponential/derivative tables, and the two tip lookup tables per
-	// worker (the tip tables are the large term: codes × cats × s floats).
+	// the exponential/derivative tables, the two tip lookup tables per worker
+	// (the large term: codes × cats × s floats), and on the fused backend the
+	// per-pattern scaling flags.
 	SessionScratch int64 `json:"session_scratch"`
+	// SessionChunks is what distributing patterns costs a session: the chunk
+	// layout of its schedule, the steal runtime over it (deque words, backing
+	// arrays, loaded-id lists), and the per-chunk evaluate and derivative
+	// partial sums at batch width 1. It is priced for the default minimum
+	// chunk size on the schedule with the most chunks built so far.
+	SessionChunks int64 `json:"session_chunks"`
 }
 
 // SharedBytes totals the session-independent (dataset-resident) terms.
@@ -45,7 +56,7 @@ func (f MemoryFootprint) SharedBytes() int64 {
 
 // SessionBytes totals the estimated allocation of one session.
 func (f MemoryFootprint) SessionBytes() int64 {
-	return f.SessionCLVs + f.SessionScales + f.SessionSumtable + f.SessionScratch
+	return f.SessionCLVs + f.SessionScales + f.SessionSumtable + f.SessionScratch + f.SessionChunks
 }
 
 // TotalBytes is SharedBytes plus one session's SessionBytes — the price of
@@ -69,11 +80,18 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 			f.CompressedAlignment += int64(len(tips))
 		}
 	}
+	f.CompressedAlignment += sh.weights.MemoryBytes()
 	sh.mu.Lock()
 	f.Schedules = 24 * int64(len(sh.spans)) // Span{Lo, Hi int; Cost float64}
-	for _, h := range sh.holders {          //plk:allow(maprange) commutative int accumulation; order-free
+	for _, h := range sh.holders {          //plk:allow(maprange) commutative sum and max; order-free
 		s, _ := h.Current()
 		f.Schedules += s.MemoryBytes()
+		l := steal.NewLayout(s, 0)
+		chunks := l.MemoryBytes() + l.RuntimeBytes() +
+			3*8*int64(l.NumChunks()) // evaluate + (d1, d2) partials per chunk
+		if chunks > f.SessionChunks {
+			f.SessionChunks = chunks
+		}
 	}
 	sh.mu.Unlock()
 	// Seven per-partition int slices in CLVLayout (base, patStride,
@@ -84,10 +102,23 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionCLVs = nInner * 8 * int64(sh.layout.Total())
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
-	perWorker := 2*sh.NumCats*sh.maxS*sh.maxS + // P-matrix pair
+	perWorker := 8 * (2*sh.NumCats*sh.maxS*sh.maxS + // P-matrix pair
 		3*sh.NumCats*sh.maxS + // exponential/derivative tables
-		2*sh.maxCodes*sh.NumCats*sh.maxS + // tip lookup-table pair
-		3*len(sh.Data.Parts) // eval + (d1,d2) partials
-	f.SessionScratch = int64(sh.Threads) * 8 * int64(perWorker)
+		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
+	if sh.Backend == BackendFused {
+		perWorker += sh.maxPatterns() // scaling flags, one bool per pattern
+	}
+	f.SessionScratch = int64(sh.Threads) * int64(perWorker)
 	return f
+}
+
+// maxPatterns is the pattern count of the widest partition.
+func (sh *Shared) maxPatterns() int {
+	n := 0
+	for _, p := range sh.Data.Parts {
+		if p.PatternCount > n {
+			n = p.PatternCount
+		}
+	}
+	return n
 }

@@ -187,17 +187,18 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 // body. Evaluate must accumulate each pattern's likelihood in (cat asc, state
 // asc) order to stay bit-identical with the oracle, so it keeps the pattern
 // loop outside and unrolls the per-category work; the `li + x0 + x1 + x2 +
-// x3` expressions associate exactly like the generic `li += x` loop. A q-side
-// tip without a table falls back to the generic body.
+// x3` expressions associate exactly like the generic `li += x` loop, and the
+// R-lane weighted accumulation is the generic body's. A q-side tip without a
+// table falls back to the generic body, which is bit-identical.
 //
 //plk:hotpath
-func (c *evalSpanCtx) processFused4(run schedule.Run) (float64, int) {
+func (c *evalSpanCtx) processFused4(run schedule.Run, out []float64) int {
 	if c.qTip && c.qTab == nil {
-		return c.processGeneric(run)
+		return c.processGeneric(run, out)
 	}
 	f0, f1, f2, f3 := c.freqs[0], c.freqs[1], c.freqs[2], c.freqs[3]
 	cats := c.cats
-	sum := 0.0
+	R, lw := c.R, c.lw
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
@@ -235,8 +236,11 @@ func (c *evalSpanCtx) processFused4(run schedule.Run) (float64, int) {
 				li = li + f0*cl[0]*t0 + f1*cl[1]*t1 + f2*cl[2]*t2 + f3*cl[3]*t3
 			}
 		}
-		sum += c.weights[j] * c.site(i, j, li)
+		site := c.site(i, j, li)
+		for r := range out {
+			out[r] += lw[j*R+r] * site
+		}
 		count++
 	}
-	return sum, count
+	return count
 }

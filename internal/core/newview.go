@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"phylo/internal/alignment"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -25,13 +23,20 @@ func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
 	e.ExecuteSteps(tree.RootTraversal(p, partial), active)
 }
 
-// ExecuteSteps executes a traversal descriptor. Every worker walks the full
-// step list and, per step and active partition, computes the two child
-// transition matrices redundantly before processing its scheduled share of
-// the patterns; this mirrors RAxML, where each Pthread computes P locally
-// rather than paying an extra synchronization to share it. The tree-search
-// package issues hand-built single-step descriptors through this entry point
-// during SPR insertion trials.
+// ExecuteSteps executes a traversal descriptor in one parallel region (one
+// barrier at the end, as the paper's design requires). Every worker walks the
+// full step list and, per step, drains its chunks of the active partitions;
+// per span encounter it computes the two child transition matrices
+// redundantly — this mirrors RAxML, where each Pthread computes P locally
+// rather than paying an extra synchronization to share it. Between steps the
+// runtime's NextStep rewinds the worker (and, only when thieving, barriers).
+// With Specialize on, tip children whose owner's share amortizes a lookup
+// table (see tiptables.go) become O(cats·s) table-row reads instead of
+// O(cats·s²) P applications; all paths produce bit-identical CLVs.
+// Observability counters (patterns processed, span case, scaling events)
+// flush into ctx per chunk, off the pattern loop. The tree-search package
+// issues hand-built single-step descriptors through this entry point during
+// SPR insertion trials.
 func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	if len(steps) == 0 {
 		return
@@ -44,70 +49,53 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	}
 	act := e.activeOrAll(active)
 	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
-	if e.stealRT != nil {
-		e.executeStepsSteal(steps, act)
-		return
-	}
+	rt := e.stealRT
+	rt.Load(act)
 	e.Exec.Run(parallel.RegionNewview, func(w int, ctx *parallel.WorkerCtx) {
 		pmQ := e.pmScratch[w][0]
 		pmR := e.pmScratch[w][1]
 		ops := 0.0
-		for _, st := range steps {
-			for ip := range e.Data.Parts {
-				if !act[ip] {
-					continue
+		var c nvSpanCtx
+		for si := range steps {
+			if si > 0 {
+				rt.NextStep(w, ctx)
+			}
+			cached := -1
+			for {
+				id := rt.Next(w, ctx)
+				if id < 0 {
+					break
 				}
-				var t0 time.Time
-				if e.measure {
-					t0 = time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
+				ch := rt.Layout().Chunk(id)
+				t0 := e.chunkClock()
+				if ch.Span != cached {
+					e.prepareNewviewSpan(&c, steps[si], ch.Span, w, pmQ, pmR)
+					cached = ch.Span
+					c.noteSpan(ctx)
 				}
-				ops += e.newviewPartition(st, ip, w, pmQ, pmR, ctx)
-				if e.measure {
-					e.chargePartition(w, ip, t0)
-				}
+				c.ensureTables(ch.Share)
+				count := c.kern.Newview(&c, ch.Run())
+				ops += c.takeOps(count)
+				// prepareNewviewSpan resets c, so scaled cannot be left to
+				// accumulate across span switches.
+				ctx.Patterns += float64(count)
+				ctx.Scalings += c.scaled
+				c.scaled = 0
+				e.chargeChunk(w, ch, t0)
 			}
 		}
 		ctx.Ops += ops
 	})
-}
-
-// newviewPartition recomputes worker w's share of partition ip for one
-// traversal step and returns the weighted op count. With Specialize on it
-// dispatches on the children's kinds: tip children whose share amortizes a
-// lookup table (see tiptables.go) become O(cats·s) table-row reads instead
-// of O(cats·s²) P applications — the tip/tip case additionally touches no
-// child CLVs and no child scaling vectors at all. All paths produce
-// bit-identical CLVs; the generic path remains reachable via Specialize
-// false (A/B ablation) and for shares too narrow to amortize a table.
-// Observability counters (patterns processed, span case, scaling events)
-// flush into ctx here — once per (step, partition), off the pattern loop.
-func (e *Engine) newviewPartition(st tree.TraversalStep, ip, w int, pmQ, pmR []float64, ctx *parallel.WorkerCtx) float64 {
-	runs := e.workRuns(w, ip)
-	if len(runs) == 0 {
-		return 0
-	}
-	var c nvSpanCtx
-	e.prepareNewviewSpan(&c, st, ip, w, pmQ, pmR)
-	c.ensureTables(runsPatternCount(runs))
-	count := 0
-	for _, run := range runs {
-		count += c.process(run)
-	}
-	c.noteSpan(ctx)
-	ctx.Patterns += float64(count)
-	ctx.Scalings += c.scaled
-	return c.takeOps(count)
+	rt.Finish()
 }
 
 // nvSpanCtx is the per-(step, partition, worker) newview setup — transition
 // matrices, child CLV/tip bindings, layout strides, and the optional tip
-// lookup tables — factored out of the pattern loop so that both execution
-// models share one kernel body: the precomputed-assignment path prepares once
-// per worker and span and processes the worker's whole share, while the
-// work-stealing path prepares once per (worker, span) encounter and processes
-// one chunk at a time (re-using the setup across consecutive chunks of the
-// same span). The pattern loops themselves run in the backend implementation
-// bound at kern (see KernelBackend).
+// lookup tables — factored out of the pattern loop: the driver prepares once
+// per (worker, span) encounter and processes one chunk at a time, re-using
+// the setup across consecutive chunks of the same span. The pattern loops
+// themselves run in the backend implementation bound at kern (see
+// KernelBackend).
 type nvSpanCtx struct {
 	e          *Engine
 	ip, w      int
@@ -180,10 +168,10 @@ func (e *Engine) prepareNewviewSpan(c *nvSpanCtx, st tree.TraversalStep, ip, w i
 	}
 }
 
-// ensureTables builds the tip lookup tables when the pending work unit
-// (patterns) amortizes them and they are not already built. The decision is a
-// pure function of the unit size, so chunked execution stays deterministic;
-// and because table and generic paths are bit-identical, mixing them across
+// ensureTables builds the tip lookup tables when a share of this many
+// patterns amortizes them and they are not already built. Drivers pass the
+// chunk owner's whole share of the span, a pure function of the layout; and
+// because table and generic paths are bit-identical, mixing them across
 // chunks of one span can never change results, only the op accounting.
 func (c *nvSpanCtx) ensureTables(patterns int) {
 	e := c.e
@@ -207,15 +195,6 @@ func (c *nvSpanCtx) takeOps(count int) float64 {
 	ops := float64(count)*opsNewviewCase(c.s, c.cats, c.tabQ != nil, c.tabR != nil) + c.fixed
 	c.fixed = 0
 	return ops
-}
-
-// process executes the newview kernel over one pattern run and returns the
-// pattern count, dispatching through the partition's backend. The per-pattern
-// arithmetic is identical whichever worker runs it and however the run was
-// sliced, which is what makes chunked (stolen) and precomputed execution
-// bit-identical.
-func (c *nvSpanCtx) process(run schedule.Run) int {
-	return c.kern.Newview(c, run)
 }
 
 // processGeneric is the layout-aware generic newview body: per pattern,

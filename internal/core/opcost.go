@@ -69,20 +69,16 @@ func tipChildFrac(numTaxa int) float64 {
 }
 
 // opsEvaluateCase is the per-pattern cost of the root log-likelihood
-// reduction: the P application to the q-side vector (a table-row read, s,
-// when the q tip is specialized; s² otherwise), the pi-weighted dot product,
-// and the log.
-func opsEvaluateCase(states, cats int, qTipFast bool) float64 {
+// reduction under `lanes` replicate weights: the P application to the q-side
+// vector (a table-row read, s, when the q tip is specialized; s² otherwise),
+// the pi-weighted dot product, the log, and one weight multiply-accumulate
+// (~2 madds) per lane beyond the first.
+func opsEvaluateCase(states, cats int, qTipFast bool, lanes int) float64 {
 	cq := states * states
 	if qTipFast {
 		cq = states
 	}
-	return float64(cats*(cq+2*states) + 30)
-}
-
-// opsEvaluate is the generic (inner q child) evaluate cost.
-func opsEvaluate(states, cats int) float64 {
-	return opsEvaluateCase(states, cats, false)
+	return float64(cats*(cq+2*states)+30) + 2*float64(lanes-1)
 }
 
 // opsSumtableCase is the per-pattern cost of building the Newton-Raphson
@@ -107,30 +103,11 @@ func opsSumtable(states, cats int) float64 {
 }
 
 // opsDerivative is the per-pattern cost of one derivative evaluation over an
-// existing sumtable (tips do not appear here: the sumtable already absorbed
-// them).
-func opsDerivative(states, cats int) float64 {
-	return float64(cats*states*3 + 10)
-}
-
-// Per-pattern cost of one *additional* replicate lane in the batched
-// reductions: an evaluate lane is one weight multiply-accumulate into its
-// partial (~2 madds), a derivative lane two (d1 and d2, ~4). The first lane
-// is already priced by opsEvaluateCase/opsDerivative — a width-1 batch
-// performs exactly the unbatched reduction's work.
-const (
-	opsEvalLane  = 2.0
-	opsDerivLane = 4.0
-)
-
-// opsEvaluateBatch prices one pattern of the R-wide batched evaluate.
-func opsEvaluateBatch(states, cats int, qTipFast bool, lanes int) float64 {
-	return opsEvaluateCase(states, cats, qTipFast) + opsEvalLane*float64(lanes-1)
-}
-
-// opsDerivativeBatch prices one pattern of the R-wide batched derivative.
-func opsDerivativeBatch(states, cats, lanes int) float64 {
-	return opsDerivative(states, cats) + opsDerivLane*float64(lanes-1)
+// existing sumtable under `lanes` replicate weights (tips do not appear here:
+// the sumtable already absorbed them); every lane beyond the first adds two
+// weight multiply-accumulates (d1 and d2, ~4 madds).
+func opsDerivative(states, cats, lanes int) float64 {
+	return float64(cats*states*3+10) + 4*float64(lanes-1)
 }
 
 // opsTipTable is the one-off cost of precomputing a per-code lookup table

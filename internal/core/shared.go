@@ -80,6 +80,11 @@ type Shared struct {
 
 	spans []schedule.Span // per-partition pattern ranges with op costs
 
+	// weights is the dataset's own pattern weights as a width-1 WeightSet:
+	// what Evaluate and BranchDerivatives reduce under when the session has
+	// no override, so "unbatched" is the R = 1 case of the lane reductions.
+	weights *WeightSet
+
 	mu         sync.Mutex
 	holders    map[schedule.Strategy]*ScheduleHolder //plk:holder
 	baseCosts  []float64                             // per-partition per-pattern costs at batch width 1
@@ -140,6 +145,9 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		// and leaves the relative weights the schedules pack by unchanged.
 		sh.spans[i] = schedule.Span{Lo: p.Offset, Hi: p.End(), Cost: opsNewviewAvg(p.Type.States(), numCats, tipFrac)}
 	}
+	if sh.weights, err = UniformWeightSet(data, 1); err != nil {
+		return nil, err
+	}
 	sh.baseCosts = make([]float64, len(sh.spans))
 	for i, sp := range sh.spans {
 		sh.baseCosts[i] = sp.Cost
@@ -187,7 +195,7 @@ func (sh *Shared) ScheduleFor(strategy schedule.Strategy) (*schedule.Schedule, e
 // change mid-region, and because every schedule covers the identical global
 // pattern space and per-pattern results are schedule-invariant, a swap never
 // invalidates any session's CLVs or changes its likelihoods beyond
-// floating-point reassociation of the per-worker reduction. Concurrent
+// floating-point reassociation of the per-chunk reductions. Concurrent
 // rebalances serialize; the last publish wins.
 func (sh *Shared) RebalanceMeasured(observed schedule.PartitionCosts) (*schedule.Schedule, error) {
 	h, err := sh.HolderFor(schedule.Measured)
@@ -231,7 +239,7 @@ func (sh *Shared) OverrideSpanCosts(costs []float64) error {
 
 // batchLaneOps is the per-pattern span-cost increment of one additional live
 // replicate lane: the batched evaluate adds ~2 madds per lane and the batched
-// derivative ~4 (see opsEvalLane/opsDerivLane); spans carry one cost across
+// derivative ~4 (see opsEvaluateCase/opsDerivative); spans carry one cost across
 // all region kinds, so they are priced at the blend. The increment is tiny
 // next to a DNA newview span (~48 madds at 4 cats) and sizeable at large R —
 // exactly the regime where an honest LPT pack and honest steal-cost estimates

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -99,13 +100,14 @@ func requireBitIdentical(t *testing.T, label string, a, b stealResult) {
 }
 
 // TestStealBitIdentityAcrossExecutorsAndToggle is the acceptance test for
-// the determinism contract: with the chunked execution path, likelihoods and
-// both branch derivatives are bit-for-bit identical (a) with thieving on vs
-// off, (b) across Pool sessions (which really steal), Sim (serial, never
-// steals), and Sequential (T=1), at 1 and 4 Gamma categories on mixed
-// DNA+AA data — and within reassociation tolerance of the legacy
-// (non-chunked) path. The weighted schedule is deliberately mispriced so the
-// static pack is skewed and the pool runs must actually steal.
+// the determinism contract: likelihoods and both branch derivatives are a
+// function of the schedule and its chunk layout only, so they are bit-for-bit
+// identical (a) with thieving on vs off — toggled on one session or chosen
+// per session through Options.Steal — and (b) across Pool sessions (which
+// really steal), Sim (serial, never steals), and Sequential (T=1), at 1 and 4
+// Gamma categories on mixed DNA+AA data. The weighted schedule is
+// deliberately mispriced so the static pack is skewed and the pool runs must
+// actually steal.
 func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 	for _, cats := range []int{1, 4} {
 		d, models := stealFixture(t, cats, int64(100+cats))
@@ -174,13 +176,20 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		resSeqOff := runStealResult(t, engSeqOff)
 		requireBitIdentical(t, "sequential toggle", resSeq, resSeqOff)
 
-		// The chunked reduction regroups the per-worker sums, so against the
-		// legacy path it agrees to reassociation tolerance, not bitwise.
-		engLegacy := mk(pool.Session(), sh, Options{Specialize: true, Schedule: schedule.Weighted})
-		resLegacy := runStealResult(t, engLegacy)
-		if diff := math.Abs(resLegacy.lnl - resPool.lnl); diff > 1e-9*math.Abs(resLegacy.lnl) {
-			t.Errorf("cats=%d: steal lnL %v vs legacy %v (diff %v)", cats, resPool.lnl, resLegacy.lnl, diff)
+		// Sessions opened without Options.Steal run the same driver over the
+		// same chunks: bit-identical to the stealing ones on every executor.
+		staticOpts := stealOpts
+		staticOpts.Steal = false
+		engStatic := mk(pool.Session(), sh, staticOpts)
+		requireBitIdentical(t, "pool Steal:true vs pool Steal:false", resPool, runStealResult(t, engStatic))
+		requireBitIdentical(t, "pool Steal:true vs sim Steal:false", resPool, runStealResult(t, mk(sim, sh, staticOpts)))
+		requireBitIdentical(t, "sequential Steal:true vs Steal:false", resSeq, runStealResult(t, mk(parallel.NewSequential(), shSeq, staticOpts)))
+		if st := engStatic.Exec.Stats(); st.StealCount != 0 {
+			t.Errorf("cats=%d: Steal:false session recorded %v steals", cats, st.StealCount)
 		}
+
+		// A different worker count is a different layout, so T=1 agrees with
+		// T=3 to reassociation tolerance, not bitwise.
 		if diff := math.Abs(resSeq.lnl - resPool.lnl); diff > 1e-9*math.Abs(resPool.lnl) {
 			t.Errorf("cats=%d: T=1 lnL %v vs T=3 %v", cats, resSeq.lnl, resPool.lnl)
 		}
@@ -192,6 +201,63 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		}
 		if st := engToggle.Exec.Stats(); st.StealCount != 0 {
 			t.Errorf("cats=%d: stealing was disabled but %v steals recorded", cats, st.StealCount)
+		}
+	}
+}
+
+// idleObserver sums every worker's in-region synchronization wait.
+type idleObserver struct{ idle float64 }
+
+func (o *idleObserver) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctxs []parallel.WorkerCtx) {
+	for i := range ctxs {
+		o.idle += ctxs[i].Idle
+	}
+}
+
+// TestNoStepBarrierWithoutStealing pins the paper's one barrier per
+// traversal: on a real pool a multi-step Traverse of a non-stealing session
+// passes no intra-region step barrier and records no idle wait (each worker
+// only reads CLV entries it wrote itself), while a stealing session still
+// synchronizes between steps, n-1 times for n steps.
+func TestNoStepBarrierWithoutStealing(t *testing.T) {
+	d, models := stealFixture(t, 4, 9)
+	const threads = 3
+	sh, err := NewShared(d, 4, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := parallel.NewPool(threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	obs := &idleObserver{}
+	pool.SetObserver(obs)
+	for _, stealing := range []bool{false, true} {
+		tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, pool.Session(),
+			Options{Specialize: true, Schedule: schedule.Weighted, Steal: stealing, MinChunk: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := tree.ComputeTraversal(tr.Tips[0].Back, false)
+		if len(steps) < 2 {
+			t.Fatal("fixture traversal has a single step")
+		}
+		obs.idle = 0
+		eng.ExecuteSteps(steps, nil)
+		want := int64(0)
+		if stealing {
+			want = int64(len(steps) - 1)
+		}
+		if got := eng.stealRT.Steps(); got != want {
+			t.Errorf("stealing=%v: %d step barriers over a %d-step traversal, want %d", stealing, got, len(steps), want)
+		}
+		if !stealing && obs.idle != 0 {
+			t.Errorf("non-stealing traversal recorded %v s of in-region idle, want none", obs.idle)
 		}
 	}
 }
@@ -284,7 +350,7 @@ func TestStealComposesWithMeasuredRebalance(t *testing.T) {
 	defer pool.Close()
 
 	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := New(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
+	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +421,7 @@ func TestStealSmoothedCostsAcrossWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 3})
-	eng, err := New(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
+	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
+	"phylo/internal/schedule"
 	"phylo/internal/tree"
 )
 
@@ -46,7 +47,7 @@ func specAndGenericEngines(t *testing.T, a *alignment.Alignment, dtype alignment
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(d, tr, []*model.Model{tipCaseModels(t, dtype, cats, alpha)}, parallel.NewSequential(), Options{Specialize: specialize})
+		eng, err := newEngine(d, tr, []*model.Model{tipCaseModels(t, dtype, cats, alpha)}, parallel.NewSequential(), Options{Specialize: specialize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +212,51 @@ func TestTipCaseScalingEquivalence(t *testing.T) {
 	}
 }
 
+// TestTipTableDecisionUsesOwnerShare audits the table decision on a weighted
+// schedule cut into short chunks: at MinChunk 16 every chunk (16-31
+// patterns) sits below the DNA table threshold of 32 while each worker's
+// share of the span clears it several times over. The decision is sized by
+// the share, so the traversal must charge exactly the ops of the same session
+// at the default chunk size — the table price — and stay below the generic
+// (Specialize off) price; sized by the chunk it would silently drop to the
+// generic body.
+func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
+	a := randomAlignment(t, 7, 400, alignment.DNA, 88)
+	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threads = 2
+	if share := d.TotalPatterns / threads; share < 4*tipTableMinPatterns(alignment.DNA) {
+		t.Fatalf("fixture too narrow: %d patterns per worker", share)
+	}
+	traversalOps := func(opts Options) float64 {
+		sim, err := parallel.NewSim(threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tree.Random(taxaNames(a.NumTaxa()), 1, tree.RandomOptions{Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := newEngine(d, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 4, 0.8)}, sim, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Traverse(tr.Tips[0].Back, false, nil)
+		return sim.Stats().TotalOps
+	}
+	whole := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted})
+	short := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted, MinChunk: 16})
+	generic := traversalOps(Options{Specialize: false, Schedule: schedule.Weighted, MinChunk: 16})
+	if short != whole {
+		t.Errorf("traversal ops at MinChunk 16 = %v, at the default chunk size %v: short chunks lost the tip tables", short, whole)
+	}
+	if short >= generic {
+		t.Errorf("specialized traversal ops %v not below generic %v", short, generic)
+	}
+}
+
 // TestTipTableBitIdentity checks the table builder directly: every row must
 // reproduce the generic per-pattern accumulation bit for bit, which is what
 // makes specialized and generic kernels interchangeable mid-analysis.
@@ -259,7 +305,7 @@ func TestTipAwareOpCosts(t *testing.T) {
 		if !(bothTip < avg && avg < inner) {
 			t.Errorf("s=%d: average %v must sit between bothTip %v and inner %v", s, avg, bothTip, inner)
 		}
-		if opsEvaluateCase(s, 4, true) >= opsEvaluateCase(s, 4, false) {
+		if opsEvaluateCase(s, 4, true, 1) >= opsEvaluateCase(s, 4, false, 1) {
 			t.Errorf("s=%d: specialized evaluate must be cheaper", s)
 		}
 		if opsSumtableCase(s, 4, true, true) >= opsSumtable(s, 4) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"phylo/internal/alignment"
-	"phylo/internal/schedule"
-)
+import "phylo/internal/alignment"
 
 // Tip-case lookup tables (the RAxML tip-case trick): a tip child never
 // carries per-category likelihoods — only one of 16 DNA / 23 AA tip codes —
@@ -99,14 +96,4 @@ func buildTipSumRight(dst []float64, t alignment.DataType, vi []float64, s int) 
 		}
 	}
 	return dst[:codes*s]
-}
-
-// runsPatternCount totals the patterns of a worker's run list; the kernels
-// use it to decide whether a tip table amortizes over the share.
-func runsPatternCount(runs []schedule.Run) int {
-	n := 0
-	for _, r := range runs {
-		n += r.Len()
-	}
-	return n
 }

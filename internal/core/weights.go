@@ -93,9 +93,10 @@ func resamplePartition(w []float64, p *alignment.CompressedPartition, r, stride 
 }
 
 // UniformWeightSet returns a WeightSet of R copies of the dataset's original
-// pattern weights — the "no resampling" batch. Replicate lane r of a batched
-// evaluation over it is bit-identical to the plain (unbatched) evaluation,
-// which makes it the bridge the bit-identity tests and the batched-vs-plain
+// pattern weights — the "no resampling" batch. At R = 1 it is what Evaluate
+// and BranchDerivatives reduce under (Shared holds one), so every lane of a
+// batched evaluation over it is bit-identical to the plain evaluation, which
+// makes it the bridge the bit-identity tests and the batched-vs-plain
 // benchmarks compare across.
 func UniformWeightSet(data *alignment.CompressedData, R int) (*WeightSet, error) {
 	if data == nil {

@@ -70,7 +70,7 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(d, tr, models, exec, core.Options{Specialize: true})
+	eng, err := newEngine(d, tr, models, exec, core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,4 +366,14 @@ func TestProgressCallback(t *testing.T) {
 	if lnls[len(lnls)-1] != final {
 		t.Errorf("last event lnl %v != final %v", lnls[len(lnls)-1], final)
 	}
+}
+
+// newEngine builds the shared state for (d, the models' category count,
+// exec's worker count) and opens one session over it.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
 }

@@ -4,11 +4,12 @@
 // derivative computation, ...) over T workers, and every region ends in a
 // barrier, which is the synchronization cost the paper's newPAR strategy
 // amortizes. Which alignment patterns each worker processes inside a region
-// is not this package's decision: the kernels consume a precomputed
+// is not this package's decision: the kernels drain chunks of a precomputed
 // pattern-to-worker assignment from internal/schedule (cyclic by default,
-// the paper's distribution) and report the resulting per-worker op counts
-// through WorkerCtx, so the statistics and the virtual platform model price
-// whatever assignment the schedule produced.
+// the paper's distribution) through internal/steal — each worker its own
+// chunks, plus stolen ones when the session enables stealing — and report
+// the resulting per-worker op counts through WorkerCtx, so the statistics
+// and the virtual platform model price whatever work each worker performed.
 //
 // Three executors share one interface:
 //
@@ -81,10 +82,11 @@ func (r Region) String() string {
 //
 // Concurrent tells region closures whether the executor runs its workers on
 // real concurrent goroutines (the pool) or serially on one goroutine (Sim,
-// Sequential, and a pool session degraded by a closed pool). The
-// work-stealing runtime keys on it: serial virtual workers must neither steal
-// (worker 0 would swallow everything before worker 1 ever "starts") nor wait
-// at intra-region step barriers (which would deadlock a single goroutine).
+// Sequential, and a pool session degraded by a closed pool). The chunk
+// runtime keys on it: serial virtual workers always take its owner-only walk,
+// because they must neither steal (worker 0 would swallow everything before
+// worker 1 ever "starts") nor wait at intra-region step barriers (which would
+// deadlock a single goroutine).
 //
 // The struct is padded to 128 bytes: adjacent entries of a []WorkerCtx are
 // written concurrently by different workers, and because Go only guarantees

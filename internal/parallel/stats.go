@@ -35,8 +35,8 @@ type Stats struct {
 	WorkerTime   []float64 // cumulative measured seconds per worker id
 	KindTime     [numRegionKinds]float64
 
-	// Work-stealing accounting (zero unless the session runs with the
-	// chunked-deque runtime, internal/steal): how many steal operations each
+	// Work-stealing accounting (zero unless the session's chunk runtime,
+	// internal/steal, has thieving on): how many steal operations each
 	// worker performed and how many patterns it executed away from their
 	// scheduled owner (counted once per execution, so chunks relayed through
 	// thief chains are not double-counted and StolenPatterns/processed stays

@@ -99,7 +99,7 @@ func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(d, start, []*model.Model{m}, exec, core.Options{Specialize: true})
+	eng, err := newEngine(d, start, []*model.Model{m}, exec, core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestSearchRecoversGeneratingTreeScore(t *testing.T) {
 
 	// Score the generating tree (with optimized branch lengths).
 	genCopy, _ := tree.ParseNewick(tree.WriteNewick(gen, 0), taxaNames(8), 1)
-	engTrue, err := core.New(d, genCopy, []*model.Model{m}, parallel.NewSequential(), core.Options{Specialize: true})
+	engTrue, err := newEngine(d, genCopy, []*model.Model{m}, parallel.NewSequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trueLnL := opt.New(engTrue, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background())
 
 	start, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 1234})
-	eng, err := core.New(d, start, []*model.Model{m.Clone()}, parallel.NewSequential(), core.Options{Specialize: true})
+	eng, err := newEngine(d, start, []*model.Model{m.Clone()}, parallel.NewSequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSearchPartitionedPerPartitionBL(t *testing.T) {
 		models[i], _ = model.GTR(nil, nil, 4, 0.8)
 	}
 	start, _ := tree.Random(taxaNames(8), len(d.Parts), tree.RandomOptions{Seed: 17})
-	eng, err := core.New(d, start, models, parallel.NewSequential(), core.Options{Specialize: true})
+	eng, err := newEngine(d, start, models, parallel.NewSequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,4 +283,14 @@ func TestSearchCancellation(t *testing.T) {
 	if got := eng.LogLikelihood(); got != res.LnL {
 		t.Errorf("tree score %v != reported partial %v", got, res.LnL)
 	}
+}
+
+// newEngine builds the shared state for (d, the models' category count,
+// exec's worker count) and opens one session over it.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
 }

@@ -210,7 +210,7 @@ func TestParameterRecovery(t *testing.T) {
 	for _, b := range start.Branches() {
 		tree.SetBranchLength(b, 0, 0.1)
 	}
-	eng, err := core.New(d, start, []*model.Model{fit}, parallel.NewSequential(), core.Options{Specialize: true})
+	eng, err := newEngine(d, start, []*model.Model{fit}, parallel.NewSequential(), core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +233,14 @@ func TestParameterRecovery(t *testing.T) {
 	if gotTotal < 0.5*trueTotal || gotTotal > 2*trueTotal {
 		t.Errorf("recovered tree length %v vs true %v", gotTotal, trueTotal)
 	}
+}
+
+// newEngine builds the shared state for (d, the models' category count,
+// exec's worker count) and opens one session over it.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewSession(sh, tr, models, exec, opts)
 }

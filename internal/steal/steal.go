@@ -20,13 +20,18 @@
 // end up executing which chunks, stealing on or off, pool or serial executor
 // (see the determinism argument in DESIGN.md).
 //
-// Serial executors (Sim, Sequential, a degraded pool session) run their T
-// virtual workers one after another on a single goroutine; there a worker
-// never waits at a barrier, so there is no tail latency to absorb, and
-// "stealing" would just mean virtual worker 0 swallowing work that virtual
-// worker w > 0 was never going to idle over. Serial mode therefore hands
-// every worker exactly its own chunks — which, by the fixed-order reduction,
-// produces bit-identical results to a concurrent run with stealing.
+// The runtime is also how a session runs *without* stealing: every region of
+// every session drains chunks through Next, and with thieving off (or on a
+// serial executor) Next is an owner-only walk of the worker's own chunk list
+// through a worker-local cursor — no deque is armed, no CAS is issued, and
+// NextStep does not synchronize. "Static" execution is therefore not a second
+// driver but this one with the thieves sent home. Serial executors (Sim,
+// Sequential, a degraded pool session) always take that walk: their T virtual
+// workers run one after another on a single goroutine, so there is no barrier
+// wait to absorb and "stealing" would just mean virtual worker 0 swallowing
+// work that worker w > 0 was never going to idle over. By the fixed-order
+// reduction the owner-only walk is bit-identical to a concurrent run that
+// steals.
 package steal
 
 import (
@@ -35,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -74,12 +80,16 @@ func unpackState(s uint64) (epoch uint64, top, bottom int) {
 // (partition's) pattern assignment, small enough to migrate cheaply and large
 // enough to amortize per-span kernel setup. Lo/Hi/Step follow schedule.Run
 // semantics; Owner is the worker the schedule assigned the range to (the
-// deque it is loaded into); Cost is the estimated total cost under the
-// schedule's span pricing, used only for victim selection.
+// deque it is loaded into); Share is the owner's total pattern count in the
+// span across all its chunks — the unit the kernels size their tip-table
+// decision by, so a share cut into many short runs still amortizes a table;
+// Cost is the estimated total cost under the schedule's span pricing, used
+// only for victim selection.
 type Chunk struct {
 	Span         int
 	Lo, Hi, Step int
 	Owner        int
+	Share        int
 	Cost         float64
 }
 
@@ -129,11 +139,12 @@ func buildLayout(s *schedule.Schedule, minChunk int) *Layout {
 	for sp := 0; sp < s.NumSpans(); sp++ {
 		cost := s.Span(sp).Cost
 		for w := 0; w < t; w++ {
+			share := s.Count(w, sp)
 			for _, r := range s.ChunkRuns(w, sp, minChunk) {
 				id := len(l.chunks)
 				l.chunks = append(l.chunks, Chunk{
 					Span: sp, Lo: r.Lo, Hi: r.Hi, Step: r.Step,
-					Owner: w, Cost: float64(r.Len()) * cost,
+					Owner: w, Share: share, Cost: float64(r.Len()) * cost,
 				})
 				l.byWorker[w] = append(l.byWorker[w], int32(id))
 			}
@@ -163,11 +174,15 @@ func (l *Layout) Threads() int { return l.threads }
 // reading bounds that a concurrent re-arm invalidates sees untorn (if stale)
 // values and then fails its epoch-checked CAS. remaining tracks a float64
 // cost estimate of the live window for victim selection; it is advisory and
-// may drift a chunk behind the state word.
+// may drift a chunk behind the state word. cur is the owner-only walk's
+// position in the worker's loaded list (see Next); it lives here, inside the
+// worker's padded slot, so pool workers advancing their cursors never share a
+// cache line.
 type deque struct {
 	state     atomic.Uint64
 	remaining atomic.Uint64 // float64 bits
-	_         [112]byte     // pad to two cache lines against false sharing
+	cur       int
+	_         [104]byte // pad to two cache lines against false sharing
 }
 
 func (d *deque) remainingCost() float64 { return math.Float64frombits(d.remaining.Load()) }
@@ -181,8 +196,8 @@ func (d *deque) addRemaining(x float64) {
 	}
 }
 
-// Runtime is the per-session stealing state: one deque per worker over the
-// current layout, the per-step re-arm barrier, and the load/quiesce
+// Runtime is the per-session chunk-distribution state: one deque per worker
+// over the current layout, the per-step re-arm barrier, and the load/quiesce
 // lifecycle. A Runtime belongs to exactly one session engine; the master
 // (session goroutine) calls Load before issuing a region and Finish after
 // its barrier, workers call Next/NextStep from inside the region closure.
@@ -193,10 +208,9 @@ type Runtime struct {
 
 	// loaded is the per-worker chunk-id list of the current region (the
 	// layout's per-owner ids filtered by the region's active-span mask),
-	// ascending; deques are armed from it, and serial workers iterate it
-	// directly through cursors.
-	loaded    [][]int32
-	serialCur []int
+	// ascending; deques are armed from it, and owner-only workers walk it
+	// directly through their cursors.
+	loaded [][]int32
 
 	barrier  stepBarrier
 	stealing atomic.Bool
@@ -215,18 +229,19 @@ func NewRuntime(l *Layout) *Runtime {
 // Layout returns the currently installed chunk layout.
 func (rt *Runtime) Layout() *Layout { return rt.layout }
 
-// SetStealing toggles thieving. With stealing off, the chunked execution
-// path is unchanged — workers still drain their own deques chunk by chunk and
-// reductions still run in fixed chunk order — so results are bit-for-bit
-// identical either way; only idle workers stop absorbing others' backlogs.
+// SetStealing toggles thieving. With stealing off, workers walk their own
+// chunk lists (see Next) and NextStep stops synchronizing; the chunks and the
+// fixed-order reductions over them are the same, so results are bit-for-bit
+// identical either way — only idle workers stop absorbing others' backlogs.
 // Must not be called while a region is in flight.
 func (rt *Runtime) SetStealing(on bool) { rt.stealing.Store(on) }
 
 // Stealing reports whether thieving is enabled.
 func (rt *Runtime) Stealing() bool { return rt.stealing.Load() }
 
-// Steps reports how many intra-region step re-arms the runtime has performed
-// (concurrent executors only); a traversal of n steps contributes n-1.
+// Steps reports how many intra-region step barriers the runtime has passed
+// (thieving on a concurrent executor only); a traversal of n steps
+// contributes n-1.
 func (rt *Runtime) Steps() int64 { return rt.steps.Load() }
 
 // maxStealBatch caps one steal's chunk count (and thereby the only way a
@@ -244,22 +259,42 @@ func (rt *Runtime) Install(l *Layout) {
 	rt.deques = make([]deque, t)
 	rt.arrs = make([][]atomic.Int32, t)
 	rt.loaded = make([][]int32, t)
-	rt.serialCur = make([]int, t)
 	for w := 0; w < t; w++ {
-		// A deque holds at most its own scheduled chunks (armWorker) or one
-		// steal batch (stealHalf publishes into an empty deque), whichever
-		// is larger — not the whole layout.
-		capacity := len(l.byWorker[w])
-		if capacity < maxStealBatch {
-			capacity = maxStealBatch
-		}
-		if n := len(l.chunks); capacity > n {
-			capacity = n
-		}
-		rt.arrs[w] = make([]atomic.Int32, capacity)
+		rt.arrs[w] = make([]atomic.Int32, l.dequeCap(w))
 		rt.loaded[w] = make([]int32, 0, len(l.byWorker[w]))
 	}
 	rt.barrier.init(t)
+}
+
+// dequeCap is the backing-array length of worker w's deque: a deque holds at
+// most its own scheduled chunks (armWorker) or one steal batch (stealHalf
+// publishes into an empty deque), whichever is larger — not the whole layout.
+func (l *Layout) dequeCap(w int) int {
+	capacity := len(l.byWorker[w])
+	if capacity < maxStealBatch {
+		capacity = maxStealBatch
+	}
+	if n := len(l.chunks); capacity > n {
+		capacity = n
+	}
+	return capacity
+}
+
+// MemoryBytes is the layout's own heap: the chunk table and the per-owner id
+// lists.
+func (l *Layout) MemoryBytes() int64 {
+	return int64(len(l.chunks)) * int64(unsafe.Sizeof(Chunk{})+4)
+}
+
+// RuntimeBytes is the heap a Runtime allocates over this layout (Install):
+// the padded deque words, every deque's backing array, and the loaded-id
+// lists. The session memory accounting prices it without building a Runtime.
+func (l *Layout) RuntimeBytes() int64 {
+	total := int64(l.threads) * int64(unsafe.Sizeof(deque{}))
+	for w := range l.byWorker {
+		total += 4 * int64(l.dequeCap(w)+len(l.byWorker[w]))
+	}
+	return total
 }
 
 // Quiesce asserts that no region is consuming the deques. The engine calls
@@ -274,11 +309,10 @@ func (rt *Runtime) Quiesce() {
 	}
 }
 
-// Load arms the runtime for one region: every worker's deque receives its
-// layout chunks whose span is active (nil mask = all spans), serial cursors
-// rewind, and the step barrier resets. Called by the master immediately
-// before Executor.Run; the executor's fan-out orders it before every
-// worker's first Next.
+// Load arms the runtime for one region: every worker is handed its layout
+// chunks whose span is active (nil mask = all spans). Called by the master
+// immediately before Executor.Run; the executor's fan-out orders it before
+// every worker's first Next.
 func (rt *Runtime) Load(active []bool) {
 	if rt.inRegion.Swap(true) {
 		panic("steal: Load while a region is in flight")
@@ -292,22 +326,35 @@ func (rt *Runtime) Load(active []bool) {
 		}
 		rt.loaded[w] = ids
 	}
-	rt.armAll()
+	rt.rearm()
 }
 
 // Finish marks the region done. Called by the master after Executor.Run
 // returns (the region barrier orders every worker's last Next before it).
 func (rt *Runtime) Finish() { rt.inRegion.Store(false) }
 
-// armAll re-arms every deque with its loaded chunk list and rewinds the
-// serial cursors. Callers must guarantee no concurrent deque traffic: Load
-// runs before the region fans out, and the step barrier's last arriver runs
-// it while every other worker is blocked in the barrier.
-func (rt *Runtime) armAll() {
+// rearm puts every worker back at the start of its loaded chunk list: the
+// owner-only cursors rewind and, with thieving on, the deques are re-armed
+// (an owner-only region never reads them, so it does not pay for arming).
+// Callers must guarantee no concurrent deque traffic: Load runs before the
+// region fans out, and the step barrier's last arriver runs it while every
+// other worker is blocked in the barrier.
+func (rt *Runtime) rearm() {
+	thieving := rt.stealing.Load()
 	for w := range rt.deques {
-		rt.armWorker(w)
-		rt.serialCur[w] = 0
+		rt.deques[w].cur = 0
+		if thieving {
+			rt.armWorker(w)
+		}
 	}
+}
+
+// ownerOnly reports whether the calling worker walks only its own chunk list
+// this region: always on a serial executor, and on a concurrent one whenever
+// thieving is off. The flag cannot change inside a region (SetStealing's
+// contract), so every worker of a region takes the same branch.
+func (rt *Runtime) ownerOnly(ctx *parallel.WorkerCtx) bool {
+	return !ctx.Concurrent || !rt.stealing.Load()
 }
 
 // armWorker loads worker w's chunk ids into its deque, reversed so that the
@@ -329,18 +376,19 @@ func (rt *Runtime) armWorker(w int) {
 }
 
 // NextStep is the intra-region step boundary for multi-step (traversal)
-// regions. On concurrent executors every worker must call it between steps:
-// it is a full barrier across the T workers — step s+1 reads CLVs that step
-// s wrote, and with stealing a pattern's step-s writer need not be its
-// step-s+1 reader, so the barrier is what makes the handoff safe — and the
-// last worker to arrive re-arms all deques to the scheduled assignment
-// before releasing the others. On serial executors it just rewinds the
-// calling worker's cursor (virtual workers run one after another; worker w's
-// whole step sequence completes before w+1 starts, and CLV reads stay safe
-// because serial workers only process their own scheduled patterns).
+// regions; every worker calls it between steps. With thieving it is a full
+// barrier across the T workers — step s+1 reads CLVs that step s wrote, and
+// with stealing a pattern's step-s writer need not be its step-s+1 reader, so
+// the barrier is what makes the handoff safe — and the last worker to arrive
+// re-arms all deques to the scheduled assignment before releasing the others.
+// An owner-only worker just rewinds its cursor: it only ever touches its own
+// scheduled patterns, so the step-s writer of a pattern *is* its step-s+1
+// reader, no handoff exists to protect, and the traversal keeps the paper's
+// one barrier per region (a worker may run a whole step ahead of its
+// neighbours).
 func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
-	if !ctx.Concurrent {
-		rt.serialCur[w] = 0
+	if rt.ownerOnly(ctx) {
+		rt.deques[w].cur = 0
 		return
 	}
 	// Barrier wait is synchronization, not work: it accrues to ctx.Idle so
@@ -349,16 +397,17 @@ func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
 	// time and the measured imbalance would flatten to 1).
 	t0 := time.Now()
 	rt.barrier.wait(func() {
-		rt.armAll()
+		rt.rearm()
 		rt.steps.Add(1)
 	})
 	ctx.Idle += time.Since(t0).Seconds()
 }
 
-// Next hands worker w its next chunk id, or -1 when no work remains
-// anywhere. Owners pop LIFO from the bottom of their own deque; a worker
-// whose deque has drained (and with stealing enabled, on a concurrent
-// executor) picks the victim with the highest remaining-cost estimate and
+// Next hands worker w its next chunk id, or -1 when no work remains for it.
+// An owner-only worker (see ownerOnly) walks its loaded list in ascending
+// chunk-id order through its cursor. With thieving, owners pop LIFO from the
+// bottom of their own deque (the same ascending order); a worker whose deque
+// has drained picks the victim with the highest remaining-cost estimate and
 // steals the top half of its window — the largest remaining half, both in
 // the chosen victim and in taking ceil(n/2) of its chunks. Steal operations
 // are recorded into ctx.Steals; ctx.StolenPatterns counts the patterns of
@@ -369,13 +418,14 @@ func (rt *Runtime) NextStep(w int, ctx *parallel.WorkerCtx) {
 //
 //plk:hotpath
 func (rt *Runtime) Next(w int, ctx *parallel.WorkerCtx) int {
-	if !ctx.Concurrent {
+	if rt.ownerOnly(ctx) {
+		d := &rt.deques[w]
 		ids := rt.loaded[w]
-		if rt.serialCur[w] >= len(ids) {
+		if d.cur >= len(ids) {
 			return -1
 		}
-		id := ids[rt.serialCur[w]]
-		rt.serialCur[w]++
+		id := ids[d.cur]
+		d.cur++
 		return int(id)
 	}
 	for {
@@ -384,9 +434,6 @@ func (rt *Runtime) Next(w int, ctx *parallel.WorkerCtx) int {
 				ctx.StolenPatterns += float64(c.Patterns())
 			}
 			return id
-		}
-		if !rt.stealing.Load() {
-			return -1
 		}
 		if !rt.stealHalf(w, ctx) {
 			return -1

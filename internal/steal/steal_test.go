@@ -159,47 +159,56 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 	verifyExactCover(t, l, spans, active, perStep[0])
 }
 
-// TestSerialModeHandsOutOwnChunksOnly checks the serial executor contract:
-// virtual workers receive exactly their scheduled chunks, in ascending
-// order, never steal, and NextStep rewinds per worker.
+// TestSerialModeHandsOutOwnChunksOnly checks the owner-only contract, which
+// both a serial executor (whatever the toggle) and a concurrent one with
+// thieving off must meet: workers receive exactly their scheduled chunks, in
+// ascending order, never steal, and NextStep rewinds per worker without
+// synchronizing — the test drives all four "concurrent" workers from one
+// goroutine, so a step barrier would deadlock it.
 func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
-	spans := randomSpans(7)
-	s, err := schedule.New(schedule.Weighted, 4, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLayout(s, 16)
-	rt := NewRuntime(l)
-	rt.Load(nil)
-	defer rt.Finish()
-	for step := 0; step < 2; step++ {
-		for w := 0; w < 4; w++ { // serial executors run workers one after another
-			ctx := parallel.WorkerCtx{Worker: w, Concurrent: false}
-			if step > 0 {
-				rt.NextStep(w, &ctx)
-			}
-			prev := -1
-			count := 0
-			for {
-				id := rt.Next(w, &ctx)
-				if id < 0 {
-					break
+	for _, concurrent := range []bool{false, true} {
+		spans := randomSpans(7)
+		s, err := schedule.New(schedule.Weighted, 4, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLayout(s, 16)
+		rt := NewRuntime(l)
+		rt.SetStealing(!concurrent)
+		rt.Load(nil)
+		for step := 0; step < 2; step++ {
+			for w := 0; w < 4; w++ { // one worker after another, as serial executors run them
+				ctx := parallel.WorkerCtx{Worker: w, Concurrent: concurrent}
+				if step > 0 {
+					rt.NextStep(w, &ctx)
 				}
-				if c := l.Chunk(id); c.Owner != w {
-					t.Fatalf("serial worker %d received chunk %d owned by %d", w, id, c.Owner)
+				prev := -1
+				count := 0
+				for {
+					id := rt.Next(w, &ctx)
+					if id < 0 {
+						break
+					}
+					if c := l.Chunk(id); c.Owner != w {
+						t.Fatalf("owner-only worker %d received chunk %d owned by %d", w, id, c.Owner)
+					}
+					if id <= prev {
+						t.Fatalf("owner-only worker %d ids not ascending: %d after %d", w, id, prev)
+					}
+					prev = id
+					count++
 				}
-				if id <= prev {
-					t.Fatalf("serial worker %d ids not ascending: %d after %d", w, id, prev)
+				if want := len(l.byWorker[w]); count != want {
+					t.Fatalf("owner-only worker %d drained %d chunks, want %d", w, count, want)
 				}
-				prev = id
-				count++
+				if ctx.Steals != 0 || ctx.StolenPatterns != 0 || ctx.Idle != 0 {
+					t.Fatalf("owner-only worker %d recorded steals %v/%v, idle %v", w, ctx.Steals, ctx.StolenPatterns, ctx.Idle)
+				}
 			}
-			if want := len(l.byWorker[w]); count != want {
-				t.Fatalf("serial worker %d drained %d chunks, want %d", w, count, want)
-			}
-			if ctx.Steals != 0 || ctx.StolenPatterns != 0 {
-				t.Fatalf("serial worker %d recorded steals %v/%v", w, ctx.Steals, ctx.StolenPatterns)
-			}
+		}
+		rt.Finish()
+		if rt.Steps() != 0 {
+			t.Errorf("concurrent=%v: owner-only NextStep passed %d barriers, want 0", concurrent, rt.Steps())
 		}
 	}
 }
@@ -272,8 +281,9 @@ func TestQuiesceRejectsMidRegionInstall(t *testing.T) {
 	rt.Install(NewLayout(s, 16))
 }
 
-// TestLayoutRespectsMinChunkDefault checks defaulting and the per-chunk cost
-// estimate against the span pricing.
+// TestLayoutRespectsMinChunkDefault checks defaulting, the per-chunk cost
+// estimate against the span pricing, each chunk's owner share, and the
+// memory pricing against a real runtime's buffers.
 func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 	spans := []schedule.Span{{Lo: 0, Hi: 1000, Cost: 2}}
 	s, err := schedule.New(schedule.Block, 2, spans)
@@ -293,8 +303,22 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 		if c.Patterns() < floor {
 			t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Patterns(), floor)
 		}
+		if want := s.Count(c.Owner, c.Span); c.Share != want {
+			t.Errorf("chunk %d share %d, want owner %d's %d patterns of span %d", id, c.Share, c.Owner, want, c.Span)
+		}
 		totalCost += c.Cost
 		totalPatterns += c.Patterns()
+	}
+	rt := NewRuntime(l)
+	held := int64(len(rt.deques)) * 128
+	for w := range rt.arrs {
+		held += 4 * int64(len(rt.arrs[w])+cap(rt.loaded[w]))
+	}
+	if got := l.RuntimeBytes(); got != held {
+		t.Errorf("RuntimeBytes = %d, runtime holds %d", got, held)
+	}
+	if got, want := l.MemoryBytes(), int64(l.NumChunks())*(7*8+4); got != want {
+		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 	if totalPatterns != 1000 || totalCost != 2000 {
 		t.Errorf("layout totals %d patterns / %v cost, want 1000 / 2000", totalPatterns, totalCost)

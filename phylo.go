@@ -236,68 +236,6 @@ func (al *Alignment) WritePartitions(w io.Writer) error {
 	return alignment.WritePartitionFile(w, al.parts)
 }
 
-// Options configures the legacy single-shot NewAnalysis constructor. It is
-// the union of DatasetOptions and AnalysisOptions from before the
-// Dataset/session split.
-//
-// Deprecated: build a Dataset with NewDataset and open sessions with
-// Dataset.NewAnalysis; that amortizes the per-dataset setup across sessions
-// and allows concurrent analyses.
-type Options struct {
-	// Threads is the worker count (default 1).
-	Threads int
-	// Strategy selects oldPAR or newPAR (default NewPar).
-	Strategy Strategy
-	// Schedule selects the pattern-to-worker assignment (default
-	// ScheduleCyclic, the paper's distribution).
-	Schedule ScheduleStrategy
-	// PerPartitionBranchLengths estimates a separate branch length per
-	// partition (the paper's hardest, most important case); false uses a
-	// joint estimate across partitions.
-	PerPartitionBranchLengths bool
-	// GammaCategories is the discrete-Gamma category count (default 4).
-	GammaCategories int
-	// VirtualThreads runs the workers serially on a virtual clock instead
-	// of real goroutines; numerics are identical and the recorded trace can
-	// be priced on the paper's hardware platforms with PlatformSeconds.
-	VirtualThreads bool
-	// StartTreeNewick fixes the starting topology; empty generates a random
-	// tree from Seed (the paper's "fixed input tree for reproducibility").
-	StartTreeNewick string
-	// Seed drives random-tree generation (default 1).
-	Seed int64
-}
-
-// NewAnalysis builds a one-off Dataset and opens a single session over it;
-// the session owns the dataset and Close releases both.
-//
-// Deprecated: use NewDataset and Dataset.NewAnalysis, which separate the
-// immutable per-dataset setup from cheap per-session state and enable
-// concurrent sessions, context cancellation, and progress streaming.
-func NewAnalysis(al *Alignment, o Options) (*Analysis, error) {
-	ds, err := NewDataset(al, DatasetOptions{
-		Threads:         o.Threads,
-		Schedule:        o.Schedule,
-		GammaCategories: o.GammaCategories,
-		VirtualThreads:  o.VirtualThreads,
-	})
-	if err != nil {
-		return nil, err
-	}
-	an, err := ds.NewAnalysis(AnalysisOptions{
-		Strategy:                  o.Strategy,
-		PerPartitionBranchLengths: o.PerPartitionBranchLengths,
-		StartTreeNewick:           o.StartTreeNewick,
-		Seed:                      o.Seed,
-	})
-	if err != nil {
-		ds.Close()
-		return nil, err
-	}
-	an.ownsDataset = true
-	return an, nil
-}
-
 // RobinsonFoulds computes the Robinson-Foulds topological distance between
 // two Newick trees over the same taxon set (0 = identical topologies,
 // maximum 2(n-3) for binary trees). Useful for comparing search results.

@@ -20,6 +20,23 @@ t4  ACGTACGTACGTACGTACGTAGGTACGTACGAACGTACGT
 t5  ACGTACCTACGTACGTACGTACGTACGTACGTAAGTACGT
 `
 
+// openAnalysis builds a Dataset and opens one session over it; the test's
+// cleanup closes the session, then the dataset.
+func openAnalysis(t *testing.T, al *Alignment, do DatasetOptions, ao AnalysisOptions) *Analysis {
+	t.Helper()
+	ds, err := NewDataset(al, do)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	an, err := ds.NewAnalysis(ao)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { an.Close() })
+	return an
+}
+
 func TestReadPhylipAndAnalyze(t *testing.T) {
 	al, err := ReadPhylip(strings.NewReader(tinyPhylip))
 	if err != nil {
@@ -28,11 +45,7 @@ func TestReadPhylipAndAnalyze(t *testing.T) {
 	if al.NumTaxa() != 6 || al.NumSites() != 40 || al.NumPartitions() != 1 {
 		t.Fatalf("shape: %d taxa %d sites %d parts", al.NumTaxa(), al.NumSites(), al.NumPartitions())
 	}
-	an, err := NewAnalysis(al, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer an.Close()
+	an := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{})
 	lnl := an.LogLikelihood()
 	if lnl >= 0 || math.IsNaN(lnl) {
 		t.Errorf("lnL = %v", lnl)
@@ -67,14 +80,11 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 		if err := al.SetUniformPartitions(DNA, 20); err != nil {
 			t.Fatal(err)
 		}
-		an, err := NewAnalysis(al, Options{
+		an := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{
 			Strategy:                  strat,
 			PerPartitionBranchLengths: true,
 			Seed:                      7,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		lnl, err := an.OptimizeModel(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +94,6 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 		if st.Regions == 0 {
 			t.Error("no parallel regions recorded")
 		}
-		an.Close()
 	}
 	if math.Abs(results[OldPar]-results[NewPar]) > 1e-2*math.Abs(results[OldPar]) {
 		t.Errorf("strategies disagree: %v vs %v", results[OldPar], results[NewPar])
@@ -94,16 +103,8 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 func TestVirtualThreadsAndPlatformPricing(t *testing.T) {
 	al, _ := ReadPhylip(strings.NewReader(tinyPhylip))
 	al.SetUniformPartitions(DNA, 10)
-	an, err := NewAnalysis(al, Options{
-		Threads:                   8,
-		VirtualThreads:            true,
-		PerPartitionBranchLengths: true,
-		Strategy:                  NewPar,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer an.Close()
+	an := openAnalysis(t, al, DatasetOptions{Threads: 8, VirtualThreads: true},
+		AnalysisOptions{PerPartitionBranchLengths: true, Strategy: NewPar})
 	if _, err := an.OptimizeBranchLengths(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,7 @@ func TestSearchViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := NewAnalysis(al, Options{Strategy: NewPar, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer an.Close()
+	an := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{Strategy: NewPar, Seed: 11})
 	before := an.LogLikelihood()
 	res, err := an.SearchWith(context.Background(), SearchOptions{MaxRounds: 1, Radius: 2})
 	if err != nil {
@@ -182,18 +179,14 @@ func TestPartitionFileRoundTripFacade(t *testing.T) {
 func TestStartTreeNewickRespected(t *testing.T) {
 	al, _ := ReadPhylip(strings.NewReader(tinyPhylip))
 	fixed := "(t0:0.1,t1:0.1,(t2:0.1,(t3:0.1,(t4:0.1,t5:0.1):0.1):0.1):0.1);"
-	an, err := NewAnalysis(al, Options{StartTreeNewick: fixed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer an.Close()
+	an := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{StartTreeNewick: fixed})
 	if got := an.TreeNewick(); !strings.Contains(got, "t5") {
 		t.Errorf("tree lost taxa: %s", got)
 	}
-	if _, err := NewAnalysis(al, Options{StartTreeNewick: "((bad));"}); err == nil {
+	if _, err := an.ds.NewAnalysis(AnalysisOptions{StartTreeNewick: "((bad));"}); err == nil {
 		t.Error("expected error for bad newick")
 	}
-	if _, err := NewAnalysis(nil, Options{}); err == nil {
+	if _, err := NewDataset(nil, DatasetOptions{}); err == nil {
 		t.Error("expected error for nil alignment")
 	}
 }
@@ -420,18 +413,6 @@ func TestCloseSemantics(t *testing.T) {
 		t.Errorf("session after dataset close err = %v, want ErrDatasetClosed", err)
 	}
 	an2.Close()
-
-	// The legacy shim owns its dataset: closing the analysis closes both.
-	an3, err := NewAnalysis(al, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := an3.Close(); err != nil {
-		t.Fatalf("legacy close: %v", err)
-	}
-	if err := an3.Close(); err != nil {
-		t.Fatalf("legacy double close: %v", err)
-	}
 }
 
 // TestCloseDatasetMidAnalysis: closing the dataset while a session is

@@ -6,21 +6,21 @@ import (
 	"testing"
 )
 
-// TestStealFacadeBitIdentityAndStats drives the work-stealing execution
-// model end to end through the public API: a steal-enabled Dataset must
-// produce exactly the likelihood of an identically configured steal-enabled
-// dataset whose chunk size differs (chunking never changes which patterns
-// exist, only the reduction grouping per chunk — so identical MinChunk runs
-// are bitwise equal and different MinChunk runs agree to reassociation
-// tolerance), steal activity must surface through SyncStats and
+// TestStealFacadeBitIdentityAndStats drives work stealing end to end through
+// the public API. A result is a function of the schedule and the chunk layout
+// only: runs at one MinChunk are bitwise equal whether the Dataset steals or
+// not, on the real pool, the virtual executor, and a single thread, while
+// different MinChunk runs regroup the per-chunk reductions and agree to
+// reassociation tolerance. Steal activity must surface through SyncStats and
 // ProgressEvent, and a non-steal dataset must report zero steal counters.
 func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(steal bool, minChunk int) (float64, SyncStats, []ProgressEvent) {
-		ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, Steal: steal})
+	run := func(do DatasetOptions, minChunk int) (float64, SyncStats, []ProgressEvent) {
+		do.Schedule = ScheduleWeighted
+		ds, err := NewDataset(al, do)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,18 +43,27 @@ func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 		return lnl, an.Stats(), events
 	}
 
-	lnlSteal, stSteal, _ := run(true, 16)
-	lnlSteal2, stSteal2, _ := run(true, 16)
+	lnlSteal, stSteal, _ := run(DatasetOptions{Threads: 3, Steal: true}, 16)
+	lnlSteal2, stSteal2, _ := run(DatasetOptions{Threads: 3, Steal: true}, 16)
 	if lnlSteal != lnlSteal2 {
 		t.Errorf("identical steal runs differ: %v != %v (stealing must not leak into results)", lnlSteal, lnlSteal2)
 	}
-	lnlCoarse, _, _ := run(true, 256)
+	lnlCoarse, _, _ := run(DatasetOptions{Threads: 3, Steal: true}, 256)
 	if diff := math.Abs(lnlCoarse - lnlSteal); diff > 1e-9*math.Abs(lnlSteal) {
 		t.Errorf("MinChunk 256 lnL %v vs 16 %v (diff %v)", lnlCoarse, lnlSteal, diff)
 	}
-	lnlPlain, stPlain, _ := run(false, 0)
-	if diff := math.Abs(lnlPlain - lnlSteal); diff > 1e-9*math.Abs(lnlPlain) {
-		t.Errorf("steal lnL %v vs plain %v (diff %v)", lnlSteal, lnlPlain, diff)
+	lnlPlain, stPlain, _ := run(DatasetOptions{Threads: 3}, 16)
+	if lnlPlain != lnlSteal {
+		t.Errorf("pool: Steal:false lnL %v != Steal:true %v (must be bit-identical)", lnlPlain, lnlSteal)
+	}
+	for _, steal := range []bool{false, true} {
+		if lnl, _, _ := run(DatasetOptions{Threads: 3, VirtualThreads: true, Steal: steal}, 16); lnl != lnlSteal {
+			t.Errorf("virtual executor, Steal:%v: lnL %v != pool %v (must be bit-identical)", steal, lnl, lnlSteal)
+		}
+	}
+	seqSteal, _, _ := run(DatasetOptions{Threads: 1, Steal: true}, 16)
+	if seqPlain, _, _ := run(DatasetOptions{Threads: 1}, 16); seqPlain != seqSteal {
+		t.Errorf("sequential: Steal:false lnL %v != Steal:true %v (must be bit-identical)", seqPlain, seqSteal)
 	}
 	if stPlain.StealCount != 0 || stPlain.StolenPatterns != 0 {
 		t.Errorf("non-steal dataset reported steal activity: %+v", stPlain)
