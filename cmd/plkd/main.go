@@ -36,6 +36,15 @@ import (
 	"phylo/internal/sigctx"
 )
 
+// Connection hygiene for a long-lived daemon: a client must finish its
+// request headers, and a kept-alive connection must be reused, within these
+// bounds, or the server closes it. Neither limits a response in flight, so
+// SSE progress streams are unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8149", "listen address (port 0 picks a free port)")
@@ -91,7 +100,7 @@ func run(addr, addrFile string, cfg server.Config, schedName, backendName string
 	}
 
 	srv := server.New(cfg)
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ctx, stop := sigctx.Notify(context.Background(), "plkd")
 	defer stop()

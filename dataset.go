@@ -116,6 +116,9 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if al == nil {
 		return nil, errors.New("phylo: nil alignment")
 	}
+	if n := al.raw.NumTaxa(); n < 3 {
+		return nil, fmt.Errorf("phylo: alignment has %d taxa; an unrooted tree needs at least 3", n)
+	}
 	if o.Threads <= 0 {
 		o.Threads = 1
 	}

@@ -219,6 +219,20 @@ func TestCompressGappyPresence(t *testing.T) {
 	if !d.Parts[1].Present[1] || !d.Parts[1].Present[2] {
 		t.Error("t2/t3 present in partition 1")
 	}
+	// Codes lists each taxon's distinct tip codes per partition, ascending:
+	// A=1 and C=2 everywhere in g0; in g1 only the gap (15) for t1, A and the
+	// gap for t2, A and G=4 for t3.
+	want := [][][]byte{
+		{{1, 2}, {1, 2}, {1, 2}},
+		{{DNAGap}, {1, DNAGap}, {1, 4}},
+	}
+	for ip, p := range d.Parts {
+		for tx := range p.Tips {
+			if string(p.Codes[tx]) != string(want[ip][tx]) {
+				t.Errorf("partition %d taxon %d: Codes = %v, want %v", ip, tx, p.Codes[tx], want[ip][tx])
+			}
+		}
+	}
 }
 
 func TestCompressErrors(t *testing.T) {
@@ -404,8 +418,9 @@ func TestStatsSummary(t *testing.T) {
 	}
 }
 
-// Property: compression preserves total site count and weight sums, and
-// deduplication never increases the pattern count.
+// Property: compression preserves total site count and weight sums,
+// deduplication never increases the pattern count, and the present-code lists
+// match the tip rows.
 func TestCompressQuickProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -433,6 +448,22 @@ func TestCompressQuickProperty(t *testing.T) {
 		sum := 0.0
 		for _, w := range d.Parts[0].Weights {
 			sum += w
+		}
+		// Every taxon's Codes is exactly the set of its Tips row, ascending.
+		for tx, row := range d.Parts[0].Tips {
+			var seen [16]bool
+			for _, code := range row {
+				seen[code] = true
+			}
+			var want []byte
+			for code, ok := range seen {
+				if ok {
+					want = append(want, byte(code))
+				}
+			}
+			if string(d.Parts[0].Codes[tx]) != string(want) {
+				return false
+			}
 		}
 		return int(sum) == m && d.TotalPatterns <= m && d.Parts[0].SiteCount == m
 	}

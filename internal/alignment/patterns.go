@@ -2,6 +2,7 @@ package alignment
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // CompressedPartition holds one partition's data after site-pattern
@@ -19,6 +20,11 @@ type CompressedPartition struct {
 	Weights      []float64 // pattern multiplicities
 	Tips         [][]byte  // [taxon][pattern] encoded tip codes
 	Present      []bool    // [taxon] true if the taxon has any non-gap site here
+	// Codes lists, per taxon, the distinct tip codes of its Tips row in
+	// ascending order — typically 4-5 of the 16 DNA codes. The kernel's
+	// tip-case tables build only these rows: a row is read at Tips[t][j], so
+	// no other row is reachable for that taxon.
+	Codes [][]byte
 }
 
 // End returns one past the partition's last global pattern index.
@@ -125,12 +131,22 @@ func Compress(a *Alignment, parts []Partition, opts CompressOptions) (*Compresse
 		cp.PatternCount = len(patterns)
 		cp.Weights = weights
 		cp.Tips = make([][]byte, n)
+		cp.Codes = make([][]byte, n)
 		for t := 0; t < n; t++ {
 			row := make([]byte, len(patterns))
+			var seen uint32 // bit c set: the taxon carries tip code c (all codes are < 23)
 			for i, pat := range patterns {
 				row[i] = pat[t]
+				seen |= 1 << pat[t]
 			}
 			cp.Tips[t] = row
+			codes := make([]byte, 0, bits.OnesCount32(seen))
+			for c := byte(0); seen != 0; c, seen = c+1, seen>>1 {
+				if seen&1 != 0 {
+					codes = append(codes, c)
+				}
+			}
+			cp.Codes[t] = codes
 		}
 		offset += cp.PatternCount
 		d.TotalSites += cp.SiteCount

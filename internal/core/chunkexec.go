@@ -46,8 +46,9 @@ package core
 // new span pay it again, which the op accounting records as the (real) extra
 // work stealing performs. Whether a tip table amortizes is decided from the
 // chunk owner's whole pattern share of the span (steal.Chunk.Share) — a pure
-// function of the layout — not from the chunk at hand, so a share the pack
-// cut into many short runs still takes the table path.
+// function of the layout — and the code lists of the span's tip children, not
+// from the chunk at hand, so a share the pack cut into many short runs still
+// takes the table path.
 
 import (
 	"time"

@@ -73,6 +73,8 @@ type sumSpanCtx struct {
 	pTip, qTip bool
 	pv, qv     []float64
 	pRow, qRow []byte
+	pCodes     []byte // codes present in pRow/qRow, ascending (nil for an inner end)
+	qCodes     []byte
 	v, vi      []float64
 	freqs      []float64
 	lTab, rTab []float64
@@ -95,12 +97,12 @@ func (e *Engine) prepareSumtableSpan(c *sumSpanCtx, p, q *tree.Node, ip, w int) 
 		kern: e.kernels[ip],
 	}
 	if c.pTip {
-		c.pRow = part.Tips[p.Index]
+		c.pRow, c.pCodes = part.Tips[p.Index], part.Codes[p.Index]
 	} else {
 		c.pv = e.clv(p.Index)
 	}
 	if c.qTip {
-		c.qRow = part.Tips[q.Index]
+		c.qRow, c.qCodes = part.Tips[q.Index], part.Codes[q.Index]
 	} else {
 		c.qv = e.clv(q.Index)
 	}
@@ -110,17 +112,16 @@ func (e *Engine) prepareSumtableSpan(c *sumSpanCtx, p, q *tree.Node, ip, w int) 
 // patterns amortizes them (see nvSpanCtx.ensureTables).
 func (c *sumSpanCtx) ensureTables(patterns int) {
 	e := c.e
-	if !e.Specialize || !(c.pTip || c.qTip) || patterns < tipTableMinPatterns(c.dtype) {
+	if !e.Specialize || !(c.pTip || c.qTip) || !tipTablesAmortize(patterns, c.pCodes, c.qCodes) {
 		return
 	}
-	codes := alignment.NumCodes(c.dtype)
 	if c.pTip && c.lTab == nil {
-		c.lTab = buildTipSumLeft(e.tipScratch[c.w][0], c.dtype, c.freqs, c.v, c.s)
-		c.fixed += opsTipProj(c.s, codes)
+		c.lTab = buildTipSumLeft(e.tipScratch[c.w][0], c.dtype, c.pCodes, c.freqs, c.v, c.s)
+		c.fixed += opsTipProj(c.s, len(c.pCodes))
 	}
 	if c.qTip && c.rTab == nil {
-		c.rTab = buildTipSumRight(e.tipScratch[c.w][1], c.dtype, c.vi, c.s)
-		c.fixed += opsTipProj(c.s, codes)
+		c.rTab = buildTipSumRight(e.tipScratch[c.w][1], c.dtype, c.qCodes, c.vi, c.s)
+		c.fixed += opsTipProj(c.s, len(c.qCodes))
 	}
 }
 

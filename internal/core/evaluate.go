@@ -154,6 +154,7 @@ type evalSpanCtx struct {
 	pv, qv     []float64
 	psc, qsc   []int32
 	pRow, qRow []byte
+	qCodes     []byte // codes present in qRow, ascending (nil for an inner q)
 	pm         []float64
 	freqs      []float64
 	qTab       []float64
@@ -193,7 +194,7 @@ func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm 
 		c.psc = e.scale(p.Index)
 	}
 	if c.qTip {
-		c.qRow = part.Tips[q.Index]
+		c.qRow, c.qCodes = part.Tips[q.Index], part.Codes[q.Index]
 	} else {
 		c.qv = e.clv(q.Index)
 		c.qsc = e.scale(q.Index)
@@ -204,11 +205,11 @@ func (e *Engine) prepareEvalSpan(c *evalSpanCtx, p, q *tree.Node, ip, w int, pm 
 // patterns amortizes it (see nvSpanCtx.ensureTables).
 func (c *evalSpanCtx) ensureTable(patterns int) {
 	e := c.e
-	if !e.Specialize || !c.qTip || c.qTab != nil || patterns < tipTableMinPatterns(c.dtype) {
+	if !e.Specialize || !c.qTip || c.qTab != nil || !tipTablesAmortize(patterns, c.qCodes, nil) {
 		return
 	}
-	c.qTab = buildTipTable(e.tipScratch[c.w][0], c.dtype, c.pm[:c.cats*c.s*c.s], c.s, c.cats)
-	c.fixed += opsTipTable(c.s, c.cats, alignment.NumCodes(c.dtype))
+	c.qTab = buildTipTable(e.tipScratch[c.w][0], c.dtype, c.qCodes, c.pm[:c.cats*c.s*c.s], c.s, c.cats)
+	c.fixed += opsTipTable(c.s, c.cats, len(c.qCodes))
 }
 
 // takeOps prices count processed patterns of R-lane reduction and claims the

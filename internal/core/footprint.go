@@ -79,6 +79,9 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 		for _, tips := range p.Tips {
 			f.CompressedAlignment += int64(len(tips))
 		}
+		for _, codes := range p.Codes {
+			f.CompressedAlignment += int64(len(codes))
+		}
 	}
 	f.CompressedAlignment += sh.weights.MemoryBytes()
 	sh.mu.Lock()

@@ -112,6 +112,8 @@ type nvSpanCtx struct {
 	qv, rv     []float64
 	qs, rs     []int32
 	qRow, rRow []byte
+	qCodes     []byte // codes present in qRow, ascending (nil for an inner child)
+	rCodes     []byte
 	pmQ, pmR   []float64
 	tabQ, tabR []float64
 	kern       KernelBackend
@@ -155,13 +157,13 @@ func (e *Engine) prepareNewviewSpan(c *nvSpanCtx, st tree.TraversalStep, ip, w i
 		fixed: float64(2 * cats * s * s * s), // redundant per-worker P-matrix setup
 	}
 	if c.qTip {
-		c.qRow = part.Tips[st.Q.Index]
+		c.qRow, c.qCodes = part.Tips[st.Q.Index], part.Codes[st.Q.Index]
 	} else {
 		c.qv = e.clv(st.Q.Index)
 		c.qs = e.scale(st.Q.Index)
 	}
 	if c.rTip {
-		c.rRow = part.Tips[st.R.Index]
+		c.rRow, c.rCodes = part.Tips[st.R.Index], part.Codes[st.R.Index]
 	} else {
 		c.rv = e.clv(st.R.Index)
 		c.rs = e.scale(st.R.Index)
@@ -175,17 +177,16 @@ func (e *Engine) prepareNewviewSpan(c *nvSpanCtx, st tree.TraversalStep, ip, w i
 // chunks of one span can never change results, only the op accounting.
 func (c *nvSpanCtx) ensureTables(patterns int) {
 	e := c.e
-	if !e.Specialize || !(c.qTip || c.rTip) || patterns < tipTableMinPatterns(c.dtype) {
+	if !e.Specialize || !(c.qTip || c.rTip) || !tipTablesAmortize(patterns, c.qCodes, c.rCodes) {
 		return
 	}
-	codes := alignment.NumCodes(c.dtype)
 	if c.qTip && c.tabQ == nil {
-		c.tabQ = buildTipTable(e.tipScratch[c.w][0], c.dtype, c.pmQ, c.s, c.cats)
-		c.fixed += opsTipTable(c.s, c.cats, codes)
+		c.tabQ = buildTipTable(e.tipScratch[c.w][0], c.dtype, c.qCodes, c.pmQ, c.s, c.cats)
+		c.fixed += opsTipTable(c.s, c.cats, len(c.qCodes))
 	}
 	if c.rTip && c.tabR == nil {
-		c.tabR = buildTipTable(e.tipScratch[c.w][1], c.dtype, c.pmR, c.s, c.cats)
-		c.fixed += opsTipTable(c.s, c.cats, codes)
+		c.tabR = buildTipTable(e.tipScratch[c.w][1], c.dtype, c.rCodes, c.pmR, c.s, c.cats)
+		c.fixed += opsTipTable(c.s, c.cats, len(c.rCodes))
 	}
 }
 

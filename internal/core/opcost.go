@@ -110,17 +110,18 @@ func opsDerivative(states, cats, lanes int) float64 {
 	return float64(cats*states*3+10) + 4*float64(lanes-1)
 }
 
-// opsTipTable is the one-off cost of precomputing a per-code lookup table
-// for one tip child: codes rows of cats×s entries, each an s-term dot
-// product. It amortizes over the worker's pattern share, which is why the
-// kernels only build tables for shares above tipTableMinPatterns.
-func opsTipTable(states, cats, codes int) float64 {
-	return float64(codes * cats * states * states)
+// opsTipTable is the one-off cost of precomputing a lookup table for one tip
+// child: one row of cats×s entries, each an s-term dot product, per code the
+// tip carries in the partition (only those rows are built). It amortizes over
+// the worker's pattern share, which is why the kernels only build tables for
+// shares tipTablesAmortize accepts.
+func opsTipTable(states, cats, rows int) float64 {
+	return float64(rows * cats * states * states)
 }
 
 // opsTipProj is the one-off cost of one category-independent sumtable
-// projection table (codes rows of s entries, each an s-term dot product);
-// it is charged once per specialized tip end.
-func opsTipProj(states, codes int) float64 {
-	return float64(codes * states * states)
+// projection table (one row of s entries, each an s-term dot product, per
+// present code); it is charged once per specialized tip end.
+func opsTipProj(states, rows int) float64 {
+	return float64(rows * states * states)
 }

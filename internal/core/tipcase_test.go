@@ -12,8 +12,19 @@ import (
 )
 
 // The tip-case specialization tests build alignments wide enough that every
-// worker's share clears tipTableMinPatterns, so the table paths (not the
-// generic fallback) are what is being compared against the generic kernels.
+// worker's share clears the table threshold of a tip carrying every code, so
+// the table paths (not the generic fallback) are what is being compared
+// against the generic kernels.
+
+// maxTipRows is the longest present-code list of any taxon in a partition:
+// twice it is the widest table threshold tipTablesAmortize can apply there.
+func maxTipRows(p *alignment.CompressedPartition) int {
+	rows := 0
+	for _, codes := range p.Codes {
+		rows = max(rows, len(codes))
+	}
+	return rows
+}
 
 func tipCaseModels(t *testing.T, dtype alignment.DataType, cats int, alpha float64) *model.Model {
 	t.Helper()
@@ -39,8 +50,8 @@ func specAndGenericEngines(t *testing.T, a *alignment.Alignment, dtype alignment
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TotalPatterns < tipTableMinPatterns(dtype) {
-		t.Fatalf("fixture too narrow: %d patterns < table threshold %d; tip tables would not engage", d.TotalPatterns, tipTableMinPatterns(dtype))
+	if min := 2 * maxTipRows(d.Parts[0]); d.TotalPatterns < min {
+		t.Fatalf("fixture too narrow: %d patterns < table threshold %d; tip tables would not engage", d.TotalPatterns, min)
 	}
 	mk := func(specialize bool) *Engine {
 		tr, err := tree.Random(taxaNames(a.NumTaxa()), 1, tree.RandomOptions{Seed: treeSeed})
@@ -213,22 +224,23 @@ func TestTipCaseScalingEquivalence(t *testing.T) {
 }
 
 // TestTipTableDecisionUsesOwnerShare audits the table decision on a weighted
-// schedule cut into short chunks: at MinChunk 16 every chunk (16-31
-// patterns) sits below the DNA table threshold of 32 while each worker's
-// share of the span clears it several times over. The decision is sized by
-// the share, so the traversal must charge exactly the ops of the same session
-// at the default chunk size — the table price — and stay below the generic
-// (Specialize off) price; sized by the chunk it would silently drop to the
-// generic body.
+// schedule cut into short chunks: at MinChunk 4 every chunk (4-7 patterns)
+// sits below the table threshold of this data (twice the 7 codes its taxa
+// carry) while each worker's share of the span clears it several times over.
+// The decision is sized by the share, so the traversal must charge exactly
+// the ops of the same session at the default chunk size — the table price —
+// and stay below the generic (Specialize off) price; sized by the chunk it
+// would silently drop to the generic body.
 func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 	a := randomAlignment(t, 7, 400, alignment.DNA, 88)
 	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const threads = 2
-	if share := d.TotalPatterns / threads; share < 4*tipTableMinPatterns(alignment.DNA) {
-		t.Fatalf("fixture too narrow: %d patterns per worker", share)
+	const threads, minChunk = 2, 4
+	threshold := 2 * maxTipRows(d.Parts[0])
+	if share := d.TotalPatterns / threads; share < 4*threshold || 2*minChunk-1 >= threshold {
+		t.Fatalf("fixture misconfigured: %d patterns per worker, chunks up to %d, table threshold %d", share, 2*minChunk-1, threshold)
 	}
 	traversalOps := func(opts Options) float64 {
 		sim, err := parallel.NewSim(threads)
@@ -247,37 +259,83 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		return sim.Stats().TotalOps
 	}
 	whole := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted})
-	short := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted, MinChunk: 16})
-	generic := traversalOps(Options{Specialize: false, Schedule: schedule.Weighted, MinChunk: 16})
+	short := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted, MinChunk: minChunk})
+	generic := traversalOps(Options{Specialize: false, Schedule: schedule.Weighted, MinChunk: minChunk})
 	if short != whole {
-		t.Errorf("traversal ops at MinChunk 16 = %v, at the default chunk size %v: short chunks lost the tip tables", short, whole)
+		t.Errorf("traversal ops at MinChunk %d = %v, at the default chunk size %v: short chunks lost the tip tables", minChunk, short, whole)
 	}
 	if short >= generic {
 		t.Errorf("specialized traversal ops %v not below generic %v", short, generic)
 	}
 }
 
-// TestTipTableBitIdentity checks the table builder directly: every row must
-// reproduce the generic per-pattern accumulation bit for bit, which is what
-// makes specialized and generic kernels interchangeable mid-analysis.
+// TestTipTableBitIdentity checks the table builders directly, on the full
+// code alphabet and on present-code subsets (a typical unambiguous tip, one
+// with ambiguity codes, an all-gap taxon): every listed row must reproduce the
+// generic per-pattern accumulation bit for bit, which is what makes
+// specialized and generic kernels interchangeable mid-analysis, and every
+// unlisted row of the NaN-filled scratch must be left alone.
 func TestTipTableBitIdentity(t *testing.T) {
 	for _, dtype := range []alignment.DataType{alignment.DNA, alignment.AA} {
 		s := dtype.States()
 		cats := 4
+		n := alignment.NumCodes(dtype)
 		m := tipCaseModels(t, dtype, cats, 0.7)
 		pm := make([]float64, cats*s*s)
 		m.PMatrices(0.13, pm)
-		tab := buildTipTable(make([]float64, alignment.NumCodes(dtype)*cats*s), dtype, pm, s, cats)
-		for code := 0; code < alignment.NumCodes(dtype); code++ {
-			tv := alignment.TipVector(dtype, byte(code))
-			for c := 0; c < cats; c++ {
-				for a := 0; a < s; a++ {
-					want := 0.0
-					for b := 0; b < s; b++ {
-						want += pm[c*s*s+a*s+b] * tv[b]
+		all := make([]byte, n)
+		for code := range all {
+			all[code] = byte(code)
+		}
+		gap := alignment.GapCode(dtype)
+		subsets := [][]byte{all, {1, 2, 4, 8}, {1, 5, 10, gap}, {gap}, {}}
+		if dtype == alignment.AA {
+			subsets = [][]byte{all, {0, 7, 19}, {3, 20, 21, gap}, {gap}, {}}
+		}
+		for _, codes := range subsets {
+			listed := make([]bool, n)
+			for _, code := range codes {
+				listed[code] = true
+			}
+			poisoned := func(rows int) []float64 {
+				buf := make([]float64, rows)
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				return buf
+			}
+			tab := buildTipTable(poisoned(n*cats*s), dtype, codes, pm, s, cats)
+			left := buildTipSumLeft(poisoned(n*s), dtype, codes, m.Freqs, m.EigenVecs, s)
+			right := buildTipSumRight(poisoned(n*s), dtype, codes, m.InvVecs, s)
+			if len(tab) != n*cats*s || len(left) != n*s || len(right) != n*s {
+				t.Fatalf("%v codes %v: builders must return the whole code-indexed table", dtype, codes)
+			}
+			for code := 0; code < n; code++ {
+				tv := alignment.TipVector(dtype, byte(code))
+				for c := 0; c < cats; c++ {
+					for a := 0; a < s; a++ {
+						want := 0.0
+						for b := 0; b < s; b++ {
+							want += pm[c*s*s+a*s+b] * tv[b]
+						}
+						if got := tab[(code*cats+c)*s+a]; listed[code] && got != want {
+							t.Fatalf("%v codes %v code %d cat %d state %d: table %v != generic %v", dtype, codes, code, c, a, got, want)
+						} else if !listed[code] && !math.IsNaN(got) {
+							t.Fatalf("%v codes %v: absent code %d row was written (%v)", dtype, codes, code, got)
+						}
 					}
-					if got := tab[(code*cats+c)*s+a]; got != want {
-						t.Fatalf("%v code %d cat %d state %d: table %v != generic %v", dtype, code, c, a, got, want)
+				}
+				for k := 0; k < s; k++ {
+					wantL, wantR := 0.0, 0.0
+					for a := 0; a < s; a++ {
+						wantL += m.Freqs[a] * tv[a] * m.EigenVecs[a*s+k]
+						wantR += m.InvVecs[k*s+a] * tv[a]
+					}
+					gotL, gotR := left[code*s+k], right[code*s+k]
+					if listed[code] && (gotL != wantL || gotR != wantR) {
+						t.Fatalf("%v codes %v code %d k %d: projections (%v, %v) != generic (%v, %v)", dtype, codes, code, k, gotL, gotR, wantL, wantR)
+					} else if !listed[code] && !(math.IsNaN(gotL) && math.IsNaN(gotR)) {
+						t.Fatalf("%v codes %v: absent code %d projection row was written", dtype, codes, code)
 					}
 				}
 			}
@@ -335,4 +393,37 @@ func TestTipAwareOpCosts(t *testing.T) {
 	if got := opsNewview(4, 4); got <= want {
 		t.Errorf("generic newview cost %v must exceed the tip-aware span cost %v", got, want)
 	}
+
+	// The set-up charge follows the build: one tip/tip step on one worker
+	// costs the two P-matrix blocks, one table row per code each child
+	// actually carries, and the tip/tip pattern price.
+	sim, err := parallel.NewSim(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tree.Random(taxaNames(6), 1, tree.RandomOptions{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := newEngine(d, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 4, 0.8)}, sim, Options{Specialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range tree.ComputeTraversal(tr.Tips[0].Back, false) {
+		if !st.Q.IsTip() || !st.R.IsTip() {
+			continue
+		}
+		part := d.Parts[0]
+		rows := len(part.Codes[st.Q.Index]) + len(part.Codes[st.R.Index])
+		if rows >= 2*alignment.NumCodes(alignment.DNA) {
+			t.Fatal("fixture tips carry every code; the charge would not tell rows built from rows possible")
+		}
+		eng.ExecuteSteps([]tree.TraversalStep{st}, nil)
+		want := float64(part.PatternCount)*opsNewviewCase(4, 4, true, true) + 2*4*4*4*4 + opsTipTable(4, 4, rows)
+		if got := sim.Stats().TotalOps; got != want {
+			t.Errorf("tip/tip step charged %v ops, want %v (%d table rows built)", got, want, rows)
+		}
+		return
+	}
+	t.Fatal("no tip/tip step in the traversal; fixture misconfigured")
 }

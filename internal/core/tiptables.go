@@ -9,7 +9,7 @@ import "phylo/internal/alignment"
 //
 //	sum_b P_c[a][b] · tipvec(code)[b],
 //
-// takes only codes×cats×s distinct values per transition matrix. Each kernel
+// takes at most codes×cats×s distinct values per transition matrix. Each kernel
 // precomputes them once per (step, partition, worker) into per-worker
 // scratch and replaces the per-pattern O(cats·s²) child work by an
 // O(cats·s) table-row read. The tables accumulate in exactly the same
@@ -24,29 +24,39 @@ import "phylo/internal/alignment"
 // lets one build serve both and keeps tip specialization orthogonal to the
 // backend choice. The per-worker table scratch is cache-line-aligned like
 // every other hot buffer (see alignedFloats).
+//
+// Only the rows a span can read are built. A table row is addressed by the
+// tip code Tips[taxon][j] of the span's own taxon, and
+// CompressedPartition.Codes[taxon] lists exactly the codes that row of Tips
+// holds — typically 4-5 of the 16 DNA codes — so every builder takes that
+// list and leaves the other rows of the code-indexed scratch untouched (stale
+// or never written): no pattern of the span can index them.
 
-// tipTableMinPatterns is the minimum per-worker pattern share for which
-// building a lookup table beats per-pattern tip-vector expansion: the build
-// costs codes·cats·s² multiply-adds while every pattern saves ~cats·s(s-1),
-// so break-even sits near the code count; the factor 2 also covers the
-// table's cache footprint. Shares below it keep the generic path (results
-// are identical either way).
-func tipTableMinPatterns(t alignment.DataType) int {
-	return 2 * alignment.NumCodes(t)
+// tipTablesAmortize is the one table decision of every kernel: a worker's
+// pattern share of the span pays for lookup tables of the given tip children
+// (nil codes for an inner child). A table row costs cats·s² multiply-adds to
+// build and saves ~cats·s(s-1) per pattern that reads it, so break-even sits
+// near one pattern per row; the factor 2 also covers the table's cache
+// footprint. The wider child decides for both, so a span builds all its
+// tables or none (results are identical either way).
+func tipTablesAmortize(share int, codesA, codesB []byte) bool {
+	return share >= 2*max(len(codesA), len(codesB))
 }
 
-// buildTipTable fills dst with the per-code P application table
-// dst[(code·cats+c)·s + a] = sum_b pm_c[a][b] · tipvec(code)[b] and returns
-// the used prefix. pm is the cats×s×s transition-matrix block of one child
-// branch.
-func buildTipTable(dst []float64, t alignment.DataType, pm []float64, s, cats int) []float64 {
-	codes := alignment.NumCodes(t)
+// buildTipTable fills the rows of the present codes of the per-code P
+// application table dst[(code·cats+c)·s + a] = sum_b pm_c[a][b] ·
+// tipvec(code)[b] and returns the whole code-indexed table. pm is the
+// cats×s×s transition-matrix block of one child branch.
+//
+//plk:hotpath
+func buildTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) []float64 {
 	ss := s * s
-	for code := 0; code < codes; code++ {
-		tv := alignment.TipVector(t, byte(code))
+	for _, code := range codes {
+		tv := alignment.TipVector(t, code)
 		for c := 0; c < cats; c++ {
 			p := pm[c*ss : (c+1)*ss]
-			d := dst[(code*cats+c)*s : (code*cats+c+1)*s]
+			lo := (int(code)*cats + c) * s
+			d := dst[lo : lo+s]
 			for a := 0; a < s; a++ {
 				row := a * s
 				sum := 0.0
@@ -57,18 +67,20 @@ func buildTipTable(dst []float64, t alignment.DataType, pm []float64, s, cats in
 			}
 		}
 	}
-	return dst[:codes*cats*s]
+	return dst[:alignment.NumCodes(t)*cats*s]
 }
 
-// buildTipSumLeft fills dst with the category-independent left sumtable
-// projection dst[code·s + k] = sum_a freqs[a] · tipvec(code)[a] · v[a][k]
-// (tip vectors carry no category dimension, so one row serves all
+// buildTipSumLeft fills the present-code rows of the category-independent
+// left sumtable projection dst[code·s + k] = sum_a freqs[a] · tipvec(code)[a]
+// · v[a][k] (tip vectors carry no category dimension, so one row serves all
 // categories).
-func buildTipSumLeft(dst []float64, t alignment.DataType, freqs, v []float64, s int) []float64 {
-	codes := alignment.NumCodes(t)
-	for code := 0; code < codes; code++ {
-		tv := alignment.TipVector(t, byte(code))
-		d := dst[code*s : (code+1)*s]
+//
+//plk:hotpath
+func buildTipSumLeft(dst []float64, t alignment.DataType, codes []byte, freqs, v []float64, s int) []float64 {
+	for _, code := range codes {
+		tv := alignment.TipVector(t, code)
+		lo := int(code) * s
+		d := dst[lo : lo+s]
 		for k := 0; k < s; k++ {
 			sum := 0.0
 			for a := 0; a < s; a++ {
@@ -77,16 +89,19 @@ func buildTipSumLeft(dst []float64, t alignment.DataType, freqs, v []float64, s 
 			d[k] = sum
 		}
 	}
-	return dst[:codes*s]
+	return dst[:alignment.NumCodes(t)*s]
 }
 
-// buildTipSumRight fills dst with the category-independent right sumtable
-// projection dst[code·s + k] = sum_a vi[k][a] · tipvec(code)[a].
-func buildTipSumRight(dst []float64, t alignment.DataType, vi []float64, s int) []float64 {
-	codes := alignment.NumCodes(t)
-	for code := 0; code < codes; code++ {
-		tv := alignment.TipVector(t, byte(code))
-		d := dst[code*s : (code+1)*s]
+// buildTipSumRight fills the present-code rows of the category-independent
+// right sumtable projection dst[code·s + k] = sum_a vi[k][a] ·
+// tipvec(code)[a].
+//
+//plk:hotpath
+func buildTipSumRight(dst []float64, t alignment.DataType, codes []byte, vi []float64, s int) []float64 {
+	for _, code := range codes {
+		tv := alignment.TipVector(t, code)
+		lo := int(code) * s
+		d := dst[lo : lo+s]
 		for k := 0; k < s; k++ {
 			sum := 0.0
 			for a := 0; a < s; a++ {
@@ -95,5 +110,5 @@ func buildTipSumRight(dst []float64, t alignment.DataType, vi []float64, s int) 
 			d[k] = sum
 		}
 	}
-	return dst[:codes*s]
+	return dst[:alignment.NumCodes(t)*s]
 }

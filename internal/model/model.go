@@ -46,6 +46,30 @@ type Model struct {
 	EigenVecs []float64 // V, row-major States x States
 	InvVecs   []float64 // V^-1, row-major States x States
 	dirty     bool
+
+	// eig is UpdateEigen's scratch, allocated on first use and private to
+	// this model (Clone leaves it nil), so the optimizers' repeated
+	// re-decompositions allocate nothing.
+	eig *eigenWork
+}
+
+// eigenWork is the scratch of one UpdateEigen: the rate matrix, symmetrized
+// in place (b), Jacobi's eigenvalues and eigenvectors, the frequency roots,
+// and the solver's own workspace.
+type eigenWork struct {
+	b, r         []float64 // s x s
+	vals, sqrtPi []float64 // s
+	jacobi       []float64 // numeric.JacobiWork(s)
+}
+
+func newEigenWork(s int) *eigenWork {
+	ss := s * s
+	buf := make([]float64, 2*ss+2*s+numeric.JacobiWork(s))
+	return &eigenWork{
+		b: buf[:ss], r: buf[ss : 2*ss],
+		vals: buf[2*ss : 2*ss+s], sqrtPi: buf[2*ss+s : 2*ss+2*s],
+		jacobi: buf[2*ss+2*s:],
+	}
 }
 
 // NumExRates returns the exchangeability count for s states.
@@ -180,8 +204,14 @@ func (m *Model) Dirty() bool { return m.dirty }
 // substitution rate at stationarity, -sum_i pi_i Q_ii, equals 1. This keeps
 // branch lengths in expected-substitutions-per-site units.
 func (m *Model) BuildQ() []float64 {
+	q := make([]float64, m.States*m.States)
+	m.buildQ(q)
+	return q
+}
+
+// buildQ is BuildQ into caller-owned storage (every entry is overwritten).
+func (m *Model) buildQ(q []float64) {
 	s := m.States
-	q := make([]float64, s*s)
 	for i := 0; i < s; i++ {
 		for j := 0; j < s; j++ {
 			if i == j {
@@ -202,29 +232,32 @@ func (m *Model) BuildQ() []float64 {
 		scale += m.Freqs[i] * row
 	}
 	if scale <= 0 {
-		return q
+		return
 	}
 	inv := 1 / scale
 	for k := range q {
 		q[k] *= inv
 	}
-	return q
 }
 
 // UpdateEigen recomputes the eigendecomposition of Q via symmetrization:
 // with D = diag(pi), B = D^(1/2) Q D^(-1/2) is symmetric for time-reversible
-// Q; B = R Lambda R^T yields V = D^(-1/2) R and V^-1 = R^T D^(1/2).
+// Q; B = R Lambda R^T yields V = D^(-1/2) R and V^-1 = R^T D^(1/2). The
+// decomposition is written into the model's existing EigenVals/EigenVecs/
+// InvVecs storage, and only once the solver has succeeded.
 func (m *Model) UpdateEigen() error {
 	s := m.States
-	q := m.BuildQ()
-	b := make([]float64, s*s)
-	sqrtPi := make([]float64, s)
+	if m.eig == nil {
+		m.eig = newEigenWork(s)
+	}
+	b, r, vals, sqrtPi := m.eig.b, m.eig.r, m.eig.vals, m.eig.sqrtPi
+	m.buildQ(b)
 	for i := 0; i < s; i++ {
 		sqrtPi[i] = math.Sqrt(m.Freqs[i])
 	}
 	for i := 0; i < s; i++ {
 		for j := 0; j < s; j++ {
-			b[i*s+j] = sqrtPi[i] * q[i*s+j] / sqrtPi[j]
+			b[i*s+j] = sqrtPi[i] * b[i*s+j] / sqrtPi[j]
 		}
 	}
 	// Force exact symmetry against rounding before Jacobi.
@@ -235,13 +268,15 @@ func (m *Model) UpdateEigen() error {
 			b[j*s+i] = v
 		}
 	}
-	vals, r, err := numeric.JacobiEigen(b, s)
-	if err != nil {
+	if err := numeric.JacobiEigenInto(vals, r, m.eig.jacobi, b, s); err != nil {
 		return fmt.Errorf("model: eigendecomposition failed: %w", err)
 	}
-	m.EigenVals = vals
-	m.EigenVecs = make([]float64, s*s)
-	m.InvVecs = make([]float64, s*s)
+	if m.EigenVals == nil {
+		m.EigenVals = make([]float64, s)
+		m.EigenVecs = make([]float64, s*s)
+		m.InvVecs = make([]float64, s*s)
+	}
+	copy(m.EigenVals, vals)
 	for i := 0; i < s; i++ {
 		for k := 0; k < s; k++ {
 			m.EigenVecs[i*s+k] = r[i*s+k] / sqrtPi[i]
@@ -252,34 +287,60 @@ func (m *Model) UpdateEigen() error {
 	return nil
 }
 
+// maxStates is the widest alphabet (AA); it sizes PMatrix's stack scratch.
+// PMatrix works four columns at a time: both alphabets (4 and 20 states) are
+// whole multiples of four.
+const maxStates = 20
+
 // PMatrix fills dst (len States*States, row-major) with the transition
 // probability matrix P(t) = V exp(Lambda*t) V^-1 for branch length t
-// (already scaled by the rate category, if any).
+// (already scaled by the rate category, if any). It runs once per category
+// in every kernel span set-up, concurrently on every worker, so its scratch
+// lives on the stack. Entry (i, j) is the sum over k ascending, from zero, of
+// (V[i][k]·exp(lambda_k t))·V^-1[k][j]: the row scaling is computed once per
+// (i, k) instead of once per term, and four columns accumulate side by side
+// so their add chains overlap — neither changes a term or the order in which
+// any one entry adds its terms.
+//
+//plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
 	s := m.States
 	if t < 0 {
 		t = 0
 	}
-	expl := make([]float64, s)
-	for k := 0; k < s; k++ {
+	var buf [2 * maxStates]float64
+	expl, ve := buf[:s], buf[maxStates:maxStates+s]
+	for k := range expl {
 		expl[k] = math.Exp(m.EigenVals[k] * t)
 	}
+	inv := m.InvVecs
 	for i := 0; i < s; i++ {
 		vrow := m.EigenVecs[i*s : (i+1)*s]
-		drow := dst[i*s : (i+1)*s]
-		for j := 0; j < s; j++ {
-			sum := 0.0
-			for k := 0; k < s; k++ {
-				sum += vrow[k] * expl[k] * m.InvVecs[k*s+j]
+		for k := range ve {
+			ve[k] = vrow[k] * expl[k]
+		}
+		for j := 0; j < s; j += 4 {
+			var s0, s1, s2, s3 float64
+			for k, v := range ve {
+				r := inv[k*s+j : k*s+j+4 : k*s+j+4]
+				s0 += v * r[0]
+				s1 += v * r[1]
+				s2 += v * r[2]
+				s3 += v * r[3]
 			}
-			// Clamp tiny negative values from rounding; they would otherwise
-			// inject negative likelihood contributions.
-			if sum < 0 {
-				sum = 0
-			}
-			drow[j] = sum
+			d := dst[i*s+j : i*s+j+4 : i*s+j+4]
+			d[0], d[1], d[2], d[3] = clampNeg(s0), clampNeg(s1), clampNeg(s2), clampNeg(s3)
 		}
 	}
+}
+
+// clampNeg zeroes the tiny negative values rounding can leave in a P-matrix
+// entry; they would otherwise inject negative likelihood contributions.
+func clampNeg(p float64) float64 {
+	if p < 0 {
+		return 0
+	}
+	return p
 }
 
 // PMatrices fills dst (len NumCats*States*States) with one P matrix per

@@ -387,3 +387,126 @@ func TestPMatricesPerCategory(t *testing.T) {
 		}
 	}
 }
+
+// testModels returns one 4-state and one 20-state model with non-trivial
+// frequencies and exchangeabilities at 4 Gamma categories.
+func testModels(t *testing.T) []*Model {
+	t.Helper()
+	dna, err := GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aa, err := SYN20(4, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Model{dna, aa}
+}
+
+// TestPMatrixHoistKeepsBits pins the association of PMatrix's inner product:
+// scaling the eigenvector row by exp(lambda t) once per row must give the
+// bits of the textbook triple product V[i][k]·exp(lambda_k t)·V^-1[k][j]
+// accumulated k-ascending.
+func TestPMatrixHoistKeepsBits(t *testing.T) {
+	for _, m := range testModels(t) {
+		s := m.States
+		got := make([]float64, s*s)
+		for _, bl := range []float64{0, 1e-8, 0.013, 0.4, 7.5, 64} {
+			m.PMatrix(bl, got)
+			for i := 0; i < s; i++ {
+				for j := 0; j < s; j++ {
+					want := 0.0
+					for k := 0; k < s; k++ {
+						want += m.EigenVecs[i*s+k] * math.Exp(m.EigenVals[k]*bl) * m.InvVecs[k*s+j]
+					}
+					if want < 0 {
+						want = 0
+					}
+					if got[i*s+j] != want {
+						t.Fatalf("s=%d t=%v P[%d][%d] = %v, triple product %v", s, bl, i, j, got[i*s+j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPMatricesAllocFree: the per-span P-matrix set-up runs on every worker
+// in every region, so it must not touch the allocator at either alphabet.
+func TestPMatricesAllocFree(t *testing.T) {
+	for _, m := range testModels(t) {
+		dst := make([]float64, m.NumCats*m.States*m.States)
+		if allocs := testing.AllocsPerRun(100, func() { m.PMatrices(0.17, dst) }); allocs != 0 {
+			t.Errorf("s=%d: PMatrices allocates %v objects per call, want 0", m.States, allocs)
+		}
+	}
+}
+
+// TestUpdateEigenWorkspace: re-decomposing through the model's reused
+// workspace gives the bits a first decomposition of the same parameters gets
+// (nothing of an earlier round leaks through the scratch), allocates nothing
+// once the workspace exists, and a Clone owns its own.
+func TestUpdateEigenWorkspace(t *testing.T) {
+	for _, m := range testModels(t) {
+		s := m.States
+		rng := rand.New(rand.NewSource(int64(s)))
+		for round := 0; round < 5; round++ {
+			freqs := make([]float64, s)
+			for i := range freqs {
+				freqs[i] = 0.2 + rng.Float64()
+			}
+			if err := m.SetFreqs(freqs); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(m.ExRates)-1; i++ {
+				if err := m.SetExRate(i, 0.1+3*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.UpdateEigen(); err != nil {
+				t.Fatal(err)
+			}
+			fresh := m.Clone() // same parameters, no workspace yet
+			if err := fresh.UpdateEigen(); err != nil {
+				t.Fatal(err)
+			}
+			for k := range m.EigenVecs {
+				if m.EigenVecs[k] != fresh.EigenVecs[k] || m.InvVecs[k] != fresh.InvVecs[k] {
+					t.Fatalf("s=%d round %d: eigenvector entry %d differs from a fresh decomposition", s, round, k)
+				}
+			}
+			for k := range m.EigenVals {
+				if m.EigenVals[k] != fresh.EigenVals[k] {
+					t.Fatalf("s=%d round %d: eigenvalue %d differs from a fresh decomposition", s, round, k)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := m.UpdateEigen(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("s=%d: steady-state UpdateEigen allocates %v objects, want 0", s, allocs)
+		}
+
+		c := m.Clone()
+		if c.eig != nil {
+			t.Fatalf("s=%d: Clone shares the eigen workspace", s)
+		}
+		want := append([]float64(nil), m.EigenVecs...)
+		if err := c.SetExRate(0, 2.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.UpdateEigen(); err != nil {
+			t.Fatal(err)
+		}
+		if c.eig == m.eig {
+			t.Fatalf("s=%d: Clone adopted its source's workspace", s)
+		}
+		for k := range want {
+			if m.EigenVecs[k] != want[k] {
+				t.Fatalf("s=%d: updating a Clone rewrote its source's eigenvectors", s)
+			}
+		}
+	}
+}

@@ -30,26 +30,40 @@ func JacobiEigen(a []float64, n int) (values []float64, v []float64, err error) 
 	if len(a) != n*n {
 		return nil, nil, errors.New("numeric: JacobiEigen: matrix length does not match n*n")
 	}
+	values = make([]float64, n)
+	v = make([]float64, n*n)
+	if err := JacobiEigenInto(values, v, make([]float64, JacobiWork(n)), a, n); err != nil {
+		return nil, nil, err
+	}
+	return values, v, nil
+}
+
+// JacobiWork is the scratch length JacobiEigenInto needs for an n x n matrix.
+func JacobiWork(n int) int { return n*n + n }
+
+// JacobiEigenInto is JacobiEigen into caller-owned storage — values (length
+// n), v (n*n) and work (JacobiWork(n)) — for callers that re-decompose in a
+// loop. On error values and v hold no usable result.
+func JacobiEigenInto(values, v, work, a []float64, n int) error {
+	if len(a) != n*n || len(values) != n || len(v) != n*n || len(work) < JacobiWork(n) {
+		return errors.New("numeric: JacobiEigen: matrix or workspace length does not match n")
+	}
 	// Work on a copy; verify symmetry as we go.
-	w := make([]float64, n*n)
+	w := work[:n*n]
 	copy(w, a)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := math.Abs(w[i*n+j] - w[j*n+i])
 			scale := math.Max(math.Abs(w[i*n+j]), math.Abs(w[j*n+i]))
 			if d > 1e-9*math.Max(1, scale) {
-				return nil, nil, errors.New("numeric: JacobiEigen: matrix is not symmetric")
+				return errors.New("numeric: JacobiEigen: matrix is not symmetric")
 			}
 		}
 	}
 
-	v = make([]float64, n*n)
+	clear(v)
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
-	}
-	values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = w[i*n+i]
 	}
 
 	const maxSweeps = 100
@@ -110,22 +124,22 @@ func JacobiEigen(a []float64, n int) (values []float64, v []float64, err error) 
 			}
 		}
 		if sweep == maxSweeps-1 {
-			return nil, nil, ErrNoConvergence
+			return ErrNoConvergence
 		}
 	}
 	for i := 0; i < n; i++ {
 		values[i] = w[i*n+i]
 	}
-	sortEigenAscending(values, v, n)
-	return values, v, nil
+	sortEigenAscending(values, v, work[n*n:n*n+n], n)
+	return nil
 }
 
 // sortEigenAscending sorts eigenvalues ascending and permutes the eigenvector
-// columns accordingly (simple insertion sort; n is 4 or 20 in practice).
-func sortEigenAscending(values []float64, v []float64, n int) {
+// columns accordingly (simple insertion sort; n is 4 or 20 in practice). col
+// is n entries of scratch for the column in flight.
+func sortEigenAscending(values, v, col []float64, n int) {
 	for i := 1; i < n; i++ {
 		val := values[i]
-		col := make([]float64, n)
 		for r := 0; r < n; r++ {
 			col[r] = v[r*n+i]
 		}

@@ -482,6 +482,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"POST", "/v1/datasets", submitRequest{}, http.StatusBadRequest},
 		{"POST", "/v1/datasets", submitRequest{Phylip: "not phylip"}, http.StatusBadRequest},
+		{"POST", "/v1/datasets", submitRequest{Phylip: "2 4\nt0 ACGT\nt1 ACGA\n"}, http.StatusBadRequest},
 		{"POST", "/v1/evaluate", evaluateRequest{}, http.StatusBadRequest},
 		{"POST", "/v1/analyses", analysisRequest{Dataset: "ds_x", Mode: "bogus"}, http.StatusBadRequest},
 		{"GET", "/v1/analyses/an_999", nil, http.StatusBadRequest},

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phylo/internal/alignment"
 )
 
 const tinyPhylip = `6 40
@@ -562,5 +564,21 @@ func TestDatasetAccessors(t *testing.T) {
 	sites, patterns, err := al.CompressionStats()
 	if err != nil || sites != 40 || patterns != ds.NumPatterns() {
 		t.Errorf("CompressionStats = %d, %d, %v; want 40, %d", sites, patterns, err, ds.NumPatterns())
+	}
+}
+
+// TestNewDatasetRejectsTooFewTaxa: an unrooted tree needs three tips. The
+// readers refuse a two-taxon alignment already; NewDataset refuses one that
+// reached it some other way too — with an error, before any session could
+// walk a degenerate tree into the kernel's tip-tip panics.
+func TestNewDatasetRejectsTooFewTaxa(t *testing.T) {
+	if _, err := ReadPhylip(strings.NewReader("2 4\nt0 ACGT\nt1 ACGA\n")); err == nil {
+		t.Error("ReadPhylip accepted a 2-taxon alignment")
+	}
+	raw := &alignment.Alignment{Names: []string{"t0", "t1"}, Seqs: [][]byte{[]byte("ACGT"), []byte("ACGA")}}
+	al := &Alignment{raw: raw, parts: alignment.SinglePartition(raw, alignment.DNA, "all")}
+	if ds, err := NewDataset(al, DatasetOptions{}); err == nil {
+		ds.Close()
+		t.Error("NewDataset accepted a 2-taxon alignment")
 	}
 }
