@@ -130,9 +130,9 @@ type Analysis struct {
 
 // NewAnalysis opens a new analysis session: it clones the dataset's model
 // templates, builds the starting tree, allocates the session's likelihood
-// buffers, and attaches to the shared worker pool (or creates a private
-// virtual/sequential executor). Sessions over one Dataset may run
-// concurrently; with identical options they produce bit-identical results.
+// buffers, and opens its own view of the dataset's workers. Sessions over
+// one Dataset may run concurrently; with identical options they produce
+// bit-identical results.
 func (ds *Dataset) NewAnalysis(o AnalysisOptions) (*Analysis, error) {
 	ds.mu.Lock()
 	if ds.closed {
@@ -171,26 +171,7 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	var exec parallel.Executor
-	switch {
-	case ds.opts.VirtualThreads:
-		exec, err = parallel.NewSim(ds.opts.Threads)
-	case ds.pool != nil:
-		exec = ds.pool.Session()
-	default:
-		exec = parallel.NewSequential()
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Pool sessions are observed at the pool level (one observer for all
-	// sessions); private serial/virtual executors attach to the dataset's
-	// collector here.
-	if ds.collector != nil {
-		if oe, ok := exec.(parallel.ObservableExecutor); ok {
-			oe.SetObserver(ds.collector)
-		}
-	}
+	exec := ds.exec.Session()
 	eng, err := core.NewSession(ds.shared, tr, models, exec, core.Options{
 		Specialize: true,
 		Schedule:   ds.opts.Schedule,

@@ -1,20 +1,20 @@
 // Command plkbench times the hot likelihood kernels — evaluate, newview
-// (one full traversal), and the tip-heavy specialized-vs-generic newview
-// comparison — on the real goroutine pool at several thread counts and
-// writes the results as JSON. CI runs it on every push to seed the
-// performance trajectory (BENCH_plk.json artifacts) and to gate against the
-// committed baseline:
+// (one full traversal), the tip-heavy specialized-vs-generic and
+// generic-vs-fused newview comparisons, the stealing fingerprint and the
+// batched bootstrap — on the real goroutine pool at several thread counts
+// and writes the results as JSON. CI runs it on every push, keeps the
+// report as an artifact (BENCH_plk.json), and holds it to the floors of
+// bench.CheckReport:
 //
 //	plkbench -scale 0.01 -threads 1,4,8 -out BENCH_plk.json
-//	plkbench -check BENCH_baseline.json -compare BENCH_plk.json
+//	plkbench -check BENCH_plk.json
 //
-// With -check, any kernel ns/op more than -tolerance (default 20%) above
-// the baseline at a matching thread count fails the run with exit code 1.
-// With -compare, a previously written report is checked instead of
-// re-measuring. Refresh the baseline (on the machine class the gate runs
-// on) with:
-//
-//	go run ./cmd/plkbench -scale 0.01 -threads 1,4,8 -out BENCH_baseline.json
+// -check FILE measures nothing: it validates the report in FILE and exits 1
+// if the fused kernel is under 2x the generic one at 1 thread, the batched
+// bootstrap is under 2x per replicate at 1 thread, or more than half the
+// patterns migrated through steals at a thread count the host ran in
+// parallel. The absolute ns/op in the report are for reading; the numbers
+// that decide a change are the end-to-end ones of `go run -C benchmark .`.
 package main
 
 import (
@@ -40,9 +40,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		threads    = flag.String("threads", "1,4,8", "comma-separated thread counts")
 		out        = flag.String("out", "BENCH_plk.json", "output JSON path (- for stdout)")
-		check      = flag.String("check", "", "baseline report JSON to gate against (exit 1 on regression)")
-		compare    = flag.String("compare", "", "pre-measured report JSON to check instead of re-measuring")
-		tolerance  = flag.Float64("tolerance", 0.20, "fractional ns/op regression tolerance for -check")
+		check      = flag.String("check", "", "validate this report JSON against the intra-run floors instead of measuring (exit 1 on violation)")
 		backendF   = flag.String("backend", "auto", "kernel backend for the session timings: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement run to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation (heap) profile to this file at exit")
@@ -51,8 +49,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if *compare != "" && *check == "" {
-		fatal(fmt.Errorf("-compare %s without -check does nothing; pass the baseline to gate against", *compare))
+	if *check != "" {
+		if v := bench.CheckReport(readReport(*check)); len(v) > 0 {
+			fmt.Fprintf(os.Stderr, "plkbench: %s violates %d floor(s):\n", *check, len(v))
+			for _, m := range v {
+				fmt.Fprintln(os.Stderr, "  "+m)
+			}
+			os.Exit(1)
+		}
+		fmt.Printf("%s meets the fused, bootstrap and steal floors\n", *check)
+		return
 	}
 	// The microbench builds its own shared state per thread count, so the
 	// backend choice flows through the documented BackendAuto resolution
@@ -95,49 +101,31 @@ func main() {
 	ctx, stop := sigctx.Notify(context.Background(), "plkbench")
 	defer stop()
 
-	var rep *bench.MicrobenchReport
-	if *compare != "" {
-		rep = readReport(*compare)
-	} else {
-		var counts []int
-		for _, f := range strings.Split(*threads, ",") {
-			t, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fatal(fmt.Errorf("bad thread count %q: %w", f, err))
-			}
-			counts = append(counts, t)
-		}
-		var mobs *bench.MicrobenchObs
-		if *metricsF || *traceOut != "" {
-			mobs = &bench.MicrobenchObs{}
-			if *metricsF {
-				mobs.Metrics = obs.NewRegistry()
-			}
-			if *traceOut != "" {
-				mobs.Tracer = obs.NewTracer(0)
-			}
-		}
-		var err error
-		rep, err = bench.Microbench(ctx, counts, *scale, *seed, mobs)
+	var counts []int
+	for _, f := range strings.Split(*threads, ",") {
+		t, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("bad thread count %q: %w", f, err))
 		}
-		writeReport(rep, *out)
-		if mobs != nil {
-			dumpObs(mobs, *traceOut)
+		counts = append(counts, t)
+	}
+	var mobs *bench.MicrobenchObs
+	if *metricsF || *traceOut != "" {
+		mobs = &bench.MicrobenchObs{}
+		if *metricsF {
+			mobs.Metrics = obs.NewRegistry()
+		}
+		if *traceOut != "" {
+			mobs.Tracer = obs.NewTracer(0)
 		}
 	}
-
-	if *check != "" {
-		baseline := readReport(*check)
-		if regs := bench.CompareReports(baseline, rep, *tolerance); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "plkbench: %d perf regression(s) vs %s:\n", len(regs), *check)
-			for _, r := range regs {
-				fmt.Fprintln(os.Stderr, "  "+r)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("perf gate passed vs %s (tolerance %.0f%%)\n", *check, 100**tolerance)
+	rep, err := bench.Microbench(ctx, counts, *scale, *seed, mobs)
+	if err != nil {
+		fatal(err)
+	}
+	writeReport(rep, *out)
+	if mobs != nil {
+		dumpObs(mobs, *traceOut)
 	}
 }
 

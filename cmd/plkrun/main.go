@@ -45,7 +45,7 @@ func main() {
 		mode      = flag.String("mode", "eval", "analysis: eval | modelopt | search")
 		threads   = flag.Int("threads", 1, "worker count")
 		strategy  = flag.String("strategy", "new", "parallelization strategy: old | new")
-		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | block | weighted | adaptive")
+		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted | adaptive")
 		rebThresh = flag.Float64("rebalance-threshold", 0, "measured worker-time imbalance that triggers an adaptive reschedule (<=1 = default 1.1; only with -schedule adaptive)")
 		stealFlag = flag.Bool("steal", false, "intra-region work stealing: chunked per-worker deques, drained workers steal half of the most loaded victim")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")

@@ -37,9 +37,9 @@ type DatasetOptions struct {
 	Schedule ScheduleStrategy
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
-	// VirtualThreads gives every analysis session its own T-worker virtual
-	// executor (serial execution on a virtual clock); sessions
-	// then price their traces independently with PlatformSeconds.
+	// VirtualThreads makes the T workers virtual: every session runs them
+	// serially on its own goroutine and records the trace that
+	// PlatformSeconds prices, independently of the other sessions.
 	VirtualThreads bool
 	// Steal enables intra-region work stealing for every session. Every
 	// session drains its workers' scheduled pattern shares chunk by chunk
@@ -92,14 +92,8 @@ type Dataset struct {
 	data   *alignment.CompressedData
 	shared *core.Shared
 	models []*model.Model // per-partition templates, cloned per session
-	pool   *parallel.Pool // shared across sessions; nil when 1 thread or virtual
+	exec   *parallel.Pool // the dataset's workers; every session is a view of them
 	opts   DatasetOptions
-
-	// collector folds per-worker region scratch into the metrics registry
-	// and trace buffer; nil unless Metrics or Trace was requested. The pool
-	// observes it directly; serial/virtual session executors attach to it in
-	// newAnalysis.
-	collector *parallel.MetricsCollector
 
 	mu     sync.Mutex
 	closed bool
@@ -153,11 +147,21 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 		models: models,
 		opts:   o,
 	}
-	if o.Threads > 1 && !o.VirtualThreads {
-		ds.pool, err = parallel.NewPool(o.Threads)
-		if err != nil {
-			return nil, err
-		}
+	// How the T workers are realised is decided here and nowhere else;
+	// execKind is the decision's name in the registry (the exec label).
+	execKind := "sequential"
+	switch {
+	case o.VirtualThreads:
+		execKind = "sim"
+		ds.exec, err = parallel.NewSim(o.Threads)
+	case o.Threads > 1:
+		execKind = "pool"
+		ds.exec, err = parallel.NewPool(o.Threads)
+	default:
+		ds.exec = parallel.NewSequential()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if o.Metrics != nil || o.Trace != nil {
 		reg := o.Metrics
@@ -166,17 +170,7 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 			// private registry nobody scrapes.
 			reg = NewMetricsRegistry()
 		}
-		kind := "sequential"
-		switch {
-		case o.VirtualThreads:
-			kind = "sim"
-		case ds.pool != nil:
-			kind = "pool"
-		}
-		ds.collector = parallel.NewMetricsCollector(reg, kind, sh.Backend.String(), o.Threads, o.Trace)
-		if ds.pool != nil {
-			ds.pool.SetObserver(ds.collector)
-		}
+		ds.exec.SetObserver(parallel.NewMetricsCollector(reg, execKind, sh.Backend.String(), o.Threads, o.Trace))
 	}
 	return ds, nil
 }
@@ -193,9 +187,7 @@ func (ds *Dataset) Close() error {
 	ds.closed = true
 	open := ds.active
 	ds.mu.Unlock()
-	if ds.pool != nil {
-		ds.pool.Close()
-	}
+	ds.exec.Close()
 	if open > 0 {
 		return fmt.Errorf("phylo: dataset closed with %d analysis session(s) still open", open)
 	}

@@ -79,3 +79,93 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 		checkClose(ds.Close()) // idempotent
 	}
 }
+
+// TestConcurrentVirtualSessionsKeepPrivateStats runs N sessions at once over
+// a one-thread dataset and over a virtual-threads dataset, both with a
+// metrics registry: sessions of virtual workers share no lock and no scratch
+// (the race detector checks that), each session's region count is its own,
+// the registry — fed by the one observer the sessions share — counts the sum,
+// and every session scores exactly what a lone session scores.
+func TestConcurrentVirtualSessionsKeepPrivateStats(t *testing.T) {
+	al, err := SimulateGrid(8, 256, 64, 1.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// work optimizes branch lengths and then scores the optimum evals more
+	// times, so sessions with different evals issue different region counts.
+	work := func(ds *Dataset, evals int) (lnl float64, regions int64, err error) {
+		an, err := ds.NewAnalysis(AnalysisOptions{Seed: 5})
+		if err != nil {
+			return 0, 0, err
+		}
+		defer an.Close()
+		if lnl, err = an.OptimizeBranchLengths(context.Background()); err != nil {
+			return 0, 0, err
+		}
+		for i := 0; i < evals; i++ {
+			an.LogLikelihood()
+		}
+		return lnl, an.Stats().Regions, nil
+	}
+	for name, opts := range map[string]DatasetOptions{
+		"one thread":      {Threads: 1},
+		"virtual threads": {Threads: 3, VirtualThreads: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts.Metrics = NewMetricsRegistry()
+			ds, err := NewDataset(al, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			wantLnL, base, err := work(ds, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, plusOne, err := work(ds, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perEval := plusOne - base
+			if base <= 0 || perEval <= 0 {
+				t.Fatalf("lone sessions issued %d and %d regions", base, plusOne)
+			}
+			issued := base + plusOne
+
+			const sessions = 6
+			regions := make([]int64, sessions)
+			var wg sync.WaitGroup
+			for g := 0; g < sessions; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					lnl, n, err := work(ds, g)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					regions[g] = n
+					if math.Float64bits(lnl) != math.Float64bits(wantLnL) {
+						t.Errorf("session %d lnL %v, lone session %v", g, lnl, wantLnL)
+					}
+					if want := base + int64(g)*perEval; n != want {
+						t.Errorf("session %d counted %d regions, want its own %d", g, n, want)
+					}
+				}(g)
+			}
+			wg.Wait()
+			for _, n := range regions {
+				issued += n
+			}
+			total := 0.0
+			for _, s := range opts.Metrics.Snapshot() {
+				if s.Name == "plk_regions_total" {
+					total += s.Value
+				}
+			}
+			if total != float64(issued) {
+				t.Errorf("registry plk_regions_total = %v, sessions issued %d", total, issued)
+			}
+		})
+	}
+}

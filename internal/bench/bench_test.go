@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"phylo/internal/obs"
 	"phylo/internal/opt"
 	"phylo/internal/seqsim"
 )
@@ -170,13 +171,16 @@ func TestFigure6SmallScale(t *testing.T) {
 	}
 }
 
-// TestMicrobenchSmoke: the kernel microbench used for the CI perf
-// trajectory produces sane, positive timings.
+// TestMicrobenchSmoke: the kernel microbench used for the CI bench artifact
+// produces sane, positive timings, and an attached registry sees the regions
+// of the timing loop (whose session is opened before the observer is
+// installed on its pool).
 func TestMicrobenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("microbench iterates testing.Benchmark; skipped in -short")
 	}
-	rep, err := Microbench(context.Background(), []int{1}, 0.002, 7, nil)
+	reg := obs.NewRegistry()
+	rep, err := microbench(context.Background(), []int{1}, 0.002, 7, &MicrobenchObs{Metrics: reg}, secTimings|secScheduleComparison)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +193,15 @@ func TestMicrobenchSmoke(t *testing.T) {
 	kt := rep.Timings[0]
 	if kt.Threads != 1 || kt.EvaluateNsOp <= 0 || kt.NewviewNsOp <= 0 {
 		t.Errorf("timing: %+v", kt)
+	}
+	regions := 0.0
+	for _, s := range reg.Snapshot() {
+		if s.Name == "plk_regions_total" {
+			regions += s.Value
+		}
+	}
+	if regions <= 0 {
+		t.Errorf("plk_regions_total = %v with a registry attached, want > 0", regions)
 	}
 	comp := rep.ScheduleComparison
 	if comp == nil {

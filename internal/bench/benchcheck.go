@@ -2,86 +2,28 @@ package bench
 
 import "fmt"
 
-// CompareReports is the CI perf-regression gate: it checks a freshly
-// measured microbenchmark report against a stored baseline
-// (BENCH_baseline.json) and returns one message per regression — any kernel
-// ns/op more than tol fractionally above the baseline value at the same
-// thread count (tol 0.20 = fail on >20% slowdown). Thread counts present in
-// only one of the two reports are skipped (nothing to compare), as is the
-// tip-case section when the baseline predates it. Getting *faster* never
-// fails; refresh the baseline to ratchet the trajectory (one command, run on
-// the machine class the gate compares on):
-//
-//	go run ./cmd/plkbench -scale 0.01 -threads 1,4,8 -out BENCH_baseline.json
-func CompareReports(baseline, fresh *MicrobenchReport, tol float64) []string {
-	var regressions []string
-	check := func(kernel string, threads int, base, now float64) {
-		if base <= 0 || now <= 0 {
-			return
-		}
-		if now > base*(1+tol) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s @ %d threads: %.0f ns/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
-					kernel, threads, now, base, 100*(now/base-1), 100*tol))
-		}
-	}
-	baseTimings := make(map[int]KernelTiming, len(baseline.Timings))
-	for _, kt := range baseline.Timings {
-		baseTimings[kt.Threads] = kt
-	}
-	for _, kt := range fresh.Timings {
-		b, ok := baseTimings[kt.Threads]
-		if !ok {
-			continue
-		}
-		check("evaluate", kt.Threads, b.EvaluateNsOp, kt.EvaluateNsOp)
-		check("newview", kt.Threads, b.NewviewNsOp, kt.NewviewNsOp)
-	}
-	baseTip := make(map[int]TipCaseTiming, len(baseline.TipCase))
-	for _, tc := range baseline.TipCase {
-		baseTip[tc.Threads] = tc
-	}
-	for _, tc := range fresh.TipCase {
-		b, ok := baseTip[tc.Threads]
-		if !ok {
-			continue
-		}
-		check("newview-tip(specialized)", tc.Threads, b.SpecializedNsOp, tc.SpecializedNsOp)
-	}
-	// Kernel backend: the fused timing rides the usual trajectory check
-	// against the baseline, and the generic-vs-fused speedup at one thread is
-	// additionally held to an absolute floor — an intra-run ratio, so it needs
-	// no baseline entry and is immune to machine-class drift. The floor only
+// CheckReport is the CI bench gate: it holds one microbenchmark report to
+// the three floors that are ratios or fractions *within* the run, so they
+// mean the same on any host and need no stored baseline. It returns one
+// message per violated floor; sections a report does not carry are skipped.
+// Absolute ns/op are not judged here — the end-to-end benchmark in
+// benchmark/ decides those, against the parent commit on the same box.
+func CheckReport(rep *MicrobenchReport) []string {
+	var violations []string
+	// Kernel backend: generic-vs-fused newview speedup at one thread. Only
 	// fires when both backends were actually measured.
-	baseBackend := make(map[int]BackendTiming, len(baseline.BackendCase))
-	for _, bt := range baseline.BackendCase {
-		baseBackend[bt.Threads] = bt
-	}
-	for _, bt := range fresh.BackendCase {
-		if b, ok := baseBackend[bt.Threads]; ok {
-			check("newview-backend(fused)", bt.Threads, b.FusedNsOp, bt.FusedNsOp)
-		}
+	for _, bt := range rep.BackendCase {
 		if bt.Threads == 1 && bt.GenericNsOp > 0 && bt.FusedNsOp > 0 && bt.Speedup < backendSpeedupFloor {
-			regressions = append(regressions,
+			violations = append(violations,
 				fmt.Sprintf("backend @ 1 thread: fused newview speedup %.2fx below the %.1fx floor (generic %.0f ns/op, fused %.0f ns/op)",
 					bt.Speedup, backendSpeedupFloor, bt.GenericNsOp, bt.FusedNsOp))
 		}
 	}
-	// Bootstrap batching: the batched per-replicate cost rides the usual
-	// trajectory check, and the batched-vs-R-independent-sessions speedup at
-	// one thread is held to an absolute floor — like the backend floor, an
-	// intra-run ratio immune to machine-class drift. Only fires when both
-	// modes were measured.
-	baseBoot := make(map[int]BootstrapTiming, len(baseline.Bootstrap))
-	for _, bt := range baseline.Bootstrap {
-		baseBoot[bt.Threads] = bt
-	}
-	for _, bt := range fresh.Bootstrap {
-		if b, ok := baseBoot[bt.Threads]; ok {
-			check("bootstrap(batched, per replicate)", bt.Threads, b.BatchedNsPerRep, bt.BatchedNsPerRep)
-		}
+	// Bootstrap batching: batched-vs-R-independent-sessions speedup at one
+	// thread. Only fires when both modes were measured.
+	for _, bt := range rep.Bootstrap {
 		if bt.Threads == 1 && bt.BatchedNsPerRep > 0 && bt.IndependentNsPerRep > 0 && bt.Speedup < bootstrapSpeedupFloor {
-			regressions = append(regressions,
+			violations = append(violations,
 				fmt.Sprintf("bootstrap @ 1 thread: batched speedup %.2fx below the %.1fx floor (batched %.0f ns/rep, independent %.0f ns/rep)",
 					bt.Speedup, bootstrapSpeedupFloor, bt.BatchedNsPerRep, bt.IndependentNsPerRep))
 		}
@@ -89,22 +31,21 @@ func CompareReports(baseline, fresh *MicrobenchReport, tol float64) []string {
 	// Stealing pathology: on the honestly priced microbenchmark workload,
 	// more than half of all patterns migrating means the static pack is
 	// systematically mispriced — stealing is papering over a scheduling bug,
-	// not absorbing noise. Requires no baseline entry (it is an absolute
-	// property of the fresh run) but only fires when the workers actually
-	// ran in parallel: with Threads > Cores the OS time-shares workers and
-	// whichever runs first legitimately swallows the stragglers' deques.
-	for _, sm := range fresh.Steal {
+	// not absorbing noise. It only fires when the workers actually ran in
+	// parallel: with Threads > Cores the OS time-shares workers and whichever
+	// runs first legitimately swallows the stragglers' deques.
+	for _, sm := range rep.Steal {
 		if sm.Threads <= sm.Cores && sm.MigratedFraction > stealMigrationCeiling {
-			regressions = append(regressions,
+			violations = append(violations,
 				fmt.Sprintf("steal @ %d threads (%d cores): %.0f%% of patterns migrated (ceiling %.0f%%) — the static pack is mispriced, rebalance the cost model",
 					sm.Threads, sm.Cores, 100*sm.MigratedFraction, 100*stealMigrationCeiling))
 		}
 	}
-	return regressions
+	return violations
 }
 
 // stealMigrationCeiling is the migrated-pattern fraction above which the
-// perf gate treats stealing as a symptom rather than a cure.
+// bench gate treats stealing as a symptom rather than a cure.
 const stealMigrationCeiling = 0.5
 
 // backendSpeedupFloor is the minimum generic-vs-fused newview speedup at one

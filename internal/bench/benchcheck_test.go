@@ -26,194 +26,141 @@ func checkReport() *MicrobenchReport {
 	}
 }
 
-// TestCompareReportsGate demonstrates the CI perf gate: identical reports
-// pass, a synthetic 20%+ regression on any kernel at any thread count fails,
-// and speedups never fail.
+// TestCompareReportsGate demonstrates the CI bench gate: a report meeting
+// all three floors passes, each violated floor yields exactly one message,
+// sections a report does not carry are skipped, and absolute ns/op — which
+// only mean something against the same box's parent run, benchmark/'s job —
+// are not judged at all.
 func TestCompareReportsGate(t *testing.T) {
-	base := checkReport()
-	if regs := CompareReports(base, checkReport(), 0.20); len(regs) != 0 {
-		t.Fatalf("identical reports must pass the gate, got %v", regs)
+	healthy := checkReport()
+	healthy.Steal = []StealMicrobench{{Threads: 4, Cores: 8, MigratedFraction: 0.12}}
+	if v := CheckReport(healthy); len(v) != 0 {
+		t.Fatalf("a report meeting every floor must pass, got %v", v)
 	}
 
-	// Inject a synthetic 25% newview regression at 4 threads (the scenario
-	// the acceptance criteria require the bench job to fail on).
+	sick := checkReport()
+	sick.BackendCase[0].Speedup = 1.4
+	sick.Bootstrap[0].Speedup = 1.5
+	sick.Steal = []StealMicrobench{{Threads: 4, Cores: 8, MigratedFraction: 0.62}}
+	v := CheckReport(sick)
+	if len(v) != 3 {
+		t.Fatalf("three violated floors must yield three messages, got %v", v)
+	}
+	for i, want := range []string{"backend @ 1 thread", "bootstrap @ 1 thread", "steal @ 4 threads"} {
+		if !strings.Contains(v[i], want) {
+			t.Errorf("message %d = %q, want it to name %q", i, v[i], want)
+		}
+	}
+
+	// A report with no floor-bearing section (an old artifact, or a run of
+	// the kernel timings alone) has nothing to violate.
+	if v := CheckReport(&MicrobenchReport{Dataset: "timings-only", Timings: checkReport().Timings}); len(v) != 0 {
+		t.Errorf("missing sections must be skipped, got %v", v)
+	}
+
+	// Ten times slower kernels with every ratio intact: not this gate's call.
 	slow := checkReport()
-	slow.Timings[1].NewviewNsOp *= 1.25
-	regs := CompareReports(base, slow, 0.20)
-	if len(regs) != 1 {
-		t.Fatalf("want exactly one regression, got %v", regs)
+	for i := range slow.Timings {
+		slow.Timings[i].EvaluateNsOp *= 10
+		slow.Timings[i].NewviewNsOp *= 10
 	}
-	if !strings.Contains(regs[0], "newview @ 4 threads") {
-		t.Errorf("regression message %q should name kernel and thread count", regs[0])
-	}
-
-	// A regression on the tip-specialized kernel is caught too.
-	slowTip := checkReport()
-	slowTip.TipCase[0].SpecializedNsOp *= 1.3
-	if regs := CompareReports(base, slowTip, 0.20); len(regs) != 1 ||
-		!strings.Contains(regs[0], "newview-tip(specialized) @ 1 threads") {
-		t.Errorf("tip-case regression not caught: %v", regs)
-	}
-
-	// Exactly at the tolerance boundary passes; just above fails.
-	edge := checkReport()
-	edge.Timings[0].EvaluateNsOp = 1200
-	if regs := CompareReports(base, edge, 0.20); len(regs) != 0 {
-		t.Errorf("+20%% at 20%% tolerance must pass, got %v", regs)
-	}
-	edge.Timings[0].EvaluateNsOp = 1201
-	if regs := CompareReports(base, edge, 0.20); len(regs) != 1 {
-		t.Errorf("+20.1%% at 20%% tolerance must fail, got %v", regs)
-	}
-
-	// Getting faster never fails.
-	fast := checkReport()
-	for i := range fast.Timings {
-		fast.Timings[i].EvaluateNsOp /= 2
-		fast.Timings[i].NewviewNsOp /= 2
-	}
-	if regs := CompareReports(base, fast, 0.20); len(regs) != 0 {
-		t.Errorf("speedups must pass the gate, got %v", regs)
-	}
-
-	// Thread counts or sections missing from the baseline are skipped, so a
-	// baseline from before the tip-case bench still gates the core kernels.
-	old := checkReport()
-	old.TipCase = nil
-	old.BackendCase = nil
-	old.Timings = old.Timings[:1]
-	if regs := CompareReports(old, slow, 0.20); len(regs) != 0 {
-		t.Errorf("thread counts absent from the baseline must be skipped, got %v", regs)
+	slow.TipCase[0].SpecializedNsOp *= 10
+	slow.BackendCase[0].GenericNsOp *= 10
+	slow.BackendCase[0].FusedNsOp *= 10
+	if v := CheckReport(slow); len(v) != 0 {
+		t.Errorf("absolute ns/op must not be judged, got %v", v)
 	}
 }
 
-// TestCompareReportsBackendColumn covers the kernel-backend arm of the perf
-// gate: a synthetic regression of the fused timing against the baseline
-// fails the trajectory check, and a fused backend that loses its 2x edge
-// over the generic oracle trips the absolute speedup floor even when the
-// baseline has no backend entries at all.
+// TestCompareReportsBackendColumn covers the kernel-backend floor: a fused
+// backend that loses its 2x edge over the generic oracle at one thread
+// trips it, exactly 2x does not, and neither do other thread counts or a
+// report that measured only one backend.
 func TestCompareReportsBackendColumn(t *testing.T) {
-	base := checkReport()
-	if regs := CompareReports(base, checkReport(), 0.20); len(regs) != 0 {
-		t.Fatalf("identical backend timings must pass, got %v", regs)
-	}
-
-	// Synthetic 30% fused-kernel slowdown: trajectory regression (the
-	// speedup stays above the floor because generic slowed down too).
-	slow := checkReport()
-	slow.BackendCase[0].FusedNsOp *= 1.3
-	slow.BackendCase[0].GenericNsOp *= 1.3
-	regs := CompareReports(base, slow, 0.20)
-	if len(regs) != 1 || !strings.Contains(regs[0], "newview-backend(fused) @ 1 threads") {
-		t.Errorf("fused trajectory regression not caught: %v", regs)
-	}
-
-	// Fused edge eroded to 1.4x: the absolute floor fires, baseline or not.
 	eroded := checkReport()
 	eroded.BackendCase[0].FusedNsOp = eroded.BackendCase[0].GenericNsOp / 1.4
 	eroded.BackendCase[0].Speedup = 1.4
-	for _, baseline := range []*MicrobenchReport{base, {Dataset: "no-backend-column"}} {
-		regs := CompareReports(baseline, eroded, 0.50) // wide tol: isolate the floor
-		found := false
-		for _, r := range regs {
-			if strings.Contains(r, "below the 2.0x floor") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("eroded 1.4x speedup must trip the floor (baseline %q): %v", baseline.Dataset, regs)
-		}
+	v := CheckReport(eroded)
+	if len(v) != 1 || !strings.Contains(v[0], "backend @ 1 thread") || !strings.Contains(v[0], "below the 2.0x floor") {
+		t.Errorf("eroded 1.4x speedup must trip the floor once: %v", v)
 	}
 
 	// At the floor exactly passes; the floor is a minimum, not a target band.
 	atFloor := checkReport()
 	atFloor.BackendCase[0].FusedNsOp = atFloor.BackendCase[0].GenericNsOp / 2
 	atFloor.BackendCase[0].Speedup = 2.0
-	if regs := CompareReports(base, atFloor, 0.20); len(regs) != 0 {
-		t.Errorf("exactly 2.0x must pass the floor, got %v", regs)
+	if v := CheckReport(atFloor); len(v) != 0 {
+		t.Errorf("exactly 2.0x must pass the floor, got %v", v)
 	}
 
-	// The floor only applies at one thread (parallel timings are gated by the
-	// trajectory check alone — barrier effects make cross-backend ratios at
-	// higher thread counts a scheduling property, not a kernel property).
+	// The floor only applies at one thread (barrier effects make
+	// cross-backend ratios at higher thread counts a scheduling property,
+	// not a kernel property).
 	mt := checkReport()
 	mt.BackendCase = append(mt.BackendCase, BackendTiming{Threads: 4, GenericNsOp: 9000, FusedNsOp: 8000, Speedup: 1.125})
-	if regs := CompareReports(base, mt, 0.20); len(regs) != 0 {
-		t.Errorf("sub-floor speedup at 4 threads must not trip the 1-thread floor, got %v", regs)
+	if v := CheckReport(mt); len(v) != 0 {
+		t.Errorf("sub-floor speedup at 4 threads must not trip the 1-thread floor, got %v", v)
+	}
+
+	// One backend unmeasured: no ratio to hold.
+	half := checkReport()
+	half.BackendCase[0] = BackendTiming{Threads: 1, FusedNsOp: 16000}
+	if v := CheckReport(half); len(v) != 0 {
+		t.Errorf("a backend row without both timings must be skipped, got %v", v)
 	}
 }
 
-// TestCompareReportsBootstrapColumn covers the batched-bootstrap arm of the
-// perf gate: a synthetic regression of the batched per-replicate cost fails
-// the trajectory check, and a batched path that loses its 2x edge over R
-// independent sessions trips the absolute speedup floor even against a
-// baseline from before the bootstrap column existed.
+// TestCompareReportsBootstrapColumn covers the batched-bootstrap floor: a
+// batched path that loses its 2x edge over R independent sessions at one
+// thread trips it; other thread counts and half-measured rows do not.
 func TestCompareReportsBootstrapColumn(t *testing.T) {
-	base := checkReport()
-	if regs := CompareReports(base, checkReport(), 0.20); len(regs) != 0 {
-		t.Fatalf("identical bootstrap timings must pass, got %v", regs)
-	}
-
-	// Synthetic 30% batched slowdown: trajectory regression (the speedup
-	// stays far above the floor).
-	slow := checkReport()
-	slow.Bootstrap[0].BatchedNsPerRep *= 1.3
-	regs := CompareReports(base, slow, 0.20)
-	if len(regs) != 1 || !strings.Contains(regs[0], "bootstrap(batched, per replicate) @ 1 threads") {
-		t.Errorf("batched trajectory regression not caught: %v", regs)
-	}
-
-	// Batched edge eroded to 1.5x: the absolute floor fires, baseline or not.
 	eroded := checkReport()
 	eroded.Bootstrap[0].BatchedNsPerRep = eroded.Bootstrap[0].IndependentNsPerRep / 1.5
 	eroded.Bootstrap[0].Speedup = 1.5
-	for _, baseline := range []*MicrobenchReport{base, {Dataset: "no-bootstrap-column"}} {
-		regs := CompareReports(baseline, eroded, 0.50) // wide tol: isolate the floor
-		found := false
-		for _, r := range regs {
-			if strings.Contains(r, "bootstrap @ 1 thread") && strings.Contains(r, "below the 2.0x floor") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("eroded 1.5x bootstrap speedup must trip the floor (baseline %q): %v", baseline.Dataset, regs)
-		}
+	v := CheckReport(eroded)
+	if len(v) != 1 || !strings.Contains(v[0], "bootstrap @ 1 thread") || !strings.Contains(v[0], "below the 2.0x floor") {
+		t.Errorf("eroded 1.5x bootstrap speedup must trip the floor once: %v", v)
 	}
 
 	// The floor only applies at one thread.
 	mt := checkReport()
 	mt.Bootstrap = append(mt.Bootstrap, BootstrapTiming{Threads: 4, Replicates: 32,
 		BatchedNsPerRep: 9000, IndependentNsPerRep: 10000, Speedup: 1.11})
-	if regs := CompareReports(base, mt, 0.20); len(regs) != 0 {
-		t.Errorf("sub-floor bootstrap speedup at 4 threads must not trip the 1-thread floor, got %v", regs)
+	if v := CheckReport(mt); len(v) != 0 {
+		t.Errorf("sub-floor bootstrap speedup at 4 threads must not trip the 1-thread floor, got %v", v)
+	}
+
+	// Independent control unmeasured: no ratio to hold.
+	half := checkReport()
+	half.Bootstrap[0] = BootstrapTiming{Threads: 1, Replicates: 32, BatchedNsPerRep: 30000}
+	if v := CheckReport(half); len(v) != 0 {
+		t.Errorf("a bootstrap row without both modes must be skipped, got %v", v)
 	}
 }
 
-// TestCompareReportsFlagsStealPathology covers the stealing arm of the perf
-// gate: >50% of patterns migrating at a genuinely parallel thread count is a
-// mispriced static pack and must fail, while the same fraction on an
-// oversubscribed host (workers time-sharing cores) is a scheduling artifact
-// and must pass.
+// TestCompareReportsFlagsStealPathology covers the stealing ceiling: >50% of
+// patterns migrating at a genuinely parallel thread count is a mispriced
+// static pack and must fail, while the same fraction on an oversubscribed
+// host (workers time-sharing cores) is a scheduling artifact and must pass.
 func TestCompareReportsFlagsStealPathology(t *testing.T) {
-	base := checkReport()
 	healthy := checkReport()
 	healthy.Steal = []StealMicrobench{
 		{Threads: 4, Cores: 8, MigratedFraction: 0.12, StealCount: 40, StolenPatterns: 4000, ProcessedPatterns: 33000},
 	}
-	if regs := CompareReports(base, healthy, 0.20); len(regs) != 0 {
-		t.Fatalf("modest migration must pass, got %v", regs)
+	if v := CheckReport(healthy); len(v) != 0 {
+		t.Fatalf("modest migration must pass, got %v", v)
 	}
 
 	sick := checkReport()
 	sick.Steal = []StealMicrobench{
 		{Threads: 4, Cores: 8, MigratedFraction: 0.62, StealCount: 900, StolenPatterns: 20000, ProcessedPatterns: 33000},
 	}
-	regs := CompareReports(base, sick, 0.20)
-	if len(regs) != 1 {
-		t.Fatalf("want exactly one steal pathology, got %v", regs)
+	v := CheckReport(sick)
+	if len(v) != 1 {
+		t.Fatalf("want exactly one steal pathology, got %v", v)
 	}
-	if !strings.Contains(regs[0], "steal @ 4 threads") || !strings.Contains(regs[0], "mispriced") {
-		t.Errorf("pathology message %q should name the thread count and the diagnosis", regs[0])
+	if !strings.Contains(v[0], "steal @ 4 threads") || !strings.Contains(v[0], "mispriced") {
+		t.Errorf("pathology message %q should name the thread count and the diagnosis", v[0])
 	}
 
 	// Same migration with 8 workers on 1 core: oversubscription, not a
@@ -223,19 +170,19 @@ func TestCompareReportsFlagsStealPathology(t *testing.T) {
 	oversub.Steal = []StealMicrobench{
 		{Threads: 8, Cores: 1, MigratedFraction: 0.85, StealCount: 5000, StolenPatterns: 50000, ProcessedPatterns: 60000},
 	}
-	if regs := CompareReports(base, oversub, 0.20); len(regs) != 0 {
-		t.Errorf("oversubscribed migration must be skipped, got %v", regs)
+	if v := CheckReport(oversub); len(v) != 0 {
+		t.Errorf("oversubscribed migration must be skipped, got %v", v)
 	}
 
 	// Exactly at the ceiling passes; just above fails.
 	edge := checkReport()
 	edge.Steal = []StealMicrobench{{Threads: 2, Cores: 2, MigratedFraction: 0.5}}
-	if regs := CompareReports(base, edge, 0.20); len(regs) != 0 {
-		t.Errorf("50%% migration at the 50%% ceiling must pass, got %v", regs)
+	if v := CheckReport(edge); len(v) != 0 {
+		t.Errorf("50%% migration at the 50%% ceiling must pass, got %v", v)
 	}
 	edge.Steal[0].MigratedFraction = 0.51
-	if regs := CompareReports(base, edge, 0.20); len(regs) != 1 {
-		t.Errorf("51%% migration must fail, got %v", regs)
+	if v := CheckReport(edge); len(v) != 1 {
+		t.Errorf("51%% migration must fail, got %v", v)
 	}
 }
 
@@ -247,7 +194,7 @@ func TestTipCaseSpeedupRecorded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("microbenchmark run in -short mode")
 	}
-	rep, err := Microbench(context.Background(), []int{1}, 0.01, 42, nil)
+	rep, err := microbench(context.Background(), []int{1}, 0.01, 42, nil, secTipCase|secBackend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +213,7 @@ func TestTipCaseSpeedupRecorded(t *testing.T) {
 	}
 	// The backend column rides in the same report: both backends measured,
 	// the active session backend recorded, and the fused speedup at one
-	// thread clearing the CompareReports floor (the acceptance criterion).
+	// thread clearing the CheckReport floor (the acceptance criterion).
 	if rep.Backend == "" {
 		t.Error("active kernel backend missing from report")
 	}

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"phylo/internal/alignment"
-	"phylo/internal/core"
-	"phylo/internal/model"
-	"phylo/internal/parallel"
-	"phylo/internal/seqsim"
-	"phylo/internal/tree"
 	"testing"
+
+	"phylo/internal/core"
 )
 
 // bootstrapReplicates is the batch width R the bootstrap microbenchmark
@@ -33,8 +29,8 @@ type BootstrapTiming struct {
 	IndependentNsPerRep   float64 `json:"independent_ns_per_rep"`
 	BatchedRepsPerSec     float64 `json:"batched_reps_per_sec"`
 	IndependentRepsPerSec float64 `json:"independent_reps_per_sec"`
-	// Speedup is IndependentNsPerRep / BatchedNsPerRep; CompareReports holds
-	// it to an absolute floor at one thread (see bootstrapSpeedupFloor).
+	// Speedup is IndependentNsPerRep / BatchedNsPerRep; CheckReport holds it
+	// to a floor at one thread (see bootstrapSpeedupFloor).
 	Speedup float64 `json:"speedup"`
 }
 
@@ -44,112 +40,79 @@ type BootstrapTiming struct {
 // vectors; the batched mode runs with the spans priced for width R
 // (Shared.SetBatchWidth), the independent control at width 1 — each mode is
 // measured under its own honest schedule pricing.
-func bootstrapBench(rep *MicrobenchReport, threadCounts []int, scale float64, seed int64) error {
-	ds, err := seqsim.GridDataset(20, 20000, 1000, scale, seed)
-	if err != nil {
-		return err
-	}
-	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
-	if err != nil {
-		return err
-	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			return err
-		}
-	}
+func bootstrapBench(rep *MicrobenchReport, grid *workload, threadCounts []int, seed int64) error {
 	const R = bootstrapReplicates
-	ws, err := core.NewWeightSet(d, R, seed+3)
+	ws, err := core.NewWeightSet(grid.data, R, seed+3)
 	if err != nil {
 		return err
 	}
-	rep.BootstrapDataset = ds.Name
+	rep.BootstrapDataset = grid.name
 	for _, t := range threadCounts {
-		pool, err := parallel.NewPool(t)
-		if err != nil {
-			return err
-		}
-		sh, err := core.NewShared(d, 4, t)
-		if err != nil {
-			pool.Close()
-			return err
-		}
-		tr, err := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: seed + 1})
-		if err != nil {
-			pool.Close()
-			return err
-		}
-		newSession := func() (*core.Engine, error) {
-			ms := make([]*model.Model, len(models))
-			for i, m := range models {
-				ms[i] = m.Clone()
+		err := grid.onPool(t, core.BackendAuto, func(r *rig) error {
+			// Batched mode: one session, spans priced for width R; each
+			// iteration recomputes the CLVs once and reduces all R replicates
+			// in one sweep.
+			if err := r.sh.SetBatchWidth(R); err != nil {
+				return err
 			}
-			return core.NewSession(sh, tr, ms, pool.Session(), core.Options{Specialize: true})
-		}
-
-		// Batched mode: one session, spans priced for width R; each iteration
-		// recomputes the CLVs once and reduces all R replicates in one sweep.
-		if err := sh.SetBatchWidth(R); err != nil {
-			pool.Close()
-			return err
-		}
-		eng, err := newSession()
-		if err != nil {
-			pool.Close()
-			return err
-		}
-		if _, err := eng.LogLikelihoodBatch(ws); err != nil { // warm CLVs and batch buffers
-			pool.Close()
-			return err
-		}
-		batched := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.InvalidateCLVs()
-				if _, err := eng.LogLikelihoodBatch(ws); err != nil {
-					b.Fatal(err)
+			eng, err := r.session(core.Options{Specialize: true})
+			if err != nil {
+				return err
+			}
+			if _, err := eng.LogLikelihoodBatch(ws); err != nil { // warm CLVs and batch buffers
+				return err
+			}
+			batched := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					eng.InvalidateCLVs()
+					if _, err := eng.LogLikelihoodBatch(ws); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+
+			// Independent control: every replicate is a dedicated session —
+			// built, traversed, and evaluated under that replicate's weights,
+			// exactly what a bootstrap fleet costs without weight batching.
+			// One iteration = one replicate; the replicate index cycles so all
+			// weight vectors are used.
+			if err := r.sh.SetBatchWidth(1); err != nil {
+				return err
 			}
+			rpl := 0
+			independent := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					e, err := r.session(core.Options{Specialize: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := e.SetWeightOverride(ws.Replicate(rpl % R)); err != nil {
+						b.Fatal(err)
+					}
+					e.LogLikelihood()
+					rpl++
+				}
+			})
+
+			bt := BootstrapTiming{
+				Threads:             t,
+				Replicates:          R,
+				BatchedNsPerRep:     float64(batched.NsPerOp()) / R,
+				IndependentNsPerRep: float64(independent.NsPerOp()),
+			}
+			if bt.BatchedNsPerRep > 0 {
+				bt.BatchedRepsPerSec = 1e9 / bt.BatchedNsPerRep
+				bt.Speedup = bt.IndependentNsPerRep / bt.BatchedNsPerRep
+			}
+			if bt.IndependentNsPerRep > 0 {
+				bt.IndependentRepsPerSec = 1e9 / bt.IndependentNsPerRep
+			}
+			rep.Bootstrap = append(rep.Bootstrap, bt)
+			return nil
 		})
-
-		// Independent control: every replicate is a dedicated session — built,
-		// traversed, and evaluated under that replicate's weights, exactly what
-		// a bootstrap fleet costs without weight batching. One iteration = one
-		// replicate; the replicate index cycles so all weight vectors are used.
-		if err := sh.SetBatchWidth(1); err != nil {
-			pool.Close()
+		if err != nil {
 			return err
 		}
-		r := 0
-		independent := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := newSession()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := e.SetWeightOverride(ws.Replicate(r % R)); err != nil {
-					b.Fatal(err)
-				}
-				e.LogLikelihood()
-				r++
-			}
-		})
-		pool.Close()
-
-		bt := BootstrapTiming{
-			Threads:             t,
-			Replicates:          R,
-			BatchedNsPerRep:     float64(batched.NsPerOp()) / R,
-			IndependentNsPerRep: float64(independent.NsPerOp()),
-		}
-		if bt.BatchedNsPerRep > 0 {
-			bt.BatchedRepsPerSec = 1e9 / bt.BatchedNsPerRep
-			bt.Speedup = bt.IndependentNsPerRep / bt.BatchedNsPerRep
-		}
-		if bt.IndependentNsPerRep > 0 {
-			bt.IndependentRepsPerSec = 1e9 / bt.IndependentNsPerRep
-		}
-		rep.Bootstrap = append(rep.Bootstrap, bt)
 	}
 	return nil
 }

@@ -71,8 +71,9 @@ type BackendTiming struct {
 }
 
 // MicrobenchReport is the machine-readable kernel benchmark summary the CI
-// perf-trajectory job serializes into BENCH_plk.json and gates against
-// BENCH_baseline.json (see CompareReports).
+// bench job serializes into BENCH_plk.json and holds to the intra-run floors
+// of CheckReport. Its absolute ns/op are an artifact to read, not a gate:
+// the end-to-end numbers that decide a change come from benchmark/.
 type MicrobenchReport struct {
 	Dataset    string `json:"dataset"`
 	Taxa       int    `json:"taxa"`
@@ -90,9 +91,8 @@ type MicrobenchReport struct {
 	Timings      []KernelTiming `json:"timings"`
 	// BackendDataset and BackendCase cover the generic-vs-fused newview
 	// microbenchmark: same dataset, same schedule, both kernel backends on
-	// the same commit. CompareReports enforces an absolute speedup floor at
-	// one thread (see backendSpeedupFloor) on top of the usual trajectory
-	// check.
+	// the same commit. CheckReport enforces a speedup floor at one thread
+	// (see backendSpeedupFloor).
 	BackendDataset string          `json:"backend_dataset,omitempty"`
 	BackendCase    []BackendTiming `json:"backend_case,omitempty"`
 	// TipDataset and TipCase cover the tip-heavy newview microbenchmark:
@@ -107,7 +107,7 @@ type MicrobenchReport struct {
 	// Steal records the work-stealing microbenchmark on the honestly priced
 	// small-grid workload: per-worker steal-count distribution and the
 	// fraction of processed patterns that migrated, per thread count. On a
-	// well-priced pack migration should be modest; CompareReports flags
+	// well-priced pack migration should be modest; CheckReport flags
 	// >50% migration at thread counts the host can actually run in parallel
 	// as a stealing pathology (the static pack is mispriced, not noisy).
 	Steal []StealMicrobench `json:"steal,omitempty"`
@@ -118,9 +118,8 @@ type MicrobenchReport struct {
 	// BootstrapDataset and Bootstrap cover the batched-bootstrap experiment:
 	// replicates/sec of one R-wide batched session versus R independent
 	// single-replicate sessions on the same dataset and topology.
-	// CompareReports runs the usual trajectory check on the batched ns/rep
-	// and holds the batched-vs-independent speedup at one thread to an
-	// absolute floor (see bootstrapSpeedupFloor).
+	// CheckReport holds the batched-vs-independent speedup at one thread to
+	// a floor (see bootstrapSpeedupFloor).
 	BootstrapDataset string            `json:"bootstrap_dataset,omitempty"`
 	Bootstrap        []BootstrapTiming `json:"bootstrap,omitempty"`
 }
@@ -143,6 +142,21 @@ type StealMicrobench struct {
 	WorkerSteals      []float64 `json:"worker_steals"`
 }
 
+// section selects parts of the microbenchmark. plkbench runs them all; the
+// package's tests run the ones they assert on.
+type section uint
+
+const (
+	secTimings section = 1 << iota
+	secTipCase
+	secBackend
+	secSteal
+	secBootstrap
+	secScheduleComparison
+	secStealComparison
+	allSections section = 1<<iota - 1
+)
+
 // Microbench times the evaluate and newview kernels of a small-grid dataset
 // (d20_20000 with 1000-column partitions at the given scale) on the real
 // goroutine pool at each requested thread count. One immutable core.Shared
@@ -152,193 +166,227 @@ type StealMicrobench struct {
 // sections (each individual timing is short); the error is ctx's. o attaches
 // optional observability to the timing loop (nil = bare).
 func Microbench(ctx context.Context, threadCounts []int, scale float64, seed int64, o *MicrobenchObs) (*MicrobenchReport, error) {
-	ds, err := seqsim.GridDataset(20, 20000, 1000, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
-	if err != nil {
-		return nil, err
-	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			return nil, err
-		}
-	}
-	rep := &MicrobenchReport{
-		Dataset:    ds.Name,
-		Taxa:       d.NumTaxa(),
-		Sites:      d.TotalSites,
-		Partitions: len(d.Parts),
-		Patterns:   d.TotalPatterns,
+	return microbench(ctx, threadCounts, scale, seed, o, allSections)
+}
+
+func microbench(ctx context.Context, threadCounts []int, scale float64, seed int64, o *MicrobenchObs, run section) (*MicrobenchReport, error) {
+	if len(threadCounts) == 0 {
+		return nil, fmt.Errorf("bench: no thread counts")
 	}
 	for _, t := range threadCounts {
 		if t < 1 {
 			return nil, fmt.Errorf("bench: thread count %d must be positive", t)
 		}
+	}
+	grid, err := newWorkload(20, 20000, 1000, scale, seed, seed+1)
+	if err != nil {
+		return nil, err
+	}
+	d := grid.data
+	rep := &MicrobenchReport{
+		Dataset:    grid.name,
+		Taxa:       d.NumTaxa(),
+		Sites:      d.TotalSites,
+		Partitions: len(d.Parts),
+		Patterns:   d.TotalPatterns,
+	}
+	sh, err := core.NewShared(d, 4, threadCounts[0])
+	if err != nil {
+		return nil, err
+	}
+	rep.Backend = sh.Backend.String()
+	rep.DatasetBytes = sh.MemoryFootprint().TotalBytes()
+
+	cfg := FigureConfig{Scale: scale, Seed: seed}
+	for _, sec := range []struct {
+		is  section
+		run func() error
+	}{
+		{secTimings, func() error { return timingsBench(rep, grid, threadCounts, o) }},
+		{secTipCase, func() error { return tipCaseBench(rep, threadCounts, seed) }},
+		{secBackend, func() error { return backendBench(rep, threadCounts, seed) }},
+		{secSteal, func() error { return stealBench(rep, grid, threadCounts) }},
+		{secBootstrap, func() error { return bootstrapBench(rep, grid, threadCounts, seed) }},
+		// The feedback-loop comparison rides along in the same artifact:
+		// cyclic vs weighted vs adaptive end-state imbalance on the mispriced
+		// mixed workload, at the caller's scale (the experiment itself is
+		// defined at 8 virtual workers, like the paper's 8-thread figures).
+		{secScheduleComparison, func() (err error) {
+			rep.ScheduleComparison, _, err = adaptiveComparisonRun(ctx, cfg)
+			return err
+		}},
+		// And the stealing counterpart: static weighted vs weighted+steal
+		// end-state time imbalance on the same mispriced workload.
+		{secStealComparison, func() (err error) {
+			rep.StealComparison, _, err = stealComparisonRun(ctx, cfg)
+			return err
+		}},
+	} {
+		if run&sec.is == 0 {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pool, err := parallel.NewPool(t)
-		if err != nil {
+		if err := sec.run(); err != nil {
 			return nil, err
 		}
-		sh, err := core.NewShared(d, 4, t)
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		if rep.DatasetBytes == 0 {
-			rep.DatasetBytes = sh.MemoryFootprint().TotalBytes()
-		}
-		tr, err := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: seed + 1})
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		eng, err := core.NewSession(sh, tr, models, pool.Session(), core.Options{Specialize: true})
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		rep.Backend = eng.Backend().String()
-		if c := o.collector(rep.Backend, t); c != nil {
-			pool.SetObserver(c)
-		}
-		root := eng.Tree.Tips[0].Back
-		eng.Traverse(root, false, nil) // warm the CLVs once
-		evalRes := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.Evaluate(root, nil)
-			}
-		})
-		nvRes := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.InvalidateCLVs()
-				eng.Traverse(root, false, nil)
-			}
-		})
-		pool.Close()
-		rep.Timings = append(rep.Timings, KernelTiming{
-			Threads:      t,
-			EvaluateNsOp: float64(evalRes.NsPerOp()),
-			NewviewNsOp:  float64(nvRes.NsPerOp()),
-		})
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := tipCaseBench(rep, threadCounts, seed); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := backendBench(rep, threadCounts, seed); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := stealBench(rep, threadCounts, scale, seed); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := bootstrapBench(rep, threadCounts, scale, seed); err != nil {
-		return nil, err
-	}
-	// The feedback-loop comparison rides along in the same artifact: cyclic
-	// vs weighted vs adaptive end-state imbalance on the mispriced mixed
-	// workload, at the caller's scale (the experiment itself is defined at 8
-	// virtual workers, like the paper's 8-thread figures).
-	comp, _, err := adaptiveComparisonRun(ctx, FigureConfig{Scale: scale, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	rep.ScheduleComparison = comp
-	// And the stealing counterpart: static weighted vs weighted+steal
-	// end-state time imbalance on the same mispriced workload.
-	stealComp, _, err := stealComparisonRun(ctx, FigureConfig{Scale: scale, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	rep.StealComparison = stealComp
 	return rep, nil
+}
+
+// workload is one benchmark dataset: compressed, with its per-partition
+// model templates and the seed of the tree every session over it scores.
+type workload struct {
+	name     string
+	names    []string
+	data     *alignment.CompressedData
+	models   []*model.Model
+	treeSeed int64
+}
+
+func newWorkload(taxa, sites, partLen int, scale float64, seed, treeSeed int64) (*workload, error) {
+	ds, err := seqsim.GridDataset(taxa, sites, partLen, scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
+	if err != nil {
+		return nil, err
+	}
+	models := make([]*model.Model, len(d.Parts))
+	for i, p := range d.Parts {
+		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
+			return nil, err
+		}
+	}
+	return &workload{name: ds.Name, names: ds.Alignment.Names, data: d, models: models, treeSeed: treeSeed}, nil
+}
+
+// rig is a workload set up on t goroutine workers the way the facade sets a
+// Dataset up: one pool, one immutable core.Shared, and the tree its sessions
+// score.
+type rig struct {
+	w    *workload
+	pool *parallel.Pool
+	sh   *core.Shared
+	tr   *tree.Tree
+}
+
+// onPool builds a rig of t workers on the given kernel backend, runs body on
+// it, and stops the workers.
+func (w *workload) onPool(t int, backend core.Backend, body func(*rig) error) error {
+	pool, err := parallel.NewPool(t)
+	if err != nil {
+		return err
+	}
+	defer pool.Close()
+	sh, err := core.NewSharedWith(w.data, 4, t, backend)
+	if err != nil {
+		return err
+	}
+	tr, err := tree.Random(w.names, len(w.data.Parts), tree.RandomOptions{Seed: w.treeSeed})
+	if err != nil {
+		return err
+	}
+	return body(&rig{w: w, pool: pool, sh: sh, tr: tr})
+}
+
+// session opens one more session on the rig: own model copies, own view of
+// the pool.
+func (r *rig) session(opts core.Options) (*core.Engine, error) {
+	ms := make([]*model.Model, len(r.w.models))
+	for i, m := range r.w.models {
+		ms[i] = m.Clone()
+	}
+	return core.NewSession(r.sh, r.tr, ms, r.pool.Session(), opts)
+}
+
+// newviewNsOp times one full newview traversal (every inner CLV recomputed)
+// of a warmed session.
+func newviewNsOp(eng *core.Engine) float64 {
+	root := eng.Tree.Tips[0].Back
+	return float64(testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng.InvalidateCLVs()
+			eng.Traverse(root, false, nil)
+		}
+	}).NsPerOp())
+}
+
+// timingsBench fills rep.Timings: evaluate and newview ns/op of the grid
+// workload at each thread count, observed by o when set.
+func timingsBench(rep *MicrobenchReport, grid *workload, threadCounts []int, o *MicrobenchObs) error {
+	for _, t := range threadCounts {
+		err := grid.onPool(t, core.BackendAuto, func(r *rig) error {
+			eng, err := r.session(core.Options{Specialize: true})
+			if err != nil {
+				return err
+			}
+			if c := o.collector(rep.Backend, t); c != nil {
+				r.pool.SetObserver(c)
+			}
+			root := eng.Tree.Tips[0].Back
+			eng.Traverse(root, false, nil) // warm the CLVs once
+			evalRes := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					eng.Evaluate(root, nil)
+				}
+			})
+			rep.Timings = append(rep.Timings, KernelTiming{
+				Threads:      t,
+				EvaluateNsOp: float64(evalRes.NsPerOp()),
+				NewviewNsOp:  newviewNsOp(eng),
+			})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stealBench fingerprints the stealing runtime on the honestly priced
 // small-grid dataset: a few full traversal+evaluate passes per thread count
 // under weighted+steal, recording the per-worker steal distribution and the
-// migrated pattern fraction that the CompareReports pathology gate inspects.
-func stealBench(rep *MicrobenchReport, threadCounts []int, scale float64, seed int64) error {
-	ds, err := seqsim.GridDataset(20, 20000, 1000, scale, seed)
-	if err != nil {
-		return err
-	}
-	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
-	if err != nil {
-		return err
-	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			return err
-		}
-	}
+// migrated pattern fraction that the CheckReport pathology gate inspects.
+func stealBench(rep *MicrobenchReport, grid *workload, threadCounts []int) error {
 	const passes = 4
 	for _, t := range threadCounts {
-		pool, err := parallel.NewPool(t)
-		if err != nil {
-			return err
-		}
-		sh, err := core.NewShared(d, 4, t)
-		if err != nil {
-			pool.Close()
-			return err
-		}
-		tr, err := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: seed + 1})
-		if err != nil {
-			pool.Close()
-			return err
-		}
-		ms := make([]*model.Model, len(models))
-		for i, m := range models {
-			ms[i] = m.Clone()
-		}
-		eng, err := core.NewSession(sh, tr, ms, pool.Session(), core.Options{
-			Specialize: true, Schedule: schedule.Weighted, Steal: true,
+		err := grid.onPool(t, core.BackendAuto, func(r *rig) error {
+			eng, err := r.session(core.Options{Specialize: true, Schedule: schedule.Weighted, Steal: true})
+			if err != nil {
+				return err
+			}
+			root := eng.Tree.Tips[0].Back
+			eng.Traverse(root, false, nil) // warm the CLVs and caches
+			eng.Exec.Stats().Reset()
+			for i := 0; i < passes; i++ {
+				eng.InvalidateCLVs()
+				eng.Traverse(root, false, nil)
+				eng.Evaluate(root, nil)
+			}
+			st := eng.Exec.Stats()
+			processed := probeProcessedPatterns(passes, grid.data.NumTaxa(), grid.data.TotalPatterns)
+			sm := StealMicrobench{
+				Threads:           t,
+				Cores:             runtime.NumCPU(),
+				TimeImbalance:     st.TimeImbalance(),
+				StealCount:        st.StealCount,
+				StolenPatterns:    st.StolenPatterns,
+				ProcessedPatterns: processed,
+				WorkerSteals:      append([]float64(nil), st.WorkerSteals...),
+			}
+			if processed > 0 {
+				sm.MigratedFraction = sm.StolenPatterns / processed
+			}
+			rep.Steal = append(rep.Steal, sm)
+			return nil
 		})
 		if err != nil {
-			pool.Close()
 			return err
 		}
-		root := eng.Tree.Tips[0].Back
-		eng.Traverse(root, false, nil) // warm the CLVs and caches
-		eng.Exec.Stats().Reset()
-		for i := 0; i < passes; i++ {
-			eng.InvalidateCLVs()
-			eng.Traverse(root, false, nil)
-			eng.Evaluate(root, nil)
-		}
-		st := eng.Exec.Stats()
-		processed := probeProcessedPatterns(passes, d.NumTaxa(), d.TotalPatterns)
-		sm := StealMicrobench{
-			Threads:           t,
-			Cores:             runtime.NumCPU(),
-			TimeImbalance:     st.TimeImbalance(),
-			StealCount:        st.StealCount,
-			StolenPatterns:    st.StolenPatterns,
-			ProcessedPatterns: processed,
-			WorkerSteals:      append([]float64(nil), st.WorkerSteals...),
-		}
-		if processed > 0 {
-			sm.MigratedFraction = sm.StolenPatterns / processed
-		}
-		rep.Steal = append(rep.Steal, sm)
-		pool.Close()
 	}
 	return nil
 }
@@ -351,72 +399,41 @@ func stealBench(rep *MicrobenchReport, threadCounts []int, scale float64, seed i
 // targets) carry roughly half the child slots of the traversal.
 func backendBench(rep *MicrobenchReport, threadCounts []int, seed int64) error {
 	const bTaxa, bSites = 48, 8192
-	ds, err := seqsim.GridDataset(bTaxa, bSites, bSites, 1.0, seed+29)
+	w, err := newWorkload(bTaxa, bSites, bSites, 1.0, seed+29, seed+1)
 	if err != nil {
 		return err
 	}
-	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
-	if err != nil {
-		return err
-	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			return err
-		}
-	}
-	rep.BackendDataset = fmt.Sprintf("%s (%d patterns)", ds.Name, d.TotalPatterns)
+	rep.BackendDataset = fmt.Sprintf("%s (%d patterns)", w.name, w.data.TotalPatterns)
 	for _, t := range threadCounts {
-		pool, err := parallel.NewPool(t)
-		if err != nil {
-			return err
-		}
 		timing := BackendTiming{Threads: t}
 		for _, backend := range []core.Backend{core.BackendGeneric, core.BackendFused} {
-			sh, err := core.NewSharedWith(d, 4, t, backend)
-			if err != nil {
-				pool.Close()
-				return err
-			}
-			tr, err := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: seed + 1})
-			if err != nil {
-				pool.Close()
-				return err
-			}
-			ms := make([]*model.Model, len(models))
-			for i, m := range models {
-				ms[i] = m.Clone()
-			}
-			eng, err := core.NewSession(sh, tr, ms, pool.Session(), core.Options{Specialize: true})
-			if err != nil {
-				pool.Close()
-				return err
-			}
-			root := eng.Tree.Tips[0].Back
-			eng.Traverse(root, false, nil)
-			// Best of three: the speedup ratio feeds an absolute CI floor
-			// (see backendSpeedupFloor), so take the minimum ns/op of three
-			// benchmark runs per backend — the standard robust estimator
-			// against one-sided scheduler/frequency noise.
-			best := 0.0
-			for attempt := 0; attempt < 3; attempt++ {
-				res := testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						eng.InvalidateCLVs()
-						eng.Traverse(root, false, nil)
-					}
-				})
-				if ns := float64(res.NsPerOp()); best == 0 || ns < best {
-					best = ns
+			err := w.onPool(t, backend, func(r *rig) error {
+				eng, err := r.session(core.Options{Specialize: true})
+				if err != nil {
+					return err
 				}
-			}
-			if backend == core.BackendFused {
-				timing.FusedNsOp = best
-			} else {
-				timing.GenericNsOp = best
+				eng.Traverse(eng.Tree.Tips[0].Back, false, nil)
+				// Best of three: the speedup ratio feeds a CI floor (see
+				// backendSpeedupFloor), so take the minimum ns/op of three
+				// benchmark runs per backend — the standard robust estimator
+				// against one-sided scheduler/frequency noise.
+				best := 0.0
+				for attempt := 0; attempt < 3; attempt++ {
+					if ns := newviewNsOp(eng); best == 0 || ns < best {
+						best = ns
+					}
+				}
+				if backend == core.BackendFused {
+					timing.FusedNsOp = best
+				} else {
+					timing.GenericNsOp = best
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 		}
-		pool.Close()
 		if timing.FusedNsOp > 0 {
 			timing.Speedup = timing.GenericNsOp / timing.FusedNsOp
 		}
@@ -432,58 +449,31 @@ func backendBench(rep *MicrobenchReport, threadCounts []int, seed int64) error {
 // point is to measure the table path, not the generic fallback.
 func tipCaseBench(rep *MicrobenchReport, threadCounts []int, seed int64) error {
 	const tipTaxa, tipSites = 6, 2048
-	ds, err := seqsim.GridDataset(tipTaxa, tipSites, tipSites, 1.0, seed+17)
+	w, err := newWorkload(tipTaxa, tipSites, tipSites, 1.0, seed+17, seed+1)
 	if err != nil {
 		return err
 	}
-	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
-	if err != nil {
-		return err
-	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			return err
-		}
-	}
-	rep.TipDataset = fmt.Sprintf("%s (tip-heavy, %d patterns)", ds.Name, d.TotalPatterns)
+	rep.TipDataset = fmt.Sprintf("%s (tip-heavy, %d patterns)", w.name, w.data.TotalPatterns)
 	for _, t := range threadCounts {
-		pool, err := parallel.NewPool(t)
-		if err != nil {
-			return err
-		}
-		sh, err := core.NewShared(d, 4, t)
-		if err != nil {
-			pool.Close()
-			return err
-		}
 		timing := TipCaseTiming{Threads: t}
 		for _, specialize := range []bool{true, false} {
-			tr, err := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: seed + 1})
-			if err != nil {
-				pool.Close()
-				return err
-			}
-			eng, err := core.NewSession(sh, tr, models, pool.Session(), core.Options{Specialize: specialize})
-			if err != nil {
-				pool.Close()
-				return err
-			}
-			root := eng.Tree.Tips[0].Back
-			eng.Traverse(root, false, nil)
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					eng.InvalidateCLVs()
-					eng.Traverse(root, false, nil)
+			err := w.onPool(t, core.BackendAuto, func(r *rig) error {
+				eng, err := r.session(core.Options{Specialize: specialize})
+				if err != nil {
+					return err
 				}
+				eng.Traverse(eng.Tree.Tips[0].Back, false, nil)
+				if specialize {
+					timing.SpecializedNsOp = newviewNsOp(eng)
+				} else {
+					timing.GenericNsOp = newviewNsOp(eng)
+				}
+				return nil
 			})
-			if specialize {
-				timing.SpecializedNsOp = float64(res.NsPerOp())
-			} else {
-				timing.GenericNsOp = float64(res.NsPerOp())
+			if err != nil {
+				return err
 			}
 		}
-		pool.Close()
 		if timing.SpecializedNsOp > 0 {
 			timing.Speedup = timing.GenericNsOp / timing.SpecializedNsOp
 		}

@@ -33,7 +33,7 @@ func TestStealingBoundsIntraRegionTailLatency(t *testing.T) {
 	// in parallel: per-worker *work* time (barrier waits excluded) on an
 	// oversubscribed host reflects which goroutines the OS happened to run,
 	// not load balance — the same reason the migrated-fraction gate in
-	// CompareReports exempts Threads > Cores. The remaining clauses
+	// CheckReport exempts Threads > Cores. The remaining clauses
 	// (determinism, steal activity, metric sanity) hold everywhere.
 	gateImbalance := comp.Threads <= comp.Cores
 	// Wall-clock per-worker times on a shared CI box are noisy; a spurious

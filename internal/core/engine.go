@@ -169,7 +169,7 @@ type Options struct {
 // allocates only the per-session mutable buffers (CLVs, scaling vectors,
 // sumtable, per-worker scratch, the chunk runtime). Any number of sessions
 // may run concurrently over one Shared as long as each has its own executor
-// (or a PoolSession view of a shared pool).
+// (a parallel.Pool.Session view of shared workers counts).
 func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
 	if sh == nil || tr == nil || exec == nil {
 		return nil, errors.New("core: nil shared state, tree, or executor")

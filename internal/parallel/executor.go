@@ -11,15 +11,21 @@
 // the resulting per-worker op counts through WorkerCtx, so the statistics
 // and the virtual platform model price whatever work each worker performed.
 //
-// Three executors share one interface:
+// There is one executor, Pool, and one region body, Pool.Run. What varies is
+// how the T workers are realised:
 //
-//   - Sequential: a single worker, no synchronization (baseline runs).
-//   - Pool: persistent worker goroutines with channel fan-out and a barrier
-//     (real wall-clock parallelism).
-//   - Sim: T *virtual* workers executed serially while a virtual clock
-//     advances by max-per-worker cost plus a platform-dependent barrier cost;
-//     this reproduces the paper's 8- and 16-core platforms on any host (see
-//     DESIGN.md, substitution #1).
+//   - goroutines (NewPool): persistent worker goroutines with channel fan-out
+//     and a barrier — real wall-clock parallelism;
+//   - virtual (NewSim, and NewSequential for T = 1): the T workers take turns
+//     on the calling goroutine. Results are bit-identical to the goroutine
+//     realisation at equal T, and the recorded trace (critical-path ops,
+//     region count) is what Platform prices, which reproduces the paper's 8-
+//     and 16-core machines on any host (see DESIGN.md, substitution #1).
+//
+// Sessions are views: Pool.Session returns an executor with private Stats and
+// private per-worker scratch over the same workers and the same observer, so
+// N concurrent analyses cost one set of goroutines. A view whose goroutines
+// were closed under it carries on with virtual workers.
 package parallel
 
 import "time"
@@ -63,7 +69,7 @@ func (r Region) String() string {
 // simulator turns them into virtual time, the pool merely accumulates them
 // for reporting. Seconds is written by the executor harness itself — the
 // measured wall-clock time this worker spent inside the current region's
-// closure (monotonic; see Pool.run) — and is collected master-side after the
+// closure (monotonic; see Pool.Run) — and is collected master-side after the
 // barrier alongside Ops. Steals/StolenPatterns are incremented by the
 // work-stealing runtime (internal/steal): Steals when this worker takes
 // chunks from a victim's deque, StolenPatterns when it *executes* a pattern
@@ -80,9 +86,9 @@ func (r Region) String() string {
 // converge on the region's wall time, hiding exactly the skew the metric
 // exists to expose.
 //
-// Concurrent tells region closures whether the executor runs its workers on
-// real concurrent goroutines (the pool) or serially on one goroutine (Sim,
-// Sequential, and a pool session degraded by a closed pool). The chunk
+// Concurrent tells region closures whether this region's workers are live
+// goroutines or virtual workers taking turns on one goroutine (NewSim,
+// NewSequential, and a view whose goroutines were closed under it). The chunk
 // runtime keys on it: serial virtual workers always take its owner-only walk,
 // because they must neither steal (worker 0 would swallow everything before
 // worker 1 ever "starts") nor wait at intra-region step barriers (which would
@@ -153,17 +159,8 @@ type RegionObserver interface {
 	ObserveRegion(kind Region, start time.Time, wall float64, ctxs []WorkerCtx)
 }
 
-// ObservableExecutor is implemented by executors that can report region
-// completions to a RegionObserver. All executors in this package implement
-// it; the interface exists so callers can attach observers without knowing
-// the concrete type.
-type ObservableExecutor interface {
-	// SetObserver installs the observer (nil detaches). Not safe to call
-	// concurrently with Run.
-	SetObserver(RegionObserver)
-}
-
-// Executor runs parallel regions over a fixed set of workers.
+// Executor runs parallel regions over a fixed set of workers. Pool is the
+// only implementation; the interface is the seam tests wrap it through.
 type Executor interface {
 	// Threads returns the worker count T.
 	Threads() int
@@ -175,48 +172,3 @@ type Executor interface {
 	// Close releases worker resources; the executor must not be used after.
 	Close()
 }
-
-// Sequential is the single-worker executor.
-type Sequential struct {
-	ctxs   [1]WorkerCtx
-	stats  Stats
-	ops    [1]float64
-	times  [1]float64
-	steals [1]float64
-	stolen [1]float64
-	obs    RegionObserver
-}
-
-// NewSequential returns a sequential executor.
-func NewSequential() *Sequential { return &Sequential{} }
-
-// Threads returns 1.
-func (s *Sequential) Threads() int { return 1 }
-
-// SetObserver installs a region observer (nil detaches). Not safe to call
-// concurrently with Run.
-func (s *Sequential) SetObserver(o RegionObserver) { s.obs = o }
-
-// Run executes fn for the single worker, timing it like the pool does.
-func (s *Sequential) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
-	ctx := &s.ctxs[0]
-	ctx.beginRegion(false)
-	start := time.Now()
-	fn(0, ctx)
-	wall := time.Since(start).Seconds()
-	ctx.Seconds = wall
-	s.ops[0] = ctx.Ops
-	s.times[0] = ctx.workSeconds()
-	s.steals[0] = ctx.Steals
-	s.stolen[0] = ctx.StolenPatterns
-	s.stats.record(kind, s.ops[:], s.times[:], s.steals[:], s.stolen[:])
-	if s.obs != nil {
-		s.obs.ObserveRegion(kind, start, wall, s.ctxs[:])
-	}
-}
-
-// Stats returns the accumulated statistics.
-func (s *Sequential) Stats() *Stats { return &s.stats }
-
-// Close is a no-op.
-func (s *Sequential) Close() {}

@@ -24,8 +24,8 @@ var spanCases = []string{"tip-tip", "tip-inner", "inner-inner"}
 // itself performs only atomic adds — no allocation, no lock, nothing that
 // perturbs the region cadence it is measuring.
 //
-// One collector serves one executor (its worker count fixes the handle
-// tables); several collectors may share one Registry — registration is
+// One collector serves one Pool and all its views (the worker count fixes
+// the handle tables); several collectors may share one Registry — registration is
 // idempotent, so same-labeled series aggregate across datasets/sessions.
 type MetricsCollector struct {
 	tracer  *obs.Tracer
@@ -104,6 +104,14 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 	}
 	c.regions[kind].Inc()
 	c.regionSecs[kind].Observe(wall)
+	// Virtual workers took turns, so wall is the sum of their turns; a
+	// worker was only ever waiting during its own.
+	turns := 0.0
+	if len(ctxs) > 0 && !ctxs[0].Concurrent {
+		for i := range ctxs {
+			turns += ctxs[i].Seconds
+		}
+	}
 	for i := range ctxs {
 		ctx := &ctxs[i]
 		work := ctx.workSeconds()
@@ -113,7 +121,11 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 			continue
 		}
 		c.busySecs[w].Add(work)
-		if idle := wall - work; idle > 0 {
+		present := wall
+		if !ctx.Concurrent {
+			present -= turns - ctx.Seconds
+		}
+		if idle := present - work; idle > 0 {
 			c.idleSecs[w].Add(idle)
 		}
 		c.workerOps[w].Add(ctx.Ops)

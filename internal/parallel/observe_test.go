@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 		var s Stats
 		// A region whose workers all measured exactly zero seconds (possible
 		// on a coarse clock) must not yield NaN from 0/0.
-		s.record(RegionNewview, []float64{10, 20}, []float64{0, 0}, nil, nil)
+		s.record(RegionNewview, regionOf([]float64{10, 20}, []float64{0, 0}))
 		if got := s.TimeImbalance(); got != 1 {
 			t.Errorf("TimeImbalance() with all-zero times = %v, want 1", got)
 		}
@@ -55,9 +56,11 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 	})
 }
 
-// TestMetricsCollectorFoldsRegions runs regions on every executor kind with a
+// TestMetricsCollectorFoldsRegions runs regions on every realisation with a
 // collector attached and checks the registry totals match the WorkerCtx
-// scratch the closures wrote.
+// scratch the closures wrote, and that idle time is charged against the time
+// a worker was actually present: the whole region for goroutines, its own
+// turn for virtual workers.
 func TestMetricsCollectorFoldsRegions(t *testing.T) {
 	pool, err := NewPool(2)
 	if err != nil {
@@ -68,7 +71,8 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, exec := range map[string]Executor{
+	burn := make([]float64, 2*16) // padded per-worker sinks
+	for name, exec := range map[string]*Pool{
 		"sequential": NewSequential(),
 		"pool":       pool,
 		"sim":        sim,
@@ -76,40 +80,60 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			tr := obs.NewTracer(64)
-			oe, ok := exec.(ObservableExecutor)
-			if !ok {
-				t.Fatalf("%T does not implement ObservableExecutor", exec)
-			}
-			oe.SetObserver(NewMetricsCollector(reg, name, "fused4", exec.Threads(), tr))
+			exec.SetObserver(NewMetricsCollector(reg, name, "fused4", exec.Threads(), tr))
 			exec.Run(RegionNewview, func(w int, ctx *WorkerCtx) {
+				burn[w*16] += spinOps(200000) // equal work on every worker
 				ctx.Ops += 100
 				ctx.Patterns += 32
 				ctx.SpanTipTip += 2
 				ctx.Scalings++
 			})
 			exec.Run(RegionEvaluate, func(w int, ctx *WorkerCtx) { ctx.Ops += 10 })
-			oe.SetObserver(nil)
+			exec.SetObserver(nil)
+			exec.Run(RegionOther, func(w int, ctx *WorkerCtx) {}) // detached: not counted
 
 			want := map[string]float64{
 				"plk_regions_total|kind=newview|exec=" + name:  1,
 				"plk_regions_total|kind=evaluate|exec=" + name: 1,
+				"plk_regions_total|kind=other|exec=" + name:    0,
 				"plk_kernel_patterns_total|backend=fused4":     32 * float64(exec.Threads()),
 				"plk_kernel_spans_total|case=tip-tip|backend=fused4": 2 *
 					float64(exec.Threads()),
 				"plk_scaling_events_total|backend=fused4": float64(exec.Threads()),
 			}
 			got := map[string]float64{}
+			busy, idle, wall := 0.0, 0.0, 0.0
 			for _, s := range reg.Snapshot() {
 				key := s.Name
 				for _, l := range s.Labels {
 					key += "|" + l.Key + "=" + l.Value
 				}
 				got[key] = s.Value
+				switch s.Name {
+				case "plk_worker_busy_seconds_total":
+					busy += s.Value
+				case "plk_worker_idle_seconds_total":
+					idle += s.Value
+				case "plk_region_seconds_sum":
+					wall += s.Value
+				}
 			}
 			for key, w := range want {
 				if got[key] != w {
 					t.Errorf("%s = %v, want %v", key, got[key], w)
 				}
+			}
+			if busy <= 0 {
+				t.Fatalf("busy seconds = %v, want > 0", busy)
+			}
+			if name == "pool" {
+				// Every goroutine is present for the whole region.
+				if present := float64(exec.Threads()) * wall; math.Abs(busy+idle-present) > 1e-9 {
+					t.Errorf("busy %v + idle %v = %v, want threads x wall = %v", busy, idle, busy+idle, present)
+				}
+			} else if idle > 0.05*busy {
+				// A virtual worker is not idle while a sibling takes its turn.
+				t.Errorf("idle %v against busy %v on balanced virtual workers, want idle << busy", idle, busy)
 			}
 			// Trace: one span per worker per region.
 			if tr.Len() != 2*exec.Threads() {

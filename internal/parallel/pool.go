@@ -3,228 +3,176 @@ package parallel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Pool is the real goroutine-based executor: T persistent workers receive
-// region closures over per-worker channels and signal completion through a
-// WaitGroup (the barrier). This mirrors RAxML's Pthreads master/worker
-// design, where the master generates traversal descriptors and the workers
-// execute them over their scheduled share of the alignment patterns.
-//
-// A Pool can be shared by several concurrent sessions (see Session): regions
-// from different sessions are serialized by an internal mutex, so each
-// region still runs with the full worker complement and no two sessions'
-// closures ever interleave inside a region. Per-session instrumentation is
-// kept by the session views; the pool itself accumulates the aggregate.
+// Pool is the executor: T workers that run one region closure each and meet
+// at a barrier. A Pool value is one view of its workers: the constructors
+// return the first, Session returns further ones. A view owns its statistics
+// and its per-worker scratch, so views of virtual workers share nothing they
+// write and run fully in parallel with each other; views of goroutine
+// workers additionally take turns on the crew's region mutex, so each region
+// still runs with the full worker complement and no two views' closures ever
+// interleave inside a region.
 type Pool struct {
-	threads int
-	cmds    []chan func()
-	wg      sync.WaitGroup
-	ctxs    []WorkerCtx
-	ops     []float64 // master-side per-region op scratch
-	times   []float64 // master-side per-region wall-time scratch (seconds)
-	steals  []float64 // master-side per-region steal-count scratch
-	stolen  []float64 // master-side per-region stolen-pattern scratch
-
-	runMu  sync.Mutex     // serializes regions across sessions
-	stats  Stats          // aggregate across all sessions (guarded by runMu)
-	obs    RegionObserver // region-completion observer (guarded by runMu)
-	closed bool           // guarded by runMu
+	ctxs   []WorkerCtx // this view's per-worker scratch; len(ctxs) is T
+	stats  Stats       // this view's statistics
+	closed atomic.Bool // Close was called on this view; Run panics
+	owner  bool        // the constructor's view: its Close stops the goroutines
+	*crew
 }
 
-// NewPool starts a pool with the given worker count.
-func NewPool(threads int) (*Pool, error) {
+// crew is what every view of one executor shares: the observer, and, when
+// the workers are goroutines, the goroutines.
+type crew struct {
+	// obs is read by every view's Run, with or without the region mutex.
+	obs atomic.Pointer[RegionObserver]
+
+	// The goroutine realisation. cmds is nil when the workers are virtual,
+	// and then nothing below is touched.
+	cmds    []chan func() // one command channel per worker goroutine
+	wg      sync.WaitGroup
+	mu      sync.Mutex // serializes regions across views; guards stopped
+	stopped bool       // the goroutines have exited; regions run virtual
+}
+
+// NewPool starts T persistent worker goroutines.
+func NewPool(threads int) (*Pool, error) { return newPool(threads, true) }
+
+// NewSim returns T virtual workers that take turns on the goroutine calling
+// Run. One run on them can be priced on every platform profile afterwards;
+// see Platform.EvalSeconds.
+func NewSim(threads int) (*Pool, error) { return newPool(threads, false) }
+
+// NewSequential returns the single worker that is the caller itself.
+func NewSequential() *Pool {
+	p, _ := newPool(1, false) // one thread is always valid
+	return p
+}
+
+func newPool(threads int, goroutines bool) (*Pool, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("parallel: thread count %d must be positive", threads)
 	}
-	p := &Pool{
-		threads: threads,
-		cmds:    make([]chan func(), threads),
-		ctxs:    make([]WorkerCtx, threads),
-		ops:     make([]float64, threads),
-		times:   make([]float64, threads),
-		steals:  make([]float64, threads),
-		stolen:  make([]float64, threads),
+	c := &crew{}
+	if goroutines {
+		c.cmds = make([]chan func(), threads)
+		for w := range c.cmds {
+			c.cmds[w] = make(chan func(), 1)
+			go func(ch chan func()) {
+				for fn := range ch {
+					fn()
+				}
+			}(c.cmds[w])
+		}
 	}
-	for w := 0; w < threads; w++ {
-		p.ctxs[w].Worker = w
-		p.cmds[w] = make(chan func(), 1)
-		go func(ch chan func()) {
-			for fn := range ch {
-				fn()
-			}
-		}(p.cmds[w])
-	}
+	p := c.view(threads)
+	p.owner = true
 	return p, nil
 }
 
+func (c *crew) view(threads int) *Pool {
+	p := &Pool{ctxs: make([]WorkerCtx, threads), crew: c}
+	for w := range p.ctxs {
+		p.ctxs[w].Worker = w
+	}
+	return p
+}
+
+// Session returns a new view of the same workers with private statistics.
+// Closing it leaves the workers and every other view untouched.
+func (p *Pool) Session() *Pool { return p.view(len(p.ctxs)) }
+
 // Threads returns the worker count.
-func (p *Pool) Threads() int { return p.threads }
+func (p *Pool) Threads() int { return len(p.ctxs) }
 
-// SetObserver installs a region observer (nil detaches). The observer is
-// invoked master-side after each region's barrier, under the same mutex that
-// serializes regions, so implementations must be fast and non-blocking.
+// SetObserver installs the region observer of every view of these workers,
+// including views opened earlier (nil detaches). It is invoked master-side
+// after each region's barrier — for goroutine workers under the mutex that
+// serializes regions — so implementations must be fast and non-blocking.
 func (p *Pool) SetObserver(o RegionObserver) {
-	p.runMu.Lock()
-	p.obs = o
-	p.runMu.Unlock()
-}
-
-// Run fans fn out to every worker and blocks until all complete, recording
-// into the pool's aggregate statistics. Running on a closed pool is a
-// programming error and panics (session views degrade instead; see
-// PoolSession.Run).
-func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	if p.closed {
-		panic("parallel: Run on closed Pool")
-	}
-	p.run(kind, fn, nil)
-}
-
-// run executes one region over the worker goroutines, recording into the
-// aggregate stats and, when non-nil, a session's private stats. Each worker
-// times its own closure on the monotonic clock and parks the duration in its
-// padded WorkerCtx (no cross-worker cache-line traffic); the master collects
-// the durations into the time scratch after the barrier, next to the op
-// scratch. The caller must hold runMu and have checked closed.
-func (p *Pool) run(kind Region, fn func(w int, ctx *WorkerCtx), extra *Stats) {
-	regionStart := time.Now()
-	p.wg.Add(p.threads)
-	for w := 0; w < p.threads; w++ {
-		w := w
-		ctx := &p.ctxs[w]
-		ctx.beginRegion(true)
-		p.cmds[w] <- func() {
-			start := time.Now()
-			fn(w, ctx)
-			ctx.Seconds = time.Since(start).Seconds()
-			p.wg.Done()
-		}
-	}
-	p.wg.Wait()
-	// A worker whose assignment was empty for this region left Ops at the
-	// zero it was reset to above; it enters the statistics as exactly zero
-	// rather than being skipped, so idle workers show up in the imbalance.
-	// Seconds are taken net of in-region synchronization waits (Idle), so
-	// multi-step stealing regions report work time, not synchronized wall
-	// time.
-	for w := 0; w < p.threads; w++ {
-		p.ops[w] = p.ctxs[w].Ops
-		p.times[w] = p.ctxs[w].workSeconds()
-		p.steals[w] = p.ctxs[w].Steals
-		p.stolen[w] = p.ctxs[w].StolenPatterns
-	}
-	p.record(kind, extra)
-	if p.obs != nil {
-		p.obs.ObserveRegion(kind, regionStart, time.Since(regionStart).Seconds(), p.ctxs)
-	}
-}
-
-// runDegraded executes one region with all T virtual workers serially on
-// the calling goroutine (identical numerics to run, like Sim). Each virtual
-// worker's serial execution is timed individually. The caller must hold
-// runMu.
-func (p *Pool) runDegraded(kind Region, fn func(w int, ctx *WorkerCtx), extra *Stats) {
-	regionStart := time.Now()
-	for w := 0; w < p.threads; w++ {
-		ctx := &p.ctxs[w]
-		ctx.beginRegion(false)
-		start := time.Now()
-		fn(w, ctx)
-		ctx.Seconds = time.Since(start).Seconds()
-		p.ops[w] = ctx.Ops
-		p.times[w] = ctx.workSeconds()
-		p.steals[w] = ctx.Steals
-		p.stolen[w] = ctx.StolenPatterns
-	}
-	p.record(kind, extra)
-	if p.obs != nil {
-		p.obs.ObserveRegion(kind, regionStart, time.Since(regionStart).Seconds(), p.ctxs)
-	}
-}
-
-// record folds the per-worker op and time scratch into the aggregate (and
-// optional session) statistics. The caller must hold runMu.
-func (p *Pool) record(kind Region, extra *Stats) {
-	p.stats.record(kind, p.ops, p.times, p.steals, p.stolen)
-	if extra != nil {
-		extra.record(kind, p.ops, p.times, p.steals, p.stolen)
-	}
-}
-
-// Stats returns the aggregate instrumentation across every session that ran
-// on this pool. Only read it while no session is inside Run.
-func (p *Pool) Stats() *Stats { return &p.stats }
-
-// Close terminates the worker goroutines. It is idempotent and safe to call
-// from multiple goroutines; it waits for any in-flight region to finish.
-// Direct Run calls afterwards panic; session views degrade to serial
-// execution (see PoolSession.Run).
-func (p *Pool) Close() {
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	if p.closed {
+	if o == nil {
+		p.obs.Store(nil)
 		return
 	}
-	p.closed = true
+	p.obs.Store(&o)
+}
+
+// Stats returns this view's instrumentation.
+func (p *Pool) Stats() *Stats { return &p.stats }
+
+// Run executes fn once per worker and returns after all of them finish.
+//
+// Goroutine workers each time their own closure on the monotonic clock and
+// park the duration in their padded WorkerCtx (no cross-worker cache-line
+// traffic). Virtual workers take turns on the caller, each turn timed from
+// the previous turn's end, so the turns add up to the region's wall time and
+// a single worker costs two clock reads. That serial timing is an honest,
+// contention-free sample of each share's cost on this host — the feedback
+// the measured schedule strategy consumes. A view whose goroutines were
+// stopped under it (a Dataset torn down while an analysis is mid-flight)
+// runs its workers virtually, with identical numerics, so the analysis
+// completes instead of crashing; Run on a view that was itself closed is a
+// programming error and panics.
+//
+// A worker whose assignment is empty for this region leaves Ops at the zero
+// it was reset to; it enters the statistics as exactly zero rather than being
+// skipped, so idle workers show up in the imbalance.
+func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
+	if p.closed.Load() {
+		panic("parallel: Run on closed Pool")
+	}
+	live := p.cmds != nil
+	if live {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		live = !p.stopped
+	}
+	start := time.Now()
+	var wall time.Duration // since start, on the monotonic clock
+	if live {
+		p.wg.Add(len(p.ctxs))
+		for w := range p.ctxs {
+			w, ctx := w, &p.ctxs[w]
+			ctx.beginRegion(true)
+			p.cmds[w] <- func() {
+				t0 := time.Now()
+				fn(w, ctx)
+				ctx.Seconds = time.Since(t0).Seconds()
+				p.wg.Done()
+			}
+		}
+		p.wg.Wait()
+		wall = time.Since(start)
+	} else {
+		for w := range p.ctxs {
+			ctx := &p.ctxs[w]
+			ctx.beginRegion(false)
+			fn(w, ctx)
+			turnEnd := time.Since(start)
+			ctx.Seconds = (turnEnd - wall).Seconds()
+			wall = turnEnd
+		}
+	}
+	p.stats.record(kind, p.ctxs)
+	if o := p.obs.Load(); o != nil {
+		(*o).ObserveRegion(kind, start, wall.Seconds(), p.ctxs)
+	}
+}
+
+// Close retires this view; on the constructor's view of goroutine workers it
+// also waits for any in-flight region and stops the goroutines, after which
+// the remaining views run their regions on virtual workers (see Run). It is
+// idempotent and safe to call from several goroutines.
+func (p *Pool) Close() {
+	if p.closed.Swap(true) || !p.owner || p.cmds == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stopped = true
 	for _, ch := range p.cmds {
 		close(ch)
 	}
-}
-
-// PoolSession is a lightweight per-session view of a shared Pool. It
-// implements Executor: Run delegates to the pool (serialized against other
-// sessions) while the recorded statistics are private to the session, so N
-// concurrent analyses over one dataset each see their own region counts and
-// worker-imbalance numbers. Closing a session never closes the pool.
-type PoolSession struct {
-	pool  *Pool
-	stats Stats
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// Session returns a new per-session executor view of the pool.
-func (p *Pool) Session() *PoolSession { return &PoolSession{pool: p} }
-
-// Threads returns the underlying pool's worker count.
-func (s *PoolSession) Threads() int { return s.pool.threads }
-
-// Run executes one region on the shared pool, recording into this session's
-// statistics (and the pool aggregate). If the pool was closed under this
-// session (a Dataset torn down while an analysis is mid-flight), the region
-// runs degraded — all T virtual workers serially on the caller, with
-// identical numerics — so the in-flight analysis completes instead of
-// crashing; the session's next facade entry point reports the closed
-// dataset as an error.
-func (s *PoolSession) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		panic("parallel: Run on closed PoolSession")
-	}
-	p := s.pool
-	p.runMu.Lock()
-	defer p.runMu.Unlock()
-	if p.closed {
-		p.runDegraded(kind, fn, &s.stats)
-		return
-	}
-	p.run(kind, fn, &s.stats)
-}
-
-// Stats returns this session's private instrumentation.
-func (s *PoolSession) Stats() *Stats { return &s.stats }
-
-// Close retires the session view. It is idempotent and leaves the shared
-// pool (and every other session) untouched.
-func (s *PoolSession) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 }

@@ -50,72 +50,55 @@ type Stats struct {
 	WorkerStolen   []float64 // cumulative stolen patterns per worker id
 }
 
-// record folds one region's per-worker op and wall-time vectors into the
-// counters. times may be nil (no measurement available); steals and stolen
-// (per-worker steal operations and stolen pattern counts) may likewise be
-// nil; all non-nil vectors are parallel to ops.
-func (s *Stats) record(kind Region, ops, times, steals, stolen []float64) {
+// record folds one finished region's per-worker scratch into the counters.
+// Worker times are taken net of in-region synchronization waits (see
+// WorkerCtx.Idle).
+func (s *Stats) record(kind Region, ctxs []WorkerCtx) {
 	if kind < 0 || kind >= numRegionKinds {
 		kind = RegionOther
 	}
-	if len(s.WorkerOps) < len(ops) {
-		grown := make([]float64, len(ops))
-		copy(grown, s.WorkerOps)
-		s.WorkerOps = grown
+	if n := len(ctxs); len(s.WorkerOps) < n {
+		s.WorkerOps = grown(s.WorkerOps, n)
+		s.WorkerTime = grown(s.WorkerTime, n)
+		s.WorkerSteals = grown(s.WorkerSteals, n)
+		s.WorkerStolen = grown(s.WorkerStolen, n)
 	}
-	maxOps, sumOps := 0.0, 0.0
-	for w, o := range ops {
-		s.WorkerOps[w] += o
-		sumOps += o
-		if o > maxOps {
-			maxOps = o
+	// Ops and times are summed per region first and added to the totals
+	// once, which fixes the rounding of TotalOps and TotalTime.
+	maxOps, sumOps, maxT, sumT := 0.0, 0.0, 0.0, 0.0
+	for w := range ctxs {
+		c := &ctxs[w]
+		s.WorkerOps[w] += c.Ops
+		sumOps += c.Ops
+		if c.Ops > maxOps {
+			maxOps = c.Ops
 		}
+		t := c.workSeconds()
+		s.WorkerTime[w] += t
+		sumT += t
+		if t > maxT {
+			maxT = t
+		}
+		s.WorkerSteals[w] += c.Steals
+		s.StealCount += c.Steals
+		s.WorkerStolen[w] += c.StolenPatterns
+		s.StolenPatterns += c.StolenPatterns
 	}
 	s.Regions++
 	s.TotalOps += sumOps
 	s.CriticalOps += maxOps
 	s.KindRegions[kind]++
 	s.KindCritical[kind] += maxOps
-	if times != nil {
-		if len(s.WorkerTime) < len(times) {
-			grown := make([]float64, len(times))
-			copy(grown, s.WorkerTime)
-			s.WorkerTime = grown
-		}
-		maxT, sumT := 0.0, 0.0
-		for w, t := range times {
-			s.WorkerTime[w] += t
-			sumT += t
-			if t > maxT {
-				maxT = t
-			}
-		}
-		s.TotalTime += sumT
-		s.CriticalTime += maxT
-		s.KindTime[kind] += maxT
-	}
-	if steals != nil {
-		if len(s.WorkerSteals) < len(steals) {
-			grown := make([]float64, len(steals))
-			copy(grown, s.WorkerSteals)
-			s.WorkerSteals = grown
-		}
-		for w, n := range steals {
-			s.WorkerSteals[w] += n
-			s.StealCount += n
-		}
-	}
-	if stolen != nil {
-		if len(s.WorkerStolen) < len(stolen) {
-			grown := make([]float64, len(stolen))
-			copy(grown, s.WorkerStolen)
-			s.WorkerStolen = grown
-		}
-		for w, n := range stolen {
-			s.WorkerStolen[w] += n
-			s.StolenPatterns += n
-		}
-	}
+	s.TotalTime += sumT
+	s.CriticalTime += maxT
+	s.KindTime[kind] += maxT
+}
+
+// grown returns v extended with zeroes to length n.
+func grown(v []float64, n int) []float64 {
+	g := make([]float64, n)
+	copy(g, v)
+	return g
 }
 
 // Reset zeroes all counters.

@@ -25,9 +25,9 @@
 // serial executor) Next is an owner-only walk of the worker's own chunk list
 // through a worker-local cursor — no deque is armed, no CAS is issued, and
 // NextStep does not synchronize. "Static" execution is therefore not a second
-// driver but this one with the thieves sent home. Serial executors (Sim,
-// Sequential, a degraded pool session) always take that walk: their T virtual
-// workers run one after another on a single goroutine, so there is no barrier
+// driver but this one with the thieves sent home. Virtual workers (NewSim,
+// NewSequential, a view whose goroutines were closed) always take that walk:
+// they run one after another on a single goroutine, so there is no barrier
 // wait to absorb and "stealing" would just mean virtual worker 0 swallowing
 // work that worker w > 0 was never going to idle over. By the fixed-order
 // reduction the owner-only walk is bit-identical to a concurrent run that

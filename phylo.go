@@ -88,9 +88,6 @@ const (
 	// ScheduleCyclic is the paper's distribution: pattern indices modulo the
 	// worker count (the default).
 	ScheduleCyclic = schedule.Cyclic
-	// ScheduleBlock assigns each worker one contiguous slice of the global
-	// pattern space (the ablation the paper argues against).
-	ScheduleBlock = schedule.Block
 	// ScheduleWeighted LPT-bin-packs patterns onto workers by per-pattern op
 	// cost, balancing mixed DNA/protein datasets by cost rather than count.
 	ScheduleWeighted = schedule.Weighted
@@ -104,9 +101,17 @@ const (
 	ScheduleMeasured = schedule.Measured
 )
 
-// ParseScheduleStrategy resolves "cyclic", "block", "weighted", or
-// "measured"/"adaptive".
-func ParseScheduleStrategy(name string) (ScheduleStrategy, error) { return schedule.Parse(name) }
+// ParseScheduleStrategy resolves "cyclic", "weighted", or
+// "measured"/"adaptive". The contiguous-block ablation the paper argues
+// against is not an analysis option; it lives on in internal/schedule for
+// cmd/experiments and the benchmarks.
+func ParseScheduleStrategy(name string) (ScheduleStrategy, error) {
+	s, err := schedule.Parse(name)
+	if err == nil && s == schedule.Block {
+		return 0, fmt.Errorf("phylo: unknown schedule strategy %q (want cyclic, weighted, or measured/adaptive)", name)
+	}
+	return s, err
+}
 
 // KernelBackend selects the likelihood kernel implementation and its CLV
 // memory layout (see internal/core). All backends produce bit-identical

@@ -582,3 +582,22 @@ func TestNewDatasetRejectsTooFewTaxa(t *testing.T) {
 		t.Error("NewDataset accepted a 2-taxon alignment")
 	}
 }
+
+// TestParseScheduleStrategy pins the analysis-facing strategy names: the
+// three supported assignments parse, and the contiguous-block ablation — an
+// experiment, not an option — does not.
+func TestParseScheduleStrategy(t *testing.T) {
+	for name, want := range map[string]ScheduleStrategy{
+		"cyclic": ScheduleCyclic, "weighted": ScheduleWeighted,
+		"measured": ScheduleMeasured, "adaptive": ScheduleMeasured,
+	} {
+		if got, err := ParseScheduleStrategy(name); err != nil || got != want {
+			t.Errorf("ParseScheduleStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"block", "contiguous", "round-robin"} {
+		if _, err := ParseScheduleStrategy(name); err == nil {
+			t.Errorf("ParseScheduleStrategy(%q) must fail", name)
+		}
+	}
+}
