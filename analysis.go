@@ -58,9 +58,6 @@ type ProgressEvent struct {
 	// TimeImbalance is the measured analogue of WorkerImbalance: the max/avg
 	// ratio of cumulative per-worker wall-clock seconds inside regions.
 	TimeImbalance float64
-	// Rebalances counts the measured-schedule rebuilds performed so far
-	// (always 0 for static schedule strategies).
-	Rebalances int
 	// StealCount and StolenPatterns report the intra-region work-stealing
 	// activity so far (always 0 unless the Dataset enables Steal): how many
 	// steal operations workers performed and how many patterns migrated
@@ -89,13 +86,6 @@ type AnalysisOptions struct {
 	// search round. It is called on the analysing goroutine between
 	// parallel regions: keep it fast and do not call back into the session.
 	Progress func(ProgressEvent)
-	// RebalanceThreshold is the hysteresis gate for the measured (adaptive)
-	// schedule strategy: at every optimizer/search round boundary the session
-	// rebuilds its worker assignment from observed per-pattern costs if the
-	// measured per-worker wall-time imbalance (max/avg) exceeds this ratio.
-	// Values <= 1 select the default of 1.1; the field is ignored unless the
-	// Dataset was built with ScheduleMeasured.
-	RebalanceThreshold float64
 	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
 	// default of 64). Chunks are the unit a session's workers drain their
 	// pattern shares in, the unit thieves take on a Steal-enabled Dataset —
@@ -117,12 +107,11 @@ type AnalysisOptions struct {
 type Analysis struct {
 	ds *Dataset
 
-	eng       *core.Engine
-	exec      parallel.Executor
-	tr        *tree.Tree
-	strategy  Strategy
-	progress  func(ProgressEvent)
-	rebalance float64 // measured-schedule hysteresis threshold (0 = default)
+	eng      *core.Engine
+	exec     parallel.Executor
+	tr       *tree.Tree
+	strategy Strategy
+	progress func(ProgressEvent)
 
 	mu     sync.Mutex
 	closed bool
@@ -179,20 +168,18 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 		MinChunk:   o.MinChunk,
 		Backend:    ds.opts.Backend,
 		Metrics:    ds.opts.Metrics,
-		Tracer:     ds.opts.Trace,
 	})
 	if err != nil {
 		exec.Close()
 		return nil, err
 	}
 	return &Analysis{
-		ds:        ds,
-		eng:       eng,
-		exec:      exec,
-		tr:        tr,
-		strategy:  o.Strategy,
-		progress:  o.Progress,
-		rebalance: o.RebalanceThreshold,
+		ds:       ds,
+		eng:      eng,
+		exec:     exec,
+		tr:       tr,
+		strategy: o.Strategy,
+		progress: o.Progress,
 	}, nil
 }
 
@@ -247,7 +234,7 @@ func (an *Analysis) PartitionLogLikelihoods() (float64, []float64) {
 }
 
 // optConfig assembles the optimizer configuration, wiring the session's
-// progress stream and the measured-schedule rebalance hook in.
+// progress stream in.
 func (an *Analysis) optConfig() opt.Config {
 	cfg := opt.DefaultConfig(an.strategy)
 	if an.progress != nil {
@@ -255,45 +242,7 @@ func (an *Analysis) optConfig() opt.Config {
 			an.emit(ProgressEvent{Phase: PhaseModelOpt, Round: round, LnL: lnl})
 		}
 	}
-	cfg.RoundEnd = an.maybeRebalance
 	return cfg
-}
-
-// maybeRebalance runs the measured-schedule feedback step at a round
-// boundary; it is a no-op unless the dataset uses ScheduleMeasured and the
-// observed imbalance crosses the hysteresis threshold. Rebalance errors are
-// deliberately swallowed here: a failed rebuild leaves the previous (valid)
-// schedule in place and must not abort an otherwise healthy optimization.
-func (an *Analysis) maybeRebalance() {
-	_, _ = an.eng.MaybeRebalance(an.rebalance)
-}
-
-// Rebalance manually triggers one measured-schedule rebuild from the costs
-// observed so far, bypassing the hysteresis threshold (the automatic path
-// runs between optimizer rounds). It reports whether a rebuild happened:
-// sessions on static schedule strategies return false with no error. Like
-// every Analysis method it must not be called concurrently with another
-// method of the same session.
-func (an *Analysis) Rebalance() (bool, error) {
-	if err := an.guard(); err != nil {
-		return false, err
-	}
-	if an.eng.Schedule().Strategy() != ScheduleMeasured {
-		return false, nil
-	}
-	if err := an.eng.RebalanceNow(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Rebalances reports how many measured-schedule rebuilds this session has
-// performed (automatic and manual).
-func (an *Analysis) Rebalances() int {
-	if an.guard() != nil {
-		return 0
-	}
-	return an.eng.Rebalances()
 }
 
 // emit fills in the runtime counters and delivers one progress event.
@@ -302,7 +251,6 @@ func (an *Analysis) emit(ev ProgressEvent) {
 	ev.Regions = st.Regions
 	ev.WorkerImbalance = st.WorkerImbalance()
 	ev.TimeImbalance = st.TimeImbalance()
-	ev.Rebalances = an.eng.Rebalances()
 	ev.StealCount = st.StealCount
 	ev.StolenPatterns = st.StolenPatterns
 	an.progress(ev)
@@ -389,7 +337,6 @@ func (an *Analysis) SearchWith(ctx context.Context, so SearchOptions) (SearchRes
 				MovesApplied: applied, MovesTried: tried})
 		}
 	}
-	cfg.RoundEnd = an.maybeRebalance
 	res, runErr := search.New(an.eng, cfg).Run(ctx)
 	out := SearchResult{LnL: res.LnL, Rounds: res.Rounds, MovesApplied: res.MovesApplied, MovesTried: res.MovesTried}
 	if runErr != nil {
@@ -481,12 +428,10 @@ type SyncStats struct {
 	// TimeImbalance is the measured counterpart: the max/avg ratio of
 	// cumulative per-worker wall-clock seconds spent inside regions. A gap
 	// between TimeImbalance and WorkerImbalance means the analytic model
-	// mispriced the patterns — the signal ScheduleMeasured rebalances on.
+	// mispriced the patterns — the residual stealing absorbs.
 	TimeImbalance float64
 	// WorkerTime is the cumulative measured seconds per worker id.
 	WorkerTime []float64
-	// Rebalances counts this session's measured-schedule rebuilds.
-	Rebalances int
 	// StealCount and StolenPatterns total the session's intra-region steal
 	// operations and the patterns that migrated through them; WorkerSteals
 	// is the per-worker steal-count distribution (all zero unless the
@@ -512,7 +457,6 @@ func (an *Analysis) Stats() SyncStats {
 		WorkerImbalance: s.WorkerImbalance(),
 		TimeImbalance:   s.TimeImbalance(),
 		WorkerTime:      append([]float64(nil), s.WorkerTime...),
-		Rebalances:      an.eng.Rebalances(),
 		StealCount:      s.StealCount,
 		StolenPatterns:  s.StolenPatterns,
 		WorkerSteals:    append([]float64(nil), s.WorkerSteals...),

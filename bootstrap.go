@@ -57,10 +57,11 @@ type BootstrapResult struct {
 // Branch lengths are optimized per candidate in the shared-branch-length mode:
 // one smoothing pass against the replicate-aggregate weights (see
 // opt.Config.Weights) prices the branch lengths for the whole fleet, then the
-// batched evaluate splits the score back into per-replicate terms. For the
-// duration of the call the dataset's schedules are repriced for batch width R
-// (Shared.SetBatchWidth), so the weighted/measured packs account for the
-// per-lane reduction work; width-1 pricing is restored on return.
+// batched evaluate splits the score back into per-replicate terms. The sweep
+// runs on the dataset's one schedule like every other call, so ReplicateLnL
+// is a function of (data, options, replicates, seed) alone — concurrent
+// sessions over the same Dataset, bootstrapping or not, cannot change a bit
+// of it.
 //
 // The session's tree and weights are restored before returning: Bootstrap is
 // read-only from the caller's point of view. Cancelling ctx stops the sweep
@@ -77,14 +78,6 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-
-	// Reprice the shared schedules for the live batch width; every session
-	// adopts the repriced packs at its next region boundary and the restore
-	// swaps them back the same way.
-	if err := an.ds.shared.SetBatchWidth(replicates); err != nil {
-		return nil, err
-	}
-	defer an.ds.shared.SetBatchWidth(1)
 
 	// Snapshot the caller's tree (topology and branch lengths) so the session
 	// comes back exactly as it went in, whatever happens below.

@@ -50,7 +50,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8149", "listen address (port 0 picks a free port)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
 		threads    = flag.Int("threads", 1, "worker count every dataset is built for")
-		schedFlag  = flag.String("schedule", "weighted", "pattern-to-worker assignment: cyclic | weighted | adaptive")
+		schedFlag  = flag.String("schedule", "weighted", "pattern-to-worker assignment: cyclic | weighted")
 		stealFlag  = flag.Bool("steal", false, "intra-region work stealing on every dataset")
 		backendF   = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused")
 		cats       = flag.Int("cats", 4, "discrete-Gamma category count")

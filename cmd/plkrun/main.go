@@ -4,10 +4,8 @@
 //
 // The dataset is built once (phylo.NewDataset) and the analysis runs as a
 // session over it; -sessions N runs N identical concurrent sessions over the
-// same dataset and verifies they agree — bit-for-bit for static schedules,
-// within reassociation tolerance for -schedule adaptive (whose sessions
-// rebalance independently). Ctrl-C cancels the run at the next
-// synchronization-region boundary and prints the partial result; a second
+// same dataset and verifies they agree bit for bit. Ctrl-C cancels the run at
+// the next synchronization-region boundary and prints the partial result; a second
 // Ctrl-C exits immediately with a non-zero status.
 //
 // Examples:
@@ -45,8 +43,7 @@ func main() {
 		mode      = flag.String("mode", "eval", "analysis: eval | modelopt | search")
 		threads   = flag.Int("threads", 1, "worker count")
 		strategy  = flag.String("strategy", "new", "parallelization strategy: old | new")
-		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted | adaptive")
-		rebThresh = flag.Float64("rebalance-threshold", 0, "measured worker-time imbalance that triggers an adaptive reschedule (<=1 = default 1.1; only with -schedule adaptive)")
+		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted")
 		stealFlag = flag.Bool("steal", false, "intra-region work stealing: chunked per-worker deques, drained workers steal half of the most loaded victim")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
 		minChunk  = flag.Int("min-chunk", 0, "minimum stealable chunk size in patterns (0 = default 64; only with -steal)")
@@ -113,7 +110,6 @@ func main() {
 		Strategy:                  strat,
 		PerPartitionBranchLengths: *perPart,
 		Seed:                      *seed,
-		RebalanceThreshold:        *rebThresh,
 		MinChunk:                  *minChunk,
 	}
 	if *treePath != "" {
@@ -137,7 +133,7 @@ func main() {
 		if *bootstrap > 0 {
 			fatal(errors.New("-bootstrap runs on a single session; drop -sessions"))
 		}
-		if err := runConcurrent(ctx, ds, aopts, sched, *sessions, *mode, *rounds, *radius); err != nil {
+		if err := runConcurrent(ctx, ds, aopts, *sessions, *mode, *rounds, *radius); err != nil {
 			fatal(err)
 		}
 		return
@@ -160,9 +156,6 @@ func main() {
 	st := an.Stats()
 	fmt.Printf("parallel regions (barriers): %d   load imbalance: %.2f   worker imbalance: %.3f   time imbalance: %.3f\n",
 		st.Regions, st.Imbalance, st.WorkerImbalance, st.TimeImbalance)
-	if sched == phylo.ScheduleMeasured {
-		fmt.Printf("adaptive schedule: %d rebalance(s)\n", st.Rebalances)
-	}
 	if *stealFlag {
 		fmt.Printf("work stealing: %.0f steal(s), %.0f patterns migrated; per-worker steals %v\n",
 			st.StealCount, st.StolenPatterns, st.WorkerSteals)
@@ -303,12 +296,9 @@ func runOne(ctx context.Context, an *phylo.Analysis, mode string, rounds, radius
 }
 
 // runConcurrent opens n identical sessions over the shared dataset, runs
-// them concurrently, and verifies they agree: bit-identically for the static
-// schedules, and within floating-point reassociation tolerance (1e-9
-// relative) for the measured/adaptive one — concurrent sessions there
-// rebalance at independent moments, so their per-worker reduction groupings
-// legitimately differ in the last bits.
-func runConcurrent(ctx context.Context, ds *phylo.Dataset, aopts phylo.AnalysisOptions, sched phylo.ScheduleStrategy, n int, mode string, rounds, radius int) error {
+// them concurrently, and verifies they agree bit for bit: a result is a
+// function of (data, options), never of what a sibling session is doing.
+func runConcurrent(ctx context.Context, ds *phylo.Dataset, aopts phylo.AnalysisOptions, n int, mode string, rounds, radius int) error {
 	fmt.Printf("running %d concurrent sessions over one dataset...\n", n)
 	lnls := make([]float64, n)
 	errs := make([]error, n)
@@ -342,20 +332,12 @@ func runConcurrent(ctx context.Context, ds *phylo.Dataset, aopts phylo.AnalysisO
 		fmt.Println("interrupted — partial results above")
 		return nil
 	}
-	tol := 0.0
-	if sched == phylo.ScheduleMeasured {
-		tol = 1e-9 * math.Abs(lnls[0])
-	}
 	for i := 1; i < n; i++ {
-		if diff := math.Abs(lnls[i] - lnls[0]); diff > tol {
+		if math.Float64bits(lnls[i]) != math.Float64bits(lnls[0]) {
 			return fmt.Errorf("session %d disagrees: %v != %v", i, lnls[i], lnls[0])
 		}
 	}
-	if tol == 0 {
-		fmt.Println("all sessions agree bit-for-bit")
-	} else {
-		fmt.Println("all sessions agree within reassociation tolerance (independent rebalances)")
-	}
+	fmt.Println("all sessions agree bit-for-bit")
 	return nil
 }
 

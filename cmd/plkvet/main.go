@@ -1,6 +1,6 @@
 // Command plkvet is the repo's multichecker: it runs the custom
-// internal/lint analyzer suite (determinism, hotpath, holderdiscipline,
-// regionctx, doclint, plus the //plk: directive hygiene check) over the
+// internal/lint analyzer suite (determinism, hotpath, regionctx, doclint,
+// plus the //plk: directive hygiene check) over the
 // requested packages, and — when an allowlist is present — the
 // bounds-check-elimination gate over the fused kernel package. CI runs it
 // as a hard gate:

@@ -49,11 +49,10 @@ type DatasetOptions struct {
 	// traversal step). Results are bit-for-bit identical with stealing on or
 	// off (reductions run over per-chunk partials in fixed chunk order);
 	// steal activity is reported through SyncStats and ProgressEvent.
-	// Stealing composes with every Schedule strategy, including
-	// ScheduleMeasured: the schedule remains the locality prior and
-	// rebalancing re-prices it between rounds, while stealing absorbs the
-	// residual mispricing inside each region. The chunk granularity is tuned
-	// per session via AnalysisOptions.MinChunk.
+	// Stealing composes with every Schedule strategy: the schedule, built
+	// once per dataset, remains the locality prior, while stealing absorbs
+	// whatever it mispriced inside each region. The chunk granularity is
+	// tuned per session via AnalysisOptions.MinChunk.
 	Steal bool
 	// Backend selects the likelihood kernel backend for every session over
 	// this dataset. The zero value (BackendAuto) consults the PLK_BACKEND
@@ -66,16 +65,16 @@ type DatasetOptions struct {
 	// Metrics, if non-nil, receives every observability family of this
 	// dataset and its sessions: region counts and duration histograms,
 	// per-worker busy/idle/ops/steal counters, kernel pattern/span/scaling
-	// counters, and rebalance activity. Instrumentation follows the
+	// counters, and batch width. Instrumentation follows the
 	// flush-at-region-boundary design — per-worker scratch accumulates inside
 	// regions and folds into the registry after each barrier — so attaching a
 	// registry adds zero allocations and no per-pattern work to the hot path.
 	// Several datasets may share one registry.
 	Metrics *MetricsRegistry
 	// Trace, if non-nil, records one Chrome-trace span per worker per
-	// parallel region (plus rebalance instants) into the buffer, for offline
-	// timeline inspection. Tracing works with or without Metrics and shares
-	// the flush-at-region-boundary path, so it adds no hot-path work.
+	// parallel region into the buffer, for offline timeline inspection.
+	// Tracing works with or without Metrics and shares the
+	// flush-at-region-boundary path, so it adds no hot-path work.
 	Trace *Tracer
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestDatasetCloseRacesSessions hammers Dataset.Close against concurrent
-// session traffic — NewAnalysis, LogLikelihood, OptimizeModel, Rebalance —
+// session traffic — NewAnalysis, LogLikelihood, Bootstrap, OptimizeModel —
 // and checks the documented contract under the race detector: every call
 // either succeeds normally or fails with ErrDatasetClosed/ErrAnalysisClosed;
 // nothing panics, deadlocks, or returns a garbage error. This is the serving
@@ -22,7 +22,7 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := NewDataset(al, DatasetOptions{Threads: 2, Schedule: ScheduleMeasured})
+		ds, err := NewDataset(al, DatasetOptions{Threads: 2, Schedule: ScheduleWeighted, Steal: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 			}
 		}
 
-		// Session goroutines: open, evaluate, rebalance, optimize, close.
+		// Session goroutines: open, evaluate, bootstrap, optimize, close.
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -52,7 +52,7 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 				if lnl := an.LogLikelihood(); !math.IsNaN(lnl) && lnl >= 0 {
 					t.Errorf("garbage lnL %v", lnl)
 				}
-				_, err = an.Rebalance()
+				_, err = an.Bootstrap(context.Background(), 4, int64(g))
 				check(err)
 				_, err = an.OptimizeModel(context.Background())
 				check(err)
@@ -77,6 +77,91 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 		close(start)
 		wg.Wait()
 		checkClose(ds.Close()) // idempotent
+	}
+}
+
+// TestSiblingSessionsCannotChangeResults pins the property the immutable
+// schedule buys: what a session computes is a function of (data, options) and
+// its own calls, never of what a sibling session over the same Dataset is
+// doing at the time. Session A optimizes the model while B and C run
+// bootstraps of different widths; A's log likelihood and B's and C's
+// per-replicate scores must equal, bit for bit, what each computes alone.
+// The shape is one where a weighted pack priced for 64 replicate lanes
+// differs from the width-1 pack at 4 workers, so any cross-session repricing
+// of the shared schedule regroups A's reductions mid-run and fails here.
+func TestSiblingSessionsCannotChangeResults(t *testing.T) {
+	al, err := SimulateMixed(6, 2, 1, 40, 1.0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	modelOpt := func(ds *Dataset) ([]float64, error) {
+		an, err := ds.NewAnalysis(AnalysisOptions{Seed: 5})
+		if err != nil {
+			return nil, err
+		}
+		defer an.Close()
+		lnl, err := an.OptimizeModel(ctx)
+		return []float64{lnl}, err
+	}
+	bootstrap := func(replicates int) func(*Dataset) ([]float64, error) {
+		return func(ds *Dataset) ([]float64, error) {
+			an, err := ds.NewAnalysis(AnalysisOptions{Seed: 5})
+			if err != nil {
+				return nil, err
+			}
+			defer an.Close()
+			res, err := an.Bootstrap(ctx, replicates, 9)
+			if err != nil {
+				return nil, err
+			}
+			return res.ReplicateLnL, nil
+		}
+	}
+	sessions := []func(*Dataset) ([]float64, error){modelOpt, bootstrap(64), bootstrap(16)}
+	for name, opts := range map[string]DatasetOptions{
+		"real workers + steal": {Threads: 4, Schedule: ScheduleWeighted, Steal: true},
+		"virtual threads":      {Threads: 4, Schedule: ScheduleWeighted, VirtualThreads: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ds, err := NewDataset(al, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			lone := make([][]float64, len(sessions))
+			for i, run := range sessions {
+				if lone[i], err = run(ds); err != nil {
+					t.Fatal(err)
+				}
+			}
+			together := make([][]float64, len(sessions))
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i, run := range sessions {
+				wg.Add(1)
+				go func(i int, run func(*Dataset) ([]float64, error)) {
+					defer wg.Done()
+					<-start
+					var err error
+					if together[i], err = run(ds); err != nil {
+						t.Error(err)
+					}
+				}(i, run)
+			}
+			close(start)
+			wg.Wait()
+			for i := range sessions {
+				if len(together[i]) != len(lone[i]) {
+					t.Fatalf("session %d returned %d values, alone %d", i, len(together[i]), len(lone[i]))
+				}
+				for k := range lone[i] {
+					if math.Float64bits(together[i][k]) != math.Float64bits(lone[i][k]) {
+						t.Errorf("session %d value %d: %v beside its siblings, %v alone", i, k, together[i][k], lone[i][k])
+					}
+				}
+			}
+		})
 	}
 }
 

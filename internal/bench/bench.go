@@ -70,21 +70,17 @@ type RunSpec struct {
 
 	// SkewCosts multiplies the analytic span cost of 4-state (DNA)
 	// partitions by this factor before any schedule is built — a
-	// deliberately *wrong* cost model for the adaptive experiments, which
-	// show the measured strategy recovering from a mispriced prior. 0 or 1
+	// deliberately *wrong* cost model for the steal experiment, which shows
+	// stealing absorbing what a mispriced static pack leaves idle. 0 or 1
 	// disables the skew. Runtime op counters are unaffected (they always
 	// charge the true per-case costs), so Stats.WorkerImbalance() keeps
 	// measuring the real work distribution.
 	SkewCosts float64
-	// RebalanceThreshold is the measured-strategy hysteresis applied at
-	// every optimizer/search round boundary (<= 1 selects the engine
-	// default of 1.1). Ignored unless Schedule is schedule.Measured.
-	RebalanceThreshold float64
 	// ProbeRegions, when > 0, appends an end-state probe after the
 	// analysis: the statistics are reset and this many full
-	// traversal+evaluate passes run under the FINAL schedule, so
-	// Measurement.EndStats isolates the end-state assignment quality from
-	// the pre-rebalance history.
+	// traversal+evaluate passes run, so Measurement.EndStats isolates the
+	// assignment quality on full-width regions from the analysis's own mix
+	// of masked and partial ones.
 	ProbeRegions int
 
 	// Steal turns thieving on: workers that drain their scheduled share steal
@@ -114,7 +110,6 @@ type Measurement struct {
 	Stats           parallel.Stats
 	Threads         int
 	PlatformSeconds map[string]float64 // virtual seconds per paper platform
-	Rebalances      int                // measured-schedule rebuilds performed
 	EndStats        parallel.Stats     // end-state probe stats (zero unless ProbeRegions > 0)
 }
 
@@ -189,10 +184,6 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var roundEnd func()
-	if spec.Schedule == schedule.Measured {
-		roundEnd = func() { _, _ = eng.MaybeRebalance(spec.RebalanceThreshold) }
-	}
 
 	start := time.Now()
 	var lnl float64
@@ -206,14 +197,12 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		if spec.SearchRadius > 0 {
 			cfg.Radius = spec.SearchRadius
 		}
-		cfg.RoundEnd = roundEnd
 		var res search.Result
 		res, runErr = search.New(eng, cfg).Run(ctx)
 		lnl = res.LnL
 	default:
 		cfg := opt.DefaultConfig(spec.Strategy)
 		cfg.OptimizeRates = spec.OptimizeRates
-		cfg.RoundEnd = roundEnd
 		lnl, _, runErr = opt.New(eng, cfg).OptimizeModel(ctx)
 	}
 	wall := time.Since(start).Seconds()
@@ -224,17 +213,8 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		WallSeconds: wall,
 		Stats:       *exec.Stats(),
 		Threads:     spec.Threads,
-		Rebalances:  eng.Rebalances(),
 	}
 	if spec.ProbeRegions > 0 && runErr == nil {
-		// End-state probe: measure the final schedule alone. One last
-		// rebalance opportunity first, so a window accumulated since the
-		// final round (e.g. the closing smoothing pass) can still be acted
-		// on before the probe pins the end state.
-		if roundEnd != nil {
-			roundEnd()
-			m.Rebalances = eng.Rebalances()
-		}
 		exec.Stats().Reset()
 		root := eng.Tree.Tips[0].Back
 		for i := 0; i < spec.ProbeRegions; i++ {

@@ -37,7 +37,7 @@ func CheckReport(rep *MicrobenchReport) []string {
 	for _, sm := range rep.Steal {
 		if sm.Threads <= sm.Cores && sm.MigratedFraction > stealMigrationCeiling {
 			violations = append(violations,
-				fmt.Sprintf("steal @ %d threads (%d cores): %.0f%% of patterns migrated (ceiling %.0f%%) — the static pack is mispriced, rebalance the cost model",
+				fmt.Sprintf("steal @ %d threads (%d cores): %.0f%% of patterns migrated (ceiling %.0f%%) — the static pack is mispriced, fix the cost model",
 					sm.Threads, sm.Cores, 100*sm.MigratedFraction, 100*stealMigrationCeiling))
 		}
 	}

@@ -36,10 +36,8 @@ type BootstrapTiming struct {
 
 // bootstrapBench measures BootstrapTiming on the standard small-grid
 // benchmark dataset at each thread count. Both modes share one core.Shared
-// and score the identical topology under the identical replicate weight
-// vectors; the batched mode runs with the spans priced for width R
-// (Shared.SetBatchWidth), the independent control at width 1 — each mode is
-// measured under its own honest schedule pricing.
+// (hence one schedule) and score the identical topology under the identical
+// replicate weight vectors.
 func bootstrapBench(rep *MicrobenchReport, grid *workload, threadCounts []int, seed int64) error {
 	const R = bootstrapReplicates
 	ws, err := core.NewWeightSet(grid.data, R, seed+3)
@@ -49,12 +47,8 @@ func bootstrapBench(rep *MicrobenchReport, grid *workload, threadCounts []int, s
 	rep.BootstrapDataset = grid.name
 	for _, t := range threadCounts {
 		err := grid.onPool(t, core.BackendAuto, func(r *rig) error {
-			// Batched mode: one session, spans priced for width R; each
-			// iteration recomputes the CLVs once and reduces all R replicates
-			// in one sweep.
-			if err := r.sh.SetBatchWidth(R); err != nil {
-				return err
-			}
+			// Batched mode: one session; each iteration recomputes the CLVs
+			// once and reduces all R replicates in one sweep.
 			eng, err := r.session(core.Options{Specialize: true})
 			if err != nil {
 				return err
@@ -76,9 +70,6 @@ func bootstrapBench(rep *MicrobenchReport, grid *workload, threadCounts []int, s
 			// exactly what a bootstrap fleet costs without weight batching.
 			// One iteration = one replicate; the replicate index cycles so all
 			// weight vectors are used.
-			if err := r.sh.SetBatchWidth(1); err != nil {
-				return err
-			}
 			rpl := 0
 			independent := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

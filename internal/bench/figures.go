@@ -399,101 +399,11 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 	return nil
 }
 
-// AdaptiveComparison is the machine-readable outcome of the feedback-loop
-// experiment: end-state per-worker op imbalance (true work, probed under the
-// final schedule) for the cyclic, weighted, and measured strategies on the
-// mixed DNA+AA dataset with a deliberately mispriced analytic cost model.
-// CI serializes it into BENCH_plk.json next to the kernel timings.
-type AdaptiveComparison struct {
-	Dataset               string  `json:"dataset"`
-	SkewCosts             float64 `json:"skew_costs"`
-	CyclicImbalance       float64 `json:"cyclic_imbalance"`
-	WeightedImbalance     float64 `json:"weighted_imbalance"`
-	AdaptiveImbalance     float64 `json:"adaptive_imbalance"`
-	AdaptiveTimeImbalance float64 `json:"adaptive_time_imbalance"`
-	AdaptiveRebalances    int     `json:"adaptive_rebalances"`
-	// LnLMaxAbsDiff is the largest |lnL - cyclic lnL| across strategies —
-	// strategies must agree up to floating-point reassociation.
-	LnLMaxAbsDiff float64 `json:"lnl_max_abs_diff"`
-}
-
-// adaptiveSkewFactor deliberately misprices the analytic model for the
-// adaptive experiment: DNA span costs are multiplied by this factor, so the
-// static weighted pack places the expensive remainder patterns blindly while
-// the measured strategy re-derives honest costs from wall time.
-const adaptiveSkewFactor = 100
-
-// adaptiveComparisonRun executes the three-strategy comparison on the mixed
-// DNA+AA workload: a model optimization per strategy under a skewed cost
-// model, with per-round measured rebalancing for the measured strategy, then
-// an identical end-state probe (full traversals + evaluations under each
-// final schedule) whose per-worker op totals are the ground-truth work
-// distribution.
-func adaptiveComparisonRun(ctx context.Context, cfg FigureConfig) (*AdaptiveComparison, map[schedule.Strategy]*Measurement, error) {
-	ds, err := MixedScheduleDataset(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &AdaptiveComparison{Dataset: ds.Name, SkewCosts: adaptiveSkewFactor}
-	results := make(map[schedule.Strategy]*Measurement, 3)
-	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Weighted, schedule.Measured} {
-		m, err := Run(ctx, RunSpec{
-			Dataset:            ds,
-			Partitioned:        true,
-			PerPartitionBL:     true,
-			Strategy:           opt.NewPar,
-			Schedule:           strat,
-			Threads:            8,
-			Mode:               ModeModelOpt,
-			Backend:            BackendSim,
-			TreeSeed:           cfg.Seed + 100,
-			SkewCosts:          adaptiveSkewFactor,
-			RebalanceThreshold: 1.01,
-			ProbeRegions:       6,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		results[strat] = m
-	}
-	cyc, wtd, adp := results[schedule.Cyclic], results[schedule.Weighted], results[schedule.Measured]
-	out.CyclicImbalance = cyc.EndStats.WorkerImbalance()
-	out.WeightedImbalance = wtd.EndStats.WorkerImbalance()
-	out.AdaptiveImbalance = adp.EndStats.WorkerImbalance()
-	out.AdaptiveTimeImbalance = adp.EndStats.TimeImbalance()
-	out.AdaptiveRebalances = adp.Rebalances
-	for _, m := range []*Measurement{wtd, adp} {
-		if d := math.Abs(m.LnL - cyc.LnL); d > out.LnLMaxAbsDiff {
-			out.LnLMaxAbsDiff = d
-		}
-	}
-	return out, results, nil
-}
-
-// AdaptiveExperiment is the feedback-loop demonstration: on a mixed DNA+AA
-// workload whose analytic cost model is deliberately wrong (DNA mispriced
-// 100x), the static weighted pack distributes the real work badly, while the
-// measured strategy — observing per-worker wall time and rebalancing between
-// optimizer rounds — must end at a per-worker imbalance no worse than the
-// static pack, without changing any likelihood.
-func AdaptiveExperiment(ctx context.Context, cfg FigureConfig) error {
-	fmt.Fprintln(cfg.Out, "=== Adaptive (measured) schedule: mispriced mixed DNA+AA workload, model-opt 8T ===")
-	comp, results, err := adaptiveComparisonRun(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.Out, "dataset %s (scale %.3g): DNA span costs deliberately mispriced %.0fx; end-state probe under each final schedule\n",
-		comp.Dataset, cfg.Scale, comp.SkewCosts)
-	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Weighted, schedule.Measured} {
-		m := results[strat]
-		fmt.Fprintf(cfg.Out, "%-9s end-state worker-imbalance=%.4f time-imbalance=%.4f rebalances=%-3d lnL=%.2f\n",
-			strat, m.EndStats.WorkerImbalance(), m.EndStats.TimeImbalance(), m.Rebalances, m.LnL)
-	}
-	fmt.Fprintf(cfg.Out, "adaptive/weighted end-state imbalance ratio: %.4f (<= 1 means the feedback loop recovered from the wrong model)\n",
-		comp.AdaptiveImbalance/comp.WeightedImbalance)
-	fmt.Fprintf(cfg.Out, "max |lnL - cyclic|: %.3g (schedules must never change results)\n\n", comp.LnLMaxAbsDiff)
-	return nil
-}
+// mispriceSkewFactor deliberately misprices the analytic model for the steal
+// experiment: DNA span costs are multiplied by this factor, so the static
+// weighted pack places the expensive patterns blindly and stealing has real
+// imbalance to absorb.
+const mispriceSkewFactor = 100
 
 // StealComparison is the machine-readable outcome of the work-stealing
 // experiment: end-state measured per-worker time imbalance of the static
@@ -551,8 +461,7 @@ func probeProcessedPatterns(passes, taxa, patterns int) float64 {
 // mixed DNA+AA workload at 8 real pool workers: a model optimization under
 // the static weighted schedule, and the same configuration with chunked
 // work stealing, both followed by an identical end-state probe whose
-// measured per-worker seconds are the quantity under test. Unlike the
-// adaptive comparison (virtual workers, op counters), this one needs real
+// measured per-worker seconds are the quantity under test. It needs real
 // concurrency — stealing exists to keep real workers busy while a real
 // straggler finishes — so it runs on BackendPool and is gated on wall-clock
 // time imbalance.
@@ -571,7 +480,7 @@ func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison
 	if threads < 2 {
 		threads = 2
 	}
-	out := &StealComparison{Dataset: ds.Name, SkewCosts: adaptiveSkewFactor, Threads: threads, Cores: runtime.NumCPU()}
+	out := &StealComparison{Dataset: ds.Name, SkewCosts: mispriceSkewFactor, Threads: threads, Cores: runtime.NumCPU()}
 	results := make(map[bool]*Measurement, 2)
 	for _, stealOn := range []bool{false, true} {
 		m, err := Run(ctx, RunSpec{
@@ -584,7 +493,7 @@ func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison
 			Mode:           ModeModelOpt,
 			Backend:        BackendPool,
 			TreeSeed:       cfg.Seed + 100,
-			SkewCosts:      adaptiveSkewFactor,
+			SkewCosts:      mispriceSkewFactor,
 			ProbeRegions:   stealProbeRegions,
 			Steal:          stealOn,
 			MinChunk:       16,
@@ -644,7 +553,7 @@ func RunAll(ctx context.Context, cfg FigureConfig) error {
 	steps := []func(context.Context, FigureConfig) error{
 		Figure3, Figure4, Figure5, Figure6,
 		JointBLExperiment, ModelOptExperiment, ProteinExperiment, WidthMicrobench,
-		ScheduleExperiment, AdaptiveExperiment, StealExperiment,
+		ScheduleExperiment, StealExperiment,
 	}
 	for _, f := range steps {
 		if err := f(ctx, cfg); err != nil {

@@ -99,11 +99,6 @@ type MicrobenchReport struct {
 	// specialized vs generic kernels on the same commit.
 	TipDataset string          `json:"tip_dataset,omitempty"`
 	TipCase    []TipCaseTiming `json:"tip_case,omitempty"`
-	// ScheduleComparison is the adaptive-vs-weighted end-state imbalance
-	// comparison on the mispriced mixed DNA+AA workload (see
-	// AdaptiveComparison). Informational in the artifact; the hard gate for
-	// it lives in the bench package's acceptance test.
-	ScheduleComparison *AdaptiveComparison `json:"schedule_comparison,omitempty"`
 	// Steal records the work-stealing microbenchmark on the honestly priced
 	// small-grid workload: per-worker steal-count distribution and the
 	// fraction of processed patterns that migrated, per thread count. On a
@@ -152,7 +147,6 @@ const (
 	secBackend
 	secSteal
 	secBootstrap
-	secScheduleComparison
 	secStealComparison
 	allSections section = 1<<iota - 1
 )
@@ -207,16 +201,8 @@ func microbench(ctx context.Context, threadCounts []int, scale float64, seed int
 		{secBackend, func() error { return backendBench(rep, threadCounts, seed) }},
 		{secSteal, func() error { return stealBench(rep, grid, threadCounts) }},
 		{secBootstrap, func() error { return bootstrapBench(rep, grid, threadCounts, seed) }},
-		// The feedback-loop comparison rides along in the same artifact:
-		// cyclic vs weighted vs adaptive end-state imbalance on the mispriced
-		// mixed workload, at the caller's scale (the experiment itself is
-		// defined at 8 virtual workers, like the paper's 8-thread figures).
-		{secScheduleComparison, func() (err error) {
-			rep.ScheduleComparison, _, err = adaptiveComparisonRun(ctx, cfg)
-			return err
-		}},
-		// And the stealing counterpart: static weighted vs weighted+steal
-		// end-state time imbalance on the same mispriced workload.
+		// Static weighted vs weighted+steal end-state time imbalance on the
+		// mispriced mixed DNA+AA workload, at the caller's scale.
 		{secStealComparison, func() (err error) {
 			rep.StealComparison, _, err = stealComparisonRun(ctx, cfg)
 			return err

@@ -37,8 +37,7 @@ func TestStealingBoundsIntraRegionTailLatency(t *testing.T) {
 	// (determinism, steal activity, metric sanity) hold everywhere.
 	gateImbalance := comp.Threads <= comp.Cores
 	// Wall-clock per-worker times on a shared CI box are noisy; a spurious
-	// loss must reproduce on a fresh comparison before it fails the gate
-	// (same shield as the adaptive acceptance test).
+	// loss must reproduce on a fresh comparison before it fails the gate.
 	const slack = 1.02
 	if gateImbalance && comp.StealTimeImbalance > comp.WeightedTimeImbalance*slack {
 		t.Logf("steal %v above static %v on the first run; re-measuring once",

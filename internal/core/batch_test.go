@@ -333,61 +333,3 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal("undersized derivative buffers accepted")
 	}
 }
-
-// TestSetBatchWidthRepricing checks the cost-model half of the tentpole: the
-// span costs gain batchLaneOps per extra lane, every existing holder is
-// republished (version bump) so live sessions adopt the repriced pack at
-// their next region boundary, and the width-1 restore returns to the base
-// costs exactly.
-func TestSetBatchWidthRepricing(t *testing.T) {
-	d, _ := stealFixture(t, 4, 77)
-	sh, err := NewSharedWith(d, 4, 3, BackendGeneric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := sh.SpanCosts()
-	h, err := sh.HolderFor(schedule.Weighted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v0 := h.Current()
-	const R = 64
-	if err := sh.SetBatchWidth(R); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.BatchWidth(); got != R {
-		t.Fatalf("batch width %d, want %d", got, R)
-	}
-	for i, c := range sh.SpanCosts() {
-		want := base[i] + batchLaneOps*(R-1)
-		if c != want {
-			t.Fatalf("span %d cost %v, want %v", i, c, want)
-		}
-	}
-	s1, v1 := h.Current()
-	if v1 == v0 {
-		t.Fatal("holder not republished after SetBatchWidth")
-	}
-	if s1.Total() != d.TotalPatterns {
-		t.Fatalf("repriced schedule covers %d patterns, want %d", s1.Total(), d.TotalPatterns)
-	}
-	// Idempotent per width: no republish for the same R.
-	if err := sh.SetBatchWidth(R); err != nil {
-		t.Fatal(err)
-	}
-	if _, v := h.Current(); v != v1 {
-		t.Fatal("same-width SetBatchWidth republished")
-	}
-	// Restoring width 1 returns to the base costs exactly.
-	if err := sh.SetBatchWidth(1); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range sh.SpanCosts() {
-		if c != base[i] {
-			t.Fatalf("span %d cost %v after restore, want base %v", i, c, base[i])
-		}
-	}
-	if err := sh.SetBatchWidth(0); err == nil {
-		t.Fatal("zero batch width accepted")
-	}
-}

@@ -1,7 +1,7 @@
 package core
 
 // Region execution. Every parallel region of every session distributes its
-// patterns the same way: the pinned schedule's assignment is sliced into
+// patterns the same way: the schedule's assignment is sliced into
 // chunks (steal.Layout), each worker drains chunks from the session's
 // steal.Runtime, and each region kind has exactly one driver built on that
 // loop — ExecuteSteps (newview), evaluateLanes, PrepareSumtable, and
@@ -49,35 +49,6 @@ package core
 // function of the layout — and the code lists of the span's tip children, not
 // from the chunk at hand, so a share the pack cut into many short runs still
 // takes the table path.
-
-import (
-	"time"
-
-	"phylo/internal/steal"
-)
-
-// chunkClock starts the measured-cost attribution of one chunk: the current
-// monotonic time on a measured-strategy session, the zero time (no clock
-// read) on any other.
-func (e *Engine) chunkClock() time.Time {
-	if !e.measure {
-		return time.Time{}
-	}
-	return time.Now() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-}
-
-// chargeChunk attributes the wall time since t0 and the chunk's pattern count
-// to the (worker, partition) measurement cell, so observed per-pattern costs
-// reflect the patterns a worker actually executed (its own and stolen ones),
-// not its static share. Two clock reads per chunk, paid only by
-// measured-strategy sessions.
-func (e *Engine) chargeChunk(w int, ch steal.Chunk, t0 time.Time) {
-	if !e.measure {
-		return
-	}
-	e.partSecs[w][ch.Span] += time.Since(t0).Seconds() //plk:allow(timenow) measured-cost attribution; never feeds likelihood values
-	e.partPats[w][ch.Span] += float64(ch.Patterns())
-}
 
 // chunkPartials returns *buf resized to n zeroed entries (grow-only): the
 // per-chunk partial sums of one reduction region. Chunks of masked partitions

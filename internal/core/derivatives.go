@@ -28,7 +28,6 @@ import (
 func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	q := p.Back
 	act := e.activeOrAll(active)
-	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
 	rt := e.stealRT
 	rt.Load(act)
 	e.Exec.Run(parallel.RegionSumTable, func(w int, ctx *parallel.WorkerCtx) {
@@ -41,14 +40,12 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 				break
 			}
 			ch := rt.Layout().Chunk(id)
-			t0 := e.chunkClock()
 			if ch.Span != cached {
 				e.prepareSumtableSpan(&c, p, q, ch.Span, w)
 				cached = ch.Span
 			}
 			c.ensureTables(ch.Share)
 			ops += c.takeOps(c.kern.Sumtable(&c, ch.Run()))
-			e.chargeChunk(w, ch, t0)
 		}
 		ctx.Ops += ops
 	})
@@ -218,7 +215,6 @@ func (e *Engine) BranchDerivatives(z []float64, active []bool, d1, d2 []float64)
 // per-(chunk, lane) partials, reduced master-side in fixed chunk-id order
 // into d1 and d2 (both indexed [partition*R + replicate]).
 func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
-	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
 	rt := e.stealRT
 	R := ws.r
 	n := rt.Layout().NumChunks()
@@ -235,14 +231,12 @@ func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 
 				break
 			}
 			ch := rt.Layout().Chunk(id)
-			t0 := e.chunkClock()
 			if ch.Span != cached {
 				e.prepareDerivSpan(&c, ch.Span, z[ch.Span], ex, ws)
 				cached = ch.Span
 			}
 			count := c.kern.Derivatives(&c, ch.Run(), buf[id*2*R:(id+1)*2*R])
 			ops += float64(count) * opsDerivative(c.s, c.cats, R)
-			e.chargeChunk(w, ch, t0)
 		}
 		ctx.Ops += ops
 	})

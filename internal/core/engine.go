@@ -68,34 +68,16 @@ type Engine struct {
 	// contexts dispatch their pattern loops through it.
 	kernels []KernelBackend
 
-	holder       *ScheduleHolder //plk:holder
-	sched        *schedule.Schedule
-	schedVersion int64
-	allMask      []bool // cached all-true partition mask (activeOrAll)
+	sched   *schedule.Schedule // the dataset's schedule for this strategy, pinned for life
+	allMask []bool             // cached all-true partition mask (activeOrAll)
 
 	// Chunk distribution (see chunkexec.go): the runtime every region drains
-	// the pinned schedule's chunks through, the session's minimum chunk size,
-	// and the per-chunk partial-sum buffers of the fixed-order reductions,
-	// grown to the widest WeightSet the session has run.
+	// the schedule's chunks through and the per-chunk partial-sum buffers of
+	// the fixed-order reductions, grown to the widest WeightSet the session
+	// has run.
 	stealRT    *steal.Runtime
-	minChunk   int
 	evalChunk  []float64 // [chunk*R + r] evaluate partials
 	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
-
-	// Measurement attribution for the measured (adaptive) strategy: wall
-	// seconds and processed pattern counts per (worker, partition) since the
-	// last rebalance window reset. Written by worker w only inside regions,
-	// read by the session goroutine between regions (the barrier orders the
-	// accesses), so no locking is needed.
-	measure    bool
-	partSecs   [][]float64 // [worker][partition] measured seconds
-	partPats   [][]float64 // [worker][partition] processed pattern count
-	rebalances int
-	// smoothed is the decay-weighted running average of observed per-pattern
-	// costs across rebalance windows (see RebalanceNow): one noisy window can
-	// only move a span's cost by the decay fraction, so it cannot thrash the
-	// pack, while a persistent shift still converges geometrically.
-	smoothed schedule.PartitionCosts
 
 	numCats  int
 	maxS     int
@@ -116,16 +98,10 @@ type Engine struct {
 	// (one bool per pattern of the widest partition); nil on other backends.
 	smallScratch [][]bool
 
-	// Observability handles (nil unless Options.Metrics): engine-level
-	// counters updated between regions — rebalance count, measured/predicted
-	// imbalance around each rebalance, live batch width. Region- and
-	// kernel-level families are folded by the executor's RegionObserver, not
-	// here.
-	obsRebalances *obs.Counter
-	obsImbBefore  *obs.Gauge
-	obsImbAfter   *obs.Gauge
+	// obsBatchWidth (nil unless Options.Metrics) is the one engine-level
+	// family, set between regions. Region- and kernel-level families are
+	// folded by the executor's RegionObserver, not here.
 	obsBatchWidth *obs.Gauge
-	tracer        *obs.Tracer
 }
 
 // Options configures engine construction.
@@ -154,14 +130,10 @@ type Options struct {
 	// fixed-order reductions, so the value regroups floating-point sums
 	// (within reassociation tolerance) besides bounding steal granularity.
 	MinChunk int
-	// Metrics, when non-nil, receives the engine-level observability
-	// families (rebalances, rebalance imbalance before/after, batch width).
-	// Region/kernel/steal families come from the executor's RegionObserver,
-	// which the facade attaches to the same registry.
+	// Metrics, when non-nil, receives the engine-level observability family
+	// (batch width). Region/kernel/steal families come from the executor's
+	// RegionObserver, which the facade attaches to the same registry.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives engine lifecycle instants (rebalance
-	// swaps); per-worker region spans come from the RegionObserver.
-	Tracer *obs.Tracer
 }
 
 // NewSession builds a session engine over precomputed shared state: it
@@ -206,11 +178,10 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	if opts.Backend != BackendAuto && opts.Backend != sh.Backend {
 		return nil, fmt.Errorf("core: session requests %v backend, shared state was built for %v", opts.Backend, sh.Backend)
 	}
-	holder, err := sh.HolderFor(opts.Schedule)
+	sched, err := sh.ScheduleFor(opts.Schedule)
 	if err != nil {
 		return nil, err
 	}
-	sched, version := holder.Current()
 	e := &Engine{
 		Data:           data,
 		Tree:           tr,
@@ -219,27 +190,13 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		PerPartitionBL: perPart,
 		Specialize:     opts.Specialize,
 		shared:         sh,
-		holder:         holder,
 		sched:          sched,
-		schedVersion:   version,
-		measure:        opts.Schedule == schedule.Measured,
-		minChunk:       opts.MinChunk,
 		numCats:        sh.NumCats,
 		maxS:           sh.maxS,
 		layout:         sh.layout,
-		tracer:         opts.Tracer,
 	}
 	if opts.Metrics != nil {
-		reg := opts.Metrics
-		e.obsRebalances = reg.Counter("plk_rebalances_total",
-			"Measured-strategy schedule rebuilds performed.")
-		e.obsImbBefore = reg.Gauge("plk_rebalance_imbalance",
-			"Worker-time imbalance around the most recent rebalance: measured max/avg before, predicted pack imbalance after.",
-			obs.Label{Key: "phase", Value: "before"})
-		e.obsImbAfter = reg.Gauge("plk_rebalance_imbalance",
-			"Worker-time imbalance around the most recent rebalance: measured max/avg before, predicted pack imbalance after.",
-			obs.Label{Key: "phase", Value: "after"})
-		e.obsBatchWidth = reg.Gauge("plk_batch_width",
+		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
 			"Replicate lanes (R) of the most recent batched likelihood evaluation.")
 	}
 	e.kernels = make([]KernelBackend, len(data.Parts))
@@ -260,14 +217,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		e.scales[i] = make([]int32, data.TotalPatterns)
 	}
 	e.sumtable = alignedFloats(sh.layout.SumTotal())
-	if e.measure {
-		e.partSecs = make([][]float64, sh.Threads)
-		e.partPats = make([][]float64, sh.Threads)
-		for w := range e.partSecs {
-			e.partSecs[w] = make([]float64, len(data.Parts))
-			e.partPats[w] = make([]float64, len(data.Parts))
-		}
-	}
 	t := sh.Threads
 	e.pmScratch = make([][2][]float64, t)
 	e.exScratch = make([][]float64, t)
@@ -330,32 +279,9 @@ func (e *Engine) scale(nodeIndex int) []int32 {
 	return e.scales[nodeIndex-e.Tree.NumTips()]
 }
 
-// Schedule exposes the session's currently pinned pattern-to-worker
-// assignment (for tests, benchmarks, and tooling that reports per-worker
-// load predictions).
+// Schedule exposes the session's pattern-to-worker assignment (for tests,
+// benchmarks, and tooling that reports per-worker load predictions).
 func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
-
-// refreshSchedule re-pins the holder's current schedule if a rebalance
-// published a newer version. It is called at the start of every
-// region-issuing entry point — the region boundary — and only ever from the
-// session goroutine, so the pinned schedule is stable for the whole region
-// and workers never observe a swap mid-region. For static strategies the
-// version never changes and this is one atomic load.
-//
-// A schedule swap also rebuilds the chunk layout. Install panics on an
-// in-flight region, so workers can never hold chunk ids from one layout while
-// the engine reduces partials sized for another; rebalances and regions are
-// both issued from the session goroutine, which makes that a cheap invariant
-// check rather than a wait — the regression test runs adaptive rebalancing
-// and stealing concurrently under the race detector to keep it that way.
-func (e *Engine) refreshSchedule() {
-	sched, version := e.holder.Current()
-	if version != e.schedVersion {
-		e.stealRT.Install(steal.NewLayout(sched, e.minChunk))
-		e.sched = sched
-		e.schedVersion = version
-	}
-}
 
 // activeOrAll returns the cached all-true mask when active is nil. Callers
 // treat the mask as read-only; the cache removes a per-region allocation
@@ -366,162 +292,6 @@ func (e *Engine) activeOrAll(active []bool) []bool {
 	}
 	return e.allMask
 }
-
-// ObservedCosts derives per-partition per-pattern costs (seconds per
-// pattern) from the measurement window accumulated since the last reset.
-// Partitions with no processed patterns yet report zero, which Rebalance
-// treats as "keep the prior cost".
-func (e *Engine) ObservedCosts() schedule.PartitionCosts {
-	out := make(schedule.PartitionCosts, len(e.Data.Parts))
-	if !e.measure {
-		return out
-	}
-	for ip := range out {
-		secs, pats := 0.0, 0.0
-		for w := range e.partSecs {
-			secs += e.partSecs[w][ip]
-			pats += e.partPats[w][ip]
-		}
-		if pats > 0 && secs > 0 {
-			out[ip] = secs / pats
-		}
-	}
-	return out
-}
-
-// MeasuredImbalance is the max/avg ratio of the per-worker measured seconds
-// in the current window (1.0 = perfect balance, 1.0 when nothing has been
-// measured). This is the feedback signal the hysteresis threshold gates on.
-func (e *Engine) MeasuredImbalance() float64 {
-	if !e.measure {
-		return 1
-	}
-	max, sum := 0.0, 0.0
-	for w := range e.partSecs {
-		wt := 0.0
-		for _, s := range e.partSecs[w] {
-			wt += s
-		}
-		sum += wt
-		if wt > max {
-			max = wt
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return max / (sum / float64(len(e.partSecs)))
-}
-
-// measuredWindowSeconds is the total measured time in the current window.
-func (e *Engine) measuredWindowSeconds() float64 {
-	total := 0.0
-	for w := range e.partSecs {
-		for _, s := range e.partSecs[w] {
-			total += s
-		}
-	}
-	return total
-}
-
-// ResetMeasurements clears the (worker, partition) sample window. Call it
-// after a rebalance so the next window measures the new assignment, not a
-// blend. Must be called between regions.
-func (e *Engine) ResetMeasurements() {
-	for w := range e.partSecs {
-		for ip := range e.partSecs[w] {
-			e.partSecs[w][ip] = 0
-			e.partPats[w][ip] = 0
-		}
-	}
-}
-
-// minRebalanceWindowSeconds is the measurement floor below which
-// MaybeRebalance refuses to act: windows shorter than this are dominated by
-// timer granularity and scheduling noise rather than kernel cost.
-const minRebalanceWindowSeconds = 5e-4
-
-// DefaultRebalanceThreshold is the hysteresis default: rebuild only when the
-// measured max/avg worker-time ratio exceeds 1.1x.
-const DefaultRebalanceThreshold = 1.1
-
-// DefaultCostDecay is the EWMA weight a new measurement window carries when
-// observed per-pattern costs are folded into the running average that prices
-// rebuilt schedules: cost' = decay*observed + (1-decay)*prior. At 0.5 a
-// single corrupted window (a descheduled worker, a timer hiccup) can at most
-// halve or double-weight a span, and two consecutive honest windows restore
-// 75% of any error — fast enough to track real drift, damped enough not to
-// thrash the pack.
-const DefaultCostDecay = 0.5
-
-// MaybeRebalance closes the feedback loop for a measured-strategy session:
-// if the current window's measured worker-time imbalance exceeds the
-// hysteresis threshold (and the window is long enough to trust), it derives
-// observed per-pattern costs, publishes a rebuilt schedule through the
-// shared holder, adopts it immediately, and resets the window. It returns
-// whether a rebalance happened. threshold <= 1 selects
-// DefaultRebalanceThreshold. Must be called between regions (the optimizers
-// call it at round boundaries); sessions on static strategies return false.
-func (e *Engine) MaybeRebalance(threshold float64) (bool, error) {
-	if !e.measure {
-		return false, nil
-	}
-	if threshold <= 1 {
-		threshold = DefaultRebalanceThreshold
-	}
-	if e.measuredWindowSeconds() < minRebalanceWindowSeconds {
-		return false, nil
-	}
-	if e.MeasuredImbalance() <= threshold {
-		return false, nil
-	}
-	if err := e.RebalanceNow(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// RebalanceNow unconditionally rebuilds the measured schedule from the
-// observed costs (keeping prior costs for partitions without samples),
-// publishes it, adopts it, and resets the window. The current window is
-// first folded into the session's decay-weighted running cost average
-// (MergeEWMA at DefaultCostDecay), so the pack is priced by the smoothed
-// history rather than by whatever the last window happened to measure — the
-// very first window passes through undamped (there is no prior to smooth
-// toward). Must be called between regions.
-func (e *Engine) RebalanceNow() error {
-	if !e.measure {
-		return errors.New("core: RebalanceNow on a session without the measured schedule strategy")
-	}
-	before := e.MeasuredImbalance()
-	e.smoothed = e.smoothed.MergeEWMA(e.ObservedCosts(), DefaultCostDecay)
-	if _, err := e.shared.RebalanceMeasured(e.smoothed); err != nil {
-		return err
-	}
-	e.refreshSchedule()
-	e.ResetMeasurements()
-	e.rebalances++
-	after := e.sched.Imbalance()
-	if e.obsRebalances != nil {
-		e.obsRebalances.Inc()
-		e.obsImbBefore.Set(before)
-		e.obsImbAfter.Set(after)
-	}
-	e.tracer.Instant("rebalance", "schedule", -1,
-		obs.Arg{Key: "imbalance_before", Value: before},
-		obs.Arg{Key: "imbalance_after", Value: after})
-	return nil
-}
-
-// SmoothedCosts returns the session's decay-weighted per-pattern cost
-// average (nil before the first rebalance).
-func (e *Engine) SmoothedCosts() schedule.PartitionCosts {
-	return append(schedule.PartitionCosts(nil), e.smoothed...)
-}
-
-// Rebalances reports how many times this session rebuilt the measured
-// schedule.
-func (e *Engine) Rebalances() int { return e.rebalances }
 
 // InvalidateCLVs clears all CLV orientations, forcing the next traversal to
 // recompute everything (used after wholesale model changes).

@@ -41,7 +41,6 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 	if p.IsTip() && q.IsTip() {
 		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
 	}
-	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
 	rt := e.stealRT
 	R := ws.r
 	n := rt.Layout().NumChunks()
@@ -58,14 +57,12 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 				break
 			}
 			ch := rt.Layout().Chunk(id)
-			t0 := e.chunkClock()
 			if ch.Span != cached {
 				e.prepareEvalSpan(&c, p, q, ch.Span, w, pm, ws)
 				cached = ch.Span
 			}
 			c.ensureTable(ch.Share)
 			ops += c.takeOps(c.kern.Evaluate(&c, ch.Run(), buf[id*R:(id+1)*R]))
-			e.chargeChunk(w, ch, t0)
 		}
 		ctx.Ops += ops
 	})

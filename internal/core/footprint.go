@@ -22,9 +22,8 @@ type MemoryFootprint struct {
 	// the width-1 WeightSet the reductions read), presence masks, and
 	// taxon/partition names.
 	CompressedAlignment int64 `json:"compressed_alignment"`
-	// Schedules covers every pattern-to-worker schedule built so far (the
-	// per-strategy holders are lazily populated; rebuilt measured schedules
-	// replace their predecessor, so one per strategy is resident).
+	// Schedules covers the schedules built so far: one immutable schedule per
+	// strategy, built when the first session asks for it.
 	Schedules int64 `json:"schedules"`
 	// Layout covers the CLV/sumtable geometry descriptor (per-partition
 	// offset and stride tables).
@@ -67,7 +66,7 @@ func (f MemoryFootprint) TotalBytes() int64 {
 
 // MemoryFootprint computes the shared state's resident bytes and the
 // estimated per-session bytes. Safe for concurrent use; the schedule term
-// reflects the holders built so far.
+// reflects the schedules built so far.
 func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	var f MemoryFootprint
 	for _, name := range sh.Data.TaxaNames {
@@ -86,8 +85,7 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.CompressedAlignment += sh.weights.MemoryBytes()
 	sh.mu.Lock()
 	f.Schedules = 24 * int64(len(sh.spans)) // Span{Lo, Hi int; Cost float64}
-	for _, h := range sh.holders {          //plk:allow(maprange) commutative sum and max; order-free
-		s, _ := h.Current()
+	for _, s := range sh.scheds {           //plk:allow(maprange) commutative sum and max; order-free
 		f.Schedules += s.MemoryBytes()
 		l := steal.NewLayout(s, 0)
 		chunks := l.MemoryBytes() + l.RuntimeBytes() +

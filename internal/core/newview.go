@@ -48,7 +48,6 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 		tree.OrientX(st.P)
 	}
 	act := e.activeOrAll(active)
-	e.refreshSchedule() // region boundary: adopt a rebalanced schedule if published
 	rt := e.stealRT
 	rt.Load(act)
 	e.Exec.Run(parallel.RegionNewview, func(w int, ctx *parallel.WorkerCtx) {
@@ -67,7 +66,6 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 					break
 				}
 				ch := rt.Layout().Chunk(id)
-				t0 := e.chunkClock()
 				if ch.Span != cached {
 					e.prepareNewviewSpan(&c, steps[si], ch.Span, w, pmQ, pmR)
 					cached = ch.Span
@@ -81,7 +79,6 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 				ctx.Patterns += float64(count)
 				ctx.Scalings += c.scaled
 				c.scaled = 0
-				e.chargeChunk(w, ch, t0)
 			}
 		}
 		ctx.Ops += ops

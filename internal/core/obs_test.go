@@ -94,7 +94,4 @@ func TestEngineObsFamilies(t *testing.T) {
 	if got["plk_regions_total|kind=newview|exec=sequential"] <= 0 {
 		t.Errorf("plk_regions_total{newview} = %v, want > 0", got["plk_regions_total|kind=newview|exec=sequential"])
 	}
-	if got["plk_rebalances_total"] != 0 {
-		t.Errorf("plk_rebalances_total = %v, want 0 (static strategy)", got["plk_rebalances_total"])
-	}
 }

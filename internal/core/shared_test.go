@@ -2,14 +2,12 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
-	"phylo/internal/tree"
 )
 
 // TestSiteLogLikelihoodsClampNonpositive is the satellite regression test for
@@ -121,151 +119,6 @@ func mixedData(t *testing.T, seed int64) (*alignment.CompressedData, []*model.Mo
 		t.Fatal(err)
 	}
 	return d, []*model.Model{mDNA, mAA}
-}
-
-// TestMeasuredRebalanceKeepsLikelihood pins the core acceptance property: a
-// mid-analysis rebalance swaps the schedule at a region boundary without
-// invalidating CLVs or changing the session's likelihood (beyond
-// floating-point reassociation of the per-worker reduction), while the
-// observed-cost attribution produces usable per-partition samples.
-func TestMeasuredRebalanceKeepsLikelihood(t *testing.T) {
-	d, models := mixedData(t, 71)
-	sim, err := parallel.NewSim(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
-	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Schedule().Strategy() != schedule.Measured {
-		t.Fatalf("engine pinned %v, want measured", eng.Schedule().Strategy())
-	}
-	lnl1 := eng.LogLikelihood()
-	if err := CheckFinite(lnl1); err != nil {
-		t.Fatal(err)
-	}
-	// The traversal + evaluation above ran with measurement on; every
-	// partition must have time and pattern samples.
-	costs := eng.ObservedCosts()
-	for ip, c := range costs {
-		if c <= 0 {
-			t.Errorf("partition %d observed cost = %v, want > 0 after a measured run", ip, c)
-		}
-	}
-	if imb := eng.MeasuredImbalance(); imb < 1 {
-		t.Errorf("measured imbalance %v below 1", imb)
-	}
-	// A threshold far above any real imbalance must not trigger (hysteresis).
-	if reb, err := eng.MaybeRebalance(1e9); err != nil || reb {
-		t.Errorf("MaybeRebalance(1e9) = %v, %v; want no-op", reb, err)
-	}
-	before := eng.Schedule()
-	if err := eng.RebalanceNow(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Rebalances() != 1 {
-		t.Errorf("rebalance count = %d, want 1", eng.Rebalances())
-	}
-	after := eng.Schedule()
-	if after == before {
-		t.Error("RebalanceNow did not adopt a new schedule object")
-	}
-	if after.Strategy() != schedule.Measured || after.Total() != before.Total() {
-		t.Errorf("rebalanced schedule is %v/%d patterns, want measured/%d", after.Strategy(), after.Total(), before.Total())
-	}
-	// The measurement window restarts after a rebalance.
-	if c := eng.ObservedCosts(); c[0] != 0 || c[1] != 0 {
-		t.Errorf("observed costs not reset after rebalance: %v", c)
-	}
-	// Re-evaluating WITHOUT retraversing proves the old CLVs stay valid under
-	// the new assignment (per-pattern results are schedule-invariant).
-	root := tr.Tips[0].Back
-	lnlNoTraverse, _ := eng.Evaluate(root, nil)
-	if math.Abs(lnlNoTraverse-lnl1) > 1e-9*math.Abs(lnl1) {
-		t.Errorf("rebalance invalidated CLVs: %v vs %v", lnlNoTraverse, lnl1)
-	}
-	lnl2 := eng.LogLikelihood()
-	if math.Abs(lnl2-lnl1) > 1e-9*math.Abs(lnl1) {
-		t.Errorf("rebalance changed the likelihood: %v vs %v", lnl2, lnl1)
-	}
-	// Static-strategy sessions must refuse to rebalance.
-	tr2, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 44})
-	models2 := []*model.Model{models[0].Clone(), models[1].Clone()}
-	sim2, _ := parallel.NewSim(4)
-	engStatic, err := newEngine(d, tr2, models2, sim2, Options{Specialize: true, Schedule: schedule.Weighted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reb, err := engStatic.MaybeRebalance(0); err != nil || reb {
-		t.Errorf("static MaybeRebalance = %v, %v; want inert", reb, err)
-	}
-	if err := engStatic.RebalanceNow(); err == nil {
-		t.Error("static RebalanceNow should error")
-	}
-}
-
-// TestConcurrentSessionsSurviveRebalance runs several measured-strategy
-// sessions over one Shared and a shared pool while one of them repeatedly
-// rebalances; every session must keep producing the same likelihood (they
-// adopt rebuilt schedules at their own region boundaries). Run under -race
-// in CI.
-func TestConcurrentSessionsSurviveRebalance(t *testing.T) {
-	d, models := mixedData(t, 83)
-	const threads = 3
-	sh, err := NewShared(d, 4, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := parallel.NewPool(threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	// Sequential reference for the tolerance check.
-	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seqEng.LogLikelihood()
-
-	const sessions = 4
-	const iters = 6
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	for i := 0; i < sessions; i++ {
-		tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-		eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, pool.Session(), Options{Specialize: true, Schedule: schedule.Measured})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, eng *Engine) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				lnl := eng.LogLikelihood()
-				if math.Abs(lnl-want) > 1e-9*math.Abs(want) {
-					t.Errorf("session %d iter %d: lnL %v drifted from %v", i, it, lnl, want)
-					return
-				}
-				if i == 0 {
-					if err := eng.RebalanceNow(); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}
-		}(i, eng)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("session %d: %v", i, err)
-		}
-	}
 }
 
 // TestOverrideSpanCosts covers the experiment hook: costs can be replaced

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -327,130 +326,5 @@ func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
 	}
 	if err := CheckFinite(results[0].lnl); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStealComposesWithMeasuredRebalance is the regression test for the
-// steal/rebalance interaction ordering: concurrent measured+steal sessions
-// over one Shared keep rebalancing (which rebuilds each session's chunk
-// layout through the quiesce path) while every session's likelihood stays
-// put, and the chunk-granular attribution yields usable observed costs. Run
-// under -race in CI.
-func TestStealComposesWithMeasuredRebalance(t *testing.T) {
-	d, models := mixedData(t, 83)
-	const threads = 3
-	sh, err := NewShared(d, 4, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := parallel.NewPool(threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	trRef, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-	seqEng, err := newEngine(d, trRef, []*model.Model{models[0].Clone(), models[1].Clone()}, parallel.NewSequential(), Options{Specialize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seqEng.LogLikelihood()
-
-	const sessions = 4
-	const iters = 6
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	engines := make([]*Engine, sessions)
-	for i := 0; i < sessions; i++ {
-		tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 61})
-		eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, pool.Session(),
-			Options{Specialize: true, Schedule: schedule.Measured, Steal: true, MinChunk: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = eng
-		wg.Add(1)
-		go func(i int, eng *Engine) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				lnl := eng.LogLikelihood()
-				if math.Abs(lnl-want) > 1e-9*math.Abs(want) {
-					t.Errorf("session %d iter %d: lnL %v drifted from %v", i, it, lnl, want)
-					return
-				}
-				if i%2 == 0 {
-					// Even sessions rebalance every iteration: each rebuild
-					// publishes a new schedule that all sessions re-pin (and
-					// re-chunk) at their next region boundary, interleaved
-					// with odd sessions' stealing regions.
-					if err := eng.RebalanceNow(); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}
-		}(i, eng)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("session %d: %v", i, err)
-		}
-	}
-	if reb := engines[0].Rebalances(); reb != iters {
-		t.Errorf("session 0 performed %d rebalances, want %d", reb, iters)
-	}
-	// Session 1 never rebalanced, so its measurement window accumulated over
-	// the whole run: the chunk-granular attribution must have produced usable
-	// per-partition samples.
-	costs := engines[1].ObservedCosts()
-	for ip, c := range costs {
-		if c <= 0 {
-			t.Errorf("partition %d observed cost %v under steal+measured, want > 0", ip, c)
-		}
-	}
-}
-
-// TestStealSmoothedCostsAcrossWindows pins the EWMA satellite at the engine
-// level: two rebalance windows with very different observed costs must leave
-// the smoothed estimate strictly between the two raw windows.
-func TestStealSmoothedCostsAcrossWindows(t *testing.T) {
-	d, models := mixedData(t, 29)
-	sim, err := parallel.NewSim(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 3})
-	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true, Schedule: schedule.Measured})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.LogLikelihood()
-	first := eng.ObservedCosts()
-	if err := eng.RebalanceNow(); err != nil {
-		t.Fatal(err)
-	}
-	afterFirst := eng.SmoothedCosts()
-	for i := range first {
-		if afterFirst[i] != first[i] {
-			t.Errorf("first window must pass through undamped: smoothed[%d]=%v observed=%v", i, afterFirst[i], first[i])
-		}
-	}
-	// Inject a corrupted second window: 100x the first observation.
-	for w := range eng.partSecs {
-		for ip := range eng.partSecs[w] {
-			eng.partSecs[w][ip] = first[ip] * 100
-			eng.partPats[w][ip] = 1
-		}
-	}
-	if err := eng.RebalanceNow(); err != nil {
-		t.Fatal(err)
-	}
-	smoothed := eng.SmoothedCosts()
-	for i := range smoothed {
-		spike := first[i] * 100
-		if smoothed[i] <= afterFirst[i] || smoothed[i] >= spike {
-			t.Errorf("smoothed[%d]=%v not strictly between prior %v and spike %v", i, smoothed[i], afterFirst[i], spike)
-		}
 	}
 }

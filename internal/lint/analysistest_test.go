@@ -107,9 +107,8 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T)      { runFixture(t, "det", Determinism) }
-func TestHotpathFixture(t *testing.T)          { runFixture(t, "hot", Hotpath) }
-func TestHolderDisciplineFixture(t *testing.T) { runFixture(t, "holder", HolderDiscipline) }
-func TestRegionCtxFixture(t *testing.T)        { runFixture(t, "region", RegionCtx) }
-func TestDocLintFixture(t *testing.T)          { runFixture(t, "doc", DocLint) }
-func TestDirectivesFixture(t *testing.T)       { runFixture(t, "dirs", Directives) }
+func TestDeterminismFixture(t *testing.T) { runFixture(t, "det", Determinism) }
+func TestHotpathFixture(t *testing.T)     { runFixture(t, "hot", Hotpath) }
+func TestRegionCtxFixture(t *testing.T)   { runFixture(t, "region", RegionCtx) }
+func TestDocLintFixture(t *testing.T)     { runFixture(t, "doc", DocLint) }
+func TestDirectivesFixture(t *testing.T)  { runFixture(t, "dirs", Directives) }

@@ -17,9 +17,6 @@ import (
 //	//plk:regions         package doc: cancellation checks are restricted
 //	                      to //plk:regionboundary functions.
 //	//plk:regionboundary  function doc: this function may consult ctx.
-//	//plk:holder          type doc or struct-field doc/comment: the fields
-//	                      (or that field) may only be accessed by methods
-//	                      of the declaring type or code in its file.
 //	//plk:documented      package doc: every exported identifier needs a
 //	                      doc comment (doclint).
 //	//plk:allow(rule) why line comment: waive `rule` on this line and the
@@ -30,7 +27,6 @@ const (
 	dirHotpath        = "hotpath"
 	dirRegions        = "regions"
 	dirRegionBoundary = "regionboundary"
-	dirHolder         = "holder"
 	dirDocumented     = "documented"
 )
 
@@ -40,7 +36,6 @@ var knownDirectives = map[string]bool{
 	dirHotpath:        true,
 	dirRegions:        true,
 	dirRegionBoundary: true,
-	dirHolder:         true,
 	dirDocumented:     true,
 }
 

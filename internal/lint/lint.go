@@ -12,10 +12,6 @@
 //     allocation- and indirection-free (no append/make/new, no slice or map
 //     composite literals, no closures, no defer, no interface conversions,
 //     no map or channel operations, no context plumbing).
-//   - holderdiscipline: fields annotated as atomically published holders may
-//     only be touched by the declaring type's methods (or the declaring
-//     file), so rebuilt schedules are published exclusively through the
-//     versioned Load/Store methods.
 //   - regionctx: in packages annotated as region-structured, cancellation
 //     may only be consulted by functions annotated as region boundaries,
 //     never inside kernel spans.
@@ -145,7 +141,6 @@ func All() []*Analyzer {
 		Directives,
 		Determinism,
 		Hotpath,
-		HolderDiscipline,
 		RegionCtx,
 		DocLint,
 	}

@@ -78,8 +78,8 @@ func (t *Tracer) Span(name, cat string, tid int, start time.Time, d time.Duratio
 	t.record(traceEvent{name: name, cat: cat, tid: tid, ts: start, dur: d, args: args})
 }
 
-// Instant records a zero-duration marker (rebalance swaps, lifecycle edges)
-// at the current time.
+// Instant records a zero-duration marker (a lifecycle edge) at the current
+// time.
 func (t *Tracer) Instant(name, cat string, tid int, args ...Arg) {
 	if t == nil {
 		return

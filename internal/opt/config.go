@@ -83,13 +83,6 @@ type Config struct {
 	// engine.
 	Progress func(round int, lnl float64)
 
-	// RoundEnd, if non-nil, is called after every completed outer round,
-	// after Progress. Unlike Progress it is a maintenance hook: it runs on
-	// the optimizing goroutine at a region boundary and MAY call back into
-	// the engine's between-region entry points — the session facade uses it
-	// to trigger measured-schedule rebalancing (Engine.MaybeRebalance).
-	RoundEnd func()
-
 	// DisableConvergenceMask is an ablation switch: under newPAR, keep
 	// already-converged partitions inside every parallel region instead of
 	// retiring them through the boolean convergence vector the paper

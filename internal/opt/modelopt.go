@@ -231,9 +231,6 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		if o.Cfg.Progress != nil {
 			o.Cfg.Progress(rounds, cur)
 		}
-		if o.Cfg.RoundEnd != nil {
-			o.Cfg.RoundEnd()
-		}
 		if cur-prev < o.Cfg.ModelEps {
 			prev = cur
 			break

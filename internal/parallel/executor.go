@@ -80,7 +80,7 @@ func (r Region) String() string {
 // Idle is wall time the worker spent blocked on intra-region synchronization
 // (the steal runtime's step barriers) rather than working; executors subtract
 // it from the measured Seconds before recording, so per-worker times — and
-// everything derived from them: TimeImbalance, measured rebalancing — keep
+// everything derived from them, such as TimeImbalance — keep
 // measuring work even in regions that synchronize internally. Without the
 // correction every worker's Seconds in a multi-step stealing region would
 // converge on the region's wall time, hiding exactly the skew the metric

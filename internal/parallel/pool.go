@@ -109,12 +109,11 @@ func (p *Pool) Stats() *Stats { return &p.stats }
 // traffic). Virtual workers take turns on the caller, each turn timed from
 // the previous turn's end, so the turns add up to the region's wall time and
 // a single worker costs two clock reads. That serial timing is an honest,
-// contention-free sample of each share's cost on this host — the feedback
-// the measured schedule strategy consumes. A view whose goroutines were
-// stopped under it (a Dataset torn down while an analysis is mid-flight)
-// runs its workers virtually, with identical numerics, so the analysis
-// completes instead of crashing; Run on a view that was itself closed is a
-// programming error and panics.
+// contention-free sample of each share's cost on this host. A view whose
+// goroutines were stopped under it (a Dataset torn down while an analysis is
+// mid-flight) runs its workers virtually, with identical numerics, so the
+// analysis completes instead of crashing; Run on a view that was itself
+// closed is a programming error and panics.
 //
 // A worker whose assignment is empty for this region leaves Ops at the zero
 // it was reset to; it enters the statistics as exactly zero rather than being

@@ -13,8 +13,9 @@ import (
 // accountings are kept: predicted weighted operation counts (what the
 // analytic cost model says the work was worth) and measured wall-clock
 // seconds (what the work actually cost on this host, monotonic-clock timed
-// per worker per region by the executors). The gap between the two is the
-// feedback signal the measured scheduling strategy closes. All updates happen
+// per worker per region by the executors). The gap between the two is what
+// the op model mispriced — observability, not control: nothing reschedules
+// on it, and stealing absorbs it inside each region. All updates happen
 // on the master side of the barrier, so no locking is needed. Workers that a
 // region's assignment leaves empty contribute exactly zero ops and
 // (near-)zero time, so idle workers are visible in (not hidden from) the
@@ -140,8 +141,8 @@ func (s *Stats) WorkerImbalance() float64 { return maxAvgRatio(s.WorkerOps) }
 // wall-clock seconds — the observed analogue of WorkerImbalance. Where
 // WorkerImbalance prices the run with the analytic op model, TimeImbalance
 // reports what the host actually did; a gap between the two means the model
-// mispriced the patterns (tip tables, cache effects, a noisy machine), which
-// is exactly the signal the measured scheduling strategy rebalances on.
+// mispriced the patterns (tip tables, cache effects, a noisy machine) — the
+// residual that stealing absorbs.
 func (s *Stats) TimeImbalance() float64 { return maxAvgRatio(s.WorkerTime) }
 
 // String renders a compact per-kind table.

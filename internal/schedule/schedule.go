@@ -19,10 +19,10 @@
 //     pattern chunks onto workers using per-pattern op costs, so mixed
 //     DNA/protein datasets balance by cost rather than by count while every
 //     worker still receives at most one contiguous run per partition.
-//   - Measured: the feedback-driven variant of Weighted. It is seeded from
-//     the analytic cost model, then rebuilt from observed per-pattern costs
-//     (measured per-worker wall time attributed to partitions) via Rebalance
-//     whenever the measured imbalance crosses a hysteresis threshold.
+//   - Measured: the weighted pack under caller-supplied prices (Rebalance).
+//     Nothing in the program reprices a schedule at run time — a dataset's
+//     schedule is built once and never changes (DESIGN.md "Why the schedule
+//     is immutable") — so no analysis option selects it.
 //
 // Schedules feed the deterministic kernels, so schedule construction is a
 // deterministic scope itself: equal inputs must yield equal assignments.
@@ -48,14 +48,9 @@ const (
 	Block
 	// Weighted LPT-bin-packs contiguous per-partition chunks by op cost.
 	Weighted
-	// Measured is the feedback-driven strategy: it starts out identical to
-	// Weighted (the analytic cost model is the best prior available before
-	// anything has run), and is then periodically rebuilt from *observed*
-	// per-pattern costs via Rebalance — measured per-worker wall time
-	// attributed back to (partition, pattern-count) samples by the engine.
-	// This closes the loop the static strategies leave open: tip tables,
-	// cache effects, or a mispriced model shift real costs away from the
-	// analytic prediction, and only measurement can see that.
+	// Measured is the weighted pack under caller-supplied prices: New builds
+	// it exactly like Weighted, and it is the strategy a Rebalance result
+	// carries. A pure function of its spans; not selectable by name.
 	Measured
 )
 
@@ -75,8 +70,7 @@ func (s Strategy) String() string {
 	}
 }
 
-// Parse resolves a strategy name ("cyclic", "block", "weighted",
-// "measured"/"adaptive").
+// Parse resolves a strategy name ("cyclic", "block", "weighted").
 func Parse(name string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "cyclic", "cycle", "stride":
@@ -85,10 +79,8 @@ func Parse(name string) (Strategy, error) {
 		return Block, nil
 	case "weighted", "lpt", "cost":
 		return Weighted, nil
-	case "measured", "adaptive", "feedback":
-		return Measured, nil
 	default:
-		return 0, fmt.Errorf("schedule: unknown strategy %q (want cyclic, block, weighted, or measured/adaptive)", name)
+		return 0, fmt.Errorf("schedule: unknown strategy %q (want cyclic, block, or weighted)", name)
 	}
 }
 
@@ -163,8 +155,6 @@ func New(strategy Strategy, threads int, spans []Span) (*Schedule, error) {
 	case Block:
 		s.buildBlock()
 	case Weighted, Measured:
-		// Measured starts from the same analytic-cost LPT pack as Weighted;
-		// observed costs arrive later through Rebalance.
 		s.buildWeighted()
 	default:
 		return nil, fmt.Errorf("schedule: unknown strategy %v", strategy)
@@ -508,54 +498,16 @@ func (s *Schedule) buildWeighted() {
 	}
 }
 
-// PartitionCosts holds one observed per-pattern cost per span (partition),
-// in whatever unit the measurement produced (the engine uses seconds per
-// pattern). Only cost *ratios* matter to the LPT packing. A zero, negative,
-// or NaN entry means "no usable observation for this partition" and leaves
-// that span's prior cost in place on Rebalance.
+// PartitionCosts holds one caller-supplied per-pattern cost per span
+// (partition), in any unit: only cost *ratios* matter to the LPT packing. A
+// zero, negative, or NaN entry leaves that span's cost in place on Rebalance.
 type PartitionCosts []float64
 
-// MergeEWMA folds one measurement window's observed per-pattern costs into a
-// running exponentially-weighted average: for every span with a usable
-// observation the result is decay*observed + (1-decay)*prior, so a single
-// noisy window moves the cost by at most the decay fraction and cannot thrash
-// the LPT pack, while a persistent shift still converges geometrically. A
-// missing/invalid observation (zero, negative, NaN, Inf) keeps the prior; a
-// missing prior (nil receiver, or a zero entry — e.g. a partition that had
-// never been sampled) adopts the observation outright, so the first window
-// after startup is not damped toward nothing. decay is clamped to (0, 1]; the
-// receiver is not modified.
-func (prior PartitionCosts) MergeEWMA(observed PartitionCosts, decay float64) PartitionCosts {
-	if decay <= 0 || decay > 1 || math.IsNaN(decay) {
-		decay = 1
-	}
-	usable := func(c float64) bool { return c > 0 && !math.IsNaN(c) && !math.IsInf(c, 0) }
-	out := make(PartitionCosts, len(observed))
-	for i, obs := range observed {
-		var pri float64
-		if i < len(prior) {
-			pri = prior[i]
-		}
-		switch {
-		case usable(obs) && usable(pri):
-			out[i] = decay*obs + (1-decay)*pri
-		case usable(obs):
-			out[i] = obs
-		case usable(pri):
-			out[i] = pri
-		}
-	}
-	return out
-}
-
-// Rebalance derives a new schedule from observed per-pattern costs: the same
-// span (partition) boundaries and worker count as s, but each span priced at
-// the measured cost instead of the analytic model, then LPT-packed exactly
-// like the weighted strategy. The result always carries the Measured
+// Rebalance is a pure function: the weighted pack of s's spans and worker
+// count under the supplied per-pattern prices. The result carries the Measured
 // strategy, covers the identical global pattern space (every pattern index
 // assigned to exactly one worker — see the property test), and shares no
-// mutable state with s, so callers can atomically swap it in while other
-// sessions keep using s.
+// mutable state with s.
 func (s *Schedule) Rebalance(observed PartitionCosts) (*Schedule, error) {
 	if len(observed) != len(s.spans) {
 		return nil, fmt.Errorf("schedule: %d observed costs for %d spans", len(observed), len(s.spans))

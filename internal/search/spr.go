@@ -50,12 +50,6 @@ type Config struct {
 	// cumulative applied/tried move counts. It runs between parallel
 	// regions on the searching goroutine and must not call into the engine.
 	Progress func(round int, lnl float64, movesApplied, movesTried int)
-
-	// RoundEnd, if non-nil, is called after every completed SPR round, after
-	// Progress. It is a maintenance hook running at a region boundary and may
-	// call the engine's between-region entry points (the session facade
-	// triggers measured-schedule rebalancing here).
-	RoundEnd func()
 }
 
 // DefaultConfig returns production defaults (radius and epsilon follow
@@ -131,9 +125,6 @@ func (s *Searcher) Run(ctx context.Context) (Result, error) {
 		s.best = s.o.SmoothAll(ctx)
 		if s.Cfg.Progress != nil {
 			s.Cfg.Progress(rounds, s.best, s.moves, s.tried)
-		}
-		if s.Cfg.RoundEnd != nil {
-			s.Cfg.RoundEnd()
 		}
 		if s.best-prev < s.Cfg.Epsilon {
 			break

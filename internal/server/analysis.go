@@ -59,7 +59,6 @@ type analysisStatus struct {
 	MovesApplied  int     `json:"moves_applied,omitempty"`
 	MovesTried    int     `json:"moves_tried,omitempty"`
 	Regions       int64   `json:"regions,omitempty"`
-	Rebalances    int     `json:"rebalances,omitempty"`
 	Tree          string  `json:"tree,omitempty"`
 	DroppedEvents int64   `json:"dropped_events,omitempty"`
 }
@@ -74,15 +73,14 @@ type analysisJob struct {
 	hub     *eventHub
 	cancel  context.CancelFunc
 
-	mu         sync.Mutex
-	state      string
-	lnl        float64
-	errMsg     string
-	rounds     int
-	moves      [2]int // applied, tried
-	regions    int64
-	rebalances int
-	tree       string
+	mu      sync.Mutex
+	state   string
+	lnl     float64
+	errMsg  string
+	rounds  int
+	moves   [2]int // applied, tried
+	regions int64
+	tree    string
 }
 
 // snapshot returns the job's state and wire form.
@@ -92,7 +90,7 @@ func (j *analysisJob) snapshot() (string, analysisStatus) {
 	st := analysisStatus{
 		ID: j.id, State: j.state, Mode: j.mode, Dataset: j.dataset, Tenant: j.tenant,
 		Rounds: j.rounds, MovesApplied: j.moves[0], MovesTried: j.moves[1],
-		Regions: j.regions, Rebalances: j.rebalances, Tree: j.tree,
+		Regions: j.regions, Tree: j.tree,
 		Error: j.errMsg, DroppedEvents: j.hub.Dropped(),
 	}
 	if !math.IsNaN(j.lnl) && j.lnl != 0 {
@@ -222,7 +220,6 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 	job.rounds = sres.Rounds
 	job.moves = [2]int{sres.MovesApplied, sres.MovesTried}
 	job.regions = st.Regions
-	job.rebalances = st.Rebalances
 	job.tree = an.TreeNewick()
 	switch {
 	case err == nil:

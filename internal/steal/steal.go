@@ -1,8 +1,8 @@
 // Package steal is the intra-region work-stealing runtime: the layer that
 // bounds tail latency *inside* a synchronization region, where the
 // precomputed-assignment model (internal/schedule) cannot help. A schedule —
-// however well packed between regions — fixes each worker's share before the
-// region starts; a worker whose share turns out cheap (mispriced costs, a
+// however well packed — fixes each worker's share once per dataset, before
+// any region starts; a worker whose share turns out cheap (mispriced costs, a
 // masked partition, cache luck) idles at the barrier while the slowest worker
 // finishes alone. This package slices every worker's share into cache-line-
 // aligned chunks (schedule.ChunkRuns), loads them into one lock-free deque
@@ -35,7 +35,6 @@
 package steal
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -108,8 +107,8 @@ func (c Chunk) Run() schedule.Run { return schedule.Run{Lo: c.Lo, Hi: c.Hi, Step
 // chunk size. Chunk ids ascend by (span, owner, position); that id order is
 // the engine's fixed reduction order, and it is identical however the chunks
 // are later distributed, which is what makes stolen-work reductions
-// deterministic. A layout is cheap to build (O(patterns/minChunk)) and is
-// rebuilt whenever a session pins a rebuilt (rebalanced) schedule.
+// deterministic. A layout is cheap to build (O(patterns/minChunk)); every
+// session builds its own from the dataset's schedule and its MinChunk.
 type Layout struct {
 	chunks   []Chunk
 	byWorker [][]int32 // chunk ids per owner, ascending
@@ -197,10 +196,11 @@ func (d *deque) addRemaining(x float64) {
 }
 
 // Runtime is the per-session chunk-distribution state: one deque per worker
-// over the current layout, the per-step re-arm barrier, and the load/quiesce
-// lifecycle. A Runtime belongs to exactly one session engine; the master
-// (session goroutine) calls Load before issuing a region and Finish after
-// its barrier, workers call Next/NextStep from inside the region closure.
+// over the session's layout (fixed for the runtime's life), the per-step
+// re-arm barrier, and the load/finish lifecycle. A Runtime belongs to exactly
+// one session engine; the master (session goroutine) calls Load before
+// issuing a region and Finish after its barrier, workers call Next/NextStep
+// from inside the region closure.
 type Runtime struct {
 	layout *Layout
 	deques []deque
@@ -220,13 +220,24 @@ type Runtime struct {
 
 // NewRuntime builds the stealing runtime for a layout with thieving enabled.
 func NewRuntime(l *Layout) *Runtime {
-	rt := &Runtime{}
+	t := l.threads
+	rt := &Runtime{
+		layout: l,
+		deques: make([]deque, t),
+		arrs:   make([][]atomic.Int32, t),
+		loaded: make([][]int32, t),
+	}
+	for w := 0; w < t; w++ {
+		rt.arrs[w] = make([]atomic.Int32, l.dequeCap(w))
+		rt.loaded[w] = make([]int32, 0, len(l.byWorker[w]))
+	}
+	rt.barrier.n = t
+	rt.barrier.cond = sync.NewCond(&rt.barrier.mu)
 	rt.stealing.Store(true)
-	rt.Install(l)
 	return rt
 }
 
-// Layout returns the currently installed chunk layout.
+// Layout returns the runtime's chunk layout.
 func (rt *Runtime) Layout() *Layout { return rt.layout }
 
 // SetStealing toggles thieving. With stealing off, workers walk their own
@@ -250,22 +261,6 @@ func (rt *Runtime) Steps() int64 { return rt.steps.Load() }
 // again once the batch drains.
 const maxStealBatch = 256
 
-// Install quiesces the runtime and swaps in a new chunk layout (built from a
-// rebuilt schedule). The caller must be between regions; Quiesce enforces it.
-func (rt *Runtime) Install(l *Layout) {
-	rt.Quiesce()
-	rt.layout = l
-	t := l.threads
-	rt.deques = make([]deque, t)
-	rt.arrs = make([][]atomic.Int32, t)
-	rt.loaded = make([][]int32, t)
-	for w := 0; w < t; w++ {
-		rt.arrs[w] = make([]atomic.Int32, l.dequeCap(w))
-		rt.loaded[w] = make([]int32, 0, len(l.byWorker[w]))
-	}
-	rt.barrier.init(t)
-}
-
 // dequeCap is the backing-array length of worker w's deque: a deque holds at
 // most its own scheduled chunks (armWorker) or one steal batch (stealHalf
 // publishes into an empty deque), whichever is larger — not the whole layout.
@@ -286,7 +281,7 @@ func (l *Layout) MemoryBytes() int64 {
 	return int64(len(l.chunks)) * int64(unsafe.Sizeof(Chunk{})+4)
 }
 
-// RuntimeBytes is the heap a Runtime allocates over this layout (Install):
+// RuntimeBytes is the heap NewRuntime allocates over this layout:
 // the padded deque words, every deque's backing array, and the loaded-id
 // lists. The session memory accounting prices it without building a Runtime.
 func (l *Layout) RuntimeBytes() int64 {
@@ -295,18 +290,6 @@ func (l *Layout) RuntimeBytes() int64 {
 		total += 4 * int64(l.dequeCap(w)+len(l.byWorker[w]))
 	}
 	return total
-}
-
-// Quiesce asserts that no region is consuming the deques. The engine calls
-// it (via Install) before pinning a rebuilt schedule: a schedule swap builds
-// a new layout with new chunk ids, and swapping while workers still hold old
-// ids would misdirect their partial sums. Regions and rebalances are both
-// issued from the session goroutine, so an active region here is a lifecycle
-// ordering bug, not a recoverable race — it panics.
-func (rt *Runtime) Quiesce() {
-	if rt.inRegion.Load() {
-		panic("steal: Quiesce/Install while a region is in flight (rebalance must happen between regions)")
-	}
 }
 
 // Load arms the runtime for one region: every worker is handed its layout
@@ -544,17 +527,6 @@ type stepBarrier struct {
 	n     int
 	count int
 	gen   uint64
-}
-
-func (b *stepBarrier) init(n int) {
-	b.mu.Lock()
-	if b.count != 0 {
-		b.mu.Unlock()
-		panic(fmt.Sprintf("steal: re-initializing a barrier with %d workers waiting", b.count))
-	}
-	b.n = n
-	b.cond = sync.NewCond(&b.mu)
-	b.mu.Unlock()
 }
 
 // wait blocks until all n workers arrive; the last arriver runs onLast while

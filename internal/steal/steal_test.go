@@ -262,25 +262,6 @@ func TestStealsAreRecordedAndTargetTheCostliestVictim(t *testing.T) {
 	}
 }
 
-// TestQuiesceRejectsMidRegionInstall pins the rebalance/steal ordering
-// contract: installing a new layout while a region is loaded must panic.
-func TestQuiesceRejectsMidRegionInstall(t *testing.T) {
-	spans := []schedule.Span{{Lo: 0, Hi: 100, Cost: 160}}
-	s, err := schedule.New(schedule.Weighted, 2, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRuntime(NewLayout(s, 16))
-	rt.Load(nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("Install during an in-flight region did not panic")
-		}
-		rt.Finish()
-	}()
-	rt.Install(NewLayout(s, 16))
-}
-
 // TestLayoutRespectsMinChunkDefault checks defaulting, the per-chunk cost
 // estimate against the span pricing, each chunk's owner share, and the
 // memory pricing against a real runtime's buffers.

@@ -91,26 +91,19 @@ const (
 	// ScheduleWeighted LPT-bin-packs patterns onto workers by per-pattern op
 	// cost, balancing mixed DNA/protein datasets by cost rather than count.
 	ScheduleWeighted = schedule.Weighted
-	// ScheduleMeasured (CLI name "adaptive") is the feedback-driven strategy:
-	// it starts from the weighted pack, measures each worker's wall-clock
-	// time per partition while the analysis runs, and rebuilds the assignment
-	// from the observed per-pattern costs whenever the measured imbalance
-	// exceeds AnalysisOptions.RebalanceThreshold (hysteresis, default 1.1x).
-	// Rebalances happen between optimizer/search rounds and swap in atomically
-	// at region boundaries, so they never perturb a session's likelihoods.
-	ScheduleMeasured = schedule.Measured
 )
 
-// ParseScheduleStrategy resolves "cyclic", "weighted", or
-// "measured"/"adaptive". The contiguous-block ablation the paper argues
-// against is not an analysis option; it lives on in internal/schedule for
-// cmd/experiments and the benchmarks.
+// ParseScheduleStrategy resolves "cyclic" or "weighted". Every other name
+// fails the same way, including "block" (the contiguous ablation the paper
+// argues against lives on in internal/schedule for cmd/experiments only) and
+// "measured"/"adaptive" (a dataset's schedule is built once and never
+// changes, so there is no run-time repricing strategy to select).
 func ParseScheduleStrategy(name string) (ScheduleStrategy, error) {
 	s, err := schedule.Parse(name)
-	if err == nil && s == schedule.Block {
-		return 0, fmt.Errorf("phylo: unknown schedule strategy %q (want cyclic, weighted, or measured/adaptive)", name)
+	if err != nil || s == schedule.Block {
+		return 0, fmt.Errorf("phylo: unknown schedule strategy %q (want cyclic or weighted)", name)
 	}
-	return s, err
+	return s, nil
 }
 
 // KernelBackend selects the likelihood kernel implementation and its CLV
@@ -270,7 +263,7 @@ func SimulateGrid(taxa, sites, partLen int, scale float64, seed int64) (*Alignme
 // SimulateMixed generates a partitioned alignment mixing DNA and protein
 // partitions of jittered lengths around partLen columns — the workload whose
 // ~25x per-pattern cost spread separates the scheduling strategies (see
-// ScheduleWeighted and ScheduleMeasured).
+// ScheduleWeighted).
 func SimulateMixed(taxa, dnaParts, aaParts, partLen int, scale float64, seed int64) (*Alignment, error) {
 	ds, err := seqsim.MixedDataset(taxa, dnaParts, aaParts, partLen, scale, seed)
 	if err != nil {

@@ -583,21 +583,22 @@ func TestNewDatasetRejectsTooFewTaxa(t *testing.T) {
 	}
 }
 
-// TestParseScheduleStrategy pins the analysis-facing strategy names: the
-// three supported assignments parse, and the contiguous-block ablation — an
-// experiment, not an option — does not.
+// TestParseScheduleStrategy pins the analysis-facing strategy names: the two
+// supported assignments parse; the contiguous-block ablation (an experiment,
+// not an option) and the retired run-time repricing names fail with the one
+// message that lists what is left.
 func TestParseScheduleStrategy(t *testing.T) {
 	for name, want := range map[string]ScheduleStrategy{
 		"cyclic": ScheduleCyclic, "weighted": ScheduleWeighted,
-		"measured": ScheduleMeasured, "adaptive": ScheduleMeasured,
 	} {
 		if got, err := ParseScheduleStrategy(name); err != nil || got != want {
 			t.Errorf("ParseScheduleStrategy(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"block", "contiguous", "round-robin"} {
-		if _, err := ParseScheduleStrategy(name); err == nil {
-			t.Errorf("ParseScheduleStrategy(%q) must fail", name)
+	for _, name := range []string{"block", "contiguous", "measured", "adaptive", "feedback", "round-robin"} {
+		_, err := ParseScheduleStrategy(name)
+		if err == nil || !strings.Contains(err.Error(), "want cyclic or weighted") {
+			t.Errorf("ParseScheduleStrategy(%q) error = %v; want the cyclic-or-weighted rejection", name, err)
 		}
 	}
 }

@@ -86,23 +86,22 @@ func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 }
 
 // TestStealProgressEventsCarryCounters checks the ProgressEvent plumbing on
-// a steal-enabled adaptive session: events stream with monotone steal
-// counters and the session still rebalances.
+// a steal-enabled weighted session: events stream with monotone steal
+// counters.
 func TestStealProgressEventsCarryCounters(t *testing.T) {
 	al, err := SimulateMixed(8, 2, 1, 300, 1.0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleMeasured, Steal: true})
+	ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, Steal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
 	var events []ProgressEvent
 	an, err := ds.NewAnalysis(AnalysisOptions{
-		Seed:               3,
-		RebalanceThreshold: 1.0001,
-		Progress:           func(ev ProgressEvent) { events = append(events, ev) },
+		Seed:     3,
+		Progress: func(ev ProgressEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
