@@ -97,10 +97,12 @@ type AnalysisOptions struct {
 }
 
 // Analysis is one live likelihood session over a Dataset. It owns only the
-// mutable state — the tree, the conditional likelihood vectors, its own
-// copies of the model parameters, and per-worker scratch — and borrows
-// everything else (patterns, schedules, the worker pool) read-only from the
-// Dataset, so sessions are cheap and any number may run concurrently.
+// mutable state — the tree and its own copies of the model parameters, built
+// fresh, plus the conditional likelihood vectors and per-worker scratch,
+// which it holds from NewAnalysis to Close and then hands to the Dataset's
+// next session — and borrows everything else (patterns, schedules, the
+// worker pool) read-only from the Dataset, so sessions are cheap and any
+// number may run concurrently.
 //
 // An Analysis is a single-session object: its methods must not be called
 // concurrently with each other. Concurrency happens across sessions.
@@ -118,10 +120,11 @@ type Analysis struct {
 }
 
 // NewAnalysis opens a new analysis session: it clones the dataset's model
-// templates, builds the starting tree, allocates the session's likelihood
-// buffers, and opens its own view of the dataset's workers. Sessions over
-// one Dataset may run concurrently; with identical options they produce
-// bit-identical results.
+// templates, builds the starting tree, takes the likelihood buffers of a
+// closed session of this Dataset (allocating them when there are none), and
+// opens its own view of the dataset's workers. Sessions over one Dataset may
+// run concurrently; with identical options they produce bit-identical
+// results, whatever ran in their buffers before.
 func (ds *Dataset) NewAnalysis(o AnalysisOptions) (*Analysis, error) {
 	ds.mu.Lock()
 	if ds.closed {
@@ -184,9 +187,12 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 }
 
 // Close releases the session's executor (its view of the shared pool; the
-// pool itself stays up for other sessions). It is idempotent; every method
-// called afterwards returns ErrAnalysisClosed (or NaN where the signature
-// has no error).
+// pool itself stays up for other sessions) and then returns its likelihood
+// buffers to the Dataset for the next session — which is why a long-lived
+// caller should Close every session rather than drop it. It is idempotent;
+// every method called afterwards returns ErrAnalysisClosed (or NaN where the
+// signature has no error). Like every Analysis method it must not run
+// concurrently with another method of the same session.
 func (an *Analysis) Close() error {
 	an.mu.Lock()
 	if an.closed {
@@ -196,6 +202,7 @@ func (an *Analysis) Close() error {
 	an.closed = true
 	an.mu.Unlock()
 	an.exec.Close()
+	an.eng.Release()
 	an.ds.release()
 	return nil
 }

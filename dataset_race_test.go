@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -252,5 +253,89 @@ func TestConcurrentVirtualSessionsKeepPrivateStats(t *testing.T) {
 				t.Errorf("registry plk_regions_total = %v, sessions issued %d", total, issued)
 			}
 		})
+	}
+}
+
+// TestSessionRecyclingSoak is the daemon's evaluate traffic in miniature,
+// under the race detector: several goroutines each open a session, score a
+// tree and close, so buffer sets keep changing hands between goroutines and
+// trees, while the dataset is closed under them at a random point (the
+// cache's eviction path). Every score must equal, bit for bit, what a lone
+// session on a fresh dataset computes for that tree; the only other outcomes
+// are the documented ones of a closed dataset — ErrDatasetClosed from
+// NewAnalysis, NaN from LogLikelihood.
+func TestSessionRecyclingSoak(t *testing.T) {
+	al, err := SimulateMixed(8, 3, 1, 40, 1.0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DatasetOptions{Threads: 2, Schedule: ScheduleWeighted, Steal: true}
+	type request struct {
+		seed    int64
+		perPart bool
+	}
+	score := func(ds *Dataset, q request) (float64, error) {
+		an, err := ds.NewAnalysis(AnalysisOptions{Seed: q.seed, PerPartitionBranchLengths: q.perPart})
+		if err != nil {
+			return 0, err
+		}
+		defer an.Close()
+		return an.LogLikelihood(), nil
+	}
+	requests := []request{{1, false}, {2, true}, {3, false}, {4, true}, {5, false}}
+	want := make([]uint64, len(requests))
+	for i, q := range requests {
+		ds, err := NewDataset(al, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lnl, err := score(ds, q)
+		if err != nil || math.IsNaN(lnl) {
+			t.Fatalf("lone run %d: lnL %v, err %v", i, lnl, err)
+		}
+		want[i] = math.Float64bits(lnl)
+		ds.Close()
+	}
+
+	const goroutines, rounds = 4, 20
+	for iter := 0; iter < 6; iter++ {
+		ds, err := NewDataset(al, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Iterations 0..4 close the dataset after that share of the traffic;
+		// the last lets every session run on a live dataset.
+		closeAt := int64(goroutines * rounds * (iter + 1) / 6)
+		var done atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					k := (g + r) % len(requests)
+					lnl, err := score(ds, requests[k])
+					switch {
+					case err != nil:
+						if !errors.Is(err, ErrDatasetClosed) {
+							t.Errorf("NewAnalysis: %v", err)
+						}
+					case math.IsNaN(lnl):
+						if !ds.isClosed() {
+							t.Errorf("request %d scored NaN on a live dataset", k)
+						}
+					case math.Float64bits(lnl) != want[k]:
+						t.Errorf("request %d scored %v in traffic, %v alone", k, lnl, math.Float64frombits(want[k]))
+					}
+					if done.Add(1) == closeAt && iter < 5 {
+						if err := ds.Close(); err != nil && !strings.Contains(err.Error(), "session(s) still open") {
+							t.Errorf("Close: %v", err)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		ds.Close()
 	}
 }

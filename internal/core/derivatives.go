@@ -28,6 +28,11 @@ import (
 func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	q := p.Back
 	act := e.activeOrAll(active)
+	if e.sumtable == nil {
+		// Evaluate-only sessions never get here: the first holder of the
+		// buffer set that smooths a branch makes the sumtable, in the set.
+		e.sumtable = alignedFloats(e.layout.SumTotal())
+	}
 	rt := e.stealRT
 	rt.Load(act)
 	e.Exec.Run(parallel.RegionSumTable, func(w int, ctx *parallel.WorkerCtx) {
@@ -61,9 +66,10 @@ type sumSpanCtx struct {
 	s, cats    int
 	cs         int
 	base       int
-	patStride  int // CLV layout: offset between consecutive patterns
-	catStride  int // CLV layout: offset between consecutive categories
-	sbase      int // sumtable base (the sumtable is always pattern-major)
+	patStride  int       // CLV layout: offset between consecutive patterns
+	catStride  int       // CLV layout: offset between consecutive categories
+	sum        []float64 // the session's sumtable
+	sbase      int       // sumtable base (the sumtable is always pattern-major)
 	partOffset int
 	dtype      alignment.DataType
 	invCats    float64
@@ -87,7 +93,7 @@ func (e *Engine) prepareSumtableSpan(c *sumSpanCtx, p, q *tree.Node, ip, w int) 
 	*c = sumSpanCtx{
 		e: e, ip: ip, w: w, s: s, cats: e.numCats, cs: e.numCats * s,
 		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
-		sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset,
+		sum: e.sumtable, sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset,
 		dtype: part.Type, invCats: 1.0 / float64(e.numCats),
 		pTip: p.IsTip(), qTip: q.IsTip(),
 		v: m.EigenVecs, vi: m.InvVecs, freqs: m.Freqs,
@@ -172,7 +178,7 @@ func (c *sumSpanCtx) processGeneric(run schedule.Run) int {
 					cr = c.qv[co : co+s]
 				}
 			}
-			dst := c.e.sumtable[soff+cat*s : soff+(cat+1)*s]
+			dst := c.sum[soff+cat*s : soff+(cat+1)*s]
 			for k := 0; k < s; k++ {
 				var lproj, rproj float64
 				if lRow != nil {
@@ -259,7 +265,8 @@ type derivSpanCtx struct {
 	e                  *Engine
 	ip                 int
 	s, cats, cs        int
-	sbase              int // sumtable base (always pattern-major)
+	sum                []float64 // the session's sumtable
+	sbase              int       // sumtable base (always pattern-major)
 	partOffset         int
 	eTab, g1Tab, g2Tab []float64
 	kern               KernelBackend
@@ -280,7 +287,7 @@ func (e *Engine) prepareDerivSpan(c *derivSpanCtx, ip int, z float64, ex []float
 	m := e.Models[ip]
 	*c = derivSpanCtx{
 		e: e, ip: ip, s: s, cats: cats, cs: cs,
-		sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset,
+		sum: e.sumtable, sbase: e.layout.SumIndex(ip, 0), partOffset: part.Offset,
 		eTab: ex[0:cs], g1Tab: ex[cs : 2*cs], g2Tab: ex[2*cs : 3*cs],
 		kern: e.kernels[ip],
 		R:    ws.r, lw: ws.lanes(part.Offset),
@@ -312,7 +319,7 @@ func (c *derivSpanCtx) processGeneric(run schedule.Run, out []float64) int {
 		soff := c.sbase + j*cs
 		l, l1, l2 := 0.0, 0.0, 0.0
 		for k := 0; k < cs; k++ {
-			a := c.e.sumtable[soff+k] * c.eTab[k]
+			a := c.sum[soff+k] * c.eTab[k]
 			l += a
 			l1 += a * c.g1Tab[k]
 			l2 += a * c.g2Tab[k]

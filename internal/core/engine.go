@@ -44,10 +44,12 @@ const (
 
 // Engine evaluates likelihoods for one dataset on one tree. Since the
 // Dataset/session split it is the *mutable, per-session* half of the kernel:
-// it owns the tree, the model copies, the CLV/scaling/sumtable buffers, and
-// the per-worker scratch, while everything derived from the dataset alone
-// (compressed patterns, memory layout, schedules) lives in a Shared that any
-// number of concurrent engines borrow read-only.
+// it owns the tree, the model copies, the chunk runtime and its partial sums,
+// and holds one sessionBuffers set (CLVs, scaling vectors, sumtable,
+// per-worker scratch) from NewSession until Release, while everything derived
+// from the dataset alone (compressed patterns, memory layout, schedules, the
+// retired buffer sets) lives in a Shared that any number of concurrent
+// engines borrow.
 type Engine struct {
 	Data   *alignment.CompressedData
 	Tree   *tree.Tree
@@ -79,28 +81,18 @@ type Engine struct {
 	evalChunk  []float64 // [chunk*R + r] evaluate partials
 	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
 
-	numCats  int
-	maxS     int
-	layout   *CLVLayout // borrowed from shared: CLV/sumtable geometry
-	clvs     [][]float64
-	scales   [][]int32 // per inner node, per global pattern
-	sumtable []float64 // branch-derivative workspace (always pattern-major)
+	numCats int
+	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
+
+	*sessionBuffers // nil after Release: the next kernel call faults
 
 	// weightOverride, when set, replaces the dataset's own weights in
 	// Evaluate and BranchDerivatives (see SetWeightOverride).
 	weightOverride *WeightSet
 
-	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
-	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
-	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
-
-	// smallScratch is the fused backend's per-worker scaling-flag scratch
-	// (one bool per pattern of the widest partition); nil on other backends.
-	smallScratch [][]bool
-
 	// obsBatchWidth (nil unless Options.Metrics) is the one engine-level
-	// family, set between regions. Region- and kernel-level families are
-	// folded by the executor's RegionObserver, not here.
+	// family a running session updates, set between regions. Region- and
+	// kernel-level families are folded by the executor's RegionObserver.
 	obsBatchWidth *obs.Gauge
 }
 
@@ -130,18 +122,75 @@ type Options struct {
 	// fixed-order reductions, so the value regroups floating-point sums
 	// (within reassociation tolerance) besides bounding steal granularity.
 	MinChunk int
-	// Metrics, when non-nil, receives the engine-level observability family
-	// (batch width). Region/kernel/steal families come from the executor's
+	// Metrics, when non-nil, receives the engine-level observability families
+	// (batch width; session buffers recycled vs allocated, counted once in
+	// NewSession). Region/kernel/steal families come from the executor's
 	// RegionObserver, which the facade attaches to the same registry.
 	Metrics *obs.Registry
 }
 
+// sessionBuffers is the numeric working set of one session: every buffer
+// whose size is a function of the Shared alone. A session holds one set from
+// NewSession to Release, which parks it on the Shared for the next session as
+// it is. Nothing is zeroed on either side, because no kernel reads an element
+// its own session did not write first (DESIGN.md "What a session borrows,
+// recycles and builds"); recycle_test.go pins that by poisoning a parked set.
+type sessionBuffers struct {
+	clvs     [][]float64 // per inner node, layout.Total() floats
+	scales   [][]int32   // per inner node, per global pattern
+	sumtable []float64   // branch-derivative workspace (always pattern-major); nil until the first PrepareSumtable
+
+	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
+	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
+	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
+
+	// smallScratch is the fused backend's per-worker scaling-flag scratch
+	// (one bool per pattern of the widest partition); nil on other backends.
+	smallScratch [][]bool
+}
+
+// newSessionBuffers is the one buffer-allocation routine: a pool miss is the
+// dataset's first session (or one the collector emptied the pool under).
+func newSessionBuffers(sh *Shared) *sessionBuffers {
+	nInner, t := sh.Data.NumTaxa()-2, sh.Threads
+	pm, tip := sh.NumCats*sh.maxS*sh.maxS, sh.maxCodes*sh.NumCats*sh.maxS
+	b := &sessionBuffers{
+		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
+		pmScratch: make([][2][]float64, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
+	}
+	for i := range b.clvs {
+		b.clvs[i] = alignedFloats(sh.layout.Total())
+		b.scales[i] = make([]int32, sh.Data.TotalPatterns)
+	}
+	for w := 0; w < t; w++ {
+		b.pmScratch[w] = [2][]float64{alignedFloats(pm), alignedFloats(pm)}
+		b.exScratch[w] = alignedFloats(3 * sh.NumCats * sh.maxS)
+		// One table per tip child: codes × cats × s rows cover the newview
+		// and evaluate tables; the category-independent sumtable projections
+		// (codes × s) reuse a prefix of the same buffers.
+		b.tipScratch[w] = [2][]float64{alignedFloats(tip), alignedFloats(tip)}
+	}
+	if sh.Backend == BackendFused {
+		// Per-worker "every entry tiny" flags the fused newview kernels fill
+		// during their category sweeps (while the values are in registers), so
+		// the scaling pass never re-reads the cold category planes.
+		b.smallScratch = make([][]bool, t)
+		for w := range b.smallScratch {
+			b.smallScratch[w] = make([]bool, sh.maxPatterns())
+		}
+	}
+	return b
+}
+
 // NewSession builds a session engine over precomputed shared state: it
-// validates the session's tree, models, and executor against the dataset and
-// allocates only the per-session mutable buffers (CLVs, scaling vectors,
-// sumtable, per-worker scratch, the chunk runtime). Any number of sessions
-// may run concurrently over one Shared as long as each has its own executor
-// (a parallel.Pool.Session view of shared workers counts).
+// validates the session's tree, models, and executor against the dataset,
+// takes a retired sessionBuffers set from the Shared (allocating one when
+// none is parked) and builds only the small per-session state fresh — kernel
+// bindings, the all-true mask, the chunk runtime. Any number of sessions may
+// run concurrently over one Shared as long as each has its own executor (a
+// parallel.Pool.Session view of shared workers counts). Release the session
+// when it is over so the next can reuse its buffers; one that is simply
+// dropped costs its successor an allocation, nothing else.
 func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
 	if sh == nil || tr == nil || exec == nil {
 		return nil, errors.New("core: nil shared state, tree, or executor")
@@ -192,12 +241,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		shared:         sh,
 		sched:          sched,
 		numCats:        sh.NumCats,
-		maxS:           sh.maxS,
 		layout:         sh.layout,
-	}
-	if opts.Metrics != nil {
-		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
-			"Replicate lanes (R) of the most recent batched likelihood evaluation.")
 	}
 	e.kernels = make([]KernelBackend, len(data.Parts))
 	for ip, p := range data.Parts {
@@ -209,42 +253,32 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	}
 	e.stealRT = steal.NewRuntime(steal.NewLayout(sched, opts.MinChunk))
 	e.stealRT.SetStealing(opts.Steal)
-	nInner := tr.NumInner()
-	e.clvs = make([][]float64, nInner)
-	e.scales = make([][]int32, nInner)
-	for i := range e.clvs {
-		e.clvs[i] = alignedFloats(sh.layout.Total())
-		e.scales[i] = make([]int32, data.TotalPatterns)
+	bufs, source := sh.retired.Get(), "recycled"
+	if bufs == nil {
+		bufs, source = newSessionBuffers(sh), "allocated"
 	}
-	e.sumtable = alignedFloats(sh.layout.SumTotal())
-	t := sh.Threads
-	e.pmScratch = make([][2][]float64, t)
-	e.exScratch = make([][]float64, t)
-	e.tipScratch = make([][2][]float64, t)
-	for w := 0; w < t; w++ {
-		e.pmScratch[w] = [2][]float64{
-			alignedFloats(sh.NumCats * e.maxS * e.maxS),
-			alignedFloats(sh.NumCats * e.maxS * e.maxS),
-		}
-		e.exScratch[w] = alignedFloats(3 * sh.NumCats * e.maxS)
-		// One table per tip child: codes × cats × s rows cover the newview
-		// and evaluate tables; the category-independent sumtable projections
-		// (codes × s) reuse a prefix of the same buffers.
-		e.tipScratch[w] = [2][]float64{
-			alignedFloats(sh.maxCodes * sh.NumCats * e.maxS),
-			alignedFloats(sh.maxCodes * sh.NumCats * e.maxS),
-		}
-	}
-	if sh.Backend == BackendFused {
-		// Per-worker "every entry tiny" flags the fused newview kernels fill
-		// during their category sweeps (while the values are in registers), so
-		// the scaling pass never re-reads the cold category planes.
-		e.smallScratch = make([][]bool, t)
-		for w := 0; w < t; w++ {
-			e.smallScratch[w] = make([]bool, sh.maxPatterns())
-		}
+	e.sessionBuffers = bufs.(*sessionBuffers)
+	if opts.Metrics != nil {
+		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
+			"Replicate lanes (R) of the most recent batched likelihood evaluation.")
+		opts.Metrics.Counter("plk_session_buffers_total",
+			"Sessions opened, by whether their likelihood buffers were recycled from a released session or freshly allocated.",
+			obs.Label{Key: "source", Value: source}).Inc()
 	}
 	return e, nil
+}
+
+// Release ends the session: its buffers go back to the Shared for the next
+// NewSession as they are, and the engine drops its pointer to them, so a later
+// kernel call on it panics (nil dereference) instead of touching memory
+// another session may hold by then. No region may be in flight. A second
+// Release is a no-op.
+func (e *Engine) Release() {
+	if e.sessionBuffers == nil {
+		return
+	}
+	e.shared.retired.Put(e.sessionBuffers)
+	e.sessionBuffers = nil
 }
 
 // Backend reports the kernel backend this session runs (never BackendAuto).

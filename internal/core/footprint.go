@@ -5,8 +5,11 @@ import "phylo/internal/steal"
 // Memory accounting. A likelihood-serving cache needs a price per dataset to
 // evict against a byte budget, and that price has two parts: what the Shared
 // itself keeps resident (compressed alignment, schedules, layout tables) and
-// what every session opened over it will allocate (CLVs, scaling vectors,
-// the sumtable, per-worker scratch, the chunk runtime). The session part
+// what a session opened over it holds (CLVs, scaling vectors, the sumtable
+// once a branch has been smoothed, per-worker scratch, the chunk runtime).
+// Buffer sets parked between sessions (Shared.retired) are that same
+// one-session term, not an extra: sequential sessions pass one set along and
+// the collector empties the pool. The session part
 // dominates by orders of magnitude on real datasets — (taxa-2) CLV buffers of
 // layout.Total() floats each — so a cache that priced only the shared half
 // would badly undercount the capacity a cached dataset consumes once it
@@ -33,7 +36,8 @@ type MemoryFootprint struct {
 	SessionCLVs int64 `json:"session_clvs"`
 	// SessionScales is the per-inner-node int32 scaling-exponent vectors.
 	SessionScales int64 `json:"session_scales"`
-	// SessionSumtable is the branch-derivative workspace.
+	// SessionSumtable is the branch-derivative workspace (allocated by the
+	// first PrepareSumtable; evaluate-only sessions never hold it).
 	SessionSumtable int64 `json:"session_sumtable"`
 	// SessionScratch is the per-worker kernel scratch: two P-matrix buffers,
 	// the exponential/derivative tables, the two tip lookup tables per worker

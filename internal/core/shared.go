@@ -17,8 +17,10 @@ import (
 // evaluations — so one Shared can back any number of concurrent session
 // engines (see NewSession) without synchronization on the hot path: every
 // field is read-only after construction except the schedule map (own mutex,
-// lazily populated, entries never replaced), so what a session computes is a
-// function of the dataset and its own options, never of a sibling session.
+// lazily populated, entries never replaced) and the pool of retired session
+// buffers (which no session reads before overwriting), so what a session
+// computes is a function of the dataset and its own options, never of a
+// sibling or predecessor session.
 type Shared struct {
 	// Data is the compressed alignment (patterns, weights, tip encodings).
 	Data *alignment.CompressedData
@@ -44,6 +46,12 @@ type Shared struct {
 
 	mu     sync.Mutex
 	scheds map[schedule.Strategy]*schedule.Schedule // built on first use, never replaced
+
+	// retired holds the sessionBuffers sets of released sessions for the next
+	// NewSession. A sync.Pool, not a free-list: a parked set would be live
+	// heap for as long as the dataset is resident (DESIGN.md has the measured
+	// RSS of both). It goes with the Shared; eviction has nothing to drain.
+	retired sync.Pool
 }
 
 // NewShared computes the session-independent engine state for one dataset

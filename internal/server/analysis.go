@@ -29,6 +29,13 @@ const (
 	jobFailed    = "failed"    // admission rejected or the analysis errored
 )
 
+// maxFinishedJobs bounds the job table of a long-lived daemon: every queued
+// or running job is tracked, plus the maxFinishedJobs most recently finished
+// ones (each keeps its result and its event ring, EventBuffer events, for late
+// GET /v1/analyses/{id} and SSE replays). Jobs that finished earlier are
+// dropped as later ones finish; their ids then answer like unknown ones.
+const maxFinishedJobs = 256
+
 // analysisRequest starts one asynchronous analysis.
 type analysisRequest struct {
 	// Dataset is the handle returned by POST /v1/datasets.
@@ -81,6 +88,13 @@ type analysisJob struct {
 	moves   [2]int // applied, tried
 	regions int64
 	tree    string
+}
+
+// active reports whether the job is still queued or running.
+func (j *analysisJob) active() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == jobQueued || j.state == jobRunning
 }
 
 // snapshot returns the job's state and wire form.
@@ -160,6 +174,7 @@ func (s *Server) handleStartAnalysis(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 	job *analysisJob, handle *CachedDataset, req analysisRequest) {
 	defer s.work.Done()
+	defer s.retire(job) // finished by then: every return below sets a final state
 	defer cancel()
 	defer handle.Release()
 	defer job.hub.Close()
@@ -234,6 +249,23 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 		job.errMsg = err.Error()
 	}
 	job.mu.Unlock()
+}
+
+// retire records that job has finished and drops the jobs that finished
+// longest ago beyond maxFinishedJobs, folding their event-drop counts into
+// s.retired so the totals the daemon reports never step backwards. It
+// runs as each job finishes — the only moment the finished count grows — so
+// an active job is never a candidate.
+func (s *Server) retire(job *analysisJob) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, job.id)
+	for len(s.finished) > maxFinishedJobs {
+		old := s.jobs[s.finished[0]]
+		s.finished = s.finished[:copy(s.finished, s.finished[1:])]
+		s.retired.add(old.hub.DropStats()) // its hub is closed: no subscribers left to count
+		delete(s.jobs, old.id)
+	}
 }
 
 // job looks up a tracked analysis.

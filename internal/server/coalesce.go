@@ -1,6 +1,9 @@
 package server
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // Single-flight coalescing of identical evaluate requests. The likelihood
 // kernel is deterministic: two requests naming the same (dataset, model,
@@ -9,6 +12,11 @@ import "sync"
 // paying for their own kernel run. This matters for exactly the traffic a
 // likelihood daemon sees — surrogate-assisted optimizers and bootstrap
 // drivers re-evaluate the same candidate from several workers at once.
+
+// errFlightPanicked is what the callers coalesced onto a computation receive
+// when it panicked instead of returning (the panic itself propagates on the
+// goroutine that ran it).
+var errFlightPanicked = errors.New("the evaluation this request was coalesced onto panicked")
 
 // flightCall is one in-flight computation plus everyone waiting on it.
 type flightCall struct {
@@ -36,7 +44,10 @@ type flightGroup struct {
 
 // Do executes fn once per concurrently requested key and hands its result to
 // every waiter. The second return reports whether this caller was coalesced
-// onto another caller's computation.
+// onto another caller's computation. A panic in fn propagates to the caller
+// that ran it — after the key has been forgotten and the parked duplicates
+// released with errFlightPanicked, so a crashed computation can neither strand
+// its waiters (each holds a tenant admission slot) nor poison the key.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (any, bool, error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -49,17 +60,18 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (any, bool, error) 
 		<-c.done
 		return c.val, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errFlightPanicked} // until fn returns
 	g.calls[key] = c
 	g.primary++
 	g.mu.Unlock()
 
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }
 

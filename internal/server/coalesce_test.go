@@ -126,3 +126,52 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 		t.Fatalf("counters = (%d,%d)", p, c)
 	}
 }
+
+// TestFlightGroupPanicReleasesWaiters pins the failure containment of Do: a
+// computation that panics must not strand the duplicates parked on it (each
+// holds an admission slot) nor leave the key joined to a dead flight.
+func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
+	var g flightGroup
+	gate := make(chan struct{})
+	primaryPanic := make(chan any, 1)
+	started := make(chan struct{})
+	go func() {
+		defer func() { primaryPanic <- recover() }()
+		g.Do("k", func() (any, error) { close(started); <-gate; panic("kernel bug") })
+	}()
+	<-started
+	dupErr := make(chan error, 1)
+	go func() {
+		_, coalesced, err := g.Do("k", func() (any, error) { return "fresh", nil })
+		if !coalesced {
+			err = errors.New("duplicate ran its own computation")
+		}
+		dupErr <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Waiting("k") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("duplicate never joined")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+
+	if v := <-primaryPanic; v != "kernel bug" {
+		t.Fatalf("primary's panic did not propagate: recovered %v", v)
+	}
+	select {
+	case err := <-dupErr:
+		if !errors.Is(err, errFlightPanicked) {
+			t.Fatalf("duplicate got %v, want errFlightPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("duplicate still blocked on the dead flight")
+	}
+	if n := g.Waiting("k"); n != 0 {
+		t.Fatalf("Waiting = %d after the flight died, want 0", n)
+	}
+	if v, co, err := g.Do("k", func() (any, error) { return "fresh", nil }); v != "fresh" || co || err != nil {
+		t.Fatalf("next Do on the key = (%v, %v, %v), want a fresh run", v, co, err)
+	}
+}

@@ -69,15 +69,11 @@ func (s *Server) registerMetrics() {
 		"Evaluate kernel executions performed (coalesced duplicates share one).",
 		func() float64 { return float64(s.kernelRuns.Load()) })
 	reg.CounterFunc("plk_sse_dropped_events_total",
-		"Progress events shed by bounded event hubs (ring aging plus slow-subscriber backpressure), summed over tracked analyses.",
+		"Progress events shed by bounded event hubs (ring aging plus slow-subscriber backpressure), summed over every analysis submitted.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			var n int64
-			for _, j := range s.jobs {
-				n += j.hub.Dropped()
-			}
-			return float64(n)
+			return float64(s.eventStatsLocked().DroppedTotal)
 		})
 	reg.GaugeFunc("plk_analyses_active",
 		"Analyses currently queued or running.",
@@ -86,7 +82,7 @@ func (s *Server) registerMetrics() {
 			defer s.mu.Unlock()
 			n := 0
 			for _, j := range s.jobs {
-				if st, _ := j.snapshot(); st == jobRunning || st == jobQueued {
+				if j.active() {
 					n++
 				}
 			}

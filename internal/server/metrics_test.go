@@ -73,6 +73,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"plk_kernel_spans_total",
 		"plk_steals_total",
 		"plk_worker_busy_seconds_total",
+		`plk_session_buffers_total{source="allocated"}`,
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("scrape missing family %s", family)

@@ -141,8 +141,10 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	jobs     map[string]*analysisJob
-	nextJob  int64
+	jobs     map[string]*analysisJob // active + the last maxFinishedJobs finished (retire)
+	finished []string                // ids of the finished jobs in s.jobs, oldest finish first
+	nextJob  int64                   // analyses submitted since start
+	retired  eventStatsBody          // event-drop counts of the jobs dropped from s.jobs
 
 	work sync.WaitGroup // in-flight evaluates + analyses + submits
 
@@ -509,16 +511,21 @@ type eventStatsBody struct {
 	Hubs              map[string]HubDropStats `json:"hubs,omitempty"`
 }
 
-// eventStatsLocked folds the per-analysis hub drop counters. Caller holds
-// s.mu.
+// add folds one hub's counts into the aggregate.
+func (b *eventStatsBody) add(st HubDropStats) {
+	b.DroppedTotal += st.DroppedTotal
+	b.RingDropped += st.RingDropped
+	b.SubscriberDropped += st.SubscriberDropped
+	b.Subscribers += st.Subscribers
+}
+
+// eventStatsLocked folds the per-analysis hub drop counters, dropped jobs
+// included. Caller holds s.mu.
 func (s *Server) eventStatsLocked() eventStatsBody {
-	var body eventStatsBody
+	body := s.retired
 	for id, j := range s.jobs {
 		st := j.hub.DropStats()
-		body.DroppedTotal += st.DroppedTotal
-		body.RingDropped += st.RingDropped
-		body.SubscriberDropped += st.SubscriberDropped
-		body.Subscribers += st.Subscribers
+		body.add(st)
 		if st.DroppedTotal > 0 {
 			if body.Hubs == nil {
 				body.Hubs = make(map[string]HubDropStats)
@@ -533,9 +540,9 @@ func (s *Server) eventStatsLocked() eventStatsBody {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	primary, coalesced := s.flights.Counters()
 	s.mu.Lock()
-	running, total := 0, len(s.jobs)
+	running, tracked, submitted := 0, len(s.jobs), int(s.nextJob)
 	for _, j := range s.jobs {
-		if st, _ := j.snapshot(); st == jobRunning || st == jobQueued {
+		if j.active() {
 			running++
 		}
 	}
@@ -550,7 +557,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"coalesced": coalesced,
 		},
 		"kernel_runs": s.kernelRuns.Load(),
-		"analyses":    map[string]int{"total": total, "active": running},
+		"analyses":    map[string]int{"total": submitted, "tracked": tracked, "active": running},
 		"events":      events,
 		"draining":    draining,
 		"config": map[string]any{
