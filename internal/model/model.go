@@ -21,8 +21,6 @@ const (
 	MaxAlpha      = 100.0
 	MinRate       = 1e-4
 	MaxRate       = 1e3
-	MinBranchLen  = 1e-8
-	MaxBranchLen  = 64.0
 	DefaultAlpha  = 1.0
 	DefaultBranch = 0.1
 )

@@ -42,12 +42,12 @@ func BrentMinimize(f func(float64) float64, lo, guess, hi, tol float64, maxIter 
 
 // BrentState is an *inverted-control* Brent minimizer: instead of calling the
 // objective itself, it proposes evaluation points via Next and receives values
-// via Observe. This formulation is what makes the paper's newPAR strategy
-// possible: the optimizer driver advances one Brent iteration for *every*
-// partition, batches all proposed points into a single parallel likelihood
-// evaluation over the full alignment width, and feeds the per-partition
-// results back — instead of running one complete, sequential Brent loop per
-// partition (oldPAR).
+// via Observe, so the caller owns the evaluation. The model optimizer holds
+// one BrentState per partition of a group, collects one proposal from every
+// unconverged state, scores all of them in a single parallel likelihood
+// evaluation, and feeds each state its own partition's value. A state reads
+// nothing but the values reported to it, so its trajectory does not depend on
+// which other states share the evaluation (see NewtonState).
 type BrentState struct {
 	A, B       float64 // current bracket
 	X, W, V    float64 // best, second best, previous second best
@@ -61,8 +61,8 @@ type BrentState struct {
 
 // NewBrentState prepares a Brent iteration over bracket [lo, hi] starting at
 // guess (which must satisfy lo <= guess <= hi).
-func NewBrentState(lo, guess, hi, tol float64) *BrentState {
-	return &BrentState{A: lo, B: hi, X: guess, W: guess, V: guess, Tol: tol}
+func NewBrentState(lo, guess, hi, tol float64) BrentState {
+	return BrentState{A: lo, B: hi, X: guess, W: guess, V: guess, Tol: tol}
 }
 
 // Seed supplies f(guess) and must be called once before the first Next.

@@ -8,12 +8,13 @@ import "math"
 // Point, evaluates the first and second derivative of the objective there, and
 // reports them with Observe.
 //
-// As with BrentState, the inverted formulation is the enabler for the paper's
-// newPAR strategy: the branch-length optimizer keeps one NewtonState per
-// partition and drives all of them forward in lockstep, evaluating the
-// derivatives for every non-converged partition inside a single parallel
-// region that spans the whole alignment, instead of running one complete
-// Newton loop per partition over a narrow column range (oldPAR).
+// The control is inverted so that the caller owns the evaluation: the branch
+// optimizer holds one NewtonState per unknown of a partition group, asks all
+// unconverged ones for their point, evaluates every derivative in a single
+// parallel region, and feeds each state its own result. A state reads nothing
+// but the derivatives reported to it, so its trajectory does not depend on
+// which other states share the region — which is why oldPAR (one partition
+// per group) and newPAR (all partitions in one group) agree bit for bit.
 type NewtonState struct {
 	X         float64 // current abscissa (branch length)
 	Min, Max  float64 // hard clamp interval
@@ -23,14 +24,14 @@ type NewtonState struct {
 }
 
 // NewNewtonState starts a Newton iteration at x0 confined to [min, max].
-func NewNewtonState(x0, min, max, tol float64) *NewtonState {
+func NewNewtonState(x0, min, max, tol float64) NewtonState {
 	if x0 < min {
 		x0 = min
 	}
 	if x0 > max {
 		x0 = max
 	}
-	return &NewtonState{X: x0, Min: min, Max: max, Tol: tol}
+	return NewtonState{X: x0, Min: min, Max: max, Tol: tol}
 }
 
 // Point returns the abscissa at which the caller must evaluate d/dx and

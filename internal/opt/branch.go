@@ -9,6 +9,16 @@ import (
 	"phylo/internal/tree"
 )
 
+// Convergence control of the branch-length optimizer (RAxML-like defaults).
+const (
+	// branchTol is the relative step tolerance of one Newton iteration.
+	branchTol = 1e-6
+	// maxNewtonIter caps the Newton iterations of one unknown.
+	maxNewtonIter = 64
+	// smoothPasses caps the branch-smoothing sweeps over the whole tree.
+	smoothPasses = 16
+)
+
 // Optimizer drives branch-length and model-parameter optimization over one
 // engine.
 type Optimizer struct {
@@ -21,25 +31,77 @@ type Optimizer struct {
 	// cancelled, always leaving the tree and models in a consistent state.
 	ctx context.Context
 
-	// scratch
-	zvec  []float64
-	d1    []float64
-	d2    []float64
-	mask  []bool
-	newts []*numeric.NewtonState
+	// What the two loops run over, fixed for the optimizer's life: the
+	// branch-length optimizer's groups, and the model parameters with theirs.
+	blGroups [][]int
+	alpha    brentParam
+	rates    []brentParam // one per free exchangeability index
+
+	// Scratch, indexed by partition: the loops allocate nothing of their own.
+	x      []float64 // abscissae under evaluation (branch lengths, Brent proposals)
+	d1, d2 []float64
+	mask   []bool // the group's partitions that are still unconverged
+	newts  []numeric.NewtonState
+	brents []numeric.BrentState
 }
 
 // New creates an optimizer for the engine.
 func New(e *core.Engine, cfg Config) *Optimizer {
 	n := e.NumPartitions()
-	return &Optimizer{
-		E:     e,
-		Cfg:   cfg,
-		zvec:  make([]float64, n),
-		d1:    make([]float64, n),
-		d2:    make([]float64, n),
-		mask:  make([]bool, n),
-		newts: make([]*numeric.NewtonState, n),
+	o := &Optimizer{
+		E:      e,
+		Cfg:    cfg,
+		x:      make([]float64, n),
+		d1:     make([]float64, n),
+		d2:     make([]float64, n),
+		mask:   make([]bool, n),
+		newts:  make([]numeric.NewtonState, n),
+		brents: make([]numeric.BrentState, n),
+	}
+	o.blGroups = o.groups(func(int) bool { return true }, !e.PerPartitionBL)
+	o.alpha = o.alphaParam()
+	for {
+		par := o.rateParam(len(o.rates))
+		if par.groups == nil {
+			return o
+		}
+		o.rates = append(o.rates, par)
+	}
+}
+
+// groups cuts the eligible partitions into the groups the lockstep loops
+// run over, one after another, and is all there is to a strategy: oldPAR
+// puts every partition in a group of its own, newPAR puts all of them in
+// one. Partitions sharing a single unknown (a joint branch length) cannot be
+// separated and always form one group. Every region a loop issues spans
+// exactly the unconverged partitions of its group.
+func (o *Optimizer) groups(eligible func(ip int) bool, oneUnknown bool) [][]int {
+	all := make([]int, 0, o.E.NumPartitions())
+	for ip := 0; ip < cap(all); ip++ {
+		if eligible(ip) {
+			all = append(all, ip)
+		}
+	}
+	if len(all) == 0 {
+		return nil
+	}
+	if oneUnknown || o.Cfg.Strategy == NewPar {
+		return [][]int{all}
+	}
+	out := make([][]int, len(all))
+	for i := range all {
+		out[i] = all[i : i+1]
+	}
+	return out
+}
+
+// enter makes g the current group: exactly its partitions are unmasked.
+func (o *Optimizer) enter(g []int) {
+	for ip := range o.mask {
+		o.mask[ip] = false
+	}
+	for _, ip := range g {
+		o.mask[ip] = true
 	}
 }
 
@@ -79,88 +141,68 @@ func (o *Optimizer) ctxErr() error {
 }
 
 // OptimizeBranch optimizes the branch (p, p.Back) to its ML length(s) and
-// returns the largest relative length change. With per-partition branch
-// lengths the two strategies differ exactly as in the paper:
-//
-//	oldPAR: for each partition: one narrow sumtable region, then one narrow
-//	        derivative region per Newton iteration of that partition.
-//	newPAR: one full-width sumtable region, then one derivative region per
-//	        *lockstep* iteration covering all unconverged partitions.
-//
-// With a joint branch length the strategies coincide (a single Newton
-// iteration already spans all partitions), matching the paper's observation
-// that joint-estimate analyses see only ~5% improvement.
+// returns the largest relative length change: one lockstep Newton-Raphson
+// loop per partition group, the groups one after another. With per-partition
+// branch lengths oldPAR therefore issues one narrow sumtable region plus one
+// narrow derivative region per iteration *per partition*, and newPAR one
+// full-width sumtable region plus one derivative region per lockstep
+// iteration over all unconverged partitions — the same iterations, cut into
+// regions differently. With a joint branch length there is one group either
+// way, matching the paper's observation that joint-estimate analyses gain
+// only ~5% (from the model parameters alone).
 func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 {
 	if o.cancelled() {
 		// Leave the branch as-is: no region is issued and the tree stays
 		// exactly as the last completed iteration left it.
 		return 0
 	}
-	e := o.E
 	// Lazily re-establish CLVs at both ends (the partial traversals that,
 	// per the paper, touch 3-4 inner vectors on average during search).
-	e.TraverseRoot(p, true, nil)
-	if !e.PerPartitionBL {
-		return o.optimizeBranchJoint(p)
-	}
-	if o.Cfg.Strategy == NewPar {
-		return o.optimizeBranchNewPar(p)
-	}
-	return o.optimizeBranchOldPar(p)
-}
-
-// optimizeBranchJoint optimizes a single shared branch length by summing the
-// per-partition derivatives.
-func (o *Optimizer) optimizeBranchJoint(p *tree.Node) float64 {
-	e := o.E
-	n := e.NumPartitions()
-	e.PrepareSumtable(p, nil)
-	z0 := p.Z[0]
-	st := numeric.NewNewtonState(z0, o.Cfg.MinBranch, o.Cfg.MaxBranch, o.Cfg.BranchTol)
-	for it := 0; it < o.Cfg.MaxNewtonIter && !st.Converged && !o.cancelled(); it++ {
-		for ip := 0; ip < n; ip++ {
-			o.zvec[ip] = st.Point()
-		}
-		e.BranchDerivatives(o.zvec, nil, o.d1, o.d2)
-		sd1, sd2 := 0.0, 0.0
-		for ip := 0; ip < n; ip++ {
-			sd1 += o.d1[ip]
-			sd2 += o.d2[ip]
-		}
-		st.Observe(sd1, sd2)
-	}
-	tree.SetBranchLength(p, 0, st.X)
-	return relDelta(z0, st.X)
-}
-
-// optimizeBranchNewPar runs the paper's simultaneous Newton-Raphson: one
-// NewtonState per partition advanced in lockstep, with the convergence
-// boolean vector shrinking the active region as partitions finish.
-func (o *Optimizer) optimizeBranchNewPar(p *tree.Node) float64 {
-	e := o.E
-	n := e.NumPartitions()
-	e.PrepareSumtable(p, nil) // one full-width region
+	o.E.TraverseRoot(p, true, nil)
 	maxDelta := 0.0
-	remaining := n
-	for ip := 0; ip < n; ip++ {
-		slot := e.BranchSlot(ip)
-		o.newts[ip] = numeric.NewNewtonState(p.Z[slot], o.Cfg.MinBranch, o.Cfg.MaxBranch, o.Cfg.BranchTol)
-		o.mask[ip] = true
+	for _, g := range o.blGroups {
+		if o.cancelled() {
+			break
+		}
+		maxDelta = math.Max(maxDelta, o.newtonGroup(p, g))
 	}
-	converged := make([]bool, n)
-	for it := 0; it < o.Cfg.MaxNewtonIter && remaining > 0 && !o.cancelled(); it++ {
-		for ip := 0; ip < n; ip++ {
-			if o.mask[ip] {
-				o.zvec[ip] = o.newts[ip].Point()
+	return maxDelta
+}
+
+// newtonGroup runs the paper's simultaneous Newton-Raphson on the branch at
+// p over one partition group: one NewtonState per unknown advanced in
+// lockstep, one derivative region per iteration, and the convergence boolean
+// vector (the mask) shrinking that region as partitions finish. An unknown is
+// a branch-length slot; under a joint estimate the whole group shares slot 0
+// and that one state observes the group's summed derivatives.
+func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
+	e := o.E
+	o.enter(g)
+	e.PrepareSumtable(p, o.mask)
+	unknowns := g
+	if !e.PerPartitionBL {
+		unknowns = g[:1]
+	}
+	for _, ip := range unknowns {
+		slot := e.BranchSlot(ip)
+		o.newts[slot] = numeric.NewNewtonState(p.Z[slot], tree.MinBranchLen, tree.MaxBranchLen, branchTol)
+	}
+	remaining := len(unknowns)
+	for it := 0; it < maxNewtonIter && remaining > 0 && !o.cancelled(); it++ {
+		for _, ip := range g {
+			o.x[ip] = o.newts[e.BranchSlot(ip)].Point()
+		}
+		e.BranchDerivatives(o.x, o.mask, o.d1, o.d2)
+		if !e.PerPartitionBL {
+			// Fixed ascending partition order keeps the sum reproducible.
+			for _, ip := range g[1:] {
+				o.d1[g[0]] += o.d1[ip]
+				o.d2[g[0]] += o.d2[ip]
 			}
 		}
-		e.BranchDerivatives(o.zvec, o.mask, o.d1, o.d2) // one wide region
-		for ip := 0; ip < n; ip++ {
-			if !o.mask[ip] || converged[ip] {
-				continue
-			}
-			if o.newts[ip].Observe(o.d1[ip], o.d2[ip]) {
-				converged[ip] = true
+		for _, ip := range unknowns {
+			st := &o.newts[e.BranchSlot(ip)]
+			if !st.Converged && st.Observe(o.d1[ip], o.d2[ip]) {
 				remaining--
 				// The convergence boolean vector: retire the partition from
 				// subsequent regions (unless the ablation keeps it in).
@@ -170,42 +212,17 @@ func (o *Optimizer) optimizeBranchNewPar(p *tree.Node) float64 {
 			}
 		}
 	}
-	for ip := 0; ip < n; ip++ {
-		slot := e.BranchSlot(ip)
-		maxDelta = math.Max(maxDelta, relDelta(p.Z[slot], o.newts[ip].X))
-		tree.SetBranchLength(p, slot, o.newts[ip].X)
-	}
-	return maxDelta
-}
-
-// optimizeBranchOldPar runs the original scheme: each partition's Newton
-// iteration is a separate narrow parallel region over that partition only.
-func (o *Optimizer) optimizeBranchOldPar(p *tree.Node) float64 {
-	e := o.E
-	n := e.NumPartitions()
 	maxDelta := 0.0
-	for ip := 0; ip < n && !o.cancelled(); ip++ {
-		for k := range o.mask {
-			o.mask[k] = false
-		}
-		o.mask[ip] = true
-		e.PrepareSumtable(p, o.mask) // narrow region
+	for _, ip := range unknowns {
 		slot := e.BranchSlot(ip)
-		z0 := p.Z[slot]
-		st := numeric.NewNewtonState(z0, o.Cfg.MinBranch, o.Cfg.MaxBranch, o.Cfg.BranchTol)
-		for it := 0; it < o.Cfg.MaxNewtonIter && !st.Converged && !o.cancelled(); it++ {
-			o.zvec[ip] = st.Point()
-			e.BranchDerivatives(o.zvec, o.mask, o.d1, o.d2) // narrow region
-			st.Observe(o.d1[ip], o.d2[ip])
-		}
-		tree.SetBranchLength(p, slot, st.X)
-		maxDelta = math.Max(maxDelta, relDelta(z0, st.X))
+		maxDelta = math.Max(maxDelta, relDelta(p.Z[slot], o.newts[slot].X))
+		tree.SetBranchLength(p, slot, o.newts[slot].X)
 	}
 	return maxDelta
 }
 
 // SmoothAll sweeps branch optimization over every branch of the tree until
-// the largest relative change in a pass falls below 10x BranchTol or the
+// the largest relative change in a pass falls below 10x branchTol or the
 // pass budget is exhausted, then returns the resulting log likelihood (the
 // RAxML treeEvaluate equivalent). If ctx is cancelled the sweep winds down
 // at the next region boundary and the returned log likelihood is still the
@@ -215,9 +232,9 @@ func (o *Optimizer) SmoothAll(ctx context.Context) float64 {
 	o.bind(ctx)
 	e := o.E
 	start := e.Tree.Tips[0].Back
-	for pass := 0; pass < o.Cfg.SmoothPasses && !o.cancelled(); pass++ {
+	for pass := 0; pass < smoothPasses && !o.cancelled(); pass++ {
 		maxDelta := o.smoothRec(start)
-		if maxDelta < 10*o.Cfg.BranchTol {
+		if maxDelta < 10*branchTol {
 			break
 		}
 	}

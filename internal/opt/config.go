@@ -1,22 +1,30 @@
 // Package opt implements the iterative ML parameter optimizers of the
 // likelihood kernel — Newton-Raphson for branch lengths, Brent for the Gamma
-// shape parameter alpha and the GTR exchangeability rates — in the two
-// parallelization strategies the paper compares:
+// shape parameter alpha and the GTR exchangeability rates — as one lockstep
+// loop each. A loop runs over a *group* of partitions: it keeps one iteration
+// state per partition, issues one parallel region per iteration spanning the
+// group's unconverged partitions, and retires partitions from the region
+// through a boolean convergence vector as they finish.
 //
-//   - OldPar optimizes one partition at a time: every optimizer iteration
-//     becomes a parallel region spanning only that partition's alignment
-//     patterns. With many short partitions and many threads, each worker
-//     receives a handful of columns (or none at all) per synchronization
-//     event, which is the load-balance problem the paper describes.
+// The two parallelization strategies the paper compares are two groupings
+// (Optimizer.groups), nothing else:
 //
-//   - NewPar (the paper's contribution) advances the iterative procedures of
-//     *all* partitions simultaneously, tracking per-partition convergence in
-//     a boolean vector, so that every parallel region spans the full width of
-//     all not-yet-converged partitions and synchronization cost is amortized
-//     across the whole alignment.
+//   - OldPar puts every partition in a group of its own, so every iteration
+//     becomes a region spanning only that partition's alignment patterns.
+//     With many short partitions and many threads, each worker receives a
+//     handful of columns (or none at all) per synchronization event, which is
+//     the load-balance problem the paper describes.
 //
-// Both strategies produce the same optima; they differ only in how the work
-// is cut into parallel regions, which the parallel.Stats counters expose.
+//   - NewPar (the paper's contribution) puts all partitions in one group, so
+//     every region spans the full width of all not-yet-converged partitions
+//     and synchronization cost is amortized across the whole alignment.
+//
+// A partition's iteration reads only its own derivatives or its own
+// log likelihood, each reduced over that partition's chunks in fixed order,
+// so its trajectory cannot depend on which other partitions share the
+// region: both strategies perform the identical arithmetic and return the
+// identical bits, and differ only in the region count the parallel.Stats
+// counters expose.
 //
 // The package is region-structured: cancellation is consulted only at
 // synchronization-region boundaries (//plk:regionboundary functions), never
@@ -25,18 +33,15 @@
 //plk:regions
 package opt
 
-import (
-	"phylo/internal/core"
-	"phylo/internal/model"
-)
+import "phylo/internal/core"
 
-// Strategy selects the parallelization of the iterative optimizers.
+// Strategy selects how partitions are grouped into parallel regions.
 type Strategy int
 
 const (
-	// OldPar is the original per-partition-at-a-time scheme.
+	// OldPar is the original scheme: one partition per group.
 	OldPar Strategy = iota
-	// NewPar is the simultaneous all-partitions scheme (the paper's fix).
+	// NewPar is the paper's fix: all partitions in one group.
 	NewPar
 )
 
@@ -48,27 +53,11 @@ func (s Strategy) String() string {
 	return "oldPAR"
 }
 
-// Config tunes the optimizers. The zero value is not usable; call
-// DefaultConfig.
+// Config tunes the optimizers. The zero value runs no model-optimization
+// round; call DefaultConfig.
 type Config struct {
 	Strategy Strategy
 
-	// BranchTol is the relative branch-length convergence tolerance of
-	// Newton-Raphson.
-	BranchTol float64
-	// MaxNewtonIter caps Newton iterations per branch and partition.
-	MaxNewtonIter int
-	// SmoothPasses caps the branch-smoothing sweeps over the whole tree.
-	SmoothPasses int
-
-	// BrentTol is the relative x tolerance of Brent iterations.
-	BrentTol float64
-	// MaxBrentIter caps Brent iterations per parameter and partition.
-	MaxBrentIter int
-
-	// ModelEps ends the outer model-optimization loop once a full round
-	// improves the log likelihood by less than this.
-	ModelEps float64
 	// MaxModelRounds caps outer rounds.
 	MaxModelRounds int
 
@@ -83,14 +72,12 @@ type Config struct {
 	// engine.
 	Progress func(round int, lnl float64)
 
-	// DisableConvergenceMask is an ablation switch: under newPAR, keep
-	// already-converged partitions inside every parallel region instead of
-	// retiring them through the boolean convergence vector the paper
-	// describes. Results are unchanged; regions just stay full width.
+	// DisableConvergenceMask is an ablation switch: keep partitions whose
+	// branch length has converged inside the group's derivative regions
+	// instead of retiring them through the boolean convergence vector the
+	// paper describes. Results are unchanged; newPAR regions just stay full
+	// width.
 	DisableConvergenceMask bool
-
-	// MinBranch/MaxBranch clamp branch lengths.
-	MinBranch, MaxBranch float64
 
 	// Weights, if non-nil, makes every optimizer entry point run against this
 	// replicate weight vector instead of the dataset's own pattern weights:
@@ -114,15 +101,7 @@ type Config struct {
 func DefaultConfig(strategy Strategy) Config {
 	return Config{
 		Strategy:       strategy,
-		BranchTol:      1e-6,
-		MaxNewtonIter:  64,
-		SmoothPasses:   16,
-		BrentTol:       1e-4,
-		MaxBrentIter:   100,
-		ModelEps:       0.1,
 		MaxModelRounds: 10,
 		OptimizeRates:  true,
-		MinBranch:      model.MinBranchLen,
-		MaxBranch:      model.MaxBranchLen,
 	}
 }

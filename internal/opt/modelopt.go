@@ -9,61 +9,66 @@ import (
 	"phylo/internal/tree"
 )
 
+// Convergence control of the model optimizer (RAxML-like defaults).
+const (
+	// brentTol is the relative x tolerance of one Brent iteration.
+	brentTol = 1e-4
+	// maxBrentIter caps the Brent iterations of one parameter and partition.
+	maxBrentIter = 100
+	// modelEps ends the outer model-optimization loop once a full round
+	// improves the log likelihood by less than this.
+	modelEps = 0.1
+)
+
 // OptimizeAlphas optimizes the Gamma shape parameter of every partition by
-// Brent's method. Changing alpha requires a full tree traversal to recompute
-// the partition's CLVs (the paper's model-optimization phase), so each Brent
-// iteration costs one full-traversal region plus one evaluation region:
-//
-//	oldPAR: the Brent loops run one partition after another; every iteration
-//	        is a pair of regions restricted to that partition's patterns.
-//	newPAR: one Brent iteration of *every* unconverged partition is bundled
-//	        into a single full-width traversal + evaluation pair, with the
-//	        convergence boolean vector retiring finished partitions.
+// Brent's method: one lockstep Brent loop per partition group, the groups
+// one after another. Changing alpha requires a full tree traversal to
+// recompute the partition's CLVs (the paper's model-optimization phase), so
+// each Brent iteration costs one full-traversal region plus one evaluation
+// region, restricted to the unconverged partitions of the group — one
+// partition's patterns under oldPAR, the whole alignment's under newPAR.
 func (o *Optimizer) OptimizeAlphas() {
-	if o.Cfg.Strategy == NewPar {
-		o.brentSimultaneous(o.alphaParam())
-		return
-	}
-	o.brentPerPartition(o.alphaParam())
+	o.brent(&o.alpha)
 }
 
 // OptimizeRatesAll optimizes the free GTR exchangeability rates of all DNA
 // partitions (protein partitions keep their fixed empirical-style matrix,
-// as in RAxML). Rates are optimized one index at a time, all partitions
-// simultaneously under newPAR.
+// as in RAxML), one rate index at a time, each like OptimizeAlphas.
 func (o *Optimizer) OptimizeRatesAll() {
-	nRates := 0
-	for ip := 0; ip < o.E.NumPartitions(); ip++ {
-		if o.E.Models[ip].Type == alignment.DNA {
-			if r := len(o.E.Models[ip].ExRates) - 1; r > nRates {
-				nRates = r
-			}
-		}
-	}
-	for ri := 0; ri < nRates && !o.cancelled(); ri++ {
-		if o.Cfg.Strategy == NewPar {
-			o.brentSimultaneous(o.rateParam(ri))
-		} else {
-			o.brentPerPartition(o.rateParam(ri))
-		}
+	for ri := range o.rates {
+		o.brent(&o.rates[ri])
 	}
 }
 
-// brentParam abstracts one per-partition scalar model parameter for the
-// shared Brent drivers.
+// brent optimizes one per-partition parameter, group by group. The tree
+// topology and root are fixed during model optimization, so the full
+// traversal list every Brent step re-executes is computed once.
+func (o *Optimizer) brent(par *brentParam) {
+	if o.cancelled() {
+		return // before RootTraversal marks CLVs valid that no step would compute
+	}
+	steps := tree.RootTraversal(o.E.Tree.Tips[0].Back, false)
+	for _, g := range par.groups {
+		if o.cancelled() {
+			return
+		}
+		o.brentGroup(par, g, steps)
+	}
+}
+
+// brentParam is one per-partition scalar model parameter as the Brent loop
+// sees it, built once in New.
 type brentParam struct {
-	name     string
-	eligible func(ip int) bool
-	get      func(ip int) float64
-	set      func(ip int, v float64) // also refreshes dependent model state
-	lo, hi   float64
+	groups [][]int // the partitions that have the parameter, grouped
+	get    func(ip int) float64
+	set    func(ip int, v float64) // also refreshes dependent model state
+	lo, hi float64
 }
 
 func (o *Optimizer) alphaParam() brentParam {
 	return brentParam{
-		name:     "alpha",
-		eligible: func(int) bool { return true },
-		get:      func(ip int) float64 { return o.E.Models[ip].Alpha },
+		groups: o.groups(func(int) bool { return true }, false),
+		get:    func(ip int) float64 { return o.E.Models[ip].Alpha },
 		set: func(ip int, v float64) {
 			if err := o.E.Models[ip].SetAlpha(v); err != nil {
 				panic("opt: alpha proposal out of bounds: " + err.Error())
@@ -74,13 +79,14 @@ func (o *Optimizer) alphaParam() brentParam {
 	}
 }
 
+// rateParam describes free exchangeability ri; its groups are nil when no
+// partition has one.
 func (o *Optimizer) rateParam(ri int) brentParam {
 	return brentParam{
-		name: "rate",
-		eligible: func(ip int) bool {
+		groups: o.groups(func(ip int) bool {
 			m := o.E.Models[ip]
 			return m.Type == alignment.DNA && ri < len(m.ExRates)-1
-		},
+		}, false),
 		get: func(ip int) float64 { return o.E.Models[ip].ExRates[ri] },
 		set: func(ip int, v float64) {
 			m := o.E.Models[ip]
@@ -97,121 +103,64 @@ func (o *Optimizer) rateParam(ri int) brentParam {
 }
 
 // evalPartitions re-traverses and evaluates the masked partitions at the
-// canonical root and returns per-partition log likelihoods. This is the
-// region pair whose width distinguishes the two strategies.
-func (o *Optimizer) evalPartitions(mask []bool) []float64 {
-	root := o.E.Tree.Tips[0].Back
-	// The tree topology and root are fixed during model optimization, so the
-	// full traversal list is fixed too; only the masked partitions' CLV
-	// slices are recomputed.
-	o.E.ExecuteSteps(tree.RootTraversal(root, false), mask)
-	_, per := o.E.Evaluate(root, mask)
+// canonical root and returns per-partition log likelihoods: the region pair
+// of one Brent step. Only the masked partitions' CLV slices are recomputed.
+func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
+	o.E.ExecuteSteps(steps, o.mask)
+	_, per := o.E.Evaluate(o.E.Tree.Tips[0].Back, o.mask)
 	return per
 }
 
-// brentSimultaneous is the newPAR driver: one BrentState per eligible
-// partition, all advanced in lockstep.
-func (o *Optimizer) brentSimultaneous(par brentParam) {
-	n := o.E.NumPartitions()
-	states := make([]*numeric.BrentState, n)
-	active := make([]bool, n)
-	anyActive := false
-	for ip := 0; ip < n; ip++ {
-		if par.eligible(ip) {
-			active[ip] = true
-			anyActive = true
-		}
+// brentGroup runs Brent's method on one parameter over one partition group:
+// one BrentState per partition advanced in lockstep, one region pair per
+// iteration scoring every unconverged partition's proposal, and the
+// convergence boolean vector (the mask) shrinking that pair as partitions
+// finish. A finished partition stays masked at its last proposal until the
+// closing pair pins the whole group to its best-seen values.
+func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) {
+	o.enter(g)
+	// Seed every state with the likelihood at the current parameter value.
+	per := o.evalPartitions(steps)
+	for _, ip := range g {
+		o.brents[ip] = numeric.NewBrentState(par.lo, par.get(ip), par.hi, brentTol)
+		o.brents[ip].Seed(-per[ip])
 	}
-	if !anyActive {
-		return
-	}
-	// Seed every state with the likelihood at the current parameter value
-	// (one wide region pair).
-	per := o.evalPartitions(active)
-	for ip := 0; ip < n; ip++ {
-		if !active[ip] {
-			continue
-		}
-		states[ip] = numeric.NewBrentState(par.lo, par.get(ip), par.hi, o.Cfg.BrentTol)
-		states[ip].Seed(-per[ip])
-	}
-	proposals := make([]float64, n)
-	remaining := countTrue(active)
-	for it := 0; it < o.Cfg.MaxBrentIter && remaining > 0 && !o.cancelled(); it++ {
-		// Collect one proposal per active partition; retire the converged.
-		for ip := 0; ip < n; ip++ {
-			if !active[ip] {
+	remaining := len(g)
+	for it := 0; it < maxBrentIter && !o.cancelled(); it++ {
+		for _, ip := range g {
+			if !o.mask[ip] {
 				continue
 			}
-			x, done := states[ip].Next()
+			x, done := o.brents[ip].Next()
 			if done {
-				par.set(ip, states[ip].X)
-				active[ip] = false
+				o.mask[ip] = false
 				remaining--
 				continue
 			}
-			proposals[ip] = x
+			o.x[ip] = x
+			par.set(ip, x)
 		}
 		if remaining == 0 {
 			break
 		}
-		for ip := 0; ip < n; ip++ {
-			if active[ip] {
-				par.set(ip, proposals[ip])
-			}
-		}
-		per = o.evalPartitions(active) // ONE wide region pair for all partitions
-		for ip := 0; ip < n; ip++ {
-			if active[ip] {
-				states[ip].Observe(proposals[ip], -per[ip])
+		per = o.evalPartitions(steps)
+		for _, ip := range g {
+			if o.mask[ip] {
+				o.brents[ip].Observe(o.x[ip], -per[ip])
 			}
 		}
 	}
-	// Pin any stragglers to their best-seen value.
-	final := make([]bool, n)
-	for ip := 0; ip < n; ip++ {
-		if par.eligible(ip) {
-			par.set(ip, states[ip].X)
-			final[ip] = true
-		}
+	for _, ip := range g {
+		par.set(ip, o.brents[ip].X)
 	}
-	o.evalPartitions(final)
-}
-
-// brentPerPartition is the oldPAR driver: a complete Brent loop per
-// partition, each iteration a narrow region pair.
-func (o *Optimizer) brentPerPartition(par brentParam) {
-	n := o.E.NumPartitions()
-	mask := make([]bool, n)
-	for ip := 0; ip < n && !o.cancelled(); ip++ {
-		if !par.eligible(ip) {
-			continue
-		}
-		for k := range mask {
-			mask[k] = false
-		}
-		mask[ip] = true
-		per := o.evalPartitions(mask)
-		st := numeric.NewBrentState(par.lo, par.get(ip), par.hi, o.Cfg.BrentTol)
-		st.Seed(-per[ip])
-		for it := 0; it < o.Cfg.MaxBrentIter && !o.cancelled(); it++ {
-			x, done := st.Next()
-			if done {
-				break
-			}
-			par.set(ip, x)
-			per = o.evalPartitions(mask) // narrow region pair
-			st.Observe(x, -per[ip])
-		}
-		par.set(ip, st.X)
-		o.evalPartitions(mask)
-	}
+	o.enter(g)
+	o.evalPartitions(steps)
 }
 
 // OptimizeModel runs the full model-optimization loop on a fixed topology:
 // alternating branch-length smoothing, alpha optimization, and (optionally)
 // GTR rate optimization until a round improves the log likelihood by less
-// than ModelEps. It returns the final log likelihood, the rounds used, and
+// than modelEps. It returns the final log likelihood, the rounds used, and
 // the context's cancellation error if ctx was cancelled mid-run — in which
 // case the log likelihood is still the exact, usable score of the tree and
 // models as the wind-down left them. This is the paper's "optimization of
@@ -231,21 +180,11 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		if o.Cfg.Progress != nil {
 			o.Cfg.Progress(rounds, cur)
 		}
-		if cur-prev < o.Cfg.ModelEps {
+		if cur-prev < modelEps {
 			prev = cur
 			break
 		}
 		prev = cur
 	}
 	return prev, rounds, o.ctxErr()
-}
-
-func countTrue(b []bool) int {
-	n := 0
-	for _, v := range b {
-		if v {
-			n++
-		}
-	}
-	return n
 }

@@ -6,11 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/core"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
+	"phylo/internal/seqsim"
 	"phylo/internal/tree"
 )
 
@@ -50,13 +52,35 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 	if err != nil {
 		t.Fatal(err)
 	}
+	return assembleFixture(t, a, parts, perPartBL, exec, seed)
+}
+
+// buildMixedFixture is buildFixture over simulated data with three DNA
+// partitions and one protein partition of ~partLen columns each.
+func buildMixedFixture(t *testing.T, partLen int, perPartBL bool, exec parallel.Executor, seed int64) *fixture {
+	t.Helper()
+	ds, err := seqsim.MixedDataset(8, 3, 1, partLen, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return assembleFixture(t, ds.Alignment, ds.Parts, perPartBL, exec, seed)
+}
+
+func assembleFixture(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, perPartBL bool, exec parallel.Executor, seed int64) *fixture {
+	t.Helper()
 	d, err := alignment.Compress(a, parts, alignment.CompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	models := make([]*model.Model, len(d.Parts))
 	for i := range models {
-		m, err := model.GTR(nil, nil, 4, 0.4+0.4*float64(i%4))
+		alpha := 0.4 + 0.4*float64(i%4)
+		var m *model.Model
+		if d.Parts[i].Type == alignment.DNA {
+			m, err = model.GTR(nil, nil, 4, alpha)
+		} else {
+			m, err = model.SYN20(4, alpha)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +90,7 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 	if perPartBL && len(d.Parts) > 1 {
 		zSlots = len(d.Parts)
 	}
-	tr, err := tree.Random(names, zSlots, tree.RandomOptions{Seed: seed})
+	tr, err := tree.Random(a.Names, zSlots, tree.RandomOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +124,7 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 		fx.eng.BranchDerivatives(zs, nil, d1, d2)
 		if perPart {
 			for ip := 0; ip < n; ip++ {
-				if math.Abs(d1[ip]) > 1e-2 && zs[ip] > o.Cfg.MinBranch*2 && zs[ip] < o.Cfg.MaxBranch/2 {
+				if math.Abs(d1[ip]) > 1e-2 && zs[ip] > tree.MinBranchLen*2 && zs[ip] < tree.MaxBranchLen/2 {
 					t.Errorf("perPart=%v partition %d: gradient %v not ~0 at z=%v", perPart, ip, d1[ip], zs[ip])
 				}
 			}
@@ -109,37 +133,54 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 			for _, v := range d1 {
 				sum += v
 			}
-			if math.Abs(sum) > 1e-2 && zs[0] > o.Cfg.MinBranch*2 && zs[0] < o.Cfg.MaxBranch/2 {
+			if math.Abs(sum) > 1e-2 && zs[0] > tree.MinBranchLen*2 && zs[0] < tree.MaxBranchLen/2 {
 				t.Errorf("joint: total gradient %v not ~0", sum)
 			}
 		}
 	}
 }
 
-func TestOldParNewParSameOptimum(t *testing.T) {
-	// The two strategies must find the same branch lengths and likelihood;
-	// they differ only in region decomposition.
-	seqA := parallel.NewSequential()
-	seqB := parallel.NewSequential()
-	fxOld := buildFixture(t, 10, 80, 20, true, seqA, 23)
-	fxNew := buildFixture(t, 10, 80, 20, true, seqB, 23)
-	oOld := New(fxOld.eng, DefaultConfig(OldPar))
-	oNew := New(fxNew.eng, DefaultConfig(NewPar))
-	lOld := oOld.SmoothAll(context.Background())
-	lNew := oNew.SmoothAll(context.Background())
-	if math.Abs(lOld-lNew) > 1e-4*math.Abs(lOld) {
-		t.Errorf("smoothed lnL differs: oldPAR %v vs newPAR %v", lOld, lNew)
-	}
-	// Branch lengths agree.
-	bOld := fxOld.tr.Branches()
-	bNew := fxNew.tr.Branches()
-	for i := range bOld {
-		for k := range bOld[i].Z {
-			if math.Abs(bOld[i].Z[k]-bNew[i].Z[k]) > 1e-3*(bOld[i].Z[k]+1e-6) {
-				t.Errorf("branch %d slot %d: %v vs %v", i, k, bOld[i].Z[k], bNew[i].Z[k])
+// requireSameState fails unless the two fixtures hold bit-identical branch
+// lengths (every branch, every slot), alphas and exchangeabilities.
+func requireSameState(t *testing.T, a, b *fixture) {
+	t.Helper()
+	bA, bB := a.tr.Branches(), b.tr.Branches()
+	for i := range bA {
+		for k := range bA[i].Z {
+			if math.Float64bits(bA[i].Z[k]) != math.Float64bits(bB[i].Z[k]) {
+				t.Errorf("branch %d slot %d: %v vs %v", i, k, bA[i].Z[k], bB[i].Z[k])
 			}
 		}
 	}
+	for ip, mA := range a.eng.Models {
+		mB := b.eng.Models[ip]
+		if math.Float64bits(mA.Alpha) != math.Float64bits(mB.Alpha) {
+			t.Errorf("partition %d: alpha %v vs %v", ip, mA.Alpha, mB.Alpha)
+		}
+		for ri := range mA.ExRates {
+			if math.Float64bits(mA.ExRates[ri]) != math.Float64bits(mB.ExRates[ri]) {
+				t.Errorf("partition %d rate %d: %v vs %v", ip, ri, mA.ExRates[ri], mB.ExRates[ri])
+			}
+		}
+	}
+}
+
+func requireSameLnL(t *testing.T, what string, a, b float64) {
+	t.Helper()
+	if math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("%s differs between strategies: oldPAR %v vs newPAR %v", what, a, b)
+	}
+}
+
+func TestOldParNewParSameOptimum(t *testing.T) {
+	// The two strategies run the same Newton iterations on the same numbers;
+	// they differ only in region decomposition.
+	fxOld := buildFixture(t, 10, 80, 20, true, parallel.NewSequential(), 23)
+	fxNew := buildFixture(t, 10, 80, 20, true, parallel.NewSequential(), 23)
+	lOld := New(fxOld.eng, DefaultConfig(OldPar)).SmoothAll(context.Background())
+	lNew := New(fxNew.eng, DefaultConfig(NewPar)).SmoothAll(context.Background())
+	requireSameLnL(t, "smoothed lnL", lOld, lNew)
+	requireSameState(t, fxOld, fxNew)
 }
 
 func TestNewParUsesFarFewerRegions(t *testing.T) {
@@ -163,6 +204,61 @@ func TestNewParUsesFarFewerRegions(t *testing.T) {
 	if simOld.Stats().Imbalance(8) < simNew.Stats().Imbalance(8) {
 		t.Logf("note: imbalance old=%v new=%v (informational)",
 			simOld.Stats().Imbalance(8), simNew.Stats().Imbalance(8))
+	}
+}
+
+// TestStrategiesDoTheSameWork is the paper's sentence as a test: oldPAR and
+// newPAR "perform identical algorithmic work" — every result bit and the
+// total op count agree — and differ only in how many regions that work is
+// cut into. Under a joint branch-length estimate the Newton loop has one
+// group either way, so only the Brent regions account for the difference.
+func TestStrategiesDoTheSameWork(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		mixed, perP bool
+	}{
+		{"dna/joint", false, false},
+		{"dna/per-partition", false, true},
+		{"mixed/joint", true, false},
+		{"mixed/per-partition", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fx [2]*fixture
+			var lnl [2]float64
+			var st [2]*parallel.Stats
+			for i, strat := range []Strategy{OldPar, NewPar} {
+				sim, err := parallel.NewSim(4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.mixed {
+					fx[i] = buildMixedFixture(t, 24, tc.perP, sim, 37)
+				} else {
+					fx[i] = buildFixture(t, 8, 96, 24, tc.perP, sim, 37)
+				}
+				lnl[i], _, err = New(fx[i].eng, DefaultConfig(strat)).OptimizeModel(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				st[i] = sim.Stats()
+			}
+			requireSameLnL(t, "optimized lnL", lnl[0], lnl[1])
+			requireSameState(t, fx[0], fx[1])
+			// The per-region sums associate differently, hence not bits.
+			if rel := math.Abs(st[0].TotalOps-st[1].TotalOps) / st[1].TotalOps; rel > 1e-12 {
+				t.Errorf("total ops differ: oldPAR %v vs newPAR %v (rel %v)", st[0].TotalOps, st[1].TotalOps, rel)
+			}
+			if st[0].Regions <= st[1].Regions {
+				t.Errorf("oldPAR regions %d not above newPAR %d", st[0].Regions, st[1].Regions)
+			}
+			if !tc.perP {
+				for _, k := range []parallel.Region{parallel.RegionSumTable, parallel.RegionDerivative} {
+					if st[0].KindRegions[k] != st[1].KindRegions[k] {
+						t.Errorf("joint estimate: %v regions differ, oldPAR %d vs newPAR %d", k, st[0].KindRegions[k], st[1].KindRegions[k])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -210,35 +306,24 @@ func TestOptimizeAlphasImproves(t *testing.T) {
 func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
 	fxOld := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
 	fxNew := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
-	oOld := New(fxOld.eng, DefaultConfig(OldPar))
-	oNew := New(fxNew.eng, DefaultConfig(NewPar))
-	oOld.OptimizeAlphas()
-	oNew.OptimizeAlphas()
-	for ip := 0; ip < fxOld.eng.NumPartitions(); ip++ {
-		aOld := fxOld.eng.Models[ip].Alpha
-		aNew := fxNew.eng.Models[ip].Alpha
-		if math.Abs(aOld-aNew) > 0.02*(aOld+0.1) {
-			t.Errorf("partition %d: alpha oldPAR %v vs newPAR %v", ip, aOld, aNew)
-		}
-	}
+	New(fxOld.eng, DefaultConfig(OldPar)).OptimizeAlphas()
+	New(fxNew.eng, DefaultConfig(NewPar)).OptimizeAlphas()
+	requireSameLnL(t, "lnL after alpha optimization", fxOld.eng.LogLikelihood(), fxNew.eng.LogLikelihood())
+	requireSameState(t, fxOld, fxNew)
 }
 
 func TestOptimizeRatesImprovesAndAgrees(t *testing.T) {
 	fxOld := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
 	fxNew := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
-	oOld := New(fxOld.eng, DefaultConfig(OldPar))
-	oNew := New(fxNew.eng, DefaultConfig(NewPar))
 	before := fxOld.eng.LogLikelihood()
-	oOld.OptimizeRatesAll()
-	oNew.OptimizeRatesAll()
+	New(fxOld.eng, DefaultConfig(OldPar)).OptimizeRatesAll()
+	New(fxNew.eng, DefaultConfig(NewPar)).OptimizeRatesAll()
 	afterOld := fxOld.eng.LogLikelihood()
-	afterNew := fxNew.eng.LogLikelihood()
 	if afterOld < before-1e-9 {
 		t.Errorf("rate optimization decreased lnL %v -> %v", before, afterOld)
 	}
-	if math.Abs(afterOld-afterNew) > 1e-3*math.Abs(afterOld) {
-		t.Errorf("strategies disagree after rate optimization: %v vs %v", afterOld, afterNew)
-	}
+	requireSameLnL(t, "lnL after rate optimization", afterOld, fxNew.eng.LogLikelihood())
+	requireSameState(t, fxOld, fxNew)
 }
 
 func TestOptimizeModelConverges(t *testing.T) {
@@ -254,7 +339,7 @@ func TestOptimizeModelConverges(t *testing.T) {
 	}
 	// A second run from the converged state must improve almost nothing.
 	lnl2, _, _ := o.OptimizeModel(context.Background())
-	if lnl2-lnl > 5*o.Cfg.ModelEps {
+	if lnl2-lnl > 5*modelEps {
 		t.Errorf("second optimization found %v more lnL; first did not converge", lnl2-lnl)
 	}
 }
@@ -308,34 +393,71 @@ func opsFullDerivWidth(fx *fixture) float64 {
 	return total
 }
 
-// TestOptimizeModelCancellation: cancelling the context stops the optimizer
-// at a region boundary with a finite, consistent partial result, and the
-// cancellation error is propagated (the silent-discard bug fixed in the
-// Dataset/session redesign).
-func TestOptimizeModelCancellation(t *testing.T) {
-	fx := buildFixture(t, 8, 200, 50, true, parallel.NewSequential(), 23)
-	o := New(fx.eng, DefaultConfig(NewPar))
+// cancelAfter is a region observer that cancels a context once k regions
+// have completed.
+type cancelAfter struct {
+	k      int
+	cancel context.CancelFunc
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	lnl, rounds, err := o.OptimizeModel(ctx)
-	if err == nil {
-		t.Fatal("expected cancellation error")
+func (c *cancelAfter) ObserveRegion(parallel.Region, time.Time, float64, []parallel.WorkerCtx) {
+	if c.k--; c.k == 0 {
+		c.cancel()
 	}
-	if rounds != 0 {
-		t.Errorf("pre-cancelled context still ran %d rounds", rounds)
-	}
-	if math.IsNaN(lnl) || math.IsInf(lnl, 0) || lnl >= 0 {
-		t.Errorf("partial lnl = %v, want finite negative", lnl)
-	}
-	// The engine stays consistent: a fresh uncancelled run completes and
-	// can only improve on the partial score.
-	full, _, err := o.OptimizeModel(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full < lnl-1e-9 {
-		t.Errorf("post-cancel optimization got worse: %v -> %v", lnl, full)
+}
+
+// TestOptimizeModelCancellation: cancelling the context stops the optimizer
+// at a region boundary with the cancellation error propagated (the
+// silent-discard bug fixed in the Dataset/session redesign) and the returned
+// lnL being the exact score of the state left behind — from which either
+// strategy then optimizes to the same bits.
+func TestOptimizeModelCancellation(t *testing.T) {
+	for _, strat := range []Strategy{OldPar, NewPar} {
+		t.Run(strat.String()+"/before-start", func(t *testing.T) {
+			fx := buildFixture(t, 8, 200, 50, true, parallel.NewSequential(), 23)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, rounds, err := New(fx.eng, DefaultConfig(strat)).OptimizeModel(ctx)
+			if err == nil {
+				t.Fatal("expected cancellation error")
+			}
+			if rounds != 0 {
+				t.Errorf("pre-cancelled context still ran %d rounds", rounds)
+			}
+		})
+		for _, k := range []int{1, 40, 300, 900} {
+			t.Run(fmt.Sprintf("%v/after-%d-regions", strat, k), func(t *testing.T) {
+				// Two identical cancelled runs leave identical states; resume
+				// one under each strategy.
+				var fx [2]*fixture
+				var full [2]float64
+				for i, resume := range []Strategy{OldPar, NewPar} {
+					exec := parallel.NewSequential()
+					fx[i] = buildFixture(t, 8, 200, 50, true, exec, 23)
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					exec.SetObserver(&cancelAfter{k: k, cancel: cancel})
+					lnl, _, err := New(fx[i].eng, DefaultConfig(strat)).OptimizeModel(ctx)
+					if err == nil {
+						t.Fatalf("run finished in under %d regions; nothing was cancelled", k)
+					}
+					exec.SetObserver(nil)
+					fx[i].eng.InvalidateCLVs()
+					if got := fx[i].eng.LogLikelihood(); math.Float64bits(got) != math.Float64bits(lnl) {
+						t.Errorf("partial lnl %v is not the score %v of the state left behind", lnl, got)
+					}
+					full[i], _, err = New(fx[i].eng, DefaultConfig(resume)).OptimizeModel(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if full[i] < lnl-1e-9 {
+						t.Errorf("post-cancel optimization got worse: %v -> %v", lnl, full[i])
+					}
+				}
+				requireSameLnL(t, "lnL resumed from the cancelled state", full[0], full[1])
+				requireSameState(t, fx[0], fx[1])
+			})
+		}
 	}
 }
 
@@ -365,6 +487,38 @@ func TestProgressCallback(t *testing.T) {
 	}
 	if lnls[len(lnls)-1] != final {
 		t.Errorf("last event lnl %v != final %v", lnls[len(lnls)-1], final)
+	}
+}
+
+// TestOptimizeBranchAllocCeiling pins what one OptimizeBranch allocates on a
+// 10-partition per-partition-branch-length session: the Newton loop holds its
+// states by value in the Optimizer, so all that is left is what the region
+// calls allocate themselves: 66 under newPAR (77 when the loop made ten
+// states and a convergence vector per call) and 388 under oldPAR (388: its
+// one state at a time never left the stack). Every SPR insertion trial pays
+// this.
+func TestOptimizeBranchAllocCeiling(t *testing.T) {
+	for _, tc := range []struct {
+		strat   Strategy
+		ceiling float64
+	}{{NewPar, 66}, {OldPar, 388}} {
+		fx := buildFixture(t, 8, 200, 20, true, parallel.NewSequential(), 19)
+		if n := fx.eng.NumPartitions(); n != 10 {
+			t.Fatalf("fixture has %d partitions, want 10", n)
+		}
+		o := New(fx.eng, DefaultConfig(tc.strat))
+		o.SmoothAll(context.Background())
+		root := fx.tr.Tips[0].Back
+		got := testing.AllocsPerRun(20, func() {
+			for k := range root.Z {
+				tree.SetBranchLength(root, k, tree.DefaultBranchLength)
+			}
+			o.OptimizeBranch(root)
+		})
+		t.Logf("%v: %v allocs per OptimizeBranch", tc.strat, got)
+		if got > tc.ceiling {
+			t.Errorf("%v: %v allocs per OptimizeBranch, ceiling %v", tc.strat, got, tc.ceiling)
+		}
 	}
 }
 

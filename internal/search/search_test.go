@@ -173,17 +173,31 @@ func TestSearchDeterministic(t *testing.T) {
 }
 
 func TestSearchStrategiesFindSameTree(t *testing.T) {
-	sOld, _, trOld := buildSearch(t, 9, 150, opt.OldPar, parallel.NewSequential(), 11, 52)
-	sNew, _, trNew := buildSearch(t, 9, 150, opt.NewPar, parallel.NewSequential(), 11, 52)
+	// Partitioned, per-partition branch lengths: the configuration in which
+	// the strategies cut the work into different regions. The work itself is
+	// the same, so the searches agree in every bit.
+	sOld, _, trOld := buildPartitionedSearch(t, opt.OldPar)
+	sNew, _, trNew := buildPartitionedSearch(t, opt.NewPar)
 	rOld, _ := sOld.Run(context.Background())
 	rNew, _ := sNew.Run(context.Background())
-	// Same optima within optimizer tolerance; trees should agree given the
-	// deterministic candidate order.
-	if math.Abs(rOld.LnL-rNew.LnL) > 1e-3*math.Abs(rOld.LnL) {
-		t.Errorf("strategies found different likelihoods: %v vs %v", rOld.LnL, rNew.LnL)
+	if math.Float64bits(rOld.LnL) != math.Float64bits(rNew.LnL) || rOld != rNew {
+		t.Errorf("strategies searched differently: %+v vs %+v", rOld, rNew)
 	}
-	if tree.WriteNewick(trOld, 0) != tree.WriteNewick(trNew, 0) {
-		t.Log("topologies differ slightly between strategies (acceptable within tolerance)")
+	if rOld.MovesApplied == 0 {
+		t.Error("no SPR move applied; the comparison never left the start tree")
+	}
+	bOld, bNew := trOld.Branches(), trNew.Branches()
+	for i := range bOld {
+		for k := range bOld[i].Z {
+			if math.Float64bits(bOld[i].Z[k]) != math.Float64bits(bNew[i].Z[k]) {
+				t.Errorf("branch %d slot %d: %v vs %v", i, k, bOld[i].Z[k], bNew[i].Z[k])
+			}
+		}
+	}
+	for k := 0; k < trOld.ZSlots; k++ {
+		if tree.WriteNewick(trOld, k) != tree.WriteNewick(trNew, k) {
+			t.Errorf("slot %d: trees differ between strategies", k)
+		}
 	}
 }
 
@@ -214,7 +228,7 @@ func TestSearchPreservesTreeValidity(t *testing.T) {
 	// All branch lengths within bounds.
 	for _, b := range tr.Branches() {
 		for k, z := range b.Z {
-			if z < model.MinBranchLen || z > model.MaxBranchLen {
+			if z < tree.MinBranchLen || z > tree.MaxBranchLen {
 				t.Errorf("branch slot %d has out-of-bounds length %v", k, z)
 			}
 		}
@@ -222,9 +236,11 @@ func TestSearchPreservesTreeValidity(t *testing.T) {
 	_ = eng
 }
 
-func TestSearchPartitionedPerPartitionBL(t *testing.T) {
-	// Multi-partition search with per-partition branch lengths: the paper's
-	// headline configuration.
+// buildPartitionedSearch prepares a two-round search over three 100-column
+// DNA partitions with per-partition branch lengths: the paper's headline
+// configuration.
+func buildPartitionedSearch(t *testing.T, strategy opt.Strategy) (*Searcher, *core.Engine, *tree.Tree) {
+	t.Helper()
 	gen, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 13, MeanBranchLength: 0.15})
 	a := simulateOnTree(t, gen, 300, 131)
 	parts, err := alignment.UniformPartitions(a, alignment.DNA, 100)
@@ -241,10 +257,15 @@ func TestSearchPartitionedPerPartitionBL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(opt.NewPar)
+	cfg := DefaultConfig(strategy)
 	cfg.MaxRounds = 2
+	return New(eng, cfg), eng, start
+}
+
+func TestSearchPartitionedPerPartitionBL(t *testing.T) {
+	s, eng, start := buildPartitionedSearch(t, opt.NewPar)
 	before := eng.LogLikelihood()
-	res, _ := New(eng, cfg).Run(context.Background())
+	res, _ := s.Run(context.Background())
 	if res.LnL < before {
 		t.Errorf("partitioned search decreased lnL %v -> %v", before, res.LnL)
 	}

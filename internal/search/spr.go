@@ -28,6 +28,10 @@ import (
 	"phylo/internal/tree"
 )
 
+// minImprovement is the margin an SPR move must beat the reinsertion
+// baseline by to be applied.
+const minImprovement = 0.01
+
 // Config tunes the SPR search.
 type Config struct {
 	// Opt configures branch/model optimization (and selects oldPAR/newPAR).
@@ -38,13 +42,6 @@ type Config struct {
 	Radius int
 	// Epsilon stops the search when a full round improves lnL by less.
 	Epsilon float64
-	// MinImprovement is the margin an SPR move must beat the reinsertion
-	// baseline by to be applied.
-	MinImprovement float64
-	// ModelOptEvery interleaves a model-optimization phase before round k,
-	// 2k, ... (0 disables; 1 = every round). Mirrors how search algorithms
-	// "alternate between tree search phases and model optimization phases".
-	ModelOptEvery int
 	// Progress, if non-nil, is called after every completed SPR round with
 	// the 1-based round number, the round's log likelihood, and the
 	// cumulative applied/tried move counts. It runs between parallel
@@ -56,12 +53,10 @@ type Config struct {
 // RAxML's fast defaults).
 func DefaultConfig(strategy opt.Strategy) Config {
 	return Config{
-		Opt:            opt.DefaultConfig(strategy),
-		MaxRounds:      5,
-		Radius:         5,
-		Epsilon:        0.1,
-		MinImprovement: 0.01,
-		ModelOptEvery:  0,
+		Opt:       opt.DefaultConfig(strategy),
+		MaxRounds: 5,
+		Radius:    5,
+		Epsilon:   0.1,
 	}
 }
 
@@ -115,10 +110,6 @@ func (s *Searcher) Run(ctx context.Context) (Result, error) {
 	rounds := 0
 	for r := 0; r < s.Cfg.MaxRounds && !s.cancelled(); r++ {
 		rounds++
-		if s.Cfg.ModelOptEvery > 0 && r%s.Cfg.ModelOptEvery == 0 {
-			lnl, _, _ := s.o.OptimizeModel(ctx)
-			s.best = lnl
-		}
 		prev := s.best
 		s.sprRound()
 		s.E.InvalidateCLVs()
@@ -172,7 +163,7 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	// Prune: fuse the two neighbor branches.
 	zf := make([]float64, len(z1))
 	for k := range zf {
-		zf[k] = clampBL(z1[k] + z2[k])
+		zf[k] = tree.ClampBranchLen(z1[k] + z2[k])
 	}
 	tree.Connect(b1, b2, zf)
 	v.Next.Back = nil
@@ -230,7 +221,7 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 		s.newview1(b1)
 	}
 
-	if bestU != nil && bestLnL > ref+s.Cfg.MinImprovement {
+	if bestU != nil && bestLnL > ref+minImprovement {
 		// Apply: insert v into the winning branch for good.
 		s.moves++
 		uB := bestU.Back
@@ -238,8 +229,8 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 		za := make([]float64, len(zu))
 		zb := make([]float64, len(zu))
 		for k := range zu {
-			za[k] = clampBL(zu[k] / 2)
-			zb[k] = clampBL(zu[k] / 2)
+			za[k] = tree.ClampBranchLen(zu[k] / 2)
+			zb[k] = tree.ClampBranchLen(zu[k] / 2)
 		}
 		tree.Connect(v.Next, bestU, za)
 		tree.Connect(v.Next.Next, uB, zb)
@@ -279,8 +270,8 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	za := make([]float64, len(zu))
 	zb := make([]float64, len(zu))
 	for k := range zu {
-		za[k] = clampBL(zu[k] / 2)
-		zb[k] = clampBL(zu[k] / 2)
+		za[k] = tree.ClampBranchLen(zu[k] / 2)
+		zb[k] = tree.ClampBranchLen(zu[k] / 2)
 	}
 	tree.Connect(v.Next, u, za)
 	tree.Connect(v.Next.Next, uB, zb)
@@ -326,9 +317,4 @@ func clearXComponent(start *tree.Node) {
 		walk(p.Back)
 	}
 	walk(start)
-}
-
-func clampBL(v float64) float64 {
-	const min, max = 1e-8, 64.0
-	return math.Min(max, math.Max(min, v))
 }

@@ -43,7 +43,7 @@ func ParseNewick(s string, names []string, zSlots int) (*Tree, error) {
 		// Rooted input: fuse the two root-adjacent branches into one.
 		z := t.NewZ()
 		for k := range z {
-			z[k] = clampBL(lengths[0][k] + lengths[1][k])
+			z[k] = ClampBranchLen(lengths[0][k] + lengths[1][k])
 		}
 		Connect(children[0], children[1], z)
 	case 3:
@@ -205,22 +205,11 @@ func (p *newickParser) parseLength() ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("newick: bad branch length %q", p.s[start:p.pos])
 	}
-	v = clampBL(v)
+	v = ClampBranchLen(v)
 	for k := range z {
 		z[k] = v
 	}
 	return z, nil
-}
-
-func clampBL(v float64) float64 {
-	const min, max = 1e-8, 64.0
-	if v < min {
-		return min
-	}
-	if v > max {
-		return max
-	}
-	return v
 }
 
 // WriteNewick serializes the tree with branch lengths from slot k, rooted for

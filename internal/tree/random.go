@@ -31,7 +31,7 @@ func Random(names []string, zSlots int, opts RandomOptions) (*Tree, error) {
 	}
 	randZ := func() []float64 {
 		z := make([]float64, zSlots)
-		v := clampBL(rng.ExpFloat64() * mean)
+		v := ClampBranchLen(rng.ExpFloat64() * mean)
 		for k := range z {
 			z[k] = v
 		}

@@ -25,6 +25,26 @@ import (
 // DefaultBranchLength initializes new branches; it matches RAxML's default.
 const DefaultBranchLength = 0.1
 
+// MinBranchLen and MaxBranchLen bound every branch length in the system: the
+// Newick parser, the random-tree generator, the SPR splices and the Newton
+// optimizer all clamp to this one interval, so no layer can hand another a
+// length it would clamp differently.
+const (
+	MinBranchLen = 1e-8
+	MaxBranchLen = 64.0
+)
+
+// ClampBranchLen confines v to [MinBranchLen, MaxBranchLen].
+func ClampBranchLen(v float64) float64 {
+	if v < MinBranchLen {
+		return MinBranchLen
+	}
+	if v > MaxBranchLen {
+		return MaxBranchLen
+	}
+	return v
+}
+
 // Node is one record of the triplet representation. Tips have Next == nil
 // and exactly one record; inner nodes have three records sharing an Index.
 type Node struct {

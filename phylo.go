@@ -8,12 +8,13 @@
 // optimizes model parameters (Brent) and branch lengths (Newton-Raphson),
 // and runs SPR tree searches. Partitioned (multi-gene) datasets may use a
 // separate model — and separate branch lengths — per partition; the iterative
-// optimizers can run in the paper's two parallelization strategies:
+// optimizers cut their work into parallel regions in one of the paper's two
+// ways, and return the same bits either way:
 //
-//   - OldPar: partitions optimized one at a time (narrow parallel regions,
+//   - OldPar: every region spans one partition (narrow parallel regions,
 //     the load-balance problem the paper describes);
-//   - NewPar: all partitions optimized simultaneously with per-partition
-//     convergence tracking (the paper's solution).
+//   - NewPar: every region spans all partitions that have not converged yet
+//     (the paper's solution).
 //
 // The API has two layers. A Dataset is the immutable, shareable product of
 // the per-dataset setup work the paper amortizes — compressed patterns, tip
@@ -68,14 +69,16 @@ const (
 	AA = alignment.AA
 )
 
-// Strategy selects the parallelization of the iterative optimizers.
+// Strategy selects how the iterative optimizers group partitions into
+// parallel regions; it changes the region count, never a result.
 type Strategy = opt.Strategy
 
 // Parallelization strategies (see the package comment).
 const (
-	// OldPar optimizes one partition at a time.
+	// OldPar gives every partition regions of its own.
 	OldPar = opt.OldPar
-	// NewPar optimizes all partitions simultaneously (the paper's fix).
+	// NewPar shares every region among all unconverged partitions (the
+	// paper's fix).
 	NewPar = opt.NewPar
 )
 

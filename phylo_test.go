@@ -73,7 +73,15 @@ func TestReadPhylipAndAnalyze(t *testing.T) {
 }
 
 func TestPartitionedAnalysisStrategies(t *testing.T) {
-	results := map[Strategy]float64{}
+	// The strategies do identical work cut into different regions: every
+	// result bit agrees, only the region count differs.
+	type result struct {
+		lnl     float64
+		alphas  []float64
+		trees   []string
+		regions int64
+	}
+	results := map[Strategy]result{}
 	for _, strat := range []Strategy{OldPar, NewPar} {
 		al, err := ReadPhylip(strings.NewReader(tinyPhylip))
 		if err != nil {
@@ -91,14 +99,35 @@ func TestPartitionedAnalysisStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[strat] = lnl
-		st := an.Stats()
-		if st.Regions == 0 {
-			t.Error("no parallel regions recorded")
+		res := result{lnl: lnl, regions: an.Stats().Regions}
+		for k := 0; k < al.NumPartitions(); k++ {
+			a, err := an.Alpha(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw, err := an.TreeNewickForPartition(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.alphas = append(res.alphas, a)
+			res.trees = append(res.trees, nw)
+		}
+		results[strat] = res
+	}
+	o, n := results[OldPar], results[NewPar]
+	if math.Float64bits(o.lnl) != math.Float64bits(n.lnl) {
+		t.Errorf("strategies disagree: %v vs %v", o.lnl, n.lnl)
+	}
+	for k := range o.alphas {
+		if math.Float64bits(o.alphas[k]) != math.Float64bits(n.alphas[k]) {
+			t.Errorf("partition %d: alpha %v vs %v", k, o.alphas[k], n.alphas[k])
+		}
+		if o.trees[k] != n.trees[k] {
+			t.Errorf("partition %d: tree %s vs %s", k, o.trees[k], n.trees[k])
 		}
 	}
-	if math.Abs(results[OldPar]-results[NewPar]) > 1e-2*math.Abs(results[OldPar]) {
-		t.Errorf("strategies disagree: %v vs %v", results[OldPar], results[NewPar])
+	if n.regions == 0 || o.regions <= n.regions {
+		t.Errorf("regions: oldPAR %d, newPAR %d; want oldPAR above newPAR above 0", o.regions, n.regions)
 	}
 }
 
