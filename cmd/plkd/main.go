@@ -80,7 +80,7 @@ func run(addr, addrFile string, cfg server.Config, schedName, backendName string
 	if err != nil {
 		return err
 	}
-	cfg.Schedule = strat
+	cfg.Cyclic = strat == phylo.ScheduleCyclic
 	backend, err := phylo.ParseKernelBackend(backendName)
 	if err != nil {
 		return err

@@ -244,8 +244,8 @@ type MemoryFootprint = core.MemoryFootprint
 // dataset cached and serving it. Buffers of closed sessions waiting for
 // reuse are not priced on top: the garbage collector may reclaim them at any
 // cycle, and the one-session term already covers the set in use. The
-// likelihood-serving cache (internal/server) evicts against this figure;
-// plkbench reports it standalone. The schedule term reflects the strategies
+// likelihood-serving cache (internal/server) evicts against this figure and
+// reports it as memory_bytes. The schedule term reflects the strategies
 // built so far, so the figure can grow slightly as sessions exercise new
 // strategies.
 func (ds *Dataset) MemoryFootprint() int64 {

@@ -77,7 +77,7 @@ func ParsePartitionFile(r io.Reader, numSites int) ([]Partition, error) {
 	var parts []Partition
 	used := make([]int, numSites) // detects overlaps: 0 = free, else partition index+1
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -14,7 +14,7 @@ import (
 // span multiple lines and contain spaces.
 func ReadPhylip(r io.Reader) (*Alignment, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
+	sc.Buffer(nil, 64<<20)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("phylip: empty input")
 	}
@@ -27,8 +27,10 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 	if err1 != nil || err2 != nil || ntax <= 0 || nsites <= 0 {
 		return nil, fmt.Errorf("phylip: bad header %q", sc.Text())
 	}
-	names := make([]string, 0, ntax)
-	seqs := make([][]byte, 0, ntax)
+	// The header is a claim, not a size: buffers grow with the bytes read,
+	// so a hostile "4000000000000000000 1" costs what its body costs.
+	var names []string
+	var seqs [][]byte
 	cur := -1
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -39,7 +41,9 @@ func ReadPhylip(r io.Reader) (*Alignment, error) {
 			// New taxon record: first token is the name.
 			fs := strings.Fields(line)
 			names = append(names, fs[0])
-			seq := make([]byte, 0, nsites)
+			// One allocation for the one-line-per-taxon file: the line holds
+			// the whole sequence, so it bounds the capacity as well as nsites.
+			seq := make([]byte, 0, min(nsites, len(line)))
 			for _, f := range fs[1:] {
 				seq = append(seq, []byte(f)...)
 			}

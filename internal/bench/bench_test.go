@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"phylo/internal/obs"
 	"phylo/internal/opt"
 	"phylo/internal/seqsim"
 )
@@ -168,42 +167,5 @@ func TestFigure6SmallScale(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Unpartitioned") {
 		t.Errorf("figure 6 output malformed:\n%s", buf.String())
-	}
-}
-
-// TestMicrobenchSmoke: the kernel microbench used for the CI bench artifact
-// produces sane, positive timings, and an attached registry sees the regions
-// of the timing loop (whose session is opened before the observer is
-// installed on its pool).
-func TestMicrobenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("microbench iterates testing.Benchmark; skipped in -short")
-	}
-	reg := obs.NewRegistry()
-	rep, err := microbench(context.Background(), []int{1}, 0.002, 7, &MicrobenchObs{Metrics: reg}, secTimings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Patterns <= 0 || rep.Partitions <= 0 {
-		t.Fatalf("report shape: %+v", rep)
-	}
-	if len(rep.Timings) != 1 {
-		t.Fatalf("want 1 timing, got %d", len(rep.Timings))
-	}
-	kt := rep.Timings[0]
-	if kt.Threads != 1 || kt.EvaluateNsOp <= 0 || kt.NewviewNsOp <= 0 {
-		t.Errorf("timing: %+v", kt)
-	}
-	regions := 0.0
-	for _, s := range reg.Snapshot() {
-		if s.Name == "plk_regions_total" {
-			regions += s.Value
-		}
-	}
-	if regions <= 0 {
-		t.Errorf("plk_regions_total = %v with a registry attached, want > 0", regions)
-	}
-	if _, err := Microbench(context.Background(), []int{0}, 0.002, 7, nil); err == nil {
-		t.Error("expected error for zero thread count")
 	}
 }

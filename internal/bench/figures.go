@@ -405,37 +405,37 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 // imbalance to absorb.
 const mispriceSkewFactor = 100
 
-// StealComparison is the machine-readable outcome of the work-stealing
-// experiment: end-state measured per-worker time imbalance of the static
-// weighted pack vs the same pack with intra-region stealing, on the mixed
-// DNA+AA workload whose analytic cost model is deliberately mispriced (so
-// the static pack places the expensive narrow-partition remainder patterns
-// blindly and stealing has real skew to absorb). CI serializes it into
-// BENCH_plk.json next to the kernel timings.
+// StealComparison is the outcome of the work-stealing experiment: end-state
+// measured per-worker time imbalance of the static weighted pack vs the same
+// pack with intra-region stealing, on the mixed DNA+AA workload whose
+// analytic cost model is deliberately mispriced (so the static pack places
+// the expensive narrow-partition remainder patterns blindly and stealing has
+// real skew to absorb). StealExperiment prints it;
+// TestStealingBoundsIntraRegionTailLatency gates it.
 type StealComparison struct {
-	Dataset   string  `json:"dataset"`
-	SkewCosts float64 `json:"skew_costs"`
-	Threads   int     `json:"threads"`
+	Dataset   string
+	SkewCosts float64
+	Threads   int
 	// Cores is runtime.NumCPU() at measurement time. Per-worker *work* time
 	// (barrier waits excluded) only reflects load balance when the workers
 	// actually run in parallel: with Threads > Cores the OS decides which
 	// worker executes the stolen work, so the acceptance gate skips the
 	// imbalance clause on such hosts (the comparison is still recorded).
-	Cores int `json:"cores"`
+	Cores int
 	// End-state probe TimeImbalance (max/avg measured per-worker seconds)
 	// under the final schedule, without and with stealing.
-	WeightedTimeImbalance float64 `json:"weighted_time_imbalance"`
-	StealTimeImbalance    float64 `json:"steal_time_imbalance"`
+	WeightedTimeImbalance float64
+	StealTimeImbalance    float64
 	// Probe steal activity: operations, migrated patterns, the per-worker
 	// steal-count distribution, and the migrated fraction of all patterns
 	// the probe processed.
-	StealCount       float64   `json:"steal_count"`
-	StolenPatterns   float64   `json:"stolen_patterns"`
-	WorkerSteals     []float64 `json:"worker_steals"`
-	MigratedFraction float64   `json:"migrated_fraction"`
+	StealCount       float64
+	StolenPatterns   float64
+	WorkerSteals     []float64
+	MigratedFraction float64
 	// LnLAbsDiff is |lnL(steal) - lnL(static)| — stealing must never change
 	// results beyond floating-point reassociation of the reductions.
-	LnLAbsDiff float64 `json:"lnl_abs_diff"`
+	LnLAbsDiff float64
 }
 
 // stealProbeRegions is the end-state probe length of the steal comparison:

@@ -32,8 +32,8 @@ func TestStealingBoundsIntraRegionTailLatency(t *testing.T) {
 	// The imbalance clause is only meaningful when the workers genuinely run
 	// in parallel: per-worker *work* time (barrier waits excluded) on an
 	// oversubscribed host reflects which goroutines the OS happened to run,
-	// not load balance — the same reason the migrated-fraction gate in
-	// CheckReport exempts Threads > Cores. The remaining clauses
+	// not load balance — the same reason TestStealMigrationCeiling only runs
+	// at a thread count the host runs in parallel. The remaining clauses
 	// (determinism, steal activity, metric sanity) hold everywhere.
 	gateImbalance := comp.Threads <= comp.Cores
 	// Wall-clock per-worker times on a shared CI box are noisy; a spurious

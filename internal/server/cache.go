@@ -21,6 +21,10 @@ var (
 	ErrDatasetBusy = errors.New("server: dataset has in-flight work")
 	// ErrCacheClosed is returned once the cache has been shut down.
 	ErrCacheClosed = errors.New("server: dataset cache closed")
+	// errBuildPanicked is what the callers waiting on a dataset build receive
+	// when it panicked instead of returning (the panic itself propagates on
+	// the goroutine that ran it).
+	errBuildPanicked = errors.New("server: the dataset build this request was waiting on panicked")
 )
 
 // DatasetInfo is the client-visible description of one cached dataset.
@@ -111,9 +115,9 @@ func (h *CachedDataset) Release() {
 
 // Acquire returns a pinned reference to the dataset with the given id,
 // building it with build on a miss. Concurrent Acquires of one id share a
-// single build; if the build fails every waiter sees the error and the slot
-// is cleared so a later submit can retry. The returned handle must be
-// Released.
+// single build; if the build fails (or panics) every waiter sees an error and
+// the slot is cleared so a later submit can retry. The returned handle must
+// be Released.
 func (c *DatasetCache) Acquire(id string, build func() (*phylo.Dataset, error)) (*CachedDataset, bool, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -133,33 +137,44 @@ func (c *DatasetCache) Acquire(id string, build func() (*phylo.Dataset, error)) 
 		}
 		return &CachedDataset{c: c, e: e}, true, nil
 	}
-	e := &cacheEntry{id: id, refs: 1, ready: make(chan struct{})}
+	e := &cacheEntry{id: id, refs: 1, ready: make(chan struct{}), err: errBuildPanicked} // until build returns
 	c.entries[id] = e
 	c.misses++
 	c.mu.Unlock()
 
-	ds, err := build()
-	c.mu.Lock()
-	if err == nil && c.closed {
-		err = ErrCacheClosed
-		ds.Close()
-		ds = nil
+	c.fill(e, build)
+	if e.err != nil {
+		return nil, false, e.err
 	}
-	if err != nil {
-		e.err = err
-		delete(c.entries, id)
+	return &CachedDataset{c: c, e: e}, false, nil
+}
+
+// fill runs build for the reserved entry e and publishes the outcome to its
+// waiters. It publishes in a defer, so a build that panics still clears the
+// slot and releases the waiters with errBuildPanicked (each holds a place in
+// the server's work group, which Drain waits on) before the panic propagates
+// on the goroutine that ran it.
+func (c *DatasetCache) fill(e *cacheEntry, build func() (*phylo.Dataset, error)) {
+	defer func() {
+		c.mu.Lock()
+		if e.err == nil && c.closed {
+			e.err = ErrCacheClosed
+			e.ds.Close()
+			e.ds = nil
+		}
+		var victims []*phylo.Dataset
+		if e.err != nil {
+			delete(c.entries, e.id)
+		} else {
+			e.bytes = e.ds.MemoryFootprint()
+			c.bytes += e.bytes
+			victims = c.evictLocked()
+		}
 		c.mu.Unlock()
 		close(e.ready)
-		return nil, false, err
-	}
-	e.ds = ds
-	e.bytes = ds.MemoryFootprint()
-	c.bytes += e.bytes
-	victims := c.evictLocked()
-	c.mu.Unlock()
-	close(e.ready)
-	closeAll(victims)
-	return &CachedDataset{c: c, e: e}, false, nil
+		closeAll(victims)
+	}()
+	e.ds, e.err = build()
 }
 
 // Ref returns a pinned reference to an already-resident dataset, or

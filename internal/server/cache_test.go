@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"phylo"
 )
@@ -180,6 +181,61 @@ func TestCacheFailedBuildClearsSlot(t *testing.T) {
 	var builds int64
 	var mu sync.Mutex
 	h, cached, err := c.Acquire("bad", builderFor(t, 5, &builds, &mu))
+	if err != nil || cached || builds != 1 {
+		t.Fatalf("retry: cached=%v builds=%d err=%v", cached, builds, err)
+	}
+	h.Release()
+}
+
+// TestCacheBuildPanicReleasesWaiters: a build that panics must not strand the
+// callers parked on it (each holds a place in the server's work group, so
+// Drain would never return), must clear its slot for a retry, and must still
+// propagate the panic on the goroutine that ran it.
+func TestCacheBuildPanicReleasesWaiters(t *testing.T) {
+	c := NewDatasetCache(0)
+	defer c.Close()
+	building, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Acquire("boom", func() (*phylo.Dataset, error) {
+			close(building)
+			<-release
+			panic("build blew up")
+		})
+	}()
+	<-building
+	waiters := make(chan error, 2)
+	go func() {
+		_, _, err := c.Acquire("boom", func() (*phylo.Dataset, error) { return nil, errors.New("second build") })
+		waiters <- err
+	}()
+	go func() {
+		_, err := c.Ref("boom")
+		waiters <- err
+	}()
+	waitFor(t, func() bool { // both parked on the build
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.entries["boom"].refs == 3
+	})
+	close(release)
+	if r := <-panicked; r == nil {
+		t.Error("the panic must propagate on the goroutine that ran the build")
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-waiters:
+			if !errors.Is(err, errBuildPanicked) {
+				t.Errorf("waiter err = %v, want %v", err, errBuildPanicked)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a waiter is still parked on the panicked build")
+		}
+	}
+	var builds int64
+	var mu sync.Mutex
+	h, cached, err := c.Acquire("boom", builderFor(t, 5, &builds, &mu))
 	if err != nil || cached || builds != 1 {
 		t.Fatalf("retry: cached=%v builds=%d err=%v", cached, builds, err)
 	}

@@ -63,10 +63,11 @@ type Config struct {
 	// Threads is the worker-pool width every dataset is built for
 	// (default 1).
 	Threads int
-	// Schedule is the pattern-to-worker assignment strategy (default
+	// Cyclic selects the paper's cyclic pattern-to-worker assignment
+	// (plkd -schedule cyclic). The zero value is the server default,
 	// ScheduleWeighted: a server mixes workloads, so cost-based packing is
-	// the right prior; the paper's cyclic remains available).
-	Schedule phylo.ScheduleStrategy
+	// the right prior.
+	Cyclic bool
 	// Steal enables intra-region work stealing on every dataset.
 	Steal bool
 	// Backend selects the kernel backend (default BackendAuto).
@@ -97,11 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Threads < 1 {
 		c.Threads = 1
 	}
-	if c.Schedule == phylo.ScheduleCyclic {
-		// The zero value of ScheduleStrategy is Cyclic; a server defaults to
-		// Weighted. Callers who want cyclic say so via plkd -schedule.
-		c.Schedule = phylo.ScheduleWeighted
-	}
 	if c.GammaCategories < 1 {
 		c.GammaCategories = 4
 	}
@@ -127,6 +123,14 @@ func (c Config) withDefaults() Config {
 		c.MaxRequestBytes = 64 << 20
 	}
 	return c
+}
+
+// schedule is the strategy every dataset of this server is built with.
+func (c Config) schedule() phylo.ScheduleStrategy {
+	if c.Cyclic {
+		return phylo.ScheduleCyclic
+	}
+	return phylo.ScheduleWeighted
 }
 
 // Server is the likelihood daemon: an http.Handler plus the serving state
@@ -349,7 +353,7 @@ func decodeJSON(r *http.Request, v any) error {
 func (s *Server) digest(parts ...string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "T=%d|S=%v|steal=%v|cats=%d|backend=%v",
-		s.cfg.Threads, s.cfg.Schedule, s.cfg.Steal, s.cfg.GammaCategories, s.cfg.Backend)
+		s.cfg.Threads, s.cfg.schedule(), s.cfg.Steal, s.cfg.GammaCategories, s.cfg.Backend)
 	for _, p := range parts {
 		h.Write([]byte{0})
 		h.Write([]byte(p))
@@ -438,7 +442,7 @@ func (s *Server) buildDataset(req submitRequest) (*phylo.Dataset, error) {
 	}
 	return phylo.NewDataset(al, phylo.DatasetOptions{
 		Threads:         s.cfg.Threads,
-		Schedule:        s.cfg.Schedule,
+		Schedule:        s.cfg.schedule(),
 		GammaCategories: s.cfg.GammaCategories,
 		Steal:           s.cfg.Steal,
 		Backend:         s.cfg.Backend,
@@ -562,7 +566,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"draining":    draining,
 		"config": map[string]any{
 			"threads":  s.cfg.Threads,
-			"schedule": fmt.Sprint(s.cfg.Schedule),
+			"schedule": fmt.Sprint(s.cfg.schedule()),
 			"steal":    s.cfg.Steal,
 			"cats":     s.cfg.GammaCategories,
 		},

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -443,6 +445,64 @@ func TestStatsAndListEndpoints(t *testing.T) {
 	}
 	if code := doJSON(t, "POST", hs.URL+"/v1/evaluate", evaluateRequest{Dataset: id}, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("evaluate after delete: HTTP %d", code)
+	}
+}
+
+// TestCyclicScheduleSurvivesConfig: plkd -schedule cyclic must reach the
+// datasets. A server configured for cyclic says so in /v1/stats, digests the
+// same bytes to a different handle than a default (weighted) server, and at
+// two threads scores bit-identically to a direct ScheduleCyclic dataset.
+func TestCyclicScheduleSurvivesConfig(t *testing.T) {
+	_, cyc := testServer(t, Config{Threads: 2, Cyclic: true})
+	_, def := testServer(t, Config{Threads: 2})
+	phy := tinyPhylip(t, 8, 192, 3)
+
+	// probe reads the configured schedule and submits the alignment.
+	probe := func(hs *httptest.Server) (schedule, id string) {
+		var stats struct {
+			Config struct {
+				Schedule string `json:"schedule"`
+			} `json:"config"`
+		}
+		doJSON(t, "GET", hs.URL+"/v1/stats", nil, &stats, nil)
+		var sr submitResponse
+		if code := doJSON(t, "POST", hs.URL+"/v1/datasets", submitRequest{Phylip: phy, PartitionLen: 48}, &sr, nil); code != http.StatusOK {
+			t.Fatalf("submit: HTTP %d", code)
+		}
+		return stats.Config.Schedule, sr.ID
+	}
+	cycSched, cycID := probe(cyc)
+	defSched, defID := probe(def)
+	if cycSched != "cyclic" || defSched != "weighted" {
+		t.Errorf("/v1/stats reports schedule %q for the cyclic server and %q for the default one", cycSched, defSched)
+	}
+	if cycID == defID {
+		t.Errorf("cyclic and weighted servers share dataset id %s", cycID)
+	}
+
+	var er evaluateResponse
+	if code := doJSON(t, "POST", cyc.URL+"/v1/evaluate", evaluateRequest{Dataset: cycID, Seed: 42}, &er, nil); code != http.StatusOK {
+		t.Fatalf("evaluate: HTTP %d", code)
+	}
+	al, err := phylo.ReadPhylip(strings.NewReader(phy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := al.SetUniformPartitions(phylo.DNA, 48); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := phylo.NewDataset(al, phylo.DatasetOptions{Threads: 2, Schedule: phylo.ScheduleCyclic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	an, err := ds.NewAnalysis(phylo.AnalysisOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer an.Close()
+	if want := fmt.Sprintf("%016x", math.Float64bits(an.LogLikelihood())); er.LnLBits != want {
+		t.Errorf("cyclic server lnl_bits %s, direct ScheduleCyclic dataset %s", er.LnLBits, want)
 	}
 }
 

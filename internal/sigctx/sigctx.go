@@ -1,5 +1,5 @@
 // Package sigctx implements the two-stage interrupt protocol shared by the
-// repository's long-running commands (plkrun, plkbench, plkd): the first
+// repository's long-running commands (plkrun, plkd): the first
 // SIGINT/SIGTERM cancels a context so the command can drain at the next safe
 // boundary (a synchronization-region boundary for analyses, a graceful HTTP
 // drain for the daemon), and a second signal hard-exits the process with a

@@ -74,6 +74,7 @@ type newickParser struct {
 	nameToTip map[string]*Node
 	usedTips  int
 	usedInner int
+	depth     int // open parentheses around p.pos
 	seenTips  map[string]bool
 }
 
@@ -97,6 +98,12 @@ func (p *newickParser) takeInner() (*Node, error) {
 // dangling records with their branch lengths.
 func (p *newickParser) parseChildren() (children []*Node, lengths [][]float64, err error) {
 	p.pos++ // consume '('
+	// Every level of nesting holds at least one taxon of its own, so deeper
+	// input is malformed; unbounded, "((((..." from an untrusted request
+	// would recurse until the stack is exhausted, which no recover catches.
+	if p.depth++; p.depth > len(p.t.Tips) {
+		return nil, nil, fmt.Errorf("newick: nested deeper than %d taxa allow at position %d", len(p.t.Tips), p.pos)
+	}
 	for {
 		child, z, err := p.parseSubtree()
 		if err != nil {
@@ -114,6 +121,7 @@ func (p *newickParser) parseChildren() (children []*Node, lengths [][]float64, e
 			continue
 		case ')':
 			p.pos++
+			p.depth--
 			return children, lengths, nil
 		default:
 			return nil, nil, fmt.Errorf("newick: unexpected character %q at %d", string(p.peek()), p.pos)

@@ -158,6 +158,7 @@ func TestParseNewickErrors(t *testing.T) {
 		"(t0:1,t1:1,(t2:1,t3:1):1)",    // missing semicolon
 		"(t0:1,t1:1,(t2:1,t3:bad):1);", // bad length
 		"(t0:1,t1:1,(t2:1,t3:1:1);",    // unbalanced
+		strings.Repeat("(", 1<<20),     // nesting no 4-taxon tree has (and no stack survives unbounded)
 	}
 	for _, s := range cases {
 		if _, err := ParseNewick(s, names(4), 1); err == nil {
