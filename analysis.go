@@ -268,7 +268,9 @@ func (an *Analysis) emit(ev ProgressEvent) {
 // optimization" phase) and returns the final log likelihood. Cancelling ctx
 // stops the optimization at the next synchronization-region boundary and
 // returns the context's error together with the exact score of the
-// partially optimized (fully consistent) state.
+// partially optimized (fully consistent) state; so does a substitution model
+// that refuses a proposed parameter value (a failed eigendecomposition), with
+// that error.
 func (an *Analysis) OptimizeModel(ctx context.Context) (float64, error) {
 	ctx = orBackground(ctx)
 	if err := an.guard(); err != nil {

@@ -238,9 +238,32 @@ func TestDiscreteGammaRatesLimits(t *testing.T) {
 	}
 }
 
+// brentResult reports the outcome of brentMinimize.
+type brentResult struct {
+	X          float64 // abscissa of the minimum
+	Iterations int     // evaluations consumed after the one at the guess
+	Converged  bool    // whether the tolerance was met within the budget
+}
+
+// brentMinimize drives a BrentState the way the model optimizer does, on an
+// objective it can call: seed with f(guess), then Next / Observe until done or
+// maxIter evaluations.
+func brentMinimize(f func(float64) float64, lo, guess, hi, tol float64, maxIter int) brentResult {
+	st := NewBrentState(lo, guess, hi, tol)
+	st.Seed(f(guess))
+	for i := 0; i < maxIter; i++ {
+		x, done := st.Next()
+		if done {
+			return brentResult{X: st.X, Iterations: i, Converged: true}
+		}
+		st.Observe(x, f(x))
+	}
+	return brentResult{X: st.X, Iterations: maxIter}
+}
+
 func TestBrentMinimizeQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return (x - 3.25) * (x - 3.25) }
-	res := BrentMinimize(f, 0, 1, 10, 1e-10, 100)
+	res := brentMinimize(f, 0, 1, 10, 1e-10, 100)
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
@@ -252,13 +275,13 @@ func TestBrentMinimizeQuadratic(t *testing.T) {
 func TestBrentMinimizeHard(t *testing.T) {
 	// Asymmetric function with minimum at x = 2: f = x + 4/x, f' = 1 - 4/x^2.
 	f := func(x float64) float64 { return x + 4/x }
-	res := BrentMinimize(f, 0.001, 0.01, 100, 1e-12, 200)
+	res := brentMinimize(f, 0.001, 0.01, 100, 1e-12, 200)
 	if !res.Converged || math.Abs(res.X-2) > 1e-6 {
 		t.Errorf("got x=%v converged=%v, want 2", res.X, res.Converged)
 	}
 	// Minimum at a boundary.
 	g := func(x float64) float64 { return x }
-	res = BrentMinimize(g, 1, 5, 10, 1e-9, 200)
+	res = brentMinimize(g, 1, 5, 10, 1e-9, 200)
 	if math.Abs(res.X-1) > 1e-6 {
 		t.Errorf("boundary minimum: got %v, want 1", res.X)
 	}
@@ -284,6 +307,112 @@ func TestBrentStateMatchesDriver(t *testing.T) {
 	want := math.Pi - math.Asin(0.1)
 	if math.Abs(st.X-want) > 1e-6 {
 		t.Errorf("minimum at %v, want %v", st.X, want)
+	}
+}
+
+// TestBrentBracketProperties drives BrentState over unimodal objectives ×
+// legal intervals × guesses — the guess on either bound, the minimum on
+// either bound or outside the interval, a kink, a flat objective, and
+// stretches that return NaN or +Inf — and holds every solve to the contract
+// the model optimizer relies on: proposals stay inside [lo, hi], no abscissa
+// is proposed twice running (nor the best point itself), the solve ends inside
+// the optimizer's iteration cap, lands within Brent's 4·tol₁ of the minimiser,
+// and never returns a point worse than the guess.
+func TestBrentBracketProperties(t *testing.T) {
+	const (
+		tol     = 1e-4 // the model optimizer's brentTol
+		maxIter = 100  // and its maxBrentIter
+	)
+	type objective struct {
+		name string
+		f    func(x, m float64) float64
+		flat bool // every point is a minimiser
+	}
+	objectives := []objective{
+		{name: "quadratic", f: func(x, m float64) float64 { return (x - m) * (x - m) }},
+		{name: "kink", f: func(x, m float64) float64 { return math.Abs(x-m) + 1 }},
+		{name: "skewed", f: func(x, m float64) float64 { d := x - m; return d*d*(1+0.5*math.Tanh(d)) - 7 }},
+		{name: "quartic", f: func(x, m float64) float64 { d := x - m; return d * d * d * d }},
+		{name: "flat", f: func(x, m float64) float64 { return 3 }, flat: true},
+		{name: "nan-above", f: func(x, m float64) float64 {
+			if x > m+0.3*math.Abs(m)+0.5 {
+				return math.NaN()
+			}
+			return (x - m) * (x - m)
+		}},
+		{name: "inf-below", f: func(x, m float64) float64 {
+			if x < m-0.3*math.Abs(m)-0.5 {
+				return math.Inf(1)
+			}
+			return (x - m) * (x - m)
+		}},
+	}
+	intervals := [][2]float64{{0.02, 100}, {1e-4, 1e3}, {-5, 5}, {0, 10}, {2, 2.0001}}
+	rng := rand.New(rand.NewSource(7))
+	solves, evals := 0, 0
+	for _, iv := range intervals {
+		lo, hi := iv[0], iv[1]
+		span := hi - lo
+		// Where the unconstrained minimum sits: inside, on a bound, beyond one.
+		minima := []float64{lo, hi, lo - 0.25*span, hi + 0.25*span, lo + 0.01*span, lo + 0.5*span, lo + rng.Float64()*span}
+		guesses := []float64{lo, hi, lo + 1e-9*span, hi - 1e-9*span, lo + 0.5*span, lo + rng.Float64()*span, lo + rng.Float64()*span}
+		for _, obj := range objectives {
+			for _, m := range minima {
+				for _, guess := range guesses {
+					f := func(x float64) float64 { return obj.f(x, m) }
+					f0 := f(guess)
+					if math.IsNaN(f0) || math.IsInf(f0, 0) {
+						continue // the optimizer never starts from an undefined score
+					}
+					st := NewBrentState(lo, guess, hi, tol)
+					st.Seed(f0)
+					last, done, n := guess, false, 0
+					for ; n < maxIter; n++ {
+						var x float64
+						if x, done = st.Next(); done {
+							break
+						}
+						if x < lo || x > hi {
+							t.Fatalf("%s m=%v [%v,%v] guess=%v: proposal %v outside the interval", obj.name, m, lo, hi, guess, x)
+						}
+						if x == last || x == st.X {
+							t.Fatalf("%s m=%v [%v,%v] guess=%v: proposal %v repeats (last %v, best %v)", obj.name, m, lo, hi, guess, x, last, st.X)
+						}
+						last = x
+						st.Observe(x, f(x))
+					}
+					solves++
+					evals += n
+					if !done {
+						t.Fatalf("%s m=%v [%v,%v] guess=%v: not done after %d evaluations (x=%v, bracket [%v,%v])", obj.name, m, lo, hi, guess, maxIter, st.X, st.A, st.B)
+					}
+					if !(st.FX <= f0) || st.FX != f(st.X) {
+						t.Fatalf("%s m=%v [%v,%v] guess=%v: returned f(%v)=%v (recorded %v), guess scored %v", obj.name, m, lo, hi, guess, st.X, f(st.X), st.FX, f0)
+					}
+					want := math.Min(math.Max(m, lo), hi)
+					// 1e-6: below sqrt(machine epsilon) x the objective's scale a
+					// smooth minimum is flat in floating point.
+					if slack := 4*(tol*math.Abs(st.X)+brentZeps) + 1e-6; !obj.flat && math.Abs(st.X-want) > slack {
+						t.Fatalf("%s m=%v [%v,%v] guess=%v: minimum at %v, want %v ± %v (%d evaluations)", obj.name, m, lo, hi, guess, st.X, want, slack, n)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d solves, %.1f evaluations a solve", solves, float64(evals)/float64(solves))
+}
+
+// TestBrentConfirmsAConvergedGuess is the case the bracket exists for: a
+// guess already within the tolerance of the minimum is confirmed in five
+// evaluations, where the start on the whole legal interval took twelve.
+func TestBrentConfirmsAConvergedGuess(t *testing.T) {
+	f := func(x float64) float64 { return x - 0.7*math.Log(x) } // minimum at 0.7, like -lnL in alpha
+	res := brentMinimize(f, 0.02, 0.70001, 100, 1e-4, 100)
+	if !res.Converged || math.Abs(res.X-0.7) > 4e-4*0.7 {
+		t.Fatalf("got x=%v converged=%v, want 0.7", res.X, res.Converged)
+	}
+	if res.Iterations > 6 {
+		t.Errorf("%d evaluations to confirm a converged guess, want <= 6", res.Iterations)
 	}
 }
 

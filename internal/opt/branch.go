@@ -43,6 +43,13 @@ type Optimizer struct {
 	mask   []bool // the group's partitions that are still unconverged
 	newts  []numeric.NewtonState
 	brents []numeric.BrentState
+
+	// score holds per-partition log likelihoods at the canonical root, as
+	// SmoothAll's closing evaluation and every Brent closing pair leave them;
+	// scored says they are those of the current tree and models, and is true
+	// only while OptimizeModel runs the Brent solves of a round.
+	score  []float64
+	scored bool
 }
 
 // New creates an optimizer for the engine.
@@ -57,6 +64,7 @@ func New(e *core.Engine, cfg Config) *Optimizer {
 		mask:   make([]bool, n),
 		newts:  make([]numeric.NewtonState, n),
 		brents: make([]numeric.BrentState, n),
+		score:  make([]float64, n),
 	}
 	o.blGroups = o.groups(func(int) bool { return true }, !e.PerPartitionBL)
 	o.alpha = o.alphaParam()
@@ -245,7 +253,8 @@ func (o *Optimizer) SmoothAll(ctx context.Context) float64 {
 		e.InvalidateCLVs()
 	}
 	e.TraverseRoot(start, true, nil)
-	lnl, _ := e.Evaluate(start, nil)
+	lnl, per := e.Evaluate(start, nil)
+	copy(o.score, per)
 	return lnl
 }
 

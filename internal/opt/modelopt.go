@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -26,34 +27,41 @@ const (
 // recompute the partition's CLVs (the paper's model-optimization phase), so
 // each Brent iteration costs one full-traversal region plus one evaluation
 // region, restricted to the unconverged partitions of the group — one
-// partition's patterns under oldPAR, the whole alignment's under newPAR.
-func (o *Optimizer) OptimizeAlphas() {
-	o.brent(&o.alpha)
+// partition's patterns under oldPAR, the whole alignment's under newPAR. A
+// returned error is brentGroup's.
+func (o *Optimizer) OptimizeAlphas() error {
+	return o.brent(&o.alpha)
 }
 
 // OptimizeRatesAll optimizes the free GTR exchangeability rates of all DNA
 // partitions (protein partitions keep their fixed empirical-style matrix,
 // as in RAxML), one rate index at a time, each like OptimizeAlphas.
-func (o *Optimizer) OptimizeRatesAll() {
+func (o *Optimizer) OptimizeRatesAll() error {
 	for ri := range o.rates {
-		o.brent(&o.rates[ri])
+		if err := o.brent(&o.rates[ri]); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // brent optimizes one per-partition parameter, group by group. The tree
 // topology and root are fixed during model optimization, so the full
 // traversal list every Brent step re-executes is computed once.
-func (o *Optimizer) brent(par *brentParam) {
+func (o *Optimizer) brent(par *brentParam) error {
 	if o.cancelled() {
-		return // before RootTraversal marks CLVs valid that no step would compute
+		return nil // before RootTraversal marks CLVs valid that no step would compute
 	}
 	steps := tree.RootTraversal(o.E.Tree.Tips[0].Back, false)
 	for _, g := range par.groups {
 		if o.cancelled() {
-			return
+			return nil
 		}
-		o.brentGroup(par, g, steps)
+		if err := o.brentGroup(par, g, steps); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // brentParam is one per-partition scalar model parameter as the Brent loop
@@ -61,7 +69,7 @@ func (o *Optimizer) brent(par *brentParam) {
 type brentParam struct {
 	groups [][]int // the partitions that have the parameter, grouped
 	get    func(ip int) float64
-	set    func(ip int, v float64) // also refreshes dependent model state
+	set    func(ip int, v float64) error // also refreshes dependent model state
 	lo, hi float64
 }
 
@@ -69,13 +77,9 @@ func (o *Optimizer) alphaParam() brentParam {
 	return brentParam{
 		groups: o.groups(func(int) bool { return true }, false),
 		get:    func(ip int) float64 { return o.E.Models[ip].Alpha },
-		set: func(ip int, v float64) {
-			if err := o.E.Models[ip].SetAlpha(v); err != nil {
-				panic("opt: alpha proposal out of bounds: " + err.Error())
-			}
-		},
-		lo: model.MinAlpha,
-		hi: model.MaxAlpha,
+		set:    func(ip int, v float64) error { return o.E.Models[ip].SetAlpha(v) },
+		lo:     model.MinAlpha,
+		hi:     model.MaxAlpha,
 	}
 }
 
@@ -88,14 +92,12 @@ func (o *Optimizer) rateParam(ri int) brentParam {
 			return m.Type == alignment.DNA && ri < len(m.ExRates)-1
 		}, false),
 		get: func(ip int) float64 { return o.E.Models[ip].ExRates[ri] },
-		set: func(ip int, v float64) {
+		set: func(ip int, v float64) error {
 			m := o.E.Models[ip]
 			if err := m.SetExRate(ri, v); err != nil {
-				panic("opt: rate proposal out of bounds: " + err.Error())
+				return err
 			}
-			if err := m.UpdateEigen(); err != nil {
-				panic("opt: eigendecomposition failed during rate optimization: " + err.Error())
-			}
+			return m.UpdateEigen()
 		},
 		lo: model.MinRate,
 		hi: model.MaxRate,
@@ -112,19 +114,28 @@ func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
 }
 
 // brentGroup runs Brent's method on one parameter over one partition group:
-// one BrentState per partition advanced in lockstep, one region pair per
-// iteration scoring every unconverged partition's proposal, and the
-// convergence boolean vector (the mask) shrinking that pair as partitions
-// finish. A finished partition stays masked at its last proposal until the
-// closing pair pins the whole group to its best-seen values.
-func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) {
+// one BrentState per partition advanced in lockstep (each brackets the
+// minimum next to the current value, then takes Brent's own steps), one
+// region pair per iteration scoring every unconverged partition's proposal,
+// and the convergence boolean vector (the mask) shrinking that pair as
+// partitions finish. A finished partition stays masked at its last proposal
+// until the closing pair pins the whole group to its best-seen values. A state
+// starts from the partition's current value and its score there: in hand
+// inside a round of OptimizeModel (o.scored), else one more region pair
+// computes it. A proposal the model refuses — a failed eigendecomposition —
+// ends the loop like a cancellation: the pin (to values the model accepted
+// before) and the closing pair still run, then the error is returned.
+func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) error {
 	o.enter(g)
-	// Seed every state with the likelihood at the current parameter value.
-	per := o.evalPartitions(steps)
+	per := o.score
+	if !o.scored {
+		per = o.evalPartitions(steps)
+	}
 	for _, ip := range g {
 		o.brents[ip] = numeric.NewBrentState(par.lo, par.get(ip), par.hi, brentTol)
 		o.brents[ip].Seed(-per[ip])
 	}
+	var err error
 	remaining := len(g)
 	for it := 0; it < maxBrentIter && !o.cancelled(); it++ {
 		for _, ip := range g {
@@ -138,9 +149,12 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 				continue
 			}
 			o.x[ip] = x
-			par.set(ip, x)
+			if err = par.set(ip, x); err != nil {
+				err = fmt.Errorf("opt: partition %d: %w", ip, err)
+				break
+			}
 		}
-		if remaining == 0 {
+		if remaining == 0 || err != nil {
 			break
 		}
 		per = o.evalPartitions(steps)
@@ -151,31 +165,47 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 		}
 	}
 	for _, ip := range g {
-		par.set(ip, o.brents[ip].X)
+		if e := par.set(ip, o.brents[ip].X); e != nil && err == nil {
+			err = fmt.Errorf("opt: partition %d: %w", ip, e)
+		}
 	}
 	o.enter(g)
-	o.evalPartitions(steps)
+	per = o.evalPartitions(steps)
+	for _, ip := range g {
+		o.score[ip] = per[ip] // the next parameter changes nothing these depend on
+	}
+	return err
 }
 
 // OptimizeModel runs the full model-optimization loop on a fixed topology:
 // alternating branch-length smoothing, alpha optimization, and (optionally)
 // GTR rate optimization until a round improves the log likelihood by less
 // than modelEps. It returns the final log likelihood, the rounds used, and
-// the context's cancellation error if ctx was cancelled mid-run — in which
-// case the log likelihood is still the exact, usable score of the tree and
-// models as the wind-down left them. This is the paper's "optimization of
-// ML model parameters (without tree search) on a fixed input tree"
-// experiment.
+// the context's cancellation error if ctx was cancelled mid-run, or the
+// error of a model that refused a proposal — in either case the log
+// likelihood is still the exact, usable score of the tree and models as the
+// wind-down left them. This is the paper's "optimization of ML model
+// parameters (without tree search) on a fixed input tree" experiment.
 func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 	o.bind(ctx)
 	prev := o.SmoothAll(ctx)
 	rounds := 0
 	for r := 0; r < o.Cfg.MaxModelRounds && !o.cancelled(); r++ {
 		rounds++
+		// SmoothAll has just scored every partition at the canonical root and
+		// no branch moves until it runs again: Brent starts from those scores.
+		o.scored = true
+		var err error
 		if o.Cfg.OptimizeRates {
-			o.OptimizeRatesAll()
+			err = o.OptimizeRatesAll()
 		}
-		o.OptimizeAlphas()
+		if err == nil {
+			err = o.OptimizeAlphas()
+		}
+		o.scored = false
+		if err != nil {
+			return o.E.LogLikelihood(), rounds, err
+		}
 		cur := o.SmoothAll(ctx)
 		if o.Cfg.Progress != nil {
 			o.Cfg.Progress(rounds, cur)

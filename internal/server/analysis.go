@@ -174,10 +174,17 @@ func (s *Server) handleStartAnalysis(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 	job *analysisJob, handle *CachedDataset, req analysisRequest) {
 	defer s.work.Done()
-	defer s.retire(job) // finished by then: every return below sets a final state
 	defer cancel()
 	defer handle.Release()
-	defer job.hub.Close()
+	// finish ends the job's event stream and retires it; every return below
+	// has set a final state by then. It runs before the admission slot is
+	// handed on, so a tenant's jobs retire in the order they ran: a successor
+	// that fails at once cannot overtake the job whose slot it took, and the
+	// maxFinishedJobs kept are the most recently finished ones.
+	finish := func() {
+		job.hub.Close()
+		s.retire(job)
+	}
 
 	fail := func(state, msg string) {
 		job.mu.Lock()
@@ -194,9 +201,11 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 		} else {
 			fail(jobFailed, err.Error())
 		}
+		finish()
 		return
 	}
 	defer release()
+	defer finish()
 
 	seed := req.Seed
 	if seed == 0 {
@@ -226,7 +235,11 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 		sres, err = an.SearchWith(ctx, so)
 		lnl = sres.LnL
 	default:
-		lnl, err = an.OptimizeModel(ctx)
+		if hook := s.testHookOptimize; hook != nil {
+			lnl, err = hook(ctx, an)
+		} else {
+			lnl, err = an.OptimizeModel(ctx)
+		}
 	}
 
 	st := an.Stats()

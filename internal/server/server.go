@@ -161,6 +161,11 @@ type Server struct {
 	// computation before the kernel, keyed by the coalescing key. Tests park
 	// it to make concurrency deterministic. Never set in production.
 	testHookEvaluate func(key string)
+
+	// testHookOptimize, when non-nil, stands in for Analysis.OptimizeModel in
+	// a modelopt job, so a test can make the optimizer report an error no
+	// request bytes can provoke on demand. Never set in production.
+	testHookOptimize func(context.Context, *phylo.Analysis) (float64, error)
 }
 
 // New builds a server from the config.

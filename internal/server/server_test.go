@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +330,44 @@ func TestAnalysisLifecycleAndSSE(t *testing.T) {
 	}
 	if got.State != jobDone || got.LnL != final.LnL || got.Tree == "" {
 		t.Fatalf("status disagrees with SSE: %+v vs %+v", got, final)
+	}
+}
+
+// TestAnalysisFailsWhenTheModelRefuses: an optimizer error that is not a
+// cancellation — a model refusing a Brent proposal, which used to be a panic
+// in the job goroutine and the end of the daemon — ends the job failed, with
+// the error and the consistent partial result on the job, the tenant's slot
+// free, and the next analysis of the same tenant unaffected.
+func TestAnalysisFailsWhenTheModelRefuses(t *testing.T) {
+	s, hs := testServer(t, Config{Threads: 1, TenantInflight: 1})
+	id := submit(t, hs.URL, tinyPhylip(t, 6, 128, 1))
+	var calls atomic.Int32
+	s.testHookOptimize = func(ctx context.Context, an *phylo.Analysis) (float64, error) {
+		lnl, err := an.OptimizeModel(ctx)
+		if err == nil && calls.Add(1) == 1 {
+			err = errors.New("opt: partition 0: model: eigendecomposition failed")
+		}
+		return lnl, err
+	}
+	var final [2]analysisStatus
+	for i := range final {
+		var st analysisStatus
+		if code := doJSON(t, "POST", hs.URL+"/v1/analyses", analysisRequest{Dataset: id, Seed: 5}, &st, nil); code != http.StatusAccepted {
+			t.Fatalf("analysis %d: HTTP %d", i, code)
+		}
+		waitFor(t, func() bool {
+			doJSON(t, "GET", hs.URL+"/v1/analyses/"+st.ID, nil, &final[i], nil)
+			return final[i].State == jobFailed || final[i].State == jobDone
+		})
+	}
+	if final[0].State != jobFailed || !strings.Contains(final[0].Error, "eigendecomposition failed") {
+		t.Errorf("refused job: state %q, error %q", final[0].State, final[0].Error)
+	}
+	if final[0].LnL >= 0 || final[0].Tree == "" {
+		t.Errorf("refused job carries no partial result: %+v", final[0])
+	}
+	if final[1].State != jobDone || final[1].LnL != final[0].LnL {
+		t.Errorf("next job of the tenant: %+v, want done with the lnl %v of the same solve", final[1], final[0].LnL)
 	}
 }
 

@@ -5,8 +5,9 @@
 //
 // The package computes maximum-likelihood scores of unrooted binary
 // phylogenies under GTR/Gamma models (DNA) and 20-state models (protein),
-// optimizes model parameters (Brent) and branch lengths (Newton-Raphson),
-// and runs SPR tree searches. Partitioned (multi-gene) datasets may use a
+// optimizes model parameters (Brent's method, bracketing each minimum next to
+// the parameter's current value) and branch lengths (Newton-Raphson), and
+// runs SPR tree searches. Partitioned (multi-gene) datasets may use a
 // separate model — and separate branch lengths — per partition; the iterative
 // optimizers cut their work into parallel regions in one of the paper's two
 // ways, and return the same bits either way:
