@@ -169,7 +169,6 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 		Schedule:   ds.opts.Schedule,
 		Steal:      ds.opts.Steal,
 		MinChunk:   o.MinChunk,
-		Backend:    ds.opts.Backend,
 		Metrics:    ds.opts.Metrics,
 	})
 	if err != nil {
@@ -470,19 +469,6 @@ func (an *Analysis) Stats() SyncStats {
 		StolenPatterns:  s.StolenPatterns,
 		WorkerSteals:    append([]float64(nil), s.WorkerSteals...),
 	}
-}
-
-// MetricsSnapshot returns the current samples of the metrics registry this
-// session's Dataset reports into — the facade's pull-based view of the same
-// families a plkd /metrics scrape exposes. It returns nil when the Dataset
-// was built without DatasetOptions.Metrics. The snapshot is registry-wide:
-// with several sessions or datasets sharing one registry, the samples
-// aggregate all of them.
-func (an *Analysis) MetricsSnapshot() []MetricSample {
-	if an.guard() != nil || an.ds.opts.Metrics == nil {
-		return nil
-	}
-	return an.ds.opts.Metrics.Snapshot()
 }
 
 // PlatformSeconds prices the session's recorded execution trace on one of

@@ -71,9 +71,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	strat := phylo.NewPar
-	if strings.HasPrefix(strings.ToLower(*strategy), "old") {
+	var strat phylo.Strategy
+	switch strings.ToLower(*strategy) {
+	case "new", "newpar":
+		strat = phylo.NewPar
+	case "old", "oldpar":
 		strat = phylo.OldPar
+	default:
+		fatal(fmt.Errorf("unknown strategy %q (want old or new)", *strategy))
 	}
 	sched, err := phylo.ParseScheduleStrategy(*schedFlag)
 	if err != nil {

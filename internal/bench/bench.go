@@ -179,7 +179,6 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		Schedule:   spec.Schedule,
 		Steal:      spec.Steal,
 		MinChunk:   spec.MinChunk,
-		Backend:    spec.KernelBackend,
 	})
 	if err != nil {
 		return nil, err

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-
-	"phylo/internal/alignment"
-	"phylo/internal/schedule"
 )
 
-// The KernelBackend seam. A backend bundles (a) a CLV memory layout and (b)
-// the per-pattern kernel bodies that run over it. Two backends exist:
+// Kernel backends. A backend bundles (a) a CLV memory layout and (b) the
+// per-pattern kernel bodies that run over it. Two backends exist:
 //
 //   - BackendGeneric — the seed path: pattern-major CLVs and the
 //     bounds-checked, state-count-generic loops. It is the bit-exactness
@@ -24,8 +21,9 @@ import (
 //     alphabets (20-state AA) fall back to the layout-aware generic loop
 //     over the same planes.
 //
-// The kernel implementation is selected per (alphabet, cats) via kernelFor;
-// the layout is fixed per Shared (one CLV buffer backs all partitions).
+// Which body a partition runs is a fact about (backend, alphabet), decided
+// once per session by bodyFor and called directly by spanCtx.run; the layout
+// is fixed per Shared (one CLV buffer backs all partitions).
 // Bit-identity across backends holds because a layout moves values without
 // reordering any floating-point accumulation: every madd sequence — the
 // b-ascending P applications, the (cat, state)-ascending evaluate
@@ -102,99 +100,31 @@ func layoutKindFor(b Backend) LayoutKind {
 	return LayoutPatternMajor
 }
 
-// KernelBackend is the seam between the engine's region/span machinery and
-// the per-pattern arithmetic: one implementation per (backend, alphabet,
-// cats) class, dispatched once per chunk, never per pattern. The span
-// contexts carry every binding the kernels need (layout strides, CLV/tip
-// views, transition matrices, lookup tables), so an implementation is pure
-// code with no state of its own.
-type KernelBackend interface {
-	// Name identifies the implementation in reports and tests.
-	Name() string
-	// Newview computes one pattern run of a newview step bound in c and
-	// returns the processed pattern count.
-	Newview(c *nvSpanCtx, run schedule.Run) int
-	// Evaluate reduces one pattern run of the root log-likelihood under the
-	// R-wide replicate weights bound in c: per pattern the site log likelihood
-	// is computed once and accumulated into out[r] under replicate r's weight,
-	// out having R entries. Returns the processed pattern count. Lane r
-	// performs the exact floating-point sequence of a width-1 run over that
-	// replicate's weights — the batched bootstrap's bit-identity contract.
-	Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int
-	// Sumtable fills one pattern run of the Newton sumtable bound in c and
-	// returns the pattern count.
-	Sumtable(c *sumSpanCtx, run schedule.Run) int
-	// Derivatives reduces one pattern run under the replicate weights bound
-	// in c: out holds R (d1, d2) pairs, out[2r] and out[2r+1] accumulating
-	// replicate r's partials. Returns the processed pattern count. The
-	// sumtable is pattern-major under every backend, so today a single
-	// implementation serves both; the method sits on the seam so a future
-	// backend can restructure the sumtable too.
-	Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int
-}
+// kernelBody names the per-pattern code a partition's newview and evaluate
+// chunks run; the sumtable and derivative regions have one body each under
+// every backend. It is carried on the span binding as data and switched on
+// once per chunk (spanCtx.run), never per pattern.
+type kernelBody uint8
 
-// kernelFor selects the kernel implementation for one partition: the fused
-// backend runs the unrolled straight-line kernels on 4-state data and the
-// layout-aware generic loop on anything wider; the generic backend always
-// runs the generic loop (over the pattern-major layout its Shared built).
-// cats participates in the signature because a future backend may specialize
-// on it (e.g. a cats==4 full unroll); today every category count shares one
-// implementation per alphabet.
-func kernelFor(b Backend, t alignment.DataType, cats int) KernelBackend {
-	if b == BackendFused && t.States() == 4 {
-		return fusedDNAKernels{}
+const (
+	// bodyGeneric is the layout-aware, state-count-generic loop: it reads the
+	// binding's (base, patStride, catStride) triple, so the same code serves
+	// the pattern-major oracle — where it executes the seed's exact operation
+	// sequence — and the fused backend's cat-major AA fallback.
+	bodyGeneric kernelBody = iota
+	// bodyFused4 is the 4-state straight-line code of fused4.go: category-outer
+	// newview sweeps with the transition matrices hoisted out of the pattern
+	// loop and fully unrolled evaluate bodies, over cat-major planes.
+	bodyFused4
+)
+
+// bodyFor selects the kernel body of one partition: the fused backend runs
+// the unrolled kernels on 4-state data and the generic loop on anything
+// wider; the generic backend always runs the generic loop (over the
+// pattern-major layout its Shared built).
+func bodyFor(b Backend, states int) kernelBody {
+	if b == BackendFused && states == 4 {
+		return bodyFused4
 	}
-	return genericKernels{}
-}
-
-// genericKernels is the layout-aware generic loop: state-count-generic
-// bodies that read the span context's (base, patStride, catStride) triple,
-// so the same code serves the pattern-major oracle and the fused backend's
-// cat-major AA fallback. Under the pattern-major layout it executes the
-// seed's exact operation sequence.
-type genericKernels struct{}
-
-func (genericKernels) Name() string { return "generic" }
-
-func (genericKernels) Newview(c *nvSpanCtx, run schedule.Run) int {
-	return c.processGeneric(run)
-}
-
-func (genericKernels) Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int {
-	return c.processGeneric(run, out)
-}
-
-func (genericKernels) Sumtable(c *sumSpanCtx, run schedule.Run) int {
-	return c.processGeneric(run)
-}
-
-func (genericKernels) Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int {
-	return c.processGeneric(run, out)
-}
-
-// fusedDNAKernels is the 4-state straight-line backend: category-outer
-// newview sweeps with the transition matrices hoisted out of the pattern
-// loop, and fully unrolled per-pattern evaluate bodies — all over the
-// cat-major, state-contiguous planes (see fused4.go).
-type fusedDNAKernels struct{}
-
-func (fusedDNAKernels) Name() string { return "fused4" }
-
-func (fusedDNAKernels) Newview(c *nvSpanCtx, run schedule.Run) int {
-	return c.processFused4(run)
-}
-
-func (fusedDNAKernels) Evaluate(c *evalSpanCtx, run schedule.Run, out []float64) int {
-	return c.processFused4(run, out)
-}
-
-func (fusedDNAKernels) Sumtable(c *sumSpanCtx, run schedule.Run) int {
-	// The sumtable region runs once per branch (its cost is amortized over
-	// every Newton iteration), so the stride-aware generic body is fast
-	// enough; the fused win is in newview and evaluate.
-	return c.processGeneric(run)
-}
-
-func (fusedDNAKernels) Derivatives(c *derivSpanCtx, run schedule.Run, out []float64) int {
-	return c.processGeneric(run, out)
+	return bodyGeneric
 }

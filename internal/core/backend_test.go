@@ -193,14 +193,14 @@ func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
 // loop elsewhere; the generic backend never selects the fused kernels; the
 // layouts follow the backend.
 func TestBackendSelection(t *testing.T) {
-	if n := kernelFor(BackendFused, alignment.DNA, 4).Name(); n != "fused4" {
-		t.Errorf("fused backend on DNA selected %q, want fused4", n)
+	if b := bodyFor(BackendFused, alignment.DNA.States()); b != bodyFused4 {
+		t.Errorf("fused backend on DNA selected body %d, want bodyFused4", b)
 	}
-	if n := kernelFor(BackendFused, alignment.AA, 4).Name(); n != "generic" {
-		t.Errorf("fused backend on AA selected %q, want generic fallback", n)
+	if b := bodyFor(BackendFused, alignment.AA.States()); b != bodyGeneric {
+		t.Errorf("fused backend on AA selected body %d, want the generic fallback", b)
 	}
-	if n := kernelFor(BackendGeneric, alignment.DNA, 4).Name(); n != "generic" {
-		t.Errorf("generic backend on DNA selected %q, want generic", n)
+	if b := bodyFor(BackendGeneric, alignment.DNA.States()); b != bodyGeneric {
+		t.Errorf("generic backend on DNA selected body %d, want bodyGeneric", b)
 	}
 	if k := layoutKindFor(BackendFused); k != LayoutCatMajor {
 		t.Errorf("fused layout %v, want cat-major", k)
@@ -211,9 +211,8 @@ func TestBackendSelection(t *testing.T) {
 }
 
 // TestBackendParseAndResolve covers ParseBackend round-trips, the PLK_BACKEND
-// environment resolution (including rejection of junk values), and the
-// NewSession guard against mixing a session's backend with foreign shared
-// state.
+// environment resolution (including rejection of junk values), and that a
+// session inherits the backend of its shared state.
 func TestBackendParseAndResolve(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -255,7 +254,7 @@ func TestBackendParseAndResolve(t *testing.T) {
 		t.Errorf("auto with empty PLK_BACKEND resolved to (%v, %v), want fused default", got, err)
 	}
 
-	// Session/shared backend mismatch must be rejected: the backend fixes the
+	// A session runs the backend of its shared state: the backend fixes the
 	// CLV layout, which is shared property.
 	a := randomAlignment(t, 6, 40, alignment.DNA, 99)
 	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
@@ -271,9 +270,6 @@ func TestBackendParseAndResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tipCaseModels(t, alignment.DNA, 4, 0.8)
-	if _, err := NewSession(sh, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true, Backend: BackendFused}); err == nil {
-		t.Error("NewSession accepted a fused session over generic shared state")
-	}
 	eng, err := NewSession(sh, tr, []*model.Model{m}, parallel.NewSequential(), Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,24 @@
 package core
 
-// Region execution. Every parallel region of every session distributes its
-// patterns the same way: the schedule's assignment is sliced into
-// chunks (steal.Layout), each worker drains chunks from the session's
-// steal.Runtime, and each region kind has exactly one driver built on that
-// loop — ExecuteSteps (newview), evaluateLanes, PrepareSumtable, and
-// derivativeLanes. The two things that used to be separate drivers are values
-// here, not code paths:
+import (
+	"math"
+
+	"phylo/internal/alignment"
+	"phylo/internal/parallel"
+	"phylo/internal/schedule"
+	"phylo/internal/tree"
+)
+
+// Region execution. A parallel region is one thing: the entry point describes
+// it (region), Engine.drain is the one chunk loop every worker of every region
+// runs, and spanCtx.bind is the one place a (partition, worker) encounter is
+// set up. The schedule's assignment is sliced into chunks (steal.Layout) and
+// each worker drains chunks from the session's steal.Runtime. What differs
+// between region kinds is data on the region and three switches on its kind:
+// what a span binds (bind), which kernel body a chunk runs (run), and what a
+// pattern costs (takeOps); evaluate and derivative regions add a fixed-order
+// reduction after the barrier, in their entry points. Two further things that
+// used to be separate drivers are values, not code paths:
 //
 //   - "Static" execution is the runtime with thieving off (Options.Steal
 //     false, or any serial executor): a worker walks its own chunk list in
@@ -40,15 +52,287 @@ package core
 //     s+1 only patterns it wrote itself at step s, so without stealing the
 //     traversal keeps the paper's single barrier per region.
 //
-// Session-shared tip tables and P-matrix setup are cached per (step, span)
-// encounter in the worker-local span contexts, so a worker processing
-// consecutive chunks of one span pays the setup once; thieves crossing into a
-// new span pay it again, which the op accounting records as the (real) extra
-// work stealing performs. Whether a tip table amortizes is decided from the
-// chunk owner's whole pattern share of the span (steal.Chunk.Share) — a pure
-// function of the layout — and the code lists of the span's tip children, not
-// from the chunk at hand, so a share the pack cut into many short runs still
-// takes the table path.
+// P-matrix setup and tip tables are per (step, span) encounter of a worker, so
+// a worker processing consecutive chunks of one span pays the setup once;
+// thieves crossing into a new span pay it again, which the op accounting
+// records as the (real) extra work stealing performs. Whether a tip table
+// amortizes is decided from the chunk owner's whole pattern share of the span
+// (steal.Chunk.Share) — a pure function of the layout — and the code lists of
+// the span's tip ends, not from the chunk at hand, so a share the pack cut
+// into many short runs still takes the table path.
+
+// region describes the parallel region in flight: its kind and what its
+// spans bind. It lives on the Engine (Engine.cur) from runRegion's Load to
+// its Finish, so issuing a region allocates nothing.
+type region struct {
+	kind  parallel.Region
+	steps []tree.TraversalStep // newview: the traversal descriptor, one pass over the chunks per step
+	p     *tree.Node           // evaluate, sumtable: the branch (p, p.Back) the region roots at
+	z     []float64            // derivative: the branch length per partition
+	ws    *WeightSet           // evaluate, derivative: the replicate weights reduced under
+	out   []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
+	lanes int
+}
+
+// runRegion executes r over the active partitions: one fan-out, every worker
+// in drain, one barrier.
+func (e *Engine) runRegion(r region, act []bool) {
+	e.cur = r
+	e.stealRT.Load(act)
+	e.Exec.Run(r.kind, e.drainFn)
+	e.stealRT.Finish()
+	e.cur = region{}
+}
+
+// drain is the chunk loop: worker w takes chunks from the runtime until the
+// region (for a traversal: each step of it, with the runtime's NextStep in
+// between — a rewind, and a barrier only when thieving) has none left for it.
+// A span is bound once per encounter and re-used across consecutive chunks;
+// the op charge flushes into ctx once, off the chunk loop.
+func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
+	r, rt := &e.cur, e.stealRT
+	passes := max(1, len(r.steps))
+	var c spanCtx
+	ops := 0.0
+	for si := 0; si < passes; si++ {
+		if si > 0 {
+			rt.NextStep(w, ctx)
+		}
+		cached := -1
+		for {
+			id := rt.Next(w, ctx)
+			if id < 0 {
+				break
+			}
+			ch := rt.Layout().Chunk(id)
+			if ch.Span != cached {
+				c.bind(e, r, si, ch.Span, w, ctx)
+				cached = ch.Span
+			}
+			c.ensureTables(ch.Share)
+			ops += c.takeOps(c.run(r, id, ch.Run(), ctx))
+		}
+	}
+	ctx.Ops += ops
+}
+
+// spanEnd is one of the two nodes a span reads: the children Q and R of a
+// newview step, or the ends p and p.Back of the branch an evaluate or
+// sumtable region roots at. An inner end is its CLV and scaling exponents; a
+// tip end its per-pattern codes, plus the lookup table once ensureTables has
+// built it.
+type spanEnd struct {
+	tip   bool
+	v     []float64 // inner: CLV
+	sc    []int32   // inner: scaling exponent per global pattern
+	row   []byte    // tip: code per pattern of the partition
+	codes []byte    // tip: codes present in row, ascending; nil when the end takes no table
+	pm    []float64 // transition matrices (cats x s x s) the kind applies to this end, if any
+	tab   []float64 // tip: lookup table, nil until built
+}
+
+// spanCtx is the per-(partition, worker) setup of whatever region is in
+// flight, factored out of the pattern loops: drain binds it once per span
+// encounter and runs one chunk at a time against it. The geometry and the two
+// ends are common to every kind; the groups below them are bound by the kinds
+// named. It lives on drain's stack.
+type spanCtx struct {
+	e          *Engine
+	kind       parallel.Region
+	body       kernelBody // which newview/evaluate body the partition runs
+	w          int
+	s, cats    int
+	cs         int
+	base       int
+	patStride  int // CLV layout: offset between consecutive patterns
+	catStride  int // CLV layout: offset between consecutive categories
+	partOffset int
+	dtype      alignment.DataType
+	a, b       spanEnd
+	fixed      float64 // setup ops not yet claimed by takeOps
+
+	// newview: the parent CLV written, and scaling events since the last flush.
+	dst      []float64
+	dstScale []int32
+	scaled   float64
+
+	// evaluate, sumtable: the model views of the reduction / projection.
+	invCats float64
+	freqs   []float64
+	ev, evi []float64 // sumtable: eigenvectors and their inverse
+
+	// sumtable, derivative: the session's sumtable (pattern-major under every
+	// backend) and the partition's base in it.
+	sum   []float64
+	sbase int
+
+	// derivative: exp(lambda_k r_c z) and the factors g = lambda_k r_c, g^2.
+	eTab, g1Tab, g2Tab []float64
+
+	// evaluate, derivative: the partition's replicate lanes, lw[j*R+r] the
+	// weight of its j-th pattern under replicate r.
+	R  int
+	lw []float64
+}
+
+// bindEnd resolves the views of node n over partition part.
+func (e *Engine) bindEnd(part *alignment.CompressedPartition, n *tree.Node) spanEnd {
+	if n.IsTip() {
+		return spanEnd{tip: true, row: part.Tips[n.Index], codes: part.Codes[n.Index]}
+	}
+	return spanEnd{v: e.clv(n.Index), sc: e.scale(n.Index)}
+}
+
+// bind sets c up for partition ip under worker w: the geometry, then what the
+// region's kind reads — transition matrices into the worker's scratch (each
+// worker computes P redundantly, as RAxML's Pthreads do, rather than pay a
+// synchronization to share it; the charge accumulates in c.fixed), the views
+// of both ends, the partition's lanes of the WeightSet. si is the traversal
+// step of a newview region.
+func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.WorkerCtx) {
+	part := e.Data.Parts[ip]
+	s, cats := part.Type.States(), e.numCats
+	m := e.Models[ip]
+	*c = spanCtx{
+		e: e, kind: r.kind, body: e.bodies[ip], w: w, s: s, cats: cats, cs: cats * s,
+		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
+		partOffset: part.Offset, dtype: part.Type,
+	}
+	pm := &e.pmScratch[w]
+	switch r.kind {
+	case parallel.RegionNewview:
+		st, slot := r.steps[si], e.slotOf(ip)
+		c.a, c.b = e.bindEnd(part, st.Q), e.bindEnd(part, st.R)
+		c.a.pm, c.b.pm = pm[0][:cats*s*s], pm[1][:cats*s*s]
+		m.PMatrices(st.Q.Z[slot], c.a.pm)
+		m.PMatrices(st.R.Z[slot], c.b.pm)
+		c.dst, c.dstScale = e.clv(st.P.Index), e.scale(st.P.Index)
+		c.fixed = float64(2 * cats * s * s * s)
+		switch {
+		case c.a.tip && c.b.tip:
+			ctx.SpanTipTip++
+		case c.a.tip || c.b.tip:
+			ctx.SpanTipInner++
+		default:
+			ctx.SpanInner++
+		}
+	case parallel.RegionEvaluate:
+		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
+		c.a.codes = nil // p's tip vector is read as it is; only q has a P application to tabulate
+		c.b.pm = pm[0][:cats*s*s]
+		m.PMatrices(r.p.Z[e.slotOf(ip)], c.b.pm)
+		c.invCats, c.freqs = 1.0/float64(cats), m.Freqs
+		c.fixed = float64(cats * s * s * s)
+	case parallel.RegionSumTable:
+		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
+		c.invCats, c.freqs, c.ev, c.evi = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecs
+		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
+	default: // parallel.RegionDerivative
+		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
+		ex, z := e.exScratch[w], r.z[ip]
+		c.eTab, c.g1Tab, c.g2Tab = ex[0:c.cs], ex[c.cs:2*c.cs], ex[2*c.cs:3*c.cs]
+		for cat := 0; cat < cats; cat++ {
+			rc := m.CatRates[cat]
+			for k := 0; k < s; k++ {
+				g := m.EigenVals[k] * rc
+				c.eTab[cat*s+k] = math.Exp(g * z)
+				c.g1Tab[cat*s+k] = g
+				c.g2Tab[cat*s+k] = g * g
+			}
+		}
+	}
+	if r.ws != nil {
+		c.R, c.lw = r.ws.r, r.ws.lanes(part.Offset)
+	}
+}
+
+// ensureTables is the one table decision: with Specialize on, when the chunk
+// owner's whole share of the span — a pure function of the layout —
+// amortizes lookup tables for the span's tip ends (tipTablesAmortize), build
+// the ones not built yet. A span builds all its tables or none, and because
+// the table and generic paths are bit-identical, mixing them across chunks of
+// one span can never change results, only the op accounting.
+func (c *spanCtx) ensureTables(share int) {
+	a, b := &c.a, &c.b
+	if !c.e.Specialize || (a.codes == nil && b.codes == nil) || !tipTablesAmortize(share, a.codes, b.codes) {
+		return
+	}
+	for i, end := range [2]*spanEnd{a, b} {
+		if end.codes == nil || end.tab != nil {
+			continue
+		}
+		dst := c.e.tipScratch[c.w][i]
+		switch {
+		case c.kind != parallel.RegionSumTable:
+			// Newview and evaluate tabulate the P application to the tip vector.
+			end.tab = buildTipTable(dst, c.dtype, end.codes, end.pm, c.s, c.cats)
+			c.fixed += opsTipTable(c.s, c.cats, len(end.codes))
+		case i == 0:
+			// The sumtable's are category-independent eigenbasis projections.
+			end.tab = buildTipSumLeft(dst, c.dtype, end.codes, c.freqs, c.ev, c.s)
+			c.fixed += opsTipProj(c.s, len(end.codes))
+		default:
+			end.tab = buildTipSumRight(dst, c.dtype, end.codes, c.evi, c.s)
+			c.fixed += opsTipProj(c.s, len(end.codes))
+		}
+	}
+}
+
+// run executes chunk id (pattern run run) of region r with the body the
+// partition's selector names and returns the processed pattern count.
+// Dispatch is per chunk, never per pattern. The newview observability
+// counters flush here, off the pattern loop.
+func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerCtx) int {
+	switch c.kind {
+	case parallel.RegionNewview:
+		var n int
+		switch c.body {
+		case bodyFused4:
+			n = c.newviewFused4(run)
+		default:
+			n = c.newviewGeneric(run)
+		}
+		ctx.Patterns += float64(n)
+		ctx.Scalings += c.scaled
+		c.scaled = 0
+		return n
+	case parallel.RegionEvaluate:
+		out := r.out[id*r.lanes : (id+1)*r.lanes]
+		switch c.body {
+		case bodyFused4:
+			return c.evaluateFused4(run, out)
+		default:
+			return c.evaluateGeneric(run, out)
+		}
+	case parallel.RegionSumTable:
+		// Once per branch, amortized over every Newton iteration, and the
+		// sumtable is pattern-major under every backend: one body serves all.
+		return c.sumtableGeneric(run)
+	default:
+		return c.derivativeGeneric(run, r.out[id*r.lanes:(id+1)*r.lanes])
+	}
+}
+
+// takeOps prices count processed patterns by the kernel case that ran — a
+// tip end with a table costs a row read, any other end the full O(s²) work —
+// and claims the outstanding setup charge.
+func (c *spanCtx) takeOps(count int) float64 {
+	var per float64
+	ta, tb := c.a.tab != nil, c.b.tab != nil
+	switch c.kind {
+	case parallel.RegionNewview:
+		per = opsNewviewCase(c.s, c.cats, ta, tb)
+	case parallel.RegionEvaluate:
+		per = opsEvaluateCase(c.s, c.cats, tb, c.R)
+	case parallel.RegionSumTable:
+		per = opsSumtableCase(c.s, c.cats, ta, tb)
+	default:
+		per = opsDerivative(c.s, c.cats, c.R)
+	}
+	ops := float64(count)*per + c.fixed
+	c.fixed = 0
+	return ops
+}
 
 // chunkPartials returns *buf resized to n zeroed entries (grow-only): the
 // per-chunk partial sums of one reduction region. Chunks of masked partitions
@@ -67,6 +351,3 @@ func chunkPartials(buf *[]float64, n int) []float64 {
 // are bit-for-bit identical with stealing on or off. Must be called between
 // regions.
 func (e *Engine) SetStealing(on bool) { e.stealRT.SetStealing(on) }
-
-// Stealing reports whether thieving is currently enabled.
-func (e *Engine) Stealing() bool { return e.stealRT.Stealing() }

@@ -4,7 +4,7 @@
 // numerical scaling, and the analytic first and second branch-length
 // derivatives (sumtable scheme) that drive Newton-Raphson branch
 // optimization. All pattern loops run inside parallel regions issued to a
-// parallel.Executor, and every region kind has exactly one driver (see
+// parallel.Executor through one chunk loop and one span binding (see
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
@@ -65,19 +65,21 @@ type Engine struct {
 
 	shared *Shared
 
-	// kernels is the per-partition kernel implementation selected from the
-	// shared backend and the partition's alphabet (see kernelFor); the span
-	// contexts dispatch their pattern loops through it.
-	kernels []KernelBackend
+	// bodies is the kernel body each partition runs, decided here once from
+	// the shared backend and the partition's alphabet (see bodyFor).
+	bodies []kernelBody
 
 	sched   *schedule.Schedule // the dataset's schedule for this strategy, pinned for life
 	allMask []bool             // cached all-true partition mask (activeOrAll)
 
-	// Chunk distribution (see chunkexec.go): the runtime every region drains
-	// the schedule's chunks through and the per-chunk partial-sum buffers of
-	// the fixed-order reductions, grown to the widest WeightSet the session
-	// has run.
+	// Region execution (see chunkexec.go): the runtime every region drains
+	// the schedule's chunks through, the region in flight, the chunk loop as
+	// the func value handed to Exec.Run (bound once, so a region does not
+	// allocate it), and the per-chunk partial-sum buffers of the fixed-order
+	// reductions, grown to the widest WeightSet the session has run.
 	stealRT    *steal.Runtime
+	cur        region
+	drainFn    func(w int, ctx *parallel.WorkerCtx)
 	evalChunk  []float64 // [chunk*R + r] evaluate partials
 	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
 
@@ -100,10 +102,6 @@ type Engine struct {
 type Options struct {
 	// Specialize enables the tip-case lookup tables.
 	Specialize bool
-	// Backend selects the kernel backend. The zero value (BackendAuto)
-	// adopts the shared state's backend; a non-auto value must match it —
-	// the backend fixes the CLV layout, which is shared property.
-	Backend Backend
 	// Schedule selects the pattern-to-worker assignment strategy. The zero
 	// value is schedule.Cyclic, the paper's distribution; schedule.Block is
 	// the contiguous ablation; schedule.Weighted LPT-bin-packs patterns by
@@ -186,7 +184,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 // validates the session's tree, models, and executor against the dataset,
 // takes a retired sessionBuffers set from the Shared (allocating one when
 // none is parked) and builds only the small per-session state fresh — kernel
-// bindings, the all-true mask, the chunk runtime. Any number of sessions may
+// selection, the all-true mask, the chunk runtime. Any number of sessions may
 // run concurrently over one Shared as long as each has its own executor (a
 // parallel.Pool.Session view of shared workers counts). Release the session
 // when it is over so the next can reuse its buffers; one that is simply
@@ -224,9 +222,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	default:
 		return nil, fmt.Errorf("core: tree has %d branch-length slots; want 1 or %d", tr.ZSlots, len(data.Parts))
 	}
-	if opts.Backend != BackendAuto && opts.Backend != sh.Backend {
-		return nil, fmt.Errorf("core: session requests %v backend, shared state was built for %v", opts.Backend, sh.Backend)
-	}
 	sched, err := sh.ScheduleFor(opts.Schedule)
 	if err != nil {
 		return nil, err
@@ -243,9 +238,10 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		numCats:        sh.NumCats,
 		layout:         sh.layout,
 	}
-	e.kernels = make([]KernelBackend, len(data.Parts))
+	e.drainFn = e.drain
+	e.bodies = make([]kernelBody, len(data.Parts))
 	for ip, p := range data.Parts {
-		e.kernels[ip] = kernelFor(sh.Backend, p.Type, sh.NumCats)
+		e.bodies[ip] = bodyFor(sh.Backend, p.Type.States())
 	}
 	e.allMask = make([]bool, len(data.Parts))
 	for i := range e.allMask {

@@ -199,13 +199,19 @@ func randomAlignment(t *testing.T, n, m int, dtype alignment.DataType, seed int6
 }
 
 // newEngine builds the shared state for (d, the models' category count,
-// exec's worker count) and opens one session over it.
+// exec's worker count) under the auto-resolved backend and opens one session
+// over it.
 func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+	return newEngineOn(BackendAuto, d, tr, models, exec, opts)
+}
+
+// newEngineOn is newEngine with the kernel backend pinned.
+func newEngineOn(backend Backend, d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
 	cats := 0
 	if len(models) > 0 {
 		cats = models[0].NumCats
 	}
-	sh, err := NewSharedWith(d, cats, exec.Threads(), opts.Backend)
+	sh, err := NewSharedWith(d, cats, exec.Threads(), backend)
 	if err != nil {
 		return nil, err
 	}
@@ -810,7 +816,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	want := ref.LogLikelihood()
 
 	// Shared state + shared pool, several concurrent sessions.
-	sh, err := NewShared(d, 4, 3)
+	sh, err := NewSharedWith(d, 4, 3, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

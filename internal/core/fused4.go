@@ -38,7 +38,7 @@ func small4(a, b, c, d float64) bool {
 		d < minLikelihood && d > -minLikelihood
 }
 
-// processFused4 executes one newview pattern run with the unrolled 4-state
+// newviewFused4 executes one newview pattern run with the unrolled 4-state
 // kernels, category plane by category plane, then applies the per-pattern
 // scaling pass. A tip child without a lookup table (share below the table
 // threshold, or Specialize off) falls back to the stride-aware generic body —
@@ -46,14 +46,14 @@ func small4(a, b, c, d float64) bool {
 // chunks of one span can never change results.
 //
 //plk:hotpath
-func (c *nvSpanCtx) processFused4(run schedule.Run) int {
-	if (c.qTip && c.tabQ == nil) || (c.rTip && c.tabR == nil) {
-		return c.processGeneric(run)
+func (c *spanCtx) newviewFused4(run schedule.Run) int {
+	if (c.a.tip && c.a.tab == nil) || (c.b.tip && c.b.tab == nil) {
+		return c.newviewGeneric(run)
 	}
 	cats, cs := c.cats, c.cs
 	small := c.e.smallScratch[c.w]
 	switch {
-	case c.tabQ != nil && c.tabR != nil:
+	case c.a.tab != nil && c.b.tab != nil:
 		// Tip/tip: both table rows already hold the P applications; the
 		// pattern reduces to their entrywise product.
 		for cat := 0; cat < cats; cat++ {
@@ -61,9 +61,9 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 			to := cat * 4
 			for i := run.Lo; i < run.Hi; i += run.Step {
 				j := i - c.partOffset
-				qo, ro := int(c.qRow[j])*cs+to, int(c.rRow[j])*cs+to
-				tq := c.tabQ[qo : qo+4 : qo+4]
-				tr := c.tabR[ro : ro+4 : ro+4]
+				qo, ro := int(c.a.row[j])*cs+to, int(c.b.row[j])*cs+to
+				tq := c.a.tab[qo : qo+4 : qo+4]
+				tr := c.b.tab[ro : ro+4 : ro+4]
 				o := j * 4
 				dd := d[o : o+4 : o+4]
 				v0 := tq[0] * tr[0]
@@ -76,14 +76,14 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 				}
 			}
 		}
-	case c.tabQ != nil, c.tabR != nil:
+	case c.a.tab != nil, c.b.tab != nil:
 		// Tip/inner: the tip side is a table-row read, the inner side one
 		// unrolled P application over its contiguous plane. (A built table
 		// implies the sibling is an inner node: ensureTables builds tables
 		// for both tip children or neither.)
-		tab, row, xv, pm := c.tabQ, c.qRow, c.rv, c.pmR
-		if c.tabR != nil {
-			tab, row, xv, pm = c.tabR, c.rRow, c.qv, c.pmQ
+		tab, row, xv, pm := c.a.tab, c.a.row, c.b.v, c.b.pm
+		if c.b.tab != nil {
+			tab, row, xv, pm = c.b.tab, c.b.row, c.a.v, c.a.pm
 		}
 		for cat := 0; cat < cats; cat++ {
 			p := pm[cat*16 : cat*16+16]
@@ -115,18 +115,18 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 	default:
 		// Inner/inner: two unrolled P applications over contiguous planes.
 		for cat := 0; cat < cats; cat++ {
-			pq := c.pmQ[cat*16 : cat*16+16]
+			pq := c.a.pm[cat*16 : cat*16+16]
 			q0, q1, q2, q3 := pq[0], pq[1], pq[2], pq[3]
 			q4, q5, q6, q7 := pq[4], pq[5], pq[6], pq[7]
 			q8, q9, q10, q11 := pq[8], pq[9], pq[10], pq[11]
 			q12, q13, q14, q15 := pq[12], pq[13], pq[14], pq[15]
-			pr := c.pmR[cat*16 : cat*16+16]
+			pr := c.b.pm[cat*16 : cat*16+16]
 			s0, s1, s2, s3 := pr[0], pr[1], pr[2], pr[3]
 			s4, s5, s6, s7 := pr[4], pr[5], pr[6], pr[7]
 			s8, s9, s10, s11 := pr[8], pr[9], pr[10], pr[11]
 			s12, s13, s14, s15 := pr[12], pr[13], pr[14], pr[15]
-			xq := c.qv[c.base+cat*c.catStride:]
-			xr := c.rv[c.base+cat*c.catStride:]
+			xq := c.a.v[c.base+cat*c.catStride:]
+			xr := c.b.v[c.base+cat*c.catStride:]
 			d := c.dst[c.base+cat*c.catStride:]
 			for i := run.Lo; i < run.Hi; i += run.Step {
 				j := i - c.partOffset
@@ -158,11 +158,11 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
 		sc := int32(0)
-		if !c.qTip {
-			sc += c.qs[i]
+		if !c.a.tip {
+			sc += c.a.sc[i]
 		}
-		if !c.rTip {
-			sc += c.rs[i]
+		if !c.b.tip {
+			sc += c.b.sc[i]
 		}
 		if small[j] {
 			off := c.base + j*c.patStride
@@ -183,7 +183,7 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 	return count
 }
 
-// processFused4 reduces one evaluate pattern run with the unrolled 4-state
+// evaluateFused4 reduces one evaluate pattern run with the unrolled 4-state
 // body. Evaluate must accumulate each pattern's likelihood in (cat asc, state
 // asc) order to stay bit-identical with the oracle, so it keeps the pattern
 // loop outside and unrolls the per-category work; the `li + x0 + x1 + x2 +
@@ -192,9 +192,9 @@ func (c *nvSpanCtx) processFused4(run schedule.Run) int {
 // table falls back to the generic body, which is bit-identical.
 //
 //plk:hotpath
-func (c *evalSpanCtx) processFused4(run schedule.Run, out []float64) int {
-	if c.qTip && c.qTab == nil {
-		return c.processGeneric(run, out)
+func (c *spanCtx) evaluateFused4(run schedule.Run, out []float64) int {
+	if c.b.tip && c.b.tab == nil {
+		return c.evaluateGeneric(run, out)
 	}
 	f0, f1, f2, f3 := c.freqs[0], c.freqs[1], c.freqs[2], c.freqs[3]
 	cats := c.cats
@@ -204,30 +204,30 @@ func (c *evalSpanCtx) processFused4(run schedule.Run, out []float64) int {
 		j := i - c.partOffset
 		off := c.base + j*c.patStride
 		var tv []float64
-		if c.pTip {
-			tv = alignment.TipVector(c.dtype, c.pRow[j])
+		if c.a.tip {
+			tv = alignment.TipVector(c.dtype, c.a.row[j])
 		}
 		li := 0.0
-		if c.qTab != nil {
-			t := c.qTab[int(c.qRow[j])*c.cs:]
+		if c.b.tab != nil {
+			t := c.b.tab[int(c.b.row[j])*c.cs:]
 			for cat := 0; cat < cats; cat++ {
 				cl := tv
-				if !c.pTip {
+				if !c.a.tip {
 					co := off + cat*c.catStride
-					cl = c.pv[co : co+4]
+					cl = c.a.v[co : co+4]
 				}
 				tc := t[cat*4 : cat*4+4]
 				li = li + f0*cl[0]*tc[0] + f1*cl[1]*tc[1] + f2*cl[2]*tc[2] + f3*cl[3]*tc[3]
 			}
 		} else {
 			for cat := 0; cat < cats; cat++ {
-				pc := c.pm[cat*16 : cat*16+16]
+				pc := c.b.pm[cat*16 : cat*16+16]
 				co := off + cat*c.catStride
-				cr := c.qv[co : co+4]
+				cr := c.b.v[co : co+4]
 				r0, r1, r2, r3 := cr[0], cr[1], cr[2], cr[3]
 				cl := tv
-				if !c.pTip {
-					cl = c.pv[co : co+4]
+				if !c.a.tip {
+					cl = c.a.v[co : co+4]
 				}
 				t0 := pc[0]*r0 + pc[1]*r1 + pc[2]*r2 + pc[3]*r3
 				t1 := pc[4]*r0 + pc[5]*r1 + pc[6]*r2 + pc[7]*r3

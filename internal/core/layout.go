@@ -6,7 +6,7 @@ import "phylo/internal/alignment"
 // holds, per partition, patternCount × cats × states float64 entries; how
 // those (pattern, cat, state) triples map onto the flat buffer is a backend
 // property, described by a CLVLayout instead of the hard-coded base+j*cs
-// arithmetic the kernels used before the KernelBackend seam:
+// arithmetic the seed kernels used:
 //
 //   - LayoutPatternMajor (the seed layout, used by the generic backend):
 //     pattern j's cats×s block is contiguous,

@@ -25,18 +25,15 @@ func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
 
 // ExecuteSteps executes a traversal descriptor in one parallel region (one
 // barrier at the end, as the paper's design requires). Every worker walks the
-// full step list and, per step, drains its chunks of the active partitions;
-// per span encounter it computes the two child transition matrices
-// redundantly — this mirrors RAxML, where each Pthread computes P locally
-// rather than paying an extra synchronization to share it. Between steps the
-// runtime's NextStep rewinds the worker (and, only when thieving, barriers).
+// full step list and, per step, drains its chunks of the active partitions
+// (see drain in chunkexec.go); per span encounter it computes the two child
+// transition matrices redundantly — this mirrors RAxML, where each Pthread
+// computes P locally rather than paying an extra synchronization to share it.
 // With Specialize on, tip children whose owner's share amortizes a lookup
 // table (see tiptables.go) become O(cats·s) table-row reads instead of
-// O(cats·s²) P applications; all paths produce bit-identical CLVs.
-// Observability counters (patterns processed, span case, scaling events)
-// flush into ctx per chunk, off the pattern loop. The tree-search package
-// issues hand-built single-step descriptors through this entry point during
-// SPR insertion trials.
+// O(cats·s²) P applications; all paths produce bit-identical CLVs. The
+// tree-search package issues hand-built single-step descriptors through this
+// entry point during SPR insertion trials.
 func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	if len(steps) == 0 {
 		return
@@ -47,155 +44,10 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	for _, st := range steps {
 		tree.OrientX(st.P)
 	}
-	act := e.activeOrAll(active)
-	rt := e.stealRT
-	rt.Load(act)
-	e.Exec.Run(parallel.RegionNewview, func(w int, ctx *parallel.WorkerCtx) {
-		pmQ := e.pmScratch[w][0]
-		pmR := e.pmScratch[w][1]
-		ops := 0.0
-		var c nvSpanCtx
-		for si := range steps {
-			if si > 0 {
-				rt.NextStep(w, ctx)
-			}
-			cached := -1
-			for {
-				id := rt.Next(w, ctx)
-				if id < 0 {
-					break
-				}
-				ch := rt.Layout().Chunk(id)
-				if ch.Span != cached {
-					e.prepareNewviewSpan(&c, steps[si], ch.Span, w, pmQ, pmR)
-					cached = ch.Span
-					c.noteSpan(ctx)
-				}
-				c.ensureTables(ch.Share)
-				count := c.kern.Newview(&c, ch.Run())
-				ops += c.takeOps(count)
-				// prepareNewviewSpan resets c, so scaled cannot be left to
-				// accumulate across span switches.
-				ctx.Patterns += float64(count)
-				ctx.Scalings += c.scaled
-				c.scaled = 0
-			}
-		}
-		ctx.Ops += ops
-	})
-	rt.Finish()
+	e.runRegion(region{kind: parallel.RegionNewview, steps: steps}, e.activeOrAll(active))
 }
 
-// nvSpanCtx is the per-(step, partition, worker) newview setup — transition
-// matrices, child CLV/tip bindings, layout strides, and the optional tip
-// lookup tables — factored out of the pattern loop: the driver prepares once
-// per (worker, span) encounter and processes one chunk at a time, re-using
-// the setup across consecutive chunks of the same span. The pattern loops
-// themselves run in the backend implementation bound at kern (see
-// KernelBackend).
-type nvSpanCtx struct {
-	e          *Engine
-	ip, w      int
-	s, cats    int
-	cs         int
-	base       int
-	patStride  int // layout: offset between consecutive patterns
-	catStride  int // layout: offset between consecutive categories
-	partOffset int
-	dtype      alignment.DataType
-	dst        []float64
-	dstScale   []int32
-	qTip, rTip bool
-	qv, rv     []float64
-	qs, rs     []int32
-	qRow, rRow []byte
-	qCodes     []byte // codes present in qRow, ascending (nil for an inner child)
-	rCodes     []byte
-	pmQ, pmR   []float64
-	tabQ, tabR []float64
-	kern       KernelBackend
-	fixed      float64 // setup ops not yet claimed by takeOps
-	scaled     float64 // scaling events since prepare (flushed to WorkerCtx)
-}
-
-// noteSpan tallies this span's child case into the worker's observability
-// scratch — called once per span encounter, never per pattern.
-func (c *nvSpanCtx) noteSpan(ctx *parallel.WorkerCtx) {
-	switch {
-	case c.qTip && c.rTip:
-		ctx.SpanTipTip++
-	case c.qTip || c.rTip:
-		ctx.SpanTipInner++
-	default:
-		ctx.SpanInner++
-	}
-}
-
-// prepareNewviewSpan binds c to (step, partition, worker): it computes both
-// child transition-matrix blocks into the worker's scratch and resolves the
-// child CLV/tip-row/scaling views. The fixed op charge for the redundant
-// per-worker P-matrix setup accumulates in c.fixed.
-func (e *Engine) prepareNewviewSpan(c *nvSpanCtx, st tree.TraversalStep, ip, w int, pmQ, pmR []float64) {
-	part := e.Data.Parts[ip]
-	s := part.Type.States()
-	cats := e.numCats
-	m := e.Models[ip]
-	slot := e.slotOf(ip)
-	m.PMatrices(st.Q.Z[slot], pmQ[:cats*s*s])
-	m.PMatrices(st.R.Z[slot], pmR[:cats*s*s])
-	*c = nvSpanCtx{
-		e: e, ip: ip, w: w, s: s, cats: cats, cs: cats * s,
-		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
-		partOffset: part.Offset, dtype: part.Type,
-		dst: e.clv(st.P.Index), dstScale: e.scale(st.P.Index),
-		qTip: st.Q.IsTip(), rTip: st.R.IsTip(),
-		pmQ: pmQ, pmR: pmR,
-		kern:  e.kernels[ip],
-		fixed: float64(2 * cats * s * s * s), // redundant per-worker P-matrix setup
-	}
-	if c.qTip {
-		c.qRow, c.qCodes = part.Tips[st.Q.Index], part.Codes[st.Q.Index]
-	} else {
-		c.qv = e.clv(st.Q.Index)
-		c.qs = e.scale(st.Q.Index)
-	}
-	if c.rTip {
-		c.rRow, c.rCodes = part.Tips[st.R.Index], part.Codes[st.R.Index]
-	} else {
-		c.rv = e.clv(st.R.Index)
-		c.rs = e.scale(st.R.Index)
-	}
-}
-
-// ensureTables builds the tip lookup tables when a share of this many
-// patterns amortizes them and they are not already built. Drivers pass the
-// chunk owner's whole share of the span, a pure function of the layout; and
-// because table and generic paths are bit-identical, mixing them across
-// chunks of one span can never change results, only the op accounting.
-func (c *nvSpanCtx) ensureTables(patterns int) {
-	e := c.e
-	if !e.Specialize || !(c.qTip || c.rTip) || !tipTablesAmortize(patterns, c.qCodes, c.rCodes) {
-		return
-	}
-	if c.qTip && c.tabQ == nil {
-		c.tabQ = buildTipTable(e.tipScratch[c.w][0], c.dtype, c.qCodes, c.pmQ, c.s, c.cats)
-		c.fixed += opsTipTable(c.s, c.cats, len(c.qCodes))
-	}
-	if c.rTip && c.tabR == nil {
-		c.tabR = buildTipTable(e.tipScratch[c.w][1], c.dtype, c.rCodes, c.pmR, c.s, c.cats)
-		c.fixed += opsTipTable(c.s, c.cats, len(c.rCodes))
-	}
-}
-
-// takeOps prices count processed patterns by the kernel case that ran and
-// claims any outstanding setup charge.
-func (c *nvSpanCtx) takeOps(count int) float64 {
-	ops := float64(count)*opsNewviewCase(c.s, c.cats, c.tabQ != nil, c.tabR != nil) + c.fixed
-	c.fixed = 0
-	return ops
-}
-
-// processGeneric is the layout-aware generic newview body: per pattern,
+// newviewGeneric is the layout-aware generic newview body: per pattern,
 // dst[off + cat·catStride + a] =
 // (sum_b Pq_c[a][b] xq_c[b]) · (sum_b Pr_c[a][b] xr_c[b]), with a tip child's
 // P application replaced by a table-row read when a lookup table is built.
@@ -206,7 +58,7 @@ func (c *nvSpanCtx) takeOps(count int) float64 {
 // left-associated accumulation order) produce bit-identical CLVs.
 //
 //plk:hotpath
-func (c *nvSpanCtx) processGeneric(run schedule.Run) int {
+func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
 	count := 0
@@ -214,11 +66,11 @@ func (c *nvSpanCtx) processGeneric(run schedule.Run) int {
 		j := i - c.partOffset
 		off := c.base + j*c.patStride
 		switch {
-		case c.tabQ != nil && c.tabR != nil:
+		case c.a.tab != nil && c.b.tab != nil:
 			// Both children specialized tips: the table rows already hold the
 			// P applications; the pattern reduces to their entrywise product.
-			tq := c.tabQ[int(c.qRow[j])*cs : int(c.qRow[j])*cs+cs]
-			tr := c.tabR[int(c.rRow[j])*cs : int(c.rRow[j])*cs+cs]
+			tq := c.a.tab[int(c.a.row[j])*cs : int(c.a.row[j])*cs+cs]
+			tr := c.b.tab[int(c.b.row[j])*cs : int(c.b.row[j])*cs+cs]
 			for cat := 0; cat < cats; cat++ {
 				co := off + cat*c.catStride
 				d := c.dst[co : co+s]
@@ -228,13 +80,13 @@ func (c *nvSpanCtx) processGeneric(run schedule.Run) int {
 					d[a] = t1[a] * t2[a]
 				}
 			}
-		case c.tabQ != nil, c.tabR != nil:
+		case c.a.tab != nil, c.b.tab != nil:
 			// Exactly one specialized tip child (a tip the table decision
 			// skipped never coexists with a built sibling table — ensureTables
 			// builds both or neither); the inner child pays the P application.
-			tab, row, xv, pm := c.tabQ, c.qRow, c.rv, c.pmR
-			if c.tabR != nil {
-				tab, row, xv, pm = c.tabR, c.rRow, c.qv, c.pmQ
+			tab, row, xv, pm := c.a.tab, c.a.row, c.b.v, c.b.pm
+			if c.b.tab != nil {
+				tab, row, xv, pm = c.b.tab, c.b.row, c.a.v, c.a.pm
 			}
 			tq := tab[int(row[j])*cs : int(row[j])*cs+cs]
 			for cat := 0; cat < cats; cat++ {
@@ -254,23 +106,23 @@ func (c *nvSpanCtx) processGeneric(run schedule.Run) int {
 			}
 		default:
 			var tvq, tvr []float64
-			if c.qTip {
-				tvq = alignment.TipVector(c.dtype, c.qRow[j])
+			if c.a.tip {
+				tvq = alignment.TipVector(c.dtype, c.a.row[j])
 			}
-			if c.rTip {
-				tvr = alignment.TipVector(c.dtype, c.rRow[j])
+			if c.b.tip {
+				tvr = alignment.TipVector(c.dtype, c.b.row[j])
 			}
 			for cat := 0; cat < cats; cat++ {
-				pq := c.pmQ[cat*ss : (cat+1)*ss]
-				pr := c.pmR[cat*ss : (cat+1)*ss]
+				pq := c.a.pm[cat*ss : (cat+1)*ss]
+				pr := c.b.pm[cat*ss : (cat+1)*ss]
 				co := off + cat*c.catStride
 				cq := tvq
-				if !c.qTip {
-					cq = c.qv[co : co+s]
+				if !c.a.tip {
+					cq = c.a.v[co : co+s]
 				}
 				cr := tvr
-				if !c.rTip {
-					cr = c.rv[co : co+s]
+				if !c.b.tip {
+					cr = c.b.v[co : co+s]
 				}
 				d := c.dst[co : co+s]
 				for a := 0; a < s; a++ {
@@ -299,13 +151,13 @@ func (c *nvSpanCtx) processGeneric(run schedule.Run) int {
 // scaling is layout- and backend-invariant.
 //
 //plk:hotpath
-func (c *nvSpanCtx) finishPattern(i, off int) {
+func (c *spanCtx) finishPattern(i, off int) {
 	sc := int32(0)
-	if !c.qTip {
-		sc += c.qs[i]
+	if !c.a.tip {
+		sc += c.a.sc[i]
 	}
-	if !c.rTip {
-		sc += c.rs[i]
+	if !c.b.tip {
+		sc += c.b.sc[i]
 	}
 	needScale := true
 outer:

@@ -54,18 +54,13 @@ type Shared struct {
 	retired sync.Pool
 }
 
-// NewShared computes the session-independent engine state for one dataset
-// under the default (auto-resolved) kernel backend: memory layout offsets and
-// the cost-annotated pattern spans that price the weighted schedule. This is
-// the expensive-once part of engine construction.
-func NewShared(data *alignment.CompressedData, numCats, threads int) (*Shared, error) {
-	return NewSharedWith(data, numCats, threads, BackendAuto)
-}
-
-// NewSharedWith is NewShared with an explicit kernel backend. The backend is
-// resolved here (BackendAuto consults PLK_BACKEND, then defaults to
-// BackendFused) and determines the CLV layout the sessions' buffers and
-// kernels use; it cannot change for the lifetime of the Shared.
+// NewSharedWith computes the session-independent engine state for one
+// dataset — the expensive-once part of engine construction: memory layout
+// offsets and the cost-annotated pattern spans that price the weighted
+// schedule. The kernel backend is resolved here (BackendAuto consults
+// PLK_BACKEND, then defaults to BackendFused) and determines the CLV layout
+// the sessions' buffers and kernels use; it cannot change for the lifetime of
+// the Shared.
 func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend Backend) (*Shared, error) {
 	if data == nil {
 		return nil, errors.New("core: nil dataset")

@@ -125,7 +125,7 @@ func mixedData(t *testing.T, seed int64) (*alignment.CompressedData, []*model.Mo
 // only before the first schedule exists, and they steer the weighted pack.
 func TestOverrideSpanCosts(t *testing.T) {
 	d, _ := mixedData(t, 19)
-	sh, err := NewShared(d, 4, 4)
+	sh, err := NewSharedWith(d, 4, 4, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

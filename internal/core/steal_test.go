@@ -111,7 +111,7 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 	for _, cats := range []int{1, 4} {
 		d, models := stealFixture(t, cats, int64(100+cats))
 		const threads = 3
-		sh, err := NewShared(d, cats, threads)
+		sh, err := NewSharedWith(d, cats, threads, BackendAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		requireBitIdentical(t, "pool-stealing vs sim-serial", resPool, resSim)
 
 		// Sequential (T=1) chunked execution: stealing on vs off identical.
-		shSeq, err := NewShared(d, cats, 1)
+		shSeq, err := NewSharedWith(d, cats, 1, BackendAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func (o *idleObserver) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, 
 func TestNoStepBarrierWithoutStealing(t *testing.T) {
 	d, models := stealFixture(t, 4, 9)
 	const threads = 3
-	sh, err := NewShared(d, 4, threads)
+	sh, err := NewSharedWith(d, 4, threads, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const threads = 3
-	sh, err := NewShared(d, 2, threads)
+	sh, err := NewSharedWith(d, 2, threads, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

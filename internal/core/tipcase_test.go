@@ -382,7 +382,7 @@ func TestTipAwareOpCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShared(d, 4, 2)
+	sh, err := NewSharedWith(d, 4, 2, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

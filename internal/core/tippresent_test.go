@@ -76,7 +76,7 @@ func presentCodeEngines(t *testing.T, d *alignment.CompressedData, models []*mod
 			for i, m := range models {
 				ms[i] = m.Clone()
 			}
-			eng, err := newEngine(d, tr, ms, exec, Options{Specialize: spec, Backend: backend})
+			eng, err := newEngineOn(backend, d, tr, ms, exec, Options{Specialize: spec})
 			if err != nil {
 				t.Fatal(err)
 			}

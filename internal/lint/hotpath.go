@@ -23,7 +23,7 @@ import (
 //   - iface: no interface conversions, explicit or implicit (arguments,
 //     assignments) — boxing allocates and the dynamic dispatch defeats the
 //     bounds-check-elimination the fused kernels rely on. Calling methods
-//     on an already-interface value (the KernelBackend seam) is fine.
+//     on an already-interface value is fine.
 //   - ctx: no context.Context parameters — cancellation is polled at
 //     region boundaries only, never inside kernel spans.
 var Hotpath = &Analyzer{

@@ -238,7 +238,7 @@ func TestParameterRecovery(t *testing.T) {
 // newEngine builds the shared state for (d, the models' category count,
 // exec's worker count) and opens one session over it.
 func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
-	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), opts.Backend)
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), core.BackendAuto)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -281,18 +282,25 @@ func (s *Server) retire(job *analysisJob) {
 	}
 }
 
+// errUnknownAnalysis is the 404 of the three /v1/analyses/{id} routes: the id
+// was never issued, or its finished job has been reaped.
+var errUnknownAnalysis = errors.New("server: unknown analysis")
+
 // job looks up a tracked analysis.
-func (s *Server) job(id string) *analysisJob {
+func (s *Server) job(id string) (*analysisJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if job := s.jobs[id]; job != nil {
+		return job, nil
+	}
+	return nil, fmt.Errorf("%w %q", errUnknownAnalysis, id)
 }
 
 // handleGetAnalysis implements GET /v1/analyses/{id}.
 func (s *Server) handleGetAnalysis(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, badRequestf("unknown analysis %q", r.PathValue("id")))
+	job, err := s.job(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	_, st := job.snapshot()
@@ -303,9 +311,9 @@ func (s *Server) handleGetAnalysis(w http.ResponseWriter, r *http.Request) {
 // analysis stops at its next synchronization-region boundary; poll the job
 // (or watch its event stream close) for the final partial result.
 func (s *Server) handleCancelAnalysis(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, badRequestf("unknown analysis %q", r.PathValue("id")))
+	job, err := s.job(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	job.cancel()
@@ -320,9 +328,9 @@ func (s *Server) handleCancelAnalysis(w http.ResponseWriter, r *http.Request) {
 // carrying the final analysisStatus. Backpressure is drop-oldest at the
 // hub, so a slow consumer sees gaps in seq, never a stalled kernel.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job := s.job(r.PathValue("id"))
-	if job == nil {
-		writeError(w, badRequestf("unknown analysis %q", r.PathValue("id")))
+	job, err := s.job(r.PathValue("id"))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -69,7 +69,7 @@ func TestFinishedJobsAreReaped(t *testing.T) {
 	for i, jid := range ids {
 		want := http.StatusOK
 		if i < extra {
-			want = http.StatusBadRequest // reaped: same answer as an id never issued
+			want = http.StatusNotFound // reaped: same answer as an id never issued
 		}
 		if code := doJSON(t, "GET", hs.URL+"/v1/analyses/"+jid, nil, nil, nil); code != want {
 			t.Fatalf("job %d of %d (%s): HTTP %d, want %d", i, len(ids), jid, code, want)

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,7 +314,7 @@ type errorBody struct {
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrDatasetNotCached):
+	case errors.Is(err, ErrDatasetNotCached), errors.Is(err, errUnknownAnalysis):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusTooManyRequests
@@ -408,8 +409,8 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 		req.Phylip = string(body)
 		req.DataType = r.URL.Query().Get("data_type")
 		if v := r.URL.Query().Get("partition_len"); v != "" {
-			if _, err := fmt.Sscanf(v, "%d", &req.PartitionLen); err != nil {
-				return req, badRequestf("partition_len %q: %v", v, err)
+			if req.PartitionLen, err = strconv.Atoi(v); err != nil {
+				return req, badRequestf("partition_len %q: want an integer", v)
 			}
 		}
 	}

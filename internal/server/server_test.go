@@ -52,7 +52,11 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 func doJSON(t *testing.T, method, url string, v any, out any, hdr map[string]string) int {
 	t.Helper()
 	var body io.Reader
-	if v != nil {
+	ct := "application/json"
+	if raw, ok := v.(string); ok {
+		// The curl-friendly form: the body as it is, parameters in the query.
+		body, ct = strings.NewReader(raw), "text/plain"
+	} else if v != nil {
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +68,7 @@ func doJSON(t *testing.T, method, url string, v any, out any, hdr map[string]str
 		t.Fatal(err)
 	}
 	if v != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ct)
 	}
 	for k, val := range hdr {
 		req.Header.Set(k, val)
@@ -583,9 +587,13 @@ func TestBadRequests(t *testing.T) {
 		{"POST", "/v1/datasets", submitRequest{}, http.StatusBadRequest},
 		{"POST", "/v1/datasets", submitRequest{Phylip: "not phylip"}, http.StatusBadRequest},
 		{"POST", "/v1/datasets", submitRequest{Phylip: "2 4\nt0 ACGT\nt1 ACGA\n"}, http.StatusBadRequest},
+		{"POST", "/v1/datasets?data_type=dna&partition_len=64", tinyPhylip(t, 8, 128, 1), http.StatusOK},
+		{"POST", "/v1/datasets?data_type=dna&partition_len=12abc", tinyPhylip(t, 8, 128, 1), http.StatusBadRequest},
 		{"POST", "/v1/evaluate", evaluateRequest{}, http.StatusBadRequest},
 		{"POST", "/v1/analyses", analysisRequest{Dataset: "ds_x", Mode: "bogus"}, http.StatusBadRequest},
-		{"GET", "/v1/analyses/an_999", nil, http.StatusBadRequest},
+		{"GET", "/v1/analyses/an_999", nil, http.StatusNotFound},
+		{"GET", "/v1/analyses/an_999/events", nil, http.StatusNotFound},
+		{"POST", "/v1/analyses/an_999/cancel", nil, http.StatusNotFound},
 		{"DELETE", "/v1/datasets/ds_x", nil, http.StatusNotFound},
 	}
 	for _, c := range cases {

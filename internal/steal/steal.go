@@ -247,9 +247,6 @@ func (rt *Runtime) Layout() *Layout { return rt.layout }
 // Must not be called while a region is in flight.
 func (rt *Runtime) SetStealing(on bool) { rt.stealing.Store(on) }
 
-// Stealing reports whether thieving is enabled.
-func (rt *Runtime) Stealing() bool { return rt.stealing.Load() }
-
 // Steps reports how many intra-region step barriers the runtime has passed
 // (thieving on a concurrent executor only); a traversal of n steps
 // contributes n-1.
