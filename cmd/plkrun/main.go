@@ -181,13 +181,22 @@ func main() {
 	}
 }
 
-// finishObs prints the per-worker time/steal summary from the metrics
-// registry and performs the optional -metrics / -trace dumps. Runs on every
-// normal exit (deferred in main after the dataset is built).
+// finishObs prints the per-worker time/steal and the span-binding summaries
+// from the metrics registry and performs the optional -metrics / -trace dumps.
+// Runs on every normal exit (deferred in main after the dataset is built).
 func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, tracePath string, threads int) {
 	busy := make([]float64, threads)
 	steals := make([]float64, threads)
+	bound := map[string]float64{} // span cases and transition-matrix outcomes, by label value
 	for _, s := range reg.Snapshot() {
+		if s.Name == "plk_kernel_spans_total" || s.Name == "plk_transition_matrices_total" {
+			for _, l := range s.Labels {
+				if l.Key == "case" || l.Key == "outcome" {
+					bound[l.Value] += s.Value
+				}
+			}
+			continue
+		}
 		if s.Name != "plk_worker_busy_seconds_total" && s.Name != "plk_steals_total" {
 			continue
 		}
@@ -220,6 +229,12 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 	}
 	fmt.Printf("per-worker busy seconds: %s  time imbalance (max/avg): %.3f  steals: %s (%.0f total)\n",
 		fmtVec(busy, "%.3f"), imb, fmtVec(steals, "%.0f"), sumS)
+	reuse := 0.0
+	if n := bound["computed"] + bound["reused"]; n > 0 {
+		reuse = bound["reused"] / n
+	}
+	fmt.Printf("newview spans: %.0f tip-tip, %.0f tip-inner, %.0f inner-inner  transition matrices: %.0f computed, %.0f reused (reuse ratio %.2f)\n",
+		bound["tip-tip"], bound["tip-inner"], bound["inner-inner"], bound["computed"], bound["reused"], reuse)
 	if dump {
 		if err := reg.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "plkrun: writing metrics:", err)

@@ -107,6 +107,23 @@ func TestTipVectors(t *testing.T) {
 			t.Error("AA gap tip vector must be all ones")
 		}
 	}
+	// TipStates is the ascending list of the ones, for every code.
+	for _, dt := range []DataType{DNA, AA} {
+		for code := 0; code < NumCodes(dt); code++ {
+			var want []uint8
+			for s, v := range TipVector(dt, byte(code)) {
+				if v != 0 && v != 1 {
+					t.Fatalf("%v code %d: tip vector entry %v is not 0/1", dt, code, v)
+				}
+				if v == 1 {
+					want = append(want, uint8(s))
+				}
+			}
+			if got := TipStates(dt, byte(code)); string(got) != string(want) {
+				t.Errorf("%v code %d: TipStates %v, tip vector ones at %v", dt, code, got, want)
+			}
+		}
+	}
 }
 
 func TestDecodeRoundTrip(t *testing.T) {

@@ -37,6 +37,10 @@ var (
 	DNATipVectors [16][4]float64
 	// AATipVectors is the 20-state analogue over the 23 AA tip codes.
 	AATipVectors [NumAACodes][20]float64
+	// dnaTipStates[code] / aaTipStates[code] list the states whose tip-vector
+	// entry is 1, ascending (see TipStates).
+	dnaTipStates [16][]uint8
+	aaTipStates  [NumAACodes][]uint8
 )
 
 func init() {
@@ -100,6 +104,23 @@ func init() {
 	for s := 0; s < 20; s++ {
 		AATipVectors[AAGap][s] = 1
 	}
+
+	for code := range dnaTipStates {
+		dnaTipStates[code] = setStates(DNATipVectors[code][:])
+	}
+	for code := range aaTipStates {
+		aaTipStates[code] = setStates(AATipVectors[code][:])
+	}
+}
+
+// setStates lists the indices of the non-zero entries of vec, ascending.
+func setStates(vec []float64) (set []uint8) {
+	for s, v := range vec {
+		if v != 0 {
+			set = append(set, uint8(s))
+		}
+	}
+	return set
 }
 
 // EncodeChar maps one raw character onto its tip code for the data type.
@@ -186,4 +207,14 @@ func TipVector(t DataType, code byte) []float64 {
 		return DNATipVectors[code][:]
 	}
 	return AATipVectors[code][:]
+}
+
+// TipStates returns the states a tip code is compatible with — the indices
+// of the ones in TipVector(t, code) — in ascending order. A product with a
+// tip vector is a sum over exactly these states.
+func TipStates(t DataType, code byte) []uint8 {
+	if t == DNA {
+		return dnaTipStates[code]
+	}
+	return aaTipStates[code]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -97,11 +98,18 @@ func TestEngineBuffersAligned(t *testing.T) {
 			t.Errorf("%v: sumtable len %d aligned=%v, want len %d aligned",
 				backend, len(eng.sumtable), isAligned(eng.sumtable), sh.layout.SumTotal())
 		}
-		for w := range eng.pmScratch {
-			for k := 0; k < 2; k++ {
-				if !isAligned(eng.pmScratch[w][k]) {
-					t.Errorf("%v: pmScratch[%d][%d] not aligned", backend, w, k)
+		for w := range eng.pm {
+			if !isAligned(eng.pm[w].spare) {
+				t.Errorf("%v: spare P block of worker %d not aligned", backend, w)
+			}
+			for ip, mm := range eng.pm[w].memo {
+				for i, blk := range mm.blk {
+					if !isAligned(blk) {
+						t.Errorf("%v: worker %d partition %d memo block %d not aligned", backend, w, ip, i)
+					}
 				}
+			}
+			for k := 0; k < 2; k++ {
 				if !isAligned(eng.tipScratch[w][k]) {
 					t.Errorf("%v: tipScratch[%d][%d] not aligned", backend, w, k)
 				}
@@ -132,7 +140,9 @@ func TestEngineBuffersAligned(t *testing.T) {
 // evicts on: MemoryFootprint().SessionBytes() must equal the summed lengths
 // of what a real session over the Shared holds once it has run every region
 // kind — CLVs, scaling vectors, sumtable, per-worker scratch, the chunk
-// layout and runtime, and the per-chunk partial sums — on both backends.
+// layout and runtime, and the per-chunk partial sums — on both backends. The
+// transition-matrix memo is priced at its cap: the blocks the session holds
+// plus one per slot that has not missed yet.
 func TestSessionFootprintMatchesBuffers(t *testing.T) {
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		sim, err := parallel.NewSim(3)
@@ -147,11 +157,21 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 			held += 8*int64(len(eng.clvs[i])) + 4*int64(len(eng.scales[i]))
 		}
 		held += 8 * int64(len(eng.sumtable))
-		for w := range eng.pmScratch {
-			for k := 0; k < 2; k++ {
-				held += 8 * int64(len(eng.pmScratch[w][k])+len(eng.tipScratch[w][k]))
+		var blocks, room int64
+		for w := range eng.pm {
+			for ip, mm := range eng.pm[w].memo {
+				held += int64(unsafe.Sizeof(*mm))
+				for _, blk := range mm.blk {
+					if s := eng.Data.Parts[ip].Type.States(); blk == nil {
+						room += 8 * int64(eng.numCats*s*s)
+					}
+					blocks += 8 * int64(len(blk))
+				}
 			}
-			held += 8 * int64(len(eng.exScratch[w]))
+			for k := 0; k < 2; k++ {
+				held += 8 * int64(len(eng.tipScratch[w][k]))
+			}
+			held += 8 * int64(len(eng.pm[w].spare)+len(eng.exScratch[w]))
 			if eng.smallScratch != nil {
 				held += int64(len(eng.smallScratch[w]))
 			}
@@ -159,8 +179,12 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 		l := eng.stealRT.Layout()
 		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
 
-		if got := eng.Shared().MemoryFootprint().SessionBytes(); got != held {
-			t.Errorf("%v: SessionBytes() = %d, session holds %d", backend, got, held)
+		if blocks == 0 || room == 0 {
+			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)
+		}
+		if got := eng.Shared().MemoryFootprint().SessionBytes(); got != held+blocks+room {
+			t.Errorf("%v: SessionBytes() = %d, session holds %d + %d of memo blocks (%d short of the memo's cap)",
+				backend, got, held, blocks, room)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"phylo/internal/alignment"
+	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
@@ -52,14 +53,17 @@ import (
 //     s+1 only patterns it wrote itself at step s, so without stealing the
 //     traversal keeps the paper's single barrier per region.
 //
-// P-matrix setup and tip tables are per (step, span) encounter of a worker, so
-// a worker processing consecutive chunks of one span pays the setup once;
-// thieves crossing into a new span pay it again, which the op accounting
-// records as the (real) extra work stealing performs. Whether a tip table
-// amortizes is decided from the chunk owner's whole pattern share of the span
-// (steal.Chunk.Share) — a pure function of the layout — and the code lists of
-// the span's tip ends, not from the chunk at hand, so a share the pack cut
-// into many short runs still takes the table path.
+// Span set-up (binding the two transition-matrix blocks, gathering tip
+// tables) is per (step, span) encounter of a worker, so a worker processing
+// consecutive chunks of one span pays it once; thieves crossing into a new
+// span pay it again, which the op accounting records as the (real) extra work
+// stealing performs. A span binds, it does not compute: a P(z) block the
+// worker already built for the partition is taken from its memo (pmMemo).
+// Whether a tip table amortizes is decided from the chunk owner's whole
+// pattern share of the span (steal.Chunk.Share) — a pure function of the
+// layout — and the code lists of the span's tip ends, not from the chunk at
+// hand, so a share the pack cut into many short runs still takes the table
+// path.
 
 // region describes the parallel region in flight: its kind and what its
 // spans bind. It lives on the Engine (Engine.cur) from runRegion's Load to
@@ -184,11 +188,11 @@ func (e *Engine) bindEnd(part *alignment.CompressedPartition, n *tree.Node) span
 }
 
 // bind sets c up for partition ip under worker w: the geometry, then what the
-// region's kind reads — transition matrices into the worker's scratch (each
-// worker computes P redundantly, as RAxML's Pthreads do, rather than pay a
-// synchronization to share it; the charge accumulates in c.fixed), the views
-// of both ends, the partition's lanes of the WeightSet. si is the traversal
-// step of a newview region.
+// region's kind reads — the transition matrices of its branches (transition:
+// each worker computes P locally, as RAxML's Pthreads do, rather than pay a
+// synchronization to share it, and remembers what it computed), the views of
+// both ends, the partition's lanes of the WeightSet. si is the traversal step
+// of a newview region.
 func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.WorkerCtx) {
 	part := e.Data.Parts[ip]
 	s, cats := part.Type.States(), e.numCats
@@ -198,16 +202,13 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
 		partOffset: part.Offset, dtype: part.Type,
 	}
-	pm := &e.pmScratch[w]
 	switch r.kind {
 	case parallel.RegionNewview:
 		st, slot := r.steps[si], e.slotOf(ip)
 		c.a, c.b = e.bindEnd(part, st.Q), e.bindEnd(part, st.R)
-		c.a.pm, c.b.pm = pm[0][:cats*s*s], pm[1][:cats*s*s]
-		m.PMatrices(st.Q.Z[slot], c.a.pm)
-		m.PMatrices(st.R.Z[slot], c.b.pm)
+		taken := c.transition(&c.a, m, ip, st.Q.Z[slot], -1, ctx)
+		c.transition(&c.b, m, ip, st.R.Z[slot], taken, ctx)
 		c.dst, c.dstScale = e.clv(st.P.Index), e.scale(st.P.Index)
-		c.fixed = float64(2 * cats * s * s * s)
 		switch {
 		case c.a.tip && c.b.tip:
 			ctx.SpanTipTip++
@@ -219,10 +220,8 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 	case parallel.RegionEvaluate:
 		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
 		c.a.codes = nil // p's tip vector is read as it is; only q has a P application to tabulate
-		c.b.pm = pm[0][:cats*s*s]
-		m.PMatrices(r.p.Z[e.slotOf(ip)], c.b.pm)
+		c.transition(&c.b, m, ip, r.p.Z[e.slotOf(ip)], -1, ctx)
 		c.invCats, c.freqs = 1.0/float64(cats), m.Freqs
-		c.fixed = float64(cats * s * s * s)
 	case parallel.RegionSumTable:
 		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
 		c.invCats, c.freqs, c.ev, c.evi = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecs
@@ -246,6 +245,74 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 	}
 }
 
+// What a worker remembers. Lazy SPR and Newton smoothing hold every branch
+// but one fixed, so most spans need P(z) for a (model state, z) their worker
+// has built before (a Brent proposal changes every P: DESIGN.md has the hit
+// rates of both). pmMemo is a direct-mapped table of pmMemoSlots blocks per
+// (worker, partition), private to the worker: no synchronisation, no effect
+// on who computes what. 32 is the largest power of two whose blocks stay
+// within half a megabyte per worker and protein partition at four categories
+// (32 x 4 x 20 x 20 x 8 B = 410 KB; a DNA partition's are 16 KB).
+const (
+	pmMemoBits  = 5
+	pmMemoSlots = 1 << pmMemoBits
+)
+
+// pmStamp identifies the content of a memo block: P(z) for the z with these
+// bits, of the model at this epoch (model.Epoch), written while the buffer
+// set was at this generation (sessionBuffers.gen): the next session's models
+// are other objects whose epochs may coincide, and the bump is what keeps
+// everything of the previous holder's from hitting, in O(1).
+type pmStamp struct{ z, epoch, gen uint64 }
+
+type pmMemo struct {
+	stamp [pmMemoSlots]pmStamp
+	blk   [pmMemoSlots][]float64 // cats x s x s each, allocated by the slot's first miss
+}
+
+// pmWorker is one worker's P storage: a memo per partition (nil until its
+// first span there) and the spare block for the one that cannot go into a slot.
+type pmWorker struct {
+	memo  []*pmMemo
+	spare []float64
+}
+
+// transition points end.pm at P(z) for partition ip and returns the memo slot
+// the block sits in. A miss computes the block into its slot and charges the
+// cats·s³ set-up; a hit charges nothing. taken is the slot the span's other
+// end was just handed (-1: none): two different z can share a slot, and a
+// miss must not overwrite a block the span still reads, so that one end
+// computes into the worker's spare block instead and remembers nothing.
+func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, taken int, ctx *parallel.WorkerCtx) int {
+	pw := &c.e.pm[c.w]
+	memos := pw.memo
+	mm := memos[ip]
+	if mm == nil {
+		mm = new(pmMemo)
+		memos[ip] = mm
+	}
+	want := pmStamp{math.Float64bits(z), m.Epoch(), c.e.gen}
+	i := int(want.z * 0x9E3779B97F4A7C15 >> (64 - pmMemoBits)) // Fibonacci hashing: the top bits of z·2^64/phi
+	if mm.stamp[i] == want {
+		ctx.PReused++
+		end.pm = mm.blk[i]
+		return i
+	}
+	n := c.cats * c.s * c.s
+	ctx.PComputed++
+	c.fixed += float64(n * c.s)
+	if i == taken {
+		i, end.pm = -1, pw.spare[:n]
+	} else {
+		if mm.blk[i] == nil {
+			mm.blk[i] = alignedFloats(n)
+		}
+		mm.stamp[i], end.pm = want, mm.blk[i]
+	}
+	m.PMatrices(z, end.pm)
+	return i
+}
+
 // ensureTables is the one table decision: with Specialize on, when the chunk
 // owner's whole share of the span — a pure function of the layout —
 // amortizes lookup tables for the span's tip ends (tipTablesAmortize), build
@@ -261,19 +328,19 @@ func (c *spanCtx) ensureTables(share int) {
 		if end.codes == nil || end.tab != nil {
 			continue
 		}
-		dst := c.e.tipScratch[c.w][i]
+		dst, terms := c.e.tipScratch[c.w][i], tipSetStates(c.dtype, end.codes)
 		switch {
 		case c.kind != parallel.RegionSumTable:
 			// Newview and evaluate tabulate the P application to the tip vector.
 			end.tab = buildTipTable(dst, c.dtype, end.codes, end.pm, c.s, c.cats)
-			c.fixed += opsTipTable(c.s, c.cats, len(end.codes))
+			c.fixed += opsTipTable(c.s, c.cats, terms)
 		case i == 0:
 			// The sumtable's are category-independent eigenbasis projections.
 			end.tab = buildTipSumLeft(dst, c.dtype, end.codes, c.freqs, c.ev, c.s)
-			c.fixed += opsTipProj(c.s, len(end.codes))
+			c.fixed += opsTipProj(c.s, terms)
 		default:
 			end.tab = buildTipSumRight(dst, c.dtype, end.codes, c.evi, c.s)
-			c.fixed += opsTipProj(c.s, len(end.codes))
+			c.fixed += opsTipProj(c.s, terms)
 		}
 	}
 }

@@ -138,7 +138,8 @@ type sessionBuffers struct {
 	scales   [][]int32   // per inner node, per global pattern
 	sumtable []float64   // branch-derivative workspace (always pattern-major); nil until the first PrepareSumtable
 
-	pmScratch  [][2][]float64 // per worker: two P-matrix buffers (cats x s x s)
+	pm         []pmWorker     // per worker: the P(z) blocks it has built, per partition, and one spare (chunkexec.go)
+	gen        uint64         // how many sessions have taken the set: a memo entry of an earlier holder never matches
 	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
 	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
 
@@ -154,14 +155,14 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 	pm, tip := sh.NumCats*sh.maxS*sh.maxS, sh.maxCodes*sh.NumCats*sh.maxS
 	b := &sessionBuffers{
 		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
-		pmScratch: make([][2][]float64, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
+		pm: make([]pmWorker, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
 	}
 	for i := range b.clvs {
 		b.clvs[i] = alignedFloats(sh.layout.Total())
 		b.scales[i] = make([]int32, sh.Data.TotalPatterns)
 	}
 	for w := 0; w < t; w++ {
-		b.pmScratch[w] = [2][]float64{alignedFloats(pm), alignedFloats(pm)}
+		b.pm[w] = pmWorker{memo: make([]*pmMemo, len(sh.Data.Parts)), spare: alignedFloats(pm)}
 		b.exScratch[w] = alignedFloats(3 * sh.NumCats * sh.maxS)
 		// One table per tip child: codes × cats × s rows cover the newview
 		// and evaluate tables; the category-independent sumtable projections
@@ -254,6 +255,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		bufs, source = newSessionBuffers(sh), "allocated"
 	}
 	e.sessionBuffers = bufs.(*sessionBuffers)
+	e.gen++ // from 1: the zero stamp of a memo slot never written matches no look-up
 	if opts.Metrics != nil {
 		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
 			"Replicate lanes (R) of the most recent batched likelihood evaluation.")

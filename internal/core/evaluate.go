@@ -170,9 +170,10 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	}
 	part := e.Data.Parts[ip]
 	out := make([]float64, part.PatternCount)
-	// Runs outside any region, so worker 0's scratch is free to borrow.
+	// Runs outside any region, so worker 0's scratch is free to borrow; the
+	// counters a bind bumps go nowhere.
 	var c spanCtx
-	c.bind(e, &region{kind: parallel.RegionEvaluate, p: root}, 0, ip, 0, nil)
+	c.bind(e, &region{kind: parallel.RegionEvaluate, p: root}, 0, ip, 0, new(parallel.WorkerCtx))
 	c.ensureTables(part.PatternCount)
 	for j := 0; j < part.PatternCount; j++ {
 		i := part.Offset + j

@@ -12,20 +12,20 @@ var (
 	ContiguousParts = contiguousParts
 )
 
-// ParkPoisoned leaves exactly the kind of buffer set a hostile predecessor
-// would: it takes the set a released session parked on sh (allocating one if
-// the pool is empty), fills every float with NaN, every scaling exponent with
-// a large count and every scaling flag with true, and parks it again. The
+// ReleasePoisoned ends session e the way a hostile predecessor would: every
+// float of its buffer set becomes NaN, every scaling exponent a large count
+// and every scaling flag true, and the set is parked for the next NewSession.
+// What the transition-matrix memo says its blocks hold — z bits, model epoch,
+// generation — stays exactly as e wrote it, now over NaN blocks: a successor
+// on the same tree with clones of the same models looks up those very stamps,
+// and only the generation NewSession bumps keeps them from hitting. The
 // returned token identifies the set (see Engine.BufferSet). With smoothed the
 // set carries a (poisoned) sumtable, as after a session that optimized branch
 // lengths; without, a nil sumtable stays nil, as after an evaluate-only one.
-func ParkPoisoned(sh *Shared, smoothed bool) any {
-	b, _ := sh.retired.Get().(*sessionBuffers)
-	if b == nil {
-		b = newSessionBuffers(sh)
-	}
+func ReleasePoisoned(e *Engine, smoothed bool) any {
+	b := e.sessionBuffers
 	if smoothed && b.sumtable == nil {
-		b.sumtable = alignedFloats(sh.layout.SumTotal())
+		b.sumtable = alignedFloats(e.layout.SumTotal())
 	}
 	nan := func(v []float64) {
 		for i := range v {
@@ -39,9 +39,15 @@ func ParkPoisoned(sh *Shared, smoothed bool) any {
 		}
 	}
 	nan(b.sumtable)
-	for w := range b.pmScratch {
-		nan(b.pmScratch[w][0])
-		nan(b.pmScratch[w][1])
+	for w := range b.pm {
+		nan(b.pm[w].spare)
+		for _, mm := range b.pm[w].memo {
+			if mm != nil {
+				for _, blk := range mm.blk {
+					nan(blk)
+				}
+			}
+		}
 		nan(b.exScratch[w])
 		nan(b.tipScratch[w][0])
 		nan(b.tipScratch[w][1])
@@ -51,12 +57,12 @@ func ParkPoisoned(sh *Shared, smoothed bool) any {
 			flags[i] = true
 		}
 	}
-	sh.retired.Put(b)
+	e.Release()
 	return b
 }
 
 // BufferSet identifies the buffer set the session holds (a nil pointer after
-// Release), comparable with ParkPoisoned's token.
+// Release), comparable with ReleasePoisoned's token.
 func (e *Engine) BufferSet() any { return e.sessionBuffers }
 
 // HasSumtable reports whether the session's set carries a sumtable yet.

@@ -1,6 +1,10 @@
 package core
 
-import "phylo/internal/steal"
+import (
+	"unsafe"
+
+	"phylo/internal/steal"
+)
 
 // Memory accounting. A likelihood-serving cache needs a price per dataset to
 // evict against a byte budget, and that price has two parts: what the Shared
@@ -39,10 +43,13 @@ type MemoryFootprint struct {
 	// SessionSumtable is the branch-derivative workspace (allocated by the
 	// first PrepareSumtable; evaluate-only sessions never hold it).
 	SessionSumtable int64 `json:"session_sumtable"`
-	// SessionScratch is the per-worker kernel scratch: two P-matrix buffers,
-	// the exponential/derivative tables, the two tip lookup tables per worker
-	// (the large term: codes × cats × s floats), and on the fused backend the
-	// per-pattern scaling flags.
+	// SessionScratch is the per-worker kernel scratch: the transition-matrix
+	// memo at its cap (pmMemoSlots blocks of cats × s × s floats per
+	// partition, the large term on protein data; a session allocates a block
+	// only when a slot first misses, so evaluate-only sessions hold a
+	// fraction of it) and the spare block, the exponential/derivative tables,
+	// the two tip lookup tables per worker (codes × cats × s floats), and on
+	// the fused backend the per-pattern scaling flags.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
 	// layout of its schedule, the steal runtime over it (deque words, backing
@@ -107,9 +114,13 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionCLVs = nInner * 8 * int64(sh.layout.Total())
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
-	perWorker := 8 * (2*sh.NumCats*sh.maxS*sh.maxS + // P-matrix pair
+	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
 		3*sh.NumCats*sh.maxS + // exponential/derivative tables
 		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
+	for _, p := range sh.Data.Parts {
+		s := p.Type.States()
+		perWorker += int(unsafe.Sizeof(pmMemo{})) + pmMemoSlots*8*sh.NumCats*s*s
+	}
 	if sh.Backend == BackendFused {
 		perWorker += sh.maxPatterns() // scaling flags, one bool per pattern
 	}

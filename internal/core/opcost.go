@@ -110,18 +110,19 @@ func opsDerivative(states, cats, lanes int) float64 {
 	return float64(cats*states*3+10) + 4*float64(lanes-1)
 }
 
-// opsTipTable is the one-off cost of precomputing a lookup table for one tip
-// child: one row of cats×s entries, each an s-term dot product, per code the
-// tip carries in the partition (only those rows are built). It amortizes over
-// the worker's pattern share, which is why the kernels only build tables for
-// shares tipTablesAmortize accepts.
-func opsTipTable(states, cats, rows int) float64 {
-	return float64(rows * cats * states * states)
+// opsTipTable is the one-off cost of gathering a lookup table for one tip
+// child: one row of cats×s entries per code the tip carries in the partition
+// (only those rows are built), each the sum of the P entries of the states the
+// code allows; setStates is that state count totalled over the codes
+// (tipSetStates). It amortizes over the worker's pattern share, which is why
+// the kernels only build tables for shares tipTablesAmortize accepts.
+func opsTipTable(states, cats, setStates int) float64 {
+	return float64(setStates * cats * states)
 }
 
 // opsTipProj is the one-off cost of one category-independent sumtable
-// projection table (one row of s entries, each an s-term dot product, per
-// present code); it is charged once per specialized tip end.
-func opsTipProj(states, rows int) float64 {
-	return float64(rows * states * states)
+// projection table (one row of s entries per present code, each a sum over
+// the code's allowed states); it is charged once per specialized tip end.
+func opsTipProj(states, setStates int) float64 {
+	return float64(setStates * states)
 }

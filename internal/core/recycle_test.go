@@ -107,12 +107,18 @@ func (r *recycleRig) open() *core.Engine {
 }
 
 // openOnPoisoned opens a session that demonstrably holds a poisoned recycled
-// set. The retry is for the race detector's sync.Pool, which drops a quarter
-// of all Puts at random, and for a collection emptying the pool in between.
+// set: the one a predecessor on the same tree and model clones scored the
+// tree on, so its transition-matrix memo is stamped with exactly the branch
+// lengths and model epochs the new session looks up first, over blocks that
+// are NaN now. The retry is for the race detector's sync.Pool, which drops a
+// quarter of all Puts at random, and for a collection emptying the pool in
+// between.
 func (r *recycleRig) openOnPoisoned(smoothed bool) *core.Engine {
 	r.t.Helper()
 	for try := 0; try < 200; try++ {
-		token := core.ParkPoisoned(r.sh, smoothed)
+		prev := r.open()
+		prev.LogLikelihood()
+		token := core.ReleasePoisoned(prev, smoothed)
 		eng := r.open()
 		if eng.BufferSet() == token {
 			return eng

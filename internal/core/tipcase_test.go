@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -310,35 +311,16 @@ func TestTipTableBitIdentity(t *testing.T) {
 			if len(tab) != n*cats*s || len(left) != n*s || len(right) != n*s {
 				t.Fatalf("%v codes %v: builders must return the whole code-indexed table", dtype, codes)
 			}
-			for code := 0; code < n; code++ {
-				tv := alignment.TipVector(dtype, byte(code))
-				for c := 0; c < cats; c++ {
-					for a := 0; a < s; a++ {
-						want := 0.0
-						for b := 0; b < s; b++ {
-							want += pm[c*s*s+a*s+b] * tv[b]
-						}
-						if got := tab[(code*cats+c)*s+a]; listed[code] && got != want {
-							t.Fatalf("%v codes %v code %d cat %d state %d: table %v != generic %v", dtype, codes, code, c, a, got, want)
-						} else if !listed[code] && !math.IsNaN(got) {
-							t.Fatalf("%v codes %v: absent code %d row was written (%v)", dtype, codes, code, got)
-						}
-					}
-				}
-				for k := 0; k < s; k++ {
-					wantL, wantR := 0.0, 0.0
-					for a := 0; a < s; a++ {
-						wantL += m.Freqs[a] * tv[a] * m.EigenVecs[a*s+k]
-						wantR += m.InvVecs[k*s+a] * tv[a]
-					}
-					gotL, gotR := left[code*s+k], right[code*s+k]
-					if listed[code] && (gotL != wantL || gotR != wantR) {
-						t.Fatalf("%v codes %v code %d k %d: projections (%v, %v) != generic (%v, %v)", dtype, codes, code, k, gotL, gotR, wantL, wantR)
-					} else if !listed[code] && !(math.IsNaN(gotL) && math.IsNaN(gotR)) {
-						t.Fatalf("%v codes %v: absent code %d projection row was written", dtype, codes, code)
-					}
-				}
-			}
+			// The dense reference over the same poison: listed rows equal the
+			// generic accumulation, unlisted rows are the NaN they were.
+			wantTab, wantL, wantR := poisoned(n*cats*s), poisoned(n*s), poisoned(n*s)
+			denseTipTable(wantTab, dtype, codes, pm, s, cats)
+			denseTipSumLeft(wantL, dtype, codes, m.Freqs, m.EigenVecs, s)
+			denseTipSumRight(wantR, dtype, codes, m.InvVecs, s)
+			label := fmt.Sprintf("%v codes %v", dtype, codes)
+			sameBits(t, label+" P application", tab, wantTab)
+			sameBits(t, label+" left projection", left, wantL)
+			sameBits(t, label+" right projection", right, wantR)
 		}
 	}
 }
@@ -395,8 +377,10 @@ func TestTipAwareOpCosts(t *testing.T) {
 	}
 
 	// The set-up charge follows the build: one tip/tip step on one worker
-	// costs the two P-matrix blocks, one table row per code each child
-	// actually carries, and the tip/tip pattern price.
+	// costs the two P-matrix blocks (a first encounter: both computed), per
+	// table row one term for every state its code allows, and the tip/tip
+	// pattern price; binding the same step again reuses both blocks and
+	// charges only the tables and the patterns.
 	sim, err := parallel.NewSim(1)
 	if err != nil {
 		t.Fatal(err)
@@ -418,10 +402,21 @@ func TestTipAwareOpCosts(t *testing.T) {
 		if rows >= 2*alignment.NumCodes(alignment.DNA) {
 			t.Fatal("fixture tips carry every code; the charge would not tell rows built from rows possible")
 		}
+		terms := tipSetStates(alignment.DNA, part.Codes[st.Q.Index]) + tipSetStates(alignment.DNA, part.Codes[st.R.Index])
+		if terms <= rows || terms >= 4*rows {
+			t.Fatalf("fixture tips sum %d terms over %d rows; want ambiguity codes but not only gaps", terms, rows)
+		}
+		if st.Q.Z[0] == st.R.Z[0] {
+			t.Fatal("fixture children share a branch length; the second block would be a reuse")
+		}
 		eng.ExecuteSteps([]tree.TraversalStep{st}, nil)
-		want := float64(part.PatternCount)*opsNewviewCase(4, 4, true, true) + 2*4*4*4*4 + opsTipTable(4, 4, rows)
-		if got := sim.Stats().TotalOps; got != want {
-			t.Errorf("tip/tip step charged %v ops, want %v (%d table rows built)", got, want, rows)
+		bound := float64(part.PatternCount)*opsNewviewCase(4, 4, true, true) + opsTipTable(4, 4, terms)
+		if got, want := sim.Stats().TotalOps, bound+2*4*4*4*4; got != want {
+			t.Errorf("tip/tip step charged %v ops, want %v (%d table rows of %d terms built)", got, want, rows, terms)
+		}
+		eng.ExecuteSteps([]tree.TraversalStep{st}, nil)
+		if got, want := sim.Stats().TotalOps, 2*bound+2*4*4*4*4; got != want {
+			t.Errorf("the step and its repeat charged %v ops, want %v (no P block computed twice)", got, want)
 		}
 		return
 	}

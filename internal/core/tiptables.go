@@ -12,9 +12,21 @@ import "phylo/internal/alignment"
 // takes at most codes×cats×s distinct values per transition matrix. Each kernel
 // precomputes them once per (step, partition, worker) into per-worker
 // scratch and replaces the per-pattern O(cats·s²) child work by an
-// O(cats·s) table-row read. The tables accumulate in exactly the same
-// b-ascending order as the generic kernels, so specialized and generic
-// results are bit-for-bit identical.
+// O(cats·s) table-row read. The tables hold exactly the values the generic
+// kernels compute, so specialized and generic results are bit-for-bit
+// identical.
+//
+// A table is gathered, not multiplied out. A tip vector is 0/1, so the dense
+// sum adds, b ascending from +0, P[a][b]·1 = P[a][b] for every state the code
+// allows (alignment.TipStates) and P[a][b]·0 for every other. P entries are
+// finite and neither negative nor -0 (model.PMatrix clamps, and its own sums
+// start at +0), so the other terms are +0 and the dense sum IS the sum of the
+// allowed states' entries, ascending from +0 — for an unambiguous code one
+// column of P. In the sumtable projections a skipped term is ±0 (eigenvector
+// entries are signed), which changes nothing either: a running sum that
+// started at +0 is never -0 (only -0 + -0 is), and x + ±0 = x for any other
+// x. So every builder starts each sum at 0.0 and adds the allowed states in
+// ascending order.
 //
 // The tables keep their own code-major geometry — row (code·cats + c)·s —
 // under every kernel backend: rows are indexed by tip code, not pattern, so
@@ -34,13 +46,24 @@ import "phylo/internal/alignment"
 
 // tipTablesAmortize is the one table decision of every kernel: a worker's
 // pattern share of the span pays for lookup tables of the given tip children
-// (nil codes for an inner child). A table row costs cats·s² multiply-adds to
-// build and saves ~cats·s(s-1) per pattern that reads it, so break-even sits
-// near one pattern per row; the factor 2 also covers the table's cache
-// footprint. The wider child decides for both, so a span builds all its
-// tables or none (results are identical either way).
+// (nil codes for an inner child). A table row costs up to cats·s² adds to
+// build (every state allowed; cats·s for an unambiguous code) and saves
+// ~cats·s(s-1) per pattern that reads it, so break-even sits at or below one
+// pattern per row; the factor 2 also covers the table's cache footprint. The
+// wider child decides for both, so a span builds all its tables or none
+// (results are identical either way).
 func tipTablesAmortize(share int, codesA, codesB []byte) bool {
 	return share >= 2*max(len(codesA), len(codesB))
+}
+
+// tipSetStates is the number of terms a gathered table row sums, totalled over
+// the given codes: what opsTipTable and opsTipProj price.
+func tipSetStates(t alignment.DataType, codes []byte) int {
+	n := 0
+	for _, code := range codes {
+		n += len(alignment.TipStates(t, code))
+	}
+	return n
 }
 
 // buildTipTable fills the rows of the present codes of the per-code P
@@ -52,16 +75,16 @@ func tipTablesAmortize(share int, codesA, codesB []byte) bool {
 func buildTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) []float64 {
 	ss := s * s
 	for _, code := range codes {
-		tv := alignment.TipVector(t, code)
+		set := alignment.TipStates(t, code)
 		for c := 0; c < cats; c++ {
 			p := pm[c*ss : (c+1)*ss]
 			lo := (int(code)*cats + c) * s
 			d := dst[lo : lo+s]
-			for a := 0; a < s; a++ {
-				row := a * s
+			for a := range d {
+				row := p[a*s : a*s+s]
 				sum := 0.0
-				for b := 0; b < s; b++ {
-					sum += p[row+b] * tv[b]
+				for _, b := range set {
+					sum += row[b]
 				}
 				d[a] = sum
 			}
@@ -78,13 +101,13 @@ func buildTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float
 //plk:hotpath
 func buildTipSumLeft(dst []float64, t alignment.DataType, codes []byte, freqs, v []float64, s int) []float64 {
 	for _, code := range codes {
-		tv := alignment.TipVector(t, code)
+		set := alignment.TipStates(t, code)
 		lo := int(code) * s
 		d := dst[lo : lo+s]
-		for k := 0; k < s; k++ {
+		for k := range d {
 			sum := 0.0
-			for a := 0; a < s; a++ {
-				sum += freqs[a] * tv[a] * v[a*s+k]
+			for _, a := range set {
+				sum += freqs[a] * v[int(a)*s+k]
 			}
 			d[k] = sum
 		}
@@ -99,13 +122,14 @@ func buildTipSumLeft(dst []float64, t alignment.DataType, codes []byte, freqs, v
 //plk:hotpath
 func buildTipSumRight(dst []float64, t alignment.DataType, codes []byte, vi []float64, s int) []float64 {
 	for _, code := range codes {
-		tv := alignment.TipVector(t, code)
+		set := alignment.TipStates(t, code)
 		lo := int(code) * s
 		d := dst[lo : lo+s]
-		for k := 0; k < s; k++ {
+		for k := range d {
+			row := vi[k*s : k*s+s]
 			sum := 0.0
-			for a := 0; a < s; a++ {
-				sum += vi[k*s+a] * tv[a]
+			for _, a := range set {
+				sum += row[a]
 			}
 			d[k] = sum
 		}

@@ -45,6 +45,8 @@ type Model struct {
 	InvVecs   []float64 // V^-1, row-major States x States
 	dirty     bool
 
+	epoch uint64 // bumped by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
+
 	// eig is UpdateEigen's scratch, allocated on first use and private to
 	// this model (Clone leaves it nil), so the optimizers' repeated
 	// re-decompositions allocate nothing.
@@ -162,6 +164,7 @@ func (m *Model) SetAlpha(alpha float64) error {
 	}
 	m.Alpha = alpha
 	numeric.DiscreteGammaRates(alpha, m.CatRates)
+	m.epoch++
 	return nil
 }
 
@@ -196,6 +199,12 @@ func (m *Model) SetFreqs(f []float64) error {
 
 // Dirty reports whether UpdateEigen must be called.
 func (m *Model) Dirty() bool { return m.dirty }
+
+// Epoch identifies the state PMatrices reads, the category rates and the
+// eigendecomposition: while a model (or a Clone and its original, neither
+// changed since) reports the same epoch, PMatrices(t) gives the same bits for
+// the same t. Setters that only mark the decomposition stale do not move it.
+func (m *Model) Epoch() uint64 { return m.epoch }
 
 // BuildQ assembles the normalized instantaneous rate matrix Q (row-major):
 // Q_ij = r_ij * pi_j for i != j, rows summing to zero, scaled so the expected
@@ -282,6 +291,7 @@ func (m *Model) UpdateEigen() error {
 		}
 	}
 	m.dirty = false
+	m.epoch++
 	return nil
 }
 
@@ -298,13 +308,18 @@ const maxStates = 20
 // (V[i][k]·exp(lambda_k t))·V^-1[k][j]: the row scaling is computed once per
 // (i, k) instead of once per term, and four columns accumulate side by side
 // so their add chains overlap — neither changes a term or the order in which
-// any one entry adds its terms.
+// any one entry adds its terms. The 4-state case, most of the kernel's set-up
+// time on DNA data, is the same sums written out (pmatrix4).
 //
 //plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
 	s := m.States
 	if t < 0 {
 		t = 0
+	}
+	if s == 4 {
+		m.pmatrix4(t, dst)
+		return
 	}
 	var buf [2 * maxStates]float64
 	expl, ve := buf[:s], buf[maxStates:maxStates+s]
@@ -329,6 +344,26 @@ func (m *Model) PMatrix(t float64, dst []float64) {
 			d := dst[i*s+j : i*s+j+4 : i*s+j+4]
 			d[0], d[1], d[2], d[3] = clampNeg(s0), clampNeg(s1), clampNeg(s2), clampNeg(s3)
 		}
+	}
+}
+
+// pmatrix4 is PMatrix for four states with the loops written out over fixed-
+// size arrays: no slice headers, no bounds checks past the four conversions.
+// Every entry is still (V[i][0]·e_0)·V^-1[0][j] + ... + (V[i][3]·e_3)·V^-1[3][j]
+// added left to right from +0 (the leading 0 is a term: it keeps a sum of -0
+// products at +0), so the bits are PMatrix's.
+//
+//plk:hotpath
+func (m *Model) pmatrix4(t float64, dst []float64) {
+	l, v, u, d := (*[4]float64)(m.EigenVals), (*[16]float64)(m.EigenVecs), (*[16]float64)(m.InvVecs), (*[16]float64)(dst)
+	e0, e1, e2, e3 := math.Exp(l[0]*t), math.Exp(l[1]*t), math.Exp(l[2]*t), math.Exp(l[3]*t)
+	for i := 0; i < 16; i += 4 {
+		a0, a1, a2, a3 := v[i]*e0, v[i+1]*e1, v[i+2]*e2, v[i+3]*e3
+		s0 := 0 + a0*u[0] + a1*u[4] + a2*u[8] + a3*u[12]
+		s1 := 0 + a0*u[1] + a1*u[5] + a2*u[9] + a3*u[13]
+		s2 := 0 + a0*u[2] + a1*u[6] + a2*u[10] + a3*u[14]
+		s3 := 0 + a0*u[3] + a1*u[7] + a2*u[11] + a3*u[15]
+		d[i], d[i+1], d[i+2], d[i+3] = clampNeg(s0), clampNeg(s1), clampNeg(s2), clampNeg(s3)
 	}
 }
 
@@ -359,6 +394,7 @@ func (m *Model) Clone() *Model {
 		Alpha:   m.Alpha,
 		NumCats: m.NumCats,
 		dirty:   m.dirty,
+		epoch:   m.epoch,
 	}
 	c.Freqs = append([]float64(nil), m.Freqs...)
 	c.ExRates = append([]float64(nil), m.ExRates...)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,17 +192,33 @@ func TestSettersAndDirty(t *testing.T) {
 	if m.Dirty() {
 		t.Error("fresh model must not be dirty")
 	}
+	// The epoch moves exactly when what PMatrices reads does: not on a setter
+	// that only marks the decomposition stale, nor on a rejected value.
+	e0 := m.Epoch()
 	if err := m.SetExRate(0, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Dirty() {
 		t.Error("SetExRate must mark dirty")
 	}
+	if m.SetAlpha(-1) == nil || m.Epoch() != e0 {
+		t.Errorf("epoch %d after SetExRate and a rejected SetAlpha, want %d", m.Epoch(), e0)
+	}
 	if err := m.UpdateEigen(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Dirty() {
 		t.Error("UpdateEigen must clear dirty")
+	}
+	if m.Epoch() == e0 {
+		t.Error("UpdateEigen must move the epoch")
+	}
+	e1 := m.Epoch()
+	if err := m.SetAlpha(0.5); err != nil {
+		t.Fatal(err)
+	}
+	if m.Epoch() == e1 || m.Clone().Epoch() != m.Epoch() {
+		t.Errorf("epoch %d after SetAlpha (before: %d), its Clone's %d; want moved and carried", m.Epoch(), e1, m.Clone().Epoch())
 	}
 	if err := m.SetExRate(99, 1); err == nil {
 		t.Error("expected error for bad rate index")
@@ -429,6 +446,75 @@ func TestPMatrixHoistKeepsBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pmatrixLoop is the generic PMatrix loop (one entry at a time, k ascending
+// from zero over the row pre-scaled by exp(lambda t)) for any state count: the
+// reference the written-out 4-state case must reproduce.
+func pmatrixLoop(m *Model, t float64, dst []float64) {
+	s := m.States
+	if t < 0 {
+		t = 0
+	}
+	for i := 0; i < s; i++ {
+		for j := 0; j < s; j++ {
+			sum := 0.0
+			for k := 0; k < s; k++ {
+				sum += (m.EigenVecs[i*s+k] * math.Exp(m.EigenVals[k]*t)) * m.InvVecs[k*s+j]
+			}
+			dst[i*s+j] = clampNeg(sum)
+		}
+	}
+}
+
+// TestPMatrix4MatchesGeneric: the straight-line 4-state PMatrix gives the
+// bits of the generic loop on random GTR models at every kind of branch
+// length a span can hand it, and on an eigensystem whose terms are all signed
+// zeros (a sum that started at +0 must stay +0: tip tables are gathered on the
+// strength of P never holding -0).
+func TestPMatrix4MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	lengths := []float64{-0.3, 0, 1e-8, 0.1, 10, 64, math.Copysign(0, -1), math.NaN()}
+	check := func(label string, m *Model) {
+		t.Helper()
+		got, want := make([]float64, 16), make([]float64, 16)
+		for _, bl := range lengths {
+			for _, rate := range append([]float64{1}, m.CatRates...) {
+				m.PMatrix(rate*bl, got)
+				pmatrixLoop(m, rate*bl, want)
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%s t=%v: P[%d] = %v (%#x), generic loop %v (%#x)", label, rate*bl, k,
+							got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+					}
+				}
+			}
+		}
+	}
+	for round := 0; round < 200; round++ {
+		freqs, ex := make([]float64, 4), make([]float64, 6)
+		for i := range freqs {
+			freqs[i] = 0.05 + rng.Float64()
+		}
+		for i := range ex {
+			ex[i] = 0.05 + 3*rng.Float64()
+		}
+		m, err := GTR(freqs, ex, 4, 0.2+3*rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("GTR #%d", round), m)
+	}
+	jc, err := JC69(4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("JC69", jc)
+	for i := range jc.EigenVecs {
+		jc.EigenVecs[i] = 0
+		jc.InvVecs[i] = -1
+	}
+	check("all terms -0", jc)
 }
 
 // TestPMatricesAllocFree: the per-span P-matrix set-up runs on every worker

@@ -100,7 +100,7 @@ func (r Region) String() string {
 // cache lines (and the adjacent-line hardware prefetcher couples line pairs
 // anyway), so two cache lines per entry is the safe spacing. A compile-time
 // and unit-time check pin the size.
-// The Patterns/Scalings/Span*/StealRaces fields are observability scratch:
+// The Patterns/Scalings/Span*/P*/StealRaces fields are observability scratch:
 // kernels and the steal runtime bump them with plain field increments (legal
 // under //plk:hotpath — no allocation, no atomics, no shared cache lines) and
 // a RegionObserver folds them into the metrics registry master-side after the
@@ -118,9 +118,11 @@ type WorkerCtx struct {
 	SpanTipTip     float64  // newview spans with two tip children
 	SpanTipInner   float64  // newview spans with one tip child
 	SpanInner      float64  // newview spans with two inner children
+	PComputed      float64  // transition-matrix blocks P(z) a span binding computed
+	PReused        float64  // blocks it took from the worker's memo instead
 	StealRaces     float64  // failed CAS races in the steal deques (retried)
 	Concurrent     bool     // workers run on real goroutines (see type comment)
-	_              [31]byte // pad to two cache lines (see type comment)
+	_              [15]byte // pad to two cache lines (see type comment)
 }
 
 // beginRegion resets the per-region scratch (everything except Worker, which
@@ -135,6 +137,8 @@ func (c *WorkerCtx) beginRegion(concurrent bool) {
 	c.SpanTipTip = 0
 	c.SpanTipInner = 0
 	c.SpanInner = 0
+	c.PComputed = 0
+	c.PReused = 0
 	c.StealRaces = 0
 	c.Concurrent = concurrent
 }

@@ -42,6 +42,7 @@ type MetricsCollector struct {
 	stealRaces    *obs.Counter
 	patterns      *obs.Counter
 	spans         [3]*obs.Counter // by spanCases
+	pMatrices     [2]*obs.Counter // computed, reused
 	scalingEvents *obs.Counter
 }
 
@@ -91,6 +92,11 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads in
 			"Newview span invocations, by child case and kernel backend.",
 			obs.Label{Key: "case", Value: cs}, bl)
 	}
+	for i, outcome := range []string{"computed", "reused"} {
+		c.pMatrices[i] = reg.Counter("plk_transition_matrices_total",
+			"Transition-matrix blocks P(z) bound to kernel spans, by whether the worker computed the block or reused one it had built (the memo's miss / hit).",
+			obs.Label{Key: "outcome", Value: outcome})
+	}
 	c.scalingEvents = reg.Counter("plk_scaling_events_total",
 		"Numerical scaling events (CLV underflow rescues), by kernel backend.", bl)
 	return c
@@ -136,6 +142,8 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 		c.spans[0].Add(ctx.SpanTipTip)
 		c.spans[1].Add(ctx.SpanTipInner)
 		c.spans[2].Add(ctx.SpanInner)
+		c.pMatrices[0].Add(ctx.PComputed)
+		c.pMatrices[1].Add(ctx.PReused)
 		c.scalingEvents.Add(ctx.Scalings)
 		if c.tracer != nil {
 			c.tracer.Span(kind.String(), "region", w, start, time.Duration(ctx.Seconds*float64(time.Second)),
