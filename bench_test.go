@@ -220,8 +220,9 @@ func BenchmarkNewviewDNAGeneric(b *testing.B) {
 	}
 }
 
-// BenchmarkNewviewAAGamma measures the 20-state kernel: ~25x the FLOPs per
-// column of the DNA kernel (the paper's protein-data argument).
+// BenchmarkNewviewAAGamma measures the 20-state kernel: ~25x the multiply-adds
+// per column of the DNA kernel (the paper's protein-data argument prices ops;
+// the time per op is its own measurement, TestProteinMaddFloor).
 func BenchmarkNewviewAAGamma(b *testing.B) {
 	fx := kernelBench(b, alignment.AA, 400, true)
 	root := fx.tr.Tips[0].Back
@@ -253,6 +254,58 @@ func BenchmarkBranchDerivatives(b *testing.B) {
 	z := []float64{0.1}
 	d1 := make([]float64, 1)
 	d2 := make([]float64, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.eng.BranchDerivatives(z, nil, d1, d2)
+	}
+}
+
+// innerBranch returns a branch with an inner node at both ends: there the
+// 20-state evaluate and sumtable pay a P application or eigenbasis projection
+// per end, with no tip table to read instead.
+func innerBranch(b *testing.B, tr *tree.Tree) *tree.Node {
+	b.Helper()
+	for _, p := range tr.Branches() {
+		if !p.IsTip() && !p.Back.IsTip() {
+			return p
+		}
+	}
+	b.Fatal("no inner branch")
+	return nil
+}
+
+// BenchmarkEvaluateAA measures the 20-state reduction over 400 patterns at an
+// inner branch (one P application per pattern and category).
+func BenchmarkEvaluateAA(b *testing.B) {
+	fx := kernelBench(b, alignment.AA, 400, true)
+	p := innerBranch(b, fx.tr)
+	fx.eng.TraverseRoot(p, false, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.eng.Evaluate(p, nil)
+	}
+}
+
+// BenchmarkSumtableAA measures the 20-state sumtable at an inner branch: both
+// eigenbasis projections per pattern and category.
+func BenchmarkSumtableAA(b *testing.B) {
+	fx := kernelBench(b, alignment.AA, 400, true)
+	p := innerBranch(b, fx.tr)
+	fx.eng.TraverseRoot(p, false, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.eng.PrepareSumtable(p, nil)
+	}
+}
+
+// BenchmarkBranchDerivativesAA measures one derivative iteration over the
+// 80-term sumtable rows of 400 protein patterns.
+func BenchmarkBranchDerivativesAA(b *testing.B) {
+	fx := kernelBench(b, alignment.AA, 400, true)
+	p := innerBranch(b, fx.tr)
+	fx.eng.TraverseRoot(p, false, nil)
+	fx.eng.PrepareSumtable(p, nil)
+	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.BranchDerivatives(z, nil, d1, d2)

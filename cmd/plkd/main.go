@@ -62,7 +62,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *addrFile, server.Config{
-		Threads:         *threads,
+		Threads:         max(1, *threads), // what server.New resolves it to; the start-up line prints cfg.Threads
 		Steal:           *stealFlag,
 		GammaCategories: *cats,
 		CacheBytes:      *cacheMB << 20,

@@ -80,6 +80,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown strategy %q (want old or new)", *strategy))
 	}
+	if *threads < 1 {
+		fatal(fmt.Errorf("threads must be ≥ 1, got %d", *threads))
+	}
 	sched, err := phylo.ParseScheduleStrategy(*schedFlag)
 	if err != nil {
 		fatal(err)
@@ -109,7 +112,7 @@ func main() {
 		fatal(err)
 	}
 	defer ds.Close()
-	defer finishObs(reg, tracer, *metricsF, *traceOut, *threads)
+	defer finishObs(reg, tracer, *metricsF, *traceOut, ds.Threads())
 
 	aopts := phylo.AnalysisOptions{
 		Strategy:                  strat,
@@ -132,7 +135,7 @@ func main() {
 	}
 
 	fmt.Printf("dataset: %d taxa, %d sites -> %d patterns, %d partitions; strategy %v, schedule %v, backend %v, %d threads\n",
-		ds.NumTaxa(), ds.NumSites(), ds.NumPatterns(), ds.NumPartitions(), strat, sched, ds.Backend(), *threads)
+		ds.NumTaxa(), ds.NumSites(), ds.NumPatterns(), ds.NumPartitions(), strat, sched, ds.Backend(), ds.Threads())
 
 	if *sessions > 1 {
 		if *bootstrap > 0 {

@@ -165,6 +165,12 @@ type spanCtx struct {
 	freqs   []float64
 	ev, evi []float64 // sumtable: eigenvectors and their inverse
 
+	// The worker's scratch (exScratch) as the generic bodies use it: tmp holds
+	// one applyRows result (s floats; newview, evaluate, sumtable), and for the
+	// sumtable evT is ev transposed — applyRows walks rows — and fl the s
+	// products freqs[a]·cl[a] of the pattern and category at hand.
+	tmp, evT, fl []float64
+
 	// sumtable, derivative: the session's sumtable (pattern-major under every
 	// backend) and the partition's base in it.
 	sum   []float64
@@ -202,6 +208,8 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
 		partOffset: part.Offset, dtype: part.Type,
 	}
+	ex := e.exScratch[w]
+	c.tmp = ex[:s]
 	switch r.kind {
 	case parallel.RegionNewview:
 		st, slot := r.steps[si], e.slotOf(ip)
@@ -226,9 +234,15 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
 		c.invCats, c.freqs, c.ev, c.evi = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecs
 		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
+		c.fl, c.evT = ex[s:2*s], ex[2*s:2*s+s*s]
+		for a := 0; a < s; a++ {
+			for k := 0; k < s; k++ {
+				c.evT[k*s+a] = c.ev[a*s+k]
+			}
+		}
 	default: // parallel.RegionDerivative
 		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
-		ex, z := e.exScratch[w], r.z[ip]
+		z := r.z[ip]
 		c.eTab, c.g1Tab, c.g2Tab = ex[0:c.cs], ex[c.cs:2*c.cs], ex[2*c.cs:3*c.cs]
 		for cat := 0; cat < cats; cat++ {
 			rc := m.CatRates[cat]

@@ -35,12 +35,15 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 // sumtableGeneric is the layout-aware generic sumtable body: CLV reads go
 // through the layout strides, while the sumtable keeps the pattern-major
 // geometry under every backend (the derivative kernel reduces one pattern's
-// contiguous cats·s block at a time). Every backend routes here today; the
-// eigenbasis projections accumulate in state-ascending order in any case.
+// contiguous cats·s block at a time). Every backend routes here today. An end
+// without a table row pays one applyRows per category — the left one over
+// fl[a] = freqs[a]·cl[a], formed once, against the transposed eigenvectors —
+// and both projections accumulate in state-ascending order in any case.
 //
 //plk:hotpath
 func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 	s := c.s
+	fl, rp := c.fl, c.tmp
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
@@ -62,37 +65,29 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 		}
 		for cat := 0; cat < c.cats; cat++ {
 			co := off + cat*c.catStride
-			var cl, cr []float64
+			dst := c.sum[soff+cat*s : soff+(cat+1)*s]
+			lproj, rproj := lRow, rRow
 			if lRow == nil {
-				cl = xl
+				cl := xl
 				if !c.a.tip {
 					cl = c.a.v[co : co+s]
 				}
+				for a := range fl {
+					fl[a] = c.freqs[a] * cl[a]
+				}
+				applyRows(dst, c.evT, fl)
+				lproj = dst
 			}
 			if rRow == nil {
-				cr = xr
+				cr := xr
 				if !c.b.tip {
 					cr = c.b.v[co : co+s]
 				}
+				applyRows(rp, c.evi, cr)
+				rproj = rp
 			}
-			dst := c.sum[soff+cat*s : soff+(cat+1)*s]
-			for k := 0; k < s; k++ {
-				var lproj, rproj float64
-				if lRow != nil {
-					lproj = lRow[k]
-				} else {
-					for a := 0; a < s; a++ {
-						lproj += c.freqs[a] * cl[a] * c.ev[a*s+k]
-					}
-				}
-				if rRow != nil {
-					rproj = rRow[k]
-				} else {
-					for a := 0; a < s; a++ {
-						rproj += c.evi[k*s+a] * cr[a]
-					}
-				}
-				dst[k] = lproj * rproj * c.invCats
+			for k := range dst {
+				dst[k] = lproj[k] * rproj[k] * c.invCats
 			}
 		}
 		count++
@@ -136,43 +131,63 @@ func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
 // only the sumtable, which is pattern-major under all of them. Per pattern the
-// likelihood and its two derivative dot products run once, and the resulting
-// first-derivative ratio and curvature terms accumulate under all R replicate
-// weights into out[2r], out[2r+1], in ascending pattern order within the run.
+// likelihood and its two derivative dot products run once — two patterns a
+// pass, so six sums are in flight instead of three, each in its own k-ascending
+// order — and the resulting first-derivative ratio and curvature terms
+// accumulate under all R replicate weights into out[2r], out[2r+1], in
+// ascending pattern order within the run.
 //
 //plk:hotpath
 func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	cs := c.cs
-	R := c.R
+	eT, g1, g2 := c.eTab[:cs], c.g1Tab[:cs], c.g2Tab[:cs]
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i += 2 * run.Step {
 		j := i - c.partOffset
-		soff := c.sbase + j*cs
-		l, l1, l2 := 0.0, 0.0, 0.0
-		for k := 0; k < cs; k++ {
-			a := c.sum[soff+k] * c.eTab[k]
-			l += a
-			l1 += a * c.g1Tab[k]
-			l2 += a * c.g2Tab[k]
+		sa := c.sum[c.sbase+j*cs:][:cs]
+		sb, paired := sa, i+run.Step < run.Hi // an odd tail runs against itself and keeps one result
+		if paired {
+			sb = c.sum[c.sbase+(j+run.Step)*cs:][:cs]
 		}
-		// The cs-length dot products above already ran, so the pattern is
-		// charged whether or not the guard below accepts its contribution;
-		// skipped patterns must not undercount the region's performed work.
+		var la, la1, la2, lb, lb1, lb2 float64
+		for k, ek := range eT {
+			a, b := sa[k]*ek, sb[k]*ek
+			la += a
+			la1 += a * g1[k]
+			la2 += a * g2[k]
+			lb += b
+			lb1 += b * g1[k]
+			lb2 += b * g2[k]
+		}
+		// The cs-length dot products ran, so a pattern is charged whether or
+		// not derivativeTerms' guard accepts its contribution; skipped
+		// patterns must not undercount the region's performed work.
+		c.derivativeTerms(j, la, la1, la2, out)
 		count++
-		if l < 1e-300 {
-			// Scaled likelihood vanished; the pattern cannot inform this
-			// branch numerically under any replicate. Skip it (RAxML guards
-			// identically).
-			continue
-		}
-		inv := 1 / l
-		r1 := l1 * inv
-		curv := l2*inv - r1*r1
-		wj := c.lw[j*R : (j+1)*R]
-		for r := 0; r < R; r++ {
-			out[2*r] += wj[r] * r1
-			out[2*r+1] += wj[r] * curv
+		if paired {
+			c.derivativeTerms(j+run.Step, lb, lb1, lb2, out)
+			count++
 		}
 	}
 	return count
+}
+
+// derivativeTerms folds pattern j's likelihood l and derivative sums l1, l2
+// into out under the partition's R replicate weights.
+//
+//plk:hotpath
+func (c *spanCtx) derivativeTerms(j int, l, l1, l2 float64, out []float64) {
+	if l < 1e-300 {
+		// Scaled likelihood vanished; the pattern cannot inform this branch
+		// numerically under any replicate. Skip it (RAxML guards identically).
+		return
+	}
+	inv := 1 / l
+	r1 := l1 * inv
+	curv := l2*inv - r1*r1
+	wj := c.lw[j*c.R : (j+1)*c.R]
+	for r, w := range wj {
+		out[2*r] += w * r1
+		out[2*r+1] += w * curv
+	}
 }

@@ -140,7 +140,7 @@ type sessionBuffers struct {
 
 	pm         []pmWorker     // per worker: the P(z) blocks it has built, per partition, and one spare (chunkexec.go)
 	gen        uint64         // how many sessions have taken the set: a memo entry of an earlier holder never matches
-	exScratch  [][]float64    // per worker: exponential/derivative tables (3 x cats x s)
+	exScratch  [][]float64    // per worker: exScratchLen floats, what the region kind in flight makes of them (spanCtx.bind)
 	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
 
 	// smallScratch is the fused backend's per-worker scaling-flag scratch
@@ -163,7 +163,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 	}
 	for w := 0; w < t; w++ {
 		b.pm[w] = pmWorker{memo: make([]*pmMemo, len(sh.Data.Parts)), spare: alignedFloats(pm)}
-		b.exScratch[w] = alignedFloats(3 * sh.NumCats * sh.maxS)
+		b.exScratch[w] = alignedFloats(sh.exScratchLen())
 		// One table per tip child: codes × cats × s rows cover the newview
 		// and evaluate tables; the category-independent sumtable projections
 		// (codes × s) reuse a prefix of the same buffers.
@@ -179,6 +179,14 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 		}
 	}
 	return b
+}
+
+// exScratchLen is the size of a worker's kind-dependent scratch: a derivative
+// region's three cats × s tables, or the s-vector a newview, evaluate or
+// sumtable span keeps an applyRows result in, which a sumtable span follows
+// with a second s-vector and the transposed eigenvectors (s × s).
+func (sh *Shared) exScratchLen() int {
+	return max(3*sh.NumCats*sh.maxS, 2*sh.maxS+sh.maxS*sh.maxS)
 }
 
 // NewSession builds a session engine over precomputed shared state: it

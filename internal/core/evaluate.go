@@ -59,8 +59,9 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 // reduction and SiteLogLikelihoods: the (unnormalized) sum-over-categories
 // site likelihood before the log and the scaling-exponent correction, read
 // through the layout strides. When the q-side tip table is built, its row
-// already holds the P applications. The accumulation runs in (cat asc, state
-// asc) order — the order every backend must preserve for bit-identity.
+// already holds the P applications; otherwise one applyRows per category forms
+// them. The accumulation runs in (cat asc, state asc) order — the order every
+// backend must preserve for bit-identity.
 //
 //plk:hotpath
 func (c *spanCtx) patternLi(j, off int) float64 {
@@ -88,9 +89,8 @@ func (c *spanCtx) patternLi(j, off int) float64 {
 	if c.b.tip {
 		tvr = alignment.TipVector(c.dtype, c.b.row[j])
 	}
-	ss := s * s
+	ss, t := s*s, c.tmp[:s]
 	for cat := 0; cat < cats; cat++ {
-		pc := c.b.pm[cat*ss : (cat+1)*ss]
 		co := off + cat*c.catStride
 		cl := tvl
 		if !c.a.tip {
@@ -100,13 +100,9 @@ func (c *spanCtx) patternLi(j, off int) float64 {
 		if !c.b.tip {
 			cr = c.b.v[co : co+s]
 		}
+		applyRows(t, c.b.pm[cat*ss:(cat+1)*ss], cr)
 		for a := 0; a < s; a++ {
-			row := a * s
-			t := 0.0
-			for b := 0; b < s; b++ {
-				t += pc[row+b] * cr[b]
-			}
-			li += c.freqs[a] * cl[a] * t
+			li += c.freqs[a] * cl[a] * t[a]
 		}
 	}
 	return li

@@ -47,9 +47,10 @@ type MemoryFootprint struct {
 	// memo at its cap (pmMemoSlots blocks of cats × s × s floats per
 	// partition, the large term on protein data; a session allocates a block
 	// only when a slot first misses, so evaluate-only sessions hold a
-	// fraction of it) and the spare block, the exponential/derivative tables,
-	// the two tip lookup tables per worker (codes × cats × s floats), and on
-	// the fused backend the per-pattern scaling flags.
+	// fraction of it) and the spare block, the derivative tables (the same
+	// floats hold a sumtable region's transposed eigenvectors), the two tip
+	// lookup tables per worker (codes × cats × s floats), and on the fused
+	// backend the per-pattern scaling flags.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
 	// layout of its schedule, the steal runtime over it (deque words, backing
@@ -115,7 +116,7 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
 	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
-		3*sh.NumCats*sh.maxS + // exponential/derivative tables
+		sh.exScratchLen() + // derivative tables, or the sumtable's transposed eigenvectors
 		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
 	for _, p := range sh.Data.Parts {
 		s := p.Type.States()

@@ -47,15 +47,47 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	e.runRegion(region{kind: parallel.RegionNewview, steps: steps}, e.activeOrAll(active))
 }
 
+// applyRows is the one s² loop of the generic bodies: dst[k] = Σ_a
+// m[k·len(x)+a]·x[a] for the len(dst) rows of the row-major m. Four rows
+// accumulate side by side — a lone += chain waits out the add latency on
+// every term, four keep the adder busy — and each sum still runs a ascending
+// from +0, so every dst[k] carries the bits of the one-row loop
+// (applyRowsReference in reference_test.go). Rows are re-sliced to len(x):
+// the per-term loop has no bounds check.
+//
+//plk:hotpath
+func applyRows(dst, m, x []float64) {
+	s, k := len(x), 0
+	for ; k+4 <= len(dst); k += 4 {
+		r0, r1, r2, r3 := m[k*s:][:s], m[(k+1)*s:][:s], m[(k+2)*s:][:s], m[(k+3)*s:][:s]
+		var s0, s1, s2, s3 float64
+		for a, xa := range x {
+			s0 += r0[a] * xa
+			s1 += r1[a] * xa
+			s2 += r2[a] * xa
+			s3 += r3[a] * xa
+		}
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(dst); k++ {
+		r, sum := m[k*s:][:s], 0.0
+		for a, xa := range x {
+			sum += r[a] * xa
+		}
+		dst[k] = sum
+	}
+}
+
 // newviewGeneric is the layout-aware generic newview body: per pattern,
 // dst[off + cat·catStride + a] =
 // (sum_b Pq_c[a][b] xq_c[b]) · (sum_b Pr_c[a][b] xr_c[b]), with a tip child's
 // P application replaced by a table-row read when a lookup table is built.
 // Tip children without tables supply a single category-independent 0/1
-// vector. Under the pattern-major layout this executes the seed kernel's
-// exact operation sequence; under the cat-major layout only the addresses
-// change, so the two layouts (and the fused kernels, which preserve the same
-// left-associated accumulation order) produce bit-identical CLVs.
+// vector. Every P application is one applyRows; under the pattern-major
+// layout this produces the seed kernel's sums term for term, and under the
+// cat-major layout only the addresses change, so the two layouts (and the
+// fused kernels, which preserve the same left-associated accumulation order)
+// produce bit-identical CLVs.
 //
 //plk:hotpath
 func (c *spanCtx) newviewGeneric(run schedule.Run) int {
@@ -90,18 +122,12 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 			}
 			tq := tab[int(row[j])*cs : int(row[j])*cs+cs]
 			for cat := 0; cat < cats; cat++ {
-				p := pm[cat*ss : (cat+1)*ss]
 				co := off + cat*c.catStride
-				cr := xv[co : co+s]
-				t := tq[cat*s : cat*s+s]
 				d := c.dst[co : co+s]
-				for a := 0; a < s; a++ {
-					r := a * s
-					sr := 0.0
-					for b := 0; b < s; b++ {
-						sr += p[r+b] * cr[b]
-					}
-					d[a] = t[a] * sr
+				t := tq[cat*s:][:len(d)]
+				applyRows(d, pm[cat*ss:(cat+1)*ss], xv[co:co+s])
+				for a := range d {
+					d[a] = t[a] * d[a]
 				}
 			}
 		default:
@@ -112,9 +138,8 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 			if c.b.tip {
 				tvr = alignment.TipVector(c.dtype, c.b.row[j])
 			}
+			sr := c.tmp[:s]
 			for cat := 0; cat < cats; cat++ {
-				pq := c.a.pm[cat*ss : (cat+1)*ss]
-				pr := c.b.pm[cat*ss : (cat+1)*ss]
 				co := off + cat*c.catStride
 				cq := tvq
 				if !c.a.tip {
@@ -125,14 +150,10 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 					cr = c.b.v[co : co+s]
 				}
 				d := c.dst[co : co+s]
-				for a := 0; a < s; a++ {
-					r := a * s
-					sq, sr := 0.0, 0.0
-					for b := 0; b < s; b++ {
-						sq += pq[r+b] * cq[b]
-						sr += pr[r+b] * cr[b]
-					}
-					d[a] = sq * sr
+				applyRows(d, c.a.pm[cat*ss:(cat+1)*ss], cq)
+				applyRows(sr, c.b.pm[cat*ss:(cat+1)*ss], cr)
+				for a := range d {
+					d[a] = d[a] * sr[a]
 				}
 			}
 		}

@@ -19,6 +19,16 @@ package core
 // madd units keeps Ops counters and span costs comparable across backends —
 // a schedule packed for one backend balances the other equally well, and the
 // virtual platform model needs no per-backend calibration.
+//
+// A madd is a count, not a time. Wall time per priced op differs between the
+// bodies: the 20-state generic loops (applyRows, four sums in flight) retire
+// a priced op in about 0.35 ns, the 4-state generic loops in about 0.9 ns and
+// fused4 in under half of that (TestProteinMaddFloor and
+// TestFusedNewviewFloor hold the two quotients). The weighted pack and
+// opsNewviewAvg balance ops, so on a mixed DNA + protein dataset at W > 1
+// they no longer balance time by the same factor. UNVERIFIED: whether
+// re-weighting spans by time per op would pack W > 1 better; nothing here is
+// tuned for it.
 
 // opsNewviewCase is the per-pattern cost of one newview step given each
 // child's kind: an inner child costs a full P application (s² madds), a
