@@ -83,6 +83,17 @@ func main() {
 	if *threads < 1 {
 		fatal(fmt.Errorf("threads must be ≥ 1, got %d", *threads))
 	}
+	// SearchOptions reads a count ≤ 0 as "use the default", and the bootstrap
+	// and chunk size would be ignored or passed on: refuse instead of
+	// running something other than what was asked for.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"rounds", *rounds, 1}, {"radius", *radius, 1}, {"bootstrap", *bootstrap, 0}, {"min-chunk", *minChunk, 0}} {
+		if f.val < f.min {
+			fatal(fmt.Errorf("-%s must be ≥ %d, got %d", f.name, f.min, f.val))
+		}
+	}
 	sched, err := phylo.ParseScheduleStrategy(*schedFlag)
 	if err != nil {
 		fatal(err)
@@ -134,8 +145,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("dataset: %d taxa, %d sites -> %d patterns, %d partitions; strategy %v, schedule %v, backend %v, %d threads\n",
-		ds.NumTaxa(), ds.NumSites(), ds.NumPatterns(), ds.NumPartitions(), strat, sched, ds.Backend(), ds.Threads())
+	fmt.Printf("dataset: %d taxa, %d sites -> %d patterns, %d partitions; strategy %v, schedule %v, backend %s, %d threads\n",
+		ds.NumTaxa(), ds.NumSites(), ds.NumPatterns(), ds.NumPartitions(), strat, sched, backendLine(ds, reg), ds.Threads())
 
 	if *sessions > 1 {
 		if *bootstrap > 0 {
@@ -257,6 +268,21 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 		fmt.Printf("trace: %d span(s) written to %s (%d dropped at the buffer bound)\n",
 			tracer.Len(), tracePath, tracer.Dropped())
 	}
+}
+
+// backendLine names the dataset's kernel backend and, for the fused one, the
+// realisation of its 4-state newview planes the registry reports
+// (plk_kernel_vector_lanes: 4 for the AVX kernels, 1 for the scalar loops).
+func backendLine(ds *phylo.Dataset, reg *phylo.MetricsRegistry) string {
+	if ds.Backend() != phylo.BackendFused {
+		return ds.Backend().String()
+	}
+	for _, s := range reg.Snapshot() {
+		if s.Name == "plk_kernel_vector_lanes" {
+			return fmt.Sprintf("%v (%.0f-lane planes)", ds.Backend(), s.Value)
+		}
+	}
+	return ds.Backend().String()
 }
 
 // fmtVec renders a small per-worker vector compactly.

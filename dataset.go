@@ -169,7 +169,11 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 			// private registry nobody scrapes.
 			reg = NewMetricsRegistry()
 		}
-		ds.exec.SetObserver(parallel.NewMetricsCollector(reg, execKind, sh.Backend.String(), o.Threads, o.Trace))
+		lanes := 1
+		if sh.Backend == core.BackendFused {
+			lanes = core.VectorLanes()
+		}
+		ds.exec.SetObserver(parallel.NewMetricsCollector(reg, execKind, sh.Backend.String(), lanes, o.Threads, o.Trace))
 	}
 	return ds, nil
 }

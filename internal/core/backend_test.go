@@ -53,8 +53,11 @@ func requireBackendIdentical(t *testing.T, label string, gen, fus backendResult)
 // categories. Each configuration is built twice — once per backend — over
 // backend-specific Shared state; within a configuration the executor,
 // schedule, and reduction order are identical, so any difference would be the
-// fused kernels' doing.
-func TestBackendBitIdentity(t *testing.T) {
+// fused kernels' doing. It runs once per realisation of the fused newview
+// planes (forEachPlanes).
+func TestBackendBitIdentity(t *testing.T) { forEachPlanes(t, backendBitIdentity) }
+
+func backendBitIdentity(t *testing.T) {
 	for _, cats := range []int{1, 4} {
 		d, models := stealFixture(t, cats, int64(300+cats))
 		const threads = 3
@@ -161,8 +164,13 @@ func forcedScalingEngine(t *testing.T, backend Backend) *Engine {
 // TestBackendBitIdentityUnderForcedScaling drives the 2^-256 scaling path on
 // a deep long-branch DNA tree under both backends: total lnL and every
 // per-pattern scaling exponent must match exactly, and scaling must actually
-// fire (otherwise the fixture tests nothing).
+// fire (otherwise the fixture tests nothing). Under both realisations of the
+// fused newview planes.
 func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
+	forEachPlanes(t, backendBitIdentityUnderForcedScaling)
+}
+
+func backendBitIdentityUnderForcedScaling(t *testing.T) {
 	engGen, engFus := forcedScalingEngine(t, BackendGeneric), forcedScalingEngine(t, BackendFused)
 	lg, lf := engGen.LogLikelihood(), engFus.LogLikelihood()
 	if err := CheckFinite(lf); err != nil {

@@ -10,7 +10,7 @@ import (
 // is one contiguous, cache-line-aligned plane of patternCount×4 entries, so
 // the kernels fix the category in an outer loop, hoist that category's 16
 // transition-matrix entries out of the pattern loop, and sweep the patterns
-// as straight-line fused multiply-adds over three linear streams (two reads,
+// as straight-line multiply-adds over three linear streams (two reads,
 // one write) — no per-pattern slicing, no inner b-loop, no bounds checks in
 // the hot expressions. The cats×s² P application is fully unrolled for s=4.
 //
@@ -26,6 +26,23 @@ import (
 // the closing pass then only propagates child exponents and rescales the
 // (astronomically rare) flagged patterns, instead of re-reading every cold
 // category plane the way a literal finishPattern sweep would.
+//
+// Each newview plane loop has two realisations. On amd64 with AVX a plane
+// call (fused4_amd64.go) runs it as a kernel that computes a whole
+// pattern-category quartet per instruction, one state per lane, in the
+// operation order of the scalar expressions below; elsewhere, and for what a
+// plane call leaves, the scalar loop runs. DESIGN.md ("Vector planes") has
+// why the two are bit-identical.
+
+// VectorLanes is how many states of a pattern-category quartet one
+// instruction of the fused newview planes computes on this host: 4 where the
+// AVX kernels run, 1 where the scalar loops do.
+func VectorLanes() int {
+	if vectorPlanes {
+		return 4
+	}
+	return 1
+}
 
 // small4 reports whether all four values fall inside (-2^-256, 2^-256) —
 // one pattern-category quartet's contribution to the scaling predicate.
@@ -52,6 +69,9 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 	}
 	cats, cs := c.cats, c.cs
 	small := c.e.smallScratch[c.w]
+	// A plane call computes the first k of the run's n patterns (j0 the
+	// first); its scalar loop takes the rest.
+	j0, n := run.Lo-c.partOffset, (run.Hi-run.Lo+run.Step-1)/run.Step
 	switch {
 	case c.a.tab != nil && c.b.tab != nil:
 		// Tip/tip: both table rows already hold the P applications; the
@@ -59,7 +79,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 		for cat := 0; cat < cats; cat++ {
 			d := c.dst[c.base+cat*c.catStride:]
 			to := cat * 4
-			for i := run.Lo; i < run.Hi; i += run.Step {
+			k := planeTipTip(d, c.a.tab, c.b.tab, c.a.row, c.b.row, small, j0, n, run.Step, cs, to, cat == 0)
+			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
 				j := i - c.partOffset
 				qo, ro := int(c.a.row[j])*cs+to, int(c.b.row[j])*cs+to
 				tq := c.a.tab[qo : qo+4 : qo+4]
@@ -94,7 +115,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 			x := xv[c.base+cat*c.catStride:]
 			d := c.dst[c.base+cat*c.catStride:]
 			to := cat * 4
-			for i := run.Lo; i < run.Hi; i += run.Step {
+			k := planeTipInner(d, x, tab, row, p, small, j0, n, run.Step, cs, to, cat == 0)
+			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
 				j := i - c.partOffset
 				o := j * 4
 				xx := x[o : o+4 : o+4]
@@ -128,7 +150,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 			xq := c.a.v[c.base+cat*c.catStride:]
 			xr := c.b.v[c.base+cat*c.catStride:]
 			d := c.dst[c.base+cat*c.catStride:]
-			for i := run.Lo; i < run.Hi; i += run.Step {
+			k := planeInner(d, xq, xr, pq, pr, small, j0, n, run.Step, cat == 0)
+			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
 				j := i - c.partOffset
 				o := j * 4
 				xa := xq[o : o+4 : o+4]

@@ -261,7 +261,11 @@ var (
 	}
 )
 
-func TestGoldenAccounting(t *testing.T) {
+// TestGoldenAccounting runs the table under both realisations of the fused
+// newview planes: results and accounting are the same constants for each.
+func TestGoldenAccounting(t *testing.T) { forEachPlanes(t, goldenAccountingTable) }
+
+func goldenAccountingTable(t *testing.T) {
 	d, models := goldenFixture(t)
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		for _, specialize := range []bool{true, false} {

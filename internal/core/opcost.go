@@ -22,13 +22,16 @@ package core
 //
 // A madd is a count, not a time. Wall time per priced op differs between the
 // bodies: the 20-state generic loops (applyRows, four sums in flight) retire
-// a priced op in about 0.35 ns, the 4-state generic loops in about 0.9 ns and
-// fused4 in under half of that (TestProteinMaddFloor and
-// TestFusedNewviewFloor hold the two quotients). The weighted pack and
+// a priced op in about 0.35 ns, the 4-state generic loops in about 0.9 ns, and
+// fused4 with tip tables in about 0.17 ns where its newview planes run as the
+// AVX kernels (0.31 ns with the scalar loops; a newview traversal of 16 taxa,
+// one thread): a priced DNA op is about 2x cheaper in wall time than a priced
+// AA op, where it was about as dear (TestProteinMaddFloor and
+// TestFusedNewviewFloor hold two of the quotients). The weighted pack and
 // opsNewviewAvg balance ops, so on a mixed DNA + protein dataset at W > 1
 // they no longer balance time by the same factor. UNVERIFIED: whether
 // re-weighting spans by time per op would pack W > 1 better; nothing here is
-// tuned for it.
+// re-tuned for it.
 
 // opsNewviewCase is the per-pattern cost of one newview step given each
 // child's kind: an inner child costs a full P application (s² madds), a

@@ -80,7 +80,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			tr := obs.NewTracer(64)
-			exec.SetObserver(NewMetricsCollector(reg, name, "fused4", exec.Threads(), tr))
+			exec.SetObserver(NewMetricsCollector(reg, name, "fused4", 4, exec.Threads(), tr))
 			exec.Run(RegionNewview, func(w int, ctx *WorkerCtx) {
 				burn[w*16] += spinOps(200000) // equal work on every worker
 				ctx.Ops += 100
@@ -157,7 +157,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 // critical section, metrics always-on).
 func TestObserveRegionAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewMetricsCollector(reg, "pool", "fused4", 4, nil)
+	c := NewMetricsCollector(reg, "pool", "fused4", 4, 4, nil)
 	ctxs := make([]WorkerCtx, 4)
 	for w := range ctxs {
 		ctxs[w].Worker = w

@@ -74,6 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"plk_steals_total",
 		"plk_worker_busy_seconds_total",
 		`plk_session_buffers_total{source="allocated"}`,
+		"plk_kernel_vector_lanes",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("scrape missing family %s", family)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"phylo/internal/alignment"
+	"phylo/internal/core"
 )
 
 const tinyPhylip = `6 40
@@ -628,6 +629,35 @@ func TestParseScheduleStrategy(t *testing.T) {
 		_, err := ParseScheduleStrategy(name)
 		if err == nil || !strings.Contains(err.Error(), "want cyclic or weighted") {
 			t.Errorf("ParseScheduleStrategy(%q) error = %v; want the cyclic-or-weighted rejection", name, err)
+		}
+	}
+}
+
+// TestVectorLanesGauge: a dataset's registry says which realisation its
+// 4-state newview planes run — the host's lanes under the fused backend, 1
+// under the generic one, which has no planes.
+func TestVectorLanesGauge(t *testing.T) {
+	al, err := ReadPhylip(strings.NewReader(tinyPhylip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, want := range map[KernelBackend]float64{
+		BackendFused: float64(core.VectorLanes()), BackendGeneric: 1,
+	} {
+		reg := NewMetricsRegistry()
+		ds, err := NewDataset(al, DatasetOptions{Backend: backend, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.Close()
+		got := -1.0
+		for _, s := range reg.Snapshot() {
+			if s.Name == "plk_kernel_vector_lanes" && len(s.Labels) == 1 && s.Labels[0].Value == backend.String() {
+				got = s.Value
+			}
+		}
+		if got != want {
+			t.Errorf("%v: plk_kernel_vector_lanes = %v, want %v", backend, got, want)
 		}
 	}
 }
