@@ -34,11 +34,11 @@ const (
 )
 
 // ProgressEvent is one per-round snapshot of a long-running analysis,
-// streamed through AnalysisOptions.Progress: the round number, the current
-// log likelihood, the cumulative SPR move counts (search only), and the
-// parallel-runtime view at the time of the event — synchronization regions
-// issued so far and the cumulative per-worker load imbalance of this
-// session.
+// streamed through AnalysisOptions.Progress: what the round did — the phase,
+// the round number, the current log likelihood, the cumulative SPR move
+// counts (search only) and the synchronization regions this session issued
+// so far. Load balance is read from Analysis.Stats, measured time and steals
+// from the Dataset's metrics registry.
 type ProgressEvent struct {
 	// Phase names the entry point that produced the event (PhaseModelOpt,
 	// PhaseSearch, or PhaseBootstrap).
@@ -52,18 +52,6 @@ type ProgressEvent struct {
 	MovesApplied, MovesTried int
 	// Regions is this session's synchronization-region count so far.
 	Regions int64
-	// WorkerImbalance is the session's cumulative max/avg per-worker load
-	// ratio (1.0 = perfectly balanced).
-	WorkerImbalance float64
-	// TimeImbalance is the measured analogue of WorkerImbalance: the max/avg
-	// ratio of cumulative per-worker wall-clock seconds inside regions.
-	TimeImbalance float64
-	// StealCount and StolenPatterns report the intra-region work-stealing
-	// activity so far (always 0 unless the Dataset enables Steal): how many
-	// steal operations workers performed and how many patterns migrated
-	// through them. Sustained heavy migration means the schedule's static
-	// pack is mispriced, not just noisy.
-	StealCount, StolenPatterns float64
 }
 
 // AnalysisOptions configures one analysis session over a Dataset. Only
@@ -251,14 +239,9 @@ func (an *Analysis) optConfig() opt.Config {
 	return cfg
 }
 
-// emit fills in the runtime counters and delivers one progress event.
+// emit fills in the region count and delivers one progress event.
 func (an *Analysis) emit(ev ProgressEvent) {
-	st := an.exec.Stats()
-	ev.Regions = st.Regions
-	ev.WorkerImbalance = st.WorkerImbalance()
-	ev.TimeImbalance = st.TimeImbalance()
-	ev.StealCount = st.StealCount
-	ev.StolenPatterns = st.StolenPatterns
+	ev.Regions = an.exec.Stats().Regions
 	an.progress(ev)
 }
 
@@ -417,8 +400,11 @@ func (an *Analysis) Alpha(partition int) (float64, error) {
 // SyncStats summarizes the parallel runtime behaviour of everything this
 // session executed so far: the synchronization (region/barrier) count and
 // the load imbalance of the critical path — the quantities the paper's
-// analysis is about. Sessions sharing one pool each see only their own
-// counters.
+// analysis is about, in the analytic op model's units (the trace
+// PlatformSeconds prices). Sessions sharing one pool each see only their own
+// counters. What the host measured — per-worker busy and idle seconds,
+// steals, migrated patterns — is recorded once, in the Dataset's metrics
+// registry (DatasetOptions.Metrics).
 type SyncStats struct {
 	// Regions counts the synchronization regions (parallel barriers) this
 	// session issued.
@@ -433,21 +419,6 @@ type SyncStats struct {
 	// across the whole run — the direct measure of how well the schedule's
 	// pattern assignment balanced the work, priced by the analytic op model.
 	WorkerImbalance float64
-	// TimeImbalance is the measured counterpart: the max/avg ratio of
-	// cumulative per-worker wall-clock seconds spent inside regions. A gap
-	// between TimeImbalance and WorkerImbalance means the analytic model
-	// mispriced the patterns — the residual stealing absorbs.
-	TimeImbalance float64
-	// WorkerTime is the cumulative measured seconds per worker id.
-	WorkerTime []float64
-	// StealCount and StolenPatterns total the session's intra-region steal
-	// operations and the patterns that migrated through them; WorkerSteals
-	// is the per-worker steal-count distribution (all zero unless the
-	// Dataset enables Steal). A worker with a high steal count is one that
-	// kept draining its share early — the under-priced side of the pack.
-	StealCount, StolenPatterns float64
-	// WorkerSteals is the per-worker steal-count distribution.
-	WorkerSteals []float64
 }
 
 // Stats returns the session's accumulated parallel runtime statistics
@@ -463,11 +434,6 @@ func (an *Analysis) Stats() SyncStats {
 		TotalOps:        s.TotalOps,
 		Imbalance:       s.Imbalance(an.exec.Threads()),
 		WorkerImbalance: s.WorkerImbalance(),
-		TimeImbalance:   s.TimeImbalance(),
-		WorkerTime:      append([]float64(nil), s.WorkerTime...),
-		StealCount:      s.StealCount,
-		StolenPatterns:  s.StolenPatterns,
-		WorkerSteals:    append([]float64(nil), s.WorkerSteals...),
 	}
 }
 

@@ -140,8 +140,8 @@ func main() {
 	}
 	if *progress {
 		aopts.Progress = func(ev phylo.ProgressEvent) {
-			fmt.Printf("  [%s round %d] lnL=%.4f moves=%d/%d regions=%d workerImbalance=%.3f\n",
-				ev.Phase, ev.Round, ev.LnL, ev.MovesApplied, ev.MovesTried, ev.Regions, ev.WorkerImbalance)
+			fmt.Printf("  [%s round %d] lnL=%.4f moves=%d/%d regions=%d\n",
+				ev.Phase, ev.Round, ev.LnL, ev.MovesApplied, ev.MovesTried, ev.Regions)
 		}
 	}
 
@@ -173,12 +173,8 @@ func main() {
 	}
 	fmt.Printf("log likelihood: %.4f\n", lnl)
 	st := an.Stats()
-	fmt.Printf("parallel regions (barriers): %d   load imbalance: %.2f   worker imbalance: %.3f   time imbalance: %.3f\n",
-		st.Regions, st.Imbalance, st.WorkerImbalance, st.TimeImbalance)
-	if *stealFlag {
-		fmt.Printf("work stealing: %.0f steal(s), %.0f patterns migrated; per-worker steals %v\n",
-			st.StealCount, st.StolenPatterns, st.WorkerSteals)
-	}
+	fmt.Printf("parallel regions (barriers): %d   load imbalance: %.2f   worker imbalance: %.3f\n",
+		st.Regions, st.Imbalance, st.WorkerImbalance)
 	if *virtual {
 		for _, p := range []string{"Nehalem", "Clovertown", "Barcelona", "x4600"} {
 			if s, err := an.PlatformSeconds(p); err == nil {
@@ -196,13 +192,19 @@ func main() {
 }
 
 // finishObs prints the per-worker time/steal and the span-binding summaries
-// from the metrics registry and performs the optional -metrics / -trace dumps.
-// Runs on every normal exit (deferred in main after the dataset is built).
+// from the metrics registry — the one record of what the host measured — and
+// performs the optional -metrics / -trace dumps. Runs on every normal exit
+// (deferred in main after the dataset is built).
 func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, tracePath string, threads int) {
 	busy := make([]float64, threads)
 	steals := make([]float64, threads)
+	stolen := 0.0
 	bound := map[string]float64{} // span cases and transition-matrix outcomes, by label value
 	for _, s := range reg.Snapshot() {
+		if s.Name == "plk_stolen_patterns_total" {
+			stolen = s.Value
+			continue
+		}
 		if s.Name == "plk_kernel_spans_total" || s.Name == "plk_transition_matrices_total" {
 			for _, l := range s.Labels {
 				if l.Key == "case" || l.Key == "outcome" {
@@ -241,8 +243,8 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 	if avg := sumB / float64(threads); avg > 0 {
 		imb = maxB / avg
 	}
-	fmt.Printf("per-worker busy seconds: %s  time imbalance (max/avg): %.3f  steals: %s (%.0f total)\n",
-		fmtVec(busy, "%.3f"), imb, fmtVec(steals, "%.0f"), sumS)
+	fmt.Printf("per-worker busy seconds: %s  time imbalance (max/avg): %.3f  steals: %s (%.0f total, %.0f patterns migrated)\n",
+		fmtVec(busy, "%.3f"), imb, fmtVec(steals, "%.0f"), sumS, stolen)
 	reuse := 0.0
 	if n := bound["computed"] + bound["reused"]; n > 0 {
 		reuse = bound["reused"] / n

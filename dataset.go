@@ -48,7 +48,8 @@ type DatasetOptions struct {
 	// of idling at the region barrier (at the price of one extra barrier per
 	// traversal step). Results are bit-for-bit identical with stealing on or
 	// off (reductions run over per-chunk partials in fixed chunk order);
-	// steal activity is reported through SyncStats and ProgressEvent.
+	// steal activity is reported in the Metrics registry (plk_steals_total,
+	// plk_stolen_patterns_total).
 	// Stealing composes with every Schedule strategy: the schedule, built
 	// once per dataset, remains the locality prior, while stealing absorbs
 	// whatever it mispriced inside each region. The chunk granularity is
@@ -69,7 +70,8 @@ type DatasetOptions struct {
 	// flush-at-region-boundary design — per-worker scratch accumulates inside
 	// regions and folds into the registry after each barrier — so attaching a
 	// registry adds zero allocations and no per-pattern work to the hot path.
-	// Several datasets may share one registry.
+	// Several datasets may share one registry. The registry is the one record
+	// of measured time and steals; SyncStats carries only the op trace.
 	Metrics *MetricsRegistry
 	// Trace, if non-nil, records one Chrome-trace span per worker per
 	// parallel region into the buffer, for offline timeline inspection.

@@ -10,11 +10,14 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/core"
 	"phylo/internal/model"
+	"phylo/internal/obs"
 	"phylo/internal/opt"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -76,17 +79,15 @@ type RunSpec struct {
 	// charge the true per-case costs), so Stats.WorkerImbalance() keeps
 	// measuring the real work distribution.
 	SkewCosts float64
-	// ProbeRegions, when > 0, appends an end-state probe after the
-	// analysis: the statistics are reset and this many full
-	// traversal+evaluate passes run, so Measurement.EndStats isolates the
-	// assignment quality on full-width regions from the analysis's own mix
-	// of masked and partial ones.
+	// ProbeRegions, when > 0, appends an end-state probe after the analysis:
+	// this many full traversal+evaluate passes, whose measured balance
+	// (Measurement.Probe) is free of the analysis's masked and partial regions.
 	ProbeRegions int
 
 	// Steal turns thieving on: workers that drain their scheduled share steal
 	// the largest remaining half from the most loaded victim instead of
 	// idling at each region barrier. Results are bit-for-bit identical to the
-	// same run without it; Stats/EndStats carry the steal counters.
+	// same run without it; Measurement.Probe carries the steal counters.
 	Steal bool
 	// MinChunk is the minimum chunk size in patterns (0 = the engine default
 	// of 64).
@@ -99,10 +100,8 @@ type RunSpec struct {
 	KernelBackend core.Backend
 }
 
-// Measurement is the outcome of one run. Stats carries the cumulative
-// per-worker op totals; Stats.WorkerImbalance() is the max/avg load measure
-// the schedule comparisons report, and Stats.TimeImbalance() its measured
-// wall-clock counterpart.
+// Measurement is the outcome of one run. Stats is the analysis's op trace;
+// its WorkerImbalance() is the load measure the schedule comparisons report.
 type Measurement struct {
 	Label           string
 	LnL             float64
@@ -110,7 +109,42 @@ type Measurement struct {
 	Stats           parallel.Stats
 	Threads         int
 	PlatformSeconds map[string]float64 // virtual seconds per paper platform
-	EndStats        parallel.Stats     // end-state probe stats (zero unless ProbeRegions > 0)
+	Probe           Probe              // end-state probe (zero unless ProbeRegions > 0)
+}
+
+// Probe is what a metrics collector over a private registry recorded in one
+// window: per-worker busy seconds and steals, and the patterns stolen.
+type Probe struct {
+	Busy, Steals []float64
+	Stolen       float64
+}
+
+// BusyImbalance is max/avg of the per-worker busy seconds (1 if none).
+func (p Probe) BusyImbalance() float64 {
+	max, sum := 0.0, 0.0
+	for _, b := range p.Busy {
+		max, sum = math.Max(max, b), sum+b
+	}
+	if sum == 0 {
+		return 1
+	}
+	return max / (sum / float64(len(p.Busy)))
+}
+
+// measure runs fn with a metrics collector over a private registry observing
+// the workers of exec, and returns what the registry recorded.
+func measure(exec *parallel.Pool, fn func()) Probe {
+	reg := obs.NewRegistry()
+	exec.SetObserver(parallel.NewMetricsCollector(reg, "probe", "", 0, exec.Threads(), nil))
+	defer exec.SetObserver(nil)
+	fn()
+	p := Probe{Stolen: reg.Counter("plk_stolen_patterns_total", "").Value()}
+	for w := 0; w < exec.Threads(); w++ {
+		wl := obs.Label{Key: "worker", Value: strconv.Itoa(w)}
+		p.Busy = append(p.Busy, reg.Counter("plk_worker_busy_seconds_total", "", wl).Value())
+		p.Steals = append(p.Steals, reg.Counter("plk_steals_total", "", wl).Value())
+	}
+	return p
 }
 
 // Run executes one configuration. ctx cancels the analysis at the next
@@ -148,7 +182,7 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	var exec parallel.Executor
+	var exec *parallel.Pool
 	switch spec.Backend {
 	case BackendPool:
 		exec, err = parallel.NewPool(spec.Threads)
@@ -214,14 +248,15 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		Threads:     spec.Threads,
 	}
 	if spec.ProbeRegions > 0 && runErr == nil {
-		exec.Stats().Reset()
+		exec.Stats().Reset() // m.Stats shares the per-worker op slice
 		root := eng.Tree.Tips[0].Back
-		for i := 0; i < spec.ProbeRegions; i++ {
-			eng.InvalidateCLVs()
-			eng.Traverse(root, false, nil)
-			eng.Evaluate(root, nil)
-		}
-		m.EndStats = *exec.Stats()
+		m.Probe = measure(exec, func() {
+			for i := 0; i < spec.ProbeRegions; i++ {
+				eng.InvalidateCLVs()
+				eng.Traverse(root, false, nil)
+				eng.Evaluate(root, nil)
+			}
+		})
 	}
 	m.PlatformSeconds = make(map[string]float64, len(parallel.Platforms))
 	for _, p := range parallel.Platforms {

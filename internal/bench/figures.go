@@ -422,16 +422,14 @@ type StealComparison struct {
 	// worker executes the stolen work, so the acceptance gate skips the
 	// imbalance clause on such hosts (the comparison is still recorded).
 	Cores int
-	// End-state probe TimeImbalance (max/avg measured per-worker seconds)
-	// under the final schedule, without and with stealing.
+	// End-state probe time imbalance (max/avg measured per-worker busy
+	// seconds) under the final schedule, without and with stealing.
 	WeightedTimeImbalance float64
 	StealTimeImbalance    float64
-	// Probe steal activity: operations, migrated patterns, the per-worker
-	// steal-count distribution, and the migrated fraction of all patterns
-	// the probe processed.
-	StealCount       float64
-	StolenPatterns   float64
-	WorkerSteals     []float64
+	// The stealing run's probe: steal operations over all workers, migrated
+	// patterns, and the migrated fraction of all patterns the probe processed.
+	Steals           float64
+	MigratedPatterns float64
 	MigratedFraction float64
 	// LnLAbsDiff is |lnL(steal) - lnL(static)| — stealing must never change
 	// results beyond floating-point reassociation of the reductions.
@@ -504,15 +502,16 @@ func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison
 		results[stealOn] = m
 	}
 	static, stolen := results[false], results[true]
-	out.WeightedTimeImbalance = static.EndStats.TimeImbalance()
-	out.StealTimeImbalance = stolen.EndStats.TimeImbalance()
-	out.StealCount = stolen.EndStats.StealCount
-	out.StolenPatterns = stolen.EndStats.StolenPatterns
-	out.WorkerSteals = append([]float64(nil), stolen.EndStats.WorkerSteals...)
+	out.WeightedTimeImbalance = static.Probe.BusyImbalance()
+	out.StealTimeImbalance = stolen.Probe.BusyImbalance()
+	for _, n := range stolen.Probe.Steals {
+		out.Steals += n
+	}
+	out.MigratedPatterns = stolen.Probe.Stolen
 	st := ds.Stats()
 	processed := probeProcessedPatterns(stealProbeRegions, ds.Alignment.NumTaxa(), st.TotalPatterns)
 	if processed > 0 {
-		out.MigratedFraction = out.StolenPatterns / processed
+		out.MigratedFraction = out.MigratedPatterns / processed
 	}
 	out.LnLAbsDiff = math.Abs(stolen.LnL - static.LnL)
 	return out, results, nil
@@ -540,7 +539,7 @@ func StealExperiment(ctx context.Context, cfg FigureConfig) error {
 		"weighted-static", comp.WeightedTimeImbalance, results[false].LnL)
 	fmt.Fprintf(cfg.Out, "%-16s end-state time-imbalance=%.4f lnL=%.2f steals=%.0f stolenPatterns=%.0f (%.1f%% migrated)\n",
 		"weighted+steal", comp.StealTimeImbalance, results[true].LnL,
-		comp.StealCount, comp.StolenPatterns, 100*comp.MigratedFraction)
+		comp.Steals, comp.MigratedPatterns, 100*comp.MigratedFraction)
 	fmt.Fprintf(cfg.Out, "steal/static time-imbalance ratio: %.4f (<= 1 means stealing bounded the intra-region tail)\n",
 		comp.StealTimeImbalance/comp.WeightedTimeImbalance)
 	fmt.Fprintf(cfg.Out, "|lnL difference|: %.3g (stealing must never change results)\n\n", comp.LnLAbsDiff)

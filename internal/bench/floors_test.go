@@ -363,20 +363,20 @@ func TestStealMigrationCeiling(t *testing.T) {
 	const passes = 4
 	grid := newWorkload(t, 20, 20000, 1000, 0.01, floorSeed, floorSeed+1)
 	hold(t, func() (bool, string) {
-		eng := grid.rig(t, threads, core.BackendFused).session(t,
-			core.Options{Specialize: true, Schedule: schedule.Weighted, Steal: true})
+		r := grid.rig(t, threads, core.BackendFused)
+		eng := r.session(t, core.Options{Specialize: true, Schedule: schedule.Weighted, Steal: true})
 		root := eng.Tree.Tips[0].Back
 		eng.Traverse(root, false, nil) // warm the CLVs and caches
-		eng.Exec.Stats().Reset()
-		for i := 0; i < passes; i++ {
-			eng.InvalidateCLVs()
-			eng.Traverse(root, false, nil)
-			eng.Evaluate(root, nil)
-		}
-		st := eng.Exec.Stats()
-		migrated := st.StolenPatterns / probeProcessedPatterns(passes, grid.data.NumTaxa(), grid.data.TotalPatterns)
+		probe := measure(r.pool, func() {
+			for i := 0; i < passes; i++ {
+				eng.InvalidateCLVs()
+				eng.Traverse(root, false, nil)
+				eng.Evaluate(root, nil)
+			}
+		})
+		migrated := probe.Stolen / probeProcessedPatterns(passes, grid.data.NumTaxa(), grid.data.TotalPatterns)
 		return migrated <= stealMigrationCeiling,
-			fmt.Sprintf("%.0f%% of patterns migrated at %d threads on %d CPUs (ceiling %.0f%%; %.0f steals, per-worker %v, time imbalance %.3f) — above the ceiling the static pack is mispriced: fix the cost model",
-				100*migrated, threads, runtime.NumCPU(), 100*stealMigrationCeiling, st.StealCount, st.WorkerSteals, st.TimeImbalance())
+			fmt.Sprintf("%.0f%% of patterns migrated at %d threads on %d CPUs (ceiling %.0f%%; per-worker steals %v, time imbalance %.3f) — above the ceiling the static pack is mispriced: fix the cost model",
+				100*migrated, threads, runtime.NumCPU(), 100*stealMigrationCeiling, probe.Steals, probe.BusyImbalance())
 	})
 }

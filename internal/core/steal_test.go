@@ -145,13 +145,18 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		}
 		stealOpts := Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}
 
-		poolSess := pool.Session()
-		engPool := mk(poolSess, sh, stealOpts)
+		// Steals are measured, so they are read off the workers' scratch
+		// after each region (the pool sessions below run one at a time).
+		steals := &ctxTally{}
+		pool.SetObserver(steals)
+		engPool := mk(pool.Session(), sh, stealOpts)
 		resPool := runStealResult(t, engPool)
+		pooled := steals.steals
 
 		engToggle := mk(pool.Session(), sh, stealOpts)
 		engToggle.SetStealing(false)
 		resToggle := runStealResult(t, engToggle)
+		toggled := steals.steals - pooled
 
 		sim, err := parallel.NewSim(threads)
 		if err != nil {
@@ -179,13 +184,14 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		// same chunks: bit-identical to the stealing ones on every executor.
 		staticOpts := stealOpts
 		staticOpts.Steal = false
+		before := steals.steals
 		engStatic := mk(pool.Session(), sh, staticOpts)
 		requireBitIdentical(t, "pool Steal:true vs pool Steal:false", resPool, runStealResult(t, engStatic))
+		if n := steals.steals - before; n != 0 {
+			t.Errorf("cats=%d: Steal:false session recorded %v steals", cats, n)
+		}
 		requireBitIdentical(t, "pool Steal:true vs sim Steal:false", resPool, runStealResult(t, mk(sim, sh, staticOpts)))
 		requireBitIdentical(t, "sequential Steal:true vs Steal:false", resSeq, runStealResult(t, mk(parallel.NewSequential(), shSeq, staticOpts)))
-		if st := engStatic.Exec.Stats(); st.StealCount != 0 {
-			t.Errorf("cats=%d: Steal:false session recorded %v steals", cats, st.StealCount)
-		}
 
 		// A different worker count is a different layout, so T=1 agrees with
 		// T=3 to reassociation tolerance, not bitwise.
@@ -195,21 +201,23 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 
 		// The skewed pool runs must have actually stolen work (the toggle run
 		// must not have).
-		if st := poolSess.Stats(); st.StealCount == 0 {
-			t.Errorf("cats=%d: pool session never stole on a 50x-mispriced pack (stats: %+v regions)", cats, st.Regions)
+		if pooled == 0 {
+			t.Errorf("cats=%d: pool session never stole on a 50x-mispriced pack (%d regions)", cats, engPool.Exec.Stats().Regions)
 		}
-		if st := engToggle.Exec.Stats(); st.StealCount != 0 {
-			t.Errorf("cats=%d: stealing was disabled but %v steals recorded", cats, st.StealCount)
+		if toggled != 0 {
+			t.Errorf("cats=%d: stealing was disabled but %v steals recorded", cats, toggled)
 		}
 	}
 }
 
-// idleObserver sums every worker's in-region synchronization wait.
-type idleObserver struct{ idle float64 }
+// ctxTally sums every worker's in-region synchronization wait and steal
+// operations.
+type ctxTally struct{ idle, steals float64 }
 
-func (o *idleObserver) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctxs []parallel.WorkerCtx) {
+func (o *ctxTally) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctxs []parallel.WorkerCtx) {
 	for i := range ctxs {
 		o.idle += ctxs[i].Idle
+		o.steals += ctxs[i].Steals
 	}
 }
 
@@ -230,7 +238,7 @@ func TestNoStepBarrierWithoutStealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	obs := &idleObserver{}
+	obs := &ctxTally{}
 	pool.SetObserver(obs)
 	for _, stealing := range []bool{false, true} {
 		tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 7})

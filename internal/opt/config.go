@@ -23,8 +23,8 @@
 // log likelihood, each reduced over that partition's chunks in fixed order,
 // so its trajectory cannot depend on which other partitions share the
 // region: both strategies perform the identical arithmetic and return the
-// identical bits, and differ only in the region count the parallel.Stats
-// counters expose.
+// identical bits, and differ only in the region count of the op trace
+// parallel.Stats records (the barriers Platform prices).
 //
 // The package is region-structured: cancellation is consulted only at
 // synchronization-region boundaries (//plk:regionboundary functions), never

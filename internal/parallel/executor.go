@@ -10,6 +10,8 @@
 // chunks, plus stolen ones when the session enables stealing — and report
 // the resulting per-worker op counts through WorkerCtx, so the statistics
 // and the virtual platform model price whatever work each worker performed.
+// Stats is that priced trace and nothing else; the measured seconds and
+// steals go to the metrics registry through a RegionObserver.
 //
 // There is one executor, Pool, and one region body, Pool.Run. What varies is
 // how the T workers are realised:
@@ -65,26 +67,26 @@ func (r Region) String() string {
 }
 
 // WorkerCtx carries per-worker instrumentation. Kernels add their weighted
-// operation counts (roughly: floating-point multiply-adds) to Ops; the
-// simulator turns them into virtual time, the pool merely accumulates them
-// for reporting. Seconds is written by the executor harness itself — the
-// measured wall-clock time this worker spent inside the current region's
-// closure (monotonic; see Pool.Run) — and is collected master-side after the
-// barrier alongside Ops. Steals/StolenPatterns are incremented by the
-// work-stealing runtime (internal/steal): Steals when this worker takes
-// chunks from a victim's deque, StolenPatterns when it *executes* a pattern
-// whose scheduled owner is another worker (counted once per execution, so
-// chunks re-stolen along a thief chain are not double-counted). Like Ops
-// they are reset per region and folded into the statistics master-side.
+// operation counts (roughly: floating-point multiply-adds) to Ops, which the
+// executor folds into its Stats — the trace a Platform prices. Everything
+// else here is what the host measured, and a RegionObserver folds it into the
+// metrics registry, its one record (MetricsCollector). Seconds is written by
+// the executor harness itself — the measured wall-clock time this worker
+// spent inside the current region's closure (monotonic; see Pool.Run).
+// Steals/StolenPatterns are incremented by the work-stealing runtime
+// (internal/steal): Steals when this worker takes chunks from a victim's
+// deque, StolenPatterns when it *executes* a pattern whose scheduled owner is
+// another worker (counted once per execution, so chunks re-stolen along a
+// thief chain are not double-counted). All are reset per region and folded
+// master-side after the barrier.
 //
 // Idle is wall time the worker spent blocked on intra-region synchronization
-// (the steal runtime's step barriers) rather than working; executors subtract
-// it from the measured Seconds before recording, so per-worker times — and
-// everything derived from them, such as TimeImbalance — keep
-// measuring work even in regions that synchronize internally. Without the
-// correction every worker's Seconds in a multi-step stealing region would
-// converge on the region's wall time, hiding exactly the skew the metric
-// exists to expose.
+// (the steal runtime's step barriers) rather than working; the collector
+// subtracts it from the measured Seconds (workSeconds), so per-worker busy
+// seconds — and the time imbalance read off them — keep measuring work even
+// in regions that synchronize internally. Without the correction every
+// worker's Seconds in a multi-step stealing region would converge on the
+// region's wall time, hiding exactly the skew the metric exists to expose.
 //
 // Concurrent tells region closures whether this region's workers are live
 // goroutines or virtual workers taking turns on one goroutine (NewSim,

@@ -10,16 +10,14 @@ import (
 )
 
 // TestStatsImbalanceEdgeCases pins the degenerate inputs of the imbalance
-// metrics: no workers recorded, zero elapsed time, and a single-worker pool
-// must all report exactly 1.0 (perfect balance) rather than dividing by zero.
+// metrics: no workers recorded and a single-worker pool must report exactly
+// 1.0 (perfect balance) rather than dividing by zero, and a region measured
+// at zero seconds must fold into the registry as zero, not NaN.
 func TestStatsImbalanceEdgeCases(t *testing.T) {
 	t.Run("zero workers", func(t *testing.T) {
 		var s Stats
 		if got := s.WorkerImbalance(); got != 1 {
 			t.Errorf("WorkerImbalance() on empty stats = %v, want 1", got)
-		}
-		if got := s.TimeImbalance(); got != 1 {
-			t.Errorf("TimeImbalance() on empty stats = %v, want 1", got)
 		}
 		if got := s.Imbalance(0); got != 1 {
 			t.Errorf("Imbalance(0) = %v, want 1", got)
@@ -31,13 +29,19 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 	t.Run("zero elapsed time", func(t *testing.T) {
 		var s Stats
 		// A region whose workers all measured exactly zero seconds (possible
-		// on a coarse clock) must not yield NaN from 0/0.
-		s.record(RegionNewview, regionOf([]float64{10, 20}, []float64{0, 0}))
-		if got := s.TimeImbalance(); got != 1 {
-			t.Errorf("TimeImbalance() with all-zero times = %v, want 1", got)
-		}
+		// on a coarse clock) is priced by its ops alone, and the registry
+		// records zero busy and zero idle seconds for it.
+		ctxs := regionOf([]float64{10, 20})
+		s.record(RegionNewview, ctxs)
 		if got := s.WorkerImbalance(); got != 2.0/1.5 {
 			t.Errorf("WorkerImbalance() = %v, want %v", got, 2.0/1.5)
+		}
+		reg := obs.NewRegistry()
+		NewMetricsCollector(reg, "pool", "fused4", 4, 2, nil).ObserveRegion(RegionNewview, time.Now(), 0, ctxs)
+		for _, smp := range reg.Snapshot() {
+			if (smp.Name == "plk_worker_busy_seconds_total" || smp.Name == "plk_worker_idle_seconds_total") && smp.Value != 0 {
+				t.Errorf("%s%v = %v after a zero-second region, want 0", smp.Name, smp.Labels, smp.Value)
+			}
 		}
 	})
 	t.Run("single worker", func(t *testing.T) {
@@ -46,9 +50,6 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 		s := seq.Stats()
 		if got := s.WorkerImbalance(); got != 1 {
 			t.Errorf("single-worker WorkerImbalance() = %v, want 1", got)
-		}
-		if got := s.TimeImbalance(); got != 1 {
-			t.Errorf("single-worker TimeImbalance() = %v, want 1", got)
 		}
 		if got := s.Imbalance(1); got != 1 {
 			t.Errorf("single-worker Imbalance(1) = %v, want 1", got)

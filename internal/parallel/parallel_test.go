@@ -157,15 +157,12 @@ func TestPoolSessionDegradesAfterPoolClose(t *testing.T) {
 }
 
 // regionOf builds the per-worker scratch of one finished region from its op
-// counts and (optionally) measured seconds.
-func regionOf(ops, seconds []float64) []WorkerCtx {
+// counts (measured seconds zero).
+func regionOf(ops []float64) []WorkerCtx {
 	ctxs := make([]WorkerCtx, len(ops))
 	for w := range ctxs {
 		ctxs[w].Worker = w
 		ctxs[w].Ops = ops[w]
-		if seconds != nil {
-			ctxs[w].Seconds = seconds[w]
-		}
 	}
 	return ctxs
 }
@@ -173,11 +170,11 @@ func regionOf(ops, seconds []float64) []WorkerCtx {
 func TestStatsImbalance(t *testing.T) {
 	var st Stats
 	// Two regions with 4 workers: one perfectly balanced, one all-on-one.
-	st.record(RegionNewview, regionOf([]float64{25, 25, 25, 25}, nil))
+	st.record(RegionNewview, regionOf([]float64{25, 25, 25, 25}))
 	if got := st.Imbalance(4); math.Abs(got-1) > 1e-12 {
 		t.Errorf("balanced imbalance = %v, want 1", got)
 	}
-	st.record(RegionNewview, regionOf([]float64{100, 0, 0, 0}, []float64{1e-3, 0, 0, 0}))
+	st.record(RegionNewview, regionOf([]float64{100, 0, 0, 0}))
 	// critical = 125, ideal = 200/4 = 50 -> 2.5
 	if got := st.Imbalance(4); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("imbalance = %v, want 2.5", got)
@@ -186,22 +183,15 @@ func TestStatsImbalance(t *testing.T) {
 	if got := st.WorkerImbalance(); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("worker imbalance = %v, want 2.5", got)
 	}
-	// All measured time landed on worker 0 -> time imbalance = max/avg = 4.
-	if got := st.TimeImbalance(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("time imbalance = %v, want 4", got)
-	}
-	if st.TotalTime != 1e-3 || st.CriticalTime != 1e-3 || st.KindTime[RegionNewview] != 1e-3 {
-		t.Errorf("time totals: total=%v critical=%v kind=%v", st.TotalTime, st.CriticalTime, st.KindTime[RegionNewview])
-	}
 	if st.Imbalance(0) != 1 {
 		t.Error("degenerate imbalance should be 1")
 	}
 	st.Reset()
-	if st.Regions != 0 || st.TotalOps != 0 || st.WorkerOps != nil || st.WorkerTime != nil || st.TotalTime != 0 {
+	if st.Regions != 0 || st.TotalOps != 0 || st.WorkerOps != nil {
 		t.Error("Reset failed")
 	}
-	if st.WorkerImbalance() != 1 || st.TimeImbalance() != 1 {
-		t.Error("empty stats imbalances should be 1")
+	if st.WorkerImbalance() != 1 {
+		t.Error("empty stats imbalance should be 1")
 	}
 	if st.String() == "" {
 		t.Error("String should render")
@@ -298,8 +288,8 @@ func TestPlatformModel(t *testing.T) {
 func TestPlatformEvalSeconds(t *testing.T) {
 	var st Stats
 	even := []float64{1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9}
-	st.record(RegionNewview, regionOf(even, nil)) // 1e9 critical ops
-	st.record(RegionEvaluate, regionOf(even, nil))
+	st.record(RegionNewview, regionOf(even)) // 1e9 critical ops
+	st.record(RegionEvaluate, regionOf(even))
 	p := Nehalem
 	seq := p.EvalSeconds(&st, 1)
 	want := p.SeqOpNS * 2e9 * 1e-9

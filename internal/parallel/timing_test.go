@@ -2,9 +2,12 @@ package parallel
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
+
+	"phylo/internal/obs"
 )
 
 // TestWorkerCtxPadding pins the anti-false-sharing layout: WorkerCtx must
@@ -28,12 +31,14 @@ func spinOps(n int) float64 {
 	return s
 }
 
-// regionLog is a RegionObserver that counts callbacks and checks what every
-// realisation promises about the wall time it reports.
+// regionLog is a RegionObserver that counts callbacks, checks what every
+// realisation promises about the wall time it reports, and hands the region
+// on to the metrics collector whose registry holds the measured seconds.
 type regionLog struct {
 	t       *testing.T
 	threads int
 	calls   int
+	col     *MetricsCollector
 }
 
 func (l *regionLog) ObserveRegion(kind Region, start time.Time, wall float64, ctxs []WorkerCtx) {
@@ -54,6 +59,7 @@ func (l *regionLog) ObserveRegion(kind Region, start time.Time, wall float64, ct
 	if len(ctxs) == 1 && !ctxs[0].Concurrent && ctxs[0].Seconds != wall {
 		l.t.Errorf("caller-only worker seconds %v != region wall %v", ctxs[0].Seconds, wall)
 	}
+	l.col.ObserveRegion(kind, start, wall, ctxs)
 }
 
 // TestExecutorTimingParity runs one deterministic closure sequence on every
@@ -61,8 +67,8 @@ func (l *regionLog) ObserveRegion(kind Region, start time.Time, wall float64, ct
 // whose goroutines were closed under it, virtual workers, the caller alone —
 // and requires the same op statistics and observer callbacks from each (they
 // are all exact functions of T), ctx.Concurrent only on live goroutines, and
-// sane measured times: non-negative, cumulative totals monotone over regions,
-// critical time between the busiest worker's total and the grand total.
+// sane measured times in the registry: per-worker busy seconds non-negative
+// and monotone over regions, their max/avg at least 1.
 func TestExecutorTimingParity(t *testing.T) {
 	const regions = 7 // one more than there are kinds, so a kind repeats
 	pool, err := NewPool(4)
@@ -97,14 +103,19 @@ func TestExecutorTimingParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := tc.exec
 			T := ex.Threads()
-			log := &regionLog{t: t, threads: T}
+			reg := obs.NewRegistry()
+			log := &regionLog{t: t, threads: T, col: NewMetricsCollector(reg, "pool", "fused4", 4, T, nil)}
 			// The observer belongs to what the views share: a session opened
 			// before it was installed on the constructor's view reports to it.
 			tc.via.SetObserver(log)
 			defer tc.via.SetObserver(nil)
+			busy := make([]*obs.Counter, T) // the collector's per-worker series
+			for w := range busy {
+				busy[w] = reg.Counter("plk_worker_busy_seconds_total", "", obs.Label{Key: "worker", Value: strconv.Itoa(w)})
+			}
 			burn := make([]float64, T*16)       // padded per-worker sinks
 			concurrent := make([]bool, T*128)   // padded per-worker flags
-			var prev []float64                  // cumulative WorkerTime after the previous region
+			prev := make([]float64, T)          // busy seconds after the previous region
 			var want Stats                      // exact expectation, built alongside
 			want.WorkerOps = make([]float64, T) // (all op counts are small integers)
 			for r := 0; r < regions; r++ {
@@ -128,16 +139,16 @@ func TestExecutorTimingParity(t *testing.T) {
 				want.KindRegions[kind]++
 				want.KindCritical[kind] += crit
 
-				st := ex.Stats()
-				for w, cum := range st.WorkerTime {
+				for w, c := range busy {
+					cum := c.Value()
 					if cum < 0 {
-						t.Fatalf("worker %d cumulative time %v < 0", w, cum)
+						t.Fatalf("worker %d busy seconds %v < 0", w, cum)
 					}
-					if w < len(prev) && cum < prev[w] {
-						t.Fatalf("worker %d cumulative time decreased: %v -> %v", w, prev[w], cum)
+					if cum < prev[w] {
+						t.Fatalf("worker %d busy seconds decreased: %v -> %v", w, prev[w], cum)
 					}
+					prev[w] = cum
 				}
-				prev = append(prev[:0], st.WorkerTime...)
 			}
 			st := ex.Stats()
 			if log.calls != regions {
@@ -156,25 +167,18 @@ func TestExecutorTimingParity(t *testing.T) {
 					t.Errorf("worker %d ops = %v, want %v", w, st.WorkerOps[w], want.WorkerOps[w])
 				}
 			}
-			if len(st.WorkerTime) != T {
-				t.Fatalf("WorkerTime has %d entries, want %d", len(st.WorkerTime), T)
+			// Time imbalance is max/avg of the busy seconds: every worker spun,
+			// so the sum is positive and the ratio at least 1.
+			maxB, sumB := 0.0, 0.0
+			for _, v := range prev {
+				sumB += v
+				maxB = math.Max(maxB, v)
 			}
-			if st.TotalTime <= 0 || st.CriticalTime <= 0 {
-				t.Errorf("time totals not positive: total=%v critical=%v", st.TotalTime, st.CriticalTime)
+			if sumB <= 0 {
+				t.Fatalf("busy seconds %v sum to %v, want > 0", prev, sumB)
 			}
-			// Critical time sums per-region maxima, so it must be at least the
-			// largest cumulative per-worker time and at most the total.
-			maxW := 0.0
-			for _, v := range st.WorkerTime {
-				if v > maxW {
-					maxW = v
-				}
-			}
-			if st.CriticalTime < maxW-1e-12 || st.CriticalTime > st.TotalTime+1e-12 {
-				t.Errorf("critical time %v outside [maxWorker %v, total %v]", st.CriticalTime, maxW, st.TotalTime)
-			}
-			if st.TimeImbalance() < 1-1e-9 {
-				t.Errorf("time imbalance %v below 1", st.TimeImbalance())
+			if imb := maxB / (sumB / float64(T)); imb < 1-1e-9 {
+				t.Errorf("time imbalance %v below 1 (busy seconds %v)", imb, prev)
 			}
 		})
 	}

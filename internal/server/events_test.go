@@ -1,6 +1,11 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
+	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"phylo"
@@ -8,6 +13,44 @@ import (
 
 func ev(round int) phylo.ProgressEvent {
 	return phylo.ProgressEvent{Phase: phylo.PhaseModelOpt, Round: round, LnL: -float64(round)}
+}
+
+// TestProgressFrameWireFormat pins the JSON of an SSE `progress` frame: the
+// `event` object carries what the round did and nothing else, so the next
+// change to the wire format is a deliberate one.
+func TestProgressFrameWireFormat(t *testing.T) {
+	_, hs := testServer(t, Config{Threads: 2})
+	id := submit(t, hs.URL, tinyPhylip(t, 8, 128, 1))
+	var st analysisStatus
+	if code := doJSON(t, "POST", hs.URL+"/v1/analyses", analysisRequest{Dataset: id, Seed: 3}, &st, nil); code != http.StatusAccepted {
+		t.Fatalf("start: HTTP %d", code)
+	}
+	resp, err := http.Get(hs.URL + "/v1/analyses/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && sc.Text() != "event: progress" {
+	}
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "data: ") {
+		t.Fatal("no progress frame with a data line")
+	}
+	var frame struct {
+		Event map[string]json.RawMessage `json:"event"`
+	}
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &frame); err != nil {
+		t.Fatalf("progress frame: %v (%s)", err, sc.Text())
+	}
+	keys := make([]string, 0, len(frame.Event))
+	for k := range frame.Event {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"LnL", "MovesApplied", "MovesTried", "Phase", "Regions", "Round"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("progress event keys %v, want exactly %v", keys, want)
+	}
 }
 
 func TestEventHubReplayAndOrder(t *testing.T) {

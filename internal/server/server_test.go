@@ -21,7 +21,7 @@ import (
 )
 
 // tinyPhylip renders a small simulated alignment as PHYLIP text.
-func tinyPhylip(t *testing.T, taxa, sites int, seed int64) string {
+func tinyPhylip(t testing.TB, taxa, sites int, seed int64) string {
 	t.Helper()
 	al, err := phylo.SimulateGrid(taxa, sites, sites, 1.0, seed)
 	if err != nil {
@@ -591,6 +591,10 @@ func TestBadRequests(t *testing.T) {
 		{"POST", "/v1/datasets?data_type=dna&partition_len=12abc", tinyPhylip(t, 8, 128, 1), http.StatusBadRequest},
 		{"POST", "/v1/evaluate", evaluateRequest{}, http.StatusBadRequest},
 		{"POST", "/v1/analyses", analysisRequest{Dataset: "ds_x", Mode: "bogus"}, http.StatusBadRequest},
+		// Decoder classes FuzzRequestBodies seeds: an unknown field and a
+		// wrong-typed one are the client's error, before any lookup.
+		{"POST", "/v1/evaluate", map[string]any{"dataset": "ds_x", "threads": 64}, http.StatusBadRequest},
+		{"POST", "/v1/analyses", map[string]any{"dataset": 5}, http.StatusBadRequest},
 		{"GET", "/v1/analyses/an_999", nil, http.StatusNotFound},
 		{"GET", "/v1/analyses/an_999/events", nil, http.StatusNotFound},
 		{"POST", "/v1/analyses/an_999/cancel", nil, http.StatusNotFound},
