@@ -273,8 +273,11 @@ func (an *Analysis) OptimizeBranchLengths(ctx context.Context) (float64, error) 
 		return math.NaN(), err
 	}
 	o := opt.New(an.eng, an.optConfig())
-	lnl := o.SmoothAll(ctx)
-	if err := ctx.Err(); err != nil {
+	lnl, err := o.SmoothAll(ctx)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		return lnl, err
 	}
 	return lnl, core.CheckFinite(lnl)

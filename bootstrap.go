@@ -112,7 +112,10 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 			return nil, err
 		}
 		an.eng.InvalidateCLVs()
-		weighted := opt.New(an.eng, cfg).SmoothAll(ctx)
+		weighted, err := opt.New(an.eng, cfg).SmoothAll(ctx)
+		if err != nil {
+			return nil, err
+		}
 		ls, err := an.eng.LogLikelihoodBatch(ws)
 		if err != nil {
 			return nil, err

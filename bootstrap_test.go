@@ -5,6 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"phylo/internal/core"
+	"phylo/internal/opt"
+	"phylo/internal/search"
 )
 
 // TestBootstrapEndToEnd runs the batched bootstrap through the public API and
@@ -181,5 +185,56 @@ func TestBootstrapValidation(t *testing.T) {
 	an.Close()
 	if _, err := an.Bootstrap(context.Background(), 3, 1); err == nil {
 		t.Error("closed session accepted")
+	}
+}
+
+// TestOptimizerRejectsWrongLengthWeights: a replicate weight vector of another
+// dataset's length under a session's optimizer — the shared-branch-length
+// mode Bootstrap runs in — is an error from branch smoothing, model
+// optimization and search alike, never a panic, and leaves the session
+// scoring and optimizing as before.
+func TestOptimizerRejectsWrongLengthWeights(t *testing.T) {
+	al, err := ReadPhylip(strings.NewReader(tinyPhylip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := openAnalysis(t, al, DatasetOptions{}, AnalysisOptions{})
+	other, err := SimulateGrid(6, 300, 300, 1.0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ods, err := NewDataset(other, DatasetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ods.Close()
+	if ods.NumPatterns() == an.ds.NumPatterns() {
+		t.Fatalf("both datasets have %d patterns", ods.NumPatterns())
+	}
+	ws, err := core.NewWeightSet(ods.data, 1, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := an.optConfig()
+	cfg.Weights = ws
+	scfg := search.DefaultConfig(an.strategy)
+	scfg.Opt = cfg
+
+	ctx := context.Background()
+	before := an.LogLikelihood()
+	if _, err := opt.New(an.eng, cfg).SmoothAll(ctx); err == nil {
+		t.Error("smoothing accepted weights of another dataset's length")
+	}
+	if _, _, err := opt.New(an.eng, cfg).OptimizeModel(ctx); err == nil {
+		t.Error("model optimization accepted weights of another dataset's length")
+	}
+	if _, err := search.New(an.eng, scfg).Run(ctx); err == nil {
+		t.Error("search accepted weights of another dataset's length")
+	}
+	if after := an.LogLikelihood(); after != before {
+		t.Fatalf("lnL %v after the refusals, %v before", after, before)
+	}
+	if _, err := an.OptimizeBranchLengths(ctx); err != nil {
+		t.Fatalf("the session is not usable after the refusals: %v", err)
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
+import "phylo/internal/cpufeat"
+
 // vectorPlanes is whether newviewFused4 runs its category-plane loops as the
 // AVX kernels of fused4_amd64.s: decided once, from CPUID and XCR0, and
 // flipped only by tests (the scalar loops stay the realisation everywhere
 // else, and the reference the kernels are tested against).
-var vectorPlanes = cpuHasAVX()
-
-func cpuHasAVX() bool
+var vectorPlanes = cpufeat.AVX
 
 //go:noescape
 func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []bool, j0, n, step int, first bool)

@@ -217,24 +217,3 @@ tipTipDone:
 	MOVQ AX, ret+184(FP)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX() bool: CPUID leaf 1 reports AVX (ECX bit 28) and OSXSAVE
-// (bit 27), and XCR0 says the OS saves XMM and YMM state (bits 1 and 2).
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE noAVX
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE noAVX
-	MOVB $1, ret+0(FP)
-	RET
-
-noAVX:
-	MOVB $0, ret+0(FP)
-	RET

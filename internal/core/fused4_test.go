@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"phylo/internal/model"
 	"phylo/internal/schedule"
 )
 
@@ -15,13 +16,17 @@ import (
 // newviewFused4 everywhere. TestFusedPlanesMatchScalar holds the first to the
 // second bit for bit; forEachPlanes runs the backend acceptance tests under
 // both, so the scalar loops stay tested on a host that would never run them.
+// The same two arms switch the span set-up's 4-state PMatrices between its
+// AVX2 kernel and the scalar pmatrix4 (internal/model holds those to each
+// other bit for bit).
 
 // forEachPlanes runs f as one subtest per realisation this host has, with
-// vectorPlanes set to it: "avx" (skipped where the kernels cannot run) and
+// vectorPlanes and model.VectorPMatrix set to it: "avx" (skipped where the
+// plane kernels cannot run; the P kernel runs where the host has AVX2) and
 // "scalar".
 func forEachPlanes(t *testing.T, f func(t *testing.T)) {
-	host := vectorPlanes
-	t.Cleanup(func() { vectorPlanes = host })
+	host, hostPM := vectorPlanes, model.VectorPMatrix()
+	t.Cleanup(func() { vectorPlanes = host; model.SetVectorPMatrix(hostPM) })
 	for _, arm := range []struct {
 		name string
 		on   bool
@@ -31,6 +36,7 @@ func forEachPlanes(t *testing.T, f func(t *testing.T)) {
 				t.Skip("no AVX on this host: the scalar loops are its only realisation")
 			}
 			vectorPlanes = arm.on
+			model.SetVectorPMatrix(arm.on)
 			f(t)
 		})
 	}

@@ -31,7 +31,11 @@ package core
 // opsNewviewAvg balance ops, so on a mixed DNA + protein dataset at W > 1
 // they no longer balance time by the same factor. UNVERIFIED: whether
 // re-weighting spans by time per op would pack W > 1 better; nothing here is
-// re-tuned for it.
+// re-tuned for it. A P block is priced at cats·s³ (transition): 256 for four
+// states at four categories, which model.PMatrices computes in about 80 ns
+// on its AVX2 kernel (0.31 ns a priced op; about 250 ns, 0.98 ns, on the
+// scalar code; BenchmarkPMatrices in internal/model on the shared 2-vCPU Xeon
+// reference box).
 
 // opsNewviewCase is the per-pattern cost of one newview step given each
 // child's kind: an inner child costs a full P application (s² madds), a

@@ -239,7 +239,11 @@ func TestLazySumtableOnRecycledSet(t *testing.T) {
 	d, models := recycleData(t)
 	smooth := func(eng *core.Engine) recycleResult {
 		var res recycleResult
-		res.add("smooth", opt.New(eng, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background()))
+		lnl, err := opt.New(eng, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.add("smooth", lnl)
 		branchAndModelState(&res, eng)
 		return res
 	}

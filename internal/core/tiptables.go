@@ -1,6 +1,10 @@
 package core
 
-import "phylo/internal/alignment"
+import (
+	"math/bits"
+
+	"phylo/internal/alignment"
+)
 
 // Tip-case lookup tables (the RAxML tip-case trick): a tip child never
 // carries per-category likelihoods — only one of 16 DNA / 23 AA tip codes —
@@ -73,24 +77,59 @@ func tipSetStates(t alignment.DataType, codes []byte) int {
 //
 //plk:hotpath
 func buildTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) []float64 {
-	ss := s * s
-	for _, code := range codes {
-		set := alignment.TipStates(t, code)
-		for c := 0; c < cats; c++ {
-			p := pm[c*ss : (c+1)*ss]
-			lo := (int(code)*cats + c) * s
-			d := dst[lo : lo+s]
-			for a := range d {
-				row := p[a*s : a*s+s]
-				sum := 0.0
-				for _, b := range set {
-					sum += row[b]
-				}
-				d[a] = sum
-			}
-		}
+	if s == 4 {
+		buildTipTable4(dst, codes, pm, cats)
+	} else {
+		gatherTipTable(dst, t, codes, pm, s, cats)
 	}
 	return dst[:alignment.NumCodes(t)*cats*s]
+}
+
+// buildTipTable4 is the gather written out for four states. A DNA code is the
+// bit mask of the states it allows (alignment.DNATipVectors), so the row of an
+// unambiguous code is one column of P_c, each entry 0 + P_c[a][b], and an
+// ambiguous code's four running sums add the allowed columns in ascending
+// order from +0: the gather's sums, term for term.
+//
+//plk:hotpath
+func buildTipTable4(dst []float64, codes []byte, pm []float64, cats int) {
+	for _, code := range codes {
+		row, blk := dst[int(code)*cats*4:(int(code)+1)*cats*4], pm
+		for ; len(row) >= 4 && len(blk) >= 16; row, blk = row[4:], blk[16:] {
+			p, d := (*[16]float64)(blk), (*[4]float64)(row)
+			if b := bits.TrailingZeros8(code) & 3; code == 1<<b {
+				d[0], d[1], d[2], d[3] = 0+p[b], 0+p[4+b], 0+p[8+b], 0+p[12+b]
+				continue
+			}
+			var s0, s1, s2, s3 float64
+			for b := range 4 {
+				if code>>b&1 != 0 {
+					s0, s1, s2, s3 = s0+p[b], s1+p[4+b], s2+p[8+b], s3+p[12+b]
+				}
+			}
+			d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+		}
+	}
+}
+
+// gatherTipTable is buildTipTable for any state count: entry c·s + a sums the
+// allowed entries of row a of P_c, which is row c·s + a of pm (one flat loop:
+// no bounds check a category, which buildTipTable4's row slice spends).
+//
+//plk:hotpath
+func gatherTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) {
+	for _, code := range codes {
+		set := alignment.TipStates(t, code)
+		d := dst[int(code)*cats*s : (int(code)+1)*cats*s]
+		for i := range d {
+			row := pm[i*s : i*s+s]
+			sum := 0.0
+			for _, b := range set {
+				sum += row[b]
+			}
+			d[i] = sum
+		}
+	}
 }
 
 // buildTipSumLeft fills the present-code rows of the category-independent

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,6 +75,41 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: entry %d is %v (%#x), want %v (%#x)", label, i,
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestTipTable4MatchesGather: the written-out 4-state builder gives the
+// gather's table bit for bit for all 16 DNA codes — the empty code 0, the four
+// bases, the ten ambiguity codes and 15 (N, gap) — at 1, 3 and 4 categories,
+// over real P blocks and blocks salted with zeros, subnormals and ones (and,
+// though P never holds them, -0 and negatives: a lone term still starts from
+// +0), for random subsets of the codes; rows of absent codes stay as they were.
+func TestTipTable4MatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, cats := range []int{1, 3, 4} {
+		m := tipCaseModels(t, alignment.DNA, cats, 0.4)
+		for round := 0; round < 60; round++ {
+			pm := make([]float64, cats*16)
+			m.PMatrices([]float64{0, 1e-8, 0.03, 0.4, 5, 64}[round%6], pm)
+			if round%2 == 1 {
+				awkward(rng, pm, round%4 == 3)
+			}
+			codes := make([]byte, 16)
+			for code := range codes {
+				codes[code] = byte(code)
+			}
+			if round >= 2 {
+				rng.Shuffle(len(codes), func(i, j int) { codes[i], codes[j] = codes[j], codes[i] })
+				codes = codes[:1+rng.Intn(16)]
+			}
+			got, want := make([]float64, 16*cats*4), make([]float64, 16*cats*4)
+			for i := range got {
+				got[i], want[i] = math.NaN(), math.NaN()
+			}
+			buildTipTable4(got, codes, pm, cats)
+			gatherTipTable(want, alignment.DNA, codes, pm, 4, cats)
+			sameBits(t, fmt.Sprintf("cats=%d round %d codes %v", cats, round, codes), got, want)
 		}
 	}
 }

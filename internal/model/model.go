@@ -302,14 +302,16 @@ const maxStates = 20
 
 // PMatrix fills dst (len States*States, row-major) with the transition
 // probability matrix P(t) = V exp(Lambda*t) V^-1 for branch length t
-// (already scaled by the rate category, if any). It runs once per category
-// in every kernel span set-up, concurrently on every worker, so its scratch
-// lives on the stack. Entry (i, j) is the sum over k ascending, from zero, of
-// (V[i][k]·exp(lambda_k t))·V^-1[k][j]: the row scaling is computed once per
-// (i, k) instead of once per term, and four columns accumulate side by side
-// so their add chains overlap — neither changes a term or the order in which
-// any one entry adds its terms. The 4-state case, most of the kernel's set-up
-// time on DNA data, is the same sums written out (pmatrix4).
+// (already scaled by the rate category, if any). Through PMatrices it runs
+// once per category in every kernel span set-up, concurrently on every
+// worker, so its scratch lives on the stack. Entry (i, j) is the sum over k
+// ascending, from zero, of (V[i][k]·exp(lambda_k t))·V^-1[k][j]: the row
+// scaling is computed once per (i, k) instead of once per term, and four
+// columns accumulate side by side so their add chains overlap — neither
+// changes a term or the order in which any one entry adds its terms. The
+// 4-state case is the same sums written out (pmatrix4); where VectorPMatrix,
+// PMatrices computes those blocks with the AVX2 kernel instead, and pmatrix4
+// is that kernel's reference and its fallback for arguments outside its guard.
 //
 //plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
@@ -377,12 +379,32 @@ func clampNeg(p float64) float64 {
 }
 
 // PMatrices fills dst (len NumCats*States*States) with one P matrix per
-// Gamma category for branch length t: P_c = P(catRate_c * t).
+// Gamma category for branch length t: P_c = P(catRate_c * t). On amd64 with
+// AVX2 the 4-state blocks of all categories are one call of the kernel in
+// pmatrix4_amd64.s, which gives PMatrix's bits (VectorPMatrix); it declines
+// arguments outside [-700, 700], and then PMatrix computes the blocks.
 func (m *Model) PMatrices(t float64, dst []float64) {
+	if m.States == 4 && m.pmatrices4Vec(t, dst) {
+		return
+	}
 	ss := m.States * m.States
 	for c := 0; c < m.NumCats; c++ {
 		m.PMatrix(m.CatRates[c]*t, dst[c*ss:(c+1)*ss])
 	}
+}
+
+// VectorPMatrix reports whether PMatrices computes 4-state blocks with the
+// AVX2 kernel: true on amd64 hosts with AVX2 and FMA where its exponential
+// reproduces math.Exp bit for bit (not under GODEBUG=cpu.fma=off).
+func VectorPMatrix() bool { return vectorPMatrix }
+
+// SetVectorPMatrix turns the kernel on (where the host runs it) or off and
+// returns the previous setting, so a test can run a suite under both
+// realisations; the results are the same bits either way. Not safe while
+// PMatrices runs.
+func SetVectorPMatrix(on bool) (was bool) {
+	was, vectorPMatrix = vectorPMatrix, on && hostPMatrix
+	return was
 }
 
 // Clone returns a deep copy (used by tree-search checkpointing and by

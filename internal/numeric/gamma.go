@@ -11,6 +11,13 @@ import "math"
 // re-derived). Accuracy is ~1e-14 over the parameter ranges used by discrete
 // gamma rates (a in [0.005, 500]).
 func IncompleteGammaP(a, x float64) float64 {
+	lg, _ := math.Lgamma(a)
+	return incompleteGammaP(a, x, lg)
+}
+
+// incompleteGammaP is IncompleteGammaP given lg = lgamma(a), which callers
+// evaluating many points at one a compute once.
+func incompleteGammaP(a, x, lg float64) float64 {
 	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
 		return math.NaN()
 	}
@@ -21,9 +28,9 @@ func IncompleteGammaP(a, x float64) float64 {
 		return 1
 	}
 	if x < a+1 {
-		return gammaSeries(a, x)
+		return gammaSeries(a, x, lg)
 	}
-	return 1 - gammaContinuedFraction(a, x)
+	return 1 - gammaContinuedFraction(a, x, lg)
 }
 
 // IncompleteGammaQ computes the regularized upper incomplete gamma function
@@ -38,15 +45,16 @@ func IncompleteGammaQ(a, x float64) float64 {
 	if math.IsInf(x, 1) {
 		return 0
 	}
+	lg, _ := math.Lgamma(a)
 	if x < a+1 {
-		return 1 - gammaSeries(a, x)
+		return 1 - gammaSeries(a, x, lg)
 	}
-	return gammaContinuedFraction(a, x)
+	return gammaContinuedFraction(a, x, lg)
 }
 
-// gammaSeries evaluates P(a,x) by its power series; converges fast for x < a+1.
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
+// gammaSeries evaluates P(a,x) by its power series, lg = lgamma(a); converges
+// fast for x < a+1.
+func gammaSeries(a, x, lg float64) float64 {
 	ap := a
 	sum := 1.0 / a
 	del := sum
@@ -61,11 +69,10 @@ func gammaSeries(a, x float64) float64 {
 	return sum * math.Exp(-x+a*math.Log(x)-lg)
 }
 
-// gammaContinuedFraction evaluates Q(a,x) by the Lentz continued fraction;
-// converges fast for x >= a+1.
-func gammaContinuedFraction(a, x float64) float64 {
+// gammaContinuedFraction evaluates Q(a,x) by the Lentz continued fraction,
+// lg = lgamma(a); converges fast for x >= a+1.
+func gammaContinuedFraction(a, x, lg float64) float64 {
 	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
 	b := x + 1 - a
 	c := 1 / tiny
 	d := 1 / b
@@ -98,6 +105,15 @@ func gammaContinuedFraction(a, x float64) float64 {
 // bracket as safeguard. Used to obtain the per-category boundaries of the
 // discrete Gamma model of rate heterogeneity (Yang 1994).
 func GammaQuantile(p, shape float64) float64 {
+	lg, _ := math.Lgamma(shape)
+	lg1, _ := math.Lgamma(shape + 1)
+	return gammaQuantile(p, shape, lg, lg1)
+}
+
+// gammaQuantile is GammaQuantile given lg = lgamma(shape) and lg1 =
+// lgamma(shape+1). P at the start guess is evaluated once: the first test of
+// each bracket loop and the first Newton step all read it.
+func gammaQuantile(p, shape, lg, lg1 float64) float64 {
 	if math.IsNaN(p) || math.IsNaN(shape) || shape <= 0 || p < 0 || p > 1 {
 		return math.NaN()
 	}
@@ -107,8 +123,6 @@ func GammaQuantile(p, shape float64) float64 {
 	if p == 1 {
 		return math.Inf(1)
 	}
-	lg, _ := math.Lgamma(shape)
-	lg1, _ := math.Lgamma(shape + 1)
 	// Small-x expansion P(a,x) ~ x^a / Gamma(a+1) gives an excellent guess in
 	// log space whenever the quantile is far below the mode; otherwise use the
 	// Wilson-Hilferty normal approximation.
@@ -120,20 +134,24 @@ func GammaQuantile(p, shape float64) float64 {
 			lx = math.Log(wh)
 		}
 	}
-	// Bracket in log space: llo with P <= p, lhi with P >= p.
+	// Bracket in log space: llo with P <= p, lhi with P >= p. Both start at
+	// lx, so lx stays inside the bracket.
+	px := incompleteGammaP(shape, math.Exp(lx), lg)
 	llo, lhi := lx, lx
-	for i := 0; i < 200 && IncompleteGammaP(shape, math.Exp(llo)) > p; i++ {
+	for i, f := 0, px; i < 200 && f > p; i++ {
 		llo -= 2
+		f = incompleteGammaP(shape, math.Exp(llo), lg)
 	}
-	for i := 0; i < 200 && IncompleteGammaP(shape, math.Exp(lhi)) < p; i++ {
+	for i, f := 0, px; i < 200 && f < p; i++ {
 		lhi += 2
-	}
-	if lx < llo || lx > lhi {
-		lx = 0.5 * (llo + lhi)
+		f = incompleteGammaP(shape, math.Exp(lhi), lg)
 	}
 	for i := 0; i < 200; i++ {
 		x := math.Exp(lx)
-		f := IncompleteGammaP(shape, x) - p
+		if i > 0 {
+			px = incompleteGammaP(shape, x, lg)
+		}
+		f := px - p
 		if f > 0 {
 			lhi = lx
 		} else {
@@ -217,15 +235,18 @@ func DiscreteGammaRates(alpha float64, rates []float64) {
 		return
 	}
 	// Quantile boundaries of Gamma(alpha, rate alpha): the (j/k)-quantile of X
-	// equals quantile_gamma(shape=alpha, rate=1, j/k) / alpha.
+	// equals quantile_gamma(shape=alpha, rate=1, j/k) / alpha. Every quantile
+	// and slice mean is at shape alpha or alpha+1: two lgammas for all of them.
+	lg, _ := math.Lgamma(alpha)
+	lg1, _ := math.Lgamma(alpha + 1)
 	prev := 0.0 // P(alpha+1, alpha*c_0) with c_0 = 0
 	for j := 1; j <= k; j++ {
 		var cur float64
 		if j == k {
 			cur = 1
 		} else {
-			q := GammaQuantile(float64(j)/float64(k), alpha) // rate-1 quantile = alpha * c_j
-			cur = IncompleteGammaP(alpha+1, q)
+			q := gammaQuantile(float64(j)/float64(k), alpha, lg, lg1) // rate-1 quantile = alpha * c_j
+			cur = incompleteGammaP(alpha+1, q, lg1)
 		}
 		rates[j-1] = float64(k) * (cur - prev)
 		prev = cur

@@ -1,8 +1,11 @@
 package numeric
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -235,6 +238,55 @@ func TestDiscreteGammaRatesLimits(t *testing.T) {
 		if math.Abs(rates[i]-want[i]) > 5e-4 {
 			t.Errorf("alpha=0.5 rate[%d] = %v, want ~%v", i, rates[i], want[i])
 		}
+	}
+}
+
+// gammaGridHash is an FNV-1a hash of the bits of GammaQuantile over a
+// (p, shape) grid and of DiscreteGammaRates over an (alpha, k) grid spanning
+// the optimizer's alpha bounds, in a fixed order.
+func gammaGridHash() uint64 {
+	h := fnv.New64a()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	ps := []float64{0, 1e-300, 1e-12, 1e-6, 0.01, 0.1, 0.25, 1.0 / 3, 0.5, 2.0 / 3, 0.75, 0.9, 0.99, 1 - 1e-9, 1}
+	for _, shape := range []float64{0.005, 0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 1, 1.5, 2, 5, 10, 30, 100, 101, 500} {
+		for _, p := range ps {
+			put(GammaQuantile(p, shape))
+		}
+	}
+	rng := rand.New(rand.NewSource(97))
+	for i := 0; i < 300; i++ {
+		alpha := 0.02 * math.Pow(5000, float64(i)/299) // 0.02 … 100, log-spaced
+		if i%3 == 1 {
+			alpha = 0.02 * math.Pow(5000, rng.Float64())
+		}
+		for _, k := range []int{1, 2, 3, 4, 5, 8, 16} {
+			rates := make([]float64, k)
+			DiscreteGammaRates(alpha, rates)
+			for _, r := range rates {
+				put(r)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestGammaGridBitsPinned holds GammaQuantile and DiscreteGammaRates to the
+// bits they had before the start-guess evaluation and Lgamma(shape) were
+// computed once instead of up to three times: the same values in the same
+// order. math.Exp on amd64 rounds differently with and without FMA
+// (GODEBUG=cpu.fma=off selects the second), so there is one constant per
+// host class; other architectures are not pinned.
+func TestGammaGridBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the recorded bits are amd64's")
+	}
+	const fmaHost, sseHost = 0x2c036d71babb3d7c, 0x304b1e0b7a66020b
+	if got := gammaGridHash(); got != fmaHost && got != sseHost {
+		t.Fatalf("quantile/rates grid hashes to %#x, want %#x (FMA host) or %#x (SSE host)", got, uint64(fmaHost), uint64(sseHost))
 	}
 }
 

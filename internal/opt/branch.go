@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"phylo/internal/core"
@@ -117,17 +118,19 @@ func (o *Optimizer) enter(g []int) {
 // ctx means "never cancelled") and, when Cfg.Weights is set, installs the
 // replicate weight override on the engine so every region the optimizer
 // issues scores the weighted objective (the shared-branch-length bootstrap
-// mode; see Config.Weights).
-func (o *Optimizer) bind(ctx context.Context) {
+// mode; see Config.Weights). Weights the engine refuses (not width 1, or not
+// the dataset's pattern count) are an error, and nothing is installed.
+func (o *Optimizer) bind(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o.ctx = ctx
 	if o.Cfg.Weights != nil {
 		if err := o.E.SetWeightOverride(o.Cfg.Weights); err != nil {
-			panic("opt: invalid Cfg.Weights: " + err.Error())
+			return fmt.Errorf("opt: invalid Cfg.Weights: %w", err)
 		}
 	}
+	return nil
 }
 
 // cancelled reports whether the bound context has been cancelled. It is
@@ -235,9 +238,12 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
 // RAxML treeEvaluate equivalent). If ctx is cancelled the sweep winds down
 // at the next region boundary and the returned log likelihood is still the
 // exact score of the tree in its current (partially smoothed, fully
-// consistent) state.
-func (o *Optimizer) SmoothAll(ctx context.Context) float64 {
-	o.bind(ctx)
+// consistent) state. Invalid Cfg.Weights are an error before any region runs
+// (the log likelihood is then NaN).
+func (o *Optimizer) SmoothAll(ctx context.Context) (float64, error) {
+	if err := o.bind(ctx); err != nil {
+		return math.NaN(), err
+	}
 	e := o.E
 	start := e.Tree.Tips[0].Back
 	for pass := 0; pass < smoothPasses && !o.cancelled(); pass++ {
@@ -255,7 +261,7 @@ func (o *Optimizer) SmoothAll(ctx context.Context) float64 {
 	e.TraverseRoot(start, true, nil)
 	lnl, per := e.Evaluate(start, nil)
 	copy(o.score, per)
-	return lnl
+	return lnl, nil
 }
 
 // smoothRec optimizes the branch at p, then recursively all branches behind

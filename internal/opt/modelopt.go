@@ -184,18 +184,20 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 // the context's cancellation error if ctx was cancelled mid-run, or the
 // error of a model that refused a proposal — in either case the log
 // likelihood is still the exact, usable score of the tree and models as the
-// wind-down left them. This is the paper's "optimization of ML model
-// parameters (without tree search) on a fixed input tree" experiment.
+// wind-down left them. Invalid Cfg.Weights are an error before any region
+// runs. This is the paper's "optimization of ML model parameters (without
+// tree search) on a fixed input tree" experiment.
 func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
-	o.bind(ctx)
-	prev := o.SmoothAll(ctx)
+	prev, err := o.SmoothAll(ctx)
+	if err != nil {
+		return prev, 0, err
+	}
 	rounds := 0
 	for r := 0; r < o.Cfg.MaxModelRounds && !o.cancelled(); r++ {
 		rounds++
 		// SmoothAll has just scored every partition at the canonical root and
 		// no branch moves until it runs again: Brent starts from those scores.
 		o.scored = true
-		var err error
 		if o.Cfg.OptimizeRates {
 			err = o.OptimizeRatesAll()
 		}
@@ -206,7 +208,10 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		if err != nil {
 			return o.E.LogLikelihood(), rounds, err
 		}
-		cur := o.SmoothAll(ctx)
+		cur, err := o.SmoothAll(ctx)
+		if err != nil {
+			return cur, rounds, err
+		}
 		if o.Cfg.Progress != nil {
 			o.Cfg.Progress(rounds, cur)
 		}

@@ -173,13 +173,23 @@ func requireSameLnL(t *testing.T, what string, a, b float64) {
 	}
 }
 
+// smooth is SmoothAll on an optimizer whose Cfg.Weights are valid.
+func smooth(t *testing.T, o *Optimizer, ctx context.Context) float64 {
+	t.Helper()
+	lnl, err := o.SmoothAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lnl
+}
+
 func TestOldParNewParSameOptimum(t *testing.T) {
 	// The two strategies run the same Newton iterations on the same numbers;
 	// they differ only in region decomposition.
 	fxOld := buildFixture(t, 10, 80, 20, true, parallel.NewSequential(), 23)
 	fxNew := buildFixture(t, 10, 80, 20, true, parallel.NewSequential(), 23)
-	lOld := New(fxOld.eng, DefaultConfig(OldPar)).SmoothAll(context.Background())
-	lNew := New(fxNew.eng, DefaultConfig(NewPar)).SmoothAll(context.Background())
+	lOld := smooth(t, New(fxOld.eng, DefaultConfig(OldPar)), context.Background())
+	lNew := smooth(t, New(fxNew.eng, DefaultConfig(NewPar)), context.Background())
 	requireSameLnL(t, "smoothed lnL", lOld, lNew)
 	requireSameState(t, fxOld, fxNew)
 }
@@ -271,8 +281,8 @@ func TestJointBLStrategiesIdentical(t *testing.T) {
 	seqB := parallel.NewSequential()
 	fxOld := buildFixture(t, 8, 60, 20, false, seqA, 7)
 	fxNew := buildFixture(t, 8, 60, 20, false, seqB, 7)
-	lOld := New(fxOld.eng, DefaultConfig(OldPar)).SmoothAll(context.Background())
-	lNew := New(fxNew.eng, DefaultConfig(NewPar)).SmoothAll(context.Background())
+	lOld := smooth(t, New(fxOld.eng, DefaultConfig(OldPar)), context.Background())
+	lNew := smooth(t, New(fxNew.eng, DefaultConfig(NewPar)), context.Background())
 	if lOld != lNew {
 		t.Errorf("joint-BL smoothing must be identical: %v vs %v", lOld, lNew)
 	}
@@ -283,7 +293,7 @@ func TestSmoothAllMonotone(t *testing.T) {
 	o := New(fx.eng, DefaultConfig(NewPar))
 	prev := fx.eng.LogLikelihood()
 	for pass := 0; pass < 3; pass++ {
-		cur := o.SmoothAll(context.Background())
+		cur := smooth(t, o, context.Background())
 		if cur < prev-1e-6 {
 			t.Fatalf("pass %d: lnL decreased %v -> %v", pass, prev, cur)
 		}
@@ -591,11 +601,11 @@ func TestKnownScoresAreTheSeedingPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(fxOut.eng, DefaultConfig(strat))
-		lOut := o.SmoothAll(ctx)
+		lOut := smooth(t, o, ctx)
 		for r := 0; r < rounds; r++ {
 			o.OptimizeRatesAll()
 			o.OptimizeAlphas()
-			lOut = o.SmoothAll(ctx)
+			lOut = smooth(t, o, ctx)
 		}
 		if math.Float64bits(lIn) != math.Float64bits(lOut) {
 			t.Errorf("%v: lnL %v from known scores, %v from seeding pairs", strat, lIn, lOut)

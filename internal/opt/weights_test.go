@@ -49,7 +49,7 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 	cfg := DefaultConfig(NewPar)
 	cfg.Weights = ws.Aggregate()
 	o := New(fx.eng, cfg)
-	weighted := o.SmoothAll(context.Background())
+	weighted := smooth(t, o, context.Background())
 
 	lanes, err := fx.eng.LogLikelihoodBatch(ws)
 	if err != nil {
@@ -72,21 +72,36 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 	}
 }
 
-// TestWeightedInvalidPanics pins the bind-time contract for structurally
-// impossible weight sets (width != 1).
-func TestWeightedInvalidPanics(t *testing.T) {
+// TestWeightedInvalidErrors: weight sets the engine refuses — width != 1, or
+// another dataset's pattern count — are an error from every entry point, before
+// any region runs, and leave the engine unweighted and usable.
+func TestWeightedInvalidErrors(t *testing.T) {
 	fx := buildFixture(t, 6, 60, 60, false, parallel.NewSequential(), 33)
-	cfg := DefaultConfig(NewPar)
+	other := buildFixture(t, 6, 90, 90, false, parallel.NewSequential(), 34)
 	wide, err := core.UniformWeightSet(fx.d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Weights = wide
-	o := New(fx.eng, cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("width-2 Cfg.Weights did not panic at bind")
+	short, err := core.UniformWeightSet(other.d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fx.eng.LogLikelihood()
+	regions := fx.eng.Exec.Stats().Regions
+	for name, ws := range map[string]*core.WeightSet{"width 2": wide, "wrong length": short} {
+		cfg := DefaultConfig(NewPar)
+		cfg.Weights = ws
+		if lnl, err := New(fx.eng, cfg).SmoothAll(context.Background()); err == nil || !math.IsNaN(lnl) {
+			t.Errorf("%s: SmoothAll = %v, %v; want NaN and an error", name, lnl, err)
 		}
-	}()
-	o.SmoothAll(context.Background())
+		if _, rounds, err := New(fx.eng, cfg).OptimizeModel(context.Background()); err == nil || rounds != 0 {
+			t.Errorf("%s: OptimizeModel ran %d rounds, error %v; want 0 and an error", name, rounds, err)
+		}
+	}
+	if got := fx.eng.Exec.Stats().Regions; got != regions {
+		t.Errorf("the refused calls ran %d regions, want none", got-regions)
+	}
+	if got := fx.eng.LogLikelihood(); got != want {
+		t.Errorf("after the refusals lnL = %v, want the unweighted %v", got, want)
+	}
 }

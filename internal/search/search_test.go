@@ -143,7 +143,10 @@ func TestSearchRecoversGeneratingTreeScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueLnL := opt.New(engTrue, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background())
+	trueLnL, err := opt.New(engTrue, opt.DefaultConfig(opt.NewPar)).SmoothAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	start, _ := tree.Random(taxaNames(8), 1, tree.RandomOptions{Seed: 1234})
 	eng, err := newEngine(d, start, []*model.Model{m.Clone()}, parallel.NewSequential(), core.Options{Specialize: true})

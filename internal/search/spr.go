@@ -99,6 +99,7 @@ func (s *Searcher) cancelled() bool {
 // boundary: any pruned subtree is restored first, the tree is re-smoothed
 // into a consistent state, and the returned Result carries the exact score
 // of that tree alongside the context's error — a usable partial result.
+// Invalid Cfg.Opt.Weights are an error before any region runs.
 //
 //plk:regionboundary
 func (s *Searcher) Run(ctx context.Context) (Result, error) {
@@ -106,14 +107,19 @@ func (s *Searcher) Run(ctx context.Context) (Result, error) {
 		ctx = context.Background()
 	}
 	s.ctx = ctx
-	s.best = s.o.SmoothAll(ctx)
+	var err error
+	if s.best, err = s.o.SmoothAll(ctx); err != nil {
+		return Result{LnL: s.best}, err
+	}
 	rounds := 0
 	for r := 0; r < s.Cfg.MaxRounds && !s.cancelled(); r++ {
 		rounds++
 		prev := s.best
 		s.sprRound()
 		s.E.InvalidateCLVs()
-		s.best = s.o.SmoothAll(ctx)
+		if s.best, err = s.o.SmoothAll(ctx); err != nil {
+			return Result{LnL: s.best, Rounds: rounds, MovesApplied: s.moves, MovesTried: s.tried}, err
+		}
 		if s.Cfg.Progress != nil {
 			s.Cfg.Progress(rounds, s.best, s.moves, s.tried)
 		}
