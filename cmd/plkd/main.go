@@ -22,6 +22,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -45,61 +46,73 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-func main() {
+// options is plkd's parsed command line.
+type options struct {
+	addr, addrFile string
+	drainTO        time.Duration
+	cfg            server.Config
+}
+
+// parseFlags reads plkd's command line into the server config it runs.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("plkd", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", "127.0.0.1:8149", "listen address (port 0 picks a free port)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening")
-		threads    = flag.Int("threads", 1, "worker count every dataset is built for")
-		schedFlag  = flag.String("schedule", "weighted", "pattern-to-worker assignment: cyclic | weighted")
-		stealFlag  = flag.Bool("steal", false, "intra-region work stealing on every dataset")
-		backendF   = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused")
-		cats       = flag.Int("cats", 4, "discrete-Gamma category count")
-		cacheMB    = flag.Int64("cache-mb", 512, "dataset cache budget in MiB (<0 = unbounded)")
-		tenantInfl = flag.Int("tenant-inflight", 2, "per-tenant in-flight work-item quota")
-		tenantQ    = flag.Int("tenant-queue", 16, "per-tenant admission queue capacity (0 = fail fast)")
-		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits before cancelling in-flight analyses")
-		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the daemon mux")
+		o          options
+		threads    = fs.Int("threads", 1, "worker count every dataset is built for")
+		schedFlag  = fs.String("schedule", "weighted", "pattern-to-worker assignment: cyclic | weighted")
+		stealFlag  = fs.Bool("steal", false, "intra-region work stealing on every dataset")
+		cats       = fs.Int("cats", 4, "discrete-Gamma category count")
+		cacheMB    = fs.Int64("cache-mb", 512, "dataset cache budget in MiB (<0 = unbounded)")
+		tenantInfl = fs.Int("tenant-inflight", 2, "per-tenant in-flight work-item quota")
+		tenantQ    = fs.Int("tenant-queue", 16, "per-tenant admission queue capacity (0 = fail fast)")
+		pprofFlag  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the daemon mux")
 	)
-	flag.Parse()
-	if err := run(*addr, *addrFile, server.Config{
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8149", "listen address (port 0 picks a free port)")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
+	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "how long a drain waits before cancelling in-flight analyses")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage, -h exits 0
+	strat, err := phylo.ParseScheduleStrategy(*schedFlag)
+	if err != nil {
+		return o, err
+	}
+	o.cfg = server.Config{
 		Threads:         max(1, *threads), // what server.New resolves it to; the start-up line prints cfg.Threads
+		Cyclic:          strat == phylo.ScheduleCyclic,
 		Steal:           *stealFlag,
 		GammaCategories: *cats,
 		CacheBytes:      *cacheMB << 20,
 		TenantInflight:  *tenantInfl,
-		TenantQueue:     *tenantQ,
+		TenantQueue:     cmp.Or(*tenantQ, -1), // Config reads 0 as its default; no queue is negative there
 		EnablePprof:     *pprofFlag,
-	}, *schedFlag, *backendF, *drainTO); err != nil {
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "plkd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, addrFile string, cfg server.Config, schedName, backendName string, drainTO time.Duration) error {
-	strat, err := phylo.ParseScheduleStrategy(schedName)
-	if err != nil {
-		return err
-	}
-	cfg.Cyclic = strat == phylo.ScheduleCyclic
-	backend, err := phylo.ParseKernelBackend(backendName)
-	if err != nil {
-		return err
-	}
-	cfg.Backend = backend
-
-	ln, err := net.Listen("tcp", addr)
+func run(o options) error {
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	bound := ln.Addr().String()
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(bound+"\n"), 0o644); err != nil {
+	if o.addrFile != "" {
+		if err := os.WriteFile(o.addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()
 			return err
 		}
 	}
 
-	srv := server.New(cfg)
+	srv := server.New(o.cfg)
 	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ctx, stop := sigctx.Notify(context.Background(), "plkd")
@@ -107,8 +120,8 @@ func run(addr, addrFile string, cfg server.Config, schedName, backendName string
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
-	fmt.Printf("plkd: listening on %s (threads=%d schedule=%s cache=%dMiB quota=%d/tenant)\n",
-		bound, cfg.Threads, schedName, cfg.CacheBytes>>20, cfg.TenantInflight)
+	fmt.Printf("plkd: listening on %s (threads=%d schedule=%v cache=%dMiB quota=%d/tenant)\n",
+		bound, o.cfg.Threads, o.cfg.Schedule(), o.cfg.CacheBytes>>20, o.cfg.TenantInflight)
 
 	select {
 	case err := <-errCh:
@@ -119,7 +132,7 @@ func run(addr, addrFile string, cfg server.Config, schedName, backendName string
 	// Drain: stop accepting connections once in-flight requests finish,
 	// while the serving state drains analyses under its own deadline.
 	fmt.Println("plkd: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTO)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTO)
 	defer cancel()
 	drainErr := srv.Drain(drainCtx)
 	if err := hs.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

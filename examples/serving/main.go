@@ -74,7 +74,7 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	fmt.Printf("kernel executions so far: %d\n", srv.KernelRuns())
+	fmt.Printf("kernel executions so far: %v\n", metric(srv, "plk_kernel_runs_total"))
 
 	// 4. Start a model-optimization analysis and stream its progress.
 	var an struct {
@@ -126,6 +126,17 @@ func main() {
 		log.Fatal("drain:", err)
 	}
 	fmt.Println("drained cleanly")
+}
+
+// metric reads one unlabelled family off the daemon's registry, the store
+// behind GET /metrics.
+func metric(srv *server.Server, name string) float64 {
+	for _, s := range srv.Metrics().Snapshot() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 // postJSON posts v and decodes the response into out, failing hard on any

@@ -209,15 +209,9 @@ func (h *Histogram) Count() uint64 {
 // Sum reads the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) }
 
-// CounterFunc registers a counter whose value is computed by fn at collection
-// time — the bridge for subsystems that already keep their own counters
-// (cache hits, admission rejections): the scrape reads the authoritative
-// counter instead of double accounting.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(kindCounter, name, help, nil, labels).fn = fn
-}
-
-// GaugeFunc registers a gauge computed by fn at collection time.
+// GaugeFunc registers a gauge computed by fn at collection time: state (a
+// queue depth, a resident byte count) read off its owner at each scrape.
+// Counts have no func-backed form; they are Counters bumped at the event.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(kindGauge, name, help, nil, labels).fn = fn
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"phylo/internal/obs"
 )
 
 // Admission control. The worker pool is mutex-serialized: every parallel
@@ -44,20 +46,27 @@ type Admission struct {
 	tenants  map[string]*tenantState
 	draining bool
 
-	admitted, rejected int64
+	admitted, rejected *obs.Counter
 }
 
 // NewAdmission creates a gate admitting quota concurrent work items per
-// tenant with queueCap parked overflow slots. quota < 1 selects 1; a
-// negative queueCap selects 0 (no queue: over-quota requests fail fast).
-func NewAdmission(quota, queueCap int) *Admission {
-	if quota < 1 {
-		quota = 1
+// tenant with queueCap parked overflow slots, counting into reg. quota < 1
+// selects 1; a negative queueCap selects 0 (no queue: over-quota requests
+// fail fast).
+func NewAdmission(quota, queueCap int, reg *obs.Registry) *Admission {
+	a := &Admission{
+		quota:    max(quota, 1),
+		queueCap: max(queueCap, 0),
+		tenants:  make(map[string]*tenantState),
+		admitted: reg.Counter("plk_admission_admitted_total",
+			"Work items admitted past the per-tenant quota gate."),
+		rejected: reg.Counter("plk_admission_rejected_total",
+			"Work items rejected with 429 (quota and queue both full)."),
 	}
-	if queueCap < 0 {
-		queueCap = 0
-	}
-	return &Admission{quota: quota, queueCap: queueCap, tenants: make(map[string]*tenantState)}
+	reg.GaugeFunc("plk_admission_queue_depth",
+		"Waiters currently parked in tenant admission queues.",
+		func() float64 { return float64(a.QueueDepth()) })
+	return a
 }
 
 // Acquire admits one work item for the tenant, parking in the tenant's FIFO
@@ -82,7 +91,7 @@ func (a *Admission) Acquire(ctx context.Context, tenant string) (func(), error) 
 		return a.releaser(t), nil
 	}
 	if len(t.waiters) >= a.queueCap {
-		a.rejected++
+		a.rejected.Inc()
 		a.mu.Unlock()
 		return nil, ErrQueueFull
 	}
@@ -123,7 +132,7 @@ func (a *Admission) admitLocked(t *tenantState) {
 	if t.inflight > t.peak {
 		t.peak = t.inflight
 	}
-	a.admitted++
+	a.admitted.Inc()
 }
 
 // releaser returns the idempotent completion callback for one admitted work
@@ -138,7 +147,7 @@ func (a *Admission) releaser(t *tenantState) func() {
 				t.waiters = t.waiters[1:]
 				// The slot transfers: inflight stays constant, but the
 				// admission still counts (and may set a new peak of 0 net).
-				a.admitted++
+				a.admitted.Inc()
 				a.mu.Unlock()
 				wake <- nil
 				return
@@ -165,33 +174,6 @@ func (a *Admission) SetDraining() {
 	for _, w := range wakes {
 		w <- ErrDraining
 	}
-}
-
-// AdmissionStats is the gate telemetry exposed at /v1/stats.
-type AdmissionStats struct {
-	Quota    int            `json:"quota"`
-	QueueCap int            `json:"queue_cap"`
-	Admitted int64          `json:"admitted"`
-	Rejected int64          `json:"rejected"`
-	Tenants  map[string]int `json:"tenants,omitempty"` // in-flight per tenant
-}
-
-// Stats snapshots the gate counters. Only tenants with in-flight or queued
-// work are listed.
-func (a *Admission) Stats() AdmissionStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st := AdmissionStats{Quota: a.quota, QueueCap: a.queueCap, Admitted: a.admitted, Rejected: a.rejected}
-	for name, t := range a.tenants {
-		if t.inflight == 0 && len(t.waiters) == 0 {
-			continue
-		}
-		if st.Tenants == nil {
-			st.Tenants = make(map[string]int)
-		}
-		st.Tenants[name] = t.inflight
-	}
-	return st
 }
 
 // QueueDepth reports the number of waiters currently parked across all

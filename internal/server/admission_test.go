@@ -7,12 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"phylo/internal/obs"
 )
 
 func TestAdmissionQuotaBound(t *testing.T) {
 	// quota 2, queue 64: fire 16 concurrent work items for one tenant and
 	// prove the in-flight high-water mark never exceeds the quota.
-	a := NewAdmission(2, 64)
+	a := NewAdmission(2, 64, obs.NewRegistry())
 	var wg sync.WaitGroup
 	var concurrent, maxSeen atomic.Int64
 	for i := 0; i < 16; i++ {
@@ -44,13 +46,13 @@ func TestAdmissionQuotaBound(t *testing.T) {
 	if p := a.Peak("t"); p > 2 {
 		t.Fatalf("Peak = %d, quota 2", p)
 	}
-	if st := a.Stats(); st.Admitted < 16 {
-		t.Fatalf("admitted = %d, want >= 16", st.Admitted)
+	if n := a.admitted.Value(); n < 16 {
+		t.Fatalf("admitted = %v, want >= 16", n)
 	}
 }
 
 func TestAdmissionQueueFull(t *testing.T) {
-	a := NewAdmission(1, 1)
+	a := NewAdmission(1, 1, obs.NewRegistry())
 	r1, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +74,8 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if _, err := a.Acquire(context.Background(), "t"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if st := a.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", st.Rejected)
+	if n := a.rejected.Value(); n != 1 {
+		t.Fatalf("rejected = %v, want 1", n)
 	}
 	r1()
 }
@@ -81,7 +83,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // TestAdmissionTenantIsolation proves a greedy tenant cannot starve another:
 // with tenant A saturating its quota and queue, tenant B admits immediately.
 func TestAdmissionTenantIsolation(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := NewAdmission(1, 4, obs.NewRegistry())
 	ra, err := a.Acquire(context.Background(), "greedy")
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +125,7 @@ func TestAdmissionTenantIsolation(t *testing.T) {
 }
 
 func TestAdmissionCtxCancelWhileQueued(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := NewAdmission(1, 4, obs.NewRegistry())
 	r1, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +153,7 @@ func TestAdmissionCtxCancelWhileQueued(t *testing.T) {
 }
 
 func TestAdmissionDrain(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := NewAdmission(1, 4, obs.NewRegistry())
 	r1, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +175,11 @@ func TestAdmissionDrain(t *testing.T) {
 	}
 	// The in-flight item's release still balances the books.
 	r1()
-	if st := a.Stats(); st.Tenants != nil {
-		t.Fatalf("in-flight after drain+release: %+v", st.Tenants)
+	a.mu.Lock()
+	inflight := a.tenants["t"].inflight
+	a.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("in-flight after drain+release: %d", inflight)
 	}
 }
 

@@ -151,12 +151,13 @@ func (s *Server) handleStartAnalysis(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.nextJob++
+	s.submitted.Inc()
 	job := &analysisJob{
 		id:      fmt.Sprintf("an_%d", s.nextJob),
 		tenant:  tenantOf(r),
 		mode:    mode,
 		dataset: req.Dataset,
-		hub:     newEventHub(s.cfg.EventBuffer),
+		hub:     newEventHub(s.cfg.EventBuffer, s.shed),
 		cancel:  cancel,
 		state:   jobQueued,
 		lnl:     math.NaN(),
@@ -266,19 +267,15 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 }
 
 // retire records that job has finished and drops the jobs that finished
-// longest ago beyond maxFinishedJobs, folding their event-drop counts into
-// s.retired so the totals the daemon reports never step backwards. It
-// runs as each job finishes — the only moment the finished count grows — so
-// an active job is never a candidate.
+// longest ago beyond maxFinishedJobs. It runs as each job finishes — the only
+// moment the finished count grows — so an active job is never a candidate.
 func (s *Server) retire(job *analysisJob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, job.id)
 	for len(s.finished) > maxFinishedJobs {
-		old := s.jobs[s.finished[0]]
+		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[:copy(s.finished, s.finished[1:])]
-		s.retired.add(old.hub.DropStats()) // its hub is closed: no subscribers left to count
-		delete(s.jobs, old.id)
 	}
 }
 

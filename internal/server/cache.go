@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"phylo"
+	"phylo/internal/obs"
 )
 
 // Errors returned by the dataset cache. Use errors.Is to test.
@@ -70,17 +71,25 @@ type DatasetCache struct {
 	bytes   int64      // total price of resident, fully built entries
 	closed  bool
 
-	hits, misses, evictions int64
+	hits, misses, evictions *obs.Counter
 }
 
-// NewDatasetCache creates a cache with the given byte budget. A budget <= 0
-// means unbounded (nothing is ever evicted for size).
-func NewDatasetCache(budget int64) *DatasetCache {
-	return &DatasetCache{
-		budget:  budget,
-		entries: make(map[string]*cacheEntry),
-		lru:     list.New(),
+// NewDatasetCache creates a cache with the given byte budget, counting into
+// reg. A budget <= 0 means unbounded (nothing is ever evicted for size).
+func NewDatasetCache(budget int64, reg *obs.Registry) *DatasetCache {
+	c := &DatasetCache{
+		budget:    budget,
+		entries:   make(map[string]*cacheEntry),
+		lru:       list.New(),
+		hits:      reg.Counter("plk_cache_hits_total", "Dataset cache digest hits (build skipped)."),
+		misses:    reg.Counter("plk_cache_misses_total", "Dataset cache misses (full dataset build ran)."),
+		evictions: reg.Counter("plk_cache_evictions_total", "Datasets evicted from the cache to meet the byte budget."),
 	}
+	reg.GaugeFunc("plk_cache_entries", "Datasets currently resident in the cache.",
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.entries)) })
+	reg.GaugeFunc("plk_cache_bytes", "Estimated heap bytes of the resident datasets.",
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.bytes) })
+	return c
 }
 
 // CachedDataset is a live reference to a cache entry. The dataset is pinned
@@ -126,7 +135,7 @@ func (c *DatasetCache) Acquire(id string, build func() (*phylo.Dataset, error)) 
 	}
 	if e, ok := c.entries[id]; ok {
 		c.ref(e)
-		c.hits++
+		c.hits.Inc()
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
@@ -139,7 +148,7 @@ func (c *DatasetCache) Acquire(id string, build func() (*phylo.Dataset, error)) 
 	}
 	e := &cacheEntry{id: id, refs: 1, ready: make(chan struct{}), err: errBuildPanicked} // until build returns
 	c.entries[id] = e
-	c.misses++
+	c.misses.Inc()
 	c.mu.Unlock()
 
 	c.fill(e, build)
@@ -191,7 +200,7 @@ func (c *DatasetCache) Ref(id string) (*CachedDataset, error) {
 		return nil, ErrDatasetNotCached
 	}
 	c.ref(e)
-	c.hits++
+	c.hits.Inc()
 	c.mu.Unlock()
 	<-e.ready
 	if e.err != nil {
@@ -246,7 +255,7 @@ func (c *DatasetCache) evictLocked() []*phylo.Dataset {
 		e.lru = nil
 		delete(c.entries, e.id)
 		c.bytes -= e.bytes
-		c.evictions++
+		c.evictions.Inc()
 		victims = append(victims, e.ds)
 	}
 	return victims
@@ -310,30 +319,6 @@ func (c *DatasetCache) List() []DatasetInfo {
 	// responses are stable across calls and runs.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// CacheStats is the cache telemetry exposed at /v1/stats.
-type CacheStats struct {
-	Entries     int   `json:"entries"`
-	Bytes       int64 `json:"bytes"`
-	BudgetBytes int64 `json:"budget_bytes"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evictions   int64 `json:"evictions"`
-}
-
-// Stats snapshots the cache counters.
-func (c *DatasetCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:     len(c.entries),
-		Bytes:       c.bytes,
-		BudgetBytes: c.budget,
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
-	}
 }
 
 // Close evicts everything and rejects further use. Callers must have drained

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"phylo"
+	"phylo/internal/obs"
 )
 
 // tinyDataset builds a small real dataset for cache tests.
@@ -45,8 +46,15 @@ func resident(c *DatasetCache, id string) bool {
 	return true
 }
 
+// residentBytes reads the cache's priced total under its lock.
+func residentBytes(c *DatasetCache) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
 func TestCacheHitAndMiss(t *testing.T) {
-	c := NewDatasetCache(0) // unbounded
+	c := NewDatasetCache(0, obs.NewRegistry()) // unbounded
 	defer c.Close()
 	var builds int64
 	var mu sync.Mutex
@@ -71,9 +79,8 @@ func TestCacheHitAndMiss(t *testing.T) {
 	h1.Release()
 	h1.Release() // idempotent
 	h2.Release()
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v", st)
+	if hits, misses, entries := c.hits.Value(), c.misses.Value(), len(c.List()); hits != 1 || misses != 1 || entries != 1 {
+		t.Fatalf("hits %v, misses %v, entries %d; want 1 each", hits, misses, entries)
 	}
 }
 
@@ -87,7 +94,7 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 	one := probe.MemoryFootprint()
 	probe.Close()
 
-	c := NewDatasetCache(2 * one)
+	c := NewDatasetCache(2*one, obs.NewRegistry())
 	defer c.Close()
 	var builds int64
 	var mu sync.Mutex
@@ -107,8 +114,8 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 
 	// c blows the budget: b (LRU, unreferenced) goes; a is pinned.
 	hc := acquire("c", 3)
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if n := c.evictions.Value(); n != 1 {
+		t.Fatalf("evictions = %v, want 1", n)
 	}
 	if resident(c, "b") {
 		t.Fatal("b should have been evicted (LRU)")
@@ -123,21 +130,21 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 	if !resident(c, "a") || !resident(c, "c") {
 		t.Fatal("pinned entries evicted under budget pressure")
 	}
-	if st := c.Stats(); st.Bytes <= 2*one {
-		t.Fatalf("expected over-budget while pinned: bytes=%d budget=%d", st.Bytes, 2*one)
+	if b := residentBytes(c); b <= 2*one {
+		t.Fatalf("expected over-budget while pinned: bytes=%d budget=%d", b, 2*one)
 	}
 
 	// Drop the references: the byte budget must be enforced again.
 	ha.Release()
 	hc.Release()
 	hd.Release()
-	if st := c.Stats(); st.Bytes > 2*one {
-		t.Fatalf("cache stayed over budget after release: bytes=%d budget=%d", st.Bytes, 2*one)
+	if b := residentBytes(c); b > 2*one {
+		t.Fatalf("cache stayed over budget after release: bytes=%d budget=%d", b, 2*one)
 	}
 }
 
 func TestCacheCoalescedBuild(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	defer c.Close()
 	var builds int64
 	var mu sync.Mutex
@@ -171,7 +178,7 @@ func TestCacheCoalescedBuild(t *testing.T) {
 }
 
 func TestCacheFailedBuildClearsSlot(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	defer c.Close()
 	boom := fmt.Errorf("no such alignment")
 	if _, _, err := c.Acquire("bad", func() (*phylo.Dataset, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -192,7 +199,7 @@ func TestCacheFailedBuildClearsSlot(t *testing.T) {
 // Drain would never return), must clear its slot for a retry, and must still
 // propagate the panic on the goroutine that ran it.
 func TestCacheBuildPanicReleasesWaiters(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	defer c.Close()
 	building, release := make(chan struct{}), make(chan struct{})
 	panicked := make(chan any, 1)
@@ -243,7 +250,7 @@ func TestCacheBuildPanicReleasesWaiters(t *testing.T) {
 }
 
 func TestCacheRemove(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	defer c.Close()
 	var builds int64
 	var mu sync.Mutex
@@ -264,7 +271,7 @@ func TestCacheRemove(t *testing.T) {
 }
 
 func TestCacheList(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	defer c.Close()
 	var builds int64
 	var mu sync.Mutex
@@ -283,7 +290,7 @@ func TestCacheList(t *testing.T) {
 }
 
 func TestCacheClosed(t *testing.T) {
-	c := NewDatasetCache(0)
+	c := NewDatasetCache(0, obs.NewRegistry())
 	c.Close()
 	if _, _, err := c.Acquire("a", nil); !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("Acquire after close = %v", err)

@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"sync"
+
+	"phylo/internal/obs"
 )
 
 // Single-flight coalescing of identical evaluate requests. The likelihood
@@ -36,10 +38,19 @@ type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 
-	// Counters for /v1/stats: primary counts executed computations,
-	// coalesced counts duplicates served from someone else's run.
-	primary   int64
-	coalesced int64
+	executed *obs.Counter // computations run
+	joined   *obs.Counter // duplicates served from someone else's run
+}
+
+// newFlightGroup creates a group counting into reg.
+func newFlightGroup(reg *obs.Registry) *flightGroup {
+	return &flightGroup{
+		calls: make(map[string]*flightCall),
+		executed: reg.Counter("plk_coalesce_executed_total",
+			"Evaluate computations actually executed by the single-flight group."),
+		joined: reg.Counter("plk_coalesce_joined_total",
+			"Evaluate requests that joined an in-flight identical computation."),
+	}
 }
 
 // Do executes fn once per concurrently requested key and hands its result to
@@ -50,19 +61,16 @@ type flightGroup struct {
 // its waiters (each holds a tenant admission slot) nor poison the key.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (any, bool, error) {
 	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
-	}
 	if c, ok := g.calls[key]; ok {
 		c.dups++
-		g.coalesced++
+		g.joined.Inc()
 		g.mu.Unlock()
 		<-c.done
 		return c.val, true, c.err
 	}
 	c := &flightCall{done: make(chan struct{}), err: errFlightPanicked} // until fn returns
 	g.calls[key] = c
-	g.primary++
+	g.executed.Inc()
 	g.mu.Unlock()
 
 	defer func() {
@@ -86,11 +94,4 @@ func (g *flightGroup) Waiting(key string) int {
 		return c.dups
 	}
 	return 0
-}
-
-// Counters returns the executed and coalesced call totals.
-func (g *flightGroup) Counters() (primary, coalesced int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.primary, g.coalesced
 }

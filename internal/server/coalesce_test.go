@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"phylo/internal/obs"
 )
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
+	g := newFlightGroup(obs.NewRegistry())
 	const n = 8
 	gate := make(chan struct{})
 	var runs int
@@ -58,14 +60,13 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if nCoal != n-1 {
 		t.Fatalf("coalesced = %d, want %d", nCoal, n-1)
 	}
-	p, c := g.Counters()
-	if p != 1 || c != n-1 {
-		t.Fatalf("counters = (%d, %d), want (1, %d)", p, c, n-1)
+	if e, j := g.executed.Value(), g.joined.Value(); e != 1 || j != n-1 {
+		t.Fatalf("executed, joined = %v, %v; want 1, %d", e, j, n-1)
 	}
 }
 
 func TestFlightGroupSequentialRunsFresh(t *testing.T) {
-	var g flightGroup
+	g := newFlightGroup(obs.NewRegistry())
 	runs := 0
 	fn := func() (any, error) { runs++; return runs, nil }
 	v1, co1, _ := g.Do("k", fn)
@@ -79,7 +80,7 @@ func TestFlightGroupSequentialRunsFresh(t *testing.T) {
 }
 
 func TestFlightGroupErrorSharedThenForgotten(t *testing.T) {
-	var g flightGroup
+	g := newFlightGroup(obs.NewRegistry())
 	boom := errors.New("boom")
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -115,15 +116,14 @@ func TestFlightGroupErrorSharedThenForgotten(t *testing.T) {
 }
 
 func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
-	var g flightGroup
+	g := newFlightGroup(obs.NewRegistry())
 	a, coA, _ := g.Do("a", func() (any, error) { return "a", nil })
 	b, coB, _ := g.Do("b", func() (any, error) { return "b", nil })
 	if coA || coB || a != "a" || b != "b" {
 		t.Fatalf("got (%v,%v) (%v,%v)", a, coA, b, coB)
 	}
-	p, c := g.Counters()
-	if p != 2 || c != 0 {
-		t.Fatalf("counters = (%d,%d)", p, c)
+	if e, j := g.executed.Value(), g.joined.Value(); e != 2 || j != 0 {
+		t.Fatalf("executed, joined = %v, %v; want 2, 0", e, j)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 // computation that panics must not strand the duplicates parked on it (each
 // holds an admission slot) nor leave the key joined to a dead flight.
 func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
-	var g flightGroup
+	g := newFlightGroup(obs.NewRegistry())
 	gate := make(chan struct{})
 	primaryPanic := make(chan any, 1)
 	started := make(chan struct{})

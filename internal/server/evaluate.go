@@ -121,7 +121,7 @@ func (s *Server) runEvaluate(key string, req evaluateRequest) (*evaluateResponse
 		}
 	}
 
-	s.kernelRuns.Add(1)
+	s.kernelRuns.Inc()
 	lnl := an.LogLikelihood()
 	if math.IsNaN(lnl) {
 		return nil, fmt.Errorf("likelihood evaluation failed (non-finite lnL)")

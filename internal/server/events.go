@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"phylo"
+	"phylo/internal/obs"
 )
 
 // Progress streaming. Analyses emit one ProgressEvent per optimizer/search
@@ -15,18 +16,28 @@ import (
 
 // Event is one numbered progress event. Seq is the 1-based position in the
 // analysis's full event history; gaps in a subscriber's sequence are events
-// shed by backpressure (reported in SSE as the `dropped` field via Hub
-// counters and visible as non-consecutive seq values).
+// shed by backpressure (visible as non-consecutive seq values, and counted in
+// the job's dropped_events).
 type Event struct {
 	Seq int64               `json:"seq"`
 	Ev  phylo.ProgressEvent `json:"event"`
 }
 
-// subscriber is one attached SSE stream: a bounded channel the hub never
-// blocks on.
-type subscriber struct {
-	ch      chan Event
-	dropped int64
+// shedCounters are the daemon's plk_sse_dropped_events_total series, one per
+// level at which a hub sheds: "ring" (history aged out of the replay buffer)
+// and "subscriber" (a slow SSE client's full channel). Every hub of a server
+// counts into the same two.
+type shedCounters struct{ ring, subscriber *obs.Counter }
+
+// newShedCounters registers both series on reg, so a scrape shows both, at
+// zero, before any hub has shed.
+func newShedCounters(reg *obs.Registry) shedCounters {
+	const name = "plk_sse_dropped_events_total"
+	const help = "Progress events shed by bounded event hubs, by level: ring history aging or slow-subscriber backpressure."
+	return shedCounters{
+		ring:       reg.Counter(name, help, obs.Label{Key: "level", Value: "ring"}),
+		subscriber: reg.Counter(name, help, obs.Label{Key: "level", Value: "subscriber"}),
+	}
 }
 
 // eventHub is the bounded broadcast buffer for one analysis job: a ring of
@@ -38,18 +49,19 @@ type eventHub struct {
 	ring    []Event // most recent events, oldest first; len <= cap(ring)
 	cap     int
 	seq     int64
-	dropped int64 // ring-level drops (history shed before anyone subscribed)
-	subs    map[*subscriber]struct{}
+	dropped int64 // events this hub has shed at either level; never decreases
+	shed    shedCounters
+	subs    map[chan Event]struct{} // attached subscriber channels
 	closed  bool
 }
 
 // newEventHub creates a hub retaining up to capacity events of history;
 // subscriber channels use the same bound. capacity < 1 selects 1.
-func newEventHub(capacity int) *eventHub {
+func newEventHub(capacity int, shed shedCounters) *eventHub {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &eventHub{ring: make([]Event, 0, capacity), cap: capacity, subs: make(map[*subscriber]struct{})}
+	return &eventHub{ring: make([]Event, 0, capacity), cap: capacity, shed: shed, subs: make(map[chan Event]struct{})}
 }
 
 // Publish appends one event, shedding the oldest history and the oldest
@@ -66,19 +78,21 @@ func (h *eventHub) Publish(ev phylo.ProgressEvent) {
 		copy(h.ring, h.ring[1:])
 		h.ring = h.ring[:h.cap-1]
 		h.dropped++
+		h.shed.ring.Inc()
 	}
 	h.ring = append(h.ring, e)
-	for s := range h.subs {
+	for ch := range h.subs {
 		for {
 			select {
-			case s.ch <- e:
+			case ch <- e:
 			default:
 				// Full: drop the subscriber's oldest and retry. The drain
 				// cannot livelock — only this goroutine sends, so one
 				// receive frees a slot that no competing sender can take.
 				select {
-				case <-s.ch:
-					s.dropped++
+				case <-ch:
+					h.dropped++
+					h.shed.subscriber.Inc()
 					continue
 				default:
 					// Reader drained it concurrently; retry the send.
@@ -95,30 +109,30 @@ func (h *eventHub) Publish(ev phylo.ProgressEvent) {
 // closes after the analysis finishes.
 func (h *eventHub) Subscribe() (<-chan Event, func()) {
 	h.mu.Lock()
-	s := &subscriber{ch: make(chan Event, h.cap+len(h.ring))}
+	ch := make(chan Event, h.cap+len(h.ring))
 	for _, e := range h.ring {
-		s.ch <- e
+		ch <- e
 	}
 	if h.closed {
-		close(s.ch)
+		close(ch)
 		h.mu.Unlock()
-		return s.ch, func() {}
+		return ch, func() {}
 	}
-	h.subs[s] = struct{}{}
+	h.subs[ch] = struct{}{}
 	h.mu.Unlock()
 
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
 			h.mu.Lock()
-			if _, ok := h.subs[s]; ok {
-				delete(h.subs, s)
-				close(s.ch)
+			if _, ok := h.subs[ch]; ok {
+				delete(h.subs, ch)
+				close(ch)
 			}
 			h.mu.Unlock()
 		})
 	}
-	return s.ch, cancel
+	return ch, cancel
 }
 
 // Close ends the stream: subscriber channels close once drained of their
@@ -130,45 +144,16 @@ func (h *eventHub) Close() {
 		return
 	}
 	h.closed = true
-	for s := range h.subs {
-		close(s.ch)
-		delete(h.subs, s)
+	for ch := range h.subs {
+		close(ch)
+		delete(h.subs, ch)
 	}
 }
 
-// Dropped totals the events shed at the ring level plus per-subscriber.
+// Dropped totals the events this hub has shed, at the ring and at every
+// subscriber it ever had: a detached or closed stream keeps its count.
 func (h *eventHub) Dropped() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := h.dropped
-	for s := range h.subs {
-		n += s.dropped
-	}
-	return n
-}
-
-// HubDropStats breaks one hub's shed events down by level: ring-history
-// drops (events that aged out of the replay buffer) versus per-subscriber
-// backpressure drops (a slow SSE client whose channel overflowed), plus the
-// attached-subscriber count. DroppedTotal is their sum — the same figure
-// Dropped reports. Exposed per analysis in /v1/stats.
-type HubDropStats struct {
-	DroppedTotal      int64 `json:"dropped_total"`
-	RingDropped       int64 `json:"ring_dropped"`
-	SubscriberDropped int64 `json:"subscriber_dropped"`
-	Subscribers       int   `json:"subscribers"`
-}
-
-// DropStats snapshots the hub's drop accounting. Subscriber drops cover the
-// currently attached streams (a cancelled subscriber takes its count with
-// it, exactly as in Dropped).
-func (h *eventHub) DropStats() HubDropStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := HubDropStats{RingDropped: h.dropped, Subscribers: len(h.subs)}
-	for s := range h.subs {
-		st.SubscriberDropped += s.dropped
-	}
-	st.DroppedTotal = st.RingDropped + st.SubscriberDropped
-	return st
+	return h.dropped
 }

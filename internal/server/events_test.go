@@ -9,7 +9,13 @@ import (
 	"testing"
 
 	"phylo"
+	"phylo/internal/obs"
 )
+
+// testHub is a hub counting into a registry of its own.
+func testHub(capacity int) *eventHub {
+	return newEventHub(capacity, newShedCounters(obs.NewRegistry()))
+}
 
 func ev(round int) phylo.ProgressEvent {
 	return phylo.ProgressEvent{Phase: phylo.PhaseModelOpt, Round: round, LnL: -float64(round)}
@@ -54,7 +60,7 @@ func TestProgressFrameWireFormat(t *testing.T) {
 }
 
 func TestEventHubReplayAndOrder(t *testing.T) {
-	h := newEventHub(8)
+	h := testHub(8)
 	for i := 1; i <= 3; i++ {
 		h.Publish(ev(i))
 	}
@@ -81,7 +87,7 @@ func TestEventHubReplayAndOrder(t *testing.T) {
 // TestEventHubDropOldest overflows both bounds and checks the newest events
 // survive: the publisher must never block, and load sheds from the old end.
 func TestEventHubDropOldest(t *testing.T) {
-	h := newEventHub(4)
+	h := testHub(4)
 	ch, cancel := h.Subscribe()
 	defer cancel()
 	// 20 publishes into a capacity-4 subscriber channel nobody is reading:
@@ -114,7 +120,7 @@ func TestEventHubDropOldest(t *testing.T) {
 }
 
 func TestEventHubLateSubscriberSeesRecentHistory(t *testing.T) {
-	h := newEventHub(4)
+	h := testHub(4)
 	for i := 1; i <= 10; i++ {
 		h.Publish(ev(i))
 	}
@@ -133,7 +139,7 @@ func TestEventHubLateSubscriberSeesRecentHistory(t *testing.T) {
 }
 
 func TestEventHubSubscribeAfterClose(t *testing.T) {
-	h := newEventHub(4)
+	h := testHub(4)
 	h.Publish(ev(1))
 	h.Close()
 	ch, cancel := h.Subscribe()
@@ -147,4 +153,27 @@ func TestEventHubSubscribeAfterClose(t *testing.T) {
 	}
 	h.Publish(ev(2)) // dropped, no panic
 	cancel()         // idempotent, no panic on closed
+}
+
+// TestEventHubDropsSurviveClose: a hub's shed total is the analysis's
+// dropped_events, which the terminal SSE frame reports after Close and GET
+// /v1/analyses/{id} after the subscriber has gone. Neither may forget what a
+// subscriber shed.
+func TestEventHubDropsSurviveClose(t *testing.T) {
+	h := testHub(2)
+	_, cancel := h.Subscribe() // never read
+	for i := 1; i <= 5; i++ {
+		h.Publish(ev(i))
+	}
+	if got := h.Dropped(); got != 6 { // 3 aged out of the ring, 3 shed by the subscriber
+		t.Fatalf("dropped before Close = %d, want 6", got)
+	}
+	h.Close()
+	if got := h.Dropped(); got != 6 {
+		t.Fatalf("dropped after Close = %d, want 6", got)
+	}
+	cancel()
+	if got := h.Dropped(); got != 6 {
+		t.Fatalf("dropped after the subscriber detached = %d, want 6", got)
+	}
 }

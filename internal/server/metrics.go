@@ -9,14 +9,18 @@ import (
 	"phylo/internal/obs"
 )
 
-// Daemon observability. The server owns one obs.Registry covering two layers
-// in a single /metrics scrape:
+// Daemon observability. The server owns one obs.Registry, the only store of
+// what the daemon counts, covering two layers in a single /metrics scrape:
 //
-//   - serving-layer families registered here, mostly func-backed: they read
-//     the authoritative counters the daemon already keeps (cache stats,
-//     admission gate, single-flight group, kernel-run counter, event hubs)
-//     at scrape time, so there is no double accounting and nothing to keep
-//     in sync;
+//   - serving-layer families. Every count is an obs.Counter that its
+//     subsystem resolves at construction and bumps where the event happens:
+//     the cache (hits, misses, evictions), the admission gate (admitted,
+//     rejected), the single-flight group (executed, joined), the evaluate
+//     path (kernel runs), job submission, and the event hubs (events shed,
+//     by level). A counter is only ever incremented, so no total steps back
+//     when a subscriber detaches or a job is reaped. State — cache entries
+//     and bytes, queue depth, active analyses, drain — is a func-backed
+//     gauge read at scrape time;
 //   - kernel/runtime families (plk_regions_total, plk_kernel_*,
 //     plk_steals_total, ...) that appear because the same registry is passed
 //     into every dataset via phylo.DatasetOptions.Metrics — the
@@ -31,50 +35,16 @@ var httpLatencyBuckets = []float64{
 	1e-4, 5e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 2.5, 10, 60,
 }
 
-// registerMetrics installs the serving-layer families on s.metrics. Called
-// once from New, after the cache/admission/job state exists.
+// registerMetrics installs the server's own families on s.metrics (the cache,
+// the admission gate and the single-flight group registered theirs when New
+// built them).
 func (s *Server) registerMetrics() {
 	reg := s.metrics
-	reg.CounterFunc("plk_cache_hits_total",
-		"Dataset cache digest hits (build skipped).",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("plk_cache_misses_total",
-		"Dataset cache misses (full dataset build ran).",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	reg.CounterFunc("plk_cache_evictions_total",
-		"Datasets evicted from the cache to meet the byte budget.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.GaugeFunc("plk_cache_entries",
-		"Datasets currently resident in the cache.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.GaugeFunc("plk_cache_bytes",
-		"Estimated heap bytes of the resident datasets.",
-		func() float64 { return float64(s.cache.Stats().Bytes) })
-	reg.CounterFunc("plk_admission_admitted_total",
-		"Work items admitted past the per-tenant quota gate.",
-		func() float64 { return float64(s.adm.Stats().Admitted) })
-	reg.CounterFunc("plk_admission_rejected_total",
-		"Work items rejected with 429 (quota and queue both full).",
-		func() float64 { return float64(s.adm.Stats().Rejected) })
-	reg.GaugeFunc("plk_admission_queue_depth",
-		"Waiters currently parked in tenant admission queues.",
-		func() float64 { return float64(s.adm.QueueDepth()) })
-	reg.CounterFunc("plk_coalesce_executed_total",
-		"Evaluate computations actually executed by the single-flight group.",
-		func() float64 { p, _ := s.flights.Counters(); return float64(p) })
-	reg.CounterFunc("plk_coalesce_joined_total",
-		"Evaluate requests that joined an in-flight identical computation.",
-		func() float64 { _, c := s.flights.Counters(); return float64(c) })
-	reg.CounterFunc("plk_kernel_runs_total",
-		"Evaluate kernel executions performed (coalesced duplicates share one).",
-		func() float64 { return float64(s.kernelRuns.Load()) })
-	reg.CounterFunc("plk_sse_dropped_events_total",
-		"Progress events shed by bounded event hubs (ring aging plus slow-subscriber backpressure), summed over every analysis submitted.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.eventStatsLocked().DroppedTotal)
-		})
+	s.kernelRuns = reg.Counter("plk_kernel_runs_total",
+		"Evaluate kernel executions performed (coalesced duplicates share one).")
+	s.submitted = reg.Counter("plk_analyses_submitted_total",
+		"Analyses submitted since start.")
+	s.shed = newShedCounters(reg)
 	reg.GaugeFunc("plk_analyses_active",
 		"Analyses currently queued or running.",
 		func() float64 {

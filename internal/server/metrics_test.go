@@ -1,14 +1,16 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"phylo"
+	"phylo/internal/obs"
 )
 
 // expositionLine matches one well-formed Prometheus text sample.
@@ -66,7 +68,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"plk_admission_queue_depth",
 		"plk_coalesce_executed_total",
 		"plk_kernel_runs_total",
-		"plk_sse_dropped_events_total",
+		"plk_analyses_submitted_total",
+		`plk_sse_dropped_events_total{level="ring"}`,
+		`plk_sse_dropped_events_total{level="subscriber"}`,
 		// Kernel/runtime families reported through DatasetOptions.Metrics:
 		"plk_regions_total",
 		"plk_kernel_patterns_total",
@@ -112,49 +116,93 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
-// TestStatsEventsSection forces hub drops on a tracked job and asserts the
-// /v1/stats "events" section surfaces them per hub (satellite: drop/gap
-// accounting is externally observable, not just embedded in SSE payloads).
+// metric reads one family off reg: the series with exactly the given labels,
+// or with none given, the sum over all its series.
+func metric(reg *obs.Registry, name string, labels ...obs.Label) float64 {
+	sum := 0.0
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == name && (len(labels) == 0 || slices.Equal(smp.Labels, labels)) {
+			sum += smp.Value
+		}
+	}
+	return sum
+}
+
+// TestStatsEventsSection forces both kinds of hub drop on a server's hub and
+// asserts they are told apart in the registry (ring aging vs a slow
+// subscriber's backpressure) and summed in the analysis's dropped_events.
 func TestStatsEventsSection(t *testing.T) {
-	s, hs := testServer(t, Config{})
-	hub := newEventHub(2)
+	s, _ := testServer(t, Config{})
+	hub := newEventHub(2, s.shed)
 	for i := 0; i < 5; i++ { // capacity 2 => 3 ring drops
 		hub.Publish(phylo.ProgressEvent{Round: i + 1})
 	}
-	s.mu.Lock()
-	s.jobs["an_test"] = &analysisJob{id: "an_test", hub: hub, state: jobDone}
-	s.mu.Unlock()
-
-	resp, err := http.Get(hs.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	shed := func(level string) float64 {
+		return metric(s.Metrics(), "plk_sse_dropped_events_total", obs.Label{Key: "level", Value: level})
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Events eventStatsBody `json:"events"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Events.DroppedTotal != 3 || body.Events.RingDropped != 3 {
-		t.Fatalf("events section = %+v, want 3 ring drops", body.Events)
-	}
-	if st, ok := body.Events.Hubs["an_test"]; !ok || st.DroppedTotal != 3 {
-		t.Fatalf("per-hub breakdown = %+v, want an_test with 3 drops", body.Events.Hubs)
+	if ring, sub := shed("ring"), shed("subscriber"); ring != 3 || sub != 0 {
+		t.Fatalf("after ring aging: ring %v, subscriber %v; want 3, 0", ring, sub)
 	}
 
-	// Subscriber-level drops are reported too, and distinguished from ring
-	// aging: a full channel sheds its oldest queued event.
+	// A full channel sheds its oldest queued event: one subscriber drop per
+	// publish beyond its capacity (2 history + 2 more fit).
 	_, cancel := hub.Subscribe()
 	defer cancel()
 	for i := 0; i < 6; i++ {
 		hub.Publish(phylo.ProgressEvent{Round: 10 + i})
 	}
-	st := hub.DropStats()
-	if st.SubscriberDropped <= 0 || st.Subscribers != 1 {
-		t.Fatalf("DropStats after slow subscriber = %+v", st)
+	ring, sub := shed("ring"), shed("subscriber")
+	if ring != 9 || sub != 4 {
+		t.Fatalf("after a slow subscriber: ring %v, subscriber %v; want 9, 4", ring, sub)
 	}
-	if st.DroppedTotal != st.RingDropped+st.SubscriberDropped {
-		t.Fatalf("DroppedTotal %d != ring %d + sub %d", st.DroppedTotal, st.RingDropped, st.SubscriberDropped)
+	job := &analysisJob{id: "an_test", hub: hub, state: jobDone}
+	if _, st := job.snapshot(); st.DroppedEvents != int64(ring+sub) {
+		t.Fatalf("dropped_events %d, want ring + subscriber = %v", st.DroppedEvents, ring+sub)
+	}
+}
+
+// TestSSEDropCounterNeverDecreases: plk_sse_dropped_events_total is a
+// counter, so neither a subscriber detaching nor its analysis finishing may
+// take back the events shed while it was attached; nor may the job's
+// dropped_events.
+func TestSSEDropCounterNeverDecreases(t *testing.T) {
+	s, hs := testServer(t, Config{Threads: 1, EventBuffer: 2})
+	id := submit(t, hs.URL, tinyPhylip(t, 6, 64, 1))
+	gate := make(chan struct{})
+	s.testHookOptimize = func(ctx context.Context, an *phylo.Analysis) (float64, error) {
+		<-gate
+		return an.LogLikelihood(), nil
+	}
+	var st analysisStatus
+	if code := doJSON(t, "POST", hs.URL+"/v1/analyses", analysisRequest{Dataset: id}, &st, nil); code != http.StatusAccepted {
+		t.Fatalf("start: HTTP %d", code)
+	}
+	job, err := s.job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cancel := job.hub.Subscribe() // never read
+	for i := 1; i <= 5; i++ {
+		job.hub.Publish(ev(i))
+	}
+	dropped := func() float64 { return metric(s.Metrics(), "plk_sse_dropped_events_total") }
+	attached := dropped()
+	if attached != 6 { // 3 aged out of the ring, 3 shed by the subscriber
+		t.Fatalf("dropped with the subscriber attached = %v, want 6", attached)
+	}
+	cancel()
+	if got := dropped(); got < attached {
+		t.Fatalf("dropped stepped back %v -> %v when the subscriber detached", attached, got)
+	}
+	close(gate)
+	waitFor(t, func() bool {
+		doJSON(t, "GET", hs.URL+"/v1/analyses/"+st.ID, nil, &st, nil)
+		return st.State == jobDone
+	})
+	if got := dropped(); got < attached {
+		t.Fatalf("dropped stepped back %v -> %v when the analysis finished", attached, got)
+	}
+	if st.DroppedEvents != 6 {
+		t.Fatalf("finished analysis reports dropped_events %d, want 6", st.DroppedEvents)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -11,7 +10,7 @@ import (
 // maxFinishedJobs + k short analyses the table holds the maxFinishedJobs most
 // recently finished jobs plus every active one — here the oldest job
 // of all, parked in its tenant's admission queue — and a reaped id answers
-// like an unknown one while /v1/stats keeps counting every submission.
+// like an unknown one while the registry keeps counting every submission.
 func TestFinishedJobsAreReaped(t *testing.T) {
 	const extra = 8
 	s, hs := testServer(t, Config{Threads: 1, TenantInflight: 1, TenantQueue: maxFinishedJobs + extra})
@@ -75,13 +74,9 @@ func TestFinishedJobsAreReaped(t *testing.T) {
 			t.Fatalf("job %d of %d (%s): HTTP %d, want %d", i, len(ids), jid, code, want)
 		}
 	}
-	var stats struct {
-		Analyses map[string]int `json:"analyses"`
-	}
-	doJSON(t, "GET", hs.URL+"/v1/stats", nil, &stats, nil)
-	want := map[string]int{"total": len(ids) + 1, "tracked": maxFinishedJobs + 1, "active": 1}
-	if fmt.Sprint(stats.Analyses) != fmt.Sprint(want) {
-		t.Fatalf("/v1/stats analyses = %v, want %v", stats.Analyses, want)
+	submitted, running := metric(s.Metrics(), "plk_analyses_submitted_total"), metric(s.Metrics(), "plk_analyses_active")
+	if submitted != float64(len(ids)+1) || running != 1 {
+		t.Fatalf("plk_analyses_submitted_total %v, plk_analyses_active %v; want %d, 1", submitted, running, len(ids)+1)
 	}
 
 	open.Do(func() { close(gate) })

@@ -29,13 +29,14 @@
 //	GET    /v1/analyses/{id}       analysis status/result
 //	GET    /v1/analyses/{id}/events  progress stream (SSE)
 //	POST   /v1/analyses/{id}/cancel  cancel at the next region boundary
-//	GET    /v1/stats               cache/admission/coalescing/event telemetry
 //	GET    /v1/healthz             200 ok, 503 while draining
 //	GET    /metrics                Prometheus text exposition (plain text)
 //
-// Every dataset reports its kernel/region/steal metric families into the
-// daemon's registry, so one /metrics scrape covers the serving layer and the
-// likelihood runtime underneath it. Config.EnablePprof additionally mounts
+// The daemon's registry is the only place it counts anything: each subsystem
+// bumps its own counter families where the event happens, and every dataset
+// reports its kernel/region/steal families into the same registry, so one
+// /metrics scrape covers the serving layer and the likelihood runtime
+// underneath it (metrics.go). Config.EnablePprof additionally mounts
 // net/http/pprof under /debug/pprof/.
 //
 // Tenancy is declared with the X-Tenant request header (default "default").
@@ -53,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"phylo"
 	"phylo/internal/obs"
@@ -71,8 +71,6 @@ type Config struct {
 	Cyclic bool
 	// Steal enables intra-region work stealing on every dataset.
 	Steal bool
-	// Backend selects the kernel backend (default BackendAuto).
-	Backend phylo.KernelBackend
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
 	// CacheBytes is the dataset cache budget (default 512 MiB; <= 0 after
@@ -81,7 +79,8 @@ type Config struct {
 	// TenantInflight is the per-tenant in-flight work-item quota
 	// (default 2).
 	TenantInflight int
-	// TenantQueue is the per-tenant admission queue capacity (default 16).
+	// TenantQueue is the per-tenant admission queue capacity (default 16;
+	// negative means no queue: over-quota requests fail fast).
 	TenantQueue int
 	// EventBuffer is the per-analysis progress ring / per-subscriber
 	// channel bound (default 256).
@@ -126,8 +125,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// schedule is the strategy every dataset of this server is built with.
-func (c Config) schedule() phylo.ScheduleStrategy {
+// Schedule is the strategy every dataset of this server is built with.
+func (c Config) Schedule() phylo.ScheduleStrategy {
 	if c.Cyclic {
 		return phylo.ScheduleCyclic
 	}
@@ -140,7 +139,7 @@ type Server struct {
 	cfg     Config
 	cache   *DatasetCache
 	adm     *Admission
-	flights flightGroup
+	flights *flightGroup
 	mux     *http.ServeMux
 	metrics *obs.Registry // one scrape covers serving + kernel families
 
@@ -149,14 +148,15 @@ type Server struct {
 	jobs     map[string]*analysisJob // active + the last maxFinishedJobs finished (retire)
 	finished []string                // ids of the finished jobs in s.jobs, oldest finish first
 	nextJob  int64                   // analyses submitted since start
-	retired  eventStatsBody          // event-drop counts of the jobs dropped from s.jobs
 
 	work sync.WaitGroup // in-flight evaluates + analyses + submits
 
 	// kernelRuns counts actual kernel executions performed on behalf of
 	// evaluate requests — the observable that proves coalescing: N identical
 	// concurrent requests move it by exactly 1.
-	kernelRuns atomic.Int64
+	kernelRuns *obs.Counter
+	submitted  *obs.Counter // analyses submitted since start
+	shed       shedCounters // where every job's event hub counts what it sheds
 
 	// testHookEvaluate, when non-nil, runs inside the single-flight
 	// computation before the kernel, keyed by the coalescing key. Tests park
@@ -172,12 +172,14 @@ type Server struct {
 // New builds a server from the config.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewDatasetCache(cfg.CacheBytes),
-		adm:     NewAdmission(cfg.TenantInflight, cfg.TenantQueue),
+		cache:   NewDatasetCache(cfg.CacheBytes, reg),
+		adm:     NewAdmission(cfg.TenantInflight, cfg.TenantQueue, reg),
+		flights: newFlightGroup(reg),
 		jobs:    make(map[string]*analysisJob),
-		metrics: obs.NewRegistry(),
+		metrics: reg,
 	}
 	s.registerMetrics()
 	m := http.NewServeMux()
@@ -189,7 +191,6 @@ func New(cfg Config) *Server {
 	m.HandleFunc("GET /v1/analyses/{id}", s.instrument("/v1/analyses/{id}", s.handleGetAnalysis))
 	m.HandleFunc("GET /v1/analyses/{id}/events", s.instrument("/v1/analyses/{id}/events", s.handleEvents))
 	m.HandleFunc("POST /v1/analyses/{id}/cancel", s.instrument("/v1/analyses/{id}/cancel", s.handleCancelAnalysis))
-	m.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	m.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
 	m.Handle("GET /metrics", s.metrics.Handler())
 	if cfg.EnablePprof {
@@ -271,10 +272,6 @@ func (s *Server) cancelAllJobs() {
 	}
 }
 
-// KernelRuns reports how many evaluate kernel executions actually ran
-// (coalesced duplicates share one).
-func (s *Server) KernelRuns() int64 { return s.kernelRuns.Load() }
-
 // Admission exposes the admission gate (tests assert quota bounds on it).
 func (s *Server) Admission() *Admission { return s.adm }
 
@@ -355,11 +352,11 @@ func decodeJSON(r *http.Request, v any) error {
 
 // digest derives a stable dataset handle from the submitted inputs plus the
 // server's dataset-shaping config (two servers with different thread counts
-// or backends legitimately build different datasets from one alignment).
+// or schedules legitimately build different datasets from one alignment).
 func (s *Server) digest(parts ...string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "T=%d|S=%v|steal=%v|cats=%d|backend=%v",
-		s.cfg.Threads, s.cfg.schedule(), s.cfg.Steal, s.cfg.GammaCategories, s.cfg.Backend)
+	fmt.Fprintf(h, "T=%d|S=%v|steal=%v|cats=%d",
+		s.cfg.Threads, s.cfg.Schedule(), s.cfg.Steal, s.cfg.GammaCategories)
 	for _, p := range parts {
 		h.Write([]byte{0})
 		h.Write([]byte(p))
@@ -448,10 +445,9 @@ func (s *Server) buildDataset(req submitRequest) (*phylo.Dataset, error) {
 	}
 	return phylo.NewDataset(al, phylo.DatasetOptions{
 		Threads:         s.cfg.Threads,
-		Schedule:        s.cfg.schedule(),
+		Schedule:        s.cfg.Schedule(),
 		GammaCategories: s.cfg.GammaCategories,
 		Steal:           s.cfg.Steal,
-		Backend:         s.cfg.Backend,
 		// Every dataset reports kernel/region/steal families into the
 		// daemon's registry, so one /metrics scrape covers the whole stack.
 		Metrics: s.metrics,
@@ -507,77 +503,7 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"deleted": r.PathValue("id")})
 }
 
-// ---- telemetry endpoints ----
-
-// eventStatsBody is the "events" section of /v1/stats: aggregate drop/gap
-// accounting across every tracked analysis hub, plus a per-hub breakdown for
-// the hubs that actually shed events (bounded by the job table, and in
-// practice by how rarely healthy streams drop).
-type eventStatsBody struct {
-	DroppedTotal      int64                   `json:"dropped_total"`
-	RingDropped       int64                   `json:"ring_dropped"`
-	SubscriberDropped int64                   `json:"subscriber_dropped"`
-	Subscribers       int                     `json:"subscribers"`
-	Hubs              map[string]HubDropStats `json:"hubs,omitempty"`
-}
-
-// add folds one hub's counts into the aggregate.
-func (b *eventStatsBody) add(st HubDropStats) {
-	b.DroppedTotal += st.DroppedTotal
-	b.RingDropped += st.RingDropped
-	b.SubscriberDropped += st.SubscriberDropped
-	b.Subscribers += st.Subscribers
-}
-
-// eventStatsLocked folds the per-analysis hub drop counters, dropped jobs
-// included. Caller holds s.mu.
-func (s *Server) eventStatsLocked() eventStatsBody {
-	body := s.retired
-	for id, j := range s.jobs {
-		st := j.hub.DropStats()
-		body.add(st)
-		if st.DroppedTotal > 0 {
-			if body.Hubs == nil {
-				body.Hubs = make(map[string]HubDropStats)
-			}
-			body.Hubs[id] = st
-		}
-	}
-	return body
-}
-
-// handleStats implements GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	primary, coalesced := s.flights.Counters()
-	s.mu.Lock()
-	running, tracked, submitted := 0, len(s.jobs), int(s.nextJob)
-	for _, j := range s.jobs {
-		if j.active() {
-			running++
-		}
-	}
-	events := s.eventStatsLocked()
-	draining := s.draining
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"cache":     s.cache.Stats(),
-		"admission": s.adm.Stats(),
-		"coalescing": map[string]int64{
-			"executed":  primary,
-			"coalesced": coalesced,
-		},
-		"kernel_runs": s.kernelRuns.Load(),
-		"analyses":    map[string]int{"total": submitted, "tracked": tracked, "active": running},
-		"events":      events,
-		"draining":    draining,
-		"config": map[string]any{
-			"threads":  s.cfg.Threads,
-			"schedule": fmt.Sprint(s.cfg.schedule()),
-			"steal":    s.cfg.Steal,
-			"cats":     s.cfg.GammaCategories,
-		},
-	})
-}
+// ---- health ----
 
 // handleHealthz implements GET /v1/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -154,7 +154,8 @@ func TestEvaluateCoalescing(t *testing.T) {
 			<-gate
 		}
 	}
-	base := s.KernelRuns()
+	kernelRuns := func() float64 { return metric(s.Metrics(), "plk_kernel_runs_total") }
+	base := kernelRuns()
 
 	var wg sync.WaitGroup
 	resps := make([]evaluateResponse, n)
@@ -176,8 +177,8 @@ func TestEvaluateCoalescing(t *testing.T) {
 	close(gate)
 	wg.Wait()
 
-	if got := s.KernelRuns() - base; got != 1 {
-		t.Fatalf("kernel executions = %d, want exactly 1", got)
+	if got := kernelRuns() - base; got != 1 {
+		t.Fatalf("kernel executions = %v, want exactly 1", got)
 	}
 	nCoal := 0
 	for i := 0; i < n; i++ {
@@ -457,22 +458,26 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestStatsAndListEndpoints: the daemon's counts are read off its registry
+// (GET /metrics), and the hand-built GET /v1/stats is gone.
 func TestStatsAndListEndpoints(t *testing.T) {
-	_, hs := testServer(t, Config{Threads: 1, TenantInflight: 2})
+	s, hs := testServer(t, Config{Threads: 1, TenantInflight: 2})
 	id := submit(t, hs.URL, tinyPhylip(t, 8, 128, 1))
 	doJSON(t, "POST", hs.URL+"/v1/evaluate", evaluateRequest{Dataset: id}, nil, nil)
 
-	var stats struct {
-		Cache      CacheStats     `json:"cache"`
-		Admission  AdmissionStats `json:"admission"`
-		KernelRuns int64          `json:"kernel_runs"`
-		Draining   bool           `json:"draining"`
+	reg := s.Metrics()
+	for name, want := range map[string]float64{
+		"plk_cache_entries":            1,
+		"plk_kernel_runs_total":        1,
+		"plk_admission_admitted_total": 1,
+		"plk_draining":                 0,
+	} {
+		if got := metric(reg, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, &stats, nil); code != http.StatusOK {
-		t.Fatalf("stats: HTTP %d", code)
-	}
-	if stats.Cache.Entries != 1 || stats.KernelRuns != 1 || stats.Admission.Admitted < 1 || stats.Draining {
-		t.Fatalf("stats: %+v", stats)
+	if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, nil, nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: HTTP %d, want 404", code)
 	}
 
 	var list struct {
@@ -493,33 +498,23 @@ func TestStatsAndListEndpoints(t *testing.T) {
 }
 
 // TestCyclicScheduleSurvivesConfig: plkd -schedule cyclic must reach the
-// datasets. A server configured for cyclic says so in /v1/stats, digests the
-// same bytes to a different handle than a default (weighted) server, and at
-// two threads scores bit-identically to a direct ScheduleCyclic dataset.
+// datasets. A server configured for cyclic digests the same bytes to a
+// different handle than a default (weighted) server, and at two threads
+// scores bit-identically to a direct ScheduleCyclic dataset.
 func TestCyclicScheduleSurvivesConfig(t *testing.T) {
 	_, cyc := testServer(t, Config{Threads: 2, Cyclic: true})
 	_, def := testServer(t, Config{Threads: 2})
 	phy := tinyPhylip(t, 8, 192, 3)
 
-	// probe reads the configured schedule and submits the alignment.
-	probe := func(hs *httptest.Server) (schedule, id string) {
-		var stats struct {
-			Config struct {
-				Schedule string `json:"schedule"`
-			} `json:"config"`
-		}
-		doJSON(t, "GET", hs.URL+"/v1/stats", nil, &stats, nil)
+	// probe submits the alignment.
+	probe := func(hs *httptest.Server) (id string) {
 		var sr submitResponse
 		if code := doJSON(t, "POST", hs.URL+"/v1/datasets", submitRequest{Phylip: phy, PartitionLen: 48}, &sr, nil); code != http.StatusOK {
 			t.Fatalf("submit: HTTP %d", code)
 		}
-		return stats.Config.Schedule, sr.ID
+		return sr.ID
 	}
-	cycSched, cycID := probe(cyc)
-	defSched, defID := probe(def)
-	if cycSched != "cyclic" || defSched != "weighted" {
-		t.Errorf("/v1/stats reports schedule %q for the cyclic server and %q for the default one", cycSched, defSched)
-	}
+	cycID, defID := probe(cyc), probe(def)
 	if cycID == defID {
 		t.Errorf("cyclic and weighted servers share dataset id %s", cycID)
 	}
