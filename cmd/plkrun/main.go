@@ -272,19 +272,33 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 	}
 }
 
-// backendLine names the dataset's kernel backend and, for the fused one, the
-// realisation of its 4-state newview planes the registry reports
-// (plk_kernel_vector_lanes: 4 for the AVX kernels, 1 for the scalar loops).
+// backendLine names the dataset's kernel backend and how many states one
+// instruction of its P applications computes at each alphabet, as the
+// registry reports it (plk_kernel_vector_lanes by states: 4 for an AVX
+// kernel, 1 for scalar loops).
 func backendLine(ds *phylo.Dataset, reg *phylo.MetricsRegistry) string {
-	if ds.Backend() != phylo.BackendFused {
-		return ds.Backend().String()
-	}
+	lanes := map[string]float64{}
 	for _, s := range reg.Snapshot() {
-		if s.Name == "plk_kernel_vector_lanes" {
-			return fmt.Sprintf("%v (%.0f-lane planes)", ds.Backend(), s.Value)
+		if s.Name != "plk_kernel_vector_lanes" {
+			continue
+		}
+		var backend, states string
+		for _, l := range s.Labels {
+			switch l.Key {
+			case "backend":
+				backend = l.Value
+			case "states":
+				states = l.Value
+			}
+		}
+		if backend == ds.Backend().String() {
+			lanes[states] = s.Value
 		}
 	}
-	return ds.Backend().String()
+	if len(lanes) == 0 {
+		return ds.Backend().String()
+	}
+	return fmt.Sprintf("%v (%.0f-lane DNA, %.0f-lane protein P applications)", ds.Backend(), lanes["4"], lanes["20"])
 }
 
 // fmtVec renders a small per-worker vector compactly.

@@ -3,6 +3,7 @@ package phylo
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"phylo/internal/alignment"
@@ -171,11 +172,13 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 			// private registry nobody scrapes.
 			reg = NewMetricsRegistry()
 		}
-		lanes := 1
-		if sh.Backend == core.BackendFused {
-			lanes = core.VectorLanes()
+		ds.exec.SetObserver(parallel.NewMetricsCollector(reg, execKind, sh.Backend.String(), o.Threads, o.Trace))
+		for _, t := range []alignment.DataType{alignment.DNA, alignment.AA} {
+			reg.Gauge("plk_kernel_vector_lanes",
+				"States one instruction of a P application computes on this host, by kernel backend and alphabet size: 4 where an AVX kernel runs it (the fused newview planes at 4 states, the column mat-vec at 20 under either backend), 1 where scalar loops do.",
+				MetricLabel{Key: "backend", Value: sh.Backend.String()}, MetricLabel{Key: "states", Value: strconv.Itoa(t.States())},
+			).Set(float64(core.VectorLanes(sh.Backend, t.States())))
 		}
-		ds.exec.SetObserver(parallel.NewMetricsCollector(reg, execKind, sh.Backend.String(), lanes, o.Threads, o.Trace))
 	}
 	return ds, nil
 }

@@ -135,7 +135,7 @@ func (p Probe) BusyImbalance() float64 {
 // the workers of exec, and returns what the registry recorded.
 func measure(exec *parallel.Pool, fn func()) Probe {
 	reg := obs.NewRegistry()
-	exec.SetObserver(parallel.NewMetricsCollector(reg, "probe", "", 0, exec.Threads(), nil))
+	exec.SetObserver(parallel.NewMetricsCollector(reg, "probe", "", exec.Threads(), nil))
 	defer exec.SetObserver(nil)
 	fn()
 	p := Probe{Stolen: reg.Counter("plk_stolen_patterns_total", "").Value()}

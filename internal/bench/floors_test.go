@@ -16,7 +16,7 @@ import (
 	"phylo/internal/tree"
 )
 
-// The floors are the six intra-run bounds this repository holds on any
+// The floors are the seven intra-run bounds this repository holds on any
 // host: each is a ratio (or fraction) of two arms measured in this process,
 // so it needs no report, no stored baseline and no second process to judge
 // it. Absolute ns/op are not judged here; benchmark/ decides those against
@@ -25,8 +25,8 @@ const (
 	// fusedNewviewFloor: the fused backend's cat-major layout and unrolled
 	// 4-state kernels must at least halve the generic oracle's full newview
 	// traversal at one thread. The scalar plane loops read 2.15x to 2.49x.
-	// Where core.VectorLanes() is 4 the AVX plane kernels run instead: five
-	// runs on the shared 2-vCPU reference box read 3.10x to 3.59x (five
+	// Where core.VectorLanes is 4 at four states the AVX plane kernels run
+	// instead: five runs on the shared 2-vCPU reference box read 3.10x to 3.59x (five
 	// earlier ones 2.61x to 3.33x), and the floor is 0.8 x the lowest of the
 	// five, rounded down.
 	fusedNewviewFloor       = 2.0
@@ -48,27 +48,37 @@ const (
 	// stealing is a symptom rather than a cure (see the ceiling test).
 	stealMigrationCeiling = 0.5
 	// proteinMaddCeiling: wall time per priced op of the generic newview at
-	// s = 20 over the same at s = 4. With the four-row applyRows, five runs on
-	// the shared 2-vCPU reference box read 0.37x to 0.39x, and the ceiling is
+	// s = 20 over the same at s = 4. With four outputs a chain in the scalar
+	// loop (then applyRows, now model.ApplyCols' fallback), five runs on the
+	// shared 2-vCPU reference box read 0.37x to 0.39x, and the ceiling is
 	// 1.25 x the highest; one accumulator per output reads 0.70x, so a
 	// tidy-up back to the single += chain fails here rather than only in the
-	// next benchmark.
-	proteinMaddCeiling = 0.49
+	// next benchmark. Where model.VectorApplyCols the AVX column mat-vec runs
+	// the 20-state s² loop: ten runs read 0.08x to 0.17x, and the ceiling is
+	// 1.25 x the highest, so a host that runs the scalar loop there fails.
+	proteinMaddCeiling       = 0.49
+	proteinMaddCeilingVector = 0.21
 	// pmatricesFloor: the scalar 4-state PMatrices (one pmatrix4 and four
 	// math.Exp calls a category) over the AVX2 kernel that computes the same
 	// bits, at four categories. The kernel's prototype read 3.4x, and five
 	// runs on the shared 2-vCPU reference box 3.04x to 3.30x; the floor sits
 	// at 0.82 x the lowest. Checked only where the kernel runs.
 	pmatricesFloor = 2.5
+	// proteinApplyFloor: the scalar loop of model.ApplyCols over its AVX
+	// kernel, the same bits, on the 20-state P application of one pattern at
+	// four categories. Five runs on the shared 2-vCPU reference box read 4.01x
+	// to 4.49x, and the floor is 0.8 x the lowest. Checked only where the
+	// kernel runs.
+	proteinApplyFloor = 3.2
 
 	floorSeed = 42
 )
 
 // planesFloor is the floor of the realisation of the fused newview planes
-// this host runs (core.VectorLanes: 4 for the AVX kernels, 1 for the scalar
-// loops).
+// this host runs (core.VectorLanes at 4 states: 4 for the AVX kernels, 1 for
+// the scalar loops).
 func planesFloor(scalar, vector float64) float64 {
-	if core.VectorLanes() == 4 {
+	if core.VectorLanes(core.BackendFused, 4) == 4 {
 		return vector
 	}
 	return scalar
@@ -224,7 +234,7 @@ func TestFusedNewviewFloor(t *testing.T) {
 		fused := newviewNsOp(t, w, core.BackendFused, true)
 		return generic/fused >= floor,
 			fmt.Sprintf("fused newview %.2fx generic at 1 thread, %d-lane planes (floor %.1fx; generic %.0f ns/op, fused %.0f ns/op; %s, %d patterns)",
-				generic/fused, core.VectorLanes(), floor, generic, fused, w.name, w.data.TotalPatterns)
+				generic/fused, core.VectorLanes(core.BackendFused, 4), floor, generic, fused, w.name, w.data.TotalPatterns)
 	})
 }
 
@@ -241,7 +251,7 @@ func TestTipTableFloor(t *testing.T) {
 		table := newviewNsOp(t, w, core.BackendFused, true)
 		return generic/table >= floor,
 			fmt.Sprintf("tip-table newview %.2fx generic at 1 thread, %d-lane planes (floor %.2fx; generic %.0f ns/op, table %.0f ns/op; %s, %d patterns)",
-				generic/table, core.VectorLanes(), floor, generic, table, w.name, w.data.TotalPatterns)
+				generic/table, core.VectorLanes(core.BackendFused, 4), floor, generic, table, w.name, w.data.TotalPatterns)
 	})
 }
 
@@ -271,6 +281,44 @@ func TestPMatricesFloor(t *testing.T) {
 		return scalar/lane >= pmatricesFloor,
 			fmt.Sprintf("4-state PMatrices at 4 categories: AVX2 kernel %.2fx the scalar code (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
 				scalar/lane, pmatricesFloor, scalar, lane)
+	})
+}
+
+// TestProteinApplyFloor: where model.VectorApplyCols, the 20-state P
+// application of one pattern at four categories — four ApplyCols over
+// column-major P blocks, what a protein inner child costs per newview — is
+// >= proteinApplyFloor x faster on the AVX kernel than on the scalar loop,
+// the same bits either way.
+func TestProteinApplyFloor(t *testing.T) {
+	timed(t)
+	if !model.VectorApplyCols() {
+		t.Skip("the AVX ApplyCols kernel does not run on this host")
+	}
+	const s, cats = 20, 4
+	m, err := model.SYN20(cats, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, x, dst := make([]float64, cats*s*s), make([]float64, cats*s), make([]float64, s)
+	m.PMatrices(0.1, pm)
+	for i := range x {
+		x[i] = 0.05 + 0.1*float64(i%7)
+	}
+	nsOp := func(vector bool) float64 {
+		defer model.SetVectorApplyCols(model.SetVectorApplyCols(vector))
+		return bestOf3(t, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < cats; c++ {
+					model.ApplyCols(dst, pm[c*s*s:(c+1)*s*s], x[c*s:(c+1)*s])
+				}
+			}
+		})
+	}
+	hold(t, func() (bool, string) {
+		scalar, lane := nsOp(false), nsOp(true)
+		return scalar/lane >= proteinApplyFloor,
+			fmt.Sprintf("20-state P application at 4 categories: AVX kernel %.2fx the scalar loop (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
+				scalar/lane, proteinApplyFloor, scalar, lane)
 	})
 }
 
@@ -316,18 +364,23 @@ func genericNsPerOp(t *testing.T, w *workload) float64 {
 }
 
 // TestProteinMaddFloor: a priced op of the 20-state generic newview costs at
-// most proteinMaddCeiling x one of the 4-state generic newview, both measured
+// most proteinMaddCeiling x one of the 4-state generic newview
+// (proteinMaddCeilingVector where the AVX column mat-vec runs), both measured
 // here. Every 20-state partition runs the generic body on every backend, and
-// its s² loop is applyRows; the 4-state arm pays the same call per 4 x 4
-// block, which is why the quotient sits well below 1.
+// its s² loop is model.ApplyCols; the 4-state arm pays applyRows' call per
+// 4 x 4 block, which is why the quotient sits well below 1.
 func TestProteinMaddFloor(t *testing.T) {
 	timed(t)
 	aa, dna := kernelWorkload(t, alignment.AA, 16, 512), kernelWorkload(t, alignment.DNA, 16, 8192)
+	ceiling := proteinMaddCeiling
+	if model.VectorApplyCols() {
+		ceiling = proteinMaddCeilingVector
+	}
 	hold(t, func() (bool, string) {
 		ns20, ns4 := genericNsPerOp(t, aa), genericNsPerOp(t, dna)
-		return ns20/ns4 <= proteinMaddCeiling,
-			fmt.Sprintf("generic newview: %.3f ns a priced op at s = 20, %.3f at s = 4: %.2fx (ceiling %.2fx)",
-				ns20, ns4, ns20/ns4, proteinMaddCeiling)
+		return ns20/ns4 <= ceiling,
+			fmt.Sprintf("generic newview: %.3f ns a priced op at s = 20, %.3f at s = 4: %.2fx (ceiling %.2fx, column mat-vec kernel %v)",
+				ns20, ns4, ns20/ns4, ceiling, model.VectorApplyCols())
 	})
 }
 

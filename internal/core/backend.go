@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"phylo/internal/model"
 )
 
 // Kernel backends. A backend bundles (a) a CLV memory layout and (b) the
@@ -117,6 +119,22 @@ const (
 	// loop and fully unrolled evaluate bodies, over cat-major planes.
 	bodyFused4
 )
+
+// VectorLanes is how many states one instruction of a P application computes
+// on this host for a partition of the given state count under backend b: 4
+// where an AVX kernel runs it, 1 where scalar loops do. At four states that is
+// the fused backend's newview planes (the generic backend runs applyRows); at
+// any wider alphabet it is model.ApplyCols, under either backend.
+func VectorLanes(b Backend, states int) int {
+	vector := model.VectorApplyCols()
+	if states == 4 {
+		vector = b == BackendFused && vectorPlanes
+	}
+	if vector {
+		return 4
+	}
+	return 1
+}
 
 // bodyFor selects the kernel body of one partition: the fused backend runs
 // the unrolled kernels on 4-state data and the generic loop on anything

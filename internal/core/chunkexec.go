@@ -160,16 +160,22 @@ type spanCtx struct {
 	dstScale []int32
 	scaled   float64
 
+	// applyP is the generic bodies' P application, dst = P_c·x over one block
+	// of end.pm, for the block layout of the span's alphabet (model.PMatrices):
+	// applyRows over a 4-state block's rows, model.ApplyCols over a wider
+	// block's columns. Chosen once per binding.
+	applyP func(dst, pm, x []float64)
+
 	// evaluate, sumtable: the model views of the reduction / projection.
-	invCats float64
-	freqs   []float64
-	ev, evi []float64 // sumtable: eigenvectors and their inverse
+	invCats  float64
+	freqs    []float64
+	ev, eviT []float64 // sumtable: V, and V^-1 transposed, as ApplyCols reads them
 
 	// The worker's scratch (exScratch) as the generic bodies use it: tmp holds
-	// one applyRows result (s floats; newview, evaluate, sumtable), and for the
-	// sumtable evT is ev transposed — applyRows walks rows — and fl the s
-	// products freqs[a]·cl[a] of the pattern and category at hand.
-	tmp, evT, fl []float64
+	// one P application or projection (s floats; newview, evaluate, sumtable),
+	// and fl the sumtable's s products freqs[a]·cl[a] of the pattern and
+	// category at hand.
+	tmp, fl []float64
 
 	// sumtable, derivative: the session's sumtable (pattern-major under every
 	// backend) and the partition's base in it.
@@ -206,7 +212,10 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 	*c = spanCtx{
 		e: e, kind: r.kind, body: e.bodies[ip], w: w, s: s, cats: cats, cs: cats * s,
 		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
-		partOffset: part.Offset, dtype: part.Type,
+		partOffset: part.Offset, dtype: part.Type, applyP: model.ApplyCols,
+	}
+	if s == 4 {
+		c.applyP = applyRows
 	}
 	ex := e.exScratch[w]
 	c.tmp = ex[:s]
@@ -232,14 +241,8 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		c.invCats, c.freqs = 1.0/float64(cats), m.Freqs
 	case parallel.RegionSumTable:
 		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
-		c.invCats, c.freqs, c.ev, c.evi = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecs
-		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
-		c.fl, c.evT = ex[s:2*s], ex[2*s:2*s+s*s]
-		for a := 0; a < s; a++ {
-			for k := 0; k < s; k++ {
-				c.evT[k*s+a] = c.ev[a*s+k]
-			}
-		}
+		c.invCats, c.freqs, c.ev, c.eviT = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecsT
+		c.sum, c.sbase, c.fl = e.sumtable, e.layout.SumIndex(ip, 0), ex[s:2*s]
 	default: // parallel.RegionDerivative
 		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
 		z := r.z[ip]
@@ -353,7 +356,7 @@ func (c *spanCtx) ensureTables(share int) {
 			end.tab = buildTipSumLeft(dst, c.dtype, end.codes, c.freqs, c.ev, c.s)
 			c.fixed += opsTipProj(c.s, terms)
 		default:
-			end.tab = buildTipSumRight(dst, c.dtype, end.codes, c.evi, c.s)
+			end.tab = buildTipSumRight(dst, c.dtype, end.codes, c.eviT, c.s)
 			c.fixed += opsTipProj(c.s, terms)
 		}
 	}

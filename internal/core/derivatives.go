@@ -2,6 +2,7 @@ package core
 
 import (
 	"phylo/internal/alignment"
+	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
@@ -36,9 +37,10 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 // through the layout strides, while the sumtable keeps the pattern-major
 // geometry under every backend (the derivative kernel reduces one pattern's
 // contiguous cats·s block at a time). Every backend routes here today. An end
-// without a table row pays one applyRows per category — the left one over
-// fl[a] = freqs[a]·cl[a], formed once, against the transposed eigenvectors —
-// and both projections accumulate in state-ascending order in any case.
+// without a table row pays one model.ApplyCols per category — the left one
+// applies V^T, which ApplyCols reads as V itself, to fl[a] = freqs[a]·cl[a],
+// formed once; the right one applies V^-1, read as InvVecsT — and both
+// projections accumulate in state-ascending order in any case.
 //
 //plk:hotpath
 func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
@@ -75,7 +77,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 				for a := range fl {
 					fl[a] = c.freqs[a] * cl[a]
 				}
-				applyRows(dst, c.evT, fl)
+				model.ApplyCols(dst, c.ev, fl)
 				lproj = dst
 			}
 			if rRow == nil {
@@ -83,7 +85,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 				if !c.b.tip {
 					cr = c.b.v[co : co+s]
 				}
-				applyRows(rp, c.evi, cr)
+				model.ApplyCols(rp, c.eviT, cr)
 				rproj = rp
 			}
 			for k := range dst {

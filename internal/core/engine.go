@@ -183,10 +183,10 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 
 // exScratchLen is the size of a worker's kind-dependent scratch: a derivative
 // region's three cats × s tables, or the s-vector a newview, evaluate or
-// sumtable span keeps an applyRows result in, which a sumtable span follows
-// with a second s-vector and the transposed eigenvectors (s × s).
+// sumtable span keeps a P application or projection in, which a sumtable span
+// follows with a second s-vector.
 func (sh *Shared) exScratchLen() int {
-	return max(3*sh.NumCats*sh.maxS, 2*sh.maxS+sh.maxS*sh.maxS)
+	return max(3*sh.NumCats*sh.maxS, 2*sh.maxS)
 }
 
 // NewSession builds a session engine over precomputed shared state: it

@@ -59,7 +59,7 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 // reduction and SiteLogLikelihoods: the (unnormalized) sum-over-categories
 // site likelihood before the log and the scaling-exponent correction, read
 // through the layout strides. When the q-side tip table is built, its row
-// already holds the P applications; otherwise one applyRows per category forms
+// already holds the P applications; otherwise one applyP per category forms
 // them. The accumulation runs in (cat asc, state asc) order — the order every
 // backend must preserve for bit-identity.
 //
@@ -100,7 +100,7 @@ func (c *spanCtx) patternLi(j, off int) float64 {
 		if !c.b.tip {
 			cr = c.b.v[co : co+s]
 		}
-		applyRows(t, c.b.pm[cat*ss:(cat+1)*ss], cr)
+		c.applyP(t, c.b.pm[cat*ss:(cat+1)*ss], cr)
 		for a := 0; a < s; a++ {
 			li += c.freqs[a] * cl[a] * t[a]
 		}

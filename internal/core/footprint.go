@@ -116,7 +116,7 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
 	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
-		sh.exScratchLen() + // derivative tables, or the sumtable's transposed eigenvectors
+		sh.exScratchLen() + // derivative tables, or the generic bodies' s-vectors
 		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
 	for _, p := range sh.Data.Parts {
 		s := p.Type.States()

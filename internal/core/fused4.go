@@ -34,16 +34,6 @@ import (
 // plane call leaves, the scalar loop runs. DESIGN.md ("Vector planes") has
 // why the two are bit-identical.
 
-// VectorLanes is how many states of a pattern-category quartet one
-// instruction of the fused newview planes computes on this host: 4 where the
-// AVX kernels run, 1 where the scalar loops do.
-func VectorLanes() int {
-	if vectorPlanes {
-		return 4
-	}
-	return 1
-}
-
 // small4 reports whether all four values fall inside (-2^-256, 2^-256) —
 // one pattern-category quartet's contribution to the scaling predicate.
 //

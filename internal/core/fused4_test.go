@@ -18,15 +18,21 @@ import (
 // both, so the scalar loops stay tested on a host that would never run them.
 // The same two arms switch the span set-up's 4-state PMatrices between its
 // AVX2 kernel and the scalar pmatrix4 (internal/model holds those to each
-// other bit for bit).
+// other bit for bit), and every 20-state P application and sumtable
+// projection between model.ApplyCols' AVX kernel and its scalar loop
+// (TestApplyColsBitIdentity).
 
 // forEachPlanes runs f as one subtest per realisation this host has, with
-// vectorPlanes and model.VectorPMatrix set to it: "avx" (skipped where the
-// plane kernels cannot run; the P kernel runs where the host has AVX2) and
-// "scalar".
+// vectorPlanes, model.VectorPMatrix and model.VectorApplyCols set to it: "avx"
+// (skipped where the plane kernels cannot run; the P kernel runs where the
+// host has AVX2) and "scalar".
 func forEachPlanes(t *testing.T, f func(t *testing.T)) {
-	host, hostPM := vectorPlanes, model.VectorPMatrix()
-	t.Cleanup(func() { vectorPlanes = host; model.SetVectorPMatrix(hostPM) })
+	host, hostPM, hostCols := vectorPlanes, model.VectorPMatrix(), model.VectorApplyCols()
+	t.Cleanup(func() {
+		vectorPlanes = host
+		model.SetVectorPMatrix(hostPM)
+		model.SetVectorApplyCols(hostCols)
+	})
 	for _, arm := range []struct {
 		name string
 		on   bool
@@ -37,6 +43,7 @@ func forEachPlanes(t *testing.T, f func(t *testing.T)) {
 			}
 			vectorPlanes = arm.on
 			model.SetVectorPMatrix(arm.on)
+			model.SetVectorApplyCols(arm.on)
 			f(t)
 		})
 	}

@@ -47,8 +47,9 @@ func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
 	e.runRegion(region{kind: parallel.RegionNewview, steps: steps}, e.activeOrAll(active))
 }
 
-// applyRows is the one s² loop of the generic bodies: dst[k] = Σ_a
-// m[k·len(x)+a]·x[a] for the len(dst) rows of the row-major m. Four rows
+// applyRows is the generic bodies' P application to a 4-state block, whose
+// layout is row-major (model.PMatrices; wider blocks go to model.ApplyCols):
+// dst[k] = Σ_a m[k·len(x)+a]·x[a] for the len(dst) rows of m. Four rows
 // accumulate side by side — a lone += chain waits out the add latency on
 // every term, four keep the adder busy — and each sum still runs a ascending
 // from +0, so every dst[k] carries the bits of the one-row loop
@@ -83,11 +84,11 @@ func applyRows(dst, m, x []float64) {
 // (sum_b Pq_c[a][b] xq_c[b]) · (sum_b Pr_c[a][b] xr_c[b]), with a tip child's
 // P application replaced by a table-row read when a lookup table is built.
 // Tip children without tables supply a single category-independent 0/1
-// vector. Every P application is one applyRows; under the pattern-major
-// layout this produces the seed kernel's sums term for term, and under the
-// cat-major layout only the addresses change, so the two layouts (and the
-// fused kernels, which preserve the same left-associated accumulation order)
-// produce bit-identical CLVs.
+// vector. Every P application is one applyP (applyRows or model.ApplyCols, by
+// the block's layout); under the pattern-major layout this produces the seed
+// kernel's sums term for term, and under the cat-major layout only the
+// addresses change, so the two layouts (and the fused kernels, which preserve
+// the same left-associated accumulation order) produce bit-identical CLVs.
 //
 //plk:hotpath
 func (c *spanCtx) newviewGeneric(run schedule.Run) int {
@@ -125,7 +126,7 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 				co := off + cat*c.catStride
 				d := c.dst[co : co+s]
 				t := tq[cat*s:][:len(d)]
-				applyRows(d, pm[cat*ss:(cat+1)*ss], xv[co:co+s])
+				c.applyP(d, pm[cat*ss:(cat+1)*ss], xv[co:co+s])
 				for a := range d {
 					d[a] = t[a] * d[a]
 				}
@@ -150,8 +151,8 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 					cr = c.b.v[co : co+s]
 				}
 				d := c.dst[co : co+s]
-				applyRows(d, c.a.pm[cat*ss:(cat+1)*ss], cq)
-				applyRows(sr, c.b.pm[cat*ss:(cat+1)*ss], cr)
+				c.applyP(d, c.a.pm[cat*ss:(cat+1)*ss], cq)
+				c.applyP(sr, c.b.pm[cat*ss:(cat+1)*ss], cr)
 				for a := range d {
 					d[a] = d[a] * sr[a]
 				}

@@ -44,7 +44,7 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 		exec := parallel.NewSequential()
 		if observed {
 			reg := obs.NewRegistry()
-			exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "fused4", VectorLanes(), 1, nil))
+			exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "fused4", 1, nil))
 		}
 		eng := obsGateEngine(t, exec, Options{Specialize: true})
 		root := eng.Tree.Tips[0].Back
@@ -67,7 +67,7 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 func TestEngineObsFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	exec := parallel.NewSequential()
-	exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "generic", 1, 1, nil))
+	exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "generic", 1, nil))
 	eng := obsGateEngine(t, exec, Options{Specialize: true, Metrics: reg})
 	eng.LogLikelihood()
 	ws, err := NewWeightSet(eng.Data, 3, 99)
@@ -90,9 +90,6 @@ func TestEngineObsFamilies(t *testing.T) {
 	}
 	if got["plk_kernel_patterns_total|backend=generic"] <= 0 {
 		t.Errorf("plk_kernel_patterns_total = %v, want > 0", got["plk_kernel_patterns_total|backend=generic"])
-	}
-	if got["plk_kernel_vector_lanes|backend=generic"] != 1 {
-		t.Errorf("plk_kernel_vector_lanes{generic} = %v, want 1", got["plk_kernel_vector_lanes|backend=generic"])
 	}
 	if got["plk_regions_total|kind=newview|exec=sequential"] <= 0 {
 		t.Errorf("plk_regions_total{newview} = %v, want > 0", got["plk_regions_total|kind=newview|exec=sequential"])

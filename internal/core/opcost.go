@@ -21,21 +21,24 @@ package core
 // virtual platform model needs no per-backend calibration.
 //
 // A madd is a count, not a time. Wall time per priced op differs between the
-// bodies: the 20-state generic loops (applyRows, four sums in flight) retire
-// a priced op in about 0.35 ns, the 4-state generic loops in about 0.9 ns, and
-// fused4 with tip tables in about 0.17 ns where its newview planes run as the
-// AVX kernels (0.31 ns with the scalar loops; a newview traversal of 16 taxa,
-// one thread): a priced DNA op is about 2x cheaper in wall time than a priced
-// AA op, where it was about as dear (TestProteinMaddFloor and
-// TestFusedNewviewFloor hold two of the quotients). The weighted pack and
-// opsNewviewAvg balance ops, so on a mixed DNA + protein dataset at W > 1
-// they no longer balance time by the same factor. UNVERIFIED: whether
-// re-weighting spans by time per op would pack W > 1 better; nothing here is
-// re-tuned for it. A P block is priced at cats·s³ (transition): 256 for four
-// states at four categories, which model.PMatrices computes in about 80 ns
-// on its AVX2 kernel (0.31 ns a priced op; about 250 ns, 0.98 ns, on the
-// scalar code; BenchmarkPMatrices in internal/model on the shared 2-vCPU Xeon
-// reference box).
+// bodies (a newview traversal of 16 taxa, one thread, on the shared 2-vCPU
+// Xeon reference box): the 20-state generic loops retire a priced op in about
+// 0.10-0.11 ns where model.ApplyCols runs as its AVX kernel (0.12-0.15 ns
+// with tip tables; 0.33-0.35 ns on its scalar loop), the 4-state generic loops
+// in about 0.8-0.95 ns, and fused4 with tip tables in about 0.14-0.18 ns where
+// its newview planes run as the AVX kernels (0.31 ns with the scalar loops).
+// With both kernels a priced AA op is about 1.3x cheaper in wall time than a
+// priced DNA op, where it was about 2x dearer on the scalar 20-state loop
+// (TestProteinMaddFloor and TestFusedNewviewFloor hold two of the quotients).
+// The weighted pack and opsNewviewAvg balance ops, so on a mixed DNA +
+// protein dataset at W > 1 they balance time only up to that factor.
+// UNVERIFIED: whether re-weighting spans by time per op would pack W > 1
+// better; nothing here is re-tuned for it. A P block is priced at cats·s³
+// (transition): 256 for four states at four categories, which
+// model.PMatrices computes in about 80 ns on its AVX2 kernel (0.31 ns a
+// priced op; about 250 ns, 0.98 ns, on the scalar code), and 32 000 for
+// twenty, about 7 µs with the AVX column mat-vec (0.2 ns; about 15 µs,
+// 0.47 ns, on its scalar loop; BenchmarkPMatrices in internal/model).
 
 // opsNewviewCase is the per-pattern cost of one newview step given each
 // child's kind: an inner child costs a full P application (s² madds), a

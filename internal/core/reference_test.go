@@ -15,9 +15,11 @@ import (
 
 // The generic bodies' inner loops as they stood before they were blocked four
 // rows (newview, evaluate, sumtable) and two patterns (derivatives) at a time,
-// moved here verbatim: one dependent accumulator per output. They are what
-// TestGenericBodiesMatchReference, TestApplyRowsBitIdentity and
-// TestDerivativePairsBitIdentity hold the restructured loops to, bit for bit.
+// moved here verbatim but for where they read a P block's entry (pAt) and
+// V^-1 (through its transpose): one dependent accumulator per output. They are
+// what TestGenericBodiesMatchReference, TestApplyRowsBitIdentity,
+// TestApplyColsBitIdentity and TestDerivativePairsBitIdentity hold the
+// restructured loops to, bit for bit.
 
 // applyRowsReference is the one-row loop applyRows blocks: dst[k] = sum_a
 // m[k*len(x)+a] * x[a], a ascending from +0.
@@ -30,6 +32,15 @@ func applyRowsReference(dst, m, x []float64) {
 		}
 		dst[k] = sum
 	}
+}
+
+// pAt is entry (a, b) of one category's P block p in the layout
+// model.PMatrices writes it: row-major at four states, column-major wider.
+func pAt(p []float64, s, a, b int) float64 {
+	if s == 4 {
+		return p[a*s+b]
+	}
+	return p[b*s+a]
 }
 
 func (c *spanCtx) newviewReference(run schedule.Run) int {
@@ -70,10 +81,9 @@ func (c *spanCtx) newviewReference(run schedule.Run) int {
 				t := tq[cat*s : cat*s+s]
 				d := c.dst[co : co+s]
 				for a := 0; a < s; a++ {
-					r := a * s
 					sr := 0.0
 					for b := 0; b < s; b++ {
-						sr += p[r+b] * cr[b]
+						sr += pAt(p, s, a, b) * cr[b]
 					}
 					d[a] = t[a] * sr
 				}
@@ -100,11 +110,10 @@ func (c *spanCtx) newviewReference(run schedule.Run) int {
 				}
 				d := c.dst[co : co+s]
 				for a := 0; a < s; a++ {
-					r := a * s
 					sq, sr := 0.0, 0.0
 					for b := 0; b < s; b++ {
-						sq += pq[r+b] * cq[b]
-						sr += pr[r+b] * cr[b]
+						sq += pAt(pq, s, a, b) * cq[b]
+						sr += pAt(pr, s, a, b) * cr[b]
 					}
 					d[a] = sq * sr
 				}
@@ -154,10 +163,9 @@ func (c *spanCtx) patternLiReference(j, off int) float64 {
 			cr = c.b.v[co : co+s]
 		}
 		for a := 0; a < s; a++ {
-			row := a * s
 			t := 0.0
 			for b := 0; b < s; b++ {
-				t += pc[row+b] * cr[b]
+				t += pAt(pc, s, a, b) * cr[b]
 			}
 			li += c.freqs[a] * cl[a] * t
 		}
@@ -215,7 +223,7 @@ func (c *spanCtx) sumtableReference(run schedule.Run) int {
 					rproj = rRow[k]
 				} else {
 					for a := 0; a < s; a++ {
-						rproj += c.evi[k*s+a] * cr[a]
+						rproj += c.eviT[a*s+k] * cr[a]
 					}
 				}
 				dst[k] = lproj * rproj * c.invCats
@@ -300,6 +308,69 @@ func TestApplyRowsBitIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApplyColsBitIdentity: model.ApplyCols, with its AVX kernel (where the
+// host runs it) and with its scalar loop, against the one-row loop over the
+// transposed block, NaN-aware, in 200 000 trials: six in eight the 20 x 20
+// shape of the protein P applications, one the 4 x 4 of the DNA sumtable, one
+// a row length 1…23 against output counts of whole quartets and not; entries
+// plain normal draws or salted with signed zeros, subnormals, ±2^-256, ±1,
+// infinities and NaN.
+func TestApplyColsBitIdentity(t *testing.T) {
+	host := model.SetVectorApplyCols(true)
+	t.Cleanup(func() { model.SetVectorApplyCols(host) })
+	rng := rand.New(rand.NewSource(47))
+	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, minLikelihood, -minLikelihood,
+		1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	const maxS, maxN, window = 23, 40, 1 << 15
+	// A trial copies its entries from a random window of one of four pools,
+	// salted with edge values in 0, 1, 2 or 3 entries of eight: drawing every
+	// entry afresh would cost the sweep most of its time.
+	var pools [4][]float64
+	for edges := range pools {
+		pools[edges] = make([]float64, window+maxN*maxS)
+		for i := range pools[edges] {
+			if pools[edges][i] = rng.NormFloat64(); rng.Intn(8) < edges {
+				pools[edges][i] = edge[rng.Intn(len(edge))]
+			}
+		}
+	}
+	fill := func(v []float64, edges int) { copy(v, pools[edges][rng.Intn(window):]) }
+	m, mT, x := make([]float64, maxN*maxS), make([]float64, maxN*maxS), make([]float64, maxS)
+	got, want := make([]float64, maxN), make([]float64, maxN)
+	kernel := 0
+	for trial := 0; trial < 200000; trial++ {
+		s, n := 20, 20
+		switch trial % 8 {
+		case 0:
+			s, n = 4, 4
+		case 1:
+			s, n = 1+rng.Intn(maxS), []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 20, 24, 40}[rng.Intn(12)]
+		}
+		m, mT, x, got, want := m[:n*s], mT[:n*s], x[:s], got[:n], want[:n]
+		fill(m, trial%4) // trial%4 == 0: finite throughout
+		fill(x, trial%4)
+		for k := 0; k < n; k++ {
+			for a := 0; a < s; a++ {
+				mT[a*n+k] = m[k*s+a]
+			}
+		}
+		applyRowsReference(want, m, x)
+		for _, on := range []bool{true, false} {
+			model.SetVectorApplyCols(on)
+			if model.VectorApplyCols() && n%4 == 0 {
+				kernel++
+			}
+			model.ApplyCols(got, mT, x)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) && !(math.IsNaN(got[k]) && math.IsNaN(want[k])) {
+					sameSums(t, fmt.Sprintf("trial %d kernel %v s=%d n=%d", trial, model.VectorApplyCols(), s, n), got, want)
+				}
+			}
+		}
+	}
+	t.Logf("kernel on this host: %v; %d of 400000 calls ran it", host, kernel)
 }
 
 // TestDerivativePairsBitIdentity: the paired loop against the single-pattern

@@ -307,7 +307,7 @@ func TestTipTableBitIdentity(t *testing.T) {
 			}
 			tab := buildTipTable(poisoned(n*cats*s), dtype, codes, pm, s, cats)
 			left := buildTipSumLeft(poisoned(n*s), dtype, codes, m.Freqs, m.EigenVecs, s)
-			right := buildTipSumRight(poisoned(n*s), dtype, codes, m.InvVecs, s)
+			right := buildTipSumRight(poisoned(n*s), dtype, codes, m.InvVecsT, s)
 			if len(tab) != n*cats*s || len(left) != n*s || len(right) != n*s {
 				t.Fatalf("%v codes %v: builders must return the whole code-indexed table", dtype, codes)
 			}

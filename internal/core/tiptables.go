@@ -72,8 +72,8 @@ func tipSetStates(t alignment.DataType, codes []byte) int {
 
 // buildTipTable fills the rows of the present codes of the per-code P
 // application table dst[(code·cats+c)·s + a] = sum_b pm_c[a][b] ·
-// tipvec(code)[b] and returns the whole code-indexed table. pm is the
-// cats×s×s transition-matrix block of one child branch.
+// tipvec(code)[b] and returns the whole code-indexed table. pm is one child
+// branch's cats×s×s transition-matrix block, in model.PMatrices' layout.
 //
 //plk:hotpath
 func buildTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) []float64 {
@@ -112,22 +112,26 @@ func buildTipTable4(dst []float64, codes []byte, pm []float64, cats int) {
 	}
 }
 
-// gatherTipTable is buildTipTable for any state count: entry c·s + a sums the
-// allowed entries of row a of P_c, which is row c·s + a of pm (one flat loop:
-// no bounds check a category, which buildTipTable4's row slice spends).
+// gatherTipTable is buildTipTable for the column-major blocks of the wider
+// alphabets (model.PMatrices): entry c·s + a sums P_c[a][b] over the allowed
+// states b, and column b of P_c is row b of its block, so a table row is the
+// sum of whole block rows, each added entry by entry from +0 in ascending b:
+// the gather's sums term for term, over contiguous entries.
 //
 //plk:hotpath
 func gatherTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) {
 	for _, code := range codes {
 		set := alignment.TipStates(t, code)
-		d := dst[int(code)*cats*s : (int(code)+1)*cats*s]
-		for i := range d {
-			row := pm[i*s : i*s+s]
-			sum := 0.0
+		d, blk := dst[int(code)*cats*s:(int(code)+1)*cats*s], pm
+		for ; len(d) >= s; d, blk = d[s:], blk[s*s:] {
+			row := d[:s]
+			clear(row)
 			for _, b := range set {
-				sum += row[b]
+				col := blk[int(b)*s:][:s]
+				for k := range row {
+					row[k] += col[k]
+				}
 			}
-			d[i] = sum
 		}
 	}
 }
@@ -156,22 +160,9 @@ func buildTipSumLeft(dst []float64, t alignment.DataType, codes []byte, freqs, v
 
 // buildTipSumRight fills the present-code rows of the category-independent
 // right sumtable projection dst[code·s + k] = sum_a vi[k][a] ·
-// tipvec(code)[a].
-//
-//plk:hotpath
-func buildTipSumRight(dst []float64, t alignment.DataType, codes []byte, vi []float64, s int) []float64 {
-	for _, code := range codes {
-		set := alignment.TipStates(t, code)
-		lo := int(code) * s
-		d := dst[lo : lo+s]
-		for k := range d {
-			row := vi[k*s : k*s+s]
-			sum := 0.0
-			for _, a := range set {
-				sum += row[a]
-			}
-			d[k] = sum
-		}
-	}
+// tipvec(code)[a] from viT, V^-1 transposed: gatherTipTable's row of one
+// category, the sum of the allowed rows of viT.
+func buildTipSumRight(dst []float64, t alignment.DataType, codes []byte, viT []float64, s int) []float64 {
+	gatherTipTable(dst, t, codes, viT, s, 1)
 	return dst[:alignment.NumCodes(t)*s]
 }

@@ -12,6 +12,7 @@ import (
 // The dense builders the gathers of tiptables.go replaced, kept as their
 // reference: every row multiplied out against the code's 0/1 tip vector over
 // all s states, ascending from zero — what the generic kernels do per pattern.
+// pm is read in the block layout of model.PMatrices (pAt).
 
 func denseTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float64, s, cats int) {
 	for _, code := range codes {
@@ -20,7 +21,7 @@ func denseTipTable(dst []float64, t alignment.DataType, codes []byte, pm []float
 			for a := 0; a < s; a++ {
 				sum := 0.0
 				for b := 0; b < s; b++ {
-					sum += pm[c*s*s+a*s+b] * tv[b]
+					sum += pAt(pm[c*s*s:], s, a, b) * tv[b]
 				}
 				dst[(int(code)*cats+c)*s+a] = sum
 			}
@@ -54,6 +55,20 @@ func denseTipSumRight(dst []float64, t alignment.DataType, codes []byte, vi []fl
 	}
 }
 
+// transposed returns m, a run of s×s blocks, with every block transposed: a
+// row-major block becomes the column-major one of the same matrix, and back.
+func transposed(m []float64, s int) []float64 {
+	out := make([]float64, len(m))
+	for o := 0; o+s*s <= len(m); o += s * s {
+		for i := 0; i < s; i++ {
+			for j := 0; j < s; j++ {
+				out[o+j*s+i] = m[o+i*s+j]
+			}
+		}
+	}
+	return out
+}
+
 // awkward overwrites a share of v with the values a skipped or single term
 // could be mishandled on: exact zeros, the smallest subnormal, a subnormal,
 // 1.0 and, where the matrix is signed, -0 and negated subnormals.
@@ -80,7 +95,7 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 }
 
 // TestTipTable4MatchesGather: the written-out 4-state builder gives the
-// gather's table bit for bit for all 16 DNA codes — the empty code 0, the four
+// gather's table (over the same blocks, column-major) bit for bit for all 16 DNA codes — the empty code 0, the four
 // bases, the ten ambiguity codes and 15 (N, gap) — at 1, 3 and 4 categories,
 // over real P blocks and blocks salted with zeros, subnormals and ones (and,
 // though P never holds them, -0 and negatives: a lone term still starts from
@@ -108,7 +123,7 @@ func TestTipTable4MatchesGather(t *testing.T) {
 				got[i], want[i] = math.NaN(), math.NaN()
 			}
 			buildTipTable4(got, codes, pm, cats)
-			gatherTipTable(want, alignment.DNA, codes, pm, 4, cats)
+			gatherTipTable(want, alignment.DNA, codes, transposed(pm, 4), 4, cats)
 			sameBits(t, fmt.Sprintf("cats=%d round %d codes %v", cats, round, codes), got, want)
 		}
 	}
@@ -163,7 +178,7 @@ func TestTipTableGatherBitIdentity(t *testing.T) {
 			denseTipSumLeft(want, dtype, codes, freqs, ev, s)
 			sameBits(t, dtype.String()+" left projection", got, want)
 
-			buildTipSumRight(got, dtype, codes, evi, s)
+			buildTipSumRight(got, dtype, codes, transposed(evi, s), s)
 			denseTipSumRight(want, dtype, codes, evi, s)
 			sameBits(t, dtype.String()+" right projection", got, want)
 		}

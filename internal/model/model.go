@@ -43,6 +43,7 @@ type Model struct {
 	EigenVals []float64 // length States; one value is ~0
 	EigenVecs []float64 // V, row-major States x States
 	InvVecs   []float64 // V^-1, row-major States x States
+	InvVecsT  []float64 // V^-1 transposed (row j is column j of V^-1): what ApplyCols reads V^-1 as
 	dirty     bool
 
 	epoch uint64 // bumped by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
@@ -251,7 +252,7 @@ func (m *Model) buildQ(q []float64) {
 // with D = diag(pi), B = D^(1/2) Q D^(-1/2) is symmetric for time-reversible
 // Q; B = R Lambda R^T yields V = D^(-1/2) R and V^-1 = R^T D^(1/2). The
 // decomposition is written into the model's existing EigenVals/EigenVecs/
-// InvVecs storage, and only once the solver has succeeded.
+// InvVecs/InvVecsT storage, and only once the solver has succeeded.
 func (m *Model) UpdateEigen() error {
 	s := m.States
 	if m.eig == nil {
@@ -282,12 +283,14 @@ func (m *Model) UpdateEigen() error {
 		m.EigenVals = make([]float64, s)
 		m.EigenVecs = make([]float64, s*s)
 		m.InvVecs = make([]float64, s*s)
+		m.InvVecsT = make([]float64, s*s)
 	}
 	copy(m.EigenVals, vals)
 	for i := 0; i < s; i++ {
 		for k := 0; k < s; k++ {
 			m.EigenVecs[i*s+k] = r[i*s+k] / sqrtPi[i]
 			m.InvVecs[k*s+i] = r[i*s+k] * sqrtPi[i]
+			m.InvVecsT[i*s+k] = m.InvVecs[k*s+i]
 		}
 	}
 	m.dirty = false
@@ -295,56 +298,67 @@ func (m *Model) UpdateEigen() error {
 	return nil
 }
 
-// maxStates is the widest alphabet (AA); it sizes PMatrix's stack scratch.
-// PMatrix works four columns at a time: both alphabets (4 and 20 states) are
-// whole multiples of four.
+// maxStates is the widest alphabet (AA); it sizes pmatrixCols' stack scratch.
 const maxStates = 20
 
 // PMatrix fills dst (len States*States, row-major) with the transition
 // probability matrix P(t) = V exp(Lambda*t) V^-1 for branch length t
-// (already scaled by the rate category, if any). Through PMatrices it runs
-// once per category in every kernel span set-up, concurrently on every
-// worker, so its scratch lives on the stack. Entry (i, j) is the sum over k
-// ascending, from zero, of (V[i][k]·exp(lambda_k t))·V^-1[k][j]: the row
-// scaling is computed once per (i, k) instead of once per term, and four
-// columns accumulate side by side so their add chains overlap — neither
-// changes a term or the order in which any one entry adds its terms. The
-// 4-state case is the same sums written out (pmatrix4); where VectorPMatrix,
-// PMatrices computes those blocks with the AVX2 kernel instead, and pmatrix4
-// is that kernel's reference and its fallback for arguments outside its guard.
+// (already scaled by the rate category, if any; a negative t is read as 0).
+// Entry (i, j) is the sum over k ascending, from zero, of
+// (V[i][k]·exp(lambda_k t))·V^-1[k][j], clamped at zero; the row scaling is
+// computed once per (i, k) instead of once per term. The 4-state case is
+// those sums written out (pmatrix4); where VectorPMatrix, PMatrices computes
+// them with the AVX2 kernel instead, and pmatrix4 is that kernel's reference
+// and its fallback for arguments outside its guard. A wider block is computed
+// column by column (pmatrixCols, what PMatrices runs) and transposed into dst.
 //
 //plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
 	s := m.States
+	if s != 4 {
+		var cols [maxStates * maxStates]float64
+		m.pmatrixCols(t, cols[:s*s])
+		for i := 0; i < s; i++ {
+			for j := 0; j < s; j++ {
+				dst[i*s+j] = cols[j*s+i]
+			}
+		}
+		return
+	}
 	if t < 0 {
 		t = 0
 	}
-	if s == 4 {
-		m.pmatrix4(t, dst)
-		return
+	m.pmatrix4(t, dst)
+}
+
+// pmatrixCols fills dst (len States*States) with P(t) column-major, entry
+// (i, j) at j·States + i. Column j is one ApplyCols of the transposed
+// V·diag(exp(Lambda t)) to row j of InvVecsT, then the clamp: entry i is
+// PMatrix's sum term for term, (V[i][k]·e_k)·V^-1[k][j] added k-ascending
+// from +0. Through PMatrices it runs once per category in every kernel span
+// set-up, concurrently on every worker, so its scratch lives on the stack.
+//
+//plk:hotpath
+func (m *Model) pmatrixCols(t float64, dst []float64) {
+	s := m.States
+	if t < 0 {
+		t = 0
 	}
-	var buf [2 * maxStates]float64
-	expl, ve := buf[:s], buf[maxStates:maxStates+s]
+	var buf [maxStates + maxStates*maxStates]float64
+	expl, veT := buf[:s], buf[maxStates:maxStates+s*s]
 	for k := range expl {
 		expl[k] = math.Exp(m.EigenVals[k] * t)
 	}
-	inv := m.InvVecs
 	for i := 0; i < s; i++ {
-		vrow := m.EigenVecs[i*s : (i+1)*s]
-		for k := range ve {
-			ve[k] = vrow[k] * expl[k]
+		for k, v := range m.EigenVecs[i*s : (i+1)*s] {
+			veT[k*s+i] = v * expl[k]
 		}
-		for j := 0; j < s; j += 4 {
-			var s0, s1, s2, s3 float64
-			for k, v := range ve {
-				r := inv[k*s+j : k*s+j+4 : k*s+j+4]
-				s0 += v * r[0]
-				s1 += v * r[1]
-				s2 += v * r[2]
-				s3 += v * r[3]
-			}
-			d := dst[i*s+j : i*s+j+4 : i*s+j+4]
-			d[0], d[1], d[2], d[3] = clampNeg(s0), clampNeg(s1), clampNeg(s2), clampNeg(s3)
+	}
+	for j := 0; j < s; j++ {
+		col := dst[j*s : (j+1)*s]
+		ApplyCols(col, veT, m.InvVecsT[j*s:(j+1)*s])
+		for i, p := range col {
+			col[i] = clampNeg(p)
 		}
 	}
 }
@@ -379,15 +393,26 @@ func clampNeg(p float64) float64 {
 }
 
 // PMatrices fills dst (len NumCats*States*States) with one P matrix per
-// Gamma category for branch length t: P_c = P(catRate_c * t). On amd64 with
-// AVX2 the 4-state blocks of all categories are one call of the kernel in
+// Gamma category for branch length t, P_c = P(catRate_c * t) at c·States²,
+// in the one layout every kernel reads a P block in: a 4-state block is
+// row-major, as PMatrix writes it (the fused newview planes, their AVX
+// kernels and the 4-state tip tables read its rows), and a wider block is
+// column-major, entry (i, j) at j·States + i, so that ApplyCols applies it
+// with four consecutive rows of P in one register. On amd64 with AVX2 the
+// 4-state blocks of all categories are one call of the kernel in
 // pmatrix4_amd64.s, which gives PMatrix's bits (VectorPMatrix); it declines
 // arguments outside [-700, 700], and then PMatrix computes the blocks.
 func (m *Model) PMatrices(t float64, dst []float64) {
-	if m.States == 4 && m.pmatrices4Vec(t, dst) {
+	ss := m.States * m.States
+	if m.States != 4 {
+		for c := 0; c < m.NumCats; c++ {
+			m.pmatrixCols(m.CatRates[c]*t, dst[c*ss:(c+1)*ss])
+		}
 		return
 	}
-	ss := m.States * m.States
+	if m.pmatrices4Vec(t, dst) {
+		return
+	}
 	for c := 0; c < m.NumCats; c++ {
 		m.PMatrix(m.CatRates[c]*t, dst[c*ss:(c+1)*ss])
 	}
@@ -424,6 +449,7 @@ func (m *Model) Clone() *Model {
 	c.EigenVals = append([]float64(nil), m.EigenVals...)
 	c.EigenVecs = append([]float64(nil), m.EigenVecs...)
 	c.InvVecs = append([]float64(nil), m.InvVecs...)
+	c.InvVecsT = append([]float64(nil), m.InvVecsT...)
 	return c
 }
 

@@ -425,10 +425,13 @@ func testModels(t *testing.T) []*Model {
 // bits of the textbook triple product V[i][k]·exp(lambda_k t)·V^-1[k][j]
 // accumulated k-ascending.
 func TestPMatrixHoistKeepsBits(t *testing.T) {
+	host := SetVectorApplyCols(true)
+	t.Cleanup(func() { SetVectorApplyCols(host) })
 	for _, m := range testModels(t) {
 		s := m.States
 		got := make([]float64, s*s)
-		for _, bl := range []float64{0, 1e-8, 0.013, 0.4, 7.5, 64} {
+		for i, bl := range []float64{0, 1e-8, 0.013, 0.4, 7.5, 64, 0, 1e-8, 0.013, 0.4, 7.5, 64} {
+			SetVectorApplyCols(i < 6) // the 20-state columns on ApplyCols' kernel, then on its scalar loop
 			m.PMatrix(bl, got)
 			for i := 0; i < s; i++ {
 				for j := 0; j < s; j++ {
@@ -441,6 +444,40 @@ func TestPMatrixHoistKeepsBits(t *testing.T) {
 					}
 					if got[i*s+j] != want {
 						t.Fatalf("s=%d t=%v P[%d][%d] = %v, triple product %v", s, bl, i, j, got[i*s+j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPMatricesLayout: block c of PMatrices is PMatrix at catRate_c·z by
+// Float64bits, in the layout its comment states — row-major at four states,
+// column-major (PMatrix transposed) at twenty — with every kernel on and off,
+// at branch lengths a span can hand over, negative and NaN included.
+func TestPMatricesLayout(t *testing.T) {
+	hostPM, hostCols := SetVectorPMatrix(true), SetVectorApplyCols(true)
+	t.Cleanup(func() { SetVectorPMatrix(hostPM); SetVectorApplyCols(hostCols) })
+	for _, on := range []bool{true, false} {
+		SetVectorPMatrix(on)
+		SetVectorApplyCols(on)
+		for _, m := range testModels(t) {
+			s := m.States
+			got, want := make([]float64, m.NumCats*s*s), make([]float64, s*s)
+			for _, z := range []float64{0, 1e-8, 0.1, 2.5, 100, -0.3, math.NaN()} {
+				m.PMatrices(z, got)
+				for c, rate := range m.CatRates {
+					m.PMatrix(rate*z, want)
+					for i := 0; i < s; i++ {
+						for j := 0; j < s; j++ {
+							g := got[c*s*s+i*s+j]
+							if s != 4 {
+								g = got[c*s*s+j*s+i]
+							}
+							if math.Float64bits(g) != math.Float64bits(want[i*s+j]) {
+								t.Fatalf("kernels %v s=%d z=%v: P_%d[%d][%d] = %v, PMatrix %v", on, s, z, c, i, j, g, want[i*s+j])
+							}
+						}
 					}
 				}
 			}

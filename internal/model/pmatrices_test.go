@@ -98,28 +98,40 @@ func TestPMatricesGridBitsPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkPMatrices times one 4-state, 4-category block set, the set-up a
-// span pays per child branch, with the AVX2 kernel and with the scalar code.
+// BenchmarkPMatrices times one 4-category block set, the set-up a span pays
+// per child branch: at four states with the AVX2 kernel and with the scalar
+// code, at twenty with ApplyCols' AVX kernel and with its scalar loop.
 func BenchmarkPMatrices(b *testing.B) {
-	m, err := GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.7)
+	dna, err := GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]float64, 4*16)
-	host := SetVectorPMatrix(true)
-	b.Cleanup(func() { SetVectorPMatrix(host) })
-	for _, on := range []bool{true, false} {
-		SetVectorPMatrix(on)
-		name := "scalar"
-		if VectorPMatrix() {
-			name = "avx2"
-		} else if on {
-			continue
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.PMatrices(0.01+float64(i&15)*0.03, dst)
+	aa, err := SYN20(4, 0.7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	host, hostCols := SetVectorPMatrix(true), SetVectorApplyCols(true)
+	b.Cleanup(func() { SetVectorPMatrix(host); SetVectorApplyCols(hostCols) })
+	for _, m := range []*Model{dna, aa} {
+		dst := make([]float64, m.NumCats*m.States*m.States)
+		for _, on := range []bool{true, false} {
+			SetVectorPMatrix(on)
+			SetVectorApplyCols(on)
+			vector := VectorPMatrix()
+			if m.States != 4 {
+				vector = VectorApplyCols()
 			}
-		})
+			name := fmt.Sprintf("s%d/scalar", m.States)
+			if vector {
+				name = fmt.Sprintf("s%d/avx", m.States)
+			} else if on {
+				continue
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.PMatrices(0.01+float64(i&15)*0.03, dst)
+				}
+			})
+		}
 	}
 }

@@ -99,7 +99,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 			T := tc.exec.Threads()
 			reg := obs.NewRegistry()
 			fold := &measuredFold{busy: make([]float64, T), steals: make([]float64, T)}
-			tc.via.SetObserver(tee{parallel.NewMetricsCollector(reg, "pool", "fused4", 4, T, nil), fold})
+			tc.via.SetObserver(tee{parallel.NewMetricsCollector(reg, "pool", "fused4", T, nil), fold})
 			defer tc.via.SetObserver(nil)
 			tc.run(t, tc.exec)
 			for w := 0; w < T; w++ {

@@ -48,11 +48,10 @@ type MetricsCollector struct {
 
 // NewMetricsCollector builds a collector over reg for an executor of the
 // given kind ("pool", "sim", "sequential") and worker count, running the
-// given kernel backend, whose 4-state newview planes compute lanes states per
-// instruction on this host (core.VectorLanes; 1 where no planes run). tracer
-// may be nil (metrics only). All families are registered immediately — they
-// appear in scrapes at zero before the first region runs.
-func NewMetricsCollector(reg *obs.Registry, execKind, backend string, lanes, threads int, tracer *obs.Tracer) *MetricsCollector {
+// given kernel backend. tracer may be nil (metrics only). All families are
+// registered immediately — they appear in scrapes at zero before the first
+// region runs.
+func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads int, tracer *obs.Tracer) *MetricsCollector {
 	c := &MetricsCollector{tracer: tracer, threads: threads}
 	for k := Region(0); k < numRegionKinds; k++ {
 		kind := obs.Label{Key: "kind", Value: k.String()}
@@ -100,9 +99,6 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, lanes, thr
 	}
 	c.scalingEvents = reg.Counter("plk_scaling_events_total",
 		"Numerical scaling events (CLV underflow rescues), by kernel backend.", bl)
-	reg.Gauge("plk_kernel_vector_lanes",
-		"States of a pattern-category quartet one instruction of the 4-state newview planes computes on this host: 4 where the AVX kernels run, 1 where the scalar loops do (or, under the generic backend, no planes run).",
-		bl).Set(float64(lanes))
 	return c
 }
 

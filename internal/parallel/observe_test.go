@@ -37,7 +37,7 @@ func TestStatsImbalanceEdgeCases(t *testing.T) {
 			t.Errorf("WorkerImbalance() = %v, want %v", got, 2.0/1.5)
 		}
 		reg := obs.NewRegistry()
-		NewMetricsCollector(reg, "pool", "fused4", 4, 2, nil).ObserveRegion(RegionNewview, time.Now(), 0, ctxs)
+		NewMetricsCollector(reg, "pool", "fused4", 2, nil).ObserveRegion(RegionNewview, time.Now(), 0, ctxs)
 		for _, smp := range reg.Snapshot() {
 			if (smp.Name == "plk_worker_busy_seconds_total" || smp.Name == "plk_worker_idle_seconds_total") && smp.Value != 0 {
 				t.Errorf("%s%v = %v after a zero-second region, want 0", smp.Name, smp.Labels, smp.Value)
@@ -81,7 +81,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			tr := obs.NewTracer(64)
-			exec.SetObserver(NewMetricsCollector(reg, name, "fused4", 4, exec.Threads(), tr))
+			exec.SetObserver(NewMetricsCollector(reg, name, "fused4", exec.Threads(), tr))
 			exec.Run(RegionNewview, func(w int, ctx *WorkerCtx) {
 				burn[w*16] += spinOps(200000) // equal work on every worker
 				ctx.Ops += 100
@@ -158,7 +158,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 // critical section, metrics always-on).
 func TestObserveRegionAllocFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewMetricsCollector(reg, "pool", "fused4", 4, 4, nil)
+	c := NewMetricsCollector(reg, "pool", "fused4", 4, nil)
 	ctxs := make([]WorkerCtx, 4)
 	for w := range ctxs {
 		ctxs[w].Worker = w

@@ -104,7 +104,7 @@ func TestExecutorTimingParity(t *testing.T) {
 			ex := tc.exec
 			T := ex.Threads()
 			reg := obs.NewRegistry()
-			log := &regionLog{t: t, threads: T, col: NewMetricsCollector(reg, "pool", "fused4", 4, T, nil)}
+			log := &regionLog{t: t, threads: T, col: NewMetricsCollector(reg, "pool", "fused4", T, nil)}
 			// The observer belongs to what the views share: a session opened
 			// before it was installed on the constructor's view reports to it.
 			tc.via.SetObserver(log)

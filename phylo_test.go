@@ -12,6 +12,7 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/core"
+	"phylo/internal/model"
 )
 
 const tinyPhylip = `6 40
@@ -633,31 +634,38 @@ func TestParseScheduleStrategy(t *testing.T) {
 	}
 }
 
-// TestVectorLanesGauge: a dataset's registry says which realisation its
-// 4-state newview planes run — the host's lanes under the fused backend, 1
-// under the generic one, which has no planes.
+// TestVectorLanesGauge: a dataset's registry says, per alphabet, which
+// realisation its P applications run — at 4 states the host's newview-plane
+// lanes under the fused backend and 1 under the generic one, which has no
+// planes; at 20 states the column mat-vec's lanes under either backend.
 func TestVectorLanesGauge(t *testing.T) {
 	al, err := ReadPhylip(strings.NewReader(tinyPhylip))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for backend, want := range map[KernelBackend]float64{
-		BackendFused: float64(core.VectorLanes()), BackendGeneric: 1,
-	} {
+	cols := 1.0
+	if model.VectorApplyCols() {
+		cols = 4
+	}
+	for _, backend := range []KernelBackend{BackendFused, BackendGeneric} {
+		want := map[string]float64{"4": 1, "20": cols}
+		if backend == BackendFused {
+			want["4"] = float64(core.VectorLanes(core.BackendFused, 4))
+		}
 		reg := NewMetricsRegistry()
 		ds, err := NewDataset(al, DatasetOptions{Backend: backend, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ds.Close()
-		got := -1.0
+		got := map[string]float64{}
 		for _, s := range reg.Snapshot() {
-			if s.Name == "plk_kernel_vector_lanes" && len(s.Labels) == 1 && s.Labels[0].Value == backend.String() {
-				got = s.Value
+			if s.Name == "plk_kernel_vector_lanes" && len(s.Labels) == 2 && s.Labels[0].Value == backend.String() {
+				got[s.Labels[1].Value] = s.Value
 			}
 		}
-		if got != want {
-			t.Errorf("%v: plk_kernel_vector_lanes = %v, want %v", backend, got, want)
+		if len(got) != 2 || got["4"] != want["4"] || got["20"] != want["20"] {
+			t.Errorf("%v: plk_kernel_vector_lanes by states = %v, want %v", backend, got, want)
 		}
 	}
 }
