@@ -381,13 +381,10 @@ func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerC
 		c.scaled = 0
 		return n
 	case parallel.RegionEvaluate:
-		out := r.out[id*r.lanes : (id+1)*r.lanes]
-		switch c.body {
-		case bodyFused4:
-			return c.evaluateFused4(run, out)
-		default:
-			return c.evaluateGeneric(run, out)
-		}
+		// The fused body's raw likelihoods are its four-pattern chains; a
+		// q-side tip without a table takes the generic body's, the same bits.
+		fused := c.body == bodyFused4 && (!c.b.tip || c.b.tab != nil)
+		return c.evaluateRun(run, r.out[id*r.lanes:(id+1)*r.lanes], fused)
 	case parallel.RegionSumTable:
 		// Once per branch, amortized over every Newton iteration, and the
 		// sumtable is pattern-major under every backend: one body serves all.

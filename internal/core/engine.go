@@ -144,8 +144,9 @@ type sessionBuffers struct {
 	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
 
 	// smallScratch is the fused backend's per-worker scaling-flag scratch
-	// (one bool per pattern of the widest partition); nil on other backends.
-	smallScratch [][]bool
+	// (one byte per pattern of the widest partition, 1 where every entry is
+	// tiny); nil on other backends.
+	smallScratch [][]byte
 }
 
 // newSessionBuffers is the one buffer-allocation routine: a pool miss is the
@@ -173,9 +174,9 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 		// Per-worker "every entry tiny" flags the fused newview kernels fill
 		// during their category sweeps (while the values are in registers), so
 		// the scaling pass never re-reads the cold category planes.
-		b.smallScratch = make([][]bool, t)
+		b.smallScratch = make([][]byte, t)
 		for w := range b.smallScratch {
-			b.smallScratch[w] = make([]bool, sh.maxPatterns())
+			b.smallScratch[w] = make([]byte, sh.maxPatterns())
 		}
 	}
 	return b

@@ -108,56 +108,117 @@ func (c *spanCtx) patternLi(j, off int) float64 {
 	return li
 }
 
-// evaluateGeneric is the layout-aware generic evaluate body: per pattern the
-// site log likelihood is computed once and accumulated into out[r] under
-// replicate r's weight. Patterns are accumulated in ascending order within
-// the run, so a run's partials are invariant to which worker processes it.
+// siteBlock is how many patterns an evaluate body hands the site pass at a
+// time: whole 4-lane quartets, in a block on the worker's stack.
+const siteBlock = 32
+
+// evaluateRun is the pattern loop of both evaluate bodies, siteBlock patterns
+// at a time: the block's raw category-summed likelihoods (the fused body's
+// four chains, rawFused4, or the generic body's patternLi one pattern at a
+// time), one site pass over them (sites), then each site log likelihood
+// accumulated into out[r] under replicate r's weight. Patterns are
+// accumulated in ascending order within the run, so a run's partials are
+// invariant to which worker processes it and to the block size.
 //
 //plk:hotpath
-func (c *spanCtx) evaluateGeneric(run schedule.Run, out []float64) int {
-	R, lw := c.R, c.lw
+func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
+	var blk [siteBlock]float64
+	R, lw, step := c.R, c.lw, run.Step
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
-		j := i - c.partOffset
-		site := c.site(i, j, c.patternLi(j, c.base+j*c.patStride))
-		for r := range out {
-			out[r] += lw[j*R+r] * site
+	for lo := run.Lo; lo < run.Hi; lo += siteBlock * step {
+		n := min(siteBlock, (run.Hi-lo+step-1)/step)
+		j0 := lo - c.partOffset
+		if fused {
+			c.rawFused4(&blk, n, j0, step)
+		} else {
+			for k := 0; k < n; k++ {
+				j := j0 + k*step
+				blk[k] = c.patternLi(j, c.base+j*c.patStride)
+			}
 		}
-		count++
+		v := blk[:n]
+		c.sites(v, lo, step)
+		for k, site := range v {
+			j := j0 + k*step
+			for r := range out {
+				out[r] += float64(lw[j*R+r] * site)
+			}
+		}
+		count += n
 	}
 	return count
 }
 
-// site turns one pattern's raw category-summed likelihood into its site log
-// likelihood: normalize by the category count, fold in the scaling exponents
-// of both branch ends, clamp, and take the log. It is the shared tail of
-// every backend's evaluate body and of SiteLogLikelihoods.
+// sites turns the raw likelihoods in v, of patterns i0, i0+step, … by global
+// index and at most siteBlock of them, into their site log likelihoods: the
+// scaling exponents of both branch ends summed per pattern, then SiteLogs.
 //
 //plk:hotpath
-func (c *spanCtx) site(i, j int, rawLi float64) float64 {
-	li := rawLi * c.invCats
-	sc := int32(0)
-	if !c.a.tip {
-		sc += c.a.sc[i]
+func (c *spanCtx) sites(v []float64, i0, step int) {
+	var sc [siteBlock]int32
+	e := sc[:len(v)]
+	for k := range e {
+		i := i0 + k*step
+		if !c.a.tip {
+			e[k] += c.a.sc[i]
+		}
+		if !c.b.tip {
+			e[k] += c.b.sc[i]
+		}
 	}
-	if !c.b.tip {
-		sc += c.b.sc[i]
+	SiteLogs(v, e, c.invCats)
+}
+
+// SiteLogs is the site tail of every evaluate body and of
+// SiteLogLikelihoods: it turns raw category-summed likelihoods into site log
+// likelihoods in place, v[k] = log(v[k]·invCats) + sc[k]·ln(2^-256), where
+// sc[k] is pattern k's scaling exponent summed over both branch ends and a
+// normalized likelihood that is not positive, or NaN, is clamped to the
+// smallest subnormal. The logs of whole quartets run on a 4-lane kernel where
+// the host has one (VectorSiteLog), the rest one at a time; the kernel is
+// math.Log lane for lane, so the bits are the same either way. len(sc) must
+// be at least len(v).
+//
+//plk:hotpath
+func SiteLogs(v []float64, sc []int32, invCats float64) {
+	sc = sc[:len(v)]
+	for k, raw := range v {
+		li := raw * invCats
+		if li <= 0 || math.IsNaN(li) {
+			// Fully incompatible data cannot occur with strictly positive P
+			// matrices; guard against pathological rounding anyway.
+			li = math.SmallestNonzeroFloat64
+		}
+		v[k] = li
 	}
-	if li <= 0 || math.IsNaN(li) {
-		// Fully incompatible data cannot occur with strictly positive P
-		// matrices; guard against pathological rounding anyway.
-		li = math.SmallestNonzeroFloat64
+	for k := logsVec(v); k < len(v); k++ {
+		v[k] = math.Log(v[k])
 	}
-	return math.Log(li) + float64(sc)*logMinLik
+	for k, e := range sc {
+		v[k] += float64(float64(e) * logMinLik)
+	}
+}
+
+// VectorSiteLog reports whether SiteLogs takes its logs on the 4-lane kernel
+// of sitelog_amd64.s: true on amd64 hosts with AVX2.
+func VectorSiteLog() bool { return vectorSiteLog }
+
+// SetVectorSiteLog turns the kernel on (where the host runs it) or off and
+// returns the previous setting, so a test can run a suite under both
+// realisations; the results are the same bits either way. Not safe while an
+// evaluate region runs.
+func SetVectorSiteLog(on bool) (was bool) {
+	was, vectorSiteLog = vectorSiteLog, on && hostSiteLog
+	return was
 }
 
 // SiteLogLikelihoods returns the per-pattern log likelihoods (unweighted) of
 // one partition at the canonical root; primarily a debugging and testing
 // aid. It routes every pattern through the same span binding and kernel (layout
-// strides, tip table decision, clamp) as the parallel reduction, so it cannot
-// drift from the parallel path on any backend: the stride-aware generic body
-// and the fused body accumulate in the same order, so their site values are
-// bit-identical and one serial sweep serves every backend.
+// strides, tip table decision, site pass) as the parallel reduction, so it
+// cannot drift from the parallel path on any backend: the stride-aware generic
+// body and the fused body accumulate in the same order, so their site values
+// are bit-identical and one serial sweep serves every backend.
 func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	root := e.Tree.Tips[0].Back
 	e.Traverse(root, false, nil)
@@ -171,9 +232,13 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	var c spanCtx
 	c.bind(e, &region{kind: parallel.RegionEvaluate, p: root}, 0, ip, 0, new(parallel.WorkerCtx))
 	c.ensureTables(part.PatternCount)
-	for j := 0; j < part.PatternCount; j++ {
-		i := part.Offset + j
-		out[j] = c.site(i, j, c.patternLi(j, c.base+j*c.patStride))
+	for lo := 0; lo < part.PatternCount; lo += siteBlock {
+		v := out[lo:min(part.PatternCount, lo+siteBlock)]
+		for k := range v {
+			j := lo + k
+			v[k] = c.patternLi(j, c.base+j*c.patStride)
+		}
+		c.sites(v, part.Offset+lo, 1)
 	}
 	return out
 }

@@ -54,7 +54,7 @@ func ReleasePoisoned(e *Engine, smoothed bool) any {
 	}
 	for _, flags := range b.smallScratch {
 		for i := range flags {
-			flags[i] = true
+			flags[i] = 1
 		}
 	}
 	e.Release()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"phylo/internal/alignment"
 	"phylo/internal/schedule"
 )
@@ -22,7 +24,7 @@ import (
 // reduction. The scaling predicate ("every entry of the pattern below
 // 2^-256") is a pure conjunction over all cats×4 entries, so the kernels
 // evaluate it incrementally during the category sweeps — while the values
-// are still in registers — into a per-pattern flag (engine.smallScratch);
+// are still in registers — into a per-pattern flag byte (engine.smallScratch);
 // the closing pass then only propagates child exponents and rescales the
 // (astronomically rare) flagged patterns, instead of re-reading every cold
 // category plane the way a literal finishPattern sweep would.
@@ -43,6 +45,16 @@ func small4(a, b, c, d float64) bool {
 		b < minLikelihood && b > -minLikelihood &&
 		c < minLikelihood && c > -minLikelihood &&
 		d < minLikelihood && d > -minLikelihood
+}
+
+// flagByte is a scaling flag as the plane kernels store it: 1 for true.
+//
+//plk:hotpath
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // newviewFused4 executes one newview pattern run with the unrolled 4-state
@@ -82,8 +94,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 				v2 := tq[2] * tr[2]
 				v3 := tq[3] * tr[3]
 				dd[0], dd[1], dd[2], dd[3] = v0, v1, v2, v3
-				if cat == 0 || small[j] {
-					small[j] = small4(v0, v1, v2, v3)
+				if cat == 0 || small[j] != 0 {
+					small[j] = flagByte(small4(v0, v1, v2, v3))
 				}
 			}
 		}
@@ -119,8 +131,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 				v2 := t[2] * (p8*r0 + p9*r1 + p10*r2 + p11*r3)
 				v3 := t[3] * (p12*r0 + p13*r1 + p14*r2 + p15*r3)
 				dd[0], dd[1], dd[2], dd[3] = v0, v1, v2, v3
-				if cat == 0 || small[j] {
-					small[j] = small4(v0, v1, v2, v3)
+				if cat == 0 || small[j] != 0 {
+					small[j] = flagByte(small4(v0, v1, v2, v3))
 				}
 			}
 		}
@@ -158,102 +170,186 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 				v3 := (q12*a0 + q13*a1 + q14*a2 + q15*a3) *
 					(s12*b0 + s13*b1 + s14*b2 + s15*b3)
 				dd[0], dd[1], dd[2], dd[3] = v0, v1, v2, v3
-				if cat == 0 || small[j] {
-					small[j] = small4(v0, v1, v2, v3)
+				if cat == 0 || small[j] != 0 {
+					small[j] = flagByte(small4(v0, v1, v2, v3))
 				}
 			}
 		}
 	}
-	// Scaling pass: propagate the children's exponents and rescale flagged
-	// patterns. Same arithmetic as finishPattern, but driven by the flags the
-	// sweeps computed, so the common (unflagged) case touches no CLV data.
-	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
-		j := i - c.partOffset
-		sc := int32(0)
-		if !c.a.tip {
-			sc += c.a.sc[i]
-		}
-		if !c.b.tip {
-			sc += c.b.sc[i]
-		}
-		if small[j] {
-			off := c.base + j*c.patStride
-			for cat := 0; cat < cats; cat++ {
-				co := off + cat*c.catStride
-				d := c.dst[co : co+4]
-				d[0] *= twoTo256
-				d[1] *= twoTo256
-				d[2] *= twoTo256
-				d[3] *= twoTo256
-			}
-			sc++
-			c.scaled++
-		}
-		c.dstScale[i] = sc
-		count++
-	}
-	return count
+	return c.scalePass(small, run)
 }
 
-// evaluateFused4 reduces one evaluate pattern run with the unrolled 4-state
-// body. Evaluate must accumulate each pattern's likelihood in (cat asc, state
-// asc) order to stay bit-identical with the oracle, so it keeps the pattern
-// loop outside and unrolls the per-category work; the `li + x0 + x1 + x2 +
-// x3` expressions associate exactly like the generic `li += x` loop, and the
-// R-lane weighted accumulation is the generic body's. A q-side tip without a
-// table falls back to the generic body, which is bit-identical.
+// scalePass is newviewFused4's closing pass: propagate the children's
+// exponents and rescale flagged patterns. Same arithmetic as finishPattern,
+// but driven by the flags the sweeps computed, so the common (unflagged) case
+// touches no CLV data. A contiguous run (Step 1) propagates the exponents as
+// one copy or one add and visits only its flagged patterns, which
+// bytes.IndexByte finds; a strided run walks its patterns one by one.
 //
 //plk:hotpath
-func (c *spanCtx) evaluateFused4(run schedule.Run, out []float64) int {
-	if c.b.tip && c.b.tab == nil {
-		return c.evaluateGeneric(run, out)
-	}
-	f0, f1, f2, f3 := c.freqs[0], c.freqs[1], c.freqs[2], c.freqs[3]
-	cats := c.cats
-	R, lw := c.R, c.lw
-	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
-		j := i - c.partOffset
-		off := c.base + j*c.patStride
-		var tv []float64
-		if c.a.tip {
-			tv = alignment.TipVector(c.dtype, c.a.row[j])
+func (c *spanCtx) scalePass(small []byte, run schedule.Run) int {
+	lo, hi := run.Lo, run.Hi
+	if run.Step != 1 {
+		count := 0
+		for i := lo; i < hi; i += run.Step {
+			j := i - c.partOffset
+			sc := int32(0)
+			if !c.a.tip {
+				sc += c.a.sc[i]
+			}
+			if !c.b.tip {
+				sc += c.b.sc[i]
+			}
+			if small[j] != 0 {
+				c.rescale(j)
+				sc++
+			}
+			c.dstScale[i] = sc
+			count++
 		}
-		li := 0.0
+		return count
+	}
+	ds := c.dstScale[lo:hi]
+	switch {
+	case c.a.tip && c.b.tip:
+		clear(ds)
+	case c.a.tip:
+		copy(ds, c.b.sc[lo:hi])
+	case c.b.tip:
+		copy(ds, c.a.sc[lo:hi])
+	default:
+		as, bs := c.a.sc[lo:hi], c.b.sc[lo:hi]
+		for k := range ds {
+			ds[k] = as[k] + bs[k]
+		}
+	}
+	fl := small[lo-c.partOffset : hi-c.partOffset]
+	for k := 0; ; k++ {
+		f := bytes.IndexByte(fl[k:], 1)
+		if f < 0 {
+			break
+		}
+		k += f
+		c.rescale(lo - c.partOffset + k)
+		ds[k]++
+	}
+	return hi - lo
+}
+
+// rescale multiplies every entry of pattern j's CLV by 2^256: one scaling
+// event.
+//
+//plk:hotpath
+func (c *spanCtx) rescale(j int) {
+	off := c.base + j*c.patStride
+	for cat := 0; cat < c.cats; cat++ {
+		co := off + cat*c.catStride
+		d := c.dst[co : co+4 : co+4]
+		d[0] *= twoTo256
+		d[1] *= twoTo256
+		d[2] *= twoTo256
+		d[3] *= twoTo256
+	}
+	c.scaled++
+}
+
+// rawFused4 fills blk[:n] with the raw category-summed likelihoods of the
+// partition's patterns j0, j0+step, …, four patterns at a time: four
+// independent add chains, so a pattern's 16 dependent adds (4 categories × 4
+// states) need not wait for another pattern's. Each chain is exactly the
+// generic loop's: li + f0·x0·t0 + … + f3·x3·t3 per category,
+// categories ascending, left-associated from +0, where x is the p side and t
+// the q side's table row or P application. The lanes of a last quartet that
+// runs past n repeat the block's last pattern; what they compute is never
+// read.
+//
+//plk:hotpath
+func (c *spanCtx) rawFused4(blk *[siteBlock]float64, n, j0, step int) {
+	last := j0 + (n-1)*step
+	for k := 0; k < n; k += 4 {
+		ja := j0 + k*step
+		jb, jc, jd := min(ja+step, last), min(ja+2*step, last), min(ja+3*step, last)
+		q := (*[4]float64)(blk[k : k+4])
 		if c.b.tab != nil {
-			t := c.b.tab[int(c.b.row[j])*c.cs:]
-			for cat := 0; cat < cats; cat++ {
-				cl := tv
-				if !c.a.tip {
-					co := off + cat*c.catStride
-					cl = c.a.v[co : co+4]
-				}
-				tc := t[cat*4 : cat*4+4]
-				li = li + f0*cl[0]*tc[0] + f1*cl[1]*tc[1] + f2*cl[2]*tc[2] + f3*cl[3]*tc[3]
-			}
+			q[0], q[1], q[2], q[3] = c.liTable4(ja, jb, jc, jd)
 		} else {
-			for cat := 0; cat < cats; cat++ {
-				pc := c.b.pm[cat*16 : cat*16+16]
-				co := off + cat*c.catStride
-				cr := c.b.v[co : co+4]
-				r0, r1, r2, r3 := cr[0], cr[1], cr[2], cr[3]
-				cl := tv
-				if !c.a.tip {
-					cl = c.a.v[co : co+4]
-				}
-				t0 := pc[0]*r0 + pc[1]*r1 + pc[2]*r2 + pc[3]*r3
-				t1 := pc[4]*r0 + pc[5]*r1 + pc[6]*r2 + pc[7]*r3
-				t2 := pc[8]*r0 + pc[9]*r1 + pc[10]*r2 + pc[11]*r3
-				t3 := pc[12]*r0 + pc[13]*r1 + pc[14]*r2 + pc[15]*r3
-				li = li + f0*cl[0]*t0 + f1*cl[1]*t1 + f2*cl[2]*t2 + f3*cl[3]*t3
-			}
+			q[0], q[1], q[2], q[3] = c.liApply4(ja, jb, jc, jd)
 		}
-		site := c.site(i, j, li)
-		for r := range out {
-			out[r] += lw[j*R+r] * site
-		}
-		count++
 	}
-	return count
+}
+
+// liTable4 is four chains whose q side is a tip table row; the p side is an
+// inner CLV (a branch between two tips has no evaluate).
+//
+//plk:hotpath
+func (c *spanCtx) liTable4(ja, jb, jc, jd int) (la, lb, lc, ld float64) {
+	f := (*[4]float64)(c.freqs)
+	v, tab, row, cs, cst := c.a.v, c.b.tab, c.b.row, c.cs, c.catStride
+	ta, tb := tab[int(row[ja])*cs:], tab[int(row[jb])*cs:]
+	tc, td := tab[int(row[jc])*cs:], tab[int(row[jd])*cs:]
+	oa, ob := c.base+ja*c.patStride, c.base+jb*c.patStride
+	oc, od := c.base+jc*c.patStride, c.base+jd*c.patStride
+	for to := 0; to < cs; to += 4 {
+		la = term4(la, f, (*[4]float64)(v[oa:]), (*[4]float64)(ta[to:]))
+		lb = term4(lb, f, (*[4]float64)(v[ob:]), (*[4]float64)(tb[to:]))
+		lc = term4(lc, f, (*[4]float64)(v[oc:]), (*[4]float64)(tc[to:]))
+		ld = term4(ld, f, (*[4]float64)(v[od:]), (*[4]float64)(td[to:]))
+		oa, ob, oc, od = oa+cst, ob+cst, oc+cst, od+cst
+	}
+	return la, lb, lc, ld
+}
+
+// liApply4 is four chains whose q side is an inner CLV, which each category
+// applies its P block to; the p side is a tip vector or an inner CLV.
+//
+//plk:hotpath
+func (c *spanCtx) liApply4(ja, jb, jc, jd int) (la, lb, lc, ld float64) {
+	f := (*[4]float64)(c.freqs)
+	u, v, pm, tip, cst := c.a.v, c.b.v, c.b.pm, c.a.tip, c.catStride
+	oa, ob := c.base+ja*c.patStride, c.base+jb*c.patStride
+	oc, od := c.base+jc*c.patStride, c.base+jd*c.patStride
+	var xa, xb, xc, xd *[4]float64
+	if tip {
+		row := c.a.row
+		xa, xb = &alignment.DNATipVectors[row[ja]], &alignment.DNATipVectors[row[jb]]
+		xc, xd = &alignment.DNATipVectors[row[jc]], &alignment.DNATipVectors[row[jd]]
+	}
+	for po := 0; po < c.cats*16; po += 16 {
+		p := (*[16]float64)(pm[po:])
+		if !tip {
+			xa, xb = (*[4]float64)(u[oa:]), (*[4]float64)(u[ob:])
+			xc, xd = (*[4]float64)(u[oc:]), (*[4]float64)(u[od:])
+		}
+		la = step4(la, f, xa, p, (*[4]float64)(v[oa:]))
+		lb = step4(lb, f, xb, p, (*[4]float64)(v[ob:]))
+		lc = step4(lc, f, xc, p, (*[4]float64)(v[oc:]))
+		ld = step4(ld, f, xd, p, (*[4]float64)(v[od:]))
+		oa, ob, oc, od = oa+cst, ob+cst, oc+cst, od+cst
+	}
+	return la, lb, lc, ld
+}
+
+// term4 is one category's step of an evaluate chain, li + f0·x0·t0 + f1·x1·t1
+// + f2·x2·t2 + f3·x3·t3: the generic loop's li += freqs[a]·cl[a]·t[a] for a
+// ascending. The explicit conversions round every product on its own, so no
+// GOARCH may fuse it into the add.
+//
+//plk:hotpath
+func term4(li float64, f, x, t *[4]float64) float64 {
+	return li + float64(f[0]*x[0]*t[0]) + float64(f[1]*x[1]*t[1]) + float64(f[2]*x[2]*t[2]) + float64(f[3]*x[3]*t[3])
+}
+
+// step4 is term4 with t = p·r, the P application of one row-major 4 × 4
+// block, each row summed b-ascending as the newview expressions above.
+//
+//plk:hotpath
+func step4(li float64, f, x *[4]float64, p *[16]float64, r *[4]float64) float64 {
+	r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+	t := [4]float64{
+		float64(p[0]*r0) + float64(p[1]*r1) + float64(p[2]*r2) + float64(p[3]*r3),
+		float64(p[4]*r0) + float64(p[5]*r1) + float64(p[6]*r2) + float64(p[7]*r3),
+		float64(p[8]*r0) + float64(p[9]*r1) + float64(p[10]*r2) + float64(p[11]*r3),
+		float64(p[12]*r0) + float64(p[13]*r1) + float64(p[14]*r2) + float64(p[15]*r3),
+	}
+	return term4(li, f, x, &t)
 }

@@ -9,13 +9,13 @@ import "phylo/internal/cpufeat"
 var vectorPlanes = cpufeat.AVX
 
 //go:noescape
-func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []bool, j0, n, step int, first bool)
+func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []byte, j0, n, step int, first bool)
 
 //go:noescape
-func tipInnerPlaneAVX(d, x, tab []float64, row []byte, p []float64, small []bool, j0, n, step, cs int, first bool) int
+func tipInnerPlaneAVX(d, x, tab []float64, row []byte, p []float64, small []byte, j0, n, step, cs int, first bool) int
 
 //go:noescape
-func tipTipPlaneAVX(d, ta, tb []float64, ra, rb []byte, small []bool, j0, n, step, cs int, first bool) int
+func tipTipPlaneAVX(d, ta, tb []float64, ra, rb, small []byte, j0, n, step, cs int, first bool) int
 
 // The plane calls of newviewFused4. Each runs patterns j0, j0+step, … (n of
 // them) of one category plane and returns how many it computed, from the
@@ -29,7 +29,7 @@ func tipTipPlaneAVX(d, ta, tb []float64, ra, rb []byte, small []bool, j0, n, ste
 // planes do not take it.
 //
 //plk:hotpath
-func planeEnd(small []bool, j0, n, step int) int {
+func planeEnd(small []byte, j0, n, step int) int {
 	end := j0 + (n-1)*step + 1
 	if !vectorPlanes || n < 1 || j0 < 0 || step < 1 || end > len(small) {
 		return 0
@@ -38,7 +38,7 @@ func planeEnd(small []bool, j0, n, step int) int {
 }
 
 //plk:hotpath
-func planeInner(d, xa, xb, pa, pb []float64, small []bool, j0, n, step int, first bool) int {
+func planeInner(d, xa, xb, pa, pb []float64, small []byte, j0, n, step int, first bool) int {
 	end := planeEnd(small, j0, n, step)
 	if end == 0 || 4*end > min(len(d), len(xa), len(xb)) || len(pa) < 16 || len(pb) < 16 {
 		return 0
@@ -48,7 +48,7 @@ func planeInner(d, xa, xb, pa, pb []float64, small []bool, j0, n, step int, firs
 }
 
 //plk:hotpath
-func planeTipInner(d, x, tab []float64, row []byte, p []float64, small []bool, j0, n, step, cs, to int, first bool) int {
+func planeTipInner(d, x, tab []float64, row []byte, p []float64, small []byte, j0, n, step, cs, to int, first bool) int {
 	end := planeEnd(small, j0, n, step)
 	if end == 0 || 4*end > min(len(d), len(x)) || end > len(row) || len(p) < 16 || cs < 0 || to < 0 || to > len(tab) {
 		return 0
@@ -57,7 +57,7 @@ func planeTipInner(d, x, tab []float64, row []byte, p []float64, small []bool, j
 }
 
 //plk:hotpath
-func planeTipTip(d, ta, tb []float64, ra, rb []byte, small []bool, j0, n, step, cs, to int, first bool) int {
+func planeTipTip(d, ta, tb []float64, ra, rb, small []byte, j0, n, step, cs, to int, first bool) int {
 	end := planeEnd(small, j0, n, step)
 	if end == 0 || 4*end > len(d) || end > min(len(ra), len(rb)) || cs < 0 || to < 0 || to > min(len(ta), len(tb)) {
 		return 0

@@ -18,20 +18,22 @@ import (
 // both, so the scalar loops stay tested on a host that would never run them.
 // The same two arms switch the span set-up's 4-state PMatrices between its
 // AVX2 kernel and the scalar pmatrix4 (internal/model holds those to each
-// other bit for bit), and every 20-state P application and sumtable
-// projection between model.ApplyCols' AVX kernel and its scalar loop
-// (TestApplyColsBitIdentity).
+// other bit for bit), every 20-state P application and sumtable projection
+// between model.ApplyCols' AVX kernel and its scalar loop
+// (TestApplyColsBitIdentity), and the evaluate site pass's logs between the
+// 4-lane kernel and math.Log (TestSiteLogBitIdentity).
 
 // forEachPlanes runs f as one subtest per realisation this host has, with
-// vectorPlanes, model.VectorPMatrix and model.VectorApplyCols set to it: "avx"
-// (skipped where the plane kernels cannot run; the P kernel runs where the
-// host has AVX2) and "scalar".
+// vectorPlanes, model.VectorPMatrix, model.VectorApplyCols and VectorSiteLog
+// set to it: "avx" (skipped where the plane kernels cannot run; the P and log
+// kernels run where the host has AVX2) and "scalar".
 func forEachPlanes(t *testing.T, f func(t *testing.T)) {
-	host, hostPM, hostCols := vectorPlanes, model.VectorPMatrix(), model.VectorApplyCols()
+	host, hostPM, hostCols, hostLog := vectorPlanes, model.VectorPMatrix(), model.VectorApplyCols(), VectorSiteLog()
 	t.Cleanup(func() {
 		vectorPlanes = host
 		model.SetVectorPMatrix(hostPM)
 		model.SetVectorApplyCols(hostCols)
+		SetVectorSiteLog(hostLog)
 	})
 	for _, arm := range []struct {
 		name string
@@ -44,6 +46,7 @@ func forEachPlanes(t *testing.T, f func(t *testing.T)) {
 			vectorPlanes = arm.on
 			model.SetVectorPMatrix(arm.on)
 			model.SetVectorApplyCols(arm.on)
+			SetVectorSiteLog(arm.on)
 			f(t)
 		})
 	}
@@ -194,12 +197,12 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 						var got, want spanCtx
 						var gotN, wantN int
 						for _, on := range []bool{true, false} {
-							small := make([]bool, patterns)
+							small := make([]byte, patterns)
 							for i := range small {
-								small[i] = poison
+								small[i] = flagByte(poison)
 							}
 							c := spanCtx{
-								e: &Engine{sessionBuffers: &sessionBuffers{smallScratch: [][]bool{small}}},
+								e: &Engine{sessionBuffers: &sessionBuffers{smallScratch: [][]byte{small}}},
 								s: 4, cats: cats, cs: cs, base: base, patStride: 4, catStride: stride, partOffset: offset,
 								a: cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
 							}
@@ -248,12 +251,12 @@ func TestPlaneCallsTakeOnlyCheckedRuns(t *testing.T) {
 	}
 	const n, cs = 10, 4 // one category
 	d, x, p := make([]float64, 4*n), make([]float64, 4*n), make([]float64, 16)
-	small, row := make([]bool, n), make([]byte, n)
+	small, row := make([]byte, n), make([]byte, n)
 	tab := make([]float64, 3*cs) // rows for codes 0, 1, 2
 	for j := range row {
 		row[j] = byte(j % 3)
 	}
-	all := func(name string, d, x, p []float64, small []bool, row []byte, j0, n, step, want int) {
+	all := func(name string, d, x, p []float64, small []byte, row []byte, j0, n, step, want int) {
 		t.Helper()
 		if k := planeInner(d, x, x, p, p, small, j0, n, step, true); k != want {
 			t.Errorf("inner/inner, %s: computed %d patterns, want %d", name, k, want)
@@ -293,4 +296,121 @@ func TestPlaneCallsTakeOnlyCheckedRuns(t *testing.T) {
 	if k := planeTipTip(d, tab, tab, row, row, small, 0, n, 1, cs, 1, true); k != 2 {
 		t.Errorf("tip/tip at category offset 1: computed %d patterns, want 2", k)
 	}
+}
+
+// scalePassReference is newviewFused4's closing pass as every run took it
+// before contiguous runs became one copy or add and an IndexByte scan: each
+// pattern of the run in turn, its exponents summed, a flagged one rescaled.
+func (c *spanCtx) scalePassReference(small []byte, run schedule.Run) int {
+	count := 0
+	for i := run.Lo; i < run.Hi; i += run.Step {
+		j := i - c.partOffset
+		sc := int32(0)
+		if !c.a.tip {
+			sc += c.a.sc[i]
+		}
+		if !c.b.tip {
+			sc += c.b.sc[i]
+		}
+		if small[j] != 0 {
+			off := c.base + j*c.patStride
+			for cat := 0; cat < c.cats; cat++ {
+				co := off + cat*c.catStride
+				d := c.dst[co : co+4]
+				d[0] *= twoTo256
+				d[1] *= twoTo256
+				d[2] *= twoTo256
+				d[3] *= twoTo256
+			}
+			sc++
+			c.scaled++
+		}
+		c.dstScale[i] = sc
+		count++
+	}
+	return count
+}
+
+// TestScalePassMatchesLoop holds the fused newview's scaling pass to the loop
+// it replaced, on Step 1 runs (one copy or add, then only the flagged
+// patterns) and Step 2 and 3 runs (the loop itself), for every pair of tip and
+// inner ends, with patterns forced small: none, one, the run's first and last,
+// a fifth of them at random, and all. The CLV bits (entries outside the run
+// included), every scaling exponent, the scaling-event count and the processed
+// count must all be the loop's.
+func TestScalePassMatchesLoop(t *testing.T) {
+	const (
+		offset   = 5
+		patterns = 300
+		cats     = 3
+		stride   = patterns*4 + 4
+		base     = 4
+	)
+	rng := rand.New(rand.NewSource(67))
+	exps := func() []int32 {
+		s := make([]int32, offset+patterns)
+		for i := range s {
+			s[i] = int32(rng.Intn(5)) - 1
+		}
+		return s
+	}
+	tip, forced := spanEnd{tip: true}, 0
+	for round := 0; round < 30; round++ {
+		inner := func() spanEnd { return spanEnd{sc: exps()} }
+		for _, ends := range [][2]spanEnd{{tip, tip}, {tip, inner()}, {inner(), tip}, {inner(), inner()}} {
+			for _, step := range []int{1, 2, 3} {
+				lo := offset + rng.Intn(10)
+				n := []int{0, 1, 2, 7, 64, 97}[rng.Intn(6)]
+				hi := min(lo+n*step, offset+patterns)
+				run := schedule.Run{Lo: lo, Hi: hi, Step: step}
+				small := make([]byte, patterns)
+				switch round % 5 {
+				case 1:
+					small[lo-offset+rng.Intn(max(1, hi-lo))] = 1
+				case 2:
+					small[lo-offset] = 1
+					small[max(lo, hi-1)-offset] = 1
+				case 3:
+					for j := range small {
+						small[j] = flagByte(rng.Intn(5) == 0)
+					}
+				case 4:
+					for j := range small {
+						small[j] = 1
+					}
+				}
+				dst := make([]float64, base+cats*stride)
+				for i := range dst {
+					dst[i] = rng.Float64() * minLikelihood
+				}
+				dstScale := exps()
+				var got, want spanCtx
+				var gotN, wantN int
+				for _, ref := range []bool{false, true} {
+					c := spanCtx{s: 4, cats: cats, base: base, patStride: 4, catStride: stride, partOffset: offset,
+						a: ends[0], b: ends[1], dst: slices.Clone(dst), dstScale: slices.Clone(dstScale)}
+					if ref {
+						wantN = c.scalePassReference(small, run)
+						want = c
+					} else {
+						gotN = c.scalePass(small, run)
+						got = c
+					}
+				}
+				label := fmt.Sprintf("round %d tip=%v/%v step=%d run [%d, %d)", round, ends[0].tip, ends[1].tip, step, lo, hi)
+				if gotN != wantN || got.scaled != want.scaled {
+					t.Fatalf("%s: %d patterns and %v scaling events, loop %d and %v", label, gotN, got.scaled, wantN, want.scaled)
+				}
+				forced += int(want.scaled)
+				sameSums(t, label+" planes", got.dst, want.dst)
+				if !slices.Equal(got.dstScale, want.dstScale) {
+					t.Fatalf("%s: scaling exponents differ from the loop's", label)
+				}
+			}
+		}
+	}
+	if forced == 0 {
+		t.Fatal("no pattern was rescaled: the fixture forces nothing")
+	}
+	t.Logf("%d forced rescales", forced)
 }

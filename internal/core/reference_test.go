@@ -173,6 +173,30 @@ func (c *spanCtx) patternLiReference(j, off int) float64 {
 	return li
 }
 
+// siteReference is the per-pattern site tail the block pass (SiteLogs)
+// replaced: one raw category-summed likelihood normalized, clamped, logged
+// and shifted by its pattern's scaling exponent.
+func siteReference(rawLi float64, sc int32, invCats float64) float64 {
+	li := rawLi * invCats
+	if li <= 0 || math.IsNaN(li) {
+		li = math.SmallestNonzeroFloat64
+	}
+	return math.Log(li) + float64(sc)*logMinLik
+}
+
+// siteReference is the span binding's per-pattern site of global pattern i:
+// the exponents of both branch ends summed, then the tail above.
+func (c *spanCtx) siteReference(i int, rawLi float64) float64 {
+	sc := int32(0)
+	if !c.a.tip {
+		sc += c.a.sc[i]
+	}
+	if !c.b.tip {
+		sc += c.b.sc[i]
+	}
+	return siteReference(rawLi, sc, c.invCats)
+}
+
 func (c *spanCtx) sumtableReference(run schedule.Run) int {
 	s := c.s
 	count := 0

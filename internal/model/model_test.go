@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,24 @@ func TestSetAlphaRates(t *testing.T) {
 	}
 	if math.Abs(sum/4-1) > 1e-9 {
 		t.Errorf("category rates mean %v, want 1", sum/4)
+	}
+	// Re-setting the alpha the rates hold keeps them (the rates are SetAlpha's
+	// alone, so a stray write survives exactly when nothing was recomputed) and
+	// still moves the epoch, on the model and on a clone.
+	rates, e0 := slices.Clone(m.CatRates), m.Epoch()
+	m.CatRates[0] = 42
+	c := m.Clone()
+	if err := m.SetAlpha(0.5); err != nil || m.CatRates[0] != 42 || m.Epoch() == e0 {
+		t.Errorf("SetAlpha(0.5) again: rates %v, epoch %d (before %d); want kept and moved", m.CatRates, m.Epoch(), e0)
+	}
+	if err := c.SetAlpha(0.5); err != nil || c.CatRates[0] != 42 {
+		t.Errorf("a clone's SetAlpha(0.5) recomputed rates its source already held: %v", c.CatRates)
+	}
+	if err := m.SetAlpha(0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetAlpha(0.5); err != nil || !slices.Equal(m.CatRates, rates) {
+		t.Errorf("SetAlpha(0.5) after 0.7: rates %v, want %v", m.CatRates, rates)
 	}
 	if err := m.SetAlpha(0.001); err == nil {
 		t.Error("expected error below MinAlpha")
