@@ -21,7 +21,6 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/bench"
-	"phylo/internal/core"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
 )
@@ -36,21 +35,12 @@ func main() {
 		radius   = flag.Int("radius", 3, "SPR rearrangement radius")
 		seed     = flag.Int64("seed", 42, "master seed")
 		schedStr = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | block | weighted")
-		backendF = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
 		out      = flag.String("out", "", "write output to file instead of stdout")
 	)
 	flag.Parse()
 	sched, err := schedule.Parse(*schedStr)
 	if err != nil {
 		fatal(err)
-	}
-	// The figure drivers build their run specs internally with the zero-value
-	// (auto) kernel backend, so the flag is applied through the documented
-	// environment resolution path after validating it.
-	if b, err := core.ParseBackend(*backendF); err != nil {
-		fatal(err)
-	} else if b != core.BackendAuto {
-		os.Setenv("PLK_BACKEND", b.String())
 	}
 
 	var w io.Writer = os.Stdout

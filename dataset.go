@@ -53,16 +53,17 @@ type DatasetOptions struct {
 	// plk_stolen_patterns_total).
 	// Stealing composes with every Schedule strategy: the schedule, built
 	// once per dataset, remains the locality prior, while stealing absorbs
-	// whatever it mispriced inside each region. The chunk granularity is
-	// tuned per session via AnalysisOptions.MinChunk.
+	// whatever it mispriced inside each region. The chunk size
+	// (AnalysisOptions.MinChunk) matters with or without Steal: it sets the
+	// unit workers drain and every evaluate and derivative sum is grouped by.
 	Steal bool
 	// Backend selects the likelihood kernel backend for every session over
 	// this dataset. The zero value (BackendAuto) consults the PLK_BACKEND
-	// environment variable and otherwise picks BackendFused — the
-	// category-major, state-contiguous CLV layout with unrolled 4-state DNA
-	// kernels. BackendGeneric keeps the pattern-major seed path; both produce
-	// bit-identical results. It is a Dataset option because the backend fixes
-	// the CLV memory layout all sessions share.
+	// environment variable and otherwise picks BackendFused — unrolled
+	// 4-state DNA kernels. BackendGeneric runs the generic reference bodies
+	// everywhere; both produce bit-identical results over the same CLV
+	// layout. It is a Dataset option because every session over the dataset
+	// shares its Shared state, which fixes the backend.
 	Backend KernelBackend
 	// Metrics, if non-nil, receives every observability family of this
 	// dataset and its sessions: region counts and duration histograms,

@@ -92,12 +92,6 @@ type RunSpec struct {
 	// MinChunk is the minimum chunk size in patterns (0 = the engine default
 	// of 64).
 	MinChunk int
-
-	// KernelBackend selects the likelihood kernel backend (the CLV layout
-	// and kernel bodies, see core.Backend — distinct from Backend above,
-	// which picks the executor). The zero value resolves through PLK_BACKEND
-	// to the fused default; results are bit-identical across backends.
-	KernelBackend core.Backend
 }
 
 // Measurement is the outcome of one run. Stats is the analysis's op trace;
@@ -193,7 +187,8 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		return nil, err
 	}
 	defer exec.Close()
-	sh, err := core.NewSharedWith(d, models[0].NumCats, spec.Threads, spec.KernelBackend)
+	// BackendAuto: PLK_BACKEND, when set, picks the kernel bodies.
+	sh, err := core.NewSharedWith(d, models[0].NumCats, spec.Threads, core.BackendAuto)
 	if err != nil {
 		return nil, err
 	}

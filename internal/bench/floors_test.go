@@ -22,8 +22,8 @@ import (
 // it. Absolute ns/op are not judged here; benchmark/ decides those against
 // the parent commit on the same box.
 const (
-	// fusedNewviewFloor: the fused backend's cat-major layout and unrolled
-	// 4-state kernels must at least halve the generic oracle's full newview
+	// fusedNewviewFloor: the fused backend's unrolled 4-state kernels over
+	// the category planes must at least halve the generic oracle's full newview
 	// traversal at one thread. The scalar plane loops read 2.15x to 2.49x.
 	// Where core.VectorLanes is 4 at four states the AVX plane kernels run
 	// instead, and since a contiguous run's scaling pass visits only its

@@ -5,11 +5,11 @@ import "unsafe"
 // Cache-line-aligned float64 allocation. The CLV planes, the sumtable, and
 // the per-worker tip-table/P-matrix scratch are the kernel's only large hot
 // buffers; starting each on a 64-byte boundary keeps the layout descriptor's
-// alignment promises honest (a cat-major plane stride of 8k floats is only
+// alignment promises honest (a category-plane stride of 8k floats is only
 // aligned if float 0 is) and keeps vector-width loads from straddling lines.
 
 // cacheLine is the alignment target in bytes; alignFloatCount is the same in
-// float64 units. Partition bases and cat-major plane strides are rounded up
+// float64 units. Partition bases and category-plane strides are rounded up
 // to multiples of it (see CLVLayout).
 const (
 	cacheLine       = 64

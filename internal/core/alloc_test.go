@@ -1,10 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
-	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -118,18 +118,13 @@ func TestEngineBuffersAligned(t *testing.T) {
 				t.Errorf("%v: exScratch[%d] not aligned", backend, w)
 			}
 		}
-		// The cat-major layout must additionally keep every category plane
-		// aligned: base + cat·catStride stays a multiple of 8 floats.
-		if backend == BackendFused {
-			for ip := range d.Parts {
-				if d.Parts[ip].Type != alignment.DNA {
-					continue
-				}
-				for cat := 0; cat < sh.NumCats; cat++ {
-					if sh.layout.Index(ip, 0, cat)%alignFloatCount != 0 {
-						t.Errorf("fused: partition %d cat %d plane offset %d not aligned",
-							ip, cat, sh.layout.Index(ip, 0, cat))
-					}
+		// Every category plane is aligned too: base + cat·catStride stays a
+		// multiple of 8 floats.
+		for ip := range d.Parts {
+			for cat := 0; cat < sh.NumCats; cat++ {
+				if sh.layout.Index(ip, 0, cat)%alignFloatCount != 0 {
+					t.Errorf("%v: partition %d cat %d plane offset %d not aligned",
+						backend, ip, cat, sh.layout.Index(ip, 0, cat))
 				}
 			}
 		}
@@ -142,7 +137,8 @@ func TestEngineBuffersAligned(t *testing.T) {
 // kind — CLVs, scaling vectors, sumtable, per-worker scratch, the chunk
 // layout and runtime, and the per-chunk partial sums — on both backends. The
 // transition-matrix memo is priced at its cap: the blocks the session holds
-// plus one per slot that has not missed yet.
+// plus one per slot that has not missed yet. The shared Layout term must be
+// the layout descriptor's own tables.
 func TestSessionFootprintMatchesBuffers(t *testing.T) {
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		sim, err := parallel.NewSim(3)
@@ -172,9 +168,7 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 				held += 8 * int64(len(eng.tipScratch[w][k]))
 			}
 			held += 8 * int64(len(eng.pm[w].spare)+len(eng.exScratch[w]))
-			if eng.smallScratch != nil {
-				held += int64(len(eng.smallScratch[w]))
-			}
+			held += int64(len(eng.smallScratch[w]))
 		}
 		l := eng.stealRT.Layout()
 		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
@@ -182,9 +176,23 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 		if blocks == 0 || room == 0 {
 			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)
 		}
-		if got := eng.Shared().MemoryFootprint().SessionBytes(); got != held+blocks+room {
+		f := eng.Shared().MemoryFootprint()
+		if got := f.SessionBytes(); got != held+blocks+room {
 			t.Errorf("%v: SessionBytes() = %d, session holds %d + %d of memo blocks (%d short of the memo's cap)",
 				backend, got, held, blocks, room)
+		}
+		// Layout prices every per-partition table the descriptor has, found
+		// by reflection so a table added later cannot go unpriced.
+		var tables int64
+		lv := reflect.ValueOf(eng.layout).Elem()
+		for i := 0; i < lv.NumField(); i++ {
+			if fv := lv.Field(i); fv.Kind() == reflect.Slice {
+				tables += int64(fv.Len()) * int64(fv.Type().Elem().Size())
+			}
+		}
+		if f.Layout != tables || tables != 4*8*int64(len(eng.Data.Parts)) {
+			t.Errorf("%v: Layout = %d, the layout's tables hold %d (want 4 int slices of %d partitions)",
+				backend, f.Layout, tables, len(eng.Data.Parts))
 		}
 	}
 }

@@ -8,29 +8,28 @@ import (
 	"phylo/internal/model"
 )
 
-// Kernel backends. A backend bundles (a) a CLV memory layout and (b) the
-// per-pattern kernel bodies that run over it. Two backends exist:
+// Kernel backends. Every backend stores CLVs in the one layout of layout.go;
+// a backend decides which per-pattern body a 4-state partition runs
+// (bodyFor), nothing else. Two backends exist:
 //
-//   - BackendGeneric — the seed path: pattern-major CLVs and the
-//     bounds-checked, state-count-generic loops. It is the bit-exactness
-//     oracle: every other backend must reproduce its total lnL, per-site
-//     lnLs, and branch derivatives bit for bit (the same contract the
-//     Specialize=false ablation keeps for the tip tables).
-//   - BackendFused — category-major, state-contiguous, cache-line-aligned
-//     CLV planes; 4-state (DNA) partitions run fully unrolled straight-line
-//     multiply-add kernels that hoist the fixed category's transition matrix
-//     into registers and sweep contiguous pattern lanes, while wider
-//     alphabets (20-state AA) fall back to the layout-aware generic loop
-//     over the same planes.
+//   - BackendGeneric — the bounds-checked, state-count-generic loops on every
+//     partition. It is the bit-exactness oracle: the fused bodies must
+//     reproduce its total lnL, per-site lnLs, branch derivatives and scaling
+//     exponents bit for bit (the same contract the Specialize=false ablation
+//     keeps for the tip tables).
+//   - BackendFused — 4-state (DNA) partitions run fully unrolled
+//     straight-line multiply-add kernels that hoist the fixed category's
+//     transition matrix into registers and sweep contiguous pattern lanes of
+//     a category plane, while wider alphabets (20-state AA) run the generic
+//     loop.
 //
 // Which body a partition runs is a fact about (backend, alphabet), decided
-// once per session by bodyFor and called directly by spanCtx.run; the layout
-// is fixed per Shared (one CLV buffer backs all partitions).
-// Bit-identity across backends holds because a layout moves values without
-// reordering any floating-point accumulation: every madd sequence — the
-// b-ascending P applications, the (cat, state)-ascending evaluate
-// reduction, the eigenbasis projections — runs in the seed order in both
-// backends, so only the addresses differ.
+// once per session by bodyFor and called directly by spanCtx.run.
+// Bit-identity across backends holds because the fused bodies reorder no
+// floating-point accumulation: every madd sequence — the b-ascending P
+// applications, the (cat, state)-ascending evaluate reduction, the
+// eigenbasis projections — runs in the generic bodies' order, so only the
+// order in which patterns and categories are visited differs.
 
 // Backend selects the kernel backend of a Shared and its sessions.
 type Backend int
@@ -39,9 +38,9 @@ const (
 	// BackendAuto resolves to the PLK_BACKEND environment variable when set,
 	// and to BackendFused otherwise.
 	BackendAuto Backend = iota
-	// BackendGeneric is the seed pattern-major path, kept as the oracle.
+	// BackendGeneric runs the generic bodies everywhere, kept as the oracle.
 	BackendGeneric
-	// BackendFused is the cat-major layout with unrolled 4-state kernels.
+	// BackendFused runs the unrolled 4-state kernels on DNA partitions.
 	BackendFused
 )
 
@@ -94,14 +93,6 @@ func resolveBackend(b Backend) (Backend, error) {
 	return BackendFused, nil
 }
 
-// layoutKindFor maps a backend to its CLV geometry.
-func layoutKindFor(b Backend) LayoutKind {
-	if b == BackendFused {
-		return LayoutCatMajor
-	}
-	return LayoutPatternMajor
-}
-
 // kernelBody names the per-pattern code a partition's newview and evaluate
 // chunks run; the sumtable and derivative regions have one body each under
 // every backend. It is carried on the span binding as data and switched on
@@ -109,14 +100,13 @@ func layoutKindFor(b Backend) LayoutKind {
 type kernelBody uint8
 
 const (
-	// bodyGeneric is the layout-aware, state-count-generic loop: it reads the
-	// binding's (base, patStride, catStride) triple, so the same code serves
-	// the pattern-major oracle — where it executes the seed's exact operation
-	// sequence — and the fused backend's cat-major AA fallback.
+	// bodyGeneric is the state-count-generic loop: one pattern across all
+	// categories at a time, stepping the binding's catStride between them. It
+	// is the oracle's body and the fused backend's AA fallback.
 	bodyGeneric kernelBody = iota
 	// bodyFused4 is the 4-state straight-line code of fused4.go: category-outer
 	// newview sweeps with the transition matrices hoisted out of the pattern
-	// loop and fully unrolled evaluate bodies, over cat-major planes.
+	// loop and fully unrolled evaluate bodies, over the category planes.
 	bodyFused4
 )
 
@@ -138,8 +128,7 @@ func VectorLanes(b Backend, states int) int {
 
 // bodyFor selects the kernel body of one partition: the fused backend runs
 // the unrolled kernels on 4-state data and the generic loop on anything
-// wider; the generic backend always runs the generic loop (over the
-// pattern-major layout its Shared built).
+// wider; the generic backend always runs the generic loop.
 func bodyFor(b Backend, states int) kernelBody {
 	if b == BackendFused && states == 4 {
 		return bodyFused4

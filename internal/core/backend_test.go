@@ -197,9 +197,10 @@ func backendBitIdentityUnderForcedScaling(t *testing.T) {
 }
 
 // TestBackendSelection pins the dispatch rules: the fused backend runs the
-// unrolled kernels only on 4-state partitions and the layout-aware generic
-// loop elsewhere; the generic backend never selects the fused kernels; the
-// layouts follow the backend.
+// unrolled kernels only on 4-state partitions and the generic loop
+// elsewhere; the generic backend never selects the fused kernels; and the
+// body is all a backend chooses — the two Shareds of one dataset lay their
+// CLVs and sumtables out identically.
 func TestBackendSelection(t *testing.T) {
 	if b := bodyFor(BackendFused, alignment.DNA.States()); b != bodyFused4 {
 		t.Errorf("fused backend on DNA selected body %d, want bodyFused4", b)
@@ -210,11 +211,24 @@ func TestBackendSelection(t *testing.T) {
 	if b := bodyFor(BackendGeneric, alignment.DNA.States()); b != bodyGeneric {
 		t.Errorf("generic backend on DNA selected body %d, want bodyGeneric", b)
 	}
-	if k := layoutKindFor(BackendFused); k != LayoutCatMajor {
-		t.Errorf("fused layout %v, want cat-major", k)
+	d, _ := stealFixture(t, 4, 42)
+	var ls [2]*CLVLayout
+	for i, backend := range []Backend{BackendGeneric, BackendFused} {
+		sh, err := NewSharedWith(d, 4, 1, backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls[i] = sh.Layout()
 	}
-	if k := layoutKindFor(BackendGeneric); k != LayoutPatternMajor {
-		t.Errorf("generic layout %v, want pattern-major", k)
+	gen, fus := ls[0], ls[1]
+	if gen.Total() != fus.Total() || gen.SumTotal() != fus.SumTotal() {
+		t.Errorf("totals generic (%d, %d) != fused (%d, %d)", gen.Total(), gen.SumTotal(), fus.Total(), fus.SumTotal())
+	}
+	for ip := range d.Parts {
+		if gen.Base(ip) != fus.Base(ip) || gen.CatStride(ip) != fus.CatStride(ip) {
+			t.Errorf("partition %d: generic (base %d, catStride %d) != fused (%d, %d)",
+				ip, gen.Base(ip), gen.CatStride(ip), fus.Base(ip), fus.CatStride(ip))
+		}
 	}
 }
 

@@ -148,7 +148,6 @@ type spanCtx struct {
 	s, cats    int
 	cs         int
 	base       int
-	patStride  int // CLV layout: offset between consecutive patterns
 	catStride  int // CLV layout: offset between consecutive categories
 	partOffset int
 	dtype      alignment.DataType
@@ -177,8 +176,8 @@ type spanCtx struct {
 	// category at hand.
 	tmp, fl []float64
 
-	// sumtable, derivative: the session's sumtable (pattern-major under every
-	// backend) and the partition's base in it.
+	// sumtable, derivative: the session's sumtable (pattern-major) and the
+	// partition's base in it.
 	sum   []float64
 	sbase int
 
@@ -211,7 +210,7 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 	m := e.Models[ip]
 	*c = spanCtx{
 		e: e, kind: r.kind, body: e.bodies[ip], w: w, s: s, cats: cats, cs: cats * s,
-		base: e.layout.Base(ip), patStride: e.layout.PatStride(ip), catStride: e.layout.CatStride(ip),
+		base: e.layout.Base(ip), catStride: e.layout.CatStride(ip),
 		partOffset: part.Offset, dtype: part.Type, applyP: model.ApplyCols,
 	}
 	if s == 4 {
@@ -386,8 +385,8 @@ func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerC
 		fused := c.body == bodyFused4 && (!c.b.tip || c.b.tab != nil)
 		return c.evaluateRun(run, r.out[id*r.lanes:(id+1)*r.lanes], fused)
 	case parallel.RegionSumTable:
-		// Once per branch, amortized over every Newton iteration, and the
-		// sumtable is pattern-major under every backend: one body serves all.
+		// Once per branch, amortized over every Newton iteration: one body
+		// serves every backend.
 		return c.sumtableGeneric(run)
 	default:
 		return c.derivativeGeneric(run, r.out[id*r.lanes:(id+1)*r.lanes])

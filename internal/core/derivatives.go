@@ -33,14 +33,14 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	e.runRegion(region{kind: parallel.RegionSumTable, p: p}, e.activeOrAll(active))
 }
 
-// sumtableGeneric is the layout-aware generic sumtable body: CLV reads go
-// through the layout strides, while the sumtable keeps the pattern-major
-// geometry under every backend (the derivative kernel reduces one pattern's
-// contiguous cats·s block at a time). Every backend routes here today. An end
-// without a table row pays one model.ApplyCols per category — the left one
-// applies V^T, which ApplyCols reads as V itself, to fl[a] = freqs[a]·cl[a],
-// formed once; the right one applies V^-1, read as InvVecsT — and both
-// projections accumulate in state-ascending order in any case.
+// sumtableGeneric is the one sumtable body: CLV reads step the category
+// planes, while the sumtable keeps its pattern-major geometry (the
+// derivative kernel reduces one pattern's contiguous cats·s block at a
+// time). Every backend routes here. An end without a table row pays one
+// model.ApplyCols per category — the left one applies V^T, which ApplyCols
+// reads as V itself, to fl[a] = freqs[a]·cl[a], formed once; the right one
+// applies V^-1, read as InvVecsT — and both projections accumulate in
+// state-ascending order in any case.
 //
 //plk:hotpath
 func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
@@ -49,7 +49,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		off := c.base + j*c.patStride
+		off := c.base + j*c.s
 		soff := c.sbase + j*c.cs
 		var xl, xr []float64
 		var lRow, rRow []float64
@@ -132,10 +132,9 @@ func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 
 }
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
-// only the sumtable, which is pattern-major under all of them. Per pattern the
-// likelihood and its two derivative dot products run once — two patterns a
-// pass, so six sums are in flight instead of three, each in its own k-ascending
-// order — and the resulting first-derivative ratio and curvature terms
+// only the sumtable, which is pattern-major. Per pattern the likelihood and
+// its two derivative dot products run once — two patterns a pass, so six sums
+// are in flight instead of three, each in its own k-ascending order — and the resulting first-derivative ratio and curvature terms
 // accumulate under all R replicate weights into out[2r], out[2r+1], in
 // ascending pattern order within the run.
 //

@@ -136,16 +136,16 @@ type Options struct {
 type sessionBuffers struct {
 	clvs     [][]float64 // per inner node, layout.Total() floats
 	scales   [][]int32   // per inner node, per global pattern
-	sumtable []float64   // branch-derivative workspace (always pattern-major); nil until the first PrepareSumtable
+	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first PrepareSumtable
 
 	pm         []pmWorker     // per worker: the P(z) blocks it has built, per partition, and one spare (chunkexec.go)
 	gen        uint64         // how many sessions have taken the set: a memo entry of an earlier holder never matches
 	exScratch  [][]float64    // per worker: exScratchLen floats, what the region kind in flight makes of them (spanCtx.bind)
 	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
 
-	// smallScratch is the fused backend's per-worker scaling-flag scratch
+	// smallScratch is the fused newview's per-worker scaling-flag scratch
 	// (one byte per pattern of the widest partition, 1 where every entry is
-	// tiny); nil on other backends.
+	// tiny).
 	smallScratch [][]byte
 }
 
@@ -157,6 +157,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 	b := &sessionBuffers{
 		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
 		pm: make([]pmWorker, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
+		smallScratch: make([][]byte, t),
 	}
 	for i := range b.clvs {
 		b.clvs[i] = alignedFloats(sh.layout.Total())
@@ -169,15 +170,10 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 		// and evaluate tables; the category-independent sumtable projections
 		// (codes × s) reuse a prefix of the same buffers.
 		b.tipScratch[w] = [2][]float64{alignedFloats(tip), alignedFloats(tip)}
-	}
-	if sh.Backend == BackendFused {
-		// Per-worker "every entry tiny" flags the fused newview kernels fill
-		// during their category sweeps (while the values are in registers), so
-		// the scaling pass never re-reads the cold category planes.
-		b.smallScratch = make([][]byte, t)
-		for w := range b.smallScratch {
-			b.smallScratch[w] = make([]byte, sh.maxPatterns())
-		}
+		// "Every entry tiny" flags the fused newview kernels fill during their
+		// category sweeps (while the values are in registers), so the scaling
+		// pass never re-reads the cold category planes.
+		b.smallScratch[w] = make([]byte, sh.maxPatterns())
 	}
 	return b
 }

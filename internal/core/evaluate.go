@@ -58,7 +58,7 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 // patternLi is the per-pattern evaluate kernel shared by the parallel
 // reduction and SiteLogLikelihoods: the (unnormalized) sum-over-categories
 // site likelihood before the log and the scaling-exponent correction, read
-// through the layout strides. When the q-side tip table is built, its row
+// across the category planes. When the q-side tip table is built, its row
 // already holds the P applications; otherwise one applyP per category forms
 // them. The accumulation runs in (cat asc, state asc) order — the order every
 // backend must preserve for bit-identity.
@@ -133,7 +133,7 @@ func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 		} else {
 			for k := 0; k < n; k++ {
 				j := j0 + k*step
-				blk[k] = c.patternLi(j, c.base+j*c.patStride)
+				blk[k] = c.patternLi(j, c.base+j*c.s)
 			}
 		}
 		v := blk[:n]
@@ -236,7 +236,7 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 		v := out[lo:min(part.PatternCount, lo+siteBlock)]
 		for k := range v {
 			j := lo + k
-			v[k] = c.patternLi(j, c.base+j*c.patStride)
+			v[k] = c.patternLi(j, c.base+j*c.s)
 		}
 		c.sites(v, part.Offset+lo, 1)
 	}

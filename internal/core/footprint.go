@@ -49,8 +49,8 @@ type MemoryFootprint struct {
 	// only when a slot first misses, so evaluate-only sessions hold a
 	// fraction of it) and the spare block, the derivative tables (the same
 	// floats hold a sumtable region's transposed eigenvectors), the two tip
-	// lookup tables per worker (codes × cats × s floats), and on the fused
-	// backend the per-pattern scaling flags.
+	// lookup tables per worker (codes × cats × s floats), and the per-pattern
+	// scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
 	// layout of its schedule, the steal runtime over it (deque words, backing
@@ -107,9 +107,7 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 		}
 	}
 	sh.mu.Unlock()
-	// Seven per-partition int slices in CLVLayout (base, patStride,
-	// catStride, states, counts, sumBase) plus the schedule spans above.
-	f.Layout = 8 * 7 * int64(len(sh.Data.Parts))
+	f.Layout = sh.layout.memoryBytes()
 
 	nInner := int64(sh.Data.NumTaxa() - 2)
 	f.SessionCLVs = nInner * 8 * int64(sh.layout.Total())
@@ -118,12 +116,10 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
 		sh.exScratchLen() + // derivative tables, or the generic bodies' s-vectors
 		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
+	perWorker += sh.maxPatterns() // scaling flags, one byte per pattern
 	for _, p := range sh.Data.Parts {
 		s := p.Type.States()
 		perWorker += int(unsafe.Sizeof(pmMemo{})) + pmMemoSlots*8*sh.NumCats*s*s
-	}
-	if sh.Backend == BackendFused {
-		perWorker += sh.maxPatterns() // scaling flags, one bool per pattern
 	}
 	f.SessionScratch = int64(sh.Threads) * int64(perWorker)
 	return f

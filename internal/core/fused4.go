@@ -8,9 +8,9 @@ import (
 )
 
 // The fused 4-state (DNA) kernel bodies of BackendFused. They run over the
-// cat-major, state-contiguous CLV layout (see CLVLayout): each Gamma category
-// is one contiguous, cache-line-aligned plane of patternCount×4 entries, so
-// the kernels fix the category in an outer loop, hoist that category's 16
+// CLV layout's category planes (see CLVLayout): each Gamma category is one
+// contiguous, cache-line-aligned plane of patternCount×4 entries, so the
+// kernels fix the category in an outer loop, hoist that category's 16
 // transition-matrix entries out of the pattern loop, and sweep the patterns
 // as straight-line multiply-adds over three linear streams (two reads,
 // one write) — no per-pattern slicing, no inner b-loop, no bounds checks in
@@ -241,7 +241,7 @@ func (c *spanCtx) scalePass(small []byte, run schedule.Run) int {
 //
 //plk:hotpath
 func (c *spanCtx) rescale(j int) {
-	off := c.base + j*c.patStride
+	off := c.base + j*c.s
 	for cat := 0; cat < c.cats; cat++ {
 		co := off + cat*c.catStride
 		d := c.dst[co : co+4 : co+4]
@@ -287,8 +287,8 @@ func (c *spanCtx) liTable4(ja, jb, jc, jd int) (la, lb, lc, ld float64) {
 	v, tab, row, cs, cst := c.a.v, c.b.tab, c.b.row, c.cs, c.catStride
 	ta, tb := tab[int(row[ja])*cs:], tab[int(row[jb])*cs:]
 	tc, td := tab[int(row[jc])*cs:], tab[int(row[jd])*cs:]
-	oa, ob := c.base+ja*c.patStride, c.base+jb*c.patStride
-	oc, od := c.base+jc*c.patStride, c.base+jd*c.patStride
+	oa, ob := c.base+ja*c.s, c.base+jb*c.s
+	oc, od := c.base+jc*c.s, c.base+jd*c.s
 	for to := 0; to < cs; to += 4 {
 		la = term4(la, f, (*[4]float64)(v[oa:]), (*[4]float64)(ta[to:]))
 		lb = term4(lb, f, (*[4]float64)(v[ob:]), (*[4]float64)(tb[to:]))
@@ -306,8 +306,8 @@ func (c *spanCtx) liTable4(ja, jb, jc, jd int) (la, lb, lc, ld float64) {
 func (c *spanCtx) liApply4(ja, jb, jc, jd int) (la, lb, lc, ld float64) {
 	f := (*[4]float64)(c.freqs)
 	u, v, pm, tip, cst := c.a.v, c.b.v, c.b.pm, c.a.tip, c.catStride
-	oa, ob := c.base+ja*c.patStride, c.base+jb*c.patStride
-	oc, od := c.base+jc*c.patStride, c.base+jd*c.patStride
+	oa, ob := c.base+ja*c.s, c.base+jb*c.s
+	oc, od := c.base+jc*c.s, c.base+jd*c.s
 	var xa, xb, xc, xd *[4]float64
 	if tip {
 		row := c.a.row

@@ -203,7 +203,7 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 							}
 							c := spanCtx{
 								e: &Engine{sessionBuffers: &sessionBuffers{smallScratch: [][]byte{small}}},
-								s: 4, cats: cats, cs: cs, base: base, patStride: 4, catStride: stride, partOffset: offset,
+								s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset,
 								a: cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
 							}
 							vectorPlanes = on
@@ -313,7 +313,7 @@ func (c *spanCtx) scalePassReference(small []byte, run schedule.Run) int {
 			sc += c.b.sc[i]
 		}
 		if small[j] != 0 {
-			off := c.base + j*c.patStride
+			off := c.base + j*c.s
 			for cat := 0; cat < c.cats; cat++ {
 				co := off + cat*c.catStride
 				d := c.dst[co : co+4]
@@ -387,7 +387,7 @@ func TestScalePassMatchesLoop(t *testing.T) {
 				var got, want spanCtx
 				var gotN, wantN int
 				for _, ref := range []bool{false, true} {
-					c := spanCtx{s: 4, cats: cats, base: base, patStride: 4, catStride: stride, partOffset: offset,
+					c := spanCtx{s: 4, cats: cats, base: base, catStride: stride, partOffset: offset,
 						a: ends[0], b: ends[1], dst: slices.Clone(dst), dstScale: slices.Clone(dstScale)}
 					if ref {
 						wantN = c.scalePassReference(small, run)

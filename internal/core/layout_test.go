@@ -15,152 +15,67 @@ func layoutFixtureParts(t *testing.T) []*alignment.CompressedPartition {
 	return d.Parts
 }
 
-// TestLayoutRoundTrip is the pack/unpack property test between the two
-// layouts: converting a CLV pattern-major → cat-major → pattern-major (and
-// the reverse cycle) must reproduce every entry exactly, and a single
-// conversion must neither drop, duplicate, nor reorder any (partition,
-// pattern, cat, state) entry — checked by filling the source with unique
-// values and accounting for each one in the destination.
-func TestLayoutRoundTrip(t *testing.T) {
+// TestLayoutCoverage is the property test of the one CLV layout: every
+// (partition, pattern, cat, state) entry maps to its own offset below
+// Total() — none dropped past the buffer's end, none sharing a slot with
+// another — for one and for four categories.
+func TestLayoutCoverage(t *testing.T) {
 	parts := layoutFixtureParts(t)
 	for _, cats := range []int{1, 4} {
-		pm := newCLVLayout(parts, cats, LayoutPatternMajor)
-		cm := newCLVLayout(parts, cats, LayoutCatMajor)
-
-		entries := 0
-		for ip, p := range parts {
-			if pm.states[ip] != p.Type.States() || pm.counts[ip] != p.PatternCount {
-				t.Fatalf("partition %d: layout geometry %d×%d, want %d×%d",
-					ip, pm.counts[ip], pm.states[ip], p.PatternCount, p.Type.States())
-			}
-			entries += p.PatternCount * cats * p.Type.States()
-		}
-
-		const pad = -1.0
-		src := make([]float64, pm.Total())
-		for i := range src {
-			src[i] = pad
-		}
-		v := 1.0
+		l := newCLVLayout(parts, cats)
+		owner := make([]int, l.Total()) // 1 + the entry number that maps here
+		entry := 0
 		for ip, p := range parts {
 			s := p.Type.States()
+			if l.states[ip] != s {
+				t.Fatalf("partition %d: layout states %d, want %d", ip, l.states[ip], s)
+			}
 			for j := 0; j < p.PatternCount; j++ {
 				for c := 0; c < cats; c++ {
-					o := pm.Index(ip, j, c)
+					o := l.Index(ip, j, c)
 					for a := 0; a < s; a++ {
-						src[o+a] = v
-						v++
-					}
-				}
-			}
-		}
-
-		mid := make([]float64, cm.Total())
-		for i := range mid {
-			mid[i] = pad
-		}
-		for ip := range parts {
-			ConvertCLV(mid, cm, src, pm, ip)
-		}
-		// Coverage: the cat-major buffer must hold each unique value exactly
-		// once; everything else is padding.
-		seen := make(map[float64]bool, entries)
-		for _, x := range mid {
-			if x == pad {
-				continue
-			}
-			if seen[x] {
-				t.Fatalf("cats=%d: value %v duplicated by conversion", cats, x)
-			}
-			seen[x] = true
-		}
-		if len(seen) != entries {
-			t.Fatalf("cats=%d: conversion carried %d entries, want %d", cats, len(seen), entries)
-		}
-		// Order: entry (ip,j,c,a) must land at the cat-major index, not merely
-		// somewhere.
-		for ip, p := range parts {
-			s := p.Type.States()
-			for j := 0; j < p.PatternCount; j++ {
-				for c := 0; c < cats; c++ {
-					po, co := pm.Index(ip, j, c), cm.Index(ip, j, c)
-					for a := 0; a < s; a++ {
-						if mid[co+a] != src[po+a] {
-							t.Fatalf("cats=%d: (%d,%d,%d,%d) misplaced: %v at cat-major, %v at pattern-major",
-								cats, ip, j, c, a, mid[co+a], src[po+a])
+						entry++
+						if o+a < 0 || o+a >= len(owner) {
+							t.Fatalf("cats=%d: (%d,%d,%d,%d) at %d, outside [0, %d)", cats, ip, j, c, a, o+a, len(owner))
 						}
+						if owner[o+a] != 0 {
+							t.Fatalf("cats=%d: (%d,%d,%d,%d) shares offset %d with entry %d", cats, ip, j, c, a, o+a, owner[o+a]-1)
+						}
+						owner[o+a] = entry
 					}
 				}
 			}
 		}
-
-		// Round trip back to pattern-major must reproduce src bit for bit,
-		// padding included.
-		back := make([]float64, pm.Total())
-		for i := range back {
-			back[i] = pad
-		}
-		for ip := range parts {
-			ConvertCLV(back, pm, mid, cm, ip)
-		}
-		for i := range src {
-			if back[i] != src[i] {
-				t.Fatalf("cats=%d: round trip differs at %d: %v != %v", cats, i, back[i], src[i])
-			}
+		if entry == 0 || entry > l.Total() {
+			t.Fatalf("cats=%d: %d entries in a buffer of %d", cats, entry, l.Total())
 		}
 	}
 }
 
-// TestLayoutGeometry pins the stride/alignment contract both kernels assume:
-// every partition base (CLV and sumtable) and every cat-major category plane
-// starts on an 8-float (64-byte) boundary, pattern-major strides reproduce
-// the seed's base + j·(cats·s) + c·s arithmetic, and the sumtable geometry is
-// pattern-major under both layouts.
+// TestLayoutGeometry pins the stride/alignment contract the kernels assume:
+// every partition base (CLV and sumtable) and every category plane starts on
+// an 8-float (64-byte) boundary, consecutive patterns of a plane are s floats
+// apart, and the sumtable geometry is pattern-major.
 func TestLayoutGeometry(t *testing.T) {
 	parts := layoutFixtureParts(t)
 	cats := 4
-	pm := newCLVLayout(parts, cats, LayoutPatternMajor)
-	cm := newCLVLayout(parts, cats, LayoutCatMajor)
-	if pm.Kind() != LayoutPatternMajor || cm.Kind() != LayoutCatMajor {
-		t.Fatalf("kinds %v/%v", pm.Kind(), cm.Kind())
-	}
+	l := newCLVLayout(parts, cats)
 	for ip, p := range parts {
 		s := p.Type.States()
-		for _, l := range []*CLVLayout{pm, cm} {
-			if l.Base(ip)%alignFloatCount != 0 {
-				t.Errorf("%v: partition %d base %d not 64-byte aligned", l.Kind(), ip, l.Base(ip))
-			}
-			if l.sumBase[ip]%alignFloatCount != 0 {
-				t.Errorf("%v: partition %d sumtable base %d not 64-byte aligned", l.Kind(), ip, l.sumBase[ip])
-			}
-			// Sumtable is pattern-major regardless of CLV layout.
-			if got, want := l.SumIndex(ip, 3), l.sumBase[ip]+3*cats*s; got != want {
-				t.Errorf("%v: partition %d SumIndex(3) = %d, want %d", l.Kind(), ip, got, want)
-			}
+		if l.Base(ip)%alignFloatCount != 0 {
+			t.Errorf("partition %d base %d not 64-byte aligned", ip, l.Base(ip))
 		}
-		// Pattern-major strides are the seed arithmetic.
-		if pm.PatStride(ip) != cats*s || pm.CatStride(ip) != s {
-			t.Errorf("pattern-major partition %d strides (%d,%d), want (%d,%d)",
-				ip, pm.PatStride(ip), pm.CatStride(ip), cats*s, s)
+		if l.sumBase[ip]%alignFloatCount != 0 {
+			t.Errorf("partition %d sumtable base %d not 64-byte aligned", ip, l.sumBase[ip])
 		}
-		// Cat-major planes: contiguous s-lanes per pattern, aligned plane
-		// stride.
-		if cm.PatStride(ip) != s {
-			t.Errorf("cat-major partition %d patStride %d, want %d", ip, cm.PatStride(ip), s)
+		if got, want := l.SumIndex(ip, 3), l.sumBase[ip]+3*cats*s; got != want {
+			t.Errorf("partition %d SumIndex(3) = %d, want %d", ip, got, want)
 		}
-		if cm.CatStride(ip)%alignFloatCount != 0 || cm.CatStride(ip) < p.PatternCount*s {
-			t.Errorf("cat-major partition %d catStride %d: want aligned and ≥ %d",
-				ip, cm.CatStride(ip), p.PatternCount*s)
+		if l.CatStride(ip)%alignFloatCount != 0 || l.CatStride(ip) < p.PatternCount*s {
+			t.Errorf("partition %d catStride %d: want aligned and ≥ %d", ip, l.CatStride(ip), p.PatternCount*s)
 		}
-		// Index must agree with the stride formula everywhere.
-		for _, l := range []*CLVLayout{pm, cm} {
-			if got, want := l.Index(ip, 5, 2), l.Base(ip)+5*l.PatStride(ip)+2*l.CatStride(ip); got != want {
-				t.Errorf("%v: partition %d Index(5,2) = %d, want %d", l.Kind(), ip, got, want)
-			}
+		if got, want := l.Index(ip, 5, 2), l.Base(ip)+2*l.CatStride(ip)+5*s; got != want {
+			t.Errorf("partition %d Index(5,2) = %d, want %d", ip, got, want)
 		}
-	}
-	// Sumtable totals are layout-invariant.
-	if pm.SumTotal() != cm.SumTotal() {
-		t.Errorf("sumtable totals differ across layouts: %d vs %d", pm.SumTotal(), cm.SumTotal())
 	}
 }

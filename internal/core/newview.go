@@ -79,16 +79,15 @@ func applyRows(dst, m, x []float64) {
 	}
 }
 
-// newviewGeneric is the layout-aware generic newview body: per pattern,
+// newviewGeneric is the generic newview body: per pattern,
 // dst[off + cat·catStride + a] =
 // (sum_b Pq_c[a][b] xq_c[b]) · (sum_b Pr_c[a][b] xr_c[b]), with a tip child's
 // P application replaced by a table-row read when a lookup table is built.
 // Tip children without tables supply a single category-independent 0/1
 // vector. Every P application is one applyP (applyRows or model.ApplyCols, by
-// the block's layout); under the pattern-major layout this produces the seed
-// kernel's sums term for term, and under the cat-major layout only the
-// addresses change, so the two layouts (and the fused kernels, which preserve
-// the same left-associated accumulation order) produce bit-identical CLVs.
+// the block's layout), each sum in the seed kernel's term order, so the fused
+// kernels, which preserve the same left-associated accumulation order,
+// produce bit-identical CLVs.
 //
 //plk:hotpath
 func (c *spanCtx) newviewGeneric(run schedule.Run) int {
@@ -97,7 +96,7 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		off := c.base + j*c.patStride
+		off := c.base + j*c.s
 		switch {
 		case c.a.tab != nil && c.b.tab != nil:
 			// Both children specialized tips: the table rows already hold the
@@ -168,9 +167,9 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 // pattern: propagate the children's scaling exponents and, when every entry
 // of the pattern's CLV drops below the threshold, multiply the whole pattern
 // by 2^256 and increment the exponent. The predicate scans entries in (cat
-// asc, state asc) order under either layout; it is order-independent anyway
-// (all entries must be small), and the multiplication touches every entry, so
-// scaling is layout- and backend-invariant.
+// asc, state asc) order; it is order-independent anyway (all entries must be
+// small), and the multiplication touches every entry, so scaling is
+// backend-invariant.
 //
 //plk:hotpath
 func (c *spanCtx) finishPattern(i, off int) {

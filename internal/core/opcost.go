@@ -15,8 +15,8 @@ package core
 //
 // The costs are deliberately backend-invariant: the generic and fused kernel
 // backends perform the same multiply-adds per pattern (the fused backend
-// merely retires them faster over its cat-major layout), so pricing work in
-// madd units keeps Ops counters and span costs comparable across backends —
+// merely retires them faster), so pricing work in madd units keeps Ops
+// counters and span costs comparable across backends —
 // a schedule packed for one backend balances the other equally well, and the
 // virtual platform model needs no per-backend calibration.
 //

@@ -49,7 +49,7 @@ func (c *spanCtx) newviewReference(run schedule.Run) int {
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		off := c.base + j*c.patStride
+		off := c.base + j*c.s
 		switch {
 		case c.a.tab != nil && c.b.tab != nil:
 			// Both children specialized tips: the table rows already hold the
@@ -202,7 +202,7 @@ func (c *spanCtx) sumtableReference(run schedule.Run) int {
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		off := c.base + j*c.patStride
+		off := c.base + j*c.s
 		soff := c.sbase + j*c.cs
 		var xl, xr []float64
 		var lRow, rRow []float64
@@ -437,12 +437,12 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 }
 
 // TestGenericBodiesMatchReference sweeps the generic bodies over a DNA + AA
-// dataset (s = 4 and 20) under both CLV layouts, with and without tip tables:
+// dataset (s = 4 and 20) under both backends, with and without tip tables:
 // all three newview cases, both evaluate arms and every sumtable end
 // combination a tree has, each against the pre-change loop above.
 func TestGenericBodiesMatchReference(t *testing.T) {
 	d, models := stealFixture(t, 4, 57)
-	for _, backend := range []Backend{BackendGeneric, BackendFused} { // pattern-major, cat-major
+	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		for _, specialize := range []bool{true, false} {
 			tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 5})
 			if err != nil {
@@ -484,7 +484,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("evaluate ", c.a.tip, c.b.tip, c.b.tab != nil)] = true
 						for j := 0; j < part.PatternCount; j++ {
-							got, want := c.patternLi(j, c.base+j*c.patStride), c.patternLiReference(j, c.base+j*c.patStride)
+							got, want := c.patternLi(j, c.base+j*c.s), c.patternLiReference(j, c.base+j*c.s)
 							sameBits(t, fmt.Sprintf("%s evaluate pattern %d", label, j), []float64{got}, []float64{want})
 						}
 

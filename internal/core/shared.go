@@ -29,13 +29,13 @@ type Shared struct {
 	// Threads is the worker count the schedules are computed for; every
 	// session executor must run exactly this many workers.
 	Threads int
-	// Backend is the resolved kernel backend (never BackendAuto); it fixes
-	// the CLV layout below, so every session over this Shared runs it.
+	// Backend is the resolved kernel backend (never BackendAuto); every
+	// session over this Shared runs its bodies.
 	Backend Backend
 
 	maxS     int
 	maxCodes int        // widest tip-code alphabet across partitions (16 or 23)
-	layout   *CLVLayout // backend-derived CLV/sumtable geometry
+	layout   *CLVLayout // CLV/sumtable geometry
 
 	spans []schedule.Span // per-partition pattern ranges with op costs
 
@@ -58,9 +58,8 @@ type Shared struct {
 // dataset — the expensive-once part of engine construction: memory layout
 // offsets and the cost-annotated pattern spans that price the weighted
 // schedule. The kernel backend is resolved here (BackendAuto consults
-// PLK_BACKEND, then defaults to BackendFused) and determines the CLV layout
-// the sessions' buffers and kernels use; it cannot change for the lifetime of
-// the Shared.
+// PLK_BACKEND, then defaults to BackendFused) and determines the kernel
+// bodies the sessions run; it cannot change for the lifetime of the Shared.
 func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend Backend) (*Shared, error) {
 	if data == nil {
 		return nil, errors.New("core: nil dataset")
@@ -81,7 +80,7 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		Threads: threads,
 		Backend: resolved,
 		maxS:    data.MaxStates(),
-		layout:  newCLVLayout(data.Parts, numCats, layoutKindFor(resolved)),
+		layout:  newCLVLayout(data.Parts, numCats),
 		spans:   make([]schedule.Span, len(data.Parts)),
 		scheds:  make(map[schedule.Strategy]*schedule.Schedule),
 	}

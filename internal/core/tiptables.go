@@ -34,11 +34,10 @@ import (
 //
 // The tables keep their own code-major geometry — row (code·cats + c)·s —
 // under every kernel backend: rows are indexed by tip code, not pattern, so
-// the CLV layout does not apply to them. Both the pattern-major generic
-// bodies and the cat-major fused bodies read the same rows (the fused
-// kernels at a per-category offset of cat·s within the row), which is what
-// lets one build serve both and keeps tip specialization orthogonal to the
-// backend choice. The per-worker table scratch is cache-line-aligned like
+// the CLV layout does not apply to them. The generic bodies and the fused
+// bodies read the same rows (the fused kernels at a per-category offset of
+// cat·s within the row), which is what lets one build serve both and keeps
+// tip specialization orthogonal to the backend choice. The per-worker table scratch is cache-line-aligned like
 // every other hot buffer (see alignedFloats).
 //
 // Only the rows a span can read are built. A table row is addressed by the

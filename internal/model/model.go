@@ -48,10 +48,6 @@ type Model struct {
 
 	epoch uint64 // bumped by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
 
-	// ratesAlpha is the alpha CatRates were last computed for by SetAlpha (0,
-	// which no legal alpha is, before the first), carried by Clone.
-	ratesAlpha float64
-
 	// eig is UpdateEigen's scratch, allocated on first use and private to
 	// this model (Clone leaves it nil), so the optimizers' repeated
 	// re-decompositions allocate nothing.
@@ -162,19 +158,13 @@ func normalizeFreqs(f []float64) error {
 
 // SetAlpha updates the Gamma shape parameter and recomputes the category
 // rates. It does not touch the eigendecomposition (alpha only scales branch
-// lengths per category). The alpha the rates already hold is not recomputed
-// (the optimizer's closing pin re-sets the best value it tried, often the
-// last), but the epoch moves on every accepted call, so nothing downstream
-// can tell the two apart.
+// lengths per category). The epoch moves on every accepted call.
 func (m *Model) SetAlpha(alpha float64) error {
 	if math.IsNaN(alpha) || alpha < MinAlpha || alpha > MaxAlpha {
 		return fmt.Errorf("model: alpha %v outside [%v, %v]", alpha, MinAlpha, MaxAlpha)
 	}
 	m.Alpha = alpha
-	if alpha != m.ratesAlpha {
-		numeric.DiscreteGammaRates(alpha, m.CatRates)
-		m.ratesAlpha = alpha
-	}
+	numeric.DiscreteGammaRates(alpha, m.CatRates)
 	m.epoch++
 	return nil
 }
@@ -452,8 +442,6 @@ func (m *Model) Clone() *Model {
 		NumCats: m.NumCats,
 		dirty:   m.dirty,
 		epoch:   m.epoch,
-
-		ratesAlpha: m.ratesAlpha,
 	}
 	c.Freqs = append([]float64(nil), m.Freqs...)
 	c.ExRates = append([]float64(nil), m.ExRates...)

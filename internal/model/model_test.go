@@ -177,17 +177,16 @@ func TestSetAlphaRates(t *testing.T) {
 	if math.Abs(sum/4-1) > 1e-9 {
 		t.Errorf("category rates mean %v, want 1", sum/4)
 	}
-	// Re-setting the alpha the rates hold keeps them (the rates are SetAlpha's
-	// alone, so a stray write survives exactly when nothing was recomputed) and
-	// still moves the epoch, on the model and on a clone.
+	// Re-setting the alpha the rates hold recomputes them, so a stray write
+	// is repaired, and moves the epoch, on the model and on a clone.
 	rates, e0 := slices.Clone(m.CatRates), m.Epoch()
 	m.CatRates[0] = 42
 	c := m.Clone()
-	if err := m.SetAlpha(0.5); err != nil || m.CatRates[0] != 42 || m.Epoch() == e0 {
-		t.Errorf("SetAlpha(0.5) again: rates %v, epoch %d (before %d); want kept and moved", m.CatRates, m.Epoch(), e0)
+	if err := m.SetAlpha(0.5); err != nil || !slices.Equal(m.CatRates, rates) || m.Epoch() == e0 {
+		t.Errorf("SetAlpha(0.5) again: rates %v, epoch %d (before %d); want %v and moved", m.CatRates, m.Epoch(), e0, rates)
 	}
-	if err := c.SetAlpha(0.5); err != nil || c.CatRates[0] != 42 {
-		t.Errorf("a clone's SetAlpha(0.5) recomputed rates its source already held: %v", c.CatRates)
+	if err := c.SetAlpha(0.5); err != nil || !slices.Equal(c.CatRates, rates) || c.Epoch() == e0 {
+		t.Errorf("a clone's SetAlpha(0.5): rates %v, epoch %d (before %d); want %v and moved", c.CatRates, c.Epoch(), e0, rates)
 	}
 	if err := m.SetAlpha(0.7); err != nil {
 		t.Fatal(err)

@@ -110,9 +110,9 @@ func ParseScheduleStrategy(name string) (ScheduleStrategy, error) {
 	return s, nil
 }
 
-// KernelBackend selects the likelihood kernel implementation and its CLV
-// memory layout (see internal/core). All backends produce bit-identical
-// likelihoods, site likelihoods, and branch derivatives.
+// KernelBackend selects the likelihood kernel bodies (see internal/core);
+// every backend stores CLVs in the same layout. All backends produce
+// bit-identical likelihoods, site likelihoods, and branch derivatives.
 type KernelBackend = core.Backend
 
 // Kernel backends.
@@ -120,12 +120,11 @@ const (
 	// BackendAuto resolves to the PLK_BACKEND environment variable when set
 	// and to BackendFused otherwise (the default).
 	BackendAuto = core.BackendAuto
-	// BackendGeneric is the pattern-major reference path — the bit-exactness
-	// oracle the fused backend is tested against.
+	// BackendGeneric runs the generic reference bodies on every partition —
+	// the bit-exactness oracle the fused backend is tested against.
 	BackendGeneric = core.BackendGeneric
-	// BackendFused uses a category-major, state-contiguous, cache-line-aligned
-	// CLV layout with fully unrolled 4-state DNA kernels; 20-state partitions
-	// run a layout-aware generic loop.
+	// BackendFused runs fully unrolled kernels over the category planes of
+	// 4-state DNA partitions; 20-state partitions run the generic bodies.
 	BackendFused = core.BackendFused
 )
 
