@@ -16,7 +16,7 @@ import (
 	"phylo/internal/tree"
 )
 
-// The floors are the eight intra-run bounds this repository holds on any
+// The floors are the nine intra-run bounds this repository holds on any
 // host: each is a ratio (or fraction) of two arms measured in this process,
 // so it needs no report, no stored baseline and no second process to judge
 // it. Absolute ns/op are not judged here; benchmark/ decides those against
@@ -65,6 +65,13 @@ const (
 	// runs on the shared 2-vCPU reference box 3.04x to 3.30x; the floor sits
 	// at 0.82 x the lowest. Checked only where the kernel runs.
 	pmatricesFloor = 2.5
+	// pmatrices20Floor: the 20-state PMatrices at four categories on
+	// pmatrixCols (math.Exp, then one ApplyCols a column, on its AVX kernel
+	// where that runs) over the same on the AVX kernel, one Exps and one call
+	// for every category. Five runs on the shared 2-vCPU reference box read
+	// 1.98x, 2.14x, 2.33x, 2.34x and 2.38x, and the floor is 0.8 x the
+	// lowest, rounded down. Checked only where the kernel runs.
+	pmatrices20Floor = 1.5
 	// proteinApplyFloor: the scalar loop of model.ApplyCols over its AVX
 	// kernel, the same bits, on the 20-state P application of one pattern at
 	// four categories. Five runs on the shared 2-vCPU reference box read 4.01x
@@ -78,6 +85,13 @@ const (
 	// and 3.05x, and the floor is 0.8 x the lowest. Checked only where the
 	// kernel runs.
 	siteLogFloor = 2.1
+	// derivativeFloor: one derivative region over 1024 protein patterns
+	// (cs = 80 sumtable entries a pattern) at one thread on the paired scalar
+	// loop over the same with whole quartets on the 4-lane kernel, the same
+	// bits. Five runs on the shared 2-vCPU reference box read 1.97x, 2.11x,
+	// 2.33x, 2.33x and 2.70x, and the floor is 0.8 x the lowest, rounded
+	// down. Checked only where the kernel runs.
+	derivativeFloor = 1.5
 
 	floorSeed = 42
 )
@@ -265,30 +279,52 @@ func TestTipTableFloor(t *testing.T) {
 
 // TestPMatricesFloor: where model.VectorPMatrix, one 4-state PMatrices call
 // at four categories (a span's set-up per child branch) is >= 2.5x faster on
-// the AVX2 kernel than on the scalar code, the same bits either way.
+// the AVX2 kernel than on the scalar code, the same bits either way; and
+// where model.VectorPMatrix20, one 20-state call is >= pmatrices20Floor x
+// faster on its AVX kernel than on pmatrixCols.
 func TestPMatricesFloor(t *testing.T) {
 	timed(t)
-	if !model.VectorPMatrix() {
-		t.Skip("the AVX2 PMatrices kernel does not run on this host")
-	}
-	m, err := model.GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 4*16)
-	nsOp := func(vector bool) float64 {
-		defer model.SetVectorPMatrix(model.SetVectorPMatrix(vector))
-		return bestOf3(t, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.PMatrices(0.01+0.03*float64(i&15), dst)
-			}
+	t.Run("s4", func(t *testing.T) {
+		if !model.VectorPMatrix() {
+			t.Skip("the AVX2 PMatrices kernel does not run on this host")
+		}
+		m, err := model.GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold(t, func() (bool, string) {
+			scalar, lane := pmatricesNsOp(t, m, model.SetVectorPMatrix, false), pmatricesNsOp(t, m, model.SetVectorPMatrix, true)
+			return scalar/lane >= pmatricesFloor,
+				fmt.Sprintf("4-state PMatrices at 4 categories: AVX2 kernel %.2fx the scalar code (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
+					scalar/lane, pmatricesFloor, scalar, lane)
 		})
-	}
-	hold(t, func() (bool, string) {
-		scalar, lane := nsOp(false), nsOp(true)
-		return scalar/lane >= pmatricesFloor,
-			fmt.Sprintf("4-state PMatrices at 4 categories: AVX2 kernel %.2fx the scalar code (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
-				scalar/lane, pmatricesFloor, scalar, lane)
+	})
+	t.Run("s20", func(t *testing.T) {
+		if !model.VectorPMatrix20() {
+			t.Skip("the 20-state PMatrices kernel does not run on this host")
+		}
+		m, err := model.SYN20(4, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold(t, func() (bool, string) {
+			cols, lane := pmatricesNsOp(t, m, model.SetVectorPMatrix20, false), pmatricesNsOp(t, m, model.SetVectorPMatrix20, true)
+			return cols/lane >= pmatrices20Floor,
+				fmt.Sprintf("20-state PMatrices at 4 categories: AVX kernel %.2fx pmatrixCols (floor %.1fx; pmatrixCols %.0f ns/op, kernel %.0f ns/op; Exps kernel %v)",
+					cols/lane, pmatrices20Floor, cols, lane, model.VectorExp())
+		})
+	})
+}
+
+// pmatricesNsOp times one PMatrices call of m with set(vector) in force.
+func pmatricesNsOp(t *testing.T, m *model.Model, set func(bool) bool, vector bool) float64 {
+	t.Helper()
+	defer set(set(vector))
+	dst := make([]float64, m.NumCats*m.States*m.States)
+	return bestOf3(t, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.PMatrices(0.01+0.03*float64(i&15), dst)
+		}
 	})
 }
 
@@ -358,6 +394,37 @@ func TestSiteLogFloor(t *testing.T) {
 		return scalar/lane >= siteLogFloor,
 			fmt.Sprintf("site pass over %d patterns: 4-lane log kernel %.2fx one math.Log a pattern (floor %.1fx; scalar %.0f ns/op, kernel %.0f ns/op)",
 				n, scalar/lane, siteLogFloor, scalar, lane)
+	})
+}
+
+// TestDerivativeFloor: where core.VectorDerivative, one derivative region
+// over 1024 protein patterns at one thread (cs = 80) is >= derivativeFloor x
+// faster with whole quartets on the 4-lane kernel than on the paired loop,
+// the same bits either way.
+func TestDerivativeFloor(t *testing.T) {
+	timed(t)
+	if !core.VectorDerivative() {
+		t.Skip("the derivative kernel does not run on this host")
+	}
+	w := kernelWorkload(t, alignment.AA, 8, 1024)
+	eng := w.rig(t, 1, core.BackendGeneric).session(t, core.Options{Specialize: true})
+	p := eng.Tree.Tips[0].Back
+	eng.TraverseRoot(p, false, nil)
+	eng.PrepareSumtable(p, nil)
+	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
+	nsOp := func(vector bool) float64 {
+		defer core.SetVectorDerivative(core.SetVectorDerivative(vector))
+		return bestOf3(t, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eng.BranchDerivatives(z, nil, d1, d2)
+			}
+		})
+	}
+	hold(t, func() (bool, string) {
+		scalar, lane := nsOp(false), nsOp(true)
+		return scalar/lane >= derivativeFloor,
+			fmt.Sprintf("derivative region over %d patterns at cs = 80: 4-lane kernel %.2fx the paired loop (floor %.1fx; scalar %.0f ns/op, kernel %.0f ns/op)",
+				w.data.TotalPatterns, scalar/lane, derivativeFloor, scalar, lane)
 	})
 }
 

@@ -181,8 +181,9 @@ type spanCtx struct {
 	sum   []float64
 	sbase int
 
-	// derivative: exp(lambda_k r_c z) and the factors g = lambda_k r_c, g^2.
-	eTab, g1Tab, g2Tab []float64
+	// derivative: exp(lambda_k r_c z) (model.Exps of g·z) and the factors
+	// g = lambda_k r_c, g^2; the sums of a block of quartets (derivQuartets).
+	eTab, g1Tab, g2Tab, sums []float64
 
 	// evaluate, derivative: the partition's replicate lanes, lw[j*R+r] the
 	// weight of its j-th pattern under replicate r.
@@ -246,15 +247,17 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
 		z := r.z[ip]
 		c.eTab, c.g1Tab, c.g2Tab = ex[0:c.cs], ex[c.cs:2*c.cs], ex[2*c.cs:3*c.cs]
+		c.sums = ex[3*c.cs : 3*c.cs+12*derivBlock]
 		for cat := 0; cat < cats; cat++ {
 			rc := m.CatRates[cat]
 			for k := 0; k < s; k++ {
 				g := m.EigenVals[k] * rc
-				c.eTab[cat*s+k] = math.Exp(g * z)
+				c.eTab[cat*s+k] = g * z
 				c.g1Tab[cat*s+k] = g
 				c.g2Tab[cat*s+k] = g * g
 			}
 		}
+		model.Exps(c.eTab)
 	}
 	if r.ws != nil {
 		c.R, c.lw = r.ws.r, r.ws.lanes(part.Offset)

@@ -133,17 +133,38 @@ func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
 // only the sumtable, which is pattern-major. Per pattern the likelihood and
-// its two derivative dot products run once — two patterns a pass, so six sums
-// are in flight instead of three, each in its own k-ascending order — and the resulting first-derivative ratio and curvature terms
+// its two derivative dot products run once, each in its own k-ascending
+// order from +0, and the resulting first-derivative ratio and curvature terms
 // accumulate under all R replicate weights into out[2r], out[2r+1], in
-// ascending pattern order within the run.
+// ascending pattern order within the run. Where the host has the kernel
+// (derivative_amd64.s) whole quartets of the run's patterns go four lanes a
+// pass, two quartets in flight, a block of them a call; the patterns after
+// the last whole quartet, and every pattern elsewhere, take the scalar loop:
+// two patterns a pass, so six sums are in flight instead of three. Each sum
+// is the same chain of roundings in either: the same bits.
 //
 //plk:hotpath
 func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	cs := c.cs
 	eT, g1, g2 := c.eTab[:cs], c.g1Tab[:cs], c.g2Tab[:cs]
 	count := 0
-	for i := run.Lo; i < run.Hi; i += 2 * run.Step {
+	i := run.Lo
+	for i < run.Hi {
+		q := min((run.Hi-i+run.Step-1)/run.Step/4, len(c.sums)/12)
+		qs := c.sums[:12*q]
+		if q == 0 || !derivQuartets(qs, c.sum[c.sbase+(i-c.partOffset)*cs:], eT, g1, g2, run.Step*cs, q) {
+			break
+		}
+		for ; len(qs) >= 12; qs = qs[12:] {
+			o := (*[12]float64)(qs)
+			for p := range 4 {
+				c.derivativeTerms(i-c.partOffset, o[p], o[4+p], o[8+p], out)
+				i += run.Step
+			}
+		}
+		count += 4 * q
+	}
+	for ; i < run.Hi; i += 2 * run.Step {
 		j := i - c.partOffset
 		sa := c.sum[c.sbase+j*cs:][:cs]
 		sb, paired := sa, i+run.Step < run.Hi // an odd tail runs against itself and keeps one result
@@ -152,13 +173,13 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 		}
 		var la, la1, la2, lb, lb1, lb2 float64
 		for k, ek := range eT {
-			a, b := sa[k]*ek, sb[k]*ek
+			a, b := float64(sa[k]*ek), float64(sb[k]*ek)
 			la += a
-			la1 += a * g1[k]
-			la2 += a * g2[k]
+			la1 += float64(a * g1[k])
+			la2 += float64(a * g2[k])
 			lb += b
-			lb1 += b * g1[k]
-			lb2 += b * g2[k]
+			lb1 += float64(b * g1[k])
+			lb2 += float64(b * g2[k])
 		}
 		// The cs-length dot products ran, so a pattern is charged whether or
 		// not derivativeTerms' guard accepts its contribution; skipped
@@ -173,6 +194,23 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	return count
 }
 
+// VectorDerivative reports whether derivativeGeneric runs whole quartets on
+// the kernel of derivative_amd64.s: true on amd64 hosts with AVX.
+func VectorDerivative() bool { return vectorDerivative }
+
+// SetVectorDerivative turns the kernel on (where the host runs it) or off and
+// returns the previous setting, so a test can run a suite under both
+// realisations; the results are the same bits either way. Not safe while a
+// derivative region runs.
+func SetVectorDerivative(on bool) (was bool) {
+	was, vectorDerivative = vectorDerivative, on && hostDerivative
+	return was
+}
+
+// derivBlock is how many quartets one kernel call of derivativeGeneric
+// takes: their 12 sums each live in the worker's scratch.
+const derivBlock = 16
+
 // derivativeTerms folds pattern j's likelihood l and derivative sums l1, l2
 // into out under the partition's R replicate weights.
 //
@@ -185,10 +223,10 @@ func (c *spanCtx) derivativeTerms(j int, l, l1, l2 float64, out []float64) {
 	}
 	inv := 1 / l
 	r1 := l1 * inv
-	curv := l2*inv - r1*r1
+	curv := float64(l2*inv) - float64(r1*r1)
 	wj := c.lw[j*c.R : (j+1)*c.R]
 	for r, w := range wj {
-		out[2*r] += w * r1
-		out[2*r+1] += w * curv
+		out[2*r] += float64(w * r1)
+		out[2*r+1] += float64(w * curv)
 	}
 }

@@ -179,11 +179,11 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 }
 
 // exScratchLen is the size of a worker's kind-dependent scratch: a derivative
-// region's three cats × s tables, or the s-vector a newview, evaluate or
-// sumtable span keeps a P application or projection in, which a sumtable span
-// follows with a second s-vector.
+// region's three cats × s tables and the block of sums its kernel fills, or
+// the s-vector a newview, evaluate or sumtable span keeps a P application or
+// projection in, which a sumtable span follows with a second s-vector.
 func (sh *Shared) exScratchLen() int {
-	return max(3*sh.NumCats*sh.maxS, 2*sh.maxS)
+	return max(3*sh.NumCats*sh.maxS+12*derivBlock, 2*sh.maxS)
 }
 
 // NewSession builds a session engine over precomputed shared state: it

@@ -114,7 +114,7 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
 	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
-		sh.exScratchLen() + // derivative tables, or the generic bodies' s-vectors
+		sh.exScratchLen() + // derivative tables and kernel sums, or the generic bodies' s-vectors
 		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
 	perWorker += sh.maxPatterns() // scaling flags, one byte per pattern
 	for _, p := range sh.Data.Parts {

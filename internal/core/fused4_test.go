@@ -20,20 +20,29 @@ import (
 // AVX2 kernel and the scalar pmatrix4 (internal/model holds those to each
 // other bit for bit), every 20-state P application and sumtable projection
 // between model.ApplyCols' AVX kernel and its scalar loop
-// (TestApplyColsBitIdentity), and the evaluate site pass's logs between the
-// 4-lane kernel and math.Log (TestSiteLogBitIdentity).
+// (TestApplyColsBitIdentity), the evaluate site pass's logs between the
+// 4-lane kernel and math.Log (TestSiteLogBitIdentity), the 20-state
+// PMatrices between its AVX kernel and pmatrixCols, the exponentials of
+// model.Exps between the 4-lane exp and math.Exp (internal/model holds both
+// pairs bit for bit), and the derivative body between its quartet kernel and
+// the paired loop (TestDerivativeKernelBitIdentity).
 
 // forEachPlanes runs f as one subtest per realisation this host has, with
-// vectorPlanes, model.VectorPMatrix, model.VectorApplyCols and VectorSiteLog
-// set to it: "avx" (skipped where the plane kernels cannot run; the P and log
+// vectorPlanes, model.VectorPMatrix, model.VectorApplyCols, VectorSiteLog,
+// model.VectorPMatrix20, model.VectorExp and VectorDerivative set to it:
+// "avx" (skipped where the plane kernels cannot run; the P, exp and log
 // kernels run where the host has AVX2) and "scalar".
 func forEachPlanes(t *testing.T, f func(t *testing.T)) {
 	host, hostPM, hostCols, hostLog := vectorPlanes, model.VectorPMatrix(), model.VectorApplyCols(), VectorSiteLog()
+	hostPM20, hostExp, hostDeriv := model.VectorPMatrix20(), model.VectorExp(), VectorDerivative()
 	t.Cleanup(func() {
 		vectorPlanes = host
 		model.SetVectorPMatrix(hostPM)
 		model.SetVectorApplyCols(hostCols)
 		SetVectorSiteLog(hostLog)
+		model.SetVectorPMatrix20(hostPM20)
+		model.SetVectorExp(hostExp)
+		SetVectorDerivative(hostDeriv)
 	})
 	for _, arm := range []struct {
 		name string
@@ -47,6 +56,9 @@ func forEachPlanes(t *testing.T, f func(t *testing.T)) {
 			model.SetVectorPMatrix(arm.on)
 			model.SetVectorApplyCols(arm.on)
 			SetVectorSiteLog(arm.on)
+			model.SetVectorPMatrix20(arm.on)
+			model.SetVectorExp(arm.on)
+			SetVectorDerivative(arm.on)
 			f(t)
 		})
 	}

@@ -41,8 +41,15 @@ package core
 // (transition): 256 for four states at four categories, which
 // model.PMatrices computes in about 80 ns on its AVX2 kernel (0.31 ns a
 // priced op; about 250 ns, 0.98 ns, on the scalar code), and 32 000 for
-// twenty, about 7 µs with the AVX column mat-vec (0.2 ns; about 15 µs,
-// 0.47 ns, on its scalar loop; BenchmarkPMatrices in internal/model).
+// twenty, 3.4-4.1 µs on its AVX kernel with model.Exps (0.11-0.13 ns;
+// 9.6-10.4 µs, 0.30-0.33 ns, on pmatrixCols with the AVX column mat-vec;
+// 17-31 µs on the scalar loops; BenchmarkPMatrices in internal/model). A
+// priced derivative op (cats·s·3 + 10 a pattern: 250 at twenty states and
+// four categories, 58 at four) takes 0.17-0.19 ns at twenty on the quartet
+// kernel (BenchmarkBranchDerivativesAA: 17-19 µs for 400 patterns, against
+// 41-47 µs, 0.41-0.47 ns, on the paired loop) and 0.30-0.48 ns at four
+// (BenchmarkBranchDerivatives: 35-55 µs for 2 000 patterns, against
+// 61-79 µs).
 
 // opsNewviewCase is the per-pattern cost of one newview step given each
 // child's kind: an inner child costs a full P application (s² madds), a

@@ -14,11 +14,12 @@ import (
 )
 
 // The generic bodies' inner loops as they stood before they were blocked four
-// rows (newview, evaluate, sumtable) and two patterns (derivatives) at a time,
-// moved here verbatim but for where they read a P block's entry (pAt) and
-// V^-1 (through its transpose): one dependent accumulator per output. They are
-// what TestGenericBodiesMatchReference, TestApplyRowsBitIdentity,
-// TestApplyColsBitIdentity and TestDerivativePairsBitIdentity hold the
+// rows (newview, evaluate, sumtable) and two patterns, then four lanes
+// (derivatives) at a time, moved here verbatim but for where they read a P
+// block's entry (pAt) and V^-1 (through its transpose): one dependent
+// accumulator per output. They are what TestGenericBodiesMatchReference,
+// TestApplyRowsBitIdentity, TestApplyColsBitIdentity,
+// TestDerivativePairsBitIdentity and TestDerivativeKernelBitIdentity hold the
 // restructured loops to, bit for bit.
 
 // applyRowsReference is the one-row loop applyRows blocks: dst[k] = sum_a
@@ -434,6 +435,83 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDerivativeKernelBitIdentity: derivativeGeneric with its quartet kernel
+// (where the host runs it) against the paired loop alone (the kernel off) and
+// the per-pattern reference, at cs = 4, 16, 20 and 80, every run length 1…11
+// (no whole quartet, one, two with and without a tail) and lengths past one
+// kernel call's block, steps 1…3, one, three and a hundred lanes. Rows hold
+// ±0, subnormals, ones and values near 2^±500 at random; some patterns' rows
+// vanish (the l < 1e-300 guard) and, in every other run, some carry a NaN or
+// an infinity. d1, d2 and the charged count must agree; a NaN only as a NaN
+// (sameSums).
+func TestDerivativeKernelBitIdentity(t *testing.T) {
+	host := SetVectorDerivative(true)
+	t.Cleanup(func() { SetVectorDerivative(host) })
+	t.Logf("kernel on: %v", VectorDerivative())
+	rng := rand.New(rand.NewSource(34))
+	entries := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, 1, -1, 0x1p-500, 0x1p500, -0x1p500}
+	entry := func() float64 {
+		if rng.Intn(3) == 0 {
+			return entries[rng.Intn(len(entries))]
+		}
+		return rng.Float64()
+	}
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = entry()
+		}
+		return v
+	}
+	const offset = 5
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 63, 64, 65, 71, 131}
+	runs := 0
+	for _, cs := range []int{4, 16, 20, 80} {
+		for _, R := range []int{1, 3, 100} {
+			for _, step := range []int{1, 2, 3} {
+				for ni, n := range lengths {
+					special := ni%2 == 1 // NaN and infinite rows in every other run, so most sums stay finite
+					patterns := 3 + n*step
+					c := spanCtx{cs: cs, partOffset: offset, sbase: 9, R: R, sum: vec(9 + patterns*cs), lw: vec(patterns * R),
+						eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs), sums: vec(12 * derivBlock)}
+					for j := 0; j < patterns; j++ {
+						row := c.sum[c.sbase+j*cs:][:cs]
+						switch rng.Intn(12) {
+						case 0:
+							clear(row)
+						case 1:
+							if special {
+								row[rng.Intn(cs)] = math.NaN()
+							}
+						case 2:
+							if special {
+								row[rng.Intn(cs)] = math.Inf(2*rng.Intn(2) - 1)
+							}
+						}
+					}
+					run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n*step, Step: step}
+					label := fmt.Sprintf("cs=%d R=%d step=%d n=%d", cs, R, step, n)
+					kernel, paired, ref := vec(2*R), make([]float64, 2*R), make([]float64, 2*R)
+					copy(paired, kernel)
+					copy(ref, kernel)
+					gk := c.derivativeGeneric(run, kernel)
+					was := SetVectorDerivative(false)
+					gp := c.derivativeGeneric(run, paired)
+					SetVectorDerivative(was)
+					gr := c.derivativeReference(run, ref)
+					if gk != n || gp != n || gr != n {
+						t.Fatalf("%s: charged %d (kernel) / %d (paired loop) / %d (reference) patterns, run has %d", label, gk, gp, gr, n)
+					}
+					sameSums(t, label+", kernel against the paired loop", kernel, paired)
+					sameSums(t, label+", kernel against the reference", kernel, ref)
+					runs++
+				}
+			}
+		}
+	}
+	t.Logf("%d runs compared", runs)
 }
 
 // TestGenericBodiesMatchReference sweeps the generic bodies over a DNA + AA

@@ -40,11 +40,12 @@ type Model struct {
 	CatRates []float64 // per-category relative rates, mean 1
 
 	// Eigendecomposition of Q (valid after UpdateEigen):
-	EigenVals []float64 // length States; one value is ~0
-	EigenVecs []float64 // V, row-major States x States
-	InvVecs   []float64 // V^-1, row-major States x States
-	InvVecsT  []float64 // V^-1 transposed (row j is column j of V^-1): what ApplyCols reads V^-1 as
-	dirty     bool
+	EigenVals  []float64 // length States; one value is ~0
+	EigenVecs  []float64 // V, row-major States x States
+	EigenVecsT []float64 // V transposed (row k is column k of V): what the 20-state PMatrices kernel scales by exp(lambda_k t)
+	InvVecs    []float64 // V^-1, row-major States x States
+	InvVecsT   []float64 // V^-1 transposed (row j is column j of V^-1): what ApplyCols reads V^-1 as
+	dirty      bool
 
 	epoch uint64 // bumped by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
 
@@ -252,7 +253,7 @@ func (m *Model) buildQ(q []float64) {
 // with D = diag(pi), B = D^(1/2) Q D^(-1/2) is symmetric for time-reversible
 // Q; B = R Lambda R^T yields V = D^(-1/2) R and V^-1 = R^T D^(1/2). The
 // decomposition is written into the model's existing EigenVals/EigenVecs/
-// InvVecs/InvVecsT storage, and only once the solver has succeeded.
+// EigenVecsT/InvVecs/InvVecsT storage, and only once the solver has succeeded.
 func (m *Model) UpdateEigen() error {
 	s := m.States
 	if m.eig == nil {
@@ -282,6 +283,7 @@ func (m *Model) UpdateEigen() error {
 	if m.EigenVals == nil {
 		m.EigenVals = make([]float64, s)
 		m.EigenVecs = make([]float64, s*s)
+		m.EigenVecsT = make([]float64, s*s)
 		m.InvVecs = make([]float64, s*s)
 		m.InvVecsT = make([]float64, s*s)
 	}
@@ -289,6 +291,7 @@ func (m *Model) UpdateEigen() error {
 	for i := 0; i < s; i++ {
 		for k := 0; k < s; k++ {
 			m.EigenVecs[i*s+k] = r[i*s+k] / sqrtPi[i]
+			m.EigenVecsT[k*s+i] = m.EigenVecs[i*s+k]
 			m.InvVecs[k*s+i] = r[i*s+k] * sqrtPi[i]
 			m.InvVecsT[i*s+k] = m.InvVecs[k*s+i]
 		}
@@ -310,7 +313,8 @@ const maxStates = 20
 // those sums written out (pmatrix4); where VectorPMatrix, PMatrices computes
 // them with the AVX2 kernel instead, and pmatrix4 is that kernel's reference
 // and its fallback for arguments outside its guard. A wider block is computed
-// column by column (pmatrixCols, what PMatrices runs) and transposed into dst.
+// column by column (pmatrixCols, the reference of PMatrices' 20-state
+// kernel) and transposed into dst.
 //
 //plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
@@ -335,8 +339,10 @@ func (m *Model) PMatrix(t float64, dst []float64) {
 // (i, j) at j·States + i. Column j is one ApplyCols of the transposed
 // V·diag(exp(Lambda t)) to row j of InvVecsT, then the clamp: entry i is
 // PMatrix's sum term for term, (V[i][k]·e_k)·V^-1[k][j] added k-ascending
-// from +0. Through PMatrices it runs once per category in every kernel span
-// set-up, concurrently on every worker, so its scratch lives on the stack.
+// from +0, with e = Exps(lambda·t). It is the reference and the fallback of
+// the 20-state PMatrices kernel (pmatrix20_amd64.s). Through PMatrices it can
+// run once per category in every kernel span set-up, concurrently on every
+// worker, so its scratch lives on the stack.
 //
 //plk:hotpath
 func (m *Model) pmatrixCols(t float64, dst []float64) {
@@ -347,8 +353,9 @@ func (m *Model) pmatrixCols(t float64, dst []float64) {
 	var buf [maxStates + maxStates*maxStates]float64
 	expl, veT := buf[:s], buf[maxStates:maxStates+s*s]
 	for k := range expl {
-		expl[k] = math.Exp(m.EigenVals[k] * t)
+		expl[k] = m.EigenVals[k] * t
 	}
+	Exps(expl)
 	for i := 0; i < s; i++ {
 		for k, v := range m.EigenVecs[i*s : (i+1)*s] {
 			veT[k*s+i] = v * expl[k]
@@ -401,10 +408,16 @@ func clampNeg(p float64) float64 {
 // with four consecutive rows of P in one register. On amd64 with AVX2 the
 // 4-state blocks of all categories are one call of the kernel in
 // pmatrix4_amd64.s, which gives PMatrix's bits (VectorPMatrix); it declines
-// arguments outside [-700, 700], and then PMatrix computes the blocks.
+// arguments outside [-700, 700], and then PMatrix computes the blocks. On
+// amd64 with AVX the 20-state blocks of all categories are one Exps and one
+// call of the kernel in pmatrix20_amd64.s, pmatrixCols' bits
+// (VectorPMatrix20).
 func (m *Model) PMatrices(t float64, dst []float64) {
 	ss := m.States * m.States
 	if m.States != 4 {
+		if m.pmatrices20Vec(t, dst) {
+			return
+		}
 		for c := 0; c < m.NumCats; c++ {
 			m.pmatrixCols(m.CatRates[c]*t, dst[c*ss:(c+1)*ss])
 		}
@@ -432,6 +445,18 @@ func SetVectorPMatrix(on bool) (was bool) {
 	return was
 }
 
+// VectorPMatrix20 reports whether PMatrices computes 20-state blocks with the
+// AVX kernel: true on amd64 hosts with AVX.
+func VectorPMatrix20() bool { return vectorPMatrix20 }
+
+// SetVectorPMatrix20 turns the 20-state kernel on (where the host runs it) or
+// off and returns the previous setting, as SetVectorPMatrix does for four
+// states.
+func SetVectorPMatrix20(on bool) (was bool) {
+	was, vectorPMatrix20 = vectorPMatrix20, on && hostPMatrix20
+	return was
+}
+
 // Clone returns a deep copy (used by tree-search checkpointing and by
 // per-partition model replication).
 func (m *Model) Clone() *Model {
@@ -448,6 +473,7 @@ func (m *Model) Clone() *Model {
 	c.CatRates = append([]float64(nil), m.CatRates...)
 	c.EigenVals = append([]float64(nil), m.EigenVals...)
 	c.EigenVecs = append([]float64(nil), m.EigenVecs...)
+	c.EigenVecsT = append([]float64(nil), m.EigenVecsT...)
 	c.InvVecs = append([]float64(nil), m.InvVecs...)
 	c.InvVecsT = append([]float64(nil), m.InvVecsT...)
 	return c

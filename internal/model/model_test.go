@@ -285,10 +285,14 @@ func TestClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
+	if !slices.Equal(c.EigenVecsT, m.EigenVecsT) || !slices.Equal(c.InvVecsT, m.InvVecsT) {
+		t.Error("Clone must carry the transposed eigenvectors")
+	}
 	c.Freqs[0] = 0.99
 	c.ExRates[0] = 42
 	c.CatRates[0] = 42
-	if m.Freqs[0] == 0.99 || m.ExRates[0] == 42 || m.CatRates[0] == 42 {
+	c.EigenVecsT[0] = 42
+	if m.Freqs[0] == 0.99 || m.ExRates[0] == 42 || m.CatRates[0] == 42 || m.EigenVecsT[0] == 42 {
 		t.Error("Clone must deep-copy parameter slices")
 	}
 }
@@ -474,11 +478,18 @@ func TestPMatrixHoistKeepsBits(t *testing.T) {
 // column-major (PMatrix transposed) at twenty — with every kernel on and off,
 // at branch lengths a span can hand over, negative and NaN included.
 func TestPMatricesLayout(t *testing.T) {
-	hostPM, hostCols := SetVectorPMatrix(true), SetVectorApplyCols(true)
-	t.Cleanup(func() { SetVectorPMatrix(hostPM); SetVectorApplyCols(hostCols) })
+	hostPM, hostPM20, hostCols, hostExp := SetVectorPMatrix(true), SetVectorPMatrix20(true), SetVectorApplyCols(true), SetVectorExp(true)
+	t.Cleanup(func() {
+		SetVectorPMatrix(hostPM)
+		SetVectorPMatrix20(hostPM20)
+		SetVectorApplyCols(hostCols)
+		SetVectorExp(hostExp)
+	})
 	for _, on := range []bool{true, false} {
 		SetVectorPMatrix(on)
+		SetVectorPMatrix20(on)
 		SetVectorApplyCols(on)
+		SetVectorExp(on)
 		for _, m := range testModels(t) {
 			s := m.States
 			got, want := make([]float64, m.NumCats*s*s), make([]float64, s*s)

@@ -100,7 +100,8 @@ func TestPMatricesGridBitsPinned(t *testing.T) {
 
 // BenchmarkPMatrices times one 4-category block set, the set-up a span pays
 // per child branch: at four states with the AVX2 kernel and with the scalar
-// code, at twenty with ApplyCols' AVX kernel and with its scalar loop.
+// code, at twenty with the AVX kernel (and Exps') and with pmatrixCols on
+// ApplyCols' scalar loop and math.Exp.
 func BenchmarkPMatrices(b *testing.B) {
 	dna, err := GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.7)
 	if err != nil {
@@ -110,16 +111,23 @@ func BenchmarkPMatrices(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	host, hostCols := SetVectorPMatrix(true), SetVectorApplyCols(true)
-	b.Cleanup(func() { SetVectorPMatrix(host); SetVectorApplyCols(hostCols) })
+	host, host20, hostCols, hostExp := SetVectorPMatrix(true), SetVectorPMatrix20(true), SetVectorApplyCols(true), SetVectorExp(true)
+	b.Cleanup(func() {
+		SetVectorPMatrix(host)
+		SetVectorPMatrix20(host20)
+		SetVectorApplyCols(hostCols)
+		SetVectorExp(hostExp)
+	})
 	for _, m := range []*Model{dna, aa} {
 		dst := make([]float64, m.NumCats*m.States*m.States)
 		for _, on := range []bool{true, false} {
 			SetVectorPMatrix(on)
+			SetVectorPMatrix20(on)
 			SetVectorApplyCols(on)
+			SetVectorExp(on)
 			vector := VectorPMatrix()
 			if m.States != 4 {
-				vector = VectorApplyCols()
+				vector = VectorPMatrix20()
 			}
 			name := fmt.Sprintf("s%d/scalar", m.States)
 			if vector {

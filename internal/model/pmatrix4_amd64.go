@@ -15,9 +15,9 @@ import (
 //go:noescape
 func pmatrices4AVX(dst []float64, l *[4]float64, v, u *[16]float64, rates []float64, t float64) bool
 
-// hostPMatrix is whether the kernel reproduces math.Exp on this host;
-// vectorPMatrix is whether PMatrices runs it, the same but for tests
-// (SetVectorPMatrix).
+// hostPMatrix is whether the kernel, and so exp_amd64.h's exponential,
+// reproduces math.Exp on this host (Exps runs there too); vectorPMatrix is
+// whether PMatrices runs it, the same but for tests (SetVectorPMatrix).
 var (
 	hostPMatrix   = cpufeat.AVX2 && cpufeat.FMA && expFMAMatches()
 	vectorPMatrix = hostPMatrix
@@ -30,23 +30,19 @@ var expProbes = [8]float64{
 	-2.211501774682181, -0.29877537184880915, -2.642657154817912, -5.744042848898937,
 }
 
-// expFMAMatches runs the kernel on the probes as the eigenvalues of an
-// identity eigensystem at t = 1, so P is diag(exp(probe)), and reports whether
-// every one is math.Exp's bits. CPUID is not enough: math.Exp decides its
-// sequence by internal/cpu, which GODEBUG=cpu.fma=off overrides; there the
-// scalar code runs.
+// expFMAMatches runs the 4-lane exponential (expsAVX, the one copy
+// pmatrices4AVX runs too) on the probes and reports whether every one is
+// math.Exp's bits. CPUID is not enough: math.Exp decides its sequence by
+// internal/cpu, which GODEBUG=cpu.fma=off overrides; there the scalar code
+// runs.
 func expFMAMatches() bool {
-	id, rate := [16]float64{0: 1, 5: 1, 10: 1, 15: 1}, []float64{1}
-	var p [16]float64
-	for i := 0; i < len(expProbes); i += 4 {
-		l := (*[4]float64)(expProbes[i : i+4])
-		if !pmatrices4AVX(p[:], l, &id, &id, rate, 1) {
+	x := expProbes
+	if expsAVX(x[:]) != 0 {
+		return false
+	}
+	for k, p := range expProbes {
+		if math.Float64bits(x[k]) != math.Float64bits(math.Exp(p)) {
 			return false
-		}
-		for k, x := range l {
-			if math.Float64bits(p[5*k]) != math.Float64bits(math.Exp(x)) {
-				return false
-			}
 		}
 	}
 	return true

@@ -50,14 +50,24 @@ func laneExp(l *[4]float64) (e [4]float64, ok, wrote bool) {
 	return e, ok, p != poison
 }
 
-// TestHostPMatrixIsMathExps: the kernel runs exactly where the CPU has AVX2
-// and math.Exp runs its FMA sequence. Under GODEBUG=cpu.fma=off math.Exp runs
-// its SSE sequence on the same CPU, and the probes must turn the kernel off so
-// the scalar pmatrix4 fills every block.
+// TestHostPMatrixIsMathExps: the kernel, and Exps' kernel with it, runs
+// exactly where the CPU has AVX2 and math.Exp runs its FMA sequence. Under
+// GODEBUG=cpu.fma=off math.Exp runs its SSE sequence on the same CPU, and the
+// probes must turn both kernels off so the scalar pmatrix4 fills every block
+// and Exps takes every exponential with math.Exp.
 func TestHostPMatrixIsMathExps(t *testing.T) {
 	want := cpufeat.AVX2 && mathExpFMA()
 	if hostPMatrix != want {
 		t.Fatalf("kernel on = %v, want %v (AVX2 %v, math.Exp fused %v)", hostPMatrix, want, cpufeat.AVX2, mathExpFMA())
+	}
+	was := SetVectorExp(true)
+	defer SetVectorExp(was)
+	if VectorExp() != want {
+		t.Fatalf("Exps kernel on = %v, want %v", VectorExp(), want)
+	}
+	x := expProbes
+	if n := expsVec(x[:]); (n > 0) != want {
+		t.Fatalf("Exps' kernel took %d of the %d probes, kernel on = %v", n, len(x), want)
 	}
 	t.Logf("kernel on: %v", hostPMatrix)
 }
