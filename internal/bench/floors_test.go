@@ -54,9 +54,10 @@ const (
 	// shared 2-vCPU reference box read 0.37x to 0.39x, and the ceiling is
 	// 1.25 x the highest; one accumulator per output reads 0.70x, so a
 	// tidy-up back to the single += chain fails here rather than only in the
-	// next benchmark. Where model.VectorApplyCols the AVX column mat-vec runs
-	// the 20-state s² loop: ten runs read 0.08x to 0.17x, and the ceiling is
-	// 1.25 x the highest, so a host that runs the scalar loop there fails.
+	// next benchmark. Where model.ApplyColsKernel is on, the AVX column
+	// mat-vec runs the 20-state s² loop: ten runs read 0.08x to 0.17x, and the
+	// ceiling is 1.25 x the highest, so a host that runs the scalar loop there
+	// fails.
 	proteinMaddCeiling       = 0.49
 	proteinMaddCeilingVector = 0.21
 	// pmatricesFloor: the scalar 4-state PMatrices (one pmatrix4 and four
@@ -277,15 +278,15 @@ func TestTipTableFloor(t *testing.T) {
 	})
 }
 
-// TestPMatricesFloor: where model.VectorPMatrix, one 4-state PMatrices call
-// at four categories (a span's set-up per child branch) is >= 2.5x faster on
-// the AVX2 kernel than on the scalar code, the same bits either way; and
-// where model.VectorPMatrix20, one 20-state call is >= pmatrices20Floor x
-// faster on its AVX kernel than on pmatrixCols.
+// TestPMatricesFloor: where model.PMatrix4Kernel is on, one 4-state
+// PMatrices call at four categories (a span's set-up per child branch) is
+// >= 2.5x faster on the AVX2 kernel than on the scalar code, the same bits
+// either way; and where model.PMatrix20Kernel is on, one 20-state call is
+// >= pmatrices20Floor x faster on its AVX kernel than on pmatrixCols.
 func TestPMatricesFloor(t *testing.T) {
 	timed(t)
 	t.Run("s4", func(t *testing.T) {
-		if !model.VectorPMatrix() {
+		if !model.PMatrix4Kernel.On() {
 			t.Skip("the AVX2 PMatrices kernel does not run on this host")
 		}
 		m, err := model.GTR([]float64{0.31, 0.19, 0.27, 0.23}, []float64{1.3, 2.8, 0.6, 1.1, 3.5, 1}, 4, 0.8)
@@ -293,14 +294,14 @@ func TestPMatricesFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		hold(t, func() (bool, string) {
-			scalar, lane := pmatricesNsOp(t, m, model.SetVectorPMatrix, false), pmatricesNsOp(t, m, model.SetVectorPMatrix, true)
+			scalar, lane := pmatricesNsOp(t, m, model.PMatrix4Kernel.Set, false), pmatricesNsOp(t, m, model.PMatrix4Kernel.Set, true)
 			return scalar/lane >= pmatricesFloor,
 				fmt.Sprintf("4-state PMatrices at 4 categories: AVX2 kernel %.2fx the scalar code (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
 					scalar/lane, pmatricesFloor, scalar, lane)
 		})
 	})
 	t.Run("s20", func(t *testing.T) {
-		if !model.VectorPMatrix20() {
+		if !model.PMatrix20Kernel.On() {
 			t.Skip("the 20-state PMatrices kernel does not run on this host")
 		}
 		m, err := model.SYN20(4, 0.8)
@@ -308,10 +309,10 @@ func TestPMatricesFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		hold(t, func() (bool, string) {
-			cols, lane := pmatricesNsOp(t, m, model.SetVectorPMatrix20, false), pmatricesNsOp(t, m, model.SetVectorPMatrix20, true)
+			cols, lane := pmatricesNsOp(t, m, model.PMatrix20Kernel.Set, false), pmatricesNsOp(t, m, model.PMatrix20Kernel.Set, true)
 			return cols/lane >= pmatrices20Floor,
 				fmt.Sprintf("20-state PMatrices at 4 categories: AVX kernel %.2fx pmatrixCols (floor %.1fx; pmatrixCols %.0f ns/op, kernel %.0f ns/op; Exps kernel %v)",
-					cols/lane, pmatrices20Floor, cols, lane, model.VectorExp())
+					cols/lane, pmatrices20Floor, cols, lane, model.ExpsKernel.On())
 		})
 	})
 }
@@ -328,14 +329,14 @@ func pmatricesNsOp(t *testing.T, m *model.Model, set func(bool) bool, vector boo
 	})
 }
 
-// TestProteinApplyFloor: where model.VectorApplyCols, the 20-state P
+// TestProteinApplyFloor: where model.ApplyColsKernel is on, the 20-state P
 // application of one pattern at four categories — four ApplyCols over
 // column-major P blocks, what a protein inner child costs per newview — is
 // >= proteinApplyFloor x faster on the AVX kernel than on the scalar loop,
 // the same bits either way.
 func TestProteinApplyFloor(t *testing.T) {
 	timed(t)
-	if !model.VectorApplyCols() {
+	if !model.ApplyColsKernel.On() {
 		t.Skip("the AVX ApplyCols kernel does not run on this host")
 	}
 	const s, cats = 20, 4
@@ -349,7 +350,7 @@ func TestProteinApplyFloor(t *testing.T) {
 		x[i] = 0.05 + 0.1*float64(i%7)
 	}
 	nsOp := func(vector bool) float64 {
-		defer model.SetVectorApplyCols(model.SetVectorApplyCols(vector))
+		defer model.ApplyColsKernel.Set(model.ApplyColsKernel.Set(vector))
 		return bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for c := 0; c < cats; c++ {
@@ -366,12 +367,12 @@ func TestProteinApplyFloor(t *testing.T) {
 	})
 }
 
-// TestSiteLogFloor: where core.VectorSiteLog, the site pass over 1000
-// patterns is >= siteLogFloor x faster with its logs on the 4-lane kernel than
-// with one math.Log a pattern, the same bits either way.
+// TestSiteLogFloor: where core.SiteLogKernel is on, the site pass over
+// 1000 patterns is >= siteLogFloor x faster with its logs on the 4-lane
+// kernel than with one math.Log a pattern, the same bits either way.
 func TestSiteLogFloor(t *testing.T) {
 	timed(t)
-	if !core.VectorSiteLog() {
+	if !core.SiteLogKernel.On() {
 		t.Skip("the 4-lane log kernel does not run on this host")
 	}
 	const n = 1000
@@ -381,7 +382,7 @@ func TestSiteLogFloor(t *testing.T) {
 		sc[k] = int32(k % 3)
 	}
 	nsOp := func(vector bool) float64 {
-		defer core.SetVectorSiteLog(core.SetVectorSiteLog(vector))
+		defer core.SiteLogKernel.Set(core.SiteLogKernel.Set(vector))
 		return bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(v, raw)
@@ -397,13 +398,13 @@ func TestSiteLogFloor(t *testing.T) {
 	})
 }
 
-// TestDerivativeFloor: where core.VectorDerivative, one derivative region
-// over 1024 protein patterns at one thread (cs = 80) is >= derivativeFloor x
-// faster with whole quartets on the 4-lane kernel than on the paired loop,
-// the same bits either way.
+// TestDerivativeFloor: where core.DerivativeKernel is on, one derivative
+// region over 1024 protein patterns at one thread (cs = 80) is
+// >= derivativeFloor x faster with whole quartets on the 4-lane kernel than
+// on the paired loop, the same bits either way.
 func TestDerivativeFloor(t *testing.T) {
 	timed(t)
-	if !core.VectorDerivative() {
+	if !core.DerivativeKernel.On() {
 		t.Skip("the derivative kernel does not run on this host")
 	}
 	w := kernelWorkload(t, alignment.AA, 8, 1024)
@@ -413,7 +414,7 @@ func TestDerivativeFloor(t *testing.T) {
 	eng.PrepareSumtable(p, nil)
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	nsOp := func(vector bool) float64 {
-		defer core.SetVectorDerivative(core.SetVectorDerivative(vector))
+		defer core.DerivativeKernel.Set(core.DerivativeKernel.Set(vector))
 		return bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.BranchDerivatives(z, nil, d1, d2)
@@ -479,14 +480,14 @@ func TestProteinMaddFloor(t *testing.T) {
 	timed(t)
 	aa, dna := kernelWorkload(t, alignment.AA, 16, 512), kernelWorkload(t, alignment.DNA, 16, 8192)
 	ceiling := proteinMaddCeiling
-	if model.VectorApplyCols() {
+	if model.ApplyColsKernel.On() {
 		ceiling = proteinMaddCeilingVector
 	}
 	hold(t, func() (bool, string) {
 		ns20, ns4 := genericNsPerOp(t, aa), genericNsPerOp(t, dna)
 		return ns20/ns4 <= ceiling,
 			fmt.Sprintf("generic newview: %.3f ns a priced op at s = 20, %.3f at s = 4: %.2fx (ceiling %.2fx, column mat-vec kernel %v)",
-				ns20, ns4, ns20/ns4, ceiling, model.VectorApplyCols())
+				ns20, ns4, ns20/ns4, ceiling, model.ApplyColsKernel.On())
 	})
 }
 

@@ -116,9 +116,9 @@ const (
 // the fused backend's newview planes (the generic backend runs applyRows); at
 // any wider alphabet it is model.ApplyCols, under either backend.
 func VectorLanes(b Backend, states int) int {
-	vector := model.VectorApplyCols()
+	vector := model.ApplyColsKernel.On()
 	if states == 4 {
-		vector = b == BackendFused && vectorPlanes
+		vector = b == BackendFused && planesKernel.On()
 	}
 	if vector {
 		return 4

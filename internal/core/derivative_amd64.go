@@ -1,7 +1,5 @@
 package core
 
-import "phylo/internal/cpufeat"
-
 // derivQuartetsAVX writes, for each of quartets groups of four patterns whose
 // sumtable rows start at sum[0], sum[stride], sum[2·stride], …, the three
 // sums of derivativeGeneric: out[12q+p], out[12q+4+p], out[12q+8+p] are l, l1
@@ -10,14 +8,6 @@ import "phylo/internal/cpufeat"
 //go:noescape
 func derivQuartetsAVX(out, sum, e, g1, g2 []float64, stride, quartets int)
 
-// hostDerivative is whether the host runs the kernel; vectorDerivative
-// whether derivativeGeneric does, the same but for tests
-// (SetVectorDerivative).
-var (
-	hostDerivative   = cpufeat.AVX
-	vectorDerivative = hostDerivative
-)
-
 // derivQuartets runs the kernel over quartets quartets, or reports false where
 // it does not run or the shapes are not its own: every index is checked here,
 // once, by the last row's end.
@@ -25,7 +15,7 @@ var (
 //plk:hotpath
 func derivQuartets(out, sum, e, g1, g2 []float64, stride, quartets int) bool {
 	cs := len(e)
-	if !vectorDerivative || quartets < 1 || cs == 0 || cs%4 != 0 || stride < 1 ||
+	if !DerivativeKernel.On() || quartets < 1 || cs == 0 || cs%4 != 0 || stride < 1 ||
 		len(g1) < cs || len(g2) < cs || len(out) < 12*quartets || (4*quartets-1)*stride+cs > len(sum) {
 		return false
 	}

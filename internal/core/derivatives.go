@@ -2,6 +2,7 @@ package core
 
 import (
 	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -194,18 +195,9 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	return count
 }
 
-// VectorDerivative reports whether derivativeGeneric runs whole quartets on
-// the kernel of derivative_amd64.s: true on amd64 hosts with AVX.
-func VectorDerivative() bool { return vectorDerivative }
-
-// SetVectorDerivative turns the kernel on (where the host runs it) or off and
-// returns the previous setting, so a test can run a suite under both
-// realisations; the results are the same bits either way. Not safe while a
-// derivative region runs.
-func SetVectorDerivative(on bool) (was bool) {
-	was, vectorDerivative = vectorDerivative, on && hostDerivative
-	return was
-}
+// DerivativeKernel is the quartet kernel derivativeGeneric runs whole
+// quartets of a run on, derivative_amd64.s.
+var DerivativeKernel = cpufeat.NewKernel("derivative quartets (AVX)", cpufeat.AVX)
 
 // derivBlock is how many quartets one kernel call of derivativeGeneric
 // takes: their 12 sums each live in the worker's scratch.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
@@ -175,7 +176,7 @@ func (c *spanCtx) sites(v []float64, i0, step int) {
 // sc[k] is pattern k's scaling exponent summed over both branch ends and a
 // normalized likelihood that is not positive, or NaN, is clamped to the
 // smallest subnormal. The logs of whole quartets run on a 4-lane kernel where
-// the host has one (VectorSiteLog), the rest one at a time; the kernel is
+// the host has one (SiteLogKernel), the rest one at a time; the kernel is
 // math.Log lane for lane, so the bits are the same either way. len(sc) must
 // be at least len(v).
 //
@@ -199,18 +200,9 @@ func SiteLogs(v []float64, sc []int32, invCats float64) {
 	}
 }
 
-// VectorSiteLog reports whether SiteLogs takes its logs on the 4-lane kernel
-// of sitelog_amd64.s: true on amd64 hosts with AVX2.
-func VectorSiteLog() bool { return vectorSiteLog }
-
-// SetVectorSiteLog turns the kernel on (where the host runs it) or off and
-// returns the previous setting, so a test can run a suite under both
-// realisations; the results are the same bits either way. Not safe while an
-// evaluate region runs.
-func SetVectorSiteLog(on bool) (was bool) {
-	was, vectorSiteLog = vectorSiteLog, on && hostSiteLog
-	return was
-}
+// SiteLogKernel is SiteLogs' 4-lane log, sitelog_amd64.s: its integer steps
+// are AVX2.
+var SiteLogKernel = cpufeat.NewKernel("site log (AVX2)", cpufeat.AVX2)
 
 // SiteLogLikelihoods returns the per-pattern log likelihoods (unweighted) of
 // one partition at the canonical root; primarily a debugging and testing

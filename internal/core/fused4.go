@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/schedule"
 )
 
@@ -35,6 +36,9 @@ import (
 // operation order of the scalar expressions below; elsewhere, and for what a
 // plane call leaves, the scalar loop runs. DESIGN.md ("Vector planes") has
 // why the two are bit-identical.
+
+// planesKernel is the plane calls' kernels, fused4_amd64.s.
+var planesKernel = cpufeat.NewKernel("newview planes (AVX)", cpufeat.AVX)
 
 // small4 reports whether all four values fall inside (-2^-256, 2^-256) —
 // one pattern-category quartet's contribution to the scaling predicate.

@@ -1,13 +1,5 @@
 package core
 
-import "phylo/internal/cpufeat"
-
-// vectorPlanes is whether newviewFused4 runs its category-plane loops as the
-// AVX kernels of fused4_amd64.s: decided once, from CPUID and XCR0, and
-// flipped only by tests (the scalar loops stay the realisation everywhere
-// else, and the reference the kernels are tested against).
-var vectorPlanes = cpufeat.AVX
-
 //go:noescape
 func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []byte, j0, n, step int, first bool)
 
@@ -31,7 +23,7 @@ func tipTipPlaneAVX(d, ta, tb []float64, ra, rb, small []byte, j0, n, step, cs i
 //plk:hotpath
 func planeEnd(small []byte, j0, n, step int) int {
 	end := j0 + (n-1)*step + 1
-	if !vectorPlanes || n < 1 || j0 < 0 || step < 1 || end > len(small) {
+	if !planesKernel.On() || n < 1 || j0 < 0 || step < 1 || end > len(small) {
 		return 0
 	}
 	return end

@@ -4,7 +4,6 @@ package core
 
 // Without an assembly realisation the plane calls take no pattern, and the
 // scalar loops of newviewFused4 run every plane.
-var vectorPlanes = false
 
 func planeInner(d, xa, xb, pa, pb []float64, small []byte, j0, n, step int, first bool) int {
 	return 0

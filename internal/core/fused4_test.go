@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"phylo/internal/model"
+	"phylo/internal/cpufeat"
 	"phylo/internal/schedule"
 )
 
@@ -16,49 +16,48 @@ import (
 // newviewFused4 everywhere. TestFusedPlanesMatchScalar holds the first to the
 // second bit for bit; forEachPlanes runs the backend acceptance tests under
 // both, so the scalar loops stay tested on a host that would never run them.
-// The same two arms switch the span set-up's 4-state PMatrices between its
-// AVX2 kernel and the scalar pmatrix4 (internal/model holds those to each
-// other bit for bit), every 20-state P application and sumtable projection
-// between model.ApplyCols' AVX kernel and its scalar loop
-// (TestApplyColsBitIdentity), the evaluate site pass's logs between the
-// 4-lane kernel and math.Log (TestSiteLogBitIdentity), the 20-state
-// PMatrices between its AVX kernel and pmatrixCols, the exponentials of
-// model.Exps between the 4-lane exp and math.Exp (internal/model holds both
-// pairs bit for bit), and the derivative body between its quartet kernel and
-// the paired loop (TestDerivativeKernelBitIdentity).
+// The same two arms switch every other kernel of internal/core and
+// internal/model between its assembly and its scalar reference; DESIGN.md's
+// "Kernel realisations" table names each one's bit-identity test.
 
 // forEachPlanes runs f as one subtest per realisation this host has, with
-// vectorPlanes, model.VectorPMatrix, model.VectorApplyCols, VectorSiteLog,
-// model.VectorPMatrix20, model.VectorExp and VectorDerivative set to it:
-// "avx" (skipped where the plane kernels cannot run; the P, exp and log
-// kernels run where the host has AVX2) and "scalar".
+// every kernel cpufeat.Kernels lists set to it: "avx" (skipped where no
+// kernel runs; each runs where its host condition holds) and "scalar", where
+// every declared kernel is off, so the scalar code is under test whatever
+// kernels exist.
 func forEachPlanes(t *testing.T, f func(t *testing.T)) {
-	host, hostPM, hostCols, hostLog := vectorPlanes, model.VectorPMatrix(), model.VectorApplyCols(), VectorSiteLog()
-	hostPM20, hostExp, hostDeriv := model.VectorPMatrix20(), model.VectorExp(), VectorDerivative()
+	kernels := cpufeat.Kernels()
+	host := make([]bool, len(kernels))
+	for i, k := range kernels {
+		host[i] = k.On()
+	}
 	t.Cleanup(func() {
-		vectorPlanes = host
-		model.SetVectorPMatrix(hostPM)
-		model.SetVectorApplyCols(hostCols)
-		SetVectorSiteLog(hostLog)
-		model.SetVectorPMatrix20(hostPM20)
-		model.SetVectorExp(hostExp)
-		SetVectorDerivative(hostDeriv)
+		for i, k := range kernels {
+			k.Set(host[i])
+		}
 	})
 	for _, arm := range []struct {
 		name string
 		on   bool
 	}{{"avx", true}, {"scalar", false}} {
 		t.Run(arm.name, func(t *testing.T) {
-			if arm.on && !host {
-				t.Skip("no AVX on this host: the scalar loops are its only realisation")
+			if arm.on && !slices.Contains(host, true) {
+				t.Skip("no kernel runs on this host: the scalar code is its only realisation")
 			}
-			vectorPlanes = arm.on
-			model.SetVectorPMatrix(arm.on)
-			model.SetVectorApplyCols(arm.on)
-			SetVectorSiteLog(arm.on)
-			model.SetVectorPMatrix20(arm.on)
-			model.SetVectorExp(arm.on)
-			SetVectorDerivative(arm.on)
+			for _, k := range kernels {
+				k.Set(arm.on)
+			}
+			if !arm.on {
+				for _, k := range cpufeat.Kernels() {
+					if k.On() {
+						t.Fatalf("%v is on in the scalar arm", k)
+					}
+				}
+				if VectorLanes(BackendFused, 4) != 1 || VectorLanes(BackendGeneric, 20) != 1 {
+					t.Fatalf("scalar arm: %d lanes at 4 states (fused), %d at 20 (generic), want 1",
+						VectorLanes(BackendFused, 4), VectorLanes(BackendGeneric, 20))
+				}
+			}
 			f(t)
 		})
 	}
@@ -88,11 +87,10 @@ func planeValues() []float64 {
 // with planeValues to planes of values around 2^-256 and on it (so whole
 // patterns rescale, and some stop exactly at the threshold).
 func TestFusedPlanesMatchScalar(t *testing.T) {
-	if !vectorPlanes {
+	if !planesKernel.On() {
 		t.Skip("no AVX on this host: the scalar loops are its only realisation")
 	}
-	host := vectorPlanes
-	t.Cleanup(func() { vectorPlanes = host })
+	t.Cleanup(func() { planesKernel.Set(true) })
 	const (
 		offset   = 5   // the partition's first global pattern
 		patterns = 760 // enough for 250 patterns at step 3
@@ -218,7 +216,7 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 								s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset,
 								a: cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
 							}
-							vectorPlanes = on
+							planesKernel.Set(on)
 							k := c.newviewFused4(run)
 							if on {
 								got, gotN = c, k
@@ -258,7 +256,7 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 // and stops before the first tip code whose table row would leave the table;
 // what it declines, the scalar loop runs (and bounds-checks).
 func TestPlaneCallsTakeOnlyCheckedRuns(t *testing.T) {
-	if !vectorPlanes {
+	if !planesKernel.On() {
 		t.Skip("no AVX on this host: the plane calls take nothing")
 	}
 	const n, cs = 10, 4 // one category

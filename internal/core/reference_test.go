@@ -343,8 +343,8 @@ func TestApplyRowsBitIdentity(t *testing.T) {
 // plain normal draws or salted with signed zeros, subnormals, ±2^-256, ±1,
 // infinities and NaN.
 func TestApplyColsBitIdentity(t *testing.T) {
-	host := model.SetVectorApplyCols(true)
-	t.Cleanup(func() { model.SetVectorApplyCols(host) })
+	host := model.ApplyColsKernel.Set(true)
+	t.Cleanup(func() { model.ApplyColsKernel.Set(host) })
 	rng := rand.New(rand.NewSource(47))
 	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, minLikelihood, -minLikelihood,
 		1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
@@ -383,14 +383,14 @@ func TestApplyColsBitIdentity(t *testing.T) {
 		}
 		applyRowsReference(want, m, x)
 		for _, on := range []bool{true, false} {
-			model.SetVectorApplyCols(on)
-			if model.VectorApplyCols() && n%4 == 0 {
+			model.ApplyColsKernel.Set(on)
+			if model.ApplyColsKernel.On() && n%4 == 0 {
 				kernel++
 			}
 			model.ApplyCols(got, mT, x)
 			for k := range want {
 				if math.Float64bits(got[k]) != math.Float64bits(want[k]) && !(math.IsNaN(got[k]) && math.IsNaN(want[k])) {
-					sameSums(t, fmt.Sprintf("trial %d kernel %v s=%d n=%d", trial, model.VectorApplyCols(), s, n), got, want)
+					sameSums(t, fmt.Sprintf("trial %d kernel %v s=%d n=%d", trial, model.ApplyColsKernel.On(), s, n), got, want)
 				}
 			}
 		}
@@ -447,9 +447,9 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 // an infinity. d1, d2 and the charged count must agree; a NaN only as a NaN
 // (sameSums).
 func TestDerivativeKernelBitIdentity(t *testing.T) {
-	host := SetVectorDerivative(true)
-	t.Cleanup(func() { SetVectorDerivative(host) })
-	t.Logf("kernel on: %v", VectorDerivative())
+	host := DerivativeKernel.Set(true)
+	t.Cleanup(func() { DerivativeKernel.Set(host) })
+	t.Logf("kernel on: %v", DerivativeKernel.On())
 	rng := rand.New(rand.NewSource(34))
 	entries := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-308, 1, -1, 0x1p-500, 0x1p500, -0x1p500}
 	entry := func() float64 {
@@ -497,9 +497,9 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 					copy(paired, kernel)
 					copy(ref, kernel)
 					gk := c.derivativeGeneric(run, kernel)
-					was := SetVectorDerivative(false)
+					was := DerivativeKernel.Set(false)
 					gp := c.derivativeGeneric(run, paired)
-					SetVectorDerivative(was)
+					DerivativeKernel.Set(was)
 					gr := c.derivativeReference(run, ref)
 					if gk != n || gp != n || gr != n {
 						t.Fatalf("%s: charged %d (kernel) / %d (paired loop) / %d (reference) patterns, run has %d", label, gk, gp, gr, n)

@@ -1,20 +1,10 @@
 package core
 
-import "phylo/internal/cpufeat"
-
 // logAVX sets x[k] = math.Log(x[k]) for the len(x)/4 whole quartets of x
 // (sitelog_amd64.s: math.Log's own instruction sequence, one lane an entry).
 //
 //go:noescape
 func logAVX(x []float64)
-
-// hostSiteLog is whether the host runs the kernel (its integer steps are
-// AVX2); vectorSiteLog whether SiteLogs does, the same but for tests
-// (SetVectorSiteLog).
-var (
-	hostSiteLog   = cpufeat.AVX2
-	vectorSiteLog = hostSiteLog
-)
 
 // logsVec takes the logs of x's whole quartets on the kernel and returns how
 // many entries it took, from the front: 0 where the kernel does not run.
@@ -22,7 +12,7 @@ var (
 //plk:hotpath
 func logsVec(x []float64) int {
 	n := len(x) &^ 3
-	if !vectorSiteLog || n == 0 {
+	if !SiteLogKernel.On() || n == 0 {
 		return 0
 	}
 	logAVX(x[:n])

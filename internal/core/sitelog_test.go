@@ -61,9 +61,9 @@ func TestSiteLogBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	in := logInputs(rng)
 	in = in[:len(in)&^3] // the kernel takes whole quartets
-	host := SetVectorSiteLog(true)
-	t.Cleanup(func() { SetVectorSiteLog(host) })
-	if VectorSiteLog() {
+	host := SiteLogKernel.Set(true)
+	t.Cleanup(func() { SiteLogKernel.Set(host) })
+	if SiteLogKernel.On() {
 		got := slices.Clone(in)
 		if n := logsVec(got); n != len(got) {
 			t.Fatalf("the kernel took %d of %d entries", n, len(got))
@@ -112,8 +112,8 @@ func TestSiteLogBitIdentity(t *testing.T) {
 		i0 := offset + rng.Intn(8)
 		m := min(n, siteBlock, (offset+patterns-i0+step-1)/step)
 		for _, on := range []bool{true, false} {
-			SetVectorSiteLog(on)
-			label := fmt.Sprintf("trial %d kernel %v n=%d", trial, VectorSiteLog(), n)
+			SiteLogKernel.Set(on)
+			label := fmt.Sprintf("trial %d kernel %v n=%d", trial, SiteLogKernel.On(), n)
 			got := slices.Clone(v)
 			SiteLogs(got, sc, invCats)
 			for k, x := range v {

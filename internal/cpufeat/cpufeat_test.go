@@ -3,6 +3,7 @@ package cpufeat
 import (
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,5 +46,51 @@ func TestFeaturesMatchCPUInfo(t *testing.T) {
 		if got != flags[name] {
 			t.Errorf("%s: CPUID says %v, /proc/cpuinfo %v", name, got, flags[name])
 		}
+	}
+}
+
+// TestKernelSet: a kernel is on only where its host runs it, whatever Set
+// asks, and Set returns the setting it replaces.
+func TestKernelSet(t *testing.T) {
+	absent, present := NewKernel("absent", false), NewKernel("present", true)
+	if absent.On() || !present.On() {
+		t.Fatalf("declared: %v on = %v, %v on = %v", absent, absent.On(), present, present.On())
+	}
+	for _, c := range []struct {
+		k            *Kernel
+		set, was, on bool
+	}{
+		{absent, true, false, false},
+		{absent, false, false, false},
+		{present, false, true, false},
+		{present, false, false, false},
+		{present, true, false, true},
+		{present, true, true, true},
+	} {
+		if was := c.k.Set(c.set); was != c.was || c.k.On() != c.on {
+			t.Fatalf("%v.Set(%v) = %v, then on = %v; want %v, %v", c.k, c.set, was, c.k.On(), c.was, c.on)
+		}
+	}
+}
+
+// TestKernelsListsEachDeclaration: Kernels lists every declaration once, in
+// declaration order, and a caller cannot edit the list.
+func TestKernelsListsEachDeclaration(t *testing.T) {
+	before := Kernels()
+	a, b := NewKernel("a", true), NewKernel("a", true)
+	got := Kernels()
+	if want := append(before, a, b); !slices.Equal(got, want) {
+		t.Fatalf("Kernels() = %v, want %v", got, want)
+	}
+	seen := map[*Kernel]bool{}
+	for _, k := range got {
+		if seen[k] {
+			t.Fatalf("%v listed twice", k)
+		}
+		seen[k] = true
+	}
+	got[len(got)-1] = nil
+	if Kernels()[len(got)-1] != b {
+		t.Fatal("editing the returned list changed the registry")
 	}
 }

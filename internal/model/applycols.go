@@ -1,5 +1,7 @@
 package model
 
+import "phylo/internal/cpufeat"
+
 // ApplyCols sets dst[k] = Σ_a mT[a·len(dst)+k]·x[a], the sum running a
 // ascending from +0: the mat-vec M·x of the matrix M whose transpose mT is
 // stored row-major (M column-major), so row a of mT is column a of M and
@@ -8,10 +10,10 @@ package model
 // projections in internal/core) and of PMatrix itself. mT holds at least
 // len(x)·len(dst) entries.
 //
-// Where VectorApplyCols, and len(dst) is a whole number of quartets, it runs
-// as the AVX kernel of applycols_amd64.s: one YMM register holds four
-// consecutive outputs, and each step adds mT[a][k..k+3]·broadcast(x[a]) to
-// it with a VMULPD and then a VADDPD (no FMA), from a VXORPD zero. Every lane
+// Where ApplyColsKernel is on, and len(dst) is a whole number of quartets, it
+// runs as the AVX kernel of applycols_amd64.s: one YMM register holds four
+// consecutive outputs, and each step adds mT[a][k..k+3]·broadcast(x[a]) to it
+// with a VMULPD and then a VADDPD (no FMA), from a VXORPD zero. Every lane
 // therefore rounds exactly as the scalar sum += m·x below does, in the same
 // order, and the two give the same bits (internal/core's
 // TestApplyColsBitIdentity holds both to the one-row loop).
@@ -48,15 +50,5 @@ func ApplyCols(dst, mT, x []float64) {
 	}
 }
 
-// VectorApplyCols reports whether ApplyCols runs its AVX kernel: true on
-// amd64 hosts with AVX.
-func VectorApplyCols() bool { return vectorApplyCols }
-
-// SetVectorApplyCols turns the kernel on (where the host runs it) or off and
-// returns the previous setting, so a test can run a suite under both
-// realisations; the results are the same bits either way. Not safe while
-// ApplyCols runs.
-func SetVectorApplyCols(on bool) (was bool) {
-	was, vectorApplyCols = vectorApplyCols, on && hostApplyCols
-	return was
-}
+// ApplyColsKernel is ApplyCols' AVX kernel, applycols_amd64.s.
+var ApplyColsKernel = cpufeat.NewKernel("ApplyCols (AVX)", cpufeat.AVX)

@@ -13,9 +13,6 @@ import (
 //go:noescape
 func expsAVX(x []float64) (refused uint64)
 
-// vectorExp is whether Exps runs the kernel (SetVectorExp).
-var vectorExp = hostPMatrix
-
 // expsVec takes the exponentials of x's whole quartets, on the kernel and
 // with math.Exp where it refuses one, and returns how many entries it took,
 // from the front: 0 where the kernel does not run.
@@ -23,7 +20,7 @@ var vectorExp = hostPMatrix
 //plk:hotpath
 func expsVec(x []float64) int {
 	n := len(x) &^ 3
-	if !vectorExp || n == 0 {
+	if !ExpsKernel.On() || n == 0 {
 		return 0
 	}
 	for lo := 0; lo < n; lo += 256 {
@@ -36,4 +33,29 @@ func expsVec(x []float64) int {
 		}
 	}
 	return n
+}
+
+// expProbes are arguments on which math.Exp's FMA and SSE sequences round
+// differently (the GODEBUG=cpu.fma=off run of TestHostPMatrixIsMathExps).
+var expProbes = [8]float64{
+	-0.3567439074285613, -0.03998776221889851, -5.780678908578634, -1.0556343396048473,
+	-2.211501774682181, -0.29877537184880915, -2.642657154817912, -5.744042848898937,
+}
+
+// expFMAMatches runs the 4-lane exponential (expsAVX, the one copy
+// pmatrices4AVX runs too) on the probes and reports whether every one is
+// math.Exp's bits. CPUID is not enough: math.Exp decides its sequence by
+// internal/cpu, which GODEBUG=cpu.fma=off overrides; there the scalar code
+// runs.
+func expFMAMatches() bool {
+	x := expProbes
+	if expsAVX(x[:]) != 0 {
+		return false
+	}
+	for k, p := range expProbes {
+		if math.Float64bits(x[k]) != math.Float64bits(math.Exp(p)) {
+			return false
+		}
+	}
+	return true
 }

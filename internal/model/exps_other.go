@@ -3,6 +3,7 @@
 package model
 
 // Without an assembly realisation Exps takes every exponential with math.Exp.
-var vectorExp = false
-
 func expsVec(x []float64) int { return 0 }
+
+// expFMAMatches is false: there is no 4-lane exponential to match math.Exp.
+func expFMAMatches() bool { return false }

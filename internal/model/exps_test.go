@@ -32,8 +32,8 @@ func expArgs(rng *rand.Rand, n int) []float64 {
 // side by side, a group of four chains cut anywhere), shuffled, and over
 // slices past the kernel's 64 quartets a call.
 func TestExpsBitIdentity(t *testing.T) {
-	host := SetVectorExp(true)
-	t.Cleanup(func() { SetVectorExp(host) })
+	host := ExpsKernel.Set(true)
+	t.Cleanup(func() { ExpsKernel.Set(host) })
 	rng := rand.New(rand.NewSource(35))
 	args := expArgs(rng, 4096)
 	check := func(label string, in []float64) {
@@ -48,9 +48,9 @@ func TestExpsBitIdentity(t *testing.T) {
 		}
 	}
 	for _, on := range []bool{true, false} {
-		SetVectorExp(on)
+		ExpsKernel.Set(on)
 		label := "kernel off"
-		if VectorExp() {
+		if ExpsKernel.On() {
 			label = "kernel on"
 		}
 		for n := 0; n <= 40; n++ {

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/numeric"
 )
 
@@ -310,11 +311,11 @@ const maxStates = 20
 // Entry (i, j) is the sum over k ascending, from zero, of
 // (V[i][k]·exp(lambda_k t))·V^-1[k][j], clamped at zero; the row scaling is
 // computed once per (i, k) instead of once per term. The 4-state case is
-// those sums written out (pmatrix4); where VectorPMatrix, PMatrices computes
-// them with the AVX2 kernel instead, and pmatrix4 is that kernel's reference
-// and its fallback for arguments outside its guard. A wider block is computed
-// column by column (pmatrixCols, the reference of PMatrices' 20-state
-// kernel) and transposed into dst.
+// those sums written out (pmatrix4); where PMatrix4Kernel is on, PMatrices
+// computes them with the AVX2 kernel instead, and pmatrix4 is that kernel's
+// reference and its fallback for arguments outside its guard. A wider block
+// is computed column by column (pmatrixCols, the reference of PMatrices'
+// 20-state kernel) and transposed into dst.
 //
 //plk:hotpath
 func (m *Model) PMatrix(t float64, dst []float64) {
@@ -407,11 +408,11 @@ func clampNeg(p float64) float64 {
 // column-major, entry (i, j) at j·States + i, so that ApplyCols applies it
 // with four consecutive rows of P in one register. On amd64 with AVX2 the
 // 4-state blocks of all categories are one call of the kernel in
-// pmatrix4_amd64.s, which gives PMatrix's bits (VectorPMatrix); it declines
+// pmatrix4_amd64.s, which gives PMatrix's bits (PMatrix4Kernel); it declines
 // arguments outside [-700, 700], and then PMatrix computes the blocks. On
 // amd64 with AVX the 20-state blocks of all categories are one Exps and one
 // call of the kernel in pmatrix20_amd64.s, pmatrixCols' bits
-// (VectorPMatrix20).
+// (PMatrix20Kernel).
 func (m *Model) PMatrices(t float64, dst []float64) {
 	ss := m.States * m.States
 	if m.States != 4 {
@@ -431,31 +432,12 @@ func (m *Model) PMatrices(t float64, dst []float64) {
 	}
 }
 
-// VectorPMatrix reports whether PMatrices computes 4-state blocks with the
-// AVX2 kernel: true on amd64 hosts with AVX2 and FMA where its exponential
-// reproduces math.Exp bit for bit (not under GODEBUG=cpu.fma=off).
-func VectorPMatrix() bool { return vectorPMatrix }
+// PMatrix4Kernel is the 4-state PMatrices kernel, pmatrix4_amd64.s. Its
+// exponential is Exps' (exp_amd64.h), and it runs where that one does.
+var PMatrix4Kernel = cpufeat.NewKernel("4-state PMatrices (AVX2+FMA)", ExpsKernel.Host())
 
-// SetVectorPMatrix turns the kernel on (where the host runs it) or off and
-// returns the previous setting, so a test can run a suite under both
-// realisations; the results are the same bits either way. Not safe while
-// PMatrices runs.
-func SetVectorPMatrix(on bool) (was bool) {
-	was, vectorPMatrix = vectorPMatrix, on && hostPMatrix
-	return was
-}
-
-// VectorPMatrix20 reports whether PMatrices computes 20-state blocks with the
-// AVX kernel: true on amd64 hosts with AVX.
-func VectorPMatrix20() bool { return vectorPMatrix20 }
-
-// SetVectorPMatrix20 turns the 20-state kernel on (where the host runs it) or
-// off and returns the previous setting, as SetVectorPMatrix does for four
-// states.
-func SetVectorPMatrix20(on bool) (was bool) {
-	was, vectorPMatrix20 = vectorPMatrix20, on && hostPMatrix20
-	return was
-}
+// PMatrix20Kernel is the 20-state PMatrices kernel, pmatrix20_amd64.s.
+var PMatrix20Kernel = cpufeat.NewKernel("20-state PMatrices (AVX)", cpufeat.AVX)
 
 // Clone returns a deep copy (used by tree-search checkpointing and by
 // per-partition model replication).

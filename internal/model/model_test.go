@@ -447,13 +447,13 @@ func testModels(t *testing.T) []*Model {
 // bits of the textbook triple product V[i][k]·exp(lambda_k t)·V^-1[k][j]
 // accumulated k-ascending.
 func TestPMatrixHoistKeepsBits(t *testing.T) {
-	host := SetVectorApplyCols(true)
-	t.Cleanup(func() { SetVectorApplyCols(host) })
+	host := ApplyColsKernel.Set(true)
+	t.Cleanup(func() { ApplyColsKernel.Set(host) })
 	for _, m := range testModels(t) {
 		s := m.States
 		got := make([]float64, s*s)
 		for i, bl := range []float64{0, 1e-8, 0.013, 0.4, 7.5, 64, 0, 1e-8, 0.013, 0.4, 7.5, 64} {
-			SetVectorApplyCols(i < 6) // the 20-state columns on ApplyCols' kernel, then on its scalar loop
+			ApplyColsKernel.Set(i < 6) // the 20-state columns on ApplyCols' kernel, then on its scalar loop
 			m.PMatrix(bl, got)
 			for i := 0; i < s; i++ {
 				for j := 0; j < s; j++ {
@@ -478,18 +478,8 @@ func TestPMatrixHoistKeepsBits(t *testing.T) {
 // column-major (PMatrix transposed) at twenty — with every kernel on and off,
 // at branch lengths a span can hand over, negative and NaN included.
 func TestPMatricesLayout(t *testing.T) {
-	hostPM, hostPM20, hostCols, hostExp := SetVectorPMatrix(true), SetVectorPMatrix20(true), SetVectorApplyCols(true), SetVectorExp(true)
-	t.Cleanup(func() {
-		SetVectorPMatrix(hostPM)
-		SetVectorPMatrix20(hostPM20)
-		SetVectorApplyCols(hostCols)
-		SetVectorExp(hostExp)
-	})
 	for _, on := range []bool{true, false} {
-		SetVectorPMatrix(on)
-		SetVectorPMatrix20(on)
-		SetVectorApplyCols(on)
-		SetVectorExp(on)
+		setKernels(t, on)
 		for _, m := range testModels(t) {
 			s := m.States
 			got, want := make([]float64, m.NumCats*s*s), make([]float64, s*s)

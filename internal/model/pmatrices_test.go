@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"phylo/internal/cpufeat"
 )
 
 // pmatricesGrid calls f on each case of the 4-state PMatrices grid: random GTR
@@ -48,10 +50,10 @@ func pmatricesGrid(t *testing.T, f func(label string, m *Model, z float64)) {
 // PMatrix of its category by Float64bits, over the grid, with the AVX2 kernel
 // (where the host runs it) and without.
 func TestPMatricesMatchPMatrix(t *testing.T) {
-	host := SetVectorPMatrix(true)
-	t.Cleanup(func() { SetVectorPMatrix(host) })
+	host := PMatrix4Kernel.Set(true)
+	t.Cleanup(func() { PMatrix4Kernel.Set(host) })
 	for _, on := range []bool{true, false} {
-		SetVectorPMatrix(on)
+		PMatrix4Kernel.Set(on)
 		kernel, declined := 0, 0
 		pmatricesGrid(t, func(label string, m *Model, z float64) {
 			got, want := make([]float64, m.NumCats*16), make([]float64, 16)
@@ -65,13 +67,13 @@ func TestPMatricesMatchPMatrix(t *testing.T) {
 				m.PMatrix(m.CatRates[c]*z, want)
 				for k, w := range want {
 					if g := got[c*16+k]; math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("vector=%v %s: P_%d[%d] = %v (%#x), PMatrix %v (%#x)", VectorPMatrix(), label, c, k,
+						t.Fatalf("vector=%v %s: P_%d[%d] = %v (%#x), PMatrix %v (%#x)", PMatrix4Kernel.On(), label, c, k,
 							g, math.Float64bits(g), w, math.Float64bits(w))
 					}
 				}
 			}
 		})
-		t.Logf("vector kernel %v: %d calls computed by the kernel, %d declined", VectorPMatrix(), kernel, declined)
+		t.Logf("vector kernel %v: %d calls computed by the kernel, %d declined", PMatrix4Kernel.On(), kernel, declined)
 	}
 }
 
@@ -98,6 +100,15 @@ func TestPMatricesGridBitsPinned(t *testing.T) {
 	}
 }
 
+// setKernels sets every declared kernel (cpufeat.Kernels) as its Set does,
+// and has tb restore each one's setting when it finishes.
+func setKernels(tb testing.TB, on bool) {
+	for _, k := range cpufeat.Kernels() {
+		was := k.Set(on)
+		tb.Cleanup(func() { k.Set(was) })
+	}
+}
+
 // BenchmarkPMatrices times one 4-category block set, the set-up a span pays
 // per child branch: at four states with the AVX2 kernel and with the scalar
 // code, at twenty with the AVX kernel (and Exps') and with pmatrixCols on
@@ -111,23 +122,13 @@ func BenchmarkPMatrices(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	host, host20, hostCols, hostExp := SetVectorPMatrix(true), SetVectorPMatrix20(true), SetVectorApplyCols(true), SetVectorExp(true)
-	b.Cleanup(func() {
-		SetVectorPMatrix(host)
-		SetVectorPMatrix20(host20)
-		SetVectorApplyCols(hostCols)
-		SetVectorExp(hostExp)
-	})
 	for _, m := range []*Model{dna, aa} {
 		dst := make([]float64, m.NumCats*m.States*m.States)
 		for _, on := range []bool{true, false} {
-			SetVectorPMatrix(on)
-			SetVectorPMatrix20(on)
-			SetVectorApplyCols(on)
-			SetVectorExp(on)
-			vector := VectorPMatrix()
+			setKernels(b, on)
+			vector := PMatrix4Kernel.On()
 			if m.States != 4 {
-				vector = VectorPMatrix20()
+				vector = PMatrix20Kernel.On()
 			}
 			name := fmt.Sprintf("s%d/scalar", m.States)
 			if vector {

@@ -1,7 +1,5 @@
 package model
 
-import "phylo/internal/cpufeat"
-
 // pmatrices20AVX fills dst[:400·len(e)/20] with the 20-state blocks,
 // column-major, of the categories whose exponentials e holds (e[c·20+k] =
 // exp(lambda_k t_c)), from vT = EigenVecsT and uT = InvVecsT; ve is its
@@ -9,13 +7,6 @@ import "phylo/internal/cpufeat"
 //
 //go:noescape
 func pmatrices20AVX(dst, e, vT, uT []float64, ve *[400]float64)
-
-// hostPMatrix20 is whether the host runs the kernel; vectorPMatrix20 whether
-// PMatrices does, the same but for tests (SetVectorPMatrix20).
-var (
-	hostPMatrix20   = cpufeat.AVX
-	vectorPMatrix20 = hostPMatrix20
-)
 
 // pmatrix20Batch is how many categories one kernel call takes: their
 // arguments and exponentials live on the stack.
@@ -29,7 +20,7 @@ const pmatrix20Batch = 8
 func (m *Model) pmatrices20Vec(t float64, dst []float64) bool {
 	const s, ss = 20, 400
 	rates := m.CatRates[:m.NumCats]
-	if !vectorPMatrix20 || m.States != s || len(rates) == 0 || len(dst) < ss*len(rates) ||
+	if !PMatrix20Kernel.On() || m.States != s || len(rates) == 0 || len(dst) < ss*len(rates) ||
 		len(m.EigenVals) < s || len(m.EigenVecsT) < ss || len(m.InvVecsT) < ss {
 		return false
 	}

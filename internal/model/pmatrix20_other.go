@@ -3,6 +3,4 @@
 package model
 
 // Without an assembly realisation every 20-state block is pmatrixCols'.
-var hostPMatrix20, vectorPMatrix20 = false, false
-
 func (m *Model) pmatrices20Vec(t float64, dst []float64) bool { return false }

@@ -16,11 +16,11 @@ import (
 // kernel call's batch), at the branch-length bounds, zero, lengths a span can
 // hand over unclamped (negative, -0, NaN) and arguments beyond Exps' guard.
 func TestPMatrices20MatchCols(t *testing.T) {
-	if !hostPMatrix20 {
+	if !PMatrix20Kernel.Host() {
 		t.Skip("the 20-state PMatrices kernel does not run here: pmatrixCols is the only realisation")
 	}
-	hostExp := SetVectorExp(true)
-	t.Cleanup(func() { SetVectorExp(hostExp) })
+	hostExp := ExpsKernel.Set(true)
+	t.Cleanup(func() { ExpsKernel.Set(hostExp) })
 	rng := rand.New(rand.NewSource(20))
 	zs := []float64{0, tree.MinBranchLen, tree.MaxBranchLen, 0.1, 2.5, 1e4, -0.3, math.Copysign(0, -1), math.NaN()}
 	var models []*Model
@@ -46,12 +46,12 @@ func TestPMatrices20MatchCols(t *testing.T) {
 		models = append(models, m)
 	}
 	for _, exps := range []bool{true, false} {
-		SetVectorExp(exps)
+		ExpsKernel.Set(exps)
 		for mi, m := range models {
 			const ss = 400
 			got, want := make([]float64, m.NumCats*ss), make([]float64, ss)
 			for _, z := range zs {
-				label := fmt.Sprintf("Exps kernel %v, model %d (%d categories), z=%v", VectorExp(), mi, m.NumCats, z)
+				label := fmt.Sprintf("Exps kernel %v, model %d (%d categories), z=%v", ExpsKernel.On(), mi, m.NumCats, z)
 				if !m.pmatrices20Vec(z, got) {
 					t.Fatalf("%s: the kernel declined", label)
 				}

@@ -57,19 +57,19 @@ func laneExp(l *[4]float64) (e [4]float64, ok, wrote bool) {
 // and Exps takes every exponential with math.Exp.
 func TestHostPMatrixIsMathExps(t *testing.T) {
 	want := cpufeat.AVX2 && mathExpFMA()
-	if hostPMatrix != want {
-		t.Fatalf("kernel on = %v, want %v (AVX2 %v, math.Exp fused %v)", hostPMatrix, want, cpufeat.AVX2, mathExpFMA())
+	if PMatrix4Kernel.Host() != want {
+		t.Fatalf("kernel on = %v, want %v (AVX2 %v, math.Exp fused %v)", PMatrix4Kernel.Host(), want, cpufeat.AVX2, mathExpFMA())
 	}
-	was := SetVectorExp(true)
-	defer SetVectorExp(was)
-	if VectorExp() != want {
-		t.Fatalf("Exps kernel on = %v, want %v", VectorExp(), want)
+	was := ExpsKernel.Set(true)
+	defer ExpsKernel.Set(was)
+	if ExpsKernel.On() != want {
+		t.Fatalf("Exps kernel on = %v, want %v", ExpsKernel.On(), want)
 	}
 	x := expProbes
 	if n := expsVec(x[:]); (n > 0) != want {
 		t.Fatalf("Exps' kernel took %d of the %d probes, kernel on = %v", n, len(x), want)
 	}
-	t.Logf("kernel on: %v", hostPMatrix)
+	t.Logf("kernel on: %v", PMatrix4Kernel.Host())
 }
 
 // TestLaneExpMatchesMathExp holds the kernel's exponential to math.Exp by
@@ -79,7 +79,7 @@ func TestHostPMatrixIsMathExps(t *testing.T) {
 // below -745, NaN, ±Inf and ±0. A quartet with a lane outside [-700, 700] or
 // NaN must be refused, and nothing written.
 func TestLaneExpMatchesMathExp(t *testing.T) {
-	if !hostPMatrix {
+	if !PMatrix4Kernel.Host() {
 		t.Skip("the kernel does not run here: the scalar pmatrix4 is the only realisation")
 	}
 	rng := rand.New(rand.NewSource(71))

@@ -209,13 +209,9 @@ func (s *Server) runAnalysis(ctx context.Context, cancel context.CancelFunc,
 	defer release()
 	defer finish()
 
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	an, err := handle.Dataset().NewAnalysis(phylo.AnalysisOptions{
 		StartTreeNewick:           req.Tree,
-		Seed:                      seed,
+		Seed:                      req.Seed,
 		PerPartitionBranchLengths: req.PerPartitionBranchLengths,
 		Progress:                  job.hub.Publish,
 	})

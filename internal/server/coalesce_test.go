@@ -175,3 +175,16 @@ func TestFlightGroupPanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("next Do on the key = (%v, %v, %v), want a fresh run", v, co, err)
 	}
 }
+
+// Waiting reports how many duplicate callers are currently parked on the
+// key's in-flight call (0 when no call is in flight). Tests use it to make
+// coalescing deterministic: park the primary computation, wait until the
+// duplicates have joined, then release it.
+func (g *flightGroup) Waiting(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.dups
+	}
+	return 0
+}

@@ -30,15 +30,23 @@ type evaluateRequest struct {
 	// branch-length case.
 	PerPartitionBranchLengths bool `json:"per_partition_branch_lengths,omitempty"`
 	// Alpha, when > 0, overrides the Gamma shape on every partition — the
-	// "model" coordinate of the request key.
+	// "model" coordinate of the request key; 0 keeps it, < 0 is refused.
 	Alpha float64 `json:"alpha,omitempty"`
 }
 
 // key is the single-flight coalescing key: every field that influences the
-// resulting likelihood, canonically encoded.
+// resulting likelihood, canonically encoded. The seed counts only where it
+// builds the tree, and alpha 0 and -0 are one value.
 func (q evaluateRequest) key() string {
-	return fmt.Sprintf("%s|%q|%d|%v|%x", q.Dataset, q.Tree, q.Seed,
-		q.PerPartitionBranchLengths, math.Float64bits(q.Alpha))
+	seed := q.Seed
+	switch {
+	case q.Tree != "":
+		seed = 0 // unused
+	case seed == 0:
+		seed = 1 // AnalysisOptions' default
+	}
+	return fmt.Sprintf("%s|%q|%d|%v|%x", q.Dataset, q.Tree, seed,
+		q.PerPartitionBranchLengths, math.Float64bits(max(q.Alpha, 0)))
 }
 
 // evaluateResponse reports one evaluation. LnLBits carries the exact IEEE
@@ -67,6 +75,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Dataset == "" {
 		writeError(w, badRequestf("dataset handle required"))
+		return
+	}
+	if req.Alpha < 0 {
+		writeError(w, badRequestf("alpha must be > 0, or 0 for the dataset's shape; got %v", req.Alpha))
 		return
 	}
 
@@ -102,13 +114,9 @@ func (s *Server) runEvaluate(key string, req evaluateRequest) (*evaluateResponse
 	}
 	defer handle.Release()
 
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	an, err := handle.Dataset().NewAnalysis(phylo.AnalysisOptions{
 		StartTreeNewick:           req.Tree,
-		Seed:                      seed,
+		Seed:                      req.Seed,
 		PerPartitionBranchLengths: req.PerPartitionBranchLengths,
 	})
 	if err != nil {

@@ -135,6 +135,36 @@ func TestSubmitEvaluateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEvaluateKeyCanonical: two evaluates share a coalescing key exactly when
+// they compute the same likelihood. Seed 0 is the default seed 1, a seed
+// beside a given tree builds nothing, and alpha 0 and -0 both keep the
+// dataset's shape.
+func TestEvaluateKeyCanonical(t *testing.T) {
+	const nwk = "((t0,t1),(t2,t3),(t4,t5));"
+	cases := []struct {
+		name string
+		a, b evaluateRequest
+		same bool
+	}{
+		{"seed 0 is seed 1", evaluateRequest{Dataset: "ds", Seed: 0}, evaluateRequest{Dataset: "ds", Seed: 1}, true},
+		{"a given tree ignores the seed", evaluateRequest{Dataset: "ds", Tree: nwk, Seed: 3}, evaluateRequest{Dataset: "ds", Tree: nwk, Seed: 7}, true},
+		{"a given tree ignores seed 0", evaluateRequest{Dataset: "ds", Tree: nwk}, evaluateRequest{Dataset: "ds", Tree: nwk, Seed: 9}, true},
+		{"alpha -0 is alpha 0", evaluateRequest{Dataset: "ds", Alpha: math.Copysign(0, -1)}, evaluateRequest{Dataset: "ds"}, true},
+		{"random trees of two seeds", evaluateRequest{Dataset: "ds", Seed: 3}, evaluateRequest{Dataset: "ds", Seed: 7}, false},
+		{"seed 2 is not seed 1", evaluateRequest{Dataset: "ds", Seed: 2}, evaluateRequest{Dataset: "ds"}, false},
+		{"a given tree is not a random one", evaluateRequest{Dataset: "ds", Tree: nwk, Seed: 1}, evaluateRequest{Dataset: "ds", Seed: 1}, false},
+		{"two trees", evaluateRequest{Dataset: "ds", Tree: nwk}, evaluateRequest{Dataset: "ds", Tree: "((t0,t2),(t1,t3),(t4,t5));"}, false},
+		{"an alpha override", evaluateRequest{Dataset: "ds", Alpha: 0.5}, evaluateRequest{Dataset: "ds"}, false},
+		{"per-partition branch lengths", evaluateRequest{Dataset: "ds", PerPartitionBranchLengths: true}, evaluateRequest{Dataset: "ds"}, false},
+		{"two datasets", evaluateRequest{Dataset: "ds"}, evaluateRequest{Dataset: "ds2"}, false},
+	}
+	for _, c := range cases {
+		if ka, kb := c.a.key(), c.b.key(); (ka == kb) != c.same {
+			t.Errorf("%s: keys %q and %q, want same = %v", c.name, ka, kb, c.same)
+		}
+	}
+}
+
 // TestEvaluateCoalescing is the tentpole acceptance test: N identical
 // concurrent evaluates produce exactly ONE kernel execution, N-1 coalesced
 // responses, and bit-identical lnL across all of them.
@@ -585,6 +615,7 @@ func TestBadRequests(t *testing.T) {
 		{"POST", "/v1/datasets?data_type=dna&partition_len=64", tinyPhylip(t, 8, 128, 1), http.StatusOK},
 		{"POST", "/v1/datasets?data_type=dna&partition_len=12abc", tinyPhylip(t, 8, 128, 1), http.StatusBadRequest},
 		{"POST", "/v1/evaluate", evaluateRequest{}, http.StatusBadRequest},
+		{"POST", "/v1/evaluate", evaluateRequest{Dataset: "ds_x", Alpha: -1}, http.StatusBadRequest},
 		{"POST", "/v1/analyses", analysisRequest{Dataset: "ds_x", Mode: "bogus"}, http.StatusBadRequest},
 		// Decoder classes FuzzRequestBodies seeds: an unknown field and a
 		// wrong-typed one are the client's error, before any lookup.

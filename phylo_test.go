@@ -644,7 +644,7 @@ func TestVectorLanesGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := 1.0
-	if model.VectorApplyCols() {
+	if model.ApplyColsKernel.On() {
 		cols = 4
 	}
 	for _, backend := range []KernelBackend{BackendFused, BackendGeneric} {
