@@ -59,6 +59,8 @@ import (
 // span pay it again, which the op accounting records as the (real) extra work
 // stealing performs. A span binds, it does not compute: a P(z) block the
 // worker already built for the partition is taken from its memo (pmMemo).
+// Nor does it copy: each worker binds its own spanCtx in place, field by
+// field, so an encounter zeroes and copies no context.
 // Whether a tip table amortizes is decided from the chunk owner's whole
 // pattern share of the span (steal.Chunk.Share) — a pure function of the
 // layout — and the code lists of the span's tip ends, not from the chunk at
@@ -96,7 +98,7 @@ func (e *Engine) runRegion(r region, act []bool) {
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r, rt := &e.cur, e.stealRT
 	passes := max(1, len(r.steps))
-	var c spanCtx
+	c := e.spans[w]
 	ops := 0.0
 	for si := 0; si < passes; si++ {
 		if si > 0 {
@@ -139,7 +141,9 @@ type spanEnd struct {
 // flight, factored out of the pattern loops: drain binds it once per span
 // encounter and runs one chunk at a time against it. The geometry and the two
 // ends are common to every kind; the groups below them are bound by the kinds
-// named. It lives on drain's stack.
+// named, and a kind reads no group it does not bind. Each worker has one
+// (sessionBuffers.spans), which every binding overwrites in place: nothing is
+// zeroed or copied whole.
 type spanCtx struct {
 	e          *Engine
 	kind       parallel.Region
@@ -191,12 +195,18 @@ type spanCtx struct {
 	lw []float64
 }
 
-// bindEnd resolves the views of node n over partition part.
-func (e *Engine) bindEnd(part *alignment.CompressedPartition, n *tree.Node) spanEnd {
-	if n.IsTip() {
-		return spanEnd{tip: true, row: part.Tips[n.Index], codes: part.Codes[n.Index]}
+// bindEnd points end at the views of node n over partition part, and clears
+// what the previous binding left in it: no P block and no table yet. A nil n
+// unbinds the end (a derivative span reads neither).
+func (e *Engine) bindEnd(end *spanEnd, part *alignment.CompressedPartition, n *tree.Node) {
+	end.tip, end.v, end.sc, end.row, end.codes, end.pm, end.tab = false, nil, nil, nil, nil, nil, nil
+	switch {
+	case n == nil:
+	case n.IsTip():
+		end.tip, end.row, end.codes = true, part.Tips[n.Index], part.Codes[n.Index]
+	default:
+		end.v, end.sc = e.clv(n.Index), e.scale(n.Index)
 	}
-	return spanEnd{v: e.clv(n.Index), sc: e.scale(n.Index)}
 }
 
 // bind sets c up for partition ip under worker w: the geometry, then what the
@@ -204,25 +214,31 @@ func (e *Engine) bindEnd(part *alignment.CompressedPartition, n *tree.Node) span
 // each worker computes P locally, as RAxML's Pthreads do, rather than pay a
 // synchronization to share it, and remembers what it computed), the views of
 // both ends, the partition's lanes of the WeightSet. si is the traversal step
-// of a newview region.
+// of a newview region. Every binding assigns the geometry, both ends and the
+// lanes, which code of any kind reads; a kind's own group only that kind.
 func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.WorkerCtx) {
 	part := e.Data.Parts[ip]
 	s, cats := part.Type.States(), e.numCats
 	m := e.Models[ip]
-	*c = spanCtx{
-		e: e, kind: r.kind, body: e.bodies[ip], w: w, s: s, cats: cats, cs: cats * s,
-		base: e.layout.Base(ip), catStride: e.layout.CatStride(ip),
-		partOffset: part.Offset, dtype: part.Type, applyP: model.ApplyCols,
-	}
+	c.e, c.kind, c.body, c.w = e, r.kind, e.bodies[ip], w
+	c.s, c.cats, c.cs = s, cats, cats*s
+	c.base, c.catStride = e.layout.Base(ip), e.layout.CatStride(ip)
+	c.partOffset, c.dtype, c.fixed = part.Offset, part.Type, 0
+	c.applyP = model.ApplyCols
 	if s == 4 {
 		c.applyP = applyRows
 	}
 	ex := e.exScratch[w]
 	c.tmp = ex[:s]
+	c.R, c.lw = 0, nil
+	if r.ws != nil {
+		c.R, c.lw = r.ws.r, r.ws.lanes(part.Offset)
+	}
 	switch r.kind {
 	case parallel.RegionNewview:
 		st, slot := r.steps[si], e.slotOf(ip)
-		c.a, c.b = e.bindEnd(part, st.Q), e.bindEnd(part, st.R)
+		e.bindEnd(&c.a, part, st.Q)
+		e.bindEnd(&c.b, part, st.R)
 		taken := c.transition(&c.a, m, ip, st.Q.Z[slot], -1, ctx)
 		c.transition(&c.b, m, ip, st.R.Z[slot], taken, ctx)
 		c.dst, c.dstScale = e.clv(st.P.Index), e.scale(st.P.Index)
@@ -235,15 +251,19 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 			ctx.SpanInner++
 		}
 	case parallel.RegionEvaluate:
-		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
+		e.bindEnd(&c.a, part, r.p)
+		e.bindEnd(&c.b, part, r.p.Back)
 		c.a.codes = nil // p's tip vector is read as it is; only q has a P application to tabulate
 		c.transition(&c.b, m, ip, r.p.Z[e.slotOf(ip)], -1, ctx)
 		c.invCats, c.freqs = 1.0/float64(cats), m.Freqs
 	case parallel.RegionSumTable:
-		c.a, c.b = e.bindEnd(part, r.p), e.bindEnd(part, r.p.Back)
+		e.bindEnd(&c.a, part, r.p)
+		e.bindEnd(&c.b, part, r.p.Back)
 		c.invCats, c.freqs, c.ev, c.eviT = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecsT
 		c.sum, c.sbase, c.fl = e.sumtable, e.layout.SumIndex(ip, 0), ex[s:2*s]
 	default: // parallel.RegionDerivative
+		e.bindEnd(&c.a, part, nil)
+		e.bindEnd(&c.b, part, nil)
 		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
 		z := r.z[ip]
 		c.eTab, c.g1Tab, c.g2Tab = ex[0:c.cs], ex[c.cs:2*c.cs], ex[2*c.cs:3*c.cs]
@@ -258,9 +278,6 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 			}
 		}
 		model.Exps(c.eTab)
-	}
-	if r.ws != nil {
-		c.R, c.lw = r.ws.r, r.ws.lanes(part.Offset)
 	}
 }
 

@@ -142,6 +142,7 @@ type sessionBuffers struct {
 	gen        uint64         // how many sessions have taken the set: a memo entry of an earlier holder never matches
 	exScratch  [][]float64    // per worker: exScratchLen floats, what the region kind in flight makes of them (spanCtx.bind)
 	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
+	spans      []*spanCtx     // per worker: the span binding drain runs chunks against, its own allocation
 
 	// smallScratch is the fused newview's per-worker scaling-flag scratch
 	// (one byte per pattern of the widest partition, 1 where every entry is
@@ -154,10 +155,14 @@ type sessionBuffers struct {
 func newSessionBuffers(sh *Shared) *sessionBuffers {
 	nInner, t := sh.Data.NumTaxa()-2, sh.Threads
 	pm, tip := sh.NumCats*sh.maxS*sh.maxS, sh.maxCodes*sh.NumCats*sh.maxS
+	spans := make([]*spanCtx, t)
+	for w := range spans {
+		spans[w] = new(spanCtx)
+	}
 	b := &sessionBuffers{
 		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
 		pm: make([]pmWorker, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
-		smallScratch: make([][]byte, t),
+		smallScratch: make([][]byte, t), spans: spans,
 	}
 	for i := range b.clvs {
 		b.clvs[i] = alignedFloats(sh.layout.Total())
@@ -272,13 +277,17 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 }
 
 // Release ends the session: its buffers go back to the Shared for the next
-// NewSession as they are, and the engine drops its pointer to them, so a later
-// kernel call on it panics (nil dereference) instead of touching memory
-// another session may hold by then. No region may be in flight. A second
-// Release is a no-op.
+// NewSession as they are, less the span bindings' pointers into this session
+// (its engine, models and weights, which a parked set must not keep alive),
+// and the engine drops its pointer to them, so a later kernel call on it
+// panics (nil dereference) instead of touching memory another session may
+// hold by then. No region may be in flight. A second Release is a no-op.
 func (e *Engine) Release() {
 	if e.sessionBuffers == nil {
 		return
+	}
+	for _, c := range e.spans {
+		*c = spanCtx{}
 	}
 	e.shared.retired.Put(e.sessionBuffers)
 	e.sessionBuffers = nil

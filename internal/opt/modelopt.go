@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -119,12 +120,17 @@ func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
 // region pair per iteration scoring every unconverged partition's proposal,
 // and the convergence boolean vector (the mask) shrinking that pair as
 // partitions finish. A finished partition stays masked at its last proposal
-// until the closing pair pins the whole group to its best-seen values. A state
-// starts from the partition's current value and its score there: in hand
-// inside a round of OptimizeModel (o.scored), else one more region pair
-// computes it. A proposal the model refuses — a failed eigendecomposition —
+// until the end pins the whole group to its best-seen values. A state starts
+// from the partition's current value and its score there: in hand inside a
+// round of OptimizeModel (o.scored), else one more region pair computes it.
+// Inside a round the solve ends without a region too: o.score keeps -FX, the
+// bits a closing pair at the pin would recompute (a partition's score reads
+// only its own chunks), and the CLVs stay at the last proposals until
+// OptimizeModel discards them. The closing pair still runs outside a round,
+// after a cancellation, for a non-finite FX (the state reads NaN as +Inf),
+// and after a proposal the model refuses — a failed eigendecomposition, which
 // ends the loop like a cancellation: the pin (to values the model accepted
-// before) and the closing pair still run, then the error is returned.
+// before) and the closing pair run, then the error is returned.
 func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) error {
 	o.enter(g)
 	per := o.score
@@ -164,10 +170,19 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 			}
 		}
 	}
+	known := o.scored && !o.cancelled()
 	for _, ip := range g {
 		if e := par.set(ip, o.brents[ip].X); e != nil && err == nil {
 			err = fmt.Errorf("opt: partition %d: %w", ip, e)
 		}
+		fx := o.brents[ip].FX
+		known = known && !math.IsInf(fx, 0) && !math.IsNaN(fx)
+	}
+	if known && err == nil {
+		for _, ip := range g {
+			o.score[ip] = -o.brents[ip].FX
+		}
+		return nil
 	}
 	o.enter(g)
 	per = o.evalPartitions(steps)
@@ -208,6 +223,9 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		if err != nil {
 			return o.E.LogLikelihood(), rounds, err
 		}
+		// The solves left the CLVs at their last proposals (brentGroup):
+		// SmoothAll's first traversal recomputes them, one region a round.
+		o.E.InvalidateCLVs()
 		cur, err := o.SmoothAll(ctx)
 		if err != nil {
 			return cur, rounds, err

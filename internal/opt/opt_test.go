@@ -584,11 +584,13 @@ func TestBrentEvaluationsPerSolve(t *testing.T) {
 }
 
 // TestKnownScoresAreTheSeedingPair: a Brent solve inside OptimizeModel starts
-// from the per-partition scores SmoothAll or the previous solve left behind;
-// a standalone OptimizeAlphas / OptimizeRatesAll pays a traversal + evaluation
-// pair to learn them. The two must be the same numbers: the model
+// from the per-partition scores SmoothAll or the previous solve left behind
+// and keeps its best-seen scores at the end; a standalone OptimizeAlphas /
+// OptimizeRatesAll pays a traversal + evaluation pair to learn them and a
+// closing pair to pin them. The two must be the same numbers: the model
 // optimization driven from outside, solve by solve, ends on the same bits and
-// differs by exactly the two regions per group solve.
+// differs by exactly the four regions per group solve, less the one
+// re-traversal a round pays for the CLVs its solves left at their proposals.
 func TestKnownScoresAreTheSeedingPair(t *testing.T) {
 	for _, strat := range []Strategy{OldPar, NewPar} {
 		simIn, _ := parallel.NewSim(4)
@@ -615,9 +617,73 @@ func TestKnownScoresAreTheSeedingPair(t *testing.T) {
 		for _, par := range o.rates {
 			solves += len(par.groups)
 		}
-		if got, want := simOut.Stats().Regions-simIn.Stats().Regions, int64(2*rounds*solves); got != want {
-			t.Errorf("%v: known scores saved %d regions, want %d (2 x %d rounds x %d group solves)", strat, got, want, rounds, solves)
+		if got, want := simOut.Stats().Regions-simIn.Stats().Regions, int64(4*rounds*solves-rounds); got != want {
+			t.Errorf("%v: known scores saved %d regions, want %d (4 x %d rounds x %d group solves - %d re-traversals)", strat, got, want, rounds, solves, rounds)
 		}
+	}
+}
+
+// TestKeptScoresAreTheClosingPair: inside a round of OptimizeModel a Brent
+// solve keeps -FX for every partition of its group where the closing pair used
+// to re-score the pinned state. Driven solve by solve as OptimizeModel drives
+// them, each kept score is the bits that closing pair evaluates — a partition
+// whose Brent never beat its seed keeps the seed — and after a round's solves
+// the score of the whole tree is the sum of the kept ones.
+func TestKeptScoresAreTheClosingPair(t *testing.T) {
+	ctx := context.Background()
+	for _, strat := range []Strategy{OldPar, NewPar} {
+		sim, _ := parallel.NewSim(4)
+		fx := buildMixedFixture(t, 24, true, sim, 37)
+		o := New(fx.eng, DefaultConfig(strat))
+		smooth(t, o, ctx)
+		steps := tree.RootTraversal(fx.eng.Tree.Tips[0].Back, false)
+		var params []*brentParam
+		for ri := range o.rates {
+			params = append(params, &o.rates[ri])
+		}
+		params = append(params, &o.alpha)
+		x0, seed := make([]float64, len(o.score)), make([]float64, len(o.score))
+		solves, seedKept := 0, 0
+		for round := 0; round < 3; round++ {
+			o.scored = true
+			for _, par := range params {
+				for _, g := range par.groups {
+					for _, ip := range g {
+						x0[ip], seed[ip] = par.get(ip), o.score[ip]
+					}
+					if err := o.brentGroup(par, g, steps); err != nil {
+						t.Fatal(err)
+					}
+					solves++
+					o.enter(g)
+					closing := o.evalPartitions(steps)
+					for _, ip := range g {
+						if math.Float64bits(o.score[ip]) != math.Float64bits(closing[ip]) {
+							t.Errorf("%v round %d partition %d: kept score %v, the closing pair evaluates %v", strat, round, ip, o.score[ip], closing[ip])
+						}
+						if math.Float64bits(par.get(ip)) == math.Float64bits(x0[ip]) {
+							seedKept++
+							if math.Float64bits(o.score[ip]) != math.Float64bits(seed[ip]) {
+								t.Errorf("%v round %d partition %d: never left its seed but kept %v, not the seed %v", strat, round, ip, o.score[ip], seed[ip])
+							}
+						}
+					}
+				}
+			}
+			o.scored = false
+			sum := 0.0
+			for _, v := range o.score {
+				sum += v
+			}
+			if got := fx.eng.LogLikelihood(); math.Float64bits(got) != math.Float64bits(sum) {
+				t.Errorf("%v round %d: LogLikelihood %v after the solves, the kept scores sum to %v", strat, round, got, sum)
+			}
+			smooth(t, o, ctx)
+		}
+		if seedKept == 0 {
+			t.Errorf("%v: no partition of the %d solves kept its seed; that case went untested", strat, solves)
+		}
+		t.Logf("%v: %d solves, %d partitions kept their seed", strat, solves, seedKept)
 	}
 }
 
