@@ -98,11 +98,11 @@ func TestEngineBuffersAligned(t *testing.T) {
 			t.Errorf("%v: sumtable len %d aligned=%v, want len %d aligned",
 				backend, len(eng.sumtable), isAligned(eng.sumtable), sh.layout.SumTotal())
 		}
-		for w := range eng.pm {
-			if !isAligned(eng.pm[w].spare) {
+		for w, wk := range eng.workers {
+			if !isAligned(wk.spare) {
 				t.Errorf("%v: spare P block of worker %d not aligned", backend, w)
 			}
-			for ip, mm := range eng.pm[w].memo {
+			for ip, mm := range wk.memo {
 				for i, blk := range mm.blk {
 					if !isAligned(blk) {
 						t.Errorf("%v: worker %d partition %d memo block %d not aligned", backend, w, ip, i)
@@ -110,12 +110,12 @@ func TestEngineBuffersAligned(t *testing.T) {
 				}
 			}
 			for k := 0; k < 2; k++ {
-				if !isAligned(eng.tipScratch[w][k]) {
-					t.Errorf("%v: tipScratch[%d][%d] not aligned", backend, w, k)
+				if !isAligned(wk.tip[k]) {
+					t.Errorf("%v: worker %d tip table %d not aligned", backend, w, k)
 				}
 			}
-			if !isAligned(eng.exScratch[w]) {
-				t.Errorf("%v: exScratch[%d] not aligned", backend, w)
+			if !isAligned(wk.ex) {
+				t.Errorf("%v: worker %d scratch not aligned", backend, w)
 			}
 		}
 		// Every category plane is aligned too: base + cat·catStride stays a
@@ -134,11 +134,12 @@ func TestEngineBuffersAligned(t *testing.T) {
 // TestSessionFootprintMatchesBuffers pins the figure plkd's dataset cache
 // evicts on: MemoryFootprint().SessionBytes() must equal the summed lengths
 // of what a real session over the Shared holds once it has run every region
-// kind — CLVs, scaling vectors, sumtable, per-worker scratch, the chunk
-// layout and runtime, and the per-chunk partial sums — on both backends. The
-// transition-matrix memo is priced at its cap: the blocks the session holds
-// plus one per slot that has not missed yet. The shared Layout term must be
-// the layout descriptor's own tables.
+// kind — CLVs, scaling vectors, sumtable, every slice of every worker record,
+// the chunk layout and runtime, and the per-chunk partial sums — on both
+// backends. The worker records are walked by reflection, so a buffer added to
+// one later cannot go unpriced. The transition-matrix memo is priced at its
+// cap: the blocks the session holds plus one per slot that has not missed
+// yet. The shared Layout term must be the layout descriptor's record table.
 func TestSessionFootprintMatchesBuffers(t *testing.T) {
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		sim, err := parallel.NewSim(3)
@@ -154,9 +155,9 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 		}
 		held += 8 * int64(len(eng.sumtable))
 		var blocks, room int64
-		for w := range eng.pm {
-			for ip, mm := range eng.pm[w].memo {
-				held += int64(unsafe.Sizeof(*mm))
+		for _, wk := range eng.workers {
+			held += recordBytes(reflect.ValueOf(wk).Elem())
+			for ip, mm := range wk.memo {
 				for _, blk := range mm.blk {
 					if s := eng.Data.Parts[ip].Type.States(); blk == nil {
 						room += 8 * int64(eng.numCats*s*s)
@@ -164,11 +165,6 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 					blocks += 8 * int64(len(blk))
 				}
 			}
-			for k := 0; k < 2; k++ {
-				held += 8 * int64(len(eng.tipScratch[w][k]))
-			}
-			held += 8 * int64(len(eng.pm[w].spare)+len(eng.exScratch[w]))
-			held += int64(len(eng.smallScratch[w]))
 		}
 		l := eng.stealRT.Layout()
 		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
@@ -177,22 +173,40 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)
 		}
 		f := eng.Shared().MemoryFootprint()
-		if got := f.SessionBytes(); got != held+blocks+room {
-			t.Errorf("%v: SessionBytes() = %d, session holds %d + %d of memo blocks (%d short of the memo's cap)",
+		if got := f.SessionBytes(); got != held+room {
+			t.Errorf("%v: SessionBytes() = %d, session holds %d, %d of them memo blocks (%d short of the memo's cap)",
 				backend, got, held, blocks, room)
 		}
 		// Layout prices every per-partition table the descriptor has, found
 		// by reflection so a table added later cannot go unpriced.
-		var tables int64
-		lv := reflect.ValueOf(eng.layout).Elem()
-		for i := 0; i < lv.NumField(); i++ {
-			if fv := lv.Field(i); fv.Kind() == reflect.Slice {
-				tables += int64(fv.Len()) * int64(fv.Type().Elem().Size())
-			}
-		}
-		if f.Layout != tables || tables != 4*8*int64(len(eng.Data.Parts)) {
-			t.Errorf("%v: Layout = %d, the layout's tables hold %d (want 4 int slices of %d partitions)",
-				backend, f.Layout, tables, len(eng.Data.Parts))
+		tables := recordBytes(reflect.ValueOf(eng.layout).Elem())
+		if want := int64(unsafe.Sizeof(partition{})) * int64(len(eng.Data.Parts)); f.Layout != tables || tables != want {
+			t.Errorf("%v: Layout = %d, the layout's tables hold %d (want one record table of %d partitions, %d bytes)",
+				backend, f.Layout, tables, len(eng.Data.Parts), want)
 		}
 	}
+}
+
+// recordBytes sums the backing arrays of every slice reachable from v by
+// value — through struct fields, array entries and slice elements, but no
+// pointer — skipping a worker's span binding, whose views alias buffers
+// priced elsewhere (CLVs, the sumtable, the worker's own scratch).
+func recordBytes(v reflect.Value) int64 {
+	var n int64
+	switch v.Kind() {
+	case reflect.Slice:
+		n = int64(v.Len()) * int64(v.Type().Elem().Size())
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			n += recordBytes(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).Type != reflect.TypeOf(spanCtx{}) {
+				n += recordBytes(v.Field(i))
+			}
+		}
+	}
+	return n
 }

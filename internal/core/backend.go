@@ -24,7 +24,8 @@ import (
 //     loop.
 //
 // Which body a partition runs is a fact about (backend, alphabet), decided
-// once per session by bodyFor and called directly by spanCtx.run.
+// once per Shared by bodyFor into the partition's record (layout.go) and
+// called directly by spanCtx.run.
 // Bit-identity across backends holds because the fused bodies reorder no
 // floating-point accumulation: every madd sequence — the b-ascending P
 // applications, the (cat, state)-ascending evaluate reduction, the

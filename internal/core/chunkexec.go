@@ -59,8 +59,10 @@ import (
 // span pay it again, which the op accounting records as the (real) extra work
 // stealing performs. A span binds, it does not compute: a P(z) block the
 // worker already built for the partition is taken from its memo (pmMemo).
-// Nor does it copy: each worker binds its own spanCtx in place, field by
-// field, so an encounter zeroes and copies no context.
+// Nor does it re-derive: each worker binds the spanCtx in its own record
+// (worker) in place, takes the partition's record (layout.go) in one
+// assignment and computes only what the region, the session's models and the
+// branch decide.
 // Whether a tip table amortizes is decided from the chunk owner's whole
 // pattern share of the span (steal.Chunk.Share) — a pure function of the
 // layout — and the code lists of the span's tip ends, not from the chunk at
@@ -98,7 +100,7 @@ func (e *Engine) runRegion(r region, act []bool) {
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r, rt := &e.cur, e.stealRT
 	passes := max(1, len(r.steps))
-	c := e.spans[w]
+	c := &e.workers[w].span
 	ops := 0.0
 	for si := 0; si < passes; si++ {
 		if si > 0 {
@@ -112,7 +114,7 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 			}
 			ch := rt.Layout().Chunk(id)
 			if ch.Span != cached {
-				c.bind(e, r, si, ch.Span, w, ctx)
+				c.bind(r, si, ch.Span, ctx)
 				cached = ch.Span
 			}
 			c.ensureTables(ch.Share)
@@ -139,51 +141,37 @@ type spanEnd struct {
 
 // spanCtx is the per-(partition, worker) setup of whatever region is in
 // flight, factored out of the pattern loops: drain binds it once per span
-// encounter and runs one chunk at a time against it. The geometry and the two
-// ends are common to every kind; the groups below them are bound by the kinds
-// named, and a kind reads no group it does not bind. Each worker has one
-// (sessionBuffers.spans), which every binding overwrites in place: nothing is
-// zeroed or copied whole.
+// encounter and runs one chunk at a time against it. It lives in its worker's
+// record, which every binding overwrites in place: nothing is zeroed or copied
+// whole. The engine and the record are set when a session takes the buffer
+// set; the partition's record is taken whole by each binding; the two ends
+// are common to every kind; the groups below them are bound by the kinds
+// named, and a kind reads no group it does not bind.
 type spanCtx struct {
-	e          *Engine
-	kind       parallel.Region
-	body       kernelBody // which newview/evaluate body the partition runs
-	w          int
-	s, cats    int
-	cs         int
-	base       int
-	catStride  int // CLV layout: offset between consecutive categories
-	partOffset int
-	dtype      alignment.DataType
-	a, b       spanEnd
-	fixed      float64 // setup ops not yet claimed by takeOps
+	e  *Engine
+	wk *worker // the record this context lives in: the worker's buffers
+	partition
+	kind  parallel.Region
+	a, b  spanEnd
+	fixed float64 // setup ops not yet claimed by takeOps
 
 	// newview: the parent CLV written, and scaling events since the last flush.
 	dst      []float64
 	dstScale []int32
 	scaled   float64
 
-	// applyP is the generic bodies' P application, dst = P_c·x over one block
-	// of end.pm, for the block layout of the span's alphabet (model.PMatrices):
-	// applyRows over a 4-state block's rows, model.ApplyCols over a wider
-	// block's columns. Chosen once per binding.
-	applyP func(dst, pm, x []float64)
-
 	// evaluate, sumtable: the model views of the reduction / projection.
-	invCats  float64
 	freqs    []float64
 	ev, eviT []float64 // sumtable: V, and V^-1 transposed, as ApplyCols reads them
 
-	// The worker's scratch (exScratch) as the generic bodies use it: tmp holds
+	// The worker's scratch (worker.ex) as the generic bodies use it: tmp holds
 	// one P application or projection (s floats; newview, evaluate, sumtable),
 	// and fl the sumtable's s products freqs[a]·cl[a] of the pattern and
 	// category at hand.
 	tmp, fl []float64
 
-	// sumtable, derivative: the session's sumtable (pattern-major) and the
-	// partition's base in it.
-	sum   []float64
-	sbase int
+	// sumtable, derivative: the session's sumtable (pattern-major).
+	sum []float64
 
 	// derivative: exp(lambda_k r_c z) (model.Exps of g·z) and the factors
 	// g = lambda_k r_c, g^2; the sums of a block of quartets (derivQuartets).
@@ -209,30 +197,23 @@ func (e *Engine) bindEnd(end *spanEnd, part *alignment.CompressedPartition, n *t
 	}
 }
 
-// bind sets c up for partition ip under worker w: the geometry, then what the
+// bind sets c up for partition ip: the partition's record, then what the
 // region's kind reads — the transition matrices of its branches (transition:
 // each worker computes P locally, as RAxML's Pthreads do, rather than pay a
 // synchronization to share it, and remembers what it computed), the views of
 // both ends, the partition's lanes of the WeightSet. si is the traversal step
-// of a newview region. Every binding assigns the geometry, both ends and the
+// of a newview region. Every binding assigns the record, both ends and the
 // lanes, which code of any kind reads; a kind's own group only that kind.
-func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.WorkerCtx) {
-	part := e.Data.Parts[ip]
-	s, cats := part.Type.States(), e.numCats
-	m := e.Models[ip]
-	c.e, c.kind, c.body, c.w = e, r.kind, e.bodies[ip], w
-	c.s, c.cats, c.cs = s, cats, cats*s
-	c.base, c.catStride = e.layout.Base(ip), e.layout.CatStride(ip)
-	c.partOffset, c.dtype, c.fixed = part.Offset, part.Type, 0
-	c.applyP = model.ApplyCols
-	if s == 4 {
-		c.applyP = applyRows
-	}
-	ex := e.exScratch[w]
+func (c *spanCtx) bind(r *region, si, ip int, ctx *parallel.WorkerCtx) {
+	e := c.e
+	c.partition = e.layout.parts[ip]
+	c.kind, c.fixed = r.kind, 0
+	part, m, ex := e.Data.Parts[ip], e.Models[ip], c.wk.ex
+	s, cs := c.s, c.cs
 	c.tmp = ex[:s]
 	c.R, c.lw = 0, nil
 	if r.ws != nil {
-		c.R, c.lw = r.ws.r, r.ws.lanes(part.Offset)
+		c.R, c.lw = r.ws.r, r.ws.lanes(c.partOffset)
 	}
 	switch r.kind {
 	case parallel.RegionNewview:
@@ -255,20 +236,20 @@ func (c *spanCtx) bind(e *Engine, r *region, si, ip, w int, ctx *parallel.Worker
 		e.bindEnd(&c.b, part, r.p.Back)
 		c.a.codes = nil // p's tip vector is read as it is; only q has a P application to tabulate
 		c.transition(&c.b, m, ip, r.p.Z[e.slotOf(ip)], -1, ctx)
-		c.invCats, c.freqs = 1.0/float64(cats), m.Freqs
+		c.freqs = m.Freqs
 	case parallel.RegionSumTable:
 		e.bindEnd(&c.a, part, r.p)
 		e.bindEnd(&c.b, part, r.p.Back)
-		c.invCats, c.freqs, c.ev, c.eviT = 1.0/float64(cats), m.Freqs, m.EigenVecs, m.InvVecsT
-		c.sum, c.sbase, c.fl = e.sumtable, e.layout.SumIndex(ip, 0), ex[s:2*s]
+		c.freqs, c.ev, c.eviT = m.Freqs, m.EigenVecs, m.InvVecsT
+		c.sum, c.fl = e.sumtable, ex[s:2*s]
 	default: // parallel.RegionDerivative
 		e.bindEnd(&c.a, part, nil)
 		e.bindEnd(&c.b, part, nil)
-		c.sum, c.sbase = e.sumtable, e.layout.SumIndex(ip, 0)
+		c.sum = e.sumtable
 		z := r.z[ip]
-		c.eTab, c.g1Tab, c.g2Tab = ex[0:c.cs], ex[c.cs:2*c.cs], ex[2*c.cs:3*c.cs]
-		c.sums = ex[3*c.cs : 3*c.cs+12*derivBlock]
-		for cat := 0; cat < cats; cat++ {
+		c.eTab, c.g1Tab, c.g2Tab = ex[0:cs], ex[cs:2*cs], ex[2*cs:3*cs]
+		c.sums = ex[3*cs : 3*cs+12*derivBlock]
+		for cat := 0; cat < c.cats; cat++ {
 			rc := m.CatRates[cat]
 			for k := 0; k < s; k++ {
 				g := m.EigenVals[k] * rc
@@ -306,13 +287,6 @@ type pmMemo struct {
 	blk   [pmMemoSlots][]float64 // cats x s x s each, allocated by the slot's first miss
 }
 
-// pmWorker is one worker's P storage: a memo per partition (nil until its
-// first span there) and the spare block for the one that cannot go into a slot.
-type pmWorker struct {
-	memo  []*pmMemo
-	spare []float64
-}
-
 // transition points end.pm at P(z) for partition ip and returns the memo slot
 // the block sits in. A miss computes the block into its slot and charges the
 // cats·s³ set-up; a hit charges nothing. taken is the slot the span's other
@@ -320,13 +294,7 @@ type pmWorker struct {
 // miss must not overwrite a block the span still reads, so that one end
 // computes into the worker's spare block instead and remembers nothing.
 func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, taken int, ctx *parallel.WorkerCtx) int {
-	pw := &c.e.pm[c.w]
-	memos := pw.memo
-	mm := memos[ip]
-	if mm == nil {
-		mm = new(pmMemo)
-		memos[ip] = mm
-	}
+	mm := &c.wk.memo[ip]
 	want := pmStamp{math.Float64bits(z), m.Epoch(), c.e.gen}
 	i := int(want.z * 0x9E3779B97F4A7C15 >> (64 - pmMemoBits)) // Fibonacci hashing: the top bits of z·2^64/phi
 	if mm.stamp[i] == want {
@@ -334,11 +302,11 @@ func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, ta
 		end.pm = mm.blk[i]
 		return i
 	}
-	n := c.cats * c.s * c.s
+	n := c.cs * c.s
 	ctx.PComputed++
 	c.fixed += float64(n * c.s)
 	if i == taken {
-		i, end.pm = -1, pw.spare[:n]
+		i, end.pm = -1, c.wk.spare[:n]
 	} else {
 		if mm.blk[i] == nil {
 			mm.blk[i] = alignedFloats(n)
@@ -364,7 +332,7 @@ func (c *spanCtx) ensureTables(share int) {
 		if end.codes == nil || end.tab != nil {
 			continue
 		}
-		dst, terms := c.e.tipScratch[c.w][i], tipSetStates(c.dtype, end.codes)
+		dst, terms := c.wk.tip[i], tipSetStates(c.dtype, end.codes)
 		switch {
 		case c.kind != parallel.RegionSumTable:
 			// Newview and evaluate tabulate the P application to the tip vector.

@@ -51,7 +51,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
 		off := c.base + j*c.s
-		soff := c.sbase + j*c.cs
+		soff := c.sumBase + j*c.cs
 		var xl, xr []float64
 		var lRow, rRow []float64
 		if c.a.tab != nil {
@@ -153,7 +153,7 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	for i < run.Hi {
 		q := min((run.Hi-i+run.Step-1)/run.Step/4, len(c.sums)/12)
 		qs := c.sums[:12*q]
-		if q == 0 || !derivQuartets(qs, c.sum[c.sbase+(i-c.partOffset)*cs:], eT, g1, g2, run.Step*cs, q) {
+		if q == 0 || !derivQuartets(qs, c.sum[c.sumBase+(i-c.partOffset)*cs:], eT, g1, g2, run.Step*cs, q) {
 			break
 		}
 		for ; len(qs) >= 12; qs = qs[12:] {
@@ -167,10 +167,10 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	}
 	for ; i < run.Hi; i += 2 * run.Step {
 		j := i - c.partOffset
-		sa := c.sum[c.sbase+j*cs:][:cs]
+		sa := c.sum[c.sumBase+j*cs:][:cs]
 		sb, paired := sa, i+run.Step < run.Hi // an odd tail runs against itself and keeps one result
 		if paired {
-			sb = c.sum[c.sbase+(j+run.Step)*cs:][:cs]
+			sb = c.sum[c.sumBase+(j+run.Step)*cs:][:cs]
 		}
 		var la, la1, la2, lb, lb1, lb2 float64
 		for k, ek := range eT {

@@ -65,10 +65,6 @@ type Engine struct {
 
 	shared *Shared
 
-	// bodies is the kernel body each partition runs, decided here once from
-	// the shared backend and the partition's alphabet (see bodyFor).
-	bodies []kernelBody
-
 	sched   *schedule.Schedule // the dataset's schedule for this strategy, pinned for life
 	allMask []bool             // cached all-true partition mask (activeOrAll)
 
@@ -137,58 +133,68 @@ type sessionBuffers struct {
 	clvs     [][]float64 // per inner node, layout.Total() floats
 	scales   [][]int32   // per inner node, per global pattern
 	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first PrepareSumtable
+	workers  []*worker   // one record per worker
+	gen      uint64      // how many sessions have taken the set: a memo entry of an earlier holder never matches
+}
 
-	pm         []pmWorker     // per worker: the P(z) blocks it has built, per partition, and one spare (chunkexec.go)
-	gen        uint64         // how many sessions have taken the set: a memo entry of an earlier holder never matches
-	exScratch  [][]float64    // per worker: exScratchLen floats, what the region kind in flight makes of them (spanCtx.bind)
-	tipScratch [][2][]float64 // per worker: two tip lookup tables (codes x cats x s)
-	spans      []*spanCtx     // per worker: the span binding drain runs chunks against, its own allocation
+// worker is one worker's record: the span binding drain runs its chunks
+// against, and every buffer only that worker writes, sized by workerSizes.
+// NewSession points the binding at its engine and record; Release clears it,
+// so a parked record points into no session.
+type worker struct {
+	span  spanCtx      // bound in place, once per span encounter
+	memo  []pmMemo     // per partition: the P(z) blocks the worker has built (chunkexec.go)
+	spare []float64    // the P block a span end computes into when its memo slot is taken
+	ex    []float64    // what the region kind in flight makes of it (spanCtx.bind)
+	tip   [2][]float64 // a lookup table per tip end; the sumtable's projections use a prefix
+	small []byte       // the fused newview's scaling flags, one per pattern (fused4.go)
+}
 
-	// smallScratch is the fused newview's per-worker scaling-flag scratch
-	// (one byte per pattern of the widest partition, 1 where every entry is
-	// tiny).
-	smallScratch [][]byte
+// workerBufs is what workerSizes gives: floats of the spare P block, the
+// kind scratch and each tip table, and bytes of the scaling flags.
+type workerBufs struct{ spare, ex, tip, small int }
+
+// workerSizes is the one statement of a worker's buffer sizes:
+// newSessionBuffers allocates them and MemoryFootprint prices them. The spare
+// block holds the widest alphabet's P; the kind scratch a derivative region's
+// three cats × s tables and its kernel's block of sums, or a sumtable span's
+// two s-vectors; a tip table a row per tip code; the flags a byte per pattern
+// of the widest partition. A memo block is its partition's cats × s × s,
+// allocated by the slot's first miss (transition).
+func (sh *Shared) workerSizes() workerBufs {
+	maxS, maxCodes, maxPatterns := 0, 0, 0
+	for _, p := range sh.Data.Parts {
+		maxS = max(maxS, p.Type.States())
+		maxCodes = max(maxCodes, alignment.NumCodes(p.Type))
+		maxPatterns = max(maxPatterns, p.PatternCount)
+	}
+	cs := sh.NumCats * maxS
+	return workerBufs{spare: cs * maxS, ex: max(3*cs+12*derivBlock, 2*maxS), tip: maxCodes * cs, small: maxPatterns}
 }
 
 // newSessionBuffers is the one buffer-allocation routine: a pool miss is the
 // dataset's first session (or one the collector emptied the pool under).
 func newSessionBuffers(sh *Shared) *sessionBuffers {
-	nInner, t := sh.Data.NumTaxa()-2, sh.Threads
-	pm, tip := sh.NumCats*sh.maxS*sh.maxS, sh.maxCodes*sh.NumCats*sh.maxS
-	spans := make([]*spanCtx, t)
-	for w := range spans {
-		spans[w] = new(spanCtx)
-	}
+	nInner := sh.Data.NumTaxa() - 2
 	b := &sessionBuffers{
 		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
-		pm: make([]pmWorker, t), exScratch: make([][]float64, t), tipScratch: make([][2][]float64, t),
-		smallScratch: make([][]byte, t), spans: spans,
+		workers: make([]*worker, sh.Threads),
 	}
 	for i := range b.clvs {
 		b.clvs[i] = alignedFloats(sh.layout.Total())
 		b.scales[i] = make([]int32, sh.Data.TotalPatterns)
 	}
-	for w := 0; w < t; w++ {
-		b.pm[w] = pmWorker{memo: make([]*pmMemo, len(sh.Data.Parts)), spare: alignedFloats(pm)}
-		b.exScratch[w] = alignedFloats(sh.exScratchLen())
-		// One table per tip child: codes × cats × s rows cover the newview
-		// and evaluate tables; the category-independent sumtable projections
-		// (codes × s) reuse a prefix of the same buffers.
-		b.tipScratch[w] = [2][]float64{alignedFloats(tip), alignedFloats(tip)}
-		// "Every entry tiny" flags the fused newview kernels fill during their
-		// category sweeps (while the values are in registers), so the scaling
-		// pass never re-reads the cold category planes.
-		b.smallScratch[w] = make([]byte, sh.maxPatterns())
+	n := sh.workerSizes()
+	for w := range b.workers {
+		b.workers[w] = &worker{
+			memo:  make([]pmMemo, len(sh.Data.Parts)),
+			spare: alignedFloats(n.spare),
+			ex:    alignedFloats(n.ex),
+			tip:   [2][]float64{alignedFloats(n.tip), alignedFloats(n.tip)},
+			small: make([]byte, n.small),
+		}
 	}
 	return b
-}
-
-// exScratchLen is the size of a worker's kind-dependent scratch: a derivative
-// region's three cats × s tables and the block of sums its kernel fills, or
-// the s-vector a newview, evaluate or sumtable span keeps a P application or
-// projection in, which a sumtable span follows with a second s-vector.
-func (sh *Shared) exScratchLen() int {
-	return max(3*sh.NumCats*sh.maxS+12*derivBlock, 2*sh.maxS)
 }
 
 // NewSession builds a session engine over precomputed shared state: it
@@ -250,10 +256,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		layout:         sh.layout,
 	}
 	e.drainFn = e.drain
-	e.bodies = make([]kernelBody, len(data.Parts))
-	for ip, p := range data.Parts {
-		e.bodies[ip] = bodyFor(sh.Backend, p.Type.States())
-	}
 	e.allMask = make([]bool, len(data.Parts))
 	for i := range e.allMask {
 		e.allMask[i] = true
@@ -266,6 +268,9 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	}
 	e.sessionBuffers = bufs.(*sessionBuffers)
 	e.gen++ // from 1: the zero stamp of a memo slot never written matches no look-up
+	for _, w := range e.workers {
+		w.span.e, w.span.wk = e, w
+	}
 	if opts.Metrics != nil {
 		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
 			"Replicate lanes (R) of the most recent batched likelihood evaluation.")
@@ -278,16 +283,16 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 
 // Release ends the session: its buffers go back to the Shared for the next
 // NewSession as they are, less the span bindings' pointers into this session
-// (its engine, models and weights, which a parked set must not keep alive),
-// and the engine drops its pointer to them, so a later kernel call on it
-// panics (nil dereference) instead of touching memory another session may
+// (its engine, models, weights and CLVs, which a parked set must not keep
+// alive), and the engine drops its pointer to them, so a later kernel call on
+// it panics (nil dereference) instead of touching memory another session may
 // hold by then. No region may be in flight. A second Release is a no-op.
 func (e *Engine) Release() {
 	if e.sessionBuffers == nil {
 		return
 	}
-	for _, c := range e.spans {
-		*c = spanCtx{}
+	for _, w := range e.workers {
+		w.span = spanCtx{}
 	}
 	e.shared.retired.Put(e.sessionBuffers)
 	e.sessionBuffers = nil

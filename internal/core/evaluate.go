@@ -219,10 +219,10 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	}
 	part := e.Data.Parts[ip]
 	out := make([]float64, part.PatternCount)
-	// Runs outside any region, so worker 0's scratch is free to borrow; the
+	// Runs outside any region, so worker 0's record is free to borrow; the
 	// counters a bind bumps go nowhere.
-	var c spanCtx
-	c.bind(e, &region{kind: parallel.RegionEvaluate, p: root}, 0, ip, 0, new(parallel.WorkerCtx))
+	c := &e.workers[0].span
+	c.bind(&region{kind: parallel.RegionEvaluate, p: root}, 0, ip, new(parallel.WorkerCtx))
 	c.ensureTables(part.PatternCount)
 	for lo := 0; lo < part.PatternCount; lo += siteBlock {
 		v := out[lo:min(part.PatternCount, lo+siteBlock)]

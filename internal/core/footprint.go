@@ -32,8 +32,8 @@ type MemoryFootprint struct {
 	// Schedules covers the schedules built so far: one immutable schedule per
 	// strategy, built when the first session asks for it.
 	Schedules int64 `json:"schedules"`
-	// Layout covers the CLV/sumtable geometry descriptor (per-partition
-	// offset and stride tables).
+	// Layout covers the CLV/sumtable geometry descriptor (its one table of
+	// per-partition records).
 	Layout int64 `json:"layout"`
 	// SessionCLVs is the dominant per-session term: (taxa-2) inner-node
 	// buffers of layout.Total() float64s each, padding included.
@@ -43,14 +43,13 @@ type MemoryFootprint struct {
 	// SessionSumtable is the branch-derivative workspace (allocated by the
 	// first PrepareSumtable; evaluate-only sessions never hold it).
 	SessionSumtable int64 `json:"session_sumtable"`
-	// SessionScratch is the per-worker kernel scratch: the transition-matrix
-	// memo at its cap (pmMemoSlots blocks of cats × s × s floats per
-	// partition, the large term on protein data; a session allocates a block
-	// only when a slot first misses, so evaluate-only sessions hold a
-	// fraction of it) and the spare block, the derivative tables (the same
-	// floats hold a sumtable region's transposed eigenvectors), the two tip
-	// lookup tables per worker (codes × cats × s floats), and the per-pattern
-	// scaling flags of the fused newview.
+	// SessionScratch is the worker records, priced from workerSizes: the
+	// transition-matrix memo at its cap (pmMemoSlots blocks of cats × s × s
+	// floats per partition, the large term on protein data; a session
+	// allocates a block only when a slot first misses, so evaluate-only
+	// sessions hold a fraction of it) and the spare block, the kind scratch,
+	// the two tip lookup tables (codes × cats × s floats), and the
+	// per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
 	// layout of its schedule, the steal runtime over it (deque words, backing
@@ -113,25 +112,12 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 	f.SessionCLVs = nInner * 8 * int64(sh.layout.Total())
 	f.SessionScales = nInner * 4 * int64(sh.Data.TotalPatterns)
 	f.SessionSumtable = 8 * int64(sh.layout.SumTotal())
-	perWorker := 8 * (sh.NumCats*sh.maxS*sh.maxS + // spare P-matrix block
-		sh.exScratchLen() + // derivative tables and kernel sums, or the generic bodies' s-vectors
-		2*sh.maxCodes*sh.NumCats*sh.maxS) // tip lookup-table pair
-	perWorker += sh.maxPatterns() // scaling flags, one byte per pattern
-	for _, p := range sh.Data.Parts {
-		s := p.Type.States()
-		perWorker += int(unsafe.Sizeof(pmMemo{})) + pmMemoSlots*8*sh.NumCats*s*s
+	n := sh.workerSizes()
+	perWorker := 8*int64(n.spare+n.ex+2*n.tip) + int64(n.small)
+	for _, p := range sh.layout.parts {
+		// The memo at its cap: every slot's block allocated.
+		perWorker += int64(unsafe.Sizeof(pmMemo{})) + pmMemoSlots*8*int64(p.cs*p.s)
 	}
-	f.SessionScratch = int64(sh.Threads) * int64(perWorker)
+	f.SessionScratch = int64(sh.Threads) * perWorker
 	return f
-}
-
-// maxPatterns is the pattern count of the widest partition.
-func (sh *Shared) maxPatterns() int {
-	n := 0
-	for _, p := range sh.Data.Parts {
-		if p.PatternCount > n {
-			n = p.PatternCount
-		}
-	}
-	return n
 }

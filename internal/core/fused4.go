@@ -25,7 +25,7 @@ import (
 // reduction. The scaling predicate ("every entry of the pattern below
 // 2^-256") is a pure conjunction over all cats×4 entries, so the kernels
 // evaluate it incrementally during the category sweeps — while the values
-// are still in registers — into a per-pattern flag byte (engine.smallScratch);
+// are still in registers — into a per-pattern flag byte (worker.small);
 // the closing pass then only propagates child exponents and rescales the
 // (astronomically rare) flagged patterns, instead of re-reading every cold
 // category plane the way a literal finishPattern sweep would.
@@ -74,7 +74,7 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 		return c.newviewGeneric(run)
 	}
 	cats, cs := c.cats, c.cs
-	small := c.e.smallScratch[c.w]
+	small := c.wk.small
 	// A plane call computes the first k of the run's n patterns (j0 the
 	// first); its scalar loop takes the rest.
 	j0, n := run.Lo-c.partOffset, (run.Hi-run.Lo+run.Step-1)/run.Step

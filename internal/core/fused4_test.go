@@ -212,9 +212,9 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 								small[i] = flagByte(poison)
 							}
 							c := spanCtx{
-								e: &Engine{sessionBuffers: &sessionBuffers{smallScratch: [][]byte{small}}},
-								s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset,
-								a: cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
+								wk:        &worker{small: small},
+								partition: partition{s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset},
+								a:         cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
 							}
 							planesKernel.Set(on)
 							k := c.newviewFused4(run)
@@ -237,7 +237,7 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 						if !slices.Equal(got.dstScale, want.dstScale) {
 							t.Fatalf("%s: scaling exponents %v, scalar %v", label, got.dstScale, want.dstScale)
 						}
-						if gs, ws := got.e.smallScratch[0], want.e.smallScratch[0]; !slices.Equal(gs, ws) {
+						if gs, ws := got.wk.small, want.wk.small; !slices.Equal(gs, ws) {
 							t.Fatalf("%s: scaling flags differ from the scalar loops'", label)
 						}
 					}
@@ -397,7 +397,7 @@ func TestScalePassMatchesLoop(t *testing.T) {
 				var got, want spanCtx
 				var gotN, wantN int
 				for _, ref := range []bool{false, true} {
-					c := spanCtx{s: 4, cats: cats, base: base, catStride: stride, partOffset: offset,
+					c := spanCtx{partition: partition{s: 4, cats: cats, base: base, catStride: stride, partOffset: offset},
 						a: ends[0], b: ends[1], dst: slices.Clone(dst), dstScale: slices.Clone(dstScale)}
 					if ref {
 						wantN = c.scalePassReference(small, run)

@@ -1,6 +1,11 @@
 package core
 
-import "phylo/internal/alignment"
+import (
+	"unsafe"
+
+	"phylo/internal/alignment"
+	"phylo/internal/model"
+)
 
 // The CLV memory layout. The conditional likelihood vector of one inner node
 // holds, per partition, patternCount × cats × states float64 entries, and
@@ -22,38 +27,56 @@ import "phylo/internal/alignment"
 
 // CLVLayout maps (partition, pattern, category, state) to offsets in the
 // flat per-node CLV buffers and (partition, pattern) to offsets in the
-// sumtable workspace. It is immutable and shared read-only by every session
-// over one Shared.
+// sumtable workspace. Everything it knows about one partition is one record
+// (partition); it is immutable and shared read-only by every session over
+// one Shared.
 type CLVLayout struct {
-	cats      int
-	base      []int // per partition: offset of (pattern 0, cat 0, state 0)
-	catStride []int // per partition: offset between consecutive categories
-	states    []int // per partition: s, the offset between consecutive patterns
-	total     int   // CLV floats per inner node, padding included
-	sumBase   []int // per partition: sumtable offset
-	sumTotal  int   // sumtable floats, padding included
+	parts    []partition // the one per-partition table
+	total    int         // CLV floats per inner node, padding included
+	sumTotal int         // sumtable floats, padding included
 }
 
-// newCLVLayout builds the layout for one dataset. Partition bases — CLV and
-// sumtable — land on 64-byte boundaries relative to the (aligned) buffer
-// start, and the plane stride is rounded up so every category plane is
-// aligned too.
-func newCLVLayout(parts []*alignment.CompressedPartition, numCats int) *CLVLayout {
-	l := &CLVLayout{
-		cats:      numCats,
-		base:      make([]int, len(parts)),
-		catStride: make([]int, len(parts)),
-		states:    make([]int, len(parts)),
-		sumBase:   make([]int, len(parts)),
-	}
+// partition is what a span of a partition reads that no region, model or
+// branch changes: its geometry in the CLVs and the sumtable, its alphabet,
+// and the kernel body and P application it runs. NewSharedWith builds one per
+// partition, and a binding takes it whole (spanCtx.bind).
+type partition struct {
+	s, cats, cs int // states, categories, cats·s
+	base        int // CLV offset of (pattern 0, cat 0, state 0)
+	catStride   int // CLV offset between consecutive categories: one aligned plane
+	sumBase     int // sumtable offset of (pattern 0, cat 0, state 0)
+	partOffset  int // global index of the partition's first pattern
+	dtype       alignment.DataType
+	body        kernelBody // which newview/evaluate body the partition runs (bodyFor)
+
+	// applyP is the generic bodies' P application, dst = P_c·x over one block
+	// of a spanEnd's pm, for the block layout of the alphabet
+	// (model.PMatrices): applyRows over a 4-state block's rows,
+	// model.ApplyCols over a wider block's columns.
+	applyP func(dst, pm, x []float64)
+
+	invCats float64 // 1/cats: the evaluate and sumtable normalisation
+}
+
+// newCLVLayout builds the layout for one dataset under a resolved backend.
+// Partition bases — CLV and sumtable — land on 64-byte boundaries relative
+// to the (aligned) buffer start, and the plane stride is rounded up so every
+// category plane is aligned too.
+func newCLVLayout(parts []*alignment.CompressedPartition, numCats int, backend Backend) *CLVLayout {
+	l := &CLVLayout{parts: make([]partition, len(parts))}
 	off, soff := 0, 0
 	for i, p := range parts {
 		s := p.Type.States()
 		plane := alignFloats(p.PatternCount * s)
-		l.states[i] = s
-		l.base[i] = off
-		l.catStride[i] = plane
-		l.sumBase[i] = soff
+		l.parts[i] = partition{
+			s: s, cats: numCats, cs: numCats * s,
+			base: off, catStride: plane, sumBase: soff, partOffset: p.Offset,
+			dtype: p.Type, body: bodyFor(backend, s),
+			applyP: model.ApplyCols, invCats: 1.0 / float64(numCats),
+		}
+		if s == 4 {
+			l.parts[i].applyP = applyRows
+		}
 		off += numCats * plane
 		soff += alignFloats(p.PatternCount * numCats * s)
 	}
@@ -69,25 +92,27 @@ func (l *CLVLayout) Total() int { return l.total }
 func (l *CLVLayout) SumTotal() int { return l.sumTotal }
 
 // Base returns partition ip's CLV base offset.
-func (l *CLVLayout) Base(ip int) int { return l.base[ip] }
+func (l *CLVLayout) Base(ip int) int { return l.parts[ip].base }
 
 // CatStride returns the offset between consecutive categories of partition
 // ip: one aligned plane.
-func (l *CLVLayout) CatStride(ip int) int { return l.catStride[ip] }
+func (l *CLVLayout) CatStride(ip int) int { return l.parts[ip].catStride }
 
 // Index returns the offset of (partition ip, local pattern j, category c,
 // state 0); state a lives at Index(ip, j, c) + a.
 func (l *CLVLayout) Index(ip, j, c int) int {
-	return l.base[ip] + c*l.catStride[ip] + j*l.states[ip]
+	p := &l.parts[ip]
+	return p.base + c*p.catStride + j*p.s
 }
 
 // SumIndex returns the sumtable offset of (partition ip, local pattern j,
 // category 0, state 0); the pattern's cats·s block is contiguous from there.
 func (l *CLVLayout) SumIndex(ip, j int) int {
-	return l.sumBase[ip] + j*l.cats*l.states[ip]
+	p := &l.parts[ip]
+	return p.sumBase + j*p.cs
 }
 
-// memoryBytes is what the descriptor's per-partition tables hold.
+// memoryBytes is what the descriptor's record table holds.
 func (l *CLVLayout) memoryBytes() int64 {
-	return 8 * int64(len(l.base)+len(l.catStride)+len(l.states)+len(l.sumBase))
+	return int64(len(l.parts)) * int64(unsafe.Sizeof(partition{}))
 }

@@ -22,13 +22,13 @@ func layoutFixtureParts(t *testing.T) []*alignment.CompressedPartition {
 func TestLayoutCoverage(t *testing.T) {
 	parts := layoutFixtureParts(t)
 	for _, cats := range []int{1, 4} {
-		l := newCLVLayout(parts, cats)
+		l := newCLVLayout(parts, cats, BackendFused)
 		owner := make([]int, l.Total()) // 1 + the entry number that maps here
 		entry := 0
 		for ip, p := range parts {
 			s := p.Type.States()
-			if l.states[ip] != s {
-				t.Fatalf("partition %d: layout states %d, want %d", ip, l.states[ip], s)
+			if l.parts[ip].s != s {
+				t.Fatalf("partition %d: layout states %d, want %d", ip, l.parts[ip].s, s)
 			}
 			for j := 0; j < p.PatternCount; j++ {
 				for c := 0; c < cats; c++ {
@@ -59,16 +59,16 @@ func TestLayoutCoverage(t *testing.T) {
 func TestLayoutGeometry(t *testing.T) {
 	parts := layoutFixtureParts(t)
 	cats := 4
-	l := newCLVLayout(parts, cats)
+	l := newCLVLayout(parts, cats, BackendFused)
 	for ip, p := range parts {
 		s := p.Type.States()
 		if l.Base(ip)%alignFloatCount != 0 {
 			t.Errorf("partition %d base %d not 64-byte aligned", ip, l.Base(ip))
 		}
-		if l.sumBase[ip]%alignFloatCount != 0 {
-			t.Errorf("partition %d sumtable base %d not 64-byte aligned", ip, l.sumBase[ip])
+		if l.parts[ip].sumBase%alignFloatCount != 0 {
+			t.Errorf("partition %d sumtable base %d not 64-byte aligned", ip, l.parts[ip].sumBase)
 		}
-		if got, want := l.SumIndex(ip, 3), l.sumBase[ip]+3*cats*s; got != want {
+		if got, want := l.SumIndex(ip, 3), l.parts[ip].sumBase+3*cats*s; got != want {
 			t.Errorf("partition %d SumIndex(3) = %d, want %d", ip, got, want)
 		}
 		if l.CatStride(ip)%alignFloatCount != 0 || l.CatStride(ip) < p.PatternCount*s {

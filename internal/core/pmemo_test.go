@@ -62,8 +62,8 @@ func (r *memoRig) requireBlock(label string, ip int, got, want []float64) {
 // both ends — after both are bound, which is when a kernel reads them.
 func (r *memoRig) bindStep(label string, st tree.TraversalStep, ip, w int) spanCtx {
 	r.t.Helper()
-	var c spanCtx
-	c.bind(r.eng, &region{kind: parallel.RegionNewview, steps: []tree.TraversalStep{st}}, 0, ip, w, &r.ctx)
+	c := r.eng.workers[w].span
+	c.bind(&region{kind: parallel.RegionNewview, steps: []tree.TraversalStep{st}}, 0, ip, &r.ctx)
 	r.requireBlock(label+" end Q", ip, c.a.pm, r.fresh(ip, st.Q.Z[ip]))
 	r.requireBlock(label+" end R", ip, c.b.pm, r.fresh(ip, st.R.Z[ip]))
 	return c
@@ -72,8 +72,8 @@ func (r *memoRig) bindStep(label string, st tree.TraversalStep, ip, w int) spanC
 // bindBranch binds the evaluate span of branch p over partition ip.
 func (r *memoRig) bindBranch(label string, p *tree.Node, ip, w int) {
 	r.t.Helper()
-	var c spanCtx
-	c.bind(r.eng, &region{kind: parallel.RegionEvaluate, p: p}, 0, ip, w, &r.ctx)
+	c := r.eng.workers[w].span
+	c.bind(&region{kind: parallel.RegionEvaluate, p: p}, 0, ip, &r.ctx)
 	r.requireBlock(label, ip, c.b.pm, r.fresh(ip, p.Z[ip]))
 }
 
@@ -88,8 +88,8 @@ func (r *memoRig) anyStep() tree.TraversalStep {
 func collidingLengths(t *testing.T) (z1, z2 float64) {
 	t.Helper()
 	r := newMemoRig(t)
-	var c spanCtx
-	c.bind(r.eng, &region{kind: parallel.RegionEvaluate, p: r.eng.Tree.Tips[0]}, 0, 0, 0, &r.ctx)
+	c := r.eng.workers[0].span
+	c.bind(&region{kind: parallel.RegionEvaluate, p: r.eng.Tree.Tips[0]}, 0, 0, &r.ctx)
 	first := map[int]float64{}
 	for k := 1; k <= 2*pmMemoSlots; k++ {
 		z := 0.01 * float64(k)
@@ -127,7 +127,7 @@ func TestTransitionMemoExplicitCases(t *testing.T) {
 		tree.SetBranchLength(st.Q, 0, z1)
 		tree.SetBranchLength(st.R, 0, z2)
 		c := r.bindStep("collision", st, 0, 1)
-		if &c.b.pm[0] != &r.eng.pm[1].spare[0] {
+		if &c.b.pm[0] != &r.eng.workers[1].spare[0] {
 			t.Error("the second end did not take the spare block")
 		}
 		// The first end's block is remembered, the spare's content is not.
@@ -156,8 +156,8 @@ func TestTransitionMemoExplicitCases(t *testing.T) {
 			}
 			// Stale eigensystem: P is the old one's, from the memo or not.
 			r.ctx = parallel.WorkerCtx{}
-			var c spanCtx
-			c.bind(r.eng, &region{kind: parallel.RegionEvaluate, p: p}, 0, ip, 0, &r.ctx)
+			c := r.eng.workers[0].span
+			c.bind(&region{kind: parallel.RegionEvaluate, p: p}, 0, ip, &r.ctx)
 			r.requireBlock("dirty model", ip, c.b.pm, before)
 			if r.ctx.PReused != 1 {
 				t.Errorf("partition %d: a setter that leaves P unchanged emptied the memo", ip)

@@ -204,7 +204,7 @@ func (c *spanCtx) sumtableReference(run schedule.Run) int {
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
 		off := c.base + j*c.s
-		soff := c.sbase + j*c.cs
+		soff := c.sumBase + j*c.cs
 		var xl, xr []float64
 		var lRow, rRow []float64
 		if c.a.tab != nil {
@@ -265,7 +265,7 @@ func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) int {
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
-		soff := c.sbase + j*cs
+		soff := c.sumBase + j*cs
 		l, l1, l2 := 0.0, 0.0, 0.0
 		for k := 0; k < cs; k++ {
 			a := c.sum[soff+k] * c.eTab[k]
@@ -416,12 +416,12 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 		for _, step := range []int{1, 3} {
 			for n := 0; n <= 9; n++ {
 				for vanish := 0; vanish < 4; vanish++ {
-					c := spanCtx{cs: cs, partOffset: offset, sbase: 11, R: R, sum: vec(11 + patterns*cs), lw: vec(patterns * R),
+					c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 11}, R: R, sum: vec(11 + patterns*cs), lw: vec(patterns * R),
 						eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs)}
 					run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n*step, Step: step}
 					for k, i := 0, run.Lo; i < run.Hi; k, i = k+1, i+step {
 						if vanish>>(k%2)&1 == 1 {
-							clear(c.sum[c.sbase+(i-offset)*cs:][:cs])
+							clear(c.sum[c.sumBase+(i-offset)*cs:][:cs])
 						}
 					}
 					got, want := vec(2*R), make([]float64, 2*R)
@@ -474,10 +474,10 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 				for ni, n := range lengths {
 					special := ni%2 == 1 // NaN and infinite rows in every other run, so most sums stay finite
 					patterns := 3 + n*step
-					c := spanCtx{cs: cs, partOffset: offset, sbase: 9, R: R, sum: vec(9 + patterns*cs), lw: vec(patterns * R),
+					c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 9}, R: R, sum: vec(9 + patterns*cs), lw: vec(patterns * R),
 						eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs), sums: vec(12 * derivBlock)}
 					for j := 0; j < patterns; j++ {
-						row := c.sum[c.sbase+j*cs:][:cs]
+						row := c.sum[c.sumBase+j*cs:][:cs]
 						switch rng.Intn(12) {
 						case 0:
 							clear(row)
@@ -535,12 +535,12 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				run := schedule.Run{Lo: part.Offset, Hi: part.Offset + part.PatternCount, Step: 1}
 				lo, n := eng.layout.Base(ip), part.PatternCount*eng.numCats*part.Type.States()
 				var ctx parallel.WorkerCtx
-				var c spanCtx
+				c := eng.workers[0].span
 
 				seen := map[string]bool{}
 				steps := tree.ComputeTraversal(tr.Tips[0].Back, false)
 				for si := range steps {
-					c.bind(eng, &region{kind: parallel.RegionNewview, steps: steps}, si, ip, 0, &ctx)
+					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, si, ip, &ctx)
 					c.ensureTables(part.PatternCount)
 					seen[fmt.Sprint(c.a.tip && c.b.tip, c.a.tip || c.b.tip)] = true
 					ref := c
@@ -558,7 +558,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 					for _, p := range []*tree.Node{br, br.Back} {
 						eng.TraverseRoot(p, false, nil)
 						eng.PrepareSumtable(p, nil)
-						c.bind(eng, &region{kind: parallel.RegionEvaluate, p: p}, 0, ip, 0, &ctx)
+						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("evaluate ", c.a.tip, c.b.tip, c.b.tab != nil)] = true
 						for j := 0; j < part.PatternCount; j++ {
@@ -566,14 +566,14 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 							sameBits(t, fmt.Sprintf("%s evaluate pattern %d", label, j), []float64{got}, []float64{want})
 						}
 
-						c.bind(eng, &region{kind: parallel.RegionSumTable, p: p}, 0, ip, 0, &ctx)
+						c.bind(&region{kind: parallel.RegionSumTable, p: p}, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("sumtable ", c.a.tip, c.b.tip, c.a.tab != nil, c.b.tab != nil)] = true
 						ref := c
 						ref.sum = make([]float64, len(c.sum))
 						c.sumtableGeneric(run)
 						ref.sumtableReference(run)
-						sameBits(t, label+" sumtable", c.sum[c.sbase:c.sbase+n], ref.sum[c.sbase:c.sbase+n])
+						sameBits(t, label+" sumtable", c.sum[c.sumBase:c.sumBase+n], ref.sum[c.sumBase:c.sumBase+n])
 					}
 				}
 				if len(seen) != 6 { // inner/inner, and a tip at either end: its table built iff specialize

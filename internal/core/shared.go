@@ -33,9 +33,7 @@ type Shared struct {
 	// session over this Shared runs its bodies.
 	Backend Backend
 
-	maxS     int
-	maxCodes int        // widest tip-code alphabet across partitions (16 or 23)
-	layout   *CLVLayout // CLV/sumtable geometry
+	layout *CLVLayout // CLV/sumtable geometry and the per-partition records
 
 	spans []schedule.Span // per-partition pattern ranges with op costs
 
@@ -55,11 +53,12 @@ type Shared struct {
 }
 
 // NewSharedWith computes the session-independent engine state for one
-// dataset — the expensive-once part of engine construction: memory layout
-// offsets and the cost-annotated pattern spans that price the weighted
-// schedule. The kernel backend is resolved here (BackendAuto consults
-// PLK_BACKEND, then defaults to BackendFused) and determines the kernel
-// bodies the sessions run; it cannot change for the lifetime of the Shared.
+// dataset — the expensive-once part of engine construction: the memory
+// layout with its one record per partition, and the cost-annotated pattern
+// spans that price the weighted schedule. The kernel backend is resolved here
+// (BackendAuto consults PLK_BACKEND, then defaults to BackendFused) and
+// determines the kernel body each partition's record names; it cannot change
+// for the lifetime of the Shared.
 func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend Backend) (*Shared, error) {
 	if data == nil {
 		return nil, errors.New("core: nil dataset")
@@ -79,16 +78,12 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		NumCats: numCats,
 		Threads: threads,
 		Backend: resolved,
-		maxS:    data.MaxStates(),
-		layout:  newCLVLayout(data.Parts, numCats),
+		layout:  newCLVLayout(data.Parts, numCats, resolved),
 		spans:   make([]schedule.Span, len(data.Parts)),
 		scheds:  make(map[schedule.Strategy]*schedule.Schedule),
 	}
 	tipFrac := tipChildFrac(data.NumTaxa())
 	for i, p := range data.Parts {
-		if c := alignment.NumCodes(p.Type); c > sh.maxCodes {
-			sh.maxCodes = c
-		}
 		// The newview cost is the dominant kernel term and is proportional to
 		// the other kernels' per-pattern costs in the states/cats factors that
 		// matter for balance (the ~25x DNA vs protein gap), so it prices the

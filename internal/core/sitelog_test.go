@@ -102,7 +102,7 @@ func TestSiteLogBitIdentity(t *testing.T) {
 		for k := range v {
 			v[k], sc[k] = raw(), int32(rng.Intn(5))-2
 		}
-		c := spanCtx{invCats: invCats, partOffset: offset, a: spanEnd{sc: exps()}, b: spanEnd{sc: exps()}}
+		c := spanCtx{partition: partition{invCats: invCats, partOffset: offset}, a: spanEnd{sc: exps()}, b: spanEnd{sc: exps()}}
 		switch trial % 3 {
 		case 1:
 			c.a = spanEnd{tip: true}

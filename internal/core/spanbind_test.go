@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -42,7 +45,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	ws := e.ownWeights()
 	e.gen++
 
-	c, f := e.spans[0], new(spanCtx)
+	c, f := &e.workers[0].span, new(spanCtx)
 	var cctx, fctx parallel.WorkerCtx
 	for ip, part := range e.Data.Parts {
 		share := part.PatternCount
@@ -58,7 +61,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 			}},
 			{"derivative", region{kind: parallel.RegionDerivative, z: z, ws: ws, lanes: 2 * ws.r}, func(_ *spanCtx, r *region) []float64 { return r.out }},
 			{"sumtable", region{kind: parallel.RegionSumTable, p: p}, func(x *spanCtx, _ *region) []float64 {
-				return x.sum[x.sbase : x.sbase+share*e.numCats*x.s]
+				return x.sum[x.sumBase : x.sumBase+share*e.numCats*x.s]
 			}},
 			{"evaluate", region{kind: parallel.RegionEvaluate, p: p, ws: ws, lanes: ws.r}, func(_ *spanCtx, r *region) []float64 { return r.out }},
 		}
@@ -66,9 +69,9 @@ func TestSpanRebindsInPlace(t *testing.T) {
 			label := fmt.Sprintf("%s %s", part.Name, k.name)
 			rc, rf := k.r, k.r
 			rc.out, rf.out = make([]float64, k.r.lanes), make([]float64, k.r.lanes)
-			c.bind(e, &rc, si, ip, 0, &cctx)
-			*f = spanCtx{}
-			f.bind(e, &rf, si, ip, 1, &fctx)
+			c.bind(&rc, si, ip, &cctx)
+			*f = spanCtx{e: e, wk: e.workers[1]}
+			f.bind(&rf, si, ip, &fctx)
 			c.ensureTables(share)
 			f.ensureTables(share)
 			built := c.a.tab != nil || c.b.tab != nil
@@ -93,5 +96,116 @@ func TestSpanRebindsInPlace(t *testing.T) {
 				t.Errorf("%s: takeOps charges %v in place, %v in a zeroed context", label, oc, of)
 			}
 		}
+	}
+}
+
+// TestReleasedSetKeepsNoSession: Release clears every worker record's span
+// binding, so a parked set keeps nothing of its last session alive. After a
+// session has run every region kind, once under a WeightSet of its own, no
+// pointer reachable from a parked record may lead to the engine, into a
+// model's Freqs, EigenVecs or InvVecsT, into the WeightSet's lanes, or into
+// a CLV or scaling vector.
+func TestReleasedSetKeepsNoSession(t *testing.T) {
+	sim, err := parallel.NewSim(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := batchEngine(t, BackendFused, 4, sim, 3, Options{Specialize: true})
+	ws, err := NewWeightSet(eng.Data, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := eng.Tree.Tips[0].Back
+	eng.TraverseRoot(root, false, nil)
+	if _, err := eng.EvaluateBatch(root, nil, ws); err != nil {
+		t.Fatal(err)
+	}
+	eng.PrepareSumtable(root, nil)
+	d := make([]float64, eng.NumPartitions()*ws.r)
+	z := make([]float64, eng.NumPartitions())
+	for ip := range z {
+		z[ip] = 0.1
+	}
+	if err := eng.BranchDerivativesBatch(z, nil, ws, d, slices.Clone(d)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The session's memory, by the address range each object spans.
+	type object struct {
+		name   string
+		lo, hi uintptr
+	}
+	var session []object
+	add := func(name string, p unsafe.Pointer, bytes int) {
+		if p != nil {
+			session = append(session, object{name, uintptr(p), uintptr(p) + uintptr(max(bytes, 1))})
+		}
+	}
+	add("the engine", unsafe.Pointer(eng), int(unsafe.Sizeof(*eng)))
+	for ip, m := range eng.Models {
+		for _, v := range []struct {
+			name string
+			f    []float64
+		}{{"Freqs", m.Freqs}, {"EigenVecs", m.EigenVecs}, {"InvVecsT", m.InvVecsT}} {
+			add(fmt.Sprintf("model %d's %s", ip, v.name), unsafe.Pointer(unsafe.SliceData(v.f)), 8*len(v.f))
+		}
+	}
+	add("the WeightSet's lanes", unsafe.Pointer(unsafe.SliceData(ws.w)), 8*len(ws.w))
+	for i := range eng.clvs {
+		add(fmt.Sprintf("CLV %d", i), unsafe.Pointer(unsafe.SliceData(eng.clvs[i])), 8*len(eng.clvs[i]))
+		add(fmt.Sprintf("scaling vector %d", i), unsafe.Pointer(unsafe.SliceData(eng.scales[i])), 4*len(eng.scales[i]))
+	}
+
+	b := eng.sessionBuffers
+	bound := 0
+	for _, w := range b.workers {
+		if w.span.e == eng && w.span.lw != nil && w.span.freqs != nil {
+			bound++
+		}
+	}
+	if bound == 0 {
+		t.Fatal("no worker's binding points into the session before Release: the test has nothing to check")
+	}
+	eng.Release()
+
+	seen := map[uintptr]bool{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		var p uintptr
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			p = uintptr(v.UnsafePointer())
+		}
+		if p != 0 {
+			for _, o := range session {
+				if p >= o.lo && p < o.hi {
+					t.Errorf("parked record: %s points into %s", path, o.name)
+					return
+				}
+			}
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if p != 0 && !seen[p] {
+				seen[p] = true
+				walk(path, v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			switch v.Type().Elem().Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Struct:
+			default:
+				return // a leaf: the check above covers where it points
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		}
+	}
+	for w, rec := range b.workers {
+		walk(fmt.Sprintf("worker %d", w), reflect.ValueOf(rec))
 	}
 }

@@ -26,8 +26,8 @@ type poisonExec struct {
 }
 
 func (p *poisonExec) Run(kind parallel.Region, fn func(w int, ctx *parallel.WorkerCtx)) {
-	for w := range p.eng.tipScratch {
-		for _, buf := range p.eng.tipScratch[w] {
+	for _, w := range p.eng.workers {
+		for _, buf := range w.tip {
 			for i := range buf {
 				buf[i] = math.NaN()
 			}

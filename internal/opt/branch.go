@@ -47,11 +47,8 @@ type Optimizer struct {
 
 	// score holds per-partition log likelihoods at the canonical root, as
 	// SmoothAll's closing evaluation leaves them and every Brent solve keeps
-	// them: its best-seen value inside a round, its closing pair elsewhere.
-	// scored says they are those of the current tree and models, and is true
-	// only while OptimizeModel runs the Brent solves of a round.
-	score  []float64
-	scored bool
+	// them: its best-seen value, or its closing pair's.
+	score []float64
 }
 
 // New creates an optimizer for the engine.

@@ -22,22 +22,23 @@ const (
 	modelEps = 0.1
 )
 
-// OptimizeAlphas optimizes the Gamma shape parameter of every partition by
+// optimizeAlphas optimizes the Gamma shape parameter of every partition by
 // Brent's method: one lockstep Brent loop per partition group, the groups
 // one after another. Changing alpha requires a full tree traversal to
 // recompute the partition's CLVs (the paper's model-optimization phase), so
 // each Brent iteration costs one full-traversal region plus one evaluation
 // region, restricted to the unconverged partitions of the group — one
-// partition's patterns under oldPAR, the whole alignment's under newPAR. A
-// returned error is brentGroup's.
-func (o *Optimizer) OptimizeAlphas() error {
+// partition's patterns under oldPAR, the whole alignment's under newPAR. Like
+// every solve it starts from o.score (brentGroup). A returned error is
+// brentGroup's.
+func (o *Optimizer) optimizeAlphas() error {
 	return o.brent(&o.alpha)
 }
 
-// OptimizeRatesAll optimizes the free GTR exchangeability rates of all DNA
+// optimizeRatesAll optimizes the free GTR exchangeability rates of all DNA
 // partitions (protein partitions keep their fixed empirical-style matrix,
-// as in RAxML), one rate index at a time, each like OptimizeAlphas.
-func (o *Optimizer) OptimizeRatesAll() error {
+// as in RAxML), one rate index at a time, each like optimizeAlphas.
+func (o *Optimizer) optimizeRatesAll() error {
 	for ri := range o.rates {
 		if err := o.brent(&o.rates[ri]); err != nil {
 			return err
@@ -121,25 +122,21 @@ func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
 // and the convergence boolean vector (the mask) shrinking that pair as
 // partitions finish. A finished partition stays masked at its last proposal
 // until the end pins the whole group to its best-seen values. A state starts
-// from the partition's current value and its score there: in hand inside a
-// round of OptimizeModel (o.scored), else one more region pair computes it.
-// Inside a round the solve ends without a region too: o.score keeps -FX, the
-// bits a closing pair at the pin would recompute (a partition's score reads
-// only its own chunks), and the CLVs stay at the last proposals until
-// OptimizeModel discards them. The closing pair still runs outside a round,
-// after a cancellation, for a non-finite FX (the state reads NaN as +Inf),
-// and after a proposal the model refuses — a failed eigendecomposition, which
-// ends the loop like a cancellation: the pin (to values the model accepted
-// before) and the closing pair run, then the error is returned.
+// from the partition's current value and its score there, o.score: SmoothAll
+// or the previous solve left it, and no branch has moved since. The solve
+// ends without a region too: o.score keeps -FX, the bits a closing pair at
+// the pin would recompute (a partition's score reads only its own chunks),
+// and the CLVs stay at the last proposals until OptimizeModel discards them.
+// The closing pair runs after a cancellation, for a non-finite FX (the state
+// reads NaN as +Inf), and after a proposal the model refuses — a failed
+// eigendecomposition, which ends the loop like a cancellation: the pin (to
+// values the model accepted before) and the closing pair run, then the error
+// is returned.
 func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) error {
 	o.enter(g)
-	per := o.score
-	if !o.scored {
-		per = o.evalPartitions(steps)
-	}
 	for _, ip := range g {
 		o.brents[ip] = numeric.NewBrentState(par.lo, par.get(ip), par.hi, brentTol)
-		o.brents[ip].Seed(-per[ip])
+		o.brents[ip].Seed(-o.score[ip])
 	}
 	var err error
 	remaining := len(g)
@@ -163,14 +160,14 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 		if remaining == 0 || err != nil {
 			break
 		}
-		per = o.evalPartitions(steps)
+		per := o.evalPartitions(steps)
 		for _, ip := range g {
 			if o.mask[ip] {
 				o.brents[ip].Observe(o.x[ip], -per[ip])
 			}
 		}
 	}
-	known := o.scored && !o.cancelled()
+	known := !o.cancelled()
 	for _, ip := range g {
 		if e := par.set(ip, o.brents[ip].X); e != nil && err == nil {
 			err = fmt.Errorf("opt: partition %d: %w", ip, e)
@@ -185,7 +182,7 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 		return nil
 	}
 	o.enter(g)
-	per = o.evalPartitions(steps)
+	per := o.evalPartitions(steps)
 	for _, ip := range g {
 		o.score[ip] = per[ip] // the next parameter changes nothing these depend on
 	}
@@ -212,14 +209,12 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		rounds++
 		// SmoothAll has just scored every partition at the canonical root and
 		// no branch moves until it runs again: Brent starts from those scores.
-		o.scored = true
 		if o.Cfg.OptimizeRates {
-			err = o.OptimizeRatesAll()
+			err = o.optimizeRatesAll()
 		}
 		if err == nil {
-			err = o.OptimizeAlphas()
+			err = o.optimizeAlphas()
 		}
-		o.scored = false
 		if err != nil {
 			return o.E.LogLikelihood(), rounds, err
 		}

@@ -301,12 +301,15 @@ func TestSmoothAllMonotone(t *testing.T) {
 	}
 }
 
+// The Brent solves start from the scores SmoothAll leaves (brentGroup), so
+// every test that drives one directly smooths first, as OptimizeModel does.
+
 func TestOptimizeAlphasImproves(t *testing.T) {
 	for _, strat := range []Strategy{OldPar, NewPar} {
 		fx := buildFixture(t, 8, 80, 40, true, parallel.NewSequential(), 17)
 		o := New(fx.eng, DefaultConfig(strat))
-		before := fx.eng.LogLikelihood()
-		o.OptimizeAlphas()
+		before := smooth(t, o, context.Background())
+		o.optimizeAlphas()
 		after := fx.eng.LogLikelihood()
 		if after < before-1e-9 {
 			t.Errorf("%v: alpha optimization decreased lnL %v -> %v", strat, before, after)
@@ -317,8 +320,11 @@ func TestOptimizeAlphasImproves(t *testing.T) {
 func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
 	fxOld := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
 	fxNew := buildFixture(t, 8, 80, 20, true, parallel.NewSequential(), 29)
-	New(fxOld.eng, DefaultConfig(OldPar)).OptimizeAlphas()
-	New(fxNew.eng, DefaultConfig(NewPar)).OptimizeAlphas()
+	oOld, oNew := New(fxOld.eng, DefaultConfig(OldPar)), New(fxNew.eng, DefaultConfig(NewPar))
+	smooth(t, oOld, context.Background())
+	smooth(t, oNew, context.Background())
+	oOld.optimizeAlphas()
+	oNew.optimizeAlphas()
 	requireSameLnL(t, "lnL after alpha optimization", fxOld.eng.LogLikelihood(), fxNew.eng.LogLikelihood())
 	requireSameState(t, fxOld, fxNew)
 }
@@ -326,9 +332,11 @@ func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
 func TestOptimizeRatesImprovesAndAgrees(t *testing.T) {
 	fxOld := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
 	fxNew := buildFixture(t, 8, 60, 30, true, parallel.NewSequential(), 41)
-	before := fxOld.eng.LogLikelihood()
-	New(fxOld.eng, DefaultConfig(OldPar)).OptimizeRatesAll()
-	New(fxNew.eng, DefaultConfig(NewPar)).OptimizeRatesAll()
+	oOld, oNew := New(fxOld.eng, DefaultConfig(OldPar)), New(fxNew.eng, DefaultConfig(NewPar))
+	before := smooth(t, oOld, context.Background())
+	smooth(t, oNew, context.Background())
+	oOld.optimizeRatesAll()
+	oNew.optimizeRatesAll()
 	afterOld := fxOld.eng.LogLikelihood()
 	if afterOld < before-1e-9 {
 		t.Errorf("rate optimization decreased lnL %v -> %v", before, afterOld)
@@ -583,46 +591,6 @@ func TestBrentEvaluationsPerSolve(t *testing.T) {
 	}
 }
 
-// TestKnownScoresAreTheSeedingPair: a Brent solve inside OptimizeModel starts
-// from the per-partition scores SmoothAll or the previous solve left behind
-// and keeps its best-seen scores at the end; a standalone OptimizeAlphas /
-// OptimizeRatesAll pays a traversal + evaluation pair to learn them and a
-// closing pair to pin them. The two must be the same numbers: the model
-// optimization driven from outside, solve by solve, ends on the same bits and
-// differs by exactly the four regions per group solve, less the one
-// re-traversal a round pays for the CLVs its solves left at their proposals.
-func TestKnownScoresAreTheSeedingPair(t *testing.T) {
-	for _, strat := range []Strategy{OldPar, NewPar} {
-		simIn, _ := parallel.NewSim(4)
-		simOut, _ := parallel.NewSim(4)
-		fxIn := buildMixedFixture(t, 24, true, simIn, 37)
-		fxOut := buildMixedFixture(t, 24, true, simOut, 37)
-		ctx := context.Background()
-		lIn, rounds, err := New(fxIn.eng, DefaultConfig(strat)).OptimizeModel(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := New(fxOut.eng, DefaultConfig(strat))
-		lOut := smooth(t, o, ctx)
-		for r := 0; r < rounds; r++ {
-			o.OptimizeRatesAll()
-			o.OptimizeAlphas()
-			lOut = smooth(t, o, ctx)
-		}
-		if math.Float64bits(lIn) != math.Float64bits(lOut) {
-			t.Errorf("%v: lnL %v from known scores, %v from seeding pairs", strat, lIn, lOut)
-		}
-		requireSameState(t, fxIn, fxOut)
-		solves := len(o.alpha.groups)
-		for _, par := range o.rates {
-			solves += len(par.groups)
-		}
-		if got, want := simOut.Stats().Regions-simIn.Stats().Regions, int64(4*rounds*solves-rounds); got != want {
-			t.Errorf("%v: known scores saved %d regions, want %d (4 x %d rounds x %d group solves - %d re-traversals)", strat, got, want, rounds, solves, rounds)
-		}
-	}
-}
-
 // TestKeptScoresAreTheClosingPair: inside a round of OptimizeModel a Brent
 // solve keeps -FX for every partition of its group where the closing pair used
 // to re-score the pinned state. Driven solve by solve as OptimizeModel drives
@@ -645,7 +613,6 @@ func TestKeptScoresAreTheClosingPair(t *testing.T) {
 		x0, seed := make([]float64, len(o.score)), make([]float64, len(o.score))
 		solves, seedKept := 0, 0
 		for round := 0; round < 3; round++ {
-			o.scored = true
 			for _, par := range params {
 				for _, g := range par.groups {
 					for _, ip := range g {
@@ -670,7 +637,6 @@ func TestKeptScoresAreTheClosingPair(t *testing.T) {
 					}
 				}
 			}
-			o.scored = false
 			sum := 0.0
 			for _, v := range o.score {
 				sum += v

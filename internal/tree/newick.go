@@ -222,8 +222,16 @@ func (p *newickParser) parseLength() ([]float64, error) {
 
 // WriteNewick serializes the tree with branch lengths from slot k, rooted for
 // display at the inner node adjacent to tip 0 (the conventional unrooted
-// Newick form with a top-level trifurcation).
-func WriteNewick(t *Tree, k int) string {
+// Newick form with a top-level trifurcation): WriteNewickSupport without
+// support labels.
+func WriteNewick(t *Tree, k int) string { return WriteNewickSupport(t, k, nil) }
+
+// WriteNewickSupport serializes the tree like WriteNewick, additionally
+// labelling every internal node with the integer-percent support of the
+// branch above it (the conventional bootstrap annotation, e.g. ")87:0.012").
+// support is keyed by canonical split key as returned by SupportCounter;
+// branches without an entry are left unlabelled, and a nil map labels none.
+func WriteNewickSupport(t *Tree, k int, support map[string]float64) string {
 	var b strings.Builder
 	tip := t.Tips[0]
 	root := tip.Back
@@ -231,22 +239,30 @@ func WriteNewick(t *Tree, k int) string {
 	b.WriteString(t.Names[tip.Index])
 	fmt.Fprintf(&b, ":%.8f", tip.Z[k])
 	b.WriteByte(',')
-	writeSubtree(&b, t, root.Next.Back, root.Next.Z[k], k)
+	writeSubtree(&b, t, root.Next.Back, root.Next.Z[k], k, support)
 	b.WriteByte(',')
-	writeSubtree(&b, t, root.Next.Next.Back, root.Next.Next.Z[k], k)
+	writeSubtree(&b, t, root.Next.Next.Back, root.Next.Next.Z[k], k, support)
 	b.WriteString(");")
 	return b.String()
 }
 
-func writeSubtree(b *strings.Builder, t *Tree, p *Node, z float64, k int) {
+func writeSubtree(b *strings.Builder, t *Tree, p *Node, z float64, k int, support map[string]float64) {
 	if p.IsTip() {
 		b.WriteString(t.Names[p.Index])
 		fmt.Fprintf(b, ":%.8f", z)
 		return
 	}
 	b.WriteByte('(')
-	writeSubtree(b, t, p.Next.Back, p.Next.Z[k], k)
+	writeSubtree(b, t, p.Next.Back, p.Next.Z[k], k, support)
 	b.WriteByte(',')
-	writeSubtree(b, t, p.Next.Next.Back, p.Next.Next.Z[k], k)
-	fmt.Fprintf(b, "):%.8f", z)
+	writeSubtree(b, t, p.Next.Next.Back, p.Next.Next.Z[k], k, support)
+	b.WriteByte(')')
+	if support != nil {
+		if key, ok := t.SplitKey(p); ok {
+			if sup, have := support[key]; have {
+				fmt.Fprintf(b, "%d", int(sup*100+0.5))
+			}
+		}
+	}
+	fmt.Fprintf(b, ":%.8f", z)
 }

@@ -1,18 +1,15 @@
 package tree
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Bootstrap support machinery: NNI candidate topologies, the split-frequency
-// aggregator that turns replicate winner trees into per-branch support
-// values, and the support-annotated Newick writer. The bootstrap pipeline
-// (see phylo.Analysis.Bootstrap) scores a fixed candidate set — the ML tree
-// plus its NNI neighborhood — under every replicate's weight vector in one
-// batched sweep, feeds each replicate's winning topology to a SupportCounter,
-// and reads the ML tree's per-branch support off the accumulated split
-// frequencies.
+// Bootstrap support machinery: NNI candidate topologies and the
+// split-frequency aggregator that turns replicate winner trees into
+// per-branch support values (newick.go's one writer labels them). The
+// bootstrap pipeline (see phylo.Analysis.Bootstrap) scores a fixed candidate
+// set — the ML tree plus its NNI neighborhood — under every replicate's
+// weight vector in one batched sweep, feeds each replicate's winning topology
+// to a SupportCounter, and reads the ML tree's per-branch support off the
+// accumulated split frequencies.
 
 // Clone returns a deep copy of the tree: same taxa and slot count, mirrored
 // connections, independent branch-length slices, and copied X flags.
@@ -134,43 +131,4 @@ func (sc *SupportCounter) Support(ref *Tree) (map[string]float64, error) {
 		out[key] = float64(sc.counts[key]) / float64(sc.total)
 	}
 	return out, nil
-}
-
-// WriteNewickSupport serializes the tree like WriteNewick, additionally
-// labelling every internal node with the integer-percent support of the
-// branch above it (the conventional bootstrap annotation, e.g. ")87:0.012").
-// support is keyed by canonical split key as returned by SupportCounter;
-// branches without an entry are left unlabelled.
-func WriteNewickSupport(t *Tree, k int, support map[string]float64) string {
-	var b strings.Builder
-	tip := t.Tips[0]
-	root := tip.Back
-	b.WriteByte('(')
-	b.WriteString(t.Names[tip.Index])
-	fmt.Fprintf(&b, ":%.8f", tip.Z[k])
-	b.WriteByte(',')
-	writeSubtreeSupport(&b, t, root.Next.Back, root.Next.Z[k], k, support)
-	b.WriteByte(',')
-	writeSubtreeSupport(&b, t, root.Next.Next.Back, root.Next.Next.Z[k], k, support)
-	b.WriteString(");")
-	return b.String()
-}
-
-func writeSubtreeSupport(b *strings.Builder, t *Tree, p *Node, z float64, k int, support map[string]float64) {
-	if p.IsTip() {
-		b.WriteString(t.Names[p.Index])
-		fmt.Fprintf(b, ":%.8f", z)
-		return
-	}
-	b.WriteByte('(')
-	writeSubtreeSupport(b, t, p.Next.Back, p.Next.Z[k], k, support)
-	b.WriteByte(',')
-	writeSubtreeSupport(b, t, p.Next.Next.Back, p.Next.Next.Z[k], k, support)
-	b.WriteByte(')')
-	if key, ok := t.SplitKey(p); ok {
-		if sup, have := support[key]; have {
-			fmt.Fprintf(b, "%d", int(sup*100+0.5))
-		}
-	}
-	fmt.Fprintf(b, ":%.8f", z)
 }
