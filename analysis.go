@@ -56,8 +56,8 @@ type ProgressEvent struct {
 
 // AnalysisOptions configures one analysis session over a Dataset. Only
 // mutable per-session choices live here; anything the precomputed shared
-// state depends on (threads, schedule, Gamma categories) is fixed in
-// DatasetOptions.
+// state depends on (threads, schedule, chunk size, Gamma categories) is fixed
+// in DatasetOptions.
 type AnalysisOptions struct {
 	// Strategy selects oldPAR or newPAR (default NewPar).
 	Strategy Strategy
@@ -74,22 +74,14 @@ type AnalysisOptions struct {
 	// search round. It is called on the analysing goroutine between
 	// parallel regions: keep it fast and do not call back into the session.
 	Progress func(ProgressEvent)
-	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
-	// default of 64). Chunks are the unit a session's workers drain their
-	// pattern shares in, the unit thieves take on a Steal-enabled Dataset —
-	// smaller chunks bound tail latency tighter but migrate more per-span
-	// setup work — and the unit likelihood sums are grouped by, so sessions
-	// agree bit for bit at equal MinChunk and to floating-point reassociation
-	// tolerance otherwise.
-	MinChunk int
 }
 
 // Analysis is one live likelihood session over a Dataset. It owns only the
 // mutable state — the tree and its own copies of the model parameters, built
 // fresh, plus the conditional likelihood vectors and per-worker scratch,
 // which it holds from NewAnalysis to Close and then hands to the Dataset's
-// next session — and borrows everything else (patterns, schedules, the
-// worker pool) read-only from the Dataset, so sessions are cheap and any
+// next session — and borrows everything else (patterns, the chunk layout,
+// the worker pool) read-only from the Dataset, so sessions are cheap and any
 // number may run concurrently.
 //
 // An Analysis is a single-session object: its methods must not be called
@@ -154,9 +146,8 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 	exec := ds.exec.Session()
 	eng, err := core.NewSession(ds.shared, tr, models, exec, core.Options{
 		Specialize: true,
-		Schedule:   ds.opts.Schedule,
+		Layout:     ds.layout,
 		Steal:      ds.opts.Steal,
-		MinChunk:   o.MinChunk,
 		Metrics:    ds.opts.Metrics,
 	})
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -406,7 +407,15 @@ func scheduleBench(b *testing.B, strat schedule.Strategy) {
 		b.StopTimer()
 		sim, _ := parallel.NewSim(8)
 		tr, _ := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: 78})
-		eng, err := newEngine(d, tr, models, sim, core.Options{Specialize: true, Schedule: strat})
+		sh, err := core.NewSharedWith(d, 4, 8, core.BackendAuto)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sched, err := sh.ScheduleFor(strat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := core.NewSession(sh, tr, models, sim, core.Options{Specialize: true, Layout: steal.NewLayout(sched, 0)})
 		if err != nil {
 			b.Fatal(err)
 		}

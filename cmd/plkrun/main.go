@@ -46,7 +46,7 @@ func main() {
 		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted")
 		stealFlag = flag.Bool("steal", false, "intra-region work stealing: chunked per-worker deques, drained workers steal half of the most loaded victim")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
-		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64): the unit workers drain, thieves take and evaluate and derivative sums are grouped by, with or without -steal")
+		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64), a dataset setting: the dataset cuts its schedule into chunks of this size once, and every session's workers drain them, thieves take them and evaluate and derivative sums are grouped by them, with or without -steal")
 		perPart   = flag.Bool("perpart", false, "per-partition branch lengths")
 		virtual   = flag.Bool("virtual", false, "virtual workers + platform pricing instead of real goroutines")
 		seed      = flag.Int64("seed", 42, "random seed (datasets and starting tree)")
@@ -115,6 +115,7 @@ func main() {
 		Schedule:       sched,
 		VirtualThreads: *virtual,
 		Steal:          *stealFlag,
+		MinChunk:       *minChunk,
 		Backend:        backend,
 		Metrics:        reg,
 		Trace:          tracer,
@@ -129,7 +130,6 @@ func main() {
 		Strategy:                  strat,
 		PerPartitionBranchLengths: *perPart,
 		Seed:                      *seed,
-		MinChunk:                  *minChunk,
 	}
 	if *treePath != "" {
 		nwk, err := os.ReadFile(*treePath)

@@ -10,6 +10,7 @@ import (
 	"phylo/internal/core"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
+	"phylo/internal/steal"
 )
 
 // Errors returned by closed datasets and analyses. Use errors.Is to test.
@@ -24,8 +25,8 @@ var (
 // DatasetOptions configures the immutable, shareable half of an analysis.
 // Everything here is fixed per dataset because the precomputed state depends
 // on it: pattern compression, the CLV memory layout, the per-pattern op-cost
-// tables, and the pattern-to-worker schedules (which are computed for
-// exactly Threads workers).
+// tables, and the pattern distribution — the schedule, computed for exactly
+// Threads workers, and its chunk layout.
 type DatasetOptions struct {
 	// Threads is the worker count (default 1). With Threads > 1 and real
 	// goroutines the Dataset owns one shared worker pool that all of its
@@ -34,8 +35,17 @@ type DatasetOptions struct {
 	Threads int
 	// Schedule selects the pattern-to-worker assignment (default
 	// ScheduleCyclic, the paper's distribution). The schedule is precomputed
-	// once per dataset and shared read-only by every session.
+	// once per dataset, cut into chunks at MinChunk, and shared read-only by
+	// every session.
 	Schedule ScheduleStrategy
+	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
+	// default of 64). Chunks are the unit every session's workers drain their
+	// pattern shares in, the unit thieves take when Steal is set — smaller
+	// chunks bound tail latency tighter but migrate more per-span setup work
+	// — and the unit likelihood sums are grouped by, so all sessions of a
+	// Dataset agree bit for bit, and Datasets that differ only in MinChunk
+	// agree to floating-point reassociation tolerance.
+	MinChunk int
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
 	// VirtualThreads makes the T workers virtual: every session runs them
@@ -53,9 +63,9 @@ type DatasetOptions struct {
 	// plk_stolen_patterns_total).
 	// Stealing composes with every Schedule strategy: the schedule, built
 	// once per dataset, remains the locality prior, while stealing absorbs
-	// whatever it mispriced inside each region. The chunk size
-	// (AnalysisOptions.MinChunk) matters with or without Steal: it sets the
-	// unit workers drain and every evaluate and derivative sum is grouped by.
+	// whatever it mispriced inside each region. The chunk size (MinChunk)
+	// matters with or without Steal: it sets the unit workers drain and
+	// every evaluate and derivative sum is grouped by.
 	Steal bool
 	// Backend selects the likelihood kernel backend for every session over
 	// this dataset. The zero value (BackendAuto) consults the PLK_BACKEND
@@ -85,15 +95,16 @@ type DatasetOptions struct {
 // Dataset is the immutable, shareable result of the per-dataset setup work
 // the paper amortizes: compressed alignment patterns and tip encodings,
 // per-partition default models (used as templates — each session clones
-// them), the CLV/sumtable memory layout, op-cost tables, and precomputed
-// worker schedules, plus the shared worker pool. Build it once with
-// NewDataset, then open any number of concurrent Analysis sessions with
-// NewAnalysis; the Dataset itself is never mutated by a session and is safe
-// for concurrent use.
+// them), the CLV/sumtable memory layout, op-cost tables, and the precomputed
+// worker schedule cut into one chunk layout, plus the shared worker pool.
+// Build it once with NewDataset, then open any number of concurrent Analysis
+// sessions with NewAnalysis; the Dataset itself is never mutated by a session
+// and is safe for concurrent use.
 type Dataset struct {
 	names  []string
 	data   *alignment.CompressedData
 	shared *core.Shared
+	layout *steal.Layout  // the schedule's chunks: every session drains this one value
 	models []*model.Model // per-partition templates, cloned per session
 	exec   *parallel.Pool // the dataset's workers; every session is a view of them
 	opts   DatasetOptions
@@ -106,9 +117,10 @@ type Dataset struct {
 // NewDataset compresses the alignment, builds the per-partition model
 // templates (GTR with empirical frequencies for DNA, the fixed SYN20 matrix
 // for protein), precomputes the likelihood memory layout and the
-// pattern-to-worker schedule, and starts the shared worker pool. This is all
-// of the fixed per-dataset work; opening an additional Analysis session
-// afterwards only allocates that session's mutable state.
+// pattern-to-worker schedule with its chunk layout, and starts the shared
+// worker pool. This is all of the fixed per-dataset work; opening an
+// additional Analysis session afterwards only allocates that session's
+// mutable state.
 func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if al == nil {
 		return nil, errors.New("phylo: nil alignment")
@@ -138,15 +150,17 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Precompute the dataset's default schedule eagerly so the first session
-	// doesn't pay for it; other strategies are built lazily on first use.
-	if _, err := sh.ScheduleFor(o.Schedule); err != nil {
+	// The pattern distribution is one value: the schedule cut into chunks
+	// once, here, and drained read-only by every session.
+	sched, err := sh.ScheduleFor(o.Schedule)
+	if err != nil {
 		return nil, err
 	}
 	ds := &Dataset{
 		names:  append([]string(nil), al.raw.Names...),
 		data:   d,
 		shared: sh,
+		layout: steal.NewLayout(sched, o.MinChunk),
 		models: models,
 		opts:   o,
 	}
@@ -232,8 +246,8 @@ func (ds *Dataset) NumPatterns() int { return ds.data.TotalPatterns }
 // NumPartitions returns the partition count.
 func (ds *Dataset) NumPartitions() int { return len(ds.data.Parts) }
 
-// Threads returns the worker count the dataset's schedules were computed
-// for (and the size of the shared pool).
+// Threads returns the worker count the dataset's schedule was computed for
+// (and the size of the shared pool).
 func (ds *Dataset) Threads() int { return ds.opts.Threads }
 
 // TaxonNames returns the taxon labels.
@@ -244,9 +258,10 @@ func (ds *Dataset) TaxonNames() []string { return append([]string(nil), ds.names
 func (ds *Dataset) Backend() KernelBackend { return ds.shared.Backend }
 
 // MemoryFootprint is the itemized memory accounting of a Dataset: the
-// resident shared state (compressed alignment, schedules, layout) plus the
+// resident shared state (compressed alignment, schedule, layout) plus the
 // estimated allocation of one analysis session over it (CLVs, scaling
-// vectors, sumtable, per-worker scratch). See core.MemoryFootprint.
+// vectors, sumtable, per-worker scratch, the chunk runtime). See
+// core.MemoryFootprint.
 type MemoryFootprint = core.MemoryFootprint
 
 // MemoryFootprint returns the dataset's estimated heap bytes: the resident
@@ -255,16 +270,16 @@ type MemoryFootprint = core.MemoryFootprint
 // reuse are not priced on top: the garbage collector may reclaim them at any
 // cycle, and the one-session term already covers the set in use. The
 // likelihood-serving cache (internal/server) evicts against this figure and
-// reports it as memory_bytes. The schedule term reflects the strategies
-// built so far, so the figure can grow slightly as sessions exercise new
-// strategies.
+// reports it as memory_bytes. The chunk terms price the Dataset's one layout,
+// the one every session drains, so the figure is fixed for the Dataset's
+// life.
 func (ds *Dataset) MemoryFootprint() int64 {
-	return ds.shared.MemoryFootprint().TotalBytes()
+	return ds.MemoryBreakdown().TotalBytes()
 }
 
 // MemoryBreakdown returns the itemized terms behind MemoryFootprint.
 func (ds *Dataset) MemoryBreakdown() MemoryFootprint {
-	return ds.shared.MemoryFootprint()
+	return ds.shared.MemoryFootprint(ds.layout)
 }
 
 // Metrics returns the registry this dataset reports into, or nil when the

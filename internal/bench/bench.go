@@ -23,6 +23,7 @@ import (
 	"phylo/internal/schedule"
 	"phylo/internal/search"
 	"phylo/internal/seqsim"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -72,7 +73,7 @@ type RunSpec struct {
 	OptimizeRates  bool  // include GTR rate optimization in ModeModelOpt
 
 	// SkewCosts multiplies the analytic span cost of 4-state (DNA)
-	// partitions by this factor before any schedule is built — a
+	// partitions by this factor in the spans the schedule is packed from — a
 	// deliberately *wrong* cost model for the steal experiment, which shows
 	// stealing absorbing what a mispriced static pack leaves idle. 0 or 1
 	// disables the skew. Runtime op counters are unaffected (they always
@@ -192,22 +193,25 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
+	sched, err := sh.ScheduleFor(spec.Schedule)
+	if err != nil {
+		return nil, err
+	}
 	if spec.SkewCosts > 0 && spec.SkewCosts != 1 {
-		costs := sh.SpanCosts()
+		spans := make([]schedule.Span, sched.NumSpans())
 		for i, p := range d.Parts {
-			if p.Type.States() == 4 {
-				costs[i] *= spec.SkewCosts
+			if spans[i] = sched.Span(i); p.Type.States() == 4 {
+				spans[i].Cost *= spec.SkewCosts
 			}
 		}
-		if err := sh.OverrideSpanCosts(costs); err != nil {
+		if sched, err = schedule.New(spec.Schedule, spec.Threads, spans); err != nil {
 			return nil, err
 		}
 	}
 	eng, err := core.NewSession(sh, tr, models, exec, core.Options{
 		Specialize: true,
-		Schedule:   spec.Schedule,
+		Layout:     steal.NewLayout(sched, spec.MinChunk),
 		Steal:      spec.Steal,
-		MinChunk:   spec.MinChunk,
 	})
 	if err != nil {
 		return nil, err

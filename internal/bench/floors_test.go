@@ -13,6 +13,7 @@ import (
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -559,7 +560,11 @@ func TestStealMigrationCeiling(t *testing.T) {
 	grid := newWorkload(t, 20, 20000, 1000, 0.01, floorSeed, floorSeed+1)
 	hold(t, func() (bool, string) {
 		r := grid.rig(t, threads, core.BackendFused)
-		eng := r.session(t, core.Options{Specialize: true, Schedule: schedule.Weighted, Steal: true})
+		sched, err := r.sh.ScheduleFor(schedule.Weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := r.session(t, core.Options{Specialize: true, Layout: steal.NewLayout(sched, 0), Steal: true})
 		root := eng.Tree.Tips[0].Back
 		eng.Traverse(root, false, nil) // warm the CLVs and caches
 		probe := measure(r.pool, func() {

@@ -7,7 +7,6 @@ import (
 
 	"phylo/internal/model"
 	"phylo/internal/parallel"
-	"phylo/internal/schedule"
 	"phylo/internal/tree"
 )
 
@@ -132,21 +131,25 @@ func TestEngineBuffersAligned(t *testing.T) {
 }
 
 // TestSessionFootprintMatchesBuffers pins the figure plkd's dataset cache
-// evicts on: MemoryFootprint().SessionBytes() must equal the summed lengths
-// of what a real session over the Shared holds once it has run every region
+// evicts on: MemoryFootprint(l).SessionBytes() must equal the summed lengths
+// of what a real session draining l holds once it has run every region
 // kind — CLVs, scaling vectors, sumtable, every slice of every worker record,
 // the chunk layout and runtime, and the per-chunk partial sums — on both
-// backends. The worker records are walked by reflection, so a buffer added to
+// backends, at the default chunk size and a smaller one. The worker records are walked by reflection, so a buffer added to
 // one later cannot go unpriced. The transition-matrix memo is priced at its
 // cap: the blocks the session holds plus one per slot that has not missed
 // yet. The shared Layout term must be the layout descriptor's record table.
 func TestSessionFootprintMatchesBuffers(t *testing.T) {
-	for _, backend := range []Backend{BackendGeneric, BackendFused} {
+	for _, arm := range []struct {
+		backend  Backend
+		minChunk int
+	}{{BackendGeneric, 0}, {BackendFused, 0}, {BackendGeneric, 16}, {BackendFused, 16}} {
+		backend := arm.backend
 		sim, err := parallel.NewSim(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true, Schedule: schedule.Weighted})
+		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true}, weightedAt(t, arm.minChunk))
 		runStealResult(t, eng)
 
 		var held int64
@@ -166,16 +169,16 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 				}
 			}
 		}
-		l := eng.stealRT.Layout()
+		l := eng.ChunkLayout()
 		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
 
 		if blocks == 0 || room == 0 {
 			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)
 		}
-		f := eng.Shared().MemoryFootprint()
+		f := eng.Shared().MemoryFootprint(l)
 		if got := f.SessionBytes(); got != held+room {
-			t.Errorf("%v: SessionBytes() = %d, session holds %d, %d of them memo blocks (%d short of the memo's cap)",
-				backend, got, held, blocks, room)
+			t.Errorf("%v, MinChunk %d: SessionBytes() = %d, session holds %d, %d of them memo blocks (%d short of the memo's cap)",
+				backend, arm.minChunk, got, held, blocks, room)
 		}
 		// Layout prices every per-partition table the descriptor has, found
 		// by reflection so a table added later cannot go unpriced.

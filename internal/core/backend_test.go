@@ -7,7 +7,7 @@ import (
 	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
-	"phylo/internal/schedule"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -67,11 +67,14 @@ func backendBitIdentity(t *testing.T) {
 		}
 		defer pool.Close()
 
-		mk := func(backend Backend, exec parallel.Executor, nThreads int, opts Options) *Engine {
+		mk := func(backend Backend, exec parallel.Executor, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
 			t.Helper()
 			sh, err := NewSharedWith(d, cats, nThreads, backend)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if layout != nil {
+				opts.Layout = layout(sh)
 			}
 			if sh.Backend != backend {
 				t.Fatalf("shared backend %v, want %v", sh.Backend, backend)
@@ -96,7 +99,7 @@ func backendBitIdentity(t *testing.T) {
 			exec    func() parallel.Executor
 			threads int
 			opts    Options
-			steal   bool // SetStealing target when opts.Steal
+			layout  func(*Shared) *steal.Layout
 		}
 		sim := func() parallel.Executor {
 			s, err := parallel.NewSim(threads)
@@ -107,24 +110,20 @@ func backendBitIdentity(t *testing.T) {
 		}
 		configs := []config{
 			{"pool", func() parallel.Executor { return pool.Session() }, threads,
-				Options{Specialize: true, Schedule: schedule.Weighted}, false},
+				Options{Specialize: true}, weightedAt(t, 0)},
 			{"pool-steal", func() parallel.Executor { return pool.Session() }, threads,
-				Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, true},
+				Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
 			{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
-				Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, false},
-			{"sim", sim, threads, Options{Specialize: true}, false},
+				Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
+			{"sim", sim, threads, Options{Specialize: true}, nil},
 			{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
-				Options{Specialize: true}, false},
+				Options{Specialize: true}, nil},
 			{"sequential-nospec", func() parallel.Executor { return parallel.NewSequential() }, 1,
-				Options{Specialize: false}, false},
+				Options{Specialize: false}, nil},
 		}
 		for _, cfg := range configs {
-			engGen := mk(BackendGeneric, cfg.exec(), cfg.threads, cfg.opts)
-			engFus := mk(BackendFused, cfg.exec(), cfg.threads, cfg.opts)
-			if cfg.opts.Steal {
-				engGen.SetStealing(cfg.steal)
-				engFus.SetStealing(cfg.steal)
-			}
+			engGen := mk(BackendGeneric, cfg.exec(), cfg.threads, cfg.opts, cfg.layout)
+			engFus := mk(BackendFused, cfg.exec(), cfg.threads, cfg.opts, cfg.layout)
 			resGen := runBackendResult(t, engGen)
 			resFus := runBackendResult(t, engFus)
 			requireBackendIdentical(t, cfg.name+"/generic-vs-fused", resGen, resFus)

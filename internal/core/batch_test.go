@@ -5,6 +5,7 @@ import (
 
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -127,12 +128,15 @@ func TestWeightSetReplicateAndAggregate(t *testing.T) {
 
 // batchEngine builds a session over the steal fixture for one backend and
 // option set.
-func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor, nThreads int, opts Options) *Engine {
+func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
 	t.Helper()
 	d, models := stealFixture(t, cats, 500)
 	sh, err := NewSharedWith(d, cats, nThreads, backend)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if layout != nil {
+		opts.Layout = layout(sh)
 	}
 	tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 21})
 	if err != nil {
@@ -145,8 +149,25 @@ func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor
 	return eng
 }
 
+// cut is the chunk layout a Dataset builds over sh: the strategy's schedule
+// cut at minChunk (0 selects the default size).
+func cut(t testing.TB, sh *Shared, strategy schedule.Strategy, minChunk int) *steal.Layout {
+	t.Helper()
+	s, err := sh.ScheduleFor(strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steal.NewLayout(s, minChunk)
+}
+
+// weightedAt is cut at the weighted schedule, for fixtures that build their
+// Shared themselves.
+func weightedAt(t testing.TB, minChunk int) func(*Shared) *steal.Layout {
+	return func(sh *Shared) *steal.Layout { return cut(t, sh, schedule.Weighted, minChunk) }
+}
+
 // TestBatchBitIdentity is the batched reductions' acceptance test: on both
-// backends, with stealing on, toggled off, and never enabled, every replicate
+// backends, with stealing on and off, every replicate
 // lnL and both branch derivatives of a batched R-wide run must equal — bit
 // for bit — a single-replicate Evaluate / BranchDerivatives run over that
 // replicate's weights (via the weight override) and a width-1 batched run
@@ -165,25 +186,22 @@ func TestBatchBitIdentity(t *testing.T) {
 		exec    func() parallel.Executor
 		threads int
 		opts    Options
-		steal   bool
+		layout  func(*Shared) *steal.Layout
 	}
 	configs := []config{
 		{"pool", func() parallel.Executor { return pool.Session() }, threads,
-			Options{Specialize: true, Schedule: schedule.Weighted}, false},
+			Options{Specialize: true}, weightedAt(t, 0)},
 		{"pool-steal", func() parallel.Executor { return pool.Session() }, threads,
-			Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, true},
+			Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
 		{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
-			Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}, false},
+			Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
 		{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
-			Options{Specialize: true}, false},
+			Options{Specialize: true}, nil},
 	}
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		for _, cfg := range configs {
 			for _, cats := range []int{1, 4} {
-				eng := batchEngine(t, backend, cats, cfg.exec(), cfg.threads, cfg.opts)
-				if cfg.opts.Steal {
-					eng.SetStealing(cfg.steal)
-				}
+				eng := batchEngine(t, backend, cats, cfg.exec(), cfg.threads, cfg.opts, cfg.layout)
 				label := backend.String() + "/" + cfg.name
 				ws, err := NewWeightSet(eng.Data, R, 4242)
 				if err != nil {
@@ -256,7 +274,7 @@ func TestBatchBitIdentity(t *testing.T) {
 // Evaluate and BranchDerivatives must equal lane 0 of EvaluateBatch and
 // BranchDerivativesBatch over UniformWeightSet(data, 1).
 func TestBatchUniformMatchesPlain(t *testing.T) {
-	eng := batchEngine(t, BackendFused, 4, parallel.NewSequential(), 1, Options{Specialize: true})
+	eng := batchEngine(t, BackendFused, 4, parallel.NewSequential(), 1, Options{Specialize: true}, nil)
 	plain := eng.LogLikelihood()
 	ws, err := UniformWeightSet(eng.Data, 4)
 	if err != nil {
@@ -307,7 +325,7 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 // TestBatchValidation exercises the error paths: nil and mismatched weight
 // sets, bad override widths, wrong derivative buffer sizes.
 func TestBatchValidation(t *testing.T) {
-	eng := batchEngine(t, BackendGeneric, 1, parallel.NewSequential(), 1, Options{Specialize: true})
+	eng := batchEngine(t, BackendGeneric, 1, parallel.NewSequential(), 1, Options{Specialize: true}, nil)
 	if _, err := eng.LogLikelihoodBatch(nil); err == nil {
 		t.Fatal("nil weight set accepted")
 	}

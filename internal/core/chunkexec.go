@@ -33,8 +33,9 @@ import (
 //     of any batch performs the floating-point sequence a width-1 run over
 //     replicate r's weights performs.
 //
-// Determinism argument (why a result depends only on the schedule and its
-// chunk layout — not on stealing, the executor, or the interleaving):
+// Determinism argument (why a result depends only on the chunk layout — the
+// dataset's schedule cut at its minimum chunk size — not on stealing, the
+// executor, or the interleaving):
 //
 //  1. CLV, scaling, and sumtable writes are per-pattern and chunks are
 //     disjoint pattern ranges, so newview/sumtable output is independent of
@@ -45,7 +46,7 @@ import (
 //     partials in fixed chunk-id order after the barrier. The floating-point
 //     association is therefore identical whatever the dynamic steal
 //     interleaving, stealing on or off, concurrent or serial executor, in
-//     this session or any other over the same schedule and minimum chunk size.
+//     this session or any other draining the same layout.
 //  3. Multi-step traversals need an intra-region step barrier only when
 //     thieving (steal.Runtime.NextStep): a stolen pattern's step-s writer
 //     need not be its step-s+1 reader, so every step's CLVs must be visible
@@ -413,9 +414,3 @@ func chunkPartials(buf *[]float64, n int) []float64 {
 	clear(b)
 	return b
 }
-
-// SetStealing toggles thieving (Options.Steal sets the initial value). The
-// chunks and the fixed-order reductions stay in place either way, so results
-// are bit-for-bit identical with stealing on or off. Must be called between
-// regions.
-func (e *Engine) SetStealing(on bool) { e.stealRT.SetStealing(on) }

@@ -8,11 +8,11 @@
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
-// that each worker drains from the session's steal.Runtime, its own chunks
-// only unless the session enables stealing. Every public operation takes an
-// optional per-partition activity mask, which is the mechanism behind both
-// oldPAR (one active partition at a time) and newPAR (all non-converged
-// partitions at once).
+// (the dataset's steal.Layout) that each worker drains through the session's
+// steal.Runtime, its own chunks only unless the session steals. Every public
+// operation takes an optional per-partition activity mask, which is the
+// mechanism behind both oldPAR (one active partition at a time) and newPAR
+// (all non-converged partitions at once).
 //
 // The whole package is a deterministic scope: likelihoods must be
 // bit-identical across runs and executor shapes (see DESIGN.md "Static
@@ -29,7 +29,6 @@ import (
 	"phylo/internal/model"
 	"phylo/internal/obs"
 	"phylo/internal/parallel"
-	"phylo/internal/schedule"
 	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
@@ -47,9 +46,9 @@ const (
 // it owns the tree, the model copies, the chunk runtime and its partial sums,
 // and holds one sessionBuffers set (CLVs, scaling vectors, sumtable,
 // per-worker scratch) from NewSession until Release, while everything derived
-// from the dataset alone (compressed patterns, memory layout, schedules, the
-// retired buffer sets) lives in a Shared that any number of concurrent
-// engines borrow.
+// from the dataset alone (compressed patterns, memory layout, the retired
+// buffer sets) lives in a Shared, and the chunk layout in the dataset's
+// Options.Layout, that any number of concurrent engines borrow.
 type Engine struct {
 	Data   *alignment.CompressedData
 	Tree   *tree.Tree
@@ -65,11 +64,10 @@ type Engine struct {
 
 	shared *Shared
 
-	sched   *schedule.Schedule // the dataset's schedule for this strategy, pinned for life
-	allMask []bool             // cached all-true partition mask (activeOrAll)
+	allMask []bool // cached all-true partition mask (activeOrAll)
 
 	// Region execution (see chunkexec.go): the runtime every region drains
-	// the schedule's chunks through, the region in flight, the chunk loop as
+	// the layout's chunks through, the region in flight, the chunk loop as
 	// the func value handed to Exec.Run (bound once, so a region does not
 	// allocate it), and the per-chunk partial-sum buffers of the fixed-order
 	// reductions, grown to the widest WeightSet the session has run.
@@ -98,24 +96,24 @@ type Engine struct {
 type Options struct {
 	// Specialize enables the tip-case lookup tables.
 	Specialize bool
-	// Schedule selects the pattern-to-worker assignment strategy. The zero
-	// value is schedule.Cyclic, the paper's distribution; schedule.Block is
-	// the contiguous ablation; schedule.Weighted LPT-bin-packs patterns by
-	// per-pattern op cost (see internal/schedule).
-	Schedule schedule.Strategy
+	// Layout is the chunk layout the session drains: a schedule of the
+	// dataset's spans (Shared.ScheduleFor, or schedule.New over repriced
+	// spans) cut by steal.NewLayout at a minimum chunk size. Chunks are the
+	// unit of both stealing and the fixed-order reductions, so the layout
+	// alone decides which worker owns which patterns and how every sum is
+	// grouped: sessions over one layout agree bit for bit. A Dataset builds
+	// one and hands it to all of its sessions, which only read it. nil means
+	// the cyclic schedule at steal.DefaultMinChunk; a layout cut for another
+	// worker count or partition scheme is refused.
+	Layout *steal.Layout
 	// Steal lets a worker that has drained its own chunks steal the largest
 	// remaining half from the costliest victim, bounding intra-region tail
-	// latency that no precomputed assignment can see. It only sets the
-	// runtime's thieving flag (Engine.SetStealing): the chunks, the driver,
-	// and the fixed chunk-order reductions are the same either way, so
-	// likelihoods and derivatives are bit-for-bit identical with stealing on
-	// or off (see internal/core/chunkexec.go).
+	// latency that no precomputed assignment can see. It is fixed for the
+	// session's life (steal.NewRuntime): the chunks, the driver, and the
+	// fixed chunk-order reductions are the same either way, so likelihoods
+	// and derivatives are bit-for-bit identical with stealing on or off (see
+	// internal/core/chunkexec.go).
 	Steal bool
-	// MinChunk is the minimum chunk size in patterns (0 selects
-	// steal.DefaultMinChunk). Chunks are the unit of both stealing and the
-	// fixed-order reductions, so the value regroups floating-point sums
-	// (within reassociation tolerance) besides bounding steal granularity.
-	MinChunk int
 	// Metrics, when non-nil, receives the engine-level observability families
 	// (batch width; session buffers recycled vs allocated, counted once in
 	// NewSession). Region/kernel/steal families come from the executor's
@@ -200,12 +198,12 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 // NewSession builds a session engine over precomputed shared state: it
 // validates the session's tree, models, and executor against the dataset,
 // takes a retired sessionBuffers set from the Shared (allocating one when
-// none is parked) and builds only the small per-session state fresh — kernel
-// selection, the all-true mask, the chunk runtime. Any number of sessions may
-// run concurrently over one Shared as long as each has its own executor (a
-// parallel.Pool.Session view of shared workers counts). Release the session
-// when it is over so the next can reuse its buffers; one that is simply
-// dropped costs its successor an allocation, nothing else.
+// none is parked) and builds only the small per-session state fresh — the
+// all-true mask and the chunk runtime over opts.Layout. Any number of
+// sessions may run concurrently over one Shared as long as each has its own
+// executor (a parallel.Pool.Session view of shared workers counts). Release
+// the session when it is over so the next can reuse its buffers; one that is
+// simply dropped costs its successor an allocation, nothing else.
 func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
 	if sh == nil || tr == nil || exec == nil {
 		return nil, errors.New("core: nil shared state, tree, or executor")
@@ -218,7 +216,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		return nil, fmt.Errorf("core: tree has %d tips, data %d taxa", tr.NumTips(), data.NumTaxa())
 	}
 	if exec.Threads() != sh.Threads {
-		return nil, fmt.Errorf("core: executor has %d workers, shared schedules are for %d", exec.Threads(), sh.Threads)
+		return nil, fmt.Errorf("core: executor has %d workers, the dataset is for %d", exec.Threads(), sh.Threads)
 	}
 	for i, m := range models {
 		if m.Type != data.Parts[i].Type {
@@ -239,7 +237,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	default:
 		return nil, fmt.Errorf("core: tree has %d branch-length slots; want 1 or %d", tr.ZSlots, len(data.Parts))
 	}
-	sched, err := sh.ScheduleFor(opts.Schedule)
+	layout, err := sh.sessionLayout(opts.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +249,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 		PerPartitionBL: perPart,
 		Specialize:     opts.Specialize,
 		shared:         sh,
-		sched:          sched,
 		numCats:        sh.NumCats,
 		layout:         sh.layout,
 	}
@@ -260,8 +257,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.
 	for i := range e.allMask {
 		e.allMask[i] = true
 	}
-	e.stealRT = steal.NewRuntime(steal.NewLayout(sched, opts.MinChunk))
-	e.stealRT.SetStealing(opts.Steal)
+	e.stealRT = steal.NewRuntime(layout, opts.Steal)
 	bufs, source := sh.retired.Get(), "recycled"
 	if bufs == nil {
 		bufs, source = newSessionBuffers(sh), "allocated"
@@ -330,9 +326,9 @@ func (e *Engine) scale(nodeIndex int) []int32 {
 	return e.scales[nodeIndex-e.Tree.NumTips()]
 }
 
-// Schedule exposes the session's pattern-to-worker assignment (for tests,
-// benchmarks, and tooling that reports per-worker load predictions).
-func (e *Engine) Schedule() *schedule.Schedule { return e.sched }
+// ChunkLayout exposes the chunk layout the session drains (read-only); its
+// Schedule is the pattern-to-worker assignment.
+func (e *Engine) ChunkLayout() *steal.Layout { return e.stealRT.Layout() }
 
 // activeOrAll returns the cached all-true mask when active is nil. Callers
 // treat the mask as read-only; the cache removes a per-region allocation

@@ -665,7 +665,11 @@ func TestScheduleStrategiesEquivalentNumerics(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		sh, err := NewSharedWith(d, 4, 4, BackendAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -696,7 +700,11 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		for i, m := range models {
 			cl[i] = m.Clone()
 		}
-		eng, err := newEngine(d, tr, cl, sim, Options{Specialize: true, Schedule: strat})
+		sh, err := NewSharedWith(d, 4, 4, BackendAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -741,11 +749,15 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 	want := seqEng.LogLikelihood()
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
 		sim, _ := parallel.NewSim(8)
-		eng, err := newEngine(d, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Schedule: strat})
+		sh, err := NewSharedWith(d, 4, 8, BackendAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := eng.Schedule()
+		eng, err := NewSession(sh, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := eng.ChunkLayout().Schedule()
 		if sched.Strategy() != strat || sched.Threads() != 8 || sched.Total() != d.TotalPatterns {
 			t.Errorf("engine schedule = %v/%d workers/%d patterns, want %v/8/%d",
 				sched.Strategy(), sched.Threads(), sched.Total(), strat, d.TotalPatterns)
@@ -782,8 +794,7 @@ func mustTree(t *testing.T, taxa int, seed int64) *tree.Tree {
 
 // TestSharedSessionsMatchStandalone: one Shared backing several sessions
 // (including concurrent ones on a shared pool) must reproduce the
-// standalone-engine likelihood bit-for-bit, while schedules are computed
-// once and cached.
+// standalone-engine likelihood bit-for-bit.
 func TestSharedSessionsMatchStandalone(t *testing.T) {
 	a := randomAlignment(t, 8, 80, alignment.DNA, 31)
 	parts, err := alignment.UniformPartitions(a, alignment.DNA, 20)
@@ -819,13 +830,6 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	sh, err := NewSharedWith(d, 4, 3, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
-	}
-	s1, err := sh.ScheduleFor(schedule.Cyclic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2, _ := sh.ScheduleFor(schedule.Cyclic); s2 != s1 {
-		t.Error("schedule not cached: second ScheduleFor returned a new object")
 	}
 	pool, err := parallel.NewPool(3)
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // Memory accounting. A likelihood-serving cache needs a price per dataset to
-// evict against a byte budget, and that price has two parts: what the Shared
-// itself keeps resident (compressed alignment, schedules, layout tables) and
+// evict against a byte budget, and that price has two parts: what the dataset
+// keeps resident (compressed alignment, its schedule, layout tables) and
 // what a session opened over it holds (CLVs, scaling vectors, the sumtable
 // once a branch has been smoothed, per-worker scratch, the chunk runtime).
 // Buffer sets parked between sessions (Shared.retired) are that same
@@ -19,18 +19,19 @@ import (
 // would badly undercount the capacity a cached dataset consumes once it
 // serves traffic.
 
-// MemoryFootprint itemizes the heap bytes of one Shared plus the estimated
-// bytes of one session over it. All figures count the large flat buffers and
-// tables; per-object Go runtime overhead (slice headers, map buckets,
-// goroutine stacks) is not modelled.
+// MemoryFootprint itemizes the heap bytes of one Shared and the schedule of a
+// chunk layout over it, plus the estimated bytes of one session draining that
+// layout. All figures count the large flat buffers and tables; per-object Go
+// runtime overhead (slice headers, map buckets, goroutine stacks) is not
+// modelled.
 type MemoryFootprint struct {
 	// CompressedAlignment covers the pattern-compressed dataset: encoded tip
 	// codes ([taxon][pattern] bytes), pattern weights (per partition and as
 	// the width-1 WeightSet the reductions read), presence masks, and
 	// taxon/partition names.
 	CompressedAlignment int64 `json:"compressed_alignment"`
-	// Schedules covers the schedules built so far: one immutable schedule per
-	// strategy, built when the first session asks for it.
+	// Schedules covers the priced span table and the schedule the layout
+	// cuts: the dataset's one pattern-to-worker assignment.
 	Schedules int64 `json:"schedules"`
 	// Layout covers the CLV/sumtable geometry descriptor (its one table of
 	// per-partition records).
@@ -52,10 +53,10 @@ type MemoryFootprint struct {
 	// per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
-	// layout of its schedule, the steal runtime over it (deque words, backing
+	// layout it drains, the steal runtime over it (deque words, backing
 	// arrays, loaded-id lists), and the per-chunk evaluate and derivative
-	// partial sums at batch width 1. It is priced for the default minimum
-	// chunk size on the schedule with the most chunks built so far.
+	// partial sums at batch width 1. The layout is the dataset's, priced
+	// here once, at the chunk size its sessions run.
 	SessionChunks int64 `json:"session_chunks"`
 }
 
@@ -76,9 +77,9 @@ func (f MemoryFootprint) TotalBytes() int64 {
 }
 
 // MemoryFootprint computes the shared state's resident bytes and the
-// estimated per-session bytes. Safe for concurrent use; the schedule term
-// reflects the schedules built so far.
-func (sh *Shared) MemoryFootprint() MemoryFootprint {
+// estimated bytes of a session draining l (Options.Layout), pricing l and
+// its schedule as they are. Safe for concurrent use.
+func (sh *Shared) MemoryFootprint(l *steal.Layout) MemoryFootprint {
 	var f MemoryFootprint
 	for _, name := range sh.Data.TaxaNames {
 		f.CompressedAlignment += int64(len(name))
@@ -94,18 +95,10 @@ func (sh *Shared) MemoryFootprint() MemoryFootprint {
 		}
 	}
 	f.CompressedAlignment += sh.weights.MemoryBytes()
-	sh.mu.Lock()
-	f.Schedules = 24 * int64(len(sh.spans)) // Span{Lo, Hi int; Cost float64}
-	for _, s := range sh.scheds {           //plk:allow(maprange) commutative sum and max; order-free
-		f.Schedules += s.MemoryBytes()
-		l := steal.NewLayout(s, 0)
-		chunks := l.MemoryBytes() + l.RuntimeBytes() +
-			3*8*int64(l.NumChunks()) // evaluate + (d1, d2) partials per chunk
-		if chunks > f.SessionChunks {
-			f.SessionChunks = chunks
-		}
-	}
-	sh.mu.Unlock()
+	f.Schedules = 24*int64(len(sh.spans)) + // Span{Lo, Hi int; Cost float64}
+		l.Schedule().MemoryBytes()
+	f.SessionChunks = l.MemoryBytes() + l.RuntimeBytes() +
+		3*8*int64(l.NumChunks()) // evaluate + (d1, d2) partials per chunk
 	f.Layout = sh.layout.memoryBytes()
 
 	nInner := int64(sh.Data.NumTaxa() - 2)

@@ -134,7 +134,7 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	}
 	obs := &goldenObserver{}
 	exec.SetObserver(obs)
-	eng, err := NewSession(sh, tr, ms, exec, Options{Specialize: specialize, Schedule: schedule.Weighted, Steal: stealing, MinChunk: 4})
+	eng, err := NewSession(sh, tr, ms, exec, Options{Specialize: specialize, Layout: cut(t, sh, schedule.Weighted, 4), Steal: stealing})
 	if err != nil {
 		t.Fatal(err)
 	}

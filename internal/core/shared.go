@@ -7,27 +7,27 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/schedule"
+	"phylo/internal/steal"
 )
 
 // Shared is the immutable, session-independent half of the likelihood
 // engine: the compressed alignment, the kernel backend and the CLV/sumtable
-// memory layout derived from it, the per-pattern op-cost spans, and one
-// immutable schedule per strategy. All of this is fixed per dataset — the
-// paper's point is that it is built once and amortized over many likelihood
+// memory layout derived from it, and the per-pattern op-cost spans the
+// schedules are built from. All of this is fixed per dataset — the paper's
+// point is that it is built once and amortized over many likelihood
 // evaluations — so one Shared can back any number of concurrent session
 // engines (see NewSession) without synchronization on the hot path: every
-// field is read-only after construction except the schedule map (own mutex,
-// lazily populated, entries never replaced) and the pool of retired session
+// field is read-only after construction except the pool of retired session
 // buffers (which no session reads before overwriting), so what a session
-// computes is a function of the dataset and its own options, never of a
-// sibling or predecessor session.
+// computes is a function of the dataset, the chunk layout it drains and its
+// own options, never of a sibling or predecessor session.
 type Shared struct {
 	// Data is the compressed alignment (patterns, weights, tip encodings).
 	Data *alignment.CompressedData
 	// NumCats is the Gamma category count every session's models must match.
 	NumCats int
-	// Threads is the worker count the schedules are computed for; every
-	// session executor must run exactly this many workers.
+	// Threads is the worker count schedules and chunk layouts are cut for;
+	// every session executor must run exactly this many workers.
 	Threads int
 	// Backend is the resolved kernel backend (never BackendAuto); every
 	// session over this Shared runs its bodies.
@@ -41,9 +41,6 @@ type Shared struct {
 	// what Evaluate and BranchDerivatives reduce under when the session has
 	// no override, so "unbatched" is the R = 1 case of the lane reductions.
 	weights *WeightSet
-
-	mu     sync.Mutex
-	scheds map[schedule.Strategy]*schedule.Schedule // built on first use, never replaced
 
 	// retired holds the sessionBuffers sets of released sessions for the next
 	// NewSession. A sync.Pool, not a free-list: a parked set would be live
@@ -80,7 +77,6 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		Backend: resolved,
 		layout:  newCLVLayout(data.Parts, numCats, resolved),
 		spans:   make([]schedule.Span, len(data.Parts)),
-		scheds:  make(map[schedule.Strategy]*schedule.Schedule),
 	}
 	tipFrac := tipChildFrac(data.NumTaxa())
 	for i, p := range data.Parts {
@@ -106,57 +102,38 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 // Layout exposes the backend-derived CLV/sumtable geometry (read-only).
 func (sh *Shared) Layout() *CLVLayout { return sh.layout }
 
-// ScheduleFor returns the pattern-to-worker assignment for a strategy,
-// building it on first use. A strategy's schedule is built once per dataset
-// and never changes: every session pins the same immutable value for life.
-// Safe for concurrent use.
+// ScheduleFor builds the pattern-to-worker assignment of a strategy over
+// the dataset's priced spans. It caches nothing: a Dataset builds its one
+// schedule and cuts it into the chunk layout every session drains
+// (Options.Layout).
 func (sh *Shared) ScheduleFor(strategy schedule.Strategy) (*schedule.Schedule, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.scheds[strategy]; ok {
-		return s, nil
-	}
-	s, err := schedule.New(strategy, sh.Threads, sh.spans)
-	if err != nil {
-		return nil, err
-	}
-	sh.scheds[strategy] = s
-	return s, nil
+	return schedule.New(strategy, sh.Threads, sh.spans)
 }
 
-// OverrideSpanCosts replaces the analytic per-pattern span costs — one entry
-// per partition — before any schedule has been built. It exists for the
-// steal experiment and tests, which deliberately misprice the model so the
-// static pack is wrong and stealing has imbalance to correct; it is not part
-// of the production construction path.
-func (sh *Shared) OverrideSpanCosts(costs []float64) error {
-	if len(costs) != len(sh.spans) {
-		return fmt.Errorf("core: %d span costs for %d partitions", len(costs), len(sh.spans))
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.scheds) > 0 {
-		return errors.New("core: span costs can only be overridden before the first schedule is built")
-	}
-	for i, c := range costs {
-		if c < 0 {
-			return fmt.Errorf("core: negative span cost %v for partition %d", c, i)
+// sessionLayout is the chunk layout a session over sh drains: l once it is
+// known to be cut for this dataset's worker count and partition scheme, or
+// for nil the cyclic schedule at the default chunk size.
+func (sh *Shared) sessionLayout(l *steal.Layout) (*steal.Layout, error) {
+	if l == nil {
+		s, err := sh.ScheduleFor(schedule.Cyclic)
+		if err != nil {
+			return nil, err
 		}
-		sh.spans[i].Cost = c
+		return steal.NewLayout(s, 0), nil
 	}
-	return nil
-}
-
-// SpanCosts returns a copy of the per-partition per-pattern costs pricing the
-// weighted schedule (analytic until overridden).
-func (sh *Shared) SpanCosts() []float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]float64, len(sh.spans))
+	if l.Threads() != sh.Threads {
+		return nil, fmt.Errorf("core: chunk layout is cut for %d workers, the dataset for %d", l.Threads(), sh.Threads)
+	}
+	s := l.Schedule()
+	if s.NumSpans() != len(sh.spans) {
+		return nil, fmt.Errorf("core: chunk layout has %d spans, the dataset %d partitions", s.NumSpans(), len(sh.spans))
+	}
 	for i, sp := range sh.spans {
-		out[i] = sp.Cost
+		if got := s.Span(i); got.Lo != sp.Lo || got.Hi != sp.Hi {
+			return nil, fmt.Errorf("core: chunk layout span %d covers patterns [%d, %d), partition %d [%d, %d)", i, got.Lo, got.Hi, i, sp.Lo, sp.Hi)
+		}
 	}
-	return out
+	return l, nil
 }
 
 // NumPartitions returns the partition count of the underlying dataset.

@@ -8,6 +8,7 @@ import (
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
+	"phylo/internal/steal"
 )
 
 // TestSiteLogLikelihoodsClampNonpositive is the satellite regression test for
@@ -121,31 +122,64 @@ func mixedData(t *testing.T, seed int64) (*alignment.CompressedData, []*model.Mo
 	return d, []*model.Model{mDNA, mAA}
 }
 
-// TestOverrideSpanCosts covers the experiment hook: costs can be replaced
-// only before the first schedule exists, and they steer the weighted pack.
-func TestOverrideSpanCosts(t *testing.T) {
-	d, _ := mixedData(t, 19)
-	sh, err := NewSharedWith(d, 4, 4, BackendAuto)
+// TestSessionRefusesForeignLayout: a session drains only a chunk layout cut
+// for its dataset. A layout for another worker count, or over another
+// partition scheme with the same pattern total, is an error; a nil Layout is
+// the cyclic schedule at the default chunk size, and a layout that fits is
+// drained as it is.
+func TestSessionRefusesForeignLayout(t *testing.T) {
+	d, models := mixedData(t, 19)
+	const threads = 2
+	sh, err := NewSharedWith(d, 4, threads, BackendAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := sh.SpanCosts()
-	if len(orig) != 2 || orig[1] <= orig[0] {
-		t.Fatalf("analytic costs %v should price AA above DNA", orig)
+	open := func(l *steal.Layout) (*Engine, error) {
+		sim, err := parallel.NewSim(threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := []*model.Model{models[0].Clone(), models[1].Clone()}
+		return NewSession(sh, mustTree(t, d.NumTaxa(), 3), ms, sim, Options{Specialize: true, Layout: l})
 	}
-	if err := sh.OverrideSpanCosts([]float64{orig[1], orig[0]}); err != nil {
+
+	sh3, err := NewSharedWith(d, 4, threads+1, BackendAuto)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.SpanCosts(); got[0] != orig[1] || got[1] != orig[0] {
-		t.Errorf("override not applied: %v", got)
+	if _, err := open(cut(t, sh3, schedule.Cyclic, 0)); err == nil {
+		t.Error("a layout cut for 3 workers opened a 2-worker session")
 	}
-	if err := sh.OverrideSpanCosts([]float64{1}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-	if _, err := sh.ScheduleFor(schedule.Weighted); err != nil {
+	// Same span count and pattern total, the partition boundary moved by one.
+	mid := d.Parts[0].End() + 1
+	moved, err := schedule.New(schedule.Cyclic, threads, []schedule.Span{
+		{Lo: 0, Hi: mid, Cost: 1}, {Lo: mid, Hi: d.TotalPatterns, Cost: 1},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.OverrideSpanCosts([]float64{1, 1}); err == nil {
-		t.Error("expected error once a schedule has been built")
+	if _, err := open(steal.NewLayout(moved, 0)); err == nil {
+		t.Error("a layout over another partition scheme opened a session")
+	}
+
+	def, err := open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := def.ChunkLayout()
+	if l.Schedule().Strategy() != schedule.Cyclic || l.MinChunk() != steal.DefaultMinChunk || l.Threads() != threads {
+		t.Errorf("nil Layout drains %v at %d patterns for %d workers, want cyclic at %d for %d",
+			l.Schedule().Strategy(), l.MinChunk(), l.Threads(), steal.DefaultMinChunk, threads)
+	}
+	explicit := cut(t, sh, schedule.Cyclic, 0)
+	eng, err := open(explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.ChunkLayout() != explicit {
+		t.Error("the session does not drain the layout it was handed")
+	}
+	if a, b := def.LogLikelihood(), eng.LogLikelihood(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("nil Layout lnL %v, cyclic at the default chunk size %v", a, b)
 	}
 }

@@ -110,7 +110,7 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := batchEngine(t, BackendFused, 4, sim, 3, Options{Specialize: true})
+	eng := batchEngine(t, BackendFused, 4, sim, 3, Options{Specialize: true}, nil)
 	ws, err := NewWeightSet(eng.Data, 2, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -100,13 +101,12 @@ func requireBitIdentical(t *testing.T, label string, a, b stealResult) {
 
 // TestStealBitIdentityAcrossExecutorsAndToggle is the acceptance test for
 // the determinism contract: likelihoods and both branch derivatives are a
-// function of the schedule and its chunk layout only, so they are bit-for-bit
-// identical (a) with thieving on vs off — toggled on one session or chosen
-// per session through Options.Steal — and (b) across Pool sessions (which
-// really steal), Sim (serial, never steals), and Sequential (T=1), at 1 and 4
-// Gamma categories on mixed DNA+AA data. The weighted schedule is
-// deliberately mispriced so the static pack is skewed and the pool runs must
-// actually steal.
+// function of the chunk layout only, so they are bit-for-bit identical (a)
+// with thieving on vs off, chosen per session through Options.Steal, and (b)
+// across Pool sessions (which really steal), Sim (serial, never steals), and
+// Sequential (T=1), at 1 and 4 Gamma categories on mixed DNA+AA data. The
+// weighted schedule is deliberately mispriced so the static pack is skewed
+// and the pool runs must actually steal.
 func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 	for _, cats := range []int{1, 4} {
 		d, models := stealFixture(t, cats, int64(100+cats))
@@ -117,9 +117,10 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		}
 		// Misprice DNA 50x so the weighted pack loads one worker far above the
 		// others: drained workers must steal to finish the region.
-		costs := sh.SpanCosts()
-		costs[0] *= 50
-		if err := sh.OverrideSpanCosts(costs); err != nil {
+		spans := append([]schedule.Span(nil), sh.spans...)
+		spans[0].Cost *= 50
+		skewed, err := schedule.New(schedule.Weighted, threads, spans)
+		if err != nil {
 			t.Fatal(err)
 		}
 		pool, err := parallel.NewPool(threads)
@@ -143,7 +144,7 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 			}
 			return eng
 		}
-		stealOpts := Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16}
+		stealOpts := Options{Specialize: true, Layout: steal.NewLayout(skewed, 16), Steal: true}
 
 		// Steals are measured, so they are read off the workers' scratch
 		// after each region (the pool sessions below run one at a time).
@@ -153,11 +154,6 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		resPool := runStealResult(t, engPool)
 		pooled := steals.steals
 
-		engToggle := mk(pool.Session(), sh, stealOpts)
-		engToggle.SetStealing(false)
-		resToggle := runStealResult(t, engToggle)
-		toggled := steals.steals - pooled
-
 		sim, err := parallel.NewSim(threads)
 		if err != nil {
 			t.Fatal(err)
@@ -165,20 +161,16 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		engSim := mk(sim, sh, stealOpts)
 		resSim := runStealResult(t, engSim)
 
-		requireBitIdentical(t, "pool-stealing vs pool-no-steal", resPool, resToggle)
 		requireBitIdentical(t, "pool-stealing vs sim-serial", resPool, resSim)
 
-		// Sequential (T=1) chunked execution: stealing on vs off identical.
+		// Sequential (T=1) chunked execution.
 		shSeq, err := NewSharedWith(d, cats, 1, BackendAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engSeq := mk(parallel.NewSequential(), shSeq, stealOpts)
+		seqOpts := Options{Specialize: true, Layout: cut(t, shSeq, schedule.Weighted, 16), Steal: true}
+		engSeq := mk(parallel.NewSequential(), shSeq, seqOpts)
 		resSeq := runStealResult(t, engSeq)
-		engSeqOff := mk(parallel.NewSequential(), shSeq, stealOpts)
-		engSeqOff.SetStealing(false)
-		resSeqOff := runStealResult(t, engSeqOff)
-		requireBitIdentical(t, "sequential toggle", resSeq, resSeqOff)
 
 		// Sessions opened without Options.Steal run the same driver over the
 		// same chunks: bit-identical to the stealing ones on every executor.
@@ -191,7 +183,9 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 			t.Errorf("cats=%d: Steal:false session recorded %v steals", cats, n)
 		}
 		requireBitIdentical(t, "pool Steal:true vs sim Steal:false", resPool, runStealResult(t, mk(sim, sh, staticOpts)))
-		requireBitIdentical(t, "sequential Steal:true vs Steal:false", resSeq, runStealResult(t, mk(parallel.NewSequential(), shSeq, staticOpts)))
+		seqStatic := seqOpts
+		seqStatic.Steal = false
+		requireBitIdentical(t, "sequential Steal:true vs Steal:false", resSeq, runStealResult(t, mk(parallel.NewSequential(), shSeq, seqStatic)))
 
 		// A different worker count is a different layout, so T=1 agrees with
 		// T=3 to reassociation tolerance, not bitwise.
@@ -199,13 +193,9 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 			t.Errorf("cats=%d: T=1 lnL %v vs T=3 %v", cats, resSeq.lnl, resPool.lnl)
 		}
 
-		// The skewed pool runs must have actually stolen work (the toggle run
-		// must not have).
+		// The skewed pool run must have actually stolen work.
 		if pooled == 0 {
 			t.Errorf("cats=%d: pool session never stole on a 50x-mispriced pack (%d regions)", cats, engPool.Exec.Stats().Regions)
-		}
-		if toggled != 0 {
-			t.Errorf("cats=%d: stealing was disabled but %v steals recorded", cats, toggled)
 		}
 	}
 }
@@ -246,7 +236,7 @@ func TestNoStepBarrierWithoutStealing(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, pool.Session(),
-			Options{Specialize: true, Schedule: schedule.Weighted, Steal: stealing, MinChunk: 16})
+			Options{Specialize: true, Layout: cut(t, sh, schedule.Weighted, 16), Steal: stealing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +298,7 @@ func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, tr, []*model.Model{m}, exec, Options{Specialize: true, Steal: true, MinChunk: 16})
+		eng, err := NewSession(sh, tr, []*model.Model{m}, exec, Options{Specialize: true, Layout: cut(t, sh, schedule.Cyclic, 16), Steal: true})
 		if err != nil {
 			t.Fatal(err)
 		}

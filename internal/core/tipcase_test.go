@@ -243,7 +243,7 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 	if share := d.TotalPatterns / threads; share < 4*threshold || 2*minChunk-1 >= threshold {
 		t.Fatalf("fixture misconfigured: %d patterns per worker, chunks up to %d, table threshold %d", share, 2*minChunk-1, threshold)
 	}
-	traversalOps := func(opts Options) float64 {
+	traversalOps := func(specialize bool, minChunk int) float64 {
 		sim, err := parallel.NewSim(threads)
 		if err != nil {
 			t.Fatal(err)
@@ -252,16 +252,21 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := newEngine(d, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 4, 0.8)}, sim, opts)
+		sh, err := NewSharedWith(d, 4, threads, BackendAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Specialize: specialize, Layout: cut(t, sh, schedule.Weighted, minChunk)}
+		eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 4, 0.8)}, sim, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Traverse(tr.Tips[0].Back, false, nil)
 		return sim.Stats().TotalOps
 	}
-	whole := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted})
-	short := traversalOps(Options{Specialize: true, Schedule: schedule.Weighted, MinChunk: minChunk})
-	generic := traversalOps(Options{Specialize: false, Schedule: schedule.Weighted, MinChunk: minChunk})
+	whole := traversalOps(true, 0)
+	short := traversalOps(true, minChunk)
+	generic := traversalOps(false, minChunk)
 	if short != whole {
 		t.Errorf("traversal ops at MinChunk %d = %v, at the default chunk size %v: short chunks lost the tip tables", minChunk, short, whole)
 	}

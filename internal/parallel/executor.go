@@ -43,7 +43,6 @@ const (
 	RegionEvaluate
 	RegionSumTable
 	RegionDerivative
-	RegionRateEval
 	RegionOther
 	numRegionKinds
 )
@@ -59,8 +58,6 @@ func (r Region) String() string {
 		return "sumtable"
 	case RegionDerivative:
 		return "derivative"
-	case RegionRateEval:
-		return "rate-eval"
 	default:
 		return "other"
 	}

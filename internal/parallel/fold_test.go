@@ -13,6 +13,7 @@ import (
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
+	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -145,13 +146,17 @@ func stealingSession(t *testing.T) func(*testing.T, parallel.Executor) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs := sh.SpanCosts()
+		sched, err := sh.ScheduleFor(schedule.Weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := make([]schedule.Span, sched.NumSpans())
 		for i, p := range d.Parts {
-			if p.Type == alignment.DNA {
-				costs[i] *= 50
+			if spans[i] = sched.Span(i); p.Type == alignment.DNA {
+				spans[i].Cost *= 50
 			}
 		}
-		if err := sh.OverrideSpanCosts(costs); err != nil {
+		if sched, err = schedule.New(schedule.Weighted, ex.Threads(), spans); err != nil {
 			t.Fatal(err)
 		}
 		tr, err := tree.Random(ds.Alignment.Names, 1, tree.RandomOptions{Seed: 3})
@@ -159,7 +164,7 @@ func stealingSession(t *testing.T) func(*testing.T, parallel.Executor) {
 			t.Fatal(err)
 		}
 		eng, err := core.NewSession(sh, tr, models, ex,
-			core.Options{Specialize: true, Schedule: schedule.Weighted, Steal: true, MinChunk: 16})
+			core.Options{Specialize: true, Layout: steal.NewLayout(sched, 16), Steal: true})
 		if err != nil {
 			t.Fatal(err)
 		}

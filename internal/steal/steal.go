@@ -21,10 +21,10 @@
 // (see the determinism argument in DESIGN.md).
 //
 // The runtime is also how a session runs *without* stealing: every region of
-// every session drains chunks through Next, and with thieving off (or on a
-// serial executor) Next is an owner-only walk of the worker's own chunk list
-// through a worker-local cursor — no deque is armed, no CAS is issued, and
-// NextStep does not synchronize. "Static" execution is therefore not a second
+// every session drains chunks through Next, and with thieving off (fixed by
+// NewRuntime) or on a serial executor Next is an owner-only walk of the
+// worker's own chunk list through a worker-local cursor — no deque is armed,
+// no CAS is issued, and NextStep does not synchronize. "Static" execution is therefore not a second
 // driver but this one with the thieves sent home. Virtual workers (NewSim,
 // NewSequential, a view whose goroutines were closed) always take that walk:
 // they run one after another on a single goroutine, so there is no barrier
@@ -107,12 +107,12 @@ func (c Chunk) Run() schedule.Run { return schedule.Run{Lo: c.Lo, Hi: c.Hi, Step
 // chunk size. Chunk ids ascend by (span, owner, position); that id order is
 // the engine's fixed reduction order, and it is identical however the chunks
 // are later distributed, which is what makes stolen-work reductions
-// deterministic. A layout is cheap to build (O(patterns/minChunk)); every
-// session builds its own from the dataset's schedule and its MinChunk.
+// deterministic. A dataset builds one layout and every session over it
+// drains that value read-only, each through its own Runtime.
 type Layout struct {
+	sched    *schedule.Schedule
 	chunks   []Chunk
 	byWorker [][]int32 // chunk ids per owner, ascending
-	threads  int
 	minChunk int
 }
 
@@ -134,7 +134,7 @@ func NewLayout(s *schedule.Schedule, minChunk int) *Layout {
 
 func buildLayout(s *schedule.Schedule, minChunk int) *Layout {
 	t := s.Threads()
-	l := &Layout{threads: t, minChunk: minChunk, byWorker: make([][]int32, t)}
+	l := &Layout{sched: s, minChunk: minChunk, byWorker: make([][]int32, t)}
 	for sp := 0; sp < s.NumSpans(); sp++ {
 		cost := s.Span(sp).Cost
 		for w := 0; w < t; w++ {
@@ -163,7 +163,10 @@ func (l *Layout) Chunk(id int) Chunk { return l.chunks[id] }
 func (l *Layout) MinChunk() int { return l.minChunk }
 
 // Threads returns the worker count the layout was built for.
-func (l *Layout) Threads() int { return l.threads }
+func (l *Layout) Threads() int { return len(l.byWorker) }
+
+// Schedule returns the schedule the layout cuts.
+func (l *Layout) Schedule() *schedule.Schedule { return l.sched }
 
 // deque is one worker's lock-free chunk deque: a packed epoch/top/bottom
 // state word over a backing array of chunk ids. The owner pops from the
@@ -196,11 +199,11 @@ func (d *deque) addRemaining(x float64) {
 }
 
 // Runtime is the per-session chunk-distribution state: one deque per worker
-// over the session's layout (fixed for the runtime's life), the per-step
-// re-arm barrier, and the load/finish lifecycle. A Runtime belongs to exactly
-// one session engine; the master (session goroutine) calls Load before
-// issuing a region and Finish after its barrier, workers call Next/NextStep
-// from inside the region closure.
+// over the session's layout, whether idle workers steal (both fixed for the
+// runtime's life), the per-step re-arm barrier, and the load/finish
+// lifecycle. A Runtime belongs to exactly one session engine; the master
+// (session goroutine) calls Load before issuing a region and Finish after its
+// barrier, workers call Next/NextStep from inside the region closure.
 type Runtime struct {
 	layout *Layout
 	deques []deque
@@ -213,19 +216,24 @@ type Runtime struct {
 	loaded [][]int32
 
 	barrier  stepBarrier
-	stealing atomic.Bool
+	stealing bool
 	inRegion atomic.Bool
 	steps    atomic.Int64 // NextStep barrier passages (observability)
 }
 
-// NewRuntime builds the stealing runtime for a layout with thieving enabled.
-func NewRuntime(l *Layout) *Runtime {
-	t := l.threads
+// NewRuntime builds the runtime over a layout, which it only reads. With
+// steal false, workers walk their own chunk lists (see Next) and NextStep
+// does not synchronize; the chunks and the fixed-order reductions over them
+// are the same, so results are bit-for-bit identical either way — only idle
+// workers do not absorb others' backlogs.
+func NewRuntime(l *Layout, steal bool) *Runtime {
+	t := l.Threads()
 	rt := &Runtime{
-		layout: l,
-		deques: make([]deque, t),
-		arrs:   make([][]atomic.Int32, t),
-		loaded: make([][]int32, t),
+		layout:   l,
+		stealing: steal,
+		deques:   make([]deque, t),
+		arrs:     make([][]atomic.Int32, t),
+		loaded:   make([][]int32, t),
 	}
 	for w := 0; w < t; w++ {
 		rt.arrs[w] = make([]atomic.Int32, l.dequeCap(w))
@@ -233,19 +241,11 @@ func NewRuntime(l *Layout) *Runtime {
 	}
 	rt.barrier.n = t
 	rt.barrier.cond = sync.NewCond(&rt.barrier.mu)
-	rt.stealing.Store(true)
 	return rt
 }
 
 // Layout returns the runtime's chunk layout.
 func (rt *Runtime) Layout() *Layout { return rt.layout }
-
-// SetStealing toggles thieving. With stealing off, workers walk their own
-// chunk lists (see Next) and NextStep stops synchronizing; the chunks and the
-// fixed-order reductions over them are the same, so results are bit-for-bit
-// identical either way — only idle workers stop absorbing others' backlogs.
-// Must not be called while a region is in flight.
-func (rt *Runtime) SetStealing(on bool) { rt.stealing.Store(on) }
 
 // Steps reports how many intra-region step barriers the runtime has passed
 // (thieving on a concurrent executor only); a traversal of n steps
@@ -282,7 +282,7 @@ func (l *Layout) MemoryBytes() int64 {
 // the padded deque words, every deque's backing array, and the loaded-id
 // lists. The session memory accounting prices it without building a Runtime.
 func (l *Layout) RuntimeBytes() int64 {
-	total := int64(l.threads) * int64(unsafe.Sizeof(deque{}))
+	total := int64(l.Threads()) * int64(unsafe.Sizeof(deque{}))
 	for w := range l.byWorker {
 		total += 4 * int64(l.dequeCap(w)+len(l.byWorker[w]))
 	}
@@ -320,10 +320,9 @@ func (rt *Runtime) Finish() { rt.inRegion.Store(false) }
 // region fans out, and the step barrier's last arriver runs it while every
 // other worker is blocked in the barrier.
 func (rt *Runtime) rearm() {
-	thieving := rt.stealing.Load()
 	for w := range rt.deques {
 		rt.deques[w].cur = 0
-		if thieving {
+		if rt.stealing {
 			rt.armWorker(w)
 		}
 	}
@@ -331,10 +330,10 @@ func (rt *Runtime) rearm() {
 
 // ownerOnly reports whether the calling worker walks only its own chunk list
 // this region: always on a serial executor, and on a concurrent one whenever
-// thieving is off. The flag cannot change inside a region (SetStealing's
-// contract), so every worker of a region takes the same branch.
+// thieving is off. Both are fixed for the region, so every worker of a region
+// takes the same branch.
 func (rt *Runtime) ownerOnly(ctx *parallel.WorkerCtx) bool {
-	return !ctx.Concurrent || !rt.stealing.Load()
+	return !ctx.Concurrent || !rt.stealing
 }
 
 // armWorker loads worker w's chunk ids into its deque, reversed so that the

@@ -126,7 +126,7 @@ func TestStealingNeverDropsOrDuplicatesPatterns(t *testing.T) {
 				return false
 			}
 			l := NewLayout(s, minChunk)
-			rt := NewRuntime(l)
+			rt := NewRuntime(l, true)
 			const steps = 2
 			rt.Load(nil)
 			perStep := claimAll(t, rt, threads, steps, 2)
@@ -151,7 +151,7 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLayout(s, 32)
-	rt := NewRuntime(l)
+	rt := NewRuntime(l, true)
 	active := []bool{true, false, true}
 	rt.Load(active)
 	perStep := claimAll(t, rt, 4, 1, 2)
@@ -160,7 +160,7 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 }
 
 // TestSerialModeHandsOutOwnChunksOnly checks the owner-only contract, which
-// both a serial executor (whatever the toggle) and a concurrent one with
+// both a serial executor (stealing or not) and a concurrent one with
 // thieving off must meet: workers receive exactly their scheduled chunks, in
 // ascending order, never steal, and NextStep rewinds per worker without
 // synchronizing — the test drives all four "concurrent" workers from one
@@ -173,8 +173,7 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := NewLayout(s, 16)
-		rt := NewRuntime(l)
-		rt.SetStealing(!concurrent)
+		rt := NewRuntime(l, !concurrent)
 		rt.Load(nil)
 		for step := 0; step < 2; step++ {
 			for w := 0; w < 4; w++ { // one worker after another, as serial executors run them
@@ -224,7 +223,7 @@ func TestStealsAreRecordedAndTargetTheCostliestVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLayout(s, 32)
-	rt := NewRuntime(l)
+	rt := NewRuntime(l, true)
 	rt.Load(nil)
 	thief := parallel.WorkerCtx{Worker: 1, Concurrent: true}
 	got := 0
@@ -246,7 +245,7 @@ func TestStealsAreRecordedAndTargetTheCostliestVictim(t *testing.T) {
 		t.Errorf("thief stole %v patterns, want worker 0's share of 320", thief.StolenPatterns)
 	}
 
-	rt.SetStealing(false)
+	rt = NewRuntime(l, false)
 	rt.Load(nil)
 	idle := parallel.WorkerCtx{Worker: 1, Concurrent: true}
 	n := 0
@@ -290,7 +289,7 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 		totalCost += c.Cost
 		totalPatterns += c.Patterns()
 	}
-	rt := NewRuntime(l)
+	rt := NewRuntime(l, true)
 	held := int64(len(rt.deques)) * 128
 	for w := range rt.arrs {
 		held += 4 * int64(len(rt.arrs[w])+cap(rt.loaded[w]))

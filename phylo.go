@@ -19,8 +19,8 @@
 //
 // The API has two layers. A Dataset is the immutable, shareable product of
 // the per-dataset setup work the paper amortizes — compressed patterns, tip
-// encodings, model templates, precomputed worker schedules, and the shared
-// worker pool. An Analysis is one lightweight session over a Dataset: it
+// encodings, model templates, the precomputed worker schedule cut into one
+// chunk layout, and the shared worker pool. An Analysis is one lightweight session over a Dataset: it
 // owns only mutable state (tree, CLVs, model copies), so any number of
 // sessions can run concurrently over one Dataset — the many-trees /
 // one-alignment workload of surrogate-likelihood methods. Long-running
@@ -220,7 +220,7 @@ func (al *Alignment) SetPartitionsFromFile(path string) error {
 // CompressionStats compresses the alignment under the current partition
 // scheme and reports the column and unique-pattern counts — the width of
 // every parallel region — without building the rest of a Dataset (models,
-// schedules, worker pool).
+// schedule, worker pool).
 func (al *Alignment) CompressionStats() (sites, patterns int, err error) {
 	d, err := alignment.Compress(al.raw, al.parts, alignment.CompressOptions{})
 	if err != nil {

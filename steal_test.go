@@ -3,6 +3,7 @@ package phylo
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -22,13 +23,14 @@ func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 	// patterns its dataset's registry recorded.
 	run := func(do DatasetOptions, minChunk int) (lnl, steals, stolen float64) {
 		do.Schedule = ScheduleWeighted
+		do.MinChunk = minChunk
 		do.Metrics = NewMetricsRegistry()
 		ds, err := NewDataset(al, do)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ds.Close()
-		an, err := ds.NewAnalysis(AnalysisOptions{Strategy: NewPar, Seed: 5, MinChunk: minChunk})
+		an, err := ds.NewAnalysis(AnalysisOptions{Strategy: NewPar, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,5 +73,79 @@ func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 	}
 	if plainSteals != 0 || plainStolen != 0 {
 		t.Errorf("non-steal dataset recorded %v steals, %v migrated patterns", plainSteals, plainStolen)
+	}
+}
+
+// TestSessionsShareTheDatasetLayout: the pattern distribution is one value
+// per Dataset. Concurrent analyses drain the very chunk layout NewDataset cut
+// (pointer-equal, at its MinChunk) and score bit-identical log likelihoods.
+func TestSessionsShareTheDatasetLayout(t *testing.T) {
+	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, Steal: true, MinChunk: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if got := ds.layout.MinChunk(); got != 16 {
+		t.Fatalf("dataset layout cut at %d patterns, want MinChunk 16", got)
+	}
+	const n = 2
+	ans := make([]*Analysis, n)
+	lnl := make([]float64, n)
+	var wg sync.WaitGroup
+	for i := range ans {
+		if ans[i], err = ds.NewAnalysis(AnalysisOptions{Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+		defer ans[i].Close()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lnl[i] = ans[i].LogLikelihood()
+		}(i)
+	}
+	wg.Wait()
+	for i, an := range ans {
+		if an.eng.ChunkLayout() != ds.layout {
+			t.Errorf("session %d drains its own chunk layout, not the dataset's", i)
+		}
+	}
+	if math.Float64bits(lnl[0]) != math.Float64bits(lnl[1]) {
+		t.Errorf("concurrent sessions of one dataset: lnL %v != %v", lnl[0], lnl[1])
+	}
+}
+
+// TestMemoryBreakdownPricesTheDatasetChunkSize: the session-chunk term is the
+// layout sessions drain at DatasetOptions.MinChunk — the layout, the runtime
+// over it and one evaluate and two derivative partials per chunk — not the
+// default chunk size.
+func TestMemoryBreakdownPricesTheDatasetChunkSize(t *testing.T) {
+	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := func(minChunk int) int64 {
+		ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, MinChunk: minChunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		an, err := ds.NewAnalysis(AnalysisOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer an.Close()
+		l := an.eng.ChunkLayout()
+		want := l.MemoryBytes() + l.RuntimeBytes() + 3*8*int64(l.NumChunks())
+		if got := ds.MemoryBreakdown().SessionChunks; got != want {
+			t.Errorf("MinChunk %d: SessionChunks = %d, a session's layout, runtime and partials hold %d", minChunk, got, want)
+		}
+		return want
+	}
+	if small, dflt := chunks(16), chunks(0); small <= dflt {
+		t.Errorf("16-pattern chunks priced %d B, no more than the default size's %d B", small, dflt)
 	}
 }
