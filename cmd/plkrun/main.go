@@ -44,7 +44,7 @@ func main() {
 		threads   = flag.Int("threads", 1, "worker count")
 		strategy  = flag.String("strategy", "new", "parallelization strategy: old | new")
 		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted")
-		stealFlag = flag.Bool("steal", false, "intra-region work stealing: chunked per-worker deques, drained workers steal half of the most loaded victim")
+		stealFlag = flag.Bool("steal", false, "intra-region work stealing: a worker that drains its own chunks takes the later half of the costliest other worker's remaining chunks")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
 		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64), a dataset setting: the dataset cuts its schedule into chunks of this size once, and every session's workers drain them, thieves take them and evaluate and derivative sums are grouped by them, with or without -steal")
 		perPart   = flag.Bool("perpart", false, "per-partition branch lengths")

@@ -549,7 +549,7 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 // that condition: with the test binary's own goroutines on the same cores, a
 // 2-vCPU box reads 43-50% migrated at T = 2 (55.6% at T = 4) on a pack that
 // is priced correctly — whichever worker the OS runs first legitimately
-// swallows the deques of workers that have not started yet.
+// swallows the chunks of workers that have not started yet.
 func TestStealMigrationCeiling(t *testing.T) {
 	timed(t)
 	threads := min(runtime.NumCPU()-1, 4)

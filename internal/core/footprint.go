@@ -53,10 +53,11 @@ type MemoryFootprint struct {
 	// per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
-	// layout it drains, the steal runtime over it (deque words, backing
-	// arrays, loaded-id lists), and the per-chunk evaluate and derivative
-	// partial sums at batch width 1. The layout is the dataset's, priced
-	// here once, at the chunk size its sessions run.
+	// layout it drains, the steal runtime over it (window words, the
+	// region's chunk-id list, its cost prefix, per-worker offsets), and the
+	// per-chunk evaluate and derivative partial sums at batch width 1. The
+	// layout is the dataset's, priced here once, at the chunk size its
+	// sessions run.
 	SessionChunks int64 `json:"session_chunks"`
 }
 

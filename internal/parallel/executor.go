@@ -72,7 +72,7 @@ func (r Region) String() string {
 // spent inside the current region's closure (monotonic; see Pool.Run).
 // Steals/StolenPatterns are incremented by the work-stealing runtime
 // (internal/steal): Steals when this worker takes chunks from a victim's
-// deque, StolenPatterns when it *executes* a pattern whose scheduled owner is
+// window, StolenPatterns when it *executes* a pattern whose scheduled owner is
 // another worker (counted once per execution, so chunks re-stolen along a
 // thief chain are not double-counted). All are reset per region and folded
 // master-side after the barrier.
@@ -119,7 +119,7 @@ type WorkerCtx struct {
 	SpanInner      float64  // newview spans with two inner children
 	PComputed      float64  // transition-matrix blocks P(z) a span binding computed
 	PReused        float64  // blocks it took from the worker's memo instead
-	StealRaces     float64  // failed CAS races in the steal deques (retried)
+	StealRaces     float64  // failed CAS races on the steal windows (retried)
 	Concurrent     bool     // workers run on real goroutines (see type comment)
 	_              [15]byte // pad to two cache lines (see type comment)
 }

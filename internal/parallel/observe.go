@@ -83,7 +83,7 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads in
 	c.stolen = reg.Counter("plk_stolen_patterns_total",
 		"Patterns executed away from their scheduled owner via work stealing.")
 	c.stealRaces = reg.Counter("plk_steal_races_total",
-		"Failed CAS races in the steal deques (each retried).")
+		"Failed CAS races on the steal windows (each retried).")
 	bl := obs.Label{Key: "backend", Value: backend}
 	c.patterns = reg.Counter("plk_kernel_patterns_total",
 		"Alignment patterns processed by newview kernels.", bl)

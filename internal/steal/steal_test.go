@@ -2,6 +2,7 @@ package steal
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -215,7 +216,7 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 // TestStealsAreRecordedAndTargetTheCostliestVictim drains a two-worker
 // layout where worker 0 never processes anything: worker 1 must steal, the
 // steal counters must land in its WorkerCtx, and with stealing disabled the
-// same situation must leave worker 0's deque untouched.
+// same situation must leave worker 0's window untouched.
 func TestStealsAreRecordedAndTargetTheCostliestVictim(t *testing.T) {
 	spans := []schedule.Span{{Lo: 0, Hi: 640, Cost: 160}}
 	s, err := schedule.New(schedule.Weighted, 2, spans)
@@ -290,10 +291,7 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 		totalPatterns += c.Patterns()
 	}
 	rt := NewRuntime(l, true)
-	held := int64(len(rt.deques)) * 128
-	for w := range rt.arrs {
-		held += 4 * int64(len(rt.arrs[w])+cap(rt.loaded[w]))
-	}
+	held := int64(len(rt.wins))*128 + 4*int64(cap(rt.ids)) + 8*int64(cap(rt.cost)+cap(rt.offs))
 	if got := l.RuntimeBytes(); got != held {
 		t.Errorf("RuntimeBytes = %d, runtime holds %d", got, held)
 	}
@@ -302,5 +300,96 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 	}
 	if totalPatterns != 1000 || totalCost != 2000 {
 		t.Errorf("layout totals %d patterns / %v cost, want 1000 / 2000", totalPatterns, totalCost)
+	}
+}
+
+// TestClaimOrderIsTheDequeOrder pins the exact chunk-id trace of the
+// stealing runtime (the order its per-worker deques gave, which the windows
+// keep), driven from one goroutine with concurrent contexts so every claim
+// and steal happens at a known point. A holder claims from the head of its
+// share (an owner ascending); a thief takes the half the holder would reach
+// last and walks it from the far end, so a drained holder that steals back
+// carries on where it stopped; a thief picks the victim with the most
+// remaining cost.
+func TestClaimOrderIsTheDequeOrder(t *testing.T) {
+	// take calls Next n times for worker w and returns the ids handed out.
+	take := func(rt *Runtime, ctxs []parallel.WorkerCtx, w, n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = rt.Next(w, &ctxs[w])
+		}
+		return ids
+	}
+	// arm builds a weighted layout of threads shares of ten 64-pattern
+	// chunks each (worker w owns ids 10w … 10w+9) and loads it with stealing.
+	arm := func(threads int) (*Runtime, []parallel.WorkerCtx) {
+		s, err := schedule.New(schedule.Weighted, threads, []schedule.Span{{Lo: 0, Hi: 640 * threads, Cost: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLayout(s, 64)
+		if got, want := l.NumChunks(), 10*threads; got != want {
+			t.Fatalf("layout has %d chunks, want %d", got, want)
+		}
+		for id := 0; id < l.NumChunks(); id++ {
+			if c := l.Chunk(id); c.Owner != id/10 || c.Patterns() != 64 {
+				t.Fatalf("chunk %d: owner %d, %d patterns; want owner %d, 64 patterns", id, c.Owner, c.Patterns(), id/10)
+			}
+		}
+		rt := NewRuntime(l, true)
+		ctxs := make([]parallel.WorkerCtx, threads)
+		for w := range ctxs {
+			ctxs[w] = parallel.WorkerCtx{Worker: w, Concurrent: true}
+		}
+		rt.Load(nil)
+		return rt, ctxs
+	}
+	type claim struct {
+		w    int
+		want []int
+	}
+	for _, tc := range []struct {
+		name    string
+		threads int
+		trace   []claim
+		steals  []float64 // per worker, after the trace
+	}{
+		{"steal", 2, []claim{
+			{1, []int{10, 11, 12, 13, 14, 15}},
+			{0, []int{0, 1, 2}},
+			{1, []int{16, 17, 18, 19, 9, 8, 7, 6}},
+			{0, []int{3, 4, 5, -1}},
+		}, []float64{0, 1}},
+		{"re-steal", 2, []claim{
+			{1, []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 9}},
+			{0, []int{0, 1, 2, 3, 4, 5, 6}},
+			{1, []int{8, 7, -1}},
+			{0, []int{-1}},
+		}, []float64{1, 1}},
+		{"costliest victim", 3, []claim{
+			{0, []int{0, 1, 2, 3, 4, 5, 6}},
+			{1, []int{10, 11}},
+			{2, []int{20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 19, 18, 17, 16}},
+			{1, []int{12, 13, 14}},
+			{2, []int{9, 8}},
+			{0, []int{7, 15, -1}},
+			{1, []int{-1}},
+			{2, []int{-1}},
+		}, []float64{1, 0, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, ctxs := arm(tc.threads)
+			for i, c := range tc.trace {
+				if got := take(rt, ctxs, c.w, len(c.want)); !slices.Equal(got, c.want) {
+					t.Fatalf("claim %d: worker %d took %v, want %v", i, c.w, got, c.want)
+				}
+			}
+			rt.Finish()
+			for w, want := range tc.steals {
+				if got := ctxs[w].Steals; got != want {
+					t.Errorf("worker %d recorded %v steals, want %v", w, got, want)
+				}
+			}
+		})
 	}
 }
