@@ -90,7 +90,7 @@ type Analysis struct {
 	ds *Dataset
 
 	eng      *core.Engine
-	exec     parallel.Executor
+	exec     *parallel.Pool
 	tr       *tree.Tree
 	strategy Strategy
 	progress func(ProgressEvent)

@@ -1,15 +1,9 @@
 package phylo
 
-// Benchmark suite: one benchmark per table/figure of the paper's evaluation
-// plus kernel microbenchmarks and the ablations called out in DESIGN.md.
-//
-// The figure benchmarks run the full analysis of the corresponding paper
-// experiment on a geometrically scaled-down dataset (partition COUNT is
-// preserved; the load-balance behaviour depends on partition geometry, not
-// absolute size) and report, alongside wall time, the quantities the paper's
-// analysis is about: synchronization events per run ("regions") and the
-// trace-priced virtual runtime on the Nehalem and Barcelona platform models
-// ("neh-s", "barc-s"). Run with:
+// Benchmark suite: kernel microbenchmarks and the ablations called out in
+// DESIGN.md. The per-figure benchmarks of the paper's evaluation live with
+// the figure harness, in internal/bench (go test -bench Fig ./internal/bench/).
+// Run with:
 //
 //	go test -bench=. -benchmem
 
@@ -20,7 +14,6 @@ import (
 	"testing"
 
 	"phylo/internal/alignment"
-	bsuite "phylo/internal/bench"
 	"phylo/internal/core"
 	"phylo/internal/model"
 	"phylo/internal/opt"
@@ -33,37 +26,6 @@ import (
 
 const benchScale = 0.005 // fraction of the paper's column counts
 
-// runFigureBench executes one paper configuration per iteration.
-func runFigureBench(b *testing.B, ds *seqsim.Dataset, strat opt.Strategy, threads int, mode bsuite.Mode, perPartBL bool, partitioned bool) {
-	b.Helper()
-	var regions int64
-	var neh, barc float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := bsuite.Run(context.Background(), bsuite.RunSpec{
-			Dataset:        ds,
-			Partitioned:    partitioned,
-			PerPartitionBL: perPartBL,
-			Strategy:       strat,
-			Threads:        threads,
-			Mode:           mode,
-			Backend:        bsuite.BackendSim,
-			TreeSeed:       1142,
-			SearchRounds:   1,
-			SearchRadius:   2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		regions = m.Stats.Regions
-		neh = m.PlatformSeconds["Nehalem"]
-		barc = m.PlatformSeconds["Barcelona"]
-	}
-	b.ReportMetric(float64(regions), "regions")
-	b.ReportMetric(neh, "neh-s")
-	b.ReportMetric(barc, "barc-s")
-}
-
 func gridDS(b *testing.B, taxa, sites, partLen int, seed int64) *seqsim.Dataset {
 	b.Helper()
 	ds, err := seqsim.GridDataset(taxa, sites, partLen, benchScale, seed)
@@ -73,93 +35,12 @@ func gridDS(b *testing.B, taxa, sites, partLen int, seed int64) *seqsim.Dataset 
 	return ds
 }
 
-func realDS(b *testing.B, spec seqsim.RealWorldSpec, seed int64) *seqsim.Dataset {
-	b.Helper()
-	ds, err := seqsim.RealWorldDataset(spec, benchScale, seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ds
-}
-
-// --- Figure 3: d50_50000 p1000, full search, per-partition BL ---
-
-func BenchmarkFig3SearchOld8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.OldPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig3SearchNew8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.NewPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig3SearchOld16(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.OldPar, 16, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig3SearchNew16(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.NewPar, 16, bsuite.ModeSearch, true, true)
-}
-
-// --- Figure 4: d100_50000 p1000 ---
-
-func BenchmarkFig4SearchOld8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 100, 50000, 1000, 43), opt.OldPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig4SearchNew8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 100, 50000, 1000, 43), opt.NewPar, 8, bsuite.ModeSearch, true, true)
-}
-
-// --- Figure 5: r125_19839 (mammalian DNA stand-in) ---
-
-func BenchmarkFig5SearchOld8(b *testing.B) {
-	runFigureBench(b, realDS(b, seqsim.R125Spec, 44), opt.OldPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig5SearchNew8(b *testing.B) {
-	runFigureBench(b, realDS(b, seqsim.R125Spec, 44), opt.NewPar, 8, bsuite.ModeSearch, true, true)
-}
-
-// --- Figure 6: unpartitioned vs new vs old speedup components ---
-
-func BenchmarkFig6Unpartitioned8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.NewPar, 8, bsuite.ModeSearch, false, false)
-}
-func BenchmarkFig6New8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.NewPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkFig6Old8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 50000, 1000, 42), opt.OldPar, 8, bsuite.ModeSearch, true, true)
-}
-
-// --- Text result T1: joint branch-length estimate (paper: ~5%) ---
-
-func BenchmarkJointBLOld8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 20000, 1000, 45), opt.OldPar, 8, bsuite.ModeModelOpt, false, true)
-}
-func BenchmarkJointBLNew8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 20000, 1000, 45), opt.NewPar, 8, bsuite.ModeModelOpt, false, true)
-}
-
-// --- Text result T2: model optimization, per-partition BL (paper: 5-10%) ---
-
-func BenchmarkModelOptOld8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 20000, 1000, 46), opt.OldPar, 8, bsuite.ModeModelOpt, true, true)
-}
-func BenchmarkModelOptNew8(b *testing.B) {
-	runFigureBench(b, gridDS(b, 50, 20000, 1000, 46), opt.NewPar, 8, bsuite.ModeModelOpt, true, true)
-}
-
-// --- Text result T3: protein datasets (paper: 5-10%) ---
-
-func BenchmarkProteinR26Old8(b *testing.B) {
-	runFigureBench(b, realDS(b, seqsim.R26Spec, 47), opt.OldPar, 8, bsuite.ModeSearch, true, true)
-}
-func BenchmarkProteinR26New8(b *testing.B) {
-	runFigureBench(b, realDS(b, seqsim.R26Spec, 47), opt.NewPar, 8, bsuite.ModeSearch, true, true)
-}
-
 // --- Kernel microbenchmarks ---
 
 type kernelFixture struct {
 	eng  *core.Engine
 	tr   *tree.Tree
-	exec parallel.Executor
+	exec *parallel.Pool
 }
 
 func kernelBench(b *testing.B, dt alignment.DataType, patterns int, specialize bool) *kernelFixture {
@@ -471,7 +352,7 @@ func BenchmarkAblationWeightedSchedule(b *testing.B) { scheduleBench(b, schedule
 
 // newEngine builds the shared state for (d, the models' category count,
 // exec's worker count) and opens one session over it.
-func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts core.Options) (*core.Engine, error) {
 	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), core.BackendAuto)
 	if err != nil {
 		return nil, err

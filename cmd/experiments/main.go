@@ -7,7 +7,7 @@
 //	experiments -exp protein
 //	experiments -exp grid                        # dataset inventory (Sec. V, Test Datasets)
 //	experiments -exp schedule                    # cyclic vs block vs weighted assignment
-//	experiments -exp steal                       # intra-region work stealing vs static weighted
+//	experiments -exp steal                       # intra-region work stealing vs a static block pack
 //	experiments -fig 3 -schedule weighted        # rerun a figure under another schedule
 package main
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"phylo/internal/opt"
+	"phylo"
 	"phylo/internal/seqsim"
 )
 
@@ -26,7 +26,7 @@ func TestRunModelOptBothStrategies(t *testing.T) {
 	ds := tinyDataset(t)
 	var lnls [2]float64
 	var regions [2]int64
-	for i, strat := range []opt.Strategy{opt.OldPar, opt.NewPar} {
+	for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
 		m, err := Run(context.Background(), RunSpec{
 			Dataset:        ds,
 			Partitioned:    true,
@@ -34,7 +34,6 @@ func TestRunModelOptBothStrategies(t *testing.T) {
 			Strategy:       strat,
 			Threads:        8,
 			Mode:           ModeModelOpt,
-			Backend:        BackendSim,
 			TreeSeed:       99,
 		})
 		if err != nil {
@@ -66,10 +65,9 @@ func TestRunSearchProducesImprovement(t *testing.T) {
 		Dataset:        ds,
 		Partitioned:    true,
 		PerPartitionBL: true,
-		Strategy:       opt.NewPar,
+		Strategy:       phylo.NewPar,
 		Threads:        4,
 		Mode:           ModeSearch,
-		Backend:        BackendSim,
 		TreeSeed:       99,
 		SearchRounds:   1,
 		SearchRadius:   2,
@@ -87,10 +85,10 @@ func TestRunUnpartitionedAndPoolBackend(t *testing.T) {
 	m, err := Run(context.Background(), RunSpec{
 		Dataset:     ds,
 		Partitioned: false,
-		Strategy:    opt.NewPar,
+		Strategy:    phylo.NewPar,
 		Threads:     2,
 		Mode:        ModeModelOpt,
-		Backend:     BackendPool,
+		Pool:        true,
 		TreeSeed:    99,
 	})
 	if err != nil {
@@ -109,7 +107,7 @@ func TestOldParSlowdownShapeAt16Threads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(strat opt.Strategy, threads int) float64 {
+	get := func(strat phylo.Strategy, threads int) float64 {
 		m, err := Run(context.Background(), RunSpec{
 			Dataset:        ds,
 			Partitioned:    true,
@@ -117,7 +115,6 @@ func TestOldParSlowdownShapeAt16Threads(t *testing.T) {
 			Strategy:       strat,
 			Threads:        threads,
 			Mode:           ModeModelOpt,
-			Backend:        BackendSim,
 			TreeSeed:       5,
 		})
 		if err != nil {
@@ -125,8 +122,8 @@ func TestOldParSlowdownShapeAt16Threads(t *testing.T) {
 		}
 		return m.PlatformSeconds["Barcelona"]
 	}
-	old8, old16 := get(opt.OldPar, 8), get(opt.OldPar, 16)
-	new8, new16 := get(opt.NewPar, 8), get(opt.NewPar, 16)
+	old8, old16 := get(phylo.OldPar, 8), get(phylo.OldPar, 16)
+	new8, new16 := get(phylo.NewPar, 8), get(phylo.NewPar, 16)
 	if old16 < old8*0.8 {
 		t.Errorf("oldPAR sped up markedly from 8 (%v) to 16 (%v) threads; expected stagnation/slowdown", old8, old16)
 	}

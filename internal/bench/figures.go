@@ -6,8 +6,10 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sort"
 
-	"phylo/internal/opt"
+	"phylo"
+	"phylo/internal/alignment"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
@@ -46,15 +48,15 @@ func DefaultFigureConfig(out io.Writer) FigureConfig {
 type barSpec struct {
 	label    string
 	threads  int
-	strategy opt.Strategy
+	strategy phylo.Strategy
 }
 
 var figureBars = []barSpec{
-	{"Sequential", 1, opt.NewPar},
-	{"Old 8", 8, opt.OldPar},
-	{"New 8", 8, opt.NewPar},
-	{"Old 16", 16, opt.OldPar},
-	{"New 16", 16, opt.NewPar},
+	{"Sequential", 1, phylo.NewPar},
+	{"Old 8", 8, phylo.OldPar},
+	{"New 8", 8, phylo.NewPar},
+	{"Old 16", 16, phylo.OldPar},
+	{"New 16", 16, phylo.NewPar},
 }
 
 // runtimeFigure runs one runtime-bars figure (the template of Figures 3-5):
@@ -77,7 +79,6 @@ func runtimeFigure(ctx context.Context, cfg FigureConfig, title string, ds *seqs
 			Schedule:       cfg.Schedule,
 			Threads:        bar.threads,
 			Mode:           ModeSearch,
-			Backend:        BackendSim,
 			TreeSeed:       cfg.Seed + 100,
 			SearchRounds:   cfg.SearchRounds,
 			SearchRadius:   cfg.SearchRadius,
@@ -165,15 +166,14 @@ func Figure6(ctx context.Context, cfg FigureConfig) error {
 	type series struct {
 		label       string
 		partitioned bool
-		strategy    opt.Strategy
+		strategy    phylo.Strategy
 	}
 	all := []series{
-		{"Unpartitioned", false, opt.NewPar},
-		{"New", true, opt.NewPar},
-		{"Old", true, opt.OldPar},
+		{"Unpartitioned", false, phylo.NewPar},
+		{"New", true, phylo.NewPar},
+		{"Old", true, phylo.OldPar},
 	}
 	threads := []int{1, 2, 4, 8}
-	neh := parallel.Nehalem
 	fmt.Fprintf(cfg.Out, "%-14s %8s %8s %8s\n", "series", "T=2", "T=4", "T=8")
 	for _, s := range all {
 		times := make(map[int]float64, len(threads))
@@ -186,7 +186,6 @@ func Figure6(ctx context.Context, cfg FigureConfig) error {
 				Schedule:       cfg.Schedule,
 				Threads:        t,
 				Mode:           ModeSearch,
-				Backend:        BackendSim,
 				TreeSeed:       cfg.Seed + 100,
 				SearchRounds:   cfg.SearchRounds,
 				SearchRadius:   cfg.SearchRadius,
@@ -194,7 +193,7 @@ func Figure6(ctx context.Context, cfg FigureConfig) error {
 			if err != nil {
 				return err
 			}
-			times[t] = neh.EvalSeconds(&m.Stats, t)
+			times[t] = m.PlatformSeconds[parallel.Nehalem.Name]
 		}
 		fmt.Fprintf(cfg.Out, "%-14s", s.label)
 		for _, t := range threads[1:] {
@@ -218,7 +217,7 @@ func JointBLExperiment(ctx context.Context, cfg FigureConfig) error {
 	}
 	for _, mode := range []Mode{ModeSearch, ModeModelOpt} {
 		var times [2]float64
-		for i, strat := range []opt.Strategy{opt.OldPar, opt.NewPar} {
+		for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
 			m, err := Run(ctx, RunSpec{
 				Dataset:        ds,
 				Partitioned:    true,
@@ -227,11 +226,9 @@ func JointBLExperiment(ctx context.Context, cfg FigureConfig) error {
 				Schedule:       cfg.Schedule,
 				Threads:        8,
 				Mode:           mode,
-				Backend:        BackendSim,
 				TreeSeed:       cfg.Seed + 100,
 				SearchRounds:   cfg.SearchRounds,
 				SearchRadius:   cfg.SearchRadius,
-				OptimizeRates:  mode == ModeModelOpt,
 			})
 			if err != nil {
 				return err
@@ -256,7 +253,7 @@ func ModelOptExperiment(ctx context.Context, cfg FigureConfig) error {
 		return err
 	}
 	var times [2]float64
-	for i, strat := range []opt.Strategy{opt.OldPar, opt.NewPar} {
+	for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
 		m, err := Run(ctx, RunSpec{
 			Dataset:        ds,
 			Partitioned:    true,
@@ -264,9 +261,7 @@ func ModelOptExperiment(ctx context.Context, cfg FigureConfig) error {
 			Strategy:       strat,
 			Threads:        8,
 			Mode:           ModeModelOpt,
-			Backend:        BackendSim,
 			TreeSeed:       cfg.Seed + 100,
-			OptimizeRates:  true,
 		})
 		if err != nil {
 			return err
@@ -289,7 +284,7 @@ func ProteinExperiment(ctx context.Context, cfg FigureConfig) error {
 			return err
 		}
 		var times [2]float64
-		for i, strat := range []opt.Strategy{opt.OldPar, opt.NewPar} {
+		for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
 			m, err := Run(ctx, RunSpec{
 				Dataset:        ds,
 				Partitioned:    true,
@@ -298,7 +293,6 @@ func ProteinExperiment(ctx context.Context, cfg FigureConfig) error {
 				Schedule:       cfg.Schedule,
 				Threads:        8,
 				Mode:           ModeSearch,
-				Backend:        BackendSim,
 				TreeSeed:       cfg.Seed + 100,
 				SearchRounds:   cfg.SearchRounds,
 				SearchRadius:   cfg.SearchRadius,
@@ -317,7 +311,8 @@ func ProteinExperiment(ctx context.Context, cfg FigureConfig) error {
 
 // WidthMicrobench quantifies Section IV's worst case — "more threads
 // available than distinct patterns in a specific partition" — by reporting
-// idle workers and per-region imbalance for one branch-length optimization.
+// idle workers and per-region imbalance for one model optimization (branch
+// lengths, alphas and GTR rates).
 func WidthMicrobench(ctx context.Context, cfg FigureConfig) error {
 	fmt.Fprintln(cfg.Out, "=== Microbench: region width vs thread count (Sec. IV worst case) ===")
 	ds, err := seqsim.GridDataset(50, 20000, 1000, cfg.Scale, cfg.Seed+6)
@@ -325,7 +320,7 @@ func WidthMicrobench(ctx context.Context, cfg FigureConfig) error {
 		return err
 	}
 	for _, threads := range []int{8, 16, 32} {
-		for i, strat := range []opt.Strategy{opt.OldPar, opt.NewPar} {
+		for _, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
 			m, err := Run(ctx, RunSpec{
 				Dataset:        ds,
 				Partitioned:    true,
@@ -334,15 +329,13 @@ func WidthMicrobench(ctx context.Context, cfg FigureConfig) error {
 				Schedule:       cfg.Schedule,
 				Threads:        threads,
 				Mode:           ModeModelOpt,
-				Backend:        BackendSim,
 				TreeSeed:       cfg.Seed + 100,
 			})
 			if err != nil {
 				return err
 			}
-			_ = i
 			fmt.Fprintf(cfg.Out, "T=%-3d %-7s regions=%-9d imbalance=%.2f\n",
-				threads, strat, m.Stats.Regions, m.Stats.Imbalance(threads))
+				threads, strat, m.Stats.Regions, m.Stats.Imbalance)
 		}
 	}
 	st := ds.Stats()
@@ -379,19 +372,18 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 			Dataset:        ds,
 			Partitioned:    true,
 			PerPartitionBL: true,
-			Strategy:       opt.NewPar,
+			Strategy:       phylo.NewPar,
 			Schedule:       strat,
 			Threads:        8,
 			Mode:           ModeModelOpt,
-			Backend:        BackendSim,
 			TreeSeed:       cfg.Seed + 100,
 		})
 		if err != nil {
 			return err
 		}
-		imbal[strat] = m.Stats.WorkerImbalance()
+		imbal[strat] = m.Stats.WorkerImbalance
 		fmt.Fprintf(cfg.Out, "%-9s worker-imbalance=%.4f criticalOps=%.4g regions=%-8d Barcelona=%.1fs lnL=%.2f\n",
-			strat, m.Stats.WorkerImbalance(), m.Stats.CriticalOps, m.Stats.Regions,
+			strat, m.Stats.WorkerImbalance, m.Stats.CriticalOps, m.Stats.Regions,
 			m.PlatformSeconds[parallel.Barcelona.Name], m.LnL)
 	}
 	fmt.Fprintf(cfg.Out, "weighted/cyclic imbalance ratio: %.4f (<= 1 means the cost-aware assignment wins)\n\n",
@@ -399,23 +391,16 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 	return nil
 }
 
-// mispriceSkewFactor deliberately misprices the analytic model for the steal
-// experiment: DNA span costs are multiplied by this factor, so the static
-// weighted pack places the expensive patterns blindly and stealing has real
-// imbalance to absorb.
-const mispriceSkewFactor = 100
-
 // StealComparison is the outcome of the work-stealing experiment: end-state
-// measured per-worker time imbalance of the static weighted pack vs the same
-// pack with intra-region stealing, on the mixed DNA+AA workload whose
-// analytic cost model is deliberately mispriced (so the static pack places
-// the expensive narrow-partition remainder patterns blindly and stealing has
-// real skew to absorb). StealExperiment prints it;
+// measured per-worker time imbalance of a static block pack vs the same pack
+// with intra-region stealing, on the mixed DNA+AA workload with its protein
+// partitions listed first (stealDataset), so the contiguous block pack hands
+// the ~25x costlier protein patterns to the first workers and stealing has
+// real skew to absorb. StealExperiment prints it;
 // TestStealingBoundsIntraRegionTailLatency gates it.
 type StealComparison struct {
-	Dataset   string
-	SkewCosts float64
-	Threads   int
+	Dataset string
+	Threads int
 	// Cores is runtime.NumCPU() at measurement time. Per-worker *work* time
 	// (barrier waits excluded) only reflects load balance when the workers
 	// actually run in parallel: with Threads > Cores the OS decides which
@@ -423,9 +408,9 @@ type StealComparison struct {
 	// imbalance clause on such hosts (the comparison is still recorded).
 	Cores int
 	// End-state probe time imbalance (max/avg measured per-worker busy
-	// seconds) under the final schedule, without and with stealing.
-	WeightedTimeImbalance float64
-	StealTimeImbalance    float64
+	// seconds) under the block schedule, without and with stealing.
+	StaticTimeImbalance float64
+	StealTimeImbalance  float64
 	// The stealing run's probe: steal operations over all workers, migrated
 	// patterns, and the migrated fraction of all patterns the probe processed.
 	Steals           float64
@@ -455,54 +440,65 @@ func probeProcessedPatterns(passes, taxa, patterns int) float64 {
 	return float64(passes) * float64(taxa-1) * float64(patterns)
 }
 
-// stealComparisonRun executes the two-sided comparison on the mispriced
-// mixed DNA+AA workload at 8 real pool workers: a model optimization under
-// the static weighted schedule, and the same configuration with chunked
-// work stealing, both followed by an identical end-state probe whose
-// measured per-worker seconds are the quantity under test. It needs real
-// concurrency — stealing exists to keep real workers busy while a real
-// straggler finishes — so it runs on BackendPool and is gated on wall-clock
-// time imbalance.
-func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison, map[bool]*Measurement, error) {
+// stealDataset is the steal comparison's workload: MixedScheduleDataset with
+// its protein partitions listed before its DNA partitions, so the front of
+// the global pattern space is the expensive end.
+func stealDataset(cfg FigureConfig) (*seqsim.Dataset, error) {
 	ds, err := MixedScheduleDataset(cfg)
+	if err != nil {
+		return nil, err
+	}
+	parts := append([]alignment.Partition(nil), ds.Parts...)
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Type == alignment.AA && parts[j].Type != alignment.AA })
+	return &seqsim.Dataset{Name: ds.Name, Alignment: ds.Alignment, Parts: parts}, nil
+}
+
+// stealSpec is one side of the steal comparison: a newPAR model optimization
+// of ds on threads real pool workers under the block schedule at 16-pattern
+// chunks, followed by the end-state probe.
+func stealSpec(ds *seqsim.Dataset, cfg FigureConfig, threads int, steal bool) RunSpec {
+	return RunSpec{
+		Dataset:        ds,
+		Partitioned:    true,
+		PerPartitionBL: true,
+		Strategy:       phylo.NewPar,
+		Schedule:       schedule.Block,
+		Threads:        threads,
+		Mode:           ModeModelOpt,
+		Pool:           true,
+		TreeSeed:       cfg.Seed + 100,
+		ProbeRegions:   stealProbeRegions,
+		Steal:          steal,
+		MinChunk:       16,
+	}
+}
+
+// stealComparisonRun executes the two-sided comparison on stealDataset: the
+// static block pack, and the same configuration with chunked work stealing,
+// each followed by an identical end-state probe whose measured per-worker
+// seconds are the quantity under test. It needs real concurrency — stealing
+// exists to keep real workers busy while a real straggler finishes — so it
+// runs on the goroutine pool and is gated on wall-clock time imbalance.
+func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison, map[bool]*Measurement, error) {
+	ds, err := stealDataset(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Use as many workers as the host can genuinely run in parallel (up to
 	// the paper's 8), but at least 2 so stealing exists at all; see the
 	// Cores field for why oversubscription would invalidate the metric.
-	threads := runtime.NumCPU()
-	if threads > 8 {
-		threads = 8
-	}
-	if threads < 2 {
-		threads = 2
-	}
-	out := &StealComparison{Dataset: ds.Name, SkewCosts: mispriceSkewFactor, Threads: threads, Cores: runtime.NumCPU()}
+	threads := min(max(runtime.NumCPU(), 2), 8)
+	out := &StealComparison{Dataset: ds.Name, Threads: threads, Cores: runtime.NumCPU()}
 	results := make(map[bool]*Measurement, 2)
 	for _, stealOn := range []bool{false, true} {
-		m, err := Run(ctx, RunSpec{
-			Dataset:        ds,
-			Partitioned:    true,
-			PerPartitionBL: true,
-			Strategy:       opt.NewPar,
-			Schedule:       schedule.Weighted,
-			Threads:        threads,
-			Mode:           ModeModelOpt,
-			Backend:        BackendPool,
-			TreeSeed:       cfg.Seed + 100,
-			SkewCosts:      mispriceSkewFactor,
-			ProbeRegions:   stealProbeRegions,
-			Steal:          stealOn,
-			MinChunk:       16,
-		})
+		m, err := Run(ctx, stealSpec(ds, cfg, threads, stealOn))
 		if err != nil {
 			return nil, nil, err
 		}
 		results[stealOn] = m
 	}
 	static, stolen := results[false], results[true]
-	out.WeightedTimeImbalance = static.Probe.BusyImbalance()
+	out.StaticTimeImbalance = static.Probe.BusyImbalance()
 	out.StealTimeImbalance = stolen.Probe.BusyImbalance()
 	for _, n := range stolen.Probe.Steals {
 		out.Steals += n
@@ -517,31 +513,30 @@ func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison
 	return out, results, nil
 }
 
-// StealExperiment is the intra-region work-stealing demonstration: on the
-// mispriced mixed DNA+AA workload, the static weighted pack leaves real
-// per-worker skew inside every region (the remainder patterns of ~20
-// narrow partitions land blindly), so the end-state measured time imbalance
-// of the stolen-work run must not exceed the static pack's — while the
-// likelihood stays put.
+// StealExperiment is the intra-region work-stealing demonstration: with the
+// mixed DNA+AA workload's protein partitions first, the static block pack
+// gives the first workers the expensive patterns of every region, so the
+// end-state measured time imbalance of the stolen-work run must not exceed
+// the static pack's — while the likelihood stays put.
 func StealExperiment(ctx context.Context, cfg FigureConfig) error {
-	fmt.Fprintln(cfg.Out, "=== Intra-region work stealing: mispriced mixed DNA+AA workload, model-opt (real pool) ===")
+	fmt.Fprintln(cfg.Out, "=== Intra-region work stealing: mixed DNA+AA workload, protein partitions first, block schedule, model-opt (real pool) ===")
 	comp, results, err := stealComparisonRun(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(cfg.Out, "dataset %s (scale %.3g): %d workers on %d cores; DNA span costs deliberately mispriced %.0fx; end-state probe of %d passes\n",
-		comp.Dataset, cfg.Scale, comp.Threads, comp.Cores, comp.SkewCosts, stealProbeRegions)
+	fmt.Fprintf(cfg.Out, "dataset %s (scale %.3g): %d workers on %d cores; static block pack op imbalance %.3f; end-state probe of %d passes\n",
+		comp.Dataset, cfg.Scale, comp.Threads, comp.Cores, results[false].Stats.WorkerImbalance, stealProbeRegions)
 	if comp.Threads > comp.Cores {
 		fmt.Fprintf(cfg.Out, "note: %d workers time-share %d cores, so per-worker work time reflects OS scheduling, not load balance\n",
 			comp.Threads, comp.Cores)
 	}
 	fmt.Fprintf(cfg.Out, "%-16s end-state time-imbalance=%.4f lnL=%.2f\n",
-		"weighted-static", comp.WeightedTimeImbalance, results[false].LnL)
+		"block-static", comp.StaticTimeImbalance, results[false].LnL)
 	fmt.Fprintf(cfg.Out, "%-16s end-state time-imbalance=%.4f lnL=%.2f steals=%.0f stolenPatterns=%.0f (%.1f%% migrated)\n",
-		"weighted+steal", comp.StealTimeImbalance, results[true].LnL,
+		"block+steal", comp.StealTimeImbalance, results[true].LnL,
 		comp.Steals, comp.MigratedPatterns, 100*comp.MigratedFraction)
 	fmt.Fprintf(cfg.Out, "steal/static time-imbalance ratio: %.4f (<= 1 means stealing bounded the intra-region tail)\n",
-		comp.StealTimeImbalance/comp.WeightedTimeImbalance)
+		comp.StealTimeImbalance/comp.StaticTimeImbalance)
 	fmt.Fprintf(cfg.Out, "|lnL difference|: %.3g (stealing must never change results)\n\n", comp.LnLAbsDiff)
 	return nil
 }

@@ -7,13 +7,12 @@ import (
 	"runtime"
 	"testing"
 
+	"phylo"
 	"phylo/internal/alignment"
 	"phylo/internal/core"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
-	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
-	"phylo/internal/steal"
 	"phylo/internal/tree"
 )
 
@@ -557,24 +556,31 @@ func TestStealMigrationCeiling(t *testing.T) {
 		t.Skipf("%d CPUs cannot run 2 workers in parallel beside the test binary", runtime.NumCPU())
 	}
 	const passes = 4
-	grid := newWorkload(t, 20, 20000, 1000, 0.01, floorSeed, floorSeed+1)
+	grid, err := seqsim.GridDataset(20, 20000, 1000, 0.01, floorSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hold(t, func() (bool, string) {
-		r := grid.rig(t, threads, core.BackendFused)
-		sched, err := r.sh.ScheduleFor(schedule.Weighted)
+		reg := phylo.NewMetricsRegistry()
+		ds, err := openDataset(grid, true, phylo.DatasetOptions{
+			Threads: threads, Schedule: phylo.ScheduleWeighted, Steal: true, Backend: phylo.BackendFused, Metrics: reg,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := r.session(t, core.Options{Specialize: true, Layout: steal.NewLayout(sched, 0), Steal: true})
-		root := eng.Tree.Tips[0].Back
-		eng.Traverse(root, false, nil) // warm the CLVs and caches
-		probe := measure(r.pool, func() {
+		defer ds.Close()
+		an, err := ds.NewAnalysis(phylo.AnalysisOptions{PerPartitionBranchLengths: true, Seed: floorSeed + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer an.Close()
+		an.LogLikelihood() // warm the CLVs and caches
+		probe := record(reg, threads, func() {
 			for i := 0; i < passes; i++ {
-				eng.InvalidateCLVs()
-				eng.Traverse(root, false, nil)
-				eng.Evaluate(root, nil)
+				an.LogLikelihood()
 			}
 		})
-		migrated := probe.Stolen / probeProcessedPatterns(passes, grid.data.NumTaxa(), grid.data.TotalPatterns)
+		migrated := probe.Stolen / probeProcessedPatterns(passes, ds.NumTaxa(), ds.NumPatterns())
 		return migrated <= stealMigrationCeiling,
 			fmt.Sprintf("%.0f%% of patterns migrated at %d threads on %d CPUs (ceiling %.0f%%; per-worker steals %v, time imbalance %.3f) — above the ceiling the static pack is mispriced: fix the cost model",
 				100*migrated, threads, runtime.NumCPU(), 100*stealMigrationCeiling, probe.Steals, probe.BusyImbalance())

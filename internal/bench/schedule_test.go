@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"phylo/internal/opt"
+	"phylo"
 	"phylo/internal/schedule"
 )
 
@@ -22,11 +22,10 @@ func mixedRun(tb testing.TB, strat schedule.Strategy) *Measurement {
 		Dataset:        ds,
 		Partitioned:    true,
 		PerPartitionBL: true,
-		Strategy:       opt.NewPar,
+		Strategy:       phylo.NewPar,
 		Schedule:       strat,
 		Threads:        8,
 		Mode:           ModeModelOpt,
-		Backend:        BackendSim,
 		TreeSeed:       142,
 	})
 	if err != nil {
@@ -50,13 +49,13 @@ func TestWeightedScheduleBeatsCyclicOnMixedData(t *testing.T) {
 	if diff := math.Abs(wtd.LnL - cyc.LnL); diff > 1e-9*math.Abs(cyc.LnL) {
 		t.Errorf("schedule changed the optimum: weighted lnL %v, cyclic %v", wtd.LnL, cyc.LnL)
 	}
-	t.Logf("worker imbalance: cyclic %.5f, weighted %.5f", cyc.Stats.WorkerImbalance(), wtd.Stats.WorkerImbalance())
-	if wtd.Stats.WorkerImbalance() > cyc.Stats.WorkerImbalance()+1e-9 {
+	t.Logf("worker imbalance: cyclic %.5f, weighted %.5f", cyc.Stats.WorkerImbalance, wtd.Stats.WorkerImbalance)
+	if wtd.Stats.WorkerImbalance > cyc.Stats.WorkerImbalance+1e-9 {
 		t.Errorf("weighted worker imbalance %v exceeds cyclic %v on mixed DNA+AA data",
-			wtd.Stats.WorkerImbalance(), cyc.Stats.WorkerImbalance())
+			wtd.Stats.WorkerImbalance, cyc.Stats.WorkerImbalance)
 	}
-	if cyc.Stats.WorkerImbalance() < 1 || wtd.Stats.WorkerImbalance() < 1 {
-		t.Errorf("imbalance below 1: cyclic %v, weighted %v", cyc.Stats.WorkerImbalance(), wtd.Stats.WorkerImbalance())
+	if cyc.Stats.WorkerImbalance < 1 || wtd.Stats.WorkerImbalance < 1 {
+		t.Errorf("imbalance below 1: cyclic %v, weighted %v", cyc.Stats.WorkerImbalance, wtd.Stats.WorkerImbalance)
 	}
 }
 
@@ -67,7 +66,7 @@ func benchmarkSchedule(b *testing.B, strat schedule.Strategy) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := mixedRun(b, strat)
-		imbal = m.Stats.WorkerImbalance()
+		imbal = m.Stats.WorkerImbalance
 		critical = m.Stats.CriticalOps
 	}
 	b.ReportMetric(imbal, "worker-imbalance")

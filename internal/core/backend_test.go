@@ -67,7 +67,7 @@ func backendBitIdentity(t *testing.T) {
 		}
 		defer pool.Close()
 
-		mk := func(backend Backend, exec parallel.Executor, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
+		mk := func(backend Backend, exec *parallel.Pool, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
 			t.Helper()
 			sh, err := NewSharedWith(d, cats, nThreads, backend)
 			if err != nil {
@@ -96,12 +96,12 @@ func backendBitIdentity(t *testing.T) {
 
 		type config struct {
 			name    string
-			exec    func() parallel.Executor
+			exec    func() *parallel.Pool
 			threads int
 			opts    Options
 			layout  func(*Shared) *steal.Layout
 		}
-		sim := func() parallel.Executor {
+		sim := func() *parallel.Pool {
 			s, err := parallel.NewSim(threads)
 			if err != nil {
 				t.Fatal(err)
@@ -109,16 +109,16 @@ func backendBitIdentity(t *testing.T) {
 			return s
 		}
 		configs := []config{
-			{"pool", func() parallel.Executor { return pool.Session() }, threads,
+			{"pool", func() *parallel.Pool { return pool.Session() }, threads,
 				Options{Specialize: true}, weightedAt(t, 0)},
-			{"pool-steal", func() parallel.Executor { return pool.Session() }, threads,
+			{"pool-steal", func() *parallel.Pool { return pool.Session() }, threads,
 				Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
-			{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
+			{"pool-steal-off", func() *parallel.Pool { return pool.Session() }, threads,
 				Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
 			{"sim", sim, threads, Options{Specialize: true}, nil},
-			{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
+			{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 				Options{Specialize: true}, nil},
-			{"sequential-nospec", func() parallel.Executor { return parallel.NewSequential() }, 1,
+			{"sequential-nospec", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 				Options{Specialize: false}, nil},
 		}
 		for _, cfg := range configs {

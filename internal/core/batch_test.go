@@ -128,7 +128,7 @@ func TestWeightSetReplicateAndAggregate(t *testing.T) {
 
 // batchEngine builds a session over the steal fixture for one backend and
 // option set.
-func batchEngine(t *testing.T, backend Backend, cats int, exec parallel.Executor, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
+func batchEngine(t *testing.T, backend Backend, cats int, exec *parallel.Pool, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
 	t.Helper()
 	d, models := stealFixture(t, cats, 500)
 	sh, err := NewSharedWith(d, cats, nThreads, backend)
@@ -183,19 +183,19 @@ func TestBatchBitIdentity(t *testing.T) {
 
 	type config struct {
 		name    string
-		exec    func() parallel.Executor
+		exec    func() *parallel.Pool
 		threads int
 		opts    Options
 		layout  func(*Shared) *steal.Layout
 	}
 	configs := []config{
-		{"pool", func() parallel.Executor { return pool.Session() }, threads,
+		{"pool", func() *parallel.Pool { return pool.Session() }, threads,
 			Options{Specialize: true}, weightedAt(t, 0)},
-		{"pool-steal", func() parallel.Executor { return pool.Session() }, threads,
+		{"pool-steal", func() *parallel.Pool { return pool.Session() }, threads,
 			Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
-		{"pool-steal-off", func() parallel.Executor { return pool.Session() }, threads,
+		{"pool-steal-off", func() *parallel.Pool { return pool.Session() }, threads,
 			Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
-		{"sequential", func() parallel.Executor { return parallel.NewSequential() }, 1,
+		{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 			Options{Specialize: true}, nil},
 	}
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {

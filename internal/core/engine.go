@@ -4,7 +4,7 @@
 // numerical scaling, and the analytic first and second branch-length
 // derivatives (sumtable scheme) that drive Newton-Raphson branch
 // optimization. All pattern loops run inside parallel regions issued to a
-// parallel.Executor through one chunk loop and one span binding (see
+// a parallel.Pool through one chunk loop and one span binding (see
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
@@ -53,7 +53,7 @@ type Engine struct {
 	Data   *alignment.CompressedData
 	Tree   *tree.Tree
 	Models []*model.Model
-	Exec   parallel.Executor
+	Exec   *parallel.Pool
 
 	// PerPartitionBL reports whether the tree carries one branch-length slot
 	// per partition (true) or a single joint slot (false).
@@ -204,7 +204,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 // executor (a parallel.Pool.Session view of shared workers counts). Release
 // the session when it is over so the next can reuse its buffers; one that is
 // simply dropped costs its successor an allocation, nothing else.
-func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts Options) (*Engine, error) {
 	if sh == nil || tr == nil || exec == nil {
 		return nil, errors.New("core: nil shared state, tree, or executor")
 	}

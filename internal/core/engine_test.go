@@ -201,12 +201,12 @@ func randomAlignment(t *testing.T, n, m int, dtype alignment.DataType, seed int6
 // newEngine builds the shared state for (d, the models' category count,
 // exec's worker count) under the auto-resolved backend and opens one session
 // over it.
-func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts Options) (*Engine, error) {
 	return newEngineOn(BackendAuto, d, tr, models, exec, opts)
 }
 
 // newEngineOn is newEngine with the kernel backend pinned.
-func newEngineOn(backend Backend, d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts Options) (*Engine, error) {
+func newEngineOn(backend Backend, d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts Options) (*Engine, error) {
 	cats := 0
 	if len(models) > 0 {
 		cats = models[0].NumCats
@@ -218,7 +218,7 @@ func newEngineOn(backend Backend, d *alignment.CompressedData, tr *tree.Tree, mo
 	return NewSession(sh, tr, models, exec, opts)
 }
 
-func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, models []*model.Model, zSlots int, treeSeed int64, exec parallel.Executor) (*Engine, *alignment.CompressedData, *tree.Tree) {
+func mkEngine(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, models []*model.Model, zSlots int, treeSeed int64, exec *parallel.Pool) (*Engine, *alignment.CompressedData, *tree.Tree) {
 	t.Helper()
 	d, err := alignment.Compress(a, parts, alignment.CompressOptions{})
 	if err != nil {
@@ -334,13 +334,13 @@ func TestParallelEquivalence(t *testing.T) {
 	ref := seqEng.LogLikelihood()
 	for _, mk := range []struct {
 		name string
-		mk   func() (parallel.Executor, error)
+		mk   func() (*parallel.Pool, error)
 	}{
-		{"pool2", func() (parallel.Executor, error) { return parallel.NewPool(2) }},
-		{"pool3", func() (parallel.Executor, error) { return parallel.NewPool(3) }},
-		{"pool5", func() (parallel.Executor, error) { return parallel.NewPool(5) }},
-		{"sim8", func() (parallel.Executor, error) { return parallel.NewSim(8) }},
-		{"sim16", func() (parallel.Executor, error) { return parallel.NewSim(16) }},
+		{"pool2", func() (*parallel.Pool, error) { return parallel.NewPool(2) }},
+		{"pool3", func() (*parallel.Pool, error) { return parallel.NewPool(3) }},
+		{"pool5", func() (*parallel.Pool, error) { return parallel.NewPool(5) }},
+		{"sim8", func() (*parallel.Pool, error) { return parallel.NewSim(8) }},
+		{"sim16", func() (*parallel.Pool, error) { return parallel.NewSim(16) }},
 	} {
 		ex, err := mk.mk()
 		if err != nil {

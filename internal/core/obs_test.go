@@ -11,7 +11,7 @@ import (
 
 // obsGateEngine builds one engine over the steal fixture with the given
 // executor; opts.Metrics/Tracer are passed through.
-func obsGateEngine(t *testing.T, exec parallel.Executor, opts Options) *Engine {
+func obsGateEngine(t *testing.T, exec *parallel.Pool, opts Options) *Engine {
 	t.Helper()
 	d, models := stealFixture(t, 4, 11)
 	sh, err := NewSharedWith(d, 4, exec.Threads(), BackendAuto)

@@ -129,7 +129,7 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 		}
 		defer pool.Close()
 
-		mk := func(exec parallel.Executor, shd *Shared, opts Options) *Engine {
+		mk := func(exec *parallel.Pool, shd *Shared, opts Options) *Engine {
 			tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +286,7 @@ func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
 	}
 	results := make([]stealResult, 0, 2)
 	var scaledEng *Engine
-	for i, exec := range []parallel.Executor{pool.Session(), sim} {
+	for i, exec := range []*parallel.Pool{pool.Session(), sim} {
 		// High alpha concentrates the Gamma rates near 1 so every category's
 		// CLV entries shrink together and the 2^-256 rescale actually fires
 		// on the deep long-branch tree (mirrors TestTipCaseScalingEquivalence).

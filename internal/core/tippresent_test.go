@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -16,16 +17,15 @@ import (
 // sizes around the data-derived table threshold, and require bit-identical
 // results from every backend × Specialize combination.
 
-// poisonExec is the test seam over Engine.Exec: before every region it fills
-// the session's whole tip-table scratch with NaN, so a kernel that read a row
-// no builder of the region wrote would turn the result into NaN (and one that
-// read a row an earlier span left behind would break the bit-identity).
-type poisonExec struct {
-	parallel.Executor
-	eng *Engine
-}
+// poisonTips is the test seam over Engine.Exec: it fills the session's whole
+// tip-table scratch with NaN once before the first region and, as the
+// executor's region observer, after every region — so before every next one.
+// A kernel that read a row no builder of the region wrote would turn the
+// result into NaN (and one that read a row an earlier span left behind would
+// break the bit-identity).
+type poisonTips struct{ eng *Engine }
 
-func (p *poisonExec) Run(kind parallel.Region, fn func(w int, ctx *parallel.WorkerCtx)) {
+func (p poisonTips) ObserveRegion(parallel.Region, time.Time, float64, []parallel.WorkerCtx) {
 	for _, w := range p.eng.workers {
 		for _, buf := range w.tip {
 			for i := range buf {
@@ -33,7 +33,6 @@ func (p *poisonExec) Run(kind parallel.Region, fn func(w int, ctx *parallel.Work
 			}
 		}
 	}
-	p.Executor.Run(kind, fn)
 }
 
 // contiguousParts cuts sites [0, sum(lens)) into consecutive partitions of
@@ -55,12 +54,12 @@ func contiguousParts(lens []int, types []alignment.DataType) []alignment.Partiti
 // presentCodeEngines opens the four backend × Specialize sessions over d on
 // identical trees and executors of the given width (1 = Sequential, else
 // Sim); index 0 is the generic unspecialized oracle, which never reads a
-// table. With poison set every session runs behind a poisonExec.
+// table. With poison set every session runs under poisonTips.
 func presentCodeEngines(t *testing.T, d *alignment.CompressedData, models []*model.Model, threads int, poison bool) (engs []*Engine, labels []string) {
 	t.Helper()
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		for _, spec := range []bool{false, true} {
-			var exec parallel.Executor = parallel.NewSequential()
+			exec := parallel.NewSequential()
 			if threads > 1 {
 				sim, err := parallel.NewSim(threads)
 				if err != nil {
@@ -81,7 +80,9 @@ func presentCodeEngines(t *testing.T, d *alignment.CompressedData, models []*mod
 				t.Fatal(err)
 			}
 			if poison {
-				eng.Exec = &poisonExec{Executor: exec, eng: eng}
+				poison := poisonTips{eng}
+				poison.ObserveRegion(0, time.Time{}, 0, nil)
+				exec.SetObserver(poison)
 			}
 			engs = append(engs, eng)
 			label := backend.String() + "/generic-tips"

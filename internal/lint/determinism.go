@@ -31,7 +31,7 @@ var randConstructors = map[string]bool{
 //     reproducibility. Timing attribution waives with plk:allow(timenow).
 //   - gostmt: no goroutine launches — unordered concurrency inside a
 //     deterministic scope is how floating-point reductions lose their fixed
-//     order (regions go through parallel.Executor, which reduces partials
+//     order (regions go through parallel.Pool.Run, which reduces partials
 //     in fixed worker order master-side).
 var Determinism = &Analyzer{
 	Name: "determinism",

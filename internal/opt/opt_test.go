@@ -32,7 +32,7 @@ func taxaNames(n int) []string {
 	return out
 }
 
-func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec parallel.Executor, seed int64) *fixture {
+func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec *parallel.Pool, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const chars = "ACGT"
@@ -58,7 +58,7 @@ func buildFixture(t *testing.T, nTaxa, nSites, partLen int, perPartBL bool, exec
 
 // buildMixedFixture is buildFixture over simulated data with three DNA
 // partitions and one protein partition of ~partLen columns each.
-func buildMixedFixture(t *testing.T, partLen int, perPartBL bool, exec parallel.Executor, seed int64) *fixture {
+func buildMixedFixture(t *testing.T, partLen int, perPartBL bool, exec *parallel.Pool, seed int64) *fixture {
 	t.Helper()
 	ds, err := seqsim.MixedDataset(8, 3, 1, partLen, 1, seed)
 	if err != nil {
@@ -67,7 +67,7 @@ func buildMixedFixture(t *testing.T, partLen int, perPartBL bool, exec parallel.
 	return assembleFixture(t, ds.Alignment, ds.Parts, perPartBL, exec, seed)
 }
 
-func assembleFixture(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, perPartBL bool, exec parallel.Executor, seed int64) *fixture {
+func assembleFixture(t *testing.T, a *alignment.Alignment, parts []alignment.Partition, perPartBL bool, exec *parallel.Pool, seed int64) *fixture {
 	t.Helper()
 	d, err := alignment.Compress(a, parts, alignment.CompressOptions{})
 	if err != nil {
@@ -392,7 +392,7 @@ func TestOptimizeModelOnSignalFreeData(t *testing.T) {
 	}
 	defer pool.Close()
 	var lnl [2]float64
-	for i, exec := range []parallel.Executor{parallel.NewSequential(), pool} {
+	for i, exec := range []*parallel.Pool{parallel.NewSequential(), pool} {
 		fx := buildFixture(t, 8, 60, 20, true, exec, 67)
 		o := New(fx.eng, DefaultConfig(NewPar))
 		var rounds int
@@ -524,7 +524,7 @@ func TestOptimizeModelCancellation(t *testing.T) {
 
 // buildGridFixture is buildFixture over the paper's target shape: simulated
 // DNA, 10 partitions x 50 columns, 8 taxa, per-partition branch lengths.
-func buildGridFixture(t *testing.T, exec parallel.Executor, seed int64) *fixture {
+func buildGridFixture(t *testing.T, exec *parallel.Pool, seed int64) *fixture {
 	t.Helper()
 	ds, err := seqsim.GridDataset(8, 10000, 1000, 0.05, seed)
 	if err != nil {
@@ -769,7 +769,7 @@ func TestOptimizeBranchAllocCeiling(t *testing.T) {
 
 // newEngine builds the shared state for (d, the models' category count,
 // exec's worker count) and opens one session over it.
-func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts core.Options) (*core.Engine, error) {
 	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), core.BackendAuto)
 	if err != nil {
 		return nil, err

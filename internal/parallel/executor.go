@@ -161,17 +161,3 @@ func (c *WorkerCtx) workSeconds() float64 {
 type RegionObserver interface {
 	ObserveRegion(kind Region, start time.Time, wall float64, ctxs []WorkerCtx)
 }
-
-// Executor runs parallel regions over a fixed set of workers. Pool is the
-// only implementation; the interface is the seam tests wrap it through.
-type Executor interface {
-	// Threads returns the worker count T.
-	Threads() int
-	// Run executes fn once per worker (ids 0..T-1) and returns after all
-	// workers finish (the barrier).
-	Run(kind Region, fn func(w int, ctx *WorkerCtx))
-	// Stats exposes accumulated instrumentation.
-	Stats() *Stats
-	// Close releases worker resources; the executor must not be used after.
-	Close()
-}

@@ -69,7 +69,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	solo := parallel.NewSequential()
-	synthetic := func(_ *testing.T, ex parallel.Executor) {
+	synthetic := func(_ *testing.T, ex *parallel.Pool) {
 		sink := make([]float64, ex.Threads()*16) // padded per-worker sinks
 		for r := 0; r < 6; r++ {
 			ex.Run(parallel.Region(r%3), func(w int, ctx *parallel.WorkerCtx) {
@@ -88,7 +88,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 		name string
 		exec *parallel.Pool
 		via  *parallel.Pool // the view the observer is installed through
-		run  func(*testing.T, parallel.Executor)
+		run  func(*testing.T, *parallel.Pool)
 	}{
 		{"goroutines", pool, pool, synthetic},
 		{"session", pool.Session(), pool, synthetic},
@@ -126,7 +126,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 // steal-on engine session over a mixed DNA + protein dataset whose weighted
 // pack is mispriced 50x, so drained workers of a real pool have work to
 // steal.
-func stealingSession(t *testing.T) func(*testing.T, parallel.Executor) {
+func stealingSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 	ds, err := seqsim.MixedDataset(10, 2, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func stealingSession(t *testing.T) func(*testing.T, parallel.Executor) {
 			t.Fatal(err)
 		}
 	}
-	return func(t *testing.T, ex parallel.Executor) {
+	return func(t *testing.T, ex *parallel.Pool) {
 		sh, err := core.NewSharedWith(d, 4, ex.Threads(), core.BackendAuto)
 		if err != nil {
 			t.Fatal(err)

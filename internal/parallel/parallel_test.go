@@ -19,7 +19,7 @@ func strideFrom(lo, w, t int) int {
 	return lo + d
 }
 
-func testExecutorBasics(t *testing.T, ex Executor, wantThreads int) {
+func testExecutorBasics(t *testing.T, ex *Pool, wantThreads int) {
 	t.Helper()
 	if ex.Threads() != wantThreads {
 		t.Fatalf("Threads() = %d, want %d", ex.Threads(), wantThreads)
@@ -203,7 +203,7 @@ func TestStatsImbalance(t *testing.T) {
 // empty must enter the statistics with exactly zero ops — never a stale
 // counter from a previous region — so it cannot skew the imbalance metrics.
 func TestEmptyAssignmentWorkersRecordZeroOps(t *testing.T) {
-	mk := func(name string, ex Executor) {
+	mk := func(name string, ex *Pool) {
 		t.Run(name, func(t *testing.T) {
 			defer ex.Close()
 			// Region 1: every worker busy (seeds nonzero Ops everywhere).
@@ -318,7 +318,7 @@ func TestSimMatchesPoolNumerically(t *testing.T) {
 	for i := range data {
 		data[i] = math.Sin(float64(i))
 	}
-	run := func(ex Executor) float64 {
+	run := func(ex *Pool) float64 {
 		threads := ex.Threads()
 		partials := make([]float64, threads*8)
 		ex.Run(RegionEvaluate, func(w int, ctx *WorkerCtx) {

@@ -80,7 +80,7 @@ func jcEvolve(rng *rand.Rand, state int, bl float64) int {
 	return ns
 }
 
-func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec parallel.Executor, genSeed, startSeed int64) (*Searcher, *core.Engine, *tree.Tree) {
+func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec *parallel.Pool, genSeed, startSeed int64) (*Searcher, *core.Engine, *tree.Tree) {
 	t.Helper()
 	gen, err := tree.Random(taxaNames(nTaxa), 1, tree.RandomOptions{Seed: genSeed, MeanBranchLength: 0.15})
 	if err != nil {
@@ -311,7 +311,7 @@ func TestSearchCancellation(t *testing.T) {
 
 // newEngine builds the shared state for (d, the models' category count,
 // exec's worker count) and opens one session over it.
-func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec parallel.Executor, opts core.Options) (*core.Engine, error) {
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts core.Options) (*core.Engine, error) {
 	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), core.BackendAuto)
 	if err != nil {
 		return nil, err

@@ -231,7 +231,7 @@ func (rt *Runtime) Steps() int64 { return rt.steps.Load() }
 
 // Load arms the runtime for one region: every worker is handed its layout
 // chunks whose span is active (nil mask = all spans). Called by the master
-// immediately before Executor.Run; the executor's fan-out orders it before
+// immediately before Pool.Run; the executor's fan-out orders it before
 // every worker's first Next.
 func (rt *Runtime) Load(active []bool) {
 	if rt.inRegion.Swap(true) {
@@ -253,7 +253,7 @@ func (rt *Runtime) Load(active []bool) {
 	}
 }
 
-// Finish marks the region done. Called by the master after Executor.Run
+// Finish marks the region done. Called by the master after Pool.Run
 // returns (the region barrier orders every worker's last Next before it).
 func (rt *Runtime) Finish() { rt.inRegion.Store(false) }
 
