@@ -116,7 +116,9 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		if err != nil {
 			return nil, err
 		}
-		ls, err := an.eng.LogLikelihoodBatch(ws)
+		// SmoothAll closes on a traversal to the canonical root: its CLVs
+		// serve every replicate as they stand.
+		ls, err := an.eng.EvaluateBatch(an.tr.Tips[0].Back, nil, ws)
 		if err != nil {
 			return nil, err
 		}

@@ -80,6 +80,9 @@ func (e *Engine) EvaluateBatch(p *tree.Node, active []bool, ws *WeightSet) ([]fl
 	if err := e.checkBatch(ws); err != nil {
 		return nil, err
 	}
+	if e.obsBatchWidth != nil {
+		e.obsBatchWidth.Set(float64(ws.r))
+	}
 	R := ws.r
 	act := e.activeOrAll(active)
 	perPart := e.evaluateLanes(p, act, ws)
@@ -97,13 +100,10 @@ func (e *Engine) EvaluateBatch(p *tree.Node, active []bool, ws *WeightSet) ([]fl
 
 // LogLikelihoodBatch runs one full traversal to the canonical virtual root
 // and evaluates all R replicate log likelihoods of the WeightSet in a single
-// batched reduction — the bootstrap fleet's scoring primitive.
+// batched reduction (Bootstrap reads the CLVs its smoothing left instead).
 func (e *Engine) LogLikelihoodBatch(ws *WeightSet) ([]float64, error) {
 	if err := e.checkBatch(ws); err != nil {
 		return nil, err
-	}
-	if e.obsBatchWidth != nil {
-		e.obsBatchWidth.Set(float64(ws.r))
 	}
 	root := e.Tree.Tips[0].Back
 	e.Traverse(root, false, nil)

@@ -63,33 +63,32 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 		patterns: data.TotalPatterns,
 		w:        make([]float64, data.TotalPatterns*R),
 	}
+	// Pattern j of a partition owns its original columns [cum[j], cum[j+1]).
+	cums := make([][]int, 0, len(data.Parts))
+	for _, p := range data.Parts {
+		cum, n := make([]int, 1, p.PatternCount+1), 0
+		for _, wt := range p.Weights {
+			n += int(wt)
+			cum = append(cum, n)
+		}
+		cums = append(cums, cum)
+	}
+	// One generator, reseeded per replicate: it draws what a fresh one would.
+	rng := rand.New(rand.NewSource(0))
 	for r := 0; r < R; r++ {
-		rng := rand.New(rand.NewSource(replicateSeed(seed, r)))
-		for _, p := range data.Parts {
-			resamplePartition(ws.w, p, r, R, rng)
+		rng.Seed(replicateSeed(seed, r))
+		for i, p := range data.Parts {
+			// SiteCount uniform draws over the original columns, each counted
+			// for the pattern whose cumulative range contains it.
+			cum := cums[i]
+			n, base := cum[p.PatternCount], p.Offset*R
+			for k := 0; k < n; k++ {
+				j := sort.SearchInts(cum[1:], int(rng.Int63n(int64(n)))+1)
+				ws.w[base+j*R+r]++
+			}
 		}
 	}
 	return ws, nil
-}
-
-// resamplePartition draws one partition's multinomial weight vector for
-// replicate r: SiteCount uniform draws over the original column index space
-// [0, SiteCount), each mapped to its pattern through the cumulative weight
-// bounds (pattern j owns the original columns [cum[j], cum[j+1])).
-func resamplePartition(w []float64, p *alignment.CompressedPartition, r, stride int, rng *rand.Rand) {
-	cum := make([]int, p.PatternCount+1)
-	for j, wt := range p.Weights {
-		cum[j+1] = cum[j] + int(wt)
-	}
-	n := cum[p.PatternCount] // == p.SiteCount
-	base := p.Offset * stride
-	for i := 0; i < n; i++ {
-		col := int(rng.Int63n(int64(n)))
-		// The drawn original column belongs to the pattern whose cumulative
-		// range contains it.
-		j := sort.SearchInts(cum[1:], col+1)
-		w[base+j*stride+r]++
-	}
 }
 
 // UniformWeightSet returns a WeightSet of R copies of the dataset's original

@@ -75,10 +75,12 @@ type Searcher struct {
 	o   *opt.Optimizer
 	ctx context.Context
 
-	best      float64
-	moves     int
-	tried     int
-	zConnSave []float64
+	best  float64
+	moves int
+	tried int
+	// Branch-length scratch: the pruned subtree's connection length, the
+	// fused branch and a trial insertion's two halves.
+	zConnSave, zf, za, zb []float64
 }
 
 // New prepares a searcher.
@@ -116,7 +118,6 @@ func (s *Searcher) Run(ctx context.Context) (Result, error) {
 		rounds++
 		prev := s.best
 		s.sprRound()
-		s.E.InvalidateCLVs()
 		if s.best, err = s.o.SmoothAll(ctx); err != nil {
 			return Result{LnL: s.best, Rounds: rounds, MovesApplied: s.moves, MovesTried: s.tried}, err
 		}
@@ -149,40 +150,33 @@ func (s *Searcher) sprRound() {
 
 // trySubtree prunes the subtree behind v.Back, scans insertion branches
 // within the radius, and either applies the best improving move or restores
-// the original topology exactly.
+// the original topology exactly. Every edit at v's node runs tree.ClearXAt(v)
+// (the prune before it cuts, a restore or an applied move once connected), so
+// the X flags stay true throughout and each traversal recomputes only the
+// CLVs an edit made stale.
 func (s *Searcher) trySubtree(v *tree.Node) {
-	e := s.E
 	b1 := v.Next.Back
 	b2 := v.Next.Next.Back
-	// Freshly orient everything; X flags cannot be trusted across the
-	// topology edits of previous candidates.
-	e.InvalidateCLVs()
-	e.TraverseRoot(v, true, nil)
+	// Orient everything towards the pruning point: afterwards only v's own
+	// view contains v, so the prune leaves every other flag valid.
+	s.E.TraverseRoot(v, true, nil)
 
-	// Save restore state: original neighbor slices and values.
+	// Save restore state: the original neighbor slices (nothing writes them
+	// while v is pruned) and the subtree connection length, which each trial
+	// insertion's Newton pass moves and restores.
 	z1 := v.Next.Z
 	z2 := v.Next.Next.Z
-	z1v := append([]float64(nil), z1...)
-	z2v := append([]float64(nil), z2...)
 	s.zConnSave = append(s.zConnSave[:0], v.Z...)
 
 	// Prune: fuse the two neighbor branches.
-	zf := make([]float64, len(z1))
-	for k := range zf {
-		zf[k] = tree.ClampBranchLen(z1[k] + z2[k])
+	tree.ClearXAt(v)
+	s.zf = s.zf[:0]
+	for k := range z1 {
+		s.zf = append(s.zf, tree.ClampBranchLen(z1[k]+z2[k]))
 	}
-	tree.Connect(b1, b2, zf)
+	tree.Connect(b1, b2, s.zf)
 	v.Next.Back = nil
 	v.Next.Next.Back = nil
-
-	// Orient the remaining tree towards the pruning site.
-	clearXComponent(b1)
-	if !b1.IsTip() {
-		e.Traverse(b1, true, nil)
-	}
-	if !b2.IsTip() {
-		e.Traverse(b2, true, nil)
-	}
 
 	// Baseline: re-insertion into the fused branch (the null move).
 	ref := s.tryInsert(v, b1)
@@ -228,21 +222,19 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	}
 
 	if bestU != nil && bestLnL > ref+minImprovement {
-		// Apply: insert v into the winning branch for good.
+		// Apply: insert v into the winning branch for good. The three slices
+		// the move frees (z1, z2 and the winner's) carry its three branches.
 		s.moves++
-		uB := bestU.Back
-		zu := bestU.Z
-		za := make([]float64, len(zu))
-		zb := make([]float64, len(zu))
+		uB, zu := bestU.Back, bestU.Z
+		copy(z1, s.zf)
+		tree.Connect(b1, b2, z1)
 		for k := range zu {
-			za[k] = tree.ClampBranchLen(zu[k] / 2)
-			zb[k] = tree.ClampBranchLen(zu[k] / 2)
+			zu[k] = tree.ClampBranchLen(zu[k] / 2)
 		}
-		tree.Connect(v.Next, bestU, za)
-		tree.Connect(v.Next.Next, uB, zb)
-		copy(v.Z, s.zConnSave)
-		e.InvalidateCLVs()
-		e.TraverseRoot(v, true, nil)
+		copy(z2, zu)
+		tree.Connect(v.Next, bestU, z2)
+		tree.Connect(v.Next.Next, uB, zu)
+		tree.ClearXAt(v)
 		// Local smoothing of the three branches around the insertion point
 		// (the lazy-SPR region the paper's Figure 1 sketches).
 		s.o.OptimizeBranch(v)
@@ -250,18 +242,18 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 		s.o.OptimizeBranch(v.Next.Next)
 		return
 	}
-	// Restore the original topology and branch lengths exactly.
+	// Restore the original topology and branch lengths exactly (each trial
+	// restored the subtree connection length).
 	tree.Connect(v.Next, b1, z1)
-	copy(z1, z1v)
 	tree.Connect(v.Next.Next, b2, z2)
-	copy(z2, z2v)
-	copy(v.Z, s.zConnSave)
+	tree.ClearXAt(v)
 }
 
 // tryInsert splices v into the branch (u, u.Back), scores the insertion with
 // one newview, a short Newton-Raphson pass on the connecting branch, and one
 // evaluation, then undoes the splice. The caller guarantees the CLV at u
-// towards u.Back and at u.Back towards u are valid.
+// towards u.Back and at u.Back towards u are valid: both then point towards
+// v, so the newview at v is all tree.ClearXAt(v) would ask for.
 func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	if s.cancelled() {
 		// Score nothing: -Inf never beats the reinsertion baseline, so the
@@ -272,25 +264,22 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	e := s.E
 	uB := u.Back
 	zu := u.Z
-	zuv := append([]float64(nil), zu...)
-	za := make([]float64, len(zu))
-	zb := make([]float64, len(zu))
+	s.za, s.zb = s.za[:0], s.zb[:0]
 	for k := range zu {
-		za[k] = tree.ClampBranchLen(zu[k] / 2)
-		zb[k] = tree.ClampBranchLen(zu[k] / 2)
+		s.za = append(s.za, tree.ClampBranchLen(zu[k]/2))
+		s.zb = append(s.zb, tree.ClampBranchLen(zu[k]/2))
 	}
-	tree.Connect(v.Next, u, za)
-	tree.Connect(v.Next.Next, uB, zb)
+	tree.Connect(v.Next, u, s.za)
+	tree.Connect(v.Next.Next, uB, s.zb)
 	// One explicit newview at the insertion node, then optimize the branch
 	// connecting the pruned subtree and evaluate across it.
 	s.newview1(v)
 	s.o.OptimizeBranch(v)
 	lnl, _ := e.Evaluate(v, nil)
 
-	// Undo: reconnect the target branch with its original slice and values,
-	// leave v dangling, restore the subtree connection length.
+	// Undo: reconnect the target branch with its original slice (nothing
+	// wrote it), leave v dangling, restore the subtree connection length.
 	tree.Connect(u, uB, zu)
-	copy(zu, zuv)
 	v.Next.Back = nil
 	v.Next.Next.Back = nil
 	copy(v.Z, s.zConnSave)
@@ -300,27 +289,4 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 // newview1 executes a single explicit newview step at inner record p.
 func (s *Searcher) newview1(p *tree.Node) {
 	s.E.ExecuteSteps([]tree.TraversalStep{{P: p, Q: p.Next.Back, R: p.Next.Next.Back}}, nil)
-}
-
-// clearXComponent clears CLV orientation flags in the connected component
-// containing start (the remaining tree after pruning), leaving the pruned
-// subtree's valid orientations untouched.
-func clearXComponent(start *tree.Node) {
-	seen := make(map[int]bool)
-	var walk func(p *tree.Node)
-	walk = func(p *tree.Node) {
-		if p == nil || seen[p.ID] {
-			return
-		}
-		seen[p.ID] = true
-		if !p.IsTip() {
-			p.X = false
-			p.Next.X = false
-			p.Next.Next.X = false
-			walk(p.Next.Back)
-			walk(p.Next.Next.Back)
-		}
-		walk(p.Back)
-	}
-	walk(start)
 }

@@ -160,6 +160,32 @@ func (t *Tree) ClearX() {
 	}
 }
 
+// ClearXAt is the one rule that keeps the X flags true across a topology
+// edit at v's node (a prune, an insertion, a restore): it clears exactly the
+// flags whose view — the subtree behind the record, away from its Back —
+// contains v. Every record of v's node sees v. Elsewhere the walk runs
+// outward from v and stops at the first node whose flag already points back
+// towards v: its view excludes v, and because every flag points towards the
+// last traversal's root (the invariant each traversal leaves), so does every
+// flag behind it. Flags it cannot reach stay set and stay valid.
+func ClearXAt(v *Node) {
+	for p, i := v, 0; i < 3 && p != nil; p, i = p.Next, i+1 {
+		p.X = false
+		clearXFrom(p.Back)
+	}
+}
+
+// clearXFrom clears the flags of q's node that point away from q.Back, and
+// continues behind them, unless q itself is flagged (towards q.Back).
+func clearXFrom(q *Node) {
+	if q == nil || q.IsTip() || q.X {
+		return
+	}
+	q.Next.X, q.Next.Next.X = false, false
+	clearXFrom(q.Next.Back)
+	clearXFrom(q.Next.Next.Back)
+}
+
 // Records returns all records (tips first, then inner triplets).
 func (t *Tree) Records() []*Node { return t.records }
 

@@ -282,6 +282,58 @@ func TestClearXAndOrient(t *testing.T) {
 	}
 }
 
+// viewContains reports whether node index idx lies in r's view: r's own node
+// or anything behind r.Next and r.Next.Next, away from r.Back.
+func viewContains(r *Node, idx int) bool {
+	if r.Index == idx {
+		return true
+	}
+	if r.IsTip() {
+		return false
+	}
+	for _, q := range []*Node{r.Next.Back, r.Next.Next.Back} {
+		if viewContains(q, idx) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestClearXAtClearsExactlyViewsContainingV: with every flag pointing towards
+// one root branch (the state a traversal leaves), ClearXAt at any inner node
+// clears exactly the flags whose view contains that node — also when another
+// node carries no flag at all, which the walk must pass through.
+func TestClearXAtClearsExactlyViewsContainingV(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		tr, err := Random(names(4+int(seed)), 1, RandomOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		branches := tr.Branches()
+		for _, v := range tr.Inner {
+			for _, unflag := range []*Node{nil, tr.Inner[rng.Intn(len(tr.Inner))]} {
+				tr.ClearX()
+				RootTraversal(branches[rng.Intn(len(branches))], false)
+				if unflag != nil {
+					unflag.X, unflag.Next.X, unflag.Next.Next.X = false, false, false
+				}
+				before := map[*Node]bool{}
+				for _, r := range tr.Records() {
+					before[r] = r.X
+				}
+				ClearXAt(v.Next)
+				for _, r := range tr.Records() {
+					if want := before[r] && !viewContains(r, v.Index); r.X != want {
+						t.Fatalf("seed %d, edit at node %d: record %d of node %d has X=%v, want %v",
+							seed, v.Index, r.ID, r.Index, r.X, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: random trees of random size are structurally valid and their
 // newick serialization parses back to the same canonical form.
 func TestRandomTreeQuickProperty(t *testing.T) {
