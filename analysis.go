@@ -37,8 +37,8 @@ const (
 // streamed through AnalysisOptions.Progress: what the round did — the phase,
 // the round number, the current log likelihood, the cumulative SPR move
 // counts (search only) and the synchronization regions this session issued
-// so far. Load balance is read from Analysis.Stats, measured time and steals
-// from the Dataset's metrics registry.
+// so far. Load balance is read from Analysis.Stats, measured time from the
+// Dataset's metrics registry.
 type ProgressEvent struct {
 	// Phase names the entry point that produced the event (PhaseModelOpt,
 	// PhaseSearch, or PhaseBootstrap).
@@ -147,7 +147,6 @@ func (ds *Dataset) newAnalysis(o AnalysisOptions) (*Analysis, error) {
 	eng, err := core.NewSession(ds.shared, tr, models, exec, core.Options{
 		Specialize: true,
 		Layout:     ds.layout,
-		Steal:      ds.opts.Steal,
 		Metrics:    ds.opts.Metrics,
 	})
 	if err != nil {
@@ -396,9 +395,8 @@ func (an *Analysis) Alpha(partition int) (float64, error) {
 // the load imbalance of the critical path — the quantities the paper's
 // analysis is about, in the analytic op model's units (the trace
 // PlatformSeconds prices). Sessions sharing one pool each see only their own
-// counters. What the host measured — per-worker busy and idle seconds,
-// steals, migrated patterns — is recorded once, in the Dataset's metrics
-// registry (DatasetOptions.Metrics).
+// counters. What the host measured — per-worker busy and idle seconds — is
+// recorded once, in the Dataset's metrics registry (DatasetOptions.Metrics).
 type SyncStats struct {
 	// Regions counts the synchronization regions (parallel barriers) this
 	// session issued.

@@ -10,7 +10,6 @@ package phylo
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"phylo/internal/alignment"
@@ -264,42 +263,6 @@ func convergenceMaskBench(b *testing.B, disable bool) {
 
 func BenchmarkAblationConvergenceMaskOn(b *testing.B)  { convergenceMaskBench(b, false) }
 func BenchmarkAblationConvergenceMaskOff(b *testing.B) { convergenceMaskBench(b, true) }
-
-// --- Ablation: intra-region work stealing at two real workers (DESIGN.md) ---
-
-// stealBench times a newPAR model optimization on a real 2-worker pool under
-// the weighted schedule, with stealing on or off; every op opens a fresh
-// analysis, so each starts from the same model parameters. It skips below
-// two CPUs, where the two workers cannot run at once and a thief only takes
-// turns with its victim.
-func stealBench(b *testing.B, on bool) {
-	if runtime.NumCPU() < 2 {
-		b.Skip("needs 2 CPUs")
-	}
-	al, err := SimulateMixed(8, 4, 2, 300, 1.0, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := NewDataset(al, DatasetOptions{Threads: 2, Schedule: ScheduleWeighted, Steal: on})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ds.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an, err := ds.NewAnalysis(AnalysisOptions{Strategy: NewPar})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := an.OptimizeModel(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		an.Close()
-	}
-}
-
-func BenchmarkAblationStealOn(b *testing.B)  { stealBench(b, true) }
-func BenchmarkAblationStealOff(b *testing.B) { stealBench(b, false) }
 
 // --- Ablation: cyclic vs block vs weighted pattern schedule (DESIGN.md) ---
 

@@ -7,7 +7,6 @@
 //	experiments -exp protein
 //	experiments -exp grid                        # dataset inventory (Sec. V, Test Datasets)
 //	experiments -exp schedule                    # cyclic vs block vs weighted assignment
-//	experiments -exp steal                       # intra-region work stealing vs a static block pack
 //	experiments -fig 3 -schedule weighted        # rerun a figure under another schedule
 package main
 
@@ -28,7 +27,7 @@ import (
 func main() {
 	var (
 		fig      = flag.Int("fig", 0, "figure to regenerate: 3, 4, 5, or 6")
-		exp      = flag.String("exp", "", "text experiment: joint | modelopt | protein | width | grid | schedule | steal")
+		exp      = flag.String("exp", "", "text experiment: joint | modelopt | protein | width | grid | schedule")
 		all      = flag.Bool("all", false, "regenerate everything")
 		scale    = flag.Float64("scale", 0.04, "dataset column scale (1.0 = paper scale)")
 		rounds   = flag.Int("rounds", 1, "SPR rounds per search run")
@@ -79,8 +78,6 @@ func main() {
 		err = bench.WidthMicrobench(ctx, cfg)
 	case *exp == "schedule":
 		err = bench.ScheduleExperiment(ctx, cfg)
-	case *exp == "steal":
-		err = bench.StealExperiment(ctx, cfg)
 	case *exp == "grid":
 		err = gridInventory(cfg)
 	default:

@@ -60,7 +60,6 @@ func parseFlags(args []string) (options, error) {
 		o          options
 		threads    = fs.Int("threads", 1, "worker count every dataset is built for")
 		schedFlag  = fs.String("schedule", "weighted", "pattern-to-worker assignment: cyclic | weighted")
-		stealFlag  = fs.Bool("steal", false, "intra-region work stealing on every dataset")
 		cats       = fs.Int("cats", 4, "discrete-Gamma category count")
 		cacheMB    = fs.Int64("cache-mb", 512, "dataset cache budget in MiB (<0 = unbounded)")
 		tenantInfl = fs.Int("tenant-inflight", 2, "per-tenant in-flight work-item quota")
@@ -78,7 +77,6 @@ func parseFlags(args []string) (options, error) {
 	o.cfg = server.Config{
 		Threads:         max(1, *threads), // what server.New resolves it to; the start-up line prints cfg.Threads
 		Cyclic:          strat == phylo.ScheduleCyclic,
-		Steal:           *stealFlag,
 		GammaCategories: *cats,
 		CacheBytes:      *cacheMB << 20,
 		TenantInflight:  *tenantInfl,

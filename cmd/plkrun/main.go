@@ -14,7 +14,7 @@
 //	plkrun -grid d50_50000 -partlen 1000 -scale 0.02 -mode modelopt -threads 16 -virtual -strategy old
 //	plkrun -real r125_19839 -scale 0.05 -mode search -threads 8 -progress
 //	plkrun -grid d50_50000 -scale 0.01 -mode modelopt -threads 4 -sessions 3
-//	plkrun -grid d50_50000 -scale 0.02 -mode modelopt -threads 8 -schedule weighted -steal
+//	plkrun -grid d50_50000 -scale 0.02 -mode modelopt -threads 8 -schedule weighted
 //	plkrun -grid d20_10000 -scale 0.05 -mode modelopt -threads 4 -bootstrap 100 -seed 7
 package main
 
@@ -44,9 +44,8 @@ func main() {
 		threads   = flag.Int("threads", 1, "worker count")
 		strategy  = flag.String("strategy", "new", "parallelization strategy: old | new")
 		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted")
-		stealFlag = flag.Bool("steal", false, "intra-region work stealing: a worker that drains its own chunks takes the later half of the costliest other worker's remaining chunks")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
-		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64), a dataset setting: the dataset cuts its schedule into chunks of this size once, and every session's workers drain them, thieves take them and evaluate and derivative sums are grouped by them, with or without -steal")
+		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64), a dataset setting: the dataset cuts its schedule into chunks of this size once, and every session's workers walk their own and evaluate and derivative sums are grouped by them")
 		perPart   = flag.Bool("perpart", false, "per-partition branch lengths")
 		virtual   = flag.Bool("virtual", false, "virtual workers + platform pricing instead of real goroutines")
 		seed      = flag.Int64("seed", 42, "random seed (datasets and starting tree)")
@@ -114,7 +113,6 @@ func main() {
 		Threads:        *threads,
 		Schedule:       sched,
 		VirtualThreads: *virtual,
-		Steal:          *stealFlag,
 		MinChunk:       *minChunk,
 		Backend:        backend,
 		Metrics:        reg,
@@ -191,20 +189,14 @@ func main() {
 	}
 }
 
-// finishObs prints the per-worker time/steal and the span-binding summaries
+// finishObs prints the per-worker time and the span-binding summaries
 // from the metrics registry — the one record of what the host measured — and
 // performs the optional -metrics / -trace dumps. Runs on every normal exit
 // (deferred in main after the dataset is built).
 func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, tracePath string, threads int) {
 	busy := make([]float64, threads)
-	steals := make([]float64, threads)
-	stolen := 0.0
 	bound := map[string]float64{} // span cases and transition-matrix outcomes, by label value
 	for _, s := range reg.Snapshot() {
-		if s.Name == "plk_stolen_patterns_total" {
-			stolen = s.Value
-			continue
-		}
 		if s.Name == "plk_kernel_spans_total" || s.Name == "plk_transition_matrices_total" {
 			for _, l := range s.Labels {
 				if l.Key == "case" || l.Key == "outcome" {
@@ -213,7 +205,7 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 			}
 			continue
 		}
-		if s.Name != "plk_worker_busy_seconds_total" && s.Name != "plk_steals_total" {
+		if s.Name != "plk_worker_busy_seconds_total" {
 			continue
 		}
 		w := -1
@@ -225,16 +217,11 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 		if w < 0 || w >= threads {
 			continue
 		}
-		if s.Name == "plk_worker_busy_seconds_total" {
-			busy[w] = s.Value
-		} else {
-			steals[w] = s.Value
-		}
+		busy[w] = s.Value
 	}
-	maxB, sumB, sumS := 0.0, 0.0, 0.0
+	maxB, sumB := 0.0, 0.0
 	for w := 0; w < threads; w++ {
 		sumB += busy[w]
-		sumS += steals[w]
 		if busy[w] > maxB {
 			maxB = busy[w]
 		}
@@ -243,8 +230,7 @@ func finishObs(reg *phylo.MetricsRegistry, tracer *phylo.Tracer, dump bool, trac
 	if avg := sumB / float64(threads); avg > 0 {
 		imb = maxB / avg
 	}
-	fmt.Printf("per-worker busy seconds: %s  time imbalance (max/avg): %.3f  steals: %s (%.0f total, %.0f patterns migrated)\n",
-		fmtVec(busy, "%.3f"), imb, fmtVec(steals, "%.0f"), sumS, stolen)
+	fmt.Printf("per-worker busy seconds: %s  time imbalance (max/avg): %.3f\n", fmtVec(busy), imb)
 	reuse := 0.0
 	if n := bound["computed"] + bound["reused"]; n > 0 {
 		reuse = bound["reused"] / n
@@ -301,11 +287,11 @@ func backendLine(ds *phylo.Dataset, reg *phylo.MetricsRegistry) string {
 	return fmt.Sprintf("%v (%.0f-lane DNA, %.0f-lane protein P applications)", ds.Backend(), lanes["4"], lanes["20"])
 }
 
-// fmtVec renders a small per-worker vector compactly.
-func fmtVec(v []float64, verb string) string {
+// fmtVec renders a small per-worker vector of seconds compactly.
+func fmtVec(v []float64) string {
 	parts := make([]string, len(v))
 	for i, x := range v {
-		parts[i] = fmt.Sprintf(verb, x)
+		parts[i] = fmt.Sprintf("%.3f", x)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
 }

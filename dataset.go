@@ -39,12 +39,10 @@ type DatasetOptions struct {
 	// every session.
 	Schedule ScheduleStrategy
 	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
-	// default of 64). Chunks are the unit every session's workers drain their
-	// pattern shares in, the unit thieves take when Steal is set — smaller
-	// chunks bound tail latency tighter but migrate more per-span setup work
-	// — and the unit likelihood sums are grouped by, so all sessions of a
-	// Dataset agree bit for bit, and Datasets that differ only in MinChunk
-	// agree to floating-point reassociation tolerance.
+	// default of 64). Chunks are the unit every session's workers walk their
+	// pattern shares in and the unit likelihood sums are grouped by, so all
+	// sessions of a Dataset agree bit for bit, and Datasets that differ only
+	// in MinChunk agree to floating-point reassociation tolerance.
 	MinChunk int
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
@@ -52,20 +50,11 @@ type DatasetOptions struct {
 	// serially on its own goroutine and records the trace that
 	// PlatformSeconds prices, independently of the other sessions.
 	VirtualThreads bool
-	// Steal enables intra-region work stealing for every session. Every
-	// session drains its workers' scheduled pattern shares chunk by chunk
-	// either way; with Steal a worker that finishes its own chunks early
-	// steals the largest remaining half from the most-loaded victim instead
-	// of idling at the region barrier (at the price of one extra barrier per
-	// traversal step). Results are bit-for-bit identical with stealing on or
-	// off (reductions run over per-chunk partials in fixed chunk order);
-	// steal activity is reported in the Metrics registry (plk_steals_total,
-	// plk_stolen_patterns_total).
-	// Stealing composes with every Schedule strategy: the schedule, built
-	// once per dataset, remains the locality prior, while stealing absorbs
-	// whatever it mispriced inside each region. The chunk size (MinChunk)
-	// matters with or without Steal: it sets the unit workers drain and
-	// every evaluate and derivative sum is grouped by.
+	// Steal is ignored: intra-region work stealing is gone, and every worker
+	// walks its own chunks.
+	//
+	// Deprecated: the field is kept only so that code which still sets it
+	// compiles; it will be removed.
 	Steal bool
 	// Backend selects the likelihood kernel backend for every session over
 	// this dataset. The zero value (BackendAuto) consults the PLK_BACKEND
@@ -77,13 +66,13 @@ type DatasetOptions struct {
 	Backend KernelBackend
 	// Metrics, if non-nil, receives every observability family of this
 	// dataset and its sessions: region counts and duration histograms,
-	// per-worker busy/idle/ops/steal counters, kernel pattern/span/scaling
+	// per-worker busy/idle/ops counters, kernel pattern/span/scaling
 	// counters, and batch width. Instrumentation follows the
 	// flush-at-region-boundary design — per-worker scratch accumulates inside
 	// regions and folds into the registry after each barrier — so attaching a
 	// registry adds zero allocations and no per-pattern work to the hot path.
 	// Several datasets may share one registry. The registry is the one record
-	// of measured time and steals; SyncStats carries only the op trace.
+	// of measured time; SyncStats carries only the op trace.
 	Metrics *MetricsRegistry
 	// Trace, if non-nil, records one Chrome-trace span per worker per
 	// parallel region into the buffer, for offline timeline inspection.

@@ -23,7 +23,7 @@ func TestDatasetCloseRacesSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := NewDataset(al, DatasetOptions{Threads: 2, Schedule: ScheduleWeighted, Steal: true})
+		ds, err := NewDataset(al, DatasetOptions{Threads: 2, Schedule: ScheduleWeighted})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +121,8 @@ func TestSiblingSessionsCannotChangeResults(t *testing.T) {
 	}
 	sessions := []func(*Dataset) ([]float64, error){modelOpt, bootstrap(64), bootstrap(16)}
 	for name, opts := range map[string]DatasetOptions{
-		"real workers + steal": {Threads: 4, Schedule: ScheduleWeighted, Steal: true},
-		"virtual threads":      {Threads: 4, Schedule: ScheduleWeighted, VirtualThreads: true},
+		"real workers":    {Threads: 4, Schedule: ScheduleWeighted},
+		"virtual threads": {Threads: 4, Schedule: ScheduleWeighted, VirtualThreads: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ds, err := NewDataset(al, opts)
@@ -269,7 +269,7 @@ func TestSessionRecyclingSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DatasetOptions{Threads: 2, Schedule: ScheduleWeighted, Steal: true}
+	opts := DatasetOptions{Threads: 2, Schedule: ScheduleWeighted}
 	type request struct {
 		seed    int64
 		perPart bool

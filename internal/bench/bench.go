@@ -11,8 +11,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"math"
-	"strconv"
 	"time"
 
 	"phylo"
@@ -57,19 +55,6 @@ type RunSpec struct {
 	TreeSeed     int64 // fixed input tree (identical across configurations)
 	SearchRounds int   // SPR rounds for ModeSearch (0 = default)
 	SearchRadius int   // rearrangement radius (0 = default)
-
-	// ProbeRegions, when > 0, appends an end-state probe after the analysis:
-	// this many full traversal+evaluate passes, whose measured balance
-	// (Measurement.Probe) is free of the analysis's masked and partial regions.
-	ProbeRegions int
-
-	// Steal turns thieving on: workers that drain their scheduled share steal
-	// the largest remaining half from the most loaded victim instead of
-	// idling at each region barrier. Results are bit-for-bit identical to the
-	// same run without it; Measurement.Probe carries the steal counters.
-	Steal bool
-	// MinChunk is the minimum chunk size in patterns (0 = the default of 64).
-	MinChunk int
 }
 
 // Measurement is the outcome of one run. Stats is the analysis's op trace;
@@ -79,49 +64,6 @@ type Measurement struct {
 	WallSeconds     float64
 	Stats           phylo.SyncStats
 	PlatformSeconds map[string]float64 // virtual seconds per paper platform
-	Probe           Probe              // end-state probe (zero unless ProbeRegions > 0)
-}
-
-// Probe is what the dataset's metrics registry recorded in one window:
-// per-worker busy seconds and steals, and the patterns stolen.
-type Probe struct {
-	Busy, Steals []float64
-	Stolen       float64
-}
-
-// BusyImbalance is max/avg of the per-worker busy seconds (1 if none).
-func (p Probe) BusyImbalance() float64 {
-	max, sum := 0.0, 0.0
-	for _, b := range p.Busy {
-		max, sum = math.Max(max, b), sum+b
-	}
-	if sum == 0 {
-		return 1
-	}
-	return max / (sum / float64(len(p.Busy)))
-}
-
-// record runs fn and returns what reg recorded for threads workers while it
-// ran: the difference of the registry's counters after and before.
-func record(reg *phylo.MetricsRegistry, threads int, fn func()) Probe {
-	read := func() Probe {
-		p := Probe{Stolen: reg.Counter("plk_stolen_patterns_total", "").Value()}
-		for w := 0; w < threads; w++ {
-			wl := phylo.MetricLabel{Key: "worker", Value: strconv.Itoa(w)}
-			p.Busy = append(p.Busy, reg.Counter("plk_worker_busy_seconds_total", "", wl).Value())
-			p.Steals = append(p.Steals, reg.Counter("plk_steals_total", "", wl).Value())
-		}
-		return p
-	}
-	before := read()
-	fn()
-	p := read()
-	p.Stolen -= before.Stolen
-	for w := range p.Busy {
-		p.Busy[w] -= before.Busy[w]
-		p.Steals[w] -= before.Steals[w]
-	}
-	return p
 }
 
 // openDataset hands ds to the facade as a user would: PHYLIP text and a
@@ -152,17 +94,10 @@ func openDataset(ds *seqsim.Dataset, partitioned bool, o phylo.DatasetOptions) (
 // synchronization-region boundary; the returned Measurement then carries the
 // partial result alongside ctx's error.
 func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
-	var reg *phylo.MetricsRegistry
-	if spec.ProbeRegions > 0 {
-		reg = phylo.NewMetricsRegistry()
-	}
 	ds, err := openDataset(spec.Dataset, spec.Partitioned, phylo.DatasetOptions{
 		Threads:        spec.Threads,
 		Schedule:       spec.Schedule,
-		MinChunk:       spec.MinChunk,
 		VirtualThreads: !spec.Pool,
-		Steal:          spec.Steal,
-		Metrics:        reg,
 	})
 	if err != nil {
 		return nil, err
@@ -202,13 +137,6 @@ func Run(ctx context.Context, spec RunSpec) (*Measurement, error) {
 		if m.PlatformSeconds[p.Name], err = an.PlatformSeconds(p.Name); err != nil {
 			return nil, err
 		}
-	}
-	if spec.ProbeRegions > 0 && runErr == nil {
-		m.Probe = record(reg, spec.Threads, func() {
-			for i := 0; i < spec.ProbeRegions; i++ {
-				an.LogLikelihood()
-			}
-		})
 	}
 	return m, runErr
 }

@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
-	"runtime"
-	"sort"
 
 	"phylo"
-	"phylo/internal/alignment"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
@@ -391,163 +387,13 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 	return nil
 }
 
-// StealComparison is the outcome of the work-stealing experiment: end-state
-// measured per-worker time imbalance of a static block pack vs the same pack
-// with intra-region stealing, on the mixed DNA+AA workload with its protein
-// partitions listed first (stealDataset), so the contiguous block pack hands
-// the ~25x costlier protein patterns to the first workers and stealing has
-// real skew to absorb. StealExperiment prints it;
-// TestStealingBoundsIntraRegionTailLatency gates it.
-type StealComparison struct {
-	Dataset string
-	Threads int
-	// Cores is runtime.NumCPU() at measurement time. Per-worker *work* time
-	// (barrier waits excluded) only reflects load balance when the workers
-	// actually run in parallel: with Threads > Cores the OS decides which
-	// worker executes the stolen work, so the acceptance gate skips the
-	// imbalance clause on such hosts (the comparison is still recorded).
-	Cores int
-	// End-state probe time imbalance (max/avg measured per-worker busy
-	// seconds) under the block schedule, without and with stealing.
-	StaticTimeImbalance float64
-	StealTimeImbalance  float64
-	// The stealing run's probe: steal operations over all workers, migrated
-	// patterns, and the migrated fraction of all patterns the probe processed.
-	Steals           float64
-	MigratedPatterns float64
-	MigratedFraction float64
-	// LnLAbsDiff is |lnL(steal) - lnL(static)| — stealing must never change
-	// results beyond floating-point reassociation of the reductions.
-	LnLAbsDiff float64
-}
-
-// stealProbeRegions is the end-state probe length of the steal comparison:
-// enough full traversal+evaluate passes to average region-level scheduling
-// noise out of the measured per-worker seconds. The static pack's skew is
-// deterministic and accumulates coherently across passes, while on an
-// oversubscribed host the steal side's work placement is
-// scheduler-randomized per region and averages toward uniform — so a longer
-// probe widens the gate's margin exactly where it is noisiest.
-const stealProbeRegions = 24
-
-// probeProcessedPatterns is the pattern-execution count of `passes` full
-// traversal+evaluate probe passes on an n-taxon dataset: each pass touches
-// every pattern once per newview step (taxa-2 steps in a full traversal to
-// the canonical root) and once more in the evaluate region. It is the
-// denominator of every migrated-pattern fraction, shared so the probe shape
-// and the metric cannot drift apart.
-func probeProcessedPatterns(passes, taxa, patterns int) float64 {
-	return float64(passes) * float64(taxa-1) * float64(patterns)
-}
-
-// stealDataset is the steal comparison's workload: MixedScheduleDataset with
-// its protein partitions listed before its DNA partitions, so the front of
-// the global pattern space is the expensive end.
-func stealDataset(cfg FigureConfig) (*seqsim.Dataset, error) {
-	ds, err := MixedScheduleDataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	parts := append([]alignment.Partition(nil), ds.Parts...)
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Type == alignment.AA && parts[j].Type != alignment.AA })
-	return &seqsim.Dataset{Name: ds.Name, Alignment: ds.Alignment, Parts: parts}, nil
-}
-
-// stealSpec is one side of the steal comparison: a newPAR model optimization
-// of ds on threads real pool workers under the block schedule at 16-pattern
-// chunks, followed by the end-state probe.
-func stealSpec(ds *seqsim.Dataset, cfg FigureConfig, threads int, steal bool) RunSpec {
-	return RunSpec{
-		Dataset:        ds,
-		Partitioned:    true,
-		PerPartitionBL: true,
-		Strategy:       phylo.NewPar,
-		Schedule:       schedule.Block,
-		Threads:        threads,
-		Mode:           ModeModelOpt,
-		Pool:           true,
-		TreeSeed:       cfg.Seed + 100,
-		ProbeRegions:   stealProbeRegions,
-		Steal:          steal,
-		MinChunk:       16,
-	}
-}
-
-// stealComparisonRun executes the two-sided comparison on stealDataset: the
-// static block pack, and the same configuration with chunked work stealing,
-// each followed by an identical end-state probe whose measured per-worker
-// seconds are the quantity under test. It needs real concurrency — stealing
-// exists to keep real workers busy while a real straggler finishes — so it
-// runs on the goroutine pool and is gated on wall-clock time imbalance.
-func stealComparisonRun(ctx context.Context, cfg FigureConfig) (*StealComparison, map[bool]*Measurement, error) {
-	ds, err := stealDataset(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Use as many workers as the host can genuinely run in parallel (up to
-	// the paper's 8), but at least 2 so stealing exists at all; see the
-	// Cores field for why oversubscription would invalidate the metric.
-	threads := min(max(runtime.NumCPU(), 2), 8)
-	out := &StealComparison{Dataset: ds.Name, Threads: threads, Cores: runtime.NumCPU()}
-	results := make(map[bool]*Measurement, 2)
-	for _, stealOn := range []bool{false, true} {
-		m, err := Run(ctx, stealSpec(ds, cfg, threads, stealOn))
-		if err != nil {
-			return nil, nil, err
-		}
-		results[stealOn] = m
-	}
-	static, stolen := results[false], results[true]
-	out.StaticTimeImbalance = static.Probe.BusyImbalance()
-	out.StealTimeImbalance = stolen.Probe.BusyImbalance()
-	for _, n := range stolen.Probe.Steals {
-		out.Steals += n
-	}
-	out.MigratedPatterns = stolen.Probe.Stolen
-	st := ds.Stats()
-	processed := probeProcessedPatterns(stealProbeRegions, ds.Alignment.NumTaxa(), st.TotalPatterns)
-	if processed > 0 {
-		out.MigratedFraction = out.MigratedPatterns / processed
-	}
-	out.LnLAbsDiff = math.Abs(stolen.LnL - static.LnL)
-	return out, results, nil
-}
-
-// StealExperiment is the intra-region work-stealing demonstration: with the
-// mixed DNA+AA workload's protein partitions first, the static block pack
-// gives the first workers the expensive patterns of every region, so the
-// end-state measured time imbalance of the stolen-work run must not exceed
-// the static pack's — while the likelihood stays put.
-func StealExperiment(ctx context.Context, cfg FigureConfig) error {
-	fmt.Fprintln(cfg.Out, "=== Intra-region work stealing: mixed DNA+AA workload, protein partitions first, block schedule, model-opt (real pool) ===")
-	comp, results, err := stealComparisonRun(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.Out, "dataset %s (scale %.3g): %d workers on %d cores; static block pack op imbalance %.3f; end-state probe of %d passes\n",
-		comp.Dataset, cfg.Scale, comp.Threads, comp.Cores, results[false].Stats.WorkerImbalance, stealProbeRegions)
-	if comp.Threads > comp.Cores {
-		fmt.Fprintf(cfg.Out, "note: %d workers time-share %d cores, so per-worker work time reflects OS scheduling, not load balance\n",
-			comp.Threads, comp.Cores)
-	}
-	fmt.Fprintf(cfg.Out, "%-16s end-state time-imbalance=%.4f lnL=%.2f\n",
-		"block-static", comp.StaticTimeImbalance, results[false].LnL)
-	fmt.Fprintf(cfg.Out, "%-16s end-state time-imbalance=%.4f lnL=%.2f steals=%.0f stolenPatterns=%.0f (%.1f%% migrated)\n",
-		"block+steal", comp.StealTimeImbalance, results[true].LnL,
-		comp.Steals, comp.MigratedPatterns, 100*comp.MigratedFraction)
-	fmt.Fprintf(cfg.Out, "steal/static time-imbalance ratio: %.4f (<= 1 means stealing bounded the intra-region tail)\n",
-		comp.StealTimeImbalance/comp.StaticTimeImbalance)
-	fmt.Fprintf(cfg.Out, "|lnL difference|: %.3g (stealing must never change results)\n\n", comp.LnLAbsDiff)
-	return nil
-}
-
 // RunAll regenerates every figure and text result in paper order, then the
 // reproduction's own schedule-strategy comparisons.
 func RunAll(ctx context.Context, cfg FigureConfig) error {
 	steps := []func(context.Context, FigureConfig) error{
 		Figure3, Figure4, Figure5, Figure6,
 		JointBLExperiment, ModelOptExperiment, ProteinExperiment, WidthMicrobench,
-		ScheduleExperiment, StealExperiment,
+		ScheduleExperiment,
 	}
 	for _, f := range steps {
 		if err := f(ctx, cfg); err != nil {

@@ -4,10 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
-	"phylo"
 	"phylo/internal/alignment"
 	"phylo/internal/core"
 	"phylo/internal/model"
@@ -16,7 +14,7 @@ import (
 	"phylo/internal/tree"
 )
 
-// The floors are the nine intra-run bounds this repository holds on any
+// The floors are the eight intra-run bounds this repository holds on any
 // host: each is a ratio (or fraction) of two arms measured in this process,
 // so it needs no report, no stored baseline and no second process to judge
 // it. Absolute ns/op are not judged here; benchmark/ decides those against
@@ -45,9 +43,6 @@ const (
 	// twice as fast per replicate as R dedicated single-replicate sessions
 	// (far above that in practice: the batch pays one traversal for all R).
 	batchedBootstrapFloor = 2.0
-	// stealMigrationCeiling is the migrated-pattern fraction above which
-	// stealing is a symptom rather than a cure (see the ceiling test).
-	stealMigrationCeiling = 0.5
 	// proteinMaddCeiling: wall time per priced op of the generic newview at
 	// s = 20 over the same at s = 4. With four outputs a chain in the scalar
 	// loop (then applyRows, now model.ApplyCols' fallback), five runs on the
@@ -125,7 +120,7 @@ func timed(t *testing.T) {
 
 // hold asserts one floor. Wall-clock readings on a shared host are noisy on
 // one side only, so a loss must reproduce on one fresh measurement before it
-// fails the test (the rule TestStealingBoundsIntraRegionTailLatency uses).
+// fails the test.
 func hold(t *testing.T, measure func() (ok bool, reading string)) {
 	t.Helper()
 	ok, reading := measure()
@@ -534,55 +529,5 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 		return independent/batched >= batchedBootstrapFloor,
 			fmt.Sprintf("batched bootstrap %.2fx independent per replicate at 1 thread, R=%d (floor %.1fx; batched %.0f ns/rep = %.0f reps/s, independent %.0f ns/rep = %.0f reps/s; %s)",
 				independent/batched, R, batchedBootstrapFloor, batched, 1e9/batched, independent, 1e9/independent, grid.name)
-	})
-}
-
-// TestStealMigrationCeiling: on the honestly priced small grid under
-// weighted + steal, more than half of all processed patterns migrating means
-// the static pack is systematically mispriced — stealing is papering over a
-// scheduling bug, not absorbing noise.
-//
-// That reading needs workers that actually ran in parallel, so the test runs
-// at T = min(NumCPU-1, 4), benchmark/'s own rule for a thread count the host
-// runs in parallel, and skips when that is below 2. Threads <= NumCPU is not
-// that condition: with the test binary's own goroutines on the same cores, a
-// 2-vCPU box reads 43-50% migrated at T = 2 (55.6% at T = 4) on a pack that
-// is priced correctly — whichever worker the OS runs first legitimately
-// swallows the chunks of workers that have not started yet.
-func TestStealMigrationCeiling(t *testing.T) {
-	timed(t)
-	threads := min(runtime.NumCPU()-1, 4)
-	if threads < 2 {
-		t.Skipf("%d CPUs cannot run 2 workers in parallel beside the test binary", runtime.NumCPU())
-	}
-	const passes = 4
-	grid, err := seqsim.GridDataset(20, 20000, 1000, 0.01, floorSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold(t, func() (bool, string) {
-		reg := phylo.NewMetricsRegistry()
-		ds, err := openDataset(grid, true, phylo.DatasetOptions{
-			Threads: threads, Schedule: phylo.ScheduleWeighted, Steal: true, Backend: phylo.BackendFused, Metrics: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ds.Close()
-		an, err := ds.NewAnalysis(phylo.AnalysisOptions{PerPartitionBranchLengths: true, Seed: floorSeed + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer an.Close()
-		an.LogLikelihood() // warm the CLVs and caches
-		probe := record(reg, threads, func() {
-			for i := 0; i < passes; i++ {
-				an.LogLikelihood()
-			}
-		})
-		migrated := probe.Stolen / probeProcessedPatterns(passes, ds.NumTaxa(), ds.NumPatterns())
-		return migrated <= stealMigrationCeiling,
-			fmt.Sprintf("%.0f%% of patterns migrated at %d threads on %d CPUs (ceiling %.0f%%; per-worker steals %v, time imbalance %.3f) — above the ceiling the static pack is mispriced: fix the cost model",
-				100*migrated, threads, runtime.NumCPU(), 100*stealMigrationCeiling, probe.Steals, probe.BusyImbalance())
 	})
 }

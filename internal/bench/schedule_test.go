@@ -3,10 +3,13 @@ package bench
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"phylo"
+	"phylo/internal/alignment"
 	"phylo/internal/schedule"
+	"phylo/internal/seqsim"
 )
 
 // mixedRun executes the schedule-comparison workload (mixed DNA+AA
@@ -76,3 +79,40 @@ func benchmarkSchedule(b *testing.B, strat schedule.Strategy) {
 func BenchmarkScheduleMixedCyclic(b *testing.B)   { benchmarkSchedule(b, schedule.Cyclic) }
 func BenchmarkScheduleMixedBlock(b *testing.B)    { benchmarkSchedule(b, schedule.Block) }
 func BenchmarkScheduleMixedWeighted(b *testing.B) { benchmarkSchedule(b, schedule.Weighted) }
+
+// TestBlockPackIsSkewedWithProteinFirst: the contiguous block pack is the
+// assignment a cost-blind split gives. With the mixed workload's protein
+// partitions listed first it hands the ~25x costlier protein patterns to the
+// first worker, which must then carry at least 1.3x the average op total
+// over a whole model optimization at two workers. Op totals are the analytic
+// model's and do not depend on how the workers run, so virtual workers
+// measure them.
+func TestBlockPackIsSkewedWithProteinFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full model optimization")
+	}
+	cfg := FigureConfig{Scale: 0.02, Seed: 42}
+	ds, err := MixedScheduleDataset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := append([]alignment.Partition(nil), ds.Parts...)
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Type == alignment.AA && parts[j].Type != alignment.AA })
+	m, err := Run(context.Background(), RunSpec{
+		Dataset:        &seqsim.Dataset{Name: ds.Name, Alignment: ds.Alignment, Parts: parts},
+		Partitioned:    true,
+		PerPartitionBL: true,
+		Strategy:       phylo.NewPar,
+		Schedule:       schedule.Block,
+		Threads:        2,
+		Mode:           ModeModelOpt,
+		TreeSeed:       cfg.Seed + 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("block pack at 2 workers, protein first: worker op imbalance %.3f", m.Stats.WorkerImbalance)
+	if m.Stats.WorkerImbalance < 1.3 {
+		t.Errorf("block pack worker op imbalance %v < 1.3 with the protein partitions first", m.Stats.WorkerImbalance)
+	}
+}

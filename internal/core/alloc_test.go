@@ -56,7 +56,7 @@ func TestAlignedFloats(t *testing.T) {
 // boundaries under both backends, and the CLV/sumtable lengths must match
 // the layout's padded totals.
 func TestEngineBuffersAligned(t *testing.T) {
-	d, models := stealFixture(t, 4, 7)
+	d, models := mixedFixture(t, 4, 7)
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		sh, err := NewSharedWith(d, 4, 2, backend)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestEngineBuffersAligned(t *testing.T) {
 // evicts on: MemoryFootprint(l).SessionBytes() must equal the summed lengths
 // of what a real session draining l holds once it has run every region
 // kind — CLVs, scaling vectors, sumtable, every slice of every worker record,
-// the chunk layout and runtime, and the per-chunk partial sums — on both
+// the chunk layout, and the per-chunk partial sums — on both
 // backends, at the default chunk size and a smaller one. The worker records are walked by reflection, so a buffer added to
 // one later cannot go unpriced. The transition-matrix memo is priced at its
 // cap: the blocks the session holds plus one per slot that has not missed
@@ -150,7 +150,7 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true}, weightedAt(t, arm.minChunk))
-		runStealResult(t, eng)
+		runEvalResult(t, eng)
 
 		var held int64
 		for i := range eng.clvs {
@@ -170,7 +170,7 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 			}
 		}
 		l := eng.ChunkLayout()
-		held += l.MemoryBytes() + l.RuntimeBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
+		held += l.MemoryBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
 
 		if blocks == 0 || room == 0 {
 			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)

@@ -14,20 +14,20 @@ import (
 // The kernel-backend acceptance suite: the fused backend (cat-major layout,
 // unrolled 4-state kernels) must be bit-for-bit identical to the generic
 // oracle on total lnL, per-partition lnLs, per-site lnLs, and both-sided
-// branch derivatives — across executors, steal on/off, 1 and 4 Gamma
+// branch derivatives — across executors, chunk sizes, 1 and 4 Gamma
 // categories, and under forced 2^-256 scaling. Exact == comparisons
 // throughout: the backends promise the same floating-point accumulation
 // order, not just the same math.
 
-// backendResult extends stealResult with per-partition site log likelihoods.
+// backendResult extends evalResult with per-partition site log likelihoods.
 type backendResult struct {
-	stealResult
+	evalResult
 	sites [][]float64
 }
 
 func runBackendResult(t *testing.T, eng *Engine) backendResult {
 	t.Helper()
-	r := backendResult{stealResult: runStealResult(t, eng)}
+	r := backendResult{evalResult: runEvalResult(t, eng)}
 	for ip := 0; ip < eng.NumPartitions(); ip++ {
 		r.sites = append(r.sites, eng.SiteLogLikelihoods(ip))
 	}
@@ -36,7 +36,7 @@ func runBackendResult(t *testing.T, eng *Engine) backendResult {
 
 func requireBackendIdentical(t *testing.T, label string, gen, fus backendResult) {
 	t.Helper()
-	requireBitIdentical(t, label, gen.stealResult, fus.stealResult)
+	requireBitIdentical(t, label, gen.evalResult, fus.evalResult)
 	for ip := range gen.sites {
 		for j := range gen.sites[ip] {
 			if gen.sites[ip][j] != fus.sites[ip][j] {
@@ -49,7 +49,7 @@ func requireBackendIdentical(t *testing.T, label string, gen, fus backendResult)
 
 // TestBackendBitIdentity compares the two backends configuration by
 // configuration on mixed DNA+AA data: Pool sessions, Sim, and Sequential
-// executors, chunked execution with stealing on and off, at 1 and 4 Gamma
+// executors, chunked execution at two chunk sizes, at 1 and 4 Gamma
 // categories. Each configuration is built twice — once per backend — over
 // backend-specific Shared state; within a configuration the executor,
 // schedule, and reduction order are identical, so any difference would be the
@@ -59,7 +59,7 @@ func TestBackendBitIdentity(t *testing.T) { forEachPlanes(t, backendBitIdentity)
 
 func backendBitIdentity(t *testing.T) {
 	for _, cats := range []int{1, 4} {
-		d, models := stealFixture(t, cats, int64(300+cats))
+		d, models := mixedFixture(t, cats, int64(300+cats))
 		const threads = 3
 		pool, err := parallel.NewPool(threads)
 		if err != nil {
@@ -111,10 +111,8 @@ func backendBitIdentity(t *testing.T) {
 		configs := []config{
 			{"pool", func() *parallel.Pool { return pool.Session() }, threads,
 				Options{Specialize: true}, weightedAt(t, 0)},
-			{"pool-steal", func() *parallel.Pool { return pool.Session() }, threads,
-				Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
-			{"pool-steal-off", func() *parallel.Pool { return pool.Session() }, threads,
-				Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
+			{"pool-min16", func() *parallel.Pool { return pool.Session() }, threads,
+				Options{Specialize: true}, weightedAt(t, 16)},
 			{"sim", sim, threads, Options{Specialize: true}, nil},
 			{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 				Options{Specialize: true}, nil},
@@ -210,7 +208,7 @@ func TestBackendSelection(t *testing.T) {
 	if b := bodyFor(BackendGeneric, alignment.DNA.States()); b != bodyGeneric {
 		t.Errorf("generic backend on DNA selected body %d, want bodyGeneric", b)
 	}
-	d, _ := stealFixture(t, 4, 42)
+	d, _ := mixedFixture(t, 4, 42)
 	var ls [2]*CLVLayout
 	for i, backend := range []Backend{BackendGeneric, BackendFused} {
 		sh, err := NewSharedWith(d, 4, 1, backend)

@@ -13,8 +13,8 @@ import (
 // (every replicate's weights sum to the original site count, seeded and
 // R-invariant determinism) and the bit-identity contract — lane r of a
 // batched evaluate/derivative reduction equals a single-replicate run over
-// replicate r's weights, exactly, on both backends, with stealing on and
-// off, and a width-1 batch over the dataset's own weights equals the plain
+// replicate r's weights, exactly, on both backends and at two chunk sizes,
+// and a width-1 batch over the dataset's own weights equals the plain
 // unbatched Evaluate.
 
 // TestWeightSetMultinomialSums is the resampling property test: for every
@@ -22,7 +22,7 @@ import (
 // the partition's original (uncompressed) site count — a bootstrap replicate
 // is a redistribution of the same columns, never more or fewer.
 func TestWeightSetMultinomialSums(t *testing.T) {
-	d, _ := stealFixture(t, 4, 41)
+	d, _ := mixedFixture(t, 4, 41)
 	for _, seed := range []int64{0, 1, 7, 12345} {
 		ws, err := NewWeightSet(d, 25, seed)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestWeightSetMultinomialSums(t *testing.T) {
 // function of (data, seed, r), independent of the batch width it was drawn
 // inside; and a different seed actually changes the draw.
 func TestWeightSetSeededDeterminism(t *testing.T) {
-	d, _ := stealFixture(t, 1, 42)
+	d, _ := mixedFixture(t, 1, 42)
 	a, err := NewWeightSet(d, 8, 99)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestWeightSetSeededDeterminism(t *testing.T) {
 // TestWeightSetReplicateAndAggregate checks the two derived views: Replicate
 // extracts one lane verbatim, Aggregate column-sums all lanes.
 func TestWeightSetReplicateAndAggregate(t *testing.T) {
-	d, _ := stealFixture(t, 1, 43)
+	d, _ := mixedFixture(t, 1, 43)
 	ws, err := NewWeightSet(d, 5, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +126,11 @@ func TestWeightSetReplicateAndAggregate(t *testing.T) {
 	}
 }
 
-// batchEngine builds a session over the steal fixture for one backend and
+// batchEngine builds a session over the mixed fixture for one backend and
 // option set.
 func batchEngine(t *testing.T, backend Backend, cats int, exec *parallel.Pool, nThreads int, opts Options, layout func(*Shared) *steal.Layout) *Engine {
 	t.Helper()
-	d, models := stealFixture(t, cats, 500)
+	d, models := mixedFixture(t, cats, 500)
 	sh, err := NewSharedWith(d, cats, nThreads, backend)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func weightedAt(t testing.TB, minChunk int) func(*Shared) *steal.Layout {
 }
 
 // TestBatchBitIdentity is the batched reductions' acceptance test: on both
-// backends, with stealing on and off, every replicate
+// backends, on a pool at two chunk sizes, every replicate
 // lnL and both branch derivatives of a batched R-wide run must equal — bit
 // for bit — a single-replicate Evaluate / BranchDerivatives run over that
 // replicate's weights (via the weight override) and a width-1 batched run
@@ -191,10 +191,8 @@ func TestBatchBitIdentity(t *testing.T) {
 	configs := []config{
 		{"pool", func() *parallel.Pool { return pool.Session() }, threads,
 			Options{Specialize: true}, weightedAt(t, 0)},
-		{"pool-steal", func() *parallel.Pool { return pool.Session() }, threads,
-			Options{Specialize: true, Steal: true}, weightedAt(t, 16)},
-		{"pool-steal-off", func() *parallel.Pool { return pool.Session() }, threads,
-			Options{Specialize: true, Steal: false}, weightedAt(t, 16)},
+		{"pool-min16", func() *parallel.Pool { return pool.Session() }, threads,
+			Options{Specialize: true}, weightedAt(t, 16)},
 		{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 			Options{Specialize: true}, nil},
 	}

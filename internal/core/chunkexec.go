@@ -13,68 +13,56 @@ import (
 // Region execution. A parallel region is one thing: the entry point describes
 // it (region), Engine.drain is the one chunk loop every worker of every region
 // runs, and spanCtx.bind is the one place a (partition, worker) encounter is
-// set up. The schedule's assignment is sliced into chunks (steal.Layout) and
-// each worker drains chunks from the session's steal.Runtime. What differs
-// between region kinds is data on the region and three switches on its kind:
-// what a span binds (bind), which kernel body a chunk runs (run), and what a
-// pattern costs (takeOps); evaluate and derivative regions add a fixed-order
-// reduction after the barrier, in their entry points. Two further things that
-// used to be separate drivers are values, not code paths:
-//
-//   - "Static" execution is the runtime with thieving off (Options.Steal
-//     false, or any serial executor): a worker walks its own chunk list in
-//     ascending order, which is exactly its scheduled share, and nothing else.
-//     With thieving on, a drained worker additionally steals the largest
-//     remaining half from the costliest victim, so no worker idles at the
-//     region barrier while another still has queued work.
-//   - "Unbatched" evaluation is a WeightSet of width 1: Evaluate and
-//     BranchDerivatives run the R-lane reductions over the dataset's own
-//     weights (held once on the Shared) or the session's override, and lane r
-//     of any batch performs the floating-point sequence a width-1 run over
-//     replicate r's weights performs.
+// set up. The schedule's assignment is sliced into chunks (the dataset's
+// steal.Layout) and each worker walks its own chunk ids in ascending order,
+// skipping chunks of masked-off spans: exactly its scheduled share. What
+// differs between region kinds is data on the region and three switches on
+// its kind: what a span binds (bind), which kernel body a chunk runs (run),
+// and what a pattern costs (takeOps); evaluate and derivative regions add a
+// fixed-order reduction after the barrier, in their entry points.
+// "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
+// Evaluate and BranchDerivatives run the R-lane reductions over the dataset's
+// own weights (held once on the Shared) or the session's override, and lane r
+// of any batch performs the floating-point sequence a width-1 run over
+// replicate r's weights performs.
 //
 // Determinism argument (why a result depends only on the chunk layout — the
-// dataset's schedule cut at its minimum chunk size — not on stealing, the
-// executor, or the interleaving):
+// dataset's schedule cut at its minimum chunk size — not on the executor or
+// the interleaving):
 //
 //  1. CLV, scaling, and sumtable writes are per-pattern and chunks are
 //     disjoint pattern ranges, so newview/sumtable output is independent of
-//     which worker executes a chunk.
+//     when a worker runs a chunk.
 //  2. Reduction kernels (evaluate, derivatives) accumulate one partial sum
 //     per (chunk, lane), in ascending pattern order inside the chunk — a pure
 //     function of the chunk's range — and the master reduces the per-chunk
 //     partials in fixed chunk-id order after the barrier. The floating-point
-//     association is therefore identical whatever the dynamic steal
-//     interleaving, stealing on or off, concurrent or serial executor, in
-//     this session or any other draining the same layout.
-//  3. Multi-step traversals need an intra-region step barrier only when
-//     thieving (steal.Runtime.NextStep): a stolen pattern's step-s writer
-//     need not be its step-s+1 reader, so every step's CLVs must be visible
-//     before any worker starts the next. An owner-only worker reads at step
-//     s+1 only patterns it wrote itself at step s, so without stealing the
-//     traversal keeps the paper's single barrier per region.
+//     association is therefore identical on a concurrent or a serial
+//     executor, in this session or any other reading the same layout.
+//  3. A multi-step traversal needs no barrier between its steps: a worker
+//     reads at step s+1 only patterns it wrote itself at step s, so the
+//     traversal keeps the paper's single barrier per region (a worker may
+//     run a whole step ahead of its neighbours).
 //
 // Span set-up (binding the two transition-matrix blocks, gathering tip
 // tables) is per (step, span) encounter of a worker, so a worker processing
-// consecutive chunks of one span pays it once; thieves crossing into a new
-// span pay it again, which the op accounting records as the (real) extra work
-// stealing performs. A span binds, it does not compute: a P(z) block the
-// worker already built for the partition is taken from its memo (pmMemo).
-// Nor does it re-derive: each worker binds the spanCtx in its own record
-// (worker) in place, takes the partition's record (layout.go) in one
-// assignment and computes only what the region, the session's models and the
-// branch decide.
-// Whether a tip table amortizes is decided from the chunk owner's whole
-// pattern share of the span (steal.Chunk.Share) — a pure function of the
-// layout — and the code lists of the span's tip ends, not from the chunk at
-// hand, so a share the pack cut into many short runs still takes the table
-// path.
+// consecutive chunks of one span pays it once. A span binds, it does not
+// compute: a P(z) block the worker already built for the partition is taken
+// from its memo (pmMemo). Nor does it re-derive: each worker binds the
+// spanCtx in its own record (worker) in place, takes the partition's record
+// (layout.go) in one assignment and computes only what the region, the
+// session's models and the branch decide.
+// Whether a tip table amortizes is decided from the worker's whole pattern
+// share of the span (steal.Chunk.Share) — a pure function of the layout — and
+// the code lists of the span's tip ends, not from the chunk at hand, so a
+// share the pack cut into many short runs still takes the table path.
 
-// region describes the parallel region in flight: its kind and what its
-// spans bind. It lives on the Engine (Engine.cur) from runRegion's Load to
-// its Finish, so issuing a region allocates nothing.
+// region describes the parallel region in flight: its kind, the partitions it
+// covers and what its spans bind. It lives on the Engine (Engine.cur) for the
+// length of runRegion, so issuing a region allocates nothing.
 type region struct {
 	kind  parallel.Region
+	act   []bool               // the active partitions: chunks of the others are skipped
 	steps []tree.TraversalStep // newview: the traversal descriptor, one pass over the chunks per step
 	p     *tree.Node           // evaluate, sumtable: the branch (p, p.Back) the region roots at
 	z     []float64            // derivative: the branch length per partition
@@ -84,42 +72,43 @@ type region struct {
 }
 
 // runRegion executes r over the active partitions: one fan-out, every worker
-// in drain, one barrier.
+// in drain, one barrier. A session runs one region at a time; a second one
+// issued while the first is in flight (two goroutines driving one session)
+// panics rather than overwrite the region its workers read.
 func (e *Engine) runRegion(r region, act []bool) {
+	if e.inRegion.Swap(true) {
+		panic("core: region issued while another is in flight on this session")
+	}
+	r.act = e.activeOrAll(act)
 	e.cur = r
-	e.stealRT.Load(act)
 	e.Exec.Run(r.kind, e.drainFn)
-	e.stealRT.Finish()
 	e.cur = region{}
+	e.inRegion.Store(false)
 }
 
-// drain is the chunk loop: worker w takes chunks from the runtime until the
-// region (for a traversal: each step of it, with the runtime's NextStep in
-// between — a rewind, and a barrier only when thieving) has none left for it.
+// drain is the chunk loop: worker w walks its own chunk ids in ascending
+// order, once per traversal step, and runs every chunk whose span is active.
 // A span is bound once per encounter and re-used across consecutive chunks;
 // the op charge flushes into ctx once, off the chunk loop.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
-	r, rt := &e.cur, e.stealRT
+	r := &e.cur
+	own := e.chunks.Owned(w)
 	passes := max(1, len(r.steps))
 	c := &e.workers[w].span
 	ops := 0.0
 	for si := 0; si < passes; si++ {
-		if si > 0 {
-			rt.NextStep(w, ctx)
-		}
 		cached := -1
-		for {
-			id := rt.Next(w, ctx)
-			if id < 0 {
-				break
+		for _, id := range own {
+			ch := e.chunks.Chunk(int(id))
+			if !r.act[ch.Span] {
+				continue
 			}
-			ch := rt.Layout().Chunk(id)
 			if ch.Span != cached {
 				c.bind(r, si, ch.Span, ctx)
 				cached = ch.Span
 			}
 			c.ensureTables(ch.Share)
-			ops += c.takeOps(c.run(r, id, ch.Run(), ctx))
+			ops += c.takeOps(c.run(r, int(id), ch.Run(), ctx))
 		}
 	}
 	ctx.Ops += ops
@@ -318,8 +307,8 @@ func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, ta
 	return i
 }
 
-// ensureTables is the one table decision: with Specialize on, when the chunk
-// owner's whole share of the span — a pure function of the layout —
+// ensureTables is the one table decision: with Specialize on, when the
+// worker's whole share of the span — a pure function of the layout —
 // amortizes lookup tables for the span's tip ends (tipTablesAmortize), build
 // the ones not built yet. A span builds all its tables or none, and because
 // the table and generic paths are bit-identical, mixing them across chunks of

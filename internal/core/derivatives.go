@@ -116,7 +116,7 @@ func (e *Engine) BranchDerivatives(z []float64, active []bool, d1, d2 []float64)
 // partials, reduced master-side in fixed chunk-id order into d1 and d2 (both
 // indexed [partition*R + replicate]).
 func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
-	lay := e.stealRT.Layout()
+	lay := e.chunks
 	R := ws.r
 	n := lay.NumChunks()
 	buf := chunkPartials(&e.derivChunk, 2*n*R)

@@ -8,8 +8,7 @@
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
-// (the dataset's steal.Layout) that each worker drains through the session's
-// steal.Runtime, its own chunks only unless the session steals. Every public
+// (the dataset's steal.Layout), each worker walking its own. Every public
 // operation takes an optional per-partition activity mask, which is the
 // mechanism behind both oldPAR (one active partition at a time) and newPAR
 // (all non-converged partitions at once).
@@ -24,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
@@ -43,7 +43,7 @@ const (
 
 // Engine evaluates likelihoods for one dataset on one tree. Since the
 // Dataset/session split it is the *mutable, per-session* half of the kernel:
-// it owns the tree, the model copies, the chunk runtime and its partial sums,
+// it owns the tree, the model copies, the per-chunk partial sums,
 // and holds one sessionBuffers set (CLVs, scaling vectors, sumtable,
 // per-worker scratch) from NewSession until Release, while everything derived
 // from the dataset alone (compressed patterns, memory layout, the retired
@@ -66,13 +66,15 @@ type Engine struct {
 
 	allMask []bool // cached all-true partition mask (activeOrAll)
 
-	// Region execution (see chunkexec.go): the runtime every region drains
-	// the layout's chunks through, the region in flight, the chunk loop as
-	// the func value handed to Exec.Run (bound once, so a region does not
-	// allocate it), and the per-chunk partial-sum buffers of the fixed-order
-	// reductions, grown to the widest WeightSet the session has run.
-	stealRT    *steal.Runtime
+	// Region execution (see chunkexec.go): the chunk layout every region
+	// walks, the region in flight and the guard against a second one, the
+	// chunk loop as the func value handed to Exec.Run (bound once, so a
+	// region does not allocate it), and the per-chunk partial-sum buffers of
+	// the fixed-order reductions, grown to the widest WeightSet the session
+	// has run.
+	chunks     *steal.Layout
 	cur        region
+	inRegion   atomic.Bool
 	drainFn    func(w int, ctx *parallel.WorkerCtx)
 	evalChunk  []float64 // [chunk*R + r] evaluate partials
 	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
@@ -96,27 +98,19 @@ type Engine struct {
 type Options struct {
 	// Specialize enables the tip-case lookup tables.
 	Specialize bool
-	// Layout is the chunk layout the session drains: a schedule of the
+	// Layout is the chunk layout the session walks: a schedule of the
 	// dataset's spans (Shared.ScheduleFor, or schedule.New over repriced
 	// spans) cut by steal.NewLayout at a minimum chunk size. Chunks are the
-	// unit of both stealing and the fixed-order reductions, so the layout
-	// alone decides which worker owns which patterns and how every sum is
-	// grouped: sessions over one layout agree bit for bit. A Dataset builds
-	// one and hands it to all of its sessions, which only read it. nil means
-	// the cyclic schedule at steal.DefaultMinChunk; a layout cut for another
-	// worker count or partition scheme is refused.
+	// unit of the fixed-order reductions, so the layout alone decides which
+	// worker owns which patterns and how every sum is grouped: sessions over
+	// one layout agree bit for bit. A Dataset builds one and hands it to all
+	// of its sessions, which only read it. nil means the cyclic schedule at
+	// steal.DefaultMinChunk; a layout cut for another worker count or
+	// partition scheme is refused.
 	Layout *steal.Layout
-	// Steal lets a worker that has drained its own chunks steal the largest
-	// remaining half from the costliest victim, bounding intra-region tail
-	// latency that no precomputed assignment can see. It is fixed for the
-	// session's life (steal.NewRuntime): the chunks, the driver, and the
-	// fixed chunk-order reductions are the same either way, so likelihoods
-	// and derivatives are bit-for-bit identical with stealing on or off (see
-	// internal/core/chunkexec.go).
-	Steal bool
 	// Metrics, when non-nil, receives the engine-level observability families
 	// (batch width; session buffers recycled vs allocated, counted once in
-	// NewSession). Region/kernel/steal families come from the executor's
+	// NewSession). Region and kernel families come from the executor's
 	// RegionObserver, which the facade attaches to the same registry.
 	Metrics *obs.Registry
 }
@@ -199,7 +193,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 // validates the session's tree, models, and executor against the dataset,
 // takes a retired sessionBuffers set from the Shared (allocating one when
 // none is parked) and builds only the small per-session state fresh — the
-// all-true mask and the chunk runtime over opts.Layout. Any number of
+// all-true mask, and reads opts.Layout. Any number of
 // sessions may run concurrently over one Shared as long as each has its own
 // executor (a parallel.Pool.Session view of shared workers counts). Release
 // the session when it is over so the next can reuse its buffers; one that is
@@ -251,13 +245,13 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 		shared:         sh,
 		numCats:        sh.NumCats,
 		layout:         sh.layout,
+		chunks:         layout,
 	}
 	e.drainFn = e.drain
 	e.allMask = make([]bool, len(data.Parts))
 	for i := range e.allMask {
 		e.allMask[i] = true
 	}
-	e.stealRT = steal.NewRuntime(layout, opts.Steal)
 	bufs, source := sh.retired.Get(), "recycled"
 	if bufs == nil {
 		bufs, source = newSessionBuffers(sh), "allocated"
@@ -328,7 +322,7 @@ func (e *Engine) scale(nodeIndex int) []int32 {
 
 // ChunkLayout exposes the chunk layout the session drains (read-only); its
 // Schedule is the pattern-to-worker assignment.
-func (e *Engine) ChunkLayout() *steal.Layout { return e.stealRT.Layout() }
+func (e *Engine) ChunkLayout() *steal.Layout { return e.chunks }
 
 // activeOrAll returns the cached all-true mask when active is nil. Callers
 // treat the mask as read-only; the cache removes a per-region allocation

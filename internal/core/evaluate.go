@@ -41,7 +41,7 @@ func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float6
 	if p.IsTip() && p.Back.IsTip() {
 		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
 	}
-	lay := e.stealRT.Layout()
+	lay := e.chunks
 	R := ws.r
 	n := lay.NumChunks()
 	buf := chunkPartials(&e.evalChunk, n*R)

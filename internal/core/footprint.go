@@ -10,7 +10,7 @@ import (
 // evict against a byte budget, and that price has two parts: what the dataset
 // keeps resident (compressed alignment, its schedule, layout tables) and
 // what a session opened over it holds (CLVs, scaling vectors, the sumtable
-// once a branch has been smoothed, per-worker scratch, the chunk runtime).
+// once a branch has been smoothed, per-worker scratch, the per-chunk sums).
 // Buffer sets parked between sessions (Shared.retired) are that same
 // one-session term, not an extra: sequential sessions pass one set along and
 // the collector empties the pool. The session part
@@ -53,9 +53,8 @@ type MemoryFootprint struct {
 	// per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
-	// layout it drains, the steal runtime over it (window words, the
-	// region's chunk-id list, its cost prefix, per-worker offsets), and the
-	// per-chunk evaluate and derivative partial sums at batch width 1. The
+	// layout it walks and the per-chunk evaluate and derivative partial sums
+	// at batch width 1. The
 	// layout is the dataset's, priced here once, at the chunk size its
 	// sessions run.
 	SessionChunks int64 `json:"session_chunks"`
@@ -98,7 +97,7 @@ func (sh *Shared) MemoryFootprint(l *steal.Layout) MemoryFootprint {
 	f.CompressedAlignment += sh.weights.MemoryBytes()
 	f.Schedules = 24*int64(len(sh.spans)) + // Span{Lo, Hi int; Cost float64}
 		l.Schedule().MemoryBytes()
-	f.SessionChunks = l.MemoryBytes() + l.RuntimeBytes() +
+	f.SessionChunks = l.MemoryBytes() +
 		3*8*int64(l.NumChunks()) // evaluate + (d1, d2) partials per chunk
 	f.Layout = sh.layout.memoryBytes()
 

@@ -11,7 +11,7 @@ import (
 // alignment quantum).
 func layoutFixtureParts(t *testing.T) []*alignment.CompressedPartition {
 	t.Helper()
-	d, _ := stealFixture(t, 4, 42)
+	d, _ := mixedFixture(t, 4, 42)
 	return d.Parts
 }
 

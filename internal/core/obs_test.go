@@ -13,7 +13,7 @@ import (
 // executor; opts.Metrics/Tracer are passed through.
 func obsGateEngine(t *testing.T, exec *parallel.Pool, opts Options) *Engine {
 	t.Helper()
-	d, models := stealFixture(t, 4, 11)
+	d, models := mixedFixture(t, 4, 11)
 	sh, err := NewSharedWith(d, 4, exec.Threads(), BackendAuto)
 	if err != nil {
 		t.Fatal(err)

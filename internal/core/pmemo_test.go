@@ -24,7 +24,7 @@ type memoRig struct {
 
 func newMemoRig(t *testing.T) *memoRig {
 	t.Helper()
-	d, models := stealFixture(t, 4, 31)
+	d, models := mixedFixture(t, 4, 31)
 	tr, err := tree.Random(taxaNames(d.NumTaxa()), len(models), tree.RandomOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)

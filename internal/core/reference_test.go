@@ -519,7 +519,7 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 // all three newview cases, both evaluate arms and every sumtable end
 // combination a tree has, each against the pre-change loop above.
 func TestGenericBodiesMatchReference(t *testing.T) {
-	d, models := stealFixture(t, 4, 57)
+	d, models := mixedFixture(t, 4, 57)
 	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		for _, specialize := range []bool{true, false} {
 			tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 5})

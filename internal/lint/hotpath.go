@@ -6,9 +6,9 @@ import (
 )
 
 // Hotpath enforces the allocation- and indirection-free discipline of
-// functions annotated //plk:hotpath — the per-pattern kernel bodies and the
-// steal runtime's claims and steals, which run millions of times per
-// traversal and must never touch the allocator or the scheduler:
+// functions annotated //plk:hotpath — the per-pattern kernel bodies, which
+// run millions of times per traversal and must never touch the allocator or
+// the scheduler:
 //
 //   - alloc: no append/make/new and no slice- or map-typed composite
 //     literals (heap-escaping composites; fixed-size array literals stay on
@@ -17,7 +17,7 @@ import (
 //     and an indirect call in the pattern loop.
 //   - defer: no defer — deferred frames cost on every call.
 //   - gostmt / chan: no goroutine launches, channel operations, or selects;
-//     synchronization belongs to the executor and the steal window CAS loops.
+//     synchronization belongs to the executor.
 //   - map: no map indexing or iteration — kernels address precomputed
 //     dense slices through the layout strides.
 //   - iface: no interface conversions, explicit or implicit (arguments,

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Arg is one numeric span annotation (ops, steals, patterns, ...). Chrome's
+// Arg is one numeric span annotation (ops, patterns, ...). Chrome's
 // trace viewer renders args in the span detail pane.
 type Arg struct {
 	Key   string

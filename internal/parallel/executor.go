@@ -4,14 +4,13 @@
 // derivative computation, ...) over T workers, and every region ends in a
 // barrier, which is the synchronization cost the paper's newPAR strategy
 // amortizes. Which alignment patterns each worker processes inside a region
-// is not this package's decision: the kernels drain chunks of a precomputed
-// pattern-to-worker assignment from internal/schedule (cyclic by default,
-// the paper's distribution) through internal/steal — each worker its own
-// chunks, plus stolen ones when the session enables stealing — and report
-// the resulting per-worker op counts through WorkerCtx, so the statistics
-// and the virtual platform model price whatever work each worker performed.
-// Stats is that priced trace and nothing else; the measured seconds and
-// steals go to the metrics registry through a RegionObserver.
+// is not this package's decision: each worker walks its own chunks of a
+// precomputed pattern-to-worker assignment from internal/schedule (cyclic by
+// default, the paper's distribution), cut by internal/steal's layout, and
+// the kernels report the resulting per-worker op counts through WorkerCtx,
+// so the statistics and the virtual platform model price whatever work each
+// worker performed. Stats is that priced trace and nothing else; the
+// measured seconds go to the metrics registry through a RegionObserver.
 //
 // There is one executor, Pool, and one region body, Pool.Run. What varies is
 // how the T workers are realised:
@@ -69,68 +68,45 @@ func (r Region) String() string {
 // else here is what the host measured, and a RegionObserver folds it into the
 // metrics registry, its one record (MetricsCollector). Seconds is written by
 // the executor harness itself — the measured wall-clock time this worker
-// spent inside the current region's closure (monotonic; see Pool.Run).
-// Steals/StolenPatterns are incremented by the work-stealing runtime
-// (internal/steal): Steals when this worker takes chunks from a victim's
-// window, StolenPatterns when it *executes* a pattern whose scheduled owner is
-// another worker (counted once per execution, so chunks re-stolen along a
-// thief chain are not double-counted). All are reset per region and folded
-// master-side after the barrier.
+// spent inside the current region's closure (monotonic; see Pool.Run). All
+// are reset per region and folded master-side after the barrier.
 //
-// Idle is wall time the worker spent blocked on intra-region synchronization
-// (the steal runtime's step barriers) rather than working; the collector
-// subtracts it from the measured Seconds (workSeconds), so per-worker busy
-// seconds — and the time imbalance read off them — keep measuring work even
-// in regions that synchronize internally. Without the correction every
-// worker's Seconds in a multi-step stealing region would converge on the
-// region's wall time, hiding exactly the skew the metric exists to expose.
-//
-// Concurrent tells region closures whether this region's workers are live
+// Concurrent tells region observers whether this region's workers are live
 // goroutines or virtual workers taking turns on one goroutine (NewSim,
-// NewSequential, and a view whose goroutines were closed under it). The chunk
-// runtime keys on it: serial virtual workers always take its owner-only walk,
-// because they must neither steal (worker 0 would swallow everything before
-// worker 1 ever "starts") nor wait at intra-region step barriers (which would
-// deadlock a single goroutine).
+// NewSequential, and a view whose goroutines were closed under it): a
+// virtual worker is not idle while a sibling takes its turn.
 //
 // The struct is padded to 128 bytes: adjacent entries of a []WorkerCtx are
 // written concurrently by different workers, and because Go only guarantees
 // 8-byte alignment for the backing array, a 64-byte struct can still straddle
 // cache lines (and the adjacent-line hardware prefetcher couples line pairs
-// anyway), so two cache lines per entry is the safe spacing. A compile-time
-// and unit-time check pin the size.
-// The Patterns/Scalings/Span*/P*/StealRaces fields are observability scratch:
-// kernels and the steal runtime bump them with plain field increments (legal
-// under //plk:hotpath — no allocation, no atomics, no shared cache lines) and
-// a RegionObserver folds them into the metrics registry master-side after the
-// barrier. This flush-at-region-boundary pattern is what keeps metrics
-// always-on without touching per-pattern cost.
+// anyway), so two cache lines per entry is the safe spacing. A unit test pins
+// the size.
+// The Patterns/Scalings/Span*/P* fields are observability scratch: kernels
+// bump them with plain field increments (legal under //plk:hotpath — no
+// allocation, no atomics, no shared cache lines) and a RegionObserver folds
+// them into the metrics registry master-side after the barrier. This
+// flush-at-region-boundary pattern is what keeps metrics always-on without
+// touching per-pattern cost.
 type WorkerCtx struct {
-	Worker         int
-	Ops            float64
-	Seconds        float64
-	Steals         float64  // steal operations performed by this worker this region
-	StolenPatterns float64  // patterns executed for another worker's assignment
-	Idle           float64  // in-region synchronization wait, excluded from Seconds
-	Patterns       float64  // alignment patterns processed (newview spans)
-	Scalings       float64  // numerical scaling events (CLV underflow rescues)
-	SpanTipTip     float64  // newview spans with two tip children
-	SpanTipInner   float64  // newview spans with one tip child
-	SpanInner      float64  // newview spans with two inner children
-	PComputed      float64  // transition-matrix blocks P(z) a span binding computed
-	PReused        float64  // blocks it took from the worker's memo instead
-	StealRaces     float64  // failed CAS races on the steal windows (retried)
-	Concurrent     bool     // workers run on real goroutines (see type comment)
-	_              [15]byte // pad to two cache lines (see type comment)
+	Worker       int
+	Ops          float64
+	Seconds      float64
+	Patterns     float64  // alignment patterns processed (newview spans)
+	Scalings     float64  // numerical scaling events (CLV underflow rescues)
+	SpanTipTip   float64  // newview spans with two tip children
+	SpanTipInner float64  // newview spans with one tip child
+	SpanInner    float64  // newview spans with two inner children
+	PComputed    float64  // transition-matrix blocks P(z) a span binding computed
+	PReused      float64  // blocks it took from the worker's memo instead
+	Concurrent   bool     // workers run on real goroutines (see type comment)
+	_            [47]byte // pad to two cache lines (see type comment)
 }
 
 // beginRegion resets the per-region scratch (everything except Worker, which
 // is fixed at construction) ahead of a region closure.
 func (c *WorkerCtx) beginRegion(concurrent bool) {
 	c.Ops = 0
-	c.Steals = 0
-	c.StolenPatterns = 0
-	c.Idle = 0
 	c.Patterns = 0
 	c.Scalings = 0
 	c.SpanTipTip = 0
@@ -138,18 +114,7 @@ func (c *WorkerCtx) beginRegion(concurrent bool) {
 	c.SpanInner = 0
 	c.PComputed = 0
 	c.PReused = 0
-	c.StealRaces = 0
 	c.Concurrent = concurrent
-}
-
-// workSeconds returns the worker's measured in-region seconds net of
-// internal synchronization waits, clamped at zero against clock skew.
-func (c *WorkerCtx) workSeconds() float64 {
-	s := c.Seconds - c.Idle
-	if s < 0 {
-		return 0
-	}
-	return s
 }
 
 // RegionObserver receives one callback per completed parallel region,

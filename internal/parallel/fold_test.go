@@ -17,25 +17,17 @@ import (
 	"phylo/internal/tree"
 )
 
-// measuredFold is an independent fold of the measured half of WorkerCtx:
-// per-worker busy seconds (Seconds net of Idle, clamped at zero) and steal
-// operations, and the stolen-pattern total, each added region by region in
-// worker order, starting from zero.
+// measuredFold is an independent fold of WorkerCtx's per-worker totals:
+// busy seconds and weighted ops, each added region by region in worker
+// order, starting from zero.
 type measuredFold struct {
-	busy, steals []float64
-	stolen       float64
+	busy, ops []float64
 }
 
 func (f *measuredFold) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctxs []parallel.WorkerCtx) {
 	for w := range ctxs {
-		c := &ctxs[w]
-		busy := c.Seconds - c.Idle
-		if busy < 0 {
-			busy = 0
-		}
-		f.busy[w] += busy
-		f.steals[w] += c.Steals
-		f.stolen += c.StolenPatterns
+		f.busy[w] += ctxs[w].Seconds
+		f.ops[w] += ctxs[w].Ops
 	}
 }
 
@@ -56,8 +48,8 @@ func workerCounter(reg *obs.Registry, name string, w int) float64 {
 // TestRegistryHoldsTheMeasuredFold: the registry is the one record of what
 // the host measured (Stats keeps only the op trace), so it must hold exactly
 // the fold above — the same additions in the same order, bit for bit — on
-// every realisation of the executor and on a steal-on engine session over
-// real goroutines.
+// every realisation of the executor and on an engine session over real
+// goroutines.
 func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 	pool, err := parallel.NewPool(3)
 	if err != nil {
@@ -76,11 +68,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 				for i := 0; i < 3000*(w+1); i++ {
 					sink[w*16] += float64(i % 7)
 				}
-				ctx.Steals += float64(w * r)
-				ctx.StolenPatterns += float64(3*w + r)
-				if w == 0 && r == 2 {
-					ctx.Idle = 1 // more than the region lasted: busy clamps at 0
-				}
+				ctx.Ops += float64(3*w + r)
 			})
 		}
 	}
@@ -94,39 +82,34 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 		{"session", pool.Session(), pool, synthetic},
 		{"virtual", sim, sim, synthetic},
 		{"caller only", solo, solo, synthetic},
-		{"steal-on engine session", pool.Session(), pool, stealingSession(t)},
+		{"engine session", pool.Session(), pool, engineSession(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			T := tc.exec.Threads()
 			reg := obs.NewRegistry()
-			fold := &measuredFold{busy: make([]float64, T), steals: make([]float64, T)}
+			fold := &measuredFold{busy: make([]float64, T), ops: make([]float64, T)}
 			tc.via.SetObserver(tee{parallel.NewMetricsCollector(reg, "pool", "fused4", T, nil), fold})
 			defer tc.via.SetObserver(nil)
 			tc.run(t, tc.exec)
 			for w := 0; w < T; w++ {
 				busy := workerCounter(reg, "plk_worker_busy_seconds_total", w)
-				steals := workerCounter(reg, "plk_steals_total", w)
+				ops := workerCounter(reg, "plk_worker_ops_total", w)
 				if math.Float64bits(busy) != math.Float64bits(fold.busy[w]) {
 					t.Errorf("worker %d: plk_worker_busy_seconds_total %v, fold %v", w, busy, fold.busy[w])
 				}
-				if math.Float64bits(steals) != math.Float64bits(fold.steals[w]) {
-					t.Errorf("worker %d: plk_steals_total %v, fold %v", w, steals, fold.steals[w])
+				if math.Float64bits(ops) != math.Float64bits(fold.ops[w]) {
+					t.Errorf("worker %d: plk_worker_ops_total %v, fold %v", w, ops, fold.ops[w])
 				}
 			}
-			stolen := reg.Counter("plk_stolen_patterns_total", "").Value()
-			if math.Float64bits(stolen) != math.Float64bits(fold.stolen) {
-				t.Errorf("plk_stolen_patterns_total %v, fold %v", stolen, fold.stolen)
-			}
-			t.Logf("busy seconds %v, steals %v, stolen patterns %v", fold.busy, fold.steals, fold.stolen)
+			t.Logf("busy seconds %v, ops %v", fold.busy, fold.ops)
 		})
 	}
 }
 
-// stealingSession returns a run of full traversal + evaluate passes on a
-// steal-on engine session over a mixed DNA + protein dataset whose weighted
-// pack is mispriced 50x, so drained workers of a real pool have work to
-// steal.
-func stealingSession(t *testing.T) func(*testing.T, *parallel.Pool) {
+// engineSession returns a run of full traversal + evaluate passes on an
+// engine session over a mixed DNA + protein dataset under the weighted pack
+// at 16-pattern chunks.
+func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 	ds, err := seqsim.MixedDataset(10, 2, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -150,21 +133,12 @@ func stealingSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans := make([]schedule.Span, sched.NumSpans())
-		for i, p := range d.Parts {
-			if spans[i] = sched.Span(i); p.Type == alignment.DNA {
-				spans[i].Cost *= 50
-			}
-		}
-		if sched, err = schedule.New(schedule.Weighted, ex.Threads(), spans); err != nil {
-			t.Fatal(err)
-		}
 		tr, err := tree.Random(ds.Alignment.Names, 1, tree.RandomOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng, err := core.NewSession(sh, tr, models, ex,
-			core.Options{Specialize: true, Layout: steal.NewLayout(sched, 16), Steal: true})
+			core.Options{Specialize: true, Layout: steal.NewLayout(sched, 16)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,6 @@ type MetricsCollector struct {
 	busySecs      []*obs.Counter // per worker
 	idleSecs      []*obs.Counter // per worker
 	workerOps     []*obs.Counter // per worker
-	steals        []*obs.Counter // per worker
-	stolen        *obs.Counter
-	stealRaces    *obs.Counter
 	patterns      *obs.Counter
 	spans         [3]*obs.Counter // by spanCases
 	pMatrices     [2]*obs.Counter // computed, reused
@@ -62,13 +59,12 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads in
 			"Region wall-clock duration (start to barrier), by region kind.",
 			regionSecondsBuckets, kind)
 		c.workerSecs[k] = reg.Histogram("plk_worker_region_seconds",
-			"Per-worker in-region work time (net of internal synchronization waits), by region kind.",
+			"Per-worker in-region work time, by region kind.",
 			regionSecondsBuckets, kind)
 	}
 	c.busySecs = make([]*obs.Counter, threads)
 	c.idleSecs = make([]*obs.Counter, threads)
 	c.workerOps = make([]*obs.Counter, threads)
-	c.steals = make([]*obs.Counter, threads)
 	for w := 0; w < threads; w++ {
 		wl := obs.Label{Key: "worker", Value: strconv.Itoa(w)}
 		c.busySecs[w] = reg.Counter("plk_worker_busy_seconds_total",
@@ -77,13 +73,7 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads in
 			"Cumulative per-worker idle seconds (region wall time not spent working).", wl)
 		c.workerOps[w] = reg.Counter("plk_worker_ops_total",
 			"Cumulative per-worker weighted kernel operations.", wl)
-		c.steals[w] = reg.Counter("plk_steals_total",
-			"Steal operations performed, by thief worker.", wl)
 	}
-	c.stolen = reg.Counter("plk_stolen_patterns_total",
-		"Patterns executed away from their scheduled owner via work stealing.")
-	c.stealRaces = reg.Counter("plk_steal_races_total",
-		"Failed CAS races on the steal windows (each retried).")
 	bl := obs.Label{Key: "backend", Value: backend}
 	c.patterns = reg.Counter("plk_kernel_patterns_total",
 		"Alignment patterns processed by newview kernels.", bl)
@@ -120,7 +110,7 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 	}
 	for i := range ctxs {
 		ctx := &ctxs[i]
-		work := ctx.workSeconds()
+		work := ctx.Seconds
 		c.workerSecs[kind].Observe(work)
 		w := ctx.Worker
 		if w < 0 || w >= c.threads {
@@ -135,9 +125,6 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 			c.idleSecs[w].Add(idle)
 		}
 		c.workerOps[w].Add(ctx.Ops)
-		c.steals[w].Add(ctx.Steals)
-		c.stolen.Add(ctx.StolenPatterns)
-		c.stealRaces.Add(ctx.StealRaces)
 		c.patterns.Add(ctx.Patterns)
 		c.spans[0].Add(ctx.SpanTipTip)
 		c.spans[1].Add(ctx.SpanTipInner)
@@ -148,9 +135,7 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 		if c.tracer != nil {
 			c.tracer.Span(kind.String(), "region", w, start, time.Duration(ctx.Seconds*float64(time.Second)),
 				obs.Arg{Key: "ops", Value: ctx.Ops},
-				obs.Arg{Key: "patterns", Value: ctx.Patterns},
-				obs.Arg{Key: "steals", Value: ctx.Steals},
-				obs.Arg{Key: "stolen_patterns", Value: ctx.StolenPatterns})
+				obs.Arg{Key: "patterns", Value: ctx.Patterns})
 		}
 	}
 }

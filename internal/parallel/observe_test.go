@@ -144,7 +144,7 @@ func TestMetricsCollectorFoldsRegions(t *testing.T) {
 			if err := reg.WriteText(&b); err != nil {
 				t.Fatal(err)
 			}
-			for _, fam := range []string{"plk_region_seconds", "plk_worker_busy_seconds_total", "plk_steals_total"} {
+			for _, fam := range []string{"plk_region_seconds", "plk_worker_busy_seconds_total", "plk_worker_ops_total"} {
 				if !strings.Contains(b.String(), fam) {
 					t.Errorf("exposition missing family %s", fam)
 				}

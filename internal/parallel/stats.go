@@ -10,7 +10,7 @@ import (
 // much bounded-by-the-slowest work each contained, in the analytic op model's
 // units, plus per-kind breakdowns and cumulative per-worker totals (the direct
 // view of how well the schedule's assignment balanced the run). What the host
-// measured — seconds, idle time, steals — is not kept here: a RegionObserver
+// measured — busy and idle seconds — is not kept here: a RegionObserver
 // folds it into the metrics registry (MetricsCollector), its one record. All
 // updates happen on the master side of the barrier, so no locking is needed.
 // Workers that a region's assignment leaves empty contribute exactly zero ops,

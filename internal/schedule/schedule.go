@@ -184,12 +184,15 @@ func (s *Schedule) SpanRuns(w, sp int) []Run { return s.runs[w][sp] }
 // ChunkAlign is the pattern-count multiple that chunk cuts snap to. Sixteen
 // patterns cover one 64-byte cache line of int32 scaling exponents (the
 // densest per-pattern array the kernels write), so two workers processing
-// adjacent chunks of a contiguous run never contend on the same scaling
-// cache line; CLV rows are >= 32 bytes per pattern and need no finer grain.
+// adjacent chunks of a contiguous run would never contend on the same
+// scaling cache line. Every chunk of a run is now its owner's, so the snap no
+// longer separates workers; it stays because chunk boundaries fix the
+// grouping of every evaluate and derivative sum.
 const ChunkAlign = 16
 
-// ChunkRuns splits worker w's runs inside span sp into chunk-sized sub-runs
-// for the work-stealing runtime. The chunk size is minChunk rounded up to a
+// ChunkRuns splits worker w's runs inside span sp into chunk-sized sub-runs,
+// the units the engine walks and groups its sums by (internal/steal's
+// layout). The chunk size is minChunk rounded up to a
 // ChunkAlign multiple; for contiguous runs (Step 1) every interior cut is
 // additionally snapped forward onto a *global* pattern index that is a
 // ChunkAlign multiple — a run can start anywhere under the LPT packs, so

@@ -318,7 +318,7 @@ func TestRebalanceNeverDropsOrDuplicatesPatterns(t *testing.T) {
 }
 
 // TestChunkRunsCoverAssignmentExactly is the chunk-emission property behind
-// the work-stealing runtime: for every strategy, splitting every worker's
+// the engine's chunk layout: for every strategy, splitting every worker's
 // span runs into chunks reproduces the schedule's assignment exactly — no
 // pattern dropped, duplicated, or moved to another worker — and every chunk
 // respects the size contract (at least the aligned minimum, at most one
@@ -359,8 +359,8 @@ func TestChunkRunsCoverAssignmentExactly(t *testing.T) {
 							return false
 						}
 						// Interior boundaries of contiguous runs must fall on
-						// globally aligned pattern indices (the false-sharing
-						// contract the steal runtime relies on).
+						// globally aligned pattern indices (the cut rule every
+						// recorded result's summation grouping depends on).
 						if c.Step == 1 && ci > 0 && chunks[ci-1].Step == 1 && chunks[ci-1].Hi == c.Lo {
 							if c.Lo%ChunkAlign != 0 {
 								t.Logf("%v: interior cut at %d is not %d-aligned", strat, c.Lo, ChunkAlign)

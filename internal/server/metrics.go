@@ -22,7 +22,7 @@ import (
 //     and bytes, queue depth, active analyses, drain — is a func-backed
 //     gauge read at scrape time;
 //   - kernel/runtime families (plk_regions_total, plk_kernel_*,
-//     plk_steals_total, ...) that appear because the same registry is passed
+//     plk_worker_busy_seconds_total, ...) that appear because the same registry is passed
 //     into every dataset via phylo.DatasetOptions.Metrics — the
 //     flush-at-region-boundary collector reports into it.
 //

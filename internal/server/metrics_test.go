@@ -51,7 +51,7 @@ func scrapeMetrics(t *testing.T, base string) string {
 // asserts one /metrics scrape covers both the serving layer and the kernel
 // runtime underneath it.
 func TestMetricsEndpoint(t *testing.T) {
-	_, hs := testServer(t, Config{Threads: 2, Steal: true, TenantInflight: 4})
+	_, hs := testServer(t, Config{Threads: 2, TenantInflight: 4})
 	id := submit(t, hs.URL, tinyPhylip(t, 8, 128, 1))
 	var er evaluateResponse
 	if code := doJSON(t, "POST", hs.URL+"/v1/evaluate", evaluateRequest{Dataset: id, Seed: 42}, &er, nil); code != http.StatusOK {
@@ -75,7 +75,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"plk_regions_total",
 		"plk_kernel_patterns_total",
 		"plk_kernel_spans_total",
-		"plk_steals_total",
 		"plk_worker_busy_seconds_total",
 		`plk_session_buffers_total{source="allocated"}`,
 		"plk_kernel_vector_lanes",

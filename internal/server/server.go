@@ -34,7 +34,7 @@
 //
 // The daemon's registry is the only place it counts anything: each subsystem
 // bumps its own counter families where the event happens, and every dataset
-// reports its kernel/region/steal families into the same registry, so one
+// reports its kernel/region families into the same registry, so one
 // /metrics scrape covers the serving layer and the likelihood runtime
 // underneath it (metrics.go). Config.EnablePprof additionally mounts
 // net/http/pprof under /debug/pprof/.
@@ -69,8 +69,6 @@ type Config struct {
 	// ScheduleWeighted: a server mixes workloads, so cost-based packing is
 	// the right prior.
 	Cyclic bool
-	// Steal enables intra-region work stealing on every dataset.
-	Steal bool
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
 	// CacheBytes is the dataset cache budget (default 512 MiB; <= 0 after
@@ -355,8 +353,8 @@ func decodeJSON(r *http.Request, v any) error {
 // or schedules legitimately build different datasets from one alignment).
 func (s *Server) digest(parts ...string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "T=%d|S=%v|steal=%v|cats=%d",
-		s.cfg.Threads, s.cfg.Schedule(), s.cfg.Steal, s.cfg.GammaCategories)
+	fmt.Fprintf(h, "T=%d|S=%v|cats=%d",
+		s.cfg.Threads, s.cfg.Schedule(), s.cfg.GammaCategories)
 	for _, p := range parts {
 		h.Write([]byte{0})
 		h.Write([]byte(p))
@@ -447,8 +445,7 @@ func (s *Server) buildDataset(req submitRequest) (*phylo.Dataset, error) {
 		Threads:         s.cfg.Threads,
 		Schedule:        s.cfg.Schedule(),
 		GammaCategories: s.cfg.GammaCategories,
-		Steal:           s.cfg.Steal,
-		// Every dataset reports kernel/region/steal families into the
+		// Every dataset reports kernel/region families into the
 		// daemon's registry, so one /metrics scrape covers the whole stack.
 		Metrics: s.metrics,
 	})

@@ -6,7 +6,7 @@ import "phylo/internal/obs"
 // fixed-bucket histograms with atomic, allocation-free updates and
 // Prometheus-text-format exposition (WriteText / Handler). Pass one through
 // DatasetOptions.Metrics to have a Dataset and all of its sessions report
-// kernel, region, scheduling, and steal activity into it; several datasets
+// kernel, region and scheduling activity into it; several datasets
 // may share one registry (same-labeled series aggregate).
 type MetricsRegistry = obs.Registry
 

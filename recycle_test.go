@@ -60,7 +60,7 @@ func TestTenantsShareBuffersNotResults(t *testing.T) {
 	}
 	for name, opts := range map[string]DatasetOptions{
 		"one thread":   {Threads: 1, Schedule: ScheduleWeighted},
-		"real workers": {Threads: 3, Schedule: ScheduleWeighted, Steal: true},
+		"real workers": {Threads: 3, Schedule: ScheduleWeighted},
 	} {
 		t.Run(name, func(t *testing.T) {
 			lone, err := NewDataset(al, opts)
