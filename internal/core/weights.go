@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"phylo/internal/alignment"
+	"phylo/internal/numeric"
 )
 
 // Bootstrap-fleet weight batching. A nonparametric bootstrap replicate of a
@@ -44,6 +45,17 @@ func replicateSeed(seed int64, r int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// newWeightSet checks a batch's shape and returns it with every weight zero.
+func newWeightSet(data *alignment.CompressedData, R int) (*WeightSet, error) {
+	if data == nil {
+		return nil, fmt.Errorf("core: nil dataset")
+	}
+	if R < 1 {
+		return nil, fmt.Errorf("core: replicate count %d must be positive", R)
+	}
+	return &WeightSet{r: R, patterns: data.TotalPatterns, w: make([]float64, data.TotalPatterns*R)}, nil
+}
+
 // NewWeightSet draws R bootstrap replicates over data's compressed patterns:
 // for each replicate and each partition, SiteCount columns are resampled
 // uniformly with replacement from the partition's original (uncompressed)
@@ -52,16 +64,9 @@ func replicateSeed(seed int64, r int) int64 {
 // the partition's original site count. The resampling is seeded and fully
 // deterministic; see replicateSeed for the per-replicate derivation.
 func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet, error) {
-	if data == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	if R < 1 {
-		return nil, fmt.Errorf("core: replicate count %d must be positive", R)
-	}
-	ws := &WeightSet{
-		r:        R,
-		patterns: data.TotalPatterns,
-		w:        make([]float64, data.TotalPatterns*R),
+	ws, err := newWeightSet(data, R)
+	if err != nil {
+		return nil, err
 	}
 	// Pattern j of a partition owns its original columns [cum[j], cum[j+1]).
 	cums := make([][]int, 0, len(data.Parts))
@@ -73,8 +78,9 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 		}
 		cums = append(cums, cum)
 	}
-	// One generator, reseeded per replicate: it draws what a fresh one would.
-	rng := rand.New(rand.NewSource(0))
+	// One generator, reseeded per replicate: it draws what a fresh one would,
+	// and reuses its register instead of allocating another.
+	rng := rand.New(numeric.NewSource(0))
 	for r := 0; r < R; r++ {
 		rng.Seed(replicateSeed(seed, r))
 		for i, p := range data.Parts {
@@ -98,16 +104,9 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 // makes it the bridge the bit-identity tests and the batched-vs-plain
 // benchmarks compare across.
 func UniformWeightSet(data *alignment.CompressedData, R int) (*WeightSet, error) {
-	if data == nil {
-		return nil, fmt.Errorf("core: nil dataset")
-	}
-	if R < 1 {
-		return nil, fmt.Errorf("core: replicate count %d must be positive", R)
-	}
-	ws := &WeightSet{
-		r:        R,
-		patterns: data.TotalPatterns,
-		w:        make([]float64, data.TotalPatterns*R),
+	ws, err := newWeightSet(data, R)
+	if err != nil {
+		return nil, err
 	}
 	for _, p := range data.Parts {
 		for j, wt := range p.Weights {

@@ -442,23 +442,23 @@ var PMatrix20Kernel = cpufeat.NewKernel("20-state PMatrices (AVX)", cpufeat.AVX)
 // Clone returns a deep copy (used by tree-search checkpointing and by
 // per-partition model replication).
 func (m *Model) Clone() *Model {
-	c := &Model{
-		Type:    m.Type,
-		States:  m.States,
-		Alpha:   m.Alpha,
-		NumCats: m.NumCats,
-		dirty:   m.dirty,
-		epoch:   m.epoch,
+	c := *m
+	c.eig = nil // UpdateEigen's scratch stays private to m
+	// One array holds the eight slices, the s x s matrices first so the
+	// P-matrix kernels load them from a cache-line start; three-index slices
+	// keep an append on one from reaching the next.
+	fields := [...]*[]float64{&c.EigenVecs, &c.EigenVecsT, &c.InvVecs, &c.InvVecsT, &c.EigenVals, &c.Freqs, &c.ExRates, &c.CatRates}
+	n := 0
+	for _, f := range fields {
+		n += len(*f)
 	}
-	c.Freqs = append([]float64(nil), m.Freqs...)
-	c.ExRates = append([]float64(nil), m.ExRates...)
-	c.CatRates = append([]float64(nil), m.CatRates...)
-	c.EigenVals = append([]float64(nil), m.EigenVals...)
-	c.EigenVecs = append([]float64(nil), m.EigenVecs...)
-	c.EigenVecsT = append([]float64(nil), m.EigenVecsT...)
-	c.InvVecs = append([]float64(nil), m.InvVecs...)
-	c.InvVecsT = append([]float64(nil), m.InvVecsT...)
-	return c
+	buf := make([]float64, n)
+	for _, f := range fields {
+		if k := copy(buf, *f); k > 0 {
+			*f, buf = buf[:k:k], buf[k:]
+		}
+	}
+	return &c
 }
 
 // EmpiricalFreqs estimates stationary frequencies from the observed state

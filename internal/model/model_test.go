@@ -295,6 +295,13 @@ func TestClone(t *testing.T) {
 	if m.Freqs[0] == 0.99 || m.ExRates[0] == 42 || m.CatRates[0] == 42 || m.EigenVecsT[0] == 42 {
 		t.Error("Clone must deep-copy parameter slices")
 	}
+	// A clone's slices share one array: an append to one must not reach the next.
+	c = m.Clone()
+	_ = append(c.Freqs, 42)
+	_ = append(c.EigenVecs, 42)
+	if !slices.Equal(c.ExRates, m.ExRates) || !slices.Equal(c.EigenVecsT, m.EigenVecsT) {
+		t.Error("an append to one of a clone's slices overwrote the next")
+	}
 }
 
 func TestEmpiricalFreqs(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
+	"phylo/internal/numeric"
 	"phylo/internal/tree"
 )
 
@@ -88,7 +89,7 @@ func MixedDataset(taxa, dnaParts, aaParts, partLen int, scale float64, seed int6
 		scaledPart = int(math.Max(6, float64(partLen)*scale))
 	}
 	n := dnaParts + aaParts
-	rng := rand.New(rand.NewSource(seed + 11))
+	rng := rand.New(numeric.NewSource(seed + 11))
 	partLens := make([]int, n)
 	types := make([]alignment.DataType, n)
 	for i := range partLens {
@@ -156,7 +157,7 @@ func RealWorldDataset(spec RealWorldSpec, scale float64, seed int64) (*Dataset, 
 	if spec.GapFraction > 0 {
 		// Regenerate with a gappy presence mask (Figure 2's data holes):
 		// every partition keeps a random subset of taxa.
-		rng := rand.New(rand.NewSource(seed + 7))
+		rng := rand.New(numeric.NewSource(seed + 7))
 		presence := make([][]bool, len(lens))
 		for pi := range presence {
 			mask := make([]bool, spec.Taxa)
@@ -189,7 +190,7 @@ func RealWorldDataset(spec RealWorldSpec, scale float64, seed int64) (*Dataset, 
 // partitionLengths samples a deterministic length vector honoring the spec's
 // partition count, min/max lengths, and total.
 func partitionLengths(spec RealWorldSpec, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed + 1))
+	rng := rand.New(numeric.NewSource(seed + 1))
 	p := spec.Partitions
 	lens := make([]float64, p)
 	// Log-uniform between min and max, then pin the extremes and rescale the
@@ -247,7 +248,7 @@ func generateTyped(name string, taxa int, partLens []int, types []alignment.Data
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed + 3))
+	rng := rand.New(numeric.NewSource(seed + 3))
 	models := make([]*model.Model, len(partLens))
 	allDNA := true
 	for i := range models {

@@ -19,6 +19,7 @@ import (
 
 	"phylo/internal/alignment"
 	"phylo/internal/model"
+	"phylo/internal/numeric"
 	"phylo/internal/tree"
 )
 
@@ -149,7 +150,7 @@ func Simulate(tr *tree.Tree, models []*model.Model, partLens []int, opts Options
 	for i := range seqs {
 		seqs[i] = make([]byte, total)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(numeric.NewSource(opts.Seed))
 	parts := make([]alignment.Partition, len(partLens))
 	offset := 0
 	for i, l := range partLens {

@@ -3,6 +3,8 @@ package tree
 import (
 	"fmt"
 	"math/rand"
+
+	"phylo/internal/numeric"
 )
 
 // RandomOptions configures random tree generation.
@@ -18,19 +20,25 @@ type RandomOptions struct {
 // simulated "seed trees"): start from the unique 3-taxon topology, then
 // attach each remaining taxon to a uniformly chosen existing branch. Branch
 // lengths are exponentially distributed. The result is deterministic in the
-// seed, which the paper relies on for reproducible experiments.
+// seed, which the paper relies on for reproducible experiments: the draws are
+// math/rand's stream for that seed (numeric.NewSource), so a seed names the
+// same tree it always has.
 func Random(names []string, zSlots int, opts RandomOptions) (*Tree, error) {
 	t, err := New(names, zSlots)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(numeric.NewSource(opts.Seed))
 	mean := opts.MeanBranchLength
 	if mean <= 0 {
 		mean = 0.1
 	}
+	// The 2n-3 branches' lengths are cut from one array; the three-index
+	// slices keep an append on one branch from reaching its neighbour's.
+	zs := make([]float64, t.NumBranches()*zSlots)
 	randZ := func() []float64 {
-		z := make([]float64, zSlots)
+		z := zs[:zSlots:zSlots]
+		zs = zs[zSlots:]
 		v := ClampBranchLen(rng.ExpFloat64() * mean)
 		for k := range z {
 			z[k] = v
@@ -45,8 +53,9 @@ func Random(names []string, zSlots int, opts RandomOptions) (*Tree, error) {
 	Connect(center.Next, t.Tips[order[1]], randZ())
 	Connect(center.Next.Next, t.Tips[order[2]], randZ())
 
+	var w branchWalk
 	for i := 3; i < n; i++ {
-		branches := t.partialBranches(t.Tips[order[0]])
+		branches := w.branches(t, t.Tips[order[0]])
 		target := branches[rng.Intn(len(branches))]
 		v := t.Inner[i-2]
 		// Split branch (target, target.Back): v.Next takes one side, ...
@@ -56,31 +65,8 @@ func Random(names []string, zSlots int, opts RandomOptions) (*Tree, error) {
 		Connect(v.Next.Next, b, randZ())
 		Connect(v, t.Tips[order[i]], randZ())
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validate(&w); err != nil {
 		return nil, fmt.Errorf("tree: random generation produced invalid tree: %w", err)
 	}
 	return t, nil
-}
-
-// partialBranches enumerates branches of the (possibly still growing)
-// connected component containing start.
-func (t *Tree) partialBranches(start *Node) []*Node {
-	var out []*Node
-	seen := make(map[int]bool)
-	var walk func(p *Node)
-	walk = func(p *Node) {
-		if p.Back == nil || seen[p.ID] || seen[p.Back.ID] {
-			return
-		}
-		seen[p.ID] = true
-		out = append(out, p)
-		q := p.Back
-		if q.IsTip() {
-			return
-		}
-		walk(q.Next)
-		walk(q.Next.Next)
-	}
-	walk(start)
-	return out
 }

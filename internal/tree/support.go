@@ -24,17 +24,6 @@ func (t *Tree) Clone() (*Tree, error) {
 	return c, nil
 }
 
-// recordByID finds a record by its stable ID (records are allocated in the
-// same order by New, so IDs correspond positionally across Clone copies).
-func (t *Tree) recordByID(id int) *Node {
-	for _, r := range t.records {
-		if r.ID == id {
-			return r
-		}
-	}
-	return nil
-}
-
 // nniSwap applies one nearest-neighbor interchange across the internal
 // branch at record p (both ends must be inner): the subtree behind p.Next
 // (or p.Next.Next when second is set) trades places with the subtree behind
@@ -67,11 +56,7 @@ func (t *Tree) NNICandidates() ([]*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := c.recordByID(b.ID)
-			if p == nil {
-				return nil, fmt.Errorf("tree: record %d missing in clone", b.ID)
-			}
-			nniSwap(p, variant == 1)
+			nniSwap(c.records[b.ID], variant == 1)
 			c.ClearX()
 			if err := c.Validate(); err != nil {
 				return nil, fmt.Errorf("tree: NNI across record %d produced an invalid tree: %w", b.ID, err)

@@ -187,6 +187,16 @@ func TestCloneIndependence(t *testing.T) {
 	if WriteNewick(cp, 0) != before {
 		t.Fatal("clone differs from original")
 	}
+	// Random and Clone cut branch lengths from one array: an append to one
+	// branch's slice must not reach its neighbour's.
+	for _, tc := range []*Tree{tr, cp} {
+		for _, b := range tc.Branches() {
+			_ = append(b.Z, 7.5)
+		}
+		if WriteNewick(tc, 0) != before {
+			t.Fatal("an append to one branch's lengths changed another's")
+		}
+	}
 	for _, b := range cp.Branches() {
 		SetBranchLength(b, 0, 7.5)
 	}

@@ -67,8 +67,7 @@ type Tree struct {
 	Tips  []*Node // tip records, indexed by taxon
 	Inner []*Node // first record of each inner node (use .Next to reach the others)
 
-	records []*Node // every record, for iteration/validation
-	nextID  int
+	records []*Node // every record, records[i].ID == i (tips first, then triplets)
 }
 
 // NumTips returns the leaf count.
@@ -92,21 +91,24 @@ func New(names []string, zSlots int) (*Tree, error) {
 		return nil, errors.New("tree: need at least one branch-length slot")
 	}
 	t := &Tree{Names: append([]string(nil), names...), ZSlots: zSlots}
-	for i := 0; i < n; i++ {
-		tip := &Node{ID: t.nextID, Index: i}
-		t.nextID++
-		t.Tips = append(t.Tips, tip)
-		t.records = append(t.records, tip)
+	// One array holds every record; record i has ID i, so an ID is an index
+	// into records on every tree over the same taxa.
+	nodes := make([]Node, n+3*(n-2))
+	t.records = make([]*Node, len(nodes))
+	for i := range nodes {
+		nodes[i].ID = i
+		t.records[i] = &nodes[i]
 	}
-	for i := 0; i < n-2; i++ {
-		idx := n + i
-		a := &Node{ID: t.nextID + 0, Index: idx}
-		b := &Node{ID: t.nextID + 1, Index: idx}
-		c := &Node{ID: t.nextID + 2, Index: idx}
-		t.nextID += 3
+	for i := 0; i < n; i++ {
+		nodes[i].Index = i
+	}
+	t.Tips = t.records[:n:n]
+	t.Inner = make([]*Node, n-2)
+	for i := range t.Inner {
+		a, b, c := &nodes[n+3*i], &nodes[n+3*i+1], &nodes[n+3*i+2]
+		a.Index, b.Index, c.Index = n+i, n+i, n+i
 		a.Next, b.Next, c.Next = b, c, a
-		t.Inner = append(t.Inner, a)
-		t.records = append(t.records, a, b, c)
+		t.Inner[i] = a
 	}
 	return t, nil
 }
@@ -193,34 +195,56 @@ func (t *Tree) Records() []*Node { return t.records }
 // containing Tips[0], in deterministic depth-first order. For a valid tree it
 // returns exactly 2n-3 records.
 func (t *Tree) Branches() []*Node {
-	var out []*Node
-	start := t.Tips[0]
-	if start.Back == nil {
-		return nil
+	var w branchWalk
+	return w.branches(t, t.Tips[0])
+}
+
+// branchWalk is the scratch of a branch enumeration: a flag per record ID
+// and an explicit stack, reused across walks of one tree.
+type branchWalk struct {
+	seen  []bool
+	stack []*Node
+	out   []*Node
+}
+
+// branches returns one record per branch reachable from start, in the
+// pre-order of the depth-first walk that enters q.Next's subtree before
+// q.Next.Next's (Random draws its attachment branch by index into this
+// order). The result aliases w.out until the next walk.
+func (w *branchWalk) branches(t *Tree, start *Node) []*Node {
+	if w.seen == nil {
+		w.seen = make([]bool, len(t.records))
+		w.stack = make([]*Node, 0, len(t.Tips))
+		w.out = make([]*Node, 0, t.NumBranches())
+	} else {
+		clear(w.seen)
 	}
-	seen := make(map[int]bool) // record IDs already emitted (either side)
-	var walk func(p *Node)
-	walk = func(p *Node) {
-		// branch between p and p.Back
-		if seen[p.ID] || seen[p.Back.ID] {
-			return
+	w.out = w.out[:0]
+	w.stack = append(w.stack[:0], start)
+	for len(w.stack) > 0 {
+		p := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
+		if p.Back == nil || w.seen[p.ID] || w.seen[p.Back.ID] {
+			continue
 		}
-		seen[p.ID] = true
-		out = append(out, p)
-		q := p.Back
-		if q.IsTip() {
-			return
+		w.seen[p.ID] = true
+		w.out = append(w.out, p)
+		if q := p.Back; !q.IsTip() {
+			w.stack = append(w.stack, q.Next.Next, q.Next)
 		}
-		walk(q.Next)
-		walk(q.Next.Next)
 	}
-	walk(start)
-	return out
+	return w.out
 }
 
 // Validate checks structural invariants: symmetric Back links, shared branch
 // slices, intact triplets, full connectivity, and the 2n-3 branch count.
 func (t *Tree) Validate() error {
+	var w branchWalk
+	return t.validate(&w)
+}
+
+// validate is Validate on the caller's walk scratch.
+func (t *Tree) validate(w *branchWalk) error {
 	for _, r := range t.records {
 		if r.Back == nil {
 			return fmt.Errorf("tree: record %d (node %d) disconnected", r.ID, r.Index)
@@ -243,24 +267,24 @@ func (t *Tree) Validate() error {
 			}
 		}
 	}
-	if got, want := len(t.Branches()), t.NumBranches(); got != want {
+	if got, want := len(w.branches(t, t.Tips[0])), t.NumBranches(); got != want {
 		return fmt.Errorf("tree: %d branches reachable, want %d", got, want)
 	}
 	// Every tip must be reachable.
-	reach := make(map[int]bool)
-	var walk func(p *Node)
-	walk = func(p *Node) {
+	reach := w.seen
+	clear(reach)
+	stack := append(w.stack[:0], t.Tips[0], t.Tips[0].Back)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if reach[p.ID] {
-			return
+			continue
 		}
 		reach[p.ID] = true
 		if !p.IsTip() {
-			walk(p.Next.Back)
-			walk(p.Next.Next.Back)
+			stack = append(stack, p.Next.Back, p.Next.Next.Back)
 		}
 	}
-	walk(t.Tips[0])
-	walk(t.Tips[0].Back)
 	for _, tip := range t.Tips {
 		if !reach[tip.ID] {
 			return fmt.Errorf("tree: tip %d (%s) unreachable", tip.Index, t.Names[tip.Index])
@@ -276,33 +300,26 @@ func (t *Tree) CopyTopologyFrom(src *Tree) error {
 	if len(src.Tips) != len(t.Tips) || src.ZSlots != t.ZSlots {
 		return errors.New("tree: CopyTopologyFrom shape mismatch")
 	}
-	// Map src record IDs to t records. Records were allocated in the same
-	// order, so IDs correspond positionally.
-	byID := make(map[int]*Node, len(t.records))
-	for _, r := range t.records {
-		byID[r.ID] = r
-	}
-	// Reset all Back links, then mirror src's.
-	for _, r := range t.records {
+	// Records were allocated in the same order, so an ID indexes both trees.
+	// Each branch is copied once, from its lower-ID record, into one backing
+	// array; the three-index slices keep an append on one branch's lengths
+	// from reaching its neighbour's.
+	z := make([]float64, len(src.records)/2*t.ZSlots)
+	for i, r := range t.records {
 		r.Back = nil
-		r.X = false
+		r.X = src.records[i].X
 	}
-	done := make(map[int]bool)
 	for _, sr := range src.records {
-		if sr.Back == nil || done[sr.ID] || done[sr.Back.ID] {
+		if sr.Back == nil || sr.Back.ID < sr.ID {
 			continue
 		}
-		done[sr.ID] = true
-		a, b := byID[sr.ID], byID[sr.Back.ID]
-		if a == nil || b == nil {
-			return errors.New("tree: CopyTopologyFrom record mismatch")
+		if sr.Back.Back != sr {
+			return errors.New("tree: CopyTopologyFrom source has an asymmetric Back link")
 		}
-		Connect(a, b, append([]float64(nil), sr.Z...))
-	}
-	for _, sr := range src.records {
-		if sr.X {
-			byID[sr.ID].X = true
-		}
+		zb := z[:t.ZSlots:t.ZSlots]
+		z = z[t.ZSlots:]
+		copy(zb, sr.Z)
+		Connect(t.records[sr.ID], t.records[sr.Back.ID], zb)
 	}
 	return nil
 }

@@ -146,29 +146,21 @@ func TestAnalysisCloseReleasesOnce(t *testing.T) {
 	}
 }
 
-// TestWarmSessionAllocBudget is the allocation gate of the recycled-buffer
-// design, on the shape the plkd_evaluate benchmark serves (10 taxa, 20
-// partitions of 50 columns, weighted schedule, one thread): once one session
-// has been closed, NewAnalysis + LogLikelihood + Close allocates the tree,
-// the model clones and the chunk runtime — tens of KB — and not the 1.25 MB
-// of CLVs, scaling vectors and sumtable it allocated when every session
-// built its own.
-func TestWarmSessionAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	const budget = 64 << 10
-	al, err := SimulateGrid(10, 20000, 1000, 0.05, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := NewDataset(al, DatasetOptions{Schedule: ScheduleWeighted})
+// warmSessionCost opens a dataset over al and returns what one warm session
+// (NewAnalysis + LogLikelihood + Close, after one session has parked its
+// buffers) allocates, as bytes and allocations averaged over 50 sessions,
+// with the dataset's buffer-set size.
+func warmSessionCost(t *testing.T, al *Alignment, dsOpts DatasetOptions, anOpts AnalysisOptions) (bytes, allocs, setBytes uint64) {
+	t.Helper()
+	ds, err := NewDataset(al, dsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
 	session := func(seed int64) {
-		an, err := ds.NewAnalysis(AnalysisOptions{Seed: seed})
+		o := anOpts
+		o.Seed = seed
+		an, err := ds.NewAnalysis(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +184,50 @@ func TestWarmSessionAllocBudget(t *testing.T) {
 		session(int64(i + 2))
 	}
 	runtime.ReadMemStats(&after)
-	perSession := (after.TotalAlloc - before.TotalAlloc) / sessions
-	t.Logf("warm open + evaluate + close: %d B per session (one buffer set: %d B)",
-		perSession, ds.MemoryBreakdown().SessionBytes())
+	return (after.TotalAlloc - before.TotalAlloc) / sessions, (after.Mallocs - before.Mallocs) / sessions,
+		uint64(ds.MemoryBreakdown().SessionBytes())
+}
+
+// TestWarmSessionAllocBudget is the allocation gate of the recycled-buffer
+// design, on the shape the plkd_evaluate benchmark serves (10 taxa, 20
+// partitions of 50 columns, weighted schedule, one thread): once one session
+// has been closed, NewAnalysis + LogLikelihood + Close allocates the tree,
+// the model clones and the executor view — tens of KB — and not the 1.25 MB
+// of CLVs, scaling vectors and sumtable it allocated when every session
+// built its own.
+func TestWarmSessionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const budget = 40 << 10
+	al, err := SimulateGrid(10, 20000, 1000, 0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSession, _, setBytes := warmSessionCost(t, al, DatasetOptions{Schedule: ScheduleWeighted}, AnalysisOptions{})
+	t.Logf("warm open + evaluate + close: %d B per session (one buffer set: %d B)", perSession, setBytes)
 	if perSession > budget {
 		t.Fatalf("a warm session allocates %d B, budget %d B", perSession, budget)
+	}
+}
+
+// TestWarmEvaluateAllocs pins the allocation count of one evaluate on the
+// p1000_newpar shape (8 taxa, 10 partitions of 50 columns, per-partition
+// branch lengths, one thread): a warm open + LogLikelihood + Close builds a
+// start tree and one copy per partition model and opens an executor view,
+// each a few allocations, and nothing per branch or per model slice.
+func TestWarmEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const budget = 70
+	al, err := SimulateGrid(8, 10000, 1000, 0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, allocs, _ := warmSessionCost(t, al, DatasetOptions{Threads: 1}, AnalysisOptions{PerPartitionBranchLengths: true})
+	t.Logf("warm evaluate: %d allocations, %d B per session", allocs, bytes)
+	if allocs > budget {
+		t.Fatalf("a warm evaluate makes %d allocations, budget %d", allocs, budget)
 	}
 }
