@@ -205,7 +205,7 @@ func (an *Analysis) LogLikelihood() float64 {
 	if an.guard() != nil {
 		return math.NaN()
 	}
-	return an.eng.LogLikelihood()
+	return an.eng.LogLikelihood(nil)
 }
 
 // PartitionLogLikelihoods returns the total and per-partition scores
@@ -214,7 +214,8 @@ func (an *Analysis) PartitionLogLikelihoods() (float64, []float64) {
 	if an.guard() != nil {
 		return math.NaN(), nil
 	}
-	return an.eng.PartitionLogLikelihoods()
+	per := make([]float64, an.eng.NumPartitions())
+	return an.eng.LogLikelihood(per), per
 }
 
 // optConfig assembles the optimizer configuration, wiring the session's

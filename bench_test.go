@@ -85,7 +85,7 @@ func BenchmarkNewviewDNAGamma(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.Traverse(root, false, nil)
+		fx.eng.TraverseRoot(root, false, nil)
 	}
 	b.ReportMetric(float64(2000*fx.tr.NumInner()), "patterns/op")
 }
@@ -98,7 +98,7 @@ func BenchmarkNewviewDNAGeneric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.Traverse(root, false, nil)
+		fx.eng.TraverseRoot(root, false, nil)
 	}
 }
 
@@ -111,7 +111,7 @@ func BenchmarkNewviewAAGamma(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.Traverse(root, false, nil)
+		fx.eng.TraverseRoot(root, false, nil)
 	}
 }
 
@@ -120,9 +120,10 @@ func BenchmarkEvaluateDNA(b *testing.B) {
 	fx := kernelBench(b, alignment.DNA, 2000, true)
 	root := fx.tr.Tips[0].Back
 	fx.eng.TraverseRoot(root, false, nil)
+	var lnl [1]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.Evaluate(root, nil)
+		fx.eng.Evaluate(root, nil, nil, lnl[:], nil)
 	}
 }
 
@@ -138,7 +139,7 @@ func BenchmarkBranchDerivatives(b *testing.B) {
 	d2 := make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.BranchDerivatives(z, nil, d1, d2)
+		fx.eng.BranchDerivatives(z, nil, nil, d1, d2)
 	}
 }
 
@@ -162,9 +163,10 @@ func BenchmarkEvaluateAA(b *testing.B) {
 	fx := kernelBench(b, alignment.AA, 400, true)
 	p := innerBranch(b, fx.tr)
 	fx.eng.TraverseRoot(p, false, nil)
+	var lnl [1]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.Evaluate(p, nil)
+		fx.eng.Evaluate(p, nil, nil, lnl[:], nil)
 	}
 }
 
@@ -190,7 +192,7 @@ func BenchmarkBranchDerivativesAA(b *testing.B) {
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.BranchDerivatives(z, nil, d1, d2)
+		fx.eng.BranchDerivatives(z, nil, nil, d1, d2)
 	}
 }
 
@@ -222,7 +224,7 @@ func BenchmarkPoolTraversal2Threads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.InvalidateCLVs()
-		eng.Traverse(root, false, nil)
+		eng.TraverseRoot(root, false, nil)
 	}
 }
 

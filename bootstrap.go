@@ -63,8 +63,8 @@ type BootstrapResult struct {
 // sessions over the same Dataset, bootstrapping or not, cannot change a bit
 // of it.
 //
-// The session's tree and weights are restored before returning: Bootstrap is
-// read-only from the caller's point of view. Cancelling ctx stops the sweep
+// The session's tree is restored before returning: Bootstrap is read-only
+// from the caller's point of view. Cancelling ctx stops the sweep
 // at the next candidate boundary and returns the context's error.
 func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (res *BootstrapResult, err error) {
 	ctx = orBackground(ctx)
@@ -86,7 +86,6 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		return nil, err
 	}
 	defer func() {
-		an.eng.SetWeightOverride(nil)
 		if restoreErr := an.tr.CopyTopologyFrom(original); restoreErr != nil && err == nil {
 			err = restoreErr
 		}
@@ -118,11 +117,8 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		}
 		// SmoothAll closes on a traversal to the canonical root: its CLVs
 		// serve every replicate as they stand.
-		ls, err := an.eng.EvaluateBatch(an.tr.Tips[0].Back, nil, ws)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i] = ls
+		lanes[i] = make([]float64, replicates)
+		an.eng.Evaluate(an.tr.Tips[0].Back, nil, ws, lanes[i], nil)
 		if an.progress != nil {
 			an.emit(ProgressEvent{Phase: PhaseBootstrap, Round: i + 1, LnL: weighted})
 		}

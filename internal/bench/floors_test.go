@@ -229,11 +229,11 @@ func newviewNsOp(t *testing.T, w *workload, backend core.Backend, specialize boo
 	t.Helper()
 	eng := w.rig(t, 1, backend).session(t, core.Options{Specialize: specialize})
 	root := eng.Tree.Tips[0].Back
-	eng.Traverse(root, false, nil)
+	eng.TraverseRoot(root, false, nil)
 	return bestOf3(t, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.InvalidateCLVs()
-			eng.Traverse(root, false, nil)
+			eng.TraverseRoot(root, false, nil)
 		}
 	})
 }
@@ -412,7 +412,7 @@ func TestDerivativeFloor(t *testing.T) {
 		defer core.DerivativeKernel.Set(core.DerivativeKernel.Set(vector))
 		return bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.BranchDerivatives(z, nil, d1, d2)
+				eng.BranchDerivatives(z, nil, nil, d1, d2)
 			}
 		})
 	}
@@ -458,10 +458,10 @@ func genericNsPerOp(t *testing.T, w *workload) float64 {
 	t.Helper()
 	eng := w.rig(t, 1, core.BackendGeneric).session(t, core.Options{})
 	root := eng.Tree.Tips[0].Back
-	eng.Traverse(root, false, nil)
+	eng.TraverseRoot(root, false, nil)
 	eng.Exec.Stats().Reset()
 	eng.InvalidateCLVs()
-	eng.Traverse(root, false, nil)
+	eng.TraverseRoot(root, false, nil)
 	return newviewNsOp(t, w, core.BackendGeneric, false) / eng.Exec.Stats().TotalOps
 }
 
@@ -499,18 +499,21 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// score is one full traversal and one evaluate under w.
+	score := func(e *core.Engine, w *core.WeightSet, lnl []float64) {
+		root := e.Tree.Tips[0].Back
+		e.TraverseRoot(root, false, nil)
+		e.Evaluate(root, nil, w, lnl, nil)
+	}
 	hold(t, func() (bool, string) {
 		r := grid.rig(t, 1, core.BackendFused)
 		eng := r.session(t, core.Options{Specialize: true})
-		if _, err := eng.LogLikelihoodBatch(ws); err != nil { // warm CLVs and batch buffers
-			t.Fatal(err)
-		}
+		lanes := make([]float64, R)
+		score(eng, ws, lanes) // warm CLVs and batch buffers
 		batched := bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.InvalidateCLVs()
-				if _, err := eng.LogLikelihoodBatch(ws); err != nil {
-					b.Fatal(err)
-				}
+				score(eng, ws, lanes)
 			}
 		}) / R
 		// One iteration = one replicate; the index cycles through all R
@@ -519,10 +522,7 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 		independent := bestOf3(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := r.session(b, core.Options{Specialize: true})
-				if err := e.SetWeightOverride(ws.Replicate(rpl % R)); err != nil {
-					b.Fatal(err)
-				}
-				e.LogLikelihood()
+				score(e, ws.Replicate(rpl%R), lanes[:1])
 				rpl++
 			}
 		})

@@ -213,3 +213,53 @@ func recordBytes(v reflect.Value) int64 {
 	}
 	return n
 }
+
+// TestRegionEntriesAllocFree: once warm, no region entry allocates — a
+// traversal lists its steps into the session's step buffer, Newview builds
+// its one step there, and Evaluate and BranchDerivatives reduce into the
+// session's partial sums and the caller's result buffers, at one lane and at
+// three. Checked on the caller-only executor and on three virtual workers
+// (a pool of goroutines hands each worker a closure per region, which is the
+// executor's cost, not the engine's).
+func TestRegionEntriesAllocFree(t *testing.T) {
+	sim, err := parallel.NewSim(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name    string
+		exec    *parallel.Pool
+		threads int
+	}{{"sequential", parallel.NewSequential(), 1}, {"virtual", sim, 3}} {
+		eng := batchEngine(t, BackendFused, 4, arm.exec, arm.threads, Options{Specialize: true}, nil)
+		ws, err := NewWeightSet(eng.Data, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := eng.Tree.Tips[0].Back
+		n := eng.NumPartitions()
+		z := make([]float64, n)
+		for ip := range z {
+			z[ip] = 0.1
+		}
+		lnl1, lnl3 := make([]float64, 1), make([]float64, 3)
+		per3, d1, d2 := make([]float64, 3*n), make([]float64, n), make([]float64, n)
+		for _, entry := range []struct {
+			name string
+			call func()
+		}{
+			{"TraverseRoot", func() { eng.TraverseRoot(root, false, nil) }},
+			{"Newview", func() { eng.Newview(root) }},
+			{"Evaluate R=1", func() { eng.Evaluate(root, nil, nil, lnl1, nil) }},
+			{"Evaluate R=3", func() { eng.Evaluate(root, nil, ws, lnl3, per3) }},
+			{"LogLikelihood", func() { eng.LogLikelihood(nil) }},
+			{"PrepareSumtable", func() { eng.PrepareSumtable(root, nil) }},
+			{"BranchDerivatives", func() { eng.BranchDerivatives(z, nil, nil, d1, d2) }},
+		} {
+			entry.call() // warm: buffers grow, memo blocks and the sumtable are made
+			if got := testing.AllocsPerRun(20, entry.call); got != 0 {
+				t.Errorf("%s: %s allocates %v times a call", arm.name, entry.name, got)
+			}
+		}
+	}
+}

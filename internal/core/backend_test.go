@@ -169,7 +169,7 @@ func TestBackendBitIdentityUnderForcedScaling(t *testing.T) {
 
 func backendBitIdentityUnderForcedScaling(t *testing.T) {
 	engGen, engFus := forcedScalingEngine(t, BackendGeneric), forcedScalingEngine(t, BackendFused)
-	lg, lf := engGen.LogLikelihood(), engFus.LogLikelihood()
+	lg, lf := engGen.LogLikelihood(nil), engFus.LogLikelihood(nil)
 	if err := CheckFinite(lf); err != nil {
 		t.Fatal(err)
 	}

@@ -169,9 +169,8 @@ func weightedAt(t testing.TB, minChunk int) func(*Shared) *steal.Layout {
 // TestBatchBitIdentity is the batched reductions' acceptance test: on both
 // backends, on a pool at two chunk sizes, every replicate
 // lnL and both branch derivatives of a batched R-wide run must equal — bit
-// for bit — a single-replicate Evaluate / BranchDerivatives run over that
-// replicate's weights (via the weight override) and a width-1 batched run
-// over the extracted replicate.
+// for bit — a width-1 Evaluate / BranchDerivatives run over that replicate's
+// extracted weights (WeightSet.Replicate).
 func TestBatchBitIdentity(t *testing.T) {
 	const threads = 3
 	const R = 6
@@ -208,13 +207,11 @@ func TestBatchBitIdentity(t *testing.T) {
 
 				// Batched pass: R replicate lnLs from one traversal, then R
 				// derivative lanes from one sumtable.
-				totals, err := eng.LogLikelihoodBatch(ws)
-				if err != nil {
-					t.Fatal(err)
-				}
 				nP := eng.NumPartitions()
 				root := eng.Tree.Tips[0].Back
 				eng.TraverseRoot(root, false, nil)
+				totals := make([]float64, R)
+				eng.Evaluate(root, nil, ws, totals, nil)
 				eng.PrepareSumtable(root, nil)
 				z := make([]float64, nP)
 				for i := range z {
@@ -222,43 +219,28 @@ func TestBatchBitIdentity(t *testing.T) {
 				}
 				bd1 := make([]float64, nP*R)
 				bd2 := make([]float64, nP*R)
-				if err := eng.BranchDerivativesBatch(z, nil, ws, bd1, bd2); err != nil {
-					t.Fatal(err)
-				}
+				eng.BranchDerivatives(z, nil, ws, bd1, bd2)
 
-				// Reference pass per replicate: the unbatched reductions under
-				// that replicate's weight override, and a width-1 batch.
+				// Reference pass per replicate: the width-1 reductions under
+				// that replicate's weights, after a traversal of their own.
 				d1 := make([]float64, nP)
 				d2 := make([]float64, nP)
+				var single [1]float64
 				for r := 0; r < R; r++ {
 					rep := ws.Replicate(r)
-					if err := eng.SetWeightOverride(rep); err != nil {
-						t.Fatal(err)
-					}
-					single := eng.LogLikelihood()
-					if single != totals[r] {
-						t.Fatalf("%s cats=%d: replicate %d batched lnL %v != single-replicate %v (must be bit-identical)",
-							label, cats, r, totals[r], single)
-					}
-					one, err := eng.EvaluateBatch(root, nil, rep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if one[0] != totals[r] {
-						t.Fatalf("%s cats=%d: replicate %d width-1 batch lnL %v != batched %v",
-							label, cats, r, one[0], totals[r])
-					}
 					eng.TraverseRoot(root, false, nil)
+					eng.Evaluate(root, nil, rep, single[:], nil)
+					if single[0] != totals[r] {
+						t.Fatalf("%s cats=%d: replicate %d batched lnL %v != single-replicate %v (must be bit-identical)",
+							label, cats, r, totals[r], single[0])
+					}
 					eng.PrepareSumtable(root, nil)
-					eng.BranchDerivatives(z, nil, d1, d2)
+					eng.BranchDerivatives(z, nil, rep, d1, d2)
 					for ip := 0; ip < nP; ip++ {
 						if d1[ip] != bd1[ip*R+r] || d2[ip] != bd2[ip*R+r] {
 							t.Fatalf("%s cats=%d: replicate %d partition %d derivatives (%v,%v) != batched (%v,%v)",
 								label, cats, r, ip, d1[ip], d2[ip], bd1[ip*R+r], bd2[ip*R+r])
 						}
-					}
-					if err := eng.SetWeightOverride(nil); err != nil {
-						t.Fatal(err)
 					}
 				}
 			}
@@ -269,19 +251,19 @@ func TestBatchBitIdentity(t *testing.T) {
 // TestBatchUniformMatchesPlain pins "unbatched is one lane": a batch of R
 // copies of the dataset's own weights must yield R identical lnLs, each
 // bit-identical to Evaluate, and on both backends under forced scaling
-// Evaluate and BranchDerivatives must equal lane 0 of EvaluateBatch and
-// BranchDerivativesBatch over UniformWeightSet(data, 1).
+// Evaluate and BranchDerivatives under the dataset's own weights (nil) must
+// equal them under UniformWeightSet(data, 1).
 func TestBatchUniformMatchesPlain(t *testing.T) {
 	eng := batchEngine(t, BackendFused, 4, parallel.NewSequential(), 1, Options{Specialize: true}, nil)
-	plain := eng.LogLikelihood()
+	plain := eng.LogLikelihood(nil)
 	ws, err := UniformWeightSet(eng.Data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals, err := eng.LogLikelihoodBatch(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals := make([]float64, 4)
+	root := eng.Tree.Tips[0].Back
+	eng.TraverseRoot(root, false, nil)
+	eng.Evaluate(root, nil, ws, totals, nil)
 	for r, v := range totals {
 		if v != plain {
 			t.Fatalf("uniform batch lane %d lnL %v != plain %v (must be bit-identical)", r, v, plain)
@@ -296,37 +278,31 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 		}
 		root := eng.Tree.Tips[0].Back
 		eng.TraverseRoot(root, false, nil)
-		plain, _ := eng.Evaluate(root, nil)
-		lane, err := eng.EvaluateBatch(root, nil, one)
-		if err != nil {
+		var plain, lane [1]float64
+		eng.Evaluate(root, nil, nil, plain[:], nil)
+		eng.Evaluate(root, nil, one, lane[:], nil)
+		if err := CheckFinite(plain[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckFinite(plain); err != nil {
-			t.Fatal(err)
-		}
-		if lane[0] != plain {
-			t.Errorf("%v: Evaluate %v != EvaluateBatch lane 0 %v", backend, plain, lane[0])
+		if lane[0] != plain[0] {
+			t.Errorf("%v: Evaluate %v != lane 0 under the uniform set %v", backend, plain[0], lane[0])
 		}
 		eng.PrepareSumtable(root, nil)
 		z := []float64{0.2}
 		d1, d2, b1, b2 := []float64{0}, []float64{0}, []float64{0}, []float64{0}
-		eng.BranchDerivatives(z, nil, d1, d2)
-		if err := eng.BranchDerivativesBatch(z, nil, one, b1, b2); err != nil {
-			t.Fatal(err)
-		}
+		eng.BranchDerivatives(z, nil, nil, d1, d2)
+		eng.BranchDerivatives(z, nil, one, b1, b2)
 		if d1[0] != b1[0] || d2[0] != b2[0] {
 			t.Errorf("%v: BranchDerivatives (%v,%v) != batch lane 0 (%v,%v)", backend, d1[0], d2[0], b1[0], b2[0])
 		}
 	}
 }
 
-// TestBatchValidation exercises the error paths: nil and mismatched weight
-// sets, bad override widths, wrong derivative buffer sizes.
+// TestBatchValidation exercises the refusals: a weight set over another
+// pattern space is a panic from the region entries, as are result buffers of
+// the wrong size.
 func TestBatchValidation(t *testing.T) {
 	eng := batchEngine(t, BackendGeneric, 1, parallel.NewSequential(), 1, Options{Specialize: true}, nil)
-	if _, err := eng.LogLikelihoodBatch(nil); err == nil {
-		t.Fatal("nil weight set accepted")
-	}
 	if _, err := NewWeightSet(nil, 3, 1); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
@@ -334,18 +310,28 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal("zero replicate count accepted")
 	}
 	wrong := &WeightSet{r: 1, patterns: eng.Data.TotalPatterns + 1, w: make([]float64, eng.Data.TotalPatterns+1)}
-	if _, err := eng.LogLikelihoodBatch(wrong); err == nil {
-		t.Fatal("mismatched pattern space accepted")
-	}
 	wide, err := NewWeightSet(eng.Data, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetWeightOverride(wide); err == nil {
-		t.Fatal("width-2 weight override accepted")
-	}
-	if err := eng.BranchDerivativesBatch(make([]float64, eng.NumPartitions()), nil, wide,
-		make([]float64, 1), make([]float64, 1)); err == nil {
-		t.Fatal("undersized derivative buffers accepted")
+	root := eng.Tree.Tips[0].Back
+	eng.TraverseRoot(root, false, nil)
+	eng.PrepareSumtable(root, nil)
+	n := eng.NumPartitions()
+	z := make([]float64, n)
+	for name, call := range map[string]func(){
+		"mismatched pattern space":         func() { eng.Evaluate(root, nil, wrong, nil, nil) },
+		"width-1 totals for a width-2 set": func() { eng.Evaluate(root, nil, wide, make([]float64, 1), nil) },
+		"undersized per-partition buffer":  func() { eng.Evaluate(root, nil, wide, nil, make([]float64, n)) },
+		"undersized derivative buffers":    func() { eng.BranchDerivatives(z, nil, wide, make([]float64, n), make([]float64, n)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

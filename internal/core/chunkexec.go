@@ -19,12 +19,15 @@ import (
 // differs between region kinds is data on the region and three switches on
 // its kind: what a span binds (bind), which kernel body a chunk runs (run),
 // and what a pattern costs (takeOps); evaluate and derivative regions add a
-// fixed-order reduction after the barrier, in their entry points.
+// fixed-order reduction after the barrier, in their entry points. There is
+// one entry point per kind — TraverseRoot and Newview issue the newview
+// region, Evaluate, PrepareSumtable and BranchDerivatives the other three —
+// and each is the one runRegion call of its kind.
 // "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
-// Evaluate and BranchDerivatives run the R-lane reductions over the dataset's
-// own weights (held once on the Shared) or the session's override, and lane r
-// of any batch performs the floating-point sequence a width-1 run over
-// replicate r's weights performs.
+// Evaluate and BranchDerivatives take the WeightSet they reduce under as an
+// argument, nil being the dataset's own weights (held once on the Shared),
+// and lane r of any batch performs the floating-point sequence a width-1 run
+// over replicate r's weights performs.
 //
 // Determinism argument (why a result depends only on the chunk layout — the
 // dataset's schedule cut at its minimum chunk size — not on the executor or
@@ -392,10 +395,10 @@ func (c *spanCtx) takeOps(count int) float64 {
 	return ops
 }
 
-// chunkPartials returns *buf resized to n zeroed entries (grow-only): the
-// per-chunk partial sums of one reduction region. Chunks of masked partitions
-// are never handed out, so their entries stay zero.
-func chunkPartials(buf *[]float64, n int) []float64 {
+// grow returns *buf resized to n zeroed entries (grow-only): the per-chunk
+// partial sums of one reduction region, whose chunks of masked partitions are
+// never handed out, so their entries stay zero; or an evaluate's lane sums.
+func grow(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"phylo/internal/alignment"
 	"phylo/internal/cpufeat"
 	"phylo/internal/model"
@@ -31,7 +33,7 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 		// buffer set that smooths a branch makes the sumtable, in the set.
 		e.sumtable = alignedFloats(e.layout.SumTotal())
 	}
-	e.runRegion(region{kind: parallel.RegionSumTable, p: p}, e.activeOrAll(active))
+	e.runRegion(region{kind: parallel.RegionSumTable, p: p}, active)
 }
 
 // sumtableGeneric is the one sumtable body: CLV reads step the category
@@ -101,26 +103,26 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 // BranchDerivatives evaluates d lnL / dz and d^2 lnL / dz^2 for the branch
 // whose sumtable was last prepared, at per-partition branch lengths z (z is
 // indexed by partition; with a joint estimate pass the same value in every
-// active entry). Results are written into d1 and d2 (length NumPartitions);
-// masked partitions are zeroed. One parallel region per call — this is the
-// unit of synchronization the paper counts per Newton iteration — and the
-// width-1 case of derivativeLanes over the dataset's own weights (or the
-// session's override).
-func (e *Engine) BranchDerivatives(z []float64, active []bool, d1, d2 []float64) {
-	e.derivativeLanes(z, e.activeOrAll(active), e.ownWeights(), d1, d2)
-}
-
-// derivativeLanes is the derivative region: per pattern the likelihood and its
-// two derivative dot products over the sumtable run once and the resulting
-// terms accumulate under all R replicate weights of ws into per-(chunk, lane)
-// partials, reduced master-side in fixed chunk-id order into d1 and d2 (both
-// indexed [partition*R + replicate]).
-func (e *Engine) derivativeLanes(z []float64, act []bool, ws *WeightSet, d1, d2 []float64) {
-	lay := e.chunks
+// active entry), under the R replicate weight vectors of ws (nil: the
+// dataset's own weights, R = 1). The sumtable — like the CLVs — does not
+// depend on weights, so one PrepareSumtable serves a whole batch. One
+// parallel region per call — this is the unit of synchronization the paper
+// counts per Newton iteration: per pattern the likelihood and its two
+// derivative dot products over the sumtable run once and the resulting terms
+// accumulate under all R weights into per-(chunk, lane) partials, reduced
+// master-side in fixed chunk-id order into d1 and d2, both caller-owned with
+// NumPartitions*R entries indexed [partition*R + replicate]; masked
+// partitions are zeroed.
+func (e *Engine) BranchDerivatives(z []float64, active []bool, ws *WeightSet, d1, d2 []float64) {
+	ws = e.weights(ws)
 	R := ws.r
+	if want := len(e.Data.Parts) * R; len(d1) != want || len(d2) != want {
+		panic(fmt.Sprintf("core: derivative buffers have %d/%d entries, want %d (partitions x replicates)", len(d1), len(d2), want))
+	}
+	lay := e.chunks
 	n := lay.NumChunks()
-	buf := chunkPartials(&e.derivChunk, 2*n*R)
-	e.runRegion(region{kind: parallel.RegionDerivative, z: z, ws: ws, out: buf, lanes: 2 * R}, act)
+	buf := grow(&e.derivChunk, 2*n*R)
+	e.runRegion(region{kind: parallel.RegionDerivative, z: z, ws: ws, out: buf, lanes: 2 * R}, active)
 	clear(d1)
 	clear(d2)
 	for id := 0; id < n; id++ {

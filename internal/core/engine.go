@@ -8,10 +8,12 @@
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
-// (the dataset's steal.Layout), each worker walking its own. Every public
-// operation takes an optional per-partition activity mask, which is the
-// mechanism behind both oldPAR (one active partition at a time) and newPAR
-// (all non-converged partitions at once).
+// (the dataset's steal.Layout), each worker walking its own. A session
+// issues its regions through one entry per kind (TraverseRoot and Newview,
+// Evaluate, PrepareSumtable, BranchDerivatives); every one but Newview takes
+// an optional per-partition activity mask, which is the mechanism behind both
+// oldPAR (one active partition at a time) and newPAR (all non-converged
+// partitions at once).
 //
 // The whole package is a deterministic scope: likelihoods must be
 // bit-identical across runs and executor shapes (see DESIGN.md "Static
@@ -43,9 +45,9 @@ const (
 
 // Engine evaluates likelihoods for one dataset on one tree. Since the
 // Dataset/session split it is the *mutable, per-session* half of the kernel:
-// it owns the tree, the model copies, the per-chunk partial sums,
-// and holds one sessionBuffers set (CLVs, scaling vectors, sumtable,
-// per-worker scratch) from NewSession until Release, while everything derived
+// it owns the tree and the model copies, and holds one sessionBuffers set
+// (CLVs, scaling vectors, sumtable, per-worker scratch, the region's step
+// list and partial sums) from NewSession until Release, while everything derived
 // from the dataset alone (compressed patterns, memory layout, the retired
 // buffer sets) lives in a Shared, and the chunk layout in the dataset's
 // Options.Layout, that any number of concurrent engines borrow.
@@ -64,29 +66,19 @@ type Engine struct {
 
 	shared *Shared
 
-	allMask []bool // cached all-true partition mask (activeOrAll)
-
 	// Region execution (see chunkexec.go): the chunk layout every region
-	// walks, the region in flight and the guard against a second one, the
-	// chunk loop as the func value handed to Exec.Run (bound once, so a
-	// region does not allocate it), and the per-chunk partial-sum buffers of
-	// the fixed-order reductions, grown to the widest WeightSet the session
-	// has run.
-	chunks     *steal.Layout
-	cur        region
-	inRegion   atomic.Bool
-	drainFn    func(w int, ctx *parallel.WorkerCtx)
-	evalChunk  []float64 // [chunk*R + r] evaluate partials
-	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
+	// walks, the region in flight and the guard against a second one, and
+	// the chunk loop as the func value handed to Exec.Run (bound once, so a
+	// region does not allocate it).
+	chunks   *steal.Layout
+	cur      region
+	inRegion atomic.Bool
+	drainFn  func(w int, ctx *parallel.WorkerCtx)
 
 	numCats int
 	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
 
 	*sessionBuffers // nil after Release: the next kernel call faults
-
-	// weightOverride, when set, replaces the dataset's own weights in
-	// Evaluate and BranchDerivatives (see SetWeightOverride).
-	weightOverride *WeightSet
 
 	// obsBatchWidth (nil unless Options.Metrics) is the one engine-level
 	// family a running session updates, set between regions. Region- and
@@ -127,6 +119,16 @@ type sessionBuffers struct {
 	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first PrepareSumtable
 	workers  []*worker   // one record per worker
 	gen      uint64      // how many sessions have taken the set: a memo entry of an earlier holder never matches
+
+	// The master's side of a region: the newview steps in flight (room for a
+	// whole traversal, one step per inner node), the per-chunk partial sums
+	// of the reductions and an evaluate's per-partition lane sums when its
+	// caller keeps none, the last three grown to the widest WeightSet the set
+	// has run.
+	steps      []tree.TraversalStep
+	evalChunk  []float64 // [chunk*R + r] evaluate partials
+	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
+	lanes      []float64 // [partition*R + r]
 }
 
 // worker is one worker's record: the span binding drain runs its chunks
@@ -170,7 +172,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 	nInner := sh.Data.NumTaxa() - 2
 	b := &sessionBuffers{
 		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
-		workers: make([]*worker, sh.Threads),
+		workers: make([]*worker, sh.Threads), steps: make([]tree.TraversalStep, 0, nInner),
 	}
 	for i := range b.clvs {
 		b.clvs[i] = alignedFloats(sh.layout.Total())
@@ -192,8 +194,7 @@ func newSessionBuffers(sh *Shared) *sessionBuffers {
 // NewSession builds a session engine over precomputed shared state: it
 // validates the session's tree, models, and executor against the dataset,
 // takes a retired sessionBuffers set from the Shared (allocating one when
-// none is parked) and builds only the small per-session state fresh — the
-// all-true mask, and reads opts.Layout. Any number of
+// none is parked) and builds nothing but the engine itself. Any number of
 // sessions may run concurrently over one Shared as long as each has its own
 // executor (a parallel.Pool.Session view of shared workers counts). Release
 // the session when it is over so the next can reuse its buffers; one that is
@@ -248,10 +249,6 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 		chunks:         layout,
 	}
 	e.drainFn = e.drain
-	e.allMask = make([]bool, len(data.Parts))
-	for i := range e.allMask {
-		e.allMask[i] = true
-	}
 	bufs, source := sh.retired.Get(), "recycled"
 	if bufs == nil {
 		bufs, source = newSessionBuffers(sh), "allocated"
@@ -272,11 +269,11 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 }
 
 // Release ends the session: its buffers go back to the Shared for the next
-// NewSession as they are, less the span bindings' pointers into this session
-// (its engine, models, weights and CLVs, which a parked set must not keep
-// alive), and the engine drops its pointer to them, so a later kernel call on
-// it panics (nil dereference) instead of touching memory another session may
-// hold by then. No region may be in flight. A second Release is a no-op.
+// NewSession as they are, less the span bindings' and the step list's
+// pointers into this session (its engine, models, weights, CLVs and tree,
+// which a parked set must not keep alive), and the engine drops its pointer
+// to them, so a later kernel call on it panics (nil dereference) instead of
+// touching memory another session may hold by then. No region may be in flight. A second Release is a no-op.
 func (e *Engine) Release() {
 	if e.sessionBuffers == nil {
 		return
@@ -284,6 +281,7 @@ func (e *Engine) Release() {
 	for _, w := range e.workers {
 		w.span = spanCtx{}
 	}
+	clear(e.steps[:cap(e.steps)])
 	e.shared.retired.Put(e.sessionBuffers)
 	e.sessionBuffers = nil
 }
@@ -324,14 +322,12 @@ func (e *Engine) scale(nodeIndex int) []int32 {
 // Schedule is the pattern-to-worker assignment.
 func (e *Engine) ChunkLayout() *steal.Layout { return e.chunks }
 
-// activeOrAll returns the cached all-true mask when active is nil. Callers
-// treat the mask as read-only; the cache removes a per-region allocation
-// from the hottest path (every Evaluate/Traverse/PrepareSumtable call).
+// activeOrAll returns the dataset's all-true mask when active is nil.
 func (e *Engine) activeOrAll(active []bool) []bool {
 	if active != nil {
 		return active
 	}
-	return e.allMask
+	return e.shared.allMask
 }
 
 // InvalidateCLVs clears all CLV orientations, forcing the next traversal to
@@ -339,19 +335,14 @@ func (e *Engine) activeOrAll(active []bool) []bool {
 func (e *Engine) InvalidateCLVs() { e.Tree.ClearX() }
 
 // LogLikelihood runs a full traversal to the canonical virtual root (the
-// branch at tip 0) and evaluates the total log likelihood over all
-// partitions. It is the plain "compute the score of this tree" entry point.
-func (e *Engine) LogLikelihood() float64 {
+// branch at tip 0) and returns the total log likelihood over all partitions
+// under the dataset's own weights; per, when non-nil (NumPartitions
+// entries), receives the per-partition values. It is the plain "compute the
+// score of this tree" entry point.
+func (e *Engine) LogLikelihood(per []float64) float64 {
 	root := e.Tree.Tips[0].Back
-	e.Traverse(root, false, nil)
-	total, _ := e.Evaluate(root, nil)
-	return total
-}
-
-// PartitionLogLikelihoods evaluates per-partition log likelihoods at the
-// canonical root after a full traversal.
-func (e *Engine) PartitionLogLikelihoods() (float64, []float64) {
-	root := e.Tree.Tips[0].Back
-	e.Traverse(root, false, nil)
-	return e.Evaluate(root, nil)
+	e.TraverseRoot(root, false, nil)
+	var lnl [1]float64
+	e.Evaluate(root, nil, nil, lnl[:], per)
+	return lnl[0]
 }

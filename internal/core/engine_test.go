@@ -245,7 +245,7 @@ func TestEngineMatchesBruteForceDNA(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, int64(n), parallel.NewSequential())
-		got := eng.LogLikelihood()
+		got := eng.LogLikelihood(nil)
 		want := bruteLogLikelihood(tr, d.Parts[0], m, 0)
 		if math.Abs(got-want) > 1e-7*math.Abs(want) {
 			t.Errorf("n=%d: engine lnL = %.10f, brute force = %.10f", n, got, want)
@@ -260,7 +260,7 @@ func TestEngineMatchesBruteForceAA(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng, d, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.AA, ""), []*model.Model{m}, 1, 5, parallel.NewSequential())
-	got := eng.LogLikelihood()
+	got := eng.LogLikelihood(nil)
 	want := bruteLogLikelihood(tr, d.Parts[0], m, 0)
 	if math.Abs(got-want) > 1e-7*math.Abs(want) {
 		t.Errorf("engine lnL = %.10f, brute force = %.10f", got, want)
@@ -283,7 +283,8 @@ func TestEngineMatchesBruteForceMultiPartition(t *testing.T) {
 		tree.SetBranchLength(b, 1, 0.02+rng.Float64()*0.3)
 	}
 	eng.InvalidateCLVs()
-	total, perPart := eng.PartitionLogLikelihoods()
+	perPart := make([]float64, eng.NumPartitions())
+	total := eng.LogLikelihood(perPart)
 	want0 := bruteLogLikelihood(tr, d.Parts[0], m0, 0)
 	want1 := bruteLogLikelihood(tr, d.Parts[1], m1, 1)
 	if math.Abs(perPart[0]-want0) > 1e-7*math.Abs(want0) {
@@ -302,7 +303,7 @@ func TestPulleyPrinciple(t *testing.T) {
 	a := randomAlignment(t, 8, 60, alignment.DNA, 17)
 	m, _ := model.GTR([]float64{0.27, 0.23, 0.24, 0.26}, []float64{0.8, 2.2, 1.4, 0.9, 2.9, 1}, 4, 0.8)
 	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 31, parallel.NewSequential())
-	ref := eng.LogLikelihood()
+	ref := eng.LogLikelihood(nil)
 	for bi, b := range tr.Branches() {
 		root := b
 		if root.IsTip() {
@@ -312,7 +313,7 @@ func TestPulleyPrinciple(t *testing.T) {
 			continue
 		}
 		eng.TraverseRoot(root, true, nil)
-		got, _ := eng.Evaluate(root, nil)
+		got, _ := evaluate1(eng, root, nil)
 		if math.Abs(got-ref) > 1e-8*math.Abs(ref) {
 			t.Errorf("branch %d: lnL %.10f != reference %.10f", bi, got, ref)
 		}
@@ -331,7 +332,7 @@ func TestParallelEquivalence(t *testing.T) {
 		models[i] = m
 	}
 	seqEng, _, _ := mkEngine(t, a, parts, models, 1, 77, parallel.NewSequential())
-	ref := seqEng.LogLikelihood()
+	ref := seqEng.LogLikelihood(nil)
 	for _, mk := range []struct {
 		name string
 		mk   func() (*parallel.Pool, error)
@@ -351,7 +352,7 @@ func TestParallelEquivalence(t *testing.T) {
 			cl[i] = m.Clone()
 		}
 		eng, _, _ := mkEngine(t, a, parts, cl, 1, 77, ex)
-		got := eng.LogLikelihood()
+		got := eng.LogLikelihood(nil)
 		if math.Abs(got-ref) > 1e-9*math.Abs(ref) {
 			t.Errorf("%s: lnL %.12f != sequential %.12f", mk.name, got, ref)
 		}
@@ -378,7 +379,7 @@ func TestScalingTriggersAndStaysCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := eng.LogLikelihood()
+	got := eng.LogLikelihood(nil)
 	if err := CheckFinite(got); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +415,7 @@ func TestSpecializeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, b1 := fast.LogLikelihood(), slow.LogLikelihood()
+	a1, b1 := fast.LogLikelihood(nil), slow.LogLikelihood(nil)
 	if a1 != b1 {
 		t.Errorf("specialized %v != generic %v", a1, b1)
 	}
@@ -434,7 +435,7 @@ func TestBranchDerivativesMatchFiniteDifferences(t *testing.T) {
 	d2 := make([]float64, nParts)
 	for _, z0 := range []float64{0.05, 0.15, 0.6} {
 		zs := []float64{z0, z0 * 1.5}
-		eng.BranchDerivatives(zs, nil, d1, d2)
+		eng.BranchDerivatives(zs, nil, nil, d1, d2)
 		// Finite differences of the per-partition lnL as a function of the
 		// root branch length (CLVs at both ends are independent of it).
 		// h must stay well above the cancellation floor of the second
@@ -445,7 +446,7 @@ func TestBranchDerivativesMatchFiniteDifferences(t *testing.T) {
 			lnl := func(z float64) float64 {
 				old := root.Z[ip]
 				tree.SetBranchLength(root, ip, z)
-				_, per := eng.Evaluate(root, nil)
+				_, per := evaluate1(eng, root, nil)
 				tree.SetBranchLength(root, ip, old)
 				return per[ip]
 			}
@@ -471,11 +472,11 @@ func TestActiveMaskRestrictsWork(t *testing.T) {
 		models[i], _ = model.GTR(nil, nil, 4, 1)
 	}
 	eng, _, tr := mkEngine(t, a, parts, models, 1, 9, parallel.NewSequential())
-	ref := eng.LogLikelihood()
-	_, perAll := eng.Evaluate(tr.Tips[0].Back, nil)
+	ref := eng.LogLikelihood(nil)
+	_, perAll := evaluate1(eng, tr.Tips[0].Back, nil)
 	mask := make([]bool, len(parts))
 	mask[1] = true
-	total, per := eng.Evaluate(tr.Tips[0].Back, mask)
+	total, per := evaluate1(eng, tr.Tips[0].Back, mask)
 	if math.Abs(total-perAll[1]) > 1e-12*math.Abs(perAll[1]) {
 		t.Errorf("masked eval total %v != partition lnL %v", total, perAll[1])
 	}
@@ -497,7 +498,7 @@ func TestSiteLogLikelihoodsSumToTotal(t *testing.T) {
 	a := randomAlignment(t, 7, 33, alignment.DNA, 61)
 	m, _ := model.GTR(nil, nil, 4, 0.9)
 	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 3, parallel.NewSequential())
-	total := eng.LogLikelihood()
+	total := eng.LogLikelihood(nil)
 	site := eng.SiteLogLikelihoods(0)
 	sum := 0.0
 	for j, v := range site {
@@ -514,12 +515,12 @@ func TestGammaConvergesToHomogeneous(t *testing.T) {
 	a := randomAlignment(t, 6, 40, alignment.DNA, 77)
 	m1, _ := model.GTR(nil, nil, 1, 1)
 	e1, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m1}, 1, 19, parallel.NewSequential())
-	l1 := e1.LogLikelihood()
+	l1 := e1.LogLikelihood(nil)
 	var prevGap float64
 	for i, alpha := range []float64{0.5, 5, 99} {
 		m4, _ := model.GTR(nil, nil, 4, alpha)
 		e4, _, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m4}, 1, 19, parallel.NewSequential())
-		gap := math.Abs(e4.LogLikelihood() - l1)
+		gap := math.Abs(e4.LogLikelihood(nil) - l1)
 		if i > 0 && gap > prevGap {
 			t.Errorf("alpha=%v: gap %v did not shrink from %v", alpha, gap, prevGap)
 		}
@@ -576,7 +577,7 @@ func TestPartialTraversalMatchesFull(t *testing.T) {
 	a := randomAlignment(t, 12, 70, alignment.DNA, 5)
 	m, _ := model.GTR(nil, nil, 4, 0.8)
 	eng, _, tr := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 6, parallel.NewSequential())
-	ref := eng.LogLikelihood()
+	ref := eng.LogLikelihood(nil)
 	// Evaluate at every internal branch using partial traversals only; the
 	// incremental updates must agree with the full recomputation.
 	for _, b := range tr.Branches() {
@@ -588,14 +589,14 @@ func TestPartialTraversalMatchesFull(t *testing.T) {
 			continue
 		}
 		eng.TraverseRoot(root, true, nil)
-		got, _ := eng.Evaluate(root, nil)
+		got, _ := evaluate1(eng, root, nil)
 		if math.Abs(got-ref) > 1e-8*math.Abs(ref) {
 			t.Fatalf("partial traversal drifted: %v vs %v", got, ref)
 		}
 	}
 	// Full invalidation and recomputation returns the same value.
 	eng.InvalidateCLVs()
-	if got := eng.LogLikelihood(); math.Abs(got-ref) > 1e-9*math.Abs(ref) {
+	if got := eng.LogLikelihood(nil); math.Abs(got-ref) > 1e-9*math.Abs(ref) {
 		t.Errorf("full recomputation %v != %v", got, ref)
 	}
 }
@@ -624,7 +625,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lnl := eng.LogLikelihood()
+		lnl := eng.LogLikelihood(nil)
 		if math.IsNaN(lnl) || math.IsInf(lnl, 0) || lnl > 1e-9 {
 			return false
 		}
@@ -638,7 +639,7 @@ func TestEngineQuickProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lnl2 := eng2.LogLikelihood()
+		lnl2 := eng2.LogLikelihood(nil)
 		return math.Abs(lnl-lnl2) <= 1e-9*math.Abs(lnl)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -673,7 +674,7 @@ func TestScheduleStrategiesEquivalentNumerics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng.LogLikelihood()
+		return eng.LogLikelihood(nil)
 	}
 	cyc := mk(schedule.Cyclic)
 	for _, strat := range []schedule.Strategy{schedule.Block, schedule.Weighted} {
@@ -712,9 +713,9 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		mask := make([]bool, len(models))
 		mask[1] = true
 		root := tr.Tips[0].Back
-		eng.Traverse(root, false, nil)
+		eng.TraverseRoot(root, false, nil)
 		sim.Stats().Reset()
-		eng.Evaluate(root, mask)
+		evaluate1(eng, root, mask)
 		return sim.Stats().Imbalance(4)
 	}
 	cyc, blk := imbalance(schedule.Cyclic), imbalance(schedule.Block)
@@ -746,7 +747,7 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seqEng.LogLikelihood()
+	want := seqEng.LogLikelihood(nil)
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
 		sim, _ := parallel.NewSim(8)
 		sh, err := NewSharedWith(d, 4, 8, BackendAuto)
@@ -767,7 +768,7 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 		if pred := sched.Imbalance(); pred < float64(8)/float64(d.TotalPatterns)-1e-9 {
 			t.Errorf("%v: static imbalance %v below the T/patterns floor", strat, pred)
 		}
-		if got := eng.LogLikelihood(); got != want {
+		if got := eng.LogLikelihood(nil); got != want {
 			t.Errorf("%v with 8 threads on %d patterns: lnL %v != sequential %v", strat, d.TotalPatterns, got, want)
 		}
 		st := sim.Stats()
@@ -824,7 +825,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.LogLikelihood()
+	want := ref.LogLikelihood(nil)
 
 	// Shared state + shared pool, several concurrent sessions.
 	sh, err := NewSharedWith(d, 4, 3, BackendAuto)
@@ -854,7 +855,7 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 		wg.Add(1)
 		go func(i int, eng *Engine) {
 			defer wg.Done()
-			got[i] = eng.LogLikelihood()
+			got[i] = eng.LogLikelihood(nil)
 		}(i, eng)
 	}
 	wg.Wait()
@@ -870,4 +871,13 @@ func TestSharedSessionsMatchStandalone(t *testing.T) {
 	if _, err := NewSession(sh, tr1, mkModels(), seq, Options{}); err == nil {
 		t.Error("expected error for executor/shared thread mismatch")
 	}
+}
+
+// evaluate1 is Evaluate under the dataset's own weights, returning the total
+// and the per-partition values.
+func evaluate1(e *Engine, p *tree.Node, active []bool) (float64, []float64) {
+	var lnl [1]float64
+	per := make([]float64, e.NumPartitions())
+	e.Evaluate(p, active, nil, lnl[:], per)
+	return lnl[0], per
 }

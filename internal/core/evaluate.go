@@ -11,55 +11,64 @@ import (
 	"phylo/internal/tree"
 )
 
-// Evaluate computes the log likelihood at the virtual root placed on the
-// branch (p, p.Back). Both end CLVs must already be valid and oriented
-// towards the branch (use TraverseRoot). It returns the total over active
-// partitions and the per-partition values (zero entries for masked
-// partitions). The per-pattern reduction is one parallel region — the
-// width-1 case of evaluateLanes over the dataset's own weights (or the
-// session's override); the per-partition sums are what the newPAR optimizers
-// consume.
-func (e *Engine) Evaluate(p *tree.Node, active []bool) (float64, []float64) {
-	act := e.activeOrAll(active)
-	perPart := e.evaluateLanes(p, act, e.ownWeights())
-	total := 0.0
-	for ip, v := range perPart {
-		if act[ip] {
-			total += v
-		}
-	}
-	return total, perPart
-}
-
-// evaluateLanes is the evaluate region: every site log likelihood of the
-// active partitions is computed once and reduced under all R replicate
-// weights of ws into per-(chunk, lane) partial sums, which the master then
-// reduces in fixed chunk-id order (see the determinism argument in
-// chunkexec.go). It returns the per-partition lane sums, indexed
-// [partition*R + replicate]; masked partitions stay zero.
-func (e *Engine) evaluateLanes(p *tree.Node, act []bool, ws *WeightSet) []float64 {
+// Evaluate computes the log likelihoods at the virtual root placed on the
+// branch (p, p.Back) under the R replicate weight vectors of ws (nil: the
+// dataset's own weights, R = 1). Both end CLVs must already be valid and
+// oriented towards the branch (use TraverseRoot); pattern likelihoods do not
+// depend on weights, so one traversal serves every replicate. The per-pattern
+// reduction is one parallel region: every site log likelihood of the active
+// partitions is computed once and reduced under all R weights into
+// per-(chunk, lane) partial sums, which the master then reduces in fixed
+// chunk-id order (see the determinism argument in chunkexec.go). Results land
+// in caller-owned buffers, either of which may be nil: lnl (R entries) gets
+// each replicate's total over the active partitions, per (NumPartitions*R,
+// indexed [partition*R + replicate]) the per-partition values, zero for
+// masked partitions — what the newPAR optimizers consume.
+func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per []float64) {
 	if p.IsTip() && p.Back.IsTip() {
 		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
 	}
+	ws = e.weights(ws)
+	R, np := ws.r, len(e.Data.Parts)
+	if lnl != nil && len(lnl) != R || per != nil && len(per) != np*R {
+		panic(fmt.Sprintf("core: evaluate buffers have %d/%d entries, want %d/%d (replicates, partitions x replicates)", len(lnl), len(per), R, np*R))
+	}
+	if per == nil {
+		per = grow(&e.lanes, np*R)
+	}
+	if R > 1 && e.obsBatchWidth != nil {
+		e.obsBatchWidth.Set(float64(R))
+	}
+	act := e.activeOrAll(active)
 	lay := e.chunks
-	R := ws.r
 	n := lay.NumChunks()
-	buf := chunkPartials(&e.evalChunk, n*R)
+	buf := grow(&e.evalChunk, n*R)
 	e.runRegion(region{kind: parallel.RegionEvaluate, p: p, ws: ws, out: buf, lanes: R}, act)
-	perPart := make([]float64, len(e.Data.Parts)*R)
+	clear(per)
 	for id := 0; id < n; id++ {
 		sp := lay.Chunk(id).Span
 		for r := 0; r < R; r++ {
-			perPart[sp*R+r] += buf[id*R+r]
+			per[sp*R+r] += buf[id*R+r]
 		}
 	}
-	return perPart
+	if lnl == nil {
+		return
+	}
+	clear(lnl)
+	for ip := range e.Data.Parts {
+		if !act[ip] {
+			continue
+		}
+		for r := range lnl {
+			lnl[r] += per[ip*R+r]
+		}
+	}
 }
 
-// patternLi is the per-pattern evaluate kernel shared by the parallel
-// reduction and SiteLogLikelihoods: the (unnormalized) sum-over-categories
-// site likelihood before the log and the scaling-exponent correction, read
-// across the category planes. When the q-side tip table is built, its row
+// patternLi is the per-pattern evaluate kernel of the generic body and of
+// the serial per-site sweep core's tests compare the bodies with: the
+// (unnormalized) sum-over-categories site likelihood before the log and the
+// scaling-exponent correction, read across the category planes. When the q-side tip table is built, its row
 // already holds the P applications; otherwise one applyP per category forms
 // them. The accumulation runs in (cat asc, state asc) order — the order every
 // backend must preserve for bit-identity.
@@ -170,9 +179,9 @@ func (c *spanCtx) sites(v []float64, i0, step int) {
 	SiteLogs(v, e, c.invCats)
 }
 
-// SiteLogs is the site tail of every evaluate body and of
-// SiteLogLikelihoods: it turns raw category-summed likelihoods into site log
-// likelihoods in place, v[k] = log(v[k]·invCats) + sc[k]·ln(2^-256), where
+// SiteLogs is the site tail of every evaluate body: it turns raw
+// category-summed likelihoods into site log likelihoods in place,
+// v[k] = log(v[k]·invCats) + sc[k]·ln(2^-256), where
 // sc[k] is pattern k's scaling exponent summed over both branch ends and a
 // normalized likelihood that is not positive, or NaN, is clamped to the
 // smallest subnormal. The logs of whole quartets run on a 4-lane kernel where
@@ -203,37 +212,6 @@ func SiteLogs(v []float64, sc []int32, invCats float64) {
 // SiteLogKernel is SiteLogs' 4-lane log, sitelog_amd64.s: its integer steps
 // are AVX2.
 var SiteLogKernel = cpufeat.NewKernel("site log (AVX2)", cpufeat.AVX2)
-
-// SiteLogLikelihoods returns the per-pattern log likelihoods (unweighted) of
-// one partition at the canonical root; primarily a debugging and testing
-// aid. It routes every pattern through the same span binding and kernel (layout
-// strides, tip table decision, site pass) as the parallel reduction, so it
-// cannot drift from the parallel path on any backend: the stride-aware generic
-// body and the fused body accumulate in the same order, so their site values
-// are bit-identical and one serial sweep serves every backend.
-func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
-	root := e.Tree.Tips[0].Back
-	e.Traverse(root, false, nil)
-	if root.IsTip() && root.Back.IsTip() {
-		panic("core: degenerate two-taxon tree")
-	}
-	part := e.Data.Parts[ip]
-	out := make([]float64, part.PatternCount)
-	// Runs outside any region, so worker 0's record is free to borrow; the
-	// counters a bind bumps go nowhere.
-	c := &e.workers[0].span
-	c.bind(&region{kind: parallel.RegionEvaluate, p: root}, 0, ip, new(parallel.WorkerCtx))
-	c.ensureTables(part.PatternCount)
-	for lo := 0; lo < part.PatternCount; lo += siteBlock {
-		v := out[lo:min(part.PatternCount, lo+siteBlock)]
-		for k := range v {
-			j := lo + k
-			v[k] = c.patternLi(j, c.base+j*c.s)
-		}
-		c.sites(v, part.Offset+lo, 1)
-	}
-	return out
-}
 
 // CheckFinite validates that a log likelihood is a usable number; the
 // optimizers call it to fail fast on numerical corruption.

@@ -68,8 +68,8 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	t.Helper()
 	eng.InvalidateCLVs()
 	root := eng.Tree.Tips[0].Back
-	eng.Traverse(root, false, nil)
-	lnl, perPart := eng.Evaluate(root, nil)
+	eng.TraverseRoot(root, false, nil)
+	lnl, perPart := evaluate1(eng, root, nil)
 	eng.TraverseRoot(root, false, nil)
 	eng.PrepareSumtable(root, nil)
 	nP := eng.NumPartitions()
@@ -79,7 +79,7 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	}
 	d1 := make([]float64, nP)
 	d2 := make([]float64, nP)
-	eng.BranchDerivatives(z, nil, d1, d2)
+	eng.BranchDerivatives(z, nil, nil, d1, d2)
 	return evalResult{lnl: lnl, perPart: append([]float64(nil), perPart...), d1: d1, d2: d2}
 }
 
@@ -261,10 +261,10 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				root := tr.Tips[0].Back
-				steps := tree.ComputeTraversal(root, false)
+				steps := tree.ComputeTraversal(nil, root, false)
 				for _, mask := range masks {
 					active := func(sp int) bool { return mask == nil || mask[sp] }
-					eng.ExecuteSteps(steps, mask)
+					eng.executeSteps(steps, mask)
 					for w := 0; w < threads; w++ {
 						patterns, binds, last := 0, 0, -1
 						for _, id := range lay.Owned(w) {
@@ -284,7 +284,7 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 							t.Errorf("%s mask %v: worker %d bound %v spans over %d steps, want %v", name, mask, w, got, len(steps), want)
 						}
 					}
-					eng.Evaluate(root, mask)
+					evaluate1(eng, root, mask)
 					for id := 0; id < lay.NumChunks(); id++ {
 						c := lay.Chunk(id)
 						if ran := eng.evalChunk[id] != 0; ran != (active(c.Span) && c.Run().Len() > 0) {

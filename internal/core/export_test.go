@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"unsafe"
+
+	"phylo/internal/parallel"
+	"phylo/internal/tree"
 )
 
 // Seams for recycle_test.go, which lives in package core_test because it
@@ -85,3 +88,41 @@ func (e *Engine) BufferSet() any { return e.sessionBuffers }
 
 // HasSumtable reports whether the session's set carries a sumtable yet.
 func (e *Engine) HasSumtable() bool { return e.sumtable != nil }
+
+// SiteLogLikelihoods returns the per-pattern log likelihoods (unweighted) of
+// one partition at the canonical root, one serial sweep the kernel tests
+// compare the bodies and the parallel reduction with. It routes every pattern through the same span binding and kernel (layout
+// strides, tip table decision, site pass) as the parallel reduction, so it
+// cannot drift from the parallel path on any backend: the stride-aware generic
+// body and the fused body accumulate in the same order, so their site values
+// are bit-identical and one serial sweep serves every backend.
+func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
+	root := e.Tree.Tips[0].Back
+	e.TraverseRoot(root, false, nil)
+	if root.IsTip() && root.Back.IsTip() {
+		panic("core: degenerate two-taxon tree")
+	}
+	part := e.Data.Parts[ip]
+	out := make([]float64, part.PatternCount)
+	// Runs outside any region, so worker 0's record is free to borrow; the
+	// counters a bind bumps go nowhere.
+	c := &e.workers[0].span
+	c.bind(&region{kind: parallel.RegionEvaluate, p: root}, 0, ip, new(parallel.WorkerCtx))
+	c.ensureTables(part.PatternCount)
+	for lo := 0; lo < part.PatternCount; lo += siteBlock {
+		v := out[lo:min(part.PatternCount, lo+siteBlock)]
+		for k := range v {
+			j := lo + k
+			v[k] = c.patternLi(j, c.base+j*c.s)
+		}
+		c.sites(v, part.Offset+lo, 1)
+	}
+	return out
+}
+
+// executeSteps runs a hand-built step list (a swapped child pair, one step of
+// a longer traversal) as one newview region.
+func (e *Engine) executeSteps(steps []tree.TraversalStep, active []bool) {
+	e.steps = append(e.steps[:0], steps...)
+	e.newview(active)
+}

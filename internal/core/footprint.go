@@ -23,7 +23,8 @@ import (
 // chunk layout over it, plus the estimated bytes of one session draining that
 // layout. All figures count the large flat buffers and tables; per-object Go
 // runtime overhead (slice headers, map buckets, goroutine stacks) is not
-// modelled.
+// modelled, nor are a session's step list and lane sums (24 bytes an inner
+// node, 8 a partition and replicate).
 type MemoryFootprint struct {
 	// CompressedAlignment covers the pattern-compressed dataset: encoded tip
 	// codes ([taxon][pattern] bytes), pattern weights (per partition and as

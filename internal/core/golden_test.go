@@ -140,8 +140,8 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	var res goldenResults
 
 	root := tr.Tips[0].Back
-	eng.Traverse(root, false, nil)
-	lnl, perPart := eng.Evaluate(root, mask)
+	eng.TraverseRoot(root, false, nil)
+	lnl, perPart := evaluate1(eng, root, mask)
 	res.lnl = bits(lnl)
 	for i, v := range perPart {
 		res.perPart[i] = bits(v)
@@ -153,17 +153,17 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 			far = b
 		}
 	}
-	steps := tree.RootTraversal(far, true)
+	steps := tree.RootTraversal(nil, far, true)
 	if len(steps) < 3 {
 		t.Fatalf("partial traversal to the far branch has %d steps; fixture misconfigured", len(steps))
 	}
-	eng.ExecuteSteps(steps, mask)
-	lnlFar, _ := eng.Evaluate(far, mask)
+	eng.executeSteps(steps, mask)
+	lnlFar, _ := evaluate1(eng, far, mask)
 	res.lnlFar = bits(lnlFar)
 	eng.PrepareSumtable(far, mask)
 	z := []float64{0.2, 0.2, 0.2}
 	d1, d2 := make([]float64, 3), make([]float64, 3)
-	eng.BranchDerivatives(z, mask, d1, d2)
+	eng.BranchDerivatives(z, mask, nil, d1, d2)
 	for i := range d1 {
 		res.d1[i], res.d2[i] = bits(d1[i]), bits(d2[i])
 	}
@@ -172,14 +172,10 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals, err := eng.EvaluateBatch(far, mask, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals := make([]float64, 3)
+	eng.Evaluate(far, mask, ws, totals, nil)
 	bd1, bd2 := make([]float64, 9), make([]float64, 9)
-	if err := eng.BranchDerivativesBatch(z, mask, ws, bd1, bd2); err != nil {
-		t.Fatal(err)
-	}
+	eng.BranchDerivatives(z, mask, ws, bd1, bd2)
 	h := uint64(14695981039346656037)
 	for _, vs := range [][]float64{totals, bd1, bd2} {
 		for _, v := range vs {

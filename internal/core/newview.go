@@ -7,23 +7,31 @@ import (
 	"phylo/internal/tree"
 )
 
-// Traverse establishes a valid CLV at record p (oriented towards p.Back) by
+// TraverseRoot validates the CLVs at both ends of the branch (p, p.Back) by
 // executing the necessary newview steps in a single parallel region — the
 // whole traversal descriptor is fanned out once and ends in one barrier,
 // exactly as in RAxML's Pthreads design. With partial true, only stale CLVs
 // are recomputed (the paper's partial traversals after local changes).
 // active masks the partitions to update (nil = all); masked partitions keep
-// their previous CLV contents.
-func (e *Engine) Traverse(p *tree.Node, partial bool, active []bool) {
-	e.ExecuteSteps(tree.ComputeTraversal(p, partial), active)
-}
-
-// TraverseRoot validates the CLVs at both ends of the branch (p, p.Back).
+// their previous CLV contents. The steps are listed into the session's one
+// step buffer, which holds a whole traversal: a traversal allocates nothing.
 func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
-	e.ExecuteSteps(tree.RootTraversal(p, partial), active)
+	e.steps = tree.RootTraversal(e.steps[:0], p, partial)
+	e.newview(active)
 }
 
-// ExecuteSteps executes a traversal descriptor in one parallel region (one
+// Newview recomputes the CLV at inner record p (oriented towards p.Back)
+// from its two children, whatever p's orientation flag says, in a newview
+// region of one step over every partition; the children must be valid. It
+// is the explicit single newview of lazy SPR insertion and of branch
+// smoothing's upward restore (RAxML's newviewGeneric).
+func (e *Engine) Newview(p *tree.Node) {
+	tree.OrientX(p)
+	e.steps = append(e.steps[:0], tree.TraversalStep{P: p, Q: p.Next.Back, R: p.Next.Next.Back})
+	e.newview(nil)
+}
+
+// newview executes the step list in e.steps in one parallel region (one
 // barrier at the end, as the paper's design requires). Every worker walks the
 // full step list and, per step, drains its chunks of the active partitions
 // (see drain in chunkexec.go); per span encounter it computes the two child
@@ -31,20 +39,12 @@ func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
 // computes P locally rather than paying an extra synchronization to share it.
 // With Specialize on, tip children whose owner's share amortizes a lookup
 // table (see tiptables.go) become O(cats·s) table-row reads instead of
-// O(cats·s²) P applications; all paths produce bit-identical CLVs. The
-// tree-search package issues hand-built single-step descriptors through this
-// entry point during SPR insertion trials.
-func (e *Engine) ExecuteSteps(steps []tree.TraversalStep, active []bool) {
-	if len(steps) == 0 {
+// O(cats·s²) P applications; all paths produce bit-identical CLVs.
+func (e *Engine) newview(active []bool) {
+	if len(e.steps) == 0 {
 		return
 	}
-	// Hand-built steps may bypass ComputeTraversal; keep the X orientation
-	// flags in sync with what is about to be computed (idempotent for steps
-	// that came from ComputeTraversal).
-	for _, st := range steps {
-		tree.OrientX(st.P)
-	}
-	e.runRegion(region{kind: parallel.RegionNewview, steps: steps}, e.activeOrAll(active))
+	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps}, active)
 }
 
 // applyRows is the generic bodies' P application to a 4-state block, whose

@@ -36,9 +36,8 @@ func obsGateEngine(t *testing.T, exec *parallel.Pool, opts Options) *Engine {
 // TestMetricsZeroAllocsOnNewviewRegion is the CI allocs gate for the
 // flush-at-region-boundary design: running the newview region loop with a
 // metrics collector attached must allocate exactly as much as running it
-// bare. Measured as a delta (not an absolute zero) because ExecuteSteps
-// itself allocates its region closure either way; the claim being pinned is
-// that metrics-on adds 0 allocs/op on top.
+// bare. The claim pinned is the delta, metrics-on adds 0 allocs/op; that the
+// bare traversal itself allocates nothing is TestRegionEntriesAllocFree's.
 func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 	run := func(observed bool) float64 {
 		exec := parallel.NewSequential()
@@ -48,10 +47,9 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 		}
 		eng := obsGateEngine(t, exec, Options{Specialize: true})
 		root := eng.Tree.Tips[0].Back
-		steps := tree.ComputeTraversal(root, false)
-		eng.ExecuteSteps(steps, nil) // warm up tables and one-time laziness
+		eng.TraverseRoot(root, false, nil) // warm up tables and one-time laziness
 		return testing.AllocsPerRun(50, func() {
-			eng.ExecuteSteps(steps, nil)
+			eng.TraverseRoot(root, false, nil)
 		})
 	}
 	bare := run(false)
@@ -69,14 +67,14 @@ func TestEngineObsFamilies(t *testing.T) {
 	exec := parallel.NewSequential()
 	exec.SetObserver(parallel.NewMetricsCollector(reg, "sequential", "generic", 1, nil))
 	eng := obsGateEngine(t, exec, Options{Specialize: true, Metrics: reg})
-	eng.LogLikelihood()
+	eng.LogLikelihood(nil)
 	ws, err := NewWeightSet(eng.Data, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.LogLikelihoodBatch(ws); err != nil {
-		t.Fatal(err)
-	}
+	root := eng.Tree.Tips[0].Back
+	eng.TraverseRoot(root, false, nil)
+	eng.Evaluate(root, nil, ws, make([]float64, 3), nil)
 	got := map[string]float64{}
 	for _, s := range reg.Snapshot() {
 		key := s.Name

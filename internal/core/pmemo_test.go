@@ -80,7 +80,7 @@ func (r *memoRig) bindBranch(label string, p *tree.Node, ip, w int) {
 // anyStep returns a newview step of the tree (its children's branch lengths
 // are the test's to overwrite).
 func (r *memoRig) anyStep() tree.TraversalStep {
-	return tree.ComputeTraversal(r.eng.Tree.Tips[0].Back, false)[0]
+	return tree.ComputeTraversal(nil, r.eng.Tree.Tips[0].Back, false)[0]
 }
 
 // collidingLengths returns two different branch lengths whose blocks share a
@@ -203,7 +203,7 @@ func TestTransitionMemoProperty(t *testing.T) {
 	e := r.eng
 	rng := rand.New(rand.NewSource(77))
 	branches := e.Tree.Branches()
-	steps := tree.ComputeTraversal(e.Tree.Tips[0].Back, false)
+	steps := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back, false)
 	nParts := len(e.Models)
 
 	for op := 0; op < 6000; op++ {
@@ -234,7 +234,7 @@ func TestTransitionMemoProperty(t *testing.T) {
 		}
 		if op%500 == 499 {
 			e.InvalidateCLVs()
-			got := e.LogLikelihood()
+			got := e.LogLikelihood(nil)
 			tr, err := e.Tree.Clone()
 			if err != nil {
 				t.Fatal(err)
@@ -248,7 +248,7 @@ func TestTransitionMemoProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := blank.LogLikelihood(); math.Float64bits(got) != math.Float64bits(want) {
+			if want := blank.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("op %d: lnL %v with the memo, %v from a session that remembers nothing", op, got, want)
 			}
 			sim.Close()

@@ -117,7 +117,7 @@ func (r *recycleRig) openOnPoisoned(smoothed bool) *core.Engine {
 	r.t.Helper()
 	for try := 0; try < 200; try++ {
 		prev := r.open()
-		prev.LogLikelihood()
+		prev.LogLikelihood(nil)
 		token := core.ReleasePoisoned(prev, smoothed)
 		eng := r.open()
 		if eng.BufferSet() == token {
@@ -179,7 +179,8 @@ func branchAndModelState(res *recycleResult, eng *core.Engine) {
 func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 	t.Helper()
 	var res recycleResult
-	lnl, perPart := eng.PartitionLogLikelihoods()
+	perPart := make([]float64, eng.NumPartitions())
+	lnl := eng.LogLikelihood(perPart)
 	res.add("lnL", lnl)
 	res.add("partLnL", perPart...)
 	for ip := 0; ip < eng.NumPartitions(); ip++ {
@@ -193,7 +194,7 @@ func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 	for i := range z {
 		z[i] = 0.2
 	}
-	eng.BranchDerivatives(z, nil, d1, d2)
+	eng.BranchDerivatives(z, nil, nil, d1, d2)
 	res.add("d1", d1...)
 	res.add("d2", d2...)
 	for _, strategy := range []opt.Strategy{opt.NewPar, opt.OldPar} {
@@ -222,7 +223,7 @@ func TestRecycledBuffersCannotReachAResult(t *testing.T) {
 
 				rig := newRecycleRig(t, d, models, backend, threads, perPart)
 				first := rig.open()
-				first.LogLikelihood()
+				first.LogLikelihood(nil)
 				first.Release()
 				eng := rig.openOnPoisoned(true)
 				requireSameBits(t, label, fresh, exerciseSession(t, eng))
@@ -252,7 +253,7 @@ func TestLazySumtableOnRecycledSet(t *testing.T) {
 
 		rig := newRecycleRig(t, d, models, backend, 3, true)
 		first := rig.open()
-		first.LogLikelihood()
+		first.LogLikelihood(nil)
 		if first.HasSumtable() {
 			t.Fatalf("%v: an evaluate-only session allocated a sumtable", backend)
 		}
@@ -275,7 +276,7 @@ func TestReleaseSemantics(t *testing.T) {
 	d, models := recycleData(t)
 	rig := newRecycleRig(t, d, models, core.BackendFused, 1, false)
 	eng := rig.open()
-	want := eng.LogLikelihood()
+	want := eng.LogLikelihood(nil)
 	eng.Release()
 	eng.Release()
 
@@ -284,10 +285,10 @@ func TestReleaseSemantics(t *testing.T) {
 	if a.BufferSet() == b.BufferSet() {
 		t.Fatal("two live sessions hold the same buffer set")
 	}
-	if got := a.LogLikelihood(); got != want {
+	if got := a.LogLikelihood(nil); got != want {
 		t.Fatalf("session on the released set: lnL %v, want %v", got, want)
 	}
-	if got := b.LogLikelihood(); got != want {
+	if got := b.LogLikelihood(nil); got != want {
 		t.Fatalf("second session: lnL %v, want %v", got, want)
 	}
 
@@ -298,6 +299,6 @@ func TestReleaseSemantics(t *testing.T) {
 			}
 		}()
 		eng.InvalidateCLVs()
-		eng.LogLikelihood()
+		eng.LogLikelihood(nil)
 	}()
 }

@@ -538,7 +538,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				c := eng.workers[0].span
 
 				seen := map[string]bool{}
-				steps := tree.ComputeTraversal(tr.Tips[0].Back, false)
+				steps := tree.ComputeTraversal(nil, tr.Tips[0].Back, false)
 				for si := range steps {
 					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, si, ip, &ctx)
 					c.ensureTables(part.PatternCount)

@@ -37,9 +37,11 @@ type Shared struct {
 
 	spans []schedule.Span // per-partition pattern ranges with op costs
 
+	allMask []bool // every partition active: what a nil activity mask means
+
 	// weights is the dataset's own pattern weights as a width-1 WeightSet:
-	// what Evaluate and BranchDerivatives reduce under when the session has
-	// no override, so "unbatched" is the R = 1 case of the lane reductions.
+	// what Evaluate and BranchDerivatives reduce under for a nil WeightSet,
+	// so "unbatched" is the R = 1 case of the lane reductions.
 	weights *WeightSet
 
 	// retired holds the sessionBuffers sets of released sessions for the next
@@ -70,6 +72,10 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 	if err != nil {
 		return nil, err
 	}
+	allMask := make([]bool, len(data.Parts))
+	for i := range allMask {
+		allMask[i] = true
+	}
 	sh := &Shared{
 		Data:    data,
 		NumCats: numCats,
@@ -77,6 +83,7 @@ func NewSharedWith(data *alignment.CompressedData, numCats, threads int, backend
 		Backend: resolved,
 		layout:  newCLVLayout(data.Parts, numCats, resolved),
 		spans:   make([]schedule.Span, len(data.Parts)),
+		allMask: allMask,
 	}
 	tipFrac := tipChildFrac(data.NumTaxa())
 	for i, p := range data.Parts {

@@ -31,7 +31,7 @@ func TestSiteLogLikelihoodsClampNonpositive(t *testing.T) {
 	for i := range m.Freqs {
 		m.Freqs[i] = 0
 	}
-	total := eng.LogLikelihood() // parallel-reduction path, clamps internally
+	total := eng.LogLikelihood(nil) // parallel-reduction path, clamps internally
 	site := eng.SiteLogLikelihoods(0)
 	sum := 0.0
 	for j, v := range site {
@@ -66,7 +66,7 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	eng.Exec.Stats().Reset()
 	d1 := make([]float64, 2)
 	d2 := make([]float64, 2)
-	eng.BranchDerivatives([]float64{0.1, 0.1}, nil, d1, d2)
+	eng.BranchDerivatives([]float64{0.1, 0.1}, nil, nil, d1, d2)
 	if d1[0] != 0 || d1[1] != 0 || d2[0] != 0 || d2[1] != 0 {
 		t.Fatalf("zeroed sumtable should contribute nothing: d1=%v d2=%v", d1, d2)
 	}
@@ -179,7 +179,7 @@ func TestSessionRefusesForeignLayout(t *testing.T) {
 	if eng.ChunkLayout() != explicit {
 		t.Error("the session does not drain the layout it was handed")
 	}
-	if a, b := def.LogLikelihood(), eng.LogLikelihood(); math.Float64bits(a) != math.Float64bits(b) {
+	if a, b := def.LogLikelihood(nil), eng.LogLikelihood(nil); math.Float64bits(a) != math.Float64bits(b) {
 		t.Errorf("nil Layout lnL %v, cyclic at the default chunk size %v", a, b)
 	}
 }

@@ -27,7 +27,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	p := e.Tree.Tips[3].Back // an inner end p and a tip end p.Back: both reductions tabulate the tip
 	e.TraverseRoot(p, false, nil)
 	e.PrepareSumtable(p, nil)
-	steps := tree.RootTraversal(p, false)
+	steps := tree.RootTraversal(nil, p, false)
 	si := -1
 	for i, st := range steps {
 		if st.Q.IsTip() || st.R.IsTip() {
@@ -42,7 +42,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	for ip := range z {
 		z[ip] = p.Z[e.slotOf(ip)]
 	}
-	ws := e.ownWeights()
+	ws := e.weights(nil)
 	e.gen++
 
 	c, f := &e.workers[0].span, new(spanCtx)
@@ -104,7 +104,8 @@ func TestSpanRebindsInPlace(t *testing.T) {
 // session has run every region kind, once under a WeightSet of its own, no
 // pointer reachable from a parked record may lead to the engine, into a
 // model's Freqs, EigenVecs or InvVecsT, into the WeightSet's lanes, or into
-// a CLV or scaling vector.
+// a CLV or scaling vector, and no step the parked step list has room for may
+// name a node of the session's tree.
 func TestReleasedSetKeepsNoSession(t *testing.T) {
 	sim, err := parallel.NewSim(3)
 	if err != nil {
@@ -117,18 +118,14 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	}
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root, false, nil)
-	if _, err := eng.EvaluateBatch(root, nil, ws); err != nil {
-		t.Fatal(err)
-	}
+	eng.Evaluate(root, nil, ws, nil, nil)
 	eng.PrepareSumtable(root, nil)
 	d := make([]float64, eng.NumPartitions()*ws.r)
 	z := make([]float64, eng.NumPartitions())
 	for ip := range z {
 		z[ip] = 0.1
 	}
-	if err := eng.BranchDerivativesBatch(z, nil, ws, d, slices.Clone(d)); err != nil {
-		t.Fatal(err)
-	}
+	eng.BranchDerivatives(z, nil, ws, d, slices.Clone(d))
 
 	// The session's memory, by the address range each object spans.
 	type object struct {
@@ -154,6 +151,9 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	for i := range eng.clvs {
 		add(fmt.Sprintf("CLV %d", i), unsafe.Pointer(unsafe.SliceData(eng.clvs[i])), 8*len(eng.clvs[i]))
 		add(fmt.Sprintf("scaling vector %d", i), unsafe.Pointer(unsafe.SliceData(eng.scales[i])), 4*len(eng.scales[i]))
+	}
+	for _, n := range eng.Tree.Records() {
+		add(fmt.Sprintf("tree record %d", n.Index), unsafe.Pointer(n), int(unsafe.Sizeof(*n)))
 	}
 
 	b := eng.sessionBuffers
@@ -208,4 +208,5 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	for w, rec := range b.workers {
 		walk(fmt.Sprintf("worker %d", w), reflect.ValueOf(rec))
 	}
+	walk("step list", reflect.ValueOf(b.steps[:cap(b.steps)]))
 }

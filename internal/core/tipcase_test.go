@@ -90,7 +90,7 @@ func TestTipCaseEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := randomAlignment(t, tc.taxa, tc.sites, tc.dtype, int64(tc.taxa)*100+int64(tc.cats))
 			spec, gen, _ := specAndGenericEngines(t, a, tc.dtype, tc.cats, 0.8, 41)
-			ls, lg := spec.LogLikelihood(), gen.LogLikelihood()
+			ls, lg := spec.LogLikelihood(nil), gen.LogLikelihood(nil)
 			if math.Abs(ls-lg) > 1e-12*math.Abs(lg) {
 				t.Errorf("total lnL: specialized %.15f vs generic %.15f", ls, lg)
 			}
@@ -129,7 +129,7 @@ func tipCaseDerivs(e *Engine, p *tree.Node) (float64, float64) {
 	z := []float64{p.Z[0]}
 	d1 := make([]float64, 1)
 	d2 := make([]float64, 1)
-	e.BranchDerivatives(z, nil, d1, d2)
+	e.BranchDerivatives(z, nil, nil, d1, d2)
 	return d1[0], d2[0]
 }
 
@@ -152,12 +152,12 @@ func TestTipCaseOrderings(t *testing.T) {
 			a := randomAlignment(t, tc.taxa, tc.sites, tc.dtype, 321)
 			spec, gen, _ := specAndGenericEngines(t, a, tc.dtype, 4, 0.9, 17)
 			// Valid CLVs everywhere first.
-			spec.LogLikelihood()
-			gen.LogLikelihood()
+			spec.LogLikelihood(nil)
+			gen.LogLikelihood(nil)
 			// Find a traversal step with exactly one tip child; the two
 			// engines share tree topology (same seed), so the step index is
 			// common.
-			steps := tree.ComputeTraversal(spec.Tree.Tips[0].Back, false)
+			steps := tree.ComputeTraversal(nil, spec.Tree.Tips[0].Back, false)
 			idx := -1
 			for i, st := range steps {
 				if st.Q.IsTip() != st.R.IsTip() {
@@ -169,15 +169,15 @@ func TestTipCaseOrderings(t *testing.T) {
 				t.Fatal("no mixed tip/inner step in traversal; fixture misconfigured")
 			}
 			stepOf := func(e *Engine, swap bool) []tree.TraversalStep {
-				st := tree.ComputeTraversal(e.Tree.Tips[0].Back, false)[idx]
+				st := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back, false)[idx]
 				if swap {
 					st.Q, st.R = st.R, st.Q
 				}
 				return []tree.TraversalStep{st}
 			}
 			for _, swap := range []bool{false, true} {
-				spec.ExecuteSteps(stepOf(spec, swap), nil)
-				gen.ExecuteSteps(stepOf(gen, swap), nil)
+				spec.executeSteps(stepOf(spec, swap), nil)
+				gen.executeSteps(stepOf(gen, swap), nil)
 				p := stepOf(spec, swap)[0].P
 				clvSpec, clvGen := spec.clv(p.Index), gen.clv(stepOf(gen, swap)[0].P.Index)
 				for k := range clvSpec {
@@ -204,7 +204,7 @@ func TestTipCaseScalingEquivalence(t *testing.T) {
 		}
 		e.InvalidateCLVs()
 	}
-	ls, lg := spec.LogLikelihood(), gen.LogLikelihood()
+	ls, lg := spec.LogLikelihood(nil), gen.LogLikelihood(nil)
 	if err := CheckFinite(ls); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Traverse(tr.Tips[0].Back, false, nil)
+		eng.TraverseRoot(tr.Tips[0].Back, false, nil)
 		return sim.Stats().TotalOps
 	}
 	whole := traversalOps(true, 0)
@@ -398,7 +398,7 @@ func TestTipAwareOpCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range tree.ComputeTraversal(tr.Tips[0].Back, false) {
+	for _, st := range tree.ComputeTraversal(nil, tr.Tips[0].Back, false) {
 		if !st.Q.IsTip() || !st.R.IsTip() {
 			continue
 		}
@@ -414,12 +414,12 @@ func TestTipAwareOpCosts(t *testing.T) {
 		if st.Q.Z[0] == st.R.Z[0] {
 			t.Fatal("fixture children share a branch length; the second block would be a reuse")
 		}
-		eng.ExecuteSteps([]tree.TraversalStep{st}, nil)
+		eng.executeSteps([]tree.TraversalStep{st}, nil)
 		bound := float64(part.PatternCount)*opsNewviewCase(4, 4, true, true) + opsTipTable(4, 4, terms)
 		if got, want := sim.Stats().TotalOps, bound+2*4*4*4*4; got != want {
 			t.Errorf("tip/tip step charged %v ops, want %v (%d table rows of %d terms built)", got, want, rows, terms)
 		}
-		eng.ExecuteSteps([]tree.TraversalStep{st}, nil)
+		eng.executeSteps([]tree.TraversalStep{st}, nil)
 		if got, want := sim.Stats().TotalOps, 2*bound+2*4*4*4*4; got != want {
 			t.Errorf("the step and its repeat charged %v ops, want %v (no P block computed twice)", got, want)
 		}

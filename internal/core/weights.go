@@ -19,7 +19,15 @@ import (
 // patterns, tip tables, CLV layout, schedules, and above all the newview
 // traversal itself: the conditional likelihood of a pattern does not depend
 // on its weight, so one traversal serves all R replicates and only the
-// final evaluate/derivative reductions fan out R-wide (see EvaluateBatch).
+// final evaluate/derivative reductions fan out R-wide.
+//
+// There is no separate batched driver or kernel: Evaluate and
+// BranchDerivatives take the WeightSet they reduce under as an argument (nil
+// is the dataset's own weights, a width-1 set the Shared holds), and lane r
+// of a batch performs exactly the floating-point sequence of a width-1 run
+// over replicate r's weights (same site values, same per-pattern multiply,
+// same per-chunk accumulation and fixed chunk-id reduction order), so lane r
+// of Evaluate(ws) is Evaluate(ws.Replicate(r)) bit for bit.
 
 // WeightSet is a batch of R per-pattern weight vectors over one dataset's
 // global pattern space. Weights are stored replicate-contiguous per pattern
@@ -99,10 +107,10 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 
 // UniformWeightSet returns a WeightSet of R copies of the dataset's original
 // pattern weights — the "no resampling" batch. At R = 1 it is what Evaluate
-// and BranchDerivatives reduce under (Shared holds one), so every lane of a
-// batched evaluation over it is bit-identical to the plain evaluation, which
-// makes it the bridge the bit-identity tests and the batched-vs-plain
-// benchmarks compare across.
+// and BranchDerivatives reduce under for a nil WeightSet (Shared holds one),
+// so every lane of a batched evaluation over it is bit-identical to the plain
+// evaluation, which makes it the bridge the bit-identity tests and the
+// batched-vs-plain benchmarks compare across.
 func UniformWeightSet(data *alignment.CompressedData, R int) (*WeightSet, error) {
 	ws, err := newWeightSet(data, R)
 	if err != nil {
@@ -171,4 +179,17 @@ func (ws *WeightSet) MemoryBytes() int64 { return int64(len(ws.w)) * 8 }
 // the view the span contexts bind.
 func (ws *WeightSet) lanes(offset int) []float64 {
 	return ws.w[offset*ws.r:]
+}
+
+// weights resolves the WeightSet a reduction runs under: nil is the
+// dataset's own weights, and a set over another pattern space is a caller's
+// bug (one handed weights from elsewhere checks NumPatterns first).
+func (e *Engine) weights(ws *WeightSet) *WeightSet {
+	if ws == nil {
+		return e.shared.weights
+	}
+	if ws.patterns != e.Data.TotalPatterns {
+		panic(fmt.Sprintf("core: weight set covers %d patterns, dataset has %d", ws.patterns, e.Data.TotalPatterns))
+	}
+	return ws
 }

@@ -41,7 +41,8 @@ type Optimizer struct {
 	// Scratch, indexed by partition: the loops allocate nothing of their own.
 	x      []float64 // abscissae under evaluation (branch lengths, Brent proposals)
 	d1, d2 []float64
-	mask   []bool // the group's partitions that are still unconverged
+	per    []float64 // a Brent step's per-partition log likelihoods
+	mask   []bool    // the group's partitions that are still unconverged
 	newts  []numeric.NewtonState
 	brents []numeric.BrentState
 
@@ -60,6 +61,7 @@ func New(e *core.Engine, cfg Config) *Optimizer {
 		x:      make([]float64, n),
 		d1:     make([]float64, n),
 		d2:     make([]float64, n),
+		per:    make([]float64, n),
 		mask:   make([]bool, n),
 		newts:  make([]numeric.NewtonState, n),
 		brents: make([]numeric.BrentState, n),
@@ -113,21 +115,17 @@ func (o *Optimizer) enter(g []int) {
 }
 
 // bind installs the cancellation context for subsequent loop checks (a nil
-// ctx means "never cancelled") and, when Cfg.Weights is set, installs the
-// replicate weight override on the engine so every region the optimizer
-// issues scores the weighted objective (the shared-branch-length bootstrap
-// mode; see Config.Weights). Weights the engine refuses (not width 1, or not
-// the dataset's pattern count) are an error, and nothing is installed.
+// ctx means "never cancelled") once Cfg.Weights, which every region the
+// optimizer issues reduces under, are known to be width 1 and fit the data.
 func (o *Optimizer) bind(ctx context.Context) error {
+	if w := o.Cfg.Weights; w != nil && (w.Replicates() != 1 || w.NumPatterns() != o.E.Data.TotalPatterns) {
+		return fmt.Errorf("opt: invalid Cfg.Weights: %d replicates over %d patterns, want 1 over the dataset's %d",
+			w.Replicates(), w.NumPatterns(), o.E.Data.TotalPatterns)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	o.ctx = ctx
-	if o.Cfg.Weights != nil {
-		if err := o.E.SetWeightOverride(o.Cfg.Weights); err != nil {
-			return fmt.Errorf("opt: invalid Cfg.Weights: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -201,7 +199,7 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
 		for _, ip := range g {
 			o.x[ip] = o.newts[e.BranchSlot(ip)].Point()
 		}
-		e.BranchDerivatives(o.x, o.mask, o.d1, o.d2)
+		e.BranchDerivatives(o.x, o.mask, o.Cfg.Weights, o.d1, o.d2)
 		if !e.PerPartitionBL {
 			// Fixed ascending partition order keeps the sum reproducible.
 			for _, ip := range g[1:] {
@@ -256,10 +254,17 @@ func (o *Optimizer) SmoothAll(ctx context.Context) (float64, error) {
 		// region pair buys an exact score for the partially smoothed tree.
 		e.InvalidateCLVs()
 	}
-	e.TraverseRoot(start, true, nil)
-	lnl, per := e.Evaluate(start, nil)
-	copy(o.score, per)
-	return lnl, nil
+	return o.scoreRoot(), nil
+}
+
+// scoreRoot recomputes the stale CLVs towards the canonical root and scores
+// the tree there under Cfg.Weights, per partition into o.score.
+func (o *Optimizer) scoreRoot() float64 {
+	root := o.E.Tree.Tips[0].Back
+	o.E.TraverseRoot(root, true, nil)
+	var lnl [1]float64
+	o.E.Evaluate(root, nil, o.Cfg.Weights, lnl[:], o.score)
+	return lnl[0]
 }
 
 // smoothRec optimizes the branch at p, then recursively all branches behind
@@ -280,7 +285,7 @@ func (o *Optimizer) smoothRec(p *tree.Node) float64 {
 	}
 	// Restore the upward CLV at q with a single newview (RAxML's trailing
 	// newviewGeneric); the children were just refreshed by the recursion.
-	o.E.ExecuteSteps([]tree.TraversalStep{{P: q, Q: q.Next.Back, R: q.Next.Next.Back}}, nil)
+	o.E.Newview(q)
 	return maxDelta
 }
 

@@ -81,19 +81,16 @@ type Config struct {
 
 	// Weights, if non-nil, makes every optimizer entry point run against this
 	// replicate weight vector instead of the dataset's own pattern weights:
-	// the width-1 WeightSet is installed on the engine (SetWeightOverride) the
-	// moment OptimizeModel or SmoothAll binds, and stays installed afterwards
-	// so the caller's follow-up evaluations score the same weighted objective.
-	// This is the shared-branch-length bootstrap mode: pass the batch's
+	// every evaluate and derivative region the optimizer issues reduces under
+	// it. This is the shared-branch-length bootstrap mode: pass the batch's
 	// WeightSet.Aggregate() and one optimization prices branch lengths against
 	// the exact sum of all R replicate objectives (the aggregate identity
 	// Σ_r Σ_p w_r[p]·log l_p = Σ_p W[p]·log l_p holds exactly because weights
-	// are integer column counts), after which EvaluateBatch splits the score
-	// back into per-replicate terms. A nil Weights leaves whatever override
-	// the engine already carries untouched — clearing is always the explicit
-	// SetWeightOverride(nil). The WeightSet must have batch width 1 and match
-	// the engine's pattern space; an invalid one panics at bind time, like any
-	// other structurally impossible configuration.
+	// are integer column counts), after which an Evaluate under the batch
+	// splits the score back into per-replicate terms. The WeightSet must
+	// have batch width 1 and match the engine's pattern space; OptimizeModel
+	// and SmoothAll return an error for one that does not, before any region
+	// runs.
 	Weights *core.WeightSet
 }
 

@@ -8,7 +8,6 @@ import (
 	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/numeric"
-	"phylo/internal/tree"
 )
 
 // Convergence control of the model optimizer (RAxML-like defaults).
@@ -47,19 +46,13 @@ func (o *Optimizer) optimizeRatesAll() error {
 	return nil
 }
 
-// brent optimizes one per-partition parameter, group by group. The tree
-// topology and root are fixed during model optimization, so the full
-// traversal list every Brent step re-executes is computed once.
+// brent optimizes one per-partition parameter, group by group.
 func (o *Optimizer) brent(par *brentParam) error {
-	if o.cancelled() {
-		return nil // before RootTraversal marks CLVs valid that no step would compute
-	}
-	steps := tree.RootTraversal(o.E.Tree.Tips[0].Back, false)
 	for _, g := range par.groups {
 		if o.cancelled() {
 			return nil
 		}
-		if err := o.brentGroup(par, g, steps); err != nil {
+		if err := o.brentGroup(par, g); err != nil {
 			return err
 		}
 	}
@@ -109,10 +102,11 @@ func (o *Optimizer) rateParam(ri int) brentParam {
 // evalPartitions re-traverses and evaluates the masked partitions at the
 // canonical root and returns per-partition log likelihoods: the region pair
 // of one Brent step. Only the masked partitions' CLV slices are recomputed.
-func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
-	o.E.ExecuteSteps(steps, o.mask)
-	_, per := o.E.Evaluate(o.E.Tree.Tips[0].Back, o.mask)
-	return per
+func (o *Optimizer) evalPartitions() []float64 {
+	root := o.E.Tree.Tips[0].Back
+	o.E.TraverseRoot(root, false, o.mask)
+	o.E.Evaluate(root, o.mask, o.Cfg.Weights, nil, o.per)
+	return o.per
 }
 
 // brentGroup runs Brent's method on one parameter over one partition group:
@@ -132,7 +126,7 @@ func (o *Optimizer) evalPartitions(steps []tree.TraversalStep) []float64 {
 // eigendecomposition, which ends the loop like a cancellation: the pin (to
 // values the model accepted before) and the closing pair run, then the error
 // is returned.
-func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalStep) error {
+func (o *Optimizer) brentGroup(par *brentParam, g []int) error {
 	o.enter(g)
 	for _, ip := range g {
 		o.brents[ip] = numeric.NewBrentState(par.lo, par.get(ip), par.hi, brentTol)
@@ -160,7 +154,7 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 		if remaining == 0 || err != nil {
 			break
 		}
-		per := o.evalPartitions(steps)
+		per := o.evalPartitions()
 		for _, ip := range g {
 			if o.mask[ip] {
 				o.brents[ip].Observe(o.x[ip], -per[ip])
@@ -182,7 +176,7 @@ func (o *Optimizer) brentGroup(par *brentParam, g []int, steps []tree.TraversalS
 		return nil
 	}
 	o.enter(g)
-	per := o.evalPartitions(steps)
+	per := o.evalPartitions()
 	for _, ip := range g {
 		o.score[ip] = per[ip] // the next parameter changes nothing these depend on
 	}
@@ -215,12 +209,12 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		if err == nil {
 			err = o.optimizeAlphas()
 		}
-		if err != nil {
-			return o.E.LogLikelihood(), rounds, err
-		}
-		// The solves left the CLVs at their last proposals (brentGroup):
-		// SmoothAll's first traversal recomputes them, one region a round.
+		// The solves left the CLVs at their last proposals (brentGroup): the
+		// next traversal recomputes them, one region a round.
 		o.E.InvalidateCLVs()
+		if err != nil {
+			return o.scoreRoot(), rounds, err
+		}
 		cur, err := o.SmoothAll(ctx)
 		if err != nil {
 			return cur, rounds, err

@@ -106,10 +106,10 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 	for _, perPart := range []bool{false, true} {
 		fx := buildFixture(t, 8, 60, 20, perPart, parallel.NewSequential(), 11)
 		o := New(fx.eng, DefaultConfig(NewPar))
-		before := fx.eng.LogLikelihood()
+		before := fx.eng.LogLikelihood(nil)
 		root := fx.tr.Tips[0].Back
 		o.OptimizeBranch(root)
-		after, _ := fx.eng.Evaluate(root, nil)
+		after := fx.eng.LogLikelihood(nil)
 		if after < before-1e-9 {
 			t.Errorf("perPart=%v: lnL decreased %v -> %v", perPart, before, after)
 		}
@@ -122,7 +122,7 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 		}
 		d1 := make([]float64, n)
 		d2 := make([]float64, n)
-		fx.eng.BranchDerivatives(zs, nil, d1, d2)
+		fx.eng.BranchDerivatives(zs, nil, nil, d1, d2)
 		if perPart {
 			for ip := 0; ip < n; ip++ {
 				if math.Abs(d1[ip]) > 1e-2 && zs[ip] > tree.MinBranchLen*2 && zs[ip] < tree.MaxBranchLen/2 {
@@ -291,7 +291,7 @@ func TestJointBLStrategiesIdentical(t *testing.T) {
 func TestSmoothAllMonotone(t *testing.T) {
 	fx := buildFixture(t, 12, 100, 25, true, parallel.NewSequential(), 3)
 	o := New(fx.eng, DefaultConfig(NewPar))
-	prev := fx.eng.LogLikelihood()
+	prev := fx.eng.LogLikelihood(nil)
 	for pass := 0; pass < 3; pass++ {
 		cur := smooth(t, o, context.Background())
 		if cur < prev-1e-6 {
@@ -310,7 +310,7 @@ func TestOptimizeAlphasImproves(t *testing.T) {
 		o := New(fx.eng, DefaultConfig(strat))
 		before := smooth(t, o, context.Background())
 		o.optimizeAlphas()
-		after := fx.eng.LogLikelihood()
+		after := fx.eng.LogLikelihood(nil)
 		if after < before-1e-9 {
 			t.Errorf("%v: alpha optimization decreased lnL %v -> %v", strat, before, after)
 		}
@@ -325,7 +325,7 @@ func TestOptimizeAlphasStrategiesAgree(t *testing.T) {
 	smooth(t, oNew, context.Background())
 	oOld.optimizeAlphas()
 	oNew.optimizeAlphas()
-	requireSameLnL(t, "lnL after alpha optimization", fxOld.eng.LogLikelihood(), fxNew.eng.LogLikelihood())
+	requireSameLnL(t, "lnL after alpha optimization", fxOld.eng.LogLikelihood(nil), fxNew.eng.LogLikelihood(nil))
 	requireSameState(t, fxOld, fxNew)
 }
 
@@ -337,18 +337,18 @@ func TestOptimizeRatesImprovesAndAgrees(t *testing.T) {
 	smooth(t, oNew, context.Background())
 	oOld.optimizeRatesAll()
 	oNew.optimizeRatesAll()
-	afterOld := fxOld.eng.LogLikelihood()
+	afterOld := fxOld.eng.LogLikelihood(nil)
 	if afterOld < before-1e-9 {
 		t.Errorf("rate optimization decreased lnL %v -> %v", before, afterOld)
 	}
-	requireSameLnL(t, "lnL after rate optimization", afterOld, fxNew.eng.LogLikelihood())
+	requireSameLnL(t, "lnL after rate optimization", afterOld, fxNew.eng.LogLikelihood(nil))
 	requireSameState(t, fxOld, fxNew)
 }
 
 func TestOptimizeModelConverges(t *testing.T) {
 	fx := buildFixture(t, 8, 80, 40, true, parallel.NewSequential(), 53)
 	o := New(fx.eng, DefaultConfig(NewPar))
-	before := fx.eng.LogLikelihood()
+	before := fx.eng.LogLikelihood(nil)
 	lnl, rounds, _ := o.OptimizeModel(context.Background())
 	if lnl < before {
 		t.Errorf("model optimization decreased lnL %v -> %v", before, lnl)
@@ -504,7 +504,7 @@ func TestOptimizeModelCancellation(t *testing.T) {
 					}
 					exec.SetObserver(nil)
 					fx[i].eng.InvalidateCLVs()
-					if got := fx[i].eng.LogLikelihood(); math.Float64bits(got) != math.Float64bits(lnl) {
+					if got := fx[i].eng.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(lnl) {
 						t.Errorf("partial lnl %v is not the score %v of the state left behind", lnl, got)
 					}
 					full[i], _, err = New(fx[i].eng, DefaultConfig(resume)).OptimizeModel(context.Background())
@@ -604,7 +604,6 @@ func TestKeptScoresAreTheClosingPair(t *testing.T) {
 		fx := buildMixedFixture(t, 24, true, sim, 37)
 		o := New(fx.eng, DefaultConfig(strat))
 		smooth(t, o, ctx)
-		steps := tree.RootTraversal(fx.eng.Tree.Tips[0].Back, false)
 		var params []*brentParam
 		for ri := range o.rates {
 			params = append(params, &o.rates[ri])
@@ -618,12 +617,12 @@ func TestKeptScoresAreTheClosingPair(t *testing.T) {
 					for _, ip := range g {
 						x0[ip], seed[ip] = par.get(ip), o.score[ip]
 					}
-					if err := o.brentGroup(par, g, steps); err != nil {
+					if err := o.brentGroup(par, g); err != nil {
 						t.Fatal(err)
 					}
 					solves++
 					o.enter(g)
-					closing := o.evalPartitions(steps)
+					closing := o.evalPartitions()
 					for _, ip := range g {
 						if math.Float64bits(o.score[ip]) != math.Float64bits(closing[ip]) {
 							t.Errorf("%v round %d partition %d: kept score %v, the closing pair evaluates %v", strat, round, ip, o.score[ip], closing[ip])
@@ -641,7 +640,7 @@ func TestKeptScoresAreTheClosingPair(t *testing.T) {
 			for _, v := range o.score {
 				sum += v
 			}
-			if got := fx.eng.LogLikelihood(); math.Float64bits(got) != math.Float64bits(sum) {
+			if got := fx.eng.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(sum) {
 				t.Errorf("%v round %d: LogLikelihood %v after the solves, the kept scores sum to %v", strat, round, got, sum)
 			}
 			smooth(t, o, ctx)
@@ -691,7 +690,7 @@ func TestModelRefusingAProposal(t *testing.T) {
 					}
 				}
 				fx.eng.InvalidateCLVs()
-				if got := fx.eng.LogLikelihood(); math.Float64bits(got) != math.Float64bits(lnl) {
+				if got := fx.eng.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(lnl) {
 					t.Errorf("returned lnl %v is not the score %v of the state left behind", lnl, got)
 				}
 				again, _, err := New(fx.eng, DefaultConfig(strat)).OptimizeModel(context.Background())
@@ -736,17 +735,16 @@ func TestProgressCallback(t *testing.T) {
 }
 
 // TestOptimizeBranchAllocCeiling pins what one OptimizeBranch allocates on a
-// 10-partition per-partition-branch-length session: the Newton loop holds its
-// states by value in the Optimizer, so all that is left is what the region
-// calls allocate themselves: 66 under newPAR (77 when the loop made ten
-// states and a convergence vector per call) and 388 under oldPAR (388: its
-// one state at a time never left the stack). Every SPR insertion trial pays
-// this.
+// 10-partition per-partition-branch-length session, under both strategies:
+// nothing. The Newton loop holds its states by value in the Optimizer and
+// the region entries it calls — the partial traversal, the sumtable, the
+// derivatives — reduce into buffers the session and the Optimizer own. Every
+// SPR insertion trial pays this.
 func TestOptimizeBranchAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		strat   Strategy
 		ceiling float64
-	}{{NewPar, 66}, {OldPar, 388}} {
+	}{{NewPar, 0}, {OldPar, 0}} {
 		fx := buildFixture(t, 8, 200, 20, true, parallel.NewSequential(), 19)
 		if n := fx.eng.NumPartitions(); n != 10 {
 			t.Fatalf("fixture has %d partitions, want 10", n)

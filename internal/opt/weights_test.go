@@ -9,9 +9,9 @@ import (
 	"phylo/internal/parallel"
 )
 
-// TestWeightedUniformMatchesUnweighted pins the override plumbing: optimizing
+// TestWeightedUniformMatchesUnweighted pins the weights plumbing: optimizing
 // under a width-1 uniform WeightSet (the dataset's own weights, re-expressed
-// as an override) must reproduce the unweighted optimization bit for bit —
+// as Cfg.Weights) must reproduce the unweighted optimization bit for bit —
 // same values flow through the same reductions.
 func TestWeightedUniformMatchesUnweighted(t *testing.T) {
 	plain := buildFixture(t, 8, 120, 40, true, parallel.NewSequential(), 31)
@@ -51,10 +51,10 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 	o := New(fx.eng, cfg)
 	weighted := smooth(t, o, context.Background())
 
-	lanes, err := fx.eng.LogLikelihoodBatch(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := fx.tr.Tips[0].Back
+	fx.eng.TraverseRoot(root, false, nil)
+	lanes := make([]float64, ws.Replicates())
+	fx.eng.Evaluate(root, nil, ws, lanes, nil)
 	sum := 0.0
 	for _, l := range lanes {
 		sum += l
@@ -63,12 +63,11 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 		t.Fatalf("sum of per-replicate lnLs %v vs aggregate-weighted lnL %v (rel %v)", sum, weighted, rel)
 	}
 	// The aggregate weights total R times the site count, so the weighted
-	// objective is far from the unweighted one — make sure the override
-	// really was in force.
-	fx.eng.SetWeightOverride(nil)
-	plain := fx.eng.LogLikelihood()
+	// objective is far from the unweighted one — make sure the weights
+	// really were in force.
+	plain := fx.eng.LogLikelihood(nil)
 	if math.Abs(plain-weighted) < 1 {
-		t.Fatalf("weighted lnL %v suspiciously close to unweighted %v; override not applied?", weighted, plain)
+		t.Fatalf("weighted lnL %v suspiciously close to unweighted %v; weights not applied?", weighted, plain)
 	}
 }
 
@@ -86,7 +85,7 @@ func TestWeightedInvalidErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fx.eng.LogLikelihood()
+	want := fx.eng.LogLikelihood(nil)
 	regions := fx.eng.Exec.Stats().Regions
 	for name, ws := range map[string]*core.WeightSet{"width 2": wide, "wrong length": short} {
 		cfg := DefaultConfig(NewPar)
@@ -101,7 +100,7 @@ func TestWeightedInvalidErrors(t *testing.T) {
 	if got := fx.eng.Exec.Stats().Regions; got != regions {
 		t.Errorf("the refused calls ran %d regions, want none", got-regions)
 	}
-	if got := fx.eng.LogLikelihood(); got != want {
+	if got := fx.eng.LogLikelihood(nil); got != want {
 		t.Errorf("after the refusals lnL = %v, want the unweighted %v", got, want)
 	}
 }

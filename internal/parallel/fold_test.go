@@ -146,8 +146,8 @@ func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 		root := tr.Tips[0].Back
 		for i := 0; i < 4; i++ {
 			eng.InvalidateCLVs()
-			eng.Traverse(root, false, nil)
-			eng.Evaluate(root, nil)
+			eng.TraverseRoot(root, false, nil)
+			eng.Evaluate(root, nil, nil, nil, nil)
 		}
 	}
 }

@@ -251,16 +251,6 @@ func (s *Schedule) ChunkRuns(w, sp, minChunk int) []Run {
 	return out
 }
 
-// WorkerRuns returns all runs of worker w across spans, in ascending global
-// order (spans are consecutive, so span order is global order).
-func (s *Schedule) WorkerRuns(w int) []Run {
-	var out []Run
-	for sp := range s.spans {
-		out = append(out, s.runs[w][sp]...)
-	}
-	return out
-}
-
 // MemoryBytes estimates the schedule's resident heap bytes: the span table
 // plus every worker's per-span run lists. Used by the dataset memory
 // accounting that prices cache eviction in the serving layer.

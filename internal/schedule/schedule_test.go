@@ -411,7 +411,11 @@ func TestBlockIsContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 5; w++ {
-		runs := s.WorkerRuns(w)
+		// Spans are consecutive, so span order is global order.
+		var runs []Run
+		for sp := 0; sp < s.NumSpans(); sp++ {
+			runs = append(runs, s.SpanRuns(w, sp)...)
+		}
 		for i, r := range runs {
 			if r.Step != 1 {
 				t.Errorf("worker %d: block run %+v is not contiguous", w, r)

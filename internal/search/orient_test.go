@@ -127,13 +127,14 @@ func checkCLVs(t *testing.T, e *core.Engine, where string) {
 	partial := make([]float64, len(order))
 	for j, b := range order {
 		e.TraverseRoot(b, true, nil)
-		partial[j], _ = e.Evaluate(b, nil)
+		e.Evaluate(b, nil, nil, partial[j:j+1], nil)
 	}
+	var scratch [1]float64
 	for j, b := range order {
 		e.InvalidateCLVs()
 		e.TraverseRoot(b, false, nil)
-		if scratch, _ := e.Evaluate(b, nil); math.Float64bits(partial[j]) != math.Float64bits(scratch) {
-			t.Errorf("%s: branch %d-%d partial score %v, from scratch %v", where, b.Index, b.Back.Index, partial[j], scratch)
+		if e.Evaluate(b, nil, nil, scratch[:], nil); math.Float64bits(partial[j]) != math.Float64bits(scratch[0]) {
+			t.Errorf("%s: branch %d-%d partial score %v, from scratch %v", where, b.Index, b.Back.Index, partial[j], scratch[0])
 		}
 	}
 }

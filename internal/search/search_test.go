@@ -111,7 +111,7 @@ func buildSearch(t *testing.T, nTaxa, nSites int, strategy opt.Strategy, exec *p
 
 func TestSearchImprovesLikelihood(t *testing.T) {
 	s, eng, _ := buildSearch(t, 10, 200, opt.NewPar, parallel.NewSequential(), 5, 99)
-	before := eng.LogLikelihood()
+	before := eng.LogLikelihood(nil)
 	res, _ := s.Run(context.Background())
 	if res.LnL < before {
 		t.Errorf("search decreased lnL: %v -> %v", before, res.LnL)
@@ -124,7 +124,7 @@ func TestSearchImprovesLikelihood(t *testing.T) {
 	}
 	// The final likelihood must match a fresh evaluation of the final tree.
 	eng.InvalidateCLVs()
-	if got := eng.LogLikelihood(); math.Abs(got-res.LnL) > 1e-6*math.Abs(got) {
+	if got := eng.LogLikelihood(nil); math.Abs(got-res.LnL) > 1e-6*math.Abs(got) {
 		t.Errorf("reported lnL %v does not match final tree lnL %v", res.LnL, got)
 	}
 }
@@ -267,7 +267,7 @@ func buildPartitionedSearch(t *testing.T, strategy opt.Strategy) (*Searcher, *co
 
 func TestSearchPartitionedPerPartitionBL(t *testing.T) {
 	s, eng, start := buildPartitionedSearch(t, opt.NewPar)
-	before := eng.LogLikelihood()
+	before := eng.LogLikelihood(nil)
 	res, _ := s.Run(context.Background())
 	if res.LnL < before {
 		t.Errorf("partitioned search decreased lnL %v -> %v", before, res.LnL)
@@ -304,7 +304,7 @@ func TestSearchCancellation(t *testing.T) {
 	// The tree must be left consistent: re-evaluating from scratch gives
 	// exactly the reported score.
 	eng.InvalidateCLVs()
-	if got := eng.LogLikelihood(); got != res.LnL {
+	if got := eng.LogLikelihood(nil); got != res.LnL {
 		t.Errorf("tree score %v != reported partial %v", got, res.LnL)
 	}
 }

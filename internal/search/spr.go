@@ -200,25 +200,25 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 		// Descend while maintaining the CLV invariants: one newview before
 		// entering each child branch and one on exit to restore the upward
 		// view for siblings and ancestors.
-		s.newview1(w.Next)
+		s.E.Newview(w.Next)
 		scan(w.Next, depth+1)
-		s.newview1(w.Next.Next)
+		s.E.Newview(w.Next.Next)
 		scan(w.Next.Next, depth+1)
-		s.newview1(w)
+		s.E.Newview(w)
 	}
 	if !b2.IsTip() {
-		s.newview1(b2.Next)
+		s.E.Newview(b2.Next)
 		scan(b2.Next, 1)
-		s.newview1(b2.Next.Next)
+		s.E.Newview(b2.Next.Next)
 		scan(b2.Next.Next, 1)
-		s.newview1(b2)
+		s.E.Newview(b2)
 	}
 	if !b1.IsTip() {
-		s.newview1(b1.Next)
+		s.E.Newview(b1.Next)
 		scan(b1.Next, 1)
-		s.newview1(b1.Next.Next)
+		s.E.Newview(b1.Next.Next)
 		scan(b1.Next.Next, 1)
-		s.newview1(b1)
+		s.E.Newview(b1)
 	}
 
 	if bestU != nil && bestLnL > ref+minImprovement {
@@ -272,10 +272,12 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	tree.Connect(v.Next, u, s.za)
 	tree.Connect(v.Next.Next, uB, s.zb)
 	// One explicit newview at the insertion node, then optimize the branch
-	// connecting the pruned subtree and evaluate across it.
-	s.newview1(v)
+	// connecting the pruned subtree and evaluate across it, under the weights
+	// the optimizer prices branch lengths with.
+	e.Newview(v)
 	s.o.OptimizeBranch(v)
-	lnl, _ := e.Evaluate(v, nil)
+	var lnl [1]float64
+	e.Evaluate(v, nil, s.Cfg.Opt.Weights, lnl[:], nil)
 
 	// Undo: reconnect the target branch with its original slice (nothing
 	// wrote it), leave v dangling, restore the subtree connection length.
@@ -283,10 +285,5 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	v.Next.Back = nil
 	v.Next.Next.Back = nil
 	copy(v.Z, s.zConnSave)
-	return lnl
-}
-
-// newview1 executes a single explicit newview step at inner record p.
-func (s *Searcher) newview1(p *tree.Node) {
-	s.E.ExecuteSteps([]tree.TraversalStep{{P: p, Q: p.Next.Back, R: p.Next.Next.Back}}, nil)
+	return lnl[0]
 }

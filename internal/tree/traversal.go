@@ -7,42 +7,35 @@ type TraversalStep struct {
 	P, Q, R *Node
 }
 
-// ComputeTraversal returns the bottom-up list of newview steps required to
-// make the CLV at record p valid. With partial == true, subtrees whose X
-// orientation is already correct are not descended into — this implements the
-// paper's partial traversals after local topology changes ("the worker
-// threads will only need to update 3-4 inner likelihood vectors on average").
-// With partial == false a full post-order traversal of the subtree behind p
-// is produced (the fixed full-tree traversal lists used during model
-// optimization).
+// ComputeTraversal appends to steps the bottom-up list of newview steps
+// required to make the CLV at record p valid, and returns the extended
+// slice: a caller that passes its buffer back in allocates nothing once the
+// buffer holds a whole traversal. With partial == true, subtrees whose X
+// orientation is already correct are not descended into — this implements
+// the paper's partial traversals after local topology changes ("the worker
+// threads will only need to update 3-4 inner likelihood vectors on
+// average"). With partial == false a full post-order traversal of the
+// subtree behind p is produced (the fixed full-tree traversal lists used
+// during model optimization).
 //
 // The X flags are updated eagerly: callers are expected to execute the
 // returned steps immediately (the likelihood engine does).
-func ComputeTraversal(p *Node, partial bool) []TraversalStep {
-	var steps []TraversalStep
-	appendTraversal(p, partial, &steps)
-	return steps
-}
-
-func appendTraversal(p *Node, partial bool, steps *[]TraversalStep) {
-	if p.IsTip() {
-		return
-	}
-	if partial && p.X {
-		return
+func ComputeTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalStep {
+	if p.IsTip() || partial && p.X {
+		return steps
 	}
 	q := p.Next.Back
 	r := p.Next.Next.Back
-	appendTraversal(q, partial, steps)
-	appendTraversal(r, partial, steps)
-	*steps = append(*steps, TraversalStep{P: p, Q: q, R: r})
+	steps = ComputeTraversal(steps, q, partial)
+	steps = ComputeTraversal(steps, r, partial)
 	OrientX(p)
+	return append(steps, TraversalStep{P: p, Q: q, R: r})
 }
 
-// RootTraversal produces the steps needed to evaluate the likelihood at the
-// virtual root on branch (p, p.Back): both end CLVs must be valid and
-// oriented towards the branch.
-func RootTraversal(p *Node, partial bool) []TraversalStep {
-	steps := ComputeTraversal(p, partial)
-	return append(steps, ComputeTraversal(p.Back, partial)...)
+// RootTraversal appends to steps the steps needed to evaluate the likelihood
+// at the virtual root on branch (p, p.Back): both end CLVs must be valid and
+// oriented towards the branch. The two ends' subtrees are disjoint, so a
+// whole root traversal is at most one step per inner node.
+func RootTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalStep {
+	return ComputeTraversal(ComputeTraversal(steps, p, partial), p.Back, partial)
 }

@@ -136,10 +136,6 @@ func Connect(a, b *Node, z []float64) {
 	b.Z = z
 }
 
-// ConnectDefault joins two records with a fresh default-length branch sized
-// for this tree's slot count.
-func (t *Tree) ConnectDefault(a, b *Node) { Connect(a, b, t.NewZ()) }
-
 // SetBranchLength sets slot k of the branch at record p (both sides observe
 // the update because the slice is shared).
 func SetBranchLength(p *Node, k int, v float64) { p.Z[k] = v }

@@ -171,7 +171,7 @@ func TestComputeTraversalFull(t *testing.T) {
 	tr, _ := Random(names(8), 1, RandomOptions{Seed: 3})
 	tr.ClearX()
 	start := tr.Tips[0].Back
-	steps := ComputeTraversal(start, false)
+	steps := ComputeTraversal(nil, start, false)
 	// Full traversal behind an inner node adjacent to a tip covers all n-2
 	// inner nodes.
 	if len(steps) != tr.NumInner() {
@@ -196,9 +196,9 @@ func TestComputeTraversalPartial(t *testing.T) {
 	tr, _ := Random(names(8), 1, RandomOptions{Seed: 3})
 	tr.ClearX()
 	start := tr.Tips[0].Back
-	ComputeTraversal(start, false)
+	buf := ComputeTraversal(nil, start, false)
 	// Everything valid towards start: partial traversal is now empty.
-	steps := ComputeTraversal(start, true)
+	steps := ComputeTraversal(buf[:0], start, true)
 	if len(steps) != 0 {
 		t.Errorf("partial traversal after full should be empty, got %d", len(steps))
 	}
@@ -206,16 +206,20 @@ func TestComputeTraversalPartial(t *testing.T) {
 	// the CLV at other is already valid, the far end needs one newview.
 	other := start.Next.Back
 	if !other.IsTip() {
-		steps = RootTraversal(other, true)
+		steps = RootTraversal(buf[:0], other, true)
 		if len(steps) == 0 || len(steps) > 2 {
 			t.Errorf("re-rooting one step away took %d newviews", len(steps))
 		}
 	}
 	// RootTraversal covers both ends.
 	tr.ClearX()
-	steps = RootTraversal(tr.Tips[0].Back, false)
-	if len(steps) != tr.NumInner() {
-		t.Errorf("root traversal = %d steps, want %d", len(steps), tr.NumInner())
+	steps = RootTraversal(buf[:1], tr.Tips[0].Back, false)
+	if len(steps) != 1+tr.NumInner() || steps[0] != buf[0] {
+		t.Errorf("root traversal appended %d steps after the kept one, want %d", len(steps)-1, tr.NumInner())
+	}
+	// A buffer that holds a whole traversal is reused, not regrown.
+	if n := testing.AllocsPerRun(10, func() { RootTraversal(buf[:0], tr.Tips[0].Back, false) }); n != 0 {
+		t.Errorf("root traversal into a full-size buffer allocates %v times", n)
 	}
 }
 
@@ -314,7 +318,7 @@ func TestClearXAtClearsExactlyViewsContainingV(t *testing.T) {
 		for _, v := range tr.Inner {
 			for _, unflag := range []*Node{nil, tr.Inner[rng.Intn(len(tr.Inner))]} {
 				tr.ClearX()
-				RootTraversal(branches[rng.Intn(len(branches))], false)
+				RootTraversal(nil, branches[rng.Intn(len(branches))], false)
 				if unflag != nil {
 					unflag.X, unflag.Next.X, unflag.Next.Next.X = false, false, false
 				}

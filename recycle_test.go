@@ -211,23 +211,36 @@ func TestWarmSessionAllocBudget(t *testing.T) {
 	}
 }
 
-// TestWarmEvaluateAllocs pins the allocation count of one evaluate on the
-// p1000_newpar shape (8 taxa, 10 partitions of 50 columns, per-partition
-// branch lengths, one thread): a warm open + LogLikelihood + Close builds a
-// start tree and one copy per partition model and opens an executor view,
-// each a few allocations, and nothing per branch or per model slice.
+// TestWarmEvaluateAllocs pins the allocation count of one evaluate, a warm
+// open + LogLikelihood + Close on one thread: it builds a start tree and one
+// copy per partition model and opens an executor view, each a few
+// allocations, and nothing per branch, per model slice, per traversal step or
+// per evaluate result. The shapes are p1000_newpar's (8 taxa, 10 partitions
+// of 50 columns, per-partition branch lengths) and a small fused-backend
+// grid of the same partition count.
 func TestWarmEvaluateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	const budget = 70
-	al, err := SimulateGrid(8, 10000, 1000, 0.05, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes, allocs, _ := warmSessionCost(t, al, DatasetOptions{Threads: 1}, AnalysisOptions{PerPartitionBranchLengths: true})
-	t.Logf("warm evaluate: %d allocations, %d B per session", allocs, bytes)
-	if allocs > budget {
-		t.Fatalf("a warm evaluate makes %d allocations, budget %d", allocs, budget)
+	for _, tc := range []struct {
+		name           string
+		sites, partLen int
+		scale          float64
+		ds             DatasetOptions
+		an             AnalysisOptions
+		budget         uint64
+	}{
+		{"p1000_newpar", 10000, 1000, 0.05, DatasetOptions{Threads: 1}, AnalysisOptions{PerPartitionBranchLengths: true}, 42},
+		{"grid8_500_fused", 500, 50, 1.0, DatasetOptions{Threads: 1, Backend: BackendFused}, AnalysisOptions{}, 42},
+	} {
+		al, err := SimulateGrid(8, tc.sites, tc.partLen, tc.scale, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes, allocs, _ := warmSessionCost(t, al, tc.ds, tc.an)
+		t.Logf("%s: warm evaluate: %d allocations, %d B per session", tc.name, allocs, bytes)
+		if allocs > tc.budget {
+			t.Errorf("%s: a warm evaluate makes %d allocations, budget %d", tc.name, allocs, tc.budget)
+		}
 	}
 }

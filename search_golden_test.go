@@ -136,11 +136,13 @@ func TestBootstrapScoresOnValidCLVs(t *testing.T) {
 	var an *Analysis
 	check := func(b *tree.Node, where string) {
 		e := an.eng
+		var lnl [2]float64
 		e.TraverseRoot(b, true, nil)
-		partial, _ := e.Evaluate(b, nil)
+		e.Evaluate(b, nil, nil, lnl[:1], nil)
 		e.InvalidateCLVs()
 		e.TraverseRoot(b, false, nil)
-		scratch, _ := e.Evaluate(b, nil)
+		e.Evaluate(b, nil, nil, lnl[1:], nil)
+		partial, scratch := lnl[0], lnl[1]
 		if math.Float64bits(partial) != math.Float64bits(scratch) {
 			t.Errorf("%s: branch %d-%d partial score %v, from scratch %v", where, b.Index, b.Back.Index, partial, scratch)
 		}
