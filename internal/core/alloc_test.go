@@ -218,19 +218,25 @@ func recordBytes(v reflect.Value) int64 {
 // traversal lists its steps into the session's step buffer, Newview builds
 // its one step there, and Evaluate and BranchDerivatives reduce into the
 // session's partial sums and the caller's result buffers, at one lane and at
-// three. Checked on the caller-only executor and on three virtual workers
-// (a pool of goroutines hands each worker a closure per region, which is the
-// executor's cost, not the engine's).
+// three. Checked on the caller-only executor, on three virtual workers and
+// on a session view of two goroutine workers: a region hands each goroutine
+// its view, no closure. AllocsPerRun counts every goroutine's allocations,
+// so the last arm holds the executor's fan-out at 0 too.
 func TestRegionEntriesAllocFree(t *testing.T) {
 	sim, err := parallel.NewSim(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool, err := parallel.NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	for _, arm := range []struct {
 		name    string
 		exec    *parallel.Pool
 		threads int
-	}{{"sequential", parallel.NewSequential(), 1}, {"virtual", sim, 3}} {
+	}{{"sequential", parallel.NewSequential(), 1}, {"virtual", sim, 3}, {"goroutines", pool.Session(), 2}} {
 		eng := batchEngine(t, BackendFused, 4, arm.exec, arm.threads, Options{Specialize: true}, nil)
 		ws, err := NewWeightSet(eng.Data, 3, 5)
 		if err != nil {

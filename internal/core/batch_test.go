@@ -1,7 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
+
+	"phylo/internal/alignment"
+	"phylo/internal/numeric"
 
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -97,6 +102,50 @@ func TestWeightSetSeededDeterminism(t *testing.T) {
 	if same {
 		t.Fatal("seeds 99 and 100 produced identical weight sets")
 	}
+}
+
+// TestWeightSetColumnMapDraws holds NewWeightSet's column map to the binary
+// search it replaced: the same draws, in the same order, land on the same
+// patterns, so every weight is equal, at one lane and at eight.
+func TestWeightSetColumnMapDraws(t *testing.T) {
+	d, _ := mixedFixture(t, 4, 44)
+	for _, R := range []int{1, 8} {
+		for _, seed := range []int64{3, 77, -12345} {
+			ws, err := NewWeightSet(d, R, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := searchedWeights(d, R, seed)
+			for i, w := range want {
+				if ws.w[i] != w {
+					t.Fatalf("R=%d seed %d: weight %d (pattern %d, replicate %d) is %v, the binary-search draw gives %v", R, seed, i, i/R, i%R, ws.w[i], w)
+				}
+			}
+		}
+	}
+}
+
+// searchedWeights is NewWeightSet's draw as it was before the column map:
+// each uniform column draw finds its pattern by a binary search over the
+// cumulative weights.
+func searchedWeights(d *alignment.CompressedData, R int, seed int64) []float64 {
+	w := make([]float64, d.TotalPatterns*R)
+	rng := rand.New(numeric.NewSource(0))
+	for r := 0; r < R; r++ {
+		rng.Seed(replicateSeed(seed, r))
+		for _, p := range d.Parts {
+			cum, n := []int{0}, 0
+			for _, wt := range p.Weights {
+				n += int(wt)
+				cum = append(cum, n)
+			}
+			for k := 0; k < n; k++ {
+				j := sort.SearchInts(cum[1:], int(rng.Int63n(int64(n)))+1)
+				w[(p.Offset+j)*R+r]++
+			}
+		}
+	}
+	return w
 }
 
 // TestWeightSetReplicateAndAggregate checks the two derived views: Replicate

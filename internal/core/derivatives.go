@@ -39,11 +39,14 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 // sumtableGeneric is the one sumtable body: CLV reads step the category
 // planes, while the sumtable keeps its pattern-major geometry (the
 // derivative kernel reduces one pattern's contiguous cats·s block at a
-// time). Every backend routes here. An end without a table row pays one
+// time). Every backend routes here. Where the host has the kernel
+// (sumtable_amd64.s) a pattern's categories go through it in one call, both
+// projections and their product in registers; elsewhere, and where it is
+// off, the scalar loop below runs. There an end without a table row pays one
 // model.ApplyCols per category — the left one applies V^T, which ApplyCols
 // reads as V itself, to fl[a] = freqs[a]·cl[a], formed once; the right one
 // applies V^-1, read as InvVecsT — and both projections accumulate in
-// state-ascending order in any case.
+// state-ascending order in either realisation: the same bits.
 //
 //plk:hotpath
 func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
@@ -54,50 +57,64 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 		j := i - c.partOffset
 		off := c.base + j*c.s
 		soff := c.sumBase + j*c.cs
-		var xl, xr []float64
-		var lRow, rRow []float64
-		if c.a.tab != nil {
-			code := int(c.a.row[j])
-			lRow = c.a.tab[code*s : (code+1)*s]
-		} else if c.a.tip {
-			xl = alignment.TipVector(c.dtype, c.a.row[j])
-		}
-		if c.b.tab != nil {
-			code := int(c.b.row[j])
-			rRow = c.b.tab[code*s : (code+1)*s]
-		} else if c.b.tip {
-			xr = alignment.TipVector(c.dtype, c.b.row[j])
+		dst := c.sum[soff : soff+c.cs]
+		l, r := c.sumSide(&c.a, j, off), c.sumSide(&c.b, j, off)
+		count++
+		if c.sumtableRows(dst, l, r) {
+			continue
 		}
 		for cat := 0; cat < c.cats; cat++ {
-			co := off + cat*c.catStride
-			dst := c.sum[soff+cat*s : soff+(cat+1)*s]
-			lproj, rproj := lRow, rRow
-			if lRow == nil {
-				cl := xl
-				if !c.a.tip {
-					cl = c.a.v[co : co+s]
-				}
+			d := dst[cat*s : (cat+1)*s]
+			lproj, rproj := l.x, r.x
+			if !l.row {
+				lo := cat * l.stride
+				cl := l.x[lo : lo+s]
 				for a := range fl {
 					fl[a] = c.freqs[a] * cl[a]
 				}
-				model.ApplyCols(dst, c.ev, fl)
-				lproj = dst
+				model.ApplyCols(d, c.ev, fl)
+				lproj = d
 			}
-			if rRow == nil {
-				cr := xr
-				if !c.b.tip {
-					cr = c.b.v[co : co+s]
-				}
-				model.ApplyCols(rp, c.eviT, cr)
+			if !r.row {
+				lo := cat * r.stride
+				model.ApplyCols(rp, c.eviT, r.x[lo:lo+s])
 				rproj = rp
 			}
-			for k := range dst {
-				dst[k] = lproj[k] * rproj[k] * c.invCats
+			for k := range d {
+				d[k] = lproj[k] * rproj[k] * c.invCats
 			}
 		}
-		count++
 	}
 	return count
+}
+
+// SumtableKernel is the kernel sumtableGeneric runs a pattern's categories
+// on, sumtable_amd64.s.
+var SumtableKernel = cpufeat.NewKernel("sumtable rows (AVX)", cpufeat.AVX)
+
+// sumSide is what a sumtable pattern reads of one end: a table row, already
+// projected and the same for every category (row), or the vector x[0:s] of
+// category 0 with category c's stride·c entries on (0: a tip's vector).
+type sumSide struct {
+	x      []float64
+	stride int
+	row    bool
+}
+
+// sumSide is end's side of pattern j, whose CLV entries start at off. Not
+// inlined: its row and table checks stay one copy, not one a call site.
+//
+//go:noinline
+func (c *spanCtx) sumSide(end *spanEnd, j, off int) sumSide {
+	if !end.tip {
+		return sumSide{x: end.v[off:], stride: c.catStride}
+	}
+	code := end.row[j]
+	if end.tab == nil {
+		return sumSide{x: alignment.TipVector(c.dtype, code)}
+	}
+	lo := int(code) * c.s
+	return sumSide{x: end.tab[lo : lo+c.s], row: true}
 }
 
 // BranchDerivatives evaluates d lnL / dz and d^2 lnL / dz^2 for the branch

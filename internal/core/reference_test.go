@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -507,6 +509,119 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 					sameSums(t, label+", kernel against the paired loop", kernel, paired)
 					sameSums(t, label+", kernel against the reference", kernel, ref)
 					runs++
+				}
+			}
+		}
+	}
+	t.Logf("%d runs compared", runs)
+}
+
+// TestSumtableKernelBitIdentity: sumtableGeneric with its kernel (where the
+// host runs it) against its scalar loop alone (the kernel off) and the
+// per-pattern reference, at s = 4 and 20, one, three and four categories
+// (1/3, unlike 1 and 1/4, rounds), every pairing of an inner end, a tip end
+// without a table (Specialize off) and a tip end with its projection table
+// on either side, over runs of step 1 and 3. CLV, frequency and eigenvector
+// entries are signed; a third of the patterns' CLVs, and some eigenvector
+// entries, sit near 2^-256, and every ninth pattern's near 2^-515, so an
+// inner/inner product is subnormal. Planes and rows are unaligned.
+func TestSumtableKernelBitIdentity(t *testing.T) {
+	if !slices.Contains(cpufeat.Kernels(), SumtableKernel) {
+		t.Fatal("SumtableKernel is not listed by cpufeat.Kernels(): a scalar arm would leave it on")
+	}
+	host := SumtableKernel.Set(true)
+	t.Cleanup(func() { SumtableKernel.Set(host) })
+	t.Logf("kernel on: %v", SumtableKernel.On())
+	rng := rand.New(rand.NewSource(45))
+	signed := func(n int, tiny float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 2*rng.Float64() - 1
+			if rng.Float64() < tiny {
+				v[i] *= 0x1p-256
+			}
+		}
+		return v
+	}
+	const n, offset = 17, 3
+	runs := 0
+	for _, dt := range []alignment.DataType{alignment.DNA, alignment.AA} {
+		s := dt.States()
+		for _, cats := range []int{1, 3, 4} {
+			plane := n*s + 3
+			c := spanCtx{partition: partition{s: s, cats: cats, cs: cats * s, base: 5, catStride: plane, sumBase: 7,
+				partOffset: offset, dtype: dt, invCats: 1 / float64(cats)}}
+			c.freqs, c.ev, c.eviT = signed(s, 0), signed(s*s, 0.1), signed(s*s, 0.1)
+			c.fl, c.tmp = make([]float64, s), make([]float64, s)
+			// Both ends' CLVs and tip rows, some patterns scaled down.
+			clv, codes := [2][]float64{}, [2][]byte{}
+			for e := range clv {
+				clv[e] = signed(c.base+cats*plane, 0)
+				codes[e] = make([]byte, n)
+				for j := range codes[e] {
+					codes[e][j] = byte(rng.Intn(alignment.NumCodes(dt)))
+					scale := 1.0
+					switch {
+					case j%9 == 0:
+						scale = 0x1p-515
+					case j%3 == 0:
+						scale = 0x1p-256
+					}
+					for cat := 0; cat < cats; cat++ {
+						v := clv[e][c.base+cat*plane+j*s:][:s]
+						for a := range v {
+							v[a] *= scale
+						}
+					}
+				}
+			}
+			every := make([]byte, alignment.NumCodes(dt)) // a table row for every code
+			for code := range every {
+				every[code] = byte(code)
+			}
+			ends := []string{"inner", "tip", "table"}
+			bind := func(e int, kind string) spanEnd {
+				switch kind {
+				case "inner":
+					return spanEnd{v: clv[e]}
+				case "tip":
+					return spanEnd{tip: true, row: codes[e]}
+				}
+				tab := make([]float64, alignment.NumCodes(dt)*s+1)[1:] // unaligned rows
+				if e == 0 {
+					tab = buildTipSumLeft(tab, dt, every, c.freqs, c.ev, s)
+				} else {
+					tab = buildTipSumRight(tab, dt, every, c.eviT, s)
+				}
+				return spanEnd{tip: true, row: codes[e], tab: tab}
+			}
+			for _, ka := range ends {
+				for _, kb := range ends {
+					c.a, c.b = bind(0, ka), bind(1, kb)
+					for _, step := range []int{1, 3} {
+						run := schedule.Run{Lo: offset, Hi: offset + n, Step: step}
+						label := fmt.Sprintf("s=%d cats=%d %s/%s step=%d", s, cats, ka, kb, step)
+						sums := [3][]float64{}
+						for k := range sums {
+							sums[k] = make([]float64, c.sumBase+n*c.cs+2)
+							for i := range sums[k] {
+								sums[k][i] = math.NaN() // an entry no arm writes stays NaN in all three
+							}
+						}
+						kernel, scalar, ref := c, c, c
+						kernel.sum, scalar.sum, ref.sum = sums[0], sums[1], sums[2]
+						gk := kernel.sumtableGeneric(run)
+						was := SumtableKernel.Set(false)
+						gs := scalar.sumtableGeneric(run)
+						SumtableKernel.Set(was)
+						gr := ref.sumtableReference(run)
+						if want := (n + step - 1) / step; gk != want || gs != want || gr != want {
+							t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, want)
+						}
+						sameSums(t, label+", kernel against the scalar loop", sums[0], sums[1])
+						sameSums(t, label+", kernel against the reference", sums[0], sums[2])
+						runs++
+					}
 				}
 			}
 		}

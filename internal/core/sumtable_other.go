@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package core
+
+// Without an assembly realisation sumtableGeneric's scalar loop takes every
+// pattern.
+func (c *spanCtx) sumtableRows(dst []float64, l, r sumSide) bool { return false }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"phylo/internal/alignment"
 	"phylo/internal/numeric"
@@ -76,28 +75,37 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 	if err != nil {
 		return nil, err
 	}
-	// Pattern j of a partition owns its original columns [cum[j], cum[j+1]).
-	cums := make([][]int, 0, len(data.Parts))
+	// Pattern j of a partition owns its original columns [cum[j], cum[j+1]),
+	// cum the running sum of the weights: col maps each of them to j, so a
+	// draw is one load instead of a binary search over cum.
+	total := 0
 	for _, p := range data.Parts {
-		cum, n := make([]int, 1, p.PatternCount+1), 0
 		for _, wt := range p.Weights {
-			n += int(wt)
-			cum = append(cum, n)
+			total += int(wt)
 		}
-		cums = append(cums, cum)
+	}
+	all := make([]int32, 0, total)
+	cols := make([][]int32, 0, len(data.Parts))
+	for _, p := range data.Parts {
+		lo := len(all)
+		for j, wt := range p.Weights {
+			for range int(wt) {
+				all = append(all, int32(j))
+			}
+		}
+		cols = append(cols, all[lo:])
 	}
 	// One generator, reseeded per replicate: it draws what a fresh one would,
 	// and reuses its register instead of allocating another.
 	rng := rand.New(numeric.NewSource(0))
 	for r := 0; r < R; r++ {
 		rng.Seed(replicateSeed(seed, r))
-		for i, p := range data.Parts {
+		for i, col := range cols {
 			// SiteCount uniform draws over the original columns, each counted
-			// for the pattern whose cumulative range contains it.
-			cum := cums[i]
-			n, base := cum[p.PatternCount], p.Offset*R
-			for k := 0; k < n; k++ {
-				j := sort.SearchInts(cum[1:], int(rng.Int63n(int64(n)))+1)
+			// for the pattern that owns it.
+			base, n := data.Parts[i].Offset*R, int64(len(col))
+			for range col {
+				j := int(col[rng.Int63n(n)])
 				ws.w[base+j*R+r]++
 			}
 		}

@@ -106,15 +106,7 @@ type WorkerCtx struct {
 // beginRegion resets the per-region scratch (everything except Worker, which
 // is fixed at construction) ahead of a region closure.
 func (c *WorkerCtx) beginRegion(concurrent bool) {
-	c.Ops = 0
-	c.Patterns = 0
-	c.Scalings = 0
-	c.SpanTipTip = 0
-	c.SpanTipInner = 0
-	c.SpanInner = 0
-	c.PComputed = 0
-	c.PReused = 0
-	c.Concurrent = concurrent
+	*c = WorkerCtx{Worker: c.Worker, Concurrent: concurrent}
 }
 
 // RegionObserver receives one callback per completed parallel region,

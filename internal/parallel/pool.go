@@ -16,10 +16,11 @@ import (
 // still runs with the full worker complement and no two views' closures ever
 // interleave inside a region.
 type Pool struct {
-	ctxs   []WorkerCtx // this view's per-worker scratch; len(ctxs) is T
-	stats  Stats       // this view's statistics
-	closed atomic.Bool // Close was called on this view; Run panics
-	owner  bool        // the constructor's view: its Close stops the goroutines
+	ctxs   []WorkerCtx                 // this view's per-worker scratch; len(ctxs) is T
+	stats  Stats                       // this view's statistics
+	closed atomic.Bool                 // Close was called on this view; Run panics
+	owner  bool                        // the constructor's view: its Close stops the goroutines
+	fn     func(w int, ctx *WorkerCtx) // goroutine workers: the region closure in flight
 	*crew
 }
 
@@ -31,7 +32,7 @@ type crew struct {
 
 	// The goroutine realisation. cmds is nil when the workers are virtual,
 	// and then nothing below is touched.
-	cmds    []chan func() // one command channel per worker goroutine
+	cmds    []chan *Pool // one channel per worker goroutine: the view whose region it runs
 	wg      sync.WaitGroup
 	mu      sync.Mutex // serializes regions across views; guards stopped
 	stopped bool       // the goroutines have exited; regions run virtual
@@ -57,12 +58,12 @@ func newPool(threads int, goroutines bool) (*Pool, error) {
 	}
 	c := &crew{}
 	if goroutines {
-		c.cmds = make([]chan func(), threads)
+		c.cmds = make([]chan *Pool, threads)
 		for w := range c.cmds {
-			c.cmds[w] = make(chan func(), 1)
-			go func(ch chan func()) {
-				for fn := range ch {
-					fn()
+			c.cmds[w] = make(chan *Pool, 1)
+			go func(ch chan *Pool) {
+				for p := range ch {
+					p.work(w)
 				}
 			}(c.cmds[w])
 		}
@@ -131,19 +132,15 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 	start := time.Now()
 	var wall time.Duration // since start, on the monotonic clock
 	if live {
+		p.fn = fn
 		p.wg.Add(len(p.ctxs))
 		for w := range p.ctxs {
-			w, ctx := w, &p.ctxs[w]
-			ctx.beginRegion(true)
-			p.cmds[w] <- func() {
-				t0 := time.Now()
-				fn(w, ctx)
-				ctx.Seconds = time.Since(t0).Seconds()
-				p.wg.Done()
-			}
+			p.ctxs[w].beginRegion(true)
+			p.cmds[w] <- p
 		}
 		p.wg.Wait()
 		wall = time.Since(start)
+		p.fn = nil
 	} else {
 		for w := range p.ctxs {
 			ctx := &p.ctxs[w]
@@ -158,6 +155,16 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 	if o := p.obs.Load(); o != nil {
 		(*o).ObserveRegion(kind, start, wall.Seconds(), p.ctxs)
 	}
+}
+
+// work is goroutine worker w's turn in the region in flight on view p: its
+// closure, timed. A region hands each worker its view, so it allocates nothing.
+func (p *Pool) work(w int) {
+	ctx := &p.ctxs[w]
+	t0 := time.Now()
+	p.fn(w, ctx)
+	ctx.Seconds = time.Since(t0).Seconds()
+	p.wg.Done()
 }
 
 // Close retires this view; on the constructor's view of goroutine workers it
