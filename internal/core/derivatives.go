@@ -58,7 +58,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 		off := c.base + j*c.s
 		soff := c.sumBase + j*c.cs
 		dst := c.sum[soff : soff+c.cs]
-		l, r := c.sumSide(&c.a, j, off), c.sumSide(&c.b, j, off)
+		l, r := c.sideOf(&c.a, j, off), c.sideOf(&c.b, j, off)
 		count++
 		if c.sumtableRows(dst, l, r) {
 			continue
@@ -92,29 +92,29 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 // on, sumtable_amd64.s.
 var SumtableKernel = cpufeat.NewKernel("sumtable rows (AVX)", cpufeat.AVX)
 
-// sumSide is what a sumtable pattern reads of one end: a table row, already
-// projected and the same for every category (row), or the vector x[0:s] of
-// category 0 with category c's stride·c entries on (0: a tip's vector).
-type sumSide struct {
+// side is what a sumtable pattern, or a newview one without tables, reads of
+// one end: a projection-table row, the same for every category (row), or the
+// vector x[0:s] of category 0, category c's stride·c entries on (0: a tip's).
+type side struct {
 	x      []float64
 	stride int
 	row    bool
 }
 
-// sumSide is end's side of pattern j, whose CLV entries start at off. Not
+// sideOf is end's side of pattern j, whose CLV entries start at off. Not
 // inlined: its row and table checks stay one copy, not one a call site.
 //
 //go:noinline
-func (c *spanCtx) sumSide(end *spanEnd, j, off int) sumSide {
+func (c *spanCtx) sideOf(end *spanEnd, j, off int) side {
 	if !end.tip {
-		return sumSide{x: end.v[off:], stride: c.catStride}
+		return side{x: end.v[off:], stride: c.catStride}
 	}
 	code := end.row[j]
 	if end.tab == nil {
-		return sumSide{x: alignment.TipVector(c.dtype, code)}
+		return side{x: alignment.TipVector(c.dtype, code)}
 	}
 	lo := int(code) * c.s
-	return sumSide{x: end.tab[lo : lo+c.s], row: true}
+	return side{x: end.tab[lo : lo+c.s], row: true}
 }
 
 // BranchDerivatives evaluates d lnL / dz and d^2 lnL / dz^2 for the branch

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"phylo/internal/alignment"
+	"phylo/internal/cpufeat"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
 	"phylo/internal/tree"
@@ -87,12 +87,17 @@ func applyRows(dst, m, x []float64) {
 // vector. Every P application is one applyP (applyRows or model.ApplyCols, by
 // the block's layout), each sum in the seed kernel's term order, so the fused
 // kernels, which preserve the same left-associated accumulation order,
-// produce bit-identical CLVs.
+// produce bit-identical CLVs. Where the host has the kernels
+// (newview20_amd64.s) and the run is 20-state, a pattern's categories go
+// through one call, both P applications (or a table row and one) and their
+// product in registers, the same operations in the same order; whether they
+// take the run is decided once, before its first pattern.
 //
 //plk:hotpath
 func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
+	rows := c.newviewRowsFit(run)
 	count := 0
 	for i := run.Lo; i < run.Hi; i += run.Step {
 		j := i - c.partOffset
@@ -116,42 +121,38 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 			// Exactly one specialized tip child (a tip the table decision
 			// skipped never coexists with a built sibling table — ensureTables
 			// builds both or neither); the inner child pays the P application.
-			tab, row, xv, pm := c.a.tab, c.a.row, c.b.v, c.b.pm
+			tab, row, x := c.a.tab, c.a.row, &c.b
 			if c.b.tab != nil {
-				tab, row, xv, pm = c.b.tab, c.b.row, c.a.v, c.a.pm
+				tab, row, x = c.b.tab, c.b.row, &c.a
 			}
 			tq := tab[int(row[j])*cs : int(row[j])*cs+cs]
+			if rows {
+				newviewRowAVX(c.dst[off:], tq, x.pm, x.v[off:], c.catStride, cats)
+				break
+			}
 			for cat := 0; cat < cats; cat++ {
 				co := off + cat*c.catStride
 				d := c.dst[co : co+s]
 				t := tq[cat*s:][:len(d)]
-				c.applyP(d, pm[cat*ss:(cat+1)*ss], xv[co:co+s])
+				c.applyP(d, x.pm[cat*ss:(cat+1)*ss], x.v[co:co+s])
 				for a := range d {
 					d[a] = t[a] * d[a]
 				}
 			}
 		default:
-			var tvq, tvr []float64
-			if c.a.tip {
-				tvq = alignment.TipVector(c.dtype, c.a.row[j])
-			}
-			if c.b.tip {
-				tvr = alignment.TipVector(c.dtype, c.b.row[j])
+			// Inner children read their CLV a category plane apart; a tip
+			// child its 0/1 vector, the same for every category (stride 0).
+			q, r := c.sideOf(&c.a, j, off), c.sideOf(&c.b, j, off)
+			if rows {
+				newviewPairAVX(c.dst[off:], c.a.pm, q.x, c.b.pm, r.x, c.catStride, q.stride, r.stride, cats)
+				break
 			}
 			sr := c.tmp[:s]
 			for cat := 0; cat < cats; cat++ {
 				co := off + cat*c.catStride
-				cq := tvq
-				if !c.a.tip {
-					cq = c.a.v[co : co+s]
-				}
-				cr := tvr
-				if !c.b.tip {
-					cr = c.b.v[co : co+s]
-				}
 				d := c.dst[co : co+s]
-				c.applyP(d, c.a.pm[cat*ss:(cat+1)*ss], cq)
-				c.applyP(sr, c.b.pm[cat*ss:(cat+1)*ss], cr)
+				c.applyP(d, c.a.pm[cat*ss:(cat+1)*ss], q.x[cat*q.stride:cat*q.stride+s])
+				c.applyP(sr, c.b.pm[cat*ss:(cat+1)*ss], r.x[cat*r.stride:cat*r.stride+s])
 				for a := range d {
 					d[a] = d[a] * sr[a]
 				}
@@ -162,6 +163,10 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 	}
 	return count
 }
+
+// NewviewRowsKernel is the kernel newviewGeneric runs a 20-state pattern's
+// categories on, newview20_amd64.s.
+var NewviewRowsKernel = cpufeat.NewKernel("newview rows (AVX)", cpufeat.AVX)
 
 // finishPattern applies the numerical scaling step to one freshly computed
 // pattern: propagate the children's scaling exponents and, when every entry

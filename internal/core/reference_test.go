@@ -629,6 +629,120 @@ func TestSumtableKernelBitIdentity(t *testing.T) {
 	t.Logf("%d runs compared", runs)
 }
 
+// TestNewviewRowsKernelBitIdentity: newviewGeneric at twenty states with its
+// kernels (where the host runs them) against its scalar loop alone (the
+// kernel off) and the per-pattern reference, at one to four categories (two
+// and four pair every category in the table-row shape, one and three leave
+// one alone), for inner/inner, table/inner, inner/table, bare-tip/inner and
+// table/table children, over runs of step 1 and 3. CLV, P block and table
+// entries are signed, every category's block its own; a third of the
+// patterns' CLVs, and a third of the table rows, sit near 2^-256, so a
+// product of two needs rescaling, and every ninth pattern's CLVs near
+// 2^-515, so an inner/inner product is subnormal.
+// Planes and table rows are unaligned. The CLVs, the scaling exponents and
+// the scaling count must agree bit for bit.
+func TestNewviewRowsKernelBitIdentity(t *testing.T) {
+	if !slices.Contains(cpufeat.Kernels(), NewviewRowsKernel) {
+		t.Fatal("NewviewRowsKernel is not listed by cpufeat.Kernels(): a scalar arm would leave it on")
+	}
+	host := NewviewRowsKernel.Set(true)
+	t.Cleanup(func() { NewviewRowsKernel.Set(host) })
+	t.Logf("kernel on: %v", NewviewRowsKernel.On())
+	rng := rand.New(rand.NewSource(46))
+	signed := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 2*rng.Float64() - 1
+		}
+		return v
+	}
+	const n, offset, s = 17, 3, 20
+	dt, codes := alignment.AA, alignment.NumCodes(alignment.AA)
+	runs := 0
+	for _, cats := range []int{1, 2, 3, 4} {
+		plane := n*s + 3
+		c := spanCtx{partition: partition{s: s, cats: cats, cs: cats * s, base: 5, catStride: plane,
+			partOffset: offset, dtype: dt, applyP: model.ApplyCols}}
+		c.tmp = make([]float64, s)
+		// Both children's CLVs, scaling exponents, tip rows, P blocks and
+		// tables; some patterns scaled down.
+		var clv, pm, tab [2][]float64
+		var sc [2][]int32
+		var row [2][]byte
+		for e := range clv {
+			clv[e], pm[e] = signed(c.base+cats*plane), signed(cats*s*s)
+			tab[e] = signed(codes*c.cs + 1)[1:]
+			for code := 0; code < codes; code += 3 {
+				for k := range c.cs {
+					tab[e][code*c.cs+k] *= 0x1p-256
+				}
+			}
+			sc[e], row[e] = make([]int32, offset+n), make([]byte, n)
+			for j := range row[e] {
+				row[e][j] = byte(rng.Intn(codes))
+				sc[e][offset+j] = int32(rng.Intn(3))
+				scale := 1.0
+				switch {
+				case j%9 == 0:
+					scale = 0x1p-515
+				case j%3 == 0:
+					scale = 0x1p-256
+				}
+				for cat := 0; cat < cats; cat++ {
+					v := clv[e][c.base+cat*plane+j*s:][:s]
+					for a := range v {
+						v[a] *= scale
+					}
+				}
+			}
+		}
+		bind := func(e int, kind string) spanEnd {
+			switch kind {
+			case "inner":
+				return spanEnd{v: clv[e], sc: sc[e], pm: pm[e]}
+			case "tip":
+				return spanEnd{tip: true, row: row[e], pm: pm[e]}
+			}
+			return spanEnd{tip: true, row: row[e], pm: pm[e], tab: tab[e]}
+		}
+		for _, ends := range [][2]string{{"inner", "inner"}, {"table", "inner"}, {"inner", "table"}, {"tip", "inner"}, {"table", "table"}} {
+			c.a, c.b = bind(0, ends[0]), bind(1, ends[1])
+			for _, step := range []int{1, 3} {
+				run := schedule.Run{Lo: offset, Hi: offset + n, Step: step}
+				label := fmt.Sprintf("cats=%d %s/%s step=%d", cats, ends[0], ends[1], step)
+				var arms [3]spanCtx
+				for k := range arms {
+					arms[k] = c
+					arms[k].dst, arms[k].dstScale = make([]float64, c.base+cats*plane+2), make([]int32, offset+n)
+					for i := range arms[k].dst {
+						arms[k].dst[i] = math.NaN() // an entry no arm writes stays NaN in all three
+					}
+				}
+				gk := arms[0].newviewGeneric(run)
+				was := NewviewRowsKernel.Set(false)
+				gs := arms[1].newviewGeneric(run)
+				NewviewRowsKernel.Set(was)
+				gr := arms[2].newviewReference(run)
+				if want := (n + step - 1) / step; gk != want || gs != want || gr != want {
+					t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, want)
+				}
+				for k, arm := range []string{"scalar loop", "reference"} {
+					other := &arms[k+1]
+					sameSums(t, label+", kernel against the "+arm, arms[0].dst, other.dst)
+					if !slices.Equal(arms[0].dstScale, other.dstScale) || arms[0].scaled != other.scaled {
+						t.Fatalf("%s: scaling exponents %v (%v events), the %s's %v (%v)", label, arms[0].dstScale, arms[0].scaled, arm, other.dstScale, other.scaled)
+					}
+				}
+				if arms[0].scaled == 0 {
+					t.Fatalf("%s: no pattern was rescaled", label)
+				}
+				runs++
+			}
+		}
+	}
+	t.Logf("%d runs compared", runs)
+}
+
 // TestGenericBodiesMatchReference sweeps the generic bodies over a DNA + AA
 // dataset (s = 4 and 20) under both backends, with and without tip tables:
 // all three newview cases, both evaluate arms and every sumtable end

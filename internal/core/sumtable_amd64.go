@@ -13,7 +13,7 @@ func sumtableAVX(dst, l, r, freqs, ev, eviT []float64, ls, rs, cats int, invCats
 // checked here, once, by each side's last vector.
 //
 //plk:hotpath
-func (c *spanCtx) sumtableRows(dst []float64, l, r sumSide) bool {
+func (c *spanCtx) sumtableRows(dst []float64, l, r side) bool {
 	s, cats := len(c.freqs), c.cats
 	if !SumtableKernel.On() || s != 4 && s != 20 || cats < 1 || len(dst) < cats*s || len(c.ev) < s*s || len(c.eviT) < s*s ||
 		!l.fits(s, cats) || !r.fits(s, cats) {
@@ -31,7 +31,7 @@ func (c *spanCtx) sumtableRows(dst []float64, l, r sumSide) bool {
 }
 
 // fits reports whether the kernel's reads of the side stay inside x.
-func (d sumSide) fits(s, cats int) bool {
+func (d side) fits(s, cats int) bool {
 	if d.row {
 		return len(d.x) >= s
 	}

@@ -4,4 +4,4 @@ package core
 
 // Without an assembly realisation sumtableGeneric's scalar loop takes every
 // pattern.
-func (c *spanCtx) sumtableRows(dst []float64, l, r sumSide) bool { return false }
+func (c *spanCtx) sumtableRows(dst []float64, l, r side) bool { return false }

@@ -3,10 +3,10 @@
 // FMA are read once, from CPUID and XCR0, at package initialisation, and are
 // false on every other GOARCH. Each 4-lane kernel of internal/core (the fused
 // newview's planes, the evaluate site log, the derivative quartets, the
-// sumtable rows) and internal/model (the 4- and 20-state PMatrices, Exps,
-// ApplyCols) is one Kernel, declared beside its guard from those features;
-// Kernels lists them, so a test that runs a suite on the scalar code turns
-// every one of them off.
+// sumtable rows, the 20-state newview rows) and internal/model (the 4- and
+// 20-state PMatrices, Exps, ApplyCols) is one Kernel, declared beside its
+// guard from those features; Kernels lists them, so a test that runs a suite
+// on the scalar code turns every one of them off.
 package cpufeat
 
 import "slices"

@@ -66,10 +66,10 @@ func (r Region) String() string {
 // operation counts (roughly: floating-point multiply-adds) to Ops, which the
 // executor folds into its Stats — the trace a Platform prices. Everything
 // else here is what the host measured, and a RegionObserver folds it into the
-// metrics registry, its one record (MetricsCollector). Seconds is written by
-// the executor harness itself — the measured wall-clock time this worker
-// spent inside the current region's closure (monotonic; see Pool.Run). All
-// are reset per region and folded master-side after the barrier.
+// metrics registry, its one record (MetricsCollector). Seconds and Start are
+// written by the executor harness itself: the measured wall-clock time this
+// worker spent inside the current region's closure, and when it began, after
+// the region's start (monotonic; see Pool.Run). All are reset per region.
 //
 // Concurrent tells region observers whether this region's workers are live
 // goroutines or virtual workers taking turns on one goroutine (NewSim,
@@ -92,6 +92,7 @@ type WorkerCtx struct {
 	Worker       int
 	Ops          float64
 	Seconds      float64
+	Start        float64  // seconds from the region's start to this worker's closure
 	Patterns     float64  // alignment patterns processed (newview spans)
 	Scalings     float64  // numerical scaling events (CLV underflow rescues)
 	SpanTipTip   float64  // newview spans with two tip children
@@ -100,13 +101,13 @@ type WorkerCtx struct {
 	PComputed    float64  // transition-matrix blocks P(z) a span binding computed
 	PReused      float64  // blocks it took from the worker's memo instead
 	Concurrent   bool     // workers run on real goroutines (see type comment)
-	_            [47]byte // pad to two cache lines (see type comment)
+	_            [39]byte // pad to two cache lines (see type comment)
 }
 
 // beginRegion resets the per-region scratch (everything except Worker, which
-// is fixed at construction) ahead of a region closure.
-func (c *WorkerCtx) beginRegion(concurrent bool) {
-	*c = WorkerCtx{Worker: c.Worker, Concurrent: concurrent}
+// is fixed at construction) ahead of a region closure that starts at start.
+func (c *WorkerCtx) beginRegion(concurrent bool, start float64) {
+	*c = WorkerCtx{Worker: c.Worker, Concurrent: concurrent, Start: start}
 }
 
 // RegionObserver receives one callback per completed parallel region,

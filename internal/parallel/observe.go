@@ -93,7 +93,7 @@ func NewMetricsCollector(reg *obs.Registry, execKind, backend string, threads in
 }
 
 // ObserveRegion implements RegionObserver: fold one finished region's
-// per-worker scratch into the registry and (optionally) the trace buffer.
+// per-worker scratch into the registry and the trace, each span at its Start.
 func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall float64, ctxs []WorkerCtx) {
 	if kind < 0 || kind >= numRegionKinds {
 		kind = RegionOther
@@ -133,7 +133,8 @@ func (c *MetricsCollector) ObserveRegion(kind Region, start time.Time, wall floa
 		c.pMatrices[1].Add(ctx.PReused)
 		c.scalingEvents.Add(ctx.Scalings)
 		if c.tracer != nil {
-			c.tracer.Span(kind.String(), "region", w, start, time.Duration(ctx.Seconds*float64(time.Second)),
+			at := start.Add(time.Duration(ctx.Start * float64(time.Second)))
+			c.tracer.Span(kind.String(), "region", w, at, time.Duration(ctx.Seconds*float64(time.Second)),
 				obs.Arg{Key: "ops", Value: ctx.Ops},
 				obs.Arg{Key: "patterns", Value: ctx.Patterns})
 		}

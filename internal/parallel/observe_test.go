@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -171,5 +173,89 @@ func TestObserveRegionAllocFree(t *testing.T) {
 		c.ObserveRegion(RegionNewview, start, 0.01, ctxs)
 	}); n != 0 {
 		t.Fatalf("ObserveRegion allocates %v allocs/op, want 0", n)
+	}
+}
+
+// startLog is a RegionObserver that keeps each worker's Start of the last
+// region and hands the region on to a collector.
+type startLog struct {
+	c     *MetricsCollector
+	start []float64
+}
+
+func (l *startLog) ObserveRegion(kind Region, start time.Time, wall float64, ctxs []WorkerCtx) {
+	l.start = l.start[:0]
+	for i := range ctxs {
+		l.start = append(l.start, ctxs[i].Start)
+	}
+	l.c.ObserveRegion(kind, start, wall, ctxs)
+}
+
+// TestWorkerSpansPlacedWhereTheyRan: each worker's trace span starts where
+// its closure did, at the region's start plus its WorkerCtx.Start. Virtual
+// workers (NewSim(3)) take turns, so their spans lie end to end; goroutine
+// workers (NewPool(2)) start at offsets of their own, after the region's
+// start. The trace's timestamps count from its earliest event, so a span's
+// is its worker's Start less the smallest Start.
+func TestWorkerSpansPlacedWhereTheyRan(t *testing.T) {
+	pool, err := NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	sim, err := NewSim(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 0.005 // µs: the trace prints ns, and a span's start and length each round to one
+	for name, exec := range map[string]*Pool{"sim": sim, "pool": pool} {
+		t.Run(name, func(t *testing.T) {
+			tr := obs.NewTracer(16)
+			log := &startLog{c: NewMetricsCollector(obs.NewRegistry(), name, "fused4", exec.Threads(), tr)}
+			exec.SetObserver(log)
+			burn := make([]float64, 3*16) // padded per-worker sinks
+			exec.Run(RegionNewview, func(w int, ctx *WorkerCtx) { burn[w*16] += spinOps(100000) })
+			exec.SetObserver(nil)
+
+			var b strings.Builder
+			if err := tr.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			var trace struct {
+				TraceEvents []struct {
+					Ph      string
+					Tid     int
+					Ts, Dur float64
+				}
+			}
+			if err := json.Unmarshal([]byte(b.String()), &trace); err != nil {
+				t.Fatal(err)
+			}
+			first := slices.Min(log.start)
+			spans := map[int][2]float64{} // worker: ts, dur in µs
+			for _, ev := range trace.TraceEvents {
+				if ev.Ph == "X" {
+					spans[ev.Tid] = [2]float64{ev.Ts, ev.Dur}
+				}
+			}
+			if len(spans) != exec.Threads() {
+				t.Fatalf("%d spans, want one per worker (%d)", len(spans), exec.Threads())
+			}
+			for w, sp := range spans {
+				if log.start[w] < 0 || name == "pool" && log.start[w] == 0 {
+					// A goroutine reads its start after the hand-off, so strictly later.
+					t.Errorf("worker %d: Start = %v s, not after the region's start", w, log.start[w])
+				}
+				if want := (log.start[w] - first) * 1e6; math.Abs(sp[0]-want) > tol {
+					t.Errorf("worker %d: span at %.3f µs, want region start + Start = %.3f µs", w, sp[0], want)
+				}
+				if name == "sim" && w > 0 {
+					if end := spans[w-1][0] + spans[w-1][1]; math.Abs(sp[0]-end) > 2*tol {
+						t.Errorf("worker %d: span at %.3f µs, want the end of worker %d's turn, %.3f µs", w, sp[0], w-1, end)
+					}
+				}
+			}
+			t.Logf("Start (s): %v", log.start)
+		})
 	}
 }

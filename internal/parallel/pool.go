@@ -21,6 +21,7 @@ type Pool struct {
 	closed atomic.Bool                 // Close was called on this view; Run panics
 	owner  bool                        // the constructor's view: its Close stops the goroutines
 	fn     func(w int, ctx *WorkerCtx) // goroutine workers: the region closure in flight
+	start  time.Time                   // and when it was issued
 	*crew
 }
 
@@ -106,10 +107,11 @@ func (p *Pool) Stats() *Stats { return &p.stats }
 // Run executes fn once per worker and returns after all of them finish.
 //
 // Goroutine workers each time their own closure on the monotonic clock and
-// park the duration in their padded WorkerCtx (no cross-worker cache-line
-// traffic). Virtual workers take turns on the caller, each turn timed from
-// the previous turn's end, so the turns add up to the region's wall time and
-// a single worker costs two clock reads. That serial timing is an honest,
+// park its duration and its start (after the region's) in their padded
+// WorkerCtx (no cross-worker cache-line traffic). Virtual workers take turns
+// on the caller, each turn timed and placed from the previous turn's end, so
+// the turns lie end to end, add up to the region's wall time, and a single
+// worker costs two clock reads. That serial timing is an honest,
 // contention-free sample of each share's cost on this host. A view whose
 // goroutines were stopped under it (a Dataset torn down while an analysis is
 // mid-flight) runs its workers virtually, with identical numerics, so the
@@ -132,10 +134,10 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 	start := time.Now()
 	var wall time.Duration // since start, on the monotonic clock
 	if live {
-		p.fn = fn
+		p.fn, p.start = fn, start
 		p.wg.Add(len(p.ctxs))
 		for w := range p.ctxs {
-			p.ctxs[w].beginRegion(true)
+			p.ctxs[w].beginRegion(true, 0)
 			p.cmds[w] <- p
 		}
 		p.wg.Wait()
@@ -144,11 +146,10 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 	} else {
 		for w := range p.ctxs {
 			ctx := &p.ctxs[w]
-			ctx.beginRegion(false)
+			ctx.beginRegion(false, wall.Seconds())
 			fn(w, ctx)
 			turnEnd := time.Since(start)
-			ctx.Seconds = (turnEnd - wall).Seconds()
-			wall = turnEnd
+			ctx.Seconds, wall = (turnEnd - wall).Seconds(), turnEnd
 		}
 	}
 	p.stats.record(kind, p.ctxs)
@@ -158,12 +159,12 @@ func (p *Pool) Run(kind Region, fn func(w int, ctx *WorkerCtx)) {
 }
 
 // work is goroutine worker w's turn in the region in flight on view p: its
-// closure, timed. A region hands each worker its view, so it allocates nothing.
+// closure, timed and placed. It is handed the view, so it allocates nothing.
 func (p *Pool) work(w int) {
 	ctx := &p.ctxs[w]
 	t0 := time.Now()
 	p.fn(w, ctx)
-	ctx.Seconds = time.Since(t0).Seconds()
+	ctx.Seconds, ctx.Start = time.Since(t0).Seconds(), t0.Sub(p.start).Seconds()
 	p.wg.Done()
 }
 

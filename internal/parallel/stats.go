@@ -41,9 +41,7 @@ func (s *Stats) record(kind Region, ctxs []WorkerCtx) {
 		ops := ctxs[w].Ops
 		s.WorkerOps[w] += ops
 		sumOps += ops
-		if ops > maxOps {
-			maxOps = ops
-		}
+		maxOps = max(maxOps, ops)
 	}
 	s.Regions++
 	s.TotalOps += sumOps
