@@ -240,12 +240,9 @@ func convergenceMaskBench(b *testing.B, disable bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		models[i], err = model.DefaultFor(p, 4, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var critical float64
 	b.ResetTimer()
@@ -281,12 +278,9 @@ func scheduleBench(b *testing.B, strat schedule.Strategy) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		models[i], err = model.DefaultFor(p, 4, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var imbal float64
 	b.ResetTimer()

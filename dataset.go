@@ -127,13 +127,9 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		m, err := model.DefaultFor(p, o.GammaCategories, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
+	models, err := model.DefaultsFor(d.Parts, o.GammaCategories, model.DefaultAlpha)
+	if err != nil {
+		return nil, err
 	}
 	sh, err := core.NewSharedWith(d, o.GammaCategories, o.Threads, o.Backend)
 	if err != nil {

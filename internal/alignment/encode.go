@@ -123,6 +123,27 @@ func setStates(vec []float64) (set []uint8) {
 	return set
 }
 
+// noCodes is the code table of an unknown data type: every character is
+// invalid, and EncodeChar says why.
+var noCodes = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	return t
+}()
+
+// codeTable is the character-to-tip-code table of the data type, 0xFF for a
+// character EncodeChar rejects.
+func codeTable(t DataType) *[256]byte {
+	switch t {
+	case DNA:
+		return &dnaCode
+	case AA:
+		return &aaCode
+	}
+	return &noCodes
+}
+
 // EncodeChar maps one raw character onto its tip code for the data type.
 func EncodeChar(t DataType, c byte) (byte, error) {
 	var code byte

@@ -1,9 +1,6 @@
 package alignment
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // CompressedPartition holds one partition's data after site-pattern
 // compression: distinct column patterns with multiplicities (weights), plus
@@ -75,13 +72,27 @@ type CompressOptions struct {
 // Compress encodes and pattern-compresses an alignment under a partition
 // scheme. Identical columns *within the same partition* are merged and
 // weighted; columns are never merged across partitions because partitions
-// have distinct model parameters.
+// have distinct model parameters. Patterns are numbered by first occurrence.
+//
+// It is one pass over each partition's columns: a character is encoded
+// through its type's code table, straight into the tail of the partition's
+// pattern-major buffer, and a column seen before is found in the index
+// without allocating, so only a new pattern allocates (its key). The buffer
+// is then transposed into Tips, taxon-major for cache-friendly kernel access.
 func Compress(a *Alignment, parts []Partition, opts CompressOptions) (*CompressedData, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("alignment: no partitions")
 	}
 	n := a.NumTaxa()
-	d := &CompressedData{TaxaNames: append([]string(nil), a.Names...)}
+	d := &CompressedData{TaxaNames: append([]string(nil), a.Names...), Parts: make([]*CompressedPartition, 0, len(parts))}
+	var index map[string]int // one for all partitions, cleared between them
+	if !opts.KeepDuplicates {
+		most := 0
+		for i := range parts {
+			most = max(most, len(parts[i].Sites))
+		}
+		index = make(map[string]int, most)
+	}
 	offset := 0
 	for pi := range parts {
 		part := &parts[pi]
@@ -95,58 +106,59 @@ func Compress(a *Alignment, parts []Partition, opts CompressOptions) (*Compresse
 			SiteCount: len(part.Sites),
 			Present:   make([]bool, n),
 		}
-		// Encode columns taxon-major for cache-friendly kernel access.
-		col := make([]byte, n)
-		index := make(map[string]int)
-		var patterns [][]byte // pattern-major first, transposed below
-		var weights []float64
+		table := codeTable(part.Type)
+		clear(index)
+		// Pattern i's codes are flat[i*n : (i+1)*n]; a column is encoded into
+		// the tail and kept only when it is a new pattern.
+		flat := make([]byte, 0, len(part.Sites)*n)
+		weights := make([]float64, 0, len(part.Sites))
 		for _, site := range part.Sites {
 			if site < 0 || site >= a.NumSites() {
 				return nil, fmt.Errorf("alignment: partition %q references column %d outside alignment", part.Name, site)
 			}
-			for t := 0; t < n; t++ {
-				code, err := EncodeChar(part.Type, a.Seqs[t][site])
-				if err != nil {
+			col := flat[len(flat) : len(flat)+n]
+			for t := range col {
+				c := a.Seqs[t][site]
+				code := table[c]
+				if code == 0xFF {
+					_, err := EncodeChar(part.Type, c)
 					return nil, fmt.Errorf("taxon %q column %d: %v", a.Names[t], site+1, err)
 				}
 				col[t] = code
-				if !IsGapCode(part.Type, code) {
-					cp.Present[t] = true
+			}
+			if index != nil {
+				if at, ok := index[string(col)]; ok {
+					weights[at]++
+					continue
 				}
+				index[string(col)] = len(weights)
 			}
-			if opts.KeepDuplicates {
-				patterns = append(patterns, append([]byte(nil), col...))
-				weights = append(weights, 1)
-				continue
-			}
-			key := string(col)
-			if at, ok := index[key]; ok {
-				weights[at]++
-			} else {
-				index[key] = len(patterns)
-				patterns = append(patterns, append([]byte(nil), col...))
-				weights = append(weights, 1)
-			}
+			flat = flat[:len(flat)+n]
+			weights = append(weights, 1)
 		}
-		cp.PatternCount = len(patterns)
+		np := len(weights)
+		cp.PatternCount = np
 		cp.Weights = weights
 		cp.Tips = make([][]byte, n)
 		cp.Codes = make([][]byte, n)
-		for t := 0; t < n; t++ {
-			row := make([]byte, len(patterns))
+		tips := make([]byte, n*np)
+		codes := make([]byte, 0, n*min(np, NumCodes(part.Type)))
+		for t := range cp.Tips {
+			row := tips[t*np : (t+1)*np : (t+1)*np]
 			var seen uint32 // bit c set: the taxon carries tip code c (all codes are < 23)
-			for i, pat := range patterns {
-				row[i] = pat[t]
-				seen |= 1 << pat[t]
+			for i := range row {
+				row[i] = flat[i*n+t]
+				seen |= 1 << row[i]
 			}
 			cp.Tips[t] = row
-			codes := make([]byte, 0, bits.OnesCount32(seen))
+			cp.Present[t] = seen&^(1<<GapCode(part.Type)) != 0
+			from := len(codes)
 			for c := byte(0); seen != 0; c, seen = c+1, seen>>1 {
 				if seen&1 != 0 {
 					codes = append(codes, c)
 				}
 			}
-			cp.Codes[t] = codes
+			cp.Codes[t] = codes[from:len(codes):len(codes)]
 		}
 		offset += cp.PatternCount
 		d.TotalSites += cp.SiteCount

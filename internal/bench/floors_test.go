@@ -160,19 +160,38 @@ func hold(t *testing.T, measure func() (ok bool, reading string)) {
 	t.Log(reading)
 }
 
-// bestOf3 is the minimum ns/op of three testing.Benchmark runs of body, the
-// standard robust estimator against scheduler and frequency noise.
-func bestOf3(t *testing.T, body func(b *testing.B)) float64 {
+// alternate times the two arms of a floor: three rounds of one
+// testing.Benchmark run of a and then one of b, and each arm's minimum ns/op,
+// the standard robust estimator against scheduler and frequency noise. The
+// arms alternate, so a slow spell of the host falls on both rather than on
+// whichever arm ran through it.
+func alternate(t *testing.T, a, b func(b *testing.B)) (nsA, nsB float64) {
 	t.Helper()
-	best := math.Inf(1)
-	for attempt := 0; attempt < 3; attempt++ {
-		r := testing.Benchmark(body)
-		if r.N == 0 {
-			t.Fatal("benchmark body failed")
-		}
-		best = min(best, float64(r.T.Nanoseconds())/float64(r.N))
+	nsA, nsB = math.Inf(1), math.Inf(1)
+	for range 3 {
+		nsA, nsB = min(nsA, nsOp(t, a)), min(nsB, nsOp(t, b))
 	}
-	return best
+	return nsA, nsB
+}
+
+// nsOp is one testing.Benchmark run of body in ns/op.
+func nsOp(t *testing.T, body func(b *testing.B)) float64 {
+	t.Helper()
+	r := testing.Benchmark(body)
+	if r.N == 0 {
+		t.Fatal("benchmark body failed")
+	}
+	return float64(r.T.Nanoseconds()) / float64(r.N)
+}
+
+// switched is body run with a kernel switch (a cpufeat.Kernel's Set) at on,
+// and the switch restored after.
+func switched(set func(bool) bool, on bool, body func(b *testing.B)) func(b *testing.B) {
+	return func(b *testing.B) {
+		defer set(set(on))
+		b.ResetTimer()
+		body(b)
+	}
 }
 
 // workload is one floor dataset: compressed, with its per-partition model
@@ -195,11 +214,9 @@ func newWorkload(t *testing.T, taxa, sites, partLen int, scale float64, seed, tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			t.Fatal(err)
-		}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return &workload{name: ds.Name, names: ds.Alignment.Names, data: d, models: models, treeSeed: treeSeed}
 }
@@ -248,19 +265,19 @@ func (r *rig) session(tb testing.TB, opts core.Options) *core.Engine {
 	return eng
 }
 
-// newviewNsOp times one full newview traversal (every inner CLV recomputed)
-// of a warmed one-thread session.
-func newviewNsOp(t *testing.T, w *workload, backend core.Backend, specialize bool) float64 {
+// newviewArm is one full newview traversal (every inner CLV recomputed) of
+// a warmed one-thread session, as a benchmark body.
+func newviewArm(t *testing.T, w *workload, backend core.Backend, specialize bool) func(b *testing.B) {
 	t.Helper()
 	eng := w.rig(t, 1, backend).session(t, core.Options{Specialize: specialize})
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root, false, nil)
-	return bestOf3(t, func(b *testing.B) {
+	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.InvalidateCLVs()
 			eng.TraverseRoot(root, false, nil)
 		}
-	})
+	}
 }
 
 // TestFusedNewviewFloor: fused >= 2.0x generic (3.6x where the AVX plane
@@ -273,8 +290,7 @@ func TestFusedNewviewFloor(t *testing.T) {
 	w := newWorkload(t, 48, 8192, 8192, 1.0, floorSeed+29, floorSeed+1)
 	floor := planesFloor(fusedNewviewFloor, fusedNewviewFloorVector)
 	hold(t, func() (bool, string) {
-		generic := newviewNsOp(t, w, core.BackendGeneric, true)
-		fused := newviewNsOp(t, w, core.BackendFused, true)
+		generic, fused := alternate(t, newviewArm(t, w, core.BackendGeneric, true), newviewArm(t, w, core.BackendFused, true))
 		return generic/fused >= floor,
 			fmt.Sprintf("fused newview %.2fx generic at 1 thread, %d-lane planes (floor %.1fx; generic %.0f ns/op, fused %.0f ns/op; %s, %d patterns)",
 				generic/fused, core.VectorLanes(core.BackendFused, 4), floor, generic, fused, w.name, w.data.TotalPatterns)
@@ -290,8 +306,7 @@ func TestTipTableFloor(t *testing.T) {
 	w := newWorkload(t, 6, 2048, 2048, 1.0, floorSeed+17, floorSeed+1)
 	floor := planesFloor(tipTableFloor, tipTableFloorVector)
 	hold(t, func() (bool, string) {
-		generic := newviewNsOp(t, w, core.BackendFused, false)
-		table := newviewNsOp(t, w, core.BackendFused, true)
+		generic, table := alternate(t, newviewArm(t, w, core.BackendFused, false), newviewArm(t, w, core.BackendFused, true))
 		return generic/table >= floor,
 			fmt.Sprintf("tip-table newview %.2fx generic at 1 thread, %d-lane planes (floor %.2fx; generic %.0f ns/op, table %.0f ns/op; %s, %d patterns)",
 				generic/table, core.VectorLanes(core.BackendFused, 4), floor, generic, table, w.name, w.data.TotalPatterns)
@@ -314,7 +329,7 @@ func TestPMatricesFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		hold(t, func() (bool, string) {
-			scalar, lane := pmatricesNsOp(t, m, model.PMatrix4Kernel.Set, false), pmatricesNsOp(t, m, model.PMatrix4Kernel.Set, true)
+			scalar, lane := alternate(t, pmatricesArm(m, model.PMatrix4Kernel.Set, false), pmatricesArm(m, model.PMatrix4Kernel.Set, true))
 			return scalar/lane >= pmatricesFloor,
 				fmt.Sprintf("4-state PMatrices at 4 categories: AVX2 kernel %.2fx the scalar code (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
 					scalar/lane, pmatricesFloor, scalar, lane)
@@ -329,7 +344,7 @@ func TestPMatricesFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		hold(t, func() (bool, string) {
-			cols, lane := pmatricesNsOp(t, m, model.PMatrix20Kernel.Set, false), pmatricesNsOp(t, m, model.PMatrix20Kernel.Set, true)
+			cols, lane := alternate(t, pmatricesArm(m, model.PMatrix20Kernel.Set, false), pmatricesArm(m, model.PMatrix20Kernel.Set, true))
 			return cols/lane >= pmatrices20Floor,
 				fmt.Sprintf("20-state PMatrices at 4 categories: AVX kernel %.2fx pmatrixCols (floor %.1fx; pmatrixCols %.0f ns/op, kernel %.0f ns/op; Exps kernel %v)",
 					cols/lane, pmatrices20Floor, cols, lane, model.ExpsKernel.On())
@@ -337,12 +352,10 @@ func TestPMatricesFloor(t *testing.T) {
 	})
 }
 
-// pmatricesNsOp times one PMatrices call of m with set(vector) in force.
-func pmatricesNsOp(t *testing.T, m *model.Model, set func(bool) bool, vector bool) float64 {
-	t.Helper()
-	defer set(set(vector))
+// pmatricesArm is one PMatrices call of m with set(vector) in force.
+func pmatricesArm(m *model.Model, set func(bool) bool, vector bool) func(b *testing.B) {
 	dst := make([]float64, m.NumCats*m.States*m.States)
-	return bestOf3(t, func(b *testing.B) {
+	return switched(set, vector, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.PMatrices(0.01+0.03*float64(i&15), dst)
 		}
@@ -369,18 +382,15 @@ func TestProteinApplyFloor(t *testing.T) {
 	for i := range x {
 		x[i] = 0.05 + 0.1*float64(i%7)
 	}
-	nsOp := func(vector bool) float64 {
-		defer model.ApplyColsKernel.Set(model.ApplyColsKernel.Set(vector))
-		return bestOf3(t, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for c := 0; c < cats; c++ {
-					model.ApplyCols(dst, pm[c*s*s:(c+1)*s*s], x[c*s:(c+1)*s])
-				}
+	apply := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for c := 0; c < cats; c++ {
+				model.ApplyCols(dst, pm[c*s*s:(c+1)*s*s], x[c*s:(c+1)*s])
 			}
-		})
+		}
 	}
 	hold(t, func() (bool, string) {
-		scalar, lane := nsOp(false), nsOp(true)
+		scalar, lane := alternate(t, switched(model.ApplyColsKernel.Set, false, apply), switched(model.ApplyColsKernel.Set, true, apply))
 		return scalar/lane >= proteinApplyFloor,
 			fmt.Sprintf("20-state P application at 4 categories: AVX kernel %.2fx the scalar loop (floor %.1fx; scalar %.1f ns/op, kernel %.1f ns/op)",
 				scalar/lane, proteinApplyFloor, scalar, lane)
@@ -401,17 +411,14 @@ func TestSiteLogFloor(t *testing.T) {
 		raw[k] = math.Exp(-40 * float64(k%997) / 997) // site likelihoods down to e^-40
 		sc[k] = int32(k % 3)
 	}
-	nsOp := func(vector bool) float64 {
-		defer core.SiteLogKernel.Set(core.SiteLogKernel.Set(vector))
-		return bestOf3(t, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(v, raw)
-				core.SiteLogs(v, sc, 0.25)
-			}
-		})
+	pass := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(v, raw)
+			core.SiteLogs(v, sc, 0.25)
+		}
 	}
 	hold(t, func() (bool, string) {
-		scalar, lane := nsOp(false), nsOp(true)
+		scalar, lane := alternate(t, switched(core.SiteLogKernel.Set, false, pass), switched(core.SiteLogKernel.Set, true, pass))
 		return scalar/lane >= siteLogFloor,
 			fmt.Sprintf("site pass over %d patterns: 4-lane log kernel %.2fx one math.Log a pattern (floor %.1fx; scalar %.0f ns/op, kernel %.0f ns/op)",
 				n, scalar/lane, siteLogFloor, scalar, lane)
@@ -433,16 +440,13 @@ func TestDerivativeFloor(t *testing.T) {
 	eng.TraverseRoot(p, false, nil)
 	eng.PrepareSumtable(p, nil)
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
-	nsOp := func(vector bool) float64 {
-		defer core.DerivativeKernel.Set(core.DerivativeKernel.Set(vector))
-		return bestOf3(t, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.BranchDerivatives(z, nil, nil, d1, d2)
-			}
-		})
+	region := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng.BranchDerivatives(z, nil, nil, d1, d2)
+		}
 	}
 	hold(t, func() (bool, string) {
-		scalar, lane := nsOp(false), nsOp(true)
+		scalar, lane := alternate(t, switched(core.DerivativeKernel.Set, false, region), switched(core.DerivativeKernel.Set, true, region))
 		return scalar/lane >= derivativeFloor,
 			fmt.Sprintf("derivative region over %d patterns at cs = 80: 4-lane kernel %.2fx the paired loop (floor %.1fx; scalar %.0f ns/op, kernel %.0f ns/op)",
 				w.data.TotalPatterns, scalar/lane, derivativeFloor, scalar, lane)
@@ -468,16 +472,13 @@ func TestSumtableFloor(t *testing.T) {
 		}
 	}
 	eng.TraverseRoot(p, false, nil)
-	nsOp := func(vector bool) float64 {
-		defer core.SumtableKernel.Set(core.SumtableKernel.Set(vector))
-		return bestOf3(t, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.PrepareSumtable(p, nil)
-			}
-		})
+	region := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng.PrepareSumtable(p, nil)
+		}
 	}
 	hold(t, func() (bool, string) {
-		scalar, lane := nsOp(false), nsOp(true)
+		scalar, lane := alternate(t, switched(core.SumtableKernel.Set, false, region), switched(core.SumtableKernel.Set, true, region))
 		return scalar/lane >= sumtableFloor,
 			fmt.Sprintf("inner/inner sumtable region over %d protein patterns at four categories: kernel %.2fx the scalar loop (floor %.1fx; scalar %.0f ns/op, kernel %.0f ns/op)",
 				w.data.TotalPatterns, scalar/lane, sumtableFloor, scalar, lane)
@@ -487,9 +488,7 @@ func TestSumtableFloor(t *testing.T) {
 // TestNewviewRowsFloor: where core.NewviewRowsKernel is on, one full
 // newview traversal of a 20-state partition at four categories, at one
 // thread, is >= newviewRowsFloor x faster with each pattern's categories in
-// one kernel call than on the scalar loop, the same bits either way. The two
-// arms alternate, best of three each, so a slow spell of the host falls on
-// both.
+// one kernel call than on the scalar loop, the same bits either way.
 func TestNewviewRowsFloor(t *testing.T) {
 	timed(t)
 	if !core.NewviewRowsKernel.On() {
@@ -499,21 +498,14 @@ func TestNewviewRowsFloor(t *testing.T) {
 	eng := w.rig(t, 1, core.BackendFused).session(t, core.Options{Specialize: true})
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root, false, nil)
-	nsOp := func(vector bool) float64 {
-		defer core.NewviewRowsKernel.Set(core.NewviewRowsKernel.Set(vector))
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng.InvalidateCLVs()
-				eng.TraverseRoot(root, false, nil)
-			}
-		})
-		return float64(r.T.Nanoseconds()) / float64(r.N)
+	traversal := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng.InvalidateCLVs()
+			eng.TraverseRoot(root, false, nil)
+		}
 	}
 	hold(t, func() (bool, string) {
-		scalar, lane := math.Inf(1), math.Inf(1)
-		for range 3 {
-			scalar, lane = min(scalar, nsOp(false)), min(lane, nsOp(true))
-		}
+		scalar, lane := alternate(t, switched(core.NewviewRowsKernel.Set, false, traversal), switched(core.NewviewRowsKernel.Set, true, traversal))
 		return scalar/lane >= newviewRowsFloor,
 			fmt.Sprintf("20-state newview traversal over %d patterns at four categories: kernel %.2fx the scalar loop (floor %.2fx; scalar %.0f ns/op, kernel %.0f ns/op)",
 				w.data.TotalPatterns, scalar/lane, newviewRowsFloor, scalar, lane)
@@ -547,10 +539,10 @@ func kernelWorkload(t *testing.T, dt alignment.DataType, taxa, patterns int) *wo
 	return &workload{name: dt.String(), names: names, data: d, models: []*model.Model{m}, treeSeed: floorSeed + 1}
 }
 
-// genericNsPerOp is the wall time of one full generic newview traversal
-// without tip tables over what the op accounting prices it at (opcost.go),
+// genericNewview is one full generic newview traversal without tip tables
+// as a benchmark body, and what the op accounting prices it at (opcost.go),
 // P(z) blocks memoized on both sides of the quotient.
-func genericNsPerOp(t *testing.T, w *workload) float64 {
+func genericNewview(t *testing.T, w *workload) (arm func(b *testing.B), ops float64) {
 	t.Helper()
 	eng := w.rig(t, 1, core.BackendGeneric).session(t, core.Options{})
 	root := eng.Tree.Tips[0].Back
@@ -558,7 +550,7 @@ func genericNsPerOp(t *testing.T, w *workload) float64 {
 	eng.Exec.Stats().Reset()
 	eng.InvalidateCLVs()
 	eng.TraverseRoot(root, false, nil)
-	return newviewNsOp(t, w, core.BackendGeneric, false) / eng.Exec.Stats().TotalOps
+	return newviewArm(t, w, core.BackendGeneric, false), eng.Exec.Stats().TotalOps
 }
 
 // TestProteinMaddFloor: a priced op of the 20-state generic newview costs at
@@ -578,7 +570,10 @@ func TestProteinMaddFloor(t *testing.T) {
 		ceiling = proteinMaddCeilingVector
 	}
 	hold(t, func() (bool, string) {
-		ns20, ns4 := genericNsPerOp(t, aa), genericNsPerOp(t, dna)
+		arm20, ops20 := genericNewview(t, aa)
+		arm4, ops4 := genericNewview(t, dna)
+		ns20, ns4 := alternate(t, arm20, arm4)
+		ns20, ns4 = ns20/ops20, ns4/ops4
 		return ns20/ns4 <= ceiling,
 			fmt.Sprintf("generic newview: %.3f ns a priced op at s = 20, %.3f at s = 4: %.2fx (ceiling %.2fx, newview rows kernel %v)",
 				ns20, ns4, ns20/ns4, ceiling, core.NewviewRowsKernel.On())
@@ -609,22 +604,22 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 		eng := r.session(t, core.Options{Specialize: true})
 		lanes := make([]float64, R)
 		score(eng, ws, lanes) // warm CLVs and batch buffers
-		batched := bestOf3(t, func(b *testing.B) {
+		// One iteration of the second arm = one replicate; the index cycles
+		// through all R weight vectors.
+		rpl := 0
+		batched, independent := alternate(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng.InvalidateCLVs()
 				score(eng, ws, lanes)
 			}
-		}) / R
-		// One iteration = one replicate; the index cycles through all R
-		// weight vectors.
-		rpl := 0
-		independent := bestOf3(t, func(b *testing.B) {
+		}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := r.session(b, core.Options{Specialize: true})
 				score(e, ws.Replicate(rpl%R), lanes[:1])
 				rpl++
 			}
 		})
+		batched /= R
 		return independent/batched >= batchedBootstrapFloor,
 			fmt.Sprintf("batched bootstrap %.2fx independent per replicate at 1 thread, R=%d (floor %.1fx; batched %.0f ns/rep = %.0f reps/s, independent %.0f ns/rep = %.0f reps/s; %s)",
 				independent/batched, R, batchedBootstrapFloor, batched, 1e9/batched, independent, 1e9/independent, grid.name)

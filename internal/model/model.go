@@ -75,6 +75,8 @@ func newEigenWork(s int) *eigenWork {
 	}
 }
 
+var errNoCats = errors.New("model: need at least one rate category")
+
 // NumExRates returns the exchangeability count for s states.
 func NumExRates(s int) int { return s * (s - 1) / 2 }
 
@@ -91,12 +93,19 @@ func RateIndex(s, i, j int) int {
 // computes its eigendecomposition. Pass nil for uniform frequencies and/or
 // all-equal exchangeabilities.
 func New(t alignment.DataType, freqs, exRates []float64, alpha float64, numCats int) (*Model, error) {
+	return newModel(t, freqs, exRates, alpha, numCats, nil)
+}
+
+// newModel is New with the category rates of (alpha, numCats) given, when
+// catRates is not nil: numeric.DiscreteGammaRates' bits, computed once by the
+// caller for several models.
+func newModel(t alignment.DataType, freqs, exRates []float64, alpha float64, numCats int, catRates []float64) (*Model, error) {
 	s := t.States()
 	if s == 0 {
 		return nil, fmt.Errorf("model: bad data type %v", t)
 	}
 	if numCats < 1 {
-		return nil, errors.New("model: need at least one rate category")
+		return nil, errNoCats
 	}
 	m := &Model{
 		Type:     t,
@@ -135,7 +144,7 @@ func New(t alignment.DataType, freqs, exRates []float64, alpha float64, numCats 
 			}
 		}
 	}
-	if err := m.SetAlpha(alpha); err != nil {
+	if err := m.setAlpha(alpha, catRates); err != nil {
 		return nil, err
 	}
 	if err := m.UpdateEigen(); err != nil {
@@ -161,12 +170,20 @@ func normalizeFreqs(f []float64) error {
 // SetAlpha updates the Gamma shape parameter and recomputes the category
 // rates. It does not touch the eigendecomposition (alpha only scales branch
 // lengths per category). The epoch moves on every accepted call.
-func (m *Model) SetAlpha(alpha float64) error {
+func (m *Model) SetAlpha(alpha float64) error { return m.setAlpha(alpha, nil) }
+
+// setAlpha is SetAlpha with the category rates of alpha given, when rates is
+// not nil (numeric.DiscreteGammaRates' bits for len(m.CatRates) categories).
+func (m *Model) setAlpha(alpha float64, rates []float64) error {
 	if math.IsNaN(alpha) || alpha < MinAlpha || alpha > MaxAlpha {
 		return fmt.Errorf("model: alpha %v outside [%v, %v]", alpha, MinAlpha, MaxAlpha)
 	}
 	m.Alpha = alpha
-	numeric.DiscreteGammaRates(alpha, m.CatRates)
+	if rates != nil {
+		copy(m.CatRates, rates)
+	} else {
+		numeric.DiscreteGammaRates(alpha, m.CatRates)
+	}
 	m.epoch++
 	return nil
 }
@@ -441,14 +458,18 @@ var PMatrix20Kernel = cpufeat.NewKernel("20-state PMatrices (AVX)", cpufeat.AVX)
 
 // Clone returns a deep copy (used by tree-search checkpointing and by
 // per-partition model replication).
-func (m *Model) Clone() *Model {
+func (m *Model) Clone() *Model { return m.cloneCats(len(m.CatRates)) }
+
+// cloneCats is Clone with numCats category rates, the leading ones m's; the
+// caller sets NumCats.
+func (m *Model) cloneCats(numCats int) *Model {
 	c := *m
 	c.eig = nil // UpdateEigen's scratch stays private to m
 	// One array holds the eight slices, the s x s matrices first so the
 	// P-matrix kernels load them from a cache-line start; three-index slices
 	// keep an append on one from reaching the next.
-	fields := [...]*[]float64{&c.EigenVecs, &c.EigenVecsT, &c.InvVecs, &c.InvVecsT, &c.EigenVals, &c.Freqs, &c.ExRates, &c.CatRates}
-	n := 0
+	fields := [...]*[]float64{&c.EigenVecs, &c.EigenVecsT, &c.InvVecs, &c.InvVecsT, &c.EigenVals, &c.Freqs, &c.ExRates}
+	n := numCats
 	for _, f := range fields {
 		n += len(*f)
 	}
@@ -458,6 +479,8 @@ func (m *Model) Clone() *Model {
 			*f, buf = buf[:k:k], buf[k:]
 		}
 	}
+	copy(buf, m.CatRates)
+	c.CatRates = buf
 	return &c
 }
 
@@ -468,21 +491,24 @@ func (m *Model) Clone() *Model {
 func EmpiricalFreqs(p *alignment.CompressedPartition) []float64 {
 	s := p.Type.States()
 	counts := make([]float64, s)
-	for t := range p.Tips {
-		for i, code := range p.Tips[t] {
-			vec := alignment.TipVector(p.Type, code)
-			n := 0.0
-			for _, v := range vec {
-				n += v
-			}
-			if n == 0 {
+	// Each code's compatible states and their count, looked up once: a
+	// pattern's weight is divided by the count and added to those states in
+	// ascending order, the same operations in the same order as summing and
+	// scanning the code's tip vector.
+	var states [alignment.NumAACodes][]uint8
+	var n [alignment.NumAACodes]float64
+	for c := range alignment.NumCodes(p.Type) {
+		states[c] = alignment.TipStates(p.Type, byte(c))
+		n[c] = float64(len(states[c]))
+	}
+	for _, row := range p.Tips {
+		for i, code := range row {
+			if n[code] == 0 {
 				continue
 			}
-			w := p.Weights[i] / n
-			for st, v := range vec {
-				if v != 0 {
-					counts[st] += w
-				}
+			w := p.Weights[i] / n[code]
+			for _, st := range states[code] {
+				counts[st] += w
 			}
 		}
 	}

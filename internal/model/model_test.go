@@ -347,9 +347,9 @@ func TestByNameAndDefaults(t *testing.T) {
 	if _, err := ByName("NOPE", nil, 4, 1); err == nil {
 		t.Error("expected error for unknown name")
 	}
-	m, err := DefaultFor(d.Parts[0], 4, 1)
-	if err != nil || m.Type != alignment.DNA {
-		t.Errorf("DefaultFor DNA failed: %v", err)
+	ms, err := DefaultsFor(d.Parts, 4, 1)
+	if err != nil || ms[0].Type != alignment.DNA {
+		t.Errorf("DefaultsFor DNA failed: %v", err)
 	}
 }
 

@@ -4,15 +4,52 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"phylo/internal/alignment"
 )
 
+// The constant presets, each decomposed once per process on first use: New
+// at one category and the default alpha. Every call of JC69, SYN20 or
+// Poisson20 is a copy of one (see instance); none is handed out.
+var (
+	jc69Preset = sync.OnceValues(func() (*Model, error) {
+		return New(alignment.DNA, nil, nil, DefaultAlpha, 1)
+	})
+	syn20Preset = sync.OnceValues(func() (*Model, error) {
+		return New(alignment.AA, syn20Freqs(), syn20ExRates(), DefaultAlpha, 1)
+	})
+	poisson20Preset = sync.OnceValues(func() (*Model, error) {
+		return New(alignment.AA, nil, nil, DefaultAlpha, 1)
+	})
+)
+
+// instance is what New returns for the frequencies and exchangeabilities of
+// the preset, errors included, at numCats categories and shape alpha: a deep
+// copy of the preset's decomposition that shares no array with it. catRates,
+// when not nil, are the category rates of (alpha, numCats).
+func instance(preset func() (*Model, error), numCats int, alpha float64, catRates []float64) (*Model, error) {
+	if numCats < 1 {
+		return nil, errNoCats
+	}
+	p, err := preset()
+	if err != nil {
+		return nil, err
+	}
+	m := p.cloneCats(numCats)
+	m.NumCats = numCats
+	if err := m.setAlpha(alpha, catRates); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // JC69 returns the Jukes-Cantor model (uniform frequencies, equal rates).
 // Its closed-form transition probabilities make it the reference model for
-// validating the eigendecomposition machinery.
+// validating the eigendecomposition machinery. Its decomposition is computed
+// once per process.
 func JC69(numCats int, alpha float64) (*Model, error) {
-	return New(alignment.DNA, nil, nil, alpha, numCats)
+	return instance(jc69Preset, numCats, alpha, nil)
 }
 
 // JC69Prob is the closed-form Jukes-Cantor transition probability between
@@ -90,15 +127,17 @@ func syn20Freqs() []float64 {
 }
 
 // SYN20 returns the synthetic fixed 20-state protein model (see DESIGN.md,
-// substitution #3).
+// substitution #3). Its 20 x 20 eigendecomposition is computed once per
+// process; each call returns a deep copy with its own Gamma categories.
 func SYN20(numCats int, alpha float64) (*Model, error) {
-	return New(alignment.AA, syn20Freqs(), syn20ExRates(), alpha, numCats)
+	return instance(syn20Preset, numCats, alpha, nil)
 }
 
 // Poisson20 returns the 20-state equal-rates model (the protein analogue of
-// Jukes-Cantor), mainly used by tests.
+// Jukes-Cantor), mainly used by tests. Its decomposition is computed once per
+// process.
 func Poisson20(numCats int, alpha float64) (*Model, error) {
-	return New(alignment.AA, nil, nil, alpha, numCats)
+	return instance(poisson20Preset, numCats, alpha, nil)
 }
 
 // ByName constructs a model from a partition-file model name, optionally
@@ -124,11 +163,24 @@ func ByName(name string, part *alignment.CompressedPartition, numCats int, alpha
 	}
 }
 
-// DefaultFor builds the default model for a partition: GTR with empirical
-// frequencies for DNA, SYN20 for protein.
-func DefaultFor(part *alignment.CompressedPartition, numCats int, alpha float64) (*Model, error) {
-	if part.Type == alignment.DNA {
-		return GTR(EmpiricalFreqs(part), nil, numCats, alpha)
+// DefaultsFor builds the default model of every partition: GTR with
+// empirical frequencies for DNA, SYN20 for protein. The Gamma rates of
+// (numCats, alpha) are computed once for all of them.
+func DefaultsFor(parts []*alignment.CompressedPartition, numCats int, alpha float64) ([]*Model, error) {
+	models := make([]*Model, len(parts))
+	var rates []float64 // the first model's, copied into the others
+	for i, p := range parts {
+		var m *Model
+		var err error
+		if p.Type == alignment.DNA {
+			m, err = newModel(alignment.DNA, EmpiricalFreqs(p), nil, alpha, numCats, rates)
+		} else {
+			m, err = instance(syn20Preset, numCats, alpha, rates)
+		}
+		if err != nil {
+			return nil, err
+		}
+		models[i], rates = m, m.CatRates
 	}
-	return SYN20(numCats, alpha)
+	return models, nil
 }

@@ -118,11 +118,9 @@ func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			t.Fatal(err)
-		}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return func(t *testing.T, ex *parallel.Pool) {
 		sh, err := core.NewSharedWith(d, 4, ex.Threads(), core.BackendAuto)

@@ -69,11 +69,9 @@ func buildOrient(t *testing.T, c orientCase) *Searcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*model.Model, len(d.Parts))
-	for i, p := range d.Parts {
-		if models[i], err = model.DefaultFor(p, 4, 1.0); err != nil {
-			t.Fatal(err)
-		}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	slots := 1
 	if c.perPart {
