@@ -216,9 +216,10 @@ func recordBytes(v reflect.Value) int64 {
 
 // TestRegionEntriesAllocFree: once warm, no region entry allocates — a
 // traversal lists its steps into the session's step buffer, Newview builds
-// its one step there, and Evaluate and BranchDerivatives reduce into the
-// session's partial sums and the caller's result buffers, at one lane and at
-// three. Checked on the caller-only executor, on three virtual workers and
+// its one step there, Evaluate and PrepareSumtable list the steps that
+// validate their branch there too (after a ClearXAt they carry one), and
+// Evaluate and BranchDerivatives reduce into the session's partial sums and
+// the caller's result buffers, at one lane and at three. Checked on the caller-only executor, on three virtual workers and
 // on a session view of two goroutine workers: a region hands each goroutine
 // its view, no closure. AllocsPerRun counts every goroutine's allocations,
 // so the last arm holds the executor's fan-out at 0 too.
@@ -250,6 +251,8 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 		}
 		lnl1, lnl3 := make([]float64, 1), make([]float64, 3)
 		per3, d1, d2 := make([]float64, 3*n), make([]float64, n), make([]float64, n)
+		oneHot := make([]bool, n)
+		oneHot[n-1] = true
 		for _, entry := range []struct {
 			name string
 			call func()
@@ -260,6 +263,8 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 			{"Evaluate R=3", func() { eng.Evaluate(root, nil, ws, lnl3, per3) }},
 			{"LogLikelihood", func() { eng.LogLikelihood(nil) }},
 			{"PrepareSumtable", func() { eng.PrepareSumtable(root, nil) }},
+			{"Evaluate with steps", func() { tree.ClearXAt(root); eng.Evaluate(root, nil, nil, lnl1, nil) }},
+			{"PrepareSumtable with steps", func() { tree.ClearXAt(root); eng.PrepareSumtable(root, oneHot) }},
 			{"BranchDerivatives", func() { eng.BranchDerivatives(z, nil, nil, d1, d2) }},
 		} {
 			entry.call() // warm: buffers grow, memo blocks and the sumtable are made

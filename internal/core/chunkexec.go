@@ -15,14 +15,16 @@ import (
 // runs, and spanCtx.bind is the one place a (partition, worker) encounter is
 // set up. The schedule's assignment is sliced into chunks (the dataset's
 // steal.Layout) and each worker walks its own chunk ids in ascending order,
-// skipping chunks of masked-off spans: exactly its scheduled share. What
-// differs between region kinds is data on the region and three switches on
-// its kind: what a span binds (bind), which kernel body a chunk runs (run),
-// and what a pattern costs (takeOps); evaluate and derivative regions add a
-// fixed-order reduction after the barrier, in their entry points. There is
-// one entry point per kind — TraverseRoot and Newview issue the newview
-// region, Evaluate, PrepareSumtable and BranchDerivatives the other three —
-// and each is the one runRegion call of its kind.
+// skipping chunks of masked-off spans: exactly its scheduled share. A region
+// is newview steps plus at most one terminal pass, whose kind it is counted
+// under. What differs between passes is data on the region and three
+// switches on the pass kind: what a span binds (bind), which kernel body a
+// chunk runs (run), and what a pattern costs (takeOps); evaluate and
+// derivative regions add a fixed-order reduction after the barrier, in their
+// entry points. There is one entry point per kind — TraverseRoot and Newview
+// issue steps alone, Evaluate, PrepareSumtable (each after the steps its
+// branch needs) and BranchDerivatives a terminal — and each is the one
+// runRegion call of its kind.
 // "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
 // Evaluate and BranchDerivatives take the WeightSet they reduce under as an
 // argument, nil being the dataset's own weights (held once on the Shared),
@@ -42,10 +44,10 @@ import (
 //     partials in fixed chunk-id order after the barrier. The floating-point
 //     association is therefore identical on a concurrent or a serial
 //     executor, in this session or any other reading the same layout.
-//  3. A multi-step traversal needs no barrier between its steps: a worker
-//     reads at step s+1 only patterns it wrote itself at step s, so the
-//     traversal keeps the paper's single barrier per region (a worker may
-//     run a whole step ahead of its neighbours).
+//  3. A region needs no barrier between its passes: a worker reads at step
+//     s+1, or at the terminal, only patterns it wrote itself at the steps
+//     before, so a region keeps the paper's single barrier (a worker may
+//     run a whole pass ahead of its neighbours).
 //
 // Span set-up (binding the two transition-matrix blocks, gathering tip
 // tables) is per (step, span) encounter of a worker, so a worker processing
@@ -60,18 +62,19 @@ import (
 // the code lists of the span's tip ends, not from the chunk at hand, so a
 // share the pack cut into many short runs still takes the table path.
 
-// region describes the parallel region in flight: its kind, the partitions it
-// covers and what its spans bind. It lives on the Engine (Engine.cur) for the
-// length of runRegion, so issuing a region allocates nothing.
+// region describes the parallel region in flight: its passes, the partitions
+// they cover and what their spans bind. It lives on the Engine (Engine.cur)
+// for the length of runRegion, so issuing a region allocates nothing.
 type region struct {
-	kind  parallel.Region
-	act   []bool               // the active partitions: chunks of the others are skipped
-	steps []tree.TraversalStep // newview: the traversal descriptor, one pass over the chunks per step
-	p     *tree.Node           // evaluate, sumtable: the branch (p, p.Back) the region roots at
-	z     []float64            // derivative: the branch length per partition
-	ws    *WeightSet           // evaluate, derivative: the replicate weights reduced under
-	out   []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
-	lanes int
+	kind    parallel.Region      // the terminal pass; RegionNewview: none, the steps alone
+	act     []bool               // the active partitions: chunks of the others are skipped
+	stepAct []bool               // the steps' active partitions: a superset of the terminal's
+	steps   []tree.TraversalStep // the traversal descriptor, one newview pass over the chunks per step
+	p       *tree.Node           // evaluate, sumtable: the branch (p, p.Back) the region roots at
+	z       []float64            // derivative: the branch length per partition
+	ws      *WeightSet           // evaluate, derivative: the replicate weights reduced under
+	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
+	lanes   int
 }
 
 // runRegion executes r over the active partitions: one fan-out, every worker
@@ -90,24 +93,32 @@ func (e *Engine) runRegion(r region, act []bool) {
 }
 
 // drain is the chunk loop: worker w walks its own chunk ids in ascending
-// order, once per traversal step, and runs every chunk whose span is active.
-// A span is bound once per encounter and re-used across consecutive chunks;
-// the op charge flushes into ctx once, off the chunk loop.
+// order, once per traversal step and once for the terminal, and runs every
+// chunk whose span is active in the pass. A span is bound once per encounter
+// and re-used across consecutive chunks; the op charge flushes into ctx once,
+// off the chunk loop.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r := &e.cur
 	own := e.chunks.Owned(w)
-	passes := max(1, len(r.steps))
 	c := &e.workers[w].span
 	ops := 0.0
+	passes := len(r.steps)
+	if r.kind != parallel.RegionNewview {
+		passes++ // the terminal
+	}
 	for si := 0; si < passes; si++ {
+		kind, act := parallel.RegionNewview, r.stepAct
+		if si == len(r.steps) {
+			kind, act = r.kind, r.act
+		}
 		cached := -1
 		for _, id := range own {
 			ch := e.chunks.Chunk(int(id))
-			if !r.act[ch.Span] {
+			if !act[ch.Span] {
 				continue
 			}
 			if ch.Span != cached {
-				c.bind(r, si, ch.Span, ctx)
+				c.bind(r, kind, si, ch.Span, ctx)
 				cached = ch.Span
 			}
 			c.ensureTables(ch.Share)
@@ -190,17 +201,17 @@ func (e *Engine) bindEnd(end *spanEnd, part *alignment.CompressedPartition, n *t
 	}
 }
 
-// bind sets c up for partition ip: the partition's record, then what the
-// region's kind reads — the transition matrices of its branches (transition:
-// each worker computes P locally, as RAxML's Pthreads do, rather than pay a
-// synchronization to share it, and remembers what it computed), the views of
-// both ends, the partition's lanes of the WeightSet. si is the traversal step
-// of a newview region. Every binding assigns the record, both ends and the
-// lanes, which code of any kind reads; a kind's own group only that kind.
-func (c *spanCtx) bind(r *region, si, ip int, ctx *parallel.WorkerCtx) {
+// bind sets c up for partition ip in a pass of the given kind: the
+// partition's record, then what the kind reads — the transition matrices of
+// its branches (transition: each worker computes P locally, as RAxML's
+// Pthreads do, rather than pay a synchronization to share it, and remembers
+// what it computed), the views of both ends, the partition's lanes of the
+// WeightSet. si is the step of a newview pass. Every binding assigns the
+// record, both ends and the lanes; a kind's own group only that kind.
+func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *parallel.WorkerCtx) {
 	e := c.e
 	c.partition = e.layout.parts[ip]
-	c.kind, c.fixed = r.kind, 0
+	c.kind, c.fixed = kind, 0
 	part, m, ex := e.Data.Parts[ip], e.Models[ip], c.wk.ex
 	s, cs := c.s, c.cs
 	c.tmp = ex[:s]
@@ -208,7 +219,7 @@ func (c *spanCtx) bind(r *region, si, ip int, ctx *parallel.WorkerCtx) {
 	if r.ws != nil {
 		c.R, c.lw = r.ws.r, r.ws.lanes(c.partOffset)
 	}
-	switch r.kind {
+	switch kind {
 	case parallel.RegionNewview:
 		st, slot := r.steps[si], e.slotOf(ip)
 		e.bindEnd(&c.a, part, st.Q)

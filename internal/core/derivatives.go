@@ -20,20 +20,22 @@ import (
 // sum l_i(z) = sum_{c,k} A_i[c,k] exp(lambda_k r_c z). One sumtable prepares
 // an arbitrary number of cheap Newton-Raphson derivative iterations for the
 // same branch — the sumtable region runs once per branch, the derivative
-// regions once per Newton iteration. Both end CLVs must be valid (use
-// TraverseRoot first). Sumtable writes are per-pattern disjoint, so the
-// region needs no reduction. A tip end whose owner's share amortizes a
-// projection table uses the category-independent per-code rows of
-// buildTipSumLeft/Right instead of re-projecting the same 0/1 tip vector for
-// every pattern and category (tip-case specialization; results are
-// bit-identical).
+// regions once per Newton iteration. The partial traversal that validates
+// both end CLVs runs first in the same region, over every partition: active
+// narrows the projection alone, so the next group's sumtable finds its CLVs
+// valid. Sumtable writes are per-pattern disjoint, so the region needs no
+// reduction. A tip end whose owner's share amortizes a projection table uses
+// the category-independent per-code rows of buildTipSumLeft/Right instead of
+// re-projecting the same 0/1 tip vector for every pattern and category
+// (tip-case specialization; results are bit-identical).
 func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 	if e.sumtable == nil {
 		// Evaluate-only sessions never get here: the first holder of the
 		// buffer set that smooths a branch makes the sumtable, in the set.
 		e.sumtable = alignedFloats(e.layout.SumTotal())
 	}
-	e.runRegion(region{kind: parallel.RegionSumTable, p: p}, active)
+	e.steps = tree.RootTraversal(e.steps[:0], p, true)
+	e.runRegion(region{kind: parallel.RegionSumTable, steps: e.steps, stepAct: e.shared.allMask, p: p}, active)
 }
 
 // sumtableGeneric is the one sumtable body: CLV reads step the category

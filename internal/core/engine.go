@@ -334,15 +334,14 @@ func (e *Engine) activeOrAll(active []bool) []bool {
 // recompute everything (used after wholesale model changes).
 func (e *Engine) InvalidateCLVs() { e.Tree.ClearX() }
 
-// LogLikelihood runs a full traversal to the canonical virtual root (the
-// branch at tip 0) and returns the total log likelihood over all partitions
-// under the dataset's own weights; per, when non-nil (NumPartitions
-// entries), receives the per-partition values. It is the plain "compute the
-// score of this tree" entry point.
+// LogLikelihood evaluates from scratch at the canonical virtual root (the
+// branch at tip 0), a full traversal in the evaluate's region, and returns
+// the total log likelihood over all partitions under the dataset's own
+// weights; per, when non-nil (NumPartitions entries), receives the
+// per-partition values. It is the plain "score this tree" entry point.
 func (e *Engine) LogLikelihood(per []float64) float64 {
-	root := e.Tree.Tips[0].Back
-	e.TraverseRoot(root, false, nil)
+	e.InvalidateCLVs()
 	var lnl [1]float64
-	e.Evaluate(root, nil, nil, lnl[:], per)
+	e.Evaluate(e.Tree.Tips[0].Back, nil, nil, lnl[:], per)
 	return lnl[0]
 }

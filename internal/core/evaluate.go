@@ -13,17 +13,15 @@ import (
 
 // Evaluate computes the log likelihoods at the virtual root placed on the
 // branch (p, p.Back) under the R replicate weight vectors of ws (nil: the
-// dataset's own weights, R = 1). Both end CLVs must already be valid and
-// oriented towards the branch (use TraverseRoot); pattern likelihoods do not
-// depend on weights, so one traversal serves every replicate. The per-pattern
-// reduction is one parallel region: every site log likelihood of the active
-// partitions is computed once and reduced under all R weights into
-// per-(chunk, lane) partial sums, which the master then reduces in fixed
-// chunk-id order (see the determinism argument in chunkexec.go). Results land
-// in caller-owned buffers, either of which may be nil: lnl (R entries) gets
-// each replicate's total over the active partitions, per (NumPartitions*R,
-// indexed [partition*R + replicate]) the per-partition values, zero for
-// masked partitions — what the newPAR optimizers consume.
+// dataset's own weights, R = 1), in one parallel region: first the partial
+// traversal that validates both end CLVs of the active partitions, then
+// every site log likelihood of those, computed once and reduced under all R
+// weights into per-(chunk, lane) partial sums, which the master then reduces
+// in fixed chunk-id order (see the determinism argument in chunkexec.go).
+// Results land in caller-owned buffers, either of which may be nil: lnl (R
+// entries) gets each replicate's total over the active partitions, per
+// (NumPartitions*R, indexed [partition*R + replicate]) the per-partition
+// values, zero for masked partitions — what the newPAR optimizers consume.
 func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per []float64) {
 	if p.IsTip() && p.Back.IsTip() {
 		panic("core: Evaluate on a tip-tip branch (2-taxon tree not supported)")
@@ -43,7 +41,8 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 	lay := e.chunks
 	n := lay.NumChunks()
 	buf := grow(&e.evalChunk, n*R)
-	e.runRegion(region{kind: parallel.RegionEvaluate, p: p, ws: ws, out: buf, lanes: R}, act)
+	e.steps = tree.RootTraversal(e.steps[:0], p, true)
+	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.steps, stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
 	clear(per)
 	for id := 0; id < n; id++ {
 		sp := lay.Chunk(id).Span

@@ -15,6 +15,7 @@ import (
 // active masks the partitions to update (nil = all); masked partitions keep
 // their previous CLV contents. The steps are listed into the session's one
 // step buffer, which holds a whole traversal: a traversal allocates nothing.
+// Evaluate and PrepareSumtable run their own: this is for one no pass follows.
 func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
 	e.steps = tree.RootTraversal(e.steps[:0], p, partial)
 	e.newview(active)
@@ -31,20 +32,16 @@ func (e *Engine) Newview(p *tree.Node) {
 	e.newview(nil)
 }
 
-// newview executes the step list in e.steps in one parallel region (one
-// barrier at the end, as the paper's design requires). Every worker walks the
-// full step list and, per step, drains its chunks of the active partitions
-// (see drain in chunkexec.go); per span encounter it computes the two child
-// transition matrices redundantly — this mirrors RAxML, where each Pthread
-// computes P locally rather than paying an extra synchronization to share it.
-// With Specialize on, tip children whose owner's share amortizes a lookup
-// table (see tiptables.go) become O(cats·s) table-row reads instead of
-// O(cats·s²) P applications; all paths produce bit-identical CLVs.
+// newview executes the step list in e.steps, if any, as one parallel region
+// without a terminal (see drain in chunkexec.go). With Specialize on, tip
+// children whose owner's share amortizes a lookup table (see tiptables.go)
+// become O(cats·s) table-row reads instead of O(cats·s²) P applications; all
+// paths produce bit-identical CLVs.
 func (e *Engine) newview(active []bool) {
 	if len(e.steps) == 0 {
 		return
 	}
-	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps}, active)
+	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.activeOrAll(active)}, active)
 }
 
 // applyRows is the generic bodies' P application to a 4-state block, whose

@@ -769,7 +769,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				seen := map[string]bool{}
 				steps := tree.ComputeTraversal(nil, tr.Tips[0].Back, false)
 				for si := range steps {
-					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, si, ip, &ctx)
+					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, parallel.RegionNewview, si, ip, &ctx)
 					c.ensureTables(part.PatternCount)
 					seen[fmt.Sprint(c.a.tip && c.b.tip, c.a.tip || c.b.tip)] = true
 					ref := c
@@ -787,7 +787,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 					for _, p := range []*tree.Node{br, br.Back} {
 						eng.TraverseRoot(p, false, nil)
 						eng.PrepareSumtable(p, nil)
-						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, 0, ip, &ctx)
+						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("evaluate ", c.a.tip, c.b.tip, c.b.tab != nil)] = true
 						for j := 0; j < part.PatternCount; j++ {
@@ -795,7 +795,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 							sameBits(t, fmt.Sprintf("%s evaluate pattern %d", label, j), []float64{got}, []float64{want})
 						}
 
-						c.bind(&region{kind: parallel.RegionSumTable, p: p}, 0, ip, &ctx)
+						c.bind(&region{kind: parallel.RegionSumTable, p: p}, parallel.RegionSumTable, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("sumtable ", c.a.tip, c.b.tip, c.a.tab != nil, c.b.tab != nil)] = true
 						ref := c

@@ -69,9 +69,9 @@ func TestSpanRebindsInPlace(t *testing.T) {
 			label := fmt.Sprintf("%s %s", part.Name, k.name)
 			rc, rf := k.r, k.r
 			rc.out, rf.out = make([]float64, k.r.lanes), make([]float64, k.r.lanes)
-			c.bind(&rc, si, ip, &cctx)
+			c.bind(&rc, rc.kind, si, ip, &cctx)
 			*f = spanCtx{e: e, wk: e.workers[1]}
-			f.bind(&rf, si, ip, &fctx)
+			f.bind(&rf, rf.kind, si, ip, &fctx)
 			c.ensureTables(share)
 			f.ensureTables(share)
 			built := c.a.tab != nil || c.b.tab != nil

@@ -48,7 +48,7 @@ type Optimizer struct {
 
 	// score holds per-partition log likelihoods at the canonical root, as
 	// SmoothAll's closing evaluation leaves them and every Brent solve keeps
-	// them: its best-seen value, or its closing pair's.
+	// them: its best-seen value, or its closing region's.
 	score []float64
 }
 
@@ -149,7 +149,9 @@ func (o *Optimizer) ctxErr() error {
 
 // OptimizeBranch optimizes the branch (p, p.Back) to its ML length(s) and
 // returns the largest relative length change: one lockstep Newton-Raphson
-// loop per partition group, the groups one after another. With per-partition
+// loop per partition group, the groups one after another. The first group's
+// sumtable region recomputes the stale CLVs at both ends (per the paper, 3-4
+// inner vectors on average during search). With per-partition
 // branch lengths oldPAR therefore issues one narrow sumtable region plus one
 // narrow derivative region per iteration *per partition*, and newPAR one
 // full-width sumtable region plus one derivative region per lockstep
@@ -163,9 +165,6 @@ func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 {
 		// exactly as the last completed iteration left it.
 		return 0
 	}
-	// Lazily re-establish CLVs at both ends (the partial traversals that,
-	// per the paper, touch 3-4 inner vectors on average during search).
-	o.E.TraverseRoot(p, true, nil)
 	maxDelta := 0.0
 	for _, g := range o.blGroups {
 		if o.cancelled() {
@@ -250,20 +249,19 @@ func (o *Optimizer) SmoothAll(ctx context.Context) (float64, error) {
 	}
 	if o.cancelled() {
 		// The wind-down skipped trailing newviews, so discard all CLV
-		// orientations and recompute from scratch: one extra full-width
-		// region pair buys an exact score for the partially smoothed tree.
+		// orientations and recompute from scratch: the closing evaluation's
+		// region then runs a full traversal and buys an exact score for the
+		// partially smoothed tree.
 		e.InvalidateCLVs()
 	}
 	return o.scoreRoot(), nil
 }
 
-// scoreRoot recomputes the stale CLVs towards the canonical root and scores
-// the tree there under Cfg.Weights, per partition into o.score.
+// scoreRoot scores the tree at the canonical root under Cfg.Weights, per
+// partition into o.score: one region, recomputing the stale CLVs first.
 func (o *Optimizer) scoreRoot() float64 {
-	root := o.E.Tree.Tips[0].Back
-	o.E.TraverseRoot(root, true, nil)
 	var lnl [1]float64
-	o.E.Evaluate(root, nil, o.Cfg.Weights, lnl[:], o.score)
+	o.E.Evaluate(o.E.Tree.Tips[0].Back, nil, o.Cfg.Weights, lnl[:], o.score)
 	return lnl[0]
 }
 

@@ -25,8 +25,8 @@ const (
 // Brent's method: one lockstep Brent loop per partition group, the groups
 // one after another. Changing alpha requires a full tree traversal to
 // recompute the partition's CLVs (the paper's model-optimization phase), so
-// each Brent iteration costs one full-traversal region plus one evaluation
-// region, restricted to the unconverged partitions of the group — one
+// each Brent iteration costs one region, a full traversal and an evaluation,
+// restricted to the unconverged partitions of the group — one
 // partition's patterns under oldPAR, the whole alignment's under newPAR. Like
 // every solve it starts from o.score (brentGroup). A returned error is
 // brentGroup's.
@@ -100,31 +100,31 @@ func (o *Optimizer) rateParam(ri int) brentParam {
 }
 
 // evalPartitions re-traverses and evaluates the masked partitions at the
-// canonical root and returns per-partition log likelihoods: the region pair
-// of one Brent step. Only the masked partitions' CLV slices are recomputed.
+// canonical root and returns per-partition log likelihoods: the one region
+// of a Brent step, a full traversal and the reduction. Only the masked
+// partitions' CLV slices are recomputed.
 func (o *Optimizer) evalPartitions() []float64 {
-	root := o.E.Tree.Tips[0].Back
-	o.E.TraverseRoot(root, false, o.mask)
-	o.E.Evaluate(root, o.mask, o.Cfg.Weights, nil, o.per)
+	o.E.InvalidateCLVs()
+	o.E.Evaluate(o.E.Tree.Tips[0].Back, o.mask, o.Cfg.Weights, nil, o.per)
 	return o.per
 }
 
 // brentGroup runs Brent's method on one parameter over one partition group:
 // one BrentState per partition advanced in lockstep (each brackets the
 // minimum next to the current value, then takes Brent's own steps), one
-// region pair per iteration scoring every unconverged partition's proposal,
-// and the convergence boolean vector (the mask) shrinking that pair as
+// region per iteration scoring every unconverged partition's proposal,
+// and the convergence boolean vector (the mask) shrinking that region as
 // partitions finish. A finished partition stays masked at its last proposal
 // until the end pins the whole group to its best-seen values. A state starts
 // from the partition's current value and its score there, o.score: SmoothAll
 // or the previous solve left it, and no branch has moved since. The solve
-// ends without a region too: o.score keeps -FX, the bits a closing pair at
+// ends without a region too: o.score keeps -FX, the bits a closing region at
 // the pin would recompute (a partition's score reads only its own chunks),
 // and the CLVs stay at the last proposals until OptimizeModel discards them.
-// The closing pair runs after a cancellation, for a non-finite FX (the state
+// The closing region runs after a cancellation, for a non-finite FX (the state
 // reads NaN as +Inf), and after a proposal the model refuses — a failed
 // eigendecomposition, which ends the loop like a cancellation: the pin (to
-// values the model accepted before) and the closing pair run, then the error
+// values the model accepted before) and the closing region run, then the error
 // is returned.
 func (o *Optimizer) brentGroup(par *brentParam, g []int) error {
 	o.enter(g)

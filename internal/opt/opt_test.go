@@ -211,6 +211,21 @@ func TestNewParUsesFarFewerRegions(t *testing.T) {
 	if rNew*2 >= rOld {
 		t.Errorf("newPAR regions %d not substantially fewer than oldPAR %d", rNew, rOld)
 	}
+	// A Brent step is one region, its traversal included: on the CLVs
+	// smoothing left valid and on a cleared tree alike.
+	for _, o := range []*Optimizer{oOld, oNew} {
+		o.enter(o.alpha.groups[0])
+		for _, state := range []string{"valid", "cleared"} {
+			if state == "cleared" {
+				o.E.InvalidateCLVs()
+			}
+			before := o.E.Exec.Stats().Regions
+			o.evalPartitions()
+			if n := o.E.Exec.Stats().Regions - before; n != 1 {
+				t.Errorf("%v, %s CLVs: a Brent step issued %d regions, want 1", o.Cfg.Strategy, state, n)
+			}
+		}
+	}
 	// And the oldPAR critical path carries more idle-worker imbalance.
 	if simOld.Stats().Imbalance(8) < simNew.Stats().Imbalance(8) {
 		t.Logf("note: imbalance old=%v new=%v (informational)",

@@ -182,7 +182,20 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	ref := s.tryInsert(v, b1)
 	bestLnL := ref
 	var bestU *tree.Node
-	scan := func(u *tree.Node, depth int) {}
+	// descend scans both branches behind w at depth, keeping the CLV
+	// invariants: one newview before entering each and one on exit to
+	// restore the upward view for siblings and ancestors.
+	var scan func(u *tree.Node, depth int)
+	descend := func(w *tree.Node, depth int) {
+		if w.IsTip() {
+			return
+		}
+		s.E.Newview(w.Next)
+		scan(w.Next, depth)
+		s.E.Newview(w.Next.Next)
+		scan(w.Next.Next, depth)
+		s.E.Newview(w)
+	}
 	scan = func(u *tree.Node, depth int) {
 		if s.cancelled() {
 			// Stop descending; trySubtree still restores the pruned subtree
@@ -193,33 +206,12 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 			bestLnL = lnl
 			bestU = u
 		}
-		w := u.Back
-		if w.IsTip() || depth >= s.Cfg.Radius {
-			return
+		if depth < s.Cfg.Radius {
+			descend(u.Back, depth+1)
 		}
-		// Descend while maintaining the CLV invariants: one newview before
-		// entering each child branch and one on exit to restore the upward
-		// view for siblings and ancestors.
-		s.E.Newview(w.Next)
-		scan(w.Next, depth+1)
-		s.E.Newview(w.Next.Next)
-		scan(w.Next.Next, depth+1)
-		s.E.Newview(w)
 	}
-	if !b2.IsTip() {
-		s.E.Newview(b2.Next)
-		scan(b2.Next, 1)
-		s.E.Newview(b2.Next.Next)
-		scan(b2.Next.Next, 1)
-		s.E.Newview(b2)
-	}
-	if !b1.IsTip() {
-		s.E.Newview(b1.Next)
-		scan(b1.Next, 1)
-		s.E.Newview(b1.Next.Next)
-		scan(b1.Next.Next, 1)
-		s.E.Newview(b1)
-	}
+	descend(b2, 1)
+	descend(b1, 1)
 
 	if bestU != nil && bestLnL > ref+minImprovement {
 		// Apply: insert v into the winning branch for good. The three slices
@@ -250,10 +242,11 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 }
 
 // tryInsert splices v into the branch (u, u.Back), scores the insertion with
-// one newview, a short Newton-Raphson pass on the connecting branch, and one
-// evaluation, then undoes the splice. The caller guarantees the CLV at u
-// towards u.Back and at u.Back towards u are valid: both then point towards
-// v, so the newview at v is all tree.ClearXAt(v) would ask for.
+// a short Newton-Raphson pass on the connecting branch and one evaluation,
+// then undoes the splice. The caller guarantees the CLV at u towards u.Back
+// and at u.Back towards u are valid: both then point towards v, so
+// tree.ClearXAt(v) clears v's three records alone, and the one newview at v
+// runs in the first sumtable region of OptimizeBranch(v).
 func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	if s.cancelled() {
 		// Score nothing: -Inf never beats the reinsertion baseline, so the
@@ -271,10 +264,9 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	}
 	tree.Connect(v.Next, u, s.za)
 	tree.Connect(v.Next.Next, uB, s.zb)
-	// One explicit newview at the insertion node, then optimize the branch
-	// connecting the pruned subtree and evaluate across it, under the weights
-	// the optimizer prices branch lengths with.
-	e.Newview(v)
+	// Optimize the branch connecting the pruned subtree and evaluate across
+	// it, under the weights the optimizer prices branch lengths with.
+	tree.ClearXAt(v)
 	s.o.OptimizeBranch(v)
 	var lnl [1]float64
 	e.Evaluate(v, nil, s.Cfg.Opt.Weights, lnl[:], nil)
