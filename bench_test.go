@@ -143,7 +143,7 @@ func BenchmarkBranchDerivatives(b *testing.B) {
 	d2 := make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.BranchDerivatives(z, nil, nil, d1, d2)
+		fx.eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
 	}
 }
 
@@ -196,7 +196,7 @@ func BenchmarkBranchDerivativesAA(b *testing.B) {
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.BranchDerivatives(z, nil, nil, d1, d2)
+		fx.eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
 	}
 }
 

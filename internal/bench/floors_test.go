@@ -14,7 +14,7 @@ import (
 	"phylo/internal/tree"
 )
 
-// The floors are the ten intra-run bounds this repository holds on any
+// The floors are the eleven intra-run bounds this repository holds on any
 // host: each is a ratio (or fraction) of two arms measured in this process,
 // so it needs no report, no stored baseline and no second process to judge
 // it. Absolute ns/op are not judged here; benchmark/ decides those against
@@ -113,6 +113,18 @@ const (
 	// would sit below 1 and pass a kernel slower than the loop it replaces,
 	// so the floor is 1.05. Checked only where the kernel runs.
 	newviewRowsFloor = 1.05
+	// trialScoreCeiling: what an SPR trial insertion's score costs, the lnL
+	// lane of one derivative region over the sumtable the trial's Newton
+	// pass prepared, over what the Evaluate it replaced costs at the same
+	// branch, on the mixed_search_boot shape (4 DNA + 2 AA partitions of 50
+	// sites, 8 taxa, four categories) at one thread, a fresh length every
+	// call as in a trial (so both arms miss the P(z) memo), the subtree end a
+	// tip (the Evaluate's cheapest case, a tip table). Thirteen runs on the
+	// shared 2-vCPU reference box read 0.32x to 0.61x (the lane about 11-16
+	// µs, the Evaluate 21-38 µs: its P(z) blocks, tip tables and site pass
+	// against the lane's exponentials, dot products and site pass), and the
+	// ceiling is 1.25 x the highest, rounded up.
+	trialScoreCeiling = 0.8
 
 	floorSeed = 42
 )
@@ -442,7 +454,7 @@ func TestDerivativeFloor(t *testing.T) {
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	region := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng.BranchDerivatives(z, nil, nil, d1, d2)
+			eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
 		}
 	}
 	hold(t, func() (bool, string) {
@@ -623,5 +635,61 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 		return independent/batched >= batchedBootstrapFloor,
 			fmt.Sprintf("batched bootstrap %.2fx independent per replicate at 1 thread, R=%d (floor %.1fx; batched %.0f ns/rep = %.0f reps/s, independent %.0f ns/rep = %.0f reps/s; %s)",
 				independent/batched, R, batchedBootstrapFloor, batched, 1e9/batched, independent, 1e9/independent, grid.name)
+	})
+}
+
+// TestTrialScoreFloor: on the mixed_search_boot shape, scoring a trial
+// insertion off its sumtable (the derivative region's lnL lane) costs at
+// most trialScoreCeiling x the Evaluate at the same branch and length.
+func TestTrialScoreFloor(t *testing.T) {
+	timed(t)
+	ds, err := seqsim.MixedDataset(8, 4, 2, 1000, 0.05, floorSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := alignment.Compress(ds.Alignment, ds.Parts, alignment.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := model.DefaultsFor(d.Parts, 4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workload{name: ds.Name, names: ds.Alignment.Names, data: d, models: models, treeSeed: floorSeed + 1}
+	eng := w.rig(t, 1, core.BackendFused).session(t, core.Options{Specialize: true})
+	var p *tree.Node
+	for _, br := range eng.Tree.Branches() {
+		if !br.IsTip() && br.Back.IsTip() {
+			p = br
+			break
+		}
+	}
+	eng.PrepareSumtable(p, nil)
+	z, lnl := make([]float64, len(d.Parts)), make([]float64, 1)
+	k := 0
+	next := func() { // a length no earlier call used: P(z) is built, as in a trial
+		k++
+		for ip := range z {
+			z[ip] = 0.05 + 1e-7*float64(k)
+		}
+		p.Z[0] = z[0]
+	}
+	score := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			next()
+			eng.BranchDerivatives(z, nil, nil, nil, nil, lnl)
+		}
+	}
+	evaluate := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			next()
+			eng.Evaluate(p, nil, nil, lnl, nil)
+		}
+	}
+	hold(t, func() (bool, string) {
+		ns, ne := alternate(t, score, evaluate)
+		return ns/ne <= trialScoreCeiling,
+			fmt.Sprintf("trial score over %d patterns of 6 partitions: lnL lane %.2fx the Evaluate it replaced (ceiling %.2fx; lane %.0f ns/op, Evaluate %.0f ns/op)",
+				d.TotalPatterns, ns/ne, trialScoreCeiling, ns, ne)
 	})
 }

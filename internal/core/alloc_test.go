@@ -219,7 +219,9 @@ func recordBytes(v reflect.Value) int64 {
 // its one step there, Evaluate and PrepareSumtable list the steps that
 // validate their branch there too (after a ClearXAt they carry one), and
 // Evaluate and BranchDerivatives reduce into the session's partial sums and
-// the caller's result buffers, at one lane and at three. Checked on the caller-only executor, on three virtual workers and
+// the caller's result buffers, at one lane and at three, and the
+// derivative region's lnL lane (the score row) reduces into the session's
+// lane sums. Checked on the caller-only executor, on three virtual workers and
 // on a session view of two goroutine workers: a region hands each goroutine
 // its view, no closure. AllocsPerRun counts every goroutine's allocations,
 // so the last arm holds the executor's fan-out at 0 too.
@@ -265,7 +267,8 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 			{"PrepareSumtable", func() { eng.PrepareSumtable(root, nil) }},
 			{"Evaluate with steps", func() { tree.ClearXAt(root); eng.Evaluate(root, nil, nil, lnl1, nil) }},
 			{"PrepareSumtable with steps", func() { tree.ClearXAt(root); eng.PrepareSumtable(root, oneHot) }},
-			{"BranchDerivatives", func() { eng.BranchDerivatives(z, nil, nil, d1, d2) }},
+			{"BranchDerivatives", func() { eng.BranchDerivatives(z, nil, nil, d1, d2, nil) }},
+			{"score", func() { eng.BranchDerivatives(z, nil, ws, nil, nil, lnl3) }},
 		} {
 			entry.call() // warm: buffers grow, memo blocks and the sumtable are made
 			if got := testing.AllocsPerRun(20, entry.call); got != 0 {

@@ -268,7 +268,7 @@ func TestBatchBitIdentity(t *testing.T) {
 				}
 				bd1 := make([]float64, nP*R)
 				bd2 := make([]float64, nP*R)
-				eng.BranchDerivatives(z, nil, ws, bd1, bd2)
+				eng.BranchDerivatives(z, nil, ws, bd1, bd2, nil)
 
 				// Reference pass per replicate: the width-1 reductions under
 				// that replicate's weights, after a traversal of their own.
@@ -284,7 +284,7 @@ func TestBatchBitIdentity(t *testing.T) {
 							label, cats, r, totals[r], single[0])
 					}
 					eng.PrepareSumtable(root, nil)
-					eng.BranchDerivatives(z, nil, rep, d1, d2)
+					eng.BranchDerivatives(z, nil, rep, d1, d2, nil)
 					for ip := 0; ip < nP; ip++ {
 						if d1[ip] != bd1[ip*R+r] || d2[ip] != bd2[ip*R+r] {
 							t.Fatalf("%s cats=%d: replicate %d partition %d derivatives (%v,%v) != batched (%v,%v)",
@@ -339,8 +339,8 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 		eng.PrepareSumtable(root, nil)
 		z := []float64{0.2}
 		d1, d2, b1, b2 := []float64{0}, []float64{0}, []float64{0}, []float64{0}
-		eng.BranchDerivatives(z, nil, nil, d1, d2)
-		eng.BranchDerivatives(z, nil, one, b1, b2)
+		eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
+		eng.BranchDerivatives(z, nil, one, b1, b2, nil)
 		if d1[0] != b1[0] || d2[0] != b2[0] {
 			t.Errorf("%v: BranchDerivatives (%v,%v) != batch lane 0 (%v,%v)", backend, d1[0], d2[0], b1[0], b2[0])
 		}
@@ -372,7 +372,7 @@ func TestBatchValidation(t *testing.T) {
 		"mismatched pattern space":         func() { eng.Evaluate(root, nil, wrong, nil, nil) },
 		"width-1 totals for a width-2 set": func() { eng.Evaluate(root, nil, wide, make([]float64, 1), nil) },
 		"undersized per-partition buffer":  func() { eng.Evaluate(root, nil, wide, nil, make([]float64, n)) },
-		"undersized derivative buffers":    func() { eng.BranchDerivatives(z, nil, wide, make([]float64, n), make([]float64, n)) },
+		"undersized derivative buffers":    func() { eng.BranchDerivatives(z, nil, wide, make([]float64, n), make([]float64, n), nil) },
 	} {
 		func() {
 			defer func() {

@@ -70,7 +70,7 @@ type region struct {
 	act     []bool               // the active partitions: chunks of the others are skipped
 	stepAct []bool               // the steps' active partitions: a superset of the terminal's
 	steps   []tree.TraversalStep // the traversal descriptor, one newview pass over the chunks per step
-	p       *tree.Node           // evaluate, sumtable: the branch (p, p.Back) the region roots at
+	p       *tree.Node           // evaluate, sumtable, the derivative's lnL lane: the branch (p, p.Back) the region roots at
 	z       []float64            // derivative: the branch length per partition
 	ws      *WeightSet           // evaluate, derivative: the replicate weights reduced under
 	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
@@ -178,8 +178,12 @@ type spanCtx struct {
 	sum []float64
 
 	// derivative: exp(lambda_k r_c z) (model.Exps of g·z) and the factors
-	// g = lambda_k r_c, g^2; the sums of a block of quartets (derivQuartets).
+	// g = lambda_k r_c, g^2; the sums of a block of quartets (derivQuartets);
+	// whether the lnL lane is on, and the likelihoods of its block so far.
 	eTab, g1Tab, g2Tab, sums []float64
+	score                    bool
+	ls                       [siteBlock]float64
+	nl                       int
 
 	// evaluate, derivative: the partition's replicate lanes, lw[j*R+r] the
 	// weight of its j-th pattern under replicate r.
@@ -247,8 +251,15 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 		c.freqs, c.ev, c.eviT = m.Freqs, m.EigenVecs, m.InvVecsT
 		c.sum, c.fl = e.sumtable, ex[s:2*s]
 	default: // parallel.RegionDerivative
-		e.bindEnd(&c.a, part, nil)
-		e.bindEnd(&c.b, part, nil)
+		// The lnL lane reads the scaling exponents of the sumtable's ends
+		// and nothing else of them: no table, no P block.
+		var q *tree.Node
+		if r.p != nil {
+			q = r.p.Back
+		}
+		e.bindEnd(&c.a, part, r.p)
+		e.bindEnd(&c.b, part, q)
+		c.a.codes, c.b.codes, c.score = nil, nil, r.p != nil
 		c.sum = e.sumtable
 		z := r.z[ip]
 		c.eTab, c.g1Tab, c.g2Tab = ex[0:cs], ex[cs:2*cs], ex[2*cs:3*cs]
@@ -381,7 +392,7 @@ func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerC
 		// serves every backend.
 		return c.sumtableGeneric(run)
 	default:
-		return c.derivativeGeneric(run, r.out[id*r.lanes:(id+1)*r.lanes])
+		return c.derivativeRun(run, r.out[id*r.lanes:(id+1)*r.lanes])
 	}
 }
 
@@ -399,7 +410,7 @@ func (c *spanCtx) takeOps(count int) float64 {
 	case parallel.RegionSumTable:
 		per = opsSumtableCase(c.s, c.cats, ta, tb)
 	default:
-		per = opsDerivative(c.s, c.cats, c.R)
+		per = opsDerivative(c.s, c.cats, c.R, c.score)
 	}
 	ops := float64(count)*per + c.fixed
 	c.fixed = 0

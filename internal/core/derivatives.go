@@ -35,6 +35,7 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 		e.sumtable = alignedFloats(e.layout.SumTotal())
 	}
 	e.steps = tree.RootTraversal(e.steps[:0], p, true)
+	e.sumAt = p
 	e.runRegion(region{kind: parallel.RegionSumTable, steps: e.steps, stepAct: e.shared.allMask, p: p}, active)
 }
 
@@ -129,28 +130,70 @@ func (c *spanCtx) sideOf(end *spanEnd, j, off int) side {
 // counts per Newton iteration: per pattern the likelihood and its two
 // derivative dot products over the sumtable run once and the resulting terms
 // accumulate under all R weights into per-(chunk, lane) partials, reduced
-// master-side in fixed chunk-id order into d1 and d2, both caller-owned with
-// NumPartitions*R entries indexed [partition*R + replicate]; masked
-// partitions are zeroed.
-func (e *Engine) BranchDerivatives(z []float64, active []bool, ws *WeightSet, d1, d2 []float64) {
+// master-side in fixed chunk-id order into d1 and d2, indexed [partition*R +
+// replicate]; masked partitions are zeroed. lnl (R entries), nil in every
+// Newton step, adds the lnL lane: the same pass also turns each pattern's
+// likelihood l_i(z) into its site log likelihood (both ends' scaling
+// exponents, SiteLogs) and reduces those as Evaluate does, into each
+// replicate's total over the active partitions — the score of the branch
+// at z without forming or applying a P matrix. The lane's bits are not
+// Evaluate's (DESIGN.md "Region execution"). d1 and d2 are
+// caller-owned and may be nil together, as may lnl.
+func (e *Engine) BranchDerivatives(z []float64, active []bool, ws *WeightSet, d1, d2, lnl []float64) {
 	ws = e.weights(ws)
-	R := ws.r
-	if want := len(e.Data.Parts) * R; len(d1) != want || len(d2) != want {
-		panic(fmt.Sprintf("core: derivative buffers have %d/%d entries, want %d (partitions x replicates)", len(d1), len(d2), want))
+	R, np := ws.r, len(e.Data.Parts)
+	if (d1 == nil) != (d2 == nil) || d1 != nil && (len(d1) != np*R || len(d2) != np*R) || lnl != nil && len(lnl) != R {
+		panic(fmt.Sprintf("core: derivative buffers have %d/%d/%d entries, want %d/%d/%d (partitions x replicates twice, replicates)", len(d1), len(d2), len(lnl), np*R, np*R, R))
+	}
+	rg := region{kind: parallel.RegionDerivative, z: z, ws: ws, lanes: 2 * R}
+	if lnl != nil {
+		if e.sumAt == nil {
+			panic("core: lnL lane requested before any sumtable was prepared")
+		}
+		rg.p, rg.lanes = e.sumAt, 3*R
 	}
 	lay := e.chunks
 	n := lay.NumChunks()
-	buf := grow(&e.derivChunk, 2*n*R)
-	e.runRegion(region{kind: parallel.RegionDerivative, z: z, ws: ws, out: buf, lanes: 2 * R}, active)
-	clear(d1)
-	clear(d2)
-	for id := 0; id < n; id++ {
-		sp := lay.Chunk(id).Span
-		for r := 0; r < R; r++ {
-			d1[sp*R+r] += buf[id*2*R+2*r]
-			d2[sp*R+r] += buf[id*2*R+2*r+1]
+	buf := grow(&e.derivChunk, n*rg.lanes)
+	rg.out = buf
+	e.runRegion(rg, active)
+	if d1 != nil {
+		clear(d1)
+		clear(d2)
+		for id := 0; id < n; id++ {
+			sp := lay.Chunk(id).Span
+			for r := 0; r < R; r++ {
+				d1[sp*R+r] += buf[id*rg.lanes+2*r]
+				d2[sp*R+r] += buf[id*rg.lanes+2*r+1]
+			}
 		}
 	}
+	if lnl != nil {
+		per := grow(&e.lanes, np*R)
+		e.reduce(buf, rg.lanes, 2*R, R, per)
+		e.total(e.activeOrAll(active), per, lnl)
+	}
+}
+
+// derivativeRun is the derivative pass over one run: derivativeGeneric, and
+// with the lnL lane on, siteBlock patterns at a time, their likelihoods
+// (which note records) through the evaluate bodies' site pass, accumulated
+// into out[2R+r] under replicate r's weight in ascending pattern order.
+//
+//plk:hotpath
+func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
+	if !c.score {
+		return c.derivativeGeneric(run, out)
+	}
+	count, step, lane := 0, run.Step, out[2*c.R:3*c.R]
+	for lo := run.Lo; lo < run.Hi; lo += siteBlock * step {
+		c.nl = 0
+		count += c.derivativeGeneric(schedule.Run{Lo: lo, Hi: min(run.Hi, lo+siteBlock*step), Step: step}, out)
+		v := c.ls[:c.nl]
+		c.sites(v, lo, step, 1) // the sumtable's terms carry 1/numCats already
+		c.weigh(v, lo-c.partOffset, step, lane)
+	}
+	return count
 }
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
@@ -180,6 +223,7 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 		for ; len(qs) >= 12; qs = qs[12:] {
 			o := (*[12]float64)(qs)
 			for p := range 4 {
+				c.note(o[p])
 				c.derivativeTerms(i-c.partOffset, o[p], o[4+p], o[8+p], out)
 				i += run.Step
 			}
@@ -206,9 +250,11 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 		// The cs-length dot products ran, so a pattern is charged whether or
 		// not derivativeTerms' guard accepts its contribution; skipped
 		// patterns must not undercount the region's performed work.
+		c.note(la)
 		c.derivativeTerms(j, la, la1, la2, out)
 		count++
 		if paired {
+			c.note(lb)
 			c.derivativeTerms(j+run.Step, lb, lb1, lb2, out)
 			count++
 		}
@@ -223,6 +269,18 @@ var DerivativeKernel = cpufeat.NewKernel("derivative quartets (AVX)", cpufeat.AV
 // derivBlock is how many quartets one kernel call of derivativeGeneric
 // takes: their 12 sums each live in the worker's scratch.
 const derivBlock = 16
+
+// note records pattern likelihood l for the lnL lane when it is on, before
+// derivativeTerms' guard: SiteLogs clamps what the guard skips. A lane's run
+// holds at most siteBlock patterns, so the mask only drops a bounds check.
+//
+//plk:hotpath
+func (c *spanCtx) note(l float64) {
+	if c.score {
+		c.ls[c.nl&(siteBlock-1)] = l
+		c.nl++
+	}
+}
 
 // derivativeTerms folds pattern j's likelihood l and derivative sums l1, l2
 // into out under the partition's R replicate weights.

@@ -77,6 +77,7 @@ type Engine struct {
 
 	numCats int
 	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
+	sumAt   *tree.Node // the branch the sumtable was last prepared for: the lnL lane's ends
 
 	*sessionBuffers // nil after Release: the next kernel call faults
 
@@ -122,12 +123,12 @@ type sessionBuffers struct {
 
 	// The master's side of a region: the newview steps in flight (room for a
 	// whole traversal, one step per inner node), the per-chunk partial sums
-	// of the reductions and an evaluate's per-partition lane sums when its
-	// caller keeps none, the last three grown to the widest WeightSet the set
-	// has run.
+	// of the reductions and the per-partition lane sums of an evaluate whose
+	// caller keeps none or of a derivative region's lnL lane, the last three
+	// grown to the widest WeightSet the set has run.
 	steps      []tree.TraversalStep
 	evalChunk  []float64 // [chunk*R + r] evaluate partials
-	derivChunk []float64 // [chunk*2R + 2r(+1)] (d1, d2) derivative partials
+	derivChunk []float64 // [chunk*L + 2r(+1)] (d1, d2) derivative partials, [chunk*L + 2R + r] the lnL lane's; L = 2R or 3R
 	lanes      []float64 // [partition*R + r]
 }
 

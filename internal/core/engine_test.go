@@ -435,7 +435,7 @@ func TestBranchDerivativesMatchFiniteDifferences(t *testing.T) {
 	d2 := make([]float64, nParts)
 	for _, z0 := range []float64{0.05, 0.15, 0.6} {
 		zs := []float64{z0, z0 * 1.5}
-		eng.BranchDerivatives(zs, nil, nil, d1, d2)
+		eng.BranchDerivatives(zs, nil, nil, d1, d2, nil)
 		// Finite differences of the per-partition lnL as a function of the
 		// root branch length (CLVs at both ends are independent of it).
 		// h must stay well above the cancellation floor of the second

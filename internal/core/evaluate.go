@@ -38,21 +38,32 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 		e.obsBatchWidth.Set(float64(R))
 	}
 	act := e.activeOrAll(active)
-	lay := e.chunks
-	n := lay.NumChunks()
-	buf := grow(&e.evalChunk, n*R)
+	buf := grow(&e.evalChunk, e.chunks.NumChunks()*R)
 	e.steps = tree.RootTraversal(e.steps[:0], p, true)
 	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.steps, stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
+	e.reduce(buf, R, 0, R, per)
+	if lnl != nil {
+		e.total(act, per, lnl)
+	}
+}
+
+// reduce is the master's side of a lane reduction: lanes lo…lo+R-1 of every
+// chunk's partials (width entries a chunk) summed into per[span*R+r], chunk
+// by chunk in id order.
+func (e *Engine) reduce(buf []float64, width, lo, R int, per []float64) {
 	clear(per)
-	for id := 0; id < n; id++ {
-		sp := lay.Chunk(id).Span
+	for id := 0; id < e.chunks.NumChunks(); id++ {
+		sp := e.chunks.Chunk(id).Span
 		for r := 0; r < R; r++ {
-			per[sp*R+r] += buf[id*R+r]
+			per[sp*R+r] += buf[id*width+lo+r]
 		}
 	}
-	if lnl == nil {
-		return
-	}
+}
+
+// total sums the per-partition lane sums of the active partitions, in
+// ascending partition order, into each replicate's lnl[r].
+func (e *Engine) total(act []bool, per, lnl []float64) {
+	R := len(lnl)
 	clear(lnl)
 	for ip := range e.Data.Parts {
 		if !act[ip] {
@@ -132,7 +143,7 @@ const siteBlock = 32
 //plk:hotpath
 func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 	var blk [siteBlock]float64
-	R, lw, step := c.R, c.lw, run.Step
+	step := run.Step
 	count := 0
 	for lo := run.Lo; lo < run.Hi; lo += siteBlock * step {
 		n := min(siteBlock, (run.Hi-lo+step-1)/step)
@@ -146,13 +157,8 @@ func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 			}
 		}
 		v := blk[:n]
-		c.sites(v, lo, step)
-		for k, site := range v {
-			j := j0 + k*step
-			for r := range out {
-				out[r] += float64(lw[j*R+r] * site)
-			}
-		}
+		c.sites(v, lo, step, c.invCats)
+		c.weigh(v, j0, step, out)
 		count += n
 	}
 	return count
@@ -160,10 +166,11 @@ func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 
 // sites turns the raw likelihoods in v, of patterns i0, i0+step, … by global
 // index and at most siteBlock of them, into their site log likelihoods: the
-// scaling exponents of both branch ends summed per pattern, then SiteLogs.
+// scaling exponents of both branch ends summed per pattern, then SiteLogs
+// with the normaliser norm.
 //
 //plk:hotpath
-func (c *spanCtx) sites(v []float64, i0, step int) {
+func (c *spanCtx) sites(v []float64, i0, step int, norm float64) {
 	var sc [siteBlock]int32
 	e := sc[:len(v)]
 	for k := range e {
@@ -175,7 +182,21 @@ func (c *spanCtx) sites(v []float64, i0, step int) {
 			e[k] += c.b.sc[i]
 		}
 	}
-	SiteLogs(v, e, c.invCats)
+	SiteLogs(v, e, norm)
+}
+
+// weigh accumulates the site log likelihoods v, of the partition's patterns
+// j0, j0+step, …, into out[r] under replicate r's weight, in that order.
+//
+//plk:hotpath
+func (c *spanCtx) weigh(v []float64, j0, step int, out []float64) {
+	R, lw := c.R, c.lw
+	for k, site := range v {
+		j := j0 + k*step
+		for r := range out {
+			out[r] += float64(lw[j*R+r] * site)
+		}
+	}
 }
 
 // SiteLogs is the site tail of every evaluate body: it turns raw

@@ -79,7 +79,7 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	}
 	d1 := make([]float64, nP)
 	d2 := make([]float64, nP)
-	eng.BranchDerivatives(z, nil, nil, d1, d2)
+	eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
 	return evalResult{lnl: lnl, perPart: append([]float64(nil), perPart...), d1: d1, d2: d2}
 }
 

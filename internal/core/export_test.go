@@ -115,7 +115,7 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 			j := lo + k
 			v[k] = c.patternLi(j, c.base+j*c.s)
 		}
-		c.sites(v, part.Offset+lo, 1)
+		c.sites(v, part.Offset+lo, 1, c.invCats)
 	}
 	return out
 }

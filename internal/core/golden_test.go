@@ -163,7 +163,7 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	eng.PrepareSumtable(far, mask)
 	z := []float64{0.2, 0.2, 0.2}
 	d1, d2 := make([]float64, 3), make([]float64, 3)
-	eng.BranchDerivatives(z, mask, nil, d1, d2)
+	eng.BranchDerivatives(z, mask, nil, d1, d2, nil)
 	for i := range d1 {
 		res.d1[i], res.d2[i] = bits(d1[i]), bits(d2[i])
 	}
@@ -175,7 +175,7 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	totals := make([]float64, 3)
 	eng.Evaluate(far, mask, ws, totals, nil)
 	bd1, bd2 := make([]float64, 9), make([]float64, 9)
-	eng.BranchDerivatives(z, mask, ws, bd1, bd2)
+	eng.BranchDerivatives(z, mask, ws, bd1, bd2, nil)
 	h := uint64(14695981039346656037)
 	for _, vs := range [][]float64{totals, bd1, bd2} {
 		for _, v := range vs {

@@ -136,9 +136,15 @@ func opsSumtable(states, cats int) float64 {
 // opsDerivative is the per-pattern cost of one derivative evaluation over an
 // existing sumtable under `lanes` replicate weights (tips do not appear here:
 // the sumtable already absorbed them); every lane beyond the first adds two
-// weight multiply-accumulates (d1 and d2, ~4 madds).
-func opsDerivative(states, cats, lanes int) float64 {
-	return float64(cats*states*3+10) + 4*float64(lanes-1)
+// weight multiply-accumulates (d1 and d2, ~4 madds). The lnL lane (score)
+// adds what opsEvaluateCase charges past its dot products: the log and the
+// first lane's weight multiply-accumulate (30), and 2 a lane beyond it.
+func opsDerivative(states, cats, lanes int, score bool) float64 {
+	ops := float64(cats*states*3+10) + 4*float64(lanes-1)
+	if score {
+		ops += 30 + 2*float64(lanes-1)
+	}
+	return ops
 }
 
 // opsTipTable is the one-off cost of gathering a lookup table for one tip

@@ -194,7 +194,7 @@ func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 	for i := range z {
 		z[i] = 0.2
 	}
-	eng.BranchDerivatives(z, nil, nil, d1, d2)
+	eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
 	res.add("d1", d1...)
 	res.add("d2", d2...)
 	for _, strategy := range []opt.Strategy{opt.NewPar, opt.OldPar} {

@@ -66,13 +66,13 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	eng.Exec.Stats().Reset()
 	d1 := make([]float64, 2)
 	d2 := make([]float64, 2)
-	eng.BranchDerivatives([]float64{0.1, 0.1}, nil, nil, d1, d2)
+	eng.BranchDerivatives([]float64{0.1, 0.1}, nil, nil, d1, d2, nil)
 	if d1[0] != 0 || d1[1] != 0 || d2[0] != 0 || d2[1] != 0 {
 		t.Fatalf("zeroed sumtable should contribute nothing: d1=%v d2=%v", d1, d2)
 	}
 	want := 0.0
 	for _, p := range d.Parts {
-		want += float64(p.PatternCount) * opsDerivative(p.Type.States(), eng.NumCats(), 1)
+		want += float64(p.PatternCount) * opsDerivative(p.Type.States(), eng.NumCats(), 1, false)
 	}
 	st := eng.Exec.Stats()
 	if st.KindCritical[parallel.RegionDerivative] != want {

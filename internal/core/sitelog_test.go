@@ -123,7 +123,7 @@ func TestSiteLogBitIdentity(t *testing.T) {
 				}
 			}
 			got = slices.Clone(v[:m])
-			c.sites(got, i0, step)
+			c.sites(got, i0, step, c.invCats)
 			for k, x := range v[:m] {
 				want := c.siteReference(i0+k*step, x)
 				if math.Float64bits(got[k]) != math.Float64bits(want) {

@@ -125,7 +125,7 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	for ip := range z {
 		z[ip] = 0.1
 	}
-	eng.BranchDerivatives(z, nil, ws, d, slices.Clone(d))
+	eng.BranchDerivatives(z, nil, ws, d, slices.Clone(d), nil)
 
 	// The session's memory, by the address range each object spans.
 	type object struct {

@@ -129,7 +129,7 @@ func tipCaseDerivs(e *Engine, p *tree.Node) (float64, float64) {
 	z := []float64{p.Z[0]}
 	d1 := make([]float64, 1)
 	d2 := make([]float64, 1)
-	e.BranchDerivatives(z, nil, nil, d1, d2)
+	e.BranchDerivatives(z, nil, nil, d1, d2, nil)
 	return d1[0], d2[0]
 }
 

@@ -198,7 +198,7 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
 		for _, ip := range g {
 			o.x[ip] = o.newts[e.BranchSlot(ip)].Point()
 		}
-		e.BranchDerivatives(o.x, o.mask, o.Cfg.Weights, o.d1, o.d2)
+		e.BranchDerivatives(o.x, o.mask, o.Cfg.Weights, o.d1, o.d2, nil)
 		if !e.PerPartitionBL {
 			// Fixed ascending partition order keeps the sum reproducible.
 			for _, ip := range g[1:] {

@@ -122,7 +122,7 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 		}
 		d1 := make([]float64, n)
 		d2 := make([]float64, n)
-		fx.eng.BranchDerivatives(zs, nil, nil, d1, d2)
+		fx.eng.BranchDerivatives(zs, nil, nil, d1, d2, nil)
 		if perPart {
 			for ip := 0; ip < n; ip++ {
 				if math.Abs(d1[ip]) > 1e-2 && zs[ip] > tree.MinBranchLen*2 && zs[ip] < tree.MaxBranchLen/2 {

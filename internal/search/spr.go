@@ -7,10 +7,14 @@
 //
 // Per improvement round, every directed subtree is pruned in turn; insertion
 // into every branch within a configurable radius of the pruning point is
-// evaluated with a partial update (one newview at the insertion node) plus a
-// short Newton-Raphson optimization of the insertion branch — the mixture of
-// narrow-and-frequent branch-length work that makes tree search the paper's
-// "practically most relevant case" for the load-balance problem.
+// tried with a partial update (one newview at the insertion node) and a short
+// Newton-Raphson optimization of the insertion branch, and scored off the
+// sumtable that optimization prepared, in one more derivative region — the
+// mixture of narrow-and-frequent branch-length work that makes tree search
+// the paper's "practically most relevant case" for the load-balance problem.
+// Every score a prune compares (the reinsertion baseline's too) comes from
+// that one scorer; an applied move's tree is scored by SmoothAll's closing
+// evaluation.
 //
 // The package is region-structured: cancellation is consulted only at
 // round and insertion boundaries (//plk:regionboundary functions), never
@@ -79,8 +83,9 @@ type Searcher struct {
 	moves int
 	tried int
 	// Branch-length scratch: the pruned subtree's connection length, the
-	// fused branch and a trial insertion's two halves.
-	zConnSave, zf, za, zb []float64
+	// fused branch, a trial insertion's two halves and its scored lengths
+	// (indexed by partition).
+	zConnSave, zf, za, zb, zs []float64
 }
 
 // New prepares a searcher.
@@ -241,9 +246,12 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	tree.ClearXAt(v)
 }
 
-// tryInsert splices v into the branch (u, u.Back), scores the insertion with
-// a short Newton-Raphson pass on the connecting branch and one evaluation,
-// then undoes the splice. The caller guarantees the CLV at u towards u.Back
+// tryInsert splices v into the branch (u, u.Back), optimizes the connecting
+// branch with a short Newton-Raphson pass and scores the insertion off the
+// sumtable that pass left, at the lengths it chose: the lnL lane of one more
+// derivative region, no evaluation (DESIGN.md "Region execution" says why its
+// bits need not be Evaluate's: only the ranking inside a prune reads them).
+// Then it undoes the splice. The caller guarantees the CLV at u towards u.Back
 // and at u.Back towards u are valid: both then point towards v, so
 // tree.ClearXAt(v) clears v's three records alone, and the one newview at v
 // runs in the first sumtable region of OptimizeBranch(v).
@@ -264,12 +272,21 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	}
 	tree.Connect(v.Next, u, s.za)
 	tree.Connect(v.Next.Next, uB, s.zb)
-	// Optimize the branch connecting the pruned subtree and evaluate across
-	// it, under the weights the optimizer prices branch lengths with.
+	// Optimize the branch connecting the pruned subtree and score across it,
+	// under the weights the optimizer prices branch lengths with.
 	tree.ClearXAt(v)
 	s.o.OptimizeBranch(v)
-	var lnl [1]float64
-	e.Evaluate(v, nil, s.Cfg.Opt.Weights, lnl[:], nil)
+	lnl := [1]float64{math.Inf(-1)}
+	// A cancelled OptimizeBranch may have returned before every group's
+	// sumtable was prepared (oldPAR prepares one partition's at a time), and
+	// the rest still hold another branch's: score nothing then.
+	if !s.cancelled() {
+		s.zs = s.zs[:0]
+		for ip := range e.NumPartitions() {
+			s.zs = append(s.zs, v.Z[e.BranchSlot(ip)])
+		}
+		e.BranchDerivatives(s.zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
+	}
 
 	// Undo: reconnect the target branch with its original slice (nothing
 	// wrote it), leave v dangling, restore the subtree connection length.

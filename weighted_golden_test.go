@@ -17,7 +17,7 @@ import (
 // produced on one session: a model optimization and then an SPR search, both
 // under one non-uniform bootstrap replicate (opt.Config.Weights), then an
 // 8-replicate Bootstrap on the tree they left. Every region those issue — the
-// Brent steps, the Newton derivatives, the insertion evaluates — must score
+// Brent steps, the Newton derivatives, the trial insertions' scores — must score
 // the replicate's weights, so a region that fell back to the dataset's own
 // weights changes these bits.
 type weightedGolden struct {
