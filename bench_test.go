@@ -85,7 +85,7 @@ func BenchmarkNewviewDNAGamma(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.TraverseRoot(root, false, nil)
+		fx.eng.TraverseRoot(root)
 	}
 	b.ReportMetric(float64(2000*fx.tr.NumInner()), "patterns/op")
 }
@@ -98,7 +98,7 @@ func BenchmarkNewviewDNAGeneric(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.TraverseRoot(root, false, nil)
+		fx.eng.TraverseRoot(root)
 	}
 }
 
@@ -115,7 +115,7 @@ func BenchmarkNewviewAAGamma(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.InvalidateCLVs()
-		fx.eng.TraverseRoot(root, false, nil)
+		fx.eng.TraverseRoot(root)
 	}
 }
 
@@ -123,7 +123,7 @@ func BenchmarkNewviewAAGamma(b *testing.B) {
 func BenchmarkEvaluateDNA(b *testing.B) {
 	fx := kernelBench(b, alignment.DNA, 2000, true)
 	root := fx.tr.Tips[0].Back
-	fx.eng.TraverseRoot(root, false, nil)
+	fx.eng.TraverseRoot(root)
 	var lnl [1]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -136,7 +136,7 @@ func BenchmarkEvaluateDNA(b *testing.B) {
 func BenchmarkBranchDerivatives(b *testing.B) {
 	fx := kernelBench(b, alignment.DNA, 2000, true)
 	root := fx.tr.Tips[0].Back
-	fx.eng.TraverseRoot(root, false, nil)
+	fx.eng.TraverseRoot(root)
 	fx.eng.PrepareSumtable(root, nil)
 	z := []float64{0.1}
 	d1 := make([]float64, 1)
@@ -166,7 +166,7 @@ func innerBranch(b *testing.B, tr *tree.Tree) *tree.Node {
 func BenchmarkEvaluateAA(b *testing.B) {
 	fx := kernelBench(b, alignment.AA, 400, true)
 	p := innerBranch(b, fx.tr)
-	fx.eng.TraverseRoot(p, false, nil)
+	fx.eng.TraverseRoot(p)
 	var lnl [1]float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -179,7 +179,7 @@ func BenchmarkEvaluateAA(b *testing.B) {
 func BenchmarkSumtableAA(b *testing.B) {
 	fx := kernelBench(b, alignment.AA, 400, true)
 	p := innerBranch(b, fx.tr)
-	fx.eng.TraverseRoot(p, false, nil)
+	fx.eng.TraverseRoot(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fx.eng.PrepareSumtable(p, nil)
@@ -191,7 +191,7 @@ func BenchmarkSumtableAA(b *testing.B) {
 func BenchmarkBranchDerivativesAA(b *testing.B) {
 	fx := kernelBench(b, alignment.AA, 400, true)
 	p := innerBranch(b, fx.tr)
-	fx.eng.TraverseRoot(p, false, nil)
+	fx.eng.TraverseRoot(p)
 	fx.eng.PrepareSumtable(p, nil)
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	b.ResetTimer()
@@ -228,7 +228,7 @@ func BenchmarkPoolTraversal2Threads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.InvalidateCLVs()
-		eng.TraverseRoot(root, false, nil)
+		eng.TraverseRoot(root)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"phylo"
 )
@@ -70,9 +71,15 @@ func main() {
 
 	// 5. Read the support values. Each internal branch of the ML tree gets
 	// the fraction of replicates whose winning topology contains the same
-	// split; the annotated Newick carries them as integer percents.
-	for key, frac := range res.Support {
-		fmt.Printf("   split {%s}: %.0f%% support\n", key, 100*frac)
+	// split; the annotated Newick carries them as integer percents. The
+	// splits print in key order, so two runs print the same bytes.
+	keys := make([]string, 0, len(res.Support))
+	for key := range res.Support {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		fmt.Printf("   split {%s}: %.0f%% support\n", key, 100*res.Support[key])
 	}
 	fmt.Printf("support tree: %s\n", res.TreeNewick)
 }

@@ -283,11 +283,11 @@ func newviewArm(t *testing.T, w *workload, backend core.Backend, specialize bool
 	t.Helper()
 	eng := w.rig(t, 1, backend).session(t, core.Options{Specialize: specialize})
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.InvalidateCLVs()
-			eng.TraverseRoot(root, false, nil)
+			eng.TraverseRoot(root)
 		}
 	}
 }
@@ -449,7 +449,7 @@ func TestDerivativeFloor(t *testing.T) {
 	w := kernelWorkload(t, alignment.AA, 8, 1024)
 	eng := w.rig(t, 1, core.BackendGeneric).session(t, core.Options{Specialize: true})
 	p := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(p, false, nil)
+	eng.TraverseRoot(p)
 	eng.PrepareSumtable(p, nil)
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	region := func(b *testing.B) {
@@ -483,7 +483,7 @@ func TestSumtableFloor(t *testing.T) {
 			break
 		}
 	}
-	eng.TraverseRoot(p, false, nil)
+	eng.TraverseRoot(p)
 	region := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.PrepareSumtable(p, nil)
@@ -509,11 +509,11 @@ func TestNewviewRowsFloor(t *testing.T) {
 	w := kernelWorkload(t, alignment.AA, 16, 512)
 	eng := w.rig(t, 1, core.BackendFused).session(t, core.Options{Specialize: true})
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	traversal := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng.InvalidateCLVs()
-			eng.TraverseRoot(root, false, nil)
+			eng.TraverseRoot(root)
 		}
 	}
 	hold(t, func() (bool, string) {
@@ -558,10 +558,10 @@ func genericNewview(t *testing.T, w *workload) (arm func(b *testing.B), ops floa
 	t.Helper()
 	eng := w.rig(t, 1, core.BackendGeneric).session(t, core.Options{})
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.Exec.Stats().Reset()
 	eng.InvalidateCLVs()
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	return newviewArm(t, w, core.BackendGeneric, false), eng.Exec.Stats().TotalOps
 }
 
@@ -608,7 +608,8 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 	// score is one full traversal and one evaluate under w.
 	score := func(e *core.Engine, w *core.WeightSet, lnl []float64) {
 		root := e.Tree.Tips[0].Back
-		e.TraverseRoot(root, false, nil)
+		e.InvalidateCLVs()
+		e.TraverseRoot(root)
 		e.Evaluate(root, nil, w, lnl, nil)
 	}
 	hold(t, func() (bool, string) {
@@ -621,7 +622,6 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 		rpl := 0
 		batched, independent := alternate(t, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.InvalidateCLVs()
 				score(eng, ws, lanes)
 			}
 		}, func(b *testing.B) {

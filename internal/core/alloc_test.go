@@ -91,7 +91,7 @@ func TestEngineBuffersAligned(t *testing.T) {
 			t.Errorf("%v: sumtable allocated before any PrepareSumtable", backend)
 		}
 		root := tr.Tips[0].Back
-		eng.TraverseRoot(root, false, nil)
+		eng.TraverseRoot(root)
 		eng.PrepareSumtable(root, nil)
 		if len(eng.sumtable) == 0 || !isAligned(eng.sumtable) || len(eng.sumtable) != sh.layout.SumTotal() {
 			t.Errorf("%v: sumtable len %d aligned=%v, want len %d aligned",
@@ -215,16 +215,16 @@ func recordBytes(v reflect.Value) int64 {
 }
 
 // TestRegionEntriesAllocFree: once warm, no region entry allocates — a
-// traversal lists its steps into the session's step buffer, Newview builds
-// its one step there, Evaluate and PrepareSumtable list the steps that
-// validate their branch there too (after a ClearXAt they carry one), and
-// Evaluate and BranchDerivatives reduce into the session's partial sums and
-// the caller's result buffers, at one lane and at three, and the
-// derivative region's lnL lane (the score row) reduces into the session's
-// lane sums. Checked on the caller-only executor, on three virtual workers and
-// on a session view of two goroutine workers: a region hands each goroutine
-// its view, no closure. AllocsPerRun counts every goroutine's allocations,
-// so the last arm holds the executor's fan-out at 0 too.
+// traversal lists its steps into the session's step buffer, Evaluate and
+// PrepareSumtable list the steps that validate their branch there too (after
+// a ClearXAt they carry one), and Evaluate and BranchDerivatives reduce into
+// the session's partial sums and the caller's result buffers, at one lane and
+// at three, and the derivative region's lnL lane (the score row) reduces into
+// the session's lane sums. Checked on the caller-only executor, on three
+// virtual workers and on a session view of two goroutine workers: a region
+// hands each goroutine its view, no closure. AllocsPerRun counts every
+// goroutine's allocations, so the last arm holds the executor's fan-out at 0
+// too.
 func TestRegionEntriesAllocFree(t *testing.T) {
 	sim, err := parallel.NewSim(3)
 	if err != nil {
@@ -259,8 +259,7 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 			name string
 			call func()
 		}{
-			{"TraverseRoot", func() { eng.TraverseRoot(root, false, nil) }},
-			{"Newview", func() { eng.Newview(root) }},
+			{"TraverseRoot", func() { eng.InvalidateCLVs(); eng.TraverseRoot(root) }},
 			{"Evaluate R=1", func() { eng.Evaluate(root, nil, nil, lnl1, nil) }},
 			{"Evaluate R=3", func() { eng.Evaluate(root, nil, ws, lnl3, per3) }},
 			{"LogLikelihood", func() { eng.LogLikelihood(nil) }},

@@ -258,7 +258,7 @@ func TestBatchBitIdentity(t *testing.T) {
 				// derivative lanes from one sumtable.
 				nP := eng.NumPartitions()
 				root := eng.Tree.Tips[0].Back
-				eng.TraverseRoot(root, false, nil)
+				eng.TraverseRoot(root)
 				totals := make([]float64, R)
 				eng.Evaluate(root, nil, ws, totals, nil)
 				eng.PrepareSumtable(root, nil)
@@ -277,7 +277,8 @@ func TestBatchBitIdentity(t *testing.T) {
 				var single [1]float64
 				for r := 0; r < R; r++ {
 					rep := ws.Replicate(r)
-					eng.TraverseRoot(root, false, nil)
+					eng.InvalidateCLVs()
+					eng.TraverseRoot(root)
 					eng.Evaluate(root, nil, rep, single[:], nil)
 					if single[0] != totals[r] {
 						t.Fatalf("%s cats=%d: replicate %d batched lnL %v != single-replicate %v (must be bit-identical)",
@@ -311,7 +312,7 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 	}
 	totals := make([]float64, 4)
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.Evaluate(root, nil, ws, totals, nil)
 	for r, v := range totals {
 		if v != plain {
@@ -326,7 +327,7 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 			t.Fatal(err)
 		}
 		root := eng.Tree.Tips[0].Back
-		eng.TraverseRoot(root, false, nil)
+		eng.TraverseRoot(root)
 		var plain, lane [1]float64
 		eng.Evaluate(root, nil, nil, plain[:], nil)
 		eng.Evaluate(root, nil, one, lane[:], nil)
@@ -364,7 +365,7 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	n := eng.NumPartitions()
 	z := make([]float64, n)

@@ -21,10 +21,10 @@ import (
 // switches on the pass kind: what a span binds (bind), which kernel body a
 // chunk runs (run), and what a pattern costs (takeOps); evaluate and
 // derivative regions add a fixed-order reduction after the barrier, in their
-// entry points. There is one entry point per kind — TraverseRoot and Newview
-// issue steps alone, Evaluate, PrepareSumtable (each after the steps its
-// branch needs) and BranchDerivatives a terminal — and each is the one
-// runRegion call of its kind.
+// entry points. There is one entry point per kind — TraverseRoot issues
+// steps alone, Evaluate, PrepareSumtable (each after the steps its branch
+// needs) and BranchDerivatives a terminal — and each is the one runRegion
+// call of its kind.
 // "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
 // Evaluate and BranchDerivatives take the WeightSet they reduce under as an
 // argument, nil being the dataset's own weights (held once on the Shared),

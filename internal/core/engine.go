@@ -9,9 +9,9 @@
 // a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
 // distribution, with block and cost-weighted alternatives) cut into chunks
 // (the dataset's steal.Layout), each worker walking its own. A session
-// issues its regions through one entry per kind (TraverseRoot and Newview,
-// Evaluate, PrepareSumtable, BranchDerivatives); every one but Newview takes
-// an optional per-partition activity mask, which is the mechanism behind both
+// issues its regions through one entry per kind (TraverseRoot, Evaluate,
+// PrepareSumtable, BranchDerivatives); every one but TraverseRoot takes an
+// optional per-partition activity mask, which is the mechanism behind both
 // oldPAR (one active partition at a time) and newPAR (all non-converged
 // partitions at once).
 //

@@ -312,7 +312,7 @@ func TestPulleyPrinciple(t *testing.T) {
 		if root.IsTip() {
 			continue
 		}
-		eng.TraverseRoot(root, true, nil)
+		eng.TraverseRoot(root)
 		got, _ := evaluate1(eng, root, nil)
 		if math.Abs(got-ref) > 1e-8*math.Abs(ref) {
 			t.Errorf("branch %d: lnL %.10f != reference %.10f", bi, got, ref)
@@ -429,7 +429,7 @@ func TestBranchDerivativesMatchFiniteDifferences(t *testing.T) {
 	eng, _, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 13, parallel.NewSequential())
 	nParts := 2
 	root := tr.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	d1 := make([]float64, nParts)
 	d2 := make([]float64, nParts)
@@ -588,7 +588,7 @@ func TestPartialTraversalMatchesFull(t *testing.T) {
 		if root.IsTip() {
 			continue
 		}
-		eng.TraverseRoot(root, true, nil)
+		eng.TraverseRoot(root)
 		got, _ := evaluate1(eng, root, nil)
 		if math.Abs(got-ref) > 1e-8*math.Abs(ref) {
 			t.Fatalf("partial traversal drifted: %v vs %v", got, ref)
@@ -713,7 +713,7 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		mask := make([]bool, len(models))
 		mask[1] = true
 		root := tr.Tips[0].Back
-		eng.TraverseRoot(root, false, nil)
+		eng.TraverseRoot(root)
 		sim.Stats().Reset()
 		evaluate1(eng, root, mask)
 		return sim.Stats().Imbalance(4)

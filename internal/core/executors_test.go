@@ -68,9 +68,10 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	t.Helper()
 	eng.InvalidateCLVs()
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	lnl, perPart := evaluate1(eng, root, nil)
-	eng.TraverseRoot(root, false, nil)
+	eng.InvalidateCLVs()
+	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	nP := eng.NumPartitions()
 	z := make([]float64, nP)

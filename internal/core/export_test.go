@@ -98,7 +98,8 @@ func (e *Engine) HasSumtable() bool { return e.sumtable != nil }
 // are bit-identical and one serial sweep serves every backend.
 func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	root := e.Tree.Tips[0].Back
-	e.TraverseRoot(root, false, nil)
+	e.InvalidateCLVs()
+	e.TraverseRoot(root)
 	if root.IsTip() && root.Back.IsTip() {
 		panic("core: degenerate two-taxon tree")
 	}
@@ -124,5 +125,5 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 // a longer traversal) as one newview region.
 func (e *Engine) executeSteps(steps []tree.TraversalStep, active []bool) {
 	e.steps = append(e.steps[:0], steps...)
-	e.newview(active)
+	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.activeOrAll(active)}, active)
 }

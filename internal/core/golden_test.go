@@ -140,7 +140,7 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 	var res goldenResults
 
 	root := tr.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	lnl, perPart := evaluate1(eng, root, mask)
 	res.lnl = bits(lnl)
 	for i, v := range perPart {

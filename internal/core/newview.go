@@ -8,40 +8,24 @@ import (
 )
 
 // TraverseRoot validates the CLVs at both ends of the branch (p, p.Back) by
-// executing the necessary newview steps in a single parallel region — the
-// whole traversal descriptor is fanned out once and ends in one barrier,
-// exactly as in RAxML's Pthreads design. With partial true, only stale CLVs
-// are recomputed (the paper's partial traversals after local changes).
-// active masks the partitions to update (nil = all); masked partitions keep
-// their previous CLV contents. The steps are listed into the session's one
-// step buffer, which holds a whole traversal: a traversal allocates nothing.
-// Evaluate and PrepareSumtable run their own: this is for one no pass follows.
-func (e *Engine) TraverseRoot(p *tree.Node, partial bool, active []bool) {
-	e.steps = tree.RootTraversal(e.steps[:0], p, partial)
-	e.newview(active)
-}
-
-// Newview recomputes the CLV at inner record p (oriented towards p.Back)
-// from its two children, whatever p's orientation flag says, in a newview
-// region of one step over every partition; the children must be valid. It
-// is the explicit single newview of lazy SPR insertion and of branch
-// smoothing's upward restore (RAxML's newviewGeneric).
-func (e *Engine) Newview(p *tree.Node) {
-	tree.OrientX(p)
-	e.steps = append(e.steps[:0], tree.TraversalStep{P: p, Q: p.Next.Back, R: p.Next.Next.Back})
-	e.newview(nil)
-}
-
-// newview executes the step list in e.steps, if any, as one parallel region
-// without a terminal (see drain in chunkexec.go). With Specialize on, tip
-// children whose owner's share amortizes a lookup table (see tiptables.go)
-// become O(cats·s) table-row reads instead of O(cats·s²) P applications; all
-// paths produce bit-identical CLVs.
-func (e *Engine) newview(active []bool) {
+// executing the newview steps of their partial traversal in a single
+// parallel region — the whole traversal descriptor is fanned out once and
+// ends in one barrier, exactly as in RAxML's Pthreads design. Only stale
+// CLVs are recomputed (the paper's partial traversals after local changes),
+// over every partition; a caller that wants every CLV recomputed runs
+// InvalidateCLVs first. The steps are listed into the session's one step
+// buffer, which holds a whole traversal: a traversal allocates nothing.
+// Evaluate and PrepareSumtable run their own, so no program path calls this:
+// it is the step-only region the kernel tests and benchmarks time and count.
+// With Specialize on, tip children whose owner's share amortizes a lookup
+// table (see tiptables.go) become O(cats·s) table-row reads instead of
+// O(cats·s²) P applications; all paths produce bit-identical CLVs.
+func (e *Engine) TraverseRoot(p *tree.Node) {
+	e.steps = tree.RootTraversal(e.steps[:0], p, true)
 	if len(e.steps) == 0 {
 		return
 	}
-	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.activeOrAll(active)}, active)
+	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.shared.allMask}, nil)
 }
 
 // applyRows is the generic bodies' P application to a 4-state block, whose

@@ -47,9 +47,10 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 		}
 		eng := obsGateEngine(t, exec, Options{Specialize: true})
 		root := eng.Tree.Tips[0].Back
-		eng.TraverseRoot(root, false, nil) // warm up tables and one-time laziness
+		eng.TraverseRoot(root) // warm up tables and one-time laziness
 		return testing.AllocsPerRun(50, func() {
-			eng.TraverseRoot(root, false, nil)
+			eng.InvalidateCLVs()
+			eng.TraverseRoot(root)
 		})
 	}
 	bare := run(false)
@@ -73,7 +74,8 @@ func TestEngineObsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.InvalidateCLVs()
+	eng.TraverseRoot(root)
 	eng.Evaluate(root, nil, ws, make([]float64, 3), nil)
 	got := map[string]float64{}
 	for _, s := range reg.Snapshot() {

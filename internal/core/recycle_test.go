@@ -187,7 +187,8 @@ func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 		res.add(fmt.Sprintf("site%d", ip), eng.SiteLogLikelihoods(ip)...)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.InvalidateCLVs()
+	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	n := eng.NumPartitions()
 	z, d1, d2 := make([]float64, n), make([]float64, n), make([]float64, n)

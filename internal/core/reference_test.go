@@ -785,7 +785,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				seen = map[string]bool{}
 				for _, br := range tr.Branches() {
 					for _, p := range []*tree.Node{br, br.Back} {
-						eng.TraverseRoot(p, false, nil)
+						eng.TraverseRoot(p)
 						eng.PrepareSumtable(p, nil)
 						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)

@@ -56,7 +56,7 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	m1, _ := model.GTR(nil, nil, 4, 1.4)
 	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 14, parallel.NewSequential())
 	root := tr.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	// Force the skip path for every pattern: a zeroed sumtable makes l = 0 <
 	// 1e-300 in every derivative evaluation.

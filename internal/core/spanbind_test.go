@@ -25,7 +25,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	r := newMemoRig(t)
 	e := r.eng
 	p := e.Tree.Tips[3].Back // an inner end p and a tip end p.Back: both reductions tabulate the tip
-	e.TraverseRoot(p, false, nil)
+	e.TraverseRoot(p)
 	e.PrepareSumtable(p, nil)
 	steps := tree.RootTraversal(nil, p, false)
 	si := -1
@@ -117,7 +117,7 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root, false, nil)
+	eng.TraverseRoot(root)
 	eng.Evaluate(root, nil, ws, nil, nil)
 	eng.PrepareSumtable(root, nil)
 	d := make([]float64, eng.NumPartitions()*ws.r)

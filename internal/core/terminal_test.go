@@ -81,7 +81,7 @@ func TestTerminalValidatesItsBranch(t *testing.T) {
 
 				pair, pairSince := open()
 				p := farBranch(pair.Tree)
-				pair.TraverseRoot(p, true, nil)
+				pair.TraverseRoot(p)
 				want, _ := evaluate1(pair, p, nil)
 				wantC := pairSince()
 

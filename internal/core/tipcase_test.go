@@ -124,7 +124,7 @@ func tipCaseDerivs(e *Engine, p *tree.Node) (float64, float64) {
 	if root.IsTip() {
 		root = root.Back
 	}
-	e.TraverseRoot(root, false, nil)
+	e.TraverseRoot(root)
 	e.PrepareSumtable(p, nil)
 	z := []float64{p.Z[0]}
 	d1 := make([]float64, 1)
@@ -261,7 +261,7 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.TraverseRoot(tr.Tips[0].Back, false, nil)
+		eng.TraverseRoot(tr.Tips[0].Back)
 		return sim.Stats().TotalOps
 	}
 	whole := traversalOps(true, 0)

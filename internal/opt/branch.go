@@ -247,13 +247,6 @@ func (o *Optimizer) SmoothAll(ctx context.Context) (float64, error) {
 			break
 		}
 	}
-	if o.cancelled() {
-		// The wind-down skipped trailing newviews, so discard all CLV
-		// orientations and recompute from scratch: the closing evaluation's
-		// region then runs a full traversal and buys an exact score for the
-		// partially smoothed tree.
-		e.InvalidateCLVs()
-	}
 	return o.scoreRoot(), nil
 }
 
@@ -266,8 +259,8 @@ func (o *Optimizer) scoreRoot() float64 {
 }
 
 // smoothRec optimizes the branch at p, then recursively all branches behind
-// p.Back, restoring the upward CLV on exit so siblings and ancestors see
-// fresh values (RAxML's smooth()).
+// p.Back. It restores no CLV on the way back: each OptimizeBranch's sumtable
+// region recomputes what the lengths moved since made stale.
 func (o *Optimizer) smoothRec(p *tree.Node) float64 {
 	maxDelta := o.OptimizeBranch(p)
 	q := p.Back
@@ -275,16 +268,7 @@ func (o *Optimizer) smoothRec(p *tree.Node) float64 {
 		return maxDelta
 	}
 	maxDelta = math.Max(maxDelta, o.smoothRec(q.Next.Back))
-	maxDelta = math.Max(maxDelta, o.smoothRec(q.Next.Next.Back))
-	if o.cancelled() {
-		// Skip the trailing newview; SmoothAll's closing full traversal
-		// re-establishes every CLV before the final evaluation.
-		return maxDelta
-	}
-	// Restore the upward CLV at q with a single newview (RAxML's trailing
-	// newviewGeneric); the children were just refreshed by the recursion.
-	o.E.Newview(q)
-	return maxDelta
+	return math.Max(maxDelta, o.smoothRec(q.Next.Next.Back))
 }
 
 func relDelta(a, b float64) float64 {

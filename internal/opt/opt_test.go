@@ -316,6 +316,78 @@ func TestSmoothAllMonotone(t *testing.T) {
 	}
 }
 
+// towards reports whether every flagged record in p's view points towards
+// p.Back.
+func towards(p *tree.Node) bool {
+	if p.IsTip() {
+		return true
+	}
+	if p.Next.X || p.Next.Next.X {
+		return false
+	}
+	return towards(p.Next.Back) && towards(p.Next.Next.Back)
+}
+
+// TestRestoreFreeSmoothingKeepsContract: branch smoothing restores no CLV
+// after a branch, because each OptimizeBranch's sumtable region recomputes
+// what the lengths moved since made stale. Three passes in RAxML's order,
+// each over all 2n - 3 branches, must leave every flag pointing towards the
+// last branch optimised, and every branch's partial score, that branch's
+// first, equal to its from-scratch score bit for bit.
+func TestRestoreFreeSmoothingKeepsContract(t *testing.T) {
+	for _, strat := range []Strategy{NewPar, OldPar} {
+		for _, perPart := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v_perpart=%v", strat, perPart), func(t *testing.T) {
+				fx := buildFixture(t, 12, 100, 25, perPart, parallel.NewSequential(), 3)
+				e := fx.eng
+				o := New(e, DefaultConfig(strat))
+				// smooth is RAxML's smooth(): it optimises the branch at p,
+				// then recurses on the branches behind p's own node, away
+				// from p.Back, and restores no CLV on the way back. From
+				// Tips[0].Back it visits every branch once.
+				var last *tree.Node
+				visited := 0
+				var smooth func(p *tree.Node)
+				smooth = func(p *tree.Node) {
+					o.OptimizeBranch(p)
+					visited, last = visited+1, p
+					if !p.IsTip() {
+						smooth(p.Next.Back)
+						smooth(p.Next.Next.Back)
+					}
+				}
+				for pass := 0; pass < 3; pass++ {
+					visited = 0
+					smooth(fx.tr.Tips[0].Back)
+					if want := fx.tr.NumBranches(); visited != want {
+						t.Fatalf("pass %d optimised %d branches, want %d", pass, visited, want)
+					}
+				}
+				if !towards(last) || !towards(last.Back) {
+					t.Fatal("a flag points away from the last branch optimised")
+				}
+				order := fx.tr.Branches()
+				for j, b := range order {
+					if b == last || b == last.Back {
+						order[0], order[j] = order[j], order[0]
+					}
+				}
+				partial := make([]float64, len(order))
+				for j, b := range order {
+					e.Evaluate(b, nil, nil, partial[j:j+1], nil)
+				}
+				var scratch [1]float64
+				for j, b := range order {
+					e.InvalidateCLVs()
+					if e.Evaluate(b, nil, nil, scratch[:], nil); math.Float64bits(partial[j]) != math.Float64bits(scratch[0]) {
+						t.Errorf("branch %d-%d: partial score %v, from scratch %v", b.Index, b.Back.Index, partial[j], scratch[0])
+					}
+				}
+			})
+		}
+	}
+}
+
 // The Brent solves start from the scores SmoothAll leaves (brentGroup), so
 // every test that drives one directly smooths first, as OptimizeModel does.
 
@@ -431,7 +503,7 @@ func TestConvergenceMaskShrinksWork(t *testing.T) {
 	fx := buildFixture(t, 8, 120, 12, true, sim, 71)
 	o := New(fx.eng, DefaultConfig(NewPar))
 	root := fx.tr.Tips[0].Back
-	fx.eng.TraverseRoot(root, false, nil)
+	fx.eng.TraverseRoot(root)
 	sim.Stats().Reset()
 	o.OptimizeBranch(root)
 	st := sim.Stats()

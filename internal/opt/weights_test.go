@@ -52,7 +52,7 @@ func TestWeightedAggregateIdentity(t *testing.T) {
 	weighted := smooth(t, o, context.Background())
 
 	root := fx.tr.Tips[0].Back
-	fx.eng.TraverseRoot(root, false, nil)
+	fx.eng.TraverseRoot(root)
 	lanes := make([]float64, ws.Replicates())
 	fx.eng.Evaluate(root, nil, ws, lanes, nil)
 	sum := 0.0

@@ -144,7 +144,7 @@ func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 		root := tr.Tips[0].Back
 		for i := 0; i < 4; i++ {
 			eng.InvalidateCLVs()
-			eng.TraverseRoot(root, false, nil)
+			eng.TraverseRoot(root)
 			eng.Evaluate(root, nil, nil, nil, nil)
 		}
 	}

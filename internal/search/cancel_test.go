@@ -80,7 +80,6 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 			e := s.E
 			v := e.Tree.Inner[0]
 			b1, b2 := v.Next.Back, v.Next.Next.Back
-			e.TraverseRoot(v, true, nil)
 			s.zConnSave = append(s.zConnSave[:0], v.Z...)
 			tree.ClearXAt(v)
 			zf := make([]float64, len(v.Z))
@@ -96,11 +95,9 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 			trials := []struct {
 				name string
 				u    *tree.Node
-				prep func()
-			}{{"baseline", b1, func() {}}, {"first scanned", w.Next, func() { e.Newview(w.Next) }}}
+			}{{"baseline", b1}, {"first scanned", w.Next}}
 			var trialPolls []int
 			for _, tr := range trials {
-				tr.prep()
 				pc.n, pc.polls = 0, 0
 				want := s.tryInsert(v, tr.u)
 				polls := pc.polls

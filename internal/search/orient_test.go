@@ -124,13 +124,11 @@ func checkCLVs(t *testing.T, e *core.Engine, where string) {
 	order[0], order[f] = order[f], order[0]
 	partial := make([]float64, len(order))
 	for j, b := range order {
-		e.TraverseRoot(b, true, nil)
 		e.Evaluate(b, nil, nil, partial[j:j+1], nil)
 	}
 	var scratch [1]float64
 	for j, b := range order {
 		e.InvalidateCLVs()
-		e.TraverseRoot(b, false, nil)
 		if e.Evaluate(b, nil, nil, scratch[:], nil); math.Float64bits(partial[j]) != math.Float64bits(scratch[0]) {
 			t.Errorf("%s: branch %d-%d partial score %v, from scratch %v", where, b.Index, b.Back.Index, partial[j], scratch[0])
 		}
@@ -152,8 +150,9 @@ func (c cancelWhen) Err() error {
 
 // TestCandidatesKeepCLVsValid checks the X-flag contract (checkCLVs) after
 // every trySubtree candidate of a round, on both the restore and the apply
-// path. A candidate starts from a partial traversal, so a flag an earlier
-// edit left stale shows here. Each applied move is also replayed with its
+// path. A candidate's prune trusts the flags the last region left, with no
+// traversal towards v first, so a flag an earlier edit left stale shows
+// here. Each applied move is also replayed with its
 // local smoothing cancelled: no traversal towards v then follows the
 // insertion, and only tree.ClearXAt stands between the flags on the path to
 // the old root and a stale score.
@@ -219,5 +218,76 @@ func TestRunKeepsCLVsValid(t *testing.T) {
 			}
 			checkCLVs(t, s.E, "after Run")
 		})
+	}
+}
+
+// TestNoCallerOrientsACLV: the search and branch smoothing issue no newview
+// region of their own. Over SmoothAll, one SPR round and SmoothAll again,
+// every stale CLV is recomputed inside the sumtable or evaluate region that
+// reads it, so the newview region count does not move.
+func TestNoCallerOrientsACLV(t *testing.T) {
+	for _, c := range orientCases(8) {
+		t.Run(c.String(), func(t *testing.T) {
+			s := buildOrient(t, c)
+			st := s.E.Exec.Stats()
+			before := st.KindRegions[parallel.RegionNewview]
+			if _, err := s.o.SmoothAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			s.sprRound()
+			if _, err := s.o.SmoothAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if s.tried == 0 {
+				t.Fatal("the round tried no insertion")
+			}
+			if got := st.KindRegions[parallel.RegionNewview]; got != before {
+				t.Errorf("%d newview regions over SmoothAll, an SPR round (%d trials, %d moves) and SmoothAll; want 0", got-before, s.tried, s.moves)
+			}
+		})
+	}
+}
+
+// TestCancelledSmoothAllKeepsContract cancels SmoothAll on every poll, from
+// a focus away from the branch it smooths first, under both strategies and
+// both joint and per-partition lengths. SmoothAll clears no flag on cancel,
+// so the flags the wind-down leaves must keep their contract (checkCLVs) and
+// the returned score must equal a fresh LogLikelihood bit for bit.
+func TestCancelledSmoothAllKeepsContract(t *testing.T) {
+	for _, strat := range []opt.Strategy{opt.NewPar, opt.OldPar} {
+		for _, perPart := range []bool{false, true} {
+			c := orientCase{taxa: 8, mixed: true, strat: strat, perPart: perPart}
+			t.Run(c.String(), func(t *testing.T) {
+				// smooth runs SmoothAll under ctx on a fresh searcher whose
+				// last region rooted at the tree's last inner branch.
+				smooth := func(ctx context.Context) (*Searcher, float64) {
+					s := buildOrient(t, c)
+					var far *tree.Node
+					for _, b := range s.E.Tree.Branches() {
+						if !b.IsTip() && !b.Back.IsTip() {
+							far = b
+						}
+					}
+					s.E.Evaluate(far, nil, nil, nil, nil)
+					lnl, err := s.o.SmoothAll(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s, lnl
+				}
+				pc := &pollCtx{Context: context.Background()}
+				smooth(pc)
+				polls := pc.polls
+				for n := 1; n <= polls; n++ {
+					s, lnl := smooth(&pollCtx{Context: context.Background(), n: n})
+					where := fmt.Sprintf("cancelled on poll %d of %d", n, polls)
+					checkCLVs(t, s.E, where)
+					if fresh := s.E.LogLikelihood(nil); math.Float64bits(fresh) != math.Float64bits(lnl) {
+						t.Errorf("%s: SmoothAll returned %v, a fresh LogLikelihood %v", where, lnl, fresh)
+					}
+				}
+				t.Logf("%d polls", polls)
+			})
+		}
 	}
 }

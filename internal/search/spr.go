@@ -7,11 +7,12 @@
 //
 // Per improvement round, every directed subtree is pruned in turn; insertion
 // into every branch within a configurable radius of the pruning point is
-// tried with a partial update (one newview at the insertion node) and a short
-// Newton-Raphson optimization of the insertion branch, and scored off the
-// sumtable that optimization prepared, in one more derivative region — the
-// mixture of narrow-and-frequent branch-length work that makes tree search
-// the paper's "practically most relevant case" for the load-balance problem.
+// tried with a partial update (the stale CLVs around the insertion node,
+// recomputed in the Newton pass's first region) and a short Newton-Raphson
+// optimization of the insertion branch, and scored off the sumtable that
+// optimization prepared, in one more derivative region — the mixture of
+// narrow-and-frequent branch-length work that makes tree search the paper's
+// "practically most relevant case" for the load-balance problem.
 // Every score a prune compares (the reinsertion baseline's too) comes from
 // that one scorer; an applied move's tree is scored by SmoothAll's closing
 // evaluation.
@@ -156,15 +157,12 @@ func (s *Searcher) sprRound() {
 // trySubtree prunes the subtree behind v.Back, scans insertion branches
 // within the radius, and either applies the best improving move or restores
 // the original topology exactly. Every edit at v's node runs tree.ClearXAt(v)
-// (the prune before it cuts, a restore or an applied move once connected), so
-// the X flags stay true throughout and each traversal recomputes only the
-// CLVs an edit made stale.
+// (the prune before it cuts, each trial splice, a restore or an applied move
+// once connected), so the X flags stay true throughout and each region
+// recomputes only the CLVs an edit made stale.
 func (s *Searcher) trySubtree(v *tree.Node) {
 	b1 := v.Next.Back
 	b2 := v.Next.Next.Back
-	// Orient everything towards the pruning point: afterwards only v's own
-	// view contains v, so the prune leaves every other flag valid.
-	s.E.TraverseRoot(v, true, nil)
 
 	// Save restore state: the original neighbor slices (nothing writes them
 	// while v is pruned) and the subtree connection length, which each trial
@@ -187,36 +185,31 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	ref := s.tryInsert(v, b1)
 	bestLnL := ref
 	var bestU *tree.Node
-	// descend scans both branches behind w at depth, keeping the CLV
-	// invariants: one newview before entering each and one on exit to
-	// restore the upward view for siblings and ancestors.
-	var scan func(u *tree.Node, depth int)
-	descend := func(w *tree.Node, depth int) {
+	// scan tries both branches behind w's node, away from w, and the
+	// branches behind each down to the radius.
+	var scan func(w *tree.Node, depth int)
+	scan = func(w *tree.Node, depth int) {
 		if w.IsTip() {
 			return
 		}
-		s.E.Newview(w.Next)
-		scan(w.Next, depth)
-		s.E.Newview(w.Next.Next)
-		scan(w.Next.Next, depth)
-		s.E.Newview(w)
-	}
-	scan = func(u *tree.Node, depth int) {
-		if s.cancelled() {
-			// Stop descending; trySubtree still restores the pruned subtree
-			// below, so cancellation never leaves a mutilated topology.
-			return
-		}
-		if lnl := s.tryInsert(v, u); lnl > bestLnL {
-			bestLnL = lnl
-			bestU = u
-		}
-		if depth < s.Cfg.Radius {
-			descend(u.Back, depth+1)
+		for _, u := range [2]*tree.Node{w.Next, w.Next.Next} {
+			if s.cancelled() {
+				// Stop descending; trySubtree still restores the pruned
+				// subtree below, so cancellation never leaves a mutilated
+				// topology.
+				return
+			}
+			if lnl := s.tryInsert(v, u); lnl > bestLnL {
+				bestLnL = lnl
+				bestU = u
+			}
+			if depth < s.Cfg.Radius {
+				scan(u.Back, depth+1)
+			}
 		}
 	}
-	descend(b2, 1)
-	descend(b1, 1)
+	scan(b2, 1)
+	scan(b1, 1)
 
 	if bestU != nil && bestLnL > ref+minImprovement {
 		// Apply: insert v into the winning branch for good. The three slices
@@ -251,10 +244,10 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 // sumtable that pass left, at the lengths it chose: the lnL lane of one more
 // derivative region, no evaluation (DESIGN.md "Region execution" says why its
 // bits need not be Evaluate's: only the ranking inside a prune reads them).
-// Then it undoes the splice. The caller guarantees the CLV at u towards u.Back
-// and at u.Back towards u are valid: both then point towards v, so
-// tree.ClearXAt(v) clears v's three records alone, and the one newview at v
-// runs in the first sumtable region of OptimizeBranch(v).
+// Then it undoes the splice. The splice's tree.ClearXAt(v) clears exactly the
+// flags whose view now contains v, so the first sumtable region of
+// OptimizeBranch(v) recomputes v and whatever lies between the last region's
+// root and the insertion branch, and nothing else.
 func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	if s.cancelled() {
 		// Score nothing: -Inf never beats the reinsertion baseline, so the

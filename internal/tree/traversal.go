@@ -28,7 +28,7 @@ func ComputeTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalS
 	r := p.Next.Next.Back
 	steps = ComputeTraversal(steps, q, partial)
 	steps = ComputeTraversal(steps, r, partial)
-	OrientX(p)
+	orientX(p)
 	return append(steps, TraversalStep{P: p, Q: q, R: r})
 }
 

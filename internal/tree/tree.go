@@ -140,8 +140,8 @@ func Connect(a, b *Node, z []float64) {
 // the update because the slice is shared).
 func SetBranchLength(p *Node, k int, v float64) { p.Z[k] = v }
 
-// OrientX marks p as the record holding the valid CLV of its node.
-func OrientX(p *Node) {
+// orientX marks p as the record holding the valid CLV of its node.
+func orientX(p *Node) {
 	if p.IsTip() {
 		return
 	}
@@ -164,8 +164,10 @@ func (t *Tree) ClearX() {
 // contains v. Every record of v's node sees v. Elsewhere the walk runs
 // outward from v and stops at the first node whose flag already points back
 // towards v: its view excludes v, and because every flag points towards the
-// last traversal's root (the invariant each traversal leaves), so does every
-// flag behind it. Flags it cannot reach stay set and stay valid.
+// last traversal's root, so does every flag behind it. Flags it cannot reach
+// stay set and stay valid. The early stop asks nothing of the caller: only a
+// root traversal sets a flag (ComputeTraversal, one per node), and a root
+// traversal leaves every flag pointing towards its root.
 func ClearXAt(v *Node) {
 	for p, i := v, 0; i < 3 && p != nil; p, i = p.Next, i+1 {
 		p.X = false

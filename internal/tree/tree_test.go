@@ -269,9 +269,9 @@ func TestValidateDetectsCorruption(t *testing.T) {
 func TestClearXAndOrient(t *testing.T) {
 	tr, _ := Random(names(6), 1, RandomOptions{Seed: 2})
 	in := tr.Inner[0]
-	OrientX(in.Next)
+	orientX(in.Next)
 	if !in.Next.X || in.X || in.Next.Next.X {
-		t.Error("OrientX must set exactly one record")
+		t.Error("orientX must set exactly one record")
 	}
 	tr.ClearX()
 	for _, r := range tr.Records() {
@@ -279,8 +279,8 @@ func TestClearXAndOrient(t *testing.T) {
 			t.Error("ClearX left a flag set")
 		}
 	}
-	// OrientX on a tip is a no-op.
-	OrientX(tr.Tips[0])
+	// orientX on a tip is a no-op.
+	orientX(tr.Tips[0])
 	if tr.Tips[0].X {
 		t.Error("tips must not carry X")
 	}

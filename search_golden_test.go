@@ -137,10 +137,8 @@ func TestBootstrapScoresOnValidCLVs(t *testing.T) {
 	check := func(b *tree.Node, where string) {
 		e := an.eng
 		var lnl [2]float64
-		e.TraverseRoot(b, true, nil)
 		e.Evaluate(b, nil, nil, lnl[:1], nil)
 		e.InvalidateCLVs()
-		e.TraverseRoot(b, false, nil)
 		e.Evaluate(b, nil, nil, lnl[1:], nil)
 		partial, scratch := lnl[0], lnl[1]
 		if math.Float64bits(partial) != math.Float64bits(scratch) {
