@@ -354,11 +354,11 @@ func (an *Analysis) TreeNewickForPartition(k int) (string, error) {
 }
 
 // SetAlpha overrides the Gamma shape parameter of one partition (or of every
-// partition when partition is negative) and invalidates the session's CLVs so
-// the next evaluation reflects the new rates. It is the "model" knob of an
-// evaluate request in the serving layer: a session opened from the dataset's
-// model templates can be repointed at a caller-specified alpha without
-// running the optimizer. Like every Analysis method it must not be called
+// partition when partition is negative); the model's epoch moves, so the
+// next evaluation recomputes every CLV under the new rates. It is the
+// "model" knob of an evaluate request in the serving layer: a session opened
+// from the dataset's model templates can be repointed at a caller-specified
+// alpha without running the optimizer. Like every Analysis method it must not be called
 // concurrently with another method of the same session.
 func (an *Analysis) SetAlpha(partition int, alpha float64) error {
 	if err := an.guard(); err != nil {
@@ -376,7 +376,6 @@ func (an *Analysis) SetAlpha(partition int, alpha float64) error {
 			return err
 		}
 	}
-	an.eng.InvalidateCLVs()
 	return nil
 }
 

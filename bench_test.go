@@ -84,7 +84,7 @@ func BenchmarkNewviewDNAGamma(b *testing.B) {
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.InvalidateCLVs()
+		fx.eng.Tree.ClearX()
 		fx.eng.TraverseRoot(root)
 	}
 	b.ReportMetric(float64(2000*fx.tr.NumInner()), "patterns/op")
@@ -97,7 +97,7 @@ func BenchmarkNewviewDNAGeneric(b *testing.B) {
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.InvalidateCLVs()
+		fx.eng.Tree.ClearX()
 		fx.eng.TraverseRoot(root)
 	}
 }
@@ -114,7 +114,7 @@ func BenchmarkNewviewAAGamma(b *testing.B) {
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fx.eng.InvalidateCLVs()
+		fx.eng.Tree.ClearX()
 		fx.eng.TraverseRoot(root)
 	}
 }
@@ -227,7 +227,7 @@ func BenchmarkPoolTraversal2Threads(b *testing.B) {
 	root := tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.InvalidateCLVs()
+		eng.Tree.ClearX()
 		eng.TraverseRoot(root)
 	}
 }

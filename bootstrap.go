@@ -89,7 +89,6 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		if restoreErr := an.tr.CopyTopologyFrom(original); restoreErr != nil && err == nil {
 			err = restoreErr
 		}
-		an.eng.InvalidateCLVs()
 	}()
 
 	// The candidate set: the session's tree first (so ties favour it), then
@@ -110,7 +109,6 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		if err := an.tr.CopyTopologyFrom(cand); err != nil {
 			return nil, err
 		}
-		an.eng.InvalidateCLVs()
 		weighted, err := opt.New(an.eng, cfg).SmoothAll(ctx)
 		if err != nil {
 			return nil, err

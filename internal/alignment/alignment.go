@@ -90,13 +90,3 @@ func (a *Alignment) NumSites() int {
 	}
 	return len(a.Seqs[0])
 }
-
-// TaxonIndex returns the row of the named taxon, or -1.
-func (a *Alignment) TaxonIndex(name string) int {
-	for i, n := range a.Names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}

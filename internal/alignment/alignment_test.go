@@ -488,3 +488,66 @@ func TestCompressQuickProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The tests' inverse and lookup helpers: no program code needs them.
+
+// TaxonIndex returns the row of the named taxon, or -1.
+func (a *Alignment) TaxonIndex(name string) int {
+	for i, n := range a.Names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// PartitionOf returns the partition owning the global pattern index i.
+func (d *CompressedData) PartitionOf(i int) *CompressedPartition {
+	for _, p := range d.Parts {
+		if i >= p.Offset && i < p.End() {
+			return p
+		}
+	}
+	return nil
+}
+
+// MaxStates returns the widest alphabet across partitions (4 or 20).
+func (d *CompressedData) MaxStates() int {
+	s := 0
+	for _, p := range d.Parts {
+		s = max(s, p.Type.States())
+	}
+	return s
+}
+
+// DecodeChar maps a tip code back to a representative character, the
+// inverse the encoding tests check EncodeChar against. Ambiguous DNA masks
+// map to IUPAC letters.
+func DecodeChar(t DataType, code byte) byte {
+	if t == DNA {
+		const iupac = "-ACMGRSVTWYHKDBN"
+		if int(code) < len(iupac) {
+			return iupac[code]
+		}
+		return 'N'
+	}
+	if int(code) < len(aaOrder) {
+		return aaOrder[code]
+	}
+	switch code {
+	case aaB:
+		return 'B'
+	case aaZ:
+		return 'Z'
+	default:
+		return 'X'
+	}
+}
+
+// StateToCode converts a concrete model state index into a tip code.
+func StateToCode(t DataType, state int) byte {
+	if t == DNA {
+		return byte(1 << uint(state))
+	}
+	return byte(state)
+}

@@ -172,29 +172,6 @@ func GapCode(t DataType) byte {
 // IsGapCode reports whether an encoded state carries no information.
 func IsGapCode(t DataType, code byte) bool { return code == GapCode(t) }
 
-// DecodeChar maps a tip code back to a representative character (used by the
-// sequence simulator and writers). Ambiguous DNA masks map to IUPAC letters.
-func DecodeChar(t DataType, code byte) byte {
-	if t == DNA {
-		const iupac = "-ACMGRSVTWYHKDBN"
-		if int(code) < len(iupac) {
-			return iupac[code]
-		}
-		return 'N'
-	}
-	if int(code) < len(aaOrder) {
-		return aaOrder[code]
-	}
-	switch code {
-	case aaB:
-		return 'B'
-	case aaZ:
-		return 'Z'
-	default:
-		return 'X'
-	}
-}
-
 // StateChar returns the character of a concrete (non-ambiguous) model state
 // index: 0..3 for DNA, 0..19 for AA.
 func StateChar(t DataType, state int) byte {
@@ -202,14 +179,6 @@ func StateChar(t DataType, state int) byte {
 		return "ACGT"[state]
 	}
 	return aaOrder[state]
-}
-
-// StateToCode converts a concrete model state index into a tip code.
-func StateToCode(t DataType, state int) byte {
-	if t == DNA {
-		return byte(1 << uint(state))
-	}
-	return byte(state)
 }
 
 // NumCodes returns the size of the tip-code alphabet for a data type: 16

@@ -39,28 +39,6 @@ type CompressedData struct {
 // NumTaxa returns the number of sequences in the dataset.
 func (d *CompressedData) NumTaxa() int { return len(d.TaxaNames) }
 
-// PartitionOf returns the partition owning the global pattern index i.
-func (d *CompressedData) PartitionOf(i int) *CompressedPartition {
-	for _, p := range d.Parts {
-		if i >= p.Offset && i < p.End() {
-			return p
-		}
-	}
-	return nil
-}
-
-// MaxStates returns the widest alphabet across partitions (4 or 20); the
-// kernel sizes its conditional likelihood vectors with it.
-func (d *CompressedData) MaxStates() int {
-	s := 0
-	for _, p := range d.Parts {
-		if st := p.Type.States(); st > s {
-			s = st
-		}
-	}
-	return s
-}
-
 // CompressOptions controls pattern compression.
 type CompressOptions struct {
 	// KeepDuplicates disables deduplication, so every column becomes its own

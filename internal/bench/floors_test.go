@@ -286,7 +286,7 @@ func newviewArm(t *testing.T, w *workload, backend core.Backend, specialize bool
 	eng.TraverseRoot(root)
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng.InvalidateCLVs()
+			eng.Tree.ClearX()
 			eng.TraverseRoot(root)
 		}
 	}
@@ -512,7 +512,7 @@ func TestNewviewRowsFloor(t *testing.T) {
 	eng.TraverseRoot(root)
 	traversal := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng.InvalidateCLVs()
+			eng.Tree.ClearX()
 			eng.TraverseRoot(root)
 		}
 	}
@@ -560,7 +560,7 @@ func genericNewview(t *testing.T, w *workload) (arm func(b *testing.B), ops floa
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root)
 	eng.Exec.Stats().Reset()
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	eng.TraverseRoot(root)
 	return newviewArm(t, w, core.BackendGeneric, false), eng.Exec.Stats().TotalOps
 }
@@ -608,7 +608,7 @@ func TestBatchedBootstrapFloor(t *testing.T) {
 	// score is one full traversal and one evaluate under w.
 	score := func(e *core.Engine, w *core.WeightSet, lnl []float64) {
 		root := e.Tree.Tips[0].Back
-		e.InvalidateCLVs()
+		e.Tree.ClearX()
 		e.TraverseRoot(root)
 		e.Evaluate(root, nil, w, lnl, nil)
 	}

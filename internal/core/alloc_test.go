@@ -259,7 +259,7 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 			name string
 			call func()
 		}{
-			{"TraverseRoot", func() { eng.InvalidateCLVs(); eng.TraverseRoot(root) }},
+			{"TraverseRoot", func() { eng.Tree.ClearX(); eng.TraverseRoot(root) }},
 			{"Evaluate R=1", func() { eng.Evaluate(root, nil, nil, lnl1, nil) }},
 			{"Evaluate R=3", func() { eng.Evaluate(root, nil, ws, lnl3, per3) }},
 			{"LogLikelihood", func() { eng.LogLikelihood(nil) }},

@@ -277,7 +277,7 @@ func TestBatchBitIdentity(t *testing.T) {
 				var single [1]float64
 				for r := 0; r < R; r++ {
 					rep := ws.Replicate(r)
-					eng.InvalidateCLVs()
+					eng.Tree.ClearX()
 					eng.TraverseRoot(root)
 					eng.Evaluate(root, nil, rep, single[:], nil)
 					if single[0] != totals[r] {

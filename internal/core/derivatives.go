@@ -34,9 +34,8 @@ func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
 		// buffer set that smooths a branch makes the sumtable, in the set.
 		e.sumtable = alignedFloats(e.layout.SumTotal())
 	}
-	e.steps = tree.RootTraversal(e.steps[:0], p, true)
 	e.sumAt = p
-	e.runRegion(region{kind: parallel.RegionSumTable, steps: e.steps, stepAct: e.shared.allMask, p: p}, active)
+	e.runRegion(region{kind: parallel.RegionSumTable, steps: e.rootSteps(p, e.shared.allMask), stepAct: e.shared.allMask, p: p}, active)
 }
 
 // sumtableGeneric is the one sumtable body: CLV reads step the category

@@ -79,6 +79,11 @@ type Engine struct {
 	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
 	sumAt   *tree.Node // the branch the sumtable was last prepared for: the lnL lane's ends
 
+	// The X flags' stamp (rootSteps): the models' epoch sum they were set under,
+	// and whether those steps skipped a partition (true until the first steps).
+	xEpochs  uint64
+	xPartial bool
+
 	*sessionBuffers // nil after Release: the next kernel call faults
 
 	// obsBatchWidth (nil unless Options.Metrics) is the one engine-level
@@ -248,6 +253,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 		numCats:        sh.NumCats,
 		layout:         sh.layout,
 		chunks:         layout,
+		xPartial:       true,
 	}
 	e.drainFn = e.drain
 	bufs, source := sh.retired.Get(), "recycled"
@@ -331,17 +337,13 @@ func (e *Engine) activeOrAll(active []bool) []bool {
 	return e.shared.allMask
 }
 
-// InvalidateCLVs clears all CLV orientations, forcing the next traversal to
-// recompute everything (used after wholesale model changes).
-func (e *Engine) InvalidateCLVs() { e.Tree.ClearX() }
-
 // LogLikelihood evaluates from scratch at the canonical virtual root (the
 // branch at tip 0), a full traversal in the evaluate's region, and returns
 // the total log likelihood over all partitions under the dataset's own
 // weights; per, when non-nil (NumPartitions entries), receives the
 // per-partition values. It is the plain "score this tree" entry point.
 func (e *Engine) LogLikelihood(per []float64) float64 {
-	e.InvalidateCLVs()
+	e.Tree.ClearX()
 	var lnl [1]float64
 	e.Evaluate(e.Tree.Tips[0].Back, nil, nil, lnl[:], per)
 	return lnl[0]

@@ -282,7 +282,7 @@ func TestEngineMatchesBruteForceMultiPartition(t *testing.T) {
 		tree.SetBranchLength(b, 0, 0.02+rng.Float64()*0.3)
 		tree.SetBranchLength(b, 1, 0.02+rng.Float64()*0.3)
 	}
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	perPart := make([]float64, eng.NumPartitions())
 	total := eng.LogLikelihood(perPart)
 	want0 := bruteLogLikelihood(tr, d.Parts[0], m0, 0)
@@ -595,7 +595,7 @@ func TestPartialTraversalMatchesFull(t *testing.T) {
 		}
 	}
 	// Full invalidation and recomputation returns the same value.
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	if got := eng.LogLikelihood(nil); math.Abs(got-ref) > 1e-9*math.Abs(ref) {
 		t.Errorf("full recomputation %v != %v", got, ref)
 	}

@@ -39,8 +39,7 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 	}
 	act := e.activeOrAll(active)
 	buf := grow(&e.evalChunk, e.chunks.NumChunks()*R)
-	e.steps = tree.RootTraversal(e.steps[:0], p, true)
-	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.steps, stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
+	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.rootSteps(p, act), stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
 	e.reduce(buf, R, 0, R, per)
 	if lnl != nil {
 		e.total(act, per, lnl)

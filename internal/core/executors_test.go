@@ -66,11 +66,11 @@ type evalResult struct {
 
 func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	t.Helper()
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root)
 	lnl, perPart := evaluate1(eng, root, nil)
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	nP := eng.NumPartitions()
@@ -262,7 +262,7 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				root := tr.Tips[0].Back
-				steps := tree.ComputeTraversal(nil, root, false)
+				steps := tree.ComputeTraversal(nil, root)
 				for _, mask := range masks {
 					active := func(sp int) bool { return mask == nil || mask[sp] }
 					eng.executeSteps(steps, mask)

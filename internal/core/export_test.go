@@ -98,7 +98,7 @@ func (e *Engine) HasSumtable() bool { return e.sumtable != nil }
 // are bit-identical and one serial sweep serves every backend.
 func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	root := e.Tree.Tips[0].Back
-	e.InvalidateCLVs()
+	e.Tree.ClearX()
 	e.TraverseRoot(root)
 	if root.IsTip() && root.Back.IsTip() {
 		panic("core: degenerate two-taxon tree")

@@ -153,7 +153,7 @@ func runGolden(t *testing.T, d *alignment.CompressedData, models []*model.Model,
 			far = b
 		}
 	}
-	steps := tree.RootTraversal(nil, far, true)
+	steps := tree.RootTraversal(nil, far)
 	if len(steps) < 3 {
 		t.Fatalf("partial traversal to the far branch has %d steps; fixture misconfigured", len(steps))
 	}

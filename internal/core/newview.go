@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"phylo/internal/cpufeat"
 	"phylo/internal/parallel"
 	"phylo/internal/schedule"
@@ -12,20 +14,37 @@ import (
 // parallel region — the whole traversal descriptor is fanned out once and
 // ends in one barrier, exactly as in RAxML's Pthreads design. Only stale
 // CLVs are recomputed (the paper's partial traversals after local changes),
-// over every partition; a caller that wants every CLV recomputed runs
-// InvalidateCLVs first. The steps are listed into the session's one step
-// buffer, which holds a whole traversal: a traversal allocates nothing.
-// Evaluate and PrepareSumtable run their own, so no program path calls this:
-// it is the step-only region the kernel tests and benchmarks time and count.
+// over every partition. Evaluate and PrepareSumtable run their own, so no
+// program path calls this: it is the step-only region the kernel tests and
+// benchmarks time and count (after Tree.ClearX, to time a whole traversal).
 // With Specialize on, tip children whose owner's share amortizes a lookup
 // table (see tiptables.go) become O(cats·s) table-row reads instead of
 // O(cats·s²) P applications; all paths produce bit-identical CLVs.
 func (e *Engine) TraverseRoot(p *tree.Node) {
-	e.steps = tree.RootTraversal(e.steps[:0], p, true)
-	if len(e.steps) == 0 {
-		return
+	if steps := e.rootSteps(p, e.shared.allMask); len(steps) > 0 {
+		e.runRegion(region{kind: parallel.RegionNewview, steps: steps, stepAct: e.shared.allMask}, nil)
 	}
-	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.shared.allMask}, nil)
+}
+
+// rootSteps lists the root traversal at (p, p.Back) into the session's step
+// buffer (room for a whole traversal: listing allocates nothing) for a
+// region that runs the steps over stepAct's partitions. It is the engine's one rule of CLV validity: every
+// flag is cleared first unless the models' epochs (model.Epoch) are those
+// the flags were set under and the steps that set them, in this session, ran
+// over every partition. Only a listing with steps moves that stamp: a region
+// that recomputes nothing leaves every flag as true as it found it.
+func (e *Engine) rootSteps(p *tree.Node, stepAct []bool) []tree.TraversalStep {
+	var epochs uint64
+	for _, m := range e.Models {
+		epochs += m.Epoch()
+	}
+	if e.xPartial || epochs != e.xEpochs {
+		e.Tree.ClearX()
+	}
+	if e.steps = tree.RootTraversal(e.steps[:0], p); len(e.steps) > 0 {
+		e.xEpochs, e.xPartial = epochs, slices.Contains(stepAct, false)
+	}
+	return e.steps
 }
 
 // applyRows is the generic bodies' P application to a 4-state block, whose

@@ -49,7 +49,7 @@ func TestMetricsZeroAllocsOnNewviewRegion(t *testing.T) {
 		root := eng.Tree.Tips[0].Back
 		eng.TraverseRoot(root) // warm up tables and one-time laziness
 		return testing.AllocsPerRun(50, func() {
-			eng.InvalidateCLVs()
+			eng.Tree.ClearX()
 			eng.TraverseRoot(root)
 		})
 	}
@@ -74,7 +74,7 @@ func TestEngineObsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	eng.TraverseRoot(root)
 	eng.Evaluate(root, nil, ws, make([]float64, 3), nil)
 	got := map[string]float64{}

@@ -80,7 +80,8 @@ func (r *memoRig) bindBranch(label string, p *tree.Node, ip, w int) {
 // anyStep returns a newview step of the tree (its children's branch lengths
 // are the test's to overwrite).
 func (r *memoRig) anyStep() tree.TraversalStep {
-	return tree.ComputeTraversal(nil, r.eng.Tree.Tips[0].Back, false)[0]
+	r.eng.Tree.ClearX()
+	return tree.ComputeTraversal(nil, r.eng.Tree.Tips[0].Back)[0]
 }
 
 // collidingLengths returns two different branch lengths whose blocks share a
@@ -203,7 +204,8 @@ func TestTransitionMemoProperty(t *testing.T) {
 	e := r.eng
 	rng := rand.New(rand.NewSource(77))
 	branches := e.Tree.Branches()
-	steps := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back, false)
+	e.Tree.ClearX()
+	steps := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back)
 	nParts := len(e.Models)
 
 	for op := 0; op < 6000; op++ {
@@ -233,25 +235,10 @@ func TestTransitionMemoProperty(t *testing.T) {
 			}
 		}
 		if op%500 == 499 {
-			e.InvalidateCLVs()
 			got := e.LogLikelihood(nil)
-			tr, err := e.Tree.Clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms := []*model.Model{e.Models[0].Clone(), e.Models[1].Clone()}
-			sim, err := parallel.NewSim(2) // the same chunk layout, hence the same reduction order
-			if err != nil {
-				t.Fatal(err)
-			}
-			blank, err := newEngine(e.Data, tr, ms, sim, Options{Specialize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := blank.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(want) {
+			if _, want := scratchScore(t, e); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("op %d: lnL %v with the memo, %v from a session that remembers nothing", op, got, want)
 			}
-			sim.Close()
 		}
 	}
 	if r.ctx.PReused < r.ctx.PComputed || r.ctx.PComputed < 100 {

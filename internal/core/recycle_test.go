@@ -95,6 +95,12 @@ func (r *recycleRig) open() *core.Engine {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	return r.openOn(tr)
+}
+
+// openOn opens a session on tr with clones of the rig's models.
+func (r *recycleRig) openOn(tr *tree.Tree) *core.Engine {
+	r.t.Helper()
 	ms := make([]*model.Model, len(r.models))
 	for i, m := range r.models {
 		ms[i] = m.Clone()
@@ -110,16 +116,17 @@ func (r *recycleRig) open() *core.Engine {
 // set: the one a predecessor on the same tree and model clones scored the
 // tree on, so its transition-matrix memo is stamped with exactly the branch
 // lengths and model epochs the new session looks up first, over blocks that
-// are NaN now. The retry is for the race detector's sync.Pool, which drops a
-// quarter of all Puts at random, and for a collection emptying the pool in
-// between.
+// are NaN now, and the tree's X flags, which the new session inherits, claim
+// CLVs that are NaN now. The retry is for the race detector's sync.Pool,
+// which drops a quarter of all Puts at random, and for a collection emptying
+// the pool in between.
 func (r *recycleRig) openOnPoisoned(smoothed bool) *core.Engine {
 	r.t.Helper()
 	for try := 0; try < 200; try++ {
 		prev := r.open()
 		prev.LogLikelihood(nil)
 		token := core.ReleasePoisoned(prev, smoothed)
-		eng := r.open()
+		eng := r.openOn(prev.Tree)
 		if eng.BufferSet() == token {
 			return eng
 		}
@@ -187,7 +194,7 @@ func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 		res.add(fmt.Sprintf("site%d", ip), eng.SiteLogLikelihoods(ip)...)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	eng.TraverseRoot(root)
 	eng.PrepareSumtable(root, nil)
 	n := eng.NumPartitions()
@@ -231,6 +238,24 @@ func TestRecycledBuffersCannotReachAResult(t *testing.T) {
 				eng.Release()
 			}
 		}
+	}
+}
+
+// TestSessionTrustsNoInheritedFlag: the flags a released session left on
+// its tree describe CLVs in a buffer set that is now another session's
+// (poisoned here), so a session opened on that tree trusts none of them: its
+// first Evaluate, with no flag cleared by the caller, gives a first
+// session's bits.
+func TestSessionTrustsNoInheritedFlag(t *testing.T) {
+	d, models := recycleData(t)
+	rig := newRecycleRig(t, d, models, core.BackendFused, 3, false)
+	want := rig.open().LogLikelihood(nil)
+	eng := rig.openOnPoisoned(false)
+	defer eng.Release()
+	var lnl [1]float64
+	eng.Evaluate(eng.Tree.Tips[0].Back, nil, nil, lnl[:], nil)
+	if math.Float64bits(lnl[0]) != math.Float64bits(want) {
+		t.Fatalf("first Evaluate on an inherited tree: lnL %v, a first session computes %v", lnl[0], want)
 	}
 }
 
@@ -299,7 +324,6 @@ func TestReleaseSemantics(t *testing.T) {
 				t.Fatal("a kernel call on a released engine did not panic")
 			}
 		}()
-		eng.InvalidateCLVs()
 		eng.LogLikelihood(nil)
 	}()
 }

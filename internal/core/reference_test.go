@@ -767,7 +767,8 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				c := eng.workers[0].span
 
 				seen := map[string]bool{}
-				steps := tree.ComputeTraversal(nil, tr.Tips[0].Back, false)
+				tr.ClearX()
+				steps := tree.ComputeTraversal(nil, tr.Tips[0].Back)
 				for si := range steps {
 					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, parallel.RegionNewview, si, ip, &ctx)
 					c.ensureTables(part.PatternCount)

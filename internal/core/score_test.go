@@ -104,7 +104,7 @@ func TestLnLLaneMatchesEvaluate(t *testing.T) {
 						for _, b := range tr.Branches() {
 							tree.SetBranchLength(b, 0, length)
 						}
-						eng.InvalidateCLVs()
+						eng.Tree.ClearX()
 					}
 					tol := 1e-13
 					if length == tree.MinBranchLen {

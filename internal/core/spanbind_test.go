@@ -27,7 +27,8 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	p := e.Tree.Tips[3].Back // an inner end p and a tip end p.Back: both reductions tabulate the tip
 	e.TraverseRoot(p)
 	e.PrepareSumtable(p, nil)
-	steps := tree.RootTraversal(nil, p, false)
+	e.Tree.ClearX()
+	steps := tree.RootTraversal(nil, p)
 	si := -1
 	for i, st := range steps {
 		if st.Q.IsTip() || st.R.IsTip() {

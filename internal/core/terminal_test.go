@@ -109,7 +109,7 @@ func TestTerminalValidatesItsBranch(t *testing.T) {
 				if c := sumSince(); c.regions != 1 || c.obs != (goldenObserver{}) {
 					t.Errorf("%s: Evaluate after a one-partition PrepareSumtable cost %+v; want one region and no step", label, c)
 				}
-				sum.InvalidateCLVs()
+				sum.Tree.ClearX()
 				scratch, _ := evaluate1(sum, q, nil)
 				if math.Float64bits(after) != math.Float64bits(scratch) || math.Float64bits(after) != math.Float64bits(want) {
 					t.Errorf("%s: Evaluate after PrepareSumtable %v, from scratch %v, the pair %v", label, after, scratch, want)

@@ -157,7 +157,8 @@ func TestTipCaseOrderings(t *testing.T) {
 			// Find a traversal step with exactly one tip child; the two
 			// engines share tree topology (same seed), so the step index is
 			// common.
-			steps := tree.ComputeTraversal(nil, spec.Tree.Tips[0].Back, false)
+			spec.Tree.ClearX()
+			steps := tree.ComputeTraversal(nil, spec.Tree.Tips[0].Back)
 			idx := -1
 			for i, st := range steps {
 				if st.Q.IsTip() != st.R.IsTip() {
@@ -169,7 +170,8 @@ func TestTipCaseOrderings(t *testing.T) {
 				t.Fatal("no mixed tip/inner step in traversal; fixture misconfigured")
 			}
 			stepOf := func(e *Engine, swap bool) []tree.TraversalStep {
-				st := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back, false)[idx]
+				e.Tree.ClearX()
+				st := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back)[idx]
 				if swap {
 					st.Q, st.R = st.R, st.Q
 				}
@@ -202,7 +204,7 @@ func TestTipCaseScalingEquivalence(t *testing.T) {
 		for _, b := range e.Tree.Branches() {
 			tree.SetBranchLength(b, 0, 1.4)
 		}
-		e.InvalidateCLVs()
+		e.Tree.ClearX()
 	}
 	ls, lg := spec.LogLikelihood(nil), gen.LogLikelihood(nil)
 	if err := CheckFinite(ls); err != nil {
@@ -398,7 +400,7 @@ func TestTipAwareOpCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range tree.ComputeTraversal(nil, tr.Tips[0].Back, false) {
+	for _, st := range tree.ComputeTraversal(nil, tr.Tips[0].Back) {
 		if !st.Q.IsTip() || !st.R.IsTip() {
 			continue
 		}

@@ -99,12 +99,11 @@ func (o *Optimizer) rateParam(ri int) brentParam {
 	}
 }
 
-// evalPartitions re-traverses and evaluates the masked partitions at the
-// canonical root and returns per-partition log likelihoods: the one region
-// of a Brent step, a full traversal and the reduction. Only the masked
-// partitions' CLV slices are recomputed.
+// evalPartitions evaluates the masked partitions at the canonical root and
+// returns per-partition log likelihoods: the one region of a Brent step, a
+// full traversal (the proposals moved the models' epochs) and the reduction.
+// Only the masked partitions' CLV slices are recomputed.
 func (o *Optimizer) evalPartitions() []float64 {
-	o.E.InvalidateCLVs()
 	o.E.Evaluate(o.E.Tree.Tips[0].Back, o.mask, o.Cfg.Weights, nil, o.per)
 	return o.per
 }
@@ -120,7 +119,8 @@ func (o *Optimizer) evalPartitions() []float64 {
 // or the previous solve left it, and no branch has moved since. The solve
 // ends without a region too: o.score keeps -FX, the bits a closing region at
 // the pin would recompute (a partition's score reads only its own chunks),
-// and the CLVs stay at the last proposals until OptimizeModel discards them.
+// and the CLVs stay at the last proposals: the pin moves the models' epochs,
+// so the next traversal, the round's SmoothAll, recomputes them all.
 // The closing region runs after a cancellation, for a non-finite FX (the state
 // reads NaN as +Inf), and after a proposal the model refuses — a failed
 // eigendecomposition, which ends the loop like a cancellation: the pin (to
@@ -203,15 +203,14 @@ func (o *Optimizer) OptimizeModel(ctx context.Context) (float64, int, error) {
 		rounds++
 		// SmoothAll has just scored every partition at the canonical root and
 		// no branch moves until it runs again: Brent starts from those scores.
+		// The solves' pins move the models' epochs, so the SmoothAll after
+		// them recomputes every CLV (the engine's rule; nothing invalidates).
 		if o.Cfg.OptimizeRates {
 			err = o.optimizeRatesAll()
 		}
 		if err == nil {
 			err = o.optimizeAlphas()
 		}
-		// The solves left the CLVs at their last proposals (brentGroup): the
-		// next traversal recomputes them, one region a round.
-		o.E.InvalidateCLVs()
 		if err != nil {
 			return o.scoreRoot(), rounds, err
 		}

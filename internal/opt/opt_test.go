@@ -217,7 +217,7 @@ func TestNewParUsesFarFewerRegions(t *testing.T) {
 		o.enter(o.alpha.groups[0])
 		for _, state := range []string{"valid", "cleared"} {
 			if state == "cleared" {
-				o.E.InvalidateCLVs()
+				o.E.Tree.ClearX()
 			}
 			before := o.E.Exec.Stats().Regions
 			o.evalPartitions()
@@ -378,7 +378,7 @@ func TestRestoreFreeSmoothingKeepsContract(t *testing.T) {
 				}
 				var scratch [1]float64
 				for j, b := range order {
-					e.InvalidateCLVs()
+					e.Tree.ClearX()
 					if e.Evaluate(b, nil, nil, scratch[:], nil); math.Float64bits(partial[j]) != math.Float64bits(scratch[0]) {
 						t.Errorf("branch %d-%d: partial score %v, from scratch %v", b.Index, b.Back.Index, partial[j], scratch[0])
 					}
@@ -590,7 +590,7 @@ func TestOptimizeModelCancellation(t *testing.T) {
 						t.Fatalf("run of %d regions finished in under %d; nothing was cancelled", n, k)
 					}
 					exec.SetObserver(nil)
-					fx[i].eng.InvalidateCLVs()
+					fx[i].eng.Tree.ClearX()
 					if got := fx[i].eng.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(lnl) {
 						t.Errorf("partial lnl %v is not the score %v of the state left behind", lnl, got)
 					}
@@ -776,7 +776,7 @@ func TestModelRefusingAProposal(t *testing.T) {
 						}
 					}
 				}
-				fx.eng.InvalidateCLVs()
+				fx.eng.Tree.ClearX()
 				if got := fx.eng.LogLikelihood(nil); math.Float64bits(got) != math.Float64bits(lnl) {
 					t.Errorf("returned lnl %v is not the score %v of the state left behind", lnl, got)
 				}

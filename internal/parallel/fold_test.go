@@ -143,7 +143,7 @@ func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 		defer eng.Release()
 		root := tr.Tips[0].Back
 		for i := 0; i < 4; i++ {
-			eng.InvalidateCLVs()
+			eng.Tree.ClearX()
 			eng.TraverseRoot(root)
 			eng.Evaluate(root, nil, nil, nil, nil)
 		}

@@ -49,7 +49,7 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 				if err := s.E.Tree.CopyTopologyFrom(end); err != nil {
 					t.Fatal(err)
 				}
-				s.E.InvalidateCLVs()
+				s.E.Tree.ClearX()
 				return s
 			}
 

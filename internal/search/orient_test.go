@@ -128,7 +128,7 @@ func checkCLVs(t *testing.T, e *core.Engine, where string) {
 	}
 	var scratch [1]float64
 	for j, b := range order {
-		e.InvalidateCLVs()
+		e.Tree.ClearX()
 		if e.Evaluate(b, nil, nil, scratch[:], nil); math.Float64bits(partial[j]) != math.Float64bits(scratch[0]) {
 			t.Errorf("%s: branch %d-%d partial score %v, from scratch %v", where, b.Index, b.Back.Index, partial[j], scratch[0])
 		}
@@ -192,7 +192,7 @@ func TestCandidatesKeepCLVsValid(t *testing.T) {
 					if err := e.Tree.CopyTopologyFrom(before); err != nil {
 						t.Fatal(err)
 					}
-					e.InvalidateCLVs()
+					e.Tree.ClearX()
 					cancelApplied = cancel
 					try()
 					cancelApplied = false

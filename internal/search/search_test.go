@@ -123,7 +123,7 @@ func TestSearchImprovesLikelihood(t *testing.T) {
 		t.Error("random start vs simulated data: expected at least one improving SPR move")
 	}
 	// The final likelihood must match a fresh evaluation of the final tree.
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	if got := eng.LogLikelihood(nil); math.Abs(got-res.LnL) > 1e-6*math.Abs(got) {
 		t.Errorf("reported lnL %v does not match final tree lnL %v", res.LnL, got)
 	}
@@ -303,7 +303,7 @@ func TestSearchCancellation(t *testing.T) {
 	}
 	// The tree must be left consistent: re-evaluating from scratch gives
 	// exactly the reported score.
-	eng.InvalidateCLVs()
+	eng.Tree.ClearX()
 	if got := eng.LogLikelihood(nil); got != res.LnL {
 		t.Errorf("tree score %v != reported partial %v", got, res.LnL)
 	}

@@ -12,7 +12,8 @@ import "fmt"
 // accumulated split frequencies.
 
 // Clone returns a deep copy of the tree: same taxa and slot count, mirrored
-// connections, independent branch-length slices, and copied X flags.
+// connections and independent branch-length slices, with every X flag clear
+// (CopyTopologyFrom).
 func (t *Tree) Clone() (*Tree, error) {
 	c, err := New(t.Names, t.ZSlots)
 	if err != nil {
@@ -43,8 +44,8 @@ func nniSwap(p *Node, second bool) {
 
 // NNICandidates returns copies of t with every nearest-neighbor interchange
 // applied, two per internal branch — the 2(n-3) topologies one rearrangement
-// away. Each candidate has all CLV orientation flags cleared (its likelihood
-// state must be rebuilt from scratch). The receiver is never modified.
+// away. Each candidate has all CLV orientation flags clear (Clone), so its
+// likelihood state is rebuilt from scratch. The receiver is never modified.
 func (t *Tree) NNICandidates() ([]*Tree, error) {
 	var out []*Tree
 	for _, b := range t.Branches() {
@@ -57,7 +58,6 @@ func (t *Tree) NNICandidates() ([]*Tree, error) {
 				return nil, err
 			}
 			nniSwap(c.records[b.ID], variant == 1)
-			c.ClearX()
 			if err := c.Validate(); err != nil {
 				return nil, fmt.Errorf("tree: NNI across record %d produced an invalid tree: %w", b.ID, err)
 			}

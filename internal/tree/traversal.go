@@ -10,24 +10,22 @@ type TraversalStep struct {
 // ComputeTraversal appends to steps the bottom-up list of newview steps
 // required to make the CLV at record p valid, and returns the extended
 // slice: a caller that passes its buffer back in allocates nothing once the
-// buffer holds a whole traversal. With partial == true, subtrees whose X
-// orientation is already correct are not descended into — this implements
-// the paper's partial traversals after local topology changes ("the worker
-// threads will only need to update 3-4 inner likelihood vectors on
-// average"). With partial == false a full post-order traversal of the
-// subtree behind p is produced (the fixed full-tree traversal lists used
-// during model optimization).
+// buffer holds a whole traversal. Subtrees whose X orientation is already
+// correct are not descended into — the paper's partial traversals after
+// local topology changes ("the worker threads will only need to update 3-4
+// inner likelihood vectors on average"); on a tree whose flags are all clear
+// (ClearX) the list is the full post-order traversal of the subtree behind p.
 //
 // The X flags are updated eagerly: callers are expected to execute the
 // returned steps immediately (the likelihood engine does).
-func ComputeTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalStep {
-	if p.IsTip() || partial && p.X {
+func ComputeTraversal(steps []TraversalStep, p *Node) []TraversalStep {
+	if p.IsTip() || p.X {
 		return steps
 	}
 	q := p.Next.Back
 	r := p.Next.Next.Back
-	steps = ComputeTraversal(steps, q, partial)
-	steps = ComputeTraversal(steps, r, partial)
+	steps = ComputeTraversal(steps, q)
+	steps = ComputeTraversal(steps, r)
 	orientX(p)
 	return append(steps, TraversalStep{P: p, Q: q, R: r})
 }
@@ -36,6 +34,6 @@ func ComputeTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalS
 // at the virtual root on branch (p, p.Back): both end CLVs must be valid and
 // oriented towards the branch. The two ends' subtrees are disjoint, so a
 // whole root traversal is at most one step per inner node.
-func RootTraversal(steps []TraversalStep, p *Node, partial bool) []TraversalStep {
-	return ComputeTraversal(ComputeTraversal(steps, p, partial), p.Back, partial)
+func RootTraversal(steps []TraversalStep, p *Node) []TraversalStep {
+	return ComputeTraversal(ComputeTraversal(steps, p), p.Back)
 }

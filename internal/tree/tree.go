@@ -150,8 +150,10 @@ func orientX(p *Node) {
 	p.Next.Next.X = false
 }
 
-// ClearX invalidates all CLV orientation flags (e.g. after a model change
-// that requires a full re-traversal).
+// ClearX invalidates all CLV orientation flags, so the next root traversal
+// lists every step. The likelihood engine clears the flags itself when its
+// models moved or its last steps skipped a partition (rootSteps in
+// internal/core), so no other caller needs to.
 func (t *Tree) ClearX() {
 	for _, r := range t.records {
 		r.X = false
@@ -292,8 +294,11 @@ func (t *Tree) validate(w *branchWalk) error {
 }
 
 // CopyTopologyFrom replaces t's connections and branch lengths with a copy of
-// src's (both trees must share taxa and slot counts). Used by the search to
-// checkpoint and restore the best tree.
+// src's (both trees must share taxa and slot counts) and clears every X flag:
+// src's flags describe the CLVs of whatever engine scored src, not those of
+// t's. So, as ClearXAt does for an in-place edit, it leaves no flag claiming
+// a CLV nothing recomputed. The bootstrap uses it to try candidate
+// topologies and to restore the session's tree; the search does not.
 func (t *Tree) CopyTopologyFrom(src *Tree) error {
 	if len(src.Tips) != len(t.Tips) || src.ZSlots != t.ZSlots {
 		return errors.New("tree: CopyTopologyFrom shape mismatch")
@@ -303,9 +308,8 @@ func (t *Tree) CopyTopologyFrom(src *Tree) error {
 	// array; the three-index slices keep an append on one branch's lengths
 	// from reaching its neighbour's.
 	z := make([]float64, len(src.records)/2*t.ZSlots)
-	for i, r := range t.records {
-		r.Back = nil
-		r.X = src.records[i].X
+	for _, r := range t.records {
+		r.Back, r.X = nil, false
 	}
 	for _, sr := range src.records {
 		if sr.Back == nil || sr.Back.ID < sr.ID {

@@ -171,7 +171,7 @@ func TestComputeTraversalFull(t *testing.T) {
 	tr, _ := Random(names(8), 1, RandomOptions{Seed: 3})
 	tr.ClearX()
 	start := tr.Tips[0].Back
-	steps := ComputeTraversal(nil, start, false)
+	steps := ComputeTraversal(nil, start)
 	// Full traversal behind an inner node adjacent to a tip covers all n-2
 	// inner nodes.
 	if len(steps) != tr.NumInner() {
@@ -196,9 +196,9 @@ func TestComputeTraversalPartial(t *testing.T) {
 	tr, _ := Random(names(8), 1, RandomOptions{Seed: 3})
 	tr.ClearX()
 	start := tr.Tips[0].Back
-	buf := ComputeTraversal(nil, start, false)
+	buf := ComputeTraversal(nil, start)
 	// Everything valid towards start: partial traversal is now empty.
-	steps := ComputeTraversal(buf[:0], start, true)
+	steps := ComputeTraversal(buf[:0], start)
 	if len(steps) != 0 {
 		t.Errorf("partial traversal after full should be empty, got %d", len(steps))
 	}
@@ -206,31 +206,40 @@ func TestComputeTraversalPartial(t *testing.T) {
 	// the CLV at other is already valid, the far end needs one newview.
 	other := start.Next.Back
 	if !other.IsTip() {
-		steps = RootTraversal(buf[:0], other, true)
+		steps = RootTraversal(buf[:0], other)
 		if len(steps) == 0 || len(steps) > 2 {
 			t.Errorf("re-rooting one step away took %d newviews", len(steps))
 		}
 	}
 	// RootTraversal covers both ends.
 	tr.ClearX()
-	steps = RootTraversal(buf[:1], tr.Tips[0].Back, false)
+	steps = RootTraversal(buf[:1], tr.Tips[0].Back)
 	if len(steps) != 1+tr.NumInner() || steps[0] != buf[0] {
 		t.Errorf("root traversal appended %d steps after the kept one, want %d", len(steps)-1, tr.NumInner())
 	}
 	// A buffer that holds a whole traversal is reused, not regrown.
-	if n := testing.AllocsPerRun(10, func() { RootTraversal(buf[:0], tr.Tips[0].Back, false) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { tr.ClearX(); RootTraversal(buf[:0], tr.Tips[0].Back) }); n != 0 {
 		t.Errorf("root traversal into a full-size buffer allocates %v times", n)
 	}
 }
 
 func TestCopyTopologyFrom(t *testing.T) {
 	src, _ := Random(names(12), 2, RandomOptions{Seed: 5})
-	dst, _ := New(names(12), 2)
+	dst, _ := Random(names(12), 2, RandomOptions{Seed: 6})
+	RootTraversal(nil, src.Tips[0].Back)
+	RootTraversal(nil, dst.Tips[3].Back)
 	if err := dst.CopyTopologyFrom(src); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Neither src's flags nor dst's own survive: they describe CLVs of
+	// whatever scored those trees.
+	for _, r := range dst.Records() {
+		if r.X {
+			t.Fatalf("record %d keeps an X flag across CopyTopologyFrom", r.ID)
+		}
 	}
 	if WriteNewick(src, 1) != WriteNewick(dst, 1) {
 		t.Error("copied tree differs")
@@ -318,7 +327,7 @@ func TestClearXAtClearsExactlyViewsContainingV(t *testing.T) {
 		for _, v := range tr.Inner {
 			for _, unflag := range []*Node{nil, tr.Inner[rng.Intn(len(tr.Inner))]} {
 				tr.ClearX()
-				RootTraversal(nil, branches[rng.Intn(len(branches))], false)
+				RootTraversal(nil, branches[rng.Intn(len(branches))])
 				if unflag != nil {
 					unflag.X, unflag.Next.X, unflag.Next.Next.X = false, false, false
 				}
