@@ -26,7 +26,8 @@ type BootstrapResult struct {
 	Seed int64
 	// Candidates is the size of the scored topology set: the session's
 	// current tree plus its complete nearest-neighbor-interchange
-	// neighborhood, 2(n-3)+1 topologies in total.
+	// neighborhood (tree.NNIMoves, each scored in place), 2(n-3)+1
+	// topologies in total.
 	Candidates int
 	// ReplicateLnL[r] is replicate r's best weighted log likelihood across
 	// the candidate set — bit-identical to the score a dedicated
@@ -48,20 +49,25 @@ type BootstrapResult struct {
 // one batched sweep. It draws R multinomial pattern-weight vectors from the
 // compressed alignment (seeded, reproducible, each replicate's column total
 // equal to the original site count), scores the tree and its full NNI
-// neighborhood under all R weight vectors at once — newview runs once per
-// candidate while the batched evaluate reduces all replicates in a single
-// pass, which is where the batching speedup over R independent sessions comes
-// from — and aggregates each replicate's winning topology into per-branch
-// support values.
+// neighborhood under all R weight vectors at once — one batched evaluate a
+// candidate reduces all replicates in a single pass, which is where the
+// batching speedup over R independent sessions comes from — and aggregates
+// each replicate's winning topology into per-branch support values.
+//
+// Each candidate is scored in place: its NNI move is applied to the
+// session's tree under tree.ClearXAt, as the SPR search edits a topology,
+// and undone again after its evaluate, and the branch lengths its smoothing
+// moved are put back from a snapshot the same way. So a candidate recomputes
+// only the CLVs its swap and those lengths made stale, never the whole tree.
 //
 // Branch lengths are optimized per candidate in the shared-branch-length mode:
-// one smoothing pass against the replicate-aggregate weights (see
-// opt.Config.Weights) prices the branch lengths for the whole fleet, then the
-// batched evaluate splits the score back into per-replicate terms. The sweep
-// runs on the dataset's one schedule like every other call, so ReplicateLnL
-// is a function of (data, options, replicates, seed) alone — concurrent
-// sessions over the same Dataset, bootstrapping or not, cannot change a bit
-// of it.
+// SmoothAll, run to its stop rule against the replicate-aggregate weights
+// (see opt.Config.Weights), prices the branch lengths for the whole fleet,
+// then the batched evaluate splits the score back into per-replicate terms.
+// The sweep runs on the dataset's one schedule like every other call, so
+// ReplicateLnL is a function of (data, options, replicates, seed) alone —
+// concurrent sessions over the same Dataset, bootstrapping or not, cannot
+// change a bit of it.
 //
 // The session's tree is restored before returning: Bootstrap is read-only
 // from the caller's point of view. Cancelling ctx stops the sweep
@@ -92,22 +98,20 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 	}()
 
 	// The candidate set: the session's tree first (so ties favour it), then
-	// its complete NNI neighborhood.
-	nni, err := an.tr.NNICandidates()
-	if err != nil {
-		return nil, err
-	}
-	candidates := append([]*tree.Tree{original}, nni...)
-
+	// its complete NNI neighborhood, each move applied in place and undone.
+	moves := an.tr.NNIMoves()
 	cfg := an.optConfig()
 	cfg.Weights = ws.Aggregate()
-	lanes := make([][]float64, len(candidates))
-	for i, cand := range candidates {
+	lanes := make([][]float64, 1+len(moves))
+	for i := range lanes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := an.tr.CopyTopologyFrom(cand); err != nil {
-			return nil, err
+		var swapped *tree.Node
+		if i > 0 {
+			swapped = an.tr.ApplyNNI(moves[i-1])
+			tree.ClearXAt(swapped)
+			tree.ClearXAt(swapped.Back)
 		}
 		weighted, err := opt.New(an.eng, cfg).SmoothAll(ctx)
 		if err != nil {
@@ -117,6 +121,12 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 		// serve every replicate as they stand.
 		lanes[i] = make([]float64, replicates)
 		an.eng.Evaluate(an.tr.Tips[0].Back, nil, ws, lanes[i], nil)
+		if swapped != nil {
+			an.tr.ApplyNNI(moves[i-1])
+			tree.ClearXAt(swapped)
+			tree.ClearXAt(swapped.Back)
+		}
+		an.tr.RestoreBranchLengths(original)
 		if an.progress != nil {
 			an.emit(ProgressEvent{Phase: PhaseBootstrap, Round: i + 1, LnL: weighted})
 		}
@@ -125,21 +135,37 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 	res = &BootstrapResult{
 		Replicates:      replicates,
 		Seed:            seed,
-		Candidates:      len(candidates),
+		Candidates:      len(lanes),
 		ReplicateLnL:    make([]float64, replicates),
 		ReplicateWinner: make([]int, replicates),
 	}
-	counter := tree.NewSupportCounter(original.NumTips())
+	wins := make([]int, len(lanes))
 	for r := 0; r < replicates; r++ {
 		best := 0
-		for i := 1; i < len(candidates); i++ {
+		for i := 1; i < len(lanes); i++ {
 			if lanes[i][r] > lanes[best][r] {
 				best = i
 			}
 		}
 		res.ReplicateWinner[r] = best
 		res.ReplicateLnL[r] = lanes[best][r]
-		if err := counter.Add(candidates[best]); err != nil {
+		wins[best]++
+	}
+	// Each distinct winner's splits are read once, off the snapshot with the
+	// winner's move applied and undone again.
+	counter := tree.NewSupportCounter(original.NumTips())
+	for i, n := range wins {
+		if n == 0 {
+			continue
+		}
+		if i > 0 {
+			original.ApplyNNI(moves[i-1])
+		}
+		err := counter.Add(original, n)
+		if i > 0 {
+			original.ApplyNNI(moves[i-1])
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -1,10 +1,11 @@
 // Bootstrap walkthrough: estimate branch support for an ML tree with a
 // batched bootstrap fleet. One Analysis session draws R resampled pattern
 // weight vectors over the shared Dataset, scores the ML tree and its full NNI
-// neighborhood under all R replicates in a single sweep — newview runs once
-// per topology while the batched evaluate reduces every replicate's weighted
-// log likelihood at once — and maps the replicate winners back onto the ML
-// tree as per-branch support percentages.
+// neighborhood under all R replicates in a single sweep — each NNI move is
+// applied in place, so a candidate recomputes only the CLVs its swap made
+// stale, and one batched evaluate reduces every replicate's weighted log
+// likelihood at once — and maps the replicate winners back onto the ML tree
+// as per-branch support percentages.
 package main
 
 import (

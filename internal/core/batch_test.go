@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -123,6 +124,78 @@ func TestWeightSetColumnMapDraws(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWeightSetDrawsAreInt63n: NewWeightSet takes rand.Int63n's draws
+// straight from the source, its rejection bound hoisted out of the draw
+// loop and its counts written a replicate column at a time. A reference
+// that asks a fresh rand.Rand for each draw must give the same weights bit
+// for bit, on a mixed DNA+AA dataset and on a DNA one whose partitions'
+// site counts include powers of two (Int63n's mask path) and a single site,
+// at widths 1, 3 and 100 and at seeds that include a negative one, 0 and
+// one near 2^63.
+func TestWeightSetDrawsAreInt63n(t *testing.T) {
+	mixed, _ := mixedFixture(t, 4, 45)
+	lens := []int{512, 300, 1, 64, 97}
+	types := []alignment.DataType{alignment.DNA, alignment.DNA, alignment.DNA, alignment.DNA, alignment.DNA}
+	rows := make([][]byte, 8)
+	for i, n := range lens {
+		a := randomAlignment(t, len(rows), n, alignment.DNA, int64(300+i))
+		for k := range rows {
+			rows[k] = append(rows[k], a.Seqs[k]...)
+		}
+	}
+	al, err := alignment.New(taxaNames(len(rows)), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dna, err := alignment.Compress(al, contiguousParts(lens, types), alignment.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		d    *alignment.CompressedData
+	}{{"mixed", mixed}, {"dna", dna}} {
+		name, d := c.name, c.d
+		for _, R := range []int{1, 3, 100} {
+			for _, seed := range []int64{-987654321, 0, 1, 42, math.MaxInt64 - 5} {
+				ws, err := NewWeightSet(d, R, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := int63nWeights(d, R, seed)
+				for i, w := range want {
+					if math.Float64bits(ws.w[i]) != math.Float64bits(w) {
+						t.Fatalf("%s R=%d seed %d: weight %d (pattern %d, replicate %d) is %v, rand.Int63n's draws give %v", name, R, seed, i, i/R, i%R, ws.w[i], w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// int63nWeights draws R replicates the plain way: a fresh rand.Rand over
+// numeric.NewSource per replicate, one Int63n a resampled column, and each
+// draw counted into w at stride R as it happens.
+func int63nWeights(d *alignment.CompressedData, R int, seed int64) []float64 {
+	w := make([]float64, d.TotalPatterns*R)
+	for r := 0; r < R; r++ {
+		rng := rand.New(numeric.NewSource(replicateSeed(seed, r)))
+		for _, p := range d.Parts {
+			var col []int
+			for j, wt := range p.Weights {
+				for range int(wt) {
+					col = append(col, j)
+				}
+			}
+			for range col {
+				j := col[rng.Int63n(int64(len(col)))]
+				w[(p.Offset+j)*R+r]++
+			}
+		}
+	}
+	return w
 }
 
 // searchedWeights is NewWeightSet's draw as it was before the column map:

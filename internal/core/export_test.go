@@ -127,3 +127,15 @@ func (e *Engine) executeSteps(steps []tree.TraversalStep, active []bool) {
 	e.steps = append(e.steps[:0], steps...)
 	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.activeOrAll(active)}, active)
 }
+
+// Read-outs only the kernel tests use.
+
+// Weight returns replicate r's weight for global pattern i.
+func (ws *WeightSet) Weight(i, r int) float64 { return ws.w[i*ws.r+r] }
+
+// SumIndex returns the sumtable offset of (partition ip, local pattern j,
+// category 0, state 0); the pattern's cats·s block is contiguous from there.
+func (l *CLVLayout) SumIndex(ip, j int) int {
+	p := &l.parts[ip]
+	return p.sumBase + j*p.cs
+}

@@ -105,13 +105,6 @@ func (l *CLVLayout) Index(ip, j, c int) int {
 	return p.base + c*p.catStride + j*p.s
 }
 
-// SumIndex returns the sumtable offset of (partition ip, local pattern j,
-// category 0, state 0); the pattern's cats·s block is contiguous from there.
-func (l *CLVLayout) SumIndex(ip, j int) int {
-	p := &l.parts[ip]
-	return p.sumBase + j*p.cs
-}
-
 // memoryBytes is what the descriptor's record table holds.
 func (l *CLVLayout) memoryBytes() int64 {
 	return int64(len(l.parts)) * int64(unsafe.Sizeof(partition{}))

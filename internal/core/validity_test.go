@@ -48,11 +48,13 @@ func TestCLVValidityRule(t *testing.T) {
 			var lane [1]float64
 			e.BranchDerivatives(z, masks[rng.Intn(len(masks))], nil, nil, nil, lane[:])
 		case 4:
-			nni, err := e.Tree.NNICandidates()
+			nni, err := e.Tree.Clone()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Tree.CopyTopologyFrom(nni[rng.Intn(len(nni))]); err != nil {
+			moves := nni.NNIMoves()
+			nni.ApplyNNI(moves[rng.Intn(len(moves))])
+			if err := e.Tree.CopyTopologyFrom(nni); err != nil {
 				t.Fatal(err)
 			}
 		default:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"phylo/internal/alignment"
 	"phylo/internal/numeric"
@@ -77,15 +76,13 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 	}
 	// Pattern j of a partition owns its original columns [cum[j], cum[j+1]),
 	// cum the running sum of the weights: col maps each of them to j, so a
-	// draw is one load instead of a binary search over cum.
-	total := 0
-	for _, p := range data.Parts {
-		for _, wt := range p.Weights {
-			total += int(wt)
-		}
-	}
-	all := make([]int32, 0, total)
-	cols := make([][]int32, 0, len(data.Parts))
+	// draw is one load instead of a binary search over cum. A replicate's
+	// draws are counted densely (a partition sees its window of counts), and
+	// its column of w is written once.
+	all := make([]int32, 0, data.TotalSites)
+	counts := make([]int32, data.TotalPatterns)
+	type draws struct{ col, counts []int32 }
+	parts := make([]draws, 0, len(data.Parts))
 	for _, p := range data.Parts {
 		lo := len(all)
 		for j, wt := range p.Weights {
@@ -93,21 +90,30 @@ func NewWeightSet(data *alignment.CompressedData, R int, seed int64) (*WeightSet
 				all = append(all, int32(j))
 			}
 		}
-		cols = append(cols, all[lo:])
+		parts = append(parts, draws{all[lo:], counts[p.Offset:]})
 	}
-	// One generator, reseeded per replicate: it draws what a fresh one would,
-	// and reuses its register instead of allocating another.
-	rng := rand.New(numeric.NewSource(0))
+	// One source, reseeded per replicate, draws what rand.Int63n on a fresh
+	// one would: limit is Int63n's rejection bound (a power-of-two n rejects
+	// nothing, and v % n is its mask), computed once a partition.
+	src := numeric.NewSource(0)
 	for r := 0; r < R; r++ {
-		rng.Seed(replicateSeed(seed, r))
-		for i, col := range cols {
+		src.Seed(replicateSeed(seed, r))
+		clear(counts)
+		for _, p := range parts {
 			// SiteCount uniform draws over the original columns, each counted
 			// for the pattern that owns it.
-			base, n := data.Parts[i].Offset*R, int64(len(col))
+			col, c, n := p.col, p.counts, uint64(len(p.col))
+			limit := int64(1<<63 - 1 - (1<<63)%max(n, 1))
 			for range col {
-				j := int(col[rng.Int63n(n)])
-				ws.w[base+j*R+r]++
+				v := src.Int63()
+				for v > limit {
+					v = src.Int63()
+				}
+				c[col[uint64(v)%n]]++
 			}
+		}
+		for j, k := range counts {
+			ws.w[j*R+r] = float64(k)
 		}
 	}
 	return ws, nil
@@ -141,9 +147,6 @@ func (ws *WeightSet) Replicates() int { return ws.r }
 // NumPatterns returns the global pattern count the set was built for; a
 // session may only run a WeightSet whose pattern space matches its dataset.
 func (ws *WeightSet) NumPatterns() int { return ws.patterns }
-
-// Weight returns replicate r's weight for global pattern i.
-func (ws *WeightSet) Weight(i, r int) float64 { return ws.w[i*ws.r+r] }
 
 // Replicate extracts replicate r as a standalone single-replicate WeightSet.
 // Batched evaluation over the extracted set reproduces lane r of the full

@@ -2,21 +2,15 @@ package numeric
 
 import "math"
 
-// IncompleteGammaP computes the regularized lower incomplete gamma function
+// incompleteGammaP computes the regularized lower incomplete gamma function
 //
 //	P(a, x) = gamma(a, x) / Gamma(a) = 1/Gamma(a) * Int_0^x t^(a-1) e^-t dt
 //
-// for a > 0, x >= 0, using the series expansion for x < a+1 and the
-// continued-fraction expansion otherwise (Numerical Recipes gser/gcf scheme,
-// re-derived). Accuracy is ~1e-14 over the parameter ranges used by discrete
-// gamma rates (a in [0.005, 500]).
-func IncompleteGammaP(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	return incompleteGammaP(a, x, lg)
-}
-
-// incompleteGammaP is IncompleteGammaP given lg = lgamma(a), which callers
-// evaluating many points at one a compute once.
+// for a > 0, x >= 0, given lg = lgamma(a), which callers evaluating many
+// points at one a compute once. It uses the series expansion for x < a+1
+// and the continued-fraction expansion otherwise (Numerical Recipes gser/gcf
+// scheme, re-derived). Accuracy is ~1e-14 over the parameter ranges used by
+// discrete gamma rates (a in [0.005, 500]).
 func incompleteGammaP(a, x, lg float64) float64 {
 	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
 		return math.NaN()
@@ -31,25 +25,6 @@ func incompleteGammaP(a, x, lg float64) float64 {
 		return gammaSeries(a, x, lg)
 	}
 	return 1 - gammaContinuedFraction(a, x, lg)
-}
-
-// IncompleteGammaQ computes the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func IncompleteGammaQ(a, x float64) float64 {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if math.IsInf(x, 1) {
-		return 0
-	}
-	lg, _ := math.Lgamma(a)
-	if x < a+1 {
-		return 1 - gammaSeries(a, x, lg)
-	}
-	return gammaContinuedFraction(a, x, lg)
 }
 
 // gammaSeries evaluates P(a,x) by its power series, lg = lgamma(a); converges
@@ -98,21 +73,14 @@ func gammaContinuedFraction(a, x, lg float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// GammaQuantile returns x such that P(shape, x) = p for the standard gamma
-// distribution with the given shape and unit rate. The root is located in
-// log space (which stays well-conditioned even for the astronomically small
-// quantiles that arise at shape << 1) by Newton steps with a bisection
-// bracket as safeguard. Used to obtain the per-category boundaries of the
-// discrete Gamma model of rate heterogeneity (Yang 1994).
-func GammaQuantile(p, shape float64) float64 {
-	lg, _ := math.Lgamma(shape)
-	lg1, _ := math.Lgamma(shape + 1)
-	return gammaQuantile(p, shape, lg, lg1)
-}
-
-// gammaQuantile is GammaQuantile given lg = lgamma(shape) and lg1 =
-// lgamma(shape+1). P at the start guess is evaluated once: the first test of
-// each bracket loop and the first Newton step all read it.
+// gammaQuantile returns x such that P(shape, x) = p for the standard gamma
+// distribution with the given shape and unit rate, given lg = lgamma(shape)
+// and lg1 = lgamma(shape+1). The root is located in log space (which stays
+// well-conditioned even for the astronomically small quantiles that arise at
+// shape << 1) by Newton steps with a bisection bracket as safeguard; P at the
+// start guess is evaluated once, since the first test of each bracket loop
+// and the first Newton step all read it. Used to obtain the per-category
+// boundaries of the discrete Gamma model of rate heterogeneity (Yang 1994).
 func gammaQuantile(p, shape, lg, lg1 float64) float64 {
 	if math.IsNaN(p) || math.IsNaN(shape) || shape <= 0 || p < 0 || p > 1 {
 		return math.NaN()
@@ -178,7 +146,7 @@ func gammaQuantile(p, shape, lg, lg1 float64) float64 {
 
 // normalQuantile is the inverse standard normal CDF (Peter Acklam's rational
 // approximation, |relative error| < 1.15e-9), adequate as a Newton starting
-// point for GammaQuantile.
+// point for gammaQuantile.
 func normalQuantile(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(-1)

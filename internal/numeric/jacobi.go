@@ -16,34 +16,21 @@ import (
 // iteration budget without meeting their tolerance.
 var ErrNoConvergence = errors.New("numeric: iteration limit reached without convergence")
 
-// JacobiEigen computes the eigendecomposition of the dense symmetric n x n
-// matrix a (row-major, length n*n) using the cyclic Jacobi rotation method.
-// It returns the eigenvalues and the matrix of column eigenvectors v
-// (row-major, v[i*n+k] is component i of eigenvector k) such that
-//
-//	a = v * diag(values) * v^T
-//
-// The input slice is not modified. Eigenpairs are sorted by ascending
-// eigenvalue. Jacobi is slow for large n but extremely robust; phylogenetic
-// models need n = 4 or n = 20, where it is both fast and accurate.
-func JacobiEigen(a []float64, n int) (values []float64, v []float64, err error) {
-	if len(a) != n*n {
-		return nil, nil, errors.New("numeric: JacobiEigen: matrix length does not match n*n")
-	}
-	values = make([]float64, n)
-	v = make([]float64, n*n)
-	if err := JacobiEigenInto(values, v, make([]float64, JacobiWork(n)), a, n); err != nil {
-		return nil, nil, err
-	}
-	return values, v, nil
-}
-
 // JacobiWork is the scratch length JacobiEigenInto needs for an n x n matrix.
 func JacobiWork(n int) int { return n*n + n }
 
-// JacobiEigenInto is JacobiEigen into caller-owned storage — values (length
-// n), v (n*n) and work (JacobiWork(n)) — for callers that re-decompose in a
-// loop. On error values and v hold no usable result.
+// JacobiEigenInto computes the eigendecomposition of the dense symmetric
+// n x n matrix a (row-major, length n*n) using the cyclic Jacobi rotation
+// method, into caller-owned storage: the eigenvalues into values (length n)
+// and the column eigenvectors into v (n*n, row-major, v[i*n+k] is component
+// i of eigenvector k) such that
+//
+//	a = v * diag(values) * v^T
+//
+// work is scratch of length JacobiWork(n). The input slice is not modified.
+// Eigenpairs are sorted by ascending eigenvalue. Jacobi is slow for large n
+// but extremely robust; phylogenetic models need n = 4 or n = 20, where it
+// is both fast and accurate. On error values and v hold no usable result.
 func JacobiEigenInto(values, v, work, a []float64, n int) error {
 	if len(a) != n*n || len(values) != n || len(v) != n*n || len(work) < JacobiWork(n) {
 		return errors.New("numeric: JacobiEigen: matrix or workspace length does not match n")
@@ -156,48 +143,4 @@ func sortEigenAscending(values, v, col []float64, n int) {
 			v[r*n+j+1] = col[r]
 		}
 	}
-}
-
-// MatVec computes y = A x for a dense row-major n x n matrix.
-func MatVec(a []float64, x []float64, n int) []float64 {
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		row := a[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MatMul computes C = A B for dense row-major n x n matrices.
-func MatMul(a, b []float64, n int) []float64 {
-	c := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			brow := b[k*n : (k+1)*n]
-			crow := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				crow[j] += aik * brow[j]
-			}
-		}
-	}
-	return c
-}
-
-// Transpose returns the transpose of a dense row-major n x n matrix.
-func Transpose(a []float64, n int) []float64 {
-	t := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			t[j*n+i] = a[i*n+j]
-		}
-	}
-	return t
 }

@@ -2,18 +2,19 @@ package tree
 
 import "fmt"
 
-// Bootstrap support machinery: NNI candidate topologies and the
-// split-frequency aggregator that turns replicate winner trees into
-// per-branch support values (newick.go's one writer labels them). The
-// bootstrap pipeline (see phylo.Analysis.Bootstrap) scores a fixed candidate
-// set — the ML tree plus its NNI neighborhood — under every replicate's
-// weight vector in one batched sweep, feeds each replicate's winning topology
-// to a SupportCounter, and reads the ML tree's per-branch support off the
-// accumulated split frequencies.
+// Bootstrap support machinery: NNI moves and the split-frequency aggregator
+// that turns replicate winner trees into per-branch support values
+// (newick.go's one writer labels them). The bootstrap pipeline (see
+// phylo.Analysis.Bootstrap) scores a fixed candidate set — the ML tree plus
+// its NNI neighborhood, each move applied in place and undone — under every
+// replicate's weight vector in one batched sweep, feeds each distinct winning
+// topology to a SupportCounter with its replicate count, and reads the ML
+// tree's per-branch support off the accumulated split frequencies.
 
 // Clone returns a deep copy of the tree: same taxa and slot count, mirrored
 // connections and independent branch-length slices, with every X flag clear
-// (CopyTopologyFrom).
+// (CopyTopologyFrom). The bootstrap keeps one as the snapshot it restores
+// the session's tree and branch lengths from.
 func (t *Tree) Clone() (*Tree, error) {
 	c, err := New(t.Names, t.ZSlots)
 	if err != nil {
@@ -42,29 +43,60 @@ func nniSwap(p *Node, second bool) {
 	Connect(qn, a, za)
 }
 
-// NNICandidates returns copies of t with every nearest-neighbor interchange
-// applied, two per internal branch — the 2(n-3) topologies one rearrangement
-// away. Each candidate has all CLV orientation flags clear (Clone), so its
-// likelihood state is rebuilt from scratch. The receiver is never modified.
-func (t *Tree) NNICandidates() ([]*Tree, error) {
-	var out []*Tree
+// NNIMove names one nearest-neighbor interchange of a tree: the branch
+// record it swaps across (both ends inner) and which of the two subtrees
+// behind the record's node trades places (see nniSwap). Record IDs are
+// stable across topology changes, so a move listed on a tree names the same
+// swap on its clones.
+type NNIMove struct {
+	Branch int  // record ID of the swapped branch
+	Second bool // swap the subtree behind Next.Next instead of Next
+}
+
+// NNIMoves lists t's 2(n-3) nearest-neighbor interchanges, the topologies
+// one rearrangement away: two per internal branch, in Branches' order, the
+// first variant first.
+func (t *Tree) NNIMoves() []NNIMove {
+	out := make([]NNIMove, 0, 2*(t.NumTips()-3))
 	for _, b := range t.Branches() {
 		if b.IsTip() || b.Back.IsTip() {
 			continue
 		}
-		for variant := 0; variant < 2; variant++ {
-			c, err := t.Clone()
-			if err != nil {
-				return nil, err
+		out = append(out, NNIMove{Branch: b.ID}, NNIMove{Branch: b.ID, Second: true})
+	}
+	return out
+}
+
+// ApplyNNI applies m to t in place and returns the swapped branch's record;
+// applying m again undoes it. The caller owns the X flags: after either
+// edit, ClearXAt at both ends of the returned branch clears every CLV the
+// swap made stale.
+func (t *Tree) ApplyNNI(m NNIMove) *Node {
+	p := t.records[m.Branch]
+	nniSwap(p, m.Second)
+	return p
+}
+
+// RestoreBranchLengths copies src's branch lengths onto every branch of t
+// whose lengths differ from them, and runs ClearXAt at both ends of each
+// branch it changed, so no flag claims a CLV computed under the old length.
+// t and src must have the same topology (the same Back link on every
+// record), as a tree and its Clone do after every edit of one was undone.
+func (t *Tree) RestoreBranchLengths(src *Tree) {
+	for _, r := range t.records {
+		if r.Back.ID < r.ID {
+			continue
+		}
+		z := src.records[r.ID].Z
+		for k, v := range z {
+			if r.Z[k] != v {
+				copy(r.Z, z)
+				ClearXAt(r)
+				ClearXAt(r.Back)
+				break
 			}
-			nniSwap(c.records[b.ID], variant == 1)
-			if err := c.Validate(); err != nil {
-				return nil, fmt.Errorf("tree: NNI across record %d produced an invalid tree: %w", b.ID, err)
-			}
-			out = append(out, c)
 		}
 	}
-	return out, nil
 }
 
 // SupportCounter accumulates split frequencies over a stream of replicate
@@ -83,20 +115,21 @@ func NewSupportCounter(numTips int) *SupportCounter {
 	return &SupportCounter{numTips: numTips, counts: make(map[string]int)}
 }
 
-// Add counts one replicate tree's non-trivial splits. Trees over a different
-// taxon count are rejected.
-func (sc *SupportCounter) Add(t *Tree) error {
+// Add counts the non-trivial splits of n replicates whose winning tree is t:
+// a bootstrap adds each distinct winner once, with its replicate count.
+// Trees over a different taxon count are rejected.
+func (sc *SupportCounter) Add(t *Tree, n int) error {
 	if t.NumTips() != sc.numTips {
 		return fmt.Errorf("tree: support counter is for %d taxa, replicate tree has %d", sc.numTips, t.NumTips())
 	}
 	for key := range t.Bipartitions() { //plk:allow(maprange) commutative int counts; order-free
-		sc.counts[key]++
+		sc.counts[key] += n
 	}
-	sc.total++
+	sc.total += n
 	return nil
 }
 
-// Total reports how many replicate trees have been added.
+// Total reports how many replicates have been added.
 func (sc *SupportCounter) Total() int { return sc.total }
 
 // Support maps the counter's accumulated frequencies onto a reference tree:

@@ -5,10 +5,27 @@ import (
 	"testing"
 )
 
-// TestNNICandidates checks the NNI neighborhood: 2(n-3) candidates, every
-// one structurally valid, exactly RF distance 2 from the origin (one split
-// swapped), no candidate equal to the origin, the origin untouched, and the
-// two variants of one branch distinct.
+// nniCandidates returns copies of t with each of its NNI moves applied, in
+// NNIMoves' order.
+func nniCandidates(t *testing.T, tr *Tree) []*Tree {
+	t.Helper()
+	var out []*Tree
+	for _, m := range tr.NNIMoves() {
+		c, err := tr.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ApplyNNI(m)
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestNNICandidates checks the NNI neighborhood the move list spans: 2(n-3)
+// moves, every candidate structurally valid, exactly RF distance 2 from the
+// origin (one split swapped), no candidate equal to the origin, the two
+// variants of one branch distinct, and each move undone by applying it again
+// in place, down to the branch-length slices.
 func TestNNICandidates(t *testing.T) {
 	for _, n := range []int{4, 7, 12} {
 		tr, err := Random(names(n), 1, RandomOptions{Seed: int64(10 + n)})
@@ -16,15 +33,9 @@ func TestNNICandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := WriteNewick(tr, 0)
-		cands, err := tr.NNICandidates()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cands := nniCandidates(t, tr)
 		if want := 2 * (n - 3); len(cands) != want {
 			t.Fatalf("n=%d: %d NNI candidates, want %d", n, len(cands), want)
-		}
-		if WriteNewick(tr, 0) != before {
-			t.Fatal("NNICandidates modified the origin tree")
 		}
 		for i, c := range cands {
 			if err := c.Validate(); err != nil {
@@ -48,6 +59,26 @@ func TestNNICandidates(t *testing.T) {
 				t.Fatalf("branch %d: both NNI variants are the same topology", i/2)
 			}
 		}
+		backs := make([]*Node, len(tr.Records()))
+		zs := make([]*float64, len(tr.Records()))
+		for i, r := range tr.Records() {
+			backs[i], zs[i] = r.Back, &r.Z[0]
+		}
+		for i, m := range tr.NNIMoves() {
+			p := tr.ApplyNNI(m)
+			if p.ID != m.Branch || WriteNewick(tr, 0) != WriteNewick(cands[i], 0) {
+				t.Fatalf("move %d in place: branch %d, tree %s; want branch %d, tree %s", i, p.ID, WriteNewick(tr, 0), m.Branch, WriteNewick(cands[i], 0))
+			}
+			tr.ApplyNNI(m)
+			for j, r := range tr.Records() {
+				if r.Back != backs[j] || &r.Z[0] != zs[j] {
+					t.Fatalf("move %d applied twice left record %d changed", i, j)
+				}
+			}
+		}
+		if WriteNewick(tr, 0) != before {
+			t.Fatal("the moves applied twice changed the origin tree")
+		}
 	}
 }
 
@@ -69,15 +100,51 @@ func TestNNIPreservesBranchLengths(t *testing.T) {
 		return out
 	}
 	want := lengths(tr)
-	cands, err := tr.NNICandidates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range cands {
+	for i, c := range nniCandidates(t, tr) {
 		got := lengths(c)
 		for v, k := range want {
 			if got[v] != k {
 				t.Fatalf("candidate %d: branch length %v occurs %d times, want %d", i, v, got[v], k)
+			}
+		}
+	}
+}
+
+// TestRestoreBranchLengths: lengths that moved come back from the snapshot,
+// a restored branch clears exactly what ClearXAt at its two ends clears, and
+// a restore that finds nothing moved touches no flag.
+func TestRestoreBranchLengths(t *testing.T) {
+	tr, err := Random(names(9), 2, RandomOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tr.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := WriteNewick(tr, 1)
+	branches := tr.Branches()
+	for i, b := range branches {
+		tr.ClearX()
+		RootTraversal(nil, branches[(i+5)%len(branches)])
+		flags := make([]bool, len(tr.Records()))
+		for j, r := range tr.Records() {
+			flags[j] = r.X
+		}
+		tr.RestoreBranchLengths(snap)
+		for j, r := range tr.Records() {
+			if r.X != flags[j] {
+				t.Fatalf("branch %d: a restore with nothing moved changed record %d's flag", i, j)
+			}
+		}
+		b.Z[1] = 0.5
+		tr.RestoreBranchLengths(snap)
+		if got := WriteNewick(tr, 1); got != before {
+			t.Fatalf("branch %d: restored lengths %s, want %s", i, got, before)
+		}
+		for j, r := range tr.Records() {
+			if want := flags[j] && !viewContains(r, b.Index) && !viewContains(r, b.Back.Index); r.X != want {
+				t.Fatalf("branch %d: record %d has X=%v after the restore, want %v", i, j, r.X, want)
 			}
 		}
 	}
@@ -101,8 +168,11 @@ func TestSupportCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewSupportCounter(5)
-	for _, rep := range []*Tree{a, a, b, c} {
-		if err := sc.Add(rep); err != nil {
+	for _, rep := range []struct {
+		tree *Tree
+		n    int
+	}{{a, 2}, {b, 1}, {c, 1}} {
+		if err := sc.Add(rep.tree, rep.n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +199,7 @@ func TestSupportCounter(t *testing.T) {
 	}
 	// Mismatched taxon counts are rejected.
 	six, _ := Random(names(6), 1, RandomOptions{Seed: 3})
-	if err := sc.Add(six); err == nil {
+	if err := sc.Add(six, 1); err == nil {
 		t.Fatal("6-taxon replicate accepted by 5-taxon counter")
 	}
 	if _, err := sc.Support(six); err == nil {
@@ -146,10 +216,8 @@ func TestWriteNewickSupport(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewSupportCounter(5)
-	for i := 0; i < 4; i++ {
-		if err := sc.Add(tr); err != nil {
-			t.Fatal(err)
-		}
+	if err := sc.Add(tr, 4); err != nil {
+		t.Fatal(err)
 	}
 	sup, err := sc.Support(tr)
 	if err != nil {

@@ -161,12 +161,13 @@ func (t *Tree) ClearX() {
 }
 
 // ClearXAt is the one rule that keeps the X flags true across a topology
-// edit at v's node (a prune, an insertion, a restore): it clears exactly the
-// flags whose view — the subtree behind the record, away from its Back —
-// contains v. Every record of v's node sees v. Elsewhere the walk runs
-// outward from v and stops at the first node whose flag already points back
-// towards v: its view excludes v, and because every flag points towards the
-// last traversal's root, so does every flag behind it. Flags it cannot reach
+// edit at v's node (a prune, an insertion, a restore, an NNI swap or its
+// undo, a branch length put back): it clears exactly the flags whose view —
+// the subtree behind the record, away from its Back — contains v. Every
+// record of v's node sees v. Elsewhere the walk runs outward from v and
+// stops at the first node whose flag already points back towards v: its
+// view excludes v, and because every flag points towards the last
+// traversal's root, so does every flag behind it. Flags it cannot reach
 // stay set and stay valid. The early stop asks nothing of the caller: only a
 // root traversal sets a flag (ComputeTraversal, one per node), and a root
 // traversal leaves every flag pointing towards its root.
@@ -297,8 +298,9 @@ func (t *Tree) validate(w *branchWalk) error {
 // src's (both trees must share taxa and slot counts) and clears every X flag:
 // src's flags describe the CLVs of whatever engine scored src, not those of
 // t's. So, as ClearXAt does for an in-place edit, it leaves no flag claiming
-// a CLV nothing recomputed. The bootstrap uses it to try candidate
-// topologies and to restore the session's tree; the search does not.
+// a CLV nothing recomputed. The bootstrap uses it to restore the session's
+// tree once its sweep ends, however it ends; neither it nor the search edits
+// a topology through it.
 func (t *Tree) CopyTopologyFrom(src *Tree) error {
 	if len(src.Tips) != len(t.Tips) || src.ZSlots != t.ZSlots {
 		return errors.New("tree: CopyTopologyFrom shape mismatch")
