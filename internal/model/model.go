@@ -202,21 +202,6 @@ func (m *Model) SetExRate(idx int, v float64) error {
 	return nil
 }
 
-// SetFreqs replaces the stationary frequencies (normalizing them) and marks
-// the eigendecomposition stale.
-func (m *Model) SetFreqs(f []float64) error {
-	if len(f) != m.States {
-		return fmt.Errorf("model: %d frequencies for %d states", len(f), m.States)
-	}
-	tmp := append([]float64(nil), f...)
-	if err := normalizeFreqs(tmp); err != nil {
-		return err
-	}
-	copy(m.Freqs, tmp)
-	m.dirty = true
-	return nil
-}
-
 // Dirty reports whether UpdateEigen must be called.
 func (m *Model) Dirty() bool { return m.dirty }
 

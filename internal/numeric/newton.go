@@ -15,11 +15,19 @@ import "math"
 // but the derivatives reported to it, so its trajectory does not depend on
 // which other states share the region — which is why oldPAR (one partition
 // per group) and newPAR (all partitions in one group) agree bit for bit.
+//
+// GainTol, when positive, stops an iteration short of Tol: Stopped is set
+// once the objective is concave at the point observed and the step just
+// taken was predicted to gain less than GainTol there, d1²/(2|d2|). Resume
+// takes a stopped iteration on to Tol from its X: the steps that follow are
+// the ones it would have taken had it not stopped.
 type NewtonState struct {
 	X         float64 // current abscissa (branch length)
 	Min, Max  float64 // hard clamp interval
 	Tol       float64 // relative step tolerance for convergence
+	GainTol   float64 // predicted gain below which a step stops the iteration (0: none)
 	Converged bool
+	Stopped   bool
 	Steps     int
 }
 
@@ -39,9 +47,10 @@ func NewNewtonState(x0, min, max, tol float64) NewtonState {
 func (s *NewtonState) Point() float64 { return s.X }
 
 // Observe consumes the derivatives at the current point and advances one
-// safeguarded Newton step. It returns true when the iteration has converged.
+// safeguarded Newton step. It returns true when the iteration has converged
+// or stopped.
 func (s *NewtonState) Observe(d1, d2 float64) bool {
-	if s.Converged {
+	if s.Converged || s.Stopped {
 		return true
 	}
 	s.Steps++
@@ -82,5 +91,11 @@ func (s *NewtonState) Observe(d1, d2 float64) bool {
 		return true
 	}
 	s.X = next
-	return false
+	s.Stopped = d2 < 0 && d1*d1 < 2*s.GainTol*-d2
+	return s.Stopped
+}
+
+// Resume lifts a GainTol stop: the next Observe steps on towards Tol.
+func (s *NewtonState) Resume() {
+	s.GainTol, s.Stopped = 0, false
 }

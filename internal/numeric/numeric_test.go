@@ -550,6 +550,43 @@ func TestNewtonStateQuickProperty(t *testing.T) {
 	}
 }
 
+// TestNewtonStateGainStop: on a saturating objective, L∞ − e^(−x), a state
+// with GainTol stops once the step it took was predicted to gain less, and
+// Resume takes it through the points an uninterrupted state visits, to the
+// same bits.
+func TestNewtonStateGainStop(t *testing.T) {
+	d := func(x float64) (float64, float64) { return math.Exp(-x), -math.Exp(-x) }
+	run := func(st *NewtonState) []float64 {
+		var xs []float64
+		for i := 0; i < 100 && !st.Observe(d(st.Point())); i++ {
+			xs = append(xs, st.X)
+		}
+		return append(xs, st.X)
+	}
+	full := NewNewtonState(0.5, 1e-8, 20, 1e-10)
+	want := run(&full)
+	ranked := NewNewtonState(0.5, 1e-8, 20, 1e-10)
+	ranked.GainTol = 1e-3
+	got := run(&ranked)
+	if !ranked.Stopped || ranked.Converged || len(got) >= len(want) {
+		t.Fatalf("stopped %v converged %v after %d points, uninterrupted %d", ranked.Stopped, ranked.Converged, len(got), len(want))
+	}
+	// The stop came after the first step predicted to gain less than GainTol.
+	if d1, d2 := d(got[len(got)-2]); d1*d1/(2*-d2) >= 1e-3 {
+		t.Errorf("the last step was predicted to gain %v", d1*d1/(2*-d2))
+	}
+	ranked.Resume()
+	got = append(got, run(&ranked)...)
+	if !ranked.Converged || len(got) != len(want) {
+		t.Fatalf("resumed: converged %v after %d points, uninterrupted %d", ranked.Converged, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("point %d: %v, uninterrupted %v", i, got[i], want[i])
+		}
+	}
+}
+
 // Property: gamma quantile is monotone in p.
 func TestGammaQuantileMonotoneQuick(t *testing.T) {
 	f := func(a, b uint8, shapeBits uint8) bool {

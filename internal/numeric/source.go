@@ -83,7 +83,9 @@ type source struct {
 // method, are those of rand.NewSource(seed). Seeding costs nothing up front:
 // the first rngTap draws compute the two seeded words they add, and the
 // draw after them builds the register, so a caller that takes a few dozen
-// draws (a start tree) never pays for the 607-word seeding.
+// draws (a start tree) never pays for the 607-word seeding. Once a register
+// exists, a reseeded stream's virtual draws keep the words they compute in
+// it, so its build computes only the rngLen-2·rngTap words no draw read.
 func NewSource(seed int64) rand.Source64 {
 	s := &source{}
 	s.Seed(seed)
@@ -111,6 +113,9 @@ func (s *source) Uint64() uint64 {
 	if s.draws < rngTap {
 		k := s.draws
 		s.draws++
+		if s.vec != nil {
+			return s.keep(k)
+		}
 		return s.seeded(rngLen-rngTap-1-k) + s.seeded(rngLen-1-k)
 	}
 	if s.draws == rngTap {
@@ -129,17 +134,30 @@ func (s *source) Uint64() uint64 {
 	return x
 }
 
+// keep takes virtual draw k into a register kept from an earlier seed: the
+// draw adds seeded word rngLen-1-k (the tap) into seeded word
+// rngLen-rngTap-1-k (the feed), and both are stored as math/rand's draw
+// leaves them.
+func (s *source) keep(k int) uint64 {
+	feed, tap := rngLen-rngTap-1-k, rngLen-1-k
+	t := s.seeded(tap)
+	s.vec[tap], s.vec[feed] = t, s.seeded(feed)+t
+	return s.vec[feed]
+}
+
 // build materialises the register as math/rand's stands after rngTap draws:
 // every word seeded, and each of those draws' feed words holding its sum.
+// The virtual draws kept words rngLen-2·rngTap and up in it already, unless
+// this is the source's first register: then they are taken again.
 func (s *source) build() {
 	if s.vec == nil {
 		s.vec = new([rngLen]uint64)
+		for k := 0; k < rngTap; k++ {
+			s.keep(k)
+		}
 	}
-	for i := range s.vec {
+	for i := 0; i < rngLen-2*rngTap; i++ {
 		s.vec[i] = s.seeded(i)
-	}
-	for k := 0; k < rngTap; k++ {
-		s.vec[rngLen-rngTap-1-k] += s.vec[rngLen-1-k]
 	}
 	s.tap, s.feed = rngLen-rngTap, rngLen-2*rngTap
 	s.draws = rngTap + 1

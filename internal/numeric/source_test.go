@@ -95,3 +95,25 @@ func BenchmarkSourceSeed(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSourceReseed times a reseed and 600 draws on one generator, the
+// way NewWeightSet draws each replicate: past the draw that builds the
+// register, which a reseeded stream's virtual draws have mostly filled.
+func BenchmarkSourceReseed(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"numeric", NewSource(1)},
+		{"mathrand", rand.NewSource(1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.src.Seed(int64(i))
+				for k := 0; k < 600; k++ {
+					bc.src.Int63()
+				}
+			}
+		})
+	}
+}

@@ -159,7 +159,20 @@ func (o *Optimizer) ctxErr() error {
 // regions differently. With a joint branch length there is one group either
 // way, matching the paper's observation that joint-estimate analyses gain
 // only ~5% (from the model parameters alone).
-func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 {
+func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 { return o.optimizeBranch(p, 0, false) }
+
+// RankBranch is OptimizeBranch for a length that is scored and thrown away
+// (a trial insertion's): each unknown also stops once its Newton step was
+// predicted to gain less than gainTol lnL (numeric.NewtonState.GainTol).
+// FinishBranch(p) then takes the stopped unknowns on, on the sumtables
+// RankBranch prepared, through the steps they would have taken without the
+// stop: the two together choose OptimizeBranch(p)'s lengths bit for bit.
+func (o *Optimizer) RankBranch(p *tree.Node, gainTol float64) { o.optimizeBranch(p, gainTol, false) }
+
+// FinishBranch finishes the last RankBranch(p).
+func (o *Optimizer) FinishBranch(p *tree.Node) { o.optimizeBranch(p, 0, true) }
+
+func (o *Optimizer) optimizeBranch(p *tree.Node, gainTol float64, resume bool) float64 {
 	if o.cancelled() {
 		// Leave the branch as-is: no region is issued and the tree stays
 		// exactly as the last completed iteration left it.
@@ -170,7 +183,7 @@ func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 {
 		if o.cancelled() {
 			break
 		}
-		maxDelta = math.Max(maxDelta, o.newtonGroup(p, g))
+		maxDelta = math.Max(maxDelta, o.newtonGroup(p, g, gainTol, resume))
 	}
 	return maxDelta
 }
@@ -180,21 +193,37 @@ func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 {
 // lockstep, one derivative region per iteration, and the convergence boolean
 // vector (the mask) shrinking that region as partitions finish. An unknown is
 // a branch-length slot; under a joint estimate the whole group shares slot 0
-// and that one state observes the group's summed derivatives.
-func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
+// and that one state observes the group's summed derivatives. An unknown
+// retires when its state converges or stops (at gainTol) or after
+// maxNewtonIter steps; with resume the loop prepares no sumtable and starts
+// no state, but resumes the stopped ones.
+func (o *Optimizer) newtonGroup(p *tree.Node, g []int, gainTol float64, resume bool) float64 {
 	e := o.E
 	o.enter(g)
-	e.PrepareSumtable(p, o.mask)
+	if !resume {
+		e.PrepareSumtable(p, o.mask)
+	}
 	unknowns := g
 	if !e.PerPartitionBL {
 		unknowns = g[:1]
 	}
+	remaining := 0
 	for _, ip := range unknowns {
 		slot := e.BranchSlot(ip)
-		o.newts[slot] = numeric.NewNewtonState(p.Z[slot], tree.MinBranchLen, tree.MaxBranchLen, branchTol)
+		st := &o.newts[slot]
+		if !resume {
+			*st = numeric.NewNewtonState(p.Z[slot], tree.MinBranchLen, tree.MaxBranchLen, branchTol)
+			st.GainTol = gainTol
+		} else if st.Stopped {
+			st.Resume()
+		}
+		if live(st) {
+			remaining++
+		} else if !o.Cfg.DisableConvergenceMask {
+			o.mask[ip] = false
+		}
 	}
-	remaining := len(unknowns)
-	for it := 0; it < maxNewtonIter && remaining > 0 && !o.cancelled(); it++ {
+	for remaining > 0 && !o.cancelled() {
 		for _, ip := range g {
 			o.x[ip] = o.newts[e.BranchSlot(ip)].Point()
 		}
@@ -208,7 +237,7 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
 		}
 		for _, ip := range unknowns {
 			st := &o.newts[e.BranchSlot(ip)]
-			if !st.Converged && st.Observe(o.d1[ip], o.d2[ip]) {
+			if live(st) && (st.Observe(o.d1[ip], o.d2[ip]) || st.Steps == maxNewtonIter) {
 				remaining--
 				// The convergence boolean vector: retire the partition from
 				// subsequent regions (unless the ablation keeps it in).
@@ -225,6 +254,12 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int) float64 {
 		tree.SetBranchLength(p, slot, o.newts[slot].X)
 	}
 	return maxDelta
+}
+
+// live reports whether a Newton state still steps: not converged, not
+// stopped and short of maxNewtonIter steps.
+func live(st *numeric.NewtonState) bool {
+	return !st.Converged && !st.Stopped && st.Steps < maxNewtonIter
 }
 
 // SmoothAll sweeps branch optimization over every branch of the tree until

@@ -861,3 +861,62 @@ func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model
 	}
 	return core.NewSession(sh, tr, models, exec, opts)
 }
+
+// TestRankThenFinishIsOptimizeBranch: RankBranch followed by FinishBranch
+// chooses OptimizeBranch's lengths bit for bit, on every branch of a
+// smoothed mixed DNA + protein tree started away from its optimum, under
+// both strategies, joint and per-partition lengths and the convergence-mask
+// ablation; RankBranch alone takes fewer derivative regions, and neither
+// allocates.
+func TestRankThenFinishIsOptimizeBranch(t *testing.T) {
+	for _, strat := range []Strategy{NewPar, OldPar} {
+		for _, perPart := range []bool{false, true} {
+			for _, noMask := range []bool{false, true} {
+				name := fmt.Sprintf("%v_perpart=%v_nomask=%v", strat, perPart, noMask)
+				t.Run(name, func(t *testing.T) {
+					fx := buildMixedFixture(t, 60, perPart, parallel.NewSequential(), 29)
+					cfg := DefaultConfig(strat)
+					cfg.DisableConvergenceMask = noMask
+					o := New(fx.eng, cfg)
+					o.SmoothAll(context.Background())
+					st := fx.eng.Exec.Stats()
+					var full, ranked int64
+					for _, b := range fx.tr.Branches() {
+						kept := append([]float64(nil), b.Z...)
+						start := func() {
+							for k := range b.Z {
+								tree.SetBranchLength(b, k, 3*kept[k])
+							}
+						}
+						start()
+						n := st.KindRegions[parallel.RegionDerivative]
+						o.OptimizeBranch(b)
+						full += st.KindRegions[parallel.RegionDerivative] - n
+						want := append([]float64(nil), b.Z...)
+						start()
+						n = st.KindRegions[parallel.RegionDerivative]
+						o.RankBranch(b, 1e-3)
+						ranked += st.KindRegions[parallel.RegionDerivative] - n
+						o.FinishBranch(b)
+						for k := range want {
+							if math.Float64bits(b.Z[k]) != math.Float64bits(want[k]) {
+								t.Errorf("branch %d-%d slot %d: ranked and finished %v, OptimizeBranch %v", b.Index, b.Back.Index, k, b.Z[k], want[k])
+							}
+						}
+						if allocs := testing.AllocsPerRun(5, func() {
+							start()
+							o.RankBranch(b, 1e-3)
+							o.FinishBranch(b)
+						}); allocs != 0 {
+							t.Errorf("branch %d-%d: %v allocs per RankBranch + FinishBranch", b.Index, b.Back.Index, allocs)
+						}
+					}
+					t.Logf("derivative regions: %d OptimizeBranch, %d RankBranch", full, ranked)
+					if ranked >= full {
+						t.Errorf("RankBranch took %d derivative regions, OptimizeBranch %d", ranked, full)
+					}
+				})
+			}
+		}
+	}
+}

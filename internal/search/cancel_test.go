@@ -26,10 +26,11 @@ func (c *pollCtx) Err() error {
 
 // TestCancelledTrialIsNotScored cancels on every poll of the first prune,
 // under newPAR and oldPAR with per-partition branch lengths (oldPAR prepares
-// one partition's sumtable at a time, so a cancelled OptimizeBranch can leave
-// the others holding another branch's). Inside a trial: a tryInsert whose
-// cancellation lands anywhere in it, OptimizeBranch included, returns -Inf,
-// and the uncancelled trial repeated after it scores what it scored before.
+// one partition's sumtable at a time, so a cancelled solve can leave the
+// others holding another branch's). Inside a trial: a tryInsert whose
+// cancellation lands anywhere in it, its solves included, returns -Inf,
+// and the uncancelled trial repeated after it scores what it scored before,
+// ranked only or finished to full precision.
 // Through Run: the first prune restores the topology, and the partial
 // Result.LnL equals a fresh LogLikelihood of the tree Run leaves.
 func TestCancelledTrialIsNotScored(t *testing.T) {
@@ -71,6 +72,9 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 
 			// Inside a trial: the reinsertion baseline and the first
 			// scanned branch of the first prune, pruned as trySubtree does.
+			// The baseline is ranked only, as trySubtree runs it; the
+			// scanned trial runs under a bar of -Inf, so its ranking solve
+			// is finished to full precision.
 			s = settled()
 			pc = &pollCtx{Context: context.Background()}
 			s.ctx = pc
@@ -95,11 +99,15 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 			trials := []struct {
 				name string
 				u    *tree.Node
-			}{{"baseline", b1}, {"first scanned", w.Next}}
+				bar  float64
+			}{
+				{"baseline", b1, math.Inf(1)},
+				{"first scanned", w.Next, math.Inf(-1)},
+			}
 			var trialPolls []int
 			for _, tr := range trials {
 				pc.n, pc.polls = 0, 0
-				want := s.tryInsert(v, tr.u)
+				want := s.tryInsert(v, tr.u, tr.bar)
 				polls := pc.polls
 				trialPolls = append(trialPolls, polls)
 				if math.IsInf(want, 0) || math.IsNaN(want) {
@@ -107,12 +115,12 @@ func TestCancelledTrialIsNotScored(t *testing.T) {
 				}
 				for n := 1; n <= polls; n++ {
 					pc.n, pc.polls = n, 0
-					if got := s.tryInsert(v, tr.u); !math.IsInf(got, -1) {
+					if got := s.tryInsert(v, tr.u, tr.bar); !math.IsInf(got, -1) {
 						t.Errorf("%s: cancelled on poll %d of %d, the trial scored %v, want -Inf", tr.name, n, polls, got)
 					}
 				}
 				pc.n, pc.polls = 0, 0
-				if got := s.tryInsert(v, tr.u); math.Float64bits(got) != math.Float64bits(want) {
+				if got := s.tryInsert(v, tr.u, tr.bar); math.Float64bits(got) != math.Float64bits(want) {
 					t.Errorf("%s: repeated after the cancelled ones, the trial scored %v, first %v", tr.name, got, want)
 				}
 			}

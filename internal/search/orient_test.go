@@ -17,12 +17,14 @@ import (
 
 // orientCase is one configuration of the CLV orientation tests: the grid of
 // tree sizes × DNA or DNA+protein partitions × strategy × joint or
-// per-partition branch lengths the search's bit-identity was checked on.
+// per-partition branch lengths the search's bit-identity was checked on,
+// on one worker unless threads says more.
 type orientCase struct {
 	taxa    int
 	mixed   bool
 	strat   opt.Strategy
 	perPart bool
+	threads int
 }
 
 func (c orientCase) String() string {
@@ -34,7 +36,11 @@ func (c orientCase) String() string {
 	if c.perPart {
 		bl = "perpart"
 	}
-	return fmt.Sprintf("d%d_%s_%v_%s", c.taxa, data, c.strat, bl)
+	name := fmt.Sprintf("d%d_%s_%v_%s", c.taxa, data, c.strat, bl)
+	if c.threads > 1 {
+		name += fmt.Sprintf("_t%d", c.threads)
+	}
+	return name
 }
 
 func orientCases(taxa ...int) []orientCase {
@@ -43,7 +49,7 @@ func orientCases(taxa ...int) []orientCase {
 		for _, mixed := range []bool{false, true} {
 			for _, strat := range []opt.Strategy{opt.NewPar, opt.OldPar} {
 				for _, perPart := range []bool{false, true} {
-					out = append(out, orientCase{n, mixed, strat, perPart})
+					out = append(out, orientCase{taxa: n, mixed: mixed, strat: strat, perPart: perPart})
 				}
 			}
 		}
@@ -81,7 +87,14 @@ func buildOrient(t *testing.T, c orientCase) *Searcher {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := newEngine(d, start, models, parallel.NewSequential(), core.Options{Specialize: true})
+	exec := parallel.NewSequential()
+	if c.threads > 1 {
+		if exec, err = parallel.NewPool(c.threads); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(exec.Close)
+	}
+	eng, err := newEngine(d, start, models, exec, core.Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

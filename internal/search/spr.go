@@ -17,6 +17,11 @@
 // that one scorer; an applied move's tree is scored by SmoothAll's closing
 // evaluation.
 //
+// A trial's Newton pass stops at rankTol, and only a trial that can matter
+// to its prune is finished to full precision (insert), so every winner,
+// move and output bit is the one a search solving every trial to full
+// precision gives.
+//
 // The package is region-structured: cancellation is consulted only at
 // round and insertion boundaries (//plk:regionboundary functions), never
 // mid-kernel.
@@ -36,6 +41,15 @@ import (
 // minImprovement is the margin an SPR move must beat the reinsertion
 // baseline by to be applied.
 const minImprovement = 0.01
+
+// rankTol is the lnL precision a trial's branch is first solved to: its
+// Newton loop stops once a step is predicted to gain less (opt.RankBranch).
+// The ranking solve is the full solve's first steps, and the predicted step
+// is taken before it stops, so its score falls short of the full-precision
+// one by less than about rankTol. A trial's score is only compared within its
+// prune, where a move must win by minImprovement; a tenth of that leaves few
+// trials close enough to need finishing.
+const rankTol = minImprovement / 10
 
 // Config tunes the SPR search.
 type Config struct {
@@ -181,8 +195,9 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	v.Next.Back = nil
 	v.Next.Next.Back = nil
 
-	// Baseline: re-insertion into the fused branch (the null move).
-	ref := s.tryInsert(v, b1)
+	// Baseline: re-insertion into the fused branch (the null move), ranked
+	// only.
+	ref := s.tryInsert(v, b1, math.Inf(1))
 	bestLnL := ref
 	var bestU *tree.Node
 	// scan tries both branches behind w's node, away from w, and the
@@ -199,7 +214,10 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 				// topology.
 				return
 			}
-			if lnl := s.tryInsert(v, u); lnl > bestLnL {
+			// A trial matters only if it beats the best so far and the
+			// margin over the baseline a move needs, less rankTol: the
+			// ranked baseline may be that far from its exact score.
+			if lnl := s.tryInsert(v, u, math.Max(bestLnL, ref+minImprovement-rankTol)); lnl > bestLnL {
 				bestLnL = lnl
 				bestU = u
 			}
@@ -211,6 +229,15 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	scan(b2, 1)
 	scan(b1, 1)
 
+	// bestLnL is a full-precision score wherever it can beat the margin. The
+	// ranked baseline settles the margin unless bestLnL lies within rankTol
+	// of it; then the baseline, solved again to full precision, does (-Inf
+	// once cancelled: no move then).
+	if bestU != nil && math.Abs(bestLnL-(ref+minImprovement)) <= rankTol {
+		if ref = s.insert(v, b1, math.Inf(-1)); math.IsInf(ref, -1) {
+			bestU = nil
+		}
+	}
 	if bestU != nil && bestLnL > ref+minImprovement {
 		// Apply: insert v into the winning branch for good. The three slices
 		// the move frees (z1, z2 and the winner's) carry its three branches.
@@ -239,23 +266,36 @@ func (s *Searcher) trySubtree(v *tree.Node) {
 	tree.ClearXAt(v)
 }
 
-// tryInsert splices v into the branch (u, u.Back), optimizes the connecting
-// branch with a short Newton-Raphson pass and scores the insertion off the
-// sumtable that pass left, at the lengths it chose: the lnL lane of one more
-// derivative region, no evaluation (DESIGN.md "Region execution" says why its
-// bits need not be Evaluate's: only the ranking inside a prune reads them).
-// Then it undoes the splice. The splice's tree.ClearXAt(v) clears exactly the
-// flags whose view now contains v, so the first sumtable region of
-// OptimizeBranch(v) recomputes v and whatever lies between the last region's
-// root and the insertion branch, and nothing else.
-func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
+// tryInsert counts a trial insertion of v into the branch (u, u.Back) and
+// scores it (insert), unless the search is cancelled.
+func (s *Searcher) tryInsert(v, u *tree.Node, bar float64) float64 {
 	if s.cancelled() {
 		// Score nothing: -Inf never beats the reinsertion baseline, so the
 		// caller takes the restore path untouched.
 		return math.Inf(-1)
 	}
 	s.tried++
-	e := s.E
+	return s.insert(v, u, bar)
+}
+
+// insert splices v into the branch (u, u.Back), solves the connecting branch
+// and scores the insertion off the sumtable that solve left, at the lengths
+// it chose: the lnL lane of one more derivative region, no evaluation
+// (DESIGN.md "Region execution" says why its bits need not be Evaluate's:
+// only the ranking inside a prune reads them). Then it undoes the splice.
+//
+// The solve is a ranking one (opt.RankBranch, stopped at rankTol), and its
+// score is returned unless it comes within rankTol of bar, the score the
+// trial must beat to matter to the prune (-Inf: always). Then the solve is
+// finished on the same sumtable (opt.FinishBranch) and the score is the
+// full-precision one, bit for bit. So every trial that can win a prune, or
+// turn a move down, is scored exactly, and the prune picks the winner a
+// full-precision scan picks.
+//
+// The splice's tree.ClearXAt(v) clears exactly the flags whose view now
+// contains v, so the sumtable region recomputes v and whatever lies between
+// the last region's root and the insertion branch, and nothing else.
+func (s *Searcher) insert(v, u *tree.Node, bar float64) float64 {
 	uB := u.Back
 	zu := u.Z
 	s.za, s.zb = s.za[:0], s.zb[:0]
@@ -265,20 +305,14 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	}
 	tree.Connect(v.Next, u, s.za)
 	tree.Connect(v.Next.Next, uB, s.zb)
-	// Optimize the branch connecting the pruned subtree and score across it,
+	// Solve the branch connecting the pruned subtree and score across it,
 	// under the weights the optimizer prices branch lengths with.
 	tree.ClearXAt(v)
-	s.o.OptimizeBranch(v)
-	lnl := [1]float64{math.Inf(-1)}
-	// A cancelled OptimizeBranch may have returned before every group's
-	// sumtable was prepared (oldPAR prepares one partition's at a time), and
-	// the rest still hold another branch's: score nothing then.
-	if !s.cancelled() {
-		s.zs = s.zs[:0]
-		for ip := range e.NumPartitions() {
-			s.zs = append(s.zs, v.Z[e.BranchSlot(ip)])
-		}
-		e.BranchDerivatives(s.zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
+	s.o.RankBranch(v, rankTol)
+	lnl := s.score(v)
+	if lnl+rankTol > bar {
+		s.o.FinishBranch(v)
+		lnl = s.score(v)
 	}
 
 	// Undo: reconnect the target branch with its original slice (nothing
@@ -287,5 +321,24 @@ func (s *Searcher) tryInsert(v, u *tree.Node) float64 {
 	v.Next.Back = nil
 	v.Next.Next.Back = nil
 	copy(v.Z, s.zConnSave)
+	return lnl
+}
+
+// score returns the log likelihood across the branch at v, at the lengths
+// the last solve chose, off the sumtables it prepared. A cancelled solve may
+// have returned before every group's sumtable was prepared (oldPAR prepares
+// one partition's at a time), and the rest still hold another branch's: it
+// scores nothing (-Inf) then.
+func (s *Searcher) score(v *tree.Node) float64 {
+	if s.cancelled() {
+		return math.Inf(-1)
+	}
+	e := s.E
+	s.zs = s.zs[:0]
+	for ip := range e.NumPartitions() {
+		s.zs = append(s.zs, v.Z[e.BranchSlot(ip)])
+	}
+	lnl := [1]float64{}
+	e.BranchDerivatives(s.zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
 	return lnl[0]
 }

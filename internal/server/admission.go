@@ -187,14 +187,3 @@ func (a *Admission) QueueDepth() int {
 	}
 	return n
 }
-
-// Peak returns the tenant's high-water in-flight mark (0 for a tenant that
-// never ran). Tests use it to prove the quota bound held.
-func (a *Admission) Peak(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if t := a.tenants[tenant]; t != nil {
-		return t.peak
-	}
-	return 0
-}
