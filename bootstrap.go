@@ -102,6 +102,7 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 	moves := an.tr.NNIMoves()
 	cfg := an.optConfig()
 	cfg.Weights = ws.Aggregate()
+	smoother := opt.New(an.eng, cfg)
 	lanes := make([][]float64, 1+len(moves))
 	for i := range lanes {
 		if err := ctx.Err(); err != nil {
@@ -113,7 +114,7 @@ func (an *Analysis) Bootstrap(ctx context.Context, replicates int, seed int64) (
 			tree.ClearXAt(swapped)
 			tree.ClearXAt(swapped.Back)
 		}
-		weighted, err := opt.New(an.eng, cfg).SmoothAll(ctx)
+		weighted, err := smoother.SmoothAll(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -86,13 +86,12 @@ func TestEngineBuffersAligned(t *testing.T) {
 				t.Errorf("%v: clv %d len %d, want layout total %d", backend, i, len(clv), sh.layout.Total())
 			}
 		}
-		// The sumtable is built by the first PrepareSumtable, not up front.
+		// The sumtable is built by the first BranchDerivatives, not up front.
 		if eng.sumtable != nil {
-			t.Errorf("%v: sumtable allocated before any PrepareSumtable", backend)
+			t.Errorf("%v: sumtable allocated before any BranchDerivatives", backend)
 		}
 		root := tr.Tips[0].Back
-		eng.TraverseRoot(root)
-		eng.PrepareSumtable(root, nil)
+		eng.BranchDerivatives(root, make([]float64, len(ms)), nil, nil, nil, nil, nil)
 		if len(eng.sumtable) == 0 || !isAligned(eng.sumtable) || len(eng.sumtable) != sh.layout.SumTotal() {
 			t.Errorf("%v: sumtable len %d aligned=%v, want len %d aligned",
 				backend, len(eng.sumtable), isAligned(eng.sumtable), sh.layout.SumTotal())
@@ -216,15 +215,16 @@ func recordBytes(v reflect.Value) int64 {
 
 // TestRegionEntriesAllocFree: once warm, no region entry allocates — a
 // traversal lists its steps into the session's step buffer, Evaluate and
-// PrepareSumtable list the steps that validate their branch there too (after
-// a ClearXAt they carry one), and Evaluate and BranchDerivatives reduce into
-// the session's partial sums and the caller's result buffers, at one lane and
-// at three, and the derivative region's lnL lane (the score row) reduces into
-// the session's lane sums. Checked on the caller-only executor, on three
-// virtual workers and on a session view of two goroutine workers: a region
-// hands each goroutine its view, no closure. AllocsPerRun counts every
-// goroutine's allocations, so the last arm holds the executor's fan-out at 0
-// too.
+// BranchDerivatives list the steps that validate their branch there too
+// (after a ClearXAt they carry one), BranchDerivatives projects the sumtable
+// in the session's set (at the other end of the branch each call), and
+// Evaluate and BranchDerivatives reduce into the session's partial sums and
+// the caller's result buffers, at one lane and at three, and the derivative
+// region's lnL lane (the score row) reduces into the session's lane sums.
+// Checked on the caller-only executor, on three virtual workers and on a
+// session view of two goroutine workers: a region hands each goroutine its
+// view, no closure. AllocsPerRun counts every goroutine's allocations, so the
+// last arm holds the executor's fan-out at 0 too.
 func TestRegionEntriesAllocFree(t *testing.T) {
 	sim, err := parallel.NewSim(3)
 	if err != nil {
@@ -255,6 +255,7 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 		per3, d1, d2 := make([]float64, 3*n), make([]float64, n), make([]float64, n)
 		oneHot := make([]bool, n)
 		oneHot[n-1] = true
+		end := root
 		for _, entry := range []struct {
 			name string
 			call func()
@@ -263,11 +264,11 @@ func TestRegionEntriesAllocFree(t *testing.T) {
 			{"Evaluate R=1", func() { eng.Evaluate(root, nil, nil, lnl1, nil) }},
 			{"Evaluate R=3", func() { eng.Evaluate(root, nil, ws, lnl3, per3) }},
 			{"LogLikelihood", func() { eng.LogLikelihood(nil) }},
-			{"PrepareSumtable", func() { eng.PrepareSumtable(root, nil) }},
+			{"BranchDerivatives projecting", func() { end = end.Back; eng.BranchDerivatives(end, z, nil, nil, d1, d2, nil) }},
 			{"Evaluate with steps", func() { tree.ClearXAt(root); eng.Evaluate(root, nil, nil, lnl1, nil) }},
-			{"PrepareSumtable with steps", func() { tree.ClearXAt(root); eng.PrepareSumtable(root, oneHot) }},
-			{"BranchDerivatives", func() { eng.BranchDerivatives(z, nil, nil, d1, d2, nil) }},
-			{"score", func() { eng.BranchDerivatives(z, nil, ws, nil, nil, lnl3) }},
+			{"BranchDerivatives with steps", func() { tree.ClearXAt(root); eng.BranchDerivatives(root, z, oneHot, nil, d1, d2, nil) }},
+			{"BranchDerivatives", func() { eng.BranchDerivatives(root, z, nil, nil, d1, d2, nil) }},
+			{"score", func() { eng.BranchDerivatives(root, z, nil, ws, nil, nil, lnl3) }},
 		} {
 			entry.call() // warm: buffers grow, memo blocks and the sumtable are made
 			if got := testing.AllocsPerRun(20, entry.call); got != 0 {

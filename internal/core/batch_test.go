@@ -334,14 +334,13 @@ func TestBatchBitIdentity(t *testing.T) {
 				eng.TraverseRoot(root)
 				totals := make([]float64, R)
 				eng.Evaluate(root, nil, ws, totals, nil)
-				eng.PrepareSumtable(root, nil)
 				z := make([]float64, nP)
 				for i := range z {
 					z[i] = 0.2
 				}
 				bd1 := make([]float64, nP*R)
 				bd2 := make([]float64, nP*R)
-				eng.BranchDerivatives(z, nil, ws, bd1, bd2, nil)
+				eng.BranchDerivatives(root, z, nil, ws, bd1, bd2, nil)
 
 				// Reference pass per replicate: the width-1 reductions under
 				// that replicate's weights, after a traversal of their own.
@@ -357,8 +356,7 @@ func TestBatchBitIdentity(t *testing.T) {
 						t.Fatalf("%s cats=%d: replicate %d batched lnL %v != single-replicate %v (must be bit-identical)",
 							label, cats, r, totals[r], single[0])
 					}
-					eng.PrepareSumtable(root, nil)
-					eng.BranchDerivatives(z, nil, rep, d1, d2, nil)
+					eng.BranchDerivatives(root, z, nil, rep, d1, d2, nil)
 					for ip := 0; ip < nP; ip++ {
 						if d1[ip] != bd1[ip*R+r] || d2[ip] != bd2[ip*R+r] {
 							t.Fatalf("%s cats=%d: replicate %d partition %d derivatives (%v,%v) != batched (%v,%v)",
@@ -410,11 +408,10 @@ func TestBatchUniformMatchesPlain(t *testing.T) {
 		if lane[0] != plain[0] {
 			t.Errorf("%v: Evaluate %v != lane 0 under the uniform set %v", backend, plain[0], lane[0])
 		}
-		eng.PrepareSumtable(root, nil)
 		z := []float64{0.2}
 		d1, d2, b1, b2 := []float64{0}, []float64{0}, []float64{0}, []float64{0}
-		eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
-		eng.BranchDerivatives(z, nil, one, b1, b2, nil)
+		eng.BranchDerivatives(root, z, nil, nil, d1, d2, nil)
+		eng.BranchDerivatives(root, z, nil, one, b1, b2, nil)
 		if d1[0] != b1[0] || d2[0] != b2[0] {
 			t.Errorf("%v: BranchDerivatives (%v,%v) != batch lane 0 (%v,%v)", backend, d1[0], d2[0], b1[0], b2[0])
 		}
@@ -438,15 +435,13 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := eng.Tree.Tips[0].Back
-	eng.TraverseRoot(root)
-	eng.PrepareSumtable(root, nil)
 	n := eng.NumPartitions()
 	z := make([]float64, n)
 	for name, call := range map[string]func(){
 		"mismatched pattern space":         func() { eng.Evaluate(root, nil, wrong, nil, nil) },
 		"width-1 totals for a width-2 set": func() { eng.Evaluate(root, nil, wide, make([]float64, 1), nil) },
 		"undersized per-partition buffer":  func() { eng.Evaluate(root, nil, wide, nil, make([]float64, n)) },
-		"undersized derivative buffers":    func() { eng.BranchDerivatives(z, nil, wide, make([]float64, n), make([]float64, n), nil) },
+		"undersized derivative buffers":    func() { eng.BranchDerivatives(root, z, nil, wide, make([]float64, n), make([]float64, n), nil) },
 	} {
 		func() {
 			defer func() {

@@ -16,15 +16,16 @@ import (
 // set up. The schedule's assignment is sliced into chunks (the dataset's
 // steal.Layout) and each worker walks its own chunk ids in ascending order,
 // skipping chunks of masked-off spans: exactly its scheduled share. A region
-// is newview steps plus at most one terminal pass, whose kind it is counted
-// under. What differs between passes is data on the region and three
-// switches on the pass kind: what a span binds (bind), which kernel body a
-// chunk runs (run), and what a pattern costs (takeOps); evaluate and
-// derivative regions add a fixed-order reduction after the barrier, in their
-// entry points. There is one entry point per kind — TraverseRoot issues
-// steps alone, Evaluate, PrepareSumtable (each after the steps its branch
-// needs) and BranchDerivatives a terminal — and each is the one runRegion
-// call of its kind.
+// is newview steps, at most one sumtable pass and at most one terminal pass,
+// whose kind it is counted under. What differs between passes is data on
+// the region and three switches on the pass kind: what a span binds (bind),
+// which kernel body a chunk runs (run), and what a pattern costs (takeOps);
+// evaluate and derivative regions add a fixed-order reduction after the
+// barrier, in their entry points. There is one entry point per kind —
+// TraverseRoot issues steps alone, Evaluate and BranchDerivatives a terminal
+// after the steps their branch needs (BranchDerivatives the sumtable pass
+// between when the branch's sumtable is stale) — and each is the one
+// runRegion call of its kind.
 // "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
 // Evaluate and BranchDerivatives take the WeightSet they reduce under as an
 // argument, nil being the dataset's own weights (held once on the Shared),
@@ -70,7 +71,8 @@ type region struct {
 	act     []bool               // the active partitions: chunks of the others are skipped
 	stepAct []bool               // the steps' active partitions: a superset of the terminal's
 	steps   []tree.TraversalStep // the traversal descriptor, one newview pass over the chunks per step
-	p       *tree.Node           // evaluate, sumtable, the derivative's lnL lane: the branch (p, p.Back) the region roots at
+	sum     bool                 // derivative: a sumtable pass over stepAct's partitions before the terminal
+	p       *tree.Node           // evaluate, derivative: the branch (p, p.Back) the region roots at
 	z       []float64            // derivative: the branch length per partition
 	ws      *WeightSet           // evaluate, derivative: the replicate weights reduced under
 	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
@@ -93,23 +95,29 @@ func (e *Engine) runRegion(r region, act []bool) {
 }
 
 // drain is the chunk loop: worker w walks its own chunk ids in ascending
-// order, once per traversal step and once for the terminal, and runs every
-// chunk whose span is active in the pass. A span is bound once per encounter
-// and re-used across consecutive chunks; the op charge flushes into ctx once,
-// off the chunk loop.
+// order, once per traversal step, once for the sumtable and once for the
+// terminal, and runs every chunk whose span is active in the pass. A span is
+// bound once per encounter and re-used across consecutive chunks; the op
+// charge flushes into ctx once, off the chunk loop.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r := &e.cur
 	own := e.chunks.Owned(w)
 	c := &e.workers[w].span
 	ops := 0.0
 	passes := len(r.steps)
+	if r.sum {
+		passes++
+	}
 	if r.kind != parallel.RegionNewview {
 		passes++ // the terminal
 	}
 	for si := 0; si < passes; si++ {
 		kind, act := parallel.RegionNewview, r.stepAct
-		if si == len(r.steps) {
+		switch {
+		case si == passes-1 && r.kind != parallel.RegionNewview:
 			kind, act = r.kind, r.act
+		case si == len(r.steps): // r.sum: the pass between the steps and the terminal
+			kind = parallel.RegionSumTable
 		}
 		cached := -1
 		for _, id := range own {
@@ -129,10 +137,10 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 }
 
 // spanEnd is one of the two nodes a span reads: the children Q and R of a
-// newview step, or the ends p and p.Back of the branch an evaluate or
-// sumtable region roots at. An inner end is its CLV and scaling exponents; a
-// tip end its per-pattern codes, plus the lookup table once ensureTables has
-// built it.
+// newview step, or the ends p and p.Back of the branch an evaluate, sumtable
+// or derivative pass roots at. An inner end is its CLV and scaling
+// exponents; a tip end its per-pattern codes, plus the lookup table once
+// ensureTables has built it.
 type spanEnd struct {
 	tip   bool
 	v     []float64 // inner: CLV
@@ -192,12 +200,10 @@ type spanCtx struct {
 }
 
 // bindEnd points end at the views of node n over partition part, and clears
-// what the previous binding left in it: no P block and no table yet. A nil n
-// unbinds the end (a derivative span reads neither).
+// what the previous binding left in it: no P block and no table yet.
 func (e *Engine) bindEnd(end *spanEnd, part *alignment.CompressedPartition, n *tree.Node) {
 	end.tip, end.v, end.sc, end.row, end.codes, end.pm, end.tab = false, nil, nil, nil, nil, nil, nil
 	switch {
-	case n == nil:
 	case n.IsTip():
 		end.tip, end.row, end.codes = true, part.Tips[n.Index], part.Codes[n.Index]
 	default:
@@ -253,13 +259,9 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 	default: // parallel.RegionDerivative
 		// The lnL lane reads the scaling exponents of the sumtable's ends
 		// and nothing else of them: no table, no P block.
-		var q *tree.Node
-		if r.p != nil {
-			q = r.p.Back
-		}
 		e.bindEnd(&c.a, part, r.p)
-		e.bindEnd(&c.b, part, q)
-		c.a.codes, c.b.codes, c.score = nil, nil, r.p != nil
+		e.bindEnd(&c.b, part, r.p.Back)
+		c.a.codes, c.b.codes, c.score = nil, nil, r.lanes == 3*c.R
 		c.sum = e.sumtable
 		z := r.z[ip]
 		c.eTab, c.g1Tab, c.g2Tab = ex[0:cs], ex[cs:2*cs], ex[2*cs:3*cs]
@@ -388,8 +390,8 @@ func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerC
 		fused := c.body == bodyFused4 && (!c.b.tip || c.b.tab != nil)
 		return c.evaluateRun(run, r.out[id*r.lanes:(id+1)*r.lanes], fused)
 	case parallel.RegionSumTable:
-		// Once per branch, amortized over every Newton iteration: one body
-		// serves every backend.
+		// Once per branch and CLV state, amortized over every Newton
+		// iteration: one body serves every backend.
 		return c.sumtableGeneric(run)
 	default:
 		return c.derivativeRun(run, r.out[id*r.lanes:(id+1)*r.lanes])

@@ -11,33 +11,6 @@ import (
 	"phylo/internal/tree"
 )
 
-// PrepareSumtable projects the CLVs at both ends of branch (p, p.Back) into
-// the eigenbasis and stores, per pattern/category/eigenindex k,
-//
-//	A[k] = (sum_s pi_s L_s V_{sk}) * (sum_s' Vinv_{ks'} R_s') / numCats
-//
-// so that the per-site likelihood along the branch becomes the exponential
-// sum l_i(z) = sum_{c,k} A_i[c,k] exp(lambda_k r_c z). One sumtable prepares
-// an arbitrary number of cheap Newton-Raphson derivative iterations for the
-// same branch — the sumtable region runs once per branch, the derivative
-// regions once per Newton iteration. The partial traversal that validates
-// both end CLVs runs first in the same region, over every partition: active
-// narrows the projection alone, so the next group's sumtable finds its CLVs
-// valid. Sumtable writes are per-pattern disjoint, so the region needs no
-// reduction. A tip end whose owner's share amortizes a projection table uses
-// the category-independent per-code rows of buildTipSumLeft/Right instead of
-// re-projecting the same 0/1 tip vector for every pattern and category
-// (tip-case specialization; results are bit-identical).
-func (e *Engine) PrepareSumtable(p *tree.Node, active []bool) {
-	if e.sumtable == nil {
-		// Evaluate-only sessions never get here: the first holder of the
-		// buffer set that smooths a branch makes the sumtable, in the set.
-		e.sumtable = alignedFloats(e.layout.SumTotal())
-	}
-	e.sumAt = p
-	e.runRegion(region{kind: parallel.RegionSumTable, steps: e.rootSteps(p, e.shared.allMask), stepAct: e.shared.allMask, p: p}, active)
-}
-
 // sumtableGeneric is the one sumtable body: CLV reads step the category
 // planes, while the sumtable keeps its pattern-major geometry (the
 // derivative kernel reduces one pattern's contiguous cats·s block at a
@@ -120,36 +93,50 @@ func (c *spanCtx) sideOf(end *spanEnd, j, off int) side {
 }
 
 // BranchDerivatives evaluates d lnL / dz and d^2 lnL / dz^2 for the branch
-// whose sumtable was last prepared, at per-partition branch lengths z (z is
-// indexed by partition; with a joint estimate pass the same value in every
-// active entry), under the R replicate weight vectors of ws (nil: the
-// dataset's own weights, R = 1). The sumtable — like the CLVs — does not
-// depend on weights, so one PrepareSumtable serves a whole batch. One
-// parallel region per call — this is the unit of synchronization the paper
-// counts per Newton iteration: per pattern the likelihood and its two
-// derivative dot products over the sumtable run once and the resulting terms
-// accumulate under all R weights into per-(chunk, lane) partials, reduced
-// master-side in fixed chunk-id order into d1 and d2, indexed [partition*R +
-// replicate]; masked partitions are zeroed. lnl (R entries), nil in every
-// Newton step, adds the lnL lane: the same pass also turns each pattern's
-// likelihood l_i(z) into its site log likelihood (both ends' scaling
-// exponents, SiteLogs) and reduces those as Evaluate does, into each
-// replicate's total over the active partitions — the score of the branch
-// at z without forming or applying a P matrix. The lane's bits are not
-// Evaluate's (DESIGN.md "Region execution"). d1 and d2 are
-// caller-owned and may be nil together, as may lnl.
-func (e *Engine) BranchDerivatives(z []float64, active []bool, ws *WeightSet, d1, d2, lnl []float64) {
+// (p, p.Back) at per-partition branch lengths z (z is indexed by partition;
+// with a joint estimate pass the same value in every active entry), under
+// the R replicate weight vectors of ws (nil: the dataset's own weights, R =
+// 1). One parallel region per call — this is the unit of synchronization the
+// paper counts per Newton iteration. It runs the partial traversal that
+// validates both end CLVs, over every partition; then, unless p's sumtable is
+// current, the sumtable pass, over every partition too; then the derivative
+// pass over the active ones. The sumtable projects the CLVs at both ends into
+// the eigenbasis and stores, per pattern/category/eigenindex k,
+//
+//	A[k] = (sum_s pi_s L_s V_{sk}) * (sum_s' Vinv_{ks'} R_s') / numCats
+//
+// so that the per-site likelihood along the branch becomes the exponential
+// sum l_i(z) = sum_{c,k} A_i[c,k] exp(lambda_k r_c z): it depends on the two
+// end CLVs and the models alone, not on z or the weights, so it is current
+// exactly when the last projection was p's and no newview step has run since
+// (rootSteps forgets it when it lists one). The rule keys on the record, not
+// the branch: the projection is oriented, p's end on the left. Per pattern
+// the derivative pass runs the likelihood and its two derivative dot products
+// over the sumtable once and accumulates the resulting terms under all R
+// weights into per-(chunk, lane) partials, reduced master-side in fixed
+// chunk-id order into d1 and d2, indexed [partition*R + replicate]; masked
+// partitions are zeroed. lnl (R entries), nil in every Newton step, adds the
+// lnL lane: the same pass also turns each pattern's likelihood l_i(z) into
+// its site log likelihood (both ends' scaling exponents, SiteLogs) and
+// reduces those as Evaluate does, into each replicate's total over the active
+// partitions — the score of the branch at z without forming or applying a P
+// matrix. The lane's bits are not Evaluate's (DESIGN.md "Region execution").
+// d1 and d2 are caller-owned and may be nil together, as may lnl.
+func (e *Engine) BranchDerivatives(p *tree.Node, z []float64, active []bool, ws *WeightSet, d1, d2, lnl []float64) {
 	ws = e.weights(ws)
 	R, np := ws.r, len(e.Data.Parts)
 	if (d1 == nil) != (d2 == nil) || d1 != nil && (len(d1) != np*R || len(d2) != np*R) || lnl != nil && len(lnl) != R {
 		panic(fmt.Sprintf("core: derivative buffers have %d/%d/%d entries, want %d/%d/%d (partitions x replicates twice, replicates)", len(d1), len(d2), len(lnl), np*R, np*R, R))
 	}
-	rg := region{kind: parallel.RegionDerivative, z: z, ws: ws, lanes: 2 * R}
+	if e.sumtable == nil {
+		// Evaluate-only sessions never get here: the first holder of the
+		// buffer set that smooths a branch makes the sumtable, in the set.
+		e.sumtable = alignedFloats(e.layout.SumTotal())
+	}
+	rg := region{kind: parallel.RegionDerivative, steps: e.rootSteps(p, e.shared.allMask), stepAct: e.shared.allMask, p: p, z: z, ws: ws, lanes: 2 * R}
+	rg.sum, e.sumAt = e.sumAt != p, p
 	if lnl != nil {
-		if e.sumAt == nil {
-			panic("core: lnL lane requested before any sumtable was prepared")
-		}
-		rg.p, rg.lanes = e.sumAt, 3*R
+		rg.lanes = 3 * R
 	}
 	lay := e.chunks
 	n := lay.NumChunks()

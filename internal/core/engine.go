@@ -10,10 +10,10 @@
 // distribution, with block and cost-weighted alternatives) cut into chunks
 // (the dataset's steal.Layout), each worker walking its own. A session
 // issues its regions through one entry per kind (TraverseRoot, Evaluate,
-// PrepareSumtable, BranchDerivatives); every one but TraverseRoot takes an
-// optional per-partition activity mask, which is the mechanism behind both
-// oldPAR (one active partition at a time) and newPAR (all non-converged
-// partitions at once).
+// BranchDerivatives); every one but TraverseRoot takes an optional
+// per-partition activity mask, which is the mechanism behind both oldPAR
+// (one active partition at a time) and newPAR (all non-converged partitions
+// at once).
 //
 // The whole package is a deterministic scope: likelihoods must be
 // bit-identical across runs and executor shapes (see DESIGN.md "Static
@@ -77,7 +77,7 @@ type Engine struct {
 
 	numCats int
 	layout  *CLVLayout // borrowed from shared: CLV/sumtable geometry
-	sumAt   *tree.Node // the branch the sumtable was last prepared for: the lnL lane's ends
+	sumAt   *tree.Node // the record whose sumtable is current, nil after any newview step
 
 	// The X flags' stamp (rootSteps): the models' epoch sum they were set under,
 	// and whether those steps skipped a partition (true until the first steps).
@@ -122,7 +122,7 @@ type Options struct {
 type sessionBuffers struct {
 	clvs     [][]float64 // per inner node, layout.Total() floats
 	scales   [][]int32   // per inner node, per global pattern
-	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first PrepareSumtable
+	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first BranchDerivatives
 	workers  []*worker   // one record per worker
 	gen      uint64      // how many sessions have taken the set: a memo entry of an earlier holder never matches
 

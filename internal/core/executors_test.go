@@ -71,8 +71,6 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	eng.TraverseRoot(root)
 	lnl, perPart := evaluate1(eng, root, nil)
 	eng.Tree.ClearX()
-	eng.TraverseRoot(root)
-	eng.PrepareSumtable(root, nil)
 	nP := eng.NumPartitions()
 	z := make([]float64, nP)
 	for i := range z {
@@ -80,7 +78,7 @@ func runEvalResult(t *testing.T, eng *Engine) evalResult {
 	}
 	d1 := make([]float64, nP)
 	d2 := make([]float64, nP)
-	eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
+	eng.BranchDerivatives(root, z, nil, nil, d1, d2, nil)
 	return evalResult{lnl: lnl, perPart: append([]float64(nil), perPart...), d1: d1, d2: d2}
 }
 

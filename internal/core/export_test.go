@@ -139,3 +139,7 @@ func (l *CLVLayout) SumIndex(ip, j int) int {
 	p := &l.parts[ip]
 	return p.sumBase + j*p.cs
 }
+
+// CatStride returns the offset between consecutive categories of partition
+// ip: one aligned plane.
+func (l *CLVLayout) CatStride(ip int) int { return l.parts[ip].catStride }

@@ -43,7 +43,7 @@ type MemoryFootprint struct {
 	// SessionScales is the per-inner-node int32 scaling-exponent vectors.
 	SessionScales int64 `json:"session_scales"`
 	// SessionSumtable is the branch-derivative workspace (allocated by the
-	// first PrepareSumtable; evaluate-only sessions never hold it).
+	// first BranchDerivatives; evaluate-only sessions never hold it).
 	SessionSumtable int64 `json:"session_sumtable"`
 	// SessionScratch is the worker records, priced from workerSizes: the
 	// transition-matrix memo at its cap (pmMemoSlots blocks of cats × s × s

@@ -12,14 +12,14 @@ import (
 // every backend stores them the same way: each category is one contiguous,
 // cache-line-aligned plane of patternCount×s entries,
 //
-//	idx(ip, j, c, a) = Base(ip) + c·CatStride(ip) + j·s + a.
+//	idx(ip, j, c, a) = Base(ip) + c·catStride(ip) + j·s + a.
 //
 // Within a plane, consecutive patterns' state vectors are adjacent s-length
 // lanes, so a kernel that fixes the category can hoist the whole cats-slice of
 // the transition matrix into registers and sweep patterns over three linear
 // streams (two reads, one write) — the straight-line multiply-add shape the
 // 4-state DNA kernels want — while the generic bodies, which take a pattern
-// across all categories, step CatStride between its blocks. A backend chooses
+// across all categories, step catStride between its blocks. A backend chooses
 // bodies, not memory (backend.go). The sumtable keeps its own pattern-major
 // geometry (the derivative kernel reduces one pattern's cats·s entries at a
 // time and never touches CLVs); its partition bases are cache-line aligned
@@ -93,10 +93,6 @@ func (l *CLVLayout) SumTotal() int { return l.sumTotal }
 
 // Base returns partition ip's CLV base offset.
 func (l *CLVLayout) Base(ip int) int { return l.parts[ip].base }
-
-// CatStride returns the offset between consecutive categories of partition
-// ip: one aligned plane.
-func (l *CLVLayout) CatStride(ip int) int { return l.parts[ip].catStride }
 
 // Index returns the offset of (partition ip, local pattern j, category c,
 // state 0); state a lives at Index(ip, j, c) + a.

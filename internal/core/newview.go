@@ -14,7 +14,7 @@ import (
 // parallel region — the whole traversal descriptor is fanned out once and
 // ends in one barrier, exactly as in RAxML's Pthreads design. Only stale
 // CLVs are recomputed (the paper's partial traversals after local changes),
-// over every partition. Evaluate and PrepareSumtable run their own, so no
+// over every partition. Evaluate and BranchDerivatives run their own, so no
 // program path calls this: it is the step-only region the kernel tests and
 // benchmarks time and count (after Tree.ClearX, to time a whole traversal).
 // With Specialize on, tip children whose owner's share amortizes a lookup
@@ -32,7 +32,9 @@ func (e *Engine) TraverseRoot(p *tree.Node) {
 // flag is cleared first unless the models' epochs (model.Epoch) are those
 // the flags were set under and the steps that set them, in this session, ran
 // over every partition. Only a listing with steps moves that stamp: a region
-// that recomputes nothing leaves every flag as true as it found it.
+// that recomputes nothing leaves every flag as true as it found it. A listed
+// step may rewrite an end of the last sumtable's branch, so it also forgets
+// that branch (BranchDerivatives).
 func (e *Engine) rootSteps(p *tree.Node, stepAct []bool) []tree.TraversalStep {
 	var epochs uint64
 	for _, m := range e.Models {
@@ -42,7 +44,7 @@ func (e *Engine) rootSteps(p *tree.Node, stepAct []bool) []tree.TraversalStep {
 		e.Tree.ClearX()
 	}
 	if e.steps = tree.RootTraversal(e.steps[:0], p); len(e.steps) > 0 {
-		e.xEpochs, e.xPartial = epochs, slices.Contains(stepAct, false)
+		e.xEpochs, e.xPartial, e.sumAt = epochs, slices.Contains(stepAct, false), nil
 	}
 	return e.steps
 }

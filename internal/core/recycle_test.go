@@ -195,14 +195,12 @@ func exerciseSession(t *testing.T, eng *core.Engine) recycleResult {
 	}
 	root := eng.Tree.Tips[0].Back
 	eng.Tree.ClearX()
-	eng.TraverseRoot(root)
-	eng.PrepareSumtable(root, nil)
 	n := eng.NumPartitions()
 	z, d1, d2 := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range z {
 		z[i] = 0.2
 	}
-	eng.BranchDerivatives(z, nil, nil, d1, d2, nil)
+	eng.BranchDerivatives(root, z, nil, nil, d1, d2, nil)
 	res.add("d1", d1...)
 	res.add("d2", d2...)
 	for _, strategy := range []opt.Strategy{opt.NewPar, opt.OldPar} {

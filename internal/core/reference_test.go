@@ -786,8 +786,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				seen = map[string]bool{}
 				for _, br := range tr.Branches() {
 					for _, p := range []*tree.Node{br, br.Back} {
-						eng.TraverseRoot(p)
-						eng.PrepareSumtable(p, nil)
+						eng.BranchDerivatives(p, make([]float64, len(eng.Models)), nil, nil, nil, nil, nil)
 						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &ctx)
 						c.ensureTables(part.PatternCount)
 						seen[fmt.Sprint("evaluate ", c.a.tip, c.b.tip, c.b.tab != nil)] = true

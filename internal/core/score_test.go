@@ -12,11 +12,11 @@ import (
 )
 
 // TestLnLLaneMatchesEvaluate: on every branch, lane r of the derivative
-// region's lnL lane (PrepareSumtable there, then BranchDerivatives at the
-// branch's own lengths) equals lane r of Evaluate at the same branch and
-// lengths, to a relative 1e-13 at lengths of at least 1e-3 and 1e-8 with
-// every branch at the 1e-8 clamp, where the sumtable's terms cancel: a site
-// likelihood there scales with z. Fixtures: the mixed DNA + AA dataset at one
+// region's lnL lane (BranchDerivatives there, at the branch's own lengths)
+// equals lane r of Evaluate at the same branch and lengths, to a relative
+// 1e-13 at lengths of at least 1e-3 and 1e-8 with every branch at the 1e-8
+// clamp, where the sumtable's terms cancel: a site likelihood there scales
+// with z. Fixtures: the mixed DNA + AA dataset at one
 // and four categories and the 160-taxon tree whose CLVs scale; every branch
 // at its own length, 1e-3, 3, 30 and the clamp; nil weights and WeightSets of
 // R = 1 and 3; the sequential, virtual and goroutine executors on both
@@ -117,11 +117,10 @@ func TestLnLLaneMatchesEvaluate(t *testing.T) {
 						}
 						got, want := make([]float64, R), make([]float64, R)
 						for _, b := range tr.Branches() {
-							eng.PrepareSumtable(b, nil)
 							for ip := range z {
 								z[ip] = b.Z[eng.BranchSlot(ip)]
 							}
-							eng.BranchDerivatives(z, nil, w, nil, nil, got)
+							eng.BranchDerivatives(b, z, nil, w, nil, nil, got)
 							eng.Evaluate(b, nil, w, want, nil)
 							for r := range want {
 								rel := math.Abs(got[r]-want[r]) / math.Abs(want[r])

@@ -56,17 +56,18 @@ func TestDerivativeChargesSkippedPatterns(t *testing.T) {
 	m1, _ := model.GTR(nil, nil, 4, 1.4)
 	eng, d, tr := mkEngine(t, a, parts, []*model.Model{m0, m1}, 2, 14, parallel.NewSequential())
 	root := tr.Tips[0].Back
-	eng.TraverseRoot(root)
-	eng.PrepareSumtable(root, nil)
-	// Force the skip path for every pattern: a zeroed sumtable makes l = 0 <
-	// 1e-300 in every derivative evaluation.
+	z := []float64{0.1, 0.1}
+	eng.BranchDerivatives(root, z, nil, nil, nil, nil, nil)
+	// Force the skip path for every pattern: a zeroed sumtable, which the
+	// next call at root finds current, makes l = 0 < 1e-300 in every
+	// derivative evaluation.
 	for i := range eng.sumtable {
 		eng.sumtable[i] = 0
 	}
 	eng.Exec.Stats().Reset()
 	d1 := make([]float64, 2)
 	d2 := make([]float64, 2)
-	eng.BranchDerivatives([]float64{0.1, 0.1}, nil, nil, d1, d2, nil)
+	eng.BranchDerivatives(root, z, nil, nil, d1, d2, nil)
 	if d1[0] != 0 || d1[1] != 0 || d2[0] != 0 || d2[1] != 0 {
 		t.Fatalf("zeroed sumtable should contribute nothing: d1=%v d2=%v", d1, d2)
 	}

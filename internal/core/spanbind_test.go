@@ -25,8 +25,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	r := newMemoRig(t)
 	e := r.eng
 	p := e.Tree.Tips[3].Back // an inner end p and a tip end p.Back: both reductions tabulate the tip
-	e.TraverseRoot(p)
-	e.PrepareSumtable(p, nil)
+	e.BranchDerivatives(p, make([]float64, e.NumPartitions()), nil, nil, nil, nil, nil)
 	e.Tree.ClearX()
 	steps := tree.RootTraversal(nil, p)
 	si := -1
@@ -60,7 +59,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 				lo := e.layout.Base(ip)
 				return x.dst[lo : lo+share*e.numCats*x.s]
 			}},
-			{"derivative", region{kind: parallel.RegionDerivative, z: z, ws: ws, lanes: 2 * ws.r}, func(_ *spanCtx, r *region) []float64 { return r.out }},
+			{"derivative", region{kind: parallel.RegionDerivative, p: p, z: z, ws: ws, lanes: 2 * ws.r}, func(_ *spanCtx, r *region) []float64 { return r.out }},
 			{"sumtable", region{kind: parallel.RegionSumTable, p: p}, func(x *spanCtx, _ *region) []float64 {
 				return x.sum[x.sumBase : x.sumBase+share*e.numCats*x.s]
 			}},
@@ -120,13 +119,12 @@ func TestReleasedSetKeepsNoSession(t *testing.T) {
 	root := eng.Tree.Tips[0].Back
 	eng.TraverseRoot(root)
 	eng.Evaluate(root, nil, ws, nil, nil)
-	eng.PrepareSumtable(root, nil)
 	d := make([]float64, eng.NumPartitions()*ws.r)
 	z := make([]float64, eng.NumPartitions())
 	for ip := range z {
 		z[ip] = 0.1
 	}
-	eng.BranchDerivatives(z, nil, ws, d, slices.Clone(d), nil)
+	eng.BranchDerivatives(root, z, nil, ws, d, slices.Clone(d), nil)
 
 	// The session's memory, by the address range each object spans.
 	type object struct {

@@ -18,7 +18,7 @@ type terminalCounts struct {
 	obs     goldenObserver
 }
 
-// TestTerminalValidatesItsBranch: Evaluate and PrepareSumtable run the
+// TestTerminalValidatesItsBranch: Evaluate and BranchDerivatives run the
 // traversal their branch needs in their own region. It starts from stale
 // CLVs — a fresh session, and a scored session whose branch at a random
 // record was lengthened and cleared with ClearXAt — on every executor shape
@@ -26,7 +26,7 @@ type terminalCounts struct {
 //
 //   - Evaluate alone gives the bits, ops, patterns, scalings and span counts
 //     of TraverseRoot + Evaluate, in one region instead of two;
-//   - a PrepareSumtable narrowed to one partition still validates every
+//   - a BranchDerivatives narrowed to one partition still validates every
 //     partition's CLVs, so the Evaluate after it runs no step (no span
 //     counter moves) and scores the from-scratch bits.
 func TestTerminalValidatesItsBranch(t *testing.T) {
@@ -103,16 +103,16 @@ func TestTerminalValidatesItsBranch(t *testing.T) {
 
 				sum, sumSince := open()
 				q := farBranch(sum.Tree)
-				sum.PrepareSumtable(q, []bool{false, true})
+				sum.BranchDerivatives(q, make([]float64, sum.NumPartitions()), []bool{false, true}, nil, nil, nil, nil)
 				sumSince()
 				after, _ := evaluate1(sum, q, nil)
 				if c := sumSince(); c.regions != 1 || c.obs != (goldenObserver{}) {
-					t.Errorf("%s: Evaluate after a one-partition PrepareSumtable cost %+v; want one region and no step", label, c)
+					t.Errorf("%s: Evaluate after a one-partition BranchDerivatives cost %+v; want one region and no step", label, c)
 				}
 				sum.Tree.ClearX()
 				scratch, _ := evaluate1(sum, q, nil)
 				if math.Float64bits(after) != math.Float64bits(scratch) || math.Float64bits(after) != math.Float64bits(want) {
-					t.Errorf("%s: Evaluate after PrepareSumtable %v, from scratch %v, the pair %v", label, after, scratch, want)
+					t.Errorf("%s: Evaluate after BranchDerivatives %v, from scratch %v, the pair %v", label, after, scratch, want)
 				}
 			}
 		}

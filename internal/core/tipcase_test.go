@@ -117,19 +117,13 @@ func TestTipCaseEquivalence(t *testing.T) {
 	}
 }
 
-// tipCaseDerivs prepares the sumtable at p and evaluates the branch
-// derivatives at the branch's current length.
+// tipCaseDerivs evaluates the branch derivatives at p, at the branch's
+// current length, off the sumtable projected there.
 func tipCaseDerivs(e *Engine, p *tree.Node) (float64, float64) {
-	root := p
-	if root.IsTip() {
-		root = root.Back
-	}
-	e.TraverseRoot(root)
-	e.PrepareSumtable(p, nil)
 	z := []float64{p.Z[0]}
 	d1 := make([]float64, 1)
 	d2 := make([]float64, 1)
-	e.BranchDerivatives(z, nil, nil, d1, d2, nil)
+	e.BranchDerivatives(p, z, nil, nil, d1, d2, nil)
 	return d1[0], d2[0]
 }
 

@@ -150,23 +150,23 @@ func (o *Optimizer) ctxErr() error {
 // OptimizeBranch optimizes the branch (p, p.Back) to its ML length(s) and
 // returns the largest relative length change: one lockstep Newton-Raphson
 // loop per partition group, the groups one after another. The first group's
-// sumtable region recomputes the stale CLVs at both ends (per the paper, 3-4
-// inner vectors on average during search). With per-partition
-// branch lengths oldPAR therefore issues one narrow sumtable region plus one
-// narrow derivative region per iteration *per partition*, and newPAR one
-// full-width sumtable region plus one derivative region per lockstep
-// iteration over all unconverged partitions — the same iterations, cut into
-// regions differently. With a joint branch length there is one group either
-// way, matching the paper's observation that joint-estimate analyses gain
-// only ~5% (from the model parameters alone).
+// first derivative region recomputes the stale CLVs at both ends (per the
+// paper, 3-4 inner vectors on average during search) and projects every
+// partition's sumtable, which the later groups find current. With
+// per-partition branch lengths oldPAR therefore issues one narrow derivative
+// region per iteration *per partition*, and newPAR one derivative region per
+// lockstep iteration over all unconverged partitions — the same iterations,
+// cut into regions differently. With a joint branch length there is one
+// group either way, matching the paper's observation that joint-estimate
+// analyses gain only ~5% (from the model parameters alone).
 func (o *Optimizer) OptimizeBranch(p *tree.Node) float64 { return o.optimizeBranch(p, 0, false) }
 
 // RankBranch is OptimizeBranch for a length that is scored and thrown away
 // (a trial insertion's): each unknown also stops once its Newton step was
 // predicted to gain less than gainTol lnL (numeric.NewtonState.GainTol).
-// FinishBranch(p) then takes the stopped unknowns on, on the sumtables
-// RankBranch prepared, through the steps they would have taken without the
-// stop: the two together choose OptimizeBranch(p)'s lengths bit for bit.
+// FinishBranch(p) then takes the stopped unknowns on, on the sumtable
+// RankBranch left current, through the steps they would have taken without
+// the stop: the two together choose OptimizeBranch(p)'s lengths bit for bit.
 func (o *Optimizer) RankBranch(p *tree.Node, gainTol float64) { o.optimizeBranch(p, gainTol, false) }
 
 // FinishBranch finishes the last RankBranch(p).
@@ -195,14 +195,11 @@ func (o *Optimizer) optimizeBranch(p *tree.Node, gainTol float64, resume bool) f
 // a branch-length slot; under a joint estimate the whole group shares slot 0
 // and that one state observes the group's summed derivatives. An unknown
 // retires when its state converges or stops (at gainTol) or after
-// maxNewtonIter steps; with resume the loop prepares no sumtable and starts
-// no state, but resumes the stopped ones.
+// maxNewtonIter steps; with resume the loop starts no state, but resumes the
+// stopped ones.
 func (o *Optimizer) newtonGroup(p *tree.Node, g []int, gainTol float64, resume bool) float64 {
 	e := o.E
 	o.enter(g)
-	if !resume {
-		e.PrepareSumtable(p, o.mask)
-	}
 	unknowns := g
 	if !e.PerPartitionBL {
 		unknowns = g[:1]
@@ -227,7 +224,7 @@ func (o *Optimizer) newtonGroup(p *tree.Node, g []int, gainTol float64, resume b
 		for _, ip := range g {
 			o.x[ip] = o.newts[e.BranchSlot(ip)].Point()
 		}
-		e.BranchDerivatives(o.x, o.mask, o.Cfg.Weights, o.d1, o.d2, nil)
+		e.BranchDerivatives(p, o.x, o.mask, o.Cfg.Weights, o.d1, o.d2, nil)
 		if !e.PerPartitionBL {
 			// Fixed ascending partition order keeps the sum reproducible.
 			for _, ip := range g[1:] {
@@ -294,8 +291,8 @@ func (o *Optimizer) scoreRoot() float64 {
 }
 
 // smoothRec optimizes the branch at p, then recursively all branches behind
-// p.Back. It restores no CLV on the way back: each OptimizeBranch's sumtable
-// region recomputes what the lengths moved since made stale.
+// p.Back. It restores no CLV on the way back: each OptimizeBranch's first
+// derivative region recomputes what the lengths moved since made stale.
 func (o *Optimizer) smoothRec(p *tree.Node) float64 {
 	maxDelta := o.OptimizeBranch(p)
 	q := p.Back

@@ -114,7 +114,6 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 			t.Errorf("perPart=%v: lnL decreased %v -> %v", perPart, before, after)
 		}
 		// At the optimum the gradient must vanish for every partition.
-		fx.eng.PrepareSumtable(root, nil)
 		n := fx.eng.NumPartitions()
 		zs := make([]float64, n)
 		for ip := 0; ip < n; ip++ {
@@ -122,7 +121,7 @@ func TestOptimizeBranchImprovesAndZeroesGradient(t *testing.T) {
 		}
 		d1 := make([]float64, n)
 		d2 := make([]float64, n)
-		fx.eng.BranchDerivatives(zs, nil, nil, d1, d2, nil)
+		fx.eng.BranchDerivatives(root, zs, nil, nil, d1, d2, nil)
 		if perPart {
 			for ip := 0; ip < n; ip++ {
 				if math.Abs(d1[ip]) > 1e-2 && zs[ip] > tree.MinBranchLen*2 && zs[ip] < tree.MaxBranchLen/2 {
@@ -277,12 +276,8 @@ func TestStrategiesDoTheSameWork(t *testing.T) {
 			if st[0].Regions <= st[1].Regions {
 				t.Errorf("oldPAR regions %d not above newPAR %d", st[0].Regions, st[1].Regions)
 			}
-			if !tc.perP {
-				for _, k := range []parallel.Region{parallel.RegionSumTable, parallel.RegionDerivative} {
-					if st[0].KindRegions[k] != st[1].KindRegions[k] {
-						t.Errorf("joint estimate: %v regions differ, oldPAR %d vs newPAR %d", k, st[0].KindRegions[k], st[1].KindRegions[k])
-					}
-				}
+			if k := parallel.RegionDerivative; !tc.perP && st[0].KindRegions[k] != st[1].KindRegions[k] {
+				t.Errorf("joint estimate: %v regions differ, oldPAR %d vs newPAR %d", k, st[0].KindRegions[k], st[1].KindRegions[k])
 			}
 		})
 	}
@@ -329,11 +324,11 @@ func towards(p *tree.Node) bool {
 }
 
 // TestRestoreFreeSmoothingKeepsContract: branch smoothing restores no CLV
-// after a branch, because each OptimizeBranch's sumtable region recomputes
-// what the lengths moved since made stale. Three passes in RAxML's order,
-// each over all 2n - 3 branches, must leave every flag pointing towards the
-// last branch optimised, and every branch's partial score, that branch's
-// first, equal to its from-scratch score bit for bit.
+// after a branch, because each OptimizeBranch's first derivative region
+// recomputes what the lengths moved since made stale. Three passes in RAxML's
+// order, each over all 2n - 3 branches, must leave every flag pointing
+// towards the last branch optimised, and every branch's partial score, that
+// branch's first, equal to its from-scratch score bit for bit.
 func TestRestoreFreeSmoothingKeepsContract(t *testing.T) {
 	for _, strat := range []Strategy{NewPar, OldPar} {
 		for _, perPart := range []bool{false, true} {
@@ -824,8 +819,8 @@ func TestProgressCallback(t *testing.T) {
 // TestOptimizeBranchAllocCeiling pins what one OptimizeBranch allocates on a
 // 10-partition per-partition-branch-length session, under both strategies:
 // nothing. The Newton loop holds its states by value in the Optimizer and
-// the region entries it calls — the partial traversal, the sumtable, the
-// derivatives — reduce into buffers the session and the Optimizer own. Every
+// the derivative regions it issues — the partial traversal and the sumtable
+// included — reduce into buffers the session and the Optimizer own. Every
 // SPR insertion trial pays this.
 func TestOptimizeBranchAllocCeiling(t *testing.T) {
 	for _, tc := range []struct {

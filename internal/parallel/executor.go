@@ -40,7 +40,7 @@ type Region int
 const (
 	RegionNewview Region = iota
 	RegionEvaluate
-	RegionSumTable
+	RegionSumTable // the sumtable pass of a derivative region; no region is of this kind
 	RegionDerivative
 	RegionOther
 	numRegionKinds

@@ -25,9 +25,9 @@ func (c *pollCtx) Err() error {
 }
 
 // TestCancelledTrialIsNotScored cancels on every poll of the first prune,
-// under newPAR and oldPAR with per-partition branch lengths (oldPAR prepares
-// one partition's sumtable at a time, so a cancelled solve can leave the
-// others holding another branch's). Inside a trial: a tryInsert whose
+// under newPAR and oldPAR with per-partition branch lengths (oldPAR solves
+// one partition at a time, so a cancelled solve can leave the others
+// unsolved). Inside a trial: a tryInsert whose
 // cancellation lands anywhere in it, its solves included, returns -Inf,
 // and the uncancelled trial repeated after it scores what it scored before,
 // ranked only or finished to full precision.

@@ -236,7 +236,7 @@ func TestRunKeepsCLVsValid(t *testing.T) {
 
 // TestNoCallerOrientsACLV: the search and branch smoothing issue no newview
 // region of their own. Over SmoothAll, one SPR round and SmoothAll again,
-// every stale CLV is recomputed inside the sumtable or evaluate region that
+// every stale CLV is recomputed inside the derivative or evaluate region that
 // reads it, so the newview region count does not move.
 func TestNoCallerOrientsACLV(t *testing.T) {
 	for _, c := range orientCases(8) {

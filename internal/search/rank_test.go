@@ -30,7 +30,7 @@ func (s *Searcher) fullTrial(v, u *tree.Node) float64 {
 		zs[ip] = v.Z[e.BranchSlot(ip)]
 	}
 	var lnl [1]float64
-	e.BranchDerivatives(zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
+	e.BranchDerivatives(v, zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
 	tree.Connect(u, uB, zu)
 	v.Next.Back = nil
 	v.Next.Next.Back = nil

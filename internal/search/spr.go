@@ -10,7 +10,7 @@
 // tried with a partial update (the stale CLVs around the insertion node,
 // recomputed in the Newton pass's first region) and a short Newton-Raphson
 // optimization of the insertion branch, and scored off the sumtable that
-// optimization prepared, in one more derivative region — the mixture of
+// optimization left, in one more derivative region — the mixture of
 // narrow-and-frequent branch-length work that makes tree search the paper's
 // "practically most relevant case" for the load-balance problem.
 // Every score a prune compares (the reinsertion baseline's too) comes from
@@ -293,8 +293,8 @@ func (s *Searcher) tryInsert(v, u *tree.Node, bar float64) float64 {
 // full-precision scan picks.
 //
 // The splice's tree.ClearXAt(v) clears exactly the flags whose view now
-// contains v, so the sumtable region recomputes v and whatever lies between
-// the last region's root and the insertion branch, and nothing else.
+// contains v, so the solve's first region recomputes v and whatever lies
+// between the last region's root and the insertion branch, and nothing else.
 func (s *Searcher) insert(v, u *tree.Node, bar float64) float64 {
 	uB := u.Back
 	zu := u.Z
@@ -325,10 +325,8 @@ func (s *Searcher) insert(v, u *tree.Node, bar float64) float64 {
 }
 
 // score returns the log likelihood across the branch at v, at the lengths
-// the last solve chose, off the sumtables it prepared. A cancelled solve may
-// have returned before every group's sumtable was prepared (oldPAR prepares
-// one partition's at a time), and the rest still hold another branch's: it
-// scores nothing (-Inf) then.
+// the last solve chose, off v's sumtable (current after that solve: the
+// region projects nothing). A cancelled search scores nothing (-Inf).
 func (s *Searcher) score(v *tree.Node) float64 {
 	if s.cancelled() {
 		return math.Inf(-1)
@@ -339,6 +337,6 @@ func (s *Searcher) score(v *tree.Node) float64 {
 		s.zs = append(s.zs, v.Z[e.BranchSlot(ip)])
 	}
 	lnl := [1]float64{}
-	e.BranchDerivatives(s.zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
+	e.BranchDerivatives(v, s.zs, nil, s.Cfg.Opt.Weights, nil, nil, lnl[:])
 	return lnl[0]
 }

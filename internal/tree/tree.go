@@ -73,9 +73,6 @@ type Tree struct {
 // NumTips returns the leaf count.
 func (t *Tree) NumTips() int { return len(t.Tips) }
 
-// NumInner returns the inner-node count (n-2 when fully connected).
-func (t *Tree) NumInner() int { return len(t.Inner) }
-
 // NumBranches returns the branch count of a fully connected tree, 2n-3.
 func (t *Tree) NumBranches() int { return 2*len(t.Tips) - 3 }
 

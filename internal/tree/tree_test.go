@@ -21,8 +21,8 @@ func TestNewSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumTips() != 5 || tr.NumInner() != 3 || tr.NumBranches() != 7 {
-		t.Errorf("counts: tips=%d inner=%d branches=%d", tr.NumTips(), tr.NumInner(), tr.NumBranches())
+	if tr.NumTips() != 5 || len(tr.Inner) != 3 || tr.NumBranches() != 7 {
+		t.Errorf("counts: tips=%d inner=%d branches=%d", tr.NumTips(), len(tr.Inner), tr.NumBranches())
 	}
 	// Triplet wiring.
 	for _, in := range tr.Inner {
@@ -174,8 +174,8 @@ func TestComputeTraversalFull(t *testing.T) {
 	steps := ComputeTraversal(nil, start)
 	// Full traversal behind an inner node adjacent to a tip covers all n-2
 	// inner nodes.
-	if len(steps) != tr.NumInner() {
-		t.Errorf("full traversal has %d steps, want %d", len(steps), tr.NumInner())
+	if len(steps) != len(tr.Inner) {
+		t.Errorf("full traversal has %d steps, want %d", len(steps), len(tr.Inner))
 	}
 	// Bottom-up: every step's children must be tips or already computed.
 	seen := make(map[int]bool)
@@ -214,8 +214,8 @@ func TestComputeTraversalPartial(t *testing.T) {
 	// RootTraversal covers both ends.
 	tr.ClearX()
 	steps = RootTraversal(buf[:1], tr.Tips[0].Back)
-	if len(steps) != 1+tr.NumInner() || steps[0] != buf[0] {
-		t.Errorf("root traversal appended %d steps after the kept one, want %d", len(steps)-1, tr.NumInner())
+	if len(steps) != 1+len(tr.Inner) || steps[0] != buf[0] {
+		t.Errorf("root traversal appended %d steps after the kept one, want %d", len(steps)-1, len(tr.Inner))
 	}
 	// A buffer that holds a whole traversal is reused, not regrown.
 	if n := testing.AllocsPerRun(10, func() { tr.ClearX(); RootTraversal(buf[:0], tr.Tips[0].Back) }); n != 0 {
