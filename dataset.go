@@ -34,9 +34,10 @@ type DatasetOptions struct {
 	// serialized onto the same T workers, so N sessions cost one pool.
 	Threads int
 	// Schedule selects the pattern-to-worker assignment (default
-	// ScheduleCyclic, the paper's distribution). The schedule is precomputed
-	// once per dataset, cut into chunks at MinChunk, and shared read-only by
-	// every session.
+	// ScheduleCyclic, the paper's per-partition pattern counts). Under either
+	// strategy a worker's share of a partition is one contiguous run of
+	// patterns. The schedule is precomputed once per dataset, cut into chunks
+	// at MinChunk, and shared read-only by every session.
 	Schedule ScheduleStrategy
 	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
 	// default of 64). Chunks are the unit every session's workers walk their

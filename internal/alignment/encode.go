@@ -169,9 +169,6 @@ func GapCode(t DataType) byte {
 	return AAGap
 }
 
-// IsGapCode reports whether an encoded state carries no information.
-func IsGapCode(t DataType, code byte) bool { return code == GapCode(t) }
-
 // StateChar returns the character of a concrete (non-ambiguous) model state
 // index: 0..3 for DNA, 0..19 for AA.
 func StateChar(t DataType, state int) byte {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -132,6 +133,17 @@ func TestOldParSlowdownShapeAt16Threads(t *testing.T) {
 	}
 	if old8/new8 < 1.05 {
 		t.Errorf("newPAR improvement at 8 threads only %.2fx", old8/new8)
+	}
+}
+
+// DefaultFigureConfig returns laptop-scale defaults.
+func DefaultFigureConfig(out io.Writer) FigureConfig {
+	return FigureConfig{
+		Scale:        0.04,
+		SearchRounds: 1,
+		SearchRadius: 3,
+		Seed:         42,
+		Out:          out,
 	}
 }
 

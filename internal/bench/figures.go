@@ -28,17 +28,6 @@ type FigureConfig struct {
 	Out      io.Writer
 }
 
-// DefaultFigureConfig returns laptop-scale defaults.
-func DefaultFigureConfig(out io.Writer) FigureConfig {
-	return FigureConfig{
-		Scale:        0.04,
-		SearchRounds: 1,
-		SearchRadius: 3,
-		Seed:         42,
-		Out:          out,
-	}
-}
-
 // figureConfigs are the five bars of Figures 3-5: Sequential, Old 8, New 8,
 // Old 16, New 16.
 type barSpec struct {

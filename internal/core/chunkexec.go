@@ -38,7 +38,7 @@ import (
 //
 //  1. CLV, scaling, and sumtable writes are per-pattern and chunks are
 //     disjoint pattern ranges, so newview/sumtable output is independent of
-//     when a worker runs a chunk.
+//     how a worker's share of a span is cut: drain runs it as one run.
 //  2. Reduction kernels (evaluate, derivatives) accumulate one partial sum
 //     per (chunk, lane), in ascending pattern order inside the chunk — a pure
 //     function of the chunk's range — and the master reduces the per-chunk
@@ -96,9 +96,10 @@ func (e *Engine) runRegion(r region, act []bool) {
 
 // drain is the chunk loop: worker w walks its own chunk ids in ascending
 // order, once per traversal step, once for the sumtable and once for the
-// terminal, and runs every chunk whose span is active in the pass. A span is
-// bound once per encounter and re-used across consecutive chunks; the op
-// charge flushes into ctx once, off the chunk loop.
+// terminal, and runs every chunk whose span is active in the pass (a newview
+// or sumtable pass its whole share of the span). A span is bound once per
+// encounter and re-used across consecutive chunks; the op charge flushes
+// into ctx once, off the chunk loop.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r := &e.cur
 	own := e.chunks.Owned(w)
@@ -119,10 +120,11 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 		case si == len(r.steps): // r.sum: the pass between the steps and the terminal
 			kind = parallel.RegionSumTable
 		}
+		merge := kind == parallel.RegionNewview || kind == parallel.RegionSumTable // per-pattern writes: point 1
 		cached := -1
 		for _, id := range own {
 			ch := e.chunks.Chunk(int(id))
-			if !act[ch.Span] {
+			if !act[ch.Span] || merge && ch.Span == cached {
 				continue
 			}
 			if ch.Span != cached {
@@ -130,7 +132,10 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 				cached = ch.Span
 			}
 			c.ensureTables(ch.Share)
-			ops += c.takeOps(c.run(r, int(id), ch.Run(), ctx))
+			if merge {
+				ch.Hi = ch.Lo + ch.Share // the share's chunks tile one run from its first
+			}
+			ops += c.takeOps(c.run(r, int(id), ch.Run, ctx))
 		}
 	}
 	ctx.Ops += ops
@@ -229,6 +234,10 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 	if r.ws != nil {
 		c.R, c.lw = r.ws.r, r.ws.lanes(c.partOffset)
 	}
+	if kind != parallel.RegionNewview { // the branch's ends
+		e.bindEnd(&c.a, part, r.p)
+		e.bindEnd(&c.b, part, r.p.Back)
+	}
 	switch kind {
 	case parallel.RegionNewview:
 		st, slot := r.steps[si], e.slotOf(ip)
@@ -246,21 +255,15 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 			ctx.SpanInner++
 		}
 	case parallel.RegionEvaluate:
-		e.bindEnd(&c.a, part, r.p)
-		e.bindEnd(&c.b, part, r.p.Back)
 		c.a.codes = nil // p's tip vector is read as it is; only q has a P application to tabulate
 		c.transition(&c.b, m, ip, r.p.Z[e.slotOf(ip)], -1, ctx)
 		c.freqs = m.Freqs
 	case parallel.RegionSumTable:
-		e.bindEnd(&c.a, part, r.p)
-		e.bindEnd(&c.b, part, r.p.Back)
 		c.freqs, c.ev, c.eviT = m.Freqs, m.EigenVecs, m.InvVecsT
 		c.sum, c.fl = e.sumtable, ex[s:2*s]
 	default: // parallel.RegionDerivative
 		// The lnL lane reads the scaling exponents of the sumtable's ends
 		// and nothing else of them: no table, no P block.
-		e.bindEnd(&c.a, part, r.p)
-		e.bindEnd(&c.b, part, r.p.Back)
 		c.a.codes, c.b.codes, c.score = nil, nil, r.lanes == 3*c.R
 		c.sum = e.sumtable
 		z := r.z[ip]
@@ -270,9 +273,7 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 			rc := m.CatRates[cat]
 			for k := 0; k < s; k++ {
 				g := m.EigenVals[k] * rc
-				c.eTab[cat*s+k] = g * z
-				c.g1Tab[cat*s+k] = g
-				c.g2Tab[cat*s+k] = g * g
+				c.eTab[cat*s+k], c.g1Tab[cat*s+k], c.g2Tab[cat*s+k] = g*z, g, g*g
 			}
 		}
 		model.Exps(c.eTab)
@@ -373,11 +374,10 @@ func (c *spanCtx) ensureTables(share int) {
 func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerCtx) int {
 	switch c.kind {
 	case parallel.RegionNewview:
-		var n int
-		switch c.body {
-		case bodyFused4:
+		n := 0
+		if c.body == bodyFused4 {
 			n = c.newviewFused4(run)
-		default:
+		} else {
 			n = c.newviewGeneric(run)
 		}
 		ctx.Patterns += float64(n)

@@ -1,24 +1,24 @@
 package core
 
-// derivQuartetsAVX writes, for each of quartets groups of four patterns whose
-// sumtable rows start at sum[0], sum[stride], sum[2·stride], …, the three
-// sums of derivativeGeneric: out[12q+p], out[12q+4+p], out[12q+8+p] are l, l1
-// and l2 of pattern 4q+p. cs = len(e) is a positive multiple of four.
+// derivQuartetsAVX writes, for each of quartets groups of four consecutive
+// patterns whose sumtable rows start at sum[0], sum[cs], sum[2·cs], …, the
+// three sums of derivativeGeneric: out[12q+p], out[12q+4+p], out[12q+8+p] are
+// l, l1 and l2 of pattern 4q+p. cs = len(e) is a positive multiple of four.
 //
 //go:noescape
-func derivQuartetsAVX(out, sum, e, g1, g2 []float64, stride, quartets int)
+func derivQuartetsAVX(out, sum, e, g1, g2 []float64, quartets int)
 
 // derivQuartets runs the kernel over quartets quartets, or reports false where
 // it does not run or the shapes are not its own: every index is checked here,
 // once, by the last row's end.
 //
 //plk:hotpath
-func derivQuartets(out, sum, e, g1, g2 []float64, stride, quartets int) bool {
+func derivQuartets(out, sum, e, g1, g2 []float64, quartets int) bool {
 	cs := len(e)
-	if !DerivativeKernel.On() || quartets < 1 || cs == 0 || cs%4 != 0 || stride < 1 ||
-		len(g1) < cs || len(g2) < cs || len(out) < 12*quartets || (4*quartets-1)*stride+cs > len(sum) {
+	if !DerivativeKernel.On() || quartets < 1 || cs == 0 || cs%4 != 0 ||
+		len(g1) < cs || len(g2) < cs || len(out) < 12*quartets || 4*quartets*cs > len(sum) {
 		return false
 	}
-	derivQuartetsAVX(out, sum, e, g1, g2, stride, quartets)
+	derivQuartetsAVX(out, sum, e, g1, g2, quartets)
 	return true
 }

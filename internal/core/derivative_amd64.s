@@ -3,7 +3,7 @@
 // The AVX kernel of the derivative body (derivatives.go, derivativeGeneric;
 // the per-pattern loop of reference_test.go is its reference). A lane is a
 // pattern: a quartet is four consecutive patterns of the run, rows
-// p, p+stride, p+2·stride, p+3·stride of the pattern-major sumtable, and two
+// p, p+1, p+2, p+3 of the pattern-major sumtable (cs entries each), and two
 // quartets (A, B) are in flight, six accumulators, lane for lane the scalar
 //
 //	l += a; l1 += a·g1[k]; l2 += a·g2[k],  a = row[k]·e[k],
@@ -54,18 +54,17 @@
 	VMULPD       Y15, b, Y6; \
 	VADDPD       Y6, Y13, Y13
 
-// func derivQuartetsAVX(out, sum, e, g1, g2 []float64, stride, quartets int)
-TEXT ·derivQuartetsAVX(SB), NOSPLIT, $0-136
+// func derivQuartetsAVX(out, sum, e, g1, g2 []float64, quartets int)
+TEXT ·derivQuartetsAVX(SB), NOSPLIT, $0-128
 	MOVQ out_base+0(FP), DI
 	MOVQ sum_base+24(FP), BX
 	MOVQ e_base+48(FP), R9
 	MOVQ e_len+56(FP), DX
 	MOVQ g1_base+72(FP), R10
 	MOVQ g2_base+96(FP), R11
-	MOVQ stride+120(FP), R8
-	MOVQ quartets+128(FP), CX
+	MOVQ quartets+120(FP), CX
 	SHLQ $3, DX                // a row: cs entries
-	SHLQ $3, R8                // one pattern to the next
+	MOVQ DX, R8                // one pattern to the next
 	LEAQ (R8)(R8*2), R12
 
 pair:

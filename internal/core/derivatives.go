@@ -27,14 +27,12 @@ import (
 func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 	s := c.s
 	fl, rp := c.fl, c.tmp
-	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
 		soff := c.sumBase + j*c.cs
 		dst := c.sum[soff : soff+c.cs]
 		l, r := c.sideOf(&c.a, j, off), c.sideOf(&c.b, j, off)
-		count++
 		if c.sumtableRows(dst, l, r) {
 			continue
 		}
@@ -60,7 +58,7 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 			}
 		}
 	}
-	return count
+	return run.Len()
 }
 
 // SumtableKernel is the kernel sumtableGeneric runs a pattern's categories
@@ -171,15 +169,15 @@ func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
 	if !c.score {
 		return c.derivativeGeneric(run, out)
 	}
-	count, step, lane := 0, run.Step, out[2*c.R:3*c.R]
-	for lo := run.Lo; lo < run.Hi; lo += siteBlock * step {
+	lane := out[2*c.R : 3*c.R]
+	for lo := run.Lo; lo < run.Hi; lo += siteBlock {
 		c.nl = 0
-		count += c.derivativeGeneric(schedule.Run{Lo: lo, Hi: min(run.Hi, lo+siteBlock*step), Step: step}, out)
+		c.derivativeGeneric(schedule.Run{Lo: lo, Hi: min(run.Hi, lo+siteBlock)}, out)
 		v := c.ls[:c.nl]
-		c.sites(v, lo, step, 1) // the sumtable's terms carry 1/numCats already
-		c.weigh(v, lo-c.partOffset, step, lane)
+		c.sites(v, lo, 1) // the sumtable's terms carry 1/numCats already
+		c.weigh(v, lo-c.partOffset, lane)
 	}
-	return count
+	return run.Len()
 }
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
@@ -198,12 +196,11 @@ func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
 func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 	cs := c.cs
 	eT, g1, g2 := c.eTab[:cs], c.g1Tab[:cs], c.g2Tab[:cs]
-	count := 0
 	i := run.Lo
 	for i < run.Hi {
-		q := min((run.Hi-i+run.Step-1)/run.Step/4, len(c.sums)/12)
+		q := min((run.Hi-i)/4, len(c.sums)/12)
 		qs := c.sums[:12*q]
-		if q == 0 || !derivQuartets(qs, c.sum[c.sumBase+(i-c.partOffset)*cs:], eT, g1, g2, run.Step*cs, q) {
+		if q == 0 || !derivQuartets(qs, c.sum[c.sumBase+(i-c.partOffset)*cs:], eT, g1, g2, q) {
 			break
 		}
 		for ; len(qs) >= 12; qs = qs[12:] {
@@ -211,17 +208,16 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 			for p := range 4 {
 				c.note(o[p])
 				c.derivativeTerms(i-c.partOffset, o[p], o[4+p], o[8+p], out)
-				i += run.Step
+				i++
 			}
 		}
-		count += 4 * q
 	}
-	for ; i < run.Hi; i += 2 * run.Step {
+	for ; i < run.Hi; i += 2 {
 		j := i - c.partOffset
 		sa := c.sum[c.sumBase+j*cs:][:cs]
-		sb, paired := sa, i+run.Step < run.Hi // an odd tail runs against itself and keeps one result
+		sb, paired := sa, i+1 < run.Hi // an odd tail runs against itself and keeps one result
 		if paired {
-			sb = c.sum[c.sumBase+(j+run.Step)*cs:][:cs]
+			sb = c.sum[c.sumBase+(j+1)*cs:][:cs]
 		}
 		var la, la1, la2, lb, lb1, lb2 float64
 		for k, ek := range eT {
@@ -238,14 +234,12 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 		// patterns must not undercount the region's performed work.
 		c.note(la)
 		c.derivativeTerms(j, la, la1, la2, out)
-		count++
 		if paired {
 			c.note(lb)
-			c.derivativeTerms(j+run.Step, lb, lb1, lb2, out)
-			count++
+			c.derivativeTerms(j+1, lb, lb1, lb2, out)
 		}
 	}
-	return count
+	return run.Len()
 }
 
 // DerivativeKernel is the quartet kernel derivativeGeneric runs whole

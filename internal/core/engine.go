@@ -6,9 +6,10 @@
 // optimization. All pattern loops run inside parallel regions issued to a
 // a parallel.Pool through one chunk loop and one span binding (see
 // chunkexec.go): which patterns a worker touches is data, not a code path —
-// a precomputed schedule.Schedule (cyclic by default, reproducing the paper's
-// distribution, with block and cost-weighted alternatives) cut into chunks
-// (the dataset's steal.Layout), each worker walking its own. A session
+// a precomputed schedule.Schedule (cyclic by default, the paper's
+// per-partition pattern counts, with block and cost-weighted alternatives;
+// under each a worker's share of a partition is one contiguous run) cut into
+// chunks (the dataset's steal.Layout), each worker walking its own. A session
 // issues its regions through one entry per kind (TraverseRoot, Evaluate,
 // BranchDerivatives); every one but TraverseRoot takes an optional
 // per-partition activity mask, which is the mechanism behind both oldPAR

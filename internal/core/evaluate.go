@@ -142,38 +142,35 @@ const siteBlock = 32
 //plk:hotpath
 func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 	var blk [siteBlock]float64
-	step := run.Step
-	count := 0
-	for lo := run.Lo; lo < run.Hi; lo += siteBlock * step {
-		n := min(siteBlock, (run.Hi-lo+step-1)/step)
+	for lo := run.Lo; lo < run.Hi; lo += siteBlock {
+		n := min(siteBlock, run.Hi-lo)
 		j0 := lo - c.partOffset
 		if fused {
-			c.rawFused4(&blk, n, j0, step)
+			c.rawFused4(&blk, n, j0)
 		} else {
 			for k := 0; k < n; k++ {
-				j := j0 + k*step
+				j := j0 + k
 				blk[k] = c.patternLi(j, c.base+j*c.s)
 			}
 		}
 		v := blk[:n]
-		c.sites(v, lo, step, c.invCats)
-		c.weigh(v, j0, step, out)
-		count += n
+		c.sites(v, lo, c.invCats)
+		c.weigh(v, j0, out)
 	}
-	return count
+	return run.Len()
 }
 
-// sites turns the raw likelihoods in v, of patterns i0, i0+step, … by global
+// sites turns the raw likelihoods in v, of patterns i0, i0+1, … by global
 // index and at most siteBlock of them, into their site log likelihoods: the
 // scaling exponents of both branch ends summed per pattern, then SiteLogs
 // with the normaliser norm.
 //
 //plk:hotpath
-func (c *spanCtx) sites(v []float64, i0, step int, norm float64) {
+func (c *spanCtx) sites(v []float64, i0 int, norm float64) {
 	var sc [siteBlock]int32
 	e := sc[:len(v)]
 	for k := range e {
-		i := i0 + k*step
+		i := i0 + k
 		if !c.a.tip {
 			e[k] += c.a.sc[i]
 		}
@@ -185,13 +182,13 @@ func (c *spanCtx) sites(v []float64, i0, step int, norm float64) {
 }
 
 // weigh accumulates the site log likelihoods v, of the partition's patterns
-// j0, j0+step, …, into out[r] under replicate r's weight, in that order.
+// j0, j0+1, …, into out[r] under replicate r's weight, in that order.
 //
 //plk:hotpath
-func (c *spanCtx) weigh(v []float64, j0, step int, out []float64) {
+func (c *spanCtx) weigh(v []float64, j0 int, out []float64) {
 	R, lw := c.R, c.lw
 	for k, site := range v {
-		j := j0 + k*step
+		j := j0 + k
 		for r := range out {
 			out[r] += float64(lw[j*R+r] * site)
 		}

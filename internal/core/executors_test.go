@@ -213,10 +213,9 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 				owner := make([]int, s.Total())
 				for w := 0; w < threads; w++ {
 					for sp := 0; sp < s.NumSpans(); sp++ {
-						for _, r := range s.SpanRuns(w, sp) {
-							for i := r.Lo; i < r.Hi; i += r.Step {
-								owner[i] = w
-							}
+						r := s.SpanRun(w, sp)
+						for i := r.Lo; i < r.Hi; i++ {
+							owner[i] = w
 						}
 					}
 				}
@@ -230,7 +229,7 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 						prev = int(id)
 						seen[id]++
 						c := lay.Chunk(int(id))
-						for i := c.Lo; i < c.Hi; i += c.Step {
+						for i := c.Lo; i < c.Hi; i++ {
 							if owner[i] != w {
 								t.Fatalf("%s: chunk %d on worker %d's list holds pattern %d of worker %d", name, id, w, i, owner[i])
 							}
@@ -271,7 +270,7 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 							if !active(c.Span) {
 								continue
 							}
-							patterns += c.Run().Len()
+							patterns += c.Len()
 							if c.Span != last {
 								binds, last = binds+1, c.Span
 							}
@@ -286,7 +285,7 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 					evaluate1(eng, root, mask)
 					for id := 0; id < lay.NumChunks(); id++ {
 						c := lay.Chunk(id)
-						if ran := eng.evalChunk[id] != 0; ran != (active(c.Span) && c.Run().Len() > 0) {
+						if ran := eng.evalChunk[id] != 0; ran != (active(c.Span) && c.Len() > 0) {
 							t.Errorf("%s mask %v: chunk %d of span %d left partial %v", name, mask, id, c.Span, eng.evalChunk[id])
 						}
 					}

@@ -91,11 +91,12 @@ func (e *Engine) HasSumtable() bool { return e.sumtable != nil }
 
 // SiteLogLikelihoods returns the per-pattern log likelihoods (unweighted) of
 // one partition at the canonical root, one serial sweep the kernel tests
-// compare the bodies and the parallel reduction with. It routes every pattern through the same span binding and kernel (layout
-// strides, tip table decision, site pass) as the parallel reduction, so it
-// cannot drift from the parallel path on any backend: the stride-aware generic
-// body and the fused body accumulate in the same order, so their site values
-// are bit-identical and one serial sweep serves every backend.
+// compare the bodies and the parallel reduction with. It routes every
+// pattern through the same span binding and kernel (layout strides, tip table
+// decision, site pass) as the parallel reduction, so it cannot drift from the
+// parallel path on any backend: the generic body and the fused body
+// accumulate in the same order, so their site values are bit-identical and
+// one serial sweep serves every backend.
 func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	root := e.Tree.Tips[0].Back
 	e.Tree.ClearX()
@@ -116,16 +117,20 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 			j := lo + k
 			v[k] = c.patternLi(j, c.base+j*c.s)
 		}
-		c.sites(v, part.Offset+lo, 1, c.invCats)
+		c.sites(v, part.Offset+lo, c.invCats)
 	}
 	return out
 }
 
 // executeSteps runs a hand-built step list (a swapped child pair, one step of
-// a longer traversal) as one newview region.
+// a longer traversal) as one newview region under the engine's CLV rule, as
+// rootSteps keeps it for a listing: stale flags are cleared first, and the
+// steps' stamp marks the flags partial under a mask and forgets the sumtable.
 func (e *Engine) executeSteps(steps []tree.TraversalStep, active []bool) {
 	e.steps = append(e.steps[:0], steps...)
-	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: e.activeOrAll(active)}, active)
+	act := e.activeOrAll(active)
+	e.stamp(e.checkX(), act)
+	e.runRegion(region{kind: parallel.RegionNewview, steps: e.steps, stepAct: act}, active)
 }
 
 // Read-outs only the kernel tests use.
@@ -139,6 +144,9 @@ func (l *CLVLayout) SumIndex(ip, j int) int {
 	p := &l.parts[ip]
 	return p.sumBase + j*p.cs
 }
+
+// Base returns partition ip's CLV base offset.
+func (l *CLVLayout) Base(ip int) int { return l.parts[ip].base }
 
 // CatStride returns the offset between consecutive categories of partition
 // ip: one aligned plane.

@@ -64,8 +64,8 @@ func flagByte(b bool) byte {
 // newviewFused4 executes one newview pattern run with the unrolled 4-state
 // kernels, category plane by category plane, then applies the per-pattern
 // scaling pass. A tip child without a lookup table (share below the table
-// threshold, or Specialize off) falls back to the stride-aware generic body —
-// the generic and fused bodies are bit-identical, so mixing them across
+// threshold, or Specialize off) falls back to the generic body — the generic
+// and fused bodies are bit-identical, so mixing them across
 // chunks of one span can never change results.
 //
 //plk:hotpath
@@ -77,7 +77,7 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 	small := c.wk.small
 	// A plane call computes the first k of the run's n patterns (j0 the
 	// first); its scalar loop takes the rest.
-	j0, n := run.Lo-c.partOffset, (run.Hi-run.Lo+run.Step-1)/run.Step
+	j0, n := run.Lo-c.partOffset, run.Hi-run.Lo
 	switch {
 	case c.a.tab != nil && c.b.tab != nil:
 		// Tip/tip: both table rows already hold the P applications; the
@@ -85,8 +85,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 		for cat := 0; cat < cats; cat++ {
 			d := c.dst[c.base+cat*c.catStride:]
 			to := cat * 4
-			k := planeTipTip(d, c.a.tab, c.b.tab, c.a.row, c.b.row, small, j0, n, run.Step, cs, to, cat == 0)
-			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
+			k := planeTipTip(d, c.a.tab, c.b.tab, c.a.row, c.b.row, small, j0, n, cs, to, cat == 0)
+			for i := run.Lo + k; i < run.Hi; i++ {
 				j := i - c.partOffset
 				qo, ro := int(c.a.row[j])*cs+to, int(c.b.row[j])*cs+to
 				tq := c.a.tab[qo : qo+4 : qo+4]
@@ -121,8 +121,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 			x := xv[c.base+cat*c.catStride:]
 			d := c.dst[c.base+cat*c.catStride:]
 			to := cat * 4
-			k := planeTipInner(d, x, tab, row, p, small, j0, n, run.Step, cs, to, cat == 0)
-			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
+			k := planeTipInner(d, x, tab, row, p, small, j0, n, cs, to, cat == 0)
+			for i := run.Lo + k; i < run.Hi; i++ {
 				j := i - c.partOffset
 				o := j * 4
 				xx := x[o : o+4 : o+4]
@@ -156,8 +156,8 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 			xq := c.a.v[c.base+cat*c.catStride:]
 			xr := c.b.v[c.base+cat*c.catStride:]
 			d := c.dst[c.base+cat*c.catStride:]
-			k := planeInner(d, xq, xr, pq, pr, small, j0, n, run.Step, cat == 0)
-			for i := run.Lo + k*run.Step; i < run.Hi; i += run.Step {
+			k := planeInner(d, xq, xr, pq, pr, small, j0, n, cat == 0)
+			for i := run.Lo + k; i < run.Hi; i++ {
 				j := i - c.partOffset
 				o := j * 4
 				xa := xq[o : o+4 : o+4]
@@ -186,33 +186,12 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 // scalePass is newviewFused4's closing pass: propagate the children's
 // exponents and rescale flagged patterns. Same arithmetic as finishPattern,
 // but driven by the flags the sweeps computed, so the common (unflagged) case
-// touches no CLV data. A contiguous run (Step 1) propagates the exponents as
-// one copy or one add and visits only its flagged patterns, which
-// bytes.IndexByte finds; a strided run walks its patterns one by one.
+// touches no CLV data: it propagates the exponents as one copy or one add
+// and visits only the run's flagged patterns, which bytes.IndexByte finds.
 //
 //plk:hotpath
 func (c *spanCtx) scalePass(small []byte, run schedule.Run) int {
 	lo, hi := run.Lo, run.Hi
-	if run.Step != 1 {
-		count := 0
-		for i := lo; i < hi; i += run.Step {
-			j := i - c.partOffset
-			sc := int32(0)
-			if !c.a.tip {
-				sc += c.a.sc[i]
-			}
-			if !c.b.tip {
-				sc += c.b.sc[i]
-			}
-			if small[j] != 0 {
-				c.rescale(j)
-				sc++
-			}
-			c.dstScale[i] = sc
-			count++
-		}
-		return count
-	}
 	ds := c.dstScale[lo:hi]
 	switch {
 	case c.a.tip && c.b.tip:
@@ -258,7 +237,7 @@ func (c *spanCtx) rescale(j int) {
 }
 
 // rawFused4 fills blk[:n] with the raw category-summed likelihoods of the
-// partition's patterns j0, j0+step, …, four patterns at a time: four
+// partition's patterns j0, j0+1, …, four patterns at a time: four
 // independent add chains, so a pattern's 16 dependent adds (4 categories × 4
 // states) need not wait for another pattern's. Each chain is exactly the
 // generic loop's: li + f0·x0·t0 + … + f3·x3·t3 per category,
@@ -268,11 +247,11 @@ func (c *spanCtx) rescale(j int) {
 // read.
 //
 //plk:hotpath
-func (c *spanCtx) rawFused4(blk *[siteBlock]float64, n, j0, step int) {
-	last := j0 + (n-1)*step
+func (c *spanCtx) rawFused4(blk *[siteBlock]float64, n, j0 int) {
+	last := j0 + n - 1
 	for k := 0; k < n; k += 4 {
-		ja := j0 + k*step
-		jb, jc, jd := min(ja+step, last), min(ja+2*step, last), min(ja+3*step, last)
+		ja := j0 + k
+		jb, jc, jd := min(ja+1, last), min(ja+2, last), min(ja+3, last)
 		q := (*[4]float64)(blk[k : k+4])
 		if c.b.tab != nil {
 			q[0], q[1], q[2], q[3] = c.liTable4(ja, jb, jc, jd)

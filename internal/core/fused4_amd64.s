@@ -72,8 +72,8 @@ GLOBL minLikelihood<>(SB), RODATA|NOPTR, $8
 	ANDB AL, tmp; \
 	MOVB tmp, (flag)
 
-// func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []bool, j0, n, step int, first bool)
-TEXT ·innerPlaneAVX(SB), NOSPLIT, $0-169
+// func innerPlaneAVX(d, xa, xb, pa, pb []float64, small []bool, j0, n int, first bool)
+TEXT ·innerPlaneAVX(SB), NOSPLIT, $0-161
 	MOVQ pa_base+72(FP), AX
 	COLUMNS(AX, Y0, Y1, Y2, Y3, Y8, Y9)
 	MOVQ pb_base+96(FP), AX
@@ -90,10 +90,7 @@ TEXT ·innerPlaneAVX(SB), NOSPLIT, $0-169
 	MOVQ xb_base+48(FP), DX
 	ADDQ AX, DX
 	ADDQ small_base+120(FP), R8
-	MOVQ step+160(FP), R10
-	MOVQ R10, R9
-	SHLQ $5, R9
-	MOVBLZX first+168(FP), R11
+	MOVBLZX first+160(FP), R11
 	MOVQ n+152(FP), CX
 	TESTQ CX, CX
 	JLE innerDone
@@ -104,10 +101,10 @@ innerLoop:
 	VMULPD Y10, Y8, Y8
 	VMOVUPD Y8, 0(DI)
 	FLAG(Y8, Y9, R8, R11, BX)
-	ADDQ R9, DI
-	ADDQ R9, SI
-	ADDQ R9, DX
-	ADDQ R10, R8
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	INCQ R8
 	DECQ CX
 	JNZ innerLoop
 
@@ -115,8 +112,8 @@ innerDone:
 	VZEROUPPER
 	RET
 
-// func tipInnerPlaneAVX(d, x, tab []float64, row []byte, p []float64, small []bool, j0, n, step, cs int, first bool) int
-TEXT ·tipInnerPlaneAVX(SB), NOSPLIT, $0-192
+// func tipInnerPlaneAVX(d, x, tab []float64, row []byte, p []float64, small []bool, j0, n, cs int, first bool) int
+TEXT ·tipInnerPlaneAVX(SB), NOSPLIT, $0-184
 	MOVQ p_base+96(FP), AX
 	COLUMNS(AX, Y0, Y1, Y2, Y3, Y8, Y9)
 	VBROADCASTSD absMask<>(SB), Y12
@@ -133,10 +130,7 @@ TEXT ·tipInnerPlaneAVX(SB), NOSPLIT, $0-192
 	ADDQ small_base+120(FP), R8
 	MOVQ tab_base+48(FP), BX
 	MOVQ tab_len+56(FP), R12
-	MOVQ cs+168(FP), R13
-	MOVQ step+160(FP), R11
-	MOVQ R11, R9
-	SHLQ $5, R9
+	MOVQ cs+160(FP), R13
 	MOVQ n+152(FP), CX
 	TESTQ CX, CX
 	JLE tipInnerDone
@@ -150,23 +144,23 @@ tipInnerLoop:
 	APPLY(SI, Y0, Y1, Y2, Y3, Y8, Y9)
 	VMULPD (BX)(AX*8), Y8, Y8
 	VMOVUPD Y8, 0(DI)
-	FLAG(Y8, Y9, R8, first+176(FP), R10)
-	ADDQ R9, DI
-	ADDQ R9, SI
-	ADDQ R11, DX
-	ADDQ R11, R8
+	FLAG(Y8, Y9, R8, first+168(FP), R10)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	INCQ DX
+	INCQ R8
 	DECQ CX
 	JNZ tipInnerLoop
 
 tipInnerDone:
 	MOVQ n+152(FP), AX
 	SUBQ CX, AX
-	MOVQ AX, ret+184(FP)
+	MOVQ AX, ret+176(FP)
 	VZEROUPPER
 	RET
 
-// func tipTipPlaneAVX(d, ta, tb []float64, ra, rb []byte, small []bool, j0, n, step, cs int, first bool) int
-TEXT ·tipTipPlaneAVX(SB), NOSPLIT, $0-192
+// func tipTipPlaneAVX(d, ta, tb []float64, ra, rb []byte, small []bool, j0, n, cs int, first bool) int
+TEXT ·tipTipPlaneAVX(SB), NOSPLIT, $0-184
 	VBROADCASTSD absMask<>(SB), Y12
 	VBROADCASTSD minLikelihood<>(SB), Y13
 	MOVQ j0+144(FP), R8
@@ -181,9 +175,7 @@ TEXT ·tipTipPlaneAVX(SB), NOSPLIT, $0-192
 	ADDQ small_base+120(FP), R8
 	MOVQ ta_base+24(FP), BX
 	MOVQ tb_base+48(FP), R12
-	MOVQ cs+168(FP), R13
-	MOVQ step+160(FP), R9
-	SHLQ $5, R9
+	MOVQ cs+160(FP), R13
 	MOVQ n+152(FP), CX
 	TESTQ CX, CX
 	JLE tipTipDone
@@ -202,18 +194,17 @@ tipTipLoop:
 	VMOVUPD (BX)(AX*8), Y8
 	VMULPD (R12)(R11*8), Y8, Y8
 	VMOVUPD Y8, 0(DI)
-	FLAG(Y8, Y9, R8, first+176(FP), R10)
-	MOVQ step+160(FP), R11
-	ADDQ R9, DI
-	ADDQ R11, SI
-	ADDQ R11, DX
-	ADDQ R11, R8
+	FLAG(Y8, Y9, R8, first+168(FP), R10)
+	ADDQ $32, DI
+	INCQ SI
+	INCQ DX
+	INCQ R8
 	DECQ CX
 	JNZ tipTipLoop
 
 tipTipDone:
 	MOVQ n+152(FP), AX
 	SUBQ CX, AX
-	MOVQ AX, ret+184(FP)
+	MOVQ AX, ret+176(FP)
 	VZEROUPPER
 	RET

@@ -80,8 +80,8 @@ func planeValues() []float64 {
 // with the scalar loops over the same inputs and compares every output bit:
 // the CLV planes (entries outside the run included), the scaling exponents,
 // the scaling flags, the processed count and the scaling-event count. It
-// covers tip/tip, tip/inner with the tip at either end and inner/inner; steps
-// 1, 2 and 3; run lengths 0…9 and 250; three categories (the first stores
+// covers tip/tip, tip/inner with the tip at either end and inner/inner; run
+// lengths 0…9 and 250; three categories (the first stores
 // the flag, later ones and into it) over a flag array poisoned true and
 // poisoned false; and inputs from plain (0, 1) draws through planes salted
 // with planeValues to planes of values around 2^-256 and on it (so whole
@@ -93,7 +93,7 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 	t.Cleanup(func() { planesKernel.Set(true) })
 	const (
 		offset   = 5   // the partition's first global pattern
-		patterns = 760 // enough for 250 patterns at step 3
+		patterns = 260 // enough for a 250-pattern run
 		cats     = 3
 		cs       = cats * 4
 		stride   = patterns*4 + 4 // catStride: planes padded, and not 32-byte multiples
@@ -194,52 +194,46 @@ func TestFusedPlanesMatchScalar(t *testing.T) {
 		}
 		garbage := plane(1)
 		for _, cse := range cases {
-			for _, step := range []int{1, 2, 3} {
-				for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250} {
-					for _, poison := range []bool{false, true} {
-						lo := offset + 1 + rng.Intn(3)
-						hi := lo + n*step
-						if n > 0 && rng.Intn(2) == 0 {
-							hi = lo + (n-1)*step + 1 // a run that ends off the stride
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250} {
+				for _, poison := range []bool{false, true} {
+					lo := offset + 1 + rng.Intn(3)
+					run := schedule.Run{Lo: lo, Hi: lo + n}
+					label := fmt.Sprintf("round %d %s n=%d poison=%v", round, cse.name, n, poison)
+					var got, want spanCtx
+					var gotN, wantN int
+					for _, on := range []bool{true, false} {
+						small := make([]byte, patterns)
+						for i := range small {
+							small[i] = flagByte(poison)
 						}
-						run := schedule.Run{Lo: lo, Hi: hi, Step: step}
-						label := fmt.Sprintf("round %d %s step=%d n=%d poison=%v", round, cse.name, step, n, poison)
-						var got, want spanCtx
-						var gotN, wantN int
-						for _, on := range []bool{true, false} {
-							small := make([]byte, patterns)
-							for i := range small {
-								small[i] = flagByte(poison)
-							}
-							c := spanCtx{
-								wk:        &worker{small: small},
-								partition: partition{s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset},
-								a:         cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
-							}
-							planesKernel.Set(on)
-							k := c.newviewFused4(run)
-							if on {
-								got, gotN = c, k
-							} else {
-								want, wantN = c, k
-							}
+						c := spanCtx{
+							wk:        &worker{small: small},
+							partition: partition{s: 4, cats: cats, cs: cs, base: base, catStride: stride, partOffset: offset},
+							a:         cse.a, b: cse.b, dst: slices.Clone(garbage), dstScale: make([]int32, offset+patterns),
 						}
-						if gotN != wantN || gotN != n {
-							t.Fatalf("%s: processed %d patterns, scalar %d, run has %d", label, gotN, wantN, n)
+						planesKernel.Set(on)
+						k := c.newviewFused4(run)
+						if on {
+							got, gotN = c, k
+						} else {
+							want, wantN = c, k
 						}
-						if got.scaled != want.scaled {
-							t.Fatalf("%s: %v scaling events, scalar %v", label, got.scaled, want.scaled)
-						}
-						if want.scaled > 0 {
-							scaledRuns++
-						}
-						sameSums(t, label+" planes", got.dst, want.dst)
-						if !slices.Equal(got.dstScale, want.dstScale) {
-							t.Fatalf("%s: scaling exponents %v, scalar %v", label, got.dstScale, want.dstScale)
-						}
-						if gs, ws := got.wk.small, want.wk.small; !slices.Equal(gs, ws) {
-							t.Fatalf("%s: scaling flags differ from the scalar loops'", label)
-						}
+					}
+					if gotN != wantN || gotN != n {
+						t.Fatalf("%s: processed %d patterns, scalar %d, run has %d", label, gotN, wantN, n)
+					}
+					if got.scaled != want.scaled {
+						t.Fatalf("%s: %v scaling events, scalar %v", label, got.scaled, want.scaled)
+					}
+					if want.scaled > 0 {
+						scaledRuns++
+					}
+					sameSums(t, label+" planes", got.dst, want.dst)
+					if !slices.Equal(got.dstScale, want.dstScale) {
+						t.Fatalf("%s: scaling exponents %v, scalar %v", label, got.dstScale, want.dstScale)
+					}
+					if gs, ws := got.wk.small, want.wk.small; !slices.Equal(gs, ws) {
+						t.Fatalf("%s: scaling flags differ from the scalar loops'", label)
 					}
 				}
 			}
@@ -266,54 +260,53 @@ func TestPlaneCallsTakeOnlyCheckedRuns(t *testing.T) {
 	for j := range row {
 		row[j] = byte(j % 3)
 	}
-	all := func(name string, d, x, p []float64, small []byte, row []byte, j0, n, step, want int) {
+	all := func(name string, d, x, p []float64, small []byte, row []byte, j0, n, want int) {
 		t.Helper()
-		if k := planeInner(d, x, x, p, p, small, j0, n, step, true); k != want {
+		if k := planeInner(d, x, x, p, p, small, j0, n, true); k != want {
 			t.Errorf("inner/inner, %s: computed %d patterns, want %d", name, k, want)
 		}
-		if k := planeTipInner(d, x, tab, row, p, small, j0, n, step, cs, 0, true); k != want {
+		if k := planeTipInner(d, x, tab, row, p, small, j0, n, cs, 0, true); k != want {
 			t.Errorf("tip/inner, %s: computed %d patterns, want %d", name, k, want)
 		}
 	}
-	all("fitting slices", d, x, p, small, row, 0, n, 1, n)
-	all("strided", d, x, p, small, row, 1, 3, 4, 3)
-	all("past the planes", d, x, p, small, row, 1, n, 1, 0)
-	all("short destination", d[:4*n-1], x, p, small, row, 0, n, 1, 0)
-	all("short source", d, x[:4*n-1], p, small, row, 0, n, 1, 0)
-	all("short flags", d, x, p, small[:n-1], row, 0, n, 1, 0)
-	all("short P", d, x, p[:15], small, row, 0, n, 1, 0)
-	all("negative start", d, x, p, small, row, -1, 2, 1, 0)
-	all("zero step", d, x, p, small, row, 0, 2, 0, 0)
-	all("empty run", d, x, p, small, row, 0, 0, 1, 0)
-	if k := planeTipInner(d, x, tab, row[:n-1], p, small, 0, n, 1, cs, 0, true); k != 0 {
+	all("fitting slices", d, x, p, small, row, 0, n, n)
+	all("a middle run", d, x, p, small, row, 1, 3, 3)
+	all("past the planes", d, x, p, small, row, 1, n, 0)
+	all("short destination", d[:4*n-1], x, p, small, row, 0, n, 0)
+	all("short source", d, x[:4*n-1], p, small, row, 0, n, 0)
+	all("short flags", d, x, p, small[:n-1], row, 0, n, 0)
+	all("short P", d, x, p[:15], small, row, 0, n, 0)
+	all("negative start", d, x, p, small, row, -1, 2, 0)
+	all("empty run", d, x, p, small, row, 0, 0, 0)
+	if k := planeTipInner(d, x, tab, row[:n-1], p, small, 0, n, cs, 0, true); k != 0 {
 		t.Errorf("tip/inner, short row: computed %d patterns, want 0", k)
 	}
-	if k := planeTipTip(d, tab, tab, row, row[:n-1], small, 0, n, 1, cs, 0, true); k != 0 {
+	if k := planeTipTip(d, tab, tab, row, row[:n-1], small, 0, n, cs, 0, true); k != 0 {
 		t.Errorf("tip/tip, short row: computed %d patterns, want 0", k)
 	}
 
 	row[6] = 3 // no row for code 3: patterns 0..5 are computed, 6 on is the scalar loop's
-	if k := planeTipInner(d, x, tab, row, p, small, 0, n, 1, cs, 0, true); k != 6 {
+	if k := planeTipInner(d, x, tab, row, p, small, 0, n, cs, 0, true); k != 6 {
 		t.Errorf("tip/inner, code 3 at pattern 6: computed %d patterns, want 6", k)
 	}
-	if k := planeTipTip(d, tab, tab, row, row, small, 0, n, 1, cs, 0, true); k != 6 {
+	if k := planeTipTip(d, tab, tab, row, row, small, 0, n, cs, 0, true); k != 6 {
 		t.Errorf("tip/tip, code 3 at pattern 6: computed %d patterns, want 6", k)
 	}
 	// At category offset 1 the row of code 2 ends one entry past the table.
-	if k := planeTipInner(d, x, tab, row, p, small, 0, n, 1, cs, 1, true); k != 2 {
+	if k := planeTipInner(d, x, tab, row, p, small, 0, n, cs, 1, true); k != 2 {
 		t.Errorf("tip/inner at category offset 1: computed %d patterns, want 2", k)
 	}
-	if k := planeTipTip(d, tab, tab, row, row, small, 0, n, 1, cs, 1, true); k != 2 {
+	if k := planeTipTip(d, tab, tab, row, row, small, 0, n, cs, 1, true); k != 2 {
 		t.Errorf("tip/tip at category offset 1: computed %d patterns, want 2", k)
 	}
 }
 
 // scalePassReference is newviewFused4's closing pass as every run took it
-// before contiguous runs became one copy or add and an IndexByte scan: each
-// pattern of the run in turn, its exponents summed, a flagged one rescaled.
+// before runs became one copy or add and an IndexByte scan: each pattern of
+// the run in turn, its exponents summed, a flagged one rescaled.
 func (c *spanCtx) scalePassReference(small []byte, run schedule.Run) int {
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		sc := int32(0)
 		if !c.a.tip {
@@ -341,13 +334,12 @@ func (c *spanCtx) scalePassReference(small []byte, run schedule.Run) int {
 	return count
 }
 
-// TestScalePassMatchesLoop holds the fused newview's scaling pass to the loop
-// it replaced, on Step 1 runs (one copy or add, then only the flagged
-// patterns) and Step 2 and 3 runs (the loop itself), for every pair of tip and
-// inner ends, with patterns forced small: none, one, the run's first and last,
-// a fifth of them at random, and all. The CLV bits (entries outside the run
-// included), every scaling exponent, the scaling-event count and the processed
-// count must all be the loop's.
+// TestScalePassMatchesLoop holds the fused newview's scaling pass (one copy
+// or add, then only the flagged patterns) to the loop it replaced, for every
+// pair of tip and inner ends, with patterns forced small: none, one, the
+// run's first and last, a fifth of them at random, and all. The CLV bits
+// (entries outside the run included), every scaling exponent, the
+// scaling-event count and the processed count must all be the loop's.
 func TestScalePassMatchesLoop(t *testing.T) {
 	const (
 		offset   = 5
@@ -368,11 +360,11 @@ func TestScalePassMatchesLoop(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		inner := func() spanEnd { return spanEnd{sc: exps()} }
 		for _, ends := range [][2]spanEnd{{tip, tip}, {tip, inner()}, {inner(), tip}, {inner(), inner()}} {
-			for _, step := range []int{1, 2, 3} {
+			for range 3 {
 				lo := offset + rng.Intn(10)
 				n := []int{0, 1, 2, 7, 64, 97}[rng.Intn(6)]
-				hi := min(lo+n*step, offset+patterns)
-				run := schedule.Run{Lo: lo, Hi: hi, Step: step}
+				hi := min(lo+n, offset+patterns)
+				run := schedule.Run{Lo: lo, Hi: hi}
 				small := make([]byte, patterns)
 				switch round % 5 {
 				case 1:
@@ -407,7 +399,7 @@ func TestScalePassMatchesLoop(t *testing.T) {
 						got = c
 					}
 				}
-				label := fmt.Sprintf("round %d tip=%v/%v step=%d run [%d, %d)", round, ends[0].tip, ends[1].tip, step, lo, hi)
+				label := fmt.Sprintf("round %d tip=%v/%v run [%d, %d)", round, ends[0].tip, ends[1].tip, lo, hi)
 				if gotN != wantN || got.scaled != want.scaled {
 					t.Fatalf("%s: %d patterns and %v scaling events, loop %d and %v", label, gotN, got.scaled, wantN, want.scaled)
 				}

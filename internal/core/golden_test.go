@@ -29,8 +29,8 @@ import (
 //   - the summed per-worker observability scratch (patterns, scalings, span
 //     cases), read through a RegionObserver.
 //
-// The accounting constants have been re-recorded twice since, and nothing
-// else. First the op PRICES changed when span set-up stopped computing what
+// The accounting constants have been re-recorded three times since, and
+// nothing else. First the op PRICES changed when span set-up stopped computing what
 // it has (a P(z) block taken from the worker's memo charges nothing, a
 // gathered tip-table row its set-state count x cats x s), so TotalOps,
 // CriticalOps and the newview / evaluate KindCritical entries moved. The
@@ -39,8 +39,14 @@ import (
 // they did. Then the sumtable became a pass of the first derivative region
 // at its branch, over every partition: the sumtable region count went 1 ->
 // 0, its critical path moved under derivative, and the masked partition's
-// projection added 1,728 ops to TotalOps. Result bits, the other region
-// counts, patterns, scalings and span counters are the fb4afa3 values.
+// projection added 1,728 ops to TotalOps. Then the hand-built masked steps
+// (executeSteps) were stamped as the engine stamps its own: their flags are
+// partial, so the evaluate after them and the derivative region after that
+// each run a whole root traversal (the first over the mask, the second over
+// every partition) instead of trusting flags the masked partition's CLVs do
+// not back, which moved every op total, the evaluate and derivative
+// critical paths, patterns, scalings and span counters. Result bits and
+// region counts are the fb4afa3 values.
 // (The table also had rows for a pool that stole work; they went with
 // stealing.)
 
@@ -229,30 +235,30 @@ var (
 	}
 	goldenAccountingT1 = map[bool]goldenAccounting{
 		true: {
-			totalOps: 6.313744e+06, criticalOps: 6.313744e+06,
+			totalOps: 1.7943304e+07, criticalOps: 1.7943304e+07,
 			kindRegions:  [4]int64{2, 3, 0, 2},
-			kindCritical: [4]float64{6.201704e+06, 65048, 0, 46992},
-			patterns:     15012, scalings: 171, tipTip: 116, tipInner: 255, inner: 117,
+			kindCritical: [4]float64{6.201704e+06, 5.767528e+06, 0, 5.974072e+06},
+			patterns:     40292, scalings: 360, tipTip: 311, tipInner: 665, inner: 302,
 		},
 		false: {
-			totalOps: 6.610312e+06, criticalOps: 6.610312e+06,
+			totalOps: 1.8744712e+07, criticalOps: 1.8744712e+07,
 			kindRegions:  [4]int64{2, 3, 0, 2},
-			kindCritical: [4]float64{6.497216e+06, 66104, 0, 46992},
-			patterns:     15012, scalings: 171, tipTip: 116, tipInner: 255, inner: 117,
+			kindCritical: [4]float64{6.497216e+06, 5.981624e+06, 0, 6.265872e+06},
+			patterns:     40292, scalings: 360, tipTip: 311, tipInner: 665, inner: 302,
 		},
 	}
 	goldenAccountingT3 = map[bool]goldenAccounting{
 		true: {
-			totalOps: 6.499064e+06, criticalOps: 2.260302e+06,
+			totalOps: 1.8354584e+07, criticalOps: 6.389102e+06,
 			kindRegions:  [4]int64{2, 3, 0, 2},
-			kindCritical: [4]float64{2.221344e+06, 22658, 0, 16300},
-			patterns:     15012, scalings: 171, tipTip: 348, tipInner: 765, inner: 351,
+			kindCritical: [4]float64{2.221344e+06, 2.036498e+06, 0, 2.13126e+06},
+			patterns:     40292, scalings: 360, tipTip: 933, tipInner: 1995, inner: 906,
 		},
 		false: {
-			totalOps: 6.642824e+06, criticalOps: 2.308222e+06,
+			totalOps: 1.8777224e+07, criticalOps: 6.529982e+06,
 			kindRegions:  [4]int64{2, 3, 0, 2},
-			kindCritical: [4]float64{2.268976e+06, 22946, 0, 16300},
-			patterns:     15012, scalings: 171, tipTip: 348, tipInner: 765, inner: 351,
+			kindCritical: [4]float64{2.268976e+06, 2.083266e+06, 0, 2.17774e+06},
+			patterns:     40292, scalings: 360, tipTip: 933, tipInner: 1995, inner: 906,
 		},
 	}
 )

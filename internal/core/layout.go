@@ -91,9 +91,6 @@ func (l *CLVLayout) Total() int { return l.total }
 // SumTotal returns the sumtable workspace length, padding included.
 func (l *CLVLayout) SumTotal() int { return l.sumTotal }
 
-// Base returns partition ip's CLV base offset.
-func (l *CLVLayout) Base(ip int) int { return l.parts[ip].base }
-
 // Index returns the offset of (partition ip, local pattern j, category c,
 // state 0); state a lives at Index(ip, j, c) + a.
 func (l *CLVLayout) Index(ip, j, c int) int {

@@ -36,6 +36,16 @@ func (e *Engine) TraverseRoot(p *tree.Node) {
 // step may rewrite an end of the last sumtable's branch, so it also forgets
 // that branch (BranchDerivatives).
 func (e *Engine) rootSteps(p *tree.Node, stepAct []bool) []tree.TraversalStep {
+	epochs := e.checkX()
+	if e.steps = tree.RootTraversal(e.steps[:0], p); len(e.steps) > 0 {
+		e.stamp(epochs, stepAct)
+	}
+	return e.steps
+}
+
+// checkX clears every flag unless the flags are the current models' and
+// whole, and returns the models' epoch sum, the stamp listed steps record.
+func (e *Engine) checkX() uint64 {
 	var epochs uint64
 	for _, m := range e.Models {
 		epochs += m.Epoch()
@@ -43,10 +53,13 @@ func (e *Engine) rootSteps(p *tree.Node, stepAct []bool) []tree.TraversalStep {
 	if e.xPartial || epochs != e.xEpochs {
 		e.Tree.ClearX()
 	}
-	if e.steps = tree.RootTraversal(e.steps[:0], p); len(e.steps) > 0 {
-		e.xEpochs, e.xPartial, e.sumAt = epochs, slices.Contains(stepAct, false), nil
-	}
-	return e.steps
+	return epochs
+}
+
+// stamp records that listed steps run over stepAct's partitions under the
+// models at epochs, and forgets the last sumtable's branch.
+func (e *Engine) stamp(epochs uint64, stepAct []bool) {
+	e.xEpochs, e.xPartial, e.sumAt = epochs, slices.Contains(stepAct, false), nil
 }
 
 // applyRows is the generic bodies' P application to a 4-state block, whose
@@ -100,8 +113,7 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
 	rows := c.newviewRowsFit(run)
-	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
 		switch {
@@ -161,9 +173,8 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 			}
 		}
 		c.finishPattern(i, off)
-		count++
 	}
-	return count
+	return run.Len()
 }
 
 // NewviewRowsKernel is the kernel newviewGeneric runs a 20-state pattern's

@@ -23,10 +23,10 @@ func newviewRowAVX(dst, row, pm, x []float64, stride, cats int)
 // stays inside its slice. A table row is sliced whole and a tip vector has
 // twenty entries, so the per-pattern calls check nothing more.
 func (c *spanCtx) newviewRowsFit(run schedule.Run) bool {
-	if !NewviewRowsKernel.On() || c.s != 20 || c.cats < 1 || run.Step < 1 || run.Hi <= run.Lo {
+	if !NewviewRowsKernel.On() || c.s != 20 || c.cats < 1 || run.Hi <= run.Lo {
 		return false
 	}
-	last := run.Lo + (run.Hi-1-run.Lo)/run.Step*run.Step - c.partOffset
+	last := run.Hi - 1 - c.partOffset
 	reach := c.base + last*20 + (c.cats-1)*c.catStride + 20
 	return c.base >= 0 && c.catStride >= 0 && reach <= len(c.dst) && c.a.rowsFit(reach, c.cats) && c.b.rowsFit(reach, c.cats)
 }

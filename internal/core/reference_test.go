@@ -50,7 +50,7 @@ func (c *spanCtx) newviewReference(run schedule.Run) int {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
 		switch {
@@ -203,7 +203,7 @@ func (c *spanCtx) siteReference(i int, rawLi float64) float64 {
 func (c *spanCtx) sumtableReference(run schedule.Run) int {
 	s := c.s
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
 		soff := c.sumBase + j*c.cs
@@ -265,7 +265,7 @@ func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) int {
 	cs := c.cs
 	R := c.R
 	count := 0
-	for i := run.Lo; i < run.Hi; i += run.Step {
+	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		soff := c.sumBase + j*cs
 		l, l1, l2 := 0.0, 0.0, 0.0
@@ -401,7 +401,7 @@ func TestApplyColsBitIdentity(t *testing.T) {
 }
 
 // TestDerivativePairsBitIdentity: the paired loop against the single-pattern
-// body over every run length 0…9 (odd tails included), strided runs, one and
+// body over every run length 0…9 (odd tails included), one and
 // three lanes, with the vanished-likelihood guard tripping on the first, the
 // second, both and neither pattern of a pair: d1, d2 and the charged count.
 func TestDerivativePairsBitIdentity(t *testing.T) {
@@ -415,25 +415,23 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 		return v
 	}
 	for _, R := range []int{1, 3} {
-		for _, step := range []int{1, 3} {
-			for n := 0; n <= 9; n++ {
-				for vanish := 0; vanish < 4; vanish++ {
-					c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 11}, R: R, sum: vec(11 + patterns*cs), lw: vec(patterns * R),
-						eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs)}
-					run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n*step, Step: step}
-					for k, i := 0, run.Lo; i < run.Hi; k, i = k+1, i+step {
-						if vanish>>(k%2)&1 == 1 {
-							clear(c.sum[c.sumBase+(i-offset)*cs:][:cs])
-						}
+		for n := 0; n <= 9; n++ {
+			for vanish := 0; vanish < 4; vanish++ {
+				c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 11}, R: R, sum: vec(11 + patterns*cs), lw: vec(patterns * R),
+					eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs)}
+				run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n}
+				for k, i := 0, run.Lo; i < run.Hi; k, i = k+1, i+1 {
+					if vanish>>(k%2)&1 == 1 {
+						clear(c.sum[c.sumBase+(i-offset)*cs:][:cs])
 					}
-					got, want := vec(2*R), make([]float64, 2*R)
-					copy(want, got)
-					label := fmt.Sprintf("R=%d step=%d n=%d vanish=%02b", R, step, n, vanish)
-					if g, w := c.derivativeGeneric(run, got), c.derivativeReference(run, want); g != w || g != n {
-						t.Fatalf("%s: charged %d patterns, reference %d, run has %d", label, g, w, n)
-					}
-					sameBits(t, label, got, want)
 				}
+				got, want := vec(2*R), make([]float64, 2*R)
+				copy(want, got)
+				label := fmt.Sprintf("R=%d n=%d vanish=%02b", R, n, vanish)
+				if g, w := c.derivativeGeneric(run, got), c.derivativeReference(run, want); g != w || g != n {
+					t.Fatalf("%s: charged %d patterns, reference %d, run has %d", label, g, w, n)
+				}
+				sameBits(t, label, got, want)
 			}
 		}
 	}
@@ -443,7 +441,7 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 // (where the host runs it) against the paired loop alone (the kernel off) and
 // the per-pattern reference, at cs = 4, 16, 20 and 80, every run length 1…11
 // (no whole quartet, one, two with and without a tail) and lengths past one
-// kernel call's block, steps 1…3, one, three and a hundred lanes. Rows hold
+// kernel call's block, one, three and a hundred lanes. Rows hold
 // ±0, subnormals, ones and values near 2^±500 at random; some patterns' rows
 // vanish (the l < 1e-300 guard) and, in every other run, some carry a NaN or
 // an infinity. d1, d2 and the charged count must agree; a NaN only as a NaN
@@ -472,44 +470,42 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 	runs := 0
 	for _, cs := range []int{4, 16, 20, 80} {
 		for _, R := range []int{1, 3, 100} {
-			for _, step := range []int{1, 2, 3} {
-				for ni, n := range lengths {
-					special := ni%2 == 1 // NaN and infinite rows in every other run, so most sums stay finite
-					patterns := 3 + n*step
-					c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 9}, R: R, sum: vec(9 + patterns*cs), lw: vec(patterns * R),
-						eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs), sums: vec(12 * derivBlock)}
-					for j := 0; j < patterns; j++ {
-						row := c.sum[c.sumBase+j*cs:][:cs]
-						switch rng.Intn(12) {
-						case 0:
-							clear(row)
-						case 1:
-							if special {
-								row[rng.Intn(cs)] = math.NaN()
-							}
-						case 2:
-							if special {
-								row[rng.Intn(cs)] = math.Inf(2*rng.Intn(2) - 1)
-							}
+			for ni, n := range lengths {
+				special := ni%2 == 1 // NaN and infinite rows in every other run, so most sums stay finite
+				patterns := 3 + n
+				c := spanCtx{partition: partition{cs: cs, partOffset: offset, sumBase: 9}, R: R, sum: vec(9 + patterns*cs), lw: vec(patterns * R),
+					eTab: vec(cs), g1Tab: vec(cs), g2Tab: vec(cs), sums: vec(12 * derivBlock)}
+				for j := 0; j < patterns; j++ {
+					row := c.sum[c.sumBase+j*cs:][:cs]
+					switch rng.Intn(12) {
+					case 0:
+						clear(row)
+					case 1:
+						if special {
+							row[rng.Intn(cs)] = math.NaN()
+						}
+					case 2:
+						if special {
+							row[rng.Intn(cs)] = math.Inf(2*rng.Intn(2) - 1)
 						}
 					}
-					run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n*step, Step: step}
-					label := fmt.Sprintf("cs=%d R=%d step=%d n=%d", cs, R, step, n)
-					kernel, paired, ref := vec(2*R), make([]float64, 2*R), make([]float64, 2*R)
-					copy(paired, kernel)
-					copy(ref, kernel)
-					gk := c.derivativeGeneric(run, kernel)
-					was := DerivativeKernel.Set(false)
-					gp := c.derivativeGeneric(run, paired)
-					DerivativeKernel.Set(was)
-					gr := c.derivativeReference(run, ref)
-					if gk != n || gp != n || gr != n {
-						t.Fatalf("%s: charged %d (kernel) / %d (paired loop) / %d (reference) patterns, run has %d", label, gk, gp, gr, n)
-					}
-					sameSums(t, label+", kernel against the paired loop", kernel, paired)
-					sameSums(t, label+", kernel against the reference", kernel, ref)
-					runs++
 				}
+				run := schedule.Run{Lo: offset + 2, Hi: offset + 2 + n}
+				label := fmt.Sprintf("cs=%d R=%d n=%d", cs, R, n)
+				kernel, paired, ref := vec(2*R), make([]float64, 2*R), make([]float64, 2*R)
+				copy(paired, kernel)
+				copy(ref, kernel)
+				gk := c.derivativeGeneric(run, kernel)
+				was := DerivativeKernel.Set(false)
+				gp := c.derivativeGeneric(run, paired)
+				DerivativeKernel.Set(was)
+				gr := c.derivativeReference(run, ref)
+				if gk != n || gp != n || gr != n {
+					t.Fatalf("%s: charged %d (kernel) / %d (paired loop) / %d (reference) patterns, run has %d", label, gk, gp, gr, n)
+				}
+				sameSums(t, label+", kernel against the paired loop", kernel, paired)
+				sameSums(t, label+", kernel against the reference", kernel, ref)
+				runs++
 			}
 		}
 	}
@@ -521,7 +517,7 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 // per-pattern reference, at s = 4 and 20, one, three and four categories
 // (1/3, unlike 1 and 1/4, rounds), every pairing of an inner end, a tip end
 // without a table (Specialize off) and a tip end with its projection table
-// on either side, over runs of step 1 and 3. CLV, frequency and eigenvector
+// on either side. CLV, frequency and eigenvector
 // entries are signed; a third of the patterns' CLVs, and some eigenvector
 // entries, sit near 2^-256, and every ninth pattern's near 2^-515, so an
 // inner/inner product is subnormal. Planes and rows are unaligned.
@@ -598,30 +594,28 @@ func TestSumtableKernelBitIdentity(t *testing.T) {
 			for _, ka := range ends {
 				for _, kb := range ends {
 					c.a, c.b = bind(0, ka), bind(1, kb)
-					for _, step := range []int{1, 3} {
-						run := schedule.Run{Lo: offset, Hi: offset + n, Step: step}
-						label := fmt.Sprintf("s=%d cats=%d %s/%s step=%d", s, cats, ka, kb, step)
-						sums := [3][]float64{}
-						for k := range sums {
-							sums[k] = make([]float64, c.sumBase+n*c.cs+2)
-							for i := range sums[k] {
-								sums[k][i] = math.NaN() // an entry no arm writes stays NaN in all three
-							}
+					run := schedule.Run{Lo: offset, Hi: offset + n}
+					label := fmt.Sprintf("s=%d cats=%d %s/%s", s, cats, ka, kb)
+					sums := [3][]float64{}
+					for k := range sums {
+						sums[k] = make([]float64, c.sumBase+n*c.cs+2)
+						for i := range sums[k] {
+							sums[k][i] = math.NaN() // an entry no arm writes stays NaN in all three
 						}
-						kernel, scalar, ref := c, c, c
-						kernel.sum, scalar.sum, ref.sum = sums[0], sums[1], sums[2]
-						gk := kernel.sumtableGeneric(run)
-						was := SumtableKernel.Set(false)
-						gs := scalar.sumtableGeneric(run)
-						SumtableKernel.Set(was)
-						gr := ref.sumtableReference(run)
-						if want := (n + step - 1) / step; gk != want || gs != want || gr != want {
-							t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, want)
-						}
-						sameSums(t, label+", kernel against the scalar loop", sums[0], sums[1])
-						sameSums(t, label+", kernel against the reference", sums[0], sums[2])
-						runs++
 					}
+					kernel, scalar, ref := c, c, c
+					kernel.sum, scalar.sum, ref.sum = sums[0], sums[1], sums[2]
+					gk := kernel.sumtableGeneric(run)
+					was := SumtableKernel.Set(false)
+					gs := scalar.sumtableGeneric(run)
+					SumtableKernel.Set(was)
+					gr := ref.sumtableReference(run)
+					if gk != n || gs != n || gr != n {
+						t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, n)
+					}
+					sameSums(t, label+", kernel against the scalar loop", sums[0], sums[1])
+					sameSums(t, label+", kernel against the reference", sums[0], sums[2])
+					runs++
 				}
 			}
 		}
@@ -634,7 +628,7 @@ func TestSumtableKernelBitIdentity(t *testing.T) {
 // kernel off) and the per-pattern reference, at one to four categories (two
 // and four pair every category in the table-row shape, one and three leave
 // one alone), for inner/inner, table/inner, inner/table, bare-tip/inner and
-// table/table children, over runs of step 1 and 3. CLV, P block and table
+// table/table children. CLV, P block and table
 // entries are signed, every category's block its own; a third of the
 // patterns' CLVs, and a third of the table rows, sit near 2^-256, so a
 // product of two needs rescaling, and every ninth pattern's CLVs near
@@ -707,37 +701,35 @@ func TestNewviewRowsKernelBitIdentity(t *testing.T) {
 		}
 		for _, ends := range [][2]string{{"inner", "inner"}, {"table", "inner"}, {"inner", "table"}, {"tip", "inner"}, {"table", "table"}} {
 			c.a, c.b = bind(0, ends[0]), bind(1, ends[1])
-			for _, step := range []int{1, 3} {
-				run := schedule.Run{Lo: offset, Hi: offset + n, Step: step}
-				label := fmt.Sprintf("cats=%d %s/%s step=%d", cats, ends[0], ends[1], step)
-				var arms [3]spanCtx
-				for k := range arms {
-					arms[k] = c
-					arms[k].dst, arms[k].dstScale = make([]float64, c.base+cats*plane+2), make([]int32, offset+n)
-					for i := range arms[k].dst {
-						arms[k].dst[i] = math.NaN() // an entry no arm writes stays NaN in all three
-					}
+			run := schedule.Run{Lo: offset, Hi: offset + n}
+			label := fmt.Sprintf("cats=%d %s/%s", cats, ends[0], ends[1])
+			var arms [3]spanCtx
+			for k := range arms {
+				arms[k] = c
+				arms[k].dst, arms[k].dstScale = make([]float64, c.base+cats*plane+2), make([]int32, offset+n)
+				for i := range arms[k].dst {
+					arms[k].dst[i] = math.NaN() // an entry no arm writes stays NaN in all three
 				}
-				gk := arms[0].newviewGeneric(run)
-				was := NewviewRowsKernel.Set(false)
-				gs := arms[1].newviewGeneric(run)
-				NewviewRowsKernel.Set(was)
-				gr := arms[2].newviewReference(run)
-				if want := (n + step - 1) / step; gk != want || gs != want || gr != want {
-					t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, want)
-				}
-				for k, arm := range []string{"scalar loop", "reference"} {
-					other := &arms[k+1]
-					sameSums(t, label+", kernel against the "+arm, arms[0].dst, other.dst)
-					if !slices.Equal(arms[0].dstScale, other.dstScale) || arms[0].scaled != other.scaled {
-						t.Fatalf("%s: scaling exponents %v (%v events), the %s's %v (%v)", label, arms[0].dstScale, arms[0].scaled, arm, other.dstScale, other.scaled)
-					}
-				}
-				if arms[0].scaled == 0 {
-					t.Fatalf("%s: no pattern was rescaled", label)
-				}
-				runs++
 			}
+			gk := arms[0].newviewGeneric(run)
+			was := NewviewRowsKernel.Set(false)
+			gs := arms[1].newviewGeneric(run)
+			NewviewRowsKernel.Set(was)
+			gr := arms[2].newviewReference(run)
+			if gk != n || gs != n || gr != n {
+				t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, n)
+			}
+			for k, arm := range []string{"scalar loop", "reference"} {
+				other := &arms[k+1]
+				sameSums(t, label+", kernel against the "+arm, arms[0].dst, other.dst)
+				if !slices.Equal(arms[0].dstScale, other.dstScale) || arms[0].scaled != other.scaled {
+					t.Fatalf("%s: scaling exponents %v (%v events), the %s's %v (%v)", label, arms[0].dstScale, arms[0].scaled, arm, other.dstScale, other.scaled)
+				}
+			}
+			if arms[0].scaled == 0 {
+				t.Fatalf("%s: no pattern was rescaled", label)
+			}
+			runs++
 		}
 	}
 	t.Logf("%d runs compared", runs)
@@ -761,7 +753,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 			}
 			for ip, part := range d.Parts {
 				label := fmt.Sprintf("%v specialize=%v %s", backend, specialize, part.Name)
-				run := schedule.Run{Lo: part.Offset, Hi: part.Offset + part.PatternCount, Step: 1}
+				run := schedule.Run{Lo: part.Offset, Hi: part.Offset + part.PatternCount}
 				lo, n := eng.layout.Base(ip), part.PatternCount*eng.numCats*part.Type.States()
 				var ctx parallel.WorkerCtx
 				c := eng.workers[0].span

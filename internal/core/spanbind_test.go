@@ -49,7 +49,7 @@ func TestSpanRebindsInPlace(t *testing.T) {
 	var cctx, fctx parallel.WorkerCtx
 	for ip, part := range e.Data.Parts {
 		share := part.PatternCount
-		run := schedule.Run{Lo: part.Offset, Hi: part.Offset + share, Step: 1}
+		run := schedule.Run{Lo: part.Offset, Hi: part.Offset + share}
 		kinds := []struct {
 			name string
 			r    region

@@ -332,20 +332,25 @@ func TestEmpiricalFreqs(t *testing.T) {
 	}
 }
 
+// TestByNameAndDefaults: the presets a partition file once named build, and
+// DefaultsFor gives a DNA partition a DNA model. (ByName, which mapped the
+// names, is gone: the partition file sets the alphabet and DefaultsFor picks
+// the model.)
 func TestByNameAndDefaults(t *testing.T) {
 	a, _ := alignment.New(
 		[]string{"t1", "t2", "t3"},
 		[][]byte{[]byte("ACGT"), []byte("ACGT"), []byte("ACGT")},
 	)
 	d, _ := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
-	for _, name := range []string{"JC", "GTR", "DNA", "WAG", "SYN20", "POISSON"} {
-		m, err := ByName(name, d.Parts[0], 4, 1)
-		if err != nil || m == nil {
-			t.Errorf("ByName(%q) failed: %v", name, err)
+	for name, build := range map[string]func() (*Model, error){
+		"JC":      func() (*Model, error) { return JC69(4, 1) },
+		"GTR":     func() (*Model, error) { return GTR(EmpiricalFreqs(d.Parts[0]), nil, 4, 1) },
+		"SYN20":   func() (*Model, error) { return SYN20(4, 1) },
+		"POISSON": func() (*Model, error) { return Poisson20(4, 1) },
+	} {
+		if m, err := build(); err != nil || m == nil {
+			t.Errorf("%s failed: %v", name, err)
 		}
-	}
-	if _, err := ByName("NOPE", nil, 4, 1); err == nil {
-		t.Error("expected error for unknown name")
 	}
 	ms, err := DefaultsFor(d.Parts, 4, 1)
 	if err != nil || ms[0].Type != alignment.DNA {

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"phylo/internal/alignment"
@@ -110,29 +108,6 @@ func SYN20(numCats int, alpha float64) (*Model, error) {
 // process.
 func Poisson20(numCats int, alpha float64) (*Model, error) {
 	return instance(poisson20Preset, numCats, alpha, nil)
-}
-
-// ByName constructs a model from a partition-file model name, optionally
-// seeding frequencies empirically from data.
-func ByName(name string, part *alignment.CompressedPartition, numCats int, alpha float64) (*Model, error) {
-	upper := strings.ToUpper(name)
-	switch {
-	case upper == "JC" || upper == "JC69":
-		return JC69(numCats, alpha)
-	case upper == "DNA" || upper == "GTR" || strings.HasPrefix(upper, "GTR"):
-		var freqs []float64
-		if part != nil {
-			freqs = EmpiricalFreqs(part)
-		}
-		return GTR(freqs, nil, numCats, alpha)
-	case upper == "SYN20" || upper == "WAG" || upper == "JTT" || upper == "LG" ||
-		upper == "DAYHOFF" || strings.HasPrefix(upper, "PROT"):
-		return SYN20(numCats, alpha)
-	case upper == "POISSON" || upper == "AA":
-		return Poisson20(numCats, alpha)
-	default:
-		return nil, fmt.Errorf("model: unknown model name %q", name)
-	}
 }
 
 // DefaultsFor builds the default model of every partition: GTR with

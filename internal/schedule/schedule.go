@@ -1,24 +1,24 @@
 // Package schedule computes pattern-to-worker assignments for the likelihood
 // kernel. The global pattern space [0, Total) is the concatenation of the
 // partitions' compressed patterns; a Schedule precomputes, per worker and per
-// partition, the [Lo, Hi) index runs that worker owns (contiguous for the
-// block and weighted strategies, stride-encoded for cyclic). Kernels iterate
-// runs instead of hard-coding a distribution, which turns the paper's fixed
-// design decision (cyclic striding, Sec. IV) into a pluggable, benchmarkable
-// axis:
+// partition, the one contiguous [Lo, Hi) run of patterns that worker owns
+// (possibly empty). Kernels iterate runs instead of hard-coding a
+// distribution, which turns the paper's fixed design decision (cyclic
+// distribution, Sec. IV) into a pluggable, benchmarkable axis:
 //
-//   - Cyclic: worker w owns the indices congruent to w modulo the worker
-//     count. This is the paper's choice and the default; it balances every
-//     partition individually by pattern count, so even narrow single-partition
-//     regions (oldPAR) keep all workers busy.
+//   - Cyclic: the paper's per-partition balance and the default. Worker w
+//     owns as many patterns of every partition as the indices congruent to w
+//     modulo the worker count would give it, as one contiguous run; the runs
+//     tile the partition in worker order. Every partition is balanced by
+//     pattern count on its own, so even narrow single-partition regions
+//     (oldPAR) keep all workers busy.
 //   - Block: each worker owns one contiguous slice of the whole pattern
 //     space. The ablation the paper argues against: narrow regions land on
 //     one or two workers, and mixed alignments give some workers only cheap
 //     columns.
 //   - Weighted: an LPT (longest-processing-time) bin-packing of per-partition
 //     pattern chunks onto workers using per-pattern op costs, so mixed
-//     DNA/protein datasets balance by cost rather than by count while every
-//     worker still receives at most one contiguous run per partition.
+//     DNA/protein datasets balance by cost rather than by count.
 //   - Measured: the weighted pack under caller-supplied prices (Rebalance).
 //     Nothing in the program reprices a schedule at run time — a dataset's
 //     schedule is built once and never changes (DESIGN.md "Why the schedule
@@ -42,7 +42,8 @@ type Strategy int
 
 // The built-in strategies.
 const (
-	// Cyclic is the paper's distribution: indices modulo the worker count.
+	// Cyclic is the paper's per-partition distribution: each worker gets the
+	// pattern count of its indices modulo the worker count, as one run.
 	Cyclic Strategy = iota
 	// Block gives each worker one contiguous slice of the global space.
 	Block
@@ -95,32 +96,24 @@ type Span struct {
 // Len returns the pattern count of the span.
 func (s Span) Len() int { return s.Hi - s.Lo }
 
-// Run is a strided half-open global pattern index interval: the indices
-// Lo, Lo+Step, Lo+2*Step, ... below Hi. Step is always >= 1; block and
-// weighted assignments emit contiguous runs (Step == 1), while one cyclic
-// run encodes a worker's whole share of a span in O(1) memory (Step == T).
-// Iterate with `for i := r.Lo; i < r.Hi; i += r.Step`.
+// Run is a half-open global pattern index interval [Lo, Hi), empty when
+// Hi <= Lo.
 type Run struct {
-	Lo, Hi, Step int
+	Lo, Hi int
 }
 
 // Len returns the pattern count of the run.
-func (r Run) Len() int {
-	if r.Hi <= r.Lo {
-		return 0
-	}
-	return (r.Hi - r.Lo + r.Step - 1) / r.Step
-}
+func (r Run) Len() int { return max(r.Hi-r.Lo, 0) }
 
 // Schedule is a precomputed pattern-to-worker assignment: for every worker
-// and every span (partition), an ordered list of disjoint runs. Together the
-// runs of all workers partition every span exactly.
+// and every span (partition), one contiguous run. Together the runs of all
+// workers partition every span exactly.
 type Schedule struct {
 	strategy Strategy
 	threads  int
 	total    int
 	spans    []Span
-	runs     [][][]Run // [worker][span] -> ascending disjoint runs
+	runs     [][]Run // [worker][span] -> the worker's run, empty for no share
 }
 
 // New builds a schedule for the given spans. Spans must be consecutive:
@@ -144,10 +137,10 @@ func New(strategy Strategy, threads int, spans []Span) (*Schedule, error) {
 		threads:  threads,
 		total:    off,
 		spans:    append([]Span(nil), spans...),
-		runs:     make([][][]Run, threads),
+		runs:     make([][]Run, threads),
 	}
 	for w := range s.runs {
-		s.runs[w] = make([][]Run, len(spans))
+		s.runs[w] = make([]Run, len(spans))
 	}
 	switch strategy {
 	case Cyclic:
@@ -177,9 +170,8 @@ func (s *Schedule) NumSpans() int { return len(s.spans) }
 // Span returns span sp (its global pattern extent and per-pattern cost).
 func (s *Schedule) Span(sp int) Span { return s.spans[sp] }
 
-// SpanRuns returns worker w's runs inside span sp, ascending and disjoint.
-// The returned slice is shared; callers must not modify it.
-func (s *Schedule) SpanRuns(w, sp int) []Run { return s.runs[w][sp] }
+// SpanRun returns worker w's run inside span sp (empty: no share).
+func (s *Schedule) SpanRun(w, sp int) Run { return s.runs[w][sp] }
 
 // ChunkAlign is the pattern-count multiple that chunk cuts snap to. Sixteen
 // patterns cover one 64-byte cache line of int32 scaling exponents (the
@@ -190,88 +182,59 @@ func (s *Schedule) SpanRuns(w, sp int) []Run { return s.runs[w][sp] }
 // grouping of every evaluate and derivative sum.
 const ChunkAlign = 16
 
-// ChunkRuns splits worker w's runs inside span sp into chunk-sized sub-runs,
+// ChunkRuns splits worker w's run inside span sp into chunk-sized sub-runs,
 // the units the engine walks and groups its sums by (internal/steal's
-// layout). The chunk size is minChunk rounded up to a
-// ChunkAlign multiple; for contiguous runs (Step 1) every interior cut is
-// additionally snapped forward onto a *global* pattern index that is a
-// ChunkAlign multiple — a run can start anywhere under the LPT packs, so
-// run-relative cuts alone would not keep two adjacent chunks off one cache
-// line of the scaling vectors (strided cyclic runs interleave workers per
-// pattern anyway, so their cuts stay on plain size boundaries). The final
-// chunk of each run absorbs any remainder shorter than a full chunk; with
-// the alignment snap a chunk therefore holds between minChunk-(ChunkAlign-1)
-// and 2*minChunk-1 patterns (except a whole run smaller than that). The
-// union of the emitted chunks over all workers and spans is exactly the
-// schedule's assignment — chunking never drops, duplicates, or reorders a
-// pattern, whatever the strategy. minChunk < 1 emits one chunk per run.
+// layout). The chunk size is minChunk rounded up to a ChunkAlign multiple,
+// and every interior cut is additionally snapped forward onto a *global*
+// pattern index that is a ChunkAlign multiple — a run can start anywhere
+// under the LPT packs and the cyclic tiling, so run-relative cuts alone would
+// not keep two adjacent chunks off one cache line of the scaling vectors.
+// The final chunk absorbs any remainder shorter than a full chunk; with the
+// alignment snap a chunk therefore holds between minChunk-(ChunkAlign-1) and
+// 2*minChunk-1 patterns (except a whole run smaller than that). The emitted
+// chunks tile the run exactly — chunking never drops, duplicates, or
+// reorders a pattern, whatever the strategy. minChunk < 1 emits the run as
+// one chunk.
 func (s *Schedule) ChunkRuns(w, sp, minChunk int) []Run {
-	var out []Run
-	mc := minChunk
-	if mc < 1 {
-		mc = 1 << 62 // one chunk per run
-	} else {
-		mc = (mc + ChunkAlign - 1) / ChunkAlign * ChunkAlign
+	r := s.runs[w][sp]
+	n := r.Len()
+	if n == 0 {
+		return nil
 	}
-	for _, r := range s.runs[w][sp] {
-		n := r.Len()
-		if n == 0 {
-			continue
+	mc := (minChunk + ChunkAlign - 1) / ChunkAlign * ChunkAlign
+	if minChunk < 1 || n/mc <= 1 {
+		return []Run{r}
+	}
+	// Interior cuts sit at pattern ordinal c*mc + snap; mc is itself an
+	// alignment multiple, so shifting every cut by one common snap < mc
+	// aligns them all globally, growing the first chunk by at most
+	// ChunkAlign-1 and shrinking the last by the same. The remainder joins
+	// the last chunk.
+	full := n / mc
+	snap := (ChunkAlign - r.Lo%ChunkAlign) % ChunkAlign
+	out := make([]Run, 0, full)
+	lo := r.Lo
+	for c := 1; c <= full && lo < r.Hi; c++ {
+		hi := r.Lo + c*mc + snap
+		if c == full || hi > r.Hi {
+			hi = r.Hi
 		}
-		full := n / mc // cut after every mc patterns; remainder joins the last
-		if full <= 1 {
-			out = append(out, r)
-			continue
-		}
-		// Interior cuts sit at pattern ordinal c*mc + snap; mc is itself an
-		// alignment multiple, so shifting every cut by one common snap < mc
-		// aligns them all globally, growing the first chunk by at most
-		// ChunkAlign-1 and shrinking the last by the same.
-		snap := 0
-		if r.Step == 1 {
-			snap = (ChunkAlign - r.Lo%ChunkAlign) % ChunkAlign
-		}
-		prev := 0
-		for c := 1; c <= full; c++ {
-			b := c*mc + snap
-			if c == full || b > n {
-				b = n
-			}
-			out = append(out, Run{
-				Lo:   r.Lo + prev*r.Step,
-				Hi:   r.Lo + (b-1)*r.Step + 1,
-				Step: r.Step,
-			})
-			prev = b
-			if b == n {
-				break
-			}
-		}
+		out = append(out, Run{Lo: lo, Hi: hi})
+		lo = hi
 	}
 	return out
 }
 
 // MemoryBytes estimates the schedule's resident heap bytes: the span table
-// plus every worker's per-span run lists. Used by the dataset memory
+// plus every worker's per-span runs. Used by the dataset memory
 // accounting that prices cache eviction in the serving layer.
 func (s *Schedule) MemoryBytes() int64 {
-	total := 24 * int64(len(s.spans)) // Span{Lo, Hi int; Cost float64}
-	for w := range s.runs {
-		for _, runs := range s.runs[w] {
-			total += 24 * int64(len(runs)) // Run{Lo, Hi, Step int}
-		}
-	}
-	return total
+	// Span{Lo, Hi int; Cost float64}, and one Run{Lo, Hi int} per worker and span.
+	return int64(24*len(s.spans) + 16*s.threads*len(s.spans))
 }
 
 // Count returns how many patterns of span sp worker w owns.
-func (s *Schedule) Count(w, sp int) int {
-	n := 0
-	for _, r := range s.runs[w][sp] {
-		n += r.Len()
-	}
-	return n
-}
+func (s *Schedule) Count(w, sp int) int { return s.runs[w][sp].Len() }
 
 // StaticOps returns the precomputed per-pattern op cost assigned to each
 // worker: StaticOps()[w] = sum over spans of Count(w, span) * span cost.
@@ -302,39 +265,28 @@ func (s *Schedule) Imbalance() float64 {
 	return max / (sum / float64(s.threads))
 }
 
-// strideStart returns the first global index >= lo owned by worker w under
-// cyclic distribution over t workers (the arithmetic the kernels used to
-// hard-code; kept as the reference for the Cyclic builder).
-func strideStart(lo, w, t int) int {
-	r := lo % t
-	d := w - r
-	if d < 0 {
-		d += t
-	}
-	return lo + d
-}
-
-// strideCount returns how many indices in [lo, hi) worker w owns cyclically.
+// strideCount returns how many indices in [lo, hi) are congruent to w
+// modulo t: worker w's share of a span under the paper's cyclic distribution.
 func strideCount(lo, hi, w, t int) int {
-	s := strideStart(lo, w, t)
-	if s >= hi {
+	first := lo + (w-lo%t+t)%t
+	if first >= hi {
 		return 0
 	}
-	return (hi - s + t - 1) / t
+	return (hi - first + t - 1) / t
 }
 
-// buildCyclic reproduces the strided distribution exactly: worker w owns the
-// indices congruent to w modulo the thread count, encoded as one strided run
-// per span (Step = T, so a sequential schedule is one contiguous full-span
-// run).
+// buildCyclic gives every worker of every span the pattern count the
+// strided distribution would (strideCount), as one contiguous run; the runs
+// tile the span in worker order from its start (a sequential schedule is one
+// full-span run).
 func (s *Schedule) buildCyclic() {
 	t := s.threads
 	for sp, span := range s.spans {
+		lo := span.Lo
 		for w := 0; w < t; w++ {
-			if strideCount(span.Lo, span.Hi, w, t) == 0 {
-				continue
-			}
-			s.runs[w][sp] = []Run{{Lo: strideStart(span.Lo, w, t), Hi: span.Hi, Step: t}}
+			hi := lo + strideCount(span.Lo, span.Hi, w, t)
+			s.runs[w][sp] = Run{Lo: lo, Hi: hi}
+			lo = hi
 		}
 	}
 }
@@ -361,7 +313,7 @@ func (s *Schedule) buildBlock() {
 				b = span.Hi
 			}
 			if a < b {
-				s.runs[w][sp] = []Run{{Lo: a, Hi: b, Step: 1}}
+				s.runs[w][sp] = Run{Lo: a, Hi: b}
 			}
 		}
 	}
@@ -369,8 +321,8 @@ func (s *Schedule) buildBlock() {
 
 // buildWeighted is the cost-aware assignment. Every span is cut into the same
 // share sizes the cyclic distribution would produce (len/T patterns per
-// worker, the len%T remainder spread as +1 extras), but shares are kept
-// contiguous and placed by LPT bin-packing: chunks are sorted by descending
+// worker, the len%T remainder spread as +1 extras), but the shares are
+// placed by cost, by LPT bin-packing: chunks are sorted by descending
 // op cost and each is given to the least-loaded worker that has no chunk of
 // that span yet. A final swap pass moves +1 extras from the most- to the
 // least-loaded worker while that narrows the spread. Per-span counts match
@@ -477,16 +429,12 @@ func (s *Schedule) buildWeighted() {
 		}
 	}
 	// Lay out each span's per-worker counts as contiguous ranges in worker
-	// order (deterministic), producing at most one run per worker per span.
+	// order (deterministic): one run per worker per span.
 	for sp, span := range s.spans {
 		off := span.Lo
 		for w := 0; w < t; w++ {
-			n := counts[w][sp]
-			if n == 0 {
-				continue
-			}
-			s.runs[w][sp] = []Run{{Lo: off, Hi: off + n, Step: 1}}
-			off += n
+			s.runs[w][sp] = Run{Lo: off, Hi: off + counts[w][sp]}
+			off += counts[w][sp]
 		}
 	}
 }

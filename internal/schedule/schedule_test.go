@@ -29,7 +29,7 @@ func randomSpans(seed int64) []Span {
 
 // TestEveryStrategyPartitions is the core property: for every strategy, every
 // global pattern index in [0, Total) is assigned to exactly one worker, and
-// runs stay inside their span, ascending and disjoint.
+// every worker's run stays inside its span.
 func TestEveryStrategyPartitions(t *testing.T) {
 	for _, strat := range []Strategy{Cyclic, Block, Weighted, Measured} {
 		strat := strat
@@ -47,26 +47,21 @@ func TestEveryStrategyPartitions(t *testing.T) {
 			}
 			for w := 0; w < threads; w++ {
 				for sp, span := range spans {
-					prev := span.Lo - 1
-					for _, r := range s.SpanRuns(w, sp) {
-						if r.Step < 1 || r.Lo <= prev || r.Hi > span.Hi || r.Lo < span.Lo || r.Hi <= r.Lo {
-							t.Logf("%v: bad run %+v in span %d [%d,%d)", strat, r, sp, span.Lo, span.Hi)
+					r := s.SpanRun(w, sp)
+					if r.Len() > 0 && (r.Hi > span.Hi || r.Lo < span.Lo) {
+						t.Logf("%v: bad run %+v in span %d [%d,%d)", strat, r, sp, span.Lo, span.Hi)
+						return false
+					}
+					if r.Len() != s.Count(w, sp) {
+						t.Logf("%v: run %+v, Count says %d", strat, r, s.Count(w, sp))
+						return false
+					}
+					for i := r.Lo; i < r.Hi; i++ {
+						if owner[i] != -1 {
+							t.Logf("%v: index %d owned by both %d and %d", strat, i, owner[i], w)
 							return false
 						}
-						prev = r.Lo
-						n := 0
-						for i := r.Lo; i < r.Hi; i += r.Step {
-							if owner[i] != -1 {
-								t.Logf("%v: index %d owned by both %d and %d", strat, i, owner[i], w)
-								return false
-							}
-							owner[i] = w
-							n++
-						}
-						if n != r.Len() {
-							t.Logf("%v: run %+v iterates %d indices, Len() says %d", strat, r, n, r.Len())
-							return false
-						}
+						owner[i] = w
 					}
 				}
 			}
@@ -84,9 +79,66 @@ func TestEveryStrategyPartitions(t *testing.T) {
 	}
 }
 
-// TestCyclicMatchesStrideArithmetic pins Cyclic to the exact strided
-// distribution the kernels used to hard-code: worker w owns precisely the
-// indices reachable by `for i := strideStart(lo, w, T); i < hi; i += T`.
+// stripeCount is worker w's share of [lo, hi) under the paper's strided
+// distribution over t workers: the indices congruent to w modulo t, counted
+// one by one.
+func stripeCount(lo, hi, w, t int) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if i%t == w {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCyclicKeepsStripeCounts pins Cyclic to the paper's per-partition
+// balance: for T in 1..16 and random consecutive spans (empty ones and ones
+// shorter than T included), worker w owns exactly the stripe count of every
+// span, as one run, and the workers' runs tile the span in worker order.
+func TestCyclicKeepsStripeCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for threads := 1; threads <= 16; threads++ {
+		for trial := 0; trial < 40; trial++ {
+			spans := make([]Span, 1+rng.Intn(6))
+			off := 0
+			for i := range spans {
+				n := rng.Intn(3 * threads) // empty, shorter than T and longer
+				if rng.Intn(4) == 0 {
+					n = rng.Intn(300)
+				}
+				spans[i] = Span{Lo: off, Hi: off + n, Cost: 160}
+				off += n
+			}
+			s, err := New(Cyclic, threads, spans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sp, span := range spans {
+				lo := span.Lo
+				for w := 0; w < threads; w++ {
+					r := s.SpanRun(w, sp)
+					want := stripeCount(span.Lo, span.Hi, w, threads)
+					if got := s.Count(w, sp); got != want {
+						t.Fatalf("T=%d span %d [%d,%d): worker %d owns %d patterns, the stripe has %d", threads, sp, span.Lo, span.Hi, w, got, want)
+					}
+					if r != (Run{Lo: lo, Hi: lo + want}) {
+						t.Fatalf("T=%d span %d [%d,%d): worker %d's run is %+v, want [%d,%d)", threads, sp, span.Lo, span.Hi, w, r, lo, lo+want)
+					}
+					lo = r.Hi
+				}
+				if lo != span.Hi {
+					t.Fatalf("T=%d span %d [%d,%d): the runs end at %d", threads, sp, span.Lo, span.Hi, lo)
+				}
+			}
+		}
+	}
+}
+
+// TestCyclicMatchesStrideArithmetic: on the random cost-mixed layouts of
+// the other properties, at up to 33 workers, Cyclic gives worker w of every
+// span the count the stride arithmetic (strideCount) gives, which is the
+// one-by-one stripe count, as a single run.
 func TestCyclicMatchesStrideArithmetic(t *testing.T) {
 	f := func(seedRaw uint16, tRaw uint8) bool {
 		spans := randomSpans(int64(seedRaw) + 9999)
@@ -97,26 +149,12 @@ func TestCyclicMatchesStrideArithmetic(t *testing.T) {
 		}
 		for w := 0; w < threads; w++ {
 			for sp, span := range spans {
-				var want []int
-				for i := strideStart(span.Lo, w, threads); i < span.Hi; i += threads {
-					want = append(want, i)
-				}
-				if len(want) != strideCount(span.Lo, span.Hi, w, threads) {
+				want := stripeCount(span.Lo, span.Hi, w, threads)
+				if strideCount(span.Lo, span.Hi, w, threads) != want {
 					return false
 				}
-				var got []int
-				for _, r := range s.SpanRuns(w, sp) {
-					for i := r.Lo; i < r.Hi; i += r.Step {
-						got = append(got, i)
-					}
-				}
-				if len(got) != len(want) {
+				if s.Count(w, sp) != want || s.SpanRun(w, sp).Len() != want {
 					return false
-				}
-				for k := range got {
-					if got[k] != want[k] {
-						return false
-					}
 				}
 			}
 		}
@@ -127,28 +165,28 @@ func TestCyclicMatchesStrideArithmetic(t *testing.T) {
 	}
 }
 
+// TestStrideHelpers: worker w's stripe of [lo, hi) is the indices
+// i ≡ w (mod T); these cases are carried over from the old
+// parallel.StrideCount tests.
 func TestStrideHelpers(t *testing.T) {
-	// Worker w owns indices i ≡ w (mod T) within [lo, hi); these cases are
-	// carried over from the old parallel.StrideStart/StrideCount tests.
-	for _, tc := range []struct{ lo, hi, w, t, start, count int }{
-		{0, 10, 0, 4, 0, 3},
-		{0, 10, 1, 4, 1, 3},
-		{0, 10, 2, 4, 2, 2},
-		{0, 10, 3, 4, 3, 2},
-		{5, 9, 0, 4, 8, 1},
-		{5, 9, 1, 4, 5, 1},
-		{5, 9, 3, 4, 7, 1},
-		{5, 6, 2, 4, 9, 0}, // start beyond hi -> 0
-		{7, 7, 0, 2, 8, 0},
-		{0, 3, 0, 8, 0, 1}, // fewer patterns than workers: some idle
-		{0, 3, 5, 8, 5, 0},
+	for _, tc := range []struct{ lo, hi, w, t, count int }{
+		{0, 10, 0, 4, 3},
+		{0, 10, 1, 4, 3},
+		{0, 10, 2, 4, 2},
+		{0, 10, 3, 4, 2},
+		{5, 9, 0, 4, 1},
+		{5, 9, 1, 4, 1},
+		{5, 9, 3, 4, 1},
+		{5, 6, 2, 4, 0}, // first stripe index beyond hi -> 0
+		{7, 7, 0, 2, 0},
+		{0, 3, 0, 8, 1}, // fewer patterns than workers: some idle
+		{0, 3, 5, 8, 0},
 	} {
-		s := strideStart(tc.lo, tc.w, tc.t)
-		if s != tc.start && strideCount(tc.lo, tc.hi, tc.w, tc.t) != 0 {
-			t.Errorf("strideStart(%d,%d,%d) = %d, want %d", tc.lo, tc.w, tc.t, s, tc.start)
-		}
 		if c := strideCount(tc.lo, tc.hi, tc.w, tc.t); c != tc.count {
 			t.Errorf("strideCount(%d,%d,%d,%d) = %d, want %d", tc.lo, tc.hi, tc.w, tc.t, c, tc.count)
+		}
+		if c := stripeCount(tc.lo, tc.hi, tc.w, tc.t); c != tc.count {
+			t.Errorf("stripeCount(%d,%d,%d,%d) = %d, want %d", tc.lo, tc.hi, tc.w, tc.t, c, tc.count)
 		}
 	}
 }
@@ -281,18 +319,17 @@ func TestRebalanceNeverDropsOrDuplicatesPatterns(t *testing.T) {
 		}
 		for w := 0; w < threads; w++ {
 			for sp, span := range spans {
-				for _, r := range reb.SpanRuns(w, sp) {
-					if r.Lo < span.Lo || r.Hi > span.Hi {
-						t.Logf("run %+v escapes span %d [%d,%d)", r, sp, span.Lo, span.Hi)
+				r := reb.SpanRun(w, sp)
+				if r.Len() > 0 && (r.Lo < span.Lo || r.Hi > span.Hi) {
+					t.Logf("run %+v escapes span %d [%d,%d)", r, sp, span.Lo, span.Hi)
+					return false
+				}
+				for i := r.Lo; i < r.Hi; i++ {
+					if owner[i] != -1 {
+						t.Logf("pattern %d duplicated across workers %d and %d", i, owner[i], w)
 						return false
 					}
-					for i := r.Lo; i < r.Hi; i += r.Step {
-						if owner[i] != -1 {
-							t.Logf("pattern %d duplicated across workers %d and %d", i, owner[i], w)
-							return false
-						}
-						owner[i] = w
-					}
+					owner[i] = w
 				}
 			}
 		}
@@ -319,7 +356,7 @@ func TestRebalanceNeverDropsOrDuplicatesPatterns(t *testing.T) {
 
 // TestChunkRunsCoverAssignmentExactly is the chunk-emission property behind
 // the engine's chunk layout: for every strategy, splitting every worker's
-// span runs into chunks reproduces the schedule's assignment exactly — no
+// span run into chunks reproduces the schedule's assignment exactly — no
 // pattern dropped, duplicated, or moved to another worker — and every chunk
 // respects the size contract (at least the aligned minimum, at most one
 // pattern short of two chunks, except where the whole run is smaller).
@@ -341,10 +378,7 @@ func TestChunkRunsCoverAssignmentExactly(t *testing.T) {
 			}
 			for w := 0; w < threads; w++ {
 				for sp := range spans {
-					whole := 0
-					for _, r := range s.SpanRuns(w, sp) {
-						whole += r.Len()
-					}
+					whole := s.Count(w, sp)
 					got := 0
 					chunks := s.ChunkRuns(w, sp, minChunk)
 					for ci, c := range chunks {
@@ -358,16 +392,18 @@ func TestChunkRunsCoverAssignmentExactly(t *testing.T) {
 							t.Logf("%v: chunk %+v has %d patterns (> %d) but run is larger", strat, c, n, 2*mc-1)
 							return false
 						}
-						// Interior boundaries of contiguous runs must fall on
+						// Chunks tile the run, and interior boundaries fall on
 						// globally aligned pattern indices (the cut rule every
 						// recorded result's summation grouping depends on).
-						if c.Step == 1 && ci > 0 && chunks[ci-1].Step == 1 && chunks[ci-1].Hi == c.Lo {
-							if c.Lo%ChunkAlign != 0 {
-								t.Logf("%v: interior cut at %d is not %d-aligned", strat, c.Lo, ChunkAlign)
-								return false
-							}
+						if ci > 0 && chunks[ci-1].Hi != c.Lo {
+							t.Logf("%v: chunk %+v does not continue %+v", strat, c, chunks[ci-1])
+							return false
 						}
-						for i := c.Lo; i < c.Hi; i += c.Step {
+						if ci > 0 && c.Lo%ChunkAlign != 0 {
+							t.Logf("%v: interior cut at %d is not %d-aligned", strat, c.Lo, ChunkAlign)
+							return false
+						}
+						for i := c.Lo; i < c.Hi; i++ {
 							if owner[i] != -1 {
 								t.Logf("%v: pattern %d chunked twice (workers %d, %d)", strat, i, owner[i], w)
 								return false
@@ -384,12 +420,11 @@ func TestChunkRunsCoverAssignmentExactly(t *testing.T) {
 			// Chunk ownership must equal run ownership index by index.
 			for w := 0; w < threads; w++ {
 				for sp := range spans {
-					for _, r := range s.SpanRuns(w, sp) {
-						for i := r.Lo; i < r.Hi; i += r.Step {
-							if owner[i] != w {
-								t.Logf("%v: pattern %d assigned to %d but chunked to %d", strat, i, w, owner[i])
-								return false
-							}
+					r := s.SpanRun(w, sp)
+					for i := r.Lo; i < r.Hi; i++ {
+						if owner[i] != w {
+							t.Logf("%v: pattern %d assigned to %d but chunked to %d", strat, i, w, owner[i])
+							return false
 						}
 					}
 				}
@@ -414,12 +449,11 @@ func TestBlockIsContiguous(t *testing.T) {
 		// Spans are consecutive, so span order is global order.
 		var runs []Run
 		for sp := 0; sp < s.NumSpans(); sp++ {
-			runs = append(runs, s.SpanRuns(w, sp)...)
+			if r := s.SpanRun(w, sp); r.Len() > 0 {
+				runs = append(runs, r)
+			}
 		}
 		for i, r := range runs {
-			if r.Step != 1 {
-				t.Errorf("worker %d: block run %+v is not contiguous", w, r)
-			}
 			if i > 0 && r.Lo != runs[i-1].Hi {
 				t.Errorf("worker %d: gap between %+v and %+v", w, runs[i-1], r)
 			}
@@ -437,9 +471,8 @@ func TestSequentialDegeneratesToFullSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		for sp, span := range spans {
-			runs := s.SpanRuns(0, sp)
-			if len(runs) != 1 || runs[0] != (Run{Lo: span.Lo, Hi: span.Hi, Step: 1}) {
-				t.Errorf("%v: span %d runs = %+v, want one full contiguous run", strat, sp, runs)
+			if r := s.SpanRun(0, sp); r != (Run{Lo: span.Lo, Hi: span.Hi}) {
+				t.Errorf("%v: span %d run = %+v, want the full span", strat, sp, r)
 			}
 		}
 		if s.Imbalance() != 1 {

@@ -1,6 +1,6 @@
-// Package steal is the chunk layout of a schedule: every worker's share of
-// every span cut into cache-line-aligned chunks (schedule.ChunkRuns), each
-// chunk with one id. A region's workers each walk their own chunk ids in
+// Package steal is the chunk layout of a schedule: every worker's run of
+// every span cut into cache-line-aligned contiguous chunks (schedule.ChunkRuns),
+// each chunk with one id. A region's workers each walk their own chunk ids in
 // ascending order (internal/core's drain), and evaluate and derivative
 // regions keep one partial sum per chunk, which the engine reduces in chunk-id
 // order. The layout therefore fixes how every sum is grouped: sessions and
@@ -25,19 +25,16 @@ import (
 // kernels touch.
 const DefaultMinChunk = 64
 
-// Chunk is one unit of a worker's share: a strided sub-run of one span's
-// (partition's) pattern assignment. Lo/Hi/Step follow schedule.Run
-// semantics; Share is the owner's total pattern count in the span across all
-// its chunks — the unit the kernels size their tip-table decision by, so a
-// share cut into many short runs still amortizes a table.
+// Chunk is one unit of a worker's share: a contiguous sub-run of one span's
+// (partition's) pattern assignment, the run the kernels take. Share is the
+// owner's total pattern count in the span across all its chunks — the unit
+// the kernels size their tip-table decision by, so a share cut into many
+// short runs still amortizes a table.
 type Chunk struct {
-	Span         int
-	Lo, Hi, Step int
-	Share        int
+	Span int
+	schedule.Run
+	Share int
 }
-
-// Run returns the chunk's pattern range as a schedule.Run for the kernels.
-func (c Chunk) Run() schedule.Run { return schedule.Run{Lo: c.Lo, Hi: c.Hi, Step: c.Step} }
 
 // Layout is the immutable chunk decomposition of one schedule at one minimum
 // chunk size. Chunk ids ascend by (span, owner, position); that id order is
@@ -62,7 +59,7 @@ func NewLayout(s *schedule.Schedule, minChunk int) *Layout {
 			share := s.Count(w, sp)
 			for _, r := range s.ChunkRuns(w, sp, minChunk) {
 				l.byWorker[w] = append(l.byWorker[w], int32(len(l.chunks)))
-				l.chunks = append(l.chunks, Chunk{Span: sp, Lo: r.Lo, Hi: r.Hi, Step: r.Step, Share: share})
+				l.chunks = append(l.chunks, Chunk{Span: sp, Run: r, Share: share})
 			}
 		}
 	}

@@ -63,7 +63,7 @@ func verifyExactCover(t *testing.T, l *Layout, spans []schedule.Span, active []b
 			if active != nil && !active[c.Span] {
 				t.Fatalf("chunk %d of inactive span %d walked", id, c.Span)
 			}
-			for i := c.Lo; i < c.Hi; i += c.Step {
+			for i := c.Lo; i < c.Hi; i++ {
 				seen[i]++
 			}
 		}
@@ -119,8 +119,8 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 	for id := 0; id < l.NumChunks(); id++ {
 		c := l.Chunk(id)
 		sp := spans[c.Span]
-		if r := c.Run(); r.Len() > 0 && (c.Lo < sp.Lo || c.Lo+(r.Len()-1)*c.Step >= sp.Hi) {
-			t.Fatalf("chunk %d [%d,%d) step %d straddles span %d [%d,%d)", id, c.Lo, c.Hi, c.Step, c.Span, sp.Lo, sp.Hi)
+		if c.Len() > 0 && (c.Lo < sp.Lo || c.Hi > sp.Hi) {
+			t.Fatalf("chunk %d [%d,%d) straddles span %d [%d,%d)", id, c.Lo, c.Hi, c.Span, sp.Lo, sp.Hi)
 		}
 	}
 	for _, active := range [][]bool{{true, false, true}, {false, true, false}, {false, false, false}} {
@@ -143,10 +143,9 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 		owner := make([]int, s.Total())
 		for w := 0; w < s.Threads(); w++ {
 			for sp := 0; sp < s.NumSpans(); sp++ {
-				for _, r := range s.SpanRuns(w, sp) {
-					for i := r.Lo; i < r.Hi; i += r.Step {
-						owner[i] = w
-					}
+				r := s.SpanRun(w, sp)
+				for i := r.Lo; i < r.Hi; i++ {
+					owner[i] = w
 				}
 			}
 		}
@@ -159,12 +158,12 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 				}
 				prev = id
 				c := l.Chunk(id)
-				for i := c.Lo; i < c.Hi; i += c.Step {
+				for i := c.Lo; i < c.Hi; i++ {
 					if owner[i] != w {
 						t.Fatalf("%v: worker %d's chunk %d holds pattern %d of worker %d", strat, w, id, i, owner[i])
 					}
 				}
-				share[c.Span] += c.Run().Len()
+				share[c.Span] += c.Len()
 			}
 			for sp, n := range share {
 				if want := s.Count(w, sp); n != want {
@@ -194,19 +193,50 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 	for w := 0; w < l.Threads(); w++ {
 		for _, id := range l.Owned(w) {
 			c := l.Chunk(int(id))
-			if c.Run().Len() < floor {
-				t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Run().Len(), floor)
+			if c.Len() < floor {
+				t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Len(), floor)
 			}
 			if want := s.Count(w, c.Span); c.Share != want {
 				t.Errorf("chunk %d share %d, want owner %d's %d patterns of span %d", id, c.Share, w, want, c.Span)
 			}
-			totalPatterns += c.Run().Len()
+			totalPatterns += c.Len()
 		}
 	}
-	if got, want := l.MemoryBytes(), int64(l.NumChunks())*(5*8+4); got != want {
+	if got, want := l.MemoryBytes(), int64(l.NumChunks())*(4*8+4); got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 	if totalPatterns != 1000 {
 		t.Errorf("owner lists cover %d patterns, want 1000", totalPatterns)
+	}
+}
+
+// TestSequentialLayoutsAgree: at one worker every strategy's schedule is one
+// run per span, so Cyclic, Block and Weighted cut the same layout, chunk for
+// chunk, at every chunk size.
+func TestSequentialLayoutsAgree(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		spans := randomSpans(seed)
+		for _, minChunk := range []int{0, 1, 16, 33, 64, 200} {
+			var ref *Layout
+			for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
+				s, err := schedule.New(strat, 1, spans)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := NewLayout(s, minChunk)
+				if ref == nil {
+					ref = l
+					continue
+				}
+				if l.NumChunks() != ref.NumChunks() {
+					t.Fatalf("seed %d, min chunk %d: %v cuts %d chunks, cyclic %d", seed, minChunk, strat, l.NumChunks(), ref.NumChunks())
+				}
+				for id := 0; id < l.NumChunks(); id++ {
+					if l.Chunk(id) != ref.Chunk(id) {
+						t.Fatalf("seed %d, min chunk %d: %v chunk %d is %+v, cyclic's %+v", seed, minChunk, strat, id, l.Chunk(id), ref.Chunk(id))
+					}
+				}
+			}
+		}
 	}
 }

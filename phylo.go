@@ -89,8 +89,9 @@ type ScheduleStrategy = schedule.Strategy
 
 // Pattern-to-worker assignment strategies.
 const (
-	// ScheduleCyclic is the paper's distribution: pattern indices modulo the
-	// worker count (the default).
+	// ScheduleCyclic is the paper's per-partition balance (the default):
+	// every worker gets as many patterns of each partition as the indices
+	// congruent to it modulo the worker count, as one contiguous run.
 	ScheduleCyclic = schedule.Cyclic
 	// ScheduleWeighted LPT-bin-packs patterns onto workers by per-pattern op
 	// cost, balancing mixed DNA/protein datasets by cost rather than count.
