@@ -56,8 +56,8 @@ type ProgressEvent struct {
 
 // AnalysisOptions configures one analysis session over a Dataset. Only
 // mutable per-session choices live here; anything the precomputed shared
-// state depends on (threads, schedule, chunk size, Gamma categories) is fixed
-// in DatasetOptions.
+// state depends on (threads, schedule, Gamma categories, kernel backend) is
+// fixed in DatasetOptions.
 type AnalysisOptions struct {
 	// Strategy selects oldPAR or newPAR (default NewPar).
 	Strategy Strategy

@@ -3,25 +3,27 @@ package phylo
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+
+	"phylo/internal/steal"
 )
 
-// TestStealFacadeBitIdentityAndStats drives the chunk layout end to end
-// through the public API. A result is a function of the schedule and the
-// chunk layout only: runs at one MinChunk are bitwise equal on the real
-// pool, run after run, and on the virtual executor, while different MinChunk
-// runs regroup the per-chunk reductions and agree to reassociation tolerance.
-// (The name predates the removal of work stealing; the steal toggle and its
-// counters went with it.)
-func TestStealFacadeBitIdentityAndStats(t *testing.T) {
+// TestFacadeBitIdentityAcrossRunsAndExecutors drives the chunk layout end to
+// end through the public API. A result is a function of the schedule and the
+// dataset's chunk layout only: runs are bitwise equal on the real pool, run
+// after run, and on the virtual executor, and one thread (another schedule,
+// so another grouping of the sums) agrees to reassociation tolerance. That
+// another chunk size regroups the sums only is held in internal/core
+// (TestStealBitIdentityAcrossExecutorsAndToggle).
+func TestFacadeBitIdentityAcrossRunsAndExecutors(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(do DatasetOptions, minChunk int) float64 {
+	run := func(do DatasetOptions) float64 {
 		do.Schedule = ScheduleWeighted
-		do.MinChunk = minChunk
 		ds, err := NewDataset(al, do)
 		if err != nil {
 			t.Fatal(err)
@@ -39,37 +41,34 @@ func TestStealFacadeBitIdentityAndStats(t *testing.T) {
 		return lnl
 	}
 
-	lnlPool := run(DatasetOptions{Threads: 3}, 16)
-	if again := run(DatasetOptions{Threads: 3}, 16); again != lnlPool {
+	lnlPool := run(DatasetOptions{Threads: 3})
+	if again := run(DatasetOptions{Threads: 3}); again != lnlPool {
 		t.Errorf("identical pool runs differ: %v != %v", lnlPool, again)
 	}
-	if lnl := run(DatasetOptions{Threads: 3, VirtualThreads: true}, 16); lnl != lnlPool {
+	if lnl := run(DatasetOptions{Threads: 3, VirtualThreads: true}); lnl != lnlPool {
 		t.Errorf("virtual executor: lnL %v != pool %v (must be bit-identical)", lnl, lnlPool)
 	}
-	lnlCoarse := run(DatasetOptions{Threads: 3}, 256)
-	if diff := math.Abs(lnlCoarse - lnlPool); diff > 1e-9*math.Abs(lnlPool) {
-		t.Errorf("MinChunk 256 lnL %v vs 16 %v (diff %v)", lnlCoarse, lnlPool, diff)
-	}
-	if lnl := run(DatasetOptions{Threads: 1}, 16); math.Abs(lnl-lnlPool) > 1e-9*math.Abs(lnlPool) {
+	if lnl := run(DatasetOptions{Threads: 1}); math.Abs(lnl-lnlPool) > 1e-9*math.Abs(lnlPool) {
 		t.Errorf("one thread: lnL %v vs three %v", lnl, lnlPool)
 	}
 }
 
 // TestSessionsShareTheDatasetLayout: the pattern distribution is one value
 // per Dataset. Concurrent analyses drain the very chunk layout NewDataset cut
-// (pointer-equal, at its MinChunk) and score bit-identical log likelihoods.
+// (pointer-equal, at the default chunk size) and score bit-identical log
+// likelihoods.
 func TestSessionsShareTheDatasetLayout(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, MinChunk: 16})
+	ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if got := ds.layout.MinChunk(); got != 16 {
-		t.Fatalf("dataset layout cut at %d patterns, want MinChunk 16", got)
+	if want := steal.NewLayout(ds.layout.Schedule(), steal.DefaultMinChunk); !reflect.DeepEqual(ds.layout, want) {
+		t.Fatalf("dataset layout cut into %d chunks, %d at the default %d patterns", ds.layout.NumChunks(), want.NumChunks(), steal.DefaultMinChunk)
 	}
 	const n = 2
 	ans := make([]*Analysis, n)
@@ -98,33 +97,24 @@ func TestSessionsShareTheDatasetLayout(t *testing.T) {
 }
 
 // TestMemoryBreakdownPricesTheDatasetChunkSize: the session-chunk term is the
-// layout sessions walk at DatasetOptions.MinChunk — the layout and one
-// evaluate and two derivative partials per chunk — not the default chunk
-// size.
+// layout sessions walk, cut at the dataset's one chunk size, and the one
+// partial buffer at its widest width-1 use — three lanes a chunk, a
+// derivative region's d1, d2 and lnL — for each of the schedules.
 func TestMemoryBreakdownPricesTheDatasetChunkSize(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := func(minChunk int) int64 {
-		ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: ScheduleWeighted, MinChunk: minChunk})
+	for _, sched := range []ScheduleStrategy{ScheduleCyclic, ScheduleWeighted} {
+		ds, err := NewDataset(al, DatasetOptions{Threads: 3, Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer ds.Close()
-		an, err := ds.NewAnalysis(AnalysisOptions{Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer an.Close()
-		l := an.eng.ChunkLayout()
+		l := steal.NewLayout(ds.layout.Schedule(), steal.DefaultMinChunk)
 		want := l.MemoryBytes() + 3*8*int64(l.NumChunks())
 		if got := ds.MemoryBreakdown().SessionChunks; got != want {
-			t.Errorf("MinChunk %d: SessionChunks = %d, a session's layout and partials hold %d", minChunk, got, want)
+			t.Errorf("%v: SessionChunks = %d, a session's layout and partial buffer hold %d", sched, got, want)
 		}
-		return want
-	}
-	if small, dflt := chunks(16), chunks(0); small <= dflt {
-		t.Errorf("16-pattern chunks priced %d B, no more than the default size's %d B", small, dflt)
+		ds.Close()
 	}
 }

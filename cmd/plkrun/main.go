@@ -45,7 +45,6 @@ func main() {
 		strategy  = flag.String("strategy", "new", "parallelization strategy: old | new")
 		schedFlag = flag.String("schedule", "cyclic", "pattern-to-worker assignment: cyclic | weighted")
 		backendF  = flag.String("backend", "auto", "likelihood kernel backend: auto | generic | fused (auto honors PLK_BACKEND, default fused)")
-		minChunk  = flag.Int("min-chunk", 0, "minimum chunk size in patterns (0 = default 64), a dataset setting: the dataset cuts its schedule into chunks of this size once, and every session's workers walk their own and evaluate and derivative sums are grouped by them")
 		perPart   = flag.Bool("perpart", false, "per-partition branch lengths")
 		virtual   = flag.Bool("virtual", false, "virtual workers + platform pricing instead of real goroutines")
 		seed      = flag.Int64("seed", 42, "random seed (datasets and starting tree)")
@@ -82,13 +81,13 @@ func main() {
 	if *threads < 1 {
 		fatal(fmt.Errorf("threads must be ≥ 1, got %d", *threads))
 	}
-	// SearchOptions reads a count ≤ 0 as "use the default", and the bootstrap
-	// and chunk size would be ignored or passed on: refuse instead of
-	// running something other than what was asked for.
+	// SearchOptions reads a count ≤ 0 as "use the default", and a negative
+	// bootstrap count would be ignored: refuse instead of running something
+	// other than what was asked for.
 	for _, f := range []struct {
 		name     string
 		val, min int
-	}{{"rounds", *rounds, 1}, {"radius", *radius, 1}, {"bootstrap", *bootstrap, 0}, {"min-chunk", *minChunk, 0}} {
+	}{{"rounds", *rounds, 1}, {"radius", *radius, 1}, {"bootstrap", *bootstrap, 0}} {
 		if f.val < f.min {
 			fatal(fmt.Errorf("-%s must be ≥ %d, got %d", f.name, f.min, f.val))
 		}
@@ -113,7 +112,6 @@ func main() {
 		Threads:        *threads,
 		Schedule:       sched,
 		VirtualThreads: *virtual,
-		MinChunk:       *minChunk,
 		Backend:        backend,
 		Metrics:        reg,
 		Trace:          tracer,

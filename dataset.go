@@ -36,15 +36,11 @@ type DatasetOptions struct {
 	// Schedule selects the pattern-to-worker assignment (default
 	// ScheduleCyclic, the paper's per-partition pattern counts). Under either
 	// strategy a worker's share of a partition is one contiguous run of
-	// patterns. The schedule is precomputed once per dataset, cut into chunks
-	// at MinChunk, and shared read-only by every session.
+	// patterns. The schedule is precomputed once per dataset, cut into the
+	// chunks likelihood sums are grouped by (64 patterns at least), and
+	// shared read-only by every session, so all sessions of a Dataset agree
+	// bit for bit.
 	Schedule ScheduleStrategy
-	// MinChunk is the minimum chunk size in alignment patterns (0 selects the
-	// default of 64). Chunks are the unit every session's workers walk their
-	// pattern shares in and the unit likelihood sums are grouped by, so all
-	// sessions of a Dataset agree bit for bit, and Datasets that differ only
-	// in MinChunk agree to floating-point reassociation tolerance.
-	MinChunk int
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
 	// VirtualThreads makes the T workers virtual: every session runs them
@@ -146,7 +142,7 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 		names:  append([]string(nil), al.raw.Names...),
 		data:   d,
 		shared: sh,
-		layout: steal.NewLayout(sched, o.MinChunk),
+		layout: steal.NewLayout(sched, steal.DefaultMinChunk),
 		models: models,
 		opts:   o,
 	}

@@ -133,7 +133,7 @@ func TestEngineBuffersAligned(t *testing.T) {
 // evicts on: MemoryFootprint(l).SessionBytes() must equal the summed lengths
 // of what a real session draining l holds once it has run every region
 // kind — CLVs, scaling vectors, sumtable, every slice of every worker record,
-// the chunk layout, and the per-chunk partial sums — on both
+// the chunk layout, and the one per-chunk partial buffer — on both
 // backends, at the default chunk size and a smaller one. The worker records are walked by reflection, so a buffer added to
 // one later cannot go unpriced. The transition-matrix memo is priced at its
 // cap: the blocks the session holds plus one per slot that has not missed
@@ -150,6 +150,12 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 		}
 		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true}, weightedAt(t, arm.minChunk))
 		runEvalResult(t, eng)
+		// The one partial buffer at its widest width-1 use: d1, d2 and the lnL lane.
+		z := make([]float64, eng.NumPartitions())
+		for i := range z {
+			z[i] = 0.2
+		}
+		eng.BranchDerivatives(eng.Tree.Tips[0].Back, z, nil, nil, nil, nil, make([]float64, 1))
 
 		var held int64
 		for i := range eng.clvs {
@@ -169,7 +175,7 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 			}
 		}
 		l := eng.ChunkLayout()
-		held += l.MemoryBytes() + 8*int64(len(eng.evalChunk)+len(eng.derivChunk))
+		held += l.MemoryBytes() + 8*int64(len(eng.partials))
 
 		if blocks == 0 || room == 0 {
 			t.Errorf("%v: memo holds %d bytes of blocks with %d to its cap; want some of both", backend, blocks, room)

@@ -94,10 +94,10 @@ func resolveBackend(b Backend) (Backend, error) {
 	return BackendFused, nil
 }
 
-// kernelBody names the per-pattern code a partition's newview and evaluate
-// chunks run; the sumtable and derivative regions have one body each under
-// every backend. It is carried on the span binding as data and switched on
-// once per chunk (spanCtx.run), never per pattern.
+// kernelBody names the per-pattern code a partition's newview shares and
+// evaluate chunks run; the sumtable and derivative regions have one body each
+// under every backend. It is carried on the span binding as data and switched
+// on once per run (spanCtx.run), never per pattern.
 type kernelBody uint8
 
 const (

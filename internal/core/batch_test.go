@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -286,6 +287,94 @@ func cut(t testing.TB, sh *Shared, strategy schedule.Strategy, minChunk int) *st
 // Shared themselves.
 func weightedAt(t testing.TB, minChunk int) func(*Shared) *steal.Layout {
 	return func(sh *Shared) *steal.Layout { return cut(t, sh, schedule.Weighted, minChunk) }
+}
+
+// TestOnePartialBufferServesEveryReduction: a session runs one region at a
+// time, so its evaluate and derivative regions share one partial buffer,
+// grown to the widest use and cleared by every region. On one session at
+// T = 3 under a 16-pattern layout, Evaluate at R = 3, BranchDerivatives at
+// R = 3 with the lnL lane, Evaluate at R = 1 and BranchDerivatives at R = 1
+// without the lane run in turn; every lnL, per-partition lane, d1 and d2 bit
+// of replicate k must equal that of a fresh session running the call alone at
+// width 1 over replicate k's weights — d1 and d2 with the lnL lane switched
+// the other way, so the two derivative regions' partials are laid out at
+// different widths.
+func TestOnePartialBufferServesEveryReduction(t *testing.T) {
+	const threads = 3
+	open := func() *Engine {
+		sim, err := parallel.NewSim(threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batchEngine(t, BackendFused, 4, sim, threads, Options{Specialize: true}, weightedAt(t, 16))
+	}
+	type result struct{ lnl, per, d1, d2 []float64 }
+	// call issues one region over the R lanes of ws (nil: the dataset's own
+	// weights, R = 1) at the same branch.
+	call := func(e *Engine, derivative, lane bool, ws *WeightSet, R int) result {
+		np, p := e.NumPartitions(), e.Tree.Tips[0].Back
+		if !derivative {
+			res := result{lnl: make([]float64, R), per: make([]float64, np*R)}
+			e.Evaluate(p, nil, ws, res.lnl, res.per)
+			return res
+		}
+		res := result{d1: make([]float64, np*R), d2: make([]float64, np*R)}
+		if lane {
+			res.lnl = make([]float64, R)
+		}
+		z := make([]float64, np)
+		for ip := range z {
+			z[ip] = 0.15 + 0.05*float64(ip)
+		}
+		e.BranchDerivatives(p, z, nil, ws, res.d1, res.d2, res.lnl)
+		return res
+	}
+	eng := open()
+	if eng.ChunkLayout().NumChunks() <= threads*eng.NumPartitions() {
+		t.Fatalf("the layout cuts %d chunks: no share holds two", eng.ChunkLayout().NumChunks())
+	}
+	for _, c := range []struct {
+		name             string
+		derivative, lane bool
+		R                int
+	}{
+		{"Evaluate R=3", false, false, 3},
+		{"BranchDerivatives R=3 with the lnL lane", true, true, 3},
+		{"Evaluate R=1", false, false, 1},
+		{"BranchDerivatives R=1", true, false, 1},
+	} {
+		var ws *WeightSet
+		if c.R > 1 {
+			var err error
+			if ws, err = NewWeightSet(eng.Data, c.R, 77); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := call(eng, c.derivative, c.lane, ws, c.R)
+		for k := 0; k < c.R; k++ {
+			var wk *WeightSet
+			if ws != nil {
+				wk = ws.Replicate(k)
+			}
+			want := call(open(), c.derivative, c.lane, wk, 1)
+			if c.derivative {
+				other := call(open(), true, !c.lane, wk, 1)
+				want.d1, want.d2 = other.d1, other.d2
+			}
+			lane := func(v []float64) []float64 {
+				var out []float64
+				for i := k; i < len(v); i += c.R {
+					out = append(out, v[i])
+				}
+				return out
+			}
+			label := fmt.Sprintf("%s replicate %d", c.name, k)
+			sameBits(t, label+" lnL", lane(got.lnl), want.lnl)
+			sameBits(t, label+" per-partition lanes", lane(got.per), want.per)
+			sameBits(t, label+" d1", lane(got.d1), want.d1)
+			sameBits(t, label+" d2", lane(got.d2), want.d2)
+		}
+	}
 }
 
 // TestBatchBitIdentity is the batched reductions' acceptance test: on both

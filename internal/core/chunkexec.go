@@ -11,15 +11,15 @@ import (
 )
 
 // Region execution. A parallel region is one thing: the entry point describes
-// it (region), Engine.drain is the one chunk loop every worker of every region
-// runs, and spanCtx.bind is the one place a (partition, worker) encounter is
-// set up. The schedule's assignment is sliced into chunks (the dataset's
-// steal.Layout) and each worker walks its own chunk ids in ascending order,
-// skipping chunks of masked-off spans: exactly its scheduled share. A region
-// is newview steps, at most one sumtable pass and at most one terminal pass,
-// whose kind it is counted under. What differs between passes is data on
-// the region and three switches on the pass kind: what a span binds (bind),
-// which kernel body a chunk runs (run), and what a pattern costs (takeOps);
+// it (region), Engine.drain is the one walk every worker of every region
+// runs, and spanCtx.bind is the one place a (partition, worker) share is set
+// up. The dataset's steal.Layout holds each worker's shares — its one run of
+// each span — in span order, each cut into chunks, and a worker walks its
+// own, skipping those of masked-off spans: exactly its scheduled patterns. A
+// region is newview steps, at most one sumtable pass and at most one terminal
+// pass, whose kind it is counted under. What differs between passes is data
+// on the region and three switches on the pass kind: what a share binds
+// (bind), which kernel body runs it (run), and what a pattern costs (takeOps);
 // evaluate and derivative regions add a fixed-order reduction after the
 // barrier, in their entry points. There is one entry point per kind —
 // TraverseRoot issues steps alone, Evaluate and BranchDerivatives a terminal
@@ -33,49 +33,49 @@ import (
 // over replicate r's weights performs.
 //
 // Determinism argument (why a result depends only on the chunk layout — the
-// dataset's schedule cut at its minimum chunk size — not on the executor or
-// the interleaving):
+// dataset's schedule cut into chunks — not on the executor or the
+// interleaving):
 //
-//  1. CLV, scaling, and sumtable writes are per-pattern and chunks are
-//     disjoint pattern ranges, so newview/sumtable output is independent of
-//     how a worker's share of a span is cut: drain runs it as one run.
-//  2. Reduction kernels (evaluate, derivatives) accumulate one partial sum
-//     per (chunk, lane), in ascending pattern order inside the chunk — a pure
-//     function of the chunk's range — and the master reduces the per-chunk
-//     partials in fixed chunk-id order after the barrier. The floating-point
-//     association is therefore identical on a concurrent or a serial
-//     executor, in this session or any other reading the same layout.
+//  1. CLV, scaling, and sumtable writes are per-pattern, so newview/sumtable
+//     output is independent of how a worker's share of a span is cut: the
+//     body runs the share as one run.
+//  2. A chunk is a reduction slot and nothing else. Reduction bodies
+//     (evaluate, derivatives) run once per chunk of a share and accumulate
+//     one partial sum per (chunk, lane), in ascending pattern order inside
+//     the chunk — a pure function of the chunk's range — and the master
+//     reduces the per-chunk partials in fixed chunk-id order after the
+//     barrier. The floating-point association is therefore identical on a
+//     concurrent or a serial executor, in this session or any other reading
+//     the same layout.
 //  3. A region needs no barrier between its passes: a worker reads at step
 //     s+1, or at the terminal, only patterns it wrote itself at the steps
 //     before, so a region keeps the paper's single barrier (a worker may
 //     run a whole pass ahead of its neighbours).
 //
 // Span set-up (binding the two transition-matrix blocks, gathering tip
-// tables) is per (step, span) encounter of a worker, so a worker processing
-// consecutive chunks of one span pays it once. A span binds, it does not
-// compute: a P(z) block the worker already built for the partition is taken
-// from its memo (pmMemo). Nor does it re-derive: each worker binds the
-// spanCtx in its own record (worker) in place, takes the partition's record
-// (layout.go) in one assignment and computes only what the region, the
-// session's models and the branch decide.
-// Whether a tip table amortizes is decided from the worker's whole pattern
-// share of the span (steal.Chunk.Share) — a pure function of the layout — and
-// the code lists of the span's tip ends, not from the chunk at hand, so a
-// share the pack cut into many short runs still takes the table path.
+// tables) is once per (worker, span, pass): a share binds once, however many
+// chunks it holds. A span binds, it does not compute: a P(z) block the worker
+// already built for the partition is taken from its memo (pmMemo). Nor does
+// it re-derive: each worker binds the spanCtx in its own record (worker) in
+// place, takes the partition's record (layout.go) in one assignment and
+// computes only what the region, the session's models and the branch decide.
+// Whether a tip table amortizes is decided at binding time, once, from the
+// share's length — a pure function of the layout — and the code lists of the
+// span's tip ends.
 
 // region describes the parallel region in flight: its passes, the partitions
 // they cover and what their spans bind. It lives on the Engine (Engine.cur)
 // for the length of runRegion, so issuing a region allocates nothing.
 type region struct {
 	kind    parallel.Region      // the terminal pass; RegionNewview: none, the steps alone
-	act     []bool               // the active partitions: chunks of the others are skipped
+	act     []bool               // the active partitions: shares of the others are skipped
 	stepAct []bool               // the steps' active partitions: a superset of the terminal's
-	steps   []tree.TraversalStep // the traversal descriptor, one newview pass over the chunks per step
+	steps   []tree.TraversalStep // the traversal descriptor, one newview pass over the shares per step
 	sum     bool                 // derivative: a sumtable pass over stepAct's partitions before the terminal
 	p       *tree.Node           // evaluate, derivative: the branch (p, p.Back) the region roots at
 	z       []float64            // derivative: the branch length per partition
 	ws      *WeightSet           // evaluate, derivative: the replicate weights reduced under
-	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk
+	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk (sessionBuffers.partials)
 	lanes   int
 }
 
@@ -94,15 +94,15 @@ func (e *Engine) runRegion(r region, act []bool) {
 	e.inRegion.Store(false)
 }
 
-// drain is the chunk loop: worker w walks its own chunk ids in ascending
-// order, once per traversal step, once for the sumtable and once for the
-// terminal, and runs every chunk whose span is active in the pass (a newview
-// or sumtable pass its whole share of the span). A span is bound once per
-// encounter and re-used across consecutive chunks; the op charge flushes
-// into ctx once, off the chunk loop.
+// drain is the one walk: worker w runs each of its shares whose span is
+// active in the pass, in span order, once per traversal step, once for the
+// sumtable and once for the terminal. A share is bound once and priced once a
+// pass; a newview or sumtable pass runs it in one body call, an evaluate or
+// derivative pass one call per chunk, into the chunk's partial slot. The op
+// charge flushes into ctx once, off the walk.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r := &e.cur
-	own := e.chunks.Owned(w)
+	own := e.chunks.Shares(w)
 	c := &e.workers[w].span
 	ops := 0.0
 	passes := len(r.steps)
@@ -120,22 +120,20 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 		case si == len(r.steps): // r.sum: the pass between the steps and the terminal
 			kind = parallel.RegionSumTable
 		}
-		merge := kind == parallel.RegionNewview || kind == parallel.RegionSumTable // per-pattern writes: point 1
-		cached := -1
-		for _, id := range own {
-			ch := e.chunks.Chunk(int(id))
-			if !act[ch.Span] || merge && ch.Span == cached {
+		for i := range own {
+			sh := &own[i]
+			if !act[sh.Span] {
 				continue
 			}
-			if ch.Span != cached {
-				c.bind(r, kind, si, ch.Span, ctx)
-				cached = ch.Span
+			c.bind(r, kind, si, sh.Span, sh.Len(), ctx)
+			if kind == parallel.RegionNewview || kind == parallel.RegionSumTable {
+				c.run(r, -1, sh.Run, ctx) // per-pattern writes: point 1
+			} else {
+				for id := sh.First; id < sh.End; id++ {
+					c.run(r, id, e.chunks.Chunk(id).Run, ctx) // a reduction slot: point 2
+				}
 			}
-			c.ensureTables(ch.Share)
-			if merge {
-				ch.Hi = ch.Lo + ch.Share // the share's chunks tile one run from its first
-			}
-			ops += c.takeOps(c.run(r, int(id), ch.Run, ctx))
+			ops += c.takeOps(sh.Len())
 		}
 	}
 	ctx.Ops += ops
@@ -157,8 +155,8 @@ type spanEnd struct {
 }
 
 // spanCtx is the per-(partition, worker) setup of whatever region is in
-// flight, factored out of the pattern loops: drain binds it once per span
-// encounter and runs one chunk at a time against it. It lives in its worker's
+// flight, factored out of the pattern loops: drain binds it once per share
+// and pass and runs the share against it. It lives in its worker's
 // record, which every binding overwrites in place: nothing is zeroed or copied
 // whole. The engine and the record are set when a session takes the buffer
 // set; the partition's record is taken whole by each binding; the two ends
@@ -216,14 +214,15 @@ func (e *Engine) bindEnd(end *spanEnd, part *alignment.CompressedPartition, n *t
 	}
 }
 
-// bind sets c up for partition ip in a pass of the given kind: the
-// partition's record, then what the kind reads — the transition matrices of
-// its branches (transition: each worker computes P locally, as RAxML's
-// Pthreads do, rather than pay a synchronization to share it, and remembers
-// what it computed), the views of both ends, the partition's lanes of the
-// WeightSet. si is the step of a newview pass. Every binding assigns the
+// bind sets c up for the worker's share of partition ip, n patterns, in a
+// pass of the given kind: the partition's record, then what the kind reads —
+// the transition matrices of its branches (transition: each worker computes
+// P locally, as RAxML's Pthreads do, rather than pay a synchronization to
+// share it, and remembers what it computed), the views of both ends, the
+// partition's lanes of the WeightSet — and last the tip-table decision
+// (ensureTables). si is the step of a newview pass. Every binding assigns the
 // record, both ends and the lanes; a kind's own group only that kind.
-func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *parallel.WorkerCtx) {
+func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip, n int, ctx *parallel.WorkerCtx) {
 	e := c.e
 	c.partition = e.layout.parts[ip]
 	c.kind, c.fixed = kind, 0
@@ -278,6 +277,7 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip int, ctx *paralle
 		}
 		model.Exps(c.eTab)
 	}
+	c.ensureTables(n)
 }
 
 // What a worker remembers. Lazy SPR and Newton smoothing hold every branch
@@ -335,19 +335,19 @@ func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, ta
 	return i
 }
 
-// ensureTables is the one table decision: with Specialize on, when the
-// worker's whole share of the span — a pure function of the layout —
-// amortizes lookup tables for the span's tip ends (tipTablesAmortize), build
-// the ones not built yet. A span builds all its tables or none, and because
-// the table and generic paths are bit-identical, mixing them across chunks of
-// one span can never change results, only the op accounting.
-func (c *spanCtx) ensureTables(share int) {
+// ensureTables is the one table decision, made by bind: with Specialize on,
+// when the worker's share of the span, n patterns — a pure function of the
+// layout — amortizes lookup tables for the span's tip ends
+// (tipTablesAmortize), build them. A span builds all its tables or none, and
+// the table and generic paths are bit-identical: the decision changes the op
+// accounting, never a result.
+func (c *spanCtx) ensureTables(n int) {
 	a, b := &c.a, &c.b
-	if !c.e.Specialize || (a.codes == nil && b.codes == nil) || !tipTablesAmortize(share, a.codes, b.codes) {
+	if !c.e.Specialize || (a.codes == nil && b.codes == nil) || !tipTablesAmortize(n, a.codes, b.codes) {
 		return
 	}
 	for i, end := range [2]*spanEnd{a, b} {
-		if end.codes == nil || end.tab != nil {
+		if end.codes == nil {
 			continue
 		}
 		dst, terms := c.wk.tip[i], tipSetStates(c.dtype, end.codes)
@@ -367,41 +367,40 @@ func (c *spanCtx) ensureTables(share int) {
 	}
 }
 
-// run executes chunk id (pattern run run) of region r with the body the
-// partition's selector names and returns the processed pattern count.
-// Dispatch is per chunk, never per pattern. The newview observability
-// counters flush here, off the pattern loop.
-func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerCtx) int {
+// run executes pattern run run of region r with the body the partition's
+// selector names: a whole share of a newview or sumtable pass, or chunk id of
+// an evaluate or derivative pass, whose partial slot it accumulates into.
+// Dispatch is per run, never per pattern. The newview observability counters
+// flush here, off the pattern loop.
+func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerCtx) {
 	switch c.kind {
 	case parallel.RegionNewview:
-		n := 0
 		if c.body == bodyFused4 {
-			n = c.newviewFused4(run)
+			c.newviewFused4(run)
 		} else {
-			n = c.newviewGeneric(run)
+			c.newviewGeneric(run)
 		}
-		ctx.Patterns += float64(n)
+		ctx.Patterns += float64(run.Len())
 		ctx.Scalings += c.scaled
 		c.scaled = 0
-		return n
 	case parallel.RegionEvaluate:
 		// The fused body's raw likelihoods are its four-pattern chains; a
 		// q-side tip without a table takes the generic body's, the same bits.
 		fused := c.body == bodyFused4 && (!c.b.tip || c.b.tab != nil)
-		return c.evaluateRun(run, r.out[id*r.lanes:(id+1)*r.lanes], fused)
+		c.evaluateRun(run, r.out[id*r.lanes:(id+1)*r.lanes], fused)
 	case parallel.RegionSumTable:
 		// Once per branch and CLV state, amortized over every Newton
 		// iteration: one body serves every backend.
-		return c.sumtableGeneric(run)
+		c.sumtableGeneric(run)
 	default:
-		return c.derivativeRun(run, r.out[id*r.lanes:(id+1)*r.lanes])
+		c.derivativeRun(run, r.out[id*r.lanes:(id+1)*r.lanes])
 	}
 }
 
-// takeOps prices count processed patterns by the kernel case that ran — a
-// tip end with a table costs a row read, any other end the full O(s²) work —
-// and claims the outstanding setup charge.
-func (c *spanCtx) takeOps(count int) float64 {
+// takeOps prices the n patterns of the share that ran by the kernel case —
+// a tip end with a table costs a row read, any other end the full O(s²) work
+// — and claims the outstanding setup charge.
+func (c *spanCtx) takeOps(n int) float64 {
 	var per float64
 	ta, tb := c.a.tab != nil, c.b.tab != nil
 	switch c.kind {
@@ -414,14 +413,14 @@ func (c *spanCtx) takeOps(count int) float64 {
 	default:
 		per = opsDerivative(c.s, c.cats, c.R, c.score)
 	}
-	ops := float64(count)*per + c.fixed
+	ops := float64(n)*per + c.fixed
 	c.fixed = 0
 	return ops
 }
 
 // grow returns *buf resized to n zeroed entries (grow-only): the per-chunk
-// partial sums of one reduction region, whose chunks of masked partitions are
-// never handed out, so their entries stay zero; or an evaluate's lane sums.
+// partial sums of one reduction region, whose chunks of masked partitions
+// never run, so their entries stay zero; or an evaluate's lane sums.
 func grow(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)

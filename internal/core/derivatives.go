@@ -24,7 +24,7 @@ import (
 // state-ascending order in either realisation: the same bits.
 //
 //plk:hotpath
-func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
+func (c *spanCtx) sumtableGeneric(run schedule.Run) {
 	s := c.s
 	fl, rp := c.fl, c.tmp
 	for i := run.Lo; i < run.Hi; i++ {
@@ -58,7 +58,6 @@ func (c *spanCtx) sumtableGeneric(run schedule.Run) int {
 			}
 		}
 	}
-	return run.Len()
 }
 
 // SumtableKernel is the kernel sumtableGeneric runs a pattern's categories
@@ -136,21 +135,12 @@ func (e *Engine) BranchDerivatives(p *tree.Node, z []float64, active []bool, ws 
 	if lnl != nil {
 		rg.lanes = 3 * R
 	}
-	lay := e.chunks
-	n := lay.NumChunks()
-	buf := grow(&e.derivChunk, n*rg.lanes)
+	buf := grow(&e.partials, e.chunks.NumChunks()*rg.lanes)
 	rg.out = buf
 	e.runRegion(rg, active)
 	if d1 != nil {
-		clear(d1)
-		clear(d2)
-		for id := 0; id < n; id++ {
-			sp := lay.Chunk(id).Span
-			for r := 0; r < R; r++ {
-				d1[sp*R+r] += buf[id*rg.lanes+2*r]
-				d2[sp*R+r] += buf[id*rg.lanes+2*r+1]
-			}
-		}
+		e.reduce(buf, rg.lanes, 0, R, d1)
+		e.reduce(buf, rg.lanes, R, R, d2)
 	}
 	if lnl != nil {
 		per := grow(&e.lanes, np*R)
@@ -165,9 +155,10 @@ func (e *Engine) BranchDerivatives(p *tree.Node, z []float64, active []bool, ws 
 // into out[2R+r] under replicate r's weight in ascending pattern order.
 //
 //plk:hotpath
-func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
+func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) {
 	if !c.score {
-		return c.derivativeGeneric(run, out)
+		c.derivativeGeneric(run, out)
+		return
 	}
 	lane := out[2*c.R : 3*c.R]
 	for lo := run.Lo; lo < run.Hi; lo += siteBlock {
@@ -177,14 +168,13 @@ func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
 		c.sites(v, lo, 1) // the sumtable's terms carry 1/numCats already
 		c.weigh(v, lo-c.partOffset, lane)
 	}
-	return run.Len()
 }
 
 // derivativeGeneric is the derivative body shared by every backend: it reads
 // only the sumtable, which is pattern-major. Per pattern the likelihood and
 // its two derivative dot products run once, each in its own k-ascending
 // order from +0, and the resulting first-derivative ratio and curvature terms
-// accumulate under all R replicate weights into out[2r], out[2r+1], in
+// accumulate under all R replicate weights into out[r], out[R+r], in
 // ascending pattern order within the run. Where the host has the kernel
 // (derivative_amd64.s) whole quartets of the run's patterns go four lanes a
 // pass, two quartets in flight, a block of them a call; the patterns after
@@ -193,7 +183,7 @@ func (c *spanCtx) derivativeRun(run schedule.Run, out []float64) int {
 // is the same chain of roundings in either: the same bits.
 //
 //plk:hotpath
-func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
+func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) {
 	cs := c.cs
 	eT, g1, g2 := c.eTab[:cs], c.g1Tab[:cs], c.g2Tab[:cs]
 	i := run.Lo
@@ -229,9 +219,6 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 			lb1 += float64(b * g1[k])
 			lb2 += float64(b * g2[k])
 		}
-		// The cs-length dot products ran, so a pattern is charged whether or
-		// not derivativeTerms' guard accepts its contribution; skipped
-		// patterns must not undercount the region's performed work.
 		c.note(la)
 		c.derivativeTerms(j, la, la1, la2, out)
 		if paired {
@@ -239,7 +226,6 @@ func (c *spanCtx) derivativeGeneric(run schedule.Run, out []float64) int {
 			c.derivativeTerms(j+1, lb, lb1, lb2, out)
 		}
 	}
-	return run.Len()
 }
 
 // DerivativeKernel is the quartet kernel derivativeGeneric runs whole
@@ -277,7 +263,7 @@ func (c *spanCtx) derivativeTerms(j int, l, l1, l2 float64, out []float64) {
 	curv := float64(l2*inv) - float64(r1*r1)
 	wj := c.lw[j*c.R : (j+1)*c.R]
 	for r, w := range wj {
-		out[2*r] += float64(w * r1)
-		out[2*r+1] += float64(w * curv)
+		out[r] += float64(w * r1)
+		out[len(wj)+r] += float64(w * curv)
 	}
 }

@@ -4,12 +4,12 @@
 // numerical scaling, and the analytic first and second branch-length
 // derivatives (sumtable scheme) that drive Newton-Raphson branch
 // optimization. All pattern loops run inside parallel regions issued to a
-// a parallel.Pool through one chunk loop and one span binding (see
+// a parallel.Pool through one walk and one span binding (see
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, the paper's
 // per-partition pattern counts, with block and cost-weighted alternatives;
 // under each a worker's share of a partition is one contiguous run) cut into
-// chunks (the dataset's steal.Layout), each worker walking its own. A session
+// chunks (the dataset's steal.Layout), each worker running its own shares. A session
 // issues its regions through one entry per kind (TraverseRoot, Evaluate,
 // BranchDerivatives); every one but TraverseRoot takes an optional
 // per-partition activity mask, which is the mechanism behind both oldPAR
@@ -69,7 +69,7 @@ type Engine struct {
 
 	// Region execution (see chunkexec.go): the chunk layout every region
 	// walks, the region in flight and the guard against a second one, and
-	// the chunk loop as the func value handed to Exec.Run (bound once, so a
+	// the walk as the func value handed to Exec.Run (bound once, so a
 	// region does not allocate it).
 	chunks   *steal.Layout
 	cur      region
@@ -129,13 +129,13 @@ type sessionBuffers struct {
 
 	// The master's side of a region: the newview steps in flight (room for a
 	// whole traversal, one step per inner node), the per-chunk partial sums
-	// of the reductions and the per-partition lane sums of an evaluate whose
-	// caller keeps none or of a derivative region's lnL lane, the last three
-	// grown to the widest WeightSet the set has run.
-	steps      []tree.TraversalStep
-	evalChunk  []float64 // [chunk*R + r] evaluate partials
-	derivChunk []float64 // [chunk*L + 2r(+1)] (d1, d2) derivative partials, [chunk*L + 2R + r] the lnL lane's; L = 2R or 3R
-	lanes      []float64 // [partition*R + r]
+	// of the reduction in flight (a session runs one region at a time) and
+	// the per-partition lane sums of an evaluate whose caller keeps none or
+	// of a derivative region's lnL lane, the last two grown to the widest use
+	// the set has run.
+	steps    []tree.TraversalStep
+	partials []float64 // [chunk*L + lane]: evaluate L = R lanes; derivative L = 2R or 3R, [d1 lanes | d2 lanes | lnL lanes]
+	lanes    []float64 // [partition*R + r]
 }
 
 // worker is one worker's record: the span binding drain runs its chunks

@@ -38,7 +38,7 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 		e.obsBatchWidth.Set(float64(R))
 	}
 	act := e.activeOrAll(active)
-	buf := grow(&e.evalChunk, e.chunks.NumChunks()*R)
+	buf := grow(&e.partials, e.chunks.NumChunks()*R)
 	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.rootSteps(p, act), stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
 	e.reduce(buf, R, 0, R, per)
 	if lnl != nil {
@@ -46,9 +46,10 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 	}
 }
 
-// reduce is the master's side of a lane reduction: lanes lo…lo+R-1 of every
+// reduce is the master's one lane reduction: lanes lo…lo+R-1 of every
 // chunk's partials (width entries a chunk) summed into per[span*R+r], chunk
-// by chunk in id order.
+// by chunk in id order. It serves an evaluate's lanes and a derivative
+// region's d1, d2 and lnL lanes alike.
 func (e *Engine) reduce(buf []float64, width, lo, R int, per []float64) {
 	clear(per)
 	for id := 0; id < e.chunks.NumChunks(); id++ {
@@ -140,7 +141,7 @@ const siteBlock = 32
 // invariant to which worker processes it and to the block size.
 //
 //plk:hotpath
-func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
+func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) {
 	var blk [siteBlock]float64
 	for lo := run.Lo; lo < run.Hi; lo += siteBlock {
 		n := min(siteBlock, run.Hi-lo)
@@ -157,7 +158,6 @@ func (c *spanCtx) evaluateRun(run schedule.Run, out []float64, fused bool) int {
 		c.sites(v, lo, c.invCats)
 		c.weigh(v, j0, out)
 	}
-	return run.Len()
 }
 
 // sites turns the raw likelihoods in v, of patterns i0, i0+1, … by global

@@ -103,7 +103,9 @@ func requireBitIdentical(t *testing.T, label string, a, b evalResult) {
 // the determinism contract: likelihoods and both branch derivatives are a
 // function of the chunk layout only, so they are bit-for-bit identical
 // across Pool sessions (real goroutines), Sim (virtual workers taking turns)
-// and, at T=1, Sequential, at 1 and 4 Gamma categories on mixed DNA+AA data.
+// and, at T=1, Sequential, at 1 and 4 Gamma categories on mixed DNA+AA data,
+// while the same schedule cut at 64 and 256 patterns instead of 16 regroups
+// the per-chunk reductions only and agrees to reassociation tolerance.
 // The weighted schedule is deliberately mispriced so the pack is skewed and
 // the pool's workers finish their shares far apart. (The name predates the
 // removal of work stealing and of its per-session toggle.)
@@ -152,6 +154,16 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "pool vs sim", resPool, runEvalResult(t, mk(sim, sh, opts)))
+		for _, minChunk := range []int{64, 256} {
+			lay := steal.NewLayout(skewed, minChunk)
+			if lay.NumChunks() == opts.Layout.NumChunks() {
+				t.Fatalf("cats=%d: %d-pattern chunks cut the fixture as 16-pattern ones do (%d chunks)", cats, minChunk, lay.NumChunks())
+			}
+			res := runEvalResult(t, mk(sim, sh, Options{Specialize: true, Layout: lay}))
+			if diff := math.Abs(res.lnl - resPool.lnl); diff > 1e-9*math.Abs(resPool.lnl) {
+				t.Errorf("cats=%d: lnL at %d-pattern chunks %v vs 16 %v", cats, minChunk, res.lnl, resPool.lnl)
+			}
+		}
 
 		// Sequential (T=1) chunked execution: a different worker count is a
 		// different layout, so T=1 agrees with T=3 to reassociation
@@ -181,16 +193,16 @@ func (o *walkTally) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctx
 }
 
 // TestDrainWalksOwnChunksInOrder is the table test of drain's walk: every
-// worker visits its own chunks (the schedule's share of every pattern in
-// them), in ascending id order, once per traversal step, and skips the
-// chunks of masked-off spans, so each active chunk runs exactly once per
-// step. The order is the owner list's, which drain ranges over; the list is
-// checked directly (owner lists partition the chunk ids, ascend, and hold
-// only the owner's patterns). The visits are checked through a real
-// session's regions: per worker, a traversal of n steps processes n times
-// its active share and binds each active span it owns once per step (a walk
-// that interleaved spans would bind one twice), and an evaluate region
-// leaves a partial sum in exactly the active chunks.
+// worker visits its own shares (its schedule run of each span), in span
+// order, once per traversal step, and skips the shares of masked-off spans,
+// so each active chunk runs exactly once per step. The order is the share
+// list's, which drain ranges over; the list is checked directly (a share is
+// the owner's run, its chunks tile it, and the shares' chunk ids partition
+// the ids and ascend). The visits are checked through a real session's
+// regions: per worker, a traversal of n steps processes n times its active
+// share and binds each active share once per step (one bind per chunk, or
+// per span encounter of an interleaved walk, would count more), and an
+// evaluate region leaves a partial sum in exactly the active chunks.
 func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 	d, models := mixedFixture(t, 1, 61)
 	if len(d.Parts) != 2 {
@@ -208,8 +220,8 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 				lay := cut(t, sh, strat, minChunk)
 				s := lay.Schedule()
 
-				// The layout: owner lists partition the ids, ascend, and hold
-				// only patterns the schedule gives their owner.
+				// The layout: a share is its owner's run, its chunks tile it,
+				// and the shares' chunk ids partition the ids and ascend.
 				owner := make([]int, s.Total())
 				for w := 0; w < threads; w++ {
 					for sp := 0; sp < s.NumSpans(); sp++ {
@@ -221,18 +233,32 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 				}
 				seen := make([]int, lay.NumChunks())
 				for w := 0; w < threads; w++ {
-					prev := -1
-					for _, id := range lay.Owned(w) {
-						if int(id) <= prev {
-							t.Fatalf("%s: worker %d ids not ascending: %d after %d", name, w, id, prev)
+					prev, prevSpan := -1, -1
+					for _, sh := range lay.Shares(w) {
+						if sh.Span <= prevSpan || sh.Run != s.SpanRun(w, sh.Span) || sh.Len() == 0 {
+							t.Fatalf("%s: worker %d share %+v after span %d, want the next non-empty schedule run", name, w, sh, prevSpan)
 						}
-						prev = int(id)
-						seen[id]++
-						c := lay.Chunk(int(id))
-						for i := c.Lo; i < c.Hi; i++ {
-							if owner[i] != w {
-								t.Fatalf("%s: chunk %d on worker %d's list holds pattern %d of worker %d", name, id, w, i, owner[i])
+						prevSpan = sh.Span
+						lo := sh.Lo
+						for id := sh.First; id < sh.End; id++ {
+							if id <= prev {
+								t.Fatalf("%s: worker %d ids not ascending: %d after %d", name, w, id, prev)
 							}
+							prev = id
+							seen[id]++
+							c := lay.Chunk(id)
+							if c.Span != sh.Span || c.Lo != lo {
+								t.Fatalf("%s: chunk %d %+v does not continue worker %d's share %+v at %d", name, id, c, w, sh, lo)
+							}
+							lo = c.Hi
+							for i := c.Lo; i < c.Hi; i++ {
+								if owner[i] != w {
+									t.Fatalf("%s: chunk %d on worker %d's list holds pattern %d of worker %d", name, id, w, i, owner[i])
+								}
+							}
+						}
+						if lo != sh.Hi {
+							t.Fatalf("%s: worker %d's share %+v chunks end at %d", name, w, sh, lo)
 						}
 					}
 				}
@@ -264,15 +290,10 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 					active := func(sp int) bool { return mask == nil || mask[sp] }
 					eng.executeSteps(steps, mask)
 					for w := 0; w < threads; w++ {
-						patterns, binds, last := 0, 0, -1
-						for _, id := range lay.Owned(w) {
-							c := lay.Chunk(int(id))
-							if !active(c.Span) {
-								continue
-							}
-							patterns += c.Len()
-							if c.Span != last {
-								binds, last = binds+1, c.Span
+						patterns, binds := 0, 0
+						for _, sh := range lay.Shares(w) {
+							if active(sh.Span) {
+								patterns, binds = patterns+sh.Len(), binds+1
 							}
 						}
 						if got, want := tally.patterns[w], float64(len(steps)*patterns); got != want {
@@ -285,8 +306,8 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 					evaluate1(eng, root, mask)
 					for id := 0; id < lay.NumChunks(); id++ {
 						c := lay.Chunk(id)
-						if ran := eng.evalChunk[id] != 0; ran != (active(c.Span) && c.Len() > 0) {
-							t.Errorf("%s mask %v: chunk %d of span %d left partial %v", name, mask, id, c.Span, eng.evalChunk[id])
+						if ran := eng.partials[id] != 0; ran != (active(c.Span) && c.Len() > 0) {
+							t.Errorf("%s mask %v: chunk %d of span %d left partial %v", name, mask, id, c.Span, eng.partials[id])
 						}
 					}
 				}

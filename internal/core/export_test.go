@@ -109,8 +109,7 @@ func (e *Engine) SiteLogLikelihoods(ip int) []float64 {
 	// Runs outside any region, so worker 0's record is free to borrow; the
 	// counters a bind bumps go nowhere.
 	c := &e.workers[0].span
-	c.bind(&region{kind: parallel.RegionEvaluate, p: root}, parallel.RegionEvaluate, 0, ip, new(parallel.WorkerCtx))
-	c.ensureTables(part.PatternCount)
+	c.bind(&region{kind: parallel.RegionEvaluate, p: root}, parallel.RegionEvaluate, 0, ip, part.PatternCount, new(parallel.WorkerCtx))
 	for lo := 0; lo < part.PatternCount; lo += siteBlock {
 		v := out[lo:min(part.PatternCount, lo+siteBlock)]
 		for k := range v {

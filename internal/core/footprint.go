@@ -54,10 +54,9 @@ type MemoryFootprint struct {
 	// per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
-	// layout it walks and the per-chunk evaluate and derivative partial sums
-	// at batch width 1. The
-	// layout is the dataset's, priced here once, at the chunk size its
-	// sessions run.
+	// layout it walks and its one per-chunk partial buffer at its widest use
+	// at batch width 1, a derivative region's three lanes (d1, d2, lnL). The
+	// layout is the dataset's, priced here once.
 	SessionChunks int64 `json:"session_chunks"`
 }
 
@@ -99,7 +98,7 @@ func (sh *Shared) MemoryFootprint(l *steal.Layout) MemoryFootprint {
 	f.Schedules = 24*int64(len(sh.spans)) + // Span{Lo, Hi int; Cost float64}
 		l.Schedule().MemoryBytes()
 	f.SessionChunks = l.MemoryBytes() +
-		3*8*int64(l.NumChunks()) // evaluate + (d1, d2) partials per chunk
+		3*8*int64(l.NumChunks()) // d1, d2 and lnL partials per chunk
 	f.Layout = sh.layout.memoryBytes()
 
 	nInner := int64(sh.Data.NumTaxa() - 2)

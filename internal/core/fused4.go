@@ -65,13 +65,14 @@ func flagByte(b bool) byte {
 // kernels, category plane by category plane, then applies the per-pattern
 // scaling pass. A tip child without a lookup table (share below the table
 // threshold, or Specialize off) falls back to the generic body — the generic
-// and fused bodies are bit-identical, so mixing them across
-// chunks of one span can never change results.
+// and fused bodies are bit-identical, so which one a share takes can never
+// change results.
 //
 //plk:hotpath
-func (c *spanCtx) newviewFused4(run schedule.Run) int {
+func (c *spanCtx) newviewFused4(run schedule.Run) {
 	if (c.a.tip && c.a.tab == nil) || (c.b.tip && c.b.tab == nil) {
-		return c.newviewGeneric(run)
+		c.newviewGeneric(run)
+		return
 	}
 	cats, cs := c.cats, c.cs
 	small := c.wk.small
@@ -180,7 +181,7 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 			}
 		}
 	}
-	return c.scalePass(small, run)
+	c.scalePass(small, run)
 }
 
 // scalePass is newviewFused4's closing pass: propagate the children's
@@ -190,7 +191,7 @@ func (c *spanCtx) newviewFused4(run schedule.Run) int {
 // and visits only the run's flagged patterns, which bytes.IndexByte finds.
 //
 //plk:hotpath
-func (c *spanCtx) scalePass(small []byte, run schedule.Run) int {
+func (c *spanCtx) scalePass(small []byte, run schedule.Run) {
 	lo, hi := run.Lo, run.Hi
 	ds := c.dstScale[lo:hi]
 	switch {
@@ -216,7 +217,6 @@ func (c *spanCtx) scalePass(small []byte, run schedule.Run) int {
 		c.rescale(lo - c.partOffset + k)
 		ds[k]++
 	}
-	return hi - lo
 }
 
 // rescale multiplies every entry of pattern j's CLV by 2^256: one scaling

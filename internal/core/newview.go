@@ -109,7 +109,7 @@ func applyRows(dst, m, x []float64) {
 // take the run is decided once, before its first pattern.
 //
 //plk:hotpath
-func (c *spanCtx) newviewGeneric(run schedule.Run) int {
+func (c *spanCtx) newviewGeneric(run schedule.Run) {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
 	rows := c.newviewRowsFit(run)
@@ -174,7 +174,6 @@ func (c *spanCtx) newviewGeneric(run schedule.Run) int {
 		}
 		c.finishPattern(i, off)
 	}
-	return run.Len()
 }
 
 // NewviewRowsKernel is the kernel newviewGeneric runs a 20-state pattern's

@@ -63,7 +63,7 @@ func (r *memoRig) requireBlock(label string, ip int, got, want []float64) {
 func (r *memoRig) bindStep(label string, st tree.TraversalStep, ip, w int) spanCtx {
 	r.t.Helper()
 	c := r.eng.workers[w].span
-	c.bind(&region{kind: parallel.RegionNewview, steps: []tree.TraversalStep{st}}, parallel.RegionNewview, 0, ip, &r.ctx)
+	c.bind(&region{kind: parallel.RegionNewview, steps: []tree.TraversalStep{st}}, parallel.RegionNewview, 0, ip, 0, &r.ctx)
 	r.requireBlock(label+" end Q", ip, c.a.pm, r.fresh(ip, st.Q.Z[ip]))
 	r.requireBlock(label+" end R", ip, c.b.pm, r.fresh(ip, st.R.Z[ip]))
 	return c
@@ -73,7 +73,7 @@ func (r *memoRig) bindStep(label string, st tree.TraversalStep, ip, w int) spanC
 func (r *memoRig) bindBranch(label string, p *tree.Node, ip, w int) {
 	r.t.Helper()
 	c := r.eng.workers[w].span
-	c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &r.ctx)
+	c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, 0, &r.ctx)
 	r.requireBlock(label, ip, c.b.pm, r.fresh(ip, p.Z[ip]))
 }
 
@@ -90,7 +90,7 @@ func collidingLengths(t *testing.T) (z1, z2 float64) {
 	t.Helper()
 	r := newMemoRig(t)
 	c := r.eng.workers[0].span
-	c.bind(&region{kind: parallel.RegionEvaluate, p: r.eng.Tree.Tips[0]}, parallel.RegionEvaluate, 0, 0, &r.ctx)
+	c.bind(&region{kind: parallel.RegionEvaluate, p: r.eng.Tree.Tips[0]}, parallel.RegionEvaluate, 0, 0, 0, &r.ctx)
 	first := map[int]float64{}
 	for k := 1; k <= 2*pmMemoSlots; k++ {
 		z := 0.01 * float64(k)
@@ -158,7 +158,7 @@ func TestTransitionMemoExplicitCases(t *testing.T) {
 			// Stale eigensystem: P is the old one's, from the memo or not.
 			r.ctx = parallel.WorkerCtx{}
 			c := r.eng.workers[0].span
-			c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &r.ctx)
+			c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, 0, &r.ctx)
 			r.requireBlock("dirty model", ip, c.b.pm, before)
 			if r.ctx.PReused != 1 {
 				t.Errorf("partition %d: a setter that leaves P unchanged emptied the memo", ip)

@@ -46,10 +46,9 @@ func pAt(p []float64, s, a, b int) float64 {
 	return p[b*s+a]
 }
 
-func (c *spanCtx) newviewReference(run schedule.Run) int {
+func (c *spanCtx) newviewReference(run schedule.Run) {
 	s, cs, cats := c.s, c.cs, c.cats
 	ss := s * s
-	count := 0
 	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
@@ -123,9 +122,7 @@ func (c *spanCtx) newviewReference(run schedule.Run) int {
 			}
 		}
 		c.finishPattern(i, off)
-		count++
 	}
-	return count
 }
 
 func (c *spanCtx) patternLiReference(j, off int) float64 {
@@ -200,9 +197,8 @@ func (c *spanCtx) siteReference(i int, rawLi float64) float64 {
 	return siteReference(rawLi, sc, c.invCats)
 }
 
-func (c *spanCtx) sumtableReference(run schedule.Run) int {
+func (c *spanCtx) sumtableReference(run schedule.Run) {
 	s := c.s
-	count := 0
 	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		off := c.base + j*c.s
@@ -256,15 +252,12 @@ func (c *spanCtx) sumtableReference(run schedule.Run) int {
 				dst[k] = lproj * rproj * c.invCats
 			}
 		}
-		count++
 	}
-	return count
 }
 
-func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) int {
+func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) {
 	cs := c.cs
 	R := c.R
-	count := 0
 	for i := run.Lo; i < run.Hi; i++ {
 		j := i - c.partOffset
 		soff := c.sumBase + j*cs
@@ -275,10 +268,6 @@ func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) int {
 			l1 += a * c.g1Tab[k]
 			l2 += a * c.g2Tab[k]
 		}
-		// The cs-length dot products above already ran, so the pattern is
-		// charged whether or not the guard below accepts its contribution;
-		// skipped patterns must not undercount the region's performed work.
-		count++
 		if l < 1e-300 {
 			// Scaled likelihood vanished; the pattern cannot inform this
 			// branch numerically under any replicate. Skip it (RAxML guards
@@ -290,11 +279,10 @@ func (c *spanCtx) derivativeReference(run schedule.Run, out []float64) int {
 		curv := l2*inv - r1*r1
 		wj := c.lw[j*R : (j+1)*R]
 		for r := 0; r < R; r++ {
-			out[2*r] += wj[r] * r1
-			out[2*r+1] += wj[r] * curv
+			out[r] += wj[r] * r1
+			out[R+r] += wj[r] * curv
 		}
 	}
-	return count
 }
 
 // sameSums is sameBits for sums a NaN may run through: once both are NaN the
@@ -403,7 +391,7 @@ func TestApplyColsBitIdentity(t *testing.T) {
 // TestDerivativePairsBitIdentity: the paired loop against the single-pattern
 // body over every run length 0…9 (odd tails included), one and
 // three lanes, with the vanished-likelihood guard tripping on the first, the
-// second, both and neither pattern of a pair: d1, d2 and the charged count.
+// second, both and neither pattern of a pair: d1 and d2.
 func TestDerivativePairsBitIdentity(t *testing.T) {
 	const cs, offset, patterns = 80, 7, 40
 	rng := rand.New(rand.NewSource(43))
@@ -428,9 +416,8 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 				got, want := vec(2*R), make([]float64, 2*R)
 				copy(want, got)
 				label := fmt.Sprintf("R=%d n=%d vanish=%02b", R, n, vanish)
-				if g, w := c.derivativeGeneric(run, got), c.derivativeReference(run, want); g != w || g != n {
-					t.Fatalf("%s: charged %d patterns, reference %d, run has %d", label, g, w, n)
-				}
+				c.derivativeGeneric(run, got)
+				c.derivativeReference(run, want)
 				sameBits(t, label, got, want)
 			}
 		}
@@ -444,7 +431,7 @@ func TestDerivativePairsBitIdentity(t *testing.T) {
 // kernel call's block, one, three and a hundred lanes. Rows hold
 // ±0, subnormals, ones and values near 2^±500 at random; some patterns' rows
 // vanish (the l < 1e-300 guard) and, in every other run, some carry a NaN or
-// an infinity. d1, d2 and the charged count must agree; a NaN only as a NaN
+// an infinity. d1 and d2 must agree; a NaN only as a NaN
 // (sameSums).
 func TestDerivativeKernelBitIdentity(t *testing.T) {
 	host := DerivativeKernel.Set(true)
@@ -495,14 +482,11 @@ func TestDerivativeKernelBitIdentity(t *testing.T) {
 				kernel, paired, ref := vec(2*R), make([]float64, 2*R), make([]float64, 2*R)
 				copy(paired, kernel)
 				copy(ref, kernel)
-				gk := c.derivativeGeneric(run, kernel)
+				c.derivativeGeneric(run, kernel)
 				was := DerivativeKernel.Set(false)
-				gp := c.derivativeGeneric(run, paired)
+				c.derivativeGeneric(run, paired)
 				DerivativeKernel.Set(was)
-				gr := c.derivativeReference(run, ref)
-				if gk != n || gp != n || gr != n {
-					t.Fatalf("%s: charged %d (kernel) / %d (paired loop) / %d (reference) patterns, run has %d", label, gk, gp, gr, n)
-				}
+				c.derivativeReference(run, ref)
 				sameSums(t, label+", kernel against the paired loop", kernel, paired)
 				sameSums(t, label+", kernel against the reference", kernel, ref)
 				runs++
@@ -605,14 +589,11 @@ func TestSumtableKernelBitIdentity(t *testing.T) {
 					}
 					kernel, scalar, ref := c, c, c
 					kernel.sum, scalar.sum, ref.sum = sums[0], sums[1], sums[2]
-					gk := kernel.sumtableGeneric(run)
+					kernel.sumtableGeneric(run)
 					was := SumtableKernel.Set(false)
-					gs := scalar.sumtableGeneric(run)
+					scalar.sumtableGeneric(run)
 					SumtableKernel.Set(was)
-					gr := ref.sumtableReference(run)
-					if gk != n || gs != n || gr != n {
-						t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, n)
-					}
+					ref.sumtableReference(run)
 					sameSums(t, label+", kernel against the scalar loop", sums[0], sums[1])
 					sameSums(t, label+", kernel against the reference", sums[0], sums[2])
 					runs++
@@ -711,14 +692,11 @@ func TestNewviewRowsKernelBitIdentity(t *testing.T) {
 					arms[k].dst[i] = math.NaN() // an entry no arm writes stays NaN in all three
 				}
 			}
-			gk := arms[0].newviewGeneric(run)
+			arms[0].newviewGeneric(run)
 			was := NewviewRowsKernel.Set(false)
-			gs := arms[1].newviewGeneric(run)
+			arms[1].newviewGeneric(run)
 			NewviewRowsKernel.Set(was)
-			gr := arms[2].newviewReference(run)
-			if gk != n || gs != n || gr != n {
-				t.Fatalf("%s: charged %d (kernel) / %d (scalar loop) / %d (reference) patterns, run has %d", label, gk, gs, gr, n)
-			}
+			arms[2].newviewReference(run)
 			for k, arm := range []string{"scalar loop", "reference"} {
 				other := &arms[k+1]
 				sameSums(t, label+", kernel against the "+arm, arms[0].dst, other.dst)
@@ -762,8 +740,7 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				tr.ClearX()
 				steps := tree.ComputeTraversal(nil, tr.Tips[0].Back)
 				for si := range steps {
-					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, parallel.RegionNewview, si, ip, &ctx)
-					c.ensureTables(part.PatternCount)
+					c.bind(&region{kind: parallel.RegionNewview, steps: steps}, parallel.RegionNewview, si, ip, part.PatternCount, &ctx)
 					seen[fmt.Sprint(c.a.tip && c.b.tip, c.a.tip || c.b.tip)] = true
 					ref := c
 					ref.dst, ref.dstScale = make([]float64, len(c.dst)), make([]int32, len(c.dstScale))
@@ -779,16 +756,14 @@ func TestGenericBodiesMatchReference(t *testing.T) {
 				for _, br := range tr.Branches() {
 					for _, p := range []*tree.Node{br, br.Back} {
 						eng.BranchDerivatives(p, make([]float64, len(eng.Models)), nil, nil, nil, nil, nil)
-						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, &ctx)
-						c.ensureTables(part.PatternCount)
+						c.bind(&region{kind: parallel.RegionEvaluate, p: p}, parallel.RegionEvaluate, 0, ip, part.PatternCount, &ctx)
 						seen[fmt.Sprint("evaluate ", c.a.tip, c.b.tip, c.b.tab != nil)] = true
 						for j := 0; j < part.PatternCount; j++ {
 							got, want := c.patternLi(j, c.base+j*c.s), c.patternLiReference(j, c.base+j*c.s)
 							sameBits(t, fmt.Sprintf("%s evaluate pattern %d", label, j), []float64{got}, []float64{want})
 						}
 
-						c.bind(&region{kind: parallel.RegionSumTable, p: p}, parallel.RegionSumTable, 0, ip, &ctx)
-						c.ensureTables(part.PatternCount)
+						c.bind(&region{kind: parallel.RegionSumTable, p: p}, parallel.RegionSumTable, 0, ip, part.PatternCount, &ctx)
 						seen[fmt.Sprint("sumtable ", c.a.tip, c.b.tip, c.a.tab != nil, c.b.tab != nil)] = true
 						ref := c
 						ref.sum = make([]float64, len(c.sum))

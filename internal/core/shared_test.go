@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"phylo/internal/alignment"
@@ -168,9 +169,9 @@ func TestSessionRefusesForeignLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := def.ChunkLayout()
-	if l.Schedule().Strategy() != schedule.Cyclic || l.MinChunk() != steal.DefaultMinChunk || l.Threads() != threads {
-		t.Errorf("nil Layout drains %v at %d patterns for %d workers, want cyclic at %d for %d",
-			l.Schedule().Strategy(), l.MinChunk(), l.Threads(), steal.DefaultMinChunk, threads)
+	if l.Schedule().Strategy() != schedule.Cyclic || l.Threads() != threads || !reflect.DeepEqual(l, steal.NewLayout(l.Schedule(), steal.DefaultMinChunk)) {
+		t.Errorf("nil Layout drains %v for %d workers, want cyclic at %d patterns for %d",
+			l.Schedule().Strategy(), l.Threads(), steal.DefaultMinChunk, threads)
 	}
 	explicit := cut(t, sh, schedule.Cyclic, 0)
 	eng, err := open(explicit)

@@ -69,11 +69,9 @@ func TestSpanRebindsInPlace(t *testing.T) {
 			label := fmt.Sprintf("%s %s", part.Name, k.name)
 			rc, rf := k.r, k.r
 			rc.out, rf.out = make([]float64, k.r.lanes), make([]float64, k.r.lanes)
-			c.bind(&rc, rc.kind, si, ip, &cctx)
+			c.bind(&rc, rc.kind, si, ip, share, &cctx)
 			*f = spanCtx{e: e, wk: e.workers[1]}
-			f.bind(&rf, rf.kind, si, ip, &fctx)
-			c.ensureTables(share)
-			f.ensureTables(share)
+			f.bind(&rf, rf.kind, si, ip, share, &fctx)
 			built := c.a.tab != nil || c.b.tab != nil
 			switch k.r.kind {
 			case parallel.RegionNewview:
@@ -88,11 +86,11 @@ func TestSpanRebindsInPlace(t *testing.T) {
 			if fb := f.a.tab != nil || f.b.tab != nil; built != fb {
 				t.Errorf("%s: tables built %v in place, %v in a zeroed context", label, built, fb)
 			}
-			nc := c.run(&rc, 0, run, &cctx)
+			c.run(&rc, 0, run, &cctx)
 			got := append([]float64(nil), k.out(c, &rc)...)
-			nf := f.run(&rf, 0, run, &fctx)
+			f.run(&rf, 0, run, &fctx)
 			sameBits(t, label+": in place vs zeroed", got, k.out(f, &rf))
-			if oc, of := c.takeOps(nc), f.takeOps(nf); oc != of {
+			if oc, of := c.takeOps(share), f.takeOps(share); oc != of {
 				t.Errorf("%s: takeOps charges %v in place, %v in a zeroed context", label, oc, of)
 			}
 		}

@@ -183,12 +183,12 @@ func (s *Schedule) SpanRun(w, sp int) Run { return s.runs[w][sp] }
 const ChunkAlign = 16
 
 // ChunkRuns splits worker w's run inside span sp into chunk-sized sub-runs,
-// the units the engine walks and groups its sums by (internal/steal's
-// layout). The chunk size is minChunk rounded up to a ChunkAlign multiple,
-// and every interior cut is additionally snapped forward onto a *global*
-// pattern index that is a ChunkAlign multiple — a run can start anywhere
-// under the LPT packs and the cyclic tiling, so run-relative cuts alone would
-// not keep two adjacent chunks off one cache line of the scaling vectors.
+// the slots the engine groups its sums by (internal/steal's layout). The
+// chunk size is minChunk rounded up to a ChunkAlign multiple, and every
+// interior cut is additionally snapped forward onto a *global* pattern index
+// that is a ChunkAlign multiple — a run can start anywhere under the LPT
+// packs and the cyclic tiling, so run-relative cuts alone would not keep two
+// adjacent chunks off one cache line of the scaling vectors.
 // The final chunk absorbs any remainder shorter than a full chunk; with the
 // alignment snap a chunk therefore holds between minChunk-(ChunkAlign-1) and
 // 2*minChunk-1 patterns (except a whole run smaller than that). The emitted

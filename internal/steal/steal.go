@@ -1,14 +1,11 @@
 // Package steal is the chunk layout of a schedule: every worker's run of
-// every span cut into cache-line-aligned contiguous chunks (schedule.ChunkRuns),
-// each chunk with one id. A region's workers each walk their own chunk ids in
-// ascending order (internal/core's drain), and evaluate and derivative
-// regions keep one partial sum per chunk, which the engine reduces in chunk-id
-// order. The layout therefore fixes how every sum is grouped: sessions and
-// executors over one layout agree bit for bit.
-//
-// The package name is historical: chunks were once the unit idle workers
-// stole. Stealing is gone (DESIGN.md "Why there is no work stealing"); the
-// chunks stay because they fix the summation grouping.
+// every span (its share) cut into cache-line-aligned contiguous chunks
+// (schedule.ChunkRuns), each with one id. A chunk is only a reduction slot:
+// internal/core's drain runs a worker's shares in span order, and evaluate
+// and derivative regions keep one partial sum per chunk, reduced in chunk-id
+// order, so the layout fixes how every sum is grouped and sessions and
+// executors over one layout agree bit for bit. The name is historical: chunks
+// were once what idle workers stole (DESIGN.md "Why there is no work stealing").
 package steal
 
 import (
@@ -17,23 +14,24 @@ import (
 	"phylo/internal/schedule"
 )
 
-// DefaultMinChunk is the default minimum chunk size in patterns. It is chosen
-// to amortize tip-table locality: the kernels build a tip lookup table only
-// for work units of at least 2*codes patterns (32 for DNA, 46 for AA), so a
-// 64-pattern floor keeps chunk-sized work units on the specialized fast path,
-// and it spans four or more cache lines of every per-pattern array the
+// DefaultMinChunk is the minimum chunk size every dataset cuts its schedule
+// at, in patterns: four or more cache lines of every per-pattern array the
 // kernels touch.
 const DefaultMinChunk = 64
 
-// Chunk is one unit of a worker's share: a contiguous sub-run of one span's
-// (partition's) pattern assignment, the run the kernels take. Share is the
-// owner's total pattern count in the span across all its chunks — the unit
-// the kernels size their tip-table decision by, so a share cut into many
-// short runs still amortizes a table.
+// Chunk is one reduction slot: a contiguous sub-run of one span's
+// (partition's) pattern assignment to one worker.
 type Chunk struct {
 	Span int
 	schedule.Run
-	Share int
+}
+
+// Share is one worker's whole run of one span, the unit the engine binds and
+// runs, and the ids First…End-1 of the chunks it is cut into.
+type Share struct {
+	Span int
+	schedule.Run
+	First, End int
 }
 
 // Layout is the immutable chunk decomposition of one schedule at one minimum
@@ -41,10 +39,9 @@ type Chunk struct {
 // the engine's fixed reduction order. A dataset builds one layout and every
 // session over it reads that value.
 type Layout struct {
-	sched    *schedule.Schedule
-	chunks   []Chunk
-	byWorker [][]int32 // chunk ids per owner, ascending
-	minChunk int
+	sched  *schedule.Schedule
+	chunks []Chunk
+	shares [][]Share // per owner, its non-empty shares in span order
 }
 
 // NewLayout chunks a schedule. minChunk < 1 selects DefaultMinChunk.
@@ -53,41 +50,43 @@ func NewLayout(s *schedule.Schedule, minChunk int) *Layout {
 		minChunk = DefaultMinChunk
 	}
 	t := s.Threads()
-	l := &Layout{sched: s, minChunk: minChunk, byWorker: make([][]int32, t)}
+	l := &Layout{sched: s, shares: make([][]Share, t)}
 	for sp := 0; sp < s.NumSpans(); sp++ {
 		for w := 0; w < t; w++ {
-			share := s.Count(w, sp)
+			first := len(l.chunks)
 			for _, r := range s.ChunkRuns(w, sp, minChunk) {
-				l.byWorker[w] = append(l.byWorker[w], int32(len(l.chunks)))
-				l.chunks = append(l.chunks, Chunk{Span: sp, Run: r, Share: share})
+				l.chunks = append(l.chunks, Chunk{Span: sp, Run: r})
+			}
+			if len(l.chunks) > first {
+				l.shares[w] = append(l.shares[w], Share{Span: sp, Run: s.SpanRun(w, sp), First: first, End: len(l.chunks)})
 			}
 		}
 	}
 	return l
 }
 
-// NumChunks returns the total chunk count (the length of the engine's
-// per-chunk partial-sum buffers).
+// NumChunks returns the total chunk count: the engine's partial slots a lane.
 func (l *Layout) NumChunks() int { return len(l.chunks) }
 
 // Chunk returns chunk id's metadata.
 func (l *Layout) Chunk(id int) Chunk { return l.chunks[id] }
 
-// Owned returns worker w's chunk ids, ascending: exactly its scheduled share.
-// The slice is shared; callers must not modify it.
-func (l *Layout) Owned(w int) []int32 { return l.byWorker[w] }
-
-// MinChunk returns the minimum chunk size the layout was cut at.
-func (l *Layout) MinChunk() int { return l.minChunk }
+// Shares returns worker w's non-empty shares in span order: exactly its
+// scheduled patterns. The slice is shared; callers must not modify it.
+func (l *Layout) Shares(w int) []Share { return l.shares[w] }
 
 // Threads returns the worker count the layout was built for.
-func (l *Layout) Threads() int { return len(l.byWorker) }
+func (l *Layout) Threads() int { return len(l.shares) }
 
 // Schedule returns the schedule the layout cuts.
 func (l *Layout) Schedule() *schedule.Schedule { return l.sched }
 
-// MemoryBytes is the layout's own heap: the chunk table and the per-owner id
-// lists.
+// MemoryBytes is the layout's own heap: the chunk table and the share
+// records.
 func (l *Layout) MemoryBytes() int64 {
-	return int64(len(l.chunks)) * int64(unsafe.Sizeof(Chunk{})+4)
+	n := int64(len(l.chunks)) * int64(unsafe.Sizeof(Chunk{}))
+	for _, own := range l.shares {
+		n += int64(len(own)) * int64(unsafe.Sizeof(Share{}))
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package steal
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -28,16 +29,19 @@ func randomSpans(seed int64) []schedule.Span {
 }
 
 // walk returns the chunk ids one traversal step runs, worker after worker:
-// each worker's owner list in order, skipping chunks of spans the mask turns
-// off — the walk internal/core's drain makes. A nil mask is all-active.
+// the chunks of each worker's shares in order, skipping shares of spans the
+// mask turns off — the walk internal/core's drain makes. A nil mask is
+// all-active.
 func walk(l *Layout, active []bool) [][]int {
 	ids := make([][]int, l.Threads())
 	for w := range ids {
-		for _, id := range l.Owned(w) {
-			if active != nil && !active[l.Chunk(int(id)).Span] {
+		for _, sh := range l.Shares(w) {
+			if active != nil && !active[sh.Span] {
 				continue
 			}
-			ids[w] = append(ids[w], int(id))
+			for id := sh.First; id < sh.End; id++ {
+				ids[w] = append(ids[w], id)
+			}
 		}
 	}
 	return ids
@@ -174,8 +178,9 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 	}
 }
 
-// TestLayoutRespectsMinChunkDefault checks defaulting, each chunk's owner
-// share, the owner lists against the schedule, and the memory pricing.
+// TestLayoutRespectsMinChunkDefault checks defaulting, each share against
+// its owner's schedule run and the chunks it is cut into, and the memory
+// pricing.
 func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 	spans := []schedule.Span{{Lo: 0, Hi: 1000, Cost: 2}}
 	s, err := schedule.New(schedule.Block, 2, spans)
@@ -183,26 +188,34 @@ func TestLayoutRespectsMinChunkDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := NewLayout(s, 0)
-	if l.MinChunk() != DefaultMinChunk {
-		t.Errorf("MinChunk = %d, want default %d", l.MinChunk(), DefaultMinChunk)
+	if def := NewLayout(s, DefaultMinChunk); !reflect.DeepEqual(l, def) {
+		t.Errorf("minChunk 0 cuts %d chunks, the default %d cuts %d", l.NumChunks(), DefaultMinChunk, def.NumChunks())
 	}
-	totalPatterns := 0
+	totalPatterns, shares := 0, 0
 	// The global-alignment snap can shave up to ChunkAlign-1 patterns off a
 	// run's final chunk.
 	floor := DefaultMinChunk - (schedule.ChunkAlign - 1)
 	for w := 0; w < l.Threads(); w++ {
-		for _, id := range l.Owned(w) {
-			c := l.Chunk(int(id))
-			if c.Len() < floor {
-				t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Len(), floor)
+		for _, sh := range l.Shares(w) {
+			shares++
+			if sh.Run != s.SpanRun(w, sh.Span) {
+				t.Errorf("worker %d share %+v, want its schedule run %+v", w, sh, s.SpanRun(w, sh.Span))
 			}
-			if want := s.Count(w, c.Span); c.Share != want {
-				t.Errorf("chunk %d share %d, want owner %d's %d patterns of span %d", id, c.Share, w, want, c.Span)
+			n := 0
+			for id := sh.First; id < sh.End; id++ {
+				c := l.Chunk(id)
+				if c.Len() < floor {
+					t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Len(), floor)
+				}
+				n += c.Len()
 			}
-			totalPatterns += c.Len()
+			if n != sh.Len() {
+				t.Errorf("worker %d share %+v: its chunks hold %d patterns", w, sh, n)
+			}
+			totalPatterns += n
 		}
 	}
-	if got, want := l.MemoryBytes(), int64(l.NumChunks())*(4*8+4); got != want {
+	if got, want := l.MemoryBytes(), int64(l.NumChunks())*3*8+int64(shares)*5*8; got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 	if totalPatterns != 1000 {
