@@ -54,11 +54,11 @@ import (
 //
 // Span set-up (binding the two transition-matrix blocks, gathering tip
 // tables) is once per (worker, span, pass): a share binds once, however many
-// chunks it holds. A span binds, it does not compute: a P(z) block the worker
-// already built for the partition is taken from its memo (pmMemo). Nor does
-// it re-derive: each worker binds the spanCtx in its own record (worker) in
-// place, takes the partition's record (layout.go) in one assignment and
-// computes only what the region, the session's models and the branch decide.
+// chunks it holds. A span binds, it does not compute: a P(z) block the
+// worker already built for the model state and z is taken from its memo
+// (pmMemo). Nor does it re-derive: each worker binds the spanCtx in its own
+// record (worker) in place, takes the partition's record (layout.go) in one
+// assignment and computes only what the region, the models and the branch decide.
 // Whether a tip table amortizes is decided at binding time, once, from the
 // share's length — a pure function of the layout — and the code lists of the
 // span's tip ends.
@@ -285,34 +285,43 @@ func (c *spanCtx) bind(r *region, kind parallel.Region, si, ip, n int, ctx *para
 // has built before (a Brent proposal changes every P: DESIGN.md has the hit
 // rates of both). pmMemo is a direct-mapped table of pmMemoSlots blocks per
 // (worker, partition), private to the worker: no synchronisation, no effect
-// on who computes what. 32 is the largest power of two whose blocks stay
-// within half a megabyte per worker and protein partition at four categories
-// (32 x 4 x 20 x 20 x 8 B = 410 KB; a DNA partition's are 16 KB).
+// on who computes what. A block's bits are its model state's and z's, so
+// partitions whose models opened at one epoch use the first one's table while
+// they stay there. 32 is the largest power of two whose blocks stay within
+// half a megabyte per worker and protein partition at four categories (32 x 4
+// x 20 x 20 x 8 B = 410 KB; a DNA partition's are 16 KB).
 const (
 	pmMemoBits  = 5
 	pmMemoSlots = 1 << pmMemoBits
 )
 
 // pmStamp identifies the content of a memo block: P(z) for the z with these
-// bits, of the model at this epoch (model.Epoch), written while the buffer
-// set was at this generation (sessionBuffers.gen): the next session's models
-// are other objects whose epochs may coincide, and the bump is what keeps
+// bits, of a model at this process-unique epoch (model.Epoch), written while
+// the buffer set was at this generation (sessionBuffers.gen): the next
+// session's models are Clones at the same epochs, and the bump is what keeps
 // everything of the previous holder's from hitting, in O(1).
 type pmStamp struct{ z, epoch, gen uint64 }
 
 type pmMemo struct {
 	stamp [pmMemoSlots]pmStamp
 	blk   [pmMemoSlots][]float64 // cats x s x s each, allocated by the slot's first miss
+	m     *model.Model           // the session's model of the partition, set by NewSession
+	share *pmMemo                // the worker's memo of the first partition it holds whose model opened at m's epoch; nil: none
 }
 
-// transition points end.pm at P(z) for partition ip and returns the memo slot
-// the block sits in. A miss computes the block into its slot and charges the
-// cats·s³ set-up; a hit charges nothing. taken is the slot the span's other
-// end was just handed (-1: none): two different z can share a slot, and a
-// miss must not overwrite a block the span still reads, so that one end
-// computes into the worker's spare block instead and remembers nothing.
+// transition points end.pm at P(z) for partition ip and returns the slot,
+// chosen by z alone, the block sits in: in the table ip shares while its
+// first partition's model is at m's epoch, else in ip's own. A miss computes
+// the block into its slot and charges the cats·s³ set-up; a hit charges
+// nothing. taken is the slot the span's other end was just handed (-1:
+// none): two different z can share a slot, and a miss must not overwrite a
+// block the span still reads, so that one end computes into the worker's
+// spare block instead and remembers nothing.
 func (c *spanCtx) transition(end *spanEnd, m *model.Model, ip int, z float64, taken int, ctx *parallel.WorkerCtx) int {
 	mm := &c.wk.memo[ip]
+	if o := mm.share; o != nil && o.m.Epoch() == m.Epoch() {
+		mm = o // one state, one memo
+	}
 	want := pmStamp{math.Float64bits(z), m.Epoch(), c.e.gen}
 	i := int(want.z * 0x9E3779B97F4A7C15 >> (64 - pmMemoBits)) // Fibonacci hashing: the top bits of z·2^64/phi
 	if mm.stamp[i] == want {

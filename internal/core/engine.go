@@ -121,11 +121,12 @@ type Options struct {
 // its own session did not write first (DESIGN.md "What a session borrows,
 // recycles and builds"); recycle_test.go pins that by poisoning a parked set.
 type sessionBuffers struct {
-	clvs     [][]float64 // per inner node, layout.Total() floats
-	scales   [][]int32   // per inner node, per global pattern
-	sumtable []float64   // branch-derivative workspace (pattern-major); nil until the first BranchDerivatives
-	workers  []*worker   // one record per worker
-	gen      uint64      // how many sessions have taken the set: a memo entry of an earlier holder never matches
+	clvs     [][]float64        // per inner node, layout.Total() floats
+	scales   [][]int32          // per inner node, per global pattern
+	sumtable []float64          // branch-derivative workspace (pattern-major); nil until the first BranchDerivatives
+	workers  []*worker          // one record per worker
+	gen      uint64             // how many sessions have taken the set: a memo entry of an earlier holder never matches
+	firstAt  map[uint64]*pmMemo // NewSession's scratch: a worker's memo of the first partition opened at each model epoch
 
 	// The master's side of a region: the newview steps in flight (room for a
 	// whole traversal, one step per inner node), the per-chunk partial sums
@@ -177,13 +178,14 @@ func (sh *Shared) workerSizes() workerBufs {
 // dataset's first session (or one the collector emptied the pool under).
 func newSessionBuffers(sh *Shared) *sessionBuffers {
 	nInner := sh.Data.NumTaxa() - 2
-	b := &sessionBuffers{
-		clvs: make([][]float64, nInner), scales: make([][]int32, nInner),
-		workers: make([]*worker, sh.Threads), steps: make([]tree.TraversalStep, 0, nInner),
+	clvs, scales := make([][]float64, nInner), make([][]int32, nInner)
+	for i := range clvs {
+		clvs[i], scales[i] = alignedFloats(sh.layout.Total()), make([]int32, sh.Data.TotalPatterns)
 	}
-	for i := range b.clvs {
-		b.clvs[i] = alignedFloats(sh.layout.Total())
-		b.scales[i] = make([]int32, sh.Data.TotalPatterns)
+	b := &sessionBuffers{
+		clvs: clvs, scales: scales,
+		workers: make([]*worker, sh.Threads), steps: make([]tree.TraversalStep, 0, nInner),
+		firstAt: make(map[uint64]*pmMemo, len(sh.Data.Parts)),
 	}
 	n := sh.workerSizes()
 	for w := range b.workers {
@@ -221,8 +223,8 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 		return nil, fmt.Errorf("core: executor has %d workers, the dataset is for %d", exec.Threads(), sh.Threads)
 	}
 	for i, m := range models {
-		if m.Type != data.Parts[i].Type {
-			return nil, fmt.Errorf("core: model %d type %v != partition type %v", i, m.Type, data.Parts[i].Type)
+		if pt := data.Parts[i].Type; m.Type != pt {
+			return nil, fmt.Errorf("core: model %d type %v != partition type %v", i, m.Type, pt)
 		}
 		if m.NumCats != sh.NumCats {
 			return nil, fmt.Errorf("core: model %d has %d categories, want %d", i, m.NumCats, sh.NumCats)
@@ -263,8 +265,21 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 	}
 	e.sessionBuffers = bufs.(*sessionBuffers)
 	e.gen++ // from 1: the zero stamp of a memo slot never written matches no look-up
-	for _, w := range e.workers {
-		w.span.e, w.span.wk = e, w
+	// A worker's memo of each partition learns the model and the memo of the
+	// first partition the worker holds patterns of whose model opened at the
+	// same epoch (nil: none; transition uses it while both stay there).
+	sched := layout.Schedule()
+	for w, wk := range e.workers {
+		wk.span.e, wk.span.wk = e, wk
+		clear(e.firstAt)
+		memo := wk.memo[:len(models)]
+		for ip, m := range models {
+			mm := &memo[ip]
+			mm.m, mm.share = m, e.firstAt[m.Epoch()]
+			if mm.share == nil && sched.Count(w, ip) > 0 {
+				e.firstAt[m.Epoch()] = mm
+			}
+		}
 	}
 	if opts.Metrics != nil {
 		e.obsBatchWidth = opts.Metrics.Gauge("plk_batch_width",
@@ -288,6 +303,10 @@ func (e *Engine) Release() {
 	}
 	for _, w := range e.workers {
 		w.span = spanCtx{}
+		memo := w.memo
+		for i := range memo {
+			memo[i].m, memo[i].share = nil, nil // a parked set keeps no session's model alive
+		}
 	}
 	clear(e.steps[:cap(e.steps)])
 	e.shared.retired.Put(e.sessionBuffers)

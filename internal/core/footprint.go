@@ -47,11 +47,11 @@ type MemoryFootprint struct {
 	SessionSumtable int64 `json:"session_sumtable"`
 	// SessionScratch is the worker records, priced from workerSizes: the
 	// transition-matrix memo at its cap (pmMemoSlots blocks of cats × s × s
-	// floats per partition, the large term on protein data; a session
-	// allocates a block only when a slot first misses, so evaluate-only
-	// sessions hold a fraction of it) and the spare block, the kind scratch,
-	// the two tip lookup tables (codes × cats × s floats), and the
-	// per-pattern scaling flags of the fused newview.
+	// floats per partition, the large term on protein data; a block is
+	// allocated when its slot first misses, so evaluate-only sessions hold a
+	// fraction of it, and a partition sharing its model state's table none),
+	// the spare block, the kind scratch, the two tip lookup tables (codes ×
+	// cats × s floats) and the per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
 	// SessionChunks is what distributing patterns costs a session: the chunk
 	// layout it walks and its one per-chunk partial buffer at its widest use

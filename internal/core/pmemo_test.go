@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"phylo/internal/alignment"
 	"phylo/internal/model"
 	"phylo/internal/parallel"
 	"phylo/internal/tree"
@@ -14,17 +15,25 @@ import (
 // The transition-matrix memo (chunkexec.go): whatever a worker remembers, the
 // blocks a span is bound to are the blocks a fresh PMatrices computes.
 
-// memoRig is one two-worker session over a DNA + AA fixture with a branch
-// length per partition, and the means to bind spans the way drain does.
+// memoRig is one two-worker session with a branch length per partition, and
+// the means to bind spans the way drain does.
 type memoRig struct {
 	t   *testing.T
 	eng *Engine
 	ctx parallel.WorkerCtx
 }
 
+// newMemoRig is the rig over a DNA + AA fixture, each partition in a model
+// state of its own.
 func newMemoRig(t *testing.T) *memoRig {
 	t.Helper()
 	d, models := mixedFixture(t, 4, 31)
+	return newMemoRigOn(t, d, []*model.Model{models[0].Clone(), models[1].Clone()})
+}
+
+// newMemoRigOn is the rig over d and models.
+func newMemoRigOn(t *testing.T, d *alignment.CompressedData, models []*model.Model) *memoRig {
+	t.Helper()
 	tr, err := tree.Random(taxaNames(d.NumTaxa()), len(models), tree.RandomOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +43,7 @@ func newMemoRig(t *testing.T) *memoRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(sim.Close)
-	ms := []*model.Model{models[0].Clone(), models[1].Clone()}
-	eng, err := newEngine(d, tr, ms, sim, Options{Specialize: true})
+	eng, err := newEngine(d, tr, models, sim, Options{Specialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +154,50 @@ func TestTransitionMemoExplicitCases(t *testing.T) {
 		}
 	})
 
+	t.Run("two partitions, one state", func(t *testing.T) {
+		z1, z2 := collidingLengths(t)
+		d, ms := sharedStateFixture(t) // partitions 0 and 3 at one epoch
+		r := newMemoRigOn(t, d, []*model.Model{ms[0].Clone(), ms[1].Clone(), ms[2].Clone(), ms[3].Clone()})
+		st := r.anyStep()
+		for _, ip := range []int{0, 3} {
+			tree.SetBranchLength(st.Q, ip, z1)
+			tree.SetBranchLength(st.R, ip, z2)
+		}
+		want := func(label string, c spanCtx, computed, reused float64) {
+			t.Helper()
+			if spare := &c.wk.spare[0]; r.ctx.PComputed != computed || r.ctx.PReused != reused || &c.b.pm[0] != spare {
+				t.Errorf("%s: %v computed, %v reused, R in the spare block %v; want %v, %v, true",
+					label, r.ctx.PComputed, r.ctx.PReused, &c.b.pm[0] == spare, computed, reused)
+			}
+			r.ctx = parallel.WorkerCtx{}
+		}
+		// The first partition fills its table: Q into the slot, R (the same
+		// slot) into the spare block.
+		first := r.bindStep("first", st, 0, 0)
+		want("first", first, 2, 0)
+		// The second reads and fills the first's: Q is the very block, R is
+		// taken again.
+		c := r.bindStep("second", st, 3, 0)
+		want("second", c, 1, 1)
+		if &c.a.pm[0] != &first.a.pm[0] {
+			t.Error("the second partition's Q block is not the first's")
+		}
+		// The other worker keeps memos of its own.
+		want("second, other worker", r.bindStep("second, other worker", st, 3, 1), 2, 0)
+		// Once the first partition's model moves, the second reads its own
+		// table, empty until now, and keeps it.
+		if err := r.eng.Models[0].SetAlpha(0.4); err != nil {
+			t.Fatal(err)
+		}
+		c = r.bindStep("second, the first moved", st, 3, 0)
+		want("second, the first moved", c, 2, 0)
+		if &c.a.pm[0] == &first.a.pm[0] {
+			t.Error("the second partition still reads the first's table after the first moved")
+		}
+		want("first, moved", r.bindStep("first, moved", st, 0, 0), 2, 0)
+		want("second, own table", r.bindStep("second, own table", st, 3, 0), 1, 1)
+	})
+
 	t.Run("SetExRate without UpdateEigen", func(t *testing.T) {
 		r := newMemoRig(t)
 		p := r.eng.Tree.Tips[0]
@@ -191,24 +243,47 @@ func TestTransitionMemoExplicitCases(t *testing.T) {
 	})
 }
 
-// TestTransitionMemoProperty drives one session through random sequences of
-// span bindings (newview steps and evaluate branches, on either worker), model
-// changes (SetAlpha; SetExRate + UpdateEigen) and branch-length writes from a
-// pool of six values, two of which share a memo slot, and requires every bound
-// block to be the fresh PMatrices by bits; every so often the session's score
-// must be the score of a session that remembers nothing.
+// TestTransitionMemoProperty drives sessions over the protein / DNA / DNA /
+// protein fixture through random sequences of span bindings (newview steps
+// and evaluate branches, on either worker), model changes (SetAlpha;
+// SetExRate + UpdateEigen), branch-length writes from a pool of six values,
+// two of which share a memo slot, and session re-opens whose models put
+// partition pairs in one state (a Clone of a partition's model for another of
+// its alphabet), and requires every bound block to be the fresh PMatrices by
+// bits; every so often the session's score must be the score of a session
+// that remembers nothing.
 func TestTransitionMemoProperty(t *testing.T) {
 	z1, z2 := collidingLengths(t)
 	pool := []float64{z1, z2, 0.1, 0.0123, 1.7, 1e-8}
-	r := newMemoRig(t)
-	e := r.eng
+	d, defaults := sharedStateFixture(t) // partitions 0 and 3 protein, 1 and 2 DNA
+	r := newMemoRigOn(t, d, []*model.Model{defaults[0].Clone(), defaults[1].Clone(), defaults[2].Clone(), defaults[3].Clone()})
 	rng := rand.New(rand.NewSource(77))
-	branches := e.Tree.Branches()
-	e.Tree.ClearX()
-	steps := tree.ComputeTraversal(nil, e.Tree.Tips[0].Back)
-	nParts := len(e.Models)
+	nParts := len(defaults)
+	var steps []tree.TraversalStep
+	var branches []*tree.Node
+	var computed, reused float64
+	// open re-opens the session on models (nil: keeps it) and lists its
+	// traversal.
+	open := func(models []*model.Model) {
+		if models != nil {
+			computed, reused = computed+r.ctx.PComputed, reused+r.ctx.PReused
+			r.ctx = parallel.WorkerCtx{}
+			tr := r.eng.Tree
+			r.eng.Release()
+			var err error
+			if r.eng, err = NewSession(r.eng.Shared(), tr, models, r.eng.Exec, Options{Specialize: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := r.eng
+		branches = e.Tree.Branches()
+		e.Tree.ClearX()
+		steps = tree.ComputeTraversal(nil, e.Tree.Tips[0].Back)
+	}
+	open(nil)
 
 	for op := 0; op < 6000; op++ {
+		e := r.eng
 		ip, w := rng.Intn(nParts), rng.Intn(2)
 		switch k := rng.Intn(10); {
 		case k < 3:
@@ -218,9 +293,19 @@ func TestTransitionMemoProperty(t *testing.T) {
 		case k < 8:
 			tree.SetBranchLength(branches[rng.Intn(len(branches))], ip, pool[rng.Intn(len(pool))])
 		case k < 9:
-			if rng.Intn(4) == 0 { // rare: it empties the partition's memos
+			switch rng.Intn(8) {
+			case 0: // rare: it moves the partition out of a shared state
 				if err := e.Models[ip].SetAlpha(0.3 + 2*rng.Float64()); err != nil {
 					t.Fatal(err)
+				}
+			case 1: // rarer still: a new session with both pairs in one state
+				if rng.Intn(2) == 0 {
+					ms := make([]*model.Model, nParts)
+					for i, m := range e.Models {
+						ms[i] = m.Clone()
+					}
+					ms[3], ms[2] = ms[0].Clone(), ms[1].Clone()
+					open(ms)
 				}
 			}
 		default:
@@ -235,13 +320,14 @@ func TestTransitionMemoProperty(t *testing.T) {
 			}
 		}
 		if op%500 == 499 {
-			got := e.LogLikelihood(nil)
-			if _, want := scratchScore(t, e); math.Float64bits(got) != math.Float64bits(want) {
+			got := r.eng.LogLikelihood(nil)
+			if _, want := scratchScore(t, r.eng); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("op %d: lnL %v with the memo, %v from a session that remembers nothing", op, got, want)
 			}
 		}
 	}
-	if r.ctx.PReused < r.ctx.PComputed || r.ctx.PComputed < 100 {
-		t.Errorf("%v blocks computed, %v reused: the sequence did not exercise both", r.ctx.PComputed, r.ctx.PReused)
+	computed, reused = computed+r.ctx.PComputed, reused+r.ctx.PReused
+	if reused < computed || computed < 100 {
+		t.Errorf("%v blocks computed, %v reused: the sequence did not exercise both", computed, reused)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"phylo/internal/alignment"
 	"phylo/internal/cpufeat"
@@ -48,7 +49,7 @@ type Model struct {
 	InvVecsT   []float64 // V^-1 transposed (row j is column j of V^-1): what ApplyCols reads V^-1 as
 	dirty      bool
 
-	epoch uint64 // bumped by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
+	epoch uint64 // drawn from epochs by SetAlpha and a successful UpdateEigen, carried by Clone (see Epoch)
 
 	// eig is UpdateEigen's scratch, allocated on first use and private to
 	// this model (Clone leaves it nil), so the optimizers' repeated
@@ -76,6 +77,8 @@ func newEigenWork(s int) *eigenWork {
 }
 
 var errNoCats = errors.New("model: need at least one rate category")
+
+var epochs atomic.Uint64 // hands out every model's epochs: each drawn once, above all before
 
 // NumExRates returns the exchangeability count for s states.
 func NumExRates(s int) int { return s * (s - 1) / 2 }
@@ -184,7 +187,7 @@ func (m *Model) setAlpha(alpha float64, rates []float64) error {
 	} else {
 		numeric.DiscreteGammaRates(alpha, m.CatRates)
 	}
-	m.epoch++
+	m.epoch = epochs.Add(1)
 	return nil
 }
 
@@ -206,9 +209,10 @@ func (m *Model) SetExRate(idx int, v float64) error {
 func (m *Model) Dirty() bool { return m.dirty }
 
 // Epoch identifies the state PMatrices reads, the category rates and the
-// eigendecomposition: while a model (or a Clone and its original, neither
-// changed since) reports the same epoch, PMatrices(t) gives the same bits for
-// the same t. Setters that only mark the decomposition stale do not move it.
+// eigendecomposition. SetAlpha and a successful UpdateEigen draw a new one
+// from the process-wide epochs, Clone carries it, setters that only mark the
+// decomposition stale keep it: models at one epoch are one model and its
+// Clones, none changed since, and give the same PMatrices(t) bits for one t.
 func (m *Model) Epoch() uint64 { return m.epoch }
 
 // BuildQ assembles the normalized instantaneous rate matrix Q (row-major):
@@ -300,7 +304,7 @@ func (m *Model) UpdateEigen() error {
 		}
 	}
 	m.dirty = false
-	m.epoch++
+	m.epoch = epochs.Add(1)
 	return nil
 }
 

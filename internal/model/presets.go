@@ -111,23 +111,36 @@ func Poisson20(numCats int, alpha float64) (*Model, error) {
 }
 
 // DefaultsFor builds the default model of every partition: GTR with
-// empirical frequencies for DNA, SYN20 for protein. The Gamma rates of
-// (numCats, alpha) are computed once for all of them.
+// empirical frequencies for DNA, SYN20 for protein. Partitions in one default
+// state (every protein one; DNA ones whose frequencies agree bit for bit) get
+// Clones of one model, so they report one epoch. The Gamma rates of (numCats,
+// alpha) are computed once for all of them.
 func DefaultsFor(parts []*alignment.CompressedPartition, numCats int, alpha float64) ([]*Model, error) {
 	models := make([]*Model, len(parts))
 	var rates []float64 // the first model's, copied into the others
+	states := map[[4]float64]*Model{}
 	for i, p := range parts {
+		var key [4]float64 // the state: a DNA partition's frequencies (positive: == is bit equality), zero for protein
+		var freqs []float64
+		if p.Type == alignment.DNA {
+			freqs = EmpiricalFreqs(p)
+			key = [4]float64(freqs)
+		}
+		if first := states[key]; first != nil {
+			models[i] = first.Clone()
+			continue
+		}
 		var m *Model
 		var err error
-		if p.Type == alignment.DNA {
-			m, err = newModel(alignment.DNA, EmpiricalFreqs(p), nil, alpha, numCats, rates)
+		if freqs != nil {
+			m, err = newModel(alignment.DNA, freqs, nil, alpha, numCats, rates)
 		} else {
 			m, err = instance(syn20Preset, numCats, alpha, rates)
 		}
 		if err != nil {
 			return nil, err
 		}
-		models[i], rates = m, m.CatRates
+		models[i], states[key], rates = m, m, m.CatRates
 	}
 	return models, nil
 }
