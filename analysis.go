@@ -80,7 +80,7 @@ type AnalysisOptions struct {
 // mutable state — the tree and its own copies of the model parameters, built
 // fresh, plus the conditional likelihood vectors and per-worker scratch,
 // which it holds from NewAnalysis to Close and then hands to the Dataset's
-// next session — and borrows everything else (patterns, the chunk layout,
+// next session — and borrows everything else (patterns, the share layout,
 // the worker pool) read-only from the Dataset, so sessions are cheap and any
 // number may run concurrently.
 //

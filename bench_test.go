@@ -42,7 +42,7 @@ type kernelFixture struct {
 	exec *parallel.Pool
 }
 
-func kernelBench(b *testing.B, dt alignment.DataType, patterns int, specialize bool) *kernelFixture {
+func kernelBench(b *testing.B, dt alignment.DataType, patterns int, backend core.Backend) *kernelFixture {
 	b.Helper()
 	names := make([]string, 20)
 	for i := range names {
@@ -70,7 +70,7 @@ func kernelBench(b *testing.B, dt alignment.DataType, patterns int, specialize b
 		b.Fatal(err)
 	}
 	exec := parallel.NewSequential()
-	eng, err := newEngine(d, tr, []*model.Model{m}, exec, core.Options{Specialize: specialize})
+	eng, err := newEngine(d, tr, []*model.Model{m}, exec, backend)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,9 +78,10 @@ func kernelBench(b *testing.B, dt alignment.DataType, patterns int, specialize b
 }
 
 // BenchmarkNewviewDNAGamma measures one full-tree traversal (18 newviews over
-// 2000 patterns x 4 categories) with the unrolled 4-state kernel.
+// 2000 patterns x 4 categories) with the unrolled 4-state kernel
+// (BackendFused, tip tables on).
 func BenchmarkNewviewDNAGamma(b *testing.B) {
-	fx := kernelBench(b, alignment.DNA, 2000, true)
+	fx := kernelBench(b, alignment.DNA, 2000, core.BackendFused)
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,9 +92,10 @@ func BenchmarkNewviewDNAGamma(b *testing.B) {
 }
 
 // BenchmarkNewviewDNAGeneric is the kernel-specialization ablation: the same
-// traversal through the generic k-state kernel.
+// traversal through the generic k-state bodies (BackendGeneric, tip tables
+// on).
 func BenchmarkNewviewDNAGeneric(b *testing.B) {
-	fx := kernelBench(b, alignment.DNA, 2000, false)
+	fx := kernelBench(b, alignment.DNA, 2000, core.BackendGeneric)
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,7 +112,7 @@ func BenchmarkNewviewDNAGeneric(b *testing.B) {
 // 2.14-2.76 ms on the scalar loop of one ApplyCols call a P application
 // (TestNewviewRowsFloor holds the ratio).
 func BenchmarkNewviewAAGamma(b *testing.B) {
-	fx := kernelBench(b, alignment.AA, 400, true)
+	fx := kernelBench(b, alignment.AA, 400, core.BackendAuto)
 	root := fx.tr.Tips[0].Back
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +123,7 @@ func BenchmarkNewviewAAGamma(b *testing.B) {
 
 // BenchmarkEvaluateDNA measures the log-likelihood reduction at the root.
 func BenchmarkEvaluateDNA(b *testing.B) {
-	fx := kernelBench(b, alignment.DNA, 2000, true)
+	fx := kernelBench(b, alignment.DNA, 2000, core.BackendAuto)
 	root := fx.tr.Tips[0].Back
 	fx.eng.TraverseRoot(root)
 	var lnl [1]float64
@@ -134,7 +136,7 @@ func BenchmarkEvaluateDNA(b *testing.B) {
 // BenchmarkBranchDerivatives measures one Newton-Raphson derivative
 // iteration over a current sumtable (the untimed first call projects it).
 func BenchmarkBranchDerivatives(b *testing.B) {
-	fx := kernelBench(b, alignment.DNA, 2000, true)
+	fx := kernelBench(b, alignment.DNA, 2000, core.BackendAuto)
 	root := fx.tr.Tips[0].Back
 	z := []float64{0.1}
 	d1 := make([]float64, 1)
@@ -163,7 +165,7 @@ func innerBranch(b *testing.B, tr *tree.Tree) *tree.Node {
 // BenchmarkEvaluateAA measures the 20-state reduction over 400 patterns at an
 // inner branch (one P application per pattern and category).
 func BenchmarkEvaluateAA(b *testing.B) {
-	fx := kernelBench(b, alignment.AA, 400, true)
+	fx := kernelBench(b, alignment.AA, 400, core.BackendAuto)
 	p := innerBranch(b, fx.tr)
 	fx.eng.TraverseRoot(p)
 	var lnl [1]float64
@@ -178,7 +180,7 @@ func BenchmarkEvaluateAA(b *testing.B) {
 // region at the other end of the branch than the last, which lists no step
 // and projects every time.
 func BenchmarkSumtableAA(b *testing.B) {
-	fx := kernelBench(b, alignment.AA, 400, true)
+	fx := kernelBench(b, alignment.AA, 400, core.BackendAuto)
 	p := innerBranch(b, fx.tr)
 	fx.eng.TraverseRoot(p)
 	z := []float64{0.1}
@@ -192,7 +194,7 @@ func BenchmarkSumtableAA(b *testing.B) {
 // BenchmarkBranchDerivativesAA measures one derivative iteration over the
 // 80-term sumtable rows of 400 protein patterns.
 func BenchmarkBranchDerivativesAA(b *testing.B) {
-	fx := kernelBench(b, alignment.AA, 400, true)
+	fx := kernelBench(b, alignment.AA, 400, core.BackendAuto)
 	p := innerBranch(b, fx.tr)
 	z, d1, d2 := []float64{0.1}, make([]float64, 1), make([]float64, 1)
 	fx.eng.BranchDerivatives(p, z, nil, nil, d1, d2, nil)
@@ -222,7 +224,7 @@ func BenchmarkPoolTraversal2Threads(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pool.Close()
-	eng, err := newEngine(d, tr, []*model.Model{m}, pool, core.Options{Specialize: true})
+	eng, err := newEngine(d, tr, []*model.Model{m}, pool, core.BackendAuto)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func convergenceMaskBench(b *testing.B, disable bool) {
 		b.StopTimer()
 		sim, _ := parallel.NewSim(8)
 		tr, _ := tree.Random(ds.Alignment.Names, len(d.Parts), tree.RandomOptions{Seed: 77})
-		eng, err := newEngine(d, tr, models, sim, core.Options{Specialize: true})
+		eng, err := newEngine(d, tr, models, sim, core.BackendAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,11 +318,11 @@ func BenchmarkAblationBlockSchedule(b *testing.B)    { scheduleBench(b, schedule
 func BenchmarkAblationWeightedSchedule(b *testing.B) { scheduleBench(b, schedule.Weighted) }
 
 // newEngine builds the shared state for (d, the models' category count,
-// exec's worker count) and opens one session over it.
-func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, opts core.Options) (*core.Engine, error) {
-	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), core.BackendAuto)
+// exec's worker count, backend) and opens one session over it, tip tables on.
+func newEngine(d *alignment.CompressedData, tr *tree.Tree, models []*model.Model, exec *parallel.Pool, backend core.Backend) (*core.Engine, error) {
+	sh, err := core.NewSharedWith(d, models[0].NumCats, exec.Threads(), backend)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewSession(sh, tr, models, exec, opts)
+	return core.NewSession(sh, tr, models, exec, core.Options{Specialize: true})
 }

@@ -26,7 +26,7 @@ var (
 // Everything here is fixed per dataset because the precomputed state depends
 // on it: pattern compression, the CLV memory layout, the per-pattern op-cost
 // tables, and the pattern distribution — the schedule, computed for exactly
-// Threads workers, and its chunk layout.
+// Threads workers, and its share layout.
 type DatasetOptions struct {
 	// Threads is the worker count (default 1). With Threads > 1 and real
 	// goroutines the Dataset owns one shared worker pool that all of its
@@ -36,10 +36,9 @@ type DatasetOptions struct {
 	// Schedule selects the pattern-to-worker assignment (default
 	// ScheduleCyclic, the paper's per-partition pattern counts). Under either
 	// strategy a worker's share of a partition is one contiguous run of
-	// patterns. The schedule is precomputed once per dataset, cut into the
-	// chunks likelihood sums are grouped by (64 patterns at least), and
-	// shared read-only by every session, so all sessions of a Dataset agree
-	// bit for bit.
+	// patterns, and each share keeps its own likelihood sums. The schedule
+	// is precomputed once per dataset and shared read-only by every session,
+	// so all sessions of a Dataset agree bit for bit.
 	Schedule ScheduleStrategy
 	// GammaCategories is the discrete-Gamma category count (default 4).
 	GammaCategories int
@@ -48,7 +47,7 @@ type DatasetOptions struct {
 	// PlatformSeconds prices, independently of the other sessions.
 	VirtualThreads bool
 	// Steal is ignored: intra-region work stealing is gone, and every worker
-	// walks its own chunks.
+	// walks its own shares.
 	//
 	// Deprecated: the field is kept only so that code which still sets it
 	// compiles; it will be removed.
@@ -82,7 +81,7 @@ type DatasetOptions struct {
 // the paper amortizes: compressed alignment patterns and tip encodings,
 // per-partition default models (used as templates — each session clones
 // them), the CLV/sumtable memory layout, op-cost tables, and the precomputed
-// worker schedule cut into one chunk layout, plus the shared worker pool.
+// worker schedule listed as one share layout, plus the shared worker pool.
 // Build it once with NewDataset, then open any number of concurrent Analysis
 // sessions with NewAnalysis; the Dataset itself is never mutated by a session
 // and is safe for concurrent use.
@@ -90,7 +89,7 @@ type Dataset struct {
 	names  []string
 	data   *alignment.CompressedData
 	shared *core.Shared
-	layout *steal.Layout  // the schedule's chunks: every session drains this one value
+	layout *steal.Layout  // the schedule's shares: every session drains this one value
 	models []*model.Model // per-partition templates, cloned per session
 	exec   *parallel.Pool // the dataset's workers; every session is a view of them
 	opts   DatasetOptions
@@ -103,7 +102,7 @@ type Dataset struct {
 // NewDataset compresses the alignment, builds the per-partition model
 // templates (GTR with empirical frequencies for DNA, the fixed SYN20 matrix
 // for protein), precomputes the likelihood memory layout and the
-// pattern-to-worker schedule with its chunk layout, and starts the shared
+// pattern-to-worker schedule with its share layout, and starts the shared
 // worker pool. This is all of the fixed per-dataset work; opening an
 // additional Analysis session afterwards only allocates that session's
 // mutable state.
@@ -132,7 +131,7 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The pattern distribution is one value: the schedule cut into chunks
+	// The pattern distribution is one value: the schedule listed as shares
 	// once, here, and drained read-only by every session.
 	sched, err := sh.ScheduleFor(o.Schedule)
 	if err != nil {
@@ -142,7 +141,7 @@ func NewDataset(al *Alignment, o DatasetOptions) (*Dataset, error) {
 		names:  append([]string(nil), al.raw.Names...),
 		data:   d,
 		shared: sh,
-		layout: steal.NewLayout(sched, steal.DefaultMinChunk),
+		layout: steal.NewLayout(sched, 0),
 		models: models,
 		opts:   o,
 	}
@@ -242,7 +241,8 @@ func (ds *Dataset) Backend() KernelBackend { return ds.shared.Backend }
 // MemoryFootprint is the itemized memory accounting of a Dataset: the
 // resident shared state (compressed alignment, schedule, layout) plus the
 // estimated allocation of one analysis session over it (CLVs, scaling
-// vectors, sumtable, per-worker scratch, the chunk runtime). See
+// vectors, sumtable, per-worker scratch, the share layout and its partial
+// sums). See
 // core.MemoryFootprint.
 type MemoryFootprint = core.MemoryFootprint
 
@@ -252,7 +252,7 @@ type MemoryFootprint = core.MemoryFootprint
 // reuse are not priced on top: the garbage collector may reclaim them at any
 // cycle, and the one-session term already covers the set in use. The
 // likelihood-serving cache (internal/server) evicts against this figure and
-// reports it as memory_bytes. The chunk terms price the Dataset's one layout,
+// reports it as memory_bytes. The share terms price the Dataset's one layout,
 // the one every session drains, so the figure is fixed for the Dataset's
 // life.
 func (ds *Dataset) MemoryFootprint() int64 {

@@ -3,12 +3,16 @@ package bench
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"phylo"
+	"phylo/internal/schedule"
 	"phylo/internal/seqsim"
 )
 
@@ -176,5 +180,37 @@ func TestFigure6SmallScale(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Unpartitioned") {
 		t.Errorf("figure 6 output malformed:\n%s", buf.String())
+	}
+}
+
+// TestFigureRunSpecCarriesTheConfig: every figure run starts from
+// FigureConfig.runSpec, which carries the config's schedule, input tree and
+// search settings into the RunSpec, and figures.go builds no RunSpec of its
+// own beside it (ModelOptExperiment once did, and ran cyclic whatever
+// -schedule said).
+func TestFigureRunSpecCarriesTheConfig(t *testing.T) {
+	ds := tinyDataset(t)
+	cfg := FigureConfig{SearchRounds: 2, SearchRadius: 3, Seed: 11, Schedule: schedule.Weighted}
+	got := cfg.runSpec(ds, phylo.OldPar, 8, ModeModelOpt)
+	want := RunSpec{Dataset: ds, Partitioned: true, PerPartitionBL: true, Strategy: phylo.OldPar,
+		Schedule: schedule.Weighted, Threads: 8, Mode: ModeModelOpt, TreeSeed: 111, SearchRounds: 2, SearchRadius: 3}
+	if got != want {
+		t.Errorf("runSpec = %+v, want %+v", got, want)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "figures.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	literals := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			if id, ok := lit.Type.(*ast.Ident); ok && id.Name == "RunSpec" {
+				literals++
+			}
+		}
+		return true
+	})
+	if literals != 1 {
+		t.Errorf("figures.go builds %d RunSpec literals, want runSpec's one", literals)
 	}
 }

@@ -28,6 +28,26 @@ type FigureConfig struct {
 	Out      io.Writer
 }
 
+// runSpec is the one RunSpec every figure run starts from: the strategy,
+// worker count and mode it varies, on ds with per-partition branch lengths,
+// and what FigureConfig applies to every figure run — the schedule, the
+// fixed input tree and the search's rounds and radius. A figure that differs
+// changes the field after.
+func (cfg FigureConfig) runSpec(ds *seqsim.Dataset, strat phylo.Strategy, threads int, mode Mode) RunSpec {
+	return RunSpec{
+		Dataset:        ds,
+		Partitioned:    true,
+		PerPartitionBL: true,
+		Strategy:       strat,
+		Schedule:       cfg.Schedule,
+		Threads:        threads,
+		Mode:           mode,
+		TreeSeed:       cfg.Seed + 100,
+		SearchRounds:   cfg.SearchRounds,
+		SearchRadius:   cfg.SearchRadius,
+	}
+}
+
 // figureConfigs are the five bars of Figures 3-5: Sequential, Old 8, New 8,
 // Old 16, New 16.
 type barSpec struct {
@@ -56,18 +76,7 @@ func runtimeFigure(ctx context.Context, cfg FigureConfig, title string, ds *seqs
 
 	results := make([]*Measurement, len(figureBars))
 	for i, bar := range figureBars {
-		m, err := Run(ctx, RunSpec{
-			Dataset:        ds,
-			Partitioned:    true,
-			PerPartitionBL: true,
-			Strategy:       bar.strategy,
-			Schedule:       cfg.Schedule,
-			Threads:        bar.threads,
-			Mode:           ModeSearch,
-			TreeSeed:       cfg.Seed + 100,
-			SearchRounds:   cfg.SearchRounds,
-			SearchRadius:   cfg.SearchRadius,
-		})
+		m, err := Run(ctx, cfg.runSpec(ds, bar.strategy, bar.threads, ModeSearch))
 		if err != nil {
 			return err
 		}
@@ -163,18 +172,9 @@ func Figure6(ctx context.Context, cfg FigureConfig) error {
 	for _, s := range all {
 		times := make(map[int]float64, len(threads))
 		for _, t := range threads {
-			m, err := Run(ctx, RunSpec{
-				Dataset:        ds,
-				Partitioned:    s.partitioned,
-				PerPartitionBL: s.partitioned,
-				Strategy:       s.strategy,
-				Schedule:       cfg.Schedule,
-				Threads:        t,
-				Mode:           ModeSearch,
-				TreeSeed:       cfg.Seed + 100,
-				SearchRounds:   cfg.SearchRounds,
-				SearchRadius:   cfg.SearchRadius,
-			})
+			spec := cfg.runSpec(ds, s.strategy, t, ModeSearch)
+			spec.Partitioned, spec.PerPartitionBL = s.partitioned, s.partitioned
+			m, err := Run(ctx, spec)
 			if err != nil {
 				return err
 			}
@@ -203,18 +203,9 @@ func JointBLExperiment(ctx context.Context, cfg FigureConfig) error {
 	for _, mode := range []Mode{ModeSearch, ModeModelOpt} {
 		var times [2]float64
 		for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
-			m, err := Run(ctx, RunSpec{
-				Dataset:        ds,
-				Partitioned:    true,
-				PerPartitionBL: false, // joint estimate
-				Strategy:       strat,
-				Schedule:       cfg.Schedule,
-				Threads:        8,
-				Mode:           mode,
-				TreeSeed:       cfg.Seed + 100,
-				SearchRounds:   cfg.SearchRounds,
-				SearchRadius:   cfg.SearchRadius,
-			})
+			spec := cfg.runSpec(ds, strat, 8, mode)
+			spec.PerPartitionBL = false // joint estimate
+			m, err := Run(ctx, spec)
 			if err != nil {
 				return err
 			}
@@ -239,15 +230,7 @@ func ModelOptExperiment(ctx context.Context, cfg FigureConfig) error {
 	}
 	var times [2]float64
 	for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
-		m, err := Run(ctx, RunSpec{
-			Dataset:        ds,
-			Partitioned:    true,
-			PerPartitionBL: true,
-			Strategy:       strat,
-			Threads:        8,
-			Mode:           ModeModelOpt,
-			TreeSeed:       cfg.Seed + 100,
-		})
+		m, err := Run(ctx, cfg.runSpec(ds, strat, 8, ModeModelOpt))
 		if err != nil {
 			return err
 		}
@@ -270,18 +253,7 @@ func ProteinExperiment(ctx context.Context, cfg FigureConfig) error {
 		}
 		var times [2]float64
 		for i, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
-			m, err := Run(ctx, RunSpec{
-				Dataset:        ds,
-				Partitioned:    true,
-				PerPartitionBL: true,
-				Strategy:       strat,
-				Schedule:       cfg.Schedule,
-				Threads:        8,
-				Mode:           ModeSearch,
-				TreeSeed:       cfg.Seed + 100,
-				SearchRounds:   cfg.SearchRounds,
-				SearchRadius:   cfg.SearchRadius,
-			})
+			m, err := Run(ctx, cfg.runSpec(ds, strat, 8, ModeSearch))
 			if err != nil {
 				return err
 			}
@@ -306,16 +278,7 @@ func WidthMicrobench(ctx context.Context, cfg FigureConfig) error {
 	}
 	for _, threads := range []int{8, 16, 32} {
 		for _, strat := range []phylo.Strategy{phylo.OldPar, phylo.NewPar} {
-			m, err := Run(ctx, RunSpec{
-				Dataset:        ds,
-				Partitioned:    true,
-				PerPartitionBL: true,
-				Strategy:       strat,
-				Schedule:       cfg.Schedule,
-				Threads:        threads,
-				Mode:           ModeModelOpt,
-				TreeSeed:       cfg.Seed + 100,
-			})
+			m, err := Run(ctx, cfg.runSpec(ds, strat, threads, ModeModelOpt))
 			if err != nil {
 				return err
 			}
@@ -353,16 +316,9 @@ func ScheduleExperiment(ctx context.Context, cfg FigureConfig) error {
 		ds.Name, ds.Alignment.NumTaxa(), st.NumPartitions, st.MinPatterns, st.MaxPatterns, cfg.Scale)
 	imbal := map[schedule.Strategy]float64{}
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
-		m, err := Run(ctx, RunSpec{
-			Dataset:        ds,
-			Partitioned:    true,
-			PerPartitionBL: true,
-			Strategy:       phylo.NewPar,
-			Schedule:       strat,
-			Threads:        8,
-			Mode:           ModeModelOpt,
-			TreeSeed:       cfg.Seed + 100,
-		})
+		spec := cfg.runSpec(ds, phylo.NewPar, 8, ModeModelOpt)
+		spec.Schedule = strat
+		m, err := Run(ctx, spec)
 		if err != nil {
 			return err
 		}

@@ -133,22 +133,18 @@ func TestEngineBuffersAligned(t *testing.T) {
 // evicts on: MemoryFootprint(l).SessionBytes() must equal the summed lengths
 // of what a real session draining l holds once it has run every region
 // kind — CLVs, scaling vectors, sumtable, every slice of every worker record,
-// the chunk layout, and the one per-chunk partial buffer — on both
-// backends, at the default chunk size and a smaller one. The worker records are walked by reflection, so a buffer added to
+// the share layout, and the one per-share partial buffer — on both
+// backends. The worker records are walked by reflection, so a buffer added to
 // one later cannot go unpriced. The transition-matrix memo is priced at its
 // cap: the blocks the session holds plus one per slot that has not missed
 // yet. The shared Layout term must be the layout descriptor's record table.
 func TestSessionFootprintMatchesBuffers(t *testing.T) {
-	for _, arm := range []struct {
-		backend  Backend
-		minChunk int
-	}{{BackendGeneric, 0}, {BackendFused, 0}, {BackendGeneric, 16}, {BackendFused, 16}} {
-		backend := arm.backend
+	for _, backend := range []Backend{BackendGeneric, BackendFused} {
 		sim, err := parallel.NewSim(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true}, weightedAt(t, arm.minChunk))
+		eng := batchEngine(t, backend, 4, sim, 3, Options{Specialize: true}, weighted(t))
 		runEvalResult(t, eng)
 		// The one partial buffer at its widest width-1 use: d1, d2 and the lnL lane.
 		z := make([]float64, eng.NumPartitions())
@@ -174,7 +170,7 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 				}
 			}
 		}
-		l := eng.ChunkLayout()
+		l := eng.ShareLayout()
 		held += l.MemoryBytes() + 8*int64(len(eng.partials))
 
 		if blocks == 0 || room == 0 {
@@ -182,8 +178,8 @@ func TestSessionFootprintMatchesBuffers(t *testing.T) {
 		}
 		f := eng.Shared().MemoryFootprint(l)
 		if got := f.SessionBytes(); got != held+room {
-			t.Errorf("%v, MinChunk %d: SessionBytes() = %d, session holds %d, %d of them memo blocks (%d short of the memo's cap)",
-				backend, arm.minChunk, got, held, blocks, room)
+			t.Errorf("%v: SessionBytes() = %d, session holds %d, %d of them memo blocks (%d short of the memo's cap)",
+				backend, got, held, blocks, room)
 		}
 		// Layout prices every per-partition table the descriptor has, found
 		// by reflection so a table added later cannot go unpriced.

@@ -94,8 +94,8 @@ func resolveBackend(b Backend) (Backend, error) {
 	return BackendFused, nil
 }
 
-// kernelBody names the per-pattern code a partition's newview shares and
-// evaluate chunks run; the sumtable and derivative regions have one body each
+// kernelBody names the per-pattern code a partition's newview and evaluate
+// shares run; the sumtable and derivative regions have one body each
 // under every backend. It is carried on the span binding as data and switched
 // on once per run (spanCtx.run), never per pattern.
 type kernelBody uint8

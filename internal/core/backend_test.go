@@ -14,7 +14,7 @@ import (
 // The kernel-backend acceptance suite: the fused backend (cat-major layout,
 // unrolled 4-state kernels) must be bit-for-bit identical to the generic
 // oracle on total lnL, per-partition lnLs, per-site lnLs, and both-sided
-// branch derivatives — across executors, chunk sizes, 1 and 4 Gamma
+// branch derivatives — across executors, schedules, 1 and 4 Gamma
 // categories, and under forced 2^-256 scaling. Exact == comparisons
 // throughout: the backends promise the same floating-point accumulation
 // order, not just the same math.
@@ -48,8 +48,8 @@ func requireBackendIdentical(t *testing.T, label string, gen, fus backendResult)
 }
 
 // TestBackendBitIdentity compares the two backends configuration by
-// configuration on mixed DNA+AA data: Pool sessions, Sim, and Sequential
-// executors, chunked execution at two chunk sizes, at 1 and 4 Gamma
+// configuration on mixed DNA+AA data: Pool sessions under the weighted
+// schedule, Sim, and Sequential executors, at 1 and 4 Gamma
 // categories. Each configuration is built twice — once per backend — over
 // backend-specific Shared state; within a configuration the executor,
 // schedule, and reduction order are identical, so any difference would be the
@@ -110,9 +110,7 @@ func backendBitIdentity(t *testing.T) {
 		}
 		configs := []config{
 			{"pool", func() *parallel.Pool { return pool.Session() }, threads,
-				Options{Specialize: true}, weightedAt(t, 0)},
-			{"pool-min16", func() *parallel.Pool { return pool.Session() }, threads,
-				Options{Specialize: true}, weightedAt(t, 16)},
+				Options{Specialize: true}, weighted(t)},
 			{"sim", sim, threads, Options{Specialize: true}, nil},
 			{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 				Options{Specialize: true}, nil},

@@ -20,7 +20,7 @@ import (
 // (every replicate's weights sum to the original site count, seeded and
 // R-invariant determinism) and the bit-identity contract — lane r of a
 // batched evaluate/derivative reduction equals a single-replicate run over
-// replicate r's weights, exactly, on both backends and at two chunk sizes,
+// replicate r's weights, exactly, on both backends and executors,
 // and a width-1 batch over the dataset's own weights equals the plain
 // unbatched Evaluate.
 
@@ -272,33 +272,33 @@ func batchEngine(t *testing.T, backend Backend, cats int, exec *parallel.Pool, n
 	return eng
 }
 
-// cut is the chunk layout a Dataset builds over sh: the strategy's schedule
-// cut at minChunk (0 selects the default size).
-func cut(t testing.TB, sh *Shared, strategy schedule.Strategy, minChunk int) *steal.Layout {
+// cut is the share layout a Dataset builds over sh: the strategy's
+// schedule's shares.
+func cut(t testing.TB, sh *Shared, strategy schedule.Strategy) *steal.Layout {
 	t.Helper()
 	s, err := sh.ScheduleFor(strategy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return steal.NewLayout(s, minChunk)
+	return steal.NewLayout(s, 0)
 }
 
-// weightedAt is cut at the weighted schedule, for fixtures that build their
+// weighted is cut at the weighted schedule, for fixtures that build their
 // Shared themselves.
-func weightedAt(t testing.TB, minChunk int) func(*Shared) *steal.Layout {
-	return func(sh *Shared) *steal.Layout { return cut(t, sh, schedule.Weighted, minChunk) }
+func weighted(t testing.TB) func(*Shared) *steal.Layout {
+	return func(sh *Shared) *steal.Layout { return cut(t, sh, schedule.Weighted) }
 }
 
 // TestOnePartialBufferServesEveryReduction: a session runs one region at a
 // time, so its evaluate and derivative regions share one partial buffer,
 // grown to the widest use and cleared by every region. On one session at
-// T = 3 under a 16-pattern layout, Evaluate at R = 3, BranchDerivatives at
-// R = 3 with the lnL lane, Evaluate at R = 1 and BranchDerivatives at R = 1
-// without the lane run in turn; every lnL, per-partition lane, d1 and d2 bit
-// of replicate k must equal that of a fresh session running the call alone at
-// width 1 over replicate k's weights — d1 and d2 with the lnL lane switched
-// the other way, so the two derivative regions' partials are laid out at
-// different widths.
+// T = 3, where a partition has a share on each worker, Evaluate at R = 3,
+// BranchDerivatives at R = 3 with the lnL lane, Evaluate at R = 1 and
+// BranchDerivatives at R = 1 without the lane run in turn; every lnL,
+// per-partition lane, d1 and d2 bit of replicate k must equal that of a fresh
+// session running the call alone at width 1 over replicate k's weights — d1
+// and d2 with the lnL lane switched the other way, so the two derivative
+// regions' partials are laid out at different widths.
 func TestOnePartialBufferServesEveryReduction(t *testing.T) {
 	const threads = 3
 	open := func() *Engine {
@@ -306,7 +306,7 @@ func TestOnePartialBufferServesEveryReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return batchEngine(t, BackendFused, 4, sim, threads, Options{Specialize: true}, weightedAt(t, 16))
+		return batchEngine(t, BackendFused, 4, sim, threads, Options{Specialize: true}, weighted(t))
 	}
 	type result struct{ lnl, per, d1, d2 []float64 }
 	// call issues one region over the R lanes of ws (nil: the dataset's own
@@ -330,8 +330,8 @@ func TestOnePartialBufferServesEveryReduction(t *testing.T) {
 		return res
 	}
 	eng := open()
-	if eng.ChunkLayout().NumChunks() <= threads*eng.NumPartitions() {
-		t.Fatalf("the layout cuts %d chunks: no share holds two", eng.ChunkLayout().NumChunks())
+	if n := len(eng.ShareLayout().Slots()); n <= eng.NumPartitions() {
+		t.Fatalf("the layout lists %d shares: no partition has two", n)
 	}
 	for _, c := range []struct {
 		name             string
@@ -378,7 +378,7 @@ func TestOnePartialBufferServesEveryReduction(t *testing.T) {
 }
 
 // TestBatchBitIdentity is the batched reductions' acceptance test: on both
-// backends, on a pool at two chunk sizes, every replicate
+// backends, on a pool and sequentially, every replicate
 // lnL and both branch derivatives of a batched R-wide run must equal — bit
 // for bit — a width-1 Evaluate / BranchDerivatives run over that replicate's
 // extracted weights (WeightSet.Replicate).
@@ -400,9 +400,7 @@ func TestBatchBitIdentity(t *testing.T) {
 	}
 	configs := []config{
 		{"pool", func() *parallel.Pool { return pool.Session() }, threads,
-			Options{Specialize: true}, weightedAt(t, 0)},
-		{"pool-min16", func() *parallel.Pool { return pool.Session() }, threads,
-			Options{Specialize: true}, weightedAt(t, 16)},
+			Options{Specialize: true}, weighted(t)},
 		{"sequential", func() *parallel.Pool { return parallel.NewSequential() }, 1,
 			Options{Specialize: true}, nil},
 	}

@@ -14,54 +14,50 @@ import (
 // it (region), Engine.drain is the one walk every worker of every region
 // runs, and spanCtx.bind is the one place a (partition, worker) share is set
 // up. The dataset's steal.Layout holds each worker's shares — its one run of
-// each span — in span order, each cut into chunks, and a worker walks its
-// own, skipping those of masked-off spans: exactly its scheduled patterns. A
-// region is newview steps, at most one sumtable pass and at most one terminal
-// pass, whose kind it is counted under. What differs between passes is data
-// on the region and three switches on the pass kind: what a share binds
-// (bind), which kernel body runs it (run), and what a pattern costs (takeOps);
-// evaluate and derivative regions add a fixed-order reduction after the
-// barrier, in their entry points. There is one entry point per kind —
-// TraverseRoot issues steps alone, Evaluate and BranchDerivatives a terminal
-// after the steps their branch needs (BranchDerivatives the sumtable pass
-// between when the branch's sumtable is stale) — and each is the one
-// runRegion call of its kind.
+// each span — in span order, and a worker walks its own, skipping those of
+// masked-off spans: exactly its scheduled patterns. A region is newview
+// steps, at most one sumtable pass and at most one terminal pass, whose kind
+// it is counted under. Every pass runs each active share once, in one body
+// call. What differs between passes is data on the region and three switches
+// on the pass kind: what a share binds (bind), which kernel body runs it
+// (run), and what a pattern costs (takeOps); evaluate and derivative regions
+// add a fixed-order reduction after the barrier, in their entry points. There
+// is one entry point per kind — TraverseRoot issues steps alone, Evaluate and
+// BranchDerivatives a terminal after the steps their branch needs
+// (BranchDerivatives the sumtable pass between when the branch's sumtable is
+// stale) — and each is the one runRegion call of its kind.
 // "Unbatched" evaluation is a value, not a code path: a WeightSet of width 1.
 // Evaluate and BranchDerivatives take the WeightSet they reduce under as an
 // argument, nil being the dataset's own weights (held once on the Shared),
 // and lane r of any batch performs the floating-point sequence a width-1 run
 // over replicate r's weights performs.
 //
-// Determinism argument (why a result depends only on the chunk layout — the
-// dataset's schedule cut into chunks — not on the executor or the
-// interleaving):
+// Determinism argument (why a result depends only on the dataset's schedule,
+// not on the executor or the interleaving):
 //
 //  1. CLV, scaling, and sumtable writes are per-pattern, so newview/sumtable
-//     output is independent of how a worker's share of a span is cut: the
-//     body runs the share as one run.
-//  2. A chunk is a reduction slot and nothing else. Reduction bodies
-//     (evaluate, derivatives) run once per chunk of a share and accumulate
-//     one partial sum per (chunk, lane), in ascending pattern order inside
-//     the chunk — a pure function of the chunk's range — and the master
-//     reduces the per-chunk partials in fixed chunk-id order after the
-//     barrier. The floating-point association is therefore identical on a
-//     concurrent or a serial executor, in this session or any other reading
-//     the same layout.
+//     output is independent of which worker writes a pattern.
+//  2. A share is its own sum. Reduction bodies (evaluate, derivatives)
+//     accumulate one partial sum per (share, lane), in ascending pattern
+//     order over the share's run — a pure function of the run — into the
+//     share's slot, and the master reduces the slots in fixed slot-id order,
+//     (span, owner), after the barrier. The floating-point association is
+//     therefore identical on a concurrent or a serial executor, in this
+//     session or any other over the same schedule.
 //  3. A region needs no barrier between its passes: a worker reads at step
 //     s+1, or at the terminal, only patterns it wrote itself at the steps
 //     before, so a region keeps the paper's single barrier (a worker may
 //     run a whole pass ahead of its neighbours).
 //
 // Span set-up (binding the two transition-matrix blocks, gathering tip
-// tables) is once per (worker, span, pass): a share binds once, however many
-// chunks it holds. A span binds, it does not compute: a P(z) block the
-// worker already built for the model state and z is taken from its memo
-// (pmMemo). Nor does it re-derive: each worker binds the spanCtx in its own
-// record (worker) in place, takes the partition's record (layout.go) in one
-// assignment and computes only what the region, the models and the branch decide.
-// Whether a tip table amortizes is decided at binding time, once, from the
-// share's length — a pure function of the layout — and the code lists of the
-// span's tip ends.
+// tables) is once per (worker, span, pass): a share binds once. A span binds,
+// it does not compute: a P(z) block the worker already built for the model
+// state and z is taken from its memo (pmMemo). Nor does it re-derive: each
+// worker binds the spanCtx in its own record (worker) in place, takes the
+// partition's record (layout.go) in one assignment and computes only what the
+// region, the models and the branch decide. Whether a tip table amortizes is
+// decided at binding time, once, from the share's length — a pure function of
+// the schedule — and the code lists of the span's tip ends.
 
 // region describes the parallel region in flight: its passes, the partitions
 // they cover and what their spans bind. It lives on the Engine (Engine.cur)
@@ -75,7 +71,7 @@ type region struct {
 	p       *tree.Node           // evaluate, derivative: the branch (p, p.Back) the region roots at
 	z       []float64            // derivative: the branch length per partition
 	ws      *WeightSet           // evaluate, derivative: the replicate weights reduced under
-	out     []float64            // evaluate, derivative: per-chunk partial sums, lanes entries a chunk (sessionBuffers.partials)
+	out     []float64            // evaluate, derivative: per-share partial sums, lanes entries a slot (sessionBuffers.partials)
 	lanes   int
 }
 
@@ -96,13 +92,12 @@ func (e *Engine) runRegion(r region, act []bool) {
 
 // drain is the one walk: worker w runs each of its shares whose span is
 // active in the pass, in span order, once per traversal step, once for the
-// sumtable and once for the terminal. A share is bound once and priced once a
-// pass; a newview or sumtable pass runs it in one body call, an evaluate or
-// derivative pass one call per chunk, into the chunk's partial slot. The op
-// charge flushes into ctx once, off the walk.
+// sumtable and once for the terminal. A share is bound, run in one body
+// call and priced once a pass; an evaluate or derivative pass accumulates
+// into its slot. The op charge flushes into ctx once, off the walk.
 func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 	r := &e.cur
-	own := e.chunks.Shares(w)
+	own := e.shares.Shares(w)
 	c := &e.workers[w].span
 	ops := 0.0
 	passes := len(r.steps)
@@ -126,13 +121,7 @@ func (e *Engine) drain(w int, ctx *parallel.WorkerCtx) {
 				continue
 			}
 			c.bind(r, kind, si, sh.Span, sh.Len(), ctx)
-			if kind == parallel.RegionNewview || kind == parallel.RegionSumTable {
-				c.run(r, -1, sh.Run, ctx) // per-pattern writes: point 1
-			} else {
-				for id := sh.First; id < sh.End; id++ {
-					c.run(r, id, e.chunks.Chunk(id).Run, ctx) // a reduction slot: point 2
-				}
-			}
+			c.run(r, sh.Slot, sh.Run, ctx)
 			ops += c.takeOps(sh.Len())
 		}
 	}
@@ -376,11 +365,10 @@ func (c *spanCtx) ensureTables(n int) {
 	}
 }
 
-// run executes pattern run run of region r with the body the partition's
-// selector names: a whole share of a newview or sumtable pass, or chunk id of
-// an evaluate or derivative pass, whose partial slot it accumulates into.
-// Dispatch is per run, never per pattern. The newview observability counters
-// flush here, off the pattern loop.
+// run executes the share run, slot id, of region r with the body the
+// partition's selector names; an evaluate or derivative pass accumulates
+// into the slot's partials. Dispatch is per run, never per pattern. The
+// newview observability counters flush here, off the pattern loop.
 func (c *spanCtx) run(r *region, id int, run schedule.Run, ctx *parallel.WorkerCtx) {
 	switch c.kind {
 	case parallel.RegionNewview:
@@ -427,9 +415,9 @@ func (c *spanCtx) takeOps(n int) float64 {
 	return ops
 }
 
-// grow returns *buf resized to n zeroed entries (grow-only): the per-chunk
-// partial sums of one reduction region, whose chunks of masked partitions
-// never run, so their entries stay zero; or an evaluate's lane sums.
+// grow returns *buf resized to n zeroed entries (grow-only): the per-share
+// partial sums of one reduction region, whose shares of masked partitions
+// never run, so their slots stay zero; or an evaluate's lane sums.
 func grow(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)

@@ -110,8 +110,8 @@ func (c *spanCtx) sideOf(end *spanEnd, j, off int) side {
 // the branch: the projection is oriented, p's end on the left. Per pattern
 // the derivative pass runs the likelihood and its two derivative dot products
 // over the sumtable once and accumulates the resulting terms under all R
-// weights into per-(chunk, lane) partials, reduced master-side in fixed
-// chunk-id order into d1 and d2, indexed [partition*R + replicate]; masked
+// weights into per-(share, lane) partials, reduced master-side in fixed
+// slot-id order into d1 and d2, indexed [partition*R + replicate]; masked
 // partitions are zeroed. lnl (R entries), nil in every Newton step, adds the
 // lnL lane: the same pass also turns each pattern's likelihood l_i(z) into
 // its site log likelihood (both ends' scaling exponents, SiteLogs) and
@@ -135,7 +135,7 @@ func (e *Engine) BranchDerivatives(p *tree.Node, z []float64, active []bool, ws 
 	if lnl != nil {
 		rg.lanes = 3 * R
 	}
-	buf := grow(&e.partials, e.chunks.NumChunks()*rg.lanes)
+	buf := grow(&e.partials, len(e.shares.Slots())*rg.lanes)
 	rg.out = buf
 	e.runRegion(rg, active)
 	if d1 != nil {

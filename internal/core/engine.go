@@ -8,8 +8,8 @@
 // chunkexec.go): which patterns a worker touches is data, not a code path —
 // a precomputed schedule.Schedule (cyclic by default, the paper's
 // per-partition pattern counts, with block and cost-weighted alternatives;
-// under each a worker's share of a partition is one contiguous run) cut into
-// chunks (the dataset's steal.Layout), each worker running its own shares. A session
+// under each a worker's share of a partition is one contiguous run) listed as
+// shares (the dataset's steal.Layout), each worker running its own. A session
 // issues its regions through one entry per kind (TraverseRoot, Evaluate,
 // BranchDerivatives); every one but TraverseRoot takes an optional
 // per-partition activity mask, which is the mechanism behind both oldPAR
@@ -50,7 +50,7 @@ const (
 // (CLVs, scaling vectors, sumtable, per-worker scratch, the region's step
 // list and partial sums) from NewSession until Release, while everything derived
 // from the dataset alone (compressed patterns, memory layout, the retired
-// buffer sets) lives in a Shared, and the chunk layout in the dataset's
+// buffer sets) lives in a Shared, and the share layout in the dataset's
 // Options.Layout, that any number of concurrent engines borrow.
 type Engine struct {
 	Data   *alignment.CompressedData
@@ -67,11 +67,11 @@ type Engine struct {
 
 	shared *Shared
 
-	// Region execution (see chunkexec.go): the chunk layout every region
+	// Region execution (see chunkexec.go): the share layout every region
 	// walks, the region in flight and the guard against a second one, and
 	// the walk as the func value handed to Exec.Run (bound once, so a
 	// region does not allocate it).
-	chunks   *steal.Layout
+	shares   *steal.Layout
 	cur      region
 	inRegion atomic.Bool
 	drainFn  func(w int, ctx *parallel.WorkerCtx)
@@ -97,15 +97,14 @@ type Engine struct {
 type Options struct {
 	// Specialize enables the tip-case lookup tables.
 	Specialize bool
-	// Layout is the chunk layout the session walks: a schedule of the
+	// Layout is the share layout the session walks: a schedule of the
 	// dataset's spans (Shared.ScheduleFor, or schedule.New over repriced
-	// spans) cut by steal.NewLayout at a minimum chunk size. Chunks are the
-	// unit of the fixed-order reductions, so the layout alone decides which
-	// worker owns which patterns and how every sum is grouped: sessions over
-	// one layout agree bit for bit. A Dataset builds one and hands it to all
-	// of its sessions, which only read it. nil means the cyclic schedule at
-	// steal.DefaultMinChunk; a layout cut for another worker count or
-	// partition scheme is refused.
+	// spans) listed by steal.NewLayout. A share is the unit of the
+	// fixed-order reductions, so the schedule alone decides which worker owns
+	// which patterns and how every sum is grouped: sessions over one layout
+	// agree bit for bit. A Dataset builds one and hands it to all of its
+	// sessions, which only read it. nil means the cyclic schedule's; a layout
+	// cut for another worker count or partition scheme is refused.
 	Layout *steal.Layout
 	// Metrics, when non-nil, receives the engine-level observability families
 	// (batch width; session buffers recycled vs allocated, counted once in
@@ -129,17 +128,17 @@ type sessionBuffers struct {
 	firstAt  map[uint64]*pmMemo // NewSession's scratch: a worker's memo of the first partition opened at each model epoch
 
 	// The master's side of a region: the newview steps in flight (room for a
-	// whole traversal, one step per inner node), the per-chunk partial sums
+	// whole traversal, one step per inner node), the per-share partial sums
 	// of the reduction in flight (a session runs one region at a time) and
 	// the per-partition lane sums of an evaluate whose caller keeps none or
 	// of a derivative region's lnL lane, the last two grown to the widest use
 	// the set has run.
 	steps    []tree.TraversalStep
-	partials []float64 // [chunk*L + lane]: evaluate L = R lanes; derivative L = 2R or 3R, [d1 lanes | d2 lanes | lnL lanes]
+	partials []float64 // [slot*L + lane]: evaluate L = R lanes; derivative L = 2R or 3R, [d1 lanes | d2 lanes | lnL lanes]
 	lanes    []float64 // [partition*R + r]
 }
 
-// worker is one worker's record: the span binding drain runs its chunks
+// worker is one worker's record: the span binding drain runs its shares
 // against, and every buffer only that worker writes, sized by workerSizes.
 // NewSession points the binding at its engine and record; Release clears it,
 // so a parked record points into no session.
@@ -255,7 +254,7 @@ func NewSession(sh *Shared, tr *tree.Tree, models []*model.Model, exec *parallel
 		shared:         sh,
 		numCats:        sh.NumCats,
 		layout:         sh.layout,
-		chunks:         layout,
+		shares:         layout,
 		xPartial:       true,
 	}
 	e.drainFn = e.drain
@@ -345,9 +344,9 @@ func (e *Engine) scale(nodeIndex int) []int32 {
 	return e.scales[nodeIndex-e.Tree.NumTips()]
 }
 
-// ChunkLayout exposes the chunk layout the session drains (read-only); its
+// ShareLayout exposes the share layout the session drains (read-only); its
 // Schedule is the pattern-to-worker assignment.
-func (e *Engine) ChunkLayout() *steal.Layout { return e.chunks }
+func (e *Engine) ShareLayout() *steal.Layout { return e.shares }
 
 // activeOrAll returns the dataset's all-true mask when active is nil.
 func (e *Engine) activeOrAll(active []bool) []bool {

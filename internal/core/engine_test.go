@@ -492,18 +492,36 @@ func TestActiveMaskRestrictsWork(t *testing.T) {
 	}
 }
 
+// TestSiteLogLikelihoodsSumToTotal: at one worker a partition is one share,
+// whose evaluate partial is one running sum over all its patterns. The total
+// must match a Neumaier-compensated sum of weight x site lnL within 1e-12
+// relative, on a short partition and on one of more than 4,000 patterns,
+// where the worst case of a same-sign running sum, about n·2^-53, is
+// 4.4e-13 relative; a running sum kept at lower precision fails.
 func TestSiteLogLikelihoodsSumToTotal(t *testing.T) {
-	a := randomAlignment(t, 7, 33, alignment.DNA, 61)
-	m, _ := model.GTR(nil, nil, 4, 0.9)
-	eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 3, parallel.NewSequential())
-	total := eng.LogLikelihood(nil)
-	site := eng.SiteLogLikelihoods(0)
-	sum := 0.0
-	for j, v := range site {
-		sum += d.Parts[0].Weights[j] * v
-	}
-	if math.Abs(sum-total) > 1e-9*math.Abs(total) {
-		t.Errorf("site lnL sum %v != total %v", sum, total)
+	for _, c := range []struct{ sites, minPatterns int }{{33, 1}, {4200, 4000}} {
+		a := randomAlignment(t, 7, c.sites, alignment.DNA, 61)
+		m, _ := model.GTR(nil, nil, 4, 0.9)
+		eng, d, _ := mkEngine(t, a, alignment.SinglePartition(a, alignment.DNA, ""), []*model.Model{m}, 1, 3, parallel.NewSequential())
+		if n := d.Parts[0].PatternCount; n < c.minPatterns {
+			t.Fatalf("%d sites compress to %d patterns, want at least %d", c.sites, n, c.minPatterns)
+		}
+		total := eng.LogLikelihood(nil)
+		var sum, comp float64 // Neumaier: comp carries what each addition rounded off
+		for j, v := range eng.SiteLogLikelihoods(0) {
+			x := d.Parts[0].Weights[j] * v
+			s := sum + x
+			if math.Abs(sum) >= math.Abs(x) {
+				comp += (sum - s) + x
+			} else {
+				comp += (x - s) + sum
+			}
+			sum = s
+		}
+		sum += comp
+		if math.Abs(sum-total) > 1e-12*math.Abs(sum) {
+			t.Errorf("%d sites: compensated site lnL sum %v != total %v (relative %.2g)", c.sites, sum, total, math.Abs(sum-total)/math.Abs(sum))
+		}
 	}
 }
 
@@ -668,7 +686,7 @@ func TestScheduleStrategiesEquivalentNumerics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
+		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,7 +721,7 @@ func TestBlockScheduleNarrowRegionImbalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
+		eng, err := NewSession(sh, tr, cl, sim, Options{Specialize: true, Layout: cut(t, sh, strat)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -752,11 +770,11 @@ func TestMoreThreadsThanPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Layout: cut(t, sh, strat, 0)})
+		eng, err := NewSession(sh, mustTree(t, 6, 11), []*model.Model{m.Clone()}, sim, Options{Specialize: true, Layout: cut(t, sh, strat)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := eng.ChunkLayout().Schedule()
+		sched := eng.ShareLayout().Schedule()
 		if sched.Strategy() != strat || sched.Threads() != 8 || sched.Total() != d.TotalPatterns {
 			t.Errorf("engine schedule = %v/%d workers/%d patterns, want %v/8/%d",
 				sched.Strategy(), sched.Threads(), sched.Total(), strat, d.TotalPatterns)

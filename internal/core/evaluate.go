@@ -16,8 +16,8 @@ import (
 // dataset's own weights, R = 1), in one parallel region: first the partial
 // traversal that validates both end CLVs of the active partitions, then
 // every site log likelihood of those, computed once and reduced under all R
-// weights into per-(chunk, lane) partial sums, which the master then reduces
-// in fixed chunk-id order (see the determinism argument in chunkexec.go).
+// weights into per-(share, lane) partial sums, which the master then reduces
+// in fixed slot-id order (see the determinism argument in chunkexec.go).
 // Results land in caller-owned buffers, either of which may be nil: lnl (R
 // entries) gets each replicate's total over the active partitions, per
 // (NumPartitions*R, indexed [partition*R + replicate]) the per-partition
@@ -38,7 +38,7 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 		e.obsBatchWidth.Set(float64(R))
 	}
 	act := e.activeOrAll(active)
-	buf := grow(&e.partials, e.chunks.NumChunks()*R)
+	buf := grow(&e.partials, len(e.shares.Slots())*R)
 	e.runRegion(region{kind: parallel.RegionEvaluate, steps: e.rootSteps(p, act), stepAct: act, p: p, ws: ws, out: buf, lanes: R}, act)
 	e.reduce(buf, R, 0, R, per)
 	if lnl != nil {
@@ -47,15 +47,14 @@ func (e *Engine) Evaluate(p *tree.Node, active []bool, ws *WeightSet, lnl, per [
 }
 
 // reduce is the master's one lane reduction: lanes lo…lo+R-1 of every
-// chunk's partials (width entries a chunk) summed into per[span*R+r], chunk
-// by chunk in id order. It serves an evaluate's lanes and a derivative
-// region's d1, d2 and lnL lanes alike.
+// share's partials (width entries a slot) summed into per[span*R+r], slot by
+// slot in id order. It serves an evaluate's lanes and a derivative region's
+// d1, d2 and lnL lanes alike.
 func (e *Engine) reduce(buf []float64, width, lo, R int, per []float64) {
 	clear(per)
-	for id := 0; id < e.chunks.NumChunks(); id++ {
-		sp := e.chunks.Chunk(id).Span
+	for id, sh := range e.shares.Slots() {
 		for r := 0; r < R; r++ {
-			per[sp*R+r] += buf[id*width+lo+r]
+			per[sh.Span*R+r] += buf[id*width+lo+r]
 		}
 	}
 }

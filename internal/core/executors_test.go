@@ -14,9 +14,9 @@ import (
 	"phylo/internal/tree"
 )
 
-// mixedFixture builds a mixed DNA+AA compressed dataset large enough that
-// every worker's share splits into several chunks at minChunk 16, plus
-// per-partition model templates at the requested category count.
+// mixedFixture builds a mixed DNA+AA compressed dataset on which every
+// worker of up to eight has a share of every partition, plus per-partition
+// model templates at the requested category count.
 func mixedFixture(t *testing.T, cats int, seed int64) (*alignment.CompressedData, []*model.Model) {
 	t.Helper()
 	const taxa, dnaLen, aaLen = 10, 600, 180
@@ -99,17 +99,15 @@ func requireBitIdentical(t *testing.T, label string, a, b evalResult) {
 	}
 }
 
-// TestStealBitIdentityAcrossExecutorsAndToggle is the acceptance test for
-// the determinism contract: likelihoods and both branch derivatives are a
-// function of the chunk layout only, so they are bit-for-bit identical
-// across Pool sessions (real goroutines), Sim (virtual workers taking turns)
-// and, at T=1, Sequential, at 1 and 4 Gamma categories on mixed DNA+AA data,
-// while the same schedule cut at 64 and 256 patterns instead of 16 regroups
-// the per-chunk reductions only and agrees to reassociation tolerance.
-// The weighted schedule is deliberately mispriced so the pack is skewed and
-// the pool's workers finish their shares far apart. (The name predates the
-// removal of work stealing and of its per-session toggle.)
-func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
+// TestBitIdentityAcrossExecutors is the acceptance test for the determinism
+// contract: likelihoods and both branch derivatives are a function of the
+// schedule only, so they are bit-for-bit identical run after run on one Pool
+// session (real goroutines) and on Sim (virtual workers taking turns), at 1
+// and 4 Gamma categories on mixed DNA+AA data, while T=1 (another schedule)
+// agrees to reassociation tolerance. The weighted schedule is deliberately
+// mispriced so the pack is skewed and the pool's workers finish their shares
+// far apart.
+func TestBitIdentityAcrossExecutors(t *testing.T) {
 	for _, cats := range []int{1, 4} {
 		d, models := mixedFixture(t, cats, int64(100+cats))
 		const threads = 3
@@ -146,33 +144,25 @@ func TestStealBitIdentityAcrossExecutorsAndToggle(t *testing.T) {
 			}
 			return eng
 		}
-		opts := Options{Specialize: true, Layout: steal.NewLayout(skewed, 16)}
-		resPool := runEvalResult(t, mk(pool.Session(), sh, opts))
+		opts := Options{Specialize: true, Layout: steal.NewLayout(skewed, 0)}
+		engPool := mk(pool.Session(), sh, opts)
+		resPool := runEvalResult(t, engPool)
+		requireBitIdentical(t, "pool run after run", resPool, runEvalResult(t, engPool))
 
 		sim, err := parallel.NewSim(threads)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "pool vs sim", resPool, runEvalResult(t, mk(sim, sh, opts)))
-		for _, minChunk := range []int{64, 256} {
-			lay := steal.NewLayout(skewed, minChunk)
-			if lay.NumChunks() == opts.Layout.NumChunks() {
-				t.Fatalf("cats=%d: %d-pattern chunks cut the fixture as 16-pattern ones do (%d chunks)", cats, minChunk, lay.NumChunks())
-			}
-			res := runEvalResult(t, mk(sim, sh, Options{Specialize: true, Layout: lay}))
-			if diff := math.Abs(res.lnl - resPool.lnl); diff > 1e-9*math.Abs(resPool.lnl) {
-				t.Errorf("cats=%d: lnL at %d-pattern chunks %v vs 16 %v", cats, minChunk, res.lnl, resPool.lnl)
-			}
-		}
 
-		// Sequential (T=1) chunked execution: a different worker count is a
-		// different layout, so T=1 agrees with T=3 to reassociation
+		// Sequential (T=1) execution: a different worker count is a
+		// different schedule, so T=1 agrees with T=3 to reassociation
 		// tolerance, not bitwise.
 		shSeq, err := NewSharedWith(d, cats, 1, BackendAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resSeq := runEvalResult(t, mk(parallel.NewSequential(), shSeq, Options{Specialize: true, Layout: cut(t, shSeq, schedule.Weighted, 16)}))
+		resSeq := runEvalResult(t, mk(parallel.NewSequential(), shSeq, Options{Specialize: true, Layout: cut(t, shSeq, schedule.Weighted)}))
 		if diff := math.Abs(resSeq.lnl - resPool.lnl); diff > 1e-9*math.Abs(resPool.lnl) {
 			t.Errorf("cats=%d: T=1 lnL %v vs T=3 %v", cats, resSeq.lnl, resPool.lnl)
 		}
@@ -195,14 +185,15 @@ func (o *walkTally) ObserveRegion(_ parallel.Region, _ time.Time, _ float64, ctx
 // TestDrainWalksOwnChunksInOrder is the table test of drain's walk: every
 // worker visits its own shares (its schedule run of each span), in span
 // order, once per traversal step, and skips the shares of masked-off spans,
-// so each active chunk runs exactly once per step. The order is the share
+// so each active share runs exactly once per step. The order is the share
 // list's, which drain ranges over; the list is checked directly (a share is
-// the owner's run, its chunks tile it, and the shares' chunk ids partition
-// the ids and ascend). The visits are checked through a real session's
-// regions: per worker, a traversal of n steps processes n times its active
-// share and binds each active share once per step (one bind per chunk, or
-// per span encounter of an interleaved walk, would count more), and an
-// evaluate region leaves a partial sum in exactly the active chunks.
+// the owner's next non-empty run, and its slot id is its place in the
+// layout's (span, owner) list). The visits are checked through a real
+// session's regions: per worker, a traversal of n steps processes n times
+// its active share and binds each active share once per step (one bind per
+// span encounter of an interleaved walk would count more), and an evaluate
+// region leaves a partial sum in exactly the active shares' slots. (The name
+// predates the removal of the chunks shares were cut into.)
 func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 	d, models := mixedFixture(t, 1, 61)
 	if len(d.Parts) != 2 {
@@ -215,114 +206,88 @@ func TestDrainWalksOwnChunksInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
-			for _, minChunk := range []int{1, 16, 64} {
-				name := fmt.Sprintf("T%d/%v/min%d", threads, strat, minChunk)
-				lay := cut(t, sh, strat, minChunk)
-				s := lay.Schedule()
+			name := fmt.Sprintf("T%d/%v", threads, strat)
+			lay := cut(t, sh, strat)
+			s := lay.Schedule()
 
-				// The layout: a share is its owner's run, its chunks tile it,
-				// and the shares' chunk ids partition the ids and ascend.
-				owner := make([]int, s.Total())
+			// The layout: a worker's shares are its next non-empty
+			// schedule runs, each at its slot in (span, owner) order.
+			slot := 0
+			for sp := 0; sp < s.NumSpans(); sp++ {
 				for w := 0; w < threads; w++ {
-					for sp := 0; sp < s.NumSpans(); sp++ {
-						r := s.SpanRun(w, sp)
-						for i := r.Lo; i < r.Hi; i++ {
-							owner[i] = w
+					if r := s.SpanRun(w, sp); r.Len() > 0 {
+						if got := lay.Slots()[slot]; got.Span != sp || got.Run != r {
+							t.Fatalf("%s: slot %d is %+v, want worker %d's run %+v of span %d", name, slot, got, w, r, sp)
 						}
+						slot++
 					}
 				}
-				seen := make([]int, lay.NumChunks())
-				for w := 0; w < threads; w++ {
-					prev, prevSpan := -1, -1
-					for _, sh := range lay.Shares(w) {
-						if sh.Span <= prevSpan || sh.Run != s.SpanRun(w, sh.Span) || sh.Len() == 0 {
-							t.Fatalf("%s: worker %d share %+v after span %d, want the next non-empty schedule run", name, w, sh, prevSpan)
-						}
-						prevSpan = sh.Span
-						lo := sh.Lo
-						for id := sh.First; id < sh.End; id++ {
-							if id <= prev {
-								t.Fatalf("%s: worker %d ids not ascending: %d after %d", name, w, id, prev)
-							}
-							prev = id
-							seen[id]++
-							c := lay.Chunk(id)
-							if c.Span != sh.Span || c.Lo != lo {
-								t.Fatalf("%s: chunk %d %+v does not continue worker %d's share %+v at %d", name, id, c, w, sh, lo)
-							}
-							lo = c.Hi
-							for i := c.Lo; i < c.Hi; i++ {
-								if owner[i] != w {
-									t.Fatalf("%s: chunk %d on worker %d's list holds pattern %d of worker %d", name, id, w, i, owner[i])
-								}
-							}
-						}
-						if lo != sh.Hi {
-							t.Fatalf("%s: worker %d's share %+v chunks end at %d", name, w, sh, lo)
-						}
-					}
-				}
-				for id, n := range seen {
-					if n != 1 {
-						t.Fatalf("%s: chunk %d is on %d owner lists, want 1", name, id, n)
-					}
-				}
-
-				// The walk through a session's regions.
-				sim, err := parallel.NewSim(threads)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tally := &walkTally{}
-				sim.SetObserver(tally)
-				tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 7})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, sim,
-					Options{Specialize: true, Layout: lay})
-				if err != nil {
-					t.Fatal(err)
-				}
-				root := tr.Tips[0].Back
-				steps := tree.ComputeTraversal(nil, root)
-				for _, mask := range masks {
-					active := func(sp int) bool { return mask == nil || mask[sp] }
-					eng.executeSteps(steps, mask)
-					for w := 0; w < threads; w++ {
-						patterns, binds := 0, 0
-						for _, sh := range lay.Shares(w) {
-							if active(sh.Span) {
-								patterns, binds = patterns+sh.Len(), binds+1
-							}
-						}
-						if got, want := tally.patterns[w], float64(len(steps)*patterns); got != want {
-							t.Errorf("%s mask %v: worker %d processed %v patterns over %d steps, want %v", name, mask, w, got, len(steps), want)
-						}
-						if got, want := tally.binds[w], float64(len(steps)*binds); got != want {
-							t.Errorf("%s mask %v: worker %d bound %v spans over %d steps, want %v", name, mask, w, got, len(steps), want)
-						}
-					}
-					evaluate1(eng, root, mask)
-					for id := 0; id < lay.NumChunks(); id++ {
-						c := lay.Chunk(id)
-						if ran := eng.partials[id] != 0; ran != (active(c.Span) && c.Len() > 0) {
-							t.Errorf("%s mask %v: chunk %d of span %d left partial %v", name, mask, id, c.Span, eng.partials[id])
-						}
-					}
-				}
-				eng.Release()
 			}
+			if slot != len(lay.Slots()) {
+				t.Fatalf("%s: %d slots, the schedule has %d non-empty runs", name, len(lay.Slots()), slot)
+			}
+			for w := 0; w < threads; w++ {
+				prevSpan := -1
+				for _, sh := range lay.Shares(w) {
+					if sh.Span <= prevSpan || sh.Run != s.SpanRun(w, sh.Span) || sh.Len() == 0 || lay.Slots()[sh.Slot] != sh {
+						t.Fatalf("%s: worker %d share %+v after span %d, want the next non-empty schedule run at its slot", name, w, sh, prevSpan)
+					}
+					prevSpan = sh.Span
+				}
+			}
+
+			// The walk through a session's regions.
+			sim, err := parallel.NewSim(threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tally := &walkTally{}
+			sim.SetObserver(tally)
+			tr, err := tree.Random(taxaNames(d.NumTaxa()), 1, tree.RandomOptions{Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewSession(sh, tr, []*model.Model{models[0].Clone(), models[1].Clone()}, sim,
+				Options{Specialize: true, Layout: lay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := tr.Tips[0].Back
+			steps := tree.ComputeTraversal(nil, root)
+			for _, mask := range masks {
+				active := func(sp int) bool { return mask == nil || mask[sp] }
+				eng.executeSteps(steps, mask)
+				for w := 0; w < threads; w++ {
+					patterns, binds := 0, 0
+					for _, sh := range lay.Shares(w) {
+						if active(sh.Span) {
+							patterns, binds = patterns+sh.Len(), binds+1
+						}
+					}
+					if got, want := tally.patterns[w], float64(len(steps)*patterns); got != want {
+						t.Errorf("%s mask %v: worker %d processed %v patterns over %d steps, want %v", name, mask, w, got, len(steps), want)
+					}
+					if got, want := tally.binds[w], float64(len(steps)*binds); got != want {
+						t.Errorf("%s mask %v: worker %d bound %v spans over %d steps, want %v", name, mask, w, got, len(steps), want)
+					}
+				}
+				evaluate1(eng, root, mask)
+				for id, sh := range lay.Slots() {
+					if ran := eng.partials[id] != 0; ran != active(sh.Span) {
+						t.Errorf("%s mask %v: slot %d of span %d left partial %v", name, mask, id, sh.Span, eng.partials[id])
+					}
+				}
+			}
+			eng.Release()
 		}
 	}
 }
 
-// TestStealBitIdentityUnderForcedScaling repeats the pool-vs-sim determinism
+// TestBitIdentityUnderForcedScaling repeats the pool-vs-sim determinism
 // check on a deep long-branch DNA tree that drives CLVs through the 2^-256
 // scaling path: the scaling exponents are per-pattern state, so the executor
-// must not disturb them either. (The name predates the removal of work
-// stealing.)
-func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
+// must not disturb them either.
+func TestBitIdentityUnderForcedScaling(t *testing.T) {
 	const taxa = 220
 	a := randomAlignment(t, taxa, 60, alignment.DNA, 4242)
 	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
@@ -357,7 +322,7 @@ func TestStealBitIdentityUnderForcedScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewSession(sh, tr, []*model.Model{m}, exec, Options{Specialize: true, Layout: cut(t, sh, schedule.Cyclic, 16)})
+		eng, err := NewSession(sh, tr, []*model.Model{m}, exec, Options{Specialize: true, Layout: cut(t, sh, schedule.Cyclic)})
 		if err != nil {
 			t.Fatal(err)
 		}

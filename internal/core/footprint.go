@@ -10,7 +10,7 @@ import (
 // evict against a byte budget, and that price has two parts: what the dataset
 // keeps resident (compressed alignment, its schedule, layout tables) and
 // what a session opened over it holds (CLVs, scaling vectors, the sumtable
-// once a branch has been smoothed, per-worker scratch, the per-chunk sums).
+// once a branch has been smoothed, per-worker scratch, the per-share sums).
 // Buffer sets parked between sessions (Shared.retired) are that same
 // one-session term, not an extra: sequential sessions pass one set along and
 // the collector empties the pool. The session part
@@ -20,7 +20,7 @@ import (
 // serves traffic.
 
 // MemoryFootprint itemizes the heap bytes of one Shared and the schedule of a
-// chunk layout over it, plus the estimated bytes of one session draining that
+// share layout over it, plus the estimated bytes of one session draining that
 // layout. All figures count the large flat buffers and tables; per-object Go
 // runtime overhead (slice headers, map buckets, goroutine stacks) is not
 // modelled, nor are a session's step list and lane sums (24 bytes an inner
@@ -53,11 +53,11 @@ type MemoryFootprint struct {
 	// the spare block, the kind scratch, the two tip lookup tables (codes ×
 	// cats × s floats) and the per-pattern scaling flags of the fused newview.
 	SessionScratch int64 `json:"session_scratch"`
-	// SessionChunks is what distributing patterns costs a session: the chunk
-	// layout it walks and its one per-chunk partial buffer at its widest use
+	// SessionShares is what distributing patterns costs a session: the share
+	// layout it walks and its one per-share partial buffer at its widest use
 	// at batch width 1, a derivative region's three lanes (d1, d2, lnL). The
 	// layout is the dataset's, priced here once.
-	SessionChunks int64 `json:"session_chunks"`
+	SessionShares int64 `json:"session_shares"`
 }
 
 // SharedBytes totals the session-independent (dataset-resident) terms.
@@ -67,7 +67,7 @@ func (f MemoryFootprint) SharedBytes() int64 {
 
 // SessionBytes totals the estimated allocation of one session.
 func (f MemoryFootprint) SessionBytes() int64 {
-	return f.SessionCLVs + f.SessionScales + f.SessionSumtable + f.SessionScratch + f.SessionChunks
+	return f.SessionCLVs + f.SessionScales + f.SessionSumtable + f.SessionScratch + f.SessionShares
 }
 
 // TotalBytes is SharedBytes plus one session's SessionBytes — the price of
@@ -97,8 +97,8 @@ func (sh *Shared) MemoryFootprint(l *steal.Layout) MemoryFootprint {
 	f.CompressedAlignment += sh.weights.MemoryBytes()
 	f.Schedules = 24*int64(len(sh.spans)) + // Span{Lo, Hi int; Cost float64}
 		l.Schedule().MemoryBytes()
-	f.SessionChunks = l.MemoryBytes() +
-		3*8*int64(l.NumChunks()) // d1, d2 and lnL partials per chunk
+	f.SessionShares = l.MemoryBytes() +
+		3*8*int64(len(l.Slots())) // d1, d2 and lnL partials per share
 	f.Layout = sh.layout.memoryBytes()
 
 	nInner := int64(sh.Data.NumTaxa() - 2)

@@ -69,7 +69,7 @@ func TestSharedStateMemo(t *testing.T) {
 				}
 				sh, counts := sharedStateSession(t, d, shared, zs, tc.threads, tc.sched)
 				sep, sepCounts := sharedStateSession(t, d, separate, zs, tc.threads, tc.sched)
-				layout := sh.ChunkLayout()
+				layout := sh.ShareLayout()
 				both, pairs := 0, 0
 				for w := 0; w < tc.threads; w++ {
 					has := map[int]bool{}

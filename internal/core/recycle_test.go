@@ -74,7 +74,7 @@ func newRecycleRig(t *testing.T, d *alignment.CompressedData, models []*model.Mo
 	}
 	pool := parallel.NewSequential()
 	if threads > 1 {
-		// Virtual workers: same chunks, same results, and the thousands of
+		// Virtual workers: same shares, same results, and the thousands of
 		// tiny optimizer regions do not each pay a goroutine hand-off (the
 		// facade's race soak runs recycling on real pools).
 		if pool, err = parallel.NewSim(threads); err != nil {

@@ -19,14 +19,14 @@ import (
 // engines (see NewSession) without synchronization on the hot path: every
 // field is read-only after construction except the pool of retired session
 // buffers (which no session reads before overwriting), so what a session
-// computes is a function of the dataset, the chunk layout it drains and its
+// computes is a function of the dataset, the share layout it drains and its
 // own options, never of a sibling or predecessor session.
 type Shared struct {
 	// Data is the compressed alignment (patterns, weights, tip encodings).
 	Data *alignment.CompressedData
 	// NumCats is the Gamma category count every session's models must match.
 	NumCats int
-	// Threads is the worker count schedules and chunk layouts are cut for;
+	// Threads is the worker count schedules and share layouts are cut for;
 	// every session executor must run exactly this many workers.
 	Threads int
 	// Backend is the resolved kernel backend (never BackendAuto); every
@@ -111,15 +111,15 @@ func (sh *Shared) Layout() *CLVLayout { return sh.layout }
 
 // ScheduleFor builds the pattern-to-worker assignment of a strategy over
 // the dataset's priced spans. It caches nothing: a Dataset builds its one
-// schedule and cuts it into the chunk layout every session drains
+// schedule and lists it as the share layout every session drains
 // (Options.Layout).
 func (sh *Shared) ScheduleFor(strategy schedule.Strategy) (*schedule.Schedule, error) {
 	return schedule.New(strategy, sh.Threads, sh.spans)
 }
 
-// sessionLayout is the chunk layout a session over sh drains: l once it is
+// sessionLayout is the share layout a session over sh drains: l once it is
 // known to be cut for this dataset's worker count and partition scheme, or
-// for nil the cyclic schedule at the default chunk size.
+// for nil the cyclic schedule's.
 func (sh *Shared) sessionLayout(l *steal.Layout) (*steal.Layout, error) {
 	if l == nil {
 		s, err := sh.ScheduleFor(schedule.Cyclic)
@@ -129,15 +129,15 @@ func (sh *Shared) sessionLayout(l *steal.Layout) (*steal.Layout, error) {
 		return steal.NewLayout(s, 0), nil
 	}
 	if l.Threads() != sh.Threads {
-		return nil, fmt.Errorf("core: chunk layout is cut for %d workers, the dataset for %d", l.Threads(), sh.Threads)
+		return nil, fmt.Errorf("core: share layout is cut for %d workers, the dataset for %d", l.Threads(), sh.Threads)
 	}
 	s := l.Schedule()
 	if s.NumSpans() != len(sh.spans) {
-		return nil, fmt.Errorf("core: chunk layout has %d spans, the dataset %d partitions", s.NumSpans(), len(sh.spans))
+		return nil, fmt.Errorf("core: share layout has %d spans, the dataset %d partitions", s.NumSpans(), len(sh.spans))
 	}
 	for i, sp := range sh.spans {
 		if got := s.Span(i); got.Lo != sp.Lo || got.Hi != sp.Hi {
-			return nil, fmt.Errorf("core: chunk layout span %d covers patterns [%d, %d), partition %d [%d, %d)", i, got.Lo, got.Hi, i, sp.Lo, sp.Hi)
+			return nil, fmt.Errorf("core: share layout span %d covers patterns [%d, %d), partition %d [%d, %d)", i, got.Lo, got.Hi, i, sp.Lo, sp.Hi)
 		}
 	}
 	return l, nil

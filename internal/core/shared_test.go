@@ -124,11 +124,10 @@ func mixedData(t *testing.T, seed int64) (*alignment.CompressedData, []*model.Mo
 	return d, []*model.Model{mDNA, mAA}
 }
 
-// TestSessionRefusesForeignLayout: a session drains only a chunk layout cut
+// TestSessionRefusesForeignLayout: a session drains only a share layout cut
 // for its dataset. A layout for another worker count, or over another
 // partition scheme with the same pattern total, is an error; a nil Layout is
-// the cyclic schedule at the default chunk size, and a layout that fits is
-// drained as it is.
+// the cyclic schedule's shares, and a layout that fits is drained as it is.
 func TestSessionRefusesForeignLayout(t *testing.T) {
 	d, models := mixedData(t, 19)
 	const threads = 2
@@ -149,7 +148,7 @@ func TestSessionRefusesForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := open(cut(t, sh3, schedule.Cyclic, 0)); err == nil {
+	if _, err := open(cut(t, sh3, schedule.Cyclic)); err == nil {
 		t.Error("a layout cut for 3 workers opened a 2-worker session")
 	}
 	// Same span count and pattern total, the partition boundary moved by one.
@@ -168,20 +167,20 @@ func TestSessionRefusesForeignLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := def.ChunkLayout()
-	if l.Schedule().Strategy() != schedule.Cyclic || l.Threads() != threads || !reflect.DeepEqual(l, steal.NewLayout(l.Schedule(), steal.DefaultMinChunk)) {
-		t.Errorf("nil Layout drains %v for %d workers, want cyclic at %d patterns for %d",
-			l.Schedule().Strategy(), l.Threads(), steal.DefaultMinChunk, threads)
+	l := def.ShareLayout()
+	if l.Schedule().Strategy() != schedule.Cyclic || l.Threads() != threads || !reflect.DeepEqual(l, steal.NewLayout(l.Schedule(), 0)) {
+		t.Errorf("nil Layout drains %v for %d workers, want cyclic's shares for %d",
+			l.Schedule().Strategy(), l.Threads(), threads)
 	}
-	explicit := cut(t, sh, schedule.Cyclic, 0)
+	explicit := cut(t, sh, schedule.Cyclic)
 	eng, err := open(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ChunkLayout() != explicit {
+	if eng.ShareLayout() != explicit {
 		t.Error("the session does not drain the layout it was handed")
 	}
 	if a, b := def.LogLikelihood(nil), eng.LogLikelihood(nil); math.Float64bits(a) != math.Float64bits(b) {
-		t.Errorf("nil Layout lnL %v, cyclic at the default chunk size %v", a, b)
+		t.Errorf("nil Layout lnL %v, cyclic's %v", a, b)
 	}
 }

@@ -221,25 +221,22 @@ func TestTipCaseScalingEquivalence(t *testing.T) {
 }
 
 // TestTipTableDecisionUsesOwnerShare audits the table decision on a weighted
-// schedule cut into short chunks: at MinChunk 4 every chunk (4-7 patterns)
-// sits below the table threshold of this data (twice the 7 codes its taxa
-// carry) while each worker's share of the span clears it several times over.
-// The decision is sized by the share, so the traversal must charge exactly
-// the ops of the same session at the default chunk size — the table price —
-// and stay below the generic (Specialize off) price; sized by the chunk it
-// would silently drop to the generic body.
+// schedule: each worker's share of the span clears the table threshold of
+// this data (twice the 7 codes its taxa carry) several times over. The
+// decision is sized by the share, so the traversal must charge the table
+// price, below the generic (Specialize off) one.
 func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 	a := randomAlignment(t, 7, 400, alignment.DNA, 88)
 	d, err := alignment.Compress(a, alignment.SinglePartition(a, alignment.DNA, ""), alignment.CompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const threads, minChunk = 2, 4
+	const threads = 2
 	threshold := 2 * maxTipRows(d.Parts[0])
-	if share := d.TotalPatterns / threads; share < 4*threshold || 2*minChunk-1 >= threshold {
-		t.Fatalf("fixture misconfigured: %d patterns per worker, chunks up to %d, table threshold %d", share, 2*minChunk-1, threshold)
+	if share := d.TotalPatterns / threads; share < 4*threshold {
+		t.Fatalf("fixture misconfigured: %d patterns per worker, table threshold %d", share, threshold)
 	}
-	traversalOps := func(specialize bool, minChunk int) float64 {
+	traversalOps := func(specialize bool) float64 {
 		sim, err := parallel.NewSim(threads)
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +249,7 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Specialize: specialize, Layout: cut(t, sh, schedule.Weighted, minChunk)}
+		opts := Options{Specialize: specialize, Layout: cut(t, sh, schedule.Weighted)}
 		eng, err := NewSession(sh, tr, []*model.Model{tipCaseModels(t, alignment.DNA, 4, 0.8)}, sim, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -260,14 +257,8 @@ func TestTipTableDecisionUsesOwnerShare(t *testing.T) {
 		eng.TraverseRoot(tr.Tips[0].Back)
 		return sim.Stats().TotalOps
 	}
-	whole := traversalOps(true, 0)
-	short := traversalOps(true, minChunk)
-	generic := traversalOps(false, minChunk)
-	if short != whole {
-		t.Errorf("traversal ops at MinChunk %d = %v, at the default chunk size %v: short chunks lost the tip tables", minChunk, short, whole)
-	}
-	if short >= generic {
-		t.Errorf("specialized traversal ops %v not below generic %v", short, generic)
+	if specialized, generic := traversalOps(true), traversalOps(false); specialized >= generic {
+		t.Errorf("specialized traversal ops %v not below generic %v: the shares lost the tip tables", specialized, generic)
 	}
 }
 

@@ -201,7 +201,7 @@ func scratchDerivatives(t *testing.T, e *Engine, b *tree.Node, z []float64, mask
 
 // scratchScore is LogLikelihood's per-partition and total bits on a session
 // that remembers nothing: a fresh Shared and session over clones of e's tree
-// and models, on as many virtual workers as e's (the same chunk layout, hence
+// and models, on as many virtual workers as e's (the same share layout, hence
 // the same reduction order).
 func scratchScore(t *testing.T, e *Engine) ([]float64, float64) {
 	t.Helper()

@@ -24,7 +24,7 @@ import (
 // is the dataset's own weights, a width-1 set the Shared holds), and lane r
 // of a batch performs exactly the floating-point sequence of a width-1 run
 // over replicate r's weights (same site values, same per-pattern multiply,
-// same per-chunk accumulation and fixed chunk-id reduction order), so lane r
+// same per-share accumulation and fixed slot-id reduction order), so lane r
 // of Evaluate(ws) is Evaluate(ws.Replicate(r)) bit for bit.
 
 // WeightSet is a batch of R per-pattern weight vectors over one dataset's

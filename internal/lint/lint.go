@@ -8,7 +8,7 @@
 //   - determinism: annotated scopes must not iterate maps, read the clock,
 //     draw from the global math/rand source, or spawn goroutines — the
 //     conventions behind bit-identical likelihoods across executors.
-//   - hotpath: annotated per-pattern kernel and chunk-claim functions must stay
+//   - hotpath: annotated per-pattern kernel functions must stay
 //     allocation- and indirection-free (no append/make/new, no slice or map
 //     composite literals, no closures, no defer, no interface conversions,
 //     no map or channel operations, no context plumbing).

@@ -265,3 +265,49 @@ func TestNilTracerSafe(t *testing.T) {
 		t.Fatal("nil tracer must be inert")
 	}
 }
+
+// pinnedRegistry holds one of each shape the exposition renders: a counter
+// at 1e6, a func-backed gauge, and a labelled histogram with observations
+// inside its bounds and a million past the last one, so its bucket and count
+// lines read above 1e6.
+func pinnedRegistry() *Registry {
+	r := NewRegistry()
+	r.Counter("plk_pinned_ops_total", "Ops, pinned.").Add(1e6)
+	r.GaugeFunc("plk_pinned_depth", "Depth, read at scrape.", func() float64 { return 2.5 }, Label{"queue", "main"})
+	h := r.Histogram("plk_pinned_seconds", "Seconds, pinned.", []float64{0.01, 0.1, 1}, Label{"kind", "evaluate"})
+	for _, v := range []float64{0.005, 0.05, 0.05, 0.5} {
+		h.Observe(v)
+	}
+	for range 1000000 {
+		h.Observe(2)
+	}
+	return r
+}
+
+// TestExpositionTextPinned holds WriteText to the bytes it rendered before it
+// was drawn from Snapshot's flattening: counters and gauges in formatValue's
+// form (1e6 is 1e+06), histogram bucket and count lines as integers.
+func TestExpositionTextPinned(t *testing.T) {
+	const want = `# HELP plk_pinned_depth Depth, read at scrape.
+# TYPE plk_pinned_depth gauge
+plk_pinned_depth{queue="main"} 2.5
+# HELP plk_pinned_ops_total Ops, pinned.
+# TYPE plk_pinned_ops_total counter
+plk_pinned_ops_total 1e+06
+# HELP plk_pinned_seconds Seconds, pinned.
+# TYPE plk_pinned_seconds histogram
+plk_pinned_seconds_bucket{kind="evaluate",le="0.01"} 1
+plk_pinned_seconds_bucket{kind="evaluate",le="0.1"} 3
+plk_pinned_seconds_bucket{kind="evaluate",le="1"} 4
+plk_pinned_seconds_bucket{kind="evaluate",le="+Inf"} 1000004
+plk_pinned_seconds_sum{kind="evaluate"} 2.000000605e+06
+plk_pinned_seconds_count{kind="evaluate"} 1000004
+`
+	var b strings.Builder
+	if err := pinnedRegistry().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != want {
+		t.Errorf("exposition text\n%s\nwant\n%s", got, want)
+	}
+}

@@ -246,32 +246,37 @@ func (r *Registry) Snapshot() []Sample {
 	defer r.mu.Unlock()
 	var out []Sample
 	for _, name := range r.sortedNames() {
-		f := r.families[name]
-		for _, s := range f.sortedSeries() {
-			switch {
-			case s.fn != nil:
-				out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: s.fn()})
-			case f.kind == kindHistogram:
-				cum := uint64(0)
-				for i, b := range f.buckets {
-					cum += s.counts[i].Load()
-					out = append(out, Sample{
-						Name: f.name + "_bucket", Kind: f.kind,
-						Labels: append(append([]Label(nil), s.labels...), Label{"le", formatBound(b)}),
-						Value:  float64(cum),
-					})
+		out = r.families[name].flatten(out)
+	}
+	return out
+}
+
+// flatten appends the family's samples to out: its series in label-key
+// order, a histogram's as cumulative buckets, then sum and count. It is the
+// one walk Snapshot and WriteText share. Caller holds the registry's lock.
+func (f *family) flatten(out []Sample) []Sample {
+	for _, s := range f.sortedSeries() {
+		switch {
+		case s.fn != nil:
+			out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: s.fn()})
+		case f.kind == kindHistogram:
+			cum := uint64(0)
+			for i := range s.counts {
+				cum += s.counts[i].Load()
+				le := "+Inf"
+				if i < len(f.buckets) {
+					le = formatBound(f.buckets[i])
 				}
-				cum += s.counts[len(f.buckets)].Load()
 				out = append(out, Sample{
 					Name: f.name + "_bucket", Kind: f.kind,
-					Labels: append(append([]Label(nil), s.labels...), Label{"le", "+Inf"}),
+					Labels: append(append([]Label(nil), s.labels...), Label{"le", le}),
 					Value:  float64(cum),
 				})
-				out = append(out, Sample{Name: f.name + "_sum", Labels: s.labels, Kind: f.kind, Value: math.Float64frombits(s.sum.Load())})
-				out = append(out, Sample{Name: f.name + "_count", Labels: s.labels, Kind: f.kind, Value: float64(cum)})
-			default:
-				out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: math.Float64frombits(s.bits.Load())})
 			}
+			out = append(out, Sample{Name: f.name + "_sum", Labels: s.labels, Kind: f.kind, Value: math.Float64frombits(s.sum.Load())})
+			out = append(out, Sample{Name: f.name + "_count", Labels: s.labels, Kind: f.kind, Value: float64(cum)})
+		default:
+			out = append(out, Sample{Name: f.name, Labels: s.labels, Kind: f.kind, Value: math.Float64frombits(s.bits.Load())})
 		}
 	}
 	return out
@@ -300,18 +305,16 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// writeLabels renders {k="v",...} with an optional extra label appended.
-func writeLabels(b *strings.Builder, labels []Label, extra ...Label) {
-	if len(labels) == 0 && len(extra) == 0 {
+// writeLabels renders {k="v",...}.
+func writeLabels(b *strings.Builder, labels []Label) {
+	if len(labels) == 0 {
 		return
 	}
 	b.WriteByte('{')
-	first := true
-	for _, l := range append(append([]Label(nil), labels...), extra...) {
-		if !first {
+	for i, l := range labels {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
 		b.WriteString(escapeLabel(l.Value))
@@ -334,53 +337,27 @@ func formatValue(v float64) string {
 }
 
 // WriteText serializes the registry in Prometheus text exposition format
-// (# HELP / # TYPE headers, families sorted by name, series by label key).
+// (# HELP / # TYPE headers, families sorted by name, series by label key):
+// Snapshot's samples, a histogram's bucket and count lines as integers.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var b strings.Builder
+	var samples []Sample
 	for _, name := range r.sortedNames() {
 		f := r.families[name]
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, s := range f.sortedSeries() {
-			switch {
-			case s.fn != nil:
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels)
-				b.WriteByte(' ')
-				b.WriteString(formatValue(s.fn()))
-				b.WriteByte('\n')
-			case f.kind == kindHistogram:
-				cum := uint64(0)
-				for i, bound := range f.buckets {
-					cum += s.counts[i].Load()
-					b.WriteString(f.name)
-					b.WriteString("_bucket")
-					writeLabels(&b, s.labels, Label{"le", formatBound(bound)})
-					fmt.Fprintf(&b, " %d\n", cum)
-				}
-				cum += s.counts[len(f.buckets)].Load()
-				b.WriteString(f.name)
-				b.WriteString("_bucket")
-				writeLabels(&b, s.labels, Label{"le", "+Inf"})
-				fmt.Fprintf(&b, " %d\n", cum)
-				b.WriteString(f.name)
-				b.WriteString("_sum")
-				writeLabels(&b, s.labels)
-				b.WriteByte(' ')
-				b.WriteString(formatValue(math.Float64frombits(s.sum.Load())))
-				b.WriteByte('\n')
-				b.WriteString(f.name)
-				b.WriteString("_count")
-				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %d\n", cum)
-			default:
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels)
-				b.WriteByte(' ')
-				b.WriteString(formatValue(math.Float64frombits(s.bits.Load())))
-				b.WriteByte('\n')
+		samples = f.flatten(samples[:0])
+		for _, s := range samples {
+			b.WriteString(s.Name)
+			writeLabels(&b, s.Labels)
+			b.WriteByte(' ')
+			if f.kind == kindHistogram && !strings.HasSuffix(s.Name, "_sum") {
+				b.WriteString(strconv.FormatUint(uint64(s.Value), 10))
+			} else {
+				b.WriteString(formatValue(s.Value))
 			}
+			b.WriteByte('\n')
 		}
 	}
 	_, err := io.WriteString(w, b.String())

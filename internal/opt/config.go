@@ -20,7 +20,7 @@
 //     and synchronization cost is amortized across the whole alignment.
 //
 // A partition's iteration reads only its own derivatives or its own
-// log likelihood, each reduced over that partition's chunks in fixed order,
+// log likelihood, each reduced over that partition's shares in fixed order,
 // so its trajectory cannot depend on which other partitions share the
 // region: both strategies perform the identical arithmetic and return the
 // identical bits, and differ only in the region count of the op trace

@@ -118,7 +118,7 @@ func (o *Optimizer) evalPartitions() []float64 {
 // from the partition's current value and its score there, o.score: SmoothAll
 // or the previous solve left it, and no branch has moved since. The solve
 // ends without a region too: o.score keeps -FX, the bits a closing region at
-// the pin would recompute (a partition's score reads only its own chunks),
+// the pin would recompute (a partition's score reads only its own shares),
 // and the CLVs stay at the last proposals: the pin moves the models' epochs,
 // so the next traversal, the round's SmoothAll, recomputes them all.
 // The closing region runs after a cancellation, for a non-finite FX (the state

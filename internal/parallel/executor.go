@@ -4,9 +4,9 @@
 // derivative computation, ...) over T workers, and every region ends in a
 // barrier, which is the synchronization cost the paper's newPAR strategy
 // amortizes. Which alignment patterns each worker processes inside a region
-// is not this package's decision: each worker walks its own chunks of a
+// is not this package's decision: each worker walks its own shares of a
 // precomputed pattern-to-worker assignment from internal/schedule (cyclic by
-// default, the paper's distribution), cut by internal/steal's layout, and
+// default, the paper's distribution), listed by internal/steal's layout, and
 // the kernels report the resulting per-worker op counts through WorkerCtx,
 // so the statistics and the virtual platform model price whatever work each
 // worker performed. Stats is that priced trace and nothing else; the

@@ -107,8 +107,7 @@ func TestRegistryHoldsTheMeasuredFold(t *testing.T) {
 }
 
 // engineSession returns a run of full traversal + evaluate passes on an
-// engine session over a mixed DNA + protein dataset under the weighted pack
-// at 16-pattern chunks.
+// engine session over a mixed DNA + protein dataset under the weighted pack.
 func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 	ds, err := seqsim.MixedDataset(10, 2, 1, 400, 1.0, 7)
 	if err != nil {
@@ -136,7 +135,7 @@ func engineSession(t *testing.T) func(*testing.T, *parallel.Pool) {
 			t.Fatal(err)
 		}
 		eng, err := core.NewSession(sh, tr, models, ex,
-			core.Options{Specialize: true, Layout: steal.NewLayout(sched, 16)})
+			core.Options{Specialize: true, Layout: steal.NewLayout(sched, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

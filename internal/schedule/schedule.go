@@ -17,15 +17,19 @@
 //     one or two workers, and mixed alignments give some workers only cheap
 //     columns.
 //   - Weighted: an LPT (longest-processing-time) bin-packing of per-partition
-//     pattern chunks onto workers using per-pattern op costs, so mixed
-//     DNA/protein datasets balance by cost rather than by count.
+//     shares onto workers using per-pattern op costs, so mixed DNA/protein
+//     datasets balance by cost rather than by count.
 //   - Measured: the weighted pack under caller-supplied prices (Rebalance).
 //     Nothing in the program reprices a schedule at run time — a dataset's
 //     schedule is built once and never changes (DESIGN.md "Why the schedule
 //     is immutable") — so no analysis option selects it.
 //
-// Schedules feed the deterministic kernels, so schedule construction is a
-// deterministic scope itself: equal inputs must yield equal assignments.
+// A worker's run of a partition is its share: internal/steal lists the
+// shares and internal/core binds, runs and reduces each as one unit (one
+// partial sum per share and lane), so a likelihood is a function of the
+// schedule alone. Schedules feed the deterministic kernels, so schedule
+// construction is a deterministic scope itself: equal inputs must yield
+// equal assignments.
 //
 //plk:deterministic
 package schedule
@@ -47,7 +51,7 @@ const (
 	Cyclic Strategy = iota
 	// Block gives each worker one contiguous slice of the global space.
 	Block
-	// Weighted LPT-bin-packs contiguous per-partition chunks by op cost.
+	// Weighted LPT-bin-packs contiguous per-partition shares by op cost.
 	Weighted
 	// Measured is the weighted pack under caller-supplied prices: New builds
 	// it exactly like Weighted, and it is the strategy a Rebalance result
@@ -173,58 +177,6 @@ func (s *Schedule) Span(sp int) Span { return s.spans[sp] }
 // SpanRun returns worker w's run inside span sp (empty: no share).
 func (s *Schedule) SpanRun(w, sp int) Run { return s.runs[w][sp] }
 
-// ChunkAlign is the pattern-count multiple that chunk cuts snap to. Sixteen
-// patterns cover one 64-byte cache line of int32 scaling exponents (the
-// densest per-pattern array the kernels write), so two workers processing
-// adjacent chunks of a contiguous run would never contend on the same
-// scaling cache line. Every chunk of a run is now its owner's, so the snap no
-// longer separates workers; it stays because chunk boundaries fix the
-// grouping of every evaluate and derivative sum.
-const ChunkAlign = 16
-
-// ChunkRuns splits worker w's run inside span sp into chunk-sized sub-runs,
-// the slots the engine groups its sums by (internal/steal's layout). The
-// chunk size is minChunk rounded up to a ChunkAlign multiple, and every
-// interior cut is additionally snapped forward onto a *global* pattern index
-// that is a ChunkAlign multiple — a run can start anywhere under the LPT
-// packs and the cyclic tiling, so run-relative cuts alone would not keep two
-// adjacent chunks off one cache line of the scaling vectors.
-// The final chunk absorbs any remainder shorter than a full chunk; with the
-// alignment snap a chunk therefore holds between minChunk-(ChunkAlign-1) and
-// 2*minChunk-1 patterns (except a whole run smaller than that). The emitted
-// chunks tile the run exactly — chunking never drops, duplicates, or
-// reorders a pattern, whatever the strategy. minChunk < 1 emits the run as
-// one chunk.
-func (s *Schedule) ChunkRuns(w, sp, minChunk int) []Run {
-	r := s.runs[w][sp]
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	mc := (minChunk + ChunkAlign - 1) / ChunkAlign * ChunkAlign
-	if minChunk < 1 || n/mc <= 1 {
-		return []Run{r}
-	}
-	// Interior cuts sit at pattern ordinal c*mc + snap; mc is itself an
-	// alignment multiple, so shifting every cut by one common snap < mc
-	// aligns them all globally, growing the first chunk by at most
-	// ChunkAlign-1 and shrinking the last by the same. The remainder joins
-	// the last chunk.
-	full := n / mc
-	snap := (ChunkAlign - r.Lo%ChunkAlign) % ChunkAlign
-	out := make([]Run, 0, full)
-	lo := r.Lo
-	for c := 1; c <= full && lo < r.Hi; c++ {
-		hi := r.Lo + c*mc + snap
-		if c == full || hi > r.Hi {
-			hi = r.Hi
-		}
-		out = append(out, Run{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	return out
-}
-
 // MemoryBytes estimates the schedule's resident heap bytes: the span table
 // plus every worker's per-span runs. Used by the dataset memory
 // accounting that prices cache eviction in the serving layer.
@@ -291,16 +243,16 @@ func (s *Schedule) buildCyclic() {
 	}
 }
 
-// buildBlock slices the whole global space into T contiguous chunks and
-// intersects each worker's chunk with every span.
+// buildBlock cuts the whole global space into T contiguous slices and
+// intersects each worker's slice with every span.
 func (s *Schedule) buildBlock() {
 	t := s.threads
-	chunk := (s.total + t - 1) / t
-	if chunk == 0 {
-		chunk = 1
+	slice := (s.total + t - 1) / t
+	if slice == 0 {
+		slice = 1
 	}
 	for w := 0; w < t; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
+		lo, hi := w*slice, (w+1)*slice
 		if hi > s.total {
 			hi = s.total
 		}
@@ -322,8 +274,8 @@ func (s *Schedule) buildBlock() {
 // buildWeighted is the cost-aware assignment. Every span is cut into the same
 // share sizes the cyclic distribution would produce (len/T patterns per
 // worker, the len%T remainder spread as +1 extras), but the shares are
-// placed by cost, by LPT bin-packing: chunks are sorted by descending
-// op cost and each is given to the least-loaded worker that has no chunk of
+// placed by cost, by LPT bin-packing: shares are sorted by descending
+// op cost and each is given to the least-loaded worker that has no share of
 // that span yet. A final swap pass moves +1 extras from the most- to the
 // least-loaded worker while that narrows the spread. Per-span counts match
 // cyclic within the same ±1 pattern, so narrow (single-partition) regions
@@ -331,10 +283,10 @@ func (s *Schedule) buildBlock() {
 // cost totals become strictly better balanced on mixed DNA/protein data.
 func (s *Schedule) buildWeighted() {
 	t := s.threads
-	type chunk struct {
+	type share struct {
 		span, size int
 	}
-	var items []chunk
+	var items []share
 	for sp, span := range s.spans {
 		n := span.Len()
 		if n == 0 {
@@ -350,10 +302,10 @@ func (s *Schedule) buildWeighted() {
 			if c < extra {
 				size++
 			}
-			items = append(items, chunk{span: sp, size: size})
+			items = append(items, share{span: sp, size: size})
 		}
 	}
-	// LPT: largest chunks first; deterministic tie-breaks.
+	// LPT: largest shares first; deterministic tie-breaks.
 	sort.SliceStable(items, func(i, j int) bool {
 		ci := float64(items[i].size) * s.spans[items[i].span].Cost
 		cj := float64(items[j].size) * s.spans[items[j].span].Cost
@@ -367,7 +319,7 @@ func (s *Schedule) buildWeighted() {
 	for w := range counts {
 		counts[w] = make([]int, len(s.spans))
 	}
-	taken := make([][]bool, t) // [worker][span] -> already has a chunk
+	taken := make([][]bool, t) // [worker][span] -> already has a share
 	for w := range taken {
 		taken[w] = make([]bool, len(s.spans))
 	}

@@ -354,89 +354,6 @@ func TestRebalanceNeverDropsOrDuplicatesPatterns(t *testing.T) {
 	}
 }
 
-// TestChunkRunsCoverAssignmentExactly is the chunk-emission property behind
-// the engine's chunk layout: for every strategy, splitting every worker's
-// span run into chunks reproduces the schedule's assignment exactly — no
-// pattern dropped, duplicated, or moved to another worker — and every chunk
-// respects the size contract (at least the aligned minimum, at most one
-// pattern short of two chunks, except where the whole run is smaller).
-func TestChunkRunsCoverAssignmentExactly(t *testing.T) {
-	for _, strat := range []Strategy{Cyclic, Block, Weighted, Measured} {
-		strat := strat
-		f := func(seedRaw uint16, tRaw uint8, mcRaw uint8) bool {
-			spans := randomSpans(int64(seedRaw) + 555)
-			threads := 1 + int(tRaw%17)
-			minChunk := 1 + int(mcRaw%97)
-			s, err := New(strat, threads, spans)
-			if err != nil {
-				return false
-			}
-			mc := (minChunk + ChunkAlign - 1) / ChunkAlign * ChunkAlign
-			owner := make([]int, s.Total())
-			for i := range owner {
-				owner[i] = -1
-			}
-			for w := 0; w < threads; w++ {
-				for sp := range spans {
-					whole := s.Count(w, sp)
-					got := 0
-					chunks := s.ChunkRuns(w, sp, minChunk)
-					for ci, c := range chunks {
-						n := c.Len()
-						got += n
-						if n == 0 {
-							t.Logf("%v: empty chunk %+v", strat, c)
-							return false
-						}
-						if n > 2*mc-1 && whole > n {
-							t.Logf("%v: chunk %+v has %d patterns (> %d) but run is larger", strat, c, n, 2*mc-1)
-							return false
-						}
-						// Chunks tile the run, and interior boundaries fall on
-						// globally aligned pattern indices (the cut rule every
-						// recorded result's summation grouping depends on).
-						if ci > 0 && chunks[ci-1].Hi != c.Lo {
-							t.Logf("%v: chunk %+v does not continue %+v", strat, c, chunks[ci-1])
-							return false
-						}
-						if ci > 0 && c.Lo%ChunkAlign != 0 {
-							t.Logf("%v: interior cut at %d is not %d-aligned", strat, c.Lo, ChunkAlign)
-							return false
-						}
-						for i := c.Lo; i < c.Hi; i++ {
-							if owner[i] != -1 {
-								t.Logf("%v: pattern %d chunked twice (workers %d, %d)", strat, i, owner[i], w)
-								return false
-							}
-							owner[i] = w
-						}
-					}
-					if got != whole {
-						t.Logf("%v: worker %d span %d chunks cover %d of %d patterns", strat, w, sp, got, whole)
-						return false
-					}
-				}
-			}
-			// Chunk ownership must equal run ownership index by index.
-			for w := 0; w < threads; w++ {
-				for sp := range spans {
-					r := s.SpanRun(w, sp)
-					for i := r.Lo; i < r.Hi; i++ {
-						if owner[i] != w {
-							t.Logf("%v: pattern %d assigned to %d but chunked to %d", strat, i, w, owner[i])
-							return false
-						}
-					}
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Errorf("%v: %v", strat, err)
-		}
-	}
-}
-
 // TestBlockIsContiguous verifies each worker owns at most one contiguous
 // global range under Block.
 func TestBlockIsContiguous(t *testing.T) {

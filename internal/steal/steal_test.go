@@ -2,7 +2,7 @@ package steal
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,10 +28,9 @@ func randomSpans(seed int64) []schedule.Span {
 	return spans
 }
 
-// walk returns the chunk ids one traversal step runs, worker after worker:
-// the chunks of each worker's shares in order, skipping shares of spans the
-// mask turns off — the walk internal/core's drain makes. A nil mask is
-// all-active.
+// walk returns the slot ids one traversal step runs, worker after worker:
+// each worker's shares in order, skipping shares of spans the mask turns
+// off — the walk internal/core's drain makes. A nil mask is all-active.
 func walk(l *Layout, active []bool) [][]int {
 	ids := make([][]int, l.Threads())
 	for w := range ids {
@@ -39,16 +38,14 @@ func walk(l *Layout, active []bool) [][]int {
 			if active != nil && !active[sh.Span] {
 				continue
 			}
-			for id := sh.First; id < sh.End; id++ {
-				ids[w] = append(ids[w], id)
-			}
+			ids[w] = append(ids[w], sh.Slot)
 		}
 	}
 	return ids
 }
 
 // verifyExactCover checks that one step's walk runs every pattern of every
-// active span exactly once and no chunk twice.
+// active span exactly once and no slot twice.
 func verifyExactCover(t *testing.T, l *Layout, spans []schedule.Span, active []bool, ids [][]int) {
 	t.Helper()
 	total := 0
@@ -56,18 +53,18 @@ func verifyExactCover(t *testing.T, l *Layout, spans []schedule.Span, active []b
 		total = spans[len(spans)-1].Hi
 	}
 	seen := make([]int, total)
-	claimed := make([]bool, l.NumChunks())
+	claimed := make([]bool, len(l.Slots()))
 	for _, own := range ids {
 		for _, id := range own {
 			if claimed[id] {
-				t.Fatalf("chunk %d walked twice", id)
+				t.Fatalf("slot %d walked twice", id)
 			}
 			claimed[id] = true
-			c := l.Chunk(id)
-			if active != nil && !active[c.Span] {
-				t.Fatalf("chunk %d of inactive span %d walked", id, c.Span)
+			sh := l.Slots()[id]
+			if active != nil && !active[sh.Span] {
+				t.Fatalf("slot %d of inactive span %d walked", id, sh.Span)
 			}
-			for i := c.Lo; i < c.Hi; i++ {
+			for i := sh.Lo; i < sh.Hi; i++ {
 				seen[i]++
 			}
 		}
@@ -85,23 +82,29 @@ func verifyExactCover(t *testing.T, l *Layout, spans []schedule.Span, active []b
 	}
 }
 
-// TestStealingNeverDropsOrDuplicatesPatterns is the layout's counterpart of
-// schedule's TestRebalanceNeverDropsOrDuplicatesPatterns. It once ran
-// concurrent thieves; with stealing gone the invariant that survives is the
-// owner lists' exact cover: for every strategy, worker count and chunk size,
-// one step's walk runs every pattern of every span exactly once.
-func TestStealingNeverDropsOrDuplicatesPatterns(t *testing.T) {
+// TestWalkNeverDropsOrDuplicatesPatterns is the layout's counterpart of
+// schedule's TestRebalanceNeverDropsOrDuplicatesPatterns: for every strategy
+// and worker count, one step's walk runs every pattern of every span exactly
+// once, and the slots list every share once, at its id, in (span, owner)
+// order — the engine's reduction order.
+func TestWalkNeverDropsOrDuplicatesPatterns(t *testing.T) {
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
-		f := func(seedRaw uint16, tRaw, mcRaw uint8) bool {
+		f := func(seedRaw uint16, tRaw uint8) bool {
 			spans := randomSpans(int64(seedRaw) + 999)
 			threads := 1 + int(tRaw%8)
-			minChunk := 1 + int(mcRaw%80)
 			s, err := schedule.New(strat, threads, spans)
 			if err != nil {
 				return false
 			}
-			l := NewLayout(s, minChunk)
+			l := NewLayout(s, 0)
 			verifyExactCover(t, l, spans, nil, walk(l, nil))
+			prev := schedule.Run{}
+			for id, sh := range l.Slots() {
+				if sh.Slot != id || sh.Len() == 0 || id > 0 && sh.Lo != prev.Hi {
+					t.Errorf("%v: slot %d is %+v after %+v, want the next non-empty run at its id", strat, id, sh, prev)
+				}
+				prev = sh.Run
+			}
 			return !t.Failed()
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -110,8 +113,8 @@ func TestStealingNeverDropsOrDuplicatesPatterns(t *testing.T) {
 	}
 }
 
-// TestActiveMaskFiltersSpans checks that a span mask filters whole chunks:
-// no chunk straddles two spans, so skipping the chunks of masked-off spans
+// TestActiveMaskFiltersSpans checks that a span mask filters whole shares:
+// no share straddles two spans, so skipping the shares of masked-off spans
 // leaves exact coverage of the active subset.
 func TestActiveMaskFiltersSpans(t *testing.T) {
 	spans := []schedule.Span{{Lo: 0, Hi: 300, Cost: 160}, {Lo: 300, Hi: 700, Cost: 3360}, {Lo: 700, Hi: 900, Cost: 160}}
@@ -119,12 +122,11 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayout(s, 32)
-	for id := 0; id < l.NumChunks(); id++ {
-		c := l.Chunk(id)
-		sp := spans[c.Span]
-		if c.Len() > 0 && (c.Lo < sp.Lo || c.Hi > sp.Hi) {
-			t.Fatalf("chunk %d [%d,%d) straddles span %d [%d,%d)", id, c.Lo, c.Hi, c.Span, sp.Lo, sp.Hi)
+	l := NewLayout(s, 0)
+	for id, sh := range l.Slots() {
+		sp := spans[sh.Span]
+		if sh.Lo < sp.Lo || sh.Hi > sp.Hi {
+			t.Fatalf("slot %d [%d,%d) straddles span %d [%d,%d)", id, sh.Lo, sh.Hi, sh.Span, sp.Lo, sp.Hi)
 		}
 	}
 	for _, active := range [][]bool{{true, false, true}, {false, true, false}, {false, false, false}} {
@@ -133,9 +135,10 @@ func TestActiveMaskFiltersSpans(t *testing.T) {
 }
 
 // TestSerialModeHandsOutOwnChunksOnly checks the owner-only contract every
-// executor, serial or concurrent, now meets: a worker's chunk list holds
-// only patterns the schedule gives it, in ascending id order, and its chunks
-// cover exactly its scheduled share of every span.
+// executor, serial or concurrent, meets: a worker's list holds exactly its
+// schedule run of every span it has patterns of, in span order with
+// ascending slot ids, and the layout prices its two lists of share records.
+// (The name predates the shares' chunks' removal.)
 func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 	spans := randomSpans(7)
 	for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
@@ -143,112 +146,55 @@ func TestSerialModeHandsOutOwnChunksOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := NewLayout(s, 16)
-		owner := make([]int, s.Total())
+		l := NewLayout(s, 0)
+		shares := 0
 		for w := 0; w < s.Threads(); w++ {
+			own, next := l.Shares(w), 0
 			for sp := 0; sp < s.NumSpans(); sp++ {
 				r := s.SpanRun(w, sp)
-				for i := r.Lo; i < r.Hi; i++ {
-					owner[i] = w
+				if r.Len() == 0 {
+					continue
 				}
+				if next == len(own) || own[next].Span != sp || own[next].Run != r {
+					t.Fatalf("%v: worker %d's share %d of %d is not its schedule run %+v of span %d", strat, w, next, len(own), r, sp)
+				}
+				if next > 0 && own[next].Slot <= own[next-1].Slot {
+					t.Fatalf("%v: worker %d slots not ascending: %d after %d", strat, w, own[next].Slot, own[next-1].Slot)
+				}
+				if l.Slots()[own[next].Slot] != own[next] {
+					t.Fatalf("%v: worker %d share %+v is not slot %d's", strat, w, own[next], own[next].Slot)
+				}
+				next++
 			}
+			if next != len(own) {
+				t.Fatalf("%v: worker %d lists %d shares, its schedule %d", strat, w, len(own), next)
+			}
+			shares += len(own)
 		}
-		for w, own := range walk(l, nil) {
-			prev := -1
-			share := make([]int, s.NumSpans())
-			for _, id := range own {
-				if id <= prev {
-					t.Fatalf("%v: worker %d ids not ascending: %d after %d", strat, w, id, prev)
-				}
-				prev = id
-				c := l.Chunk(id)
-				for i := c.Lo; i < c.Hi; i++ {
-					if owner[i] != w {
-						t.Fatalf("%v: worker %d's chunk %d holds pattern %d of worker %d", strat, w, id, i, owner[i])
-					}
-				}
-				share[c.Span] += c.Len()
-			}
-			for sp, n := range share {
-				if want := s.Count(w, sp); n != want {
-					t.Fatalf("%v: worker %d walks %d patterns of span %d, want its share %d", strat, w, n, sp, want)
-				}
-			}
+		if got, want := l.MemoryBytes(), 2*int64(shares)*4*8; got != want {
+			t.Errorf("%v: MemoryBytes = %d, want %d", strat, got, want)
 		}
-	}
-}
-
-// TestLayoutRespectsMinChunkDefault checks defaulting, each share against
-// its owner's schedule run and the chunks it is cut into, and the memory
-// pricing.
-func TestLayoutRespectsMinChunkDefault(t *testing.T) {
-	spans := []schedule.Span{{Lo: 0, Hi: 1000, Cost: 2}}
-	s, err := schedule.New(schedule.Block, 2, spans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLayout(s, 0)
-	if def := NewLayout(s, DefaultMinChunk); !reflect.DeepEqual(l, def) {
-		t.Errorf("minChunk 0 cuts %d chunks, the default %d cuts %d", l.NumChunks(), DefaultMinChunk, def.NumChunks())
-	}
-	totalPatterns, shares := 0, 0
-	// The global-alignment snap can shave up to ChunkAlign-1 patterns off a
-	// run's final chunk.
-	floor := DefaultMinChunk - (schedule.ChunkAlign - 1)
-	for w := 0; w < l.Threads(); w++ {
-		for _, sh := range l.Shares(w) {
-			shares++
-			if sh.Run != s.SpanRun(w, sh.Span) {
-				t.Errorf("worker %d share %+v, want its schedule run %+v", w, sh, s.SpanRun(w, sh.Span))
-			}
-			n := 0
-			for id := sh.First; id < sh.End; id++ {
-				c := l.Chunk(id)
-				if c.Len() < floor {
-					t.Errorf("chunk %d has %d patterns, below the %d floor", id, c.Len(), floor)
-				}
-				n += c.Len()
-			}
-			if n != sh.Len() {
-				t.Errorf("worker %d share %+v: its chunks hold %d patterns", w, sh, n)
-			}
-			totalPatterns += n
-		}
-	}
-	if got, want := l.MemoryBytes(), int64(l.NumChunks())*3*8+int64(shares)*5*8; got != want {
-		t.Errorf("MemoryBytes = %d, want %d", got, want)
-	}
-	if totalPatterns != 1000 {
-		t.Errorf("owner lists cover %d patterns, want 1000", totalPatterns)
 	}
 }
 
 // TestSequentialLayoutsAgree: at one worker every strategy's schedule is one
-// run per span, so Cyclic, Block and Weighted cut the same layout, chunk for
-// chunk, at every chunk size.
+// run per span, so Cyclic, Block and Weighted list the same shares.
 func TestSequentialLayoutsAgree(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		spans := randomSpans(seed)
-		for _, minChunk := range []int{0, 1, 16, 33, 64, 200} {
-			var ref *Layout
-			for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
-				s, err := schedule.New(strat, 1, spans)
-				if err != nil {
-					t.Fatal(err)
-				}
-				l := NewLayout(s, minChunk)
-				if ref == nil {
-					ref = l
-					continue
-				}
-				if l.NumChunks() != ref.NumChunks() {
-					t.Fatalf("seed %d, min chunk %d: %v cuts %d chunks, cyclic %d", seed, minChunk, strat, l.NumChunks(), ref.NumChunks())
-				}
-				for id := 0; id < l.NumChunks(); id++ {
-					if l.Chunk(id) != ref.Chunk(id) {
-						t.Fatalf("seed %d, min chunk %d: %v chunk %d is %+v, cyclic's %+v", seed, minChunk, strat, id, l.Chunk(id), ref.Chunk(id))
-					}
-				}
+		var ref *Layout
+		for _, strat := range []schedule.Strategy{schedule.Cyclic, schedule.Block, schedule.Weighted} {
+			s, err := schedule.New(strat, 1, spans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := NewLayout(s, 0)
+			if ref == nil {
+				ref = l
+				continue
+			}
+			if !slices.Equal(l.Slots(), ref.Slots()) {
+				t.Fatalf("seed %d: %v lists %+v, cyclic %+v", seed, strat, l.Slots(), ref.Slots())
 			}
 		}
 	}

@@ -19,8 +19,8 @@
 //
 // The API has two layers. A Dataset is the immutable, shareable product of
 // the per-dataset setup work the paper amortizes — compressed patterns, tip
-// encodings, model templates, the precomputed worker schedule cut into one
-// chunk layout, and the shared worker pool. An Analysis is one lightweight session over a Dataset: it
+// encodings, model templates, the precomputed worker schedule listed as one
+// share layout, and the shared worker pool. An Analysis is one lightweight session over a Dataset: it
 // owns only mutable state (tree, CLVs, model copies), so any number of
 // sessions can run concurrently over one Dataset — the many-trees /
 // one-alignment workload of surrogate-likelihood methods. Long-running

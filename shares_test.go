@@ -10,13 +10,12 @@ import (
 	"phylo/internal/steal"
 )
 
-// TestFacadeBitIdentityAcrossRunsAndExecutors drives the chunk layout end to
-// end through the public API. A result is a function of the schedule and the
-// dataset's chunk layout only: runs are bitwise equal on the real pool, run
-// after run, and on the virtual executor, and one thread (another schedule,
-// so another grouping of the sums) agrees to reassociation tolerance. That
-// another chunk size regroups the sums only is held in internal/core
-// (TestStealBitIdentityAcrossExecutorsAndToggle).
+// TestFacadeBitIdentityAcrossRunsAndExecutors drives the share layout end to
+// end through the public API. A result is a function of the dataset's
+// schedule only: runs are bitwise equal on the real pool, run after run, and
+// on the virtual executor, and one thread (another schedule, so another
+// grouping of the sums) agrees to reassociation tolerance. internal/core
+// holds the same at the engine (TestBitIdentityAcrossExecutors).
 func TestFacadeBitIdentityAcrossRunsAndExecutors(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
@@ -54,9 +53,9 @@ func TestFacadeBitIdentityAcrossRunsAndExecutors(t *testing.T) {
 }
 
 // TestSessionsShareTheDatasetLayout: the pattern distribution is one value
-// per Dataset. Concurrent analyses drain the very chunk layout NewDataset cut
-// (pointer-equal, at the default chunk size) and score bit-identical log
-// likelihoods.
+// per Dataset. Concurrent analyses drain the very share layout NewDataset
+// listed (pointer-equal, and equal to its schedule's shares) and score
+// bit-identical log likelihoods.
 func TestSessionsShareTheDatasetLayout(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
@@ -67,8 +66,8 @@ func TestSessionsShareTheDatasetLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if want := steal.NewLayout(ds.layout.Schedule(), steal.DefaultMinChunk); !reflect.DeepEqual(ds.layout, want) {
-		t.Fatalf("dataset layout cut into %d chunks, %d at the default %d patterns", ds.layout.NumChunks(), want.NumChunks(), steal.DefaultMinChunk)
+	if want := steal.NewLayout(ds.layout.Schedule(), 0); !reflect.DeepEqual(ds.layout, want) {
+		t.Fatalf("dataset layout lists %+v, its schedule's shares are %+v", ds.layout.Slots(), want.Slots())
 	}
 	const n = 2
 	ans := make([]*Analysis, n)
@@ -87,8 +86,8 @@ func TestSessionsShareTheDatasetLayout(t *testing.T) {
 	}
 	wg.Wait()
 	for i, an := range ans {
-		if an.eng.ChunkLayout() != ds.layout {
-			t.Errorf("session %d drains its own chunk layout, not the dataset's", i)
+		if an.eng.ShareLayout() != ds.layout {
+			t.Errorf("session %d drains its own share layout, not the dataset's", i)
 		}
 	}
 	if math.Float64bits(lnl[0]) != math.Float64bits(lnl[1]) {
@@ -96,10 +95,11 @@ func TestSessionsShareTheDatasetLayout(t *testing.T) {
 	}
 }
 
-// TestMemoryBreakdownPricesTheDatasetChunkSize: the session-chunk term is the
-// layout sessions walk, cut at the dataset's one chunk size, and the one
-// partial buffer at its widest width-1 use — three lanes a chunk, a
-// derivative region's d1, d2 and lnL — for each of the schedules.
+// TestMemoryBreakdownPricesTheDatasetChunkSize: the session-share term is
+// the layout sessions walk, the dataset's schedule's shares, and the one
+// partial buffer at its widest width-1 use — three lanes a share, a
+// derivative region's d1, d2 and lnL — for each of the schedules. (The name
+// predates the removal of the chunks shares were cut into.)
 func TestMemoryBreakdownPricesTheDatasetChunkSize(t *testing.T) {
 	al, err := SimulateMixed(10, 3, 1, 400, 1.0, 7)
 	if err != nil {
@@ -110,10 +110,10 @@ func TestMemoryBreakdownPricesTheDatasetChunkSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := steal.NewLayout(ds.layout.Schedule(), steal.DefaultMinChunk)
-		want := l.MemoryBytes() + 3*8*int64(l.NumChunks())
-		if got := ds.MemoryBreakdown().SessionChunks; got != want {
-			t.Errorf("%v: SessionChunks = %d, a session's layout and partial buffer hold %d", sched, got, want)
+		l := steal.NewLayout(ds.layout.Schedule(), 0)
+		want := l.MemoryBytes() + 3*8*int64(len(l.Slots()))
+		if got := ds.MemoryBreakdown().SessionShares; got != want {
+			t.Errorf("%v: SessionShares = %d, a session's layout and partial buffer hold %d", sched, got, want)
 		}
 		ds.Close()
 	}
